@@ -108,11 +108,27 @@ impl Value {
     /// SQL's `GROUP BY` and `DISTINCT` treat `NULL`s as equal to each other,
     /// so the key view is *two-valued* by design, independent of the
     /// comparison convention.
+    #[inline]
     pub fn key(&self) -> Key {
+        match self.key_ref() {
+            KeyRef::Null => Key::Null,
+            KeyRef::Bool(b) => Key::Bool(b),
+            KeyRef::Int(i) => Key::Int(i),
+            KeyRef::Float(bits) => Key::Float(bits),
+            KeyRef::Str(s) => Key::Str(s.to_string()),
+        }
+    }
+
+    /// [`Value::key`] without the copy: the same canonical form, borrowing
+    /// the string payload. This is where the normalization lives (`key`
+    /// is this plus an owned string), so a borrowed key hashes and
+    /// compares exactly like the owned one it stands for.
+    #[inline]
+    pub fn key_ref(&self) -> KeyRef<'_> {
         match self {
-            Value::Null => Key::Null,
-            Value::Bool(b) => Key::Bool(*b),
-            Value::Int(i) => Key::Int(*i),
+            Value::Null => KeyRef::Null,
+            Value::Bool(b) => KeyRef::Bool(*b),
+            Value::Int(i) => KeyRef::Int(*i),
             Value::Float(f) => {
                 // Normalize integral floats so that 1.0 groups with 1.
                 if f.fract() == 0.0
@@ -120,14 +136,14 @@ impl Value {
                     && *f >= i64::MIN as f64
                     && *f <= i64::MAX as f64
                 {
-                    Key::Int(*f as i64)
+                    KeyRef::Int(*f as i64)
                 } else if f.is_nan() {
-                    Key::Float(f64::NAN.to_bits())
+                    KeyRef::Float(f64::NAN.to_bits())
                 } else {
-                    Key::Float(f.to_bits())
+                    KeyRef::Float(f.to_bits())
                 }
             }
-            Value::Str(s) => Key::Str(s.clone()),
+            Value::Str(s) => KeyRef::Str(s),
         }
     }
 
@@ -147,6 +163,17 @@ impl Value {
             Value::Null => None,
             Value::Float(f) if f.is_nan() => None,
             other => Some(other.key()),
+        }
+    }
+
+    /// [`Value::join_key`] without the copy (see [`Value::key_ref`]): what
+    /// the hash-join probe hashes and compares, so probing with a string
+    /// key allocates nothing.
+    pub fn join_key_ref(&self) -> Option<KeyRef<'_>> {
+        match self {
+            Value::Null => None,
+            Value::Float(f) if f.is_nan() => None,
+            other => Some(other.key_ref()),
         }
     }
 }
@@ -265,6 +292,18 @@ pub enum Key {
     Int(i64),
     Float(u64),
     Str(String),
+}
+
+/// A [`Key`] that borrows its string payload: same variants, same
+/// equality, produced by [`Value::key_ref`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[allow(missing_docs)] // variants/fields are self-describing
+pub enum KeyRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
 }
 
 /// Three-valued logic (Kleene), as used by SQL (paper §2.10).

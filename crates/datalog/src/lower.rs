@@ -167,7 +167,17 @@ impl<'p> Lowerer<'p> {
                 }
                 Literal::AggAssign { var, agg } => {
                     let rep = self.aggregate(agg, &mut cx)?;
-                    cx.var_map.insert(var.clone(), rep);
+                    match cx.var_map.get(var) {
+                        // Already bound: `q = count : {…}` compares.
+                        Some(bound) => cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
+                            left: Scalar::Attr(bound.clone()),
+                            op: CmpOp::Eq,
+                            right: Scalar::Attr(rep),
+                        })),
+                        None => {
+                            cx.var_map.insert(var.clone(), rep);
+                        }
+                    }
                 }
             }
         }

@@ -101,14 +101,26 @@ impl Catalog {
         self
     }
 
-    /// The explicit `ANALYZE` pass: (re)compute statistics for **every**
-    /// base relation, regardless of size or the `ARC_STATS` setting, and
+    /// The explicit `ANALYZE` pass: make sure **every** base relation has
+    /// statistics, regardless of size or the `ARC_STATS` setting, and
     /// bump the statistics epoch (invalidating cached plans). Returns the
-    /// number of relations analyzed.
+    /// number of relations covered.
+    ///
+    /// Statistics that are already current are kept, not recomputed: a
+    /// relation cannot change while the catalog holds it (replacing it
+    /// through [`Catalog::add`] drops its statistics), so what
+    /// registration's auto-analyze produced still describes its rows —
+    /// load-then-`ANALYZE` reads each relation once, not twice.
     pub fn analyze(&mut self) -> usize {
         for rel in self.relations.values() {
-            self.stats
-                .insert(rel.name.clone(), Arc::new(analyze_relation(rel)));
+            let current = self
+                .stats
+                .get(&rel.name)
+                .is_some_and(|ts| ts.rows == rel.len() as u64);
+            if !current {
+                self.stats
+                    .insert(rel.name.clone(), Arc::new(analyze_relation(rel)));
+            }
         }
         self.bump_epoch();
         self.relations.len()
@@ -236,6 +248,28 @@ mod tests {
         let ts = c.stats("Tiny").expect("explicit ANALYZE ignores size");
         assert_eq!(ts.rows, 2);
         assert_eq!(ts.columns[0].distinct, 2);
+    }
+
+    #[test]
+    fn explicit_analyze_keeps_statistics_that_are_current() {
+        let mut c = Catalog::new();
+        c.add(big_rel("Big", 64));
+        c.add(Relation::from_ints("Tiny", &["A"], &[&[1]]));
+        let auto = c.stats("Big").cloned();
+        let before = c.stats_epoch();
+        assert_eq!(c.analyze(), 2);
+        assert!(c.stats_epoch() > before, "the epoch moves regardless");
+        assert!(c.stats("Tiny").is_some(), "missing statistics are computed");
+        if let Some(auto) = auto {
+            // Auto-analyzed at registration (unless ARC_STATS=off): the
+            // very same statistics object survives the explicit pass.
+            assert!(Arc::ptr_eq(&auto, c.stats("Big").unwrap()));
+        }
+        // Replacing the relation drops its statistics; the next pass
+        // computes them afresh.
+        c.add(big_rel("Big", 32));
+        c.analyze();
+        assert_eq!(c.stats("Big").unwrap().rows, 32);
     }
 
     #[test]

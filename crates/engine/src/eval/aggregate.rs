@@ -1,187 +1,449 @@
-//! Aggregation over grouping scopes: accumulating aggregates across group
-//! members and evaluating per-group tests (§2.5, §2.6).
+//! Aggregation over grouping scopes (§2.5, §2.6): one-pass accumulators
+//! and the per-group tests evaluated over them.
+//!
+//! A grouping scope never materializes its members. Each surviving
+//! environment evaluates the grouping key and every aggregate call's
+//! argument once and folds them into its group's [`Acc`]s; the group keeps
+//! only the *first* member's rows (the representative environment the
+//! non-aggregate scalars read — grouping keys are constant within a
+//! group). Members fold in enumeration order, so order-sensitive results
+//! (float sums) are exactly what a collect-then-fold would compute.
 
 use super::env::{Env, Frame};
-use super::partition::Parts;
-use super::scalar::{arith, fold_sum};
+use super::scalar::arith;
+use super::scope::GroupTests;
+use super::slots::{CFormula, CPred, CScalar};
 use super::Ctx;
-use crate::error::Result;
-use arc_core::ast::*;
+use crate::error::{EvalError, Result};
+use arc_core::ast::AggFunc;
 use arc_core::conventions::EmptyAgg;
 use arc_core::value::{Key, Truth, Value};
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 
-/// Evaluate the per-group tests (aggregation comparisons + boolean
-/// subformulas containing scope-level aggregates).
-pub(crate) fn group_verdict(
-    ctx: &Ctx<'_>,
-    parts: &Parts<'_>,
-    members: &[Vec<Frame>],
-    env: &mut Env,
-) -> Result<bool> {
-    let mut t = Truth::True;
-    for p in &parts.agg_tests {
-        t = t.and(group_pred(ctx, p, members, env)?);
-        if t == Truth::False {
-            return Ok(false);
-        }
-    }
-    for f in &parts.post_bool {
-        t = t.and(group_formula(ctx, f, members, env)?);
-        if t == Truth::False {
-            return Ok(false);
-        }
-    }
-    Ok(t.is_true())
+/// One aggregate call of a grouping scope, arguments resolved.
+pub(crate) struct AggSpec<'a> {
+    func: AggFunc,
+    distinct: bool,
+    /// The per-member argument; `None` is `*` (every member counts).
+    arg: Option<CScalar<'a>>,
+    /// The error the argument raises whenever it is evaluated (a name
+    /// that did not resolve, a nested aggregate). Such a call folds
+    /// nothing and reports the error when its value is asked for over a
+    /// non-empty group — the moment a per-member evaluation would have
+    /// hit it.
+    pub(crate) err: Option<EvalError>,
 }
 
-fn group_formula(
-    ctx: &Ctx<'_>,
-    f: &Formula,
-    members: &[Vec<Frame>],
-    env: &mut Env,
-) -> Result<Truth> {
-    match f {
-        Formula::Pred(p) => group_pred(ctx, p, members, env),
-        Formula::And(fs) => {
-            let mut t = Truth::True;
-            for sub in fs {
-                t = t.and(group_formula(ctx, sub, members, env)?);
+impl<'a> AggSpec<'a> {
+    pub(crate) fn new(func: AggFunc, distinct: bool, arg: Option<CScalar<'a>>) -> Self {
+        let err = arg.as_ref().and_then(|a| a.first_raise()).cloned();
+        AggSpec {
+            func,
+            distinct,
+            arg,
+            err,
+        }
+    }
+
+    /// What the environment on top of `env` feeds this call: `None` for a
+    /// call whose argument always raises (it folds nothing), 1 for `*`.
+    fn input<'e>(&'e self, ctx: &Ctx<'_>, env: &'e Env<'_>) -> Result<Option<Cow<'e, Value>>> {
+        match (&self.err, &self.arg) {
+            (Some(_), _) => Ok(None),
+            (None, None) => Ok(Some(Cow::Owned(Value::Int(1)))),
+            (None, Some(arg)) => ctx.scalar(arg, env).map(Some),
+        }
+    }
+}
+
+/// Running state of one aggregate call over one group (SQL semantics:
+/// `NULL` inputs are skipped; `count(*)` counts members).
+pub(crate) struct Acc {
+    /// Inputs folded (non-`NULL`, and first occurrences under `distinct`).
+    n: usize,
+    /// Σ inputs while every one has been an `Int` (wrapping).
+    ints: i64,
+    /// Σ inputs as `f64`, in fold order, while every one was numeric.
+    floats: f64,
+    all_int: bool,
+    numeric: bool,
+    /// Current minimum / maximum.
+    extreme: Option<Value>,
+    /// Keys already folded, for `distinct` calls.
+    seen: Option<HashSet<Key>>,
+}
+
+impl Acc {
+    fn new(spec: &AggSpec<'_>) -> Acc {
+        Acc {
+            n: 0,
+            ints: 0,
+            // The float fold starts from `Iterator::sum`'s own neutral
+            // element, so an all-`-0.0` group sums as it always has.
+            floats: std::iter::empty::<f64>().sum(),
+            all_int: true,
+            numeric: true,
+            extreme: None,
+            seen: spec.distinct.then(HashSet::new),
+        }
+    }
+
+    fn fold(&mut self, func: AggFunc, v: &Value) {
+        if v.is_null() {
+            return;
+        }
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(v.key()) {
+                return;
             }
-            Ok(t)
         }
-        Formula::Or(fs) => {
-            let mut t = Truth::False;
-            for sub in fs {
-                t = t.or(group_formula(ctx, sub, members, env)?);
+        self.n += 1;
+        match func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                match v {
+                    Value::Int(i) => self.ints = self.ints.wrapping_add(*i),
+                    _ => self.all_int = false,
+                }
+                match v.as_f64() {
+                    Some(f) => self.floats += f,
+                    None => self.numeric = false,
+                }
             }
-            Ok(t)
-        }
-        Formula::Not(inner) => Ok(group_formula(ctx, inner, members, env)?.not()),
-        Formula::Quant(_) => ctx.formula_truth(f, env),
-    }
-}
-
-fn group_pred(
-    ctx: &Ctx<'_>,
-    p: &Predicate,
-    members: &[Vec<Frame>],
-    env: &mut Env,
-) -> Result<Truth> {
-    match p {
-        Predicate::Cmp { left, op, right } => {
-            let l = group_scalar(ctx, left, members, env)?;
-            let r = group_scalar(ctx, right, members, env)?;
-            Ok(ctx.compare(&l, *op, &r))
-        }
-        Predicate::IsNull { expr, negated } => {
-            let v = group_scalar(ctx, expr, members, env)?;
-            Ok(Truth::from_bool(v.is_null() != *negated))
-        }
-    }
-}
-
-/// Evaluate a scalar in group context: aggregates accumulate over the
-/// group members; everything else evaluates against the representative
-/// environment.
-pub(crate) fn group_scalar(
-    ctx: &Ctx<'_>,
-    s: &Scalar,
-    members: &[Vec<Frame>],
-    env: &mut Env,
-) -> Result<Value> {
-    match s {
-        Scalar::Agg(call) => accumulate(ctx, call, members, env),
-        Scalar::Attr(_) | Scalar::Const(_) => ctx.scalar(s, env),
-        Scalar::Arith { op, left, right } => {
-            let l = group_scalar(ctx, left, members, env)?;
-            let r = group_scalar(ctx, right, members, env)?;
-            Ok(arith(*op, &l, &r))
-        }
-    }
-}
-
-/// Accumulate one aggregate over the group (SQL semantics: `NULL` inputs
-/// are skipped; `count(*)` counts rows; the empty-group value is the
-/// [`EmptyAgg`] convention for `sum`/`avg`, always 0 for `count`, `NULL`
-/// for `min`/`max`).
-fn accumulate(
-    ctx: &Ctx<'_>,
-    call: &AggCall,
-    members: &[Vec<Frame>],
-    env: &mut Env,
-) -> Result<Value> {
-    let base = env.len();
-    let mut values: Vec<Value> = Vec::with_capacity(members.len());
-    for member in members {
-        // Swap in this member's local frames (replacing the
-        // representative's) so per-tuple expressions see the member.
-        env.truncate(base - members.first().map(|m| m.len()).unwrap_or(0));
-        for f in member {
-            env.push(f.var.clone(), f.attrs.clone(), f.tuple.clone());
-        }
-        match &call.arg {
-            AggArg::Star => values.push(Value::Int(1)),
-            AggArg::Expr(e) => {
-                let v = ctx.scalar(e, env)?;
-                if !v.is_null() {
-                    values.push(v);
+            AggFunc::Min | AggFunc::Max => {
+                let replace = if func == AggFunc::Min {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Less
+                };
+                match &self.extreme {
+                    None => self.extreme = Some(v.clone()),
+                    Some(best) if best.compare(v) == Some(replace) => {
+                        self.extreme = Some(v.clone())
+                    }
+                    Some(_) => {}
                 }
             }
         }
     }
-    // Restore the representative frames.
-    if let Some(first) = members.first() {
-        env.truncate(base - first.len());
-        for f in first {
-            env.push(f.var.clone(), f.attrs.clone(), f.tuple.clone());
+
+    /// The sum so far: integral when every input was, float otherwise,
+    /// `NULL` once a non-numeric input was seen.
+    fn sum(&self) -> Value {
+        if self.all_int {
+            Value::Int(self.ints)
+        } else if self.numeric {
+            Value::Float(self.floats)
+        } else {
+            Value::Null
         }
     }
-    if call.distinct {
-        let mut seen: HashSet<Key> = HashSet::with_capacity(values.len());
-        values.retain(|v| seen.insert(v.key()));
+
+    /// The call's value: the empty-group value is the [`EmptyAgg`]
+    /// convention for `sum`/`avg`, always 0 for `count`, `NULL` for
+    /// `min`/`max`.
+    fn finish(&self, func: AggFunc, empty: EmptyAgg) -> Value {
+        let empty_numeric = || match empty {
+            EmptyAgg::Null => Value::Null,
+            EmptyAgg::Zero => Value::Int(0),
+        };
+        match func {
+            AggFunc::Count => Value::Int(self.n as i64),
+            AggFunc::Sum if self.n == 0 => empty_numeric(),
+            AggFunc::Sum => self.sum(),
+            AggFunc::Avg if self.n == 0 => empty_numeric(),
+            AggFunc::Avg => match self.sum().as_f64() {
+                Some(s) => Value::Float(s / self.n as f64),
+                None => Value::Null,
+            },
+            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
+        }
     }
-    Ok(fold_aggregate(ctx, call.func, &values))
 }
 
-fn fold_aggregate(ctx: &Ctx<'_>, func: AggFunc, values: &[Value]) -> Value {
-    let empty_numeric = || match ctx.conv.empty_agg {
-        EmptyAgg::Null => Value::Null,
-        EmptyAgg::Zero => Value::Int(0),
-    };
-    match func {
-        AggFunc::Count => Value::Int(values.len() as i64),
-        AggFunc::Sum => {
-            if values.is_empty() {
-                return empty_numeric();
-            }
-            fold_sum(values)
+/// One group: the representative member's rows plus one accumulator per
+/// aggregate call.
+pub(crate) struct Group<'a> {
+    /// The first member's scope-local frames (empty for `γ∅` over an
+    /// empty join, which has a group but no member).
+    pub(crate) repr: Vec<Frame<'a>>,
+    members: usize,
+    accs: Vec<Acc>,
+}
+
+/// The groups of one grouping-scope execution, in key order.
+pub(crate) struct Groups<'a> {
+    map: BTreeMap<Vec<Key>, Group<'a>>,
+    scratch: Vec<Key>,
+}
+
+/// What one member contributes, already evaluated: the parallel path
+/// gathers these per morsel and folds them on the coordinator in morsel
+/// order.
+pub(crate) struct Member<'a> {
+    key: Vec<Key>,
+    frames: Vec<Frame<'a>>,
+    inputs: Vec<Value>,
+}
+
+impl<'a> Groups<'a> {
+    pub(crate) fn new() -> Self {
+        Groups {
+            map: BTreeMap::new(),
+            scratch: Vec::new(),
         }
-        AggFunc::Avg => {
-            if values.is_empty() {
-                return empty_numeric();
-            }
-            let sum = fold_sum(values);
-            match sum.as_f64() {
-                Some(s) => Value::Float(s / values.len() as f64),
-                None => Value::Null,
+    }
+
+    /// Fold the environment on top of `env` (scope-local frames start at
+    /// `base`) into its group.
+    pub(crate) fn fold_env(
+        &mut self,
+        ctx: &Ctx<'_>,
+        keys: &[CScalar<'_>],
+        aggs: &[AggSpec<'_>],
+        env: &Env<'a>,
+        base: usize,
+    ) -> Result<()> {
+        self.scratch.clear();
+        for k in keys {
+            self.scratch.push(ctx.scalar(k, env)?.key());
+        }
+        let group = match self.map.get_mut(self.scratch.as_slice()) {
+            Some(group) => group,
+            None => self
+                .map
+                .entry(self.scratch.clone())
+                .or_insert_with(|| Group::new(env.frames[base..].to_vec(), aggs)),
+        };
+        group.members += 1;
+        for (acc, spec) in group.accs.iter_mut().zip(aggs) {
+            if let Some(v) = spec.input(ctx, env)? {
+                acc.fold(spec.func, &v);
             }
         }
-        AggFunc::Min => values
-            .iter()
-            .cloned()
-            .reduce(|a, b| match a.compare(&b) {
-                Some(std::cmp::Ordering::Greater) => b,
-                _ => a,
-            })
-            .unwrap_or(Value::Null),
-        AggFunc::Max => values
-            .iter()
-            .cloned()
-            .reduce(|a, b| match a.compare(&b) {
-                Some(std::cmp::Ordering::Less) => b,
-                _ => a,
-            })
-            .unwrap_or(Value::Null),
+        Ok(())
+    }
+
+    /// Fold an already-evaluated member (see [`member_of`]).
+    pub(crate) fn fold_member(&mut self, aggs: &[AggSpec<'_>], m: Member<'a>) {
+        let group = self
+            .map
+            .entry(m.key)
+            .or_insert_with(|| Group::new(m.frames, aggs));
+        group.members += 1;
+        for ((acc, spec), v) in group.accs.iter_mut().zip(aggs).zip(&m.inputs) {
+            acc.fold(spec.func, v);
+        }
+    }
+
+    /// `γ∅` has exactly one group, even over an empty join (§2.5 — "there
+    /// is just one group", like SQL's aggregate query without GROUP BY).
+    pub(crate) fn ensure_global(&mut self, aggs: &[AggSpec<'_>]) {
+        if self.map.is_empty() {
+            self.map.insert(Vec::new(), Group::new(Vec::new(), aggs));
+        }
+    }
+
+    pub(crate) fn into_groups(self) -> impl Iterator<Item = Group<'a>> {
+        self.map.into_values()
+    }
+}
+
+/// Evaluate what the environment on top of `env` contributes to its group
+/// (the parallel path's per-morsel half of [`Groups::fold_env`]).
+pub(crate) fn member_of<'a>(
+    ctx: &Ctx<'_>,
+    keys: &[CScalar<'_>],
+    aggs: &[AggSpec<'_>],
+    env: &Env<'a>,
+    base: usize,
+) -> Result<Member<'a>> {
+    let mut key = Vec::with_capacity(keys.len());
+    for k in keys {
+        key.push(ctx.scalar(k, env)?.key());
+    }
+    let mut inputs = Vec::with_capacity(aggs.len());
+    for spec in aggs {
+        // A `NULL` input folds nothing.
+        inputs.push(spec.input(ctx, env)?.map_or(Value::Null, Cow::into_owned));
+    }
+    Ok(Member {
+        key,
+        frames: env.frames[base..].to_vec(),
+        inputs,
+    })
+}
+
+impl<'a> Group<'a> {
+    fn new(repr: Vec<Frame<'a>>, aggs: &[AggSpec<'_>]) -> Self {
+        Group {
+            repr,
+            members: 0,
+            accs: aggs.iter().map(Acc::new).collect(),
+        }
+    }
+
+    /// Whether the group has no member (`γ∅` over an empty join): its
+    /// tests and assignments then see the outer frames only.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.members == 0
+    }
+
+    /// Evaluate the per-group tests (aggregation comparisons + boolean
+    /// subformulas containing scope-level aggregates). `env` holds the
+    /// representative environment.
+    pub(crate) fn verdict<'c>(
+        &self,
+        ctx: &Ctx<'c>,
+        tests: &GroupTests<'c>,
+        env: &mut Env<'c>,
+    ) -> Result<bool> {
+        let mut t = Truth::True;
+        for p in &tests.agg_tests {
+            t = t.and(self.pred(ctx, &tests.aggs, p, env)?);
+            if t == Truth::False {
+                return Ok(false);
+            }
+        }
+        for f in &tests.post_bool {
+            t = t.and(self.formula(ctx, &tests.aggs, f, env)?);
+            if t == Truth::False {
+                return Ok(false);
+            }
+        }
+        Ok(t.is_true())
+    }
+
+    fn formula<'c>(
+        &self,
+        ctx: &Ctx<'c>,
+        aggs: &[AggSpec<'_>],
+        f: &CFormula<'c>,
+        env: &mut Env<'c>,
+    ) -> Result<Truth> {
+        match f {
+            CFormula::Pred(p) => self.pred(ctx, aggs, p, env),
+            CFormula::And(fs) => {
+                let mut t = Truth::True;
+                for sub in fs {
+                    t = t.and(self.formula(ctx, aggs, sub, env)?);
+                }
+                Ok(t)
+            }
+            CFormula::Or(fs) => {
+                let mut t = Truth::False;
+                for sub in fs {
+                    t = t.or(self.formula(ctx, aggs, sub, env)?);
+                }
+                Ok(t)
+            }
+            CFormula::Not(inner) => Ok(self.formula(ctx, aggs, inner, env)?.not()),
+            CFormula::Quant(q) => ctx.quant_truth(q, env),
+        }
+    }
+
+    fn pred(
+        &self,
+        ctx: &Ctx<'_>,
+        aggs: &[AggSpec<'_>],
+        p: &CPred<'_>,
+        env: &Env<'_>,
+    ) -> Result<Truth> {
+        match p {
+            CPred::Cmp { left, op, right } => {
+                let l = self.scalar(ctx, aggs, left, env)?;
+                let r = self.scalar(ctx, aggs, right, env)?;
+                Ok(ctx.compare(&l, *op, &r))
+            }
+            CPred::IsNull { expr, negated } => {
+                let v = self.scalar(ctx, aggs, expr, env)?;
+                Ok(Truth::from_bool(v.is_null() != *negated))
+            }
+        }
+    }
+
+    /// Evaluate a scalar in group context: aggregate calls read their
+    /// accumulators; everything else evaluates against the representative
+    /// environment.
+    pub(crate) fn scalar<'e>(
+        &self,
+        ctx: &Ctx<'_>,
+        aggs: &[AggSpec<'_>],
+        s: &'e CScalar<'_>,
+        env: &'e Env<'_>,
+    ) -> Result<Cow<'e, Value>> {
+        match s {
+            CScalar::Agg(n) => {
+                let spec = &aggs[*n];
+                match &spec.err {
+                    Some(e) if self.members > 0 => Err(e.clone()),
+                    _ => Ok(Cow::Owned(
+                        self.accs[*n].finish(spec.func, ctx.conv.empty_agg),
+                    )),
+                }
+            }
+            CScalar::Arith { op, left, right } => {
+                let l = self.scalar(ctx, aggs, left, env)?;
+                let r = self.scalar(ctx, aggs, right, env)?;
+                Ok(Cow::Owned(arith(*op, &l, &r)))
+            }
+            _ => ctx.scalar(s, env),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fold_all(func: AggFunc, distinct: bool, values: &[Value]) -> Value {
+        let spec = AggSpec::new(func, distinct, None);
+        let mut acc = Acc::new(&spec);
+        for v in values {
+            acc.fold(func, v);
+        }
+        acc.finish(func, EmptyAgg::Null)
+    }
+
+    #[test]
+    fn sums_stay_integral_until_a_float_arrives() {
+        let ints = [Value::Int(2), Value::Null, Value::Int(3)];
+        assert!(matches!(
+            fold_all(AggFunc::Sum, false, &ints),
+            Value::Int(5)
+        ));
+        let mixed = [Value::Int(2), Value::Float(0.5)];
+        assert!(matches!(fold_all(AggFunc::Sum, false, &mixed), Value::Float(f) if f == 2.5));
+        let with_str = [Value::Int(2), Value::str("x")];
+        assert!(fold_all(AggFunc::Sum, false, &with_str).is_null());
+    }
+
+    #[test]
+    fn empty_inputs_follow_the_conventions() {
+        assert!(fold_all(AggFunc::Sum, false, &[Value::Null]).is_null());
+        assert!(matches!(
+            fold_all(AggFunc::Count, false, &[Value::Null]),
+            Value::Int(0)
+        ));
+        let spec = AggSpec::new(AggFunc::Avg, false, None);
+        assert!(matches!(
+            Acc::new(&spec).finish(AggFunc::Avg, EmptyAgg::Zero),
+            Value::Int(0)
+        ));
+    }
+
+    #[test]
+    fn distinct_folds_first_occurrences_only() {
+        let vs = [Value::Int(1), Value::Float(1.0), Value::Int(2)];
+        assert!(matches!(fold_all(AggFunc::Count, true, &vs), Value::Int(2)));
+        assert!(matches!(fold_all(AggFunc::Sum, true, &vs), Value::Int(3)));
+    }
+
+    #[test]
+    fn extremes_keep_the_first_of_incomparable_inputs() {
+        let vs = [Value::Int(4), Value::str("a"), Value::Int(1)];
+        assert!(matches!(fold_all(AggFunc::Min, false, &vs), Value::Int(1)));
+        assert!(matches!(fold_all(AggFunc::Max, false, &vs), Value::Int(4)));
     }
 }

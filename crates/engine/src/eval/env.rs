@@ -1,35 +1,111 @@
 //! Runtime environments: the stack of bound range variables.
 //!
-//! Frames share their variable name and attribute schema through `Arc`
-//! (not `Rc`): the parallel executor clones an environment snapshot per
-//! morsel and drives it on a pool worker, so the whole frame stack must
-//! be `Send` (see `eval::parallel`). The per-push cost difference is one
-//! atomic increment, invisible next to tuple cloning.
+//! At run time an environment is a stack of **rows**, nothing else. A
+//! [`Frame`] borrows its row straight out of the relation being scanned or
+//! probed (`&[Value]` into the catalog's or the definitions' storage,
+//! which outlives the evaluation context), and owns one only where a row
+//! is synthesized — lateral results, external completions, abstract
+//! candidates, `NULL`-padded outer-join sides. Binding a candidate row is
+//! therefore one pointer-pair push, whatever the row holds.
+//!
+//! Names live beside the stack, not in it: a [`Layout`] lists, per frame
+//! position, the range variable and attribute names that position carries.
+//! Every compiled scope (see [`super::scope`]) owns the layout of its own
+//! frames on top of its outer ones and installs it in
+//! [`Env::layout`] while it executes, so a nested scope compiled later
+//! resolves its outer references against exactly the frames that will be
+//! on the stack — once, to `(frame, column)` slots (see [`super::slots`]).
+//! The layout's `Arc` address doubles as the identity under which compiled
+//! scopes are cached: the same scope text reached under a different frame
+//! layout compiles to different slots.
+//!
+//! Frames and layouts are `Send + Sync`: the parallel executor clones an
+//! environment snapshot per morsel and drives it on a pool worker (see
+//! [`super::parallel`]).
 
-use crate::error::{EvalError, Result};
 use crate::relation::Tuple;
 use arc_core::value::Value;
+use arc_plan::OuterScope;
 use std::sync::Arc;
 
-/// One bound range variable: its name, attribute names, and current tuple.
+/// One bound range variable's current row.
 #[derive(Debug, Clone)]
-pub(crate) struct Frame {
-    pub(crate) var: Arc<str>,
-    pub(crate) attrs: Arc<Vec<String>>,
-    pub(crate) tuple: Tuple,
+pub(crate) enum Frame<'a> {
+    /// A row of a materialized relation, borrowed in place.
+    Borrowed(&'a [Value]),
+    /// A synthesized row (lateral, external, abstract, outer-join padding).
+    Owned(Tuple),
 }
 
-/// A stack of frames; lookup walks innermost-first (lexical scoping).
+impl Frame<'_> {
+    #[inline]
+    pub(crate) fn row(&self) -> &[Value] {
+        match self {
+            Frame::Borrowed(row) => row,
+            Frame::Owned(row) => row,
+        }
+    }
+}
+
+/// The names one frame position carries: its range variable and the
+/// attribute names of its rows, in column order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Names<'a> {
+    pub(crate) var: &'a str,
+    pub(crate) attrs: &'a [String],
+}
+
+/// Names of a frame stack, bottom first.
+pub(crate) type Layout<'a> = Arc<[Names<'a>]>;
+
+/// Where a name resolves to in a frame layout.
+pub(crate) enum Resolution {
+    /// The innermost frame binding the variable has the attribute.
+    Slot { frame: usize, col: usize },
+    /// The innermost frame binding the variable lacks the attribute.
+    UnknownAttribute,
+    /// No frame binds the variable.
+    Unbound,
+}
+
+/// Resolve `var.attr` innermost-first (lexical scoping): the last frame
+/// named `var` decides, whether or not it has the attribute.
+pub(crate) fn resolve(names: &[Names<'_>], var: &str, attr: &str) -> Resolution {
+    match names.iter().rposition(|n| n.var == var) {
+        None => Resolution::Unbound,
+        Some(frame) => match names[frame].attrs.iter().position(|a| a == attr) {
+            Some(col) => Resolution::Slot { frame, col },
+            None => Resolution::UnknownAttribute,
+        },
+    }
+}
+
+/// A frame layout as the planner's outer scope.
+pub(crate) struct LayoutOuter<'l, 'a>(pub(crate) &'l [Names<'a>]);
+
+impl OuterScope for LayoutOuter<'_, '_> {
+    fn attrs(&self, var: &str) -> Option<&[String]> {
+        self.0.iter().rev().find(|n| n.var == var).map(|n| n.attrs)
+    }
+}
+
+/// A stack of frames plus the layout naming them.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct Env {
-    pub(crate) frames: Vec<Frame>,
+pub(crate) struct Env<'a> {
+    pub(crate) frames: Vec<Frame<'a>>,
+    /// Names of the executing scope's frames: entry `i` describes
+    /// `frames[i]`. It covers the whole scope, so it may run ahead of the
+    /// frames pushed so far; `None` is the empty layout.
+    pub(crate) layout: Option<Layout<'a>>,
 }
 
-impl Env {
-    pub(crate) fn push(&mut self, var: Arc<str>, attrs: Arc<Vec<String>>, tuple: Tuple) {
-        self.frames.push(Frame { var, attrs, tuple });
+impl<'a> Env<'a> {
+    #[inline]
+    pub(crate) fn push(&mut self, frame: Frame<'a>) {
+        self.frames.push(frame);
     }
 
+    #[inline]
     pub(crate) fn pop(&mut self) {
         self.frames.pop();
     }
@@ -42,23 +118,33 @@ impl Env {
         self.frames.truncate(n);
     }
 
-    pub(crate) fn lookup(&self, var: &str, attr: &str) -> Result<Value> {
-        for f in self.frames.iter().rev() {
-            if &*f.var == var {
-                let idx = f.attrs.iter().position(|a| a == attr).ok_or_else(|| {
-                    EvalError::UnknownAttribute {
-                        var: var.to_string(),
-                        attr: attr.to_string(),
-                    }
-                })?;
-                return Ok(f.tuple[idx].clone());
-            }
+    /// Names of the frames currently on the stack.
+    pub(crate) fn names(&self) -> &[Names<'a>] {
+        match &self.layout {
+            Some(layout) => &layout[..self.frames.len()],
+            None => &[],
         }
-        Err(EvalError::UnboundVariable(var.to_string()))
     }
 
-    pub(crate) fn has_var(&self, var: &str) -> bool {
-        self.frames.iter().any(|f| &*f.var == var)
+    /// Identity of the installed layout (its `Arc` address; 0 for none).
+    pub(crate) fn layout_id(&self) -> usize {
+        self.layout
+            .as_ref()
+            .map_or(0, |l| Arc::as_ptr(l) as *const Names<'a> as usize)
+    }
+
+    /// Run `f` with `layout` installed, restoring the previous one
+    /// afterwards — also when `f` fails, because a caller may recover and
+    /// keep using the environment (the semi-join build does).
+    pub(crate) fn with_layout<T>(
+        &mut self,
+        layout: &Layout<'a>,
+        f: impl FnOnce(&mut Env<'a>) -> T,
+    ) -> T {
+        let outer = self.layout.replace(layout.clone());
+        let out = f(self);
+        self.layout = outer;
+        out
     }
 }
 
@@ -66,6 +152,6 @@ impl Env {
 // pool workers; keep that a compile-time fact.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Frame>();
-    assert_send_sync::<Env>();
+    assert_send_sync::<Frame<'static>>();
+    assert_send_sync::<Env<'static>>();
 };

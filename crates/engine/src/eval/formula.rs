@@ -1,44 +1,61 @@
 //! Boolean formula evaluation: sentences, negation scopes, and nested
 //! existentials, including existential grouping scopes.
 
-use super::aggregate;
-use super::env::{Env, Frame};
-use super::partition::partition;
+use super::env::Env;
+use super::scope::{Body, Scope};
+use super::slots::{CFormula, Resolver};
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use arc_core::ast::*;
-use arc_core::value::{Key, Truth};
-use std::collections::BTreeMap;
+use arc_core::value::Truth;
 
-impl Ctx<'_> {
-    /// Evaluate a formula as a truth value (sentences, negation scopes,
-    /// nested existentials).
-    pub(crate) fn formula_truth(&self, f: &Formula, env: &mut Env) -> Result<Truth> {
+impl<'a> Ctx<'a> {
+    /// Evaluate a formula as a truth value, resolving its names against
+    /// the frames on the stack right now (top-level sentences; scope
+    /// bodies arrive compiled).
+    pub(crate) fn formula_truth(&self, f: &'a Formula, env: &mut Env<'a>) -> Result<Truth> {
+        let compiled = Resolver::tuple(env.names()).formula(f);
+        self.cformula_truth(&compiled, env)
+    }
+
+    /// Evaluate a compiled formula (sentences, negation scopes, nested
+    /// existentials).
+    pub(crate) fn cformula_truth(&self, f: &CFormula<'a>, env: &mut Env<'a>) -> Result<Truth> {
         match f {
-            Formula::Pred(p) => self.pred_truth(p, env),
-            Formula::And(fs) => {
+            CFormula::Pred(p) => self.pred_truth(p, env),
+            CFormula::And(fs) => {
                 let mut t = Truth::True;
                 for sub in fs {
-                    t = t.and(self.formula_truth(sub, env)?);
+                    t = t.and(self.cformula_truth(sub, env)?);
                     if t == Truth::False {
                         break;
                     }
                 }
                 Ok(t)
             }
-            Formula::Or(fs) => {
+            CFormula::Or(fs) => {
                 let mut t = Truth::False;
                 for sub in fs {
-                    t = t.or(self.formula_truth(sub, env)?);
+                    t = t.or(self.cformula_truth(sub, env)?);
                     if t == Truth::True {
                         break;
                     }
                 }
                 Ok(t)
             }
-            Formula::Not(inner) => Ok(self.formula_truth(inner, env)?.not()),
-            Formula::Quant(q) => self.quant_truth(q, env),
+            CFormula::Not(inner) => Ok(self.cformula_truth(inner, env)?.not()),
+            CFormula::Quant(q) => self.quant_truth(q, env),
         }
+    }
+
+    /// Whether every formula holds (stops at the first that does not).
+    pub(crate) fn all_hold(&self, fs: &[CFormula<'a>], env: &mut Env<'a>) -> Result<bool> {
+        for f in fs {
+            if !self.cformula_truth(f, env)?.is_true() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Existential truth of a quantifier scope: does any binding
@@ -48,87 +65,41 @@ impl Ctx<'_> {
     /// decorrelated set-level path ([`Ctx::semijoin_truth`]): the body is
     /// evaluated once and every outer row probes a build-once key set
     /// instead of re-entering the enumeration.
-    fn quant_truth(&self, q: &Quant, env: &mut Env) -> Result<Truth> {
-        // The head name "\u{0}" cannot occur, so nothing classifies as an
-        // assignment.
-        let parts = partition(&q.body, "\u{0}");
-        match &q.grouping {
-            None => {
-                if let Some(p) = parts.agg_tests.first() {
-                    return Err(EvalError::AggregateOutsideGrouping(p.to_string()));
-                }
-                if !parts.post_bool.is_empty() {
-                    // Mirror the collection path (`emit_existential`): an
-                    // aggregate under a connective needs a grouping scope;
-                    // silently ignoring it would make the quantifier
-                    // degenerate to a non-emptiness check.
-                    return Err(EvalError::AggregateOutsideGrouping(
-                        "aggregate under a connective".to_string(),
-                    ));
-                }
-                if let Some(t) = self.semijoin_truth(q, &parts, env)? {
-                    return Ok(t);
-                }
+    pub(crate) fn quant_truth(&self, q: &'a Quant, env: &mut Env<'a>) -> Result<Truth> {
+        let sc = self.bool_scope(q, false, env)?;
+        match &sc.body {
+            Body::Semi(semi) => match self.semijoin_truth(&sc, semi, env)? {
+                Some(t) => Ok(t),
+                // Failed build: the nested loop reproduces whatever went
+                // wrong, exactly when the reference enumeration would.
+                None => self.exists(&*self.bool_scope(q, true, env)?, env),
+            },
+            Body::Exists => self.exists(&sc, env),
+            Body::Groups(g) => {
                 let mut found = false;
-                self.enumerate(
-                    &q.bindings,
-                    q.join.as_ref(),
-                    &parts.filters,
-                    env,
-                    &mut |ctx, env| {
-                        for b in &parts.pre_bool {
-                            if !ctx.formula_truth(b, env)?.is_true() {
-                                return Ok(true);
-                            }
-                        }
-                        found = true;
-                        Ok(false) // stop early
-                    },
-                )?;
+                self.each_group(&sc, g, None, env, |group, tests, env| {
+                    found = group.verdict(self, tests, env)?;
+                    Ok(!found)
+                })?;
                 Ok(Truth::from_bool(found))
             }
-            Some(g) => {
-                let base = env.len();
-                let mut groups: BTreeMap<Vec<Key>, Vec<Vec<Frame>>> = BTreeMap::new();
-                self.enumerate(
-                    &q.bindings,
-                    q.join.as_ref(),
-                    &parts.filters,
-                    env,
-                    &mut |ctx, env| {
-                        for b in &parts.pre_bool {
-                            if !ctx.formula_truth(b, env)?.is_true() {
-                                return Ok(true);
-                            }
-                        }
-                        let mut key = Vec::with_capacity(g.keys.len());
-                        for k in &g.keys {
-                            key.push(env.lookup(&k.var, &k.attr)?.key());
-                        }
-                        groups
-                            .entry(key)
-                            .or_default()
-                            .push(env.frames[base..].to_vec());
-                        Ok(true)
-                    },
-                )?;
-                if g.keys.is_empty() && groups.is_empty() {
-                    groups.insert(Vec::new(), Vec::new());
-                }
-                for members in groups.values() {
-                    if let Some(frames) = members.first() {
-                        for f in frames {
-                            env.push(f.var.clone(), f.attrs.clone(), f.tuple.clone());
-                        }
-                    }
-                    let verdict = aggregate::group_verdict(self, &parts, members, env);
-                    env.truncate(base);
-                    if verdict? {
-                        return Ok(Truth::True);
-                    }
-                }
-                Ok(Truth::False)
-            }
+            Body::Rows { .. } => Err(EvalError::Internal(
+                "emitting scope evaluated as a sentence".into(),
+            )),
         }
+    }
+
+    /// The nested loop of a boolean scope: stop at the first surviving
+    /// environment.
+    fn exists(&self, sc: &Scope<'a>, env: &mut Env<'a>) -> Result<Truth> {
+        let mut found = false;
+        self.run_scope(sc, env, &mut |ctx, env| {
+            if !ctx.all_hold(&sc.pre_bool, env)? {
+                return Ok(true);
+            }
+            found = true;
+            Ok(false) // stop early
+        })?;
+        Ok(Truth::from_bool(found))
     }
 }

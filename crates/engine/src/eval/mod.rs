@@ -25,26 +25,30 @@
 //!
 //! | module         | stage                                                     |
 //! |----------------|-----------------------------------------------------------|
-//! | [`env`]        | runtime environments (frames of bound range variables)    |
+//! | [`env`]        | runtime environments: borrowed row frames + name layouts  |
 //! | [`partition`]  | body analysis (re-exported from [`arc_plan::analysis`])   |
+//! | [`slots`]      | slot-resolved expressions (names → `(frame, column)`)     |
+//! | [`scope`]      | compiled scopes: resolve, plan, materialize, cache        |
 //! | [`scalar`]     | scalar & predicate evaluation, comparisons, arithmetic    |
 //! | [`formula`]    | boolean formula / sentence evaluation                     |
-//! | [`quantifier`] | the binding loop: executes `arc-plan` scope plans         |
+//! | [`quantifier`] | the binding loop: executes compiled step pipelines        |
 //! | [`semijoin`]   | decorrelated `∃`/`¬∃`: build-once set-level semi/anti-join|
 //! | [`parallel`]   | partitioned (morsel-driven) scope execution via `arc-exec`|
-//! | [`aggregate`]  | grouping scopes: accumulation, per-group verdicts         |
+//! | [`aggregate`]  | grouping scopes: one-pass accumulators, per-group verdicts|
 //! | [`output`]     | output assembly: head-tuple construction and emission     |
 //! | [`join`]       | outer-join annotation trees (`left`/`full`, §2.11)        |
 //! | [`strategy`]   | the [`EvalStrategy`] seam + `ARC_THREADS` parallelism     |
 //!
-//! The **plan seam** sits inside the binding loop: every quantifier scope
-//! is described to [`arc_plan::plan_scope`] and the returned physical
+//! The **plan seam** sits in front of the binding loop: every quantifier
+//! scope is described to [`arc_plan::plan_scope`] and the returned physical
 //! plan — binding order, per-step scan/hash-probe/external/abstract
-//! access, pushed-down filters — is executed by [`quantifier`]. Plans are
-//! **cached** (per-`Ctx` by scope identity + outer signature; globally by
-//! program hash — see [`arc_plan::cache`]), so correlated scopes plan
-//! once, not once per outer row. Boolean `∃`/`¬∃` scopes whose
-//! correlation is a pure equi-join go further: [`semijoin`] evaluates the
+//! access, pushed-down filters — is compiled by [`scope`] into a
+//! slot-resolved pipeline that [`quantifier`] executes. Plans are
+//! **cached** globally by program hash (see [`arc_plan::cache`]) and
+//! compiled scopes per `Ctx` by scope identity + frame layout, so
+//! correlated scopes plan and resolve names once, not once per outer row.
+//! Boolean `∃`/`¬∃` scopes whose correlation is a pure equi-join go
+//! further: [`semijoin`] evaluates the
 //! scope body **once**, keys a hash set on the correlated columns, and
 //! answers every outer row with an O(1) probe — execution, not just
 //! planning, amortizes across outer rows. Under the default
@@ -70,7 +74,9 @@ pub mod parallel;
 pub(crate) mod profile;
 pub mod quantifier;
 pub mod scalar;
+pub(crate) mod scope;
 pub mod semijoin;
+pub(crate) mod slots;
 pub mod strategy;
 pub mod vector;
 
@@ -87,10 +93,6 @@ pub mod partition {
 pub(crate) use env::Env;
 pub use strategy::EvalStrategy;
 
-/// Key of the per-`Ctx` plan cache: *(binding-list address, outer
-/// signature, statistics epoch, boolean planning role)*.
-pub(crate) type PlanCacheKey = (usize, u64, u64, bool);
-
 /// Per-query cache of vectorized scan selections — see [`Ctx::selections`].
 pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>>;
 
@@ -101,9 +103,10 @@ use arc_core::ast::{Collection, Formula};
 use arc_core::conventions::Conventions;
 use arc_core::value::Truth;
 use arc_guard::{seam, CancelHandle, CancelState, FaultKind, FaultPlan, QueryGuard, Trip};
-use arc_plan::ScopePlan;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -574,12 +577,13 @@ impl<'c> Engine<'c> {
             program,
             defined,
             abstracts,
+            hash_state: RandomState::new(),
             join_indexes: RefCell::new(HashMap::new()),
             distinct_estimates: RefCell::new(HashMap::new()),
-            plans: RefCell::new(HashMap::new()),
+            scopes: RefCell::new(HashMap::new()),
             selections: RefCell::new(HashMap::new()),
             semi_builds: semijoin::SemiBuildCache::default(),
-            semi_bailed: RefCell::new(std::collections::HashSet::new()),
+            probe_key: RefCell::new(Vec::new()),
         })
     }
 
@@ -729,25 +733,28 @@ pub(crate) struct Ctx<'a> {
     pub(crate) defined: &'a HashMap<String, Relation>,
     /// Abstract relations: checked in context, never materialized.
     pub(crate) abstracts: &'a HashMap<String, Collection>,
+    /// Hasher of equi-join keys for this evaluation: hash-index builds
+    /// and probes (coordinator and workers alike) must agree on it.
+    pub(crate) hash_state: RandomState,
     /// Per-query cache of equi-join hash indexes, keyed by relation
     /// address + key columns (addresses are stable for the `Ctx` lifetime;
-    /// see `Ctx::join_index`). Correlated scopes that still run the nested
-    /// path (non-equi correlation, force modes, `ARC_DECORRELATE=off`)
-    /// re-enter `enumerate` once per outer environment and reuse these
-    /// instead of rebuilding; decorrelated boolean scopes skip the
-    /// re-entry entirely and probe [`Ctx::semi_builds`] instead.
+    /// see `Ctx::join_index`). A relation probed by two scopes (or by
+    /// scopes compiled under two layouts) is indexed once; decorrelated
+    /// boolean scopes skip the re-entry entirely and probe
+    /// [`Ctx::semi_builds`] instead.
     pub(crate) join_indexes: quantifier::JoinIndexCache,
     /// Per-query cache of distinct-key estimates (same keying scheme),
     /// feeding the planner's greedy join ordering.
     pub(crate) distinct_estimates: RefCell<HashMap<(usize, Vec<usize>), usize>>,
-    /// Per-query plan cache keyed by (binding-list address, outer
-    /// signature, statistics epoch, boolean role) — the fast path in
-    /// front of the global plan cache (see `Ctx::scope_plan`).
-    pub(crate) plans: RefCell<HashMap<PlanCacheKey, Arc<ScopePlan>>>,
+    /// Compiled scopes — sources resolved, plan fetched, every name
+    /// resolved to a slot — keyed by scope identity, role and frame
+    /// layout (see [`scope`]). A correlated scope re-entered once per
+    /// outer row compiles on the first entry only.
+    pub(crate) scopes: RefCell<HashMap<scope::ScopeKey, Rc<scope::Scope<'a>>>>,
     /// Per-query cache of vectorized scan selections, keyed by relation
     /// address + the addresses of the vectorized filter prefix (both
     /// stable for the `Ctx` lifetime). Correlated scopes that re-enter
-    /// `enumerate` per outer row recompute nothing: the selection of a
+    /// per outer row recompute nothing: the selection of a
     /// constant-filter scan is outer-independent by construction.
     pub(crate) selections: SelectionCache,
     /// Build-once key sets of decorrelated boolean scopes, keyed by the
@@ -756,11 +763,8 @@ pub(crate) struct Ctx<'a> {
     /// probe the same build (see [`semijoin`]). Invalidated with the
     /// statistics epoch implicitly: a new epoch yields a new plan `Arc`.
     pub(crate) semi_builds: semijoin::SemiBuildCache,
-    /// Negative cache of boolean scopes that bailed out of decorrelation
-    /// (by binding-list address): the per-outer-row probe path skips the
-    /// eligibility/plan work after the first bail (see
-    /// [`Ctx::semijoin_truth`]).
-    pub(crate) semi_bailed: RefCell<std::collections::HashSet<usize>>,
+    /// Scratch for the semi-join probe key, reused across outer rows.
+    pub(crate) probe_key: RefCell<Vec<arc_core::value::Key>>,
 }
 
 /// Guard seams: how the evaluation pipeline observes the per-query

@@ -2,16 +2,18 @@
 //! emitting them through the (possibly disjunctive, possibly nested)
 //! emission spine.
 
-use super::aggregate;
-use super::env::{Env, Frame};
-use super::partition::{partition, Parts};
+use super::aggregate::{member_of, AggSpec, Group, Groups, Member};
+use super::env::Env;
+use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
+use super::slots::CScalar;
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::conventions::Semantics;
 use arc_core::value::{Key, Value};
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Partial head tuple: per-attribute assigned value.
 pub(crate) type Partial = Vec<Option<Value>>;
@@ -22,76 +24,237 @@ pub(crate) struct HeadCtx<'h> {
     pub(crate) attrs: &'h [String],
 }
 
-impl Ctx<'_> {
+/// Where an output column's value comes from.
+enum ColSrc {
+    /// Already assigned by an enclosing scope of the emission spine.
+    Partial,
+    /// The scope's `n`-th assignment expression.
+    Expr(usize),
+    /// Nothing assigns it here.
+    Missing,
+}
+
+/// What happens, in body order, before a row is assembled.
+enum PreStep {
+    /// A second assignment to a column: both equalities must hold, i.e.
+    /// expression `expr` must produce the key the column already has
+    /// (`NULL = NULL` assignments agree only structurally) — or the row
+    /// is dropped.
+    Agree { expr: usize, col: usize },
+    /// Evaluate assignment `n` for its error alone: it can raise, and
+    /// must do so at its place in body order.
+    Probe(usize),
+    /// An assignment to an attribute the head does not have.
+    Raise(EvalError),
+}
+
+/// A scope's head assignments, resolved: every assignment to an output
+/// column **index**, every duplicate to an agreement check, so assembling
+/// a row evaluates each expression once, in place, into the output
+/// vector.
+pub(crate) struct HeadPlan<'a> {
+    name: &'a str,
+    attrs: &'a [String],
+    exprs: Vec<CScalar<'a>>,
+    pre: Vec<PreStep>,
+    cols: Vec<ColSrc>,
+}
+
+impl<'a> HeadPlan<'a> {
+    /// `assigns` are the scope's head assignments in body order;
+    /// `partial` says which columns the enclosing spine already assigned
+    /// (a property of the scope's position, not of the row).
+    pub(crate) fn compile(
+        head: &HeadCtx<'a>,
+        partial: &Partial,
+        assigns: Vec<(&'a str, CScalar<'a>)>,
+        aggs: &[AggSpec<'a>],
+    ) -> HeadPlan<'a> {
+        let mut cols: Vec<ColSrc> = partial
+            .iter()
+            .map(|slot| match slot {
+                Some(_) => ColSrc::Partial,
+                None => ColSrc::Missing,
+            })
+            .collect();
+        let mut pre = Vec::new();
+        let mut exprs = Vec::with_capacity(assigns.len());
+        for (n, (attr, expr)) in assigns.into_iter().enumerate() {
+            let raises = expr.may_raise(aggs);
+            exprs.push(expr);
+            match head.attrs.iter().position(|a| a == attr) {
+                None => {
+                    // The expression is evaluated before the attribute is
+                    // looked up, so its own error wins.
+                    if raises {
+                        pre.push(PreStep::Probe(n));
+                    }
+                    pre.push(PreStep::Raise(EvalError::UnknownAttribute {
+                        var: head.name.to_string(),
+                        attr: attr.to_string(),
+                    }));
+                }
+                Some(col) => match cols[col] {
+                    ColSrc::Missing => {
+                        if raises {
+                            pre.push(PreStep::Probe(n));
+                        }
+                        cols[col] = ColSrc::Expr(n);
+                    }
+                    ColSrc::Partial | ColSrc::Expr(_) => pre.push(PreStep::Agree { expr: n, col }),
+                },
+            }
+        }
+        HeadPlan {
+            name: head.name,
+            attrs: head.attrs,
+            exprs,
+            pre,
+            cols,
+        }
+    }
+
+    /// Run the pre-steps; `Ok(false)` drops the row (two assignments to
+    /// one column disagree).
+    fn admit<'e>(
+        &'e self,
+        partial: &'e Partial,
+        eval: &mut impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+    ) -> Result<bool> {
+        for step in &self.pre {
+            match step {
+                PreStep::Agree { expr, col } => {
+                    let v = eval(&self.exprs[*expr])?;
+                    let agrees = match &self.cols[*col] {
+                        ColSrc::Expr(first) => eval(&self.exprs[*first])?.key_ref() == v.key_ref(),
+                        _ => partial[*col].as_ref().map(Value::key_ref) == Some(v.key_ref()),
+                    };
+                    if !agrees {
+                        return Ok(false);
+                    }
+                }
+                PreStep::Probe(n) => {
+                    eval(&self.exprs[*n])?;
+                }
+                PreStep::Raise(e) => return Err(e.clone()),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Run the pre-steps, then fill every column in order: `some` wraps an
+    /// assigned value, `missing` decides what an unassigned column is.
+    /// `None` when conflicting assignments drop the row.
+    fn assemble<'e, T>(
+        &'e self,
+        partial: &'e Partial,
+        mut eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+        some: fn(Value) -> T,
+        missing: impl Fn(usize) -> Result<T>,
+    ) -> Result<Option<Vec<T>>> {
+        if !self.admit(partial, &mut eval)? {
+            return Ok(None);
+        }
+        let mut out = Vec::with_capacity(self.cols.len());
+        for (col, src) in self.cols.iter().enumerate() {
+            out.push(match src {
+                ColSrc::Partial => some(
+                    partial[col]
+                        .clone()
+                        .expect("assigned by the enclosing spine"),
+                ),
+                ColSrc::Expr(n) => some(eval(&self.exprs[*n])?.into_owned()),
+                ColSrc::Missing => missing(col)?,
+            });
+        }
+        Ok(Some(out))
+    }
+
+    /// Assemble the complete head tuple for the current environment, or
+    /// `None` when conflicting assignments drop the row.
+    pub(crate) fn row<'e>(
+        &'e self,
+        partial: &'e Partial,
+        eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+    ) -> Result<Option<Tuple>> {
+        self.assemble(
+            partial,
+            eval,
+            |v| v,
+            |col| {
+                Err(EvalError::MissingAssignment {
+                    collection: self.name.to_string(),
+                    attr: self.attrs[col].clone(),
+                })
+            },
+        )
+    }
+
+    /// Like [`HeadPlan::row`], for a scope with a nested emission spine:
+    /// the extended partial tuple the spine continues from.
+    fn partial<'e>(
+        &'e self,
+        partial: &'e Partial,
+        eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+    ) -> Result<Option<Partial>> {
+        self.assemble(partial, eval, Some, |_| Ok(None))
+    }
+}
+
+impl<'a> Ctx<'a> {
     /// Evaluate a collection to a relation (applying the set-semantics
     /// deduplication convention at the collection boundary).
-    pub(crate) fn collection_relation(&self, c: &Collection, env: &mut Env) -> Result<Relation> {
-        let tuples = self.collection_tuples(c, env)?;
+    pub(crate) fn collection_relation(
+        &self,
+        c: &'a Collection,
+        env: &mut Env<'a>,
+    ) -> Result<Relation> {
+        let head = HeadCtx {
+            name: &c.head.relation,
+            attrs: &c.head.attrs,
+        };
         let mut rel = Relation::new(c.head.relation.clone(), &[]);
         rel.schema = c.head.attrs.clone();
-        rel.rows = tuples;
+        let partial: Partial = vec![None; c.head.attrs.len()];
+        self.emit_branch(&c.body, &head, &partial, env, &mut rel.rows)?;
         Ok(match self.conv.semantics {
             Semantics::Set => rel.deduped(),
             Semantics::Bag => rel,
         })
     }
 
-    fn collection_tuples(&self, c: &Collection, env: &mut Env) -> Result<Vec<Tuple>> {
-        let head = HeadCtx {
-            name: &c.head.relation,
-            attrs: &c.head.attrs,
-        };
-        let mut out = Vec::new();
-        let partial: Partial = vec![None; c.head.attrs.len()];
-        self.emit_branch(&c.body, &head, &partial, env, &mut out)?;
-        Ok(out)
-    }
-
     pub(crate) fn emit_branch(
         &self,
-        f: &Formula,
-        head: &HeadCtx<'_>,
+        f: &'a Formula,
+        head: &HeadCtx<'a>,
         partial: &Partial,
-        env: &mut Env,
+        env: &mut Env<'a>,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
-        match f {
+        let q = match f {
             Formula::Or(branches) => {
                 for b in branches {
                     self.emit_branch(b, head, partial, env, out)?;
                 }
-                Ok(())
+                return Ok(());
             }
-            Formula::Quant(q) => self.emit_quant(
-                &q.bindings,
-                q.grouping.as_ref(),
-                q.join.as_ref(),
-                &q.body,
-                head,
-                partial,
-                env,
-                out,
-            ),
-            other => self.emit_quant(&[], None, None, other, head, partial, env, out),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_quant(
-        &self,
-        bindings: &[Binding],
-        grouping: Option<&Grouping>,
-        join: Option<&JoinTree>,
-        body: &Formula,
-        head: &HeadCtx<'_>,
-        partial: &Partial,
-        env: &mut Env,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        let parts = partition(body, head.name);
-        match grouping {
-            None => self.emit_existential(bindings, join, &parts, head, partial, env, out),
-            Some(g) => self.emit_grouped(bindings, join, g, &parts, head, partial, env, out),
+            Formula::Quant(q) => QuantRef::from(&**q),
+            other => QuantRef {
+                bindings: &[],
+                grouping: None,
+                join: None,
+                body: other,
+            },
+        };
+        let sc = self.emit_scope(q, head, partial, env)?;
+        match &sc.body {
+            Body::Rows { head: plan, spine } => {
+                self.emit_existential(&sc, plan, *spine, head, partial, env, out)
+            }
+            Body::Groups(g) => self.emit_grouped(&sc, g, head, partial, env, out),
+            Body::Exists | Body::Semi(_) => Err(EvalError::Internal(
+                "boolean scope on the emission spine".into(),
+            )),
         }
     }
 
@@ -100,67 +263,38 @@ impl Ctx<'_> {
     #[allow(clippy::too_many_arguments)]
     fn emit_existential(
         &self,
-        bindings: &[Binding],
-        join: Option<&JoinTree>,
-        parts: &Parts<'_>,
-        head: &HeadCtx<'_>,
+        sc: &Scope<'a>,
+        plan: &HeadPlan<'a>,
+        spine: Option<&'a Formula>,
+        head: &HeadCtx<'a>,
         partial: &Partial,
-        env: &mut Env,
+        env: &mut Env<'a>,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
-        if let Some(p) = parts.agg_tests.first() {
-            return Err(EvalError::AggregateOutsideGrouping(p.to_string()));
-        }
-        if let Some((attr, _)) = parts.agg_assigns.first() {
-            return Err(EvalError::AggregateOutsideGrouping(format!(
-                "{}.{attr}",
-                head.name
-            )));
-        }
-        if !parts.post_bool.is_empty() {
-            return Err(EvalError::AggregateOutsideGrouping(
-                "aggregate under a connective".to_string(),
-            ));
-        }
-        if parts.spines.len() > 1 {
-            return Err(EvalError::MultipleSpines);
-        }
         // Through `enumerate_collect`: scopes with a partition axis run
         // their outer scan in parallel morsels (the ordered merge keeps
         // the emitted tuples in sequential enumeration order); everything
-        // else streams straight into `out` as before.
+        // else streams straight into `out`.
         self.enumerate_collect::<Tuple>(
-            bindings,
-            join,
-            &parts.filters,
+            sc,
             env,
             &|ctx, env, sink| {
-                for b in &parts.pre_bool {
-                    if !ctx.formula_truth(b, env)?.is_true() {
-                        return Ok(true);
-                    }
-                }
-                let mut p2 = partial.clone();
-                let mut consistent = true;
-                for (attr, expr) in &parts.assigns {
-                    let v = ctx.scalar(expr, env)?;
-                    if !set_partial(&mut p2, head, attr, v)? {
-                        consistent = false;
-                        break;
-                    }
-                }
-                if !consistent {
+                if !ctx.all_hold(&sc.pre_bool, env)? {
                     return Ok(true);
                 }
-                if let Some(spine) = parts.spines.first() {
-                    // Nested existential: emissions collapse per
-                    // environment (semijoin multiplicity, §2.7).
-                    let mut sub = Vec::new();
-                    ctx.emit_branch(spine, head, &p2, env, &mut sub)?;
-                    dedupe_in_place(&mut sub);
-                    sink.extend(sub);
-                } else {
-                    sink.push(complete(&p2, head)?);
+                match spine {
+                    None => sink.extend(plan.row(partial, |e| ctx.scalar(e, env))?),
+                    Some(spine) => {
+                        let Some(p2) = plan.partial(partial, |e| ctx.scalar(e, env))? else {
+                            return Ok(true);
+                        };
+                        // Nested existential: emissions collapse per
+                        // environment (semijoin multiplicity, §2.7).
+                        let mut sub = Vec::new();
+                        ctx.emit_branch(spine, head, &p2, env, &mut sub)?;
+                        dedupe_in_place(&mut sub);
+                        sink.extend(sub);
+                    }
                 }
                 Ok(true)
             },
@@ -168,155 +302,99 @@ impl Ctx<'_> {
         )
     }
 
-    /// Grouping scope: materialize surviving environments per key, then
-    /// emit one head tuple per passing group.
-    #[allow(clippy::too_many_arguments)]
+    /// Grouping scope: fold surviving environments into per-group
+    /// accumulators as they are enumerated, then emit one head tuple per
+    /// passing group, in key order.
     fn emit_grouped(
         &self,
-        bindings: &[Binding],
-        join: Option<&JoinTree>,
-        g: &Grouping,
-        parts: &Parts<'_>,
-        head: &HeadCtx<'_>,
+        sc: &Scope<'a>,
+        g: &GroupPlan<'a>,
+        head: &HeadCtx<'a>,
         partial: &Partial,
-        env: &mut Env,
+        env: &mut Env<'a>,
         out: &mut Vec<Tuple>,
     ) -> Result<()> {
-        if !parts.spines.is_empty() {
-            return Err(EvalError::SpineUnderGrouping);
-        }
-        // Materialize surviving local environments (in parallel when the
-        // scope has a partition axis: each morsel collects its
-        // `(key, frames)` pairs and the ordered merge below folds them
-        // into the group map in sequential enumeration order, so member
-        // order within every group matches the sequential loop).
+        self.each_group(sc, g, Some((head, partial)), env, |group, tests, env| {
+            if group.verdict(self, tests, env)? {
+                let plan = tests.head.as_ref().expect("emitting scope");
+                out.extend(plan.row(partial, |e| group.scalar(self, &tests.aggs, e, env))?);
+            }
+            Ok(true)
+        })
+    }
+
+    /// Enumerate a grouping scope, fold its members, and visit the groups
+    /// in key order — each under its representative environment (outer
+    /// frames plus the first member's local ones; grouping keys are
+    /// constant within a group) and with the tests that apply to it.
+    /// `visit` returns `Ok(false)` to stop.
+    pub(crate) fn each_group(
+        &self,
+        sc: &Scope<'a>,
+        g: &GroupPlan<'a>,
+        head: Option<(&HeadCtx<'a>, &Partial)>,
+        env: &mut Env<'a>,
+        mut visit: impl FnMut(&Group<'a>, &GroupTests<'a>, &mut Env<'a>) -> Result<bool>,
+    ) -> Result<()> {
+        let groups = self.fold_groups(sc, g, env)?;
         let base = env.len();
-        let mut entries: Vec<(Vec<Key>, Vec<Frame>)> = Vec::new();
-        self.enumerate_collect(
-            bindings,
-            join,
-            &parts.filters,
+        env.with_layout(&sc.layout, |env| {
+            for group in groups.into_groups() {
+                let mut spare = None;
+                let tests = g.tests_for(group.is_empty(), env.names(), head, &mut spare);
+                env.frames.extend(group.repr.iter().cloned());
+                let cont = visit(&group, tests, env);
+                env.truncate(base);
+                if !cont? {
+                    break;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Enumerate a grouping scope and fold its members. Sequentially each
+    /// surviving environment folds straight into its group; a partitioned
+    /// scope gathers evaluated [`Member`]s per morsel and folds them here
+    /// in morsel order — the order the sequential loop folds in, so even
+    /// order-sensitive aggregates (float sums) come out bit-identical.
+    fn fold_groups(
+        &self,
+        sc: &Scope<'a>,
+        g: &GroupPlan<'a>,
+        env: &mut Env<'a>,
+    ) -> Result<Groups<'a>> {
+        let (keys, aggs) = (&g.keys, &g.tests.aggs);
+        let mut groups = Groups::new();
+        let mut members: Vec<Member<'a>> = Vec::new();
+        let parallel = self.try_parallel(
+            sc,
             env,
             &|ctx, env, sink| {
-                for b in &parts.pre_bool {
-                    if !ctx.formula_truth(b, env)?.is_true() {
-                        return Ok(true);
-                    }
+                if ctx.all_hold(&sc.pre_bool, env)? {
+                    sink.push(member_of(ctx, keys, aggs, env, sc.base)?);
                 }
-                let mut key = Vec::with_capacity(g.keys.len());
-                for k in &g.keys {
-                    key.push(env.lookup(&k.var, &k.attr)?.key());
-                }
-                sink.push((key, env.frames[base..].to_vec()));
                 Ok(true)
             },
-            &mut entries,
+            &mut members,
         )?;
-        let mut groups: BTreeMap<Vec<Key>, Vec<Vec<Frame>>> = BTreeMap::new();
-        for (key, frames) in entries {
-            groups.entry(key).or_default().push(frames);
-        }
-        // γ∅: exactly one group, even over an empty join (§2.5 — "there is
-        // just one group", like SQL's aggregate query without GROUP BY).
-        if g.keys.is_empty() && groups.is_empty() {
-            groups.insert(Vec::new(), Vec::new());
-        }
-        for members in groups.values() {
-            // Representative environment: outer frames plus the first
-            // member's local frames (grouping keys are constant within a
-            // group).
-            let repr: Option<&Vec<Frame>> = members.first();
-            if let Some(frames) = repr {
-                for f in frames {
-                    env.push(f.var.clone(), f.attrs.clone(), f.tuple.clone());
-                }
+        if parallel {
+            for m in members {
+                groups.fold_member(aggs, m);
             }
-            let verdict = aggregate::group_verdict(self, parts, members, env);
-            let emitted = match verdict {
-                Ok(true) => {
-                    let mut p2 = partial.clone();
-                    let mut ok = true;
-                    for (attr, expr) in &parts.assigns {
-                        let v = self.scalar(expr, env)?;
-                        if !set_partial(&mut p2, head, attr, v)? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        for (attr, expr) in &parts.agg_assigns {
-                            let v = aggregate::group_scalar(self, expr, members, env)?;
-                            if !set_partial(&mut p2, head, attr, v)? {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        Some(complete(&p2, head)?)
-                    } else {
-                        None
-                    }
+        } else {
+            self.run_scope(sc, env, &mut |ctx, env| {
+                if ctx.all_hold(&sc.pre_bool, env)? {
+                    groups.fold_env(ctx, keys, aggs, env, sc.base)?;
                 }
-                Ok(false) => None,
-                Err(e) => {
-                    env.truncate(base);
-                    return Err(e);
-                }
-            };
-            env.truncate(base);
-            if let Some(t) = emitted {
-                out.push(t);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Record an assignment into the partial head tuple. Returns `false` when
-/// a conflicting value was already assigned (the row then fails, since both
-/// equalities cannot hold).
-pub(crate) fn set_partial(
-    partial: &mut Partial,
-    head: &HeadCtx<'_>,
-    attr: &str,
-    v: Value,
-) -> Result<bool> {
-    let idx =
-        head.attrs
-            .iter()
-            .position(|a| a == attr)
-            .ok_or_else(|| EvalError::UnknownAttribute {
-                var: head.name.to_string(),
-                attr: attr.to_string(),
+                Ok(true)
             })?;
-    match &partial[idx] {
-        Some(existing) => {
-            // NULL = NULL assignments agree only structurally; two
-            // assignments must produce the same key to both hold.
-            Ok(existing.key() == v.key())
         }
-        None => {
-            partial[idx] = Some(v);
-            Ok(true)
+        if keys.is_empty() {
+            groups.ensure_global(aggs);
         }
+        Ok(groups)
     }
-}
-
-pub(crate) fn complete(partial: &Partial, head: &HeadCtx<'_>) -> Result<Tuple> {
-    let mut out = Vec::with_capacity(partial.len());
-    for (i, slot) in partial.iter().enumerate() {
-        match slot {
-            Some(v) => out.push(v.clone()),
-            None => {
-                return Err(EvalError::MissingAssignment {
-                    collection: head.name.to_string(),
-                    attr: head.attrs[i].clone(),
-                })
-            }
-        }
-    }
-    Ok(out)
 }
 
 pub(crate) fn dedupe_in_place(rows: &mut Vec<Tuple>) {

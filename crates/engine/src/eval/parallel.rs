@@ -4,10 +4,10 @@
 //! [partition axis](arc_plan::ScopePlan::partition_axis) — an outer
 //! relation scan big enough to amortize the fork — executes in parallel:
 //!
-//! 1. the **coordinator** (the evaluating thread) plans the scope once,
-//!    materializes the step pipeline, checks the prelude filters, and
-//!    eagerly builds every hash index the plan probes (build sides are
-//!    shared read-only via `Arc` — workers never build);
+//! 1. the **coordinator** (the evaluating thread) holds the compiled
+//!    scope, checks the prelude filters, and eagerly builds every hash
+//!    index the plan probes (build sides are shared read-only via `Arc`
+//!    — workers never build);
 //! 2. the axis scan is split into [`Morsels`]; each morsel runs the full
 //!    pipeline over its row range on a pool worker, with a **forked
 //!    context** (same catalog/definitions/caches, `threads = 1` so
@@ -27,16 +27,17 @@
 use super::env::Env;
 use super::profile::ScopeTally;
 use super::quantifier::{HashIndex, Src};
+use super::scope::{Pipeline, Scope};
 use super::{Ctx, EvalStrategy};
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::relation::Relation;
-use arc_core::ast::{Binding, Collection, JoinTree, Predicate};
+use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
 use arc_guard::QueryGuard;
-use arc_plan::ScopePlan;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -44,8 +45,11 @@ use std::time::Instant;
 
 /// Everything a pool worker needs to rebuild an evaluation context:
 /// shared read-only references plus snapshots of the coordinator's
-/// caches (hash indexes, plans, distinct estimates), so workers start
-/// warm and build nothing the coordinator already has.
+/// caches (hash indexes, distinct estimates, selections), so workers
+/// start warm and build nothing the coordinator already has. Compiled
+/// scopes are not snapshotted: the partitioned scope itself is shared by
+/// reference, and scopes nested under it compile per worker, against the
+/// global plan cache.
 pub(crate) struct WorkerSeed<'a> {
     catalog: &'a Catalog,
     conv: Conventions,
@@ -56,17 +60,16 @@ pub(crate) struct WorkerSeed<'a> {
     program: u64,
     defined: &'a HashMap<String, Relation>,
     abstracts: &'a HashMap<String, Collection>,
+    /// The coordinator's join-key hasher: workers probe indexes it built.
+    hash_state: RandomState,
     join_indexes: HashMap<(usize, Vec<usize>), Arc<HashIndex>>,
     distinct_estimates: HashMap<(usize, Vec<usize>), usize>,
-    plans: HashMap<super::PlanCacheKey, Arc<ScopePlan>>,
     selections: HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>,
     /// Shared (not snapshot) semi-join build cache: workers and the
     /// coordinator probe — and lazily populate — the *same* build sets
     /// through the `Arc`, so a decorrelated scope builds its key set once
     /// per evaluation, not once per worker.
     semi_builds: super::semijoin::SemiBuildCache,
-    /// Snapshot of the coordinator's bailed-decorrelation scopes.
-    semi_bailed: std::collections::HashSet<usize>,
     /// Whether workers record wall times (the coordinator's trace knob).
     trace: bool,
     /// Shared (not snapshot) profile sink: every worker's morsel tallies
@@ -96,12 +99,13 @@ impl<'a> WorkerSeed<'a> {
             program: self.program,
             defined: self.defined,
             abstracts: self.abstracts,
+            hash_state: self.hash_state.clone(),
             join_indexes: RefCell::new(self.join_indexes.clone()),
             distinct_estimates: RefCell::new(self.distinct_estimates.clone()),
-            plans: RefCell::new(self.plans.clone()),
+            scopes: RefCell::new(HashMap::new()),
             selections: RefCell::new(self.selections.clone()),
             semi_builds: self.semi_builds.clone(),
-            semi_bailed: RefCell::new(self.semi_bailed.clone()),
+            probe_key: RefCell::new(Vec::new()),
             trace: self.trace,
             profile: self.profile.clone(),
             spans: self.spans.clone(),
@@ -145,7 +149,7 @@ impl Drop for WorkerState<'_> {
 /// keep enumerating. `Sync` because the parallel path shares it across
 /// pool workers.
 pub(crate) type EachFn<'f, 'a, T> =
-    dyn Fn(&Ctx<'a>, &mut Env, &mut Vec<T>) -> Result<bool> + Sync + 'f;
+    dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut Vec<T>) -> Result<bool> + Sync + 'f;
 
 impl<'a> Ctx<'a> {
     fn worker_seed(&self) -> WorkerSeed<'a> {
@@ -159,12 +163,11 @@ impl<'a> Ctx<'a> {
             program: self.program,
             defined: self.defined,
             abstracts: self.abstracts,
+            hash_state: self.hash_state.clone(),
             join_indexes: self.join_indexes.borrow().clone(),
             distinct_estimates: self.distinct_estimates.borrow().clone(),
-            plans: self.plans.borrow().clone(),
             selections: self.selections.borrow().clone(),
             semi_builds: self.semi_builds.clone(),
-            semi_bailed: self.semi_bailed.borrow().clone(),
             trace: self.trace,
             profile: self.profile.clone(),
             spans: self.spans.clone(),
@@ -174,7 +177,7 @@ impl<'a> Ctx<'a> {
 
     /// Enumerate a scope, appending what `each` produces per surviving
     /// environment into `out` — in enumeration order. This is the entry
-    /// point the output stages use instead of raw [`Ctx::enumerate`]:
+    /// point the output stages use instead of raw [`Ctx::run_scope`]:
     /// append-only collection is exactly what partitioned execution can
     /// scatter, so eligible scopes run parallel here, and everything
     /// else streams through the sequential loop straight into `out`
@@ -184,46 +187,43 @@ impl<'a> Ctx<'a> {
     /// `Ok(true)`; the parallel path enumerates every partition).
     pub(crate) fn enumerate_collect<T: Send>(
         &self,
-        bindings: &[Binding],
-        join: Option<&JoinTree>,
-        filters: &[&Predicate],
-        env: &mut Env,
+        sc: &Scope<'a>,
+        env: &mut Env<'a>,
         each: &EachFn<'_, 'a, T>,
         out: &mut Vec<T>,
     ) -> Result<()> {
-        if self.threads > 1
-            && !join.is_some_and(|t| t.has_outer())
-            && self.try_parallel(bindings, filters, env, each, out)?
-        {
+        if self.try_parallel(sc, env, each, out)? {
             return Ok(());
         }
-        self.enumerate(bindings, join, filters, env, &mut |ctx, env| {
-            each(ctx, env, out)
-        })
+        self.run_scope(sc, env, &mut |ctx, env| each(ctx, env, out))
     }
 
     /// The partitioned path; `Ok(false)` means "not eligible — run the
-    /// sequential loop" (no partition axis, or the axis scan is too
-    /// small for the configured morsel floor).
-    fn try_parallel<T: Send>(
+    /// sequential loop" (a sequential engine, an outer-join scope, no
+    /// partition axis, or an axis scan too small for the configured
+    /// morsel floor).
+    pub(crate) fn try_parallel<T: Send>(
         &self,
-        bindings: &[Binding],
-        filters: &[&Predicate],
-        env: &mut Env,
+        sc: &Scope<'a>,
+        env: &mut Env<'a>,
         each: &EachFn<'_, 'a, T>,
         out: &mut Vec<T>,
     ) -> Result<bool> {
-        let resolved = self.resolve_bindings(bindings)?;
-        let plan = self.scope_plan(bindings, filters, env, &resolved, false)?;
-        if plan.partition_axis().is_none() {
+        if self.threads <= 1 {
             return Ok(false);
         }
-        let (order, prelude, leaf) = self.materialize_steps(bindings, filters, &resolved, &plan)?;
+        let Pipeline::Steps(pipeline) = &sc.pipeline else {
+            return Ok(false);
+        };
+        let steps = &pipeline.steps;
+        if pipeline.plan.partition_axis().is_none() {
+            return Ok(false);
+        }
         // The axis must be an un-probed relation scan at step 0 (the plan
         // guarantees the access kind; re-check the source against the
         // materialization so a mismatch degrades to sequential instead of
         // erroring).
-        let total = match order.first() {
+        let total = match steps.first() {
             Some(first) if first.hash_plan.is_none() => match &first.source {
                 Src::Rows(rel) => rel.rows.len(),
                 _ => return Ok(false),
@@ -238,11 +238,11 @@ impl<'a> Ctx<'a> {
         // scan's single start are counted here, exactly once — morsel
         // tallies deliberately skip both (see `Ctx::scan_partition`), so
         // a partitioned profile is count-identical to the sequential one.
-        let scope_id = bindings.as_ptr() as usize;
+        let scope_id = sc.id;
         let coord = self
             .profile
             .as_ref()
-            .map(|_| ScopeTally::new(scope_id, order.len()));
+            .map(|_| ScopeTally::new(scope_id, steps.len()));
         let start = (self.trace && coord.is_some()).then(Instant::now);
         // Coordinator scope span: covers the prelude, the shared builds,
         // and the whole scatter/gather. Worker morsel spans nest under it
@@ -251,26 +251,24 @@ impl<'a> Ctx<'a> {
 
         // Prelude filters see only outer variables: evaluate once here,
         // not once per morsel.
-        for p in &prelude {
-            if !self.pred_truth(p, env)?.is_true() {
-                if let (Some(t), Some(sink)) = (&coord, &self.profile) {
-                    t.flush(sink, true);
-                }
-                if let (Some(sink), Some(t0)) = (&self.spans, scope_span) {
-                    sink.complete(
-                        self.lane,
-                        arc_trace::SpanKind::Scope,
-                        arc_trace::OpId::scope(scope_id),
-                        t0,
-                    );
-                }
-                return Ok(true); // scope is empty; nothing to scatter
+        if !self.all_true(&pipeline.prelude, env)? {
+            if let (Some(t), Some(sink)) = (&coord, &self.profile) {
+                t.flush(sink, true);
             }
+            if let (Some(sink), Some(t0)) = (&self.spans, scope_span) {
+                sink.complete(
+                    self.lane,
+                    arc_trace::SpanKind::Scope,
+                    arc_trace::OpId::scope(scope_id),
+                    t0,
+                );
+            }
+            return Ok(true); // scope is empty; nothing to scatter
         }
         // Build every probe's hash index — and every vectorized scan's
         // selection vector — up front so workers share them read-only
         // instead of racing to build duplicates.
-        for ob in &order {
+        for ob in steps {
             if let (Src::Rows(rel), Some(hash_plan)) = (&ob.source, &ob.hash_plan) {
                 let _ = self.join_index(hash_plan, rel);
             }
@@ -280,7 +278,8 @@ impl<'a> Ctx<'a> {
         }
 
         let seed = self.worker_seed();
-        let outer_env = env.clone();
+        // Workers see the frames of this scope under its own layout.
+        let outer_env = env.with_layout(&sc.layout, |env| env.clone());
         // Chunk-aligned morsels under vectorized execution: a morsel
         // covers whole column chunks, so a worker's selection walk never
         // straddles a chunk another worker owns. Ordered gather is
@@ -324,17 +323,16 @@ impl<'a> Ctx<'a> {
                     .ctx
                     .profile
                     .as_ref()
-                    .map(|_| ScopeTally::new(scope_id, order.len()));
+                    .map(|_| ScopeTally::new(scope_id, steps.len()));
                 let mstart = (st.ctx.trace && tally.is_some()).then(Instant::now);
                 let mspan = st.ctx.spans.as_ref().and_then(|s| s.start(st.lane));
                 let r = st
                     .ctx
                     .scan_partition(
-                        &order,
-                        &leaf,
+                        scope_id,
+                        pipeline,
                         range,
                         &mut wenv,
-                        scope_id,
                         tally.as_ref(),
                         &mut |c, e| each(c, e, &mut morsel_out),
                     )

@@ -1,12 +1,23 @@
-//! The binding loop: executing the physical scope plan.
+//! The binding loop: executing a compiled scope's step pipeline.
 //!
-//! [`Ctx::enumerate`] drives a callback over every environment of a
-//! quantifier scope that survives the filter predicates. The *shape* of
-//! the enumeration — binding order, per-binding access path (scan vs.
-//! hash probe vs. external access pattern vs. abstract check vs. lateral),
-//! and where each filter runs — is no longer derived here: the scope is
-//! described to [`arc_plan::plan_scope`] and this module executes the
-//! [`ScopePlan`](arc_plan::ScopePlan) it returns.
+//! [`Ctx::run_scope`] drives a callback over every environment of a
+//! quantifier scope that survives the filter predicates. Nothing about
+//! the *shape* of the enumeration is decided here — binding order,
+//! per-binding access path (scan vs. hash probe vs. index range vs.
+//! external access pattern vs. abstract check vs. lateral) and where each
+//! filter runs come from the [`arc_plan::ScopePlan`], and every expression
+//! the loop evaluates arrives **slot-resolved** from [`super::scope`]
+//! (names → `(frame, column)` once per scope, not once per row).
+//!
+//! ## What one candidate row costs
+//!
+//! Binding a candidate is pushing a [`Frame`] that *borrows* the row where
+//! the relation stores it; a pushed-down filter is a couple of indexed
+//! loads and a comparison; a hash probe hashes the probe values in place
+//! (no key is built, no string copied) and verifies them against one
+//! stored row of the matching bucket. A rejected candidate allocates
+//! nothing; an accepted one allocates whatever the callback builds from it
+//! (an output row, nothing at all for a grouped fold).
 //!
 //! Under [`EvalStrategy::Planned`](super::EvalStrategy::Planned) the plan
 //! greedily orders joins by estimated cardinality, hash-probes every
@@ -18,84 +29,165 @@
 //! every filter is still re-checked, so the callback sees exactly the
 //! environments the nested loop would produce, in the same order.
 //!
-//! ## Plan caching
-//!
-//! Planning is split into three phases — [`Ctx::resolve_bindings`] (name
-//! → source), [`Ctx::scope_plan`] (the cached search), and
-//! [`Ctx::materialize_steps`] (plan → executable [`Ordered`] steps) — so
-//! that the expensive middle phase runs once per distinct planning
-//! situation instead of once per [`Ctx::enumerate`] call:
-//!
-//! * the **`Ctx`-level cache** keys by *(scope identity, outer-availability
-//!   signature, planning role)* — a correlated scope that runs the nested
-//!   path re-enters `enumerate` once per outer row with an identical
-//!   signature, so only the first row plans (boolean scopes with pure
-//!   equi-join correlation don't even re-enter: [`super::semijoin`]
-//!   answers them from a build-once probe set);
-//! * the **global cache** ([`arc_plan::cache`]) keys by *(program hash,
-//!   scope fingerprint, signature, mode, role)* — repeated queries (same
-//!   text, re-parsed, fresh `Ctx`) skip planning entirely.
-//!
 //! ## Parallel execution
 //!
-//! The executable steps are thread-shareable (`Ordered` is `Sync`: hash
+//! A compiled pipeline is thread-shareable ([`Ordered`] is `Sync`: hash
 //! indexes live behind `Arc`, memoized through `OnceLock`), which is what
-//! lets `eval::parallel` drive one materialized pipeline from many pool
-//! workers, each scanning its own morsel of the partition axis via
+//! lets [`super::parallel`] drive one pipeline from many pool workers,
+//! each scanning its own morsel of the partition axis via
 //! [`Ctx::scan_partition`].
 
-use super::env::Env;
+use super::env::{Env, Frame, Layout};
 use super::profile::ScopeTally;
+use super::scope::{Pipeline, Scope, Steps};
+use super::slots::{CFormula, CPred, CScalar};
 use super::Ctx;
 use crate::error::{EvalError, Result};
-use crate::external::{AccessPattern, ExternalRelation};
+use crate::external::AccessPattern;
 use crate::metrics;
-use crate::relation::Relation;
-use arc_core::ast::*;
-use arc_core::value::{Key, Value};
+use crate::relation::{Relation, Tuple};
+use arc_core::ast::Collection;
+use arc_core::value::Value;
 use arc_guard::seam;
-use arc_plan::analysis::free_vars;
-use arc_plan::logical::other_side;
-use arc_plan::{
-    cache, Access, BindingSpec, DistinctEstimator, OuterScope, PlanError, ScopePlan, ScopeSpec,
-    SourceSpec,
-};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-/// Row-sample cap for the planner's distinct-key estimates.
-const DISTINCT_SAMPLE: usize = 256;
-
 /// Where one ordered binding draws its tuples from.
-pub(crate) enum Src<'b> {
+pub(crate) enum Src<'a> {
     /// A materialized relation (base, defined, or fixpoint result).
-    Rows(&'b Relation),
+    Rows(&'a Relation),
     /// A correlated nested collection, evaluated per environment.
-    Nested(&'b Collection),
+    Nested(&'a Collection),
     /// An external relation solved through an access pattern (§2.13.1).
     External {
-        ext: &'b ExternalRelation,
-        pattern: &'b AccessPattern,
-        inputs: Vec<Scalar>,
+        pattern: &'a AccessPattern,
+        inputs: Vec<CScalar<'a>>,
     },
-    /// An abstract relation checked in context (§2.13.2).
+    /// An abstract relation checked in context (§2.13.2): the candidate
+    /// tuple is bound under the definition's own head name and the
+    /// definition body decides membership.
     Abstract {
-        def: &'b Collection,
-        inputs: Vec<Scalar>,
+        inputs: Vec<CScalar<'a>>,
+        /// The layout the body runs under: the frames before this step,
+        /// then the head frame.
+        check_layout: Layout<'a>,
+        body: CFormula<'a>,
     },
 }
 
 /// Equi-join access plan for one relation binding: which columns form the
 /// hash key and which outer expressions produce the probe key.
-pub(crate) struct HashPlan<'b> {
+pub(crate) struct HashPlan<'a> {
     /// Column indices (into the relation schema) of the join key.
-    key_cols: Vec<usize>,
+    pub(crate) key_cols: Vec<usize>,
     /// Outer-side expressions, parallel to `key_cols`.
-    probe_exprs: Vec<&'b Scalar>,
+    pub(crate) probe_exprs: Vec<CScalar<'a>>,
 }
 
-/// A hash index over a relation: join key → row indices in original order.
-pub(crate) type HashIndex = HashMap<Vec<Key>, Vec<u32>>;
+/// Bucket-address stride for hash collisions between *different* join
+/// keys (see [`HashIndex`]).
+const NEXT_BUCKET: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Pass-through hasher for maps keyed by an already-computed 64-bit hash.
+#[derive(Default)]
+pub(crate) struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("HashIndex buckets are keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash index over a relation: one bucket per distinct join key,
+/// holding that key's row indices in original order.
+///
+/// The index stores **no keys**. A bucket is addressed by the hash of its
+/// key (under the evaluation's [`Ctx::hash_state`]) and identified by its
+/// first row: builder and probe both compare the key columns of that row
+/// against theirs, and on a mismatch — two different keys, one hash —
+/// move on to address `hash + NEXT_BUCKET`. So neither building nor
+/// probing copies a string or allocates a key vector, and equality is
+/// [`Value::join_key_ref`]'s, the workspace's one equi-join rule
+/// (`NULL`/`NaN` rows are never indexed).
+pub(crate) struct HashIndex {
+    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>>,
+}
+
+impl HashIndex {
+    pub(crate) fn build(rows: &[Tuple], key_cols: &[usize], state: &RandomState) -> HashIndex {
+        HashIndex::build_by(rows, key_cols, |row| {
+            let mut h = state.build_hasher();
+            for &c in key_cols {
+                row[c].join_key_ref()?.hash(&mut h);
+            }
+            Some(h.finish())
+        })
+    }
+
+    /// [`HashIndex::build`] over an arbitrary key hash (`None`: the row
+    /// has a `NULL`/`NaN` key component and is never indexed).
+    fn build_by(
+        rows: &[Tuple],
+        key_cols: &[usize],
+        hash: impl Fn(&[Value]) -> Option<u64>,
+    ) -> HashIndex {
+        let mut buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>> =
+            HashMap::with_capacity_and_hasher(rows.len(), BuildHasherDefault::default());
+        for (i, row) in rows.iter().enumerate() {
+            let Some(mut at) = hash(row) else {
+                continue;
+            };
+            loop {
+                match buckets.entry(at) {
+                    Entry::Vacant(e) => {
+                        e.insert(vec![i as u32]);
+                        break;
+                    }
+                    Entry::Occupied(mut e) => {
+                        let first = &rows[e.get()[0] as usize];
+                        if key_cols
+                            .iter()
+                            .all(|&c| first[c].key_ref() == row[c].key_ref())
+                        {
+                            e.get_mut().push(i as u32);
+                            break;
+                        }
+                        at = at.wrapping_add(NEXT_BUCKET);
+                    }
+                }
+            }
+        }
+        HashIndex { buckets }
+    }
+
+    /// The rows of the bucket addressed by `hash` whose first row
+    /// `is_key` accepts (ascending row order); empty when there is none.
+    fn bucket(&self, hash: u64, mut is_key: impl FnMut(u32) -> Result<bool>) -> Result<&[u32]> {
+        let mut at = hash;
+        while let Some(rows) = self.buckets.get(&at) {
+            if is_key(rows[0])? {
+                return Ok(rows);
+            }
+            at = at.wrapping_add(NEXT_BUCKET);
+        }
+        Ok(&[])
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.len()
+    }
+}
 
 /// The per-query index cache living on [`Ctx`], keyed by relation address
 /// plus key columns (see [`Ctx::join_index`] for why addresses are
@@ -104,65 +196,38 @@ pub(crate) type HashIndex = HashMap<Vec<Key>, Vec<u32>>;
 /// read-only.
 pub(crate) type JoinIndexCache = std::cell::RefCell<HashMap<(usize, Vec<usize>), Arc<HashIndex>>>;
 
-impl<'b> HashPlan<'b> {
-    fn build_index(&self, rel: &Relation) -> HashIndex {
-        let mut index: HashIndex = HashMap::with_capacity(rel.rows.len());
-        for (i, row) in rel.rows.iter().enumerate() {
-            // `Relation::key_for` is the single source of join-key
-            // semantics (NULL/NaN never match) — shared with the
-            // planner's distinct estimator.
-            if let Some(key) = Relation::key_for(row, &self.key_cols) {
-                index.entry(key).or_default().push(i as u32);
-            }
-        }
-        index
-    }
-
-    fn probe_key(&self, ctx: &Ctx<'_>, env: &mut Env) -> Result<Option<Vec<Key>>> {
-        let mut key = Vec::with_capacity(self.probe_exprs.len());
-        for e in &self.probe_exprs {
-            match crate::relation::join_key(&ctx.scalar(e, env)?) {
-                Some(k) => key.push(k),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(key))
-    }
-}
-
 /// One planned step: a binding with a resolved source, its access path,
 /// and the filters pushed down to it — in execution order.
-pub(crate) struct Ordered<'b> {
-    var: Arc<str>,
-    pub(crate) source: Src<'b>,
-    pub(crate) hash_plan: Option<HashPlan<'b>>,
+pub(crate) struct Ordered<'a> {
+    pub(crate) source: Src<'a>,
+    pub(crate) hash_plan: Option<HashPlan<'a>>,
     /// Filters evaluated as soon as this step's variable binds (empty
     /// under the force strategies, which keep everything at the leaf).
     /// When the step scans a relation under vectorized execution, the
     /// leading run of constant filters is hoisted into `vec_filters` and
     /// only the residue remains here (see [`super::vector`] on why only
     /// a prefix is safe to hoist).
-    step_filters: Vec<&'b Predicate>,
+    pub(crate) step_filters: Vec<CPred<'a>>,
     /// The vectorizable constant-filter prefix, resolved to columns of
     /// the scanned relation (scan steps only; empty when vectorization
     /// is off, the relation is tiny, or no prefix classifies).
-    vec_filters: Vec<super::vector::VecFilter>,
+    pub(crate) vec_filters: Vec<super::vector::VecFilter>,
     /// Addresses of the original predicates behind `vec_filters` — the
     /// `Ctx` selection-cache key (predicates outlive the `Ctx`).
-    vec_key: Vec<usize>,
+    pub(crate) vec_key: Vec<usize>,
     /// The index-range access plan, when the planner chose one for this
     /// step: the ordered index answers the consumed bound prefix by
     /// binary search and the result joins the selection-vector path
     /// (composing with `vec_filters` when both are present).
-    index_plan: Option<super::index::IndexPlan>,
+    pub(crate) index_plan: Option<super::index::IndexPlan>,
     /// The plan's index, memoized on first probe so the hot loop touches
     /// neither the [`Ctx`]-level cache nor its heap-allocated key again.
-    /// A `OnceLock` (not `OnceCell`) so a materialized pipeline stays
-    /// `Sync` and can be shared across pool workers.
-    index: std::sync::OnceLock<Arc<HashIndex>>,
+    /// A `OnceLock` (not `OnceCell`) so a compiled pipeline stays `Sync`
+    /// and can be shared across pool workers.
+    pub(crate) index: std::sync::OnceLock<Arc<HashIndex>>,
     /// The scan's selection vector (`vec_filters` applied to every
     /// chunk), memoized like `index` and shared across pool workers.
-    selection: std::sync::OnceLock<Arc<Vec<u32>>>,
+    pub(crate) selection: std::sync::OnceLock<Arc<Vec<u32>>>,
 }
 
 impl Ordered<'_> {
@@ -233,138 +298,44 @@ impl Ordered<'_> {
         }
         sel
     }
-
-    /// The step's variable name — the semi-join columnar build resolves
-    /// its key attributes against it.
-    pub(crate) fn var(&self) -> &str {
-        &self.var
-    }
-
-    /// True when no residual row-path filters remain on this step (every
-    /// pushed-down filter either vectorized or there were none).
-    pub(crate) fn step_filters_empty(&self) -> bool {
-        self.step_filters.is_empty()
-    }
 }
 
-/// A resolved binding source plus its catalog name (for diagnostics).
-pub(crate) enum Resolved<'b> {
-    Rel(&'b Relation),
-    Ext(&'b ExternalRelation),
-    Abs(&'b Collection),
-    Nested(&'b Collection),
-}
+/// The per-environment callback of [`Ctx::run_scope`]; returns `Ok(false)`
+/// to stop early (existential short-circuit).
+pub(crate) type EnvFn<'f, 'a> = dyn FnMut(&Ctx<'a>, &mut Env<'a>) -> Result<bool> + 'f;
 
-/// The runtime environment as the planner's outer scope (shared with the
-/// semi-join module's eligibility check).
-pub(crate) struct EnvOuter<'e>(pub(crate) &'e Env);
-
-impl OuterScope for EnvOuter<'_> {
-    fn attrs(&self, var: &str) -> Option<&[String]> {
-        self.0
-            .frames
-            .iter()
-            .rev()
-            .find(|f| &*f.var == var)
-            .map(|f| f.attrs.as_slice())
-    }
-}
-
-/// Live statistics for the planner: catalog `ANALYZE` sketches first
-/// (cost model v2 — correlation-capped distinct counts, MCV/histogram
-/// selectivities), then the per-query prefix-sample cache on [`Ctx`] as
-/// the distinct-count fallback for sources without statistics
-/// (intensional results, small un-analyzed relations).
-struct CtxEstimator<'a, 'b> {
-    ctx: &'a Ctx<'a>,
-    resolved: &'b [Resolved<'a>],
-}
-
-impl CtxEstimator<'_, '_> {
-    /// Catalog statistics for a binding — only when the binding actually
-    /// resolved to the catalog's relation (a same-named materialized
-    /// definition shadows it, and the catalog's sketches describe the
-    /// wrong rows then).
-    fn table_stats(&self, binding: usize) -> Option<&std::sync::Arc<arc_stats::TableStats>> {
-        let Resolved::Rel(rel) = &self.resolved[binding] else {
-            return None;
-        };
-        let stats = self.ctx.catalog.stats(&rel.name)?;
-        self.ctx
-            .catalog
-            .relation(&rel.name)
-            .is_some_and(|r| std::ptr::eq(r, *rel))
-            .then_some(stats)
-    }
-}
-
-impl DistinctEstimator for CtxEstimator<'_, '_> {
-    fn distinct(&self, binding: usize, cols: &[usize]) -> Option<usize> {
-        if let Some(stats) = self.table_stats(binding) {
-            return Some(stats.distinct_cols(cols) as usize);
-        }
-        let Resolved::Rel(rel) = &self.resolved[binding] else {
-            return None;
-        };
-        let key = (*rel as *const Relation as usize, cols.to_vec());
-        if let Some(&d) = self.ctx.distinct_estimates.borrow().get(&key) {
-            return Some(d);
-        }
-        let d = rel.distinct_estimate(cols, DISTINCT_SAMPLE);
-        self.ctx.distinct_estimates.borrow_mut().insert(key, d);
-        Some(d)
-    }
-
-    fn selectivity(
-        &self,
-        binding: usize,
-        col: usize,
-        op: arc_core::ast::CmpOp,
-        value: &arc_core::value::Value,
-    ) -> Option<f64> {
-        self.table_stats(binding)?.selectivity(col, op, value)
-    }
-
-    fn null_fraction(&self, binding: usize, col: usize) -> Option<f64> {
-        let stats = self.table_stats(binding)?;
-        Some(1.0 - stats.columns.get(col)?.non_null_fraction())
-    }
-
-    fn range_selectivity(
-        &self,
-        binding: usize,
-        col: usize,
-        lo: Option<(arc_core::ast::CmpOp, &arc_core::value::Value)>,
-        hi: Option<(arc_core::ast::CmpOp, &arc_core::value::Value)>,
-    ) -> Option<f64> {
-        self.table_stats(binding)?.range_selectivity(col, lo, hi)
-    }
+/// What the recursive loop threads through every level unchanged.
+struct Run<'r, 'a> {
+    scope: usize,
+    pipeline: &'r Steps<'a>,
+    tally: Option<&'r ScopeTally>,
 }
 
 impl<'a> Ctx<'a> {
-    /// Enumerate all binding environments of a quantifier, applying the
-    /// filter predicates, and invoke `cb` for each survivor. `cb` returns
-    /// `Ok(false)` to stop early (existential short-circuit).
-    pub(crate) fn enumerate(
+    /// Enumerate all binding environments of a compiled scope, applying
+    /// the filter predicates, and invoke `cb` for each survivor.
+    pub(crate) fn run_scope(
         &self,
-        bindings: &[Binding],
-        join: Option<&JoinTree>,
-        filters: &[&Predicate],
-        env: &mut Env,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        sc: &Scope<'a>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
-        if let Some(tree) = join {
-            if tree.has_outer() {
-                return self.enumerate_join(bindings, tree, filters, env, cb);
-            }
-            // A pure-inner annotation is semantically the default join.
-        }
-        // Span seam: the scope span opens before planning so a
-        // plan-cache miss's Plan span nests inside it. `start` reads no
+        env.with_layout(&sc.layout, |env| match &sc.pipeline {
+            Pipeline::Join(join) => self.run_join(join, env, cb),
+            Pipeline::Steps(steps) => self.run_steps(sc.id, steps, env, cb),
+        })
+    }
+
+    fn run_steps(
+        &self,
+        scope: usize,
+        pipeline: &Steps<'a>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
+    ) -> Result<()> {
+        // Span seam: one scope span per enumeration call. `start` reads no
         // clock when spans are off or the lane buffer is full.
-        let scope_id = bindings.as_ptr() as usize;
         let span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-        let (order, prelude, leaf) = self.plan_bindings(bindings, filters, env)?;
         // Profiling: a local tally per enumeration call, keyed by the
         // binding-slice address — the identity `arc_plan::scope_identity`
         // stamps on the lowered plan, so `EXPLAIN ANALYZE` can join the
@@ -373,21 +344,19 @@ impl<'a> Ctx<'a> {
         let tally = self
             .profile
             .as_ref()
-            .map(|_| ScopeTally::new(scope_id, order.len()));
+            .map(|_| ScopeTally::new(scope, pipeline.steps.len()));
         let start = (self.trace && tally.is_some()).then(std::time::Instant::now);
-        // Prelude filters touch only outer variables (or constants): one
-        // failing verdict empties the whole scope.
-        let mut alive = true;
-        for p in &prelude {
-            if !self.pred_truth(p, env)?.is_true() {
-                alive = false;
-                break;
-            }
-        }
-        let res = if alive {
-            self.enumerate_rec(&order, 0, &leaf, env, scope_id, tally.as_ref(), cb)
-        } else {
-            Ok(true)
+        let run = Run {
+            scope,
+            pipeline,
+            tally: tally.as_ref(),
+        };
+        let res = match self.all_true(&pipeline.prelude, env) {
+            // Prelude filters touch only outer variables (or constants):
+            // one failing verdict empties the whole scope.
+            Ok(false) => Ok(true),
+            Ok(true) => self.enumerate_rec(&run, 0, env, cb),
+            Err(e) => Err(e),
         };
         if let (Some(t), Some(sink)) = (&tally, &self.profile) {
             if let Some(s) = start {
@@ -399,22 +368,30 @@ impl<'a> Ctx<'a> {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::Scope,
-                arc_trace::OpId::scope(scope_id),
+                arc_trace::OpId::scope(scope),
                 t0,
             );
         }
         res.map(|_| ())
     }
 
+    /// Whether every predicate holds (stops at the first that does not).
+    pub(crate) fn all_true(&self, preds: &[CPred<'a>], env: &Env<'a>) -> Result<bool> {
+        for p in preds {
+            if !self.pred_truth(p, env)?.is_true() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Build (or fetch from the per-query cache) the hash index for a plan
     /// over a relation. The cache key is the relation's address plus the
     /// key columns: relations are borrowed from the catalog or the
     /// `defined` map, both immutable for the lifetime of the [`Ctx`], so
-    /// addresses are stable — and correlated scopes (one `enumerate` call
+    /// addresses are stable — and correlated scopes (one `run_scope` call
     /// per outer environment) reuse the index instead of rebuilding it per
-    /// outer row. Under vectorized execution the build runs over column
-    /// chunks ([`super::vector::build_index`]) — same index, computed
-    /// with per-chunk key extraction instead of per-row allocation.
+    /// outer row.
     /// `None` means the memory budget denied the build — the caller
     /// degrades to a streaming probe over the base rows (identical
     /// matches, identical ascending row order) instead of failing.
@@ -423,7 +400,7 @@ impl<'a> Ctx<'a> {
         if let Some(index) = self.join_indexes.borrow().get(&key) {
             return Some(index.clone());
         }
-        // Admission: the hash table (entry + key overhead per row).
+        // Admission: the hash table (entry + bucket overhead per row).
         if !self.guard_admit(
             seam::HASH_BUILD,
             rel.len() * (48 + 24 * plan.key_cols.len()),
@@ -431,16 +408,11 @@ impl<'a> Ctx<'a> {
             return None;
         }
         let start = self.trace.then(std::time::Instant::now);
-        // The vectorized build reads the column chunks — its own
-        // admission; denied only downgrades the build to the row loop.
-        let index = if self.vectorize
-            && rel.len() >= super::vector::VECTOR_MIN_ROWS
-            && self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24)
-        {
-            Arc::new(super::vector::build_index(&rel.columns(), &plan.key_cols))
-        } else {
-            Arc::new(plan.build_index(rel))
-        };
+        let index = Arc::new(HashIndex::build(
+            &rel.rows,
+            &plan.key_cols,
+            &self.hash_state,
+        ));
         metrics::hash_builds().inc();
         if let Some(s) = start {
             metrics::hash_build_time().record_nanos(s.elapsed().as_nanos() as u64);
@@ -451,9 +423,9 @@ impl<'a> Ctx<'a> {
 
     /// The selection vector of a selection-backed scan step (index-range
     /// probe and/or vectorized constant-filter prefix) — through the
-    /// per-query cache, so correlated scopes that re-enter `enumerate`
-    /// per outer row compute it once (the consumed filters are constant,
-    /// hence outer-independent).
+    /// per-query cache, so correlated scopes that re-enter per outer row
+    /// compute it once (the consumed filters are constant, hence
+    /// outer-independent).
     /// `None` means the memory budget denied the build — the caller
     /// degrades to row-checking [`Ordered::row_survives`] during its
     /// scan instead of failing.
@@ -495,7 +467,7 @@ impl<'a> Ctx<'a> {
 
     /// Step `i`'s memoized hash index, timing the first (and only) build
     /// into the step's profile tally when tracing. The cold branch is
-    /// taken once per materialized pipeline; after that this is a plain
+    /// taken once per compiled pipeline; after that this is a plain
     /// `OnceLock` load.
     fn step_index<'o>(
         &self,
@@ -538,33 +510,69 @@ impl<'a> Ctx<'a> {
         Some(sel)
     }
 
+    /// Hash of the probe key in `env`, or `None` when a component is
+    /// `NULL`/`NaN` (no row can match). Hashes the values where they
+    /// are; no key is assembled.
+    fn probe_hash(&self, plan: &HashPlan<'a>, env: &Env<'a>) -> Result<Option<u64>> {
+        let mut h = self.hash_state.build_hasher();
+        for e in &plan.probe_exprs {
+            match self.scalar(e, env)?.join_key_ref() {
+                Some(k) => k.hash(&mut h),
+                None => return Ok(None),
+            }
+        }
+        Ok(Some(h.finish()))
+    }
+
+    /// Whether `row`'s key columns equal the probe key in `env`.
+    fn row_has_probe_key(&self, plan: &HashPlan<'a>, row: &[Value], env: &Env<'a>) -> Result<bool> {
+        for (e, &c) in plan.probe_exprs.iter().zip(&plan.key_cols) {
+            if self.scalar(e, env)?.join_key_ref() != row[c].join_key_ref() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Bind one candidate row of step `i`: push its frame, run the step's
+    /// pushed-down filters, descend one level, pop. Returns false when
+    /// the enumeration was stopped early.
+    #[inline]
+    fn bind(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        frame: Frame<'a>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
+    ) -> Result<bool> {
+        env.push(frame);
+        let cont = self.step_into(run, i, env, cb)?;
+        env.pop();
+        Ok(cont)
+    }
+
     /// Pushed-down filters of step `i`, then descend one level.
-    #[allow(clippy::too_many_arguments)]
     fn step_into(
         &self,
-        order: &[Ordered<'_>],
+        run: &Run<'_, 'a>,
         i: usize,
-        leaf: &[&Predicate],
-        env: &mut Env,
-        scope: usize,
-        tally: Option<&ScopeTally>,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<bool> {
-        if let Some(t) = tally {
+        if let Some(t) = run.tally {
             t.row(i);
         }
         // Guard tick seam: one amortized cooperative check per
         // environment entering a step.
         self.guard_step()?;
-        for p in &order[i].step_filters {
-            if !self.pred_truth(p, env)?.is_true() {
-                return Ok(true); // this environment is filtered out
-            }
+        if !self.all_true(&run.pipeline.steps[i].step_filters, env)? {
+            return Ok(true); // this environment is filtered out
         }
-        if let Some(t) = tally {
+        if let Some(t) = run.tally {
             t.pass(i);
         }
-        self.enumerate_rec(order, i + 1, leaf, env, scope, tally, cb)
+        self.enumerate_rec(run, i + 1, env, cb)
     }
 
     /// Execute one morsel of a partitioned scope: enumerate rows
@@ -576,21 +584,19 @@ impl<'a> Ctx<'a> {
     /// *call* — the parallel coordinator counts the scope entry (and its
     /// axis scan's single start) exactly once, which is what keeps a
     /// partitioned profile count-identical to the sequential one.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_partition(
         &self,
-        order: &[Ordered<'_>],
-        leaf: &[&Predicate],
-        range: std::ops::Range<usize>,
-        env: &mut Env,
         scope: usize,
+        pipeline: &Steps<'a>,
+        range: std::ops::Range<usize>,
+        env: &mut Env<'a>,
         tally: Option<&ScopeTally>,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
         // Guard check seam: every morsel begins with a full cooperative
         // check, so a tripped guard stops within one morsel of work.
         self.guard_at(seam::MORSEL)?;
-        let Some(first) = order.first() else {
+        let Some(first) = pipeline.steps.first() else {
             return Err(EvalError::Internal(
                 "partitioned scope with no steps".into(),
             ));
@@ -600,7 +606,12 @@ impl<'a> Ctx<'a> {
                 "partition axis is not a relation scan".into(),
             ));
         };
-        let attrs = Arc::new(rel.schema.clone());
+        let rel: &'a Relation = rel;
+        let run = Run {
+            scope,
+            pipeline,
+            tally,
+        };
         if first.uses_selection() {
             // Selection-backed scan (index probe and/or vectorized
             // prefix): walk the (ascending) selection restricted to this
@@ -616,13 +627,9 @@ impl<'a> Ctx<'a> {
                 // Degraded morsel scan (budget denied the selection):
                 // row-check the same predicates over this range.
                 for row in &rel.rows[range] {
-                    if !first.row_survives(row) {
-                        continue;
-                    }
-                    env.push(first.var.clone(), attrs.clone(), row.clone());
-                    let cont = self.step_into(order, 0, leaf, env, scope, tally, cb)?;
-                    env.pop();
-                    if !cont {
+                    if first.row_survives(row)
+                        && !self.bind(&run, 0, Frame::Borrowed(row), env, cb)?
+                    {
                         return Ok(());
                     }
                 }
@@ -633,24 +640,15 @@ impl<'a> Ctx<'a> {
                 if ridx as usize >= range.end {
                     break;
                 }
-                env.push(
-                    first.var.clone(),
-                    attrs.clone(),
-                    rel.rows[ridx as usize].clone(),
-                );
-                let cont = self.step_into(order, 0, leaf, env, scope, tally, cb)?;
-                env.pop();
-                if !cont {
+                let row = Frame::Borrowed(&rel.rows[ridx as usize]);
+                if !self.bind(&run, 0, row, env, cb)? {
                     return Ok(());
                 }
             }
             return Ok(());
         }
         for row in &rel.rows[range] {
-            env.push(first.var.clone(), attrs.clone(), row.clone());
-            let cont = self.step_into(order, 0, leaf, env, scope, tally, cb)?;
-            env.pop();
-            if !cont {
+            if !self.bind(&run, 0, Frame::Borrowed(row), env, cb)? {
                 return Ok(());
             }
         }
@@ -666,98 +664,80 @@ impl<'a> Ctx<'a> {
     /// (= per upstream environment entering step `i`, matching the
     /// profile's `calls` semantics), covering the step's whole candidate
     /// loop including everything nested below it. Leaf entries
-    /// (`i == order.len()`) record nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// (`i == steps.len()`) record nothing.
     fn enumerate_rec(
         &self,
-        order: &[Ordered<'_>],
+        run: &Run<'_, 'a>,
         i: usize,
-        leaf: &[&Predicate],
-        env: &mut Env,
-        scope: usize,
-        tally: Option<&ScopeTally>,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<bool> {
         match &self.spans {
-            Some(sink) if i < order.len() => {
+            Some(sink) if i < run.pipeline.steps.len() => {
                 let span = sink.start(self.lane);
-                let res = self.enumerate_rec_inner(order, i, leaf, env, scope, tally, cb);
+                let res = self.enumerate_rec_inner(run, i, env, cb);
                 if let Some(t0) = span {
                     sink.complete(
                         self.lane,
                         arc_trace::SpanKind::Step,
-                        arc_trace::OpId::step(scope, i),
+                        arc_trace::OpId::step(run.scope, i),
                         t0,
                     );
                 }
                 res
             }
-            _ => self.enumerate_rec_inner(order, i, leaf, env, scope, tally, cb),
+            _ => self.enumerate_rec_inner(run, i, env, cb),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn enumerate_rec_inner(
         &self,
-        order: &[Ordered<'_>],
+        run: &Run<'_, 'a>,
         i: usize,
-        leaf: &[&Predicate],
-        env: &mut Env,
-        scope: usize,
-        tally: Option<&ScopeTally>,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        env: &mut Env<'a>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<bool> {
-        if i == order.len() {
+        if i == run.pipeline.steps.len() {
             // All bound: apply the leaf filters, then the callback.
-            for p in leaf {
-                if !self.pred_truth(p, env)?.is_true() {
-                    return Ok(true);
-                }
+            if !self.all_true(&run.pipeline.leaf, env)? {
+                return Ok(true);
             }
-            if let Some(t) = tally {
+            if let Some(t) = run.tally {
                 t.emit();
             }
             return cb(self, env);
         }
-        if let Some(t) = tally {
+        if let Some(t) = run.tally {
             t.call(i);
         }
-        let ob = &order[i];
+        let ob = &run.pipeline.steps[i];
         match &ob.source {
             Src::Rows(rel) => {
-                let attrs = Arc::new(rel.schema.clone());
+                let rel: &'a Relation = rel;
                 if let Some(plan) = &ob.hash_plan {
-                    let Some(key) = plan.probe_key(self, env)? else {
+                    let Some(hash) = self.probe_hash(plan, env)? else {
                         return Ok(true); // NULL/NaN probe: no row can match
                     };
-                    let Some(index) = self.step_index(ob, plan, rel, i, tally) else {
+                    let Some(index) = self.step_index(ob, plan, rel, i, run.tally) else {
                         // Degraded streaming probe (budget denied the
                         // hash build): key-compare every base row —
                         // identical matches, identical ascending order.
                         for row in &rel.rows {
-                            if Relation::key_for(row, &plan.key_cols).as_deref()
-                                != Some(key.as_slice())
+                            if self.row_has_probe_key(plan, row, env)?
+                                && !self.bind(run, i, Frame::Borrowed(row), env, cb)?
                             {
-                                continue;
-                            }
-                            env.push(ob.var.clone(), attrs.clone(), row.clone());
-                            let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                            env.pop();
-                            if !cont {
                                 return Ok(false);
                             }
                         }
                         return Ok(true);
                     };
-                    if let Some(matches) = index.get(&key) {
-                        for &ridx in matches {
-                            let row = &rel.rows[ridx as usize];
-                            env.push(ob.var.clone(), attrs.clone(), row.clone());
-                            let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                            env.pop();
-                            if !cont {
-                                return Ok(false);
-                            }
+                    let matches = index.bucket(hash, |first| {
+                        self.row_has_probe_key(plan, &rel.rows[first as usize], env)
+                    })?;
+                    for &ridx in matches {
+                        let row = Frame::Borrowed(&rel.rows[ridx as usize]);
+                        if !self.bind(run, i, row, env, cb)? {
+                            return Ok(false);
                         }
                     }
                     return Ok(true);
@@ -768,41 +748,28 @@ impl<'a> Ctx<'a> {
                     // selection (in ascending row order, so emission
                     // order is identical to the row path) and row-check
                     // only the residue.
-                    let Some(sel) = self.step_selection(ob, rel, i, tally) else {
+                    let Some(sel) = self.step_selection(ob, rel, i, run.tally) else {
                         // Degraded scan (budget denied the selection):
                         // row-check the same predicates in row order.
                         for row in &rel.rows {
-                            if !ob.row_survives(row) {
-                                continue;
-                            }
-                            env.push(ob.var.clone(), attrs.clone(), row.clone());
-                            let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                            env.pop();
-                            if !cont {
+                            if ob.row_survives(row)
+                                && !self.bind(run, i, Frame::Borrowed(row), env, cb)?
+                            {
                                 return Ok(false);
                             }
                         }
                         return Ok(true);
                     };
                     for &ridx in sel.iter() {
-                        env.push(
-                            ob.var.clone(),
-                            attrs.clone(),
-                            rel.rows[ridx as usize].clone(),
-                        );
-                        let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                        env.pop();
-                        if !cont {
+                        let row = Frame::Borrowed(&rel.rows[ridx as usize]);
+                        if !self.bind(run, i, row, env, cb)? {
                             return Ok(false);
                         }
                     }
                     return Ok(true);
                 }
                 for row in &rel.rows {
-                    env.push(ob.var.clone(), attrs.clone(), row.clone());
-                    let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                    env.pop();
-                    if !cont {
+                    if !self.bind(run, i, Frame::Borrowed(row), env, cb)? {
                         return Ok(false);
                     }
                 }
@@ -810,444 +777,156 @@ impl<'a> Ctx<'a> {
             }
             Src::Nested(c) => {
                 // Lateral: evaluate the nested collection per environment.
-                let rel = self.collection_relation(c, env)?;
-                let attrs = Arc::new(rel.schema.clone());
-                for row in rel.rows {
-                    env.push(ob.var.clone(), attrs.clone(), row);
-                    let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                    env.pop();
-                    if !cont {
+                for row in self.collection_relation(c, env)?.rows {
+                    if !self.bind(run, i, Frame::Owned(row), env, cb)? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
             }
-            Src::External {
-                ext,
-                pattern,
-                inputs,
-            } => {
-                let mut vals = Vec::with_capacity(inputs.len());
-                let mut null_input = false;
-                for e in inputs {
-                    let v = self.scalar(e, env)?;
-                    if v.is_null() {
-                        null_input = true;
-                        break;
-                    }
-                    vals.push(v);
-                }
-                if null_input {
+            Src::External { pattern, inputs } => {
+                let Some(vals) = self.input_values(inputs, env)? else {
                     return Ok(true); // no tuples relate to NULL operands
-                }
-                let attrs = Arc::new(ext.schema.clone());
+                };
                 for tuple in (pattern.complete)(&vals) {
-                    env.push(ob.var.clone(), attrs.clone(), tuple);
-                    let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                    env.pop();
-                    if !cont {
+                    if !self.bind(run, i, Frame::Owned(tuple), env, cb)? {
                         return Ok(false);
                     }
                 }
                 Ok(true)
             }
-            Src::Abstract { def, inputs } => {
+            Src::Abstract {
+                inputs,
+                check_layout,
+                body,
+            } => {
                 // Determine the full candidate tuple, then check membership
                 // by evaluating the abstract definition's body with the
                 // head fixed (§2.13.2).
-                let mut tuple = Vec::with_capacity(inputs.len());
-                let mut null_input = false;
-                for e in inputs {
-                    let v = self.scalar(e, env)?;
-                    if v.is_null() {
-                        null_input = true;
-                        break;
-                    }
-                    tuple.push(v);
-                }
-                if null_input {
+                let Some(tuple) = self.input_values(inputs, env)? else {
                     return Ok(true);
-                }
-                let head_attrs = Arc::new(def.head.attrs.clone());
-                let head_var: Arc<str> = Arc::from(def.head.relation.as_str());
-                env.push(head_var, head_attrs.clone(), tuple.clone());
-                let holds = self.formula_truth(&def.body, env)?;
-                env.pop();
-                if holds.is_true() {
-                    env.push(ob.var.clone(), head_attrs, tuple);
-                    let cont = self.step_into(order, i, leaf, env, scope, tally, cb)?;
-                    env.pop();
-                    if !cont {
-                        return Ok(false);
-                    }
+                };
+                env.push(Frame::Owned(tuple));
+                let holds = env.with_layout(check_layout, |env| self.cformula_truth(body, env))?;
+                let Some(Frame::Owned(tuple)) = env.frames.pop() else {
+                    unreachable!("the candidate frame pushed above")
+                };
+                if holds.is_true() && !self.bind(run, i, Frame::Owned(tuple), env, cb)? {
+                    return Ok(false);
                 }
                 Ok(true)
             }
         }
     }
 
-    /// Resolve binding sources by name.
-    ///
-    /// Resolution order matches the pre-plan evaluator: defined
-    /// (materialized) relations shadow catalog relations, which shadow
-    /// abstract definitions, which shadow externals.
-    pub(crate) fn resolve_bindings<'c>(
-        &'c self,
-        bindings: &'c [Binding],
-    ) -> Result<Vec<Resolved<'c>>> {
-        let mut resolved: Vec<Resolved<'c>> = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            resolved.push(match &b.source {
-                BindingSource::Named(name) => {
-                    if let Some(rel) = self.defined.get(name) {
-                        Resolved::Rel(rel)
-                    } else if let Some(rel) = self.catalog.relation(name) {
-                        Resolved::Rel(rel)
-                    } else if let Some(def) = self.abstracts.get(name) {
-                        Resolved::Abs(def)
-                    } else if let Some(ext) = self.catalog.external(name) {
-                        Resolved::Ext(ext)
-                    } else {
-                        return Err(EvalError::UnknownRelation(name.clone()));
-                    }
-                }
-                BindingSource::Collection(c) => Resolved::Nested(c),
-            });
-        }
-        Ok(resolved)
-    }
-
-    /// The scope's physical plan — through the caches when possible.
-    ///
-    /// Lookup order: the `Ctx`-level map keyed by *(binding-list address,
-    /// outer signature, boolean role)* (addresses are stable for the
-    /// `Ctx` lifetime because the AST strictly outlives the
-    /// per-evaluation context); then the global cache keyed by the full
-    /// structural [`PlanKey`](arc_plan::PlanKey); then a fresh
-    /// [`arc_plan::plan_scope`] (or, for boolean scopes,
-    /// [`arc_plan::plan_scope_boolean`] — the decorrelation pass) run,
-    /// published to both.
-    pub(crate) fn scope_plan(
-        &self,
-        bindings: &[Binding],
-        filters: &[&Predicate],
-        env: &Env,
-        resolved: &[Resolved<'_>],
-        boolean: bool,
-    ) -> Result<Arc<ScopePlan>> {
-        let frees: Vec<Vec<String>> = resolved
-            .iter()
-            .map(|r| match r {
-                Resolved::Nested(c) => free_vars(c),
-                _ => Vec::new(),
-            })
-            .collect();
-        let locals: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
-        let outer = EnvOuter(env);
-        let sig = cache::outer_signature(
-            &locals,
-            filters,
-            frees.iter().flatten().map(String::as_str),
-            &outer,
-        );
-        // The statistics epoch rides in both cache keys. The *global*
-        // key is where it carries the invalidation guarantee (a
-        // post-`ANALYZE` evaluation re-plans instead of serving a plan
-        // shaped by the old statistics — `tests/plan_cache.rs` phase 5);
-        // in the per-`Ctx` key it is constant today (the catalog borrow
-        // is immutable for the `Ctx` lifetime, and the map dies with the
-        // evaluation) — kept only so the two key shapes stay in lockstep
-        // if a context ever outlives a statistics change.
-        let epoch = self.catalog.stats_epoch();
-        let ctx_key = (bindings.as_ptr() as usize, sig, epoch, boolean);
-        if let Some(plan) = self.plans.borrow().get(&ctx_key) {
-            return Ok(plan.clone());
-        }
-
-        // Describe the scope to the planner.
-        let spec_bindings: Vec<BindingSpec<'_>> = bindings
-            .iter()
-            .zip(resolved.iter())
-            .zip(frees.iter())
-            .map(|((b, r), free)| BindingSpec {
-                var: &b.var,
-                source: match r {
-                    Resolved::Rel(rel) => SourceSpec::Relation {
-                        schema: &rel.schema,
-                        rows: Some(rel.rows.len()),
-                    },
-                    Resolved::Ext(ext) => SourceSpec::External {
-                        schema: &ext.schema,
-                        patterns: ext.patterns.iter().map(|p| p.bound.as_slice()).collect(),
-                    },
-                    Resolved::Abs(def) => SourceSpec::Abstract {
-                        attrs: &def.head.attrs,
-                    },
-                    Resolved::Nested(c) => SourceSpec::Nested {
-                        attrs: &c.head.attrs,
-                        free: free.clone(),
-                    },
-                },
-            })
-            .collect();
-        let estimator = CtxEstimator {
-            ctx: self,
-            resolved,
-        };
-        let spec = ScopeSpec {
-            bindings: spec_bindings,
-            filters,
-            outer: &outer,
-            estimator: Some(&estimator),
-            indexes: self.indexes,
-        };
-
-        let key = arc_plan::PlanKey {
-            program: self.program,
-            scope: cache::scope_fingerprint(&spec),
-            sig,
-            epoch,
-            mode: self.strategy.plan_mode(),
-            decor: boolean,
-            indexes: self.indexes,
-        };
-        let plan = match cache::global_lookup(&key) {
-            Some(plan) => plan,
-            None => {
-                // Plan, mapping planner failures onto the precise
-                // source-kind diagnostics. A global cache miss is the only
-                // arm that runs the planner, so it is the only arm that
-                // records a plan span.
-                let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-                let planned = if boolean {
-                    arc_plan::plan_scope_boolean(&spec, self.strategy.plan_mode())
-                } else {
-                    arc_plan::plan_scope(&spec, self.strategy.plan_mode())
-                };
-                let plan = planned.map_err(|e| {
-                    let PlanError::Unplaceable { binding } = e;
-                    let b = &bindings[binding];
-                    match (&b.source, &resolved[binding]) {
-                        (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
-                            relation: name.clone(),
-                            var: b.var.clone(),
-                        },
-                        (BindingSource::Named(name), Resolved::Abs(_)) => {
-                            EvalError::AbstractUnderdetermined {
-                                relation: name.clone(),
-                                var: b.var.clone(),
-                            }
-                        }
-                        (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
-                            free_vars(c).into_iter().next().unwrap_or_default(),
-                        ),
-                        _ => EvalError::Internal(format!(
-                            "relation binding `{}` reported unplaceable",
-                            b.var
-                        )),
-                    }
-                })?;
-                let plan = Arc::new(plan);
-                cache::global_store(key, plan.clone());
-                if let (Some(sink), Some(t0)) = (&self.spans, plan_span) {
-                    sink.complete(
-                        self.lane,
-                        arc_trace::SpanKind::Plan,
-                        arc_trace::OpId::scope(bindings.as_ptr() as usize),
-                        t0,
-                    );
-                }
-                plan
+    /// The operand values of an external/abstract step, or `None` when one
+    /// is `NULL` (no tuple relates to a `NULL` operand).
+    fn input_values(&self, inputs: &[CScalar<'a>], env: &Env<'a>) -> Result<Option<Tuple>> {
+        let mut vals = Vec::with_capacity(inputs.len());
+        for e in inputs {
+            let v = self.scalar(e, env)?;
+            if v.is_null() {
+                return Ok(None);
             }
-        };
-        if boolean && plan.decorrelation.is_none() {
-            // A bailed decorrelation is byte-identical to the emitting-role
-            // plan (`plan_scope_boolean` falls back to the ordinary
-            // pipeline): publish it under the non-boolean keys too, so the
-            // nested path that follows — `quant_truth` falling through to
-            // `enumerate` — reuses it instead of planning the same scope a
-            // second time.
-            cache::global_store(
-                arc_plan::PlanKey {
-                    decor: false,
-                    ..key
-                },
-                plan.clone(),
-            );
-            self.plans
-                .borrow_mut()
-                .insert((ctx_key.0, ctx_key.1, ctx_key.2, false), plan.clone());
+            vals.push(v.into_owned());
         }
-        self.plans.borrow_mut().insert(ctx_key, plan.clone());
-        Ok(plan)
+        Ok(Some(vals))
     }
 
-    /// Materialize executable steps from a (possibly cached) plan.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn materialize_steps<'c>(
-        &'c self,
-        bindings: &'c [Binding],
-        filters: &[&'c Predicate],
-        resolved: &[Resolved<'c>],
-        plan: &ScopePlan,
-    ) -> Result<(Vec<Ordered<'c>>, Vec<&'c Predicate>, Vec<&'c Predicate>)> {
-        let mut order: Vec<Ordered<'c>> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let b = &bindings[step.binding];
-            let input_exprs = |inputs: &[arc_plan::EqInput]| -> Vec<Scalar> {
-                inputs
-                    .iter()
-                    .map(|e| other_side(filters[e.filter], e.attr_on_left).clone())
-                    .collect()
-            };
-            let mut index_plan = None;
-            let (source, hash_plan) = match (&resolved[step.binding], &step.access) {
-                (Resolved::Rel(rel), Access::Scan) => (Src::Rows(rel), None),
-                (
-                    Resolved::Rel(rel),
-                    Access::IndexRange {
-                        cols,
-                        filters: consumed,
-                    },
-                ) => {
-                    // Re-derive the bound semantics from the consumed
-                    // filters with the planner's own classifier; a
-                    // mismatch is a planner/engine contract violation.
-                    index_plan = Some(
-                        super::index::IndexPlan::build(
-                            cols,
-                            consumed,
-                            filters,
-                            &b.var,
-                            &rel.schema,
-                        )
-                        .ok_or_else(|| {
-                            EvalError::Internal(format!(
-                                "index-range filters for `{}` did not re-derive",
-                                b.var
-                            ))
-                        })?,
-                    );
-                    (Src::Rows(rel), None)
-                }
-                (Resolved::Rel(rel), Access::HashProbe { keys }) => {
-                    let key_cols = keys.iter().map(|k| k.col).collect();
-                    let probe_exprs = keys
-                        .iter()
-                        .map(|k| other_side(filters[k.eq.filter], k.eq.attr_on_left))
-                        .collect();
-                    (
-                        Src::Rows(rel),
-                        Some(HashPlan {
-                            key_cols,
-                            probe_exprs,
-                        }),
-                    )
-                }
-                (Resolved::Ext(ext), Access::External { pattern, inputs }) => (
-                    Src::External {
-                        ext,
-                        pattern: &ext.patterns[*pattern],
-                        inputs: input_exprs(inputs),
-                    },
-                    None,
-                ),
-                (Resolved::Abs(def), Access::Abstract { inputs }) => (
-                    Src::Abstract {
-                        def,
-                        inputs: input_exprs(inputs),
-                    },
-                    None,
-                ),
-                (Resolved::Nested(c), Access::Nested) => (Src::Nested(c), None),
-                (_, access) => {
-                    return Err(EvalError::Internal(format!(
-                        "planner chose {} for an incompatible source of `{}`",
-                        access.name(),
-                        b.var
-                    )))
-                }
-            };
-            let all_filters: Vec<&'c Predicate> =
-                step.filters.iter().map(|&i| filters[i]).collect();
-            // Vectorized scans hoist the leading run of constant filters
-            // into columnar kernels; everything after the first
-            // non-classifiable filter stays row-at-a-time, in order, so
-            // error behaviour is untouched (see [`super::vector`]).
-            let (vec_filters, vec_key, step_filters) = match (&source, &hash_plan) {
-                (Src::Rows(rel), None)
-                    if self.vectorize && rel.len() >= super::vector::VECTOR_MIN_ROWS =>
-                {
-                    let mut vf = Vec::new();
-                    let mut vk = Vec::new();
-                    let mut split = 0;
-                    for p in &all_filters {
-                        match super::vector::classify(p, &b.var, &rel.schema) {
-                            Some(f) => {
-                                vf.push(f);
-                                vk.push(*p as *const Predicate as usize);
-                                split += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    (vf, vk, all_filters[split..].to_vec())
-                }
-                _ => (Vec::new(), Vec::new(), all_filters),
-            };
-            order.push(Ordered {
-                var: Arc::from(b.var.as_str()),
-                source,
-                hash_plan,
-                step_filters,
-                vec_filters,
-                vec_key,
-                index_plan,
-                index: std::sync::OnceLock::new(),
-                selection: std::sync::OnceLock::new(),
-            });
-        }
-        let prelude = plan.prelude_filters.iter().map(|&i| filters[i]).collect();
-        let leaf = plan.leaf_filters.iter().map(|&i| filters[i]).collect();
-        Ok((order, prelude, leaf))
-    }
-
-    /// Resolve binding sources, fetch (or compute) the scope plan, and
-    /// turn it into executable steps.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn plan_bindings<'c>(
-        &'c self,
-        bindings: &'c [Binding],
-        filters: &[&'c Predicate],
-        env: &Env,
-    ) -> Result<(Vec<Ordered<'c>>, Vec<&'c Predicate>, Vec<&'c Predicate>)> {
-        let resolved = self.resolve_bindings(bindings)?;
-        let plan = self.scope_plan(bindings, filters, env, &resolved, false)?;
-        self.materialize_steps(bindings, filters, &resolved, &plan)
-    }
-
-    /// Drive already-materialized steps to completion (no re-planning):
-    /// the semi-join build pipeline enters here, everything else goes
-    /// through [`Ctx::enumerate`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_steps(
+    /// Drive an already-compiled pipeline from its first step with no
+    /// prelude, span or scope tally of its own: the semi-join build
+    /// enters here, everything else goes through [`Ctx::run_scope`].
+    pub(crate) fn run_build_steps(
         &self,
-        order: &[Ordered<'_>],
-        leaf: &[&Predicate],
-        env: &mut Env,
         scope: usize,
+        pipeline: &Steps<'a>,
+        env: &mut Env<'a>,
         tally: Option<&ScopeTally>,
-        cb: &mut dyn FnMut(&Ctx<'a>, &mut Env) -> Result<bool>,
+        cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
-        self.enumerate_rec(order, 0, leaf, env, scope, tally, cb)
-            .map(|_| ())
+        let run = Run {
+            scope,
+            pipeline,
+            tally,
+        };
+        self.enumerate_rec(&run, 0, env, cb).map(|_| ())
     }
 }
 
-// The parallel executor shares materialized pipelines across pool
-// workers; keep that a compile-time fact.
+// The parallel executor shares compiled pipelines across pool workers;
+// keep that a compile-time fact.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Ordered<'static>>();
     assert_sync::<Src<'static>>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn index_buckets_hold_one_key_each_in_row_order() {
+        let rel = Relation::from_rows(
+            "R",
+            &["A", "B"],
+            (0..2500i64)
+                .map(|i| {
+                    vec![
+                        match i % 5 {
+                            0 => Value::Null,
+                            1 => Value::Float(f64::NAN),
+                            2 => Value::Float((i % 50) as f64), // integral: joins with Int
+                            3 => Value::str(format!("s{}", i % 7)),
+                            _ => Value::Int(i % 50),
+                        },
+                        Value::Int(i % 3),
+                    ]
+                })
+                .collect(),
+        );
+        let cols = [0usize, 1];
+        let state = RandomState::new();
+        let index = HashIndex::build(&rel.rows, &cols, &state);
+        let mut want: HashMap<Vec<arc_core::value::Key>, Vec<u32>> = HashMap::new();
+        for (i, row) in rel.rows.iter().enumerate() {
+            if let Some(key) = Relation::key_for(row, &cols) {
+                want.entry(key).or_default().push(i as u32);
+            }
+        }
+        assert_eq!(index.len(), want.len());
+        for rows in want.values() {
+            let probe = &rel.rows[rows[0] as usize];
+            let mut h = state.build_hasher();
+            for &c in &cols {
+                probe[c].join_key_ref().unwrap().hash(&mut h);
+            }
+            let got = index
+                .bucket(h.finish(), |first| {
+                    Ok(cols
+                        .iter()
+                        .all(|&c| rel.rows[first as usize][c].key_ref() == probe[c].key_ref()))
+                })
+                .unwrap();
+            assert_eq!(got, rows.as_slice());
+        }
+    }
+
+    #[test]
+    fn colliding_keys_get_buckets_of_their_own() {
+        // Every key hashes to one address: the buckets chain.
+        let rows: Vec<Tuple> = (0..6i64).map(|i| vec![Value::Int(i % 3)]).collect();
+        let index = HashIndex::build_by(&rows, &[0], |_| Some(7));
+        assert_eq!(index.len(), 3);
+        let find = |v: i64| {
+            index
+                .bucket(7, |first| Ok(rows[first as usize][0] == Value::Int(v)))
+                .unwrap()
+                .to_vec()
+        };
+        assert_eq!(find(0), vec![0, 3]);
+        assert_eq!(find(1), vec![1, 4]);
+        assert_eq!(find(2), vec![2, 5]);
+        assert!(find(9).is_empty());
+    }
+}

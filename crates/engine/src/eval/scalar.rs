@@ -1,37 +1,52 @@
-//! Scalar and predicate evaluation in tuple context: attribute lookup,
+//! Scalar and predicate evaluation in tuple context: slot loads,
 //! comparisons under the active null convention, and arithmetic.
 
 use super::env::Env;
+use super::slots::{CPred, CScalar};
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use arc_core::ast::*;
 use arc_core::conventions::NullLogic;
 use arc_core::value::{cmp_truth, Truth, Value};
+use std::borrow::Cow;
 
 impl Ctx<'_> {
-    /// Evaluate a scalar in tuple context (no aggregates).
-    pub(crate) fn scalar(&self, s: &Scalar, env: &mut Env) -> Result<Value> {
+    /// Evaluate a scalar in tuple context. Attribute and constant reads
+    /// borrow — the row stays where the relation keeps it — and only
+    /// arithmetic produces an owned value.
+    #[inline]
+    pub(crate) fn scalar<'e>(
+        &self,
+        s: &'e CScalar<'_>,
+        env: &'e Env<'_>,
+    ) -> Result<Cow<'e, Value>> {
         match s {
-            Scalar::Attr(a) => env.lookup(&a.var, &a.attr),
-            Scalar::Const(v) => Ok(v.clone()),
-            Scalar::Agg(call) => Err(EvalError::AggregateOutsideGrouping(call.to_string())),
-            Scalar::Arith { op, left, right } => {
+            CScalar::Slot { frame, col } => Ok(Cow::Borrowed(
+                &env.frames[*frame as usize].row()[*col as usize],
+            )),
+            CScalar::Const(v) => Ok(Cow::Borrowed(v)),
+            CScalar::Arith { op, left, right } => {
                 let l = self.scalar(left, env)?;
                 let r = self.scalar(right, env)?;
-                Ok(arith(*op, &l, &r))
+                Ok(Cow::Owned(arith(*op, &l, &r)))
             }
+            CScalar::Agg(_) => Err(EvalError::Internal(
+                "aggregate slot evaluated outside its group".into(),
+            )),
+            CScalar::Raise(e) => Err((**e).clone()),
         }
     }
 
     /// Evaluate a predicate leaf to a truth value.
-    pub(crate) fn pred_truth(&self, p: &Predicate, env: &mut Env) -> Result<Truth> {
+    #[inline]
+    pub(crate) fn pred_truth(&self, p: &CPred<'_>, env: &Env<'_>) -> Result<Truth> {
         match p {
-            Predicate::Cmp { left, op, right } => {
+            CPred::Cmp { left, op, right } => {
                 let l = self.scalar(left, env)?;
                 let r = self.scalar(right, env)?;
                 Ok(self.compare(&l, *op, &r))
             }
-            Predicate::IsNull { expr, negated } => {
+            CPred::IsNull { expr, negated } => {
                 let v = self.scalar(expr, env)?;
                 Ok(Truth::from_bool(v.is_null() != *negated))
             }
@@ -93,22 +108,5 @@ pub(crate) fn arith(op: ArithOp, l: &Value, r: &Value) -> Value {
             }
         },
         _ => Value::Null,
-    }
-}
-
-/// Sum a slice of values: integral when all inputs are, float otherwise.
-pub(crate) fn fold_sum(values: &[Value]) -> Value {
-    let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-    if all_int {
-        Value::Int(values.iter().filter_map(|v| v.as_i64()).sum())
-    } else {
-        match values
-            .iter()
-            .map(|v| v.as_f64())
-            .collect::<Option<Vec<f64>>>()
-        {
-            Some(fs) => Value::Float(fs.iter().sum()),
-            None => Value::Null,
-        }
     }
 }

@@ -1,0 +1,862 @@
+//! Compiled scopes: names → sources, plan, and slots — once per scope.
+//!
+//! The first time an evaluation enters a quantifier scope under a given
+//! frame layout, [`Ctx::emit_scope`] / [`Ctx::bool_scope`] compile it:
+//!
+//! 1. **partition** the body by predicate role ([`arc_plan::analysis`]) and
+//!    reject the shapes no scope of that role can have;
+//! 2. **resolve** binding sources by name ([`Ctx::resolve_bindings`]);
+//! 3. fetch or compute the **physical plan** ([`Ctx::scope_plan`] — the
+//!    global plan cache keys by program hash, scope fingerprint and outer
+//!    *availability* signature, none of which depend on frame positions,
+//!    so a cached [`ScopePlan`] serves the same scope text at any nesting
+//!    depth);
+//! 4. turn the plan into executable steps and resolve **every** attribute
+//!    reference the scope will ever evaluate — pushed-down and leaf
+//!    filters, probe expressions, boolean subformulas, head assignments,
+//!    grouping keys, aggregate arguments — to `(frame, column)` slots
+//!    against the layout each one runs under ([`super::slots`]).
+//!
+//! The result is cached on the [`Ctx`] under *(scope identity, role,
+//! layout identity, stack depth)*. A correlated scope re-entered once per
+//! outer row, or once per fixpoint-free re-evaluation of a lateral
+//! collection, pays a hash lookup; nothing about names happens again.
+//! The layout identity is what keeps slots out of the global plan cache:
+//! outer references resolve to *stack positions*, and the same scope can
+//! sit at two depths (or, for an abstract definition's body, under two
+//! call sites).
+
+use super::aggregate::AggSpec;
+use super::env::{Env, Layout, LayoutOuter, Names};
+use super::join::JoinPlan;
+use super::output::{HeadCtx, HeadPlan, Partial};
+use super::partition::{partition, Parts};
+use super::quantifier::{HashPlan, Ordered, Src};
+use super::slots::{CFormula, CPred, CScalar, Resolver};
+use super::{Ctx, EvalStrategy};
+use crate::error::{EvalError, Result};
+use crate::external::ExternalRelation;
+use crate::relation::Relation;
+use arc_core::ast::*;
+use arc_plan::analysis::free_vars;
+use arc_plan::logical::{eq_sides, other_side};
+use arc_plan::{
+    cache, Access, BindingSpec, DistinctEstimator, PlanError, ScopePlan, ScopeSpec, SourceSpec,
+};
+use std::rc::Rc;
+use std::sync::Arc;
+
+/// Row-sample cap for the planner's distinct-key estimates.
+const DISTINCT_SAMPLE: usize = 256;
+
+/// What a scope is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Role {
+    /// A scope on a collection's emission spine.
+    Emit,
+    /// A boolean `∃` scope, decorrelated when its shape and plan allow.
+    Bool,
+    /// A boolean `∃` scope pinned to the per-outer-row nested loop (what
+    /// a decorrelated scope falls back to when its build fails).
+    BoolNested,
+}
+
+/// Key of the per-`Ctx` compiled-scope cache: *(body address, role,
+/// layout identity, stack depth)*. Addresses are stable because the AST
+/// outlives the evaluation context.
+pub(crate) type ScopeKey = (usize, Role, usize, usize);
+
+/// The pieces of a quantifier scope (a bare formula on the emission spine
+/// is a scope with no bindings).
+#[derive(Clone, Copy)]
+pub(crate) struct QuantRef<'a> {
+    pub(crate) bindings: &'a [Binding],
+    pub(crate) grouping: Option<&'a Grouping>,
+    pub(crate) join: Option<&'a JoinTree>,
+    pub(crate) body: &'a Formula,
+}
+
+impl<'a> From<&'a Quant> for QuantRef<'a> {
+    fn from(q: &'a Quant) -> Self {
+        QuantRef {
+            bindings: &q.bindings,
+            grouping: q.grouping.as_ref(),
+            join: q.join.as_ref(),
+            body: &q.body,
+        }
+    }
+}
+
+/// A planned step pipeline, ready to run.
+pub(crate) struct Steps<'a> {
+    pub(crate) plan: Arc<ScopePlan>,
+    pub(crate) steps: Vec<Ordered<'a>>,
+    /// Filters over outer variables only: checked once per entry.
+    pub(crate) prelude: Vec<CPred<'a>>,
+    /// Filters checked once every step has bound.
+    pub(crate) leaf: Vec<CPred<'a>>,
+}
+
+/// How a scope's environments are produced.
+pub(crate) enum Pipeline<'a> {
+    Steps(Steps<'a>),
+    /// An outer-join annotation tree (§2.11).
+    Join(JoinPlan<'a>),
+}
+
+/// What a scope does with each surviving environment.
+pub(crate) enum Body<'a> {
+    /// Emit one head tuple, or descend into the emission spine.
+    Rows {
+        head: HeadPlan<'a>,
+        spine: Option<&'a Formula>,
+    },
+    /// Fold into groups; emit (or test) per group.
+    Groups(GroupPlan<'a>),
+    /// Boolean scope: one survivor decides.
+    Exists,
+    /// Boolean scope answered by a build-once key set: the pipeline is
+    /// the *build* side (see [`super::semijoin`]).
+    Semi(SemiPlan<'a>),
+}
+
+/// A grouping scope's per-member and per-group work.
+pub(crate) struct GroupPlan<'a> {
+    /// The grouping key, per member.
+    pub(crate) keys: Vec<CScalar<'a>>,
+    /// The per-group tests and assignments, over the representative
+    /// member's frames.
+    pub(crate) tests: GroupTests<'a>,
+    /// The scope body, kept to recompile `tests` against the outer frames
+    /// alone for `γ∅` over an empty join — a group with no member, whose
+    /// attribute references can only reach outward.
+    pub(crate) body: &'a Formula,
+}
+
+impl<'a> GroupPlan<'a> {
+    fn compile(
+        g: &'a Grouping,
+        body: &'a Formula,
+        parts: &Parts<'a>,
+        names: &[Names<'a>],
+        head: Option<(&HeadCtx<'a>, &Partial)>,
+    ) -> GroupPlan<'a> {
+        let r = Resolver::tuple(names);
+        GroupPlan {
+            keys: g.keys.iter().map(|k| r.attr(k)).collect(),
+            tests: GroupTests::compile(parts, names, head),
+            body,
+        }
+    }
+
+    /// The tests to run over a group: the compiled ones — or, for the
+    /// member-less `γ∅` group (`empty`), a recompilation against the
+    /// outer frames `names`, parked in `spare`.
+    pub(crate) fn tests_for<'t>(
+        &'t self,
+        empty: bool,
+        names: &[Names<'a>],
+        head: Option<(&HeadCtx<'a>, &Partial)>,
+        spare: &'t mut Option<GroupTests<'a>>,
+    ) -> &'t GroupTests<'a> {
+        if !empty {
+            return &self.tests;
+        }
+        // The head name "\u{0}" cannot occur: a boolean scope has no
+        // assignments.
+        let parts = partition(self.body, head.map_or("\u{0}", |(h, _)| h.name));
+        spare.insert(GroupTests::compile(&parts, names, head))
+    }
+}
+
+/// The group-context half of a grouping scope, resolved against one
+/// layout.
+pub(crate) struct GroupTests<'a> {
+    pub(crate) aggs: Vec<AggSpec<'a>>,
+    pub(crate) agg_tests: Vec<CPred<'a>>,
+    pub(crate) post_bool: Vec<CFormula<'a>>,
+    /// Head assembly (emitting scopes only).
+    pub(crate) head: Option<HeadPlan<'a>>,
+}
+
+impl<'a> GroupTests<'a> {
+    pub(crate) fn compile(
+        parts: &Parts<'a>,
+        names: &[Names<'a>],
+        head: Option<(&HeadCtx<'a>, &Partial)>,
+    ) -> GroupTests<'a> {
+        let mut r = Resolver::group(names);
+        let agg_tests = parts.agg_tests.iter().map(|p| r.pred(p)).collect();
+        let post_bool = parts.post_bool.iter().map(|f| r.formula(f)).collect();
+        let assigns: Vec<(&'a str, CScalar<'a>)> = parts
+            .assigns
+            .iter()
+            .chain(&parts.agg_assigns)
+            .map(|(attr, expr)| (*attr, r.scalar(expr)))
+            .collect();
+        let aggs = r.aggs.take().expect("group resolver");
+        let head = head.map(|(head, partial)| HeadPlan::compile(head, partial, assigns, &aggs));
+        GroupTests {
+            aggs,
+            agg_tests,
+            post_bool,
+            head,
+        }
+    }
+}
+
+/// The probe side of a decorrelated boolean scope.
+pub(crate) struct SemiPlan<'a> {
+    /// Outer-only filters: checked per outer row before probing.
+    pub(crate) probe_filters: Vec<CPred<'a>>,
+    /// Outer sides of the correlated equalities.
+    pub(crate) probe_keys: Vec<CScalar<'a>>,
+    /// Scope-local sides of the correlated equalities (the build key).
+    pub(crate) build_keys: Vec<CScalar<'a>>,
+    /// Row count of the largest source relation (the build's admission
+    /// estimate).
+    pub(crate) est_rows: usize,
+}
+
+/// A compiled quantifier scope.
+pub(crate) struct Scope<'a> {
+    /// The scope's stable operator id (binding-slice address — the
+    /// identity `arc_plan::scope_identity` stamps at lowering time).
+    pub(crate) id: usize,
+    /// Stack depth at entry: scope-local frames start here.
+    pub(crate) base: usize,
+    /// Names of the outer frames, then of this scope's own, in binding
+    /// (plan) order.
+    pub(crate) layout: Layout<'a>,
+    pub(crate) pipeline: Pipeline<'a>,
+    /// Boolean subformulas without scope-level aggregates, checked per
+    /// surviving environment.
+    pub(crate) pre_bool: Vec<CFormula<'a>>,
+    pub(crate) body: Body<'a>,
+}
+
+/// A resolved binding source.
+pub(crate) enum Resolved<'a> {
+    Rel(&'a Relation),
+    Ext(&'a ExternalRelation),
+    Abs(&'a Collection),
+    Nested(&'a Collection),
+}
+
+/// Live statistics for the planner: catalog `ANALYZE` sketches first
+/// (cost model v2 — correlation-capped distinct counts, MCV/histogram
+/// selectivities), then the per-query prefix-sample cache on [`Ctx`] as
+/// the distinct-count fallback for sources without statistics
+/// (intensional results, small un-analyzed relations).
+struct CtxEstimator<'c, 'a> {
+    ctx: &'c Ctx<'a>,
+    resolved: &'c [Resolved<'a>],
+}
+
+impl CtxEstimator<'_, '_> {
+    /// Catalog statistics for a binding — only when the binding actually
+    /// resolved to the catalog's relation (a same-named materialized
+    /// definition shadows it, and the catalog's sketches describe the
+    /// wrong rows then).
+    fn table_stats(&self, binding: usize) -> Option<&std::sync::Arc<arc_stats::TableStats>> {
+        let Resolved::Rel(rel) = &self.resolved[binding] else {
+            return None;
+        };
+        let stats = self.ctx.catalog.stats(&rel.name)?;
+        self.ctx
+            .catalog
+            .relation(&rel.name)
+            .is_some_and(|r| std::ptr::eq(r, *rel))
+            .then_some(stats)
+    }
+}
+
+impl DistinctEstimator for CtxEstimator<'_, '_> {
+    fn distinct(&self, binding: usize, cols: &[usize]) -> Option<usize> {
+        if let Some(stats) = self.table_stats(binding) {
+            return Some(stats.distinct_cols(cols) as usize);
+        }
+        let Resolved::Rel(rel) = &self.resolved[binding] else {
+            return None;
+        };
+        let key = (*rel as *const Relation as usize, cols.to_vec());
+        if let Some(&d) = self.ctx.distinct_estimates.borrow().get(&key) {
+            return Some(d);
+        }
+        let d = rel.distinct_estimate(cols, DISTINCT_SAMPLE);
+        self.ctx.distinct_estimates.borrow_mut().insert(key, d);
+        Some(d)
+    }
+
+    fn selectivity(
+        &self,
+        binding: usize,
+        col: usize,
+        op: CmpOp,
+        value: &arc_core::value::Value,
+    ) -> Option<f64> {
+        self.table_stats(binding)?.selectivity(col, op, value)
+    }
+
+    fn null_fraction(&self, binding: usize, col: usize) -> Option<f64> {
+        let stats = self.table_stats(binding)?;
+        Some(1.0 - stats.columns.get(col)?.non_null_fraction())
+    }
+
+    fn range_selectivity(
+        &self,
+        binding: usize,
+        col: usize,
+        lo: Option<(CmpOp, &arc_core::value::Value)>,
+        hi: Option<(CmpOp, &arc_core::value::Value)>,
+    ) -> Option<f64> {
+        self.table_stats(binding)?.range_selectivity(col, lo, hi)
+    }
+}
+
+impl<'a> Ctx<'a> {
+    /// The compiled form of a scope on the emission spine of the
+    /// collection `head` belongs to, with `partial` the head values the
+    /// enclosing spine has assigned so far (which *columns* it has
+    /// assigned is fixed by the scope's position, so it is part of what
+    /// is compiled).
+    pub(crate) fn emit_scope(
+        &self,
+        q: QuantRef<'a>,
+        head: &HeadCtx<'a>,
+        partial: &Partial,
+        env: &Env<'a>,
+    ) -> Result<Rc<Scope<'a>>> {
+        self.cached_scope(q.body, Role::Emit, env, || {
+            let parts = partition(q.body, head.name);
+            match q.grouping {
+                None => {
+                    if let Some(p) = parts.agg_tests.first() {
+                        return Err(EvalError::AggregateOutsideGrouping(p.to_string()));
+                    }
+                    if let Some((attr, _)) = parts.agg_assigns.first() {
+                        return Err(EvalError::AggregateOutsideGrouping(format!(
+                            "{}.{attr}",
+                            head.name
+                        )));
+                    }
+                    if !parts.post_bool.is_empty() {
+                        return Err(EvalError::AggregateOutsideGrouping(
+                            "aggregate under a connective".to_string(),
+                        ));
+                    }
+                    if parts.spines.len() > 1 {
+                        return Err(EvalError::MultipleSpines);
+                    }
+                }
+                Some(_) => {
+                    if !parts.spines.is_empty() {
+                        return Err(EvalError::SpineUnderGrouping);
+                    }
+                }
+            }
+            let (pipeline, layout) = self.compile_pipeline(q, &parts, false, env.names())?;
+            let body = match q.grouping {
+                None => {
+                    let mut r = Resolver::tuple(&layout);
+                    let assigns = parts
+                        .assigns
+                        .iter()
+                        .map(|(attr, expr)| (*attr, r.scalar(expr)))
+                        .collect();
+                    Body::Rows {
+                        head: HeadPlan::compile(head, partial, assigns, &[]),
+                        spine: parts.spines.first().copied(),
+                    }
+                }
+                Some(g) => Body::Groups(GroupPlan::compile(
+                    g,
+                    q.body,
+                    &parts,
+                    &layout,
+                    Some((head, partial)),
+                )),
+            };
+            Ok(self.finish_scope(q, &parts, pipeline, layout, body, env))
+        })
+    }
+
+    /// The compiled form of a boolean `∃` scope. Unless `nested` pins the
+    /// per-outer-row loop, a scope whose shape and plan allow it compiles
+    /// to its decorrelated form ([`Body::Semi`]).
+    pub(crate) fn bool_scope(
+        &self,
+        quant: &'a Quant,
+        nested: bool,
+        env: &Env<'a>,
+    ) -> Result<Rc<Scope<'a>>> {
+        let role = if nested { Role::BoolNested } else { Role::Bool };
+        let q = QuantRef::from(quant);
+        self.cached_scope(q.body, role, env, || {
+            // The head name "\u{0}" cannot occur, so nothing classifies as
+            // an assignment.
+            let parts = partition(q.body, "\u{0}");
+            if q.grouping.is_none() {
+                if let Some(p) = parts.agg_tests.first() {
+                    return Err(EvalError::AggregateOutsideGrouping(p.to_string()));
+                }
+                if !parts.post_bool.is_empty() {
+                    // Mirror the collection path: an aggregate under a
+                    // connective needs a grouping scope; silently ignoring
+                    // it would make the quantifier degenerate to a
+                    // non-emptiness check.
+                    return Err(EvalError::AggregateOutsideGrouping(
+                        "aggregate under a connective".to_string(),
+                    ));
+                }
+            }
+            let outer = env.names();
+            // Shape check (shared with `EXPLAIN`'s lowering): no grouping,
+            // no outer-join annotation, no aggregates, and no boolean
+            // subformula correlated with the outer environment.
+            let decorrelate = !nested
+                && self.decorrelate
+                && self.strategy == EvalStrategy::Planned
+                && arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer));
+            let (pipeline, layout) = self.compile_pipeline(q, &parts, decorrelate, outer)?;
+            let body = match (q.grouping, &pipeline) {
+                (Some(g), _) => Body::Groups(GroupPlan::compile(g, q.body, &parts, &layout, None)),
+                (None, Pipeline::Steps(Steps { plan, steps, .. }))
+                    if plan.decorrelation.is_some() =>
+                {
+                    let dec = plan.decorrelation.as_ref().expect("checked above");
+                    let sides = |k: &arc_plan::physical::CorrelatedKey| {
+                        eq_sides(parts.filters[k.filter], k.local_on_left)
+                    };
+                    Body::Semi(SemiPlan {
+                        probe_filters: dec
+                            .probe_filters
+                            .iter()
+                            .map(|&i| Resolver::tuple(outer).pred(parts.filters[i]))
+                            .collect(),
+                        probe_keys: dec
+                            .keys
+                            .iter()
+                            .map(|k| Resolver::tuple(outer).scalar(sides(k).1))
+                            .collect(),
+                        build_keys: dec
+                            .keys
+                            .iter()
+                            .map(|k| Resolver::tuple(&layout).scalar(sides(k).0))
+                            .collect(),
+                        est_rows: steps
+                            .iter()
+                            .map(|ob| match &ob.source {
+                                Src::Rows(rel) => rel.len(),
+                                _ => 0,
+                            })
+                            .max()
+                            .unwrap_or(0),
+                    })
+                }
+                (None, _) => Body::Exists,
+            };
+            Ok(self.finish_scope(q, &parts, pipeline, layout, body, env))
+        })
+    }
+
+    fn cached_scope(
+        &self,
+        body: &'a Formula,
+        role: Role,
+        env: &Env<'a>,
+        compile: impl FnOnce() -> Result<Scope<'a>>,
+    ) -> Result<Rc<Scope<'a>>> {
+        let key = (
+            body as *const Formula as usize,
+            role,
+            env.layout_id(),
+            env.len(),
+        );
+        if let Some(sc) = self.scopes.borrow().get(&key) {
+            return Ok(sc.clone());
+        }
+        let sc = Rc::new(compile()?);
+        self.scopes.borrow_mut().insert(key, sc.clone());
+        Ok(sc)
+    }
+
+    fn finish_scope(
+        &self,
+        q: QuantRef<'a>,
+        parts: &Parts<'a>,
+        pipeline: Pipeline<'a>,
+        layout: Layout<'a>,
+        body: Body<'a>,
+        env: &Env<'a>,
+    ) -> Scope<'a> {
+        let mut r = Resolver::tuple(&layout);
+        let pre_bool = parts.pre_bool.iter().map(|f| r.formula(f)).collect();
+        Scope {
+            id: q.bindings.as_ptr() as usize,
+            base: env.len(),
+            layout,
+            pipeline,
+            pre_bool,
+            body,
+        }
+    }
+
+    /// Resolve, plan and materialize a scope's bindings under the outer
+    /// frames `outer`; returns the pipeline and the full layout.
+    fn compile_pipeline(
+        &self,
+        q: QuantRef<'a>,
+        parts: &Parts<'a>,
+        boolean: bool,
+        outer: &[Names<'a>],
+    ) -> Result<(Pipeline<'a>, Layout<'a>)> {
+        if let Some(tree) = q.join.filter(|t| t.has_outer()) {
+            let (join, layout) = self.compile_join(q.bindings, tree, &parts.filters, outer)?;
+            return Ok((Pipeline::Join(join), layout));
+            // A pure-inner annotation is semantically the default join.
+        }
+        let resolved = self.resolve_bindings(q.bindings)?;
+        let plan = self.scope_plan(q.bindings, &parts.filters, outer, &resolved, boolean)?;
+        self.materialize_steps(q.bindings, &parts.filters, &resolved, plan, outer)
+    }
+
+    /// Resolve binding sources by name.
+    ///
+    /// Resolution order matches the pre-plan evaluator: defined
+    /// (materialized) relations shadow catalog relations, which shadow
+    /// abstract definitions, which shadow externals.
+    pub(crate) fn resolve_bindings(&self, bindings: &'a [Binding]) -> Result<Vec<Resolved<'a>>> {
+        let mut resolved = Vec::with_capacity(bindings.len());
+        for b in bindings {
+            resolved.push(match &b.source {
+                BindingSource::Named(name) => {
+                    if let Some(rel) = self.defined.get(name) {
+                        Resolved::Rel(rel)
+                    } else if let Some(rel) = self.catalog.relation(name) {
+                        Resolved::Rel(rel)
+                    } else if let Some(def) = self.abstracts.get(name) {
+                        Resolved::Abs(def)
+                    } else if let Some(ext) = self.catalog.external(name) {
+                        Resolved::Ext(ext)
+                    } else {
+                        return Err(EvalError::UnknownRelation(name.clone()));
+                    }
+                }
+                BindingSource::Collection(c) => Resolved::Nested(c),
+            });
+        }
+        Ok(resolved)
+    }
+
+    /// The scope's physical plan — from the global cache, keyed by the
+    /// full structural [`PlanKey`](arc_plan::PlanKey), or a fresh
+    /// [`arc_plan::plan_scope`] (for boolean scopes,
+    /// [`arc_plan::plan_scope_boolean`] — the decorrelation pass) run,
+    /// published there. Runs once per compiled scope.
+    fn scope_plan(
+        &self,
+        bindings: &[Binding],
+        filters: &[&Predicate],
+        outer: &[Names<'a>],
+        resolved: &[Resolved<'a>],
+        boolean: bool,
+    ) -> Result<Arc<ScopePlan>> {
+        let frees: Vec<Vec<String>> = resolved
+            .iter()
+            .map(|r| match r {
+                Resolved::Nested(c) => free_vars(c),
+                _ => Vec::new(),
+            })
+            .collect();
+        let locals: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
+        let outer = LayoutOuter(outer);
+        let sig = cache::outer_signature(
+            &locals,
+            filters,
+            frees.iter().flatten().map(String::as_str),
+            &outer,
+        );
+
+        // Describe the scope to the planner.
+        let spec_bindings: Vec<BindingSpec<'_>> = bindings
+            .iter()
+            .zip(resolved.iter())
+            .zip(frees.iter())
+            .map(|((b, r), free)| BindingSpec {
+                var: &b.var,
+                source: match r {
+                    Resolved::Rel(rel) => SourceSpec::Relation {
+                        schema: &rel.schema,
+                        rows: Some(rel.rows.len()),
+                    },
+                    Resolved::Ext(ext) => SourceSpec::External {
+                        schema: &ext.schema,
+                        patterns: ext.patterns.iter().map(|p| p.bound.as_slice()).collect(),
+                    },
+                    Resolved::Abs(def) => SourceSpec::Abstract {
+                        attrs: &def.head.attrs,
+                    },
+                    Resolved::Nested(c) => SourceSpec::Nested {
+                        attrs: &c.head.attrs,
+                        free: free.clone(),
+                    },
+                },
+            })
+            .collect();
+        let estimator = CtxEstimator {
+            ctx: self,
+            resolved,
+        };
+        let spec = ScopeSpec {
+            bindings: spec_bindings,
+            filters,
+            outer: &outer,
+            estimator: Some(&estimator),
+            indexes: self.indexes,
+        };
+
+        // The statistics epoch rides in the key: a post-`ANALYZE`
+        // evaluation re-plans instead of serving a plan shaped by the old
+        // statistics (`tests/plan_cache.rs` phase 5).
+        let key = arc_plan::PlanKey {
+            program: self.program,
+            scope: cache::scope_fingerprint(&spec),
+            sig,
+            epoch: self.catalog.stats_epoch(),
+            mode: self.strategy.plan_mode(),
+            decor: boolean,
+            indexes: self.indexes,
+        };
+        let plan = match cache::global_lookup(&key) {
+            Some(plan) => plan,
+            None => {
+                // Plan, mapping planner failures onto the precise
+                // source-kind diagnostics. A global cache miss is the only
+                // arm that runs the planner, so it is the only arm that
+                // records a plan span.
+                let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
+                let planned = if boolean {
+                    arc_plan::plan_scope_boolean(&spec, self.strategy.plan_mode())
+                } else {
+                    arc_plan::plan_scope(&spec, self.strategy.plan_mode())
+                };
+                let plan = planned.map_err(|e| {
+                    let PlanError::Unplaceable { binding } = e;
+                    let b = &bindings[binding];
+                    match (&b.source, &resolved[binding]) {
+                        (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
+                            relation: name.clone(),
+                            var: b.var.clone(),
+                        },
+                        (BindingSource::Named(name), Resolved::Abs(_)) => {
+                            EvalError::AbstractUnderdetermined {
+                                relation: name.clone(),
+                                var: b.var.clone(),
+                            }
+                        }
+                        (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
+                            free_vars(c).into_iter().next().unwrap_or_default(),
+                        ),
+                        _ => EvalError::Internal(format!(
+                            "relation binding `{}` reported unplaceable",
+                            b.var
+                        )),
+                    }
+                })?;
+                let plan = Arc::new(plan);
+                cache::global_store(key, plan.clone());
+                if let (Some(sink), Some(t0)) = (&self.spans, plan_span) {
+                    sink.complete(
+                        self.lane,
+                        arc_trace::SpanKind::Plan,
+                        arc_trace::OpId::scope(bindings.as_ptr() as usize),
+                        t0,
+                    );
+                }
+                plan
+            }
+        };
+        if boolean && plan.decorrelation.is_none() {
+            // A bailed decorrelation is byte-identical to the emitting-role
+            // plan (`plan_scope_boolean` falls back to the ordinary
+            // pipeline): publish it under the non-boolean key too, so an
+            // engine that plans the same scope without decorrelation
+            // reuses it instead of planning a second time.
+            cache::global_store(
+                arc_plan::PlanKey {
+                    decor: false,
+                    ..key
+                },
+                plan.clone(),
+            );
+        }
+        Ok(plan)
+    }
+
+    /// Turn a plan into executable steps, resolving every expression
+    /// against the frames that are on the stack when it runs: probe and
+    /// input expressions see the steps before theirs, a step's filters
+    /// see it too, the prelude sees only `outer`, the leaf everything.
+    fn materialize_steps(
+        &self,
+        bindings: &'a [Binding],
+        filters: &[&'a Predicate],
+        resolved: &[Resolved<'a>],
+        plan: Arc<ScopePlan>,
+        outer: &[Names<'a>],
+    ) -> Result<(Pipeline<'a>, Layout<'a>)> {
+        let mut names: Vec<Names<'a>> = Vec::with_capacity(outer.len() + plan.steps.len());
+        names.extend_from_slice(outer);
+        let mut steps: Vec<Ordered<'a>> = Vec::with_capacity(plan.steps.len());
+        for step in &plan.steps {
+            let b = &bindings[step.binding];
+            let inputs = |inputs: &[arc_plan::EqInput]| -> Vec<CScalar<'a>> {
+                let mut r = Resolver::tuple(&names);
+                inputs
+                    .iter()
+                    .map(|e| r.scalar(other_side(filters[e.filter], e.attr_on_left)))
+                    .collect()
+            };
+            let mut index_plan = None;
+            let (source, hash_plan, attrs) = match (&resolved[step.binding], &step.access) {
+                (&Resolved::Rel(rel), Access::Scan) => (Src::Rows(rel), None, &rel.schema),
+                (
+                    &Resolved::Rel(rel),
+                    Access::IndexRange {
+                        cols,
+                        filters: consumed,
+                    },
+                ) => {
+                    // Re-derive the bound semantics from the consumed
+                    // filters with the planner's own classifier; a
+                    // mismatch is a planner/engine contract violation.
+                    index_plan = Some(
+                        super::index::IndexPlan::build(
+                            cols,
+                            consumed,
+                            filters,
+                            &b.var,
+                            &rel.schema,
+                        )
+                        .ok_or_else(|| {
+                            EvalError::Internal(format!(
+                                "index-range filters for `{}` did not re-derive",
+                                b.var
+                            ))
+                        })?,
+                    );
+                    (Src::Rows(rel), None, &rel.schema)
+                }
+                (&Resolved::Rel(rel), Access::HashProbe { keys }) => {
+                    let mut r = Resolver::tuple(&names);
+                    let plan = HashPlan {
+                        key_cols: keys.iter().map(|k| k.col).collect(),
+                        probe_exprs: keys
+                            .iter()
+                            .map(|k| r.scalar(other_side(filters[k.eq.filter], k.eq.attr_on_left)))
+                            .collect(),
+                    };
+                    (Src::Rows(rel), Some(plan), &rel.schema)
+                }
+                (&Resolved::Ext(ext), Access::External { pattern, inputs: i }) => (
+                    Src::External {
+                        pattern: &ext.patterns[*pattern],
+                        inputs: inputs(i),
+                    },
+                    None,
+                    &ext.schema,
+                ),
+                (&Resolved::Abs(def), Access::Abstract { inputs: i }) => {
+                    // The membership check binds the candidate under the
+                    // definition's own head name, on top of the frames
+                    // before this step.
+                    let mut check: Vec<Names<'a>> = names.clone();
+                    check.push(Names {
+                        var: &def.head.relation,
+                        attrs: &def.head.attrs,
+                    });
+                    let body = Resolver::tuple(&check).formula(&def.body);
+                    (
+                        Src::Abstract {
+                            inputs: inputs(i),
+                            check_layout: check.into(),
+                            body,
+                        },
+                        None,
+                        &def.head.attrs,
+                    )
+                }
+                (&Resolved::Nested(c), Access::Nested) => (Src::Nested(c), None, &c.head.attrs),
+                (_, access) => {
+                    return Err(EvalError::Internal(format!(
+                        "planner chose {} for an incompatible source of `{}`",
+                        access.name(),
+                        b.var
+                    )))
+                }
+            };
+            names.push(Names { var: &b.var, attrs });
+            let all_filters: Vec<&'a Predicate> =
+                step.filters.iter().map(|&i| filters[i]).collect();
+            // Vectorized scans hoist the leading run of constant filters
+            // into columnar kernels; everything after the first
+            // non-classifiable filter stays row-at-a-time, in order, so
+            // error behaviour is untouched (see [`super::vector`]).
+            let mut vec_filters = Vec::new();
+            let mut vec_key = Vec::new();
+            if let (Src::Rows(rel), None) = (&source, &hash_plan) {
+                if self.vectorize && rel.len() >= super::vector::VECTOR_MIN_ROWS {
+                    for p in &all_filters {
+                        match super::vector::classify(p, &b.var, &rel.schema) {
+                            Some(f) => {
+                                vec_filters.push(f);
+                                vec_key.push(*p as *const Predicate as usize);
+                            }
+                            None => break,
+                        }
+                    }
+                }
+            }
+            let mut r = Resolver::tuple(&names);
+            steps.push(Ordered {
+                source,
+                hash_plan,
+                step_filters: all_filters[vec_filters.len()..]
+                    .iter()
+                    .map(|p| r.pred(p))
+                    .collect(),
+                vec_filters,
+                vec_key,
+                index_plan,
+                index: std::sync::OnceLock::new(),
+                selection: std::sync::OnceLock::new(),
+            });
+        }
+        let prelude = plan
+            .prelude_filters
+            .iter()
+            .map(|&i| Resolver::tuple(outer).pred(filters[i]))
+            .collect();
+        let leaf = plan
+            .leaf_filters
+            .iter()
+            .map(|&i| Resolver::tuple(&names).pred(filters[i]))
+            .collect();
+        Ok((
+            Pipeline::Steps(Steps {
+                plan,
+                steps,
+                prelude,
+                leaf,
+            }),
+            names.into(),
+        ))
+    }
+}
+
+// The parallel executor shares a compiled scope across pool workers.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<Scope<'static>>();
+};

@@ -13,7 +13,8 @@
 //!    with the correlated filters masked and the outer environment
 //!    hidden, so it is provably outer-row independent;
 //! 2. keys a hash set on the scope-local sides of the correlated
-//!    equalities (via [`join_key`], the workspace's single source of
+//!    equalities (via [`Value::join_key`](arc_core::value::Value::join_key),
+//!    the workspace's single source of
 //!    equi-join key semantics: `NULL`/`NaN` components never enter the
 //!    set, because no equality can ever hold on them);
 //! 3. answers every outer row by evaluating the outer sides and probing —
@@ -34,10 +35,10 @@
 //! ## Caching and sharing
 //!
 //! Built key sets live in [`SemiBuildCache`], keyed by the build plan's
-//! `Arc` address (plans are cached per `Ctx` and never dropped before
-//! it, and a statistics-epoch change produces a fresh plan `Arc`, so the
-//! key can never serve a stale build). The cache itself sits behind an
-//! `Arc<Mutex<…>>` shared with every worker context the parallel
+//! `Arc` address (every compiled scope holds its plan for the `Ctx`'s
+//! lifetime, and a statistics-epoch change produces a fresh plan `Arc`,
+//! so the key can never serve a stale build). The cache itself sits behind
+//! an `Arc<Mutex<…>>` shared with every worker context the parallel
 //! executor forks — all workers probe the *same* build instead of each
 //! re-building.
 //!
@@ -50,16 +51,14 @@
 //! reference enumeration would, early exits included.
 
 use super::env::Env;
-use super::partition::Parts;
 use super::profile::ScopeTally;
-use super::quantifier::EnvOuter;
-use super::{Ctx, EvalStrategy};
-use crate::error::Result;
+use super::quantifier::Src;
+use super::scope::{Pipeline, Scope, SemiPlan, Steps};
+use super::slots::CScalar;
+use super::Ctx;
+use crate::error::{EvalError, Result};
 use crate::metrics;
-use crate::relation::join_key;
-use arc_core::ast::{Quant, Scalar};
 use arc_core::value::{Key, Truth};
-use arc_plan::logical::eq_sides;
 use arc_plan::ScopePlan;
 use arc_trace::{OpId, OpStats};
 use std::collections::{HashMap, HashSet};
@@ -71,7 +70,7 @@ pub(crate) type KeySet = HashSet<Vec<Key>>;
 
 /// One cached build. The entry **pins** the plan whose address keys it:
 /// worker-planned `Arc`s are otherwise retained only by that worker's
-/// plan snapshot and the (overwritable, cap-clearable) global cache, so
+/// compiled scopes and the (overwritable, cap-clearable) global cache, so
 /// without the pin an address could be freed mid-evaluation and recycled
 /// by a different scope's same-size plan allocation — and the probe
 /// would serve the wrong key set. Holding the `Arc` makes address reuse
@@ -116,74 +115,37 @@ pub fn semi_build_runs() -> u64 {
 }
 
 impl<'a> Ctx<'a> {
-    /// Try to answer a boolean quantifier scope through the decorrelated
-    /// set-level path. `Ok(None)` means "not decorrelatable here — run
-    /// the nested loop"; the caller falls through with identical
-    /// semantics.
+    /// Answer a decorrelated boolean scope through its build-once key
+    /// set. `Ok(None)` means the build failed — the caller runs the
+    /// nested loop, with identical semantics.
     pub(crate) fn semijoin_truth(
         &self,
-        q: &Quant,
-        parts: &Parts<'_>,
-        env: &mut Env,
+        sc: &Scope<'a>,
+        semi: &SemiPlan<'a>,
+        env: &mut Env<'a>,
     ) -> Result<Option<Truth>> {
-        if !self.decorrelate || self.strategy != EvalStrategy::Planned {
-            return Ok(None);
-        }
-        // Negative cache: a scope that already bailed (ineligible shape or
-        // non-equi correlation) is re-entered once per outer row — skip
-        // the shape check, resolution, and plan lookup after the first
-        // bail. Keyed by scope identity only: the rare scope evaluated
-        // under *differently-shaped* environments (an abstract definition
-        // body used at two call sites) may then skip a decorrelation
-        // opportunity at the second site, which costs performance, never
-        // correctness — decorrelation is an optimization either way.
-        let scope_key = q.bindings.as_ptr() as usize;
-        if self.semi_bailed.borrow().contains(&scope_key) {
-            return Ok(None);
-        }
-        let bail = || {
-            self.semi_bailed.borrow_mut().insert(scope_key);
-            Ok(None)
-        };
-        // Shape check (shared with `EXPLAIN`'s lowering): no grouping, no
-        // outer-join annotation, no aggregates, and no boolean subformula
-        // correlated with the outer environment.
-        if !arc_plan::decorrelatable_shape(q, parts, &EnvOuter(env)) {
-            return bail();
-        }
-        let resolved = self.resolve_bindings(&q.bindings)?;
-        let plan = self.scope_plan(&q.bindings, &parts.filters, env, &resolved, true)?;
-        let Some(dec) = &plan.decorrelation else {
-            return bail();
+        let Pipeline::Steps(build) = &sc.pipeline else {
+            return Err(EvalError::Internal(
+                "decorrelated scope without a step pipeline".into(),
+            ));
         };
         // The outer-only prelude, per outer row — exactly the filters the
         // nested path would have checked before its first step. One
         // failing verdict empties the scope: `∃` is false.
-        for &i in &dec.probe_filters {
-            if !self.pred_truth(parts.filters[i], env)?.is_true() {
-                return Ok(Some(Truth::False));
-            }
+        if !self.all_true(&semi.probe_filters, env)? {
+            return Ok(Some(Truth::False));
         }
-        let Some(set) = self.semi_build(q, parts, &resolved, &plan, env)? else {
+        let Some(set) = self.semi_build(sc, semi, build, env)? else {
             return Ok(None); // failed build: nested path reproduces it
         };
-        // Probe: evaluate the outer side of every correlated equality. A
-        // NULL/NaN component can satisfy no equality, so the scope is
-        // empty for this row (NOT IN semantics fall out of this when the
-        // caller negates).
-        let mut key = Vec::with_capacity(dec.keys.len());
-        let mut probeable = true;
-        for k in &dec.keys {
-            let (_, outer_expr) = eq_sides(parts.filters[k.filter], k.local_on_left);
-            match join_key(&self.scalar(outer_expr, env)?) {
-                Some(component) => key.push(component),
-                None => {
-                    probeable = false;
-                    break;
-                }
-            }
-        }
-        let hit = probeable && set.contains(&key);
+        // Probe: evaluate the outer side of every correlated equality
+        // into the context's scratch key. A NULL/NaN component can
+        // satisfy no equality, so the scope is empty for this row (NOT IN
+        // semantics fall out of this when the caller negates).
+        let hit = {
+            let mut key = self.probe_key.borrow_mut();
+            self.key_into(&semi.probe_keys, env, &mut key)? && set.contains(key.as_slice())
+        };
         metrics::semi_probes().inc();
         if hit {
             metrics::semi_hits().inc();
@@ -192,7 +154,7 @@ impl<'a> Ctx<'a> {
             // Probe-side actuals on the semi-join pseudo-step: one call
             // per probed outer row, one output row per hit.
             sink.merge_op(
-                OpId::semi(scope_key),
+                OpId::semi(sc.id),
                 OpStats {
                     calls: 1,
                     rows_out: hit as u64,
@@ -203,19 +165,31 @@ impl<'a> Ctx<'a> {
         Ok(Some(Truth::from_bool(hit)))
     }
 
+    /// Evaluate join-key expressions into `key` (cleared first); `false`
+    /// when a component is NULL/NaN and can match nothing.
+    fn key_into(&self, exprs: &[CScalar<'a>], env: &Env<'a>, key: &mut Vec<Key>) -> Result<bool> {
+        key.clear();
+        for e in exprs {
+            match self.scalar(e, env)?.join_key() {
+                Some(k) => key.push(k),
+                None => return Ok(false),
+            }
+        }
+        Ok(true)
+    }
+
     /// The build, through the shared cache: first caller (coordinator or
     /// any pool worker) builds, everyone else probes the same `Arc`. Two
     /// racing workers may both build; the first insert wins and the
     /// duplicate — identical by construction — is dropped.
     fn semi_build(
         &self,
-        q: &Quant,
-        parts: &Parts<'_>,
-        resolved: &[super::quantifier::Resolved<'_>],
-        plan: &Arc<ScopePlan>,
-        env: &mut Env,
+        sc: &Scope<'a>,
+        semi: &SemiPlan<'a>,
+        build: &Steps<'a>,
+        env: &mut Env<'a>,
     ) -> Result<Option<Arc<KeySet>>> {
-        let cache_key = Arc::as_ptr(plan) as usize;
+        let cache_key = Arc::as_ptr(&build.plan) as usize;
         if let Some(entry) = self.semi_builds.lock().get(&cache_key) {
             return Ok(entry.set.clone());
         }
@@ -223,24 +197,15 @@ impl<'a> Ctx<'a> {
         // relation. Denied → record a *failed* build, so the nested
         // per-outer-row path answers this scope for the rest of the
         // evaluation instead of re-attempting the build per outer row.
-        let est_rows = resolved
-            .iter()
-            .map(|r| match r {
-                super::quantifier::Resolved::Rel(rel) => rel.len(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        let key_width = plan.decorrelation.as_ref().map_or(0, |d| d.keys.len());
         if !self.guard_admit(
             arc_guard::seam::SEMI_BUILD,
-            est_rows * (48 + 24 * key_width),
+            semi.est_rows * (48 + 24 * semi.build_keys.len()),
         ) {
             self.semi_builds
                 .lock()
                 .entry(cache_key)
                 .or_insert(SemiEntry {
-                    _plan: plan.clone(),
+                    _plan: build.plan.clone(),
                     set: None,
                 });
             return Ok(None);
@@ -249,7 +214,7 @@ impl<'a> Ctx<'a> {
         let base = env.len();
         let start = self.trace.then(std::time::Instant::now);
         let span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-        let set = match self.run_build(q, parts, resolved, plan, env) {
+        let set = match env.with_layout(&sc.layout, |env| self.run_build(sc, semi, build, env)) {
             Ok(set) => Some(Arc::new(set)),
             Err(_) => {
                 // Abandoned enumeration may leave local frames pushed;
@@ -266,7 +231,7 @@ impl<'a> Ctx<'a> {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::SemiBuild,
-                OpId::semi(q.bindings.as_ptr() as usize),
+                OpId::semi(sc.id),
                 t0,
             );
         }
@@ -275,7 +240,7 @@ impl<'a> Ctx<'a> {
             // set's cardinality (what `est=` on the semi-join line
             // estimated) and the build's wall time.
             sink.merge_op(
-                OpId::semi(q.bindings.as_ptr() as usize),
+                OpId::semi(sc.id),
                 OpStats {
                     rows_in: set.as_ref().map_or(0, |s| s.len() as u64),
                     nanos: build_nanos,
@@ -287,7 +252,7 @@ impl<'a> Ctx<'a> {
         Ok(map
             .entry(cache_key)
             .or_insert(SemiEntry {
-                _plan: plan.clone(),
+                _plan: build.plan.clone(),
                 set,
             })
             .set
@@ -300,34 +265,23 @@ impl<'a> Ctx<'a> {
     /// (the decorrelation pass planned the build under `NoOuter`).
     fn run_build(
         &self,
-        q: &Quant,
-        parts: &Parts<'_>,
-        resolved: &[super::quantifier::Resolved<'_>],
-        plan: &Arc<ScopePlan>,
-        env: &mut Env,
+        sc: &Scope<'a>,
+        semi: &SemiPlan<'a>,
+        build: &Steps<'a>,
+        env: &mut Env<'a>,
     ) -> Result<KeySet> {
-        let dec = plan.decorrelation.as_ref().expect("decorrelated plan");
-        let (order, prelude, leaf) =
-            self.materialize_steps(&q.bindings, &parts.filters, resolved, plan)?;
         let mut set = KeySet::new();
         // The build prelude holds constant-only filters (every
         // outer-touching filter went to the probe side): one failing
         // verdict empties the build.
-        for p in &prelude {
-            if !self.pred_truth(p, env)?.is_true() {
-                return Ok(set);
-            }
+        if !self.all_true(&build.prelude, env)? {
+            return Ok(set);
         }
-        let local_exprs: Vec<&Scalar> = dec
-            .keys
-            .iter()
-            .map(|k| eq_sides(parts.filters[k.filter], k.local_on_left).0)
-            .collect();
         // Columnar fast path: when the pipeline is a single un-probed
         // relation scan whose filters all vectorized, the key set builds
         // straight from the column chunks — no per-row environment push,
         // no per-row scalar dispatch, one buffer allocation per chunk.
-        if let Some(set) = self.columnar_build(&order, &leaf, parts, &local_exprs) {
+        if let Some(set) = self.columnar_build(sc, semi, build) {
             return Ok(set);
         }
         // Row key assembled in a reused scratch buffer; the set allocates
@@ -339,39 +293,25 @@ impl<'a> Ctx<'a> {
         let tally = self
             .profile
             .as_ref()
-            .map(|_| ScopeTally::new(q.bindings.as_ptr() as usize, order.len()));
-        let mut scratch: Vec<Key> = Vec::with_capacity(local_exprs.len());
-        let scope = q.bindings.as_ptr() as usize;
-        self.run_steps(
-            &order,
-            &leaf,
-            env,
-            scope,
-            tally.as_ref(),
-            &mut |ctx, env| {
-                // Outer-free boolean subformulas run per build environment,
-                // exactly where the nested path evaluates them.
-                for b in &parts.pre_bool {
-                    if !ctx.formula_truth(b, env)?.is_true() {
-                        return Ok(true);
-                    }
-                }
-                scratch.clear();
-                for e in &local_exprs {
-                    match join_key(&ctx.scalar(e, env)?) {
-                        Some(k) => scratch.push(k),
-                        None => return Ok(true), // NULL/NaN: matches no probe
-                    }
-                }
-                if !set.contains(scratch.as_slice()) {
-                    set.insert(scratch.clone());
-                }
-                // A keyless build is a pure non-emptiness check: the first
-                // surviving environment decides, so stop early — matching the
-                // nested path's existential short-circuit.
-                Ok(!local_exprs.is_empty())
-            },
-        )?;
+            .map(|_| ScopeTally::new(sc.id, build.steps.len()));
+        let mut scratch: Vec<Key> = Vec::with_capacity(semi.build_keys.len());
+        self.run_build_steps(sc.id, build, env, tally.as_ref(), &mut |ctx, env| {
+            // Outer-free boolean subformulas run per build environment,
+            // exactly where the nested path evaluates them.
+            if !ctx.all_hold(&sc.pre_bool, env)? {
+                return Ok(true);
+            }
+            if !ctx.key_into(&semi.build_keys, env, &mut scratch)? {
+                return Ok(true); // NULL/NaN: matches no probe
+            }
+            if !set.contains(scratch.as_slice()) {
+                set.insert(scratch.clone());
+            }
+            // A keyless build is a pure non-emptiness check: the first
+            // surviving environment decides, so stop early — matching the
+            // nested path's existential short-circuit.
+            Ok(!semi.build_keys.is_empty())
+        })?;
         if let (Some(t), Some(sink)) = (&tally, &self.profile) {
             t.flush(sink, true);
         }
@@ -385,42 +325,41 @@ impl<'a> Ctx<'a> {
     /// of the scanned variable. Anything else returns `None` and the
     /// row-at-a-time build runs — which also keeps error behaviour
     /// untouched, because the shapes accepted here evaluate nothing that
-    /// can error (attributes are resolved against the schema up front).
+    /// can error (the key expressions resolved to slots).
     fn columnar_build(
         &self,
-        order: &[super::quantifier::Ordered<'_>],
-        leaf: &[&arc_core::ast::Predicate],
-        parts: &Parts<'_>,
-        local_exprs: &[&Scalar],
+        sc: &Scope<'a>,
+        semi: &SemiPlan<'a>,
+        build: &Steps<'a>,
     ) -> Option<KeySet> {
         if !self.vectorize {
             return None;
         }
-        let [ob] = order else {
+        let [ob] = build.steps.as_slice() else {
             return None;
         };
         if ob.hash_plan.is_some()
-            || !ob.step_filters_empty()
-            || !leaf.is_empty()
-            || !parts.pre_bool.is_empty()
+            || !ob.step_filters.is_empty()
+            || !build.leaf.is_empty()
+            || !sc.pre_bool.is_empty()
         {
             return None;
         }
-        let super::quantifier::Src::Rows(rel) = &ob.source else {
+        let Src::Rows(rel) = &ob.source else {
             return None;
         };
         if rel.len() < super::vector::VECTOR_MIN_ROWS {
             return None;
         }
-        let mut key_cols = Vec::with_capacity(local_exprs.len());
-        for e in local_exprs {
-            let Scalar::Attr(a) = e else {
-                return None;
-            };
-            if a.var != ob.var() {
-                return None;
+        // The scanned variable's frame is the scope's first local one.
+        let mut key_cols = Vec::with_capacity(semi.build_keys.len());
+        for e in &semi.build_keys {
+            match e {
+                CScalar::Slot { frame, col } if *frame as usize == sc.base => {
+                    key_cols.push(*col as usize)
+                }
+                _ => return None,
             }
-            key_cols.push(rel.schema.iter().position(|s| s == &a.attr)?);
         }
         let sel = match ob.uses_selection() {
             // A budget-denied selection bails the columnar fast path —

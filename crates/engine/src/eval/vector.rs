@@ -1,6 +1,6 @@
 //! Vectorized scan execution: which pushed-down filters can run as
 //! columnar kernels, selection-vector computation over a relation's
-//! [column chunks](arc_core::column), and the columnar hash-index build.
+//! [column chunks](arc_core::column), and the columnar semi-join build.
 //!
 //! ## What vectorizes — and why only a *prefix*
 //!
@@ -17,17 +17,16 @@
 //! vectorizable filter *after* it must stay on the row path — otherwise
 //! it could filter away the very row whose earlier filter would have
 //! errored. [`classify`] is therefore applied to a prefix only (see
-//! `Ctx::materialize_steps`).
+//! `Ctx::materialize_steps` in [`super::scope`]).
 //!
 //! Selection vectors keep ascending row order, so a vectorized scan
 //! emits exactly the environments the row path would, in the same order
 //! — invariant 12 (and, through morsel concatenation, invariant 9).
 
-use super::quantifier::HashIndex;
 use arc_core::ast::{AttrRef, CmpOp, Predicate, Scalar};
 use arc_core::column::{ColumnSet, Mask};
 use arc_core::value::{Key, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Scans below this row count stay on the row path: the encode/selection
 /// bookkeeping would cost more than the per-row dispatch it saves.
@@ -132,42 +131,6 @@ pub(crate) fn row_passes(row: &[Value], filters: &[VecFilter]) -> bool {
         }
         VecFilter::IsNull { col, negated } => row[*col].is_null() != *negated,
     })
-}
-
-/// Columnar hash-index build: per-chunk [`join_keys_into`]
-/// (arc_core::column::ColumnChunk::join_keys_into) passes fill reusable
-/// per-key-column buffers (one allocation per chunk, amortized to zero
-/// across chunks), and the assembled row key allocates only on its first
-/// occurrence — the scratch probe via `Vec<Key>: Borrow<[Key]>`. Row ids
-/// are appended in ascending order, matching the row path's index
-/// exactly (which is what keeps forced hash-join probes order-identical
-/// to the nested loop).
-pub(crate) fn build_index(cols: &ColumnSet, key_cols: &[usize]) -> HashIndex {
-    let mut index: HashIndex = HashMap::with_capacity(cols.rows());
-    let mut key_bufs: Vec<Vec<Option<Key>>> = vec![Vec::new(); key_cols.len()];
-    let mut scratch: Vec<Key> = Vec::with_capacity(key_cols.len());
-    for chunk in cols.chunks() {
-        for (buf, &c) in key_bufs.iter_mut().zip(key_cols) {
-            chunk.col(c).join_keys_into(buf);
-        }
-        'row: for i in 0..chunk.len() {
-            scratch.clear();
-            for buf in &key_bufs {
-                match &buf[i] {
-                    Some(k) => scratch.push(k.clone()),
-                    None => continue 'row, // NULL/NaN keys never match
-                }
-            }
-            let rid = (chunk.base() + i) as u32;
-            match index.get_mut(scratch.as_slice()) {
-                Some(rows) => rows.push(rid),
-                None => {
-                    index.insert(scratch.clone(), vec![rid]);
-                }
-            }
-        }
-    }
-    index
 }
 
 /// Columnar semi-join build: assemble the correlated-key set straight
@@ -375,35 +338,5 @@ mod tests {
         );
         // Empty selection builds an empty set without touching key data.
         assert!(build_key_set(&rel.columns(), &key_cols, Some(&[])).is_empty());
-    }
-
-    #[test]
-    fn columnar_index_matches_row_index() {
-        let rel = Relation::from_rows(
-            "R",
-            &["A", "B"],
-            (0..2500i64)
-                .map(|i| {
-                    vec![
-                        match i % 5 {
-                            0 => Value::Null,
-                            1 => Value::Float(f64::NAN),
-                            2 => Value::Float(i as f64), // integral: joins with Int
-                            _ => Value::Int(i),
-                        },
-                        Value::Int(i % 3),
-                    ]
-                })
-                .collect(),
-        );
-        let cols = [0usize, 1];
-        let got = build_index(&rel.columns(), &cols);
-        let mut want: HashIndex = HashMap::new();
-        for (i, row) in rel.rows.iter().enumerate() {
-            if let Some(key) = Relation::key_for(row, &cols) {
-                want.entry(key).or_default().push(i as u32);
-            }
-        }
-        assert_eq!(got, want);
     }
 }

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 
 /// Resolver over the engine's catalog plus a program's definitions,
 /// mirroring the evaluator's shadowing order exactly (see
-/// `Ctx::plan_bindings`): materialized definitions shadow catalog
+/// `Ctx::resolve_bindings`): materialized definitions shadow catalog
 /// relations, which shadow abstract definitions, which shadow externals.
 struct CatalogResolver<'c> {
     catalog: &'c Catalog,

@@ -145,12 +145,14 @@ impl Engine<'_> {
             }
         }
 
-        // Strongly connected components (Tarjan), emitted in reverse
-        // topological order, then processed in topological order.
+        // Strongly connected components (Tarjan). An edge `i → j` says
+        // definition `i` reads `j`, and Tarjan emits a component only
+        // after every component it can reach — so emission order already
+        // materializes what a definition reads before the definition.
         let sccs = tarjan(&deps);
 
         let mut defined: HashMap<String, Relation> = HashMap::new();
-        for scc in sccs.into_iter().rev() {
+        for scc in sccs {
             let recursive = scc.len() > 1 || (scc.len() == 1 && deps[scc[0]].contains(&scc[0]));
             if !recursive {
                 let def = safe[scc[0]];
@@ -426,8 +428,10 @@ fn substitute(c: &mut Collection, names: &HashSet<String>, target: usize, counte
     walk(&mut c.body, names, target, counter);
 }
 
-/// Tarjan's strongly connected components; returns SCCs in reverse
-/// topological order (standard Tarjan emission order).
+/// Tarjan's strongly connected components, in emission order: a
+/// component comes after every component reachable from it. With edges
+/// pointing from a definition to what it reads, that is dependencies
+/// first.
 fn tarjan(deps: &[HashSet<usize>]) -> Vec<Vec<usize>> {
     struct State<'d> {
         deps: &'d [HashSet<usize>],
@@ -494,7 +498,7 @@ mod tests {
         let deps = vec![HashSet::from([1]), HashSet::from([2]), HashSet::from([1])];
         let sccs = tarjan(&deps);
         assert_eq!(sccs.len(), 2);
-        // Reverse topological: {1,2} first, then {0}.
+        // 0 reads the cycle, so the cycle {1,2} is emitted first.
         let mut first = sccs[0].clone();
         first.sort_unstable();
         assert_eq!(first, vec![1, 2]);

@@ -1,0 +1,167 @@
+//! A deterministic guard on what one row costs, counted in allocator
+//! calls — the noisy shared host cannot blur a count.
+//!
+//! Binding a candidate row borrows it, a pushed-down filter indexes the
+//! frame stack, a hash probe hashes the probe values where they are: a
+//! *rejected* candidate allocates nothing, and an *emitted* row allocates
+//! its own output vector and nothing else. The test's own thread counts
+//! (`thread_local`), so other tests running in parallel do not show.
+
+use arc_bench::fixtures as fx;
+use arc_core::ast::Collection;
+use arc_core::conventions::Conventions;
+use arc_core::value::Value;
+use arc_engine::{Catalog, Engine, EvalStrategy, Relation};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to the system allocator unchanged; the
+// counter is a `const`-initialized thread-local `Cell` without a
+// destructor, so touching it neither allocates nor runs after teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The engines under guard: the default plan (which here turns both
+/// bindings into hash probes, so every candidate it binds is emitted), and
+/// the two forced strategies, which pin declaration order with every
+/// filter at the leaf — `hash-join` binds each of `r`'s eight matches in
+/// `S` and refuses some, `nested-loop` binds and refuses nearly all of
+/// `R × S`.
+fn engines(catalog: &Catalog) -> Vec<(&'static str, Engine<'_>)> {
+    // Sequential, so the work (and its allocations) stays on this thread.
+    let engine = || Engine::new(catalog, Conventions::sql()).with_threads(1);
+    vec![
+        ("default", engine()),
+        ("hash-join", engine().with_strategy(EvalStrategy::HashJoin)),
+        (
+            "nested-loop",
+            engine().with_strategy(EvalStrategy::NestedLoop),
+        ),
+    ]
+}
+
+/// Allocator calls made by this thread while evaluating `q`, and the
+/// number of rows it returned.
+fn allocations(engine: &Engine<'_>, q: &Collection) -> (u64, usize) {
+    engine.eval_collection(q).unwrap(); // warm the global plan cache
+    let before = ALLOCS.with(Cell::get);
+    let rows = engine.eval_collection(q).unwrap();
+    let after = ALLOCS.with(Cell::get);
+    (after - before, rows.len())
+}
+
+/// Rows of `R` in every catalog below: only their *keys* vary, so the
+/// planner sees the same cardinalities (and picks the same plan, and
+/// builds the same-shaped hash indexes) throughout.
+const R_ROWS: i64 = 3_000;
+
+/// What a whole evaluation may allocate beyond one vector per emitted
+/// row: compiling the scope, the hash indexes (a bucket per distinct key,
+/// grown a few times), the result vector's growth. Independent of how
+/// many candidates were bound.
+const PER_QUERY: u64 = 2_048;
+
+/// Eq 1's catalog. `S(B,C)` is fixed: for every key in `0..64`, two rows
+/// with `C = 0` and two with `C = 1`; for every key in `64..128`, four
+/// rows with `C = 1`. `R(A,B)` has `emitting` rows over keys `0..64` (each
+/// joins two `C = 0` rows), `rejected` rows over keys `64..128` (they
+/// bind, probe, match four rows and are filtered out), and the rest over
+/// 64 keys `S` does not have.
+fn eq1_catalog(key: fn(i64) -> Value, emitting: i64, rejected: i64) -> Catalog {
+    let mut s = Relation::new("S", &["B", "C"]);
+    for b in 0..128i64 {
+        for copy in 0..4i64 {
+            let c = if b < 64 { copy % 2 } else { 1 };
+            s.push(vec![key(b), Value::Int(c)]);
+        }
+    }
+    let mut r = Relation::new("R", &["A", "B"]);
+    for n in 0..R_ROWS {
+        let b = if n < emitting {
+            n % 64
+        } else if n < emitting + rejected {
+            64 + n % 64
+        } else {
+            1_000 + n % 64
+        };
+        r.push(vec![Value::Int(n), key(b)]);
+    }
+    Catalog::new().with(r).with(s)
+}
+
+fn check(key: fn(i64) -> Value) {
+    let q = fx::eq1(); // {Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ s.C = 0]}
+    let base = eq1_catalog(key, 500, 0);
+    // 2 000 R rows find four S rows each instead of none, and every one
+    // of those candidates is refused.
+    let rejecting = eq1_catalog(key, 500, 2_000);
+    // 2 000 more R rows emit (two rows each).
+    let emitting = eq1_catalog(key, 2_500, 0);
+    for (((name, base), (_, rejecting)), (_, emitting)) in engines(&base)
+        .iter()
+        .zip(&engines(&rejecting))
+        .zip(&engines(&emitting))
+    {
+        let (base_allocs, rows) = allocations(base, &q);
+        assert_eq!(rows, 1_000, "{name}");
+        assert!(
+            base_allocs <= rows as u64 + PER_QUERY,
+            "{name}: {base_allocs} allocator calls for {rows} rows"
+        );
+
+        let (allocs, rows) = allocations(rejecting, &q);
+        assert_eq!(rows, 1_000, "{name}");
+        assert!(
+            allocs <= rows as u64 + PER_QUERY,
+            "{name}: rejected candidates must not allocate: {allocs} allocator calls for {rows} rows"
+        );
+
+        // One allocation per additional row (its output vector) plus
+        // amortized growth of the result vector and the index buckets.
+        let (allocs, rows) = allocations(emitting, &q);
+        assert_eq!(rows, 5_000, "{name}");
+        let extra = allocs.saturating_sub(base_allocs);
+        assert!(
+            extra <= 4_000 + 512,
+            "{name}: an emitted row allocates its output vector only: \
+             {extra} extra allocator calls for 4 000 rows"
+        );
+    }
+}
+
+#[test]
+fn eq1_under_bag_semantics_allocates_per_emitted_row_only() {
+    check(Value::Int);
+}
+
+#[test]
+fn a_string_keyed_join_copies_no_string_per_probe() {
+    // The same join on a 40-byte string key: a probe that built a key
+    // would copy it (one allocation per probe, two per emitted row).
+    check(|b| Value::str(format!("key-{b:036}")));
+}

@@ -20,9 +20,9 @@ fn plan_cache_eliminates_per_outer_row_planning() {
     let mut catalog = fx::grouped_catalog(outer_rows, 8);
     let q = fx::eq7();
 
-    // Phase 1: first evaluation. The Ctx-level cache must collapse the
-    // per-outer-row re-planning of the correlated scope to one run per
-    // distinct (scope, signature); the whole query has a handful of
+    // Phase 1: first evaluation. The per-evaluation compiled-scope cache
+    // must collapse the per-outer-row re-planning of the correlated scope
+    // to one run per distinct (scope, layout); the whole query has a handful of
     // scopes, so the delta must be orders of magnitude below the outer
     // cardinality.
     let before = arc_plan::planner_runs();

@@ -1,14 +1,15 @@
 //! Plan-cache counter audit for the bailed-decorrelation republish seam.
 //!
 //! When a boolean scope's decorrelation bails (non-equi correlation),
-//! `scope_plan` publishes the fallback plan under the non-boolean keys
-//! too — `global_store` plus a per-`Ctx` insert. Neither republish path
-//! may touch the `plan.cache.hit`/`plan.cache.miss` counters: the scope
-//! was planned **once**, so the first evaluation must count exactly one
-//! miss per distinct scope (not one per cache key the plan lands under),
-//! and a fresh-engine re-evaluation must count exactly one hit per scope
-//! (the nested fallback is served by the per-`Ctx` insert, never by a
-//! second global lookup).
+//! `scope_plan` publishes the fallback plan under the non-boolean key
+//! too (`global_store`), and the scope compiles its nested pipeline
+//! straight from that plan. The republish may not touch the
+//! `plan.cache.hit`/`plan.cache.miss` counters: the scope was planned
+//! **once**, so the first evaluation must count exactly one miss per
+//! distinct scope (not one per cache key the plan lands under), and a
+//! fresh-engine re-evaluation must count exactly one hit per scope (the
+//! nested fallback runs the scope compiled from the boolean lookup,
+//! never a second global lookup).
 //!
 //! The assertions pin **exact** process-global counter deltas, so this
 //! file deliberately contains a single `#[test]` (test binaries run one
@@ -37,7 +38,7 @@ fn bailed_boolean_republish_counts_once() {
     // bailed boolean ∃s) — exactly two global misses, zero hits. A third
     // miss would mean the republished plan re-entered the lookup path; a
     // hit would mean the nested fallback consulted the global cache for
-    // the plan its own `Ctx` already holds.
+    // the plan its compiled scope already holds.
     let before = arc_trace::snapshot();
     let first = eval();
     let delta = arc_trace::snapshot().diff(&before);

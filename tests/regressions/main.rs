@@ -1,0 +1,5 @@
+//! Regression corpus: one module per bug, each pinning the smallest
+//! program that used to give a wrong answer. New entries go here, shrunk.
+
+mod datalog_bound_aggregate;
+mod definition_order;
