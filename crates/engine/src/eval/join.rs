@@ -1,10 +1,22 @@
 //! Outer-join annotation trees (§2.11): `left`/`full` nodes over the
 //! binding list, with ON-condition absorption of body predicates.
 //!
-//! Outer joins always run on the materialized nested-loop path — the ON
-//! absorption logic depends on seeing whole sides at once, and outer
-//! workloads in the paper are small. Extending [`super::EvalStrategy`]
-//! coverage to outer nodes is future work.
+//! An annotated scope bypasses the plan IR: each node materializes its
+//! two sides, and an outer node then **hash-partitions** the right one.
+//! When the scope is compiled, the `=` conjuncts of a node's ON condition
+//! that compare a left-or-enclosing-scope expression with a right-side
+//! one become its *equi-keys*; when it runs, the right side's rows are
+//! bucketed once by the hash of their key values (the workspace's one
+//! equi-join rule, [`Value::join_key_ref`]: `1 = 1.0`, and a `NULL`/`NaN`
+//! key lands in no bucket) and each left row visits only its bucket, in
+//! right-row order. The bucket merely narrows the candidates: the whole,
+//! unchanged ON condition is evaluated on each of them, so three-valued
+//! logic, residual non-equi predicates, literal leaves, `full`'s
+//! right-side bookkeeping, `NULL` padding and output order follow one
+//! rule, and keys that collide share a bucket harmlessly. An ON condition
+//! without an equi-key runs the same loop over one all-rows bucket.
+//! Forced strategies do not reach in here: every [`super::EvalStrategy`]
+//! runs this path.
 //!
 //! Like every other scope, an annotated scope is **compiled once**
 //! ([`Ctx::compile_join`]): leaves resolve to their sources, every body
@@ -16,8 +28,8 @@
 
 use super::env::{Env, Frame, Layout, Names};
 use super::partition::{pred_consts, pred_vars};
-use super::quantifier::EnvFn;
-use super::slots::{CPred, Resolver};
+use super::quantifier::{EnvFn, HashIndex};
+use super::slots::{CPred, CScalar, Resolver};
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::relation::Relation;
@@ -41,10 +53,25 @@ enum JoinNode<'a> {
         left: Box<JoinNode<'a>>,
         right: Box<JoinNode<'a>>,
         on: Vec<CPred<'a>>,
+        keys: EquiKeys<'a>,
         left_widths: Vec<usize>,
         right_widths: Vec<usize>,
         full: bool,
     },
+}
+
+/// The `=` conjuncts of an ON condition that compare something the left
+/// side (or an enclosing scope) decides with something the right side
+/// decides — the sides of the `n`-th one are `probe[n]` and `build[n]`.
+/// They only *partition* the right side; `on` still holds, and checks,
+/// every conjunct.
+#[derive(Default)]
+struct EquiKeys<'a> {
+    /// Over the outer and left frames: evaluated once per left row.
+    probe: Vec<CScalar<'a>>,
+    /// Over the right frames, resolved as if they sat directly on the
+    /// outer ones: evaluated once per right row.
+    build: Vec<CScalar<'a>>,
 }
 
 /// A compiled outer-join scope: the tree, then the predicates no ON
@@ -76,10 +103,11 @@ impl<'a> Routing<'_, 'a> {
     /// and that either touch the right side's variables or compare against
     /// one of the right side's literal leaves (paper Fig 12's
     /// `inner(11, s)` pattern) — resolved against outer ++ left ++ right.
-    fn on_preds(&mut self, left: &Side<'a>, right: &Side<'a>) -> Vec<CPred<'a>> {
+    fn on_preds(&mut self, left: &Side<'a>, right: &Side<'a>) -> (Vec<CPred<'a>>, EquiKeys<'a>) {
         let in_side = |side: &Side<'a>, v: &str| side.vars.iter().any(|n| n.var == v);
         let names: Vec<Names<'a>> = [self.outer, &left.vars, &right.vars].concat();
         let mut on = Vec::new();
+        let mut sources = Vec::new();
         for (i, p) in self.filters.iter().enumerate() {
             if self.consumed.contains(&i) {
                 continue;
@@ -97,9 +125,60 @@ impl<'a> Routing<'_, 'a> {
             if touches_right || touches_lit {
                 self.consumed.insert(i);
                 on.push(Resolver::tuple(&names).pred(p));
+                sources.push(*p);
             }
         }
-        on
+        let keys = self.equi_keys(&sources, &on, &names, right);
+        (on, keys)
+    }
+
+    /// Split the equi-keys out of an ON condition: `=` between an
+    /// expression that reads frames below the right side only (or none)
+    /// and one that reads right frames only. A condition that can raise
+    /// yields none — it must keep raising on the pair it raised on.
+    fn equi_keys(
+        &self,
+        sources: &[&'a Predicate],
+        on: &[CPred<'a>],
+        names: &[Names<'a>],
+        right: &Side<'a>,
+    ) -> EquiKeys<'a> {
+        let mut keys = EquiKeys::default();
+        if on.iter().any(CPred::may_raise) {
+            return keys;
+        }
+        let split = names.len() - right.vars.len();
+        let below = |s: &CScalar<'a>| s.frames().is_none_or(|(_, hi)| hi < split);
+        let above = |s: &CScalar<'a>| s.frames().is_some_and(|(lo, _)| lo >= split);
+        let build_names: Vec<Names<'a>> = [self.outer, &right.vars].concat();
+        for (p, c) in sources.iter().zip(on) {
+            let (
+                Predicate::Cmp {
+                    left: l,
+                    op: CmpOp::Eq,
+                    right: r,
+                },
+                CPred::Cmp {
+                    left: cl,
+                    right: cr,
+                    ..
+                },
+            ) = (p, c)
+            else {
+                continue;
+            };
+            let (probe, build) = if below(cl) && above(cr) {
+                (l, r)
+            } else if above(cl) && below(cr) {
+                (r, l)
+            } else {
+                continue;
+            };
+            keys.probe
+                .push(Resolver::tuple(&names[..split]).scalar(probe));
+            keys.build.push(Resolver::tuple(&build_names).scalar(build));
+        }
+        keys
     }
 }
 
@@ -205,7 +284,7 @@ impl<'a> Ctx<'a> {
             JoinTree::Left(l, r) | JoinTree::Full(l, r) => {
                 let left = self.compile_join_node(l, by_var, routing)?;
                 let right = self.compile_join_node(r, by_var, routing)?;
-                let on = routing.on_preds(&left, &right);
+                let (on, keys) = routing.on_preds(&left, &right);
                 let widths = |side: &Side<'a>| side.vars.iter().map(|n| n.attrs.len()).collect();
                 Ok(Side {
                     node: JoinNode::Outer {
@@ -214,6 +293,7 @@ impl<'a> Ctx<'a> {
                         left: Box::new(left.node),
                         right: Box::new(right.node),
                         on,
+                        keys,
                         full: matches!(node, JoinTree::Full(..)),
                     },
                     vars: [left.vars, right.vars].concat(),
@@ -272,6 +352,7 @@ impl<'a> Ctx<'a> {
                 left,
                 right,
                 on,
+                keys,
                 left_widths,
                 right_widths,
                 full,
@@ -279,21 +360,45 @@ impl<'a> Ctx<'a> {
                 let left = self.join_rows(left, env)?;
                 let right = self.join_rows(right, env)?;
                 let base = env.len();
+                // Partition the right side once by the hash of its key
+                // values. A bucket only narrows the candidates `on` is
+                // checked against, so colliding keys may share one — and
+                // with no equi-key every row hashes alike: one bucket.
+                let mut hashes = Vec::with_capacity(right.len());
+                for rrow in &right {
+                    env.frames.extend(rrow.iter().cloned());
+                    let hash = self.key_hash(&keys.build, env);
+                    env.truncate(base);
+                    hashes.push(hash?);
+                }
+                let index = HashIndex::from_hashes(&hashes);
                 let mut rows = Vec::new();
                 let mut right_matched = vec![false; right.len()];
                 for lrow in &left {
-                    let mut matched = false;
-                    for (j, rrow) in right.iter().enumerate() {
-                        env.frames.extend(lrow.iter().chain(rrow).cloned());
-                        let ok = self.all_true(on, env);
-                        env.truncate(base);
-                        if ok? {
-                            matched = true;
-                            right_matched[j] = true;
-                            rows.push([lrow.as_slice(), rrow.as_slice()].concat());
+                    env.frames.extend(lrow.iter().cloned());
+                    let mid = env.len();
+                    let mut probe = || -> Result<bool> {
+                        // A NULL/NaN key on the left equals nothing.
+                        let Some(hash) = self.key_hash(&keys.probe, env)? else {
+                            return Ok(false);
+                        };
+                        let mut matched = false;
+                        for &j in index.bucket(hash, |_| Ok(true))? {
+                            let rrow = &right[j as usize];
+                            env.frames.extend(rrow.iter().cloned());
+                            let ok = self.all_true(on, env);
+                            env.truncate(mid);
+                            if ok? {
+                                matched = true;
+                                right_matched[j as usize] = true;
+                                rows.push([lrow.as_slice(), rrow.as_slice()].concat());
+                            }
                         }
-                    }
-                    if !matched {
+                        Ok(matched)
+                    };
+                    let matched = probe();
+                    env.truncate(base);
+                    if !matched? {
                         let mut row = lrow.clone();
                         row.extend(null_frames(right_widths));
                         rows.push(row);

@@ -33,6 +33,7 @@
 //! | [`formula`]    | boolean formula / sentence evaluation                     |
 //! | [`quantifier`] | the binding loop: executes compiled step pipelines        |
 //! | [`semijoin`]   | decorrelated `∃`/`¬∃`: build-once set-level semi/anti-join|
+//! | [`lateral`]    | lateral steps: nested collections memoized by outer values|
 //! | [`parallel`]   | partitioned (morsel-driven) scope execution via `arc-exec`|
 //! | [`aggregate`]  | grouping scopes: one-pass accumulators, per-group verdicts|
 //! | [`output`]     | output assembly: head-tuple construction and emission     |
@@ -69,6 +70,7 @@ pub mod env;
 pub mod formula;
 pub(crate) mod index;
 pub mod join;
+pub(crate) mod lateral;
 pub mod output;
 pub mod parallel;
 pub(crate) mod profile;

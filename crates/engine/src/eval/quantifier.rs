@@ -38,6 +38,7 @@
 //! [`Ctx::scan_partition`].
 
 use super::env::{Env, Frame, Layout};
+use super::lateral::Lateral;
 use super::profile::ScopeTally;
 use super::scope::{Pipeline, Scope, Steps};
 use super::slots::{CFormula, CPred, CScalar};
@@ -46,7 +47,6 @@ use crate::error::{EvalError, Result};
 use crate::external::AccessPattern;
 use crate::metrics;
 use crate::relation::{Relation, Tuple};
-use arc_core::ast::Collection;
 use arc_core::value::Value;
 use arc_guard::seam;
 use std::collections::hash_map::{Entry, RandomState};
@@ -58,8 +58,10 @@ use std::sync::Arc;
 pub(crate) enum Src<'a> {
     /// A materialized relation (base, defined, or fixpoint result).
     Rows(&'a Relation),
-    /// A correlated nested collection, evaluated per environment.
-    Nested(&'a Collection),
+    /// A correlated nested collection (§2.4): evaluated once per distinct
+    /// value of the outer attributes it reads, per environment where its
+    /// result is not a function of those alone (see [`super::lateral`]).
+    Nested(Lateral<'a>),
     /// An external relation solved through an access pattern (§2.13.1).
     External {
         pattern: &'a AccessPattern,
@@ -170,9 +172,27 @@ impl HashIndex {
         HashIndex { buckets }
     }
 
+    /// An index over rows known only by their key hashes (`None`: never
+    /// indexed): rows whose keys collide share a bucket, which is enough
+    /// for a caller that re-checks every candidate of a bucket anyway.
+    pub(crate) fn from_hashes(hashes: &[Option<u64>]) -> HashIndex {
+        let mut buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>> =
+            HashMap::with_capacity_and_hasher(hashes.len(), BuildHasherDefault::default());
+        for (i, hash) in hashes.iter().enumerate() {
+            if let Some(at) = hash {
+                buckets.entry(*at).or_default().push(i as u32);
+            }
+        }
+        HashIndex { buckets }
+    }
+
     /// The rows of the bucket addressed by `hash` whose first row
     /// `is_key` accepts (ascending row order); empty when there is none.
-    fn bucket(&self, hash: u64, mut is_key: impl FnMut(u32) -> Result<bool>) -> Result<&[u32]> {
+    pub(crate) fn bucket(
+        &self,
+        hash: u64,
+        mut is_key: impl FnMut(u32) -> Result<bool>,
+    ) -> Result<&[u32]> {
         let mut at = hash;
         while let Some(rows) = self.buckets.get(&at) {
             if is_key(rows[0])? {
@@ -186,6 +206,56 @@ impl HashIndex {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.buckets.len()
+    }
+}
+
+/// An insert-as-you-go map from a key to a small id that, like
+/// [`HashIndex`], stores **no keys**: a slot is addressed by the key's
+/// hash and identified by what its id stands for — the caller's `is_key`
+/// compares that against the key in hand — and a slot held by a different
+/// key sends the search on to `hash + NEXT_BUCKET`. The fixpoint's seen
+/// set and the lateral memo are built on it.
+#[derive(Default)]
+pub(crate) struct KeySlots {
+    slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+}
+
+impl KeySlots {
+    /// The id of the key `hash` addresses and `is_key` accepts.
+    pub(crate) fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut at = hash;
+        while let Some(&id) = self.slots.get(&at) {
+            if is_key(id) {
+                return Some(id);
+            }
+            at = at.wrapping_add(NEXT_BUCKET);
+        }
+        None
+    }
+
+    /// Give the key the slot `id` unless it has one already; returns
+    /// whether the key was new.
+    pub(crate) fn insert(
+        &mut self,
+        hash: u64,
+        id: u32,
+        mut is_key: impl FnMut(u32) -> bool,
+    ) -> bool {
+        let mut at = hash;
+        loop {
+            match self.slots.entry(at) {
+                Entry::Vacant(e) => {
+                    e.insert(id);
+                    return true;
+                }
+                Entry::Occupied(e) => {
+                    if is_key(*e.get()) {
+                        return false;
+                    }
+                    at = at.wrapping_add(NEXT_BUCKET);
+                }
+            }
+        }
     }
 }
 
@@ -510,12 +580,12 @@ impl<'a> Ctx<'a> {
         Some(sel)
     }
 
-    /// Hash of the probe key in `env`, or `None` when a component is
-    /// `NULL`/`NaN` (no row can match). Hashes the values where they
-    /// are; no key is assembled.
-    fn probe_hash(&self, plan: &HashPlan<'a>, env: &Env<'a>) -> Result<Option<u64>> {
+    /// Hash of the join key `exprs` produce in `env`, or `None` when a
+    /// component is `NULL`/`NaN` (no row can match). Hashes the values
+    /// where they are; no key is assembled.
+    pub(crate) fn key_hash(&self, exprs: &[CScalar<'a>], env: &Env<'a>) -> Result<Option<u64>> {
         let mut h = self.hash_state.build_hasher();
-        for e in &plan.probe_exprs {
+        for e in exprs {
             match self.scalar(e, env)?.join_key_ref() {
                 Some(k) => k.hash(&mut h),
                 None => return Ok(None),
@@ -715,7 +785,7 @@ impl<'a> Ctx<'a> {
             Src::Rows(rel) => {
                 let rel: &'a Relation = rel;
                 if let Some(plan) = &ob.hash_plan {
-                    let Some(hash) = self.probe_hash(plan, env)? else {
+                    let Some(hash) = self.key_hash(&plan.probe_exprs, env)? else {
                         return Ok(true); // NULL/NaN probe: no row can match
                     };
                     let Some(index) = self.step_index(ob, plan, rel, i, run.tally) else {
@@ -775,9 +845,10 @@ impl<'a> Ctx<'a> {
                 }
                 Ok(true)
             }
-            Src::Nested(c) => {
-                // Lateral: evaluate the nested collection per environment.
-                for row in self.collection_relation(c, env)?.rows {
+            Src::Nested(lat) => {
+                // Lateral: the nested collection's rows for this
+                // environment, out of the step's memo or evaluated.
+                for row in self.lateral_rows(lat, env)? {
                     if !self.bind(run, i, Frame::Owned(row), env, cb)? {
                         return Ok(false);
                     }

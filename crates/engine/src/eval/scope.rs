@@ -787,7 +787,9 @@ impl<'a> Ctx<'a> {
                         &def.head.attrs,
                     )
                 }
-                (&Resolved::Nested(c), Access::Nested) => (Src::Nested(c), None, &c.head.attrs),
+                (&Resolved::Nested(c), Access::Nested) => {
+                    (Src::Nested(self.lateral(c, &names)), None, &c.head.attrs)
+                }
                 (_, access) => {
                     return Err(EvalError::Internal(format!(
                         "planner chose {} for an incompatible source of `{}`",

@@ -52,6 +52,19 @@ impl CScalar<'_> {
         }
     }
 
+    /// The lowest and highest stack positions this scalar reads a row at;
+    /// `None` when it reads none.
+    pub(crate) fn frames(&self) -> Option<(usize, usize)> {
+        match self {
+            CScalar::Slot { frame, .. } => Some((*frame as usize, *frame as usize)),
+            CScalar::Arith { left, right, .. } => match (left.frames(), right.frames()) {
+                (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                (one, other) => one.or(other),
+            },
+            CScalar::Const(_) | CScalar::Agg(_) | CScalar::Raise(_) => None,
+        }
+    }
+
     /// Whether evaluation can fail at all (a `Raise`, or an aggregate
     /// whose argument holds one).
     pub(crate) fn may_raise(&self, aggs: &[AggSpec<'_>]) -> bool {
@@ -75,6 +88,18 @@ pub(crate) enum CPred<'a> {
         expr: CScalar<'a>,
         negated: bool,
     },
+}
+
+impl CPred<'_> {
+    /// Whether evaluating this predicate in tuple context can fail.
+    pub(crate) fn may_raise(&self) -> bool {
+        match self {
+            CPred::Cmp { left, right, .. } => {
+                left.first_raise().is_some() || right.first_raise().is_some()
+            }
+            CPred::IsNull { expr, .. } => expr.first_raise().is_some(),
+        }
+    }
 }
 
 /// A boolean formula over resolved predicates. Quantifier scopes stay AST

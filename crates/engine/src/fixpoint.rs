@@ -8,20 +8,40 @@
 //!    *abstract* (§2.13.2 — checked in context, never materialized);
 //! 2. builds the dependency graph and its strongly connected components;
 //! 3. evaluates SCCs in topological order; recursive SCCs are solved with a
-//!    least fixed point — either **naive** iteration or **semi-naive**
-//!    differentiation (one delta-substituted variant per recursive binding
-//!    occurrence), selectable for the ablation benchmark;
+//!    least fixed point — **semi-naive** by default, **naive** iteration as
+//!    the reference the equivalence tests compare against;
 //! 4. rejects non-stratifiable programs (recursion through negation or
 //!    aggregation) and recursion under bag semantics.
+//!
+//! ## Semi-naive rounds
+//!
+//! Every member of a recursive SCC keeps one **total** — its entry in the
+//! `defined` map, appended in place — and one **seen set** over the
+//! total's rows ([`SeenRows`]), filled from the seed. A round evaluates the
+//! member's *delta variants* (one clone of the rule per recursive binding
+//! occurrence, that occurrence reading last round's delta) and streams the
+//! rows they derive through the seen set: a row not derived before joins
+//! the new delta. That single pass is the union of the variants, its
+//! de-duplication and the difference against everything derived so far —
+//! over the *derived* rows only; the total is never re-keyed or copied.
+//! After every member of the round is evaluated the new deltas are
+//! appended to their totals and moved under the reserved `@delta:` names
+//! for the next round. A program costs O(seed + Σ derived), and a total
+//! lists its rows in derivation order: the seed, then each round's delta,
+//! each in first-occurrence order.
 
 use crate::error::{EvalError, Result};
+use crate::eval::quantifier::KeySlots;
 use crate::eval::Engine;
-use crate::relation::Relation;
+use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::binder::Binder;
 use arc_core::conventions::Semantics;
+use arc_core::value::Value;
 use arc_guard::{seam, QueryGuard};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Fixpoint iteration cap (each iteration must add at least one tuple, so
@@ -192,11 +212,13 @@ impl Engine<'_> {
         }
 
         // Seed every member with an empty relation of the right schema.
-        for &i in scc {
-            let def = safe[i];
+        let empty = |def: &Definition| {
             let mut rel = Relation::new(def.name().to_string(), &[]);
             rel.schema = def.collection.head.attrs.clone();
-            defined.insert(def.name().to_string(), rel);
+            rel
+        };
+        for &i in scc {
+            defined.insert(safe[i].name().to_string(), empty(safe[i]));
         }
 
         match strategy {
@@ -237,20 +259,35 @@ impl Engine<'_> {
                 }
             }
             FixpointStrategy::SemiNaive => {
-                // Round 0: full rules against empty members seed the totals.
-                let mut deltas: HashMap<String, Relation> = HashMap::new();
+                // Bytes one derived row charges: its tuple in the total and
+                // its slot in the seen set. Neither can stream, so the
+                // reservation is hard — denial trips the guard.
+                let row_bytes =
+                    |rel: &Relation| rel.schema.len().max(1) * 24 + SeenRows::SLOT_BYTES;
+
+                // Round 0: full rules against empty members seed the
+                // totals (a later member already reads an earlier one's
+                // seed) and fill each member's seen set.
+                let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
+                let mut deltas: Vec<Relation> = Vec::with_capacity(scc.len());
                 for &i in scc {
                     let def = safe[i];
-                    let seed = self
-                        .eval_with(&def.collection, defined, abstracts, guard)?
-                        .deduped();
-                    deltas.insert(def.name().to_string(), seed.clone());
+                    let rows = self.eval_with(&def.collection, defined, abstracts, guard)?;
+                    let (mut set, mut seed) = (SeenRows::default(), empty(def));
+                    for row in rows.rows {
+                        if set.insert(&row, &[], &seed.rows) {
+                            seed.rows.push(row);
+                        }
+                    }
+                    crate::eval::guard_reserve_hard(guard, seed.len() * SeenRows::SLOT_BYTES)?;
+                    seen.push(set);
+                    deltas.push(seed.clone());
                     defined.insert(def.name().to_string(), seed);
                 }
                 // Delta-variant collections: one per recursive occurrence.
-                let variants: HashMap<usize, Vec<Collection>> = scc
+                let variants: Vec<Vec<Collection>> = scc
                     .iter()
-                    .map(|&i| (i, delta_variants(&safe[i].collection, &member_names)))
+                    .map(|&i| delta_variants(&safe[i].collection, &member_names))
                     .collect();
 
                 for iteration in 0.. {
@@ -263,36 +300,39 @@ impl Engine<'_> {
                             iterations: MAX_ITERATIONS,
                         });
                     }
-                    if deltas.values().all(|d| d.is_empty()) {
+                    if deltas.iter().all(|d| d.is_empty()) {
                         break;
                     }
-                    // Expose deltas under their reserved names.
-                    for (name, delta) in &deltas {
-                        defined.insert(delta_name(name), delta.clone());
+                    // Expose the previous round's deltas under their
+                    // reserved names (moved: a delta is read for exactly
+                    // one round).
+                    for (&i, delta) in scc.iter().zip(deltas.drain(..)) {
+                        defined.insert(delta_name(safe[i].name()), delta);
                     }
-                    let mut new_deltas: HashMap<String, Relation> = HashMap::new();
-                    for &i in scc {
+                    // Stream every variant's rows through the member's
+                    // seen set: a row not derived before joins the new
+                    // delta, in first-occurrence order across variants.
+                    for ((&i, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
                         let def = safe[i];
-                        let mut fresh = Relation::new(def.name().to_string(), &[]);
-                        fresh.schema = def.collection.head.attrs.clone();
-                        for variant in &variants[&i] {
+                        let mut fresh = empty(def);
+                        for variant in variants {
                             let rows = self.eval_with(variant, defined, abstracts, guard)?;
-                            fresh = fresh.union(&rows);
+                            let total = &defined[def.name()].rows;
+                            for row in rows.rows {
+                                if seen.insert(&row, total, &fresh.rows) {
+                                    fresh.rows.push(row);
+                                }
+                            }
                         }
-                        let fresh = fresh.deduped().minus_set(&defined[def.name()]);
-                        // Delta growth has no streaming fallback:
-                        // hard-charge it, trip on denial.
-                        crate::eval::guard_reserve_hard(
-                            guard,
-                            fresh.len() * fresh.schema.len().max(1) * 24,
-                        )?;
-                        new_deltas.insert(def.name().to_string(), fresh);
+                        crate::eval::guard_reserve_hard(guard, fresh.len() * row_bytes(&fresh))?;
+                        deltas.push(fresh);
                     }
-                    for (name, delta) in &new_deltas {
-                        let total = defined[name].union(delta);
-                        defined.insert(name.clone(), total);
+                    // Publish only now: within a round every member reads
+                    // the totals of the round before.
+                    for (&i, delta) in scc.iter().zip(&deltas) {
+                        let total = defined.get_mut(safe[i].name()).expect("seeded above");
+                        total.rows.extend(delta.rows.iter().cloned());
                     }
-                    deltas = new_deltas;
                 }
                 for name in &member_names {
                     defined.remove(&delta_name(name));
@@ -303,6 +343,43 @@ impl Engine<'_> {
     }
 }
 
+/// The rows one SCC member has derived so far, as a set: one slot per
+/// distinct row, holding the row's index in the member's total. No key is
+/// stored — a slot is verified against the row it points at — so testing
+/// a derived row allocates nothing, and equality is [`Relation::row_key`]'s
+/// (`1` and `1.0` are one tuple, `NULL`s group).
+#[derive(Default)]
+struct SeenRows {
+    slots: KeySlots,
+    state: RandomState,
+}
+
+impl SeenRows {
+    /// What one slot charges the guard's accountant.
+    const SLOT_BYTES: usize = 16;
+
+    /// Whether `row` is new. A new row claims index
+    /// `total.len() + pending.len()`: the caller pushes it onto `pending`,
+    /// and appends `pending` to `total` before the next round.
+    fn insert(&mut self, row: &[Value], total: &[Tuple], pending: &[Tuple]) -> bool {
+        let mut h = self.state.build_hasher();
+        for v in row {
+            v.key_ref().hash(&mut h);
+        }
+        let id = u32::try_from(total.len() + pending.len()).expect("fewer than 2^32 derived rows");
+        self.slots.insert(h.finish(), id, |at| {
+            let stored = match (at as usize).checked_sub(total.len()) {
+                None => &total[at as usize],
+                Some(at) => &pending[at],
+            };
+            stored
+                .iter()
+                .zip(row)
+                .all(|(a, b)| a.key_ref() == b.key_ref())
+        })
+    }
+}
+
 /// Reserved delta-relation name (cannot collide with user names, which are
 /// parsed identifiers).
 fn delta_name(name: &str) -> String {
@@ -310,7 +387,7 @@ fn delta_name(name: &str) -> String {
 }
 
 /// All named binding sources of a collection, recursively.
-fn collect_sources(c: &Collection, out: &mut Vec<String>) {
+pub(crate) fn collect_sources(c: &Collection, out: &mut Vec<String>) {
     fn walk(f: &Formula, out: &mut Vec<String>) {
         match f {
             Formula::Quant(q) => {
@@ -503,6 +580,41 @@ mod tests {
         first.sort_unstable();
         assert_eq!(first, vec![1, 2]);
         assert_eq!(sccs[1], vec![0]);
+    }
+
+    #[test]
+    fn seen_rows_admit_a_row_once_across_rounds() {
+        let pair = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
+        let mut seen = SeenRows::default();
+        let mut total: Vec<Tuple> = Vec::new();
+        let mut round = |rows: Vec<Tuple>, total: &mut Vec<Tuple>| {
+            let mut pending = Vec::new();
+            for row in rows {
+                if seen.insert(&row, total, &pending) {
+                    pending.push(row);
+                }
+            }
+            total.extend(pending.iter().cloned());
+            pending
+        };
+        // De-duplicated in first-occurrence order within a round …
+        let seed = round(vec![pair(1, 2), pair(3, 4), pair(1, 2)], &mut total);
+        assert_eq!(seed, [pair(1, 2), pair(3, 4)]);
+        // … and minus everything derived before, under grouping-key
+        // equality: `1.0` is `1`, NULLs group.
+        let nulls = vec![Value::Null, Value::Null];
+        let delta = round(
+            vec![
+                pair(3, 4),
+                vec![Value::Float(1.0), Value::Int(2)],
+                pair(5, 6),
+                nulls.clone(),
+                nulls.clone(),
+            ],
+            &mut total,
+        );
+        assert_eq!(delta, [pair(5, 6), nulls]);
+        assert_eq!(total.len(), 4);
     }
 
     #[test]

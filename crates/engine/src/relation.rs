@@ -398,21 +398,6 @@ impl Relation {
         out.rows.extend(other.rows.iter().cloned());
         out
     }
-
-    /// Rows of `self` not present in `other` (set difference by key).
-    pub fn minus_set(&self, other: &Relation) -> Relation {
-        let other_keys = other.key_set();
-        let mut out = Relation::new(self.name.clone(), &[]);
-        out.schema = self.schema.clone();
-        let mut scratch = Vec::with_capacity(self.arity());
-        for row in &self.rows {
-            Relation::row_key_into(row, &mut scratch);
-            if !other_keys.contains(scratch.as_slice()) {
-                out.rows.push(row.clone());
-            }
-        }
-        out
-    }
 }
 
 /// A value's hash key for equi-join purposes, or `None` when the value can
@@ -502,15 +487,6 @@ mod tests {
         rel.push(vec![Value::Null]);
         rel.push(vec![Value::Null]);
         assert_eq!(rel.deduped().len(), 1);
-    }
-
-    #[test]
-    fn minus_set_removes_matches() {
-        let a = r(&[&[1, 2], &[3, 4]]);
-        let b = r(&[&[1, 2]]);
-        let d = a.minus_set(&b);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.rows[0], vec![Value::Int(3), Value::Int(4)]);
     }
 
     #[test]

@@ -2230,3 +2230,70 @@ fn sentence_aggregate_under_connective_errors_like_collections() {
         "got {err:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// §2.4 — the lateral memo's footprint, read off the guard's accountant
+// ---------------------------------------------------------------------------
+
+/// `{Q(k,c) | ∃b ∈ Big, x ∈ {X(c) | ∃t ∈ T, γ∅ [t.C < b.k ∧ X.c = count(*)]}
+/// [Q.k = b.k ∧ Q.c = x.c]}` over `keys` as `Big.k`: the accountant's
+/// peak, and the result. Nothing but the memo charges the guard here (no
+/// equi-join, relations too small for the columnar path).
+fn lateral_memo_peak(keys: impl Iterator<Item = i64>) -> (usize, Relation) {
+    let inner = collection(
+        "X",
+        &["c"],
+        quant(
+            &[bind("t", "T")],
+            group_all(),
+            None,
+            and([
+                lt(col("t", "C"), col("b", "k")),
+                assign_agg("X", "c", count_star()),
+            ]),
+        ),
+    );
+    let q = collection(
+        "Q",
+        &["k", "c"],
+        exists(
+            &[bind("b", "Big"), bind_coll("x", inner)],
+            and([
+                assign("Q", "k", col("b", "k")),
+                assign("Q", "c", col("x", "c")),
+            ]),
+        ),
+    );
+    let mut big = Relation::new("Big", &["k"]);
+    for k in keys {
+        big.push(vec![Value::Int(k)]);
+    }
+    let catalog = Catalog::new()
+        .with(big)
+        .with(ints("T", &["C"], &[&[0], &[1]]));
+    let guard = std::sync::Arc::new(arc_guard::QueryGuard::new(None, None, None, None));
+    let (defined, abstracts) = Default::default();
+    let out = Engine::new(&catalog, Conventions::sql())
+        .with_threads(1)
+        .eval_with(&q, &defined, &abstracts, Some(&guard))
+        .unwrap();
+    (guard.mem_peak(), out)
+}
+
+#[test]
+fn lateral_memo_abandons_an_all_distinct_key() {
+    // 32 keys over 12 000 rows: 32 entries, however long the scan.
+    let (repeated, out) = lateral_memo_peak((0..12_000).map(|k| k % 32));
+    assert_eq!(out.len(), 12_000);
+    assert!(repeated > 0, "the memo charges what it holds");
+    let per_entry = repeated / 32;
+    assert_eq!(repeated, 32 * per_entry);
+
+    // 12 000 keys over 12 000 rows: once misses outnumber hits past the
+    // first 128 probes — here, at the 128th — nothing more is admitted,
+    // and the rows are the per-row ones.
+    let (distinct, out) = lateral_memo_peak(0..12_000);
+    assert_eq!(distinct, 127 * per_entry, "127 entries, not 12 000");
+    let want: Vec<Vec<Value>> = (0..12_000).map(|k| row(&[k, k.min(2)])).collect();
+    assert_eq!(out.rows, want);
+}

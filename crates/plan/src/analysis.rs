@@ -184,9 +184,28 @@ pub fn pred_consts(p: &Predicate) -> Vec<arc_core::value::Value> {
 /// Free variables of a collection: referenced variables that no internal
 /// binding (or the collection's own head) declares.
 pub fn free_vars(c: &Collection) -> Vec<String> {
-    let mut bound: Vec<String> = vec![c.head.relation.clone()];
-    let mut free = Vec::new();
-    collect_free(&c.body, &mut bound, &mut free);
+    let mut free: Vec<String> = Vec::new();
+    let mut bound = vec![c.head.relation.as_str()];
+    each_free_ref(&c.body, &mut bound, &mut |r| {
+        if !free.contains(&r.var) {
+            free.push(r.var.clone());
+        }
+    });
+    free
+}
+
+/// The attribute references a collection reads from outside itself —
+/// [`free_vars`] at `var.attr` granularity, each pair once, in occurrence
+/// order. Together their values are everything a nested collection's
+/// result depends on in its environment: its *correlation key*.
+pub fn free_attr_refs(c: &Collection) -> Vec<&AttrRef> {
+    let mut free: Vec<&AttrRef> = Vec::new();
+    let mut bound = vec![c.head.relation.as_str()];
+    each_free_ref(&c.body, &mut bound, &mut |r| {
+        if !free.contains(&r) {
+            free.push(r);
+        }
+    });
     free
 }
 
@@ -195,48 +214,59 @@ pub fn free_vars(c: &Collection) -> Vec<String> {
 /// detect non-equi-join correlation hiding in a scope's boolean
 /// subformulas (a nested quantifier referencing an outer variable).
 pub fn formula_free_vars(f: &Formula) -> Vec<String> {
-    let mut bound = Vec::new();
-    let mut free = Vec::new();
-    collect_free(f, &mut bound, &mut free);
+    let mut free: Vec<String> = Vec::new();
+    each_free_ref(f, &mut Vec::new(), &mut |r| {
+        if !free.contains(&r.var) {
+            free.push(r.var.clone());
+        }
+    });
     free
 }
 
-fn collect_free(f: &Formula, bound: &mut Vec<String>, free: &mut Vec<String>) {
+/// Visit every attribute reference of `f` whose variable nothing in
+/// `bound` — extended by the quantifiers passed on the way down —
+/// declares.
+fn each_free_ref<'f>(
+    f: &'f Formula,
+    bound: &mut Vec<&'f str>,
+    visit: &mut impl FnMut(&'f AttrRef),
+) {
     match f {
         Formula::Quant(q) => {
             let base = bound.len();
             for b in &q.bindings {
                 if let BindingSource::Collection(c) = &b.source {
                     // The nested collection sees current bound vars.
-                    let mut inner_bound = bound.clone();
-                    inner_bound.push(c.head.relation.clone());
-                    collect_free(&c.body, &mut inner_bound, free);
+                    let inner = bound.len();
+                    bound.push(&c.head.relation);
+                    each_free_ref(&c.body, bound, visit);
+                    bound.truncate(inner);
                 }
-                bound.push(b.var.clone());
+                bound.push(&b.var);
             }
-            collect_free(&q.body, bound, free);
+            for key in q.grouping.iter().flat_map(|g| &g.keys) {
+                if !bound.contains(&key.var.as_str()) {
+                    visit(key);
+                }
+            }
+            each_free_ref(&q.body, bound, visit);
             bound.truncate(base);
         }
         Formula::And(fs) | Formula::Or(fs) => {
             for sub in fs {
-                collect_free(sub, bound, free);
+                each_free_ref(sub, bound, visit);
             }
         }
-        Formula::Not(inner) => collect_free(inner, bound, free),
+        Formula::Not(inner) => each_free_ref(inner, bound, visit),
         Formula::Pred(p) => {
-            let mut push_scalar = |s: &Scalar| {
-                for r in s.attr_refs() {
-                    if !bound.iter().any(|b| b == &r.var) && !free.contains(&r.var) {
-                        free.push(r.var.clone());
-                    }
-                }
+            let scalars = match p {
+                Predicate::Cmp { left, right, .. } => [Some(left), Some(right)],
+                Predicate::IsNull { expr, .. } => [Some(expr), None],
             };
-            match p {
-                Predicate::Cmp { left, right, .. } => {
-                    push_scalar(left);
-                    push_scalar(right);
+            for r in scalars.into_iter().flatten().flat_map(Scalar::attr_refs) {
+                if !bound.contains(&r.var.as_str()) {
+                    visit(r);
                 }
-                Predicate::IsNull { expr, .. } => push_scalar(expr),
             }
         }
     }

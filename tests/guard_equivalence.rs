@@ -341,13 +341,23 @@ fn fault_matrix_structured_errors_and_survival() {
     for case in seam_cases() {
         let catalog = (case.catalog)();
         let q = (case.query)();
-        let reference = Engine::new(&catalog, Conventions::sql())
-            .with_threads(case.threads)
-            .eval_collection(&q)
-            .unwrap();
+        // Every case's premise is a build the *planned* pipeline performs
+        // with all its access paths on (a hash index, a semi-join key
+        // set, column chunks, an ordered index, a selection vector): pin
+        // that configuration, so a CI leg that forces a strategy or
+        // switches a path off through the environment cannot make the
+        // seam unreachable.
+        let engine = || {
+            Engine::new(&catalog, Conventions::sql())
+                .with_strategy(EvalStrategy::Planned)
+                .with_decorrelate(true)
+                .with_vectorize(true)
+                .with_indexes(true)
+                .with_threads(case.threads)
+        };
+        let reference = engine().eval_collection(&q).unwrap();
 
-        let panicked = Engine::new(&catalog, Conventions::sql())
-            .with_threads(case.threads)
+        let panicked = engine()
             .with_fault(FaultPlan {
                 seam: case.seam,
                 at: 1,
@@ -366,8 +376,7 @@ fn fault_matrix_structured_errors_and_survival() {
             ),
         }
 
-        let denied = Engine::new(&catalog, Conventions::sql())
-            .with_threads(case.threads)
+        let denied = engine()
             .with_fault(FaultPlan {
                 seam: case.seam,
                 at: 1,
@@ -396,10 +405,7 @@ fn fault_matrix_structured_errors_and_survival() {
 
         // Survival: the same catalog — shared relation-level caches,
         // the global worker pool — answers unguarded, identically.
-        let after = Engine::new(&catalog, Conventions::sql())
-            .with_threads(case.threads)
-            .eval_collection(&q)
-            .unwrap();
+        let after = engine().eval_collection(&q).unwrap();
         assert_eq!(
             after.rows, reference.rows,
             "seam {}: post-fault rerun drifted",
@@ -407,40 +413,42 @@ fn fault_matrix_structured_errors_and_survival() {
         );
     }
 
-    // The fixpoint-round seam needs a recursive program.
+    // The fixpoint-round seam needs a recursive program. Round 1 faults
+    // before any delta is derived; rounds 2 and 3 fault with the
+    // persistent totals and seen sets already partly filled. Either way
+    // the error is structured and an unfaulted engine over the same
+    // catalog then answers row-identically, order included.
     let catalog = chain_catalog(24, 0, 3);
     let p = fx::eq16();
     let reference = Engine::new(&catalog, Conventions::set())
         .eval_program(&p)
         .unwrap();
-    for (kind, expect) in [
-        (FaultKind::Panic, "WorkerPanic"),
-        (FaultKind::Budget, "MemoryBudget"),
-    ] {
-        let out = Engine::new(&catalog, Conventions::set())
-            .with_fault(FaultPlan {
-                seam: seam::FIXPOINT_ROUND,
-                at: 1,
-                kind,
-            })
-            .eval_program(&p);
-        let structured = matches!(
-            (&out, expect),
-            (Err(EvalError::WorkerPanic(_)), "WorkerPanic")
-                | (Err(EvalError::MemoryBudget), "MemoryBudget")
-        );
-        assert!(
-            structured,
-            "fixpoint-round {kind:?}: expected {expect}, got {out:?}"
-        );
+    for at in 1..=3 {
+        for kind in [FaultKind::Panic, FaultKind::Budget] {
+            let out = Engine::new(&catalog, Conventions::set())
+                .with_fault(FaultPlan {
+                    seam: seam::FIXPOINT_ROUND,
+                    at,
+                    kind,
+                })
+                .eval_program(&p);
+            let structured = match kind {
+                FaultKind::Panic => matches!(out, Err(EvalError::WorkerPanic(_))),
+                _ => matches!(out, Err(EvalError::MemoryBudget)),
+            };
+            assert!(
+                structured,
+                "fixpoint-round:{at} {kind:?}: expected a structured error, got {out:?}"
+            );
+            let after = Engine::new(&catalog, Conventions::set())
+                .eval_program(&p)
+                .unwrap();
+            assert_eq!(
+                after.defined["A"].rows, reference.defined["A"].rows,
+                "fixpoint-round:{at} {kind:?}: post-fault rerun drifted"
+            );
+        }
     }
-    let after = Engine::new(&catalog, Conventions::set())
-        .eval_program(&p)
-        .unwrap();
-    assert_eq!(
-        after.defined["A"].rows, reference.defined["A"].rows,
-        "fixpoint-round: post-fault rerun drifted"
-    );
 }
 
 /// CI smoke, env-armed: with `ARC_FAULT=seam:N[:kind]` in the
@@ -486,4 +494,30 @@ fn arc_fault_smoke() {
             case.seam
         );
     }
+    // The recursive program: the one battery entry that visits the
+    // fixpoint-round seam (once per round, so `fixpoint-round:3` fires
+    // with totals and seen sets partly filled).
+    let catalog = chain_catalog(24, 0, 3);
+    let run = || {
+        Engine::new(&catalog, Conventions::set())
+            .eval_program(&fx::eq16())
+            .map(|out| out.defined["A"].rows.clone())
+    };
+    let first = run();
+    assert!(
+        matches!(
+            first,
+            Ok(_)
+                | Err(EvalError::WorkerPanic(_))
+                | Err(EvalError::MemoryBudget)
+                | Err(EvalError::Cancelled)
+                | Err(EvalError::DeadlineExceeded)
+        ),
+        "battery fixpoint: ARC_FAULT produced a non-guard error: {first:?}"
+    );
+    assert_eq!(
+        first,
+        run(),
+        "battery fixpoint: fault injection must be deterministic"
+    );
 }

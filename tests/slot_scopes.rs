@@ -3,13 +3,16 @@
 //! These tests pin what that must not change — lexical scoping, error
 //! texts and *when* an error is raised, aggregate results bit for bit —
 //! across the default engine, the parallel executor and the nested-loop
-//! strategy.
+//! strategy; and what a lateral step's memo must deliver: one evaluation
+//! per distinct value of the outer attributes it reads, with the rows,
+//! the errors and their timing of per-row evaluation.
 
 use arc_bench::fixtures as fx;
-use arc_core::ast::{Collection, Program};
+use arc_core::ast::{BindingSource, Collection, Formula, Program};
 use arc_core::conventions::{Conventions, EmptyAgg};
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, EvalError, EvalStrategy, Relation};
+use arc_trace::OpId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -351,6 +354,199 @@ fn an_unknown_relation_is_reported_before_any_row() {
             .eval_collection(&fx::q("{Q(A) | ∃e ∈ E, x ∈ Nowhere [Q.A = x.A]}"))
             .unwrap_err();
         assert_eq!(err, EvalError::UnknownRelation("Nowhere".into()), "{name}");
+    }
+}
+
+// ----------------------------------------------------------- lateral memo
+
+/// The inner scope of the lateral bound by binding `n` of `q`'s outer
+/// scope: its profile id is its binding slice's address.
+fn lateral_scope_id(q: &Collection, n: usize) -> usize {
+    let Formula::Quant(outer) = &q.body else {
+        panic!("expected a quantifier scope")
+    };
+    let BindingSource::Collection(c) = &outer.bindings[n].source else {
+        panic!("binding {n} is not a nested collection")
+    };
+    let Formula::Quant(inner) = &c.body else {
+        panic!("expected a quantifier scope inside the lateral")
+    };
+    inner.bindings.as_ptr() as usize
+}
+
+/// How often the engine entered the lateral's inner scope.
+fn lateral_calls(engine: &Engine<'_>, q: &Collection, n: usize) -> u64 {
+    let (_, profile) = engine.profile_collection(q).unwrap();
+    profile
+        .op(OpId::scope(lateral_scope_id(q, n)))
+        .map_or(0, |op| op.calls)
+}
+
+/// Engines that enter a lateral declared after `r ∈ R` once per `R` row:
+/// declaration order pinned, sequentially and over four workers sharing
+/// the compiled step.
+fn per_row_engines(catalog: &Catalog) -> Vec<Engine<'_>> {
+    let engine =
+        || Engine::new(catalog, Conventions::sql()).with_strategy(EvalStrategy::NestedLoop);
+    vec![engine().with_threads(1), engine().with_threads(4)]
+}
+
+#[test]
+fn an_outer_free_lateral_is_evaluated_once() {
+    let catalog = catalog();
+    // `y` mentions nothing of `r`: however the scope is ordered, one
+    // evaluation serves all 24 rows of R (Eq 12 then costs what Eq 8 does).
+    let q = fx::q(
+        "{Q(A,n) | ∃r ∈ R, y ∈ {Y(n) | ∃s ∈ S, γ ∅ [s.A < 10 ∧ Y.n = count(*)]} \
+         [Q.A = r.A ∧ Q.n = y.n]}",
+    );
+    let got = assert_engines_agree(&catalog, Conventions::sql(), &q);
+    assert_eq!(got.len(), 24);
+    assert!(got.rows.iter().all(|row| row[1] == i(3)));
+    assert_eq!(lateral_calls(&per_row_engines(&catalog)[0], &q, 1), 1);
+    assert_eq!(
+        lateral_calls(&Engine::new(&catalog, Conventions::sql()), &q, 1),
+        1
+    );
+}
+
+#[test]
+fn a_correlated_lateral_is_evaluated_once_per_distinct_key() {
+    let catalog = catalog();
+    // R.B takes four values over 24 rows; the empty group (no S row has
+    // B = 3) still yields its row, from the memo like any other.
+    let q = fx::q(
+        "{Q(A,n,sm) | ∃r ∈ R, x ∈ {X(n,sm) | ∃s ∈ S, γ ∅ \
+         [s.B = r.B ∧ X.n = count(*) ∧ X.sm = sum(s.A)]} [Q.A = r.A ∧ Q.n = x.n ∧ Q.sm = x.sm]}",
+    );
+    let want: Vec<Vec<Value>> = (0..24i64)
+        .map(|k| match k % 4 {
+            0 => vec![i(k), i(1), i(2)],
+            1 => vec![i(k), i(2), i(8)],
+            2 => vec![i(k), i(1), i(40)],
+            _ => vec![i(k), i(0), Value::Null],
+        })
+        .collect();
+    let want: Vec<&[Value]> = want.iter().map(Vec::as_slice).collect();
+    assert_rows(&catalog, Conventions::sql(), &q, &want);
+    for engine in per_row_engines(&catalog) {
+        let calls = lateral_calls(&engine, &q, 1);
+        // Workers that miss the same key at the same moment may both
+        // evaluate it; sequentially it is exactly once per key.
+        assert!((4..=8).contains(&calls), "{calls} evaluations for 4 keys");
+    }
+    assert_eq!(lateral_calls(&per_row_engines(&catalog)[0], &q, 1), 4);
+}
+
+#[test]
+fn memo_keys_are_exact_values_not_equal_ones() {
+    // The inner head copies the outer value, so `1` and `1.0` — equal
+    // under `=` — and `0.0` and `-0.0` must not share a memo entry.
+    let keys = [
+        i(1),
+        Value::Float(1.0),
+        i(1),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(1.0),
+        Value::Null,
+        i(0),
+    ];
+    let mut o = Relation::new("O", &["k"]);
+    for k in &keys {
+        o.push(vec![k.clone()]);
+    }
+    let catalog = Catalog::new()
+        .with(o)
+        .with(Relation::from_ints("T", &["C"], &[&[0]]));
+    let q = fx::q("{Q(v) | ∃o ∈ O, x ∈ {X(v) | ∃t ∈ T [X.v = o.k]} [Q.v = x.v]}");
+    let want: Vec<Vec<Value>> = keys.iter().map(|k| vec![k.clone()]).collect();
+    for (name, engine) in engines(&catalog, Conventions::sql()) {
+        let got = engine.eval_collection(&q).unwrap();
+        assert_eq!(exact(&got.rows), exact(&want), "{name}");
+    }
+}
+
+#[test]
+fn a_raising_lateral_raises_the_same_error_on_the_same_outer_row() {
+    let catalog = catalog();
+    // R's rows carry B = 0, 1, 2, 3, 0, …: the first (B = 0) matches
+    // nothing inside and is silent; the second (B = 1) matches a U row
+    // and evaluates `u.bad1`; `s.bad2` would first be evaluated on the
+    // third. Whatever the memo holds by then, the error is the second
+    // row's.
+    let q = fx::q(
+        "{Q(A,v) | ∃r ∈ R, x ∈ {X(v) | ∃u ∈ U [u.D = r.B ∧ X.v = u.bad1] ∨ \
+         ∃s ∈ S [s.A = r.B ∧ X.v = s.bad2]} [Q.A = r.A ∧ Q.v = x.v]}",
+    );
+    let want = EvalError::UnknownAttribute {
+        var: "u".into(),
+        attr: "bad1".into(),
+    };
+    for (name, engine) in engines(&catalog, Conventions::sql()) {
+        let got = engine.eval_collection(&q).unwrap_err();
+        assert_eq!(got, want, "{name}");
+        assert_eq!(got.to_string(), want.to_string(), "{name}");
+    }
+}
+
+/// `n` rows whose key column is all-distinct, and a two-row inner side.
+fn distinct_keys(n: i64) -> Catalog {
+    let mut big = Relation::new("Big", &["k"]);
+    for k in 0..n {
+        big.push(vec![i(k)]);
+    }
+    Catalog::new()
+        .with(big)
+        .with(Relation::from_ints("T", &["C"], &[&[0], &[1]]))
+}
+
+const PER_KEY: &str = "{Q(k,c) | ∃b ∈ Big, x ∈ {X(c) | ∃t ∈ T, γ ∅ [t.C < b.k ∧ X.c = count(*)]} \
+     [Q.k = b.k ∧ Q.c = x.c]}";
+
+#[test]
+fn an_all_distinct_key_and_a_denied_memo_change_no_row() {
+    // 10 000 outer rows, no key twice: the memo gives up early (its size
+    // is pinned where the guard's accountant is visible, in the engine's
+    // own tests) and the rows are what per-row evaluation returns. With
+    // a budget that denies every reservation there is no memo at all.
+    let catalog = distinct_keys(10_000);
+    let q = fx::q(PER_KEY);
+    let want: Vec<Vec<Value>> = (0..10_000i64).map(|k| vec![i(k), i(k.min(2))]).collect();
+    let engine = || Engine::new(&catalog, Conventions::sql());
+    for (name, engine) in [
+        ("default", engine()),
+        ("threads(4)", engine().with_threads(4)),
+        ("denied", engine().with_mem_budget(1)),
+        (
+            "denied, threads(4)",
+            engine().with_mem_budget(1).with_threads(4),
+        ),
+        ("generous", engine().with_mem_budget(1 << 30)),
+    ] {
+        let got = engine.eval_collection(&q).unwrap();
+        assert_eq!(exact(&got.rows), exact(&want), "{name}");
+    }
+    // A repeated key under the same denial: still row-identical.
+    let catalog = self::catalog();
+    let q = fx::q(
+        "{Q(A,n) | ∃r ∈ R, x ∈ {X(n) | ∃s ∈ S, γ ∅ [s.B = r.B ∧ X.n = count(*)]} \
+         [Q.A = r.A ∧ Q.n = x.n]}",
+    );
+    let reference = Engine::new(&catalog, Conventions::sql())
+        .eval_collection(&q)
+        .unwrap();
+    for threads in [1, 4] {
+        let denied = Engine::new(&catalog, Conventions::sql())
+            .with_mem_budget(1)
+            .with_threads(threads)
+            .eval_collection(&q)
+            .unwrap();
+        assert_eq!(
+            exact(&denied.rows),
+            exact(&reference.rows),
+            "threads {threads}"
+        );
     }
 }
 

@@ -167,7 +167,12 @@ fn wide_range(n: usize) -> arc_core::ast::Collection {
 #[test]
 fn span_trace_golden_partitioned_range_join() {
     let n = 4096;
-    let catalog = fx::stats_skew_catalog(n);
+    // The partitioned plan is statistics-driven (the filtered `R` scan
+    // must price as the cheapest first step): analyze explicitly, so the
+    // `ARC_STATS=off` leg — which only disables *automatic* analysis —
+    // sees the same plan.
+    let mut catalog = fx::stats_skew_catalog(n);
+    catalog.analyze();
     let q = wide_range(n);
     let engine = Engine::new(&catalog, Conventions::sql())
         .with_strategy(EvalStrategy::Planned)
@@ -322,10 +327,13 @@ fn span_trace_sequential_records_scopes() {
 #[test]
 fn latency_quantiles_surface_in_metrics_text() {
     let n = 4096;
-    let catalog = fx::stats_skew_catalog(n);
+    // Analyzed explicitly for the same reason as the golden above.
+    let mut catalog = fx::stats_skew_catalog(n);
+    catalog.analyze();
     let q = wide_range(n);
     let before = arc_trace::snapshot();
     let out = Engine::new(&catalog, Conventions::sql())
+        .with_strategy(EvalStrategy::Planned)
         .with_threads(4)
         .with_indexes(false)
         .eval_collection(&q)

@@ -255,7 +255,10 @@ fn explain_analyze_footer_reports_misestimates() {
     for i in 0..1024i64 {
         s.push(vec![(if i < 1000 { 0i64 } else { 7 }).into(), i.into()]);
     }
-    let skewed = arc_engine::Catalog::new().with(r).with(s);
+    // Analyzed explicitly: the estimate below is a statistics-driven one,
+    // and `ARC_STATS=off` disables only the *automatic* analysis.
+    let mut skewed = arc_engine::Catalog::new().with(r).with(s);
+    skewed.analyze();
     let analyzed = Engine::new(&skewed, Conventions::sql())
         .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
