@@ -18,10 +18,9 @@
 //!   [`cmp_truth`]);
 //! - [`ColumnChunk::join_keys_into`] computes equi-join keys for a whole
 //!   column slice with [`Value::join_key`] semantics (`NULL`/`NaN` never
-//!   join, integral floats normalize to integer keys);
-//! - [`ColumnChunk::for_each_key`] streams grouping keys ([`Value::key`]
-//!   semantics: `NULL`s group, `NaN` is self-equal) to a consumer, which
-//!   is how `ANALYZE` sketches columns without re-materializing them.
+//!   join, integral floats normalize to integer keys) — what `ANALYZE`
+//!   reads string and mixed chunks through; it folds `Int`, `Float` and
+//!   `Bool` chunks straight off [`ColumnChunk::data`].
 //!
 //! Invalid (null) slots in a typed payload hold placeholder defaults, so
 //! every kernel masks with validity before trusting the payload.
@@ -306,71 +305,6 @@ impl ColumnChunk {
             ColumnData::Null => {
                 for _ in 0..self.len {
                     out.push(None);
-                }
-            }
-        }
-    }
-
-    /// Stream the grouping key ([`Value::key`] semantics) of every slot to
-    /// `f(slot, key)`, in slot order, without materializing a key vector.
-    pub fn for_each_key(&self, mut f: impl FnMut(usize, Key)) {
-        match &self.data {
-            ColumnData::Int(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    f(
-                        i,
-                        if self.is_valid(i) {
-                            Key::Int(*x)
-                        } else {
-                            Key::Null
-                        },
-                    );
-                }
-            }
-            ColumnData::Float(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    f(
-                        i,
-                        if self.is_valid(i) {
-                            Value::Float(*x).key()
-                        } else {
-                            Key::Null
-                        },
-                    );
-                }
-            }
-            ColumnData::Bool(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    f(
-                        i,
-                        if self.is_valid(i) {
-                            Key::Bool(*x)
-                        } else {
-                            Key::Null
-                        },
-                    );
-                }
-            }
-            ColumnData::Str(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    f(
-                        i,
-                        if self.is_valid(i) {
-                            Key::Str(x.clone())
-                        } else {
-                            Key::Null
-                        },
-                    );
-                }
-            }
-            ColumnData::Mixed(vs) => {
-                for (i, v) in vs.iter().enumerate() {
-                    f(i, v.key());
-                }
-            }
-            ColumnData::Null => {
-                for i in 0..self.len {
-                    f(i, Key::Null);
                 }
             }
         }
@@ -703,23 +637,6 @@ mod tests {
         let want: Vec<Option<Key>> = col.iter().map(|v| v.join_key()).collect();
         assert_eq!(keys, want);
         assert_eq!(keys[0], keys[1], "integral float joins with int");
-    }
-
-    #[test]
-    fn for_each_key_follows_grouping_semantics() {
-        let col = vec![
-            Value::Null,
-            Value::Float(f64::NAN),
-            Value::Float(2.0),
-            Value::Int(2),
-            Value::str("s"),
-            Value::Bool(true),
-        ];
-        let set = ColumnSet::encode(1, &rows_of(&col));
-        let mut got = Vec::new();
-        set.chunks()[0].col(0).for_each_key(|i, k| got.push((i, k)));
-        let want: Vec<(usize, Key)> = col.iter().enumerate().map(|(i, v)| (i, v.key())).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

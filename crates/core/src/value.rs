@@ -110,13 +110,7 @@ impl Value {
     /// comparison convention.
     #[inline]
     pub fn key(&self) -> Key {
-        match self.key_ref() {
-            KeyRef::Null => Key::Null,
-            KeyRef::Bool(b) => Key::Bool(b),
-            KeyRef::Int(i) => Key::Int(i),
-            KeyRef::Float(bits) => Key::Float(bits),
-            KeyRef::Str(s) => Key::Str(s.to_string()),
-        }
+        self.key_ref().to_key()
     }
 
     /// [`Value::key`] without the copy: the same canonical form, borrowing
@@ -294,8 +288,23 @@ pub enum Key {
     Str(String),
 }
 
+impl Key {
+    /// The borrowed view of this key (what [`Value::key_ref`] yields for
+    /// the value the key was built from).
+    #[inline]
+    pub fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            Key::Null => KeyRef::Null,
+            Key::Bool(b) => KeyRef::Bool(*b),
+            Key::Int(i) => KeyRef::Int(*i),
+            Key::Float(bits) => KeyRef::Float(*bits),
+            Key::Str(s) => KeyRef::Str(s),
+        }
+    }
+}
+
 /// A [`Key`] that borrows its string payload: same variants, same
-/// equality, produced by [`Value::key_ref`].
+/// equality, produced by [`Value::key_ref`] and [`Key::key_ref`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants/fields are self-describing
 pub enum KeyRef<'a> {
@@ -304,6 +313,20 @@ pub enum KeyRef<'a> {
     Int(i64),
     Float(u64),
     Str(&'a str),
+}
+
+impl KeyRef<'_> {
+    /// The owned [`Key`] this view stands for (copies a string payload).
+    #[inline]
+    pub fn to_key(self) -> Key {
+        match self {
+            KeyRef::Null => Key::Null,
+            KeyRef::Bool(b) => Key::Bool(b),
+            KeyRef::Int(i) => Key::Int(i),
+            KeyRef::Float(bits) => Key::Float(bits),
+            KeyRef::Str(s) => Key::Str(s.to_string()),
+        }
+    }
 }
 
 /// Three-valued logic (Kleene), as used by SQL (paper §2.10).

@@ -9,10 +9,19 @@
 //! are excluded outright: under three-valued logic neither can satisfy an
 //! equality *or* an ordering predicate, so no bound prefix could ever
 //! select them). Entries sort lexicographically by a total order over
-//! [`Key`]s — class rank first (booleans, then numerics with `Int`/`Float`
+//! keys — class rank first (booleans, then numerics with `Int`/`Float`
 //! interleaved by numeric value, then strings), exact value within a
 //! class — with ties broken by row id, so equal-key runs enumerate in
 //! original row order.
+//!
+//! Beside the permutation the index keeps one *typed* key column per
+//! indexed column, in entry order: a packed `Vec<i64>` when every indexed
+//! key of that column is `Key::Int` (integral floats already normalize to
+//! it, so an `Int` column holding `3.0` stays typed), a `Vec<Key>`
+//! otherwise — decided per column from the keys the build saw, never
+//! from an option. The search reads either layout through the borrowed
+//! [`KeyRef`] view, so there is one search path and one comparator
+//! ([`key_cmp`]) whatever the columns hold.
 //!
 //! ## Search semantics — who defines "equal" and "less"
 //!
@@ -20,7 +29,7 @@
 //! sources, each matching the execution path it replaces:
 //!
 //! * **equality prefix** — exact [`Key`] match, the same rule the
-//!   hash-join index uses ([`Relation::key_for`]): an index-range step
+//!   hash-join index uses ([`Relation::key_for`](crate::relation::Relation::key_for)): an index-range step
 //!   with a constant-equality prefix replaces a hash probe, and must
 //!   select exactly the rows that probe would have.
 //! * **range bound** — [`Value::compare`] semantics, the same rule the
@@ -41,21 +50,21 @@
 //! invariant 13, and what lets the selection compose with chunk-aligned
 //! morsel partitioning unchanged.
 
-use crate::relation::{Relation, Tuple};
+use crate::relation::Tuple;
 use arc_core::ast::{CmpOp, Predicate};
-use arc_core::value::{Key, Value};
+use arc_core::value::{Key, KeyRef, Value};
 use arc_plan::const_cmp;
 use std::cmp::Ordering;
 
 /// Comparability class of a key (mirrors [`Value::compare`]: values of
-/// different classes never order against each other). `Key::Null` never
+/// different classes never order against each other). `NULL` never
 /// enters an index.
-fn class(k: &Key) -> u8 {
+fn class(k: KeyRef<'_>) -> u8 {
     match k {
-        Key::Null => unreachable!("NULL keys are excluded at build time"),
-        Key::Bool(_) => 0,
-        Key::Int(_) | Key::Float(_) => 1,
-        Key::Str(_) => 2,
+        KeyRef::Null => unreachable!("NULL keys are excluded at build time"),
+        KeyRef::Bool(_) => 0,
+        KeyRef::Int(_) | KeyRef::Float(_) => 1,
+        KeyRef::Str(_) => 2,
     }
 }
 
@@ -78,24 +87,22 @@ fn value_class(v: &Value) -> Option<u8> {
 /// below 2^53, where `i64 → f64` ordering is lossless) and are never
 /// `Equal` cross-type — so an `Equal` run under this order is exactly a
 /// run of identical keys.
-fn key_cmp(a: &Key, b: &Key) -> Ordering {
+fn key_cmp(a: KeyRef<'_>, b: KeyRef<'_>) -> Ordering {
     let (ca, cb) = (class(a), class(b));
     if ca != cb {
         return ca.cmp(&cb);
     }
+    let float = |x: f64, y: f64| {
+        x.partial_cmp(&y)
+            .expect("NaN keys are excluded at build time")
+    };
     match (a, b) {
-        (Key::Bool(x), Key::Bool(y)) => x.cmp(y),
-        (Key::Int(x), Key::Int(y)) => x.cmp(y),
-        (Key::Str(x), Key::Str(y)) => x.cmp(y),
-        (Key::Float(x), Key::Float(y)) => f64::from_bits(*x)
-            .partial_cmp(&f64::from_bits(*y))
-            .expect("NaN keys are excluded at build time"),
-        (Key::Int(x), Key::Float(y)) => (*x as f64)
-            .partial_cmp(&f64::from_bits(*y))
-            .expect("NaN keys are excluded at build time"),
-        (Key::Float(x), Key::Int(y)) => f64::from_bits(*x)
-            .partial_cmp(&(*y as f64))
-            .expect("NaN keys are excluded at build time"),
+        (KeyRef::Bool(x), KeyRef::Bool(y)) => x.cmp(&y),
+        (KeyRef::Int(x), KeyRef::Int(y)) => x.cmp(&y),
+        (KeyRef::Str(x), KeyRef::Str(y)) => x.cmp(y),
+        (KeyRef::Float(x), KeyRef::Float(y)) => float(f64::from_bits(x), f64::from_bits(y)),
+        (KeyRef::Int(x), KeyRef::Float(y)) => float(x as f64, f64::from_bits(y)),
+        (KeyRef::Float(x), KeyRef::Int(y)) => float(f64::from_bits(x), y as f64),
         _ => unreachable!("cross-class pairs are ordered by class rank"),
     }
 }
@@ -107,23 +114,17 @@ fn key_cmp(a: &Key, b: &Key) -> Ordering {
 /// order (the `i64 → f64` widening is order-preserving), which is what
 /// makes binary search with it sound. Caller guarantees the constant is
 /// in the key's class and is not `NULL`/`NaN`.
-fn key_cmp_value(k: &Key, v: &Value) -> Ordering {
-    let within = match (k, v) {
-        (Key::Bool(a), Value::Bool(b)) => a.cmp(b),
-        (Key::Int(a), Value::Int(b)) => a.cmp(b),
-        (Key::Int(a), Value::Float(b)) => return (*a as f64).partial_cmp(b).expect("NaN guarded"),
-        (Key::Float(a), Value::Int(b)) => {
-            return f64::from_bits(*a)
-                .partial_cmp(&(*b as f64))
-                .expect("NaN keys are excluded at build time")
-        }
-        (Key::Float(a), Value::Float(b)) => {
-            return f64::from_bits(*a).partial_cmp(b).expect("NaN guarded")
-        }
-        (Key::Str(a), Value::Str(b)) => a.as_str().cmp(b.as_str()),
+fn key_cmp_value(k: KeyRef<'_>, v: &Value) -> Ordering {
+    let float = |x: f64, y: f64| x.partial_cmp(&y).expect("NaN keys and bounds are excluded");
+    match (k, v) {
+        (KeyRef::Bool(a), Value::Bool(b)) => a.cmp(b),
+        (KeyRef::Int(a), Value::Int(b)) => a.cmp(b),
+        (KeyRef::Int(a), Value::Float(b)) => float(a as f64, *b),
+        (KeyRef::Float(a), Value::Int(b)) => float(f64::from_bits(a), *b as f64),
+        (KeyRef::Float(a), Value::Float(b)) => float(f64::from_bits(a), *b),
+        (KeyRef::Str(a), Value::Str(b)) => a.cmp(b.as_str()),
         _ => unreachable!("caller narrows to the constant's class first"),
-    };
-    within
+    }
 }
 
 /// A resolved index probe: the constant equality prefix (exact keys, in
@@ -260,41 +261,142 @@ impl IndexPlan {
     }
 }
 
+/// One indexed column's keys, in entry order.
+enum KeyColumn {
+    /// Every indexed key of the column is `Key::Int`: the payloads, packed.
+    Int(Vec<i64>),
+    /// Anything else (another class, or a non-integral float among ints).
+    Keys(Vec<Key>),
+}
+
+impl KeyColumn {
+    fn get(&self, entry: usize) -> KeyRef<'_> {
+        match self {
+            KeyColumn::Int(xs) => KeyRef::Int(xs[entry]),
+            KeyColumn::Keys(ks) => ks[entry].key_ref(),
+        }
+    }
+
+    /// Append a key; the first non-`Int` one turns the column generic.
+    fn push(&mut self, k: KeyRef<'_>) {
+        match (&mut *self, k) {
+            (KeyColumn::Int(xs), KeyRef::Int(i)) => xs.push(i),
+            (KeyColumn::Int(xs), k) => {
+                let mut ks = Vec::with_capacity(xs.capacity());
+                ks.extend(xs.iter().map(|&i| Key::Int(i)));
+                ks.push(k.to_key());
+                *self = KeyColumn::Keys(ks);
+            }
+            (KeyColumn::Keys(ks), k) => ks.push(k.to_key()),
+        }
+    }
+
+    /// The column with slot `i` taken from old slot `order[i]` (`order`
+    /// is a permutation, so every key moves exactly once).
+    fn permuted(self, order: &[u32]) -> KeyColumn {
+        match self {
+            KeyColumn::Int(xs) => KeyColumn::Int(order.iter().map(|&p| xs[p as usize]).collect()),
+            KeyColumn::Keys(mut ks) => KeyColumn::Keys(
+                order
+                    .iter()
+                    .map(|&p| std::mem::replace(&mut ks[p as usize], Key::Null))
+                    .collect(),
+            ),
+        }
+    }
+}
+
 /// An ordered secondary index over one or more columns of a relation:
-/// the sorted permutation plus the (flattened) key tuples it sorts by.
+/// the sorted permutation plus the typed key columns it sorts by.
 pub(crate) struct OrderedIndex {
-    /// Number of indexed columns (key tuple width).
-    width: usize,
-    /// Key tuples, flattened: entry `i` owns `keys[i*width..(i+1)*width]`.
-    keys: Vec<Key>,
-    /// Row ids, parallel to the key tuples, in sorted order.
+    /// One key column per indexed column; entry `i` owns slot `i` of each.
+    keys: Vec<KeyColumn>,
+    /// Row ids, parallel to the key columns, in sorted order.
     perm: Vec<u32>,
     /// Source row count at build time (the cache's invalidation check,
     /// same rule as the relation's column cache).
     rows: usize,
 }
 
+/// Sort an all-`Int` index of width `W` in place: pack `(key, row id)`
+/// entries, sort them with native `Ord` (lexicographic key, then row id —
+/// the order [`key_cmp`] gives `Int` keys), unpack.
+fn sort_packed<const W: usize>(cols: &mut [&mut Vec<i64>], perm: &mut [u32]) {
+    let mut entries: Vec<([i64; W], u32)> = perm
+        .iter()
+        .enumerate()
+        .map(|(p, &rid)| (std::array::from_fn(|c| cols[c][p]), rid))
+        .collect();
+    entries.sort_unstable();
+    for (p, (key, rid)) in entries.into_iter().enumerate() {
+        for (col, k) in cols.iter_mut().zip(key) {
+            col[p] = k;
+        }
+        perm[p] = rid;
+    }
+}
+
 impl OrderedIndex {
+    /// Bytes a build over `rows` rows and `width` `Int` columns holds at
+    /// its peak — what `ORDERED_BUILD` reserves: the index (8 B per key
+    /// and the 4 B row id) plus the packed sort buffer beside it (the
+    /// same entries, the row id padded to 8 B).
+    pub(crate) fn build_bytes(rows: usize, width: usize) -> usize {
+        rows * ((8 * width + 4) + (8 * width + 8))
+    }
+
     /// Build the index over `cols` of `rows`. Rows where any indexed
     /// column lacks a join key (`NULL`/`NaN`) are excluded — they can
     /// never satisfy the equality or ordering predicates a probe encodes.
+    ///
+    /// One pass gathers the indexed columns flat (straight from `rows`,
+    /// so the build never needs the chunk cache), each column typed by
+    /// the keys it actually met. An all-`Int` index of up to three
+    /// columns then sorts packed `([i64; w], row id)` entries natively;
+    /// anything else sorts the permutation through the gathered columns
+    /// with [`key_cmp`], ties by row id. Either way nothing is allocated
+    /// per row beyond the string payload of a `Str` key.
     pub(crate) fn build(rows: &[Tuple], cols: &[usize]) -> OrderedIndex {
-        let width = cols.len().max(1);
-        let mut entries: Vec<(Vec<Key>, u32)> = Vec::with_capacity(rows.len());
+        let mut keys: Vec<KeyColumn> = cols
+            .iter()
+            .map(|_| KeyColumn::Int(Vec::with_capacity(rows.len())))
+            .collect();
+        let mut perm: Vec<u32> = Vec::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
-            if let Some(key) = Relation::key_for(row, cols) {
-                entries.push((key, i as u32));
+            if cols.iter().all(|&c| row[c].join_key_ref().is_some()) {
+                for (col, &c) in keys.iter_mut().zip(cols) {
+                    col.push(row[c].key_ref());
+                }
+                perm.push(i as u32);
             }
         }
-        entries.sort_unstable_by(|a, b| cmp_tuples(&a.0, &b.0).then_with(|| a.1.cmp(&b.1)));
-        let mut keys = Vec::with_capacity(entries.len() * width);
-        let mut perm = Vec::with_capacity(entries.len());
-        for (key, rid) in entries {
-            keys.extend(key);
-            perm.push(rid);
+        let mut ints: Vec<&mut Vec<i64>> = keys
+            .iter_mut()
+            .filter_map(|col| match col {
+                KeyColumn::Int(xs) => Some(xs),
+                KeyColumn::Keys(_) => None,
+            })
+            .collect();
+        match (ints.len() == cols.len(), cols.len()) {
+            (true, 1) => sort_packed::<1>(&mut ints, &mut perm),
+            (true, 2) => sort_packed::<2>(&mut ints, &mut perm),
+            (true, 3) => sort_packed::<3>(&mut ints, &mut perm),
+            _ => {
+                // Gathered in row order, so a slot's position orders like
+                // its row id.
+                let mut order: Vec<u32> = (0..perm.len() as u32).collect();
+                order.sort_unstable_by(|&a, &b| {
+                    keys.iter()
+                        .map(|col| key_cmp(col.get(a as usize), col.get(b as usize)))
+                        .find(|ord| ord.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                        .then_with(|| a.cmp(&b))
+                });
+                keys = keys.into_iter().map(|col| col.permuted(&order)).collect();
+                perm = order.iter().map(|&p| perm[p as usize]).collect();
+            }
         }
         OrderedIndex {
-            width,
             keys,
             perm,
             rows: rows.len(),
@@ -312,8 +414,24 @@ impl OrderedIndex {
         self.perm.len()
     }
 
-    fn key(&self, entry: usize, col: usize) -> &Key {
-        &self.keys[entry * self.width + col]
+    /// The entries in index order, as owned `(key tuple, row id)` pairs.
+    #[cfg(test)]
+    fn entries(&self) -> Vec<(Vec<Key>, u32)> {
+        (0..self.perm.len())
+            .map(|e| {
+                let key = self.keys.iter().map(|col| col.get(e).to_key()).collect();
+                (key, self.perm[e])
+            })
+            .collect()
+    }
+
+    /// Which indexed columns are stored packed.
+    #[cfg(test)]
+    fn typed(&self) -> Vec<bool> {
+        self.keys
+            .iter()
+            .map(|col| matches!(col, KeyColumn::Int(_)))
+            .collect()
     }
 
     /// First entry in `[lo, hi)` where `pred` on column `col` turns
@@ -323,11 +441,12 @@ impl OrderedIndex {
         mut lo: usize,
         mut hi: usize,
         col: usize,
-        pred: impl Fn(&Key) -> bool,
+        pred: impl Fn(KeyRef<'_>) -> bool,
     ) -> usize {
+        let keys = &self.keys[col];
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if pred(self.key(mid, col)) {
+            if pred(keys.get(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -349,6 +468,7 @@ impl OrderedIndex {
         // because `key_cmp` is `Equal` only for identical keys.
         let (mut lo, mut hi) = (0usize, self.perm.len());
         for (col, k) in probe.eq.iter().enumerate() {
+            let k = k.key_ref();
             lo = self.partition(lo, hi, col, |x| key_cmp(x, k) == Ordering::Less);
             hi = self.partition(lo, hi, col, |x| key_cmp(x, k) != Ordering::Greater);
             if lo == hi {
@@ -389,17 +509,6 @@ impl OrderedIndex {
     }
 }
 
-/// Lexicographic [`key_cmp`] over key tuples (the index sort order).
-fn cmp_tuples(a: &[Key], b: &[Key]) -> Ordering {
-    for (x, y) in a.iter().zip(b) {
-        match key_cmp(x, y) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
 // Indexes are cached on relations behind `Arc` and shared read-only
 // across pool workers; keep that a compile-time fact.
 const _: () = {
@@ -410,6 +519,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
     use arc_core::value::cmp_truth;
 
     fn rel() -> Relation {
@@ -556,5 +666,308 @@ mod tests {
         let second = rel.ordered_index(&[0]);
         assert_eq!(second.rows(), rel.len());
         assert!(!std::sync::Arc::ptr_eq(&first, &second));
+    }
+
+    /// The comparator the index sorted owned key tuples with before it
+    /// stored typed columns, written out: class rank, then exact value,
+    /// `Int`/`Float` interleaved numerically.
+    fn old_key_cmp(a: &Key, b: &Key) -> Ordering {
+        let rank = |k: &Key| match k {
+            Key::Null => unreachable!("NULL keys are never indexed"),
+            Key::Bool(_) => 0,
+            Key::Int(_) | Key::Float(_) => 1,
+            Key::Str(_) => 2,
+        };
+        rank(a).cmp(&rank(b)).then_with(|| match (a, b) {
+            (Key::Bool(x), Key::Bool(y)) => x.cmp(y),
+            (Key::Int(x), Key::Int(y)) => x.cmp(y),
+            (Key::Str(x), Key::Str(y)) => x.cmp(y),
+            (Key::Float(x), Key::Float(y)) => {
+                f64::from_bits(*x).partial_cmp(&f64::from_bits(*y)).unwrap()
+            }
+            (Key::Int(x), Key::Float(y)) => (*x as f64).partial_cmp(&f64::from_bits(*y)).unwrap(),
+            (Key::Float(x), Key::Int(y)) => f64::from_bits(*x).partial_cmp(&(*y as f64)).unwrap(),
+            _ => unreachable!("same rank, same class"),
+        })
+    }
+
+    /// The build this one replaced: one owned key tuple per row with a
+    /// join key on every column, sorted by [`old_key_cmp`], then row id.
+    fn reference_entries(rows: &[Tuple], cols: &[usize]) -> Vec<(Vec<Key>, u32)> {
+        let mut entries: Vec<(Vec<Key>, u32)> = rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| Some((Relation::key_for(row, cols)?, i as u32)))
+            .collect();
+        entries.sort_by(|a, b| {
+            a.0.iter()
+                .zip(&b.0)
+                .map(|(x, y)| old_key_cmp(x, y))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.1.cmp(&b.1))
+        });
+        entries
+    }
+
+    /// Build the index over `cols` (equality prefix, then the range
+    /// column), check its entry order against [`reference_entries`], and
+    /// check every probe shape — each prefix in `eqs` × one- and
+    /// two-sided bounds from `bounds` — against the row path.
+    fn check_index(
+        rel: &Relation,
+        cols: &[usize],
+        eqs: &[Vec<Value>],
+        bounds: &[Value],
+    ) -> OrderedIndex {
+        let idx = OrderedIndex::build(&rel.rows, cols);
+        assert_eq!(
+            idx.entries(),
+            reference_entries(&rel.rows, cols),
+            "{cols:?}"
+        );
+        let (&range_col, eq_cols) = cols.split_last().unwrap();
+        type Bound = Option<(CmpOp, Value)>;
+        let mut intervals: Vec<(Bound, Bound)> = Vec::new();
+        for b in bounds {
+            intervals.push((Some((CmpOp::Gt, b.clone())), None));
+            intervals.push((Some((CmpOp::Ge, b.clone())), None));
+            intervals.push((None, Some((CmpOp::Lt, b.clone()))));
+            intervals.push((None, Some((CmpOp::Le, b.clone()))));
+            for h in bounds.iter().filter(|h| value_class(h) == value_class(b)) {
+                intervals.push((Some((CmpOp::Ge, b.clone())), Some((CmpOp::Lt, h.clone()))));
+            }
+        }
+        let mut selected = 0;
+        for eq in eqs {
+            let eq_ref: Vec<(usize, Value)> = eq_cols.iter().copied().zip(eq.clone()).collect();
+            for (lo, hi) in &intervals {
+                let probe = IndexProbe {
+                    eq: eq.iter().map(|v| v.join_key().unwrap()).collect(),
+                    lo: lo.clone(),
+                    hi: hi.clone(),
+                    empty: false,
+                };
+                let got = idx.search(&probe);
+                let want = row_reference(rel, &eq_ref, range_col, &probe);
+                assert_eq!(got, want, "cols {cols:?} eq {eq:?} bounds {lo:?} / {hi:?}");
+                selected += got.len();
+            }
+        }
+        assert!(selected > 0, "fixture must exercise the windows");
+        idx
+    }
+
+    /// `A` runs over the extremes, negatives and long duplicate runs;
+    /// `B` and `C` are small, so equal-key runs span many rows.
+    fn int_rel(n: i64) -> Relation {
+        Relation::from_rows(
+            "I",
+            &["A", "B", "C"],
+            (0..n)
+                .map(|i| {
+                    let a = match i % 10 {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => -(i % 13),
+                        _ => i % 5,
+                    };
+                    vec![Value::Int(a), Value::Int(i % 3), Value::Int(i % 2)]
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn all_int_indexes_are_packed_at_widths_one_to_three() {
+        let rel = int_rel(3_000);
+        let bounds = [
+            Value::Int(i64::MIN),
+            Value::Int(-4),
+            Value::Int(0),
+            Value::Float(2.5),
+            Value::Int(4),
+            Value::Int(i64::MAX),
+            Value::str("not a number"),
+        ];
+        let (b1, c1) = (Value::Int(1), Value::Int(1));
+        let absent = Value::Int(9);
+        for (cols, eqs) in [
+            (vec![0], vec![vec![]]),
+            (vec![1, 0], vec![vec![b1.clone()], vec![absent.clone()]]),
+            (
+                vec![2, 1, 0],
+                vec![vec![c1.clone(), b1.clone()], vec![c1, absent]],
+            ),
+        ] {
+            let idx = check_index(&rel, &cols, &eqs, &bounds);
+            assert_eq!(idx.typed(), vec![true; cols.len()]);
+            assert_eq!(idx.len(), rel.len());
+        }
+        // Four columns sort through the gathered columns, still packed.
+        let wide = Relation::from_rows(
+            "W",
+            &["A", "B", "C", "D"],
+            (0..500i64)
+                .map(|i| [i % 2, i % 3, i % 5, -i].map(Value::Int).to_vec())
+                .collect(),
+        );
+        let eq = vec![Value::Int(1), Value::Int(2), Value::Int(4)];
+        let idx = check_index(&wide, &[0, 1, 2, 3], &[eq], &[Value::Int(-250)]);
+        assert_eq!(idx.typed(), vec![true; 4]);
+    }
+
+    #[test]
+    fn integral_floats_stay_packed_and_one_fraction_makes_its_column_generic() {
+        // `3.0` keys as `Int(3)`: the column stays typed.
+        let mut rel = Relation::new("F", &["A", "B"]);
+        for i in 0..2_000i64 {
+            let a = if i % 2 == 0 {
+                Value::Int(i % 9)
+            } else {
+                Value::Float((i % 9) as f64)
+            };
+            rel.push(vec![a, Value::Int(i % 4)]);
+        }
+        let bounds = [Value::Int(3), Value::Float(3.0), Value::Float(5.5)];
+        let eqs = [vec![Value::Int(2)]];
+        assert_eq!(check_index(&rel, &[0], &[vec![]], &bounds).typed(), [true]);
+        assert_eq!(
+            check_index(&rel, &[1, 0], &eqs, &bounds).typed(),
+            [true, true]
+        );
+        // One non-integral float: that column alone goes generic.
+        rel.rows[1_500][0] = Value::Float(2.5);
+        assert_eq!(check_index(&rel, &[0], &[vec![]], &bounds).typed(), [false]);
+        assert_eq!(
+            check_index(&rel, &[1, 0], &eqs, &bounds).typed(),
+            [true, false]
+        );
+        assert_eq!(
+            check_index(&rel, &[0, 1], &[vec![Value::Float(2.5)]], &[Value::Int(0)]).typed(),
+            [false, true]
+        );
+    }
+
+    #[test]
+    fn a_column_that_changes_class_mid_gather_falls_back() {
+        // Strings first appear after row 1 024, NULL/NaN rows throughout.
+        let mut rel = Relation::new("S", &["A", "B"]);
+        for i in 0..2_048i64 {
+            let a = match i {
+                _ if i % 11 == 0 => Value::Null,
+                _ if i % 13 == 0 => Value::Float(f64::NAN),
+                _ if i > 1_024 => Value::str(format!("s{:02}", i % 40)),
+                _ => Value::Int(i % 40),
+            };
+            rel.push(vec![a, Value::Int(i % 2)]);
+        }
+        let bounds = [Value::Int(20), Value::str("s20")];
+        let idx = check_index(&rel, &[0], &[vec![]], &bounds);
+        assert_eq!(idx.typed(), [false]);
+        let no_key = (0..2_048).filter(|i| i % 11 == 0 || i % 13 == 0).count();
+        assert_eq!(idx.len(), rel.len() - no_key, "NULL/NaN rows are excluded");
+        let idx = check_index(&rel, &[1, 0], &[vec![Value::Int(1)]], &bounds);
+        assert_eq!(idx.typed(), [true, false]);
+        // Before the strings arrive the same column is typed.
+        rel.rows.truncate(1_024);
+        assert_eq!(
+            check_index(&rel, &[0], &[vec![]], &bounds[..1]).typed(),
+            [true]
+        );
+    }
+
+    #[test]
+    fn a_rebuild_after_growth_indexes_the_new_rows() {
+        let mut rel = int_rel(600);
+        let probe = IndexProbe {
+            eq: Vec::new(),
+            lo: Some((CmpOp::Gt, Value::Int(1_000))),
+            hi: Some((CmpOp::Lt, Value::Int(i64::MAX))),
+            empty: false,
+        };
+        assert!(rel.ordered_index(&[0]).search(&probe).is_empty());
+        rel.push(vec![Value::Int(2_000), Value::Int(0), Value::Int(0)]);
+        rel.push(vec![Value::Float(1_500.5), Value::Int(0), Value::Int(0)]);
+        let idx = rel.ordered_index(&[0]);
+        assert_eq!(idx.search(&probe), vec![600, 601]);
+        assert_eq!(idx.typed(), [false], "the fraction arrived with the growth");
+    }
+
+    /// One generated cell: what column `kind` makes of `(tag, n)`.
+    fn cell(kind: u32, tag: u32, n: i64) -> Value {
+        match (kind, tag) {
+            // ints with the extremes
+            (0, 0) => Value::Int(i64::MIN),
+            (0, 1) => Value::Int(i64::MAX),
+            // ints, integral floats, no-key cells
+            (1, 0) => Value::Null,
+            (1, 1) => Value::Float(n as f64),
+            (1, 2) => Value::Float(f64::NAN),
+            // numerics with fractions
+            (2, 0) => Value::Float(n as f64 + 0.5),
+            (2, 1) => Value::Float(n as f64),
+            // every class
+            (3, 0) => Value::Null,
+            (3, 1) => Value::Bool(n > 0),
+            (3, 2) => Value::str(format!("s{n}")),
+            (3, 3) => Value::Float(n as f64 + 0.25),
+            (3, 4) => Value::Float(f64::NAN),
+            _ => Value::Int(n),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Whatever the columns hold, the built entry order is the old
+        /// build's, and a probe keyed off the first row selects what the
+        /// row path keeps.
+        #[test]
+        fn built_order_equals_the_old_sort(
+            kinds in proptest::collection::vec(0u32..4, 3..4),
+            cells in proptest::collection::vec(
+                proptest::collection::vec((0u32..8, -4i64..5), 3..4),
+                0..200,
+            ),
+            width in 1usize..4,
+            first in 0usize..3,
+        ) {
+            let rows: Vec<Tuple> = cells
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .zip(&kinds)
+                        .map(|(&(tag, n), &kind)| cell(kind, tag, n))
+                        .collect()
+                })
+                .collect();
+            let cols: Vec<usize> = (0..width).map(|j| (first + j) % 3).collect();
+            let idx = OrderedIndex::build(&rows, &cols);
+            proptest::prop_assert_eq!(idx.entries(), reference_entries(&rows, &cols));
+
+            let rel = Relation::from_rows("P", &["A", "B", "C"], rows);
+            let (&range_col, eq_cols) = cols.split_last().unwrap();
+            let eq: Option<Vec<Key>> = rel
+                .rows
+                .first()
+                .and_then(|row| Relation::key_for(row, eq_cols));
+            if let Some(eq) = eq {
+                let eq_ref: Vec<(usize, Value)> = eq_cols
+                    .iter()
+                    .map(|&c| (c, rel.rows[0][c].clone()))
+                    .collect();
+                let probe = IndexProbe {
+                    eq,
+                    lo: Some((CmpOp::Ge, Value::Int(-1))),
+                    hi: Some((CmpOp::Lt, Value::Float(2.5))),
+                    empty: false,
+                };
+                proptest::prop_assert_eq!(
+                    idx.search(&probe),
+                    row_reference(&rel, &eq_ref, range_col, &probe)
+                );
+            }
+        }
     }
 }

@@ -513,8 +513,9 @@ impl<'a> Ctx<'a> {
         if !self.guard_admit(seam::SELECTION_BUILD, rel.len() * 8) {
             return None;
         }
-        let columnar = if ob.index_plan.is_some() {
-            if !self.guard_admit(seam::ORDERED_BUILD, rel.len() * 16) {
+        let columnar = if let Some(ip) = &ob.index_plan {
+            let bytes = super::index::OrderedIndex::build_bytes(rel.len(), ip.cols.len());
+            if !self.guard_admit(seam::ORDERED_BUILD, bytes) {
                 return None;
             }
             true

@@ -199,17 +199,23 @@ impl Relation {
     /// let r = Relation::from_rows("R", &["A", "B"], vec![vec![1.into(), 2.into()]]);
     /// assert_eq!(r.len(), 1);
     /// ```
+    ///
+    /// # Panics
+    /// Panics when a row's arity does not match the schema (see
+    /// [`Relation::push`]).
     pub fn from_rows(name: impl Into<String>, schema: &[&str], rows: Vec<Tuple>) -> Self {
         let mut rel = Relation::new(name, schema);
-        for row in rows {
-            rel.push(row);
+        for row in &rows {
+            rel.check_arity(row);
         }
+        rel.rows = rows;
         rel
     }
 
     /// Convenience constructor from integer rows (most paper instances).
     pub fn from_ints(name: impl Into<String>, schema: &[&str], rows: &[&[i64]]) -> Self {
         let mut rel = Relation::new(name, schema);
+        rel.rows.reserve(rows.len());
         for row in rows {
             rel.push(row.iter().map(|v| Value::Int(*v)).collect());
         }
@@ -237,13 +243,17 @@ impl Relation {
     /// Panics when the row arity does not match the schema; tuples are
     /// produced by the engine, so a mismatch is an internal logic error.
     pub fn push(&mut self, row: Tuple) {
+        self.check_arity(&row);
+        self.rows.push(row);
+    }
+
+    fn check_arity(&self, row: &[Value]) {
         assert_eq!(
             row.len(),
             self.schema.len(),
             "arity mismatch inserting into {}",
             self.name
         );
-        self.rows.push(row);
     }
 
     /// Index of an attribute.
@@ -502,6 +512,16 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut rel = Relation::new("R", &["A", "B"]);
         rel.push(vec![Value::Int(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch inserting into R")]
+    fn from_rows_checks_every_row_before_taking_the_vector() {
+        Relation::from_rows(
+            "R",
+            &["A", "B"],
+            vec![vec![1.into(), 2.into()], vec![3.into()]],
+        );
     }
 
     #[test]

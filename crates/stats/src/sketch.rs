@@ -55,7 +55,13 @@ impl DistinctSketch {
 
     /// Observe one key.
     pub fn insert(&mut self, key: &Key) {
-        let h = hash_key(key);
+        self.insert_hash(hash_key(key));
+    }
+
+    /// Observe one key by its [`hash_key`] — for a caller that needs the
+    /// hash for something else too (ANALYZE folds the same hash into the
+    /// cell's row hash), so each cell is hashed once.
+    pub fn insert_hash(&mut self, h: u64) {
         let idx = (h >> (64 - P)) as usize;
         // Rank of the first set bit in the remaining stream (1-based);
         // an all-zero remainder gets the maximum rank.
@@ -91,7 +97,10 @@ impl DistinctSketch {
 
 /// Deterministic 64-bit hash of a canonical key: FNV-1a over tagged bytes,
 /// then a splitmix64 finalizer (FNV alone biases the low bits on short
-/// inputs, which would starve HLL registers).
+/// inputs, which would starve HLL registers). ANALYZE computes it once
+/// per cell and hands it to both consumers:
+/// [`DistinctSketch::insert_hash`] and, through [`combine_hashes`], the
+/// row hash a [`RowSketch`] takes.
 pub fn hash_key(key: &Key) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -159,17 +168,7 @@ impl RowSketch {
     pub fn insert_hash(&mut self, h: u64) {
         // Finalize-mix the combined hash so correlated row hashes spread,
         // then update registers exactly as a key insert would.
-        let z = mix(h);
-        let idx = (z >> (64 - P)) as usize;
-        let w = z << P;
-        let rho = if w == 0 {
-            64 - P + 1
-        } else {
-            w.leading_zeros() + 1
-        } as u8;
-        if rho > self.inner.registers[idx] {
-            self.inner.registers[idx] = rho;
-        }
+        self.inner.insert_hash(mix(h));
     }
 
     /// The estimated distinct row count.

@@ -5,7 +5,7 @@ use crate::column::ColumnStats;
 use crate::histogram::Histogram;
 use crate::sketch::{combine_hashes, hash_key, DistinctSketch, RowSketch};
 use arc_core::ast::CmpOp;
-use arc_core::column::ColumnSet;
+use arc_core::column::{ColumnChunk, ColumnData, ColumnSet};
 use arc_core::value::{Key, Value};
 use std::collections::HashMap;
 
@@ -50,8 +50,13 @@ impl TableStats {
     /// straight from the sampled value *frequencies* in run-length form —
     /// no per-column sorted multiset is ever materialized.
     ///
+    /// On the sketch path a cell is hashed once ([`hash_key`]): a value's
+    /// join key is its grouping key unless it is `NULL`/`NaN`, so the one
+    /// hash updates the column's sketch and folds into the row's hash.
+    ///
     /// [`TableStats::analyze_chunks`] computes the same statistics from a
-    /// columnar encoding, one typed pass per column.
+    /// columnar encoding, one typed pass per column — this pass is the
+    /// reference its equality test compares against.
     pub fn analyze(arity: usize, rows: &[Vec<Value>]) -> TableStats {
         let n = rows.len();
         let stride = n.div_ceil(SAMPLE_CAP).max(1);
@@ -67,14 +72,22 @@ impl TableStats {
         for row in rows {
             let mut row_hash: u64 = 0;
             for (c, v) in row.iter().enumerate() {
-                if !exact {
-                    row_hash = combine_hashes(row_hash, hash_key(&v.key()));
-                }
                 match v.join_key() {
-                    None => nulls[c] += 1,
+                    // NULL/NaN: no join key, but a grouping key — only
+                    // the row hash sees the cell.
+                    None => {
+                        nulls[c] += 1;
+                        if !exact {
+                            row_hash = combine_hashes(row_hash, hash_key(&v.key()));
+                        }
+                    }
+                    // Otherwise the two keys are the same key: one hash
+                    // feeds the column sketch and the row-hash fold.
                     Some(k) => {
                         if !exact {
-                            sketches[c].insert(&k);
+                            let h = hash_key(&k);
+                            sketches[c].insert_hash(h);
+                            row_hash = combine_hashes(row_hash, h);
                         }
                         if mins[c].as_ref().is_none_or(|m| &k < m) {
                             mins[c] = Some(k.clone());
@@ -135,52 +148,58 @@ impl TableStats {
     /// every row cell-by-cell. Produces **identical** statistics to the
     /// row-at-a-time pass — `cols` must encode exactly `rows` (callers
     /// hold both; the engine's `Relation` keeps them in sync).
+    ///
+    /// `Int`, `Float` and `Bool` chunks fold on their native slices (an
+    /// `Int` chunk keeps its min/max as `i64`s and builds a [`Key`] only
+    /// for a sampled cell); string and mixed chunks go through a reused
+    /// join-key buffer. Every cell is hashed once: the same hash updates
+    /// the column's sketch and, folded in schema order, the cell's row
+    /// hash — in the one pass over the column.
     pub fn analyze_chunks(arity: usize, rows: &[Vec<Value>], cols: &ColumnSet) -> TableStats {
         let n = cols.rows();
         debug_assert_eq!(n, rows.len(), "columns must encode the given rows");
         let stride = n.div_ceil(SAMPLE_CAP).max(1);
         let exact = stride == 1;
 
-        // Per-column pass: join keys per chunk into a reused buffer (one
-        // typed decode per chunk, no per-row Value dispatch).
+        // Row hashes, folded column by column (sketch path only).
+        let mut row_hashes: Vec<u64> = if exact { Vec::new() } else { vec![0; n] };
         let mut key_buf: Vec<Option<Key>> = Vec::new();
         let columns = (0..arity)
             .map(|c| {
-                let mut sketch = DistinctSketch::new();
-                let mut nulls: u64 = 0;
-                let mut min: Option<Key> = None;
-                let mut max: Option<Key> = None;
-                let mut counts: HashMap<Key, u64> = HashMap::new();
+                let mut fold = ColumnFold::new(stride);
                 for chunk in cols.chunks() {
-                    chunk.col(c).join_keys_into(&mut key_buf);
-                    for (i, slot) in key_buf.iter().enumerate() {
-                        match slot {
-                            None => nulls += 1,
-                            Some(k) => {
-                                if !exact {
-                                    sketch.insert(k);
-                                }
-                                if min.as_ref().is_none_or(|m| k < m) {
-                                    min = Some(k.clone());
-                                }
-                                if max.as_ref().is_none_or(|m| k > m) {
-                                    max = Some(k.clone());
-                                }
-                                if (chunk.base() + i) % stride == 0 {
-                                    *counts.entry(k.clone()).or_insert(0) += 1;
-                                }
-                            }
+                    let col = chunk.col(c);
+                    let base = chunk.base();
+                    let hashes = (!exact).then(|| &mut row_hashes[base..base + chunk.len()]);
+                    match col.data() {
+                        ColumnData::Int(xs) => fold.int_chunk(xs, col, base, hashes),
+                        ColumnData::Float(xs) => {
+                            fold.cells(col, base, hashes, |i| Value::Float(xs[i]).join_key())
+                        }
+                        ColumnData::Bool(xs) => {
+                            fold.cells(col, base, hashes, |i| Some(Key::Bool(xs[i])))
+                        }
+                        ColumnData::Str(_) | ColumnData::Mixed(_) | ColumnData::Null => {
+                            col.join_keys_into(&mut key_buf);
+                            fold.cells(col, base, hashes, |i| key_buf[i].take())
                         }
                     }
                 }
-                column_stats(n, stride, exact, &counts, nulls, &min, &max, &sketch)
+                column_stats(
+                    n,
+                    stride,
+                    exact,
+                    &fold.counts,
+                    fold.nulls,
+                    &fold.min,
+                    &fold.max,
+                    &fold.sketch,
+                )
             })
             .collect();
 
         // Whole-row distinct: the exact path needs real grouping keys (a
-        // key set), the sketch path folds per-column grouping-key hashes
-        // into one hash per row — column-at-a-time, in schema order, so
-        // the fold matches the row-at-a-time pass hash for hash.
+        // key set); the sketch path feeds the folded row hashes.
         let row_distinct = if exact {
             let mut exact_rows: std::collections::HashSet<Vec<Key>> = Default::default();
             for row in rows {
@@ -188,17 +207,8 @@ impl TableStats {
             }
             exact_rows.len() as u64
         } else {
-            let mut hashes: Vec<u64> = vec![0; n];
-            for c in 0..arity {
-                for chunk in cols.chunks() {
-                    let base = chunk.base();
-                    chunk.col(c).for_each_key(|i, k| {
-                        hashes[base + i] = combine_hashes(hashes[base + i], hash_key(&k));
-                    });
-                }
-            }
             let mut row_sketch = RowSketch::new();
-            for h in hashes {
+            for h in row_hashes {
                 row_sketch.insert_hash(h);
             }
             row_sketch.estimate().max(1)
@@ -256,6 +266,120 @@ impl TableStats {
         hi: Option<(CmpOp, &Value)>,
     ) -> Option<f64> {
         self.columns.get(col).map(|c| c.range_selectivity(lo, hi))
+    }
+}
+
+/// One column's streamed aggregates during [`TableStats::analyze_chunks`].
+struct ColumnFold {
+    stride: usize,
+    sketch: DistinctSketch,
+    nulls: u64,
+    min: Option<Key>,
+    max: Option<Key>,
+    counts: HashMap<Key, u64>,
+}
+
+impl ColumnFold {
+    fn new(stride: usize) -> ColumnFold {
+        ColumnFold {
+            stride,
+            sketch: DistinctSketch::new(),
+            nulls: 0,
+            min: None,
+            max: None,
+            counts: HashMap::new(),
+        }
+    }
+
+    /// Widen the column's min/max by `k` (the workspace's `Key` order).
+    fn widen(&mut self, k: &Key) {
+        if self.min.as_ref().is_none_or(|m| k < m) {
+            self.min = Some(k.clone());
+        }
+        if self.max.as_ref().is_none_or(|m| k > m) {
+            self.max = Some(k.clone());
+        }
+    }
+
+    /// Fold a chunk cell by cell: `join_key(i)` is slot `i`'s join key
+    /// (only asked of non-`NULL` slots). `hashes` are the chunk's row
+    /// hashes on the sketch path, `None` on the exact one.
+    fn cells(
+        &mut self,
+        col: &ColumnChunk,
+        base: usize,
+        mut hashes: Option<&mut [u64]>,
+        mut join_key: impl FnMut(usize) -> Option<Key>,
+    ) {
+        let null_hash = hash_key(&Key::Null);
+        let nan_hash = hash_key(&Value::Float(f64::NAN).key());
+        for i in 0..col.len() {
+            let valid = col.is_valid(i);
+            let key = if valid { join_key(i) } else { None };
+            if let Some(hashes) = hashes.as_deref_mut() {
+                let h = match &key {
+                    // The join key is the grouping key: one hash feeds
+                    // the column sketch and the row-hash fold.
+                    Some(k) => {
+                        let h = hash_key(k);
+                        self.sketch.insert_hash(h);
+                        h
+                    }
+                    // No join key but still a grouping key, which only
+                    // the row hash sees: a NaN (the slot is valid) or NULL.
+                    None if valid => nan_hash,
+                    None => null_hash,
+                };
+                hashes[i] = combine_hashes(hashes[i], h);
+            }
+            match key {
+                None => self.nulls += 1,
+                Some(k) => {
+                    self.widen(&k);
+                    if (base + i).is_multiple_of(self.stride) {
+                        *self.counts.entry(k).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ColumnFold::cells`] for an `Int` chunk: min/max stay native and a
+    /// key is built only for the sampled cells.
+    fn int_chunk(
+        &mut self,
+        xs: &[i64],
+        col: &ColumnChunk,
+        base: usize,
+        mut hashes: Option<&mut [u64]>,
+    ) {
+        let null_hash = hash_key(&Key::Null);
+        let mut range: Option<(i64, i64)> = None;
+        for (i, &x) in xs.iter().enumerate() {
+            let valid = col.is_valid(i);
+            if valid {
+                range = Some(range.map_or((x, x), |(lo, hi)| (lo.min(x), hi.max(x))));
+                if (base + i).is_multiple_of(self.stride) {
+                    *self.counts.entry(Key::Int(x)).or_insert(0) += 1;
+                }
+            } else {
+                self.nulls += 1;
+            }
+            if let Some(hashes) = hashes.as_deref_mut() {
+                let h = if valid {
+                    let h = hash_key(&Key::Int(x));
+                    self.sketch.insert_hash(h);
+                    h
+                } else {
+                    null_hash
+                };
+                hashes[i] = combine_hashes(hashes[i], h);
+            }
+        }
+        if let Some((lo, hi)) = range {
+            self.widen(&Key::Int(lo));
+            self.widen(&Key::Int(hi));
+        }
     }
 }
 
@@ -395,7 +519,6 @@ mod tests {
 
     #[test]
     fn chunked_analyze_is_identical_to_row_analyze() {
-        use arc_core::column::ColumnSet;
         // Mixed types, NULLs, NaN, all-NULL columns, chunk-boundary and
         // beyond-sample sizes: the columnar pass must agree bit for bit.
         let mk = |n: i64| -> Vec<Vec<Value>> {
@@ -422,6 +545,49 @@ mod tests {
                 TableStats::analyze_chunks(3, &rows, &cols),
                 TableStats::analyze(3, &rows),
                 "divergence at n={n}"
+            );
+        }
+        // Columns whose chunks are typed — all-`Int`, `Int` with NULLs,
+        // `Float` with NaN / -0.0 / integral values, `Bool` — up to the
+        // sample cap (exact counts) and beyond it (sketches, where a
+        // cell's one hash feeds its column sketch and its row hash).
+        let typed = |n: i64| -> Vec<Vec<Value>> {
+            (0..n)
+                .map(|i| {
+                    vec![
+                        Value::Int((i * 7919) % 1000 - 500),
+                        if i % 9 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Int(i % 64)
+                        },
+                        match i % 6 {
+                            0 => Value::Float(f64::NAN),
+                            1 => Value::Float(-0.0),
+                            2 => Value::Float((i % 50) as f64),
+                            3 => Value::Null,
+                            _ => Value::Float(-((i % 31) as f64) - 0.25),
+                        },
+                        Value::Bool(i % 3 == 0),
+                    ]
+                })
+                .collect()
+        };
+        for n in [8_192i64, 8_193, 20_000, 131_072] {
+            let rows = typed(n);
+            let cols = ColumnSet::encode(4, &rows);
+            let chunked = TableStats::analyze_chunks(4, &rows, &cols);
+            assert_eq!(
+                chunked,
+                TableStats::analyze(4, &rows),
+                "divergence at n={n}"
+            );
+            assert_eq!(chunked.columns[0].min, Some(Key::Int(-500)));
+            assert_eq!(chunked.columns[1].nulls, (n as u64).div_ceil(9));
+            // `Key` orders floats by their bits: the most negative is last.
+            assert_eq!(
+                chunked.columns[2].max,
+                Some(Key::Float((-30.25f64).to_bits()))
             );
         }
     }

@@ -19,28 +19,52 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds (allocated minus freed), and the highest
+    /// that has been since [`live_and_reset_peak`].
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// This thread took `grown` more bytes (or gave `-grown` back).
+fn resize(grown: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: defers every operation to the system allocator unchanged; the
-// counter is a `const`-initialized thread-local `Cell` without a
-// destructor, so touching it neither allocates nor runs after teardown.
+// counters are `const`-initialized thread-local `Cell`s without a
+// destructor, so touching them neither allocates nor runs after teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        resize(layout.size() as i64);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        resize(new_size as i64 - layout.size() as i64);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
+}
+
+/// The most bytes this thread held at once while `f` ran, beyond what
+/// it held when `f` started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (PEAK.with(Cell::get) - start, out)
 }
 
 #[global_allocator]
@@ -202,4 +226,108 @@ fn semi_naive_allocations_scale_with_the_derived_rows() {
          at most 4.6× as often: {large} vs {small} allocator calls ({:.2}×)",
         large as f64 / small as f64
     );
+}
+
+/// `T(A,B,C)` of `n` integer rows, analyzed: `A = i mod 4` and
+/// `B = i mod 8` take an equality prefix, `C = i` the range bound.
+fn scan_catalog(n: i64) -> Catalog {
+    let mut t = Relation::new("T", &["A", "B", "C"]);
+    for i in 0..n {
+        t.push(vec![Value::Int(i % 4), Value::Int(i % 8), Value::Int(i)]);
+    }
+    let mut catalog = Catalog::new().with(t);
+    catalog.analyze(); // whatever `ARC_STATS` says: only statistics plan an index range
+    catalog
+}
+
+/// The last rows of [`scan_catalog`] through an ordered index of `width`
+/// columns (the constant equalities extend the bound prefix).
+fn index_scan(n: i64, width: usize) -> Collection {
+    let prefix = ["", "t.A = 1 ∧ ", "t.A = 1 ∧ t.B = 5 ∧ "][width - 1];
+    fx::q(&format!(
+        "{{Q(C) | ∃t ∈ T [Q.C = t.C ∧ {prefix}t.C > {}]}}",
+        n - 64
+    ))
+}
+
+/// The default plan with the index path on and no span buffers to
+/// allocate, whatever the CI leg's environment says; sequential, so the
+/// work stays on this thread.
+fn indexed(catalog: &Catalog) -> Engine<'_> {
+    Engine::new(catalog, Conventions::sql())
+        .with_strategy(EvalStrategy::Planned)
+        .with_indexes(true)
+        .with_spans(false)
+        .with_threads(1)
+}
+
+/// The first index-range scan of a relation builds its ordered index:
+/// one flat gather and one sort buffer, whatever the row count — no key
+/// vector per indexed row. After that an emitted row allocates its
+/// output vector, as everywhere else.
+#[test]
+fn first_index_range_scan_allocates_per_emitted_row_not_per_indexed_row() {
+    const N: i64 = 20_000;
+    for width in 1..=3 {
+        let q = index_scan(N, width);
+        indexed(&scan_catalog(N)).eval_collection(&q).unwrap(); // warm the global plan cache
+        let catalog = scan_catalog(N);
+        let engine = indexed(&catalog);
+        let plan = engine.explain_collection(&q).unwrap();
+        assert!(plan.contains("index-range on ["), "width {width}:\n{plan}");
+        let before = ALLOCS.with(Cell::get);
+        let rows = engine.eval_collection(&q).unwrap();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(rows.len(), [63, 16, 8][width - 1], "width {width}");
+        assert!(
+            allocs <= rows.len() as u64 + PER_QUERY,
+            "width {width}: {allocs} allocator calls to index {N} rows and emit {}",
+            rows.len()
+        );
+    }
+}
+
+/// What `ORDERED_BUILD` reserves is what the build holds: for an `Int`
+/// index of `w` columns over `n` rows, the index (`8w + 4` bytes per
+/// row) plus the packed sort buffer beside it (`8w + 8` per row) — the
+/// reservation never under-counts the measured peak and over-counts it
+/// by at most a twentieth. A budget one byte short of the selection
+/// vector's reservation (`8n`) plus the index's denies the build.
+#[test]
+fn ordered_build_reservation_matches_the_measured_peak() {
+    const N: i64 = 20_000;
+    for width in 1..=3usize {
+        let q = index_scan(N, width);
+        let reserved = N as usize * ((8 * width + 4) + (8 * width + 8));
+
+        // Measured: the first scan's peak beyond the repeat's (which
+        // finds the index cached on the relation).
+        let catalog = scan_catalog(N);
+        let engine = indexed(&catalog);
+        let (first, rows) = peak_bytes(|| engine.eval_collection(&q).unwrap());
+        let (repeat, again) = peak_bytes(|| engine.eval_collection(&q).unwrap());
+        assert_eq!(rows.rows, again.rows);
+        let measured = (first - repeat) as usize;
+        assert!(
+            measured <= reserved && 20 * reserved <= 21 * measured,
+            "width {width}: the build held {measured} B at its peak, the guard reserves {reserved} B"
+        );
+
+        // Reserved: the build happens exactly from that budget on.
+        let selection = 8 * N as usize;
+        for (budget, built) in [
+            (selection + reserved - 1, false),
+            (selection + reserved, true),
+        ] {
+            let catalog = scan_catalog(N);
+            let engine = indexed(&catalog).with_mem_budget(budget);
+            let (peak, out) = peak_bytes(|| engine.eval_collection(&q).unwrap());
+            assert_eq!(out.rows, rows.rows, "width {width}: budget {budget}");
+            assert_eq!(
+                peak as usize >= measured,
+                built,
+                "width {width}: budget {budget} B, peak {peak} B"
+            );
+        }
+    }
 }

@@ -268,6 +268,173 @@ fn class_ordering_corners_match_the_scan() {
     }
 }
 
+/// `T(A,B,C)` with `B = i mod 8` and `C = i mod 4` (equality prefixes)
+/// and `A` whatever `a(i)` makes it.
+fn keyed_catalog(n: i64, a: impl Fn(i64) -> Value) -> Catalog {
+    let mut t = Relation::new("T", &["A", "B", "C"]);
+    for i in 0..n {
+        t.push(vec![a(i), Value::Int(i % 8), Value::Int(i % 4)]);
+    }
+    let mut catalog = Catalog::new().with(t);
+    catalog.analyze();
+    catalog
+}
+
+/// `{Q(A,B) | ∃t ∈ T [Q.A = t.A ∧ Q.B = t.B ∧ filters]}` must plan an
+/// index-range scan and return what the scan path returns, row for row.
+fn assert_walks_index_like_the_scan(catalog: &Catalog, filters: Vec<arc_core::ast::Formula>) {
+    let mut preds = vec![
+        d::assign("Q", "A", d::col("t", "A")),
+        d::assign("Q", "B", d::col("t", "B")),
+    ];
+    preds.extend(filters);
+    let q = d::collection(
+        "Q",
+        &["A", "B"],
+        d::exists(&[d::bind("t", "T")], d::and(preds)),
+    );
+    let plan = Engine::new(catalog, Conventions::sql())
+        .with_strategy(EvalStrategy::Planned)
+        .with_threads(1)
+        .with_indexes(true)
+        .explain_collection(&q)
+        .unwrap();
+    assert!(
+        plan.contains("index-range on ["),
+        "not an index walk:\n{plan}"
+    );
+    for conv in [Conventions::sql(), Conventions::set()] {
+        assert_index_invisible(catalog, &q, conv);
+    }
+}
+
+/// All-`Int` indexes of width 1–3 over the extremes of `i64`, negatives
+/// and long duplicate runs (which must come back in row order).
+#[test]
+fn int_indexes_with_extremes_and_duplicates_match_the_scan() {
+    let catalog = keyed_catalog(4_000, |i| {
+        Value::Int(match i % 10 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -(i % 13),
+            _ => i % 5,
+        })
+    });
+    let a = || d::col("t", "A");
+    let b_is = |v| d::eq(d::col("t", "B"), d::int(v));
+    let c_is = |v| d::eq(d::col("t", "C"), d::int(v));
+    for filters in [
+        vec![d::ge(a(), d::int(i64::MAX))],
+        vec![d::le(a(), d::int(i64::MIN))],
+        vec![d::lt(a(), d::int(-3))],
+        vec![d::gt(a(), d::int(i64::MIN)), d::lt(a(), d::int(0))],
+        vec![d::gt(a(), d::flt(3.5))],
+        vec![b_is(1), d::gt(a(), d::int(2))],
+        vec![b_is(3), d::le(a(), d::int(i64::MAX)), d::ge(a(), d::int(4))],
+        vec![c_is(1), b_is(5), d::le(a(), d::int(-1))],
+        vec![
+            c_is(2),
+            b_is(2),
+            d::ge(a(), d::int(0)),
+            d::ne(a(), d::int(3)),
+        ],
+    ] {
+        assert_walks_index_like_the_scan(&catalog, filters);
+    }
+}
+
+/// Columns the index cannot pack whole: integral floats among ints (they
+/// key as ints), one fractional float, strings that first appear after
+/// row 1 024, `NULL`/`NaN` cells — alone and behind an `Int` prefix.
+#[test]
+fn columns_that_leave_the_int_class_match_the_scan() {
+    let integral = |i: i64| {
+        if i % 2 == 0 {
+            Value::Int(i % 97)
+        } else {
+            Value::Float((i % 97) as f64)
+        }
+    };
+    let a = || d::col("t", "A");
+    let b_is = |v| d::eq(d::col("t", "B"), d::int(v));
+    let numeric = || {
+        vec![
+            vec![d::gt(a(), d::int(90))],
+            vec![d::ge(a(), d::flt(93.0)), d::lt(a(), d::flt(95.5))],
+            vec![b_is(1), d::gt(a(), d::flt(80.0))],
+            vec![b_is(2), d::le(a(), d::int(3))],
+        ]
+    };
+    for catalog in [
+        keyed_catalog(4_096, integral),
+        keyed_catalog(4_096, |i| match i {
+            1_500 => Value::Float(2.5),
+            _ => integral(i),
+        }),
+        keyed_catalog(4_096, |i| match i {
+            _ if i % 11 == 0 => Value::Null,
+            _ if i % 13 == 0 => Value::Float(f64::NAN),
+            _ => integral(i),
+        }),
+    ] {
+        for filters in numeric() {
+            assert_walks_index_like_the_scan(&catalog, filters);
+        }
+    }
+    let late_strings = keyed_catalog(4_096, |i| {
+        if i > 1_024 {
+            Value::str(format!("s{:02}", i % 97))
+        } else {
+            Value::Int(i % 97)
+        }
+    });
+    for filters in [
+        vec![d::lt(a(), d::int(20))],
+        vec![d::ge(a(), d::text("s80"))],
+        vec![b_is(1), d::lt(a(), d::text("s20"))],
+        vec![b_is(7), d::le(a(), d::int(30))],
+    ] {
+        assert_walks_index_like_the_scan(&late_strings, filters);
+    }
+}
+
+/// A relation that grew is indexed afresh: the rows appended since the
+/// last index walk are found, in row order.
+#[test]
+fn a_grown_relation_is_indexed_afresh() {
+    let mut catalog = keyed_catalog(4_000, |i| Value::Int(i % 100));
+    let filters = || vec![d::gt(d::col("t", "A"), d::int(95))];
+    assert_walks_index_like_the_scan(&catalog, filters());
+    let mut grown = catalog.relation("T").unwrap().clone();
+    for i in 0..64i64 {
+        let a = if i % 2 == 0 {
+            Value::Int(96 + i)
+        } else {
+            Value::Float(96.5 + i as f64)
+        };
+        grown.push(vec![a, Value::Int(i % 8), Value::Int(i % 4)]);
+    }
+    catalog.add(grown);
+    catalog.analyze();
+    assert_walks_index_like_the_scan(&catalog, filters());
+    let rows = Engine::new(&catalog, Conventions::sql())
+        .with_strategy(EvalStrategy::Planned)
+        .with_indexes(true)
+        .eval_collection(&d::collection(
+            "Q",
+            &["A"],
+            d::exists(
+                &[d::bind("t", "T")],
+                d::and([
+                    d::assign("Q", "A", d::col("t", "A")),
+                    d::gt(d::col("t", "A"), d::int(99)),
+                ]),
+            ),
+        ))
+        .unwrap();
+    assert_eq!(rows.len(), 61, "only appended rows exceed 99");
+}
+
 /// Error equivalence: a selective index bound ordered before an erroring
 /// post-filter must produce the identical outcome — the bound admits
 /// exactly the rows the pushed-down filter would have admitted, so the
