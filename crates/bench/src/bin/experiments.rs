@@ -462,8 +462,7 @@ fn main() {
         println!("```\n{analyzed}```\n");
         let counters = arc_trace::Snapshot {
             counters: arc_trace::snapshot().counters,
-            histograms: Default::default(),
-            quantiles: Default::default(),
+            ..Default::default()
         };
         println!("Registry counters accumulated across every experiment above:\n");
         println!("```json\n{}\n```", counters.to_json());

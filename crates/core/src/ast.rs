@@ -129,9 +129,17 @@ impl Formula {
 
     /// Flatten nested `And`s (used by normalizers and printers).
     pub fn conjuncts(&self) -> Vec<&Formula> {
+        let mut out = Vec::new();
+        self.each_conjunct(&mut |f| out.push(f));
+        out
+    }
+
+    /// Visit the conjuncts [`Formula::conjuncts`] lists, in the same
+    /// order, without building the list.
+    pub fn each_conjunct<'a>(&'a self, visit: &mut impl FnMut(&'a Formula)) {
         match self {
-            Formula::And(fs) => fs.iter().flat_map(|f| f.conjuncts()).collect(),
-            other => vec![other],
+            Formula::And(fs) => fs.iter().for_each(|f| f.each_conjunct(visit)),
+            other => visit(other),
         }
     }
 
@@ -356,6 +364,18 @@ pub enum Predicate {
 }
 
 impl Predicate {
+    /// Visit every attribute reference of the predicate, left operand
+    /// first, in occurrence order.
+    pub fn each_attr_ref<'a>(&'a self, visit: &mut impl FnMut(&'a AttrRef)) {
+        match self {
+            Predicate::Cmp { left, right, .. } => {
+                left.each_attr_ref(visit);
+                right.each_attr_ref(visit);
+            }
+            Predicate::IsNull { expr, .. } => expr.each_attr_ref(visit),
+        }
+    }
+
     /// True iff an aggregate occurs anywhere in the predicate.
     pub fn has_aggregate(&self) -> bool {
         match self {
@@ -441,22 +461,24 @@ impl Scalar {
     /// (including those inside aggregates).
     pub fn attr_refs(&self) -> Vec<&AttrRef> {
         let mut out = Vec::new();
-        self.collect_attr_refs(&mut out);
+        self.each_attr_ref(&mut |a| out.push(a));
         out
     }
 
-    fn collect_attr_refs<'a>(&'a self, out: &mut Vec<&'a AttrRef>) {
+    /// Visit the references [`Scalar::attr_refs`] lists, in the same
+    /// order, without building the list.
+    pub fn each_attr_ref<'a>(&'a self, visit: &mut impl FnMut(&'a AttrRef)) {
         match self {
-            Scalar::Attr(a) => out.push(a),
+            Scalar::Attr(a) => visit(a),
             Scalar::Const(_) => {}
             Scalar::Agg(call) => {
                 if let AggArg::Expr(e) = &call.arg {
-                    e.collect_attr_refs(out);
+                    e.each_attr_ref(visit);
                 }
             }
             Scalar::Arith { left, right, .. } => {
-                left.collect_attr_refs(out);
-                right.collect_attr_refs(out);
+                left.each_attr_ref(visit);
+                right.each_attr_ref(visit);
             }
         }
     }

@@ -15,8 +15,8 @@
 //! correlation shape", §4): see [`BindError`] for the full rule list.
 
 use crate::ast::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 
 /// Relation name → attribute list, for schema-aware (closed-world) binding.
 pub type SchemaMap = HashMap<String, Vec<String>>;
@@ -316,14 +316,14 @@ impl Binder {
 
     /// Bind a single query collection.
     pub fn bind_collection(&self, c: &Collection) -> BoundInfo {
-        let mut w = Walk::new(self.schemas.as_ref());
+        let mut w = Walk::new(self.schemas.as_ref(), true);
         w.collection(c, true);
         w.info
     }
 
     /// Bind a boolean sentence (Fig 9): a formula with no head.
     pub fn bind_sentence(&self, f: &Formula) -> BoundInfo {
-        let mut w = Walk::new(self.schemas.as_ref());
+        let mut w = Walk::new(self.schemas.as_ref(), true);
         w.formula(f);
         w.info
     }
@@ -331,36 +331,46 @@ impl Binder {
     /// Bind a whole program: definitions (mutually visible, so recursion
     /// binds) then the query.
     pub fn bind_program(&self, p: &Program) -> BoundInfo {
-        let mut w = Walk::new(self.schemas.as_ref());
-        for def in &p.definitions {
-            w.local_defs
-                .insert(def.name().to_string(), def.collection.head.attrs.clone());
-        }
-        for def in &p.definitions {
-            w.collection(&def.collection, false);
-        }
-        if let Some(q) = &p.query {
-            w.collection(q, true);
-        }
+        let mut w = Walk::new(self.schemas.as_ref(), true);
+        w.program(p);
         w.info
+    }
+
+    /// The head names of the program's *abstract* definitions (§2.13.2)
+    /// — [`BoundInfo::abstract_collections`] of [`Binder::bind_program`],
+    /// by the same walk, which records nothing else: no diagnostics, no
+    /// occurrences, no rendered predicates.
+    pub fn abstract_definitions(&self, p: &Program) -> Vec<String> {
+        // Only a definition that leaves a head attribute unassigned can be
+        // abstract; most programs have none, and need no walk to say so.
+        let complete = |c: &Collection| {
+            let assigned = |a: &String| assigns(&c.body, &c.head.relation, a);
+            c.head.attrs.iter().all(assigned)
+        };
+        if p.definitions.iter().all(|d| complete(&d.collection)) {
+            return Vec::new();
+        }
+        let mut w = Walk::new(self.schemas.as_ref(), false);
+        w.program(p);
+        w.info.abstract_collections
     }
 }
 
-struct VarEntry {
-    var: String,
+struct VarEntry<'a> {
+    var: &'a str,
     /// Attribute list when known (None for open-world named relations).
-    attrs: Option<Vec<String>>,
+    attrs: Option<&'a [String]>,
     /// Source relation name (None for nested collections).
-    relation: Option<String>,
+    relation: Option<&'a str>,
     /// Ordinal of the collection this binding belongs to.
     collection: usize,
     /// Ordinal of the quantifier this binding belongs to.
     quant: usize,
 }
 
-struct CollFrame {
-    name: String,
-    attrs: Vec<String>,
+struct CollFrame<'a> {
+    name: &'a str,
+    attrs: &'a [String],
     ordinal: usize,
     head_used_in_comparison: bool,
     /// Negation depth at frame creation; predicates are "positive" for this
@@ -368,18 +378,23 @@ struct CollFrame {
     neg_base: usize,
 }
 
-struct QuantFrame {
+struct QuantFrame<'a> {
     id: usize,
     /// `Some(keys)` iff the quantifier carries a grouping operator.
-    grouping: Option<Vec<AttrRef>>,
+    grouping: Option<&'a [AttrRef]>,
 }
 
+/// One pass over the AST. Names and attribute lists are borrowed from the
+/// AST and the schema map; what the walk owns is what it hands back.
 struct Walk<'a> {
     schemas: Option<&'a SchemaMap>,
-    local_defs: HashMap<String, Vec<String>>,
-    vars: Vec<VarEntry>,
-    colls: Vec<CollFrame>,
-    quants: Vec<QuantFrame>,
+    /// Whether the walk records its findings. A walk that does not still
+    /// classifies every definition (`info.abstract_collections`).
+    record: bool,
+    local_defs: HashMap<&'a str, &'a [String]>,
+    vars: Vec<VarEntry<'a>>,
+    colls: Vec<CollFrame<'a>>,
+    quants: Vec<QuantFrame<'a>>,
     quant_counter: usize,
     depth: usize,
     neg_depth: usize,
@@ -390,9 +405,10 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(schemas: Option<&'a SchemaMap>) -> Self {
+    fn new(schemas: Option<&'a SchemaMap>, record: bool) -> Self {
         Walk {
             schemas,
+            record,
             local_defs: HashMap::new(),
             vars: Vec::new(),
             colls: Vec::new(),
@@ -405,27 +421,49 @@ impl<'a> Walk<'a> {
         }
     }
 
-    fn diag(&mut self, e: BindError) {
-        self.info.diagnostics.push(e);
+    fn program(&mut self, p: &'a Program) {
+        for def in &p.definitions {
+            self.local_defs
+                .insert(def.name(), &def.collection.head.attrs);
+        }
+        for def in &p.definitions {
+            self.collection(&def.collection, false);
+        }
+        if let Some(q) = &p.query {
+            self.collection(q, true);
+        }
     }
 
-    fn relation_attrs(&self, name: &str) -> Option<Vec<String>> {
-        if let Some(a) = self.local_defs.get(name) {
-            return Some(a.clone());
+    /// Record a diagnostic; the closure keeps a walk that records nothing
+    /// from building one.
+    fn diag(&mut self, e: impl FnOnce() -> BindError) {
+        if self.record {
+            self.info.diagnostics.push(e());
         }
-        self.schemas.and_then(|s| s.get(name).cloned())
+    }
+
+    fn relation_attrs(&self, name: &str) -> Option<&'a [String]> {
+        if let Some(a) = self.local_defs.get(name) {
+            return Some(a);
+        }
+        self.schemas.and_then(|s| s.get(name).map(Vec::as_slice))
     }
 
     fn current_collection(&self) -> usize {
         self.colls.last().map(|c| c.ordinal).unwrap_or(ROOT)
     }
 
-    fn collection(&mut self, c: &Collection, is_query: bool) {
+    /// The innermost binding of `var`.
+    fn var(&self, var: &str) -> Option<&VarEntry<'a>> {
+        self.vars.iter().rev().find(|v| v.var == var)
+    }
+
+    fn collection(&mut self, c: &'a Collection, is_query: bool) {
         let ordinal = self.info.collection_count;
         self.info.collection_count += 1;
         self.colls.push(CollFrame {
-            name: c.head.relation.clone(),
-            attrs: c.head.attrs.clone(),
+            name: &c.head.relation,
+            attrs: &c.head.attrs,
             ordinal,
             head_used_in_comparison: false,
             neg_base: self.neg_depth,
@@ -435,35 +473,35 @@ impl<'a> Walk<'a> {
 
         self.formula(&c.body);
 
-        let assigned = assigned_attrs(&c.body, &c.head.relation);
         let frame = self.colls.pop().expect("collection frame");
         self.depth -= 1;
 
-        let missing: Vec<&String> = c
+        let mut missing = c
             .head
             .attrs
             .iter()
-            .filter(|a| !assigned.contains(a.as_str()))
-            .collect();
-        if !missing.is_empty() {
-            if frame.head_used_in_comparison && !is_query {
-                // Unsafe standalone, meaningful in context: abstract (§2.13.2).
-                self.info.abstract_collections.push(frame.name.clone());
-                self.diag(BindError::AbstractDefinition {
-                    collection: frame.name,
+            .filter(|a| !assigns(&c.body, &c.head.relation, a))
+            .peekable();
+        if missing.peek().is_none() {
+            return;
+        }
+        if frame.head_used_in_comparison && !is_query {
+            // Unsafe standalone, meaningful in context: abstract (§2.13.2).
+            self.info.abstract_collections.push(frame.name.to_string());
+            self.diag(|| BindError::AbstractDefinition {
+                collection: frame.name.to_string(),
+            });
+        } else {
+            for attr in missing {
+                self.diag(|| BindError::HeadAttrNotAssigned {
+                    collection: frame.name.to_string(),
+                    attr: attr.clone(),
                 });
-            } else {
-                for attr in missing {
-                    self.diag(BindError::HeadAttrNotAssigned {
-                        collection: frame.name.clone(),
-                        attr: attr.clone(),
-                    });
-                }
             }
         }
     }
 
-    fn formula(&mut self, f: &Formula) {
+    fn formula(&mut self, f: &'a Formula) {
         match f {
             Formula::Quant(q) => self.quant(q),
             Formula::And(fs) | Formula::Or(fs) => {
@@ -481,7 +519,7 @@ impl<'a> Walk<'a> {
         }
     }
 
-    fn quant(&mut self, q: &Quant) {
+    fn quant(&mut self, q: &'a Quant) {
         let quant_id = self.quant_counter;
         self.quant_counter += 1;
         self.info.scope_count += 1;
@@ -495,30 +533,33 @@ impl<'a> Walk<'a> {
             if self.vars.iter().any(|v| v.var == b.var)
                 || self.colls.iter().any(|c| c.name == b.var)
             {
-                self.diag(BindError::ShadowedVariable { var: b.var.clone() });
+                self.diag(|| BindError::ShadowedVariable { var: b.var.clone() });
             }
             let (attrs, relation) = match &b.source {
                 BindingSource::Named(rel) => {
-                    *self
-                        .info
-                        .relation_occurrences
-                        .entry(rel.clone())
-                        .or_insert(0) += 1;
+                    if self.record {
+                        match self.info.relation_occurrences.get_mut(rel) {
+                            Some(n) => *n += 1,
+                            None => {
+                                self.info.relation_occurrences.insert(rel.clone(), 1);
+                            }
+                        }
+                    }
                     let attrs = self.relation_attrs(rel);
                     if attrs.is_none() && self.schemas.is_some() {
-                        self.diag(BindError::UnknownRelation {
+                        self.diag(|| BindError::UnknownRelation {
                             relation: rel.clone(),
                         });
                     }
-                    (attrs, Some(rel.clone()))
+                    (attrs, Some(rel.as_str()))
                 }
                 BindingSource::Collection(c) => {
                     self.collection(c, true);
-                    (Some(c.head.attrs.clone()), None)
+                    (Some(c.head.attrs.as_slice()), None)
                 }
             };
             self.vars.push(VarEntry {
-                var: b.var.clone(),
+                var: &b.var,
                 attrs,
                 relation,
                 collection: coll_ordinal,
@@ -527,22 +568,22 @@ impl<'a> Walk<'a> {
         }
 
         // The join annotation must cover exactly the bound variables.
-        if let Some(jt) = &q.join {
-            let mut seen: HashMap<String, usize> = HashMap::new();
-            for v in jt.vars() {
-                *seen.entry(v.to_string()).or_insert(0) += 1;
-            }
-            for (v, n) in &seen {
-                if *n > 1 {
-                    self.diag(BindError::JoinVarDuplicated { var: v.clone() });
+        if let Some(jt) = q.join.as_ref().filter(|_| self.record) {
+            let vars = jt.vars();
+            for (i, v) in vars.iter().enumerate() {
+                if vars[..i].contains(v) {
+                    continue; // reported at its first occurrence
                 }
-                if !q.bindings.iter().any(|b| &b.var == v) {
-                    self.diag(BindError::JoinVarUnknown { var: v.clone() });
+                if vars[i + 1..].contains(v) {
+                    self.diag(|| BindError::JoinVarDuplicated { var: v.to_string() });
+                }
+                if !q.bindings.iter().any(|b| b.var == *v) {
+                    self.diag(|| BindError::JoinVarUnknown { var: v.to_string() });
                 }
             }
             for b in &q.bindings {
-                if !seen.contains_key(&b.var) {
-                    self.diag(BindError::JoinVarMissing { var: b.var.clone() });
+                if !vars.contains(&b.var.as_str()) {
+                    self.diag(|| BindError::JoinVarMissing { var: b.var.clone() });
                 }
             }
         }
@@ -552,7 +593,7 @@ impl<'a> Walk<'a> {
             for key in &g.keys {
                 let local = self.vars[var_base..].iter().any(|v| v.var == key.var);
                 if !local {
-                    self.diag(BindError::GroupingKeyNotLocal {
+                    self.diag(|| BindError::GroupingKeyNotLocal {
                         key: key.to_string(),
                     });
                 } else {
@@ -563,7 +604,7 @@ impl<'a> Walk<'a> {
 
         self.quants.push(QuantFrame {
             id: quant_id,
-            grouping: q.grouping.as_ref().map(|g| g.keys.clone()),
+            grouping: q.grouping.as_ref().map(|g| g.keys.as_slice()),
         });
         self.depth += 1;
         self.info.max_depth = self.info.max_depth.max(self.depth);
@@ -574,27 +615,16 @@ impl<'a> Walk<'a> {
     }
 
     fn check_attr_exists(&mut self, r: &AttrRef) {
-        let diag = {
-            let entry = match self.vars.iter().rev().find(|v| v.var == r.var) {
-                Some(e) => e,
-                None => return,
-            };
-            match &entry.attrs {
-                Some(attrs) if !attrs.iter().any(|a| a == &r.attr) => {
-                    Some(BindError::UnknownAttribute {
-                        var: r.var.clone(),
-                        attr: r.attr.clone(),
-                        relation: entry
-                            .relation
-                            .clone()
-                            .unwrap_or_else(|| "<nested collection>".to_string()),
-                    })
-                }
-                _ => None,
-            }
+        let Some(entry) = self.var(&r.var) else {
+            return;
         };
-        if let Some(d) = diag {
-            self.diag(d);
+        let (attrs, relation) = (entry.attrs, entry.relation);
+        if attrs.is_some_and(|attrs| !attrs.contains(&r.attr)) {
+            self.diag(|| BindError::UnknownAttribute {
+                var: r.var.clone(),
+                attr: r.attr.clone(),
+                relation: relation.unwrap_or("<nested collection>").to_string(),
+            });
         }
     }
 
@@ -602,23 +632,14 @@ impl<'a> Walk<'a> {
     /// Returns the binding's quantifier id when resolution succeeds.
     fn resolve(&mut self, r: &AttrRef, place: &str) -> Option<usize> {
         let current = self.current_collection();
-        let found = self
-            .vars
-            .iter()
-            .rev()
-            .find(|v| v.var == r.var)
-            .map(|e| (e.collection, e.quant));
+        let found = self.var(&r.var).map(|e| (e.collection, e.quant));
         match found {
             Some((coll, quant)) => {
-                if coll != current {
-                    let inner_name = self
-                        .colls
-                        .last()
-                        .map(|c| c.name.clone())
-                        .unwrap_or_default();
+                if coll != current && self.record {
+                    let inner_name = self.colls.last().map(|c| c.name).unwrap_or_default();
                     self.info.correlations.push(Correlation {
                         inner: current,
-                        inner_name,
+                        inner_name: inner_name.to_string(),
                         var: r.var.clone(),
                         attr: r.attr.clone(),
                         outer: coll,
@@ -628,7 +649,7 @@ impl<'a> Walk<'a> {
                 Some(quant)
             }
             None => {
-                self.diag(BindError::UnboundVariable {
+                self.diag(|| BindError::UnboundVariable {
                     var: r.var.clone(),
                     place: place.to_string(),
                 });
@@ -643,33 +664,29 @@ impl<'a> Walk<'a> {
         !self.vars.iter().any(|v| v.var == var) && self.colls.iter().any(|c| c.name == var)
     }
 
-    fn head_frame_mut(&mut self, var: &str) -> Option<&mut CollFrame> {
+    fn head_frame_mut(&mut self, var: &str) -> Option<&mut CollFrame<'a>> {
         self.colls.iter_mut().rev().find(|c| c.name == var)
     }
 
-    fn predicate(&mut self, p: &Predicate) {
-        let display = p.to_string();
+    fn predicate(&mut self, p: &'a Predicate) {
+        // Rendered for the occurrence list and for diagnostics; a walk
+        // that records neither never reads it.
+        let mut display = String::new();
+        if self.record {
+            // Sized for a typical predicate: rendering then allocates once.
+            display.reserve(48);
+            let _ = write!(display, "{p}");
+        }
         let aggregating = p.has_aggregate();
 
         // Does this predicate reach outside the innermost quantifier?
         self.pred_outer_refs = {
             let current = self.quants.last().map(|q| q.id);
-            let mut refs: Vec<&AttrRef> = Vec::new();
-            match p {
-                Predicate::Cmp { left, right, .. } => {
-                    refs.extend(left.attr_refs());
-                    refs.extend(right.attr_refs());
-                }
-                Predicate::IsNull { expr, .. } => refs.extend(expr.attr_refs()),
-            }
-            refs.iter().any(|r| {
-                self.vars
-                    .iter()
-                    .rev()
-                    .find(|v| v.var == r.var)
-                    .map(|v| Some(v.quant) != current)
-                    .unwrap_or(false)
-            })
+            let mut outer = false;
+            p.each_attr_ref(&mut |r| {
+                outer |= self.var(&r.var).is_some_and(|v| Some(v.quant) != current);
+            });
+            outer
         };
 
         // Negation relative to the innermost collection: an equality with a
@@ -677,38 +694,34 @@ impl<'a> Walk<'a> {
         // it is a test (which is what makes a definition abstract, §2.13.2).
         let positive = self.neg_depth == self.colls.last().map(|c| c.neg_base).unwrap_or(0);
 
-        // Role classification.
-        let role = match p {
+        // Role classification: the assignment target, if the predicate
+        // assigns.
+        let target: Option<(&'a AttrRef, bool)> = match p {
             Predicate::Cmp { left, op, right } if *op == CmpOp::Eq && positive => {
-                let head_side = |s: &Scalar| -> Option<AttrRef> {
+                let head_side = |s: &'a Scalar| -> Option<&'a AttrRef> {
                     match s {
-                        Scalar::Attr(a) if self.is_head_var(&a.var) => Some(a.clone()),
+                        Scalar::Attr(a) if self.is_head_var(&a.var) => Some(a),
                         _ => None,
                     }
                 };
                 match (head_side(left), head_side(right)) {
-                    (Some(t), None) => PredRole::Assignment {
-                        target: t,
-                        aggregating: right.has_aggregate(),
-                    },
-                    (None, Some(t)) => PredRole::Assignment {
-                        target: t,
-                        aggregating: left.has_aggregate(),
-                    },
-                    _ => PredRole::Comparison { aggregating },
+                    (Some(t), None) => Some((t, right.has_aggregate())),
+                    (None, Some(t)) => Some((t, left.has_aggregate())),
+                    _ => None,
                 }
             }
-            _ => PredRole::Comparison { aggregating },
+            _ => None,
         };
+        let target_ref = target.map(|(t, _)| t);
 
         // Resolve operands.
         match p {
             Predicate::Cmp { left, right, .. } => {
-                self.scalar(left, &display, &role, false);
-                self.scalar(right, &display, &role, false);
+                self.scalar(left, &display, target_ref, false);
+                self.scalar(right, &display, target_ref, false);
             }
             Predicate::IsNull { expr, .. } => {
-                self.scalar(expr, &display, &role, false);
+                self.scalar(expr, &display, target_ref, false);
             }
         }
 
@@ -720,7 +733,7 @@ impl<'a> Walk<'a> {
                 .map(|q| q.grouping.is_some())
                 .unwrap_or(false);
             if !grouped {
-                self.diag(BindError::AggregateOutsideGroupingScope {
+                self.diag(|| BindError::AggregateOutsideGroupingScope {
                     predicate: display.clone(),
                 });
             }
@@ -729,63 +742,72 @@ impl<'a> Walk<'a> {
         // Grouping legality: in a grouping scope, plain attributes that
         // escape the group (via head assignment or as operands of an
         // aggregation predicate) must be grouping keys.
-        let escapes = role.is_assignment() || aggregating;
-        if escapes {
-            if let Some(QuantFrame {
-                id,
+        let escapes = target.is_some() || aggregating;
+        if let (
+            true,
+            true,
+            Some(&QuantFrame {
+                id: qid,
                 grouping: Some(keys),
-            }) = self.quants.last()
-            {
-                let qid = *id;
-                let keys = keys.clone();
-                let mut bare: Vec<AttrRef> = Vec::new();
-                match p {
-                    Predicate::Cmp { left, right, .. } => {
-                        collect_bare_refs(left, &mut bare);
-                        collect_bare_refs(right, &mut bare);
-                    }
-                    Predicate::IsNull { expr, .. } => collect_bare_refs(expr, &mut bare),
+            }),
+        ) = (escapes, self.record, self.quants.last())
+        {
+            let mut bare: Vec<&AttrRef> = Vec::new();
+            match p {
+                Predicate::Cmp { left, right, .. } => {
+                    collect_bare_refs(left, &mut bare);
+                    collect_bare_refs(right, &mut bare);
                 }
-                for a in bare {
-                    if self.is_head_var(&a.var) {
-                        continue; // assignment target
-                    }
-                    let local = self
-                        .vars
-                        .iter()
-                        .rev()
-                        .find(|v| v.var == a.var)
-                        .map(|v| v.quant == qid)
-                        .unwrap_or(false);
-                    if local && !keys.contains(&a) {
-                        self.diag(BindError::NonKeyAttributeEscapesGroup {
-                            attr: a.to_string(),
-                            predicate: display.clone(),
-                        });
-                    }
+                Predicate::IsNull { expr, .. } => collect_bare_refs(expr, &mut bare),
+            }
+            for a in bare {
+                if self.is_head_var(&a.var) {
+                    continue; // assignment target
+                }
+                let local = self.var(&a.var).is_some_and(|v| v.quant == qid);
+                if local && !keys.contains(a) {
+                    self.diag(|| BindError::NonKeyAttributeEscapesGroup {
+                        attr: a.to_string(),
+                        predicate: display.clone(),
+                    });
                 }
             }
         }
 
-        let collection = self.current_collection();
-        self.info.predicates.push(PredOccurrence {
-            display,
-            role,
-            depth: self.depth,
-            under_negation: !positive,
-            collection,
-        });
+        if self.record {
+            let collection = self.current_collection();
+            self.info.predicates.push(PredOccurrence {
+                display,
+                role: match target {
+                    Some((t, aggregating)) => PredRole::Assignment {
+                        target: t.clone(),
+                        aggregating,
+                    },
+                    None => PredRole::Comparison { aggregating },
+                },
+                depth: self.depth,
+                under_negation: !positive,
+                collection,
+            });
+        }
     }
 
-    /// Resolve the attribute references of a scalar. `nested` is true when
-    /// the scalar is an operand of arithmetic or an aggregate (head
-    /// references are illegal there).
-    fn scalar(&mut self, s: &Scalar, pred_display: &str, role: &PredRole, nested: bool) {
+    /// Resolve the attribute references of a scalar. `target` is the head
+    /// attribute the enclosing predicate assigns, if it assigns; `nested`
+    /// is true when the scalar is an operand of arithmetic or an aggregate
+    /// (head references are illegal there).
+    fn scalar(
+        &mut self,
+        s: &'a Scalar,
+        pred_display: &str,
+        target: Option<&'a AttrRef>,
+        nested: bool,
+    ) {
         match s {
             Scalar::Attr(a) => {
                 if self.is_head_var(&a.var) {
                     if nested {
-                        self.diag(BindError::HeadRefNested {
+                        self.diag(|| BindError::HeadRefNested {
                             attr: a.to_string(),
                             predicate: pred_display.to_string(),
                         });
@@ -797,16 +819,14 @@ impl<'a> Walk<'a> {
                         .map(|f| !f.attrs.iter().any(|x| x == &a.attr))
                         .unwrap_or(false);
                     if unknown {
-                        self.diag(BindError::HeadAttrUnknown {
+                        self.diag(|| BindError::HeadAttrUnknown {
                             collection: a.var.clone(),
                             attr: a.attr.clone(),
                         });
                     }
                     // A head ref that is not the assignment target marks the
                     // collection abstract-capable (§2.13.2).
-                    let is_target =
-                        matches!(role, PredRole::Assignment { target, .. } if target == a);
-                    if !is_target {
+                    if target != Some(a) {
                         if let Some(frame) = self.head_frame_mut(&a.var) {
                             frame.head_used_in_comparison = true;
                         }
@@ -817,14 +837,16 @@ impl<'a> Walk<'a> {
             }
             Scalar::Const(_) => {}
             Scalar::Agg(call) => {
-                self.record_aggregate(call, pred_display, role);
+                if self.record {
+                    self.record_aggregate(call, pred_display, target.is_some());
+                }
                 if let AggArg::Expr(e) = &call.arg {
                     self.aggregate_arg(e, pred_display);
                 }
             }
             Scalar::Arith { left, right, .. } => {
-                self.scalar(left, pred_display, role, true);
-                self.scalar(right, pred_display, role, true);
+                self.scalar(left, pred_display, target, true);
+                self.scalar(right, pred_display, target, true);
             }
         }
     }
@@ -833,21 +855,20 @@ impl<'a> Walk<'a> {
     /// quantifier whose scope contains the aggregation predicate (§2.5:
     /// "the full join, determined by the scope in which the aggregation
     /// predicate appears").
-    fn aggregate_arg(&mut self, e: &Scalar, pred_display: &str) {
+    fn aggregate_arg(&mut self, e: &'a Scalar, pred_display: &str) {
         let current_quant = self.quants.last().map(|q| q.id);
-        let refs: Vec<AttrRef> = e.attr_refs().into_iter().cloned().collect();
-        for a in refs {
+        for a in e.attr_refs() {
             if self.is_head_var(&a.var) {
-                self.diag(BindError::HeadRefNested {
+                self.diag(|| BindError::HeadRefNested {
                     attr: a.to_string(),
                     predicate: pred_display.to_string(),
                 });
                 continue;
             }
-            let resolved_quant = self.resolve(&a, pred_display);
+            let resolved_quant = self.resolve(a, pred_display);
             if let (Some(rq), Some(cq)) = (resolved_quant, current_quant) {
                 if rq != cq {
-                    self.diag(BindError::AggregateArgNotLocal {
+                    self.diag(|| BindError::AggregateArgNotLocal {
                         predicate: pred_display.to_string(),
                         var: a.var.clone(),
                     });
@@ -856,22 +877,22 @@ impl<'a> Walk<'a> {
         }
     }
 
-    fn record_aggregate(&mut self, call: &AggCall, pred_display: &str, role: &PredRole) {
-        let agg_role = match role {
-            PredRole::Assignment { .. } => AggRole::Assignment,
-            PredRole::Comparison { .. } => AggRole::Comparison,
-        };
+    fn record_aggregate(&mut self, call: &AggCall, pred_display: &str, assigning: bool) {
         let grouping_keys = self
             .quants
             .last()
-            .and_then(|q| q.grouping.as_ref())
+            .and_then(|q| q.grouping)
             .map(|k| k.len())
             .unwrap_or(0);
         let collection = self.current_collection();
         self.info.aggregates.push(AggOccurrence {
             func: call.func,
             distinct: call.distinct,
-            role: agg_role,
+            role: if assigning {
+                AggRole::Assignment
+            } else {
+                AggRole::Comparison
+            },
             grouping_keys,
             collection,
             outer_refs: self.pred_outer_refs,
@@ -881,9 +902,9 @@ impl<'a> Walk<'a> {
 }
 
 /// Collect bare (non-aggregated) attribute references of a scalar.
-fn collect_bare_refs(s: &Scalar, out: &mut Vec<AttrRef>) {
+fn collect_bare_refs<'a>(s: &'a Scalar, out: &mut Vec<&'a AttrRef>) {
     match s {
-        Scalar::Attr(a) => out.push(a.clone()),
+        Scalar::Attr(a) => out.push(a),
         Scalar::Const(_) => {}
         Scalar::Agg(_) => {} // aggregated refs do not escape bare
         Scalar::Arith { left, right, .. } => {
@@ -893,46 +914,19 @@ fn collect_bare_refs(s: &Scalar, out: &mut Vec<AttrRef>) {
     }
 }
 
-/// Attributes of `head` definitely assigned when `f` holds (conjunction ∪,
-/// disjunction ∩, negation ∅). Used for head-completeness checking.
-pub fn assigned_attrs<'f>(f: &'f Formula, head: &str) -> HashSet<&'f str> {
+/// Whether `head.attr` is definitely assigned when `f` holds: by some
+/// conjunct, by every disjunct, never under a negation. Used for
+/// head-completeness checking.
+fn assigns(f: &Formula, head: &str, attr: &str) -> bool {
+    let is_target = |s: &Scalar| matches!(s, Scalar::Attr(a) if a.var == head && a.attr == attr);
     match f {
-        Formula::Pred(Predicate::Cmp { left, op, right }) if *op == CmpOp::Eq => {
-            let mut out = HashSet::new();
-            if let Scalar::Attr(a) = left {
-                if a.var == head {
-                    out.insert(a.attr.as_str());
-                }
-            }
-            if let Scalar::Attr(a) = right {
-                if a.var == head {
-                    out.insert(a.attr.as_str());
-                }
-            }
-            out
+        Formula::Pred(Predicate::Cmp { left, op, right }) => {
+            *op == CmpOp::Eq && (is_target(left) || is_target(right))
         }
-        Formula::Pred(_) => HashSet::new(),
-        Formula::And(fs) => {
-            let mut out = HashSet::new();
-            for sub in fs {
-                out.extend(assigned_attrs(sub, head));
-            }
-            out
-        }
-        Formula::Or(fs) => {
-            let mut iter = fs.iter();
-            let mut out = match iter.next() {
-                Some(first) => assigned_attrs(first, head),
-                None => return HashSet::new(),
-            };
-            for sub in iter {
-                let s = assigned_attrs(sub, head);
-                out.retain(|a| s.contains(a));
-            }
-            out
-        }
-        Formula::Not(_) => HashSet::new(),
-        Formula::Quant(q) => assigned_attrs(&q.body, head),
+        Formula::Pred(_) | Formula::Not(_) => false,
+        Formula::And(fs) => fs.iter().any(|sub| assigns(sub, head, attr)),
+        Formula::Or(fs) => !fs.is_empty() && fs.iter().all(|sub| assigns(sub, head, attr)),
+        Formula::Quant(q) => assigns(&q.body, head, attr),
     }
 }
 

@@ -11,7 +11,7 @@ use crate::ast::*;
 use arc_core::ast::{
     self as arc, AttrRef, Binding, CmpOp, Formula, Grouping, Head, Predicate, Quant, Scalar,
 };
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Lowering error.
@@ -89,7 +89,7 @@ pub fn lower_program(p: &DatalogProgram) -> Result<arc::Program, DatalogLowerErr
             collection: arc::Collection {
                 head: Head {
                     relation: name,
-                    attrs,
+                    attrs: attrs.into_owned(),
                 },
                 body,
             },
@@ -103,12 +103,56 @@ struct Lowerer<'p> {
     counter: usize,
 }
 
-/// Per-rule lowering state: the variable → representative-scalar map and
-/// the accumulated conjuncts/bindings.
-struct RuleCtx {
-    var_map: HashMap<String, AttrRef>,
+/// Per-rule lowering state: the variable → representative-attribute map
+/// and the accumulated conjuncts/bindings. Variable names are borrowed
+/// from the rule; a rule has a handful of them, so the map is a list.
+struct RuleCtx<'p> {
+    var_map: Vec<(&'p str, AttrRef)>,
     bindings: Vec<Binding>,
     conjuncts: Vec<Formula>,
+}
+
+impl<'p> RuleCtx<'p> {
+    fn new() -> Self {
+        RuleCtx {
+            var_map: Vec::new(),
+            bindings: Vec::new(),
+            conjuncts: Vec::new(),
+        }
+    }
+
+    /// The representative of variable `v`, when a positive atom (or an
+    /// aggregate assignment) grounds it.
+    fn rep(&self, v: &str) -> Option<&AttrRef> {
+        self.var_map
+            .iter()
+            .find(|(name, _)| *name == v)
+            .map(|(_, rep)| rep)
+    }
+}
+
+/// The variables one literal can see: a rule's own, or — inside an
+/// aggregate body — the body's first and then the enclosing rule's.
+#[derive(Clone, Copy)]
+struct Vars<'c, 'p> {
+    inner: &'c RuleCtx<'p>,
+    outer: Option<&'c RuleCtx<'p>>,
+}
+
+impl Vars<'_, '_> {
+    fn rep(&self, v: &str) -> Option<&AttrRef> {
+        self.inner
+            .rep(v)
+            .or_else(|| self.outer.and_then(|outer| outer.rep(v)))
+    }
+}
+
+fn eq(left: Scalar, right: Scalar) -> Formula {
+    Formula::Pred(Predicate::Cmp {
+        left,
+        op: CmpOp::Eq,
+        right,
+    })
 }
 
 impl<'p> Lowerer<'p> {
@@ -117,23 +161,33 @@ impl<'p> Lowerer<'p> {
         format!("{prefix}{}", self.counter)
     }
 
-    fn attrs_of(&self, name: &str, arity: usize) -> Result<Vec<String>, DatalogLowerError> {
+    /// The attribute names of `name`: its `.decl`'s, or positional ones.
+    fn attrs_of(&self, name: &str, arity: usize) -> Result<Cow<'p, [String]>, DatalogLowerError> {
         if let Some(d) = self.program.decl(name) {
-            return Ok(d.attrs.clone());
+            return Ok(Cow::Borrowed(&d.attrs));
         }
         if arity == 0 {
             return Err(DatalogLowerError::MissingDecl(name.to_string()));
         }
         // Lenient default: positional attribute names.
-        Ok((1..=arity).map(|i| format!("x{i}")).collect())
+        Ok(Cow::Owned((1..=arity).map(|i| format!("x{i}")).collect()))
     }
 
-    fn rule(&mut self, rule: &Rule) -> Result<Formula, DatalogLowerError> {
-        let mut cx = RuleCtx {
-            var_map: HashMap::new(),
-            bindings: Vec::new(),
-            conjuncts: Vec::new(),
-        };
+    /// [`Lowerer::attrs_of`] an atom, arity-checked.
+    fn atom_attrs(&self, atom: &Atom) -> Result<Cow<'p, [String]>, DatalogLowerError> {
+        let attrs = self.attrs_of(&atom.name, atom.args.len())?;
+        if attrs.len() != atom.args.len() {
+            return Err(DatalogLowerError::ArityMismatch {
+                relation: atom.name.clone(),
+                expected: attrs.len(),
+                found: atom.args.len(),
+            });
+        }
+        Ok(attrs)
+    }
+
+    fn rule(&mut self, rule: &'p Rule) -> Result<Formula, DatalogLowerError> {
+        let mut cx = RuleCtx::new();
 
         // Positive atoms first: they ground the variables.
         for lit in &rule.body {
@@ -153,50 +207,45 @@ impl<'p> Lowerer<'p> {
                     atom,
                     negated: true,
                 } => {
-                    let f = self.negated_atom(atom, &cx)?;
+                    let vars = Vars {
+                        inner: &cx,
+                        outer: None,
+                    };
+                    let f = self.negated_atom(atom, vars)?;
                     cx.conjuncts.push(f);
                 }
                 Literal::Cmp { left, op, right } => {
-                    let l = self.term_scalar(left, &cx)?;
-                    let r = self.term_scalar(right, &cx)?;
-                    cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                        left: l,
+                    let vars = Vars {
+                        inner: &cx,
+                        outer: None,
+                    };
+                    let f = Formula::Pred(Predicate::Cmp {
+                        left: term_scalar(left, vars)?,
                         op: *op,
-                        right: r,
-                    }));
+                        right: term_scalar(right, vars)?,
+                    });
+                    cx.conjuncts.push(f);
                 }
                 Literal::AggAssign { var, agg } => {
                     let rep = self.aggregate(agg, &mut cx)?;
-                    match cx.var_map.get(var) {
+                    match cx.rep(var) {
                         // Already bound: `q = count : {…}` compares.
-                        Some(bound) => cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                            left: Scalar::Attr(bound.clone()),
-                            op: CmpOp::Eq,
-                            right: Scalar::Attr(rep),
-                        })),
-                        None => {
-                            cx.var_map.insert(var.clone(), rep);
+                        Some(bound) => {
+                            let f = eq(Scalar::Attr(bound.clone()), Scalar::Attr(rep));
+                            cx.conjuncts.push(f);
                         }
+                        None => cx.var_map.push((var, rep)),
                     }
                 }
             }
         }
 
         // Head assignments.
-        let head_attrs = self.attrs_of(&rule.head.name, rule.head.args.len())?;
-        if head_attrs.len() != rule.head.args.len() {
-            return Err(DatalogLowerError::ArityMismatch {
-                relation: rule.head.name.clone(),
-                expected: head_attrs.len(),
-                found: rule.head.args.len(),
-            });
-        }
-        for (i, term) in rule.head.args.iter().enumerate() {
-            let target = Scalar::Attr(AttrRef::new(rule.head.name.clone(), head_attrs[i].clone()));
+        let head_attrs = self.atom_attrs(&rule.head)?;
+        for (term, attr) in rule.head.args.iter().zip(head_attrs.iter()) {
             let value: Scalar = match term {
                 Term::Var(v) => Scalar::Attr(
-                    cx.var_map
-                        .get(v)
+                    cx.rep(v)
                         .cloned()
                         .ok_or_else(|| DatalogLowerError::UnboundVariable(v.clone()))?,
                 ),
@@ -212,11 +261,8 @@ impl<'p> Lowerer<'p> {
                     Scalar::Attr(rep)
                 }
             };
-            cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                left: target,
-                op: CmpOp::Eq,
-                right: value,
-            }));
+            let target = Scalar::Attr(AttrRef::new(rule.head.name.as_str(), attr.as_str()));
+            cx.conjuncts.push(eq(target, value));
         }
 
         if cx.bindings.is_empty() {
@@ -231,36 +277,26 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn positive_atom(&mut self, atom: &Atom, cx: &mut RuleCtx) -> Result<(), DatalogLowerError> {
-        let attrs = self.attrs_of(&atom.name, atom.args.len())?;
-        if attrs.len() != atom.args.len() {
-            return Err(DatalogLowerError::ArityMismatch {
-                relation: atom.name.clone(),
-                expected: attrs.len(),
-                found: atom.args.len(),
-            });
-        }
+    fn positive_atom(
+        &mut self,
+        atom: &'p Atom,
+        cx: &mut RuleCtx<'p>,
+    ) -> Result<(), DatalogLowerError> {
+        let attrs = self.atom_attrs(atom)?;
         let var = self.fresh("r");
-        cx.bindings
-            .push(Binding::named(var.clone(), atom.name.clone()));
-        for (i, term) in atom.args.iter().enumerate() {
-            let here = AttrRef::new(var.clone(), attrs[i].clone());
+        for (term, attr) in atom.args.iter().zip(attrs.iter()) {
+            let here = || AttrRef::new(var.as_str(), attr.as_str());
             match term {
-                Term::Var(v) => match cx.var_map.get(v) {
-                    Some(rep) => cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                        left: Scalar::Attr(here),
-                        op: CmpOp::Eq,
-                        right: Scalar::Attr(rep.clone()),
-                    })),
-                    None => {
-                        cx.var_map.insert(v.clone(), here);
+                Term::Var(v) => match cx.rep(v) {
+                    Some(rep) => {
+                        let f = eq(Scalar::Attr(here()), Scalar::Attr(rep.clone()));
+                        cx.conjuncts.push(f);
                     }
+                    None => cx.var_map.push((v, here())),
                 },
-                Term::Const(c) => cx.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                    left: Scalar::Attr(here),
-                    op: CmpOp::Eq,
-                    right: Scalar::Const(c.clone()),
-                })),
+                Term::Const(c) => cx
+                    .conjuncts
+                    .push(eq(Scalar::Attr(here()), Scalar::Const(c.clone()))),
                 Term::Underscore => {}
                 Term::Agg(_) => {
                     return Err(DatalogLowerError::Unsupported(
@@ -269,39 +305,29 @@ impl<'p> Lowerer<'p> {
                 }
             }
         }
+        cx.bindings.push(Binding::named(var, atom.name.clone()));
         Ok(())
     }
 
-    fn negated_atom(&mut self, atom: &Atom, cx: &RuleCtx) -> Result<Formula, DatalogLowerError> {
-        let attrs = self.attrs_of(&atom.name, atom.args.len())?;
-        if attrs.len() != atom.args.len() {
-            return Err(DatalogLowerError::ArityMismatch {
-                relation: atom.name.clone(),
-                expected: attrs.len(),
-                found: atom.args.len(),
-            });
-        }
+    fn negated_atom(
+        &mut self,
+        atom: &Atom,
+        vars: Vars<'_, '_>,
+    ) -> Result<Formula, DatalogLowerError> {
+        let attrs = self.atom_attrs(atom)?;
         let var = self.fresh("n");
         let mut preds = Vec::new();
-        for (i, term) in atom.args.iter().enumerate() {
-            let here = AttrRef::new(var.clone(), attrs[i].clone());
+        for (term, attr) in atom.args.iter().zip(attrs.iter()) {
+            let here = || Scalar::Attr(AttrRef::new(var.as_str(), attr.as_str()));
             match term {
                 Term::Var(v) => {
                     // Safety: vars in a negated atom must be grounded
                     // positively; ungrounded ones act as projections.
-                    if let Some(rep) = cx.var_map.get(v) {
-                        preds.push(Formula::Pred(Predicate::Cmp {
-                            left: Scalar::Attr(here),
-                            op: CmpOp::Eq,
-                            right: Scalar::Attr(rep.clone()),
-                        }));
+                    if let Some(rep) = vars.rep(v) {
+                        preds.push(eq(here(), Scalar::Attr(rep.clone())));
                     }
                 }
-                Term::Const(c) => preds.push(Formula::Pred(Predicate::Cmp {
-                    left: Scalar::Attr(here),
-                    op: CmpOp::Eq,
-                    right: Scalar::Const(c.clone()),
-                })),
+                Term::Const(c) => preds.push(eq(here(), Scalar::Const(c.clone()))),
                 Term::Underscore => {}
                 Term::Agg(_) => {
                     return Err(DatalogLowerError::Unsupported(
@@ -321,18 +347,18 @@ impl<'p> Lowerer<'p> {
     /// Lower an aggregate term into the FOI pattern: a correlated nested
     /// collection with `γ∅` whose single attribute carries the aggregate.
     /// Returns the attribute reference the aggregate value is available at.
-    fn aggregate(&mut self, agg: &AggTerm, cx: &mut RuleCtx) -> Result<AttrRef, DatalogLowerError> {
+    fn aggregate(
+        &mut self,
+        agg: &'p AggTerm,
+        cx: &mut RuleCtx<'p>,
+    ) -> Result<AttrRef, DatalogLowerError> {
         let coll_name = self.fresh("X");
         let out_var = self.fresh("x");
 
         // The aggregate body is its own scope; shared variables correlate
         // to the outer rule ("you cannot export information from within the
         // body of an aggregate").
-        let mut inner = RuleCtx {
-            var_map: HashMap::new(),
-            bindings: Vec::new(),
-            conjuncts: Vec::new(),
-        };
+        let mut inner = RuleCtx::new();
         for lit in &agg.body {
             if let Literal::Atom {
                 atom,
@@ -345,69 +371,61 @@ impl<'p> Lowerer<'p> {
         // Correlations: inner variables that the outer rule also grounds
         // equate to their outer representatives (the FOI "per-outer-tuple"
         // linkage).
-        let mut correlated: Vec<(AttrRef, AttrRef)> = inner
+        let mut correlated: Vec<(&AttrRef, &AttrRef)> = inner
             .var_map
             .iter()
-            .filter_map(|(v, here)| cx.var_map.get(v).map(|outer| (here.clone(), outer.clone())))
+            .filter_map(|(v, here)| cx.rep(v).map(|outer| (here, outer)))
             .collect();
         correlated.sort(); // deterministic output order
-        for (here, outer) in &correlated {
-            inner.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                left: Scalar::Attr(here.clone()),
-                op: CmpOp::Eq,
-                right: Scalar::Attr(outer.clone()),
-            }));
-        }
+        let correlations: Vec<Formula> = correlated
+            .into_iter()
+            .map(|(here, outer)| eq(Scalar::Attr(here.clone()), Scalar::Attr(outer.clone())))
+            .collect();
+        inner.conjuncts.extend(correlations);
         for lit in &agg.body {
-            match lit {
-                Literal::Atom { negated: false, .. } => {}
+            // Resolve against inner first, then outer.
+            let vars = Vars {
+                inner: &inner,
+                outer: Some(&*cx),
+            };
+            let f = match lit {
+                Literal::Atom { negated: false, .. } => continue,
                 Literal::Atom {
                     atom,
                     negated: true,
-                } => {
-                    // Resolve against inner first, then outer.
-                    let merged = merge_ctx(&inner, cx);
-                    let f = self.negated_atom(atom, &merged)?;
-                    inner.conjuncts.push(f);
-                }
-                Literal::Cmp { left, op, right } => {
-                    let merged = merge_ctx(&inner, cx);
-                    let l = self.term_scalar(left, &merged)?;
-                    let r = self.term_scalar(right, &merged)?;
-                    inner.conjuncts.push(Formula::Pred(Predicate::Cmp {
-                        left: l,
-                        op: *op,
-                        right: r,
-                    }));
-                }
+                } => self.negated_atom(atom, vars)?,
+                Literal::Cmp { left, op, right } => Formula::Pred(Predicate::Cmp {
+                    left: term_scalar(left, vars)?,
+                    op: *op,
+                    right: term_scalar(right, vars)?,
+                }),
                 Literal::AggAssign { .. } => {
                     return Err(DatalogLowerError::Unsupported(
                         "nested aggregate assignment".to_string(),
                     ))
                 }
-            }
+            };
+            inner.conjuncts.push(f);
         }
 
         let agg_arg = match &agg.var {
             Some(v) => {
                 let rep = inner
-                    .var_map
-                    .get(v)
+                    .rep(v)
                     .cloned()
                     .ok_or_else(|| DatalogLowerError::UnboundVariable(v.clone()))?;
                 arc::AggArg::Expr(Scalar::Attr(rep))
             }
             None => arc::AggArg::Star,
         };
-        inner.conjuncts.push(Formula::Pred(Predicate::Cmp {
-            left: Scalar::Attr(AttrRef::new(coll_name.clone(), "v")),
-            op: CmpOp::Eq,
-            right: Scalar::Agg(Box::new(arc::AggCall {
+        inner.conjuncts.push(eq(
+            Scalar::Attr(AttrRef::new(coll_name.as_str(), "v")),
+            Scalar::Agg(Box::new(arc::AggCall {
                 func: agg.func,
                 arg: agg_arg,
                 distinct: false,
             })),
-        }));
+        ));
 
         let nested = arc::Collection {
             head: Head {
@@ -421,37 +439,24 @@ impl<'p> Lowerer<'p> {
                 body: Formula::And(inner.conjuncts),
             })),
         };
-        cx.bindings.push(Binding::nested(out_var.clone(), nested));
-        Ok(AttrRef::new(out_var, "v"))
-    }
-
-    fn term_scalar(&self, term: &Term, cx: &RuleCtx) -> Result<Scalar, DatalogLowerError> {
-        match term {
-            Term::Var(v) => cx
-                .var_map
-                .get(v)
-                .map(|r| Scalar::Attr(r.clone()))
-                .ok_or_else(|| DatalogLowerError::UnboundVariable(v.clone())),
-            Term::Const(c) => Ok(Scalar::Const(c.clone())),
-            Term::Underscore => Err(DatalogLowerError::Unsupported(
-                "`_` in comparison".to_string(),
-            )),
-            Term::Agg(_) => Err(DatalogLowerError::Unsupported(
-                "aggregate in comparison (assign it to a variable first)".to_string(),
-            )),
-        }
+        let out = AttrRef::new(out_var.as_str(), "v");
+        cx.bindings.push(Binding::nested(out_var, nested));
+        Ok(out)
     }
 }
 
-/// A view merging inner and outer variable maps (inner shadows outer).
-fn merge_ctx(inner: &RuleCtx, outer: &RuleCtx) -> RuleCtx {
-    let mut var_map = outer.var_map.clone();
-    for (k, v) in &inner.var_map {
-        var_map.insert(k.clone(), v.clone());
-    }
-    RuleCtx {
-        var_map,
-        bindings: Vec::new(),
-        conjuncts: Vec::new(),
+fn term_scalar(term: &Term, vars: Vars<'_, '_>) -> Result<Scalar, DatalogLowerError> {
+    match term {
+        Term::Var(v) => vars
+            .rep(v)
+            .map(|r| Scalar::Attr(r.clone()))
+            .ok_or_else(|| DatalogLowerError::UnboundVariable(v.clone())),
+        Term::Const(c) => Ok(Scalar::Const(c.clone())),
+        Term::Underscore => Err(DatalogLowerError::Unsupported(
+            "`_` in comparison".to_string(),
+        )),
+        Term::Agg(_) => Err(DatalogLowerError::Unsupported(
+            "aggregate in comparison (assign it to a variable first)".to_string(),
+        )),
     }
 }

@@ -112,15 +112,25 @@ impl<'s> P<'s> {
     }
 
     fn ident(&mut self) -> Result<String, DatalogParseError> {
+        match self.word() {
+            Some(word) => Ok(word.to_string()),
+            None => Err(self.err("expected identifier")),
+        }
+    }
+
+    /// The identifier at the cursor (after whitespace), consumed — as the
+    /// slice of the source that spells it; `None`, consuming nothing but
+    /// the whitespace, when there is none.
+    fn word(&mut self) -> Option<&'s str> {
         self.ws();
         let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
             self.pos += 1;
         }
-        if self.pos == start {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).to_string())
+        // ASCII letters, digits and `_` only: always valid UTF-8.
+        std::str::from_utf8(&self.src[start..self.pos])
+            .ok()
+            .filter(|word| !word.is_empty())
     }
 
     fn decl(&mut self) -> Result<Decl, DatalogParseError> {
@@ -173,10 +183,11 @@ impl<'s> P<'s> {
                 negated: true,
             });
         }
-        // Try: aggregate assignment `v = func [x] : { … }`.
         let saved = self.pos;
-        if let Ok(var) = self.ident() {
+        if let Some(var) = self.word() {
+            // Try: aggregate assignment `v = func [x] : { … }`.
             if self.eat_str("=") {
+                let var = var.to_string();
                 if let Some(agg) = self.try_agg_term()? {
                     return Ok(Literal::AggAssign { var, agg });
                 }
@@ -188,13 +199,7 @@ impl<'s> P<'s> {
                     right,
                 });
             }
-            self.pos = saved;
-        } else {
-            self.pos = saved;
-        }
-        // Atom or comparison.
-        let saved = self.pos;
-        if self.ident().is_ok() {
+            // Atom: a name and its argument list.
             self.ws();
             if self.peek() == Some(b'(') {
                 self.pos = saved;
@@ -204,10 +209,9 @@ impl<'s> P<'s> {
                     negated: false,
                 });
             }
-            self.pos = saved;
-        } else {
-            self.pos = saved;
         }
+        // Comparison.
+        self.pos = saved;
         let left = self.simple_term()?;
         let op = self.cmp_op()?;
         let right = self.simple_term()?;
@@ -328,7 +332,8 @@ impl<'s> P<'s> {
                     }
                     self.pos += 1;
                 }
-                let text = String::from_utf8_lossy(&self.src[start..self.pos]).to_string();
+                // A sign, digits and dots only: always valid UTF-8.
+                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap_or_default();
                 if is_float {
                     Ok(Term::Const(Value::Float(
                         text.parse()

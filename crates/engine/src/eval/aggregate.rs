@@ -163,19 +163,28 @@ impl Acc {
 }
 
 /// One group: the representative member's rows plus one accumulator per
-/// aggregate call.
-pub(crate) struct Group<'a> {
+/// aggregate call — a view into its [`Groups`].
+pub(crate) struct Group<'g, 'a> {
     /// The first member's scope-local frames (empty for `γ∅` over an
     /// empty join, which has a group but no member).
-    pub(crate) repr: Vec<Frame<'a>>,
+    pub(crate) repr: &'g [Frame<'a>],
     members: usize,
-    accs: Vec<Acc>,
+    accs: &'g [Acc],
 }
 
-/// The groups of one grouping-scope execution, in key order.
+/// The groups of one grouping-scope execution, in key order. Every
+/// group's frames and accumulators sit in two buffers of the whole
+/// execution — a new group is its key and its place in them.
 pub(crate) struct Groups<'a> {
-    map: BTreeMap<Vec<Key>, Group<'a>>,
+    /// Group number and members folded so far, by key.
+    map: BTreeMap<Vec<Key>, (usize, usize)>,
     scratch: Vec<Key>,
+    /// Representative frames, `width` per group (every member binds the
+    /// scope's own variables, so the same number).
+    reprs: Vec<Frame<'a>>,
+    width: usize,
+    /// Accumulators, one per aggregate call per group.
+    accs: Vec<Acc>,
 }
 
 /// What one member contributes, already evaluated: the parallel path
@@ -192,7 +201,23 @@ impl<'a> Groups<'a> {
         Groups {
             map: BTreeMap::new(),
             scratch: Vec::new(),
+            reprs: Vec::new(),
+            width: 0,
+            accs: Vec::new(),
         }
+    }
+
+    /// Open the next group, its first member binding `repr`: what the
+    /// map is to hold for it.
+    fn open(
+        &mut self,
+        repr: impl ExactSizeIterator<Item = Frame<'a>>,
+        aggs: &[AggSpec<'_>],
+    ) -> (usize, usize) {
+        self.width = repr.len();
+        self.reprs.extend(repr);
+        self.accs.extend(aggs.iter().map(Acc::new));
+        (self.map.len(), 1)
     }
 
     /// Fold the environment on top of `env` (scope-local frames start at
@@ -209,15 +234,19 @@ impl<'a> Groups<'a> {
         for k in keys {
             self.scratch.push(ctx.scalar(k, env)?.key());
         }
-        let group = match self.map.get_mut(self.scratch.as_slice()) {
-            Some(group) => group,
-            None => self
-                .map
-                .entry(self.scratch.clone())
-                .or_insert_with(|| Group::new(env.frames[base..].to_vec(), aggs)),
+        let n = match self.map.get_mut(self.scratch.as_slice()) {
+            Some((n, members)) => {
+                *members += 1;
+                *n
+            }
+            None => {
+                let group = self.open(env.frames[base..].iter().cloned(), aggs);
+                self.map.insert(self.scratch.clone(), group);
+                group.0
+            }
         };
-        group.members += 1;
-        for (acc, spec) in group.accs.iter_mut().zip(aggs) {
+        let accs = &mut self.accs[n * aggs.len()..(n + 1) * aggs.len()];
+        for (acc, spec) in accs.iter_mut().zip(aggs) {
             if let Some(v) = spec.input(ctx, env)? {
                 acc.fold(spec.func, &v);
             }
@@ -227,12 +256,19 @@ impl<'a> Groups<'a> {
 
     /// Fold an already-evaluated member (see [`member_of`]).
     pub(crate) fn fold_member(&mut self, aggs: &[AggSpec<'_>], m: Member<'a>) {
-        let group = self
-            .map
-            .entry(m.key)
-            .or_insert_with(|| Group::new(m.frames, aggs));
-        group.members += 1;
-        for ((acc, spec), v) in group.accs.iter_mut().zip(aggs).zip(&m.inputs) {
+        let n = match self.map.get_mut(&m.key) {
+            Some((n, members)) => {
+                *members += 1;
+                *n
+            }
+            None => {
+                let group = self.open(m.frames.into_iter(), aggs);
+                self.map.insert(m.key, group);
+                group.0
+            }
+        };
+        let accs = &mut self.accs[n * aggs.len()..(n + 1) * aggs.len()];
+        for ((acc, spec), v) in accs.iter_mut().zip(aggs).zip(&m.inputs) {
             acc.fold(spec.func, v);
         }
     }
@@ -241,12 +277,23 @@ impl<'a> Groups<'a> {
     /// is just one group", like SQL's aggregate query without GROUP BY).
     pub(crate) fn ensure_global(&mut self, aggs: &[AggSpec<'_>]) {
         if self.map.is_empty() {
-            self.map.insert(Vec::new(), Group::new(Vec::new(), aggs));
+            // A group of no member.
+            let (n, _) = self.open(std::iter::empty(), aggs);
+            self.map.insert(Vec::new(), (n, 0));
         }
     }
 
-    pub(crate) fn into_groups(self) -> impl Iterator<Item = Group<'a>> {
-        self.map.into_values()
+    /// The groups, in key order.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = Group<'_, 'a>> {
+        let naggs = match self.map.len() {
+            0 => 0,
+            groups => self.accs.len() / groups,
+        };
+        self.map.values().map(move |&(n, members)| Group {
+            repr: &self.reprs[n * self.width..(n + 1) * self.width],
+            members,
+            accs: &self.accs[n * naggs..(n + 1) * naggs],
+        })
     }
 }
 
@@ -275,15 +322,7 @@ pub(crate) fn member_of<'a>(
     })
 }
 
-impl<'a> Group<'a> {
-    fn new(repr: Vec<Frame<'a>>, aggs: &[AggSpec<'_>]) -> Self {
-        Group {
-            repr,
-            members: 0,
-            accs: aggs.iter().map(Acc::new).collect(),
-        }
-    }
-
+impl Group<'_, '_> {
     /// Whether the group has no member (`γ∅` over an empty join): its
     /// tests and assignments then see the outer frames only.
     pub(crate) fn is_empty(&self) -> bool {

@@ -29,6 +29,7 @@
 use super::env::{Env, Frame, Layout, Names};
 use super::partition::{pred_consts, pred_vars};
 use super::quantifier::{EnvFn, HashIndex};
+use super::scope::Resolved;
 use super::slots::{CPred, CScalar, Resolver};
 use super::Ctx;
 use crate::error::{EvalError, Result};
@@ -240,18 +241,17 @@ impl<'a> Ctx<'a> {
             JoinTree::Var(v) => {
                 let binding = by_var.get(v.as_str()).ok_or(EvalError::JoinTreeMismatch)?;
                 let (node, attrs) = match &binding.source {
-                    BindingSource::Named(name) => {
-                        let rel = if let Some(r) = self.defined.get(name) {
-                            r
-                        } else if let Some(r) = self.catalog.relation(name) {
-                            r
-                        } else if self.catalog.external(name).is_some() {
-                            return Err(EvalError::ExternalInJoinTree { var: v.clone() });
-                        } else {
-                            return Err(EvalError::UnknownRelation(name.clone()));
-                        };
-                        (JoinNode::Rel(rel), &rel.schema)
-                    }
+                    BindingSource::Named(name) => match self.resolve_named(binding, name)? {
+                        Resolved::Rel(rel, _) => (JoinNode::Rel(rel), &rel.schema),
+                        Resolved::Ext(_) => {
+                            return Err(EvalError::ExternalInJoinTree { var: v.clone() })
+                        }
+                        // A join leaf is materialized; an abstract
+                        // definition has nothing to materialize.
+                        Resolved::Abs(_) | Resolved::Nested(_) => {
+                            return Err(EvalError::UnknownRelation(name.clone()))
+                        }
+                    },
                     BindingSource::Collection(c) => (JoinNode::Nested(c), &c.head.attrs),
                 };
                 Ok(Side {
@@ -312,8 +312,9 @@ impl<'a> Ctx<'a> {
         cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
         let base = env.len();
-        for row in self.join_rows(&join.root, env)? {
-            env.frames.extend(row);
+        let rows = self.join_rows(&join.root, env)?;
+        for row in rows.iter() {
+            env.frames.extend(row.iter().cloned());
             let cont = !self.all_true(&join.filters, env)? || cb(self, env)?;
             env.truncate(base);
             if !cont {
@@ -324,24 +325,31 @@ impl<'a> Ctx<'a> {
     }
 
     /// The rows of a subtree: one frame per variable, in leaf order.
-    fn join_rows(&self, node: &JoinNode<'a>, env: &mut Env<'a>) -> Result<Vec<Vec<Frame<'a>>>> {
+    fn join_rows(&self, node: &JoinNode<'a>, env: &mut Env<'a>) -> Result<JoinRows<'a>> {
         match node {
-            JoinNode::Rel(rel) => Ok(rel.rows.iter().map(|t| vec![Frame::Borrowed(t)]).collect()),
-            JoinNode::Nested(c) => Ok(self
-                .collection_relation(c, env)?
-                .rows
-                .into_iter()
-                .map(|t| vec![Frame::Owned(t)])
-                .collect()),
-            JoinNode::Lit => Ok(vec![Vec::new()]),
+            JoinNode::Rel(rel) => Ok(JoinRows {
+                width: 1,
+                len: rel.rows.len(),
+                frames: rel.rows.iter().map(|t| Frame::Borrowed(t)).collect(),
+            }),
+            JoinNode::Nested(c) => {
+                let rows = self.collection_rows(c, env)?;
+                Ok(JoinRows {
+                    width: 1,
+                    len: rows.len(),
+                    frames: rows.into_iter().map(Frame::Owned).collect(),
+                })
+            }
+            JoinNode::Lit => Ok(JoinRows::unit()),
             JoinNode::Inner(children) => {
-                let mut acc: Vec<Vec<Frame<'a>>> = vec![Vec::new()];
+                let mut acc = JoinRows::unit();
                 for c in children {
                     let next = self.join_rows(c, env)?;
-                    let mut rows = Vec::with_capacity(acc.len() * next.len().max(1));
-                    for a in &acc {
-                        for b in &next {
-                            rows.push([a.as_slice(), b.as_slice()].concat());
+                    let mut rows =
+                        JoinRows::with_capacity(acc.width + next.width, acc.len * next.len);
+                    for a in acc.iter() {
+                        for b in next.iter() {
+                            rows.push(a.iter().chain(b).cloned());
                         }
                     }
                     acc = rows;
@@ -364,17 +372,17 @@ impl<'a> Ctx<'a> {
                 // values. A bucket only narrows the candidates `on` is
                 // checked against, so colliding keys may share one — and
                 // with no equi-key every row hashes alike: one bucket.
-                let mut hashes = Vec::with_capacity(right.len());
-                for rrow in &right {
+                let mut hashes = Vec::with_capacity(right.len);
+                for rrow in right.iter() {
                     env.frames.extend(rrow.iter().cloned());
                     let hash = self.key_hash(&keys.build, env);
                     env.truncate(base);
                     hashes.push(hash?);
                 }
                 let index = HashIndex::from_hashes(&hashes);
-                let mut rows = Vec::new();
-                let mut right_matched = vec![false; right.len()];
-                for lrow in &left {
+                let mut rows = JoinRows::with_capacity(left.width + right.width, left.len);
+                let mut right_matched = vec![false; right.len];
+                for lrow in left.iter() {
                     env.frames.extend(lrow.iter().cloned());
                     let mid = env.len();
                     let mut probe = || -> Result<bool> {
@@ -384,14 +392,14 @@ impl<'a> Ctx<'a> {
                         };
                         let mut matched = false;
                         for &j in index.bucket(hash, |_| Ok(true))? {
-                            let rrow = &right[j as usize];
+                            let rrow = right.row(j as usize);
                             env.frames.extend(rrow.iter().cloned());
                             let ok = self.all_true(on, env);
                             env.truncate(mid);
                             if ok? {
                                 matched = true;
                                 right_matched[j as usize] = true;
-                                rows.push([lrow.as_slice(), rrow.as_slice()].concat());
+                                rows.push(lrow.iter().chain(rrow).cloned());
                             }
                         }
                         Ok(matched)
@@ -399,20 +407,59 @@ impl<'a> Ctx<'a> {
                     let matched = probe();
                     env.truncate(base);
                     if !matched? {
-                        let mut row = lrow.clone();
-                        row.extend(null_frames(right_widths));
-                        rows.push(row);
+                        rows.push(lrow.iter().cloned().chain(null_frames(right_widths)));
                     }
                 }
                 if *full {
                     for (rrow, _) in right.iter().zip(&right_matched).filter(|(_, m)| !**m) {
-                        let mut row: Vec<Frame<'a>> = null_frames(left_widths).collect();
-                        row.extend(rrow.iter().cloned());
-                        rows.push(row);
+                        rows.push(null_frames(left_widths).chain(rrow.iter().cloned()));
                     }
                 }
                 Ok(rows)
             }
         }
+    }
+}
+
+/// The rows of a join subtree, `width` frames each, stored end to end:
+/// one buffer for the whole side instead of a vector per row.
+struct JoinRows<'a> {
+    width: usize,
+    /// The row count — what `frames` alone cannot say when `width` is 0
+    /// (a literal leaf has one row of no frames).
+    len: usize,
+    frames: Vec<Frame<'a>>,
+}
+
+impl<'a> JoinRows<'a> {
+    /// One row of no frames: a literal leaf, and the seed of a product.
+    fn unit() -> Self {
+        JoinRows {
+            width: 0,
+            len: 1,
+            frames: Vec::new(),
+        }
+    }
+
+    fn with_capacity(width: usize, rows: usize) -> Self {
+        JoinRows {
+            width,
+            len: 0,
+            frames: Vec::with_capacity(width * rows),
+        }
+    }
+
+    fn push(&mut self, row: impl Iterator<Item = Frame<'a>>) {
+        self.frames.extend(row);
+        self.len += 1;
+        debug_assert_eq!(self.frames.len(), self.width * self.len);
+    }
+
+    fn row(&self, i: usize) -> &[Frame<'a>] {
+        &self.frames[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Frame<'a>]> {
+        (0..self.len).map(|i| self.row(i))
     }
 }

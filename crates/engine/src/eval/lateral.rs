@@ -111,7 +111,7 @@ impl<'a> Ctx<'a> {
         // code: neither is a function of the collection's own references.
         let mut sources = Vec::new();
         crate::fixpoint::collect_sources(c, &mut sources);
-        let opaque = sources.iter().any(|name| {
+        let opaque = sources.iter().any(|&name| {
             !self.defined.contains_key(name)
                 && self.catalog.relation(name).is_none()
                 && (self.abstracts.contains_key(name) || self.catalog.external(name).is_some())
@@ -138,7 +138,7 @@ impl<'a> Ctx<'a> {
     pub(crate) fn lateral_rows(&self, lat: &Lateral<'a>, env: &mut Env<'a>) -> Result<Vec<Tuple>> {
         let c = lat.collection;
         let Some(memo) = &lat.memo else {
-            return Ok(self.collection_relation(c, env)?.rows);
+            return self.collection_rows(c, env);
         };
         let mut h = self.hash_state.build_hasher();
         for v in memo.key_in(env) {
@@ -163,7 +163,7 @@ impl<'a> Ctx<'a> {
             }
         };
         // Evaluate unlocked: other workers keep probing meanwhile.
-        let rows = self.collection_relation(c, env)?.rows;
+        let rows = self.collection_rows(c, env)?;
         if !admitting {
             return Ok(rows);
         }

@@ -45,9 +45,11 @@
 //! plan — binding order, per-step scan/hash-probe/external/abstract
 //! access, pushed-down filters — is compiled by [`scope`] into a
 //! slot-resolved pipeline that [`quantifier`] executes. Plans are
-//! **cached** globally by program hash (see [`arc_plan::cache`]) and
-//! compiled scopes per `Ctx` by scope identity + frame layout, so
-//! correlated scopes plan and resolve names once, not once per outer row.
+//! **cached** globally by scope shape (see [`arc_plan::cache`]: constants
+//! are typed holes, so statements that differ only in their constants
+//! share plans) and compiled scopes per `Ctx` by scope identity + frame
+//! layout, so correlated scopes plan and resolve names once, not once per
+//! outer row.
 //! Boolean `∃`/`¬∃` scopes whose correlation is a pure equi-join go
 //! further: [`semijoin`] evaluates the
 //! scope body **once**, keys a hash set on the correlated columns, and
@@ -467,11 +469,10 @@ impl<'c> Engine<'c> {
         out
     }
 
-    /// A shallow copy of this engine with a profile sink attached: every
-    /// evaluation context it creates records per-operator actuals into
-    /// `sink`. The `EXPLAIN ANALYZE` entry points evaluate through this
-    /// copy so ordinary engines never pay for profiling.
-    pub(crate) fn with_sink(&self, sink: arc_trace::ProfileSink) -> Engine<'c> {
+    /// A shallow copy of this engine: the same catalog, conventions and
+    /// knobs, a sink cache of its own. The one place that lists every
+    /// field, so the copies below only name what they change.
+    fn shallow_copy(&self) -> Engine<'c> {
         Engine {
             catalog: self.catalog,
             conventions: self.conventions,
@@ -486,9 +487,20 @@ impl<'c> Engine<'c> {
             mem_budget: self.mem_budget.clone(),
             fault: self.fault.clone(),
             cancel: self.cancel.clone(),
-            profile: Some(sink),
+            profile: self.profile.clone(),
             span_sink: self.span_sink.clone(),
             knob_sink: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// A shallow copy of this engine with a profile sink attached: every
+    /// evaluation context it creates records per-operator actuals into
+    /// `sink`. The `EXPLAIN ANALYZE` entry points evaluate through this
+    /// copy so ordinary engines never pay for profiling.
+    pub(crate) fn with_sink(&self, sink: arc_trace::ProfileSink) -> Engine<'c> {
+        Engine {
+            profile: Some(sink),
+            ..self.shallow_copy()
         }
     }
 
@@ -497,22 +509,9 @@ impl<'c> Engine<'c> {
     /// `span_trace_*` exporters can drain them afterwards.
     pub(crate) fn with_span_sink(&self, sink: arc_trace::SpanSink) -> Engine<'c> {
         Engine {
-            catalog: self.catalog,
-            conventions: self.conventions,
-            strategy: self.strategy.clone(),
-            threads: self.threads.clone(),
-            decorrelate: self.decorrelate.clone(),
-            vectorize: self.vectorize.clone(),
-            indexes: self.indexes.clone(),
-            trace: self.trace.clone(),
             spans: Ok(true),
-            timeout: self.timeout.clone(),
-            mem_budget: self.mem_budget.clone(),
-            fault: self.fault.clone(),
-            cancel: self.cancel.clone(),
-            profile: self.profile.clone(),
             span_sink: Some(sink),
-            knob_sink: std::sync::OnceLock::new(),
+            ..self.shallow_copy()
         }
     }
 
@@ -541,7 +540,7 @@ impl<'c> Engine<'c> {
         &'a self,
         defined: &'a HashMap<String, Relation>,
         abstracts: &'a HashMap<String, Collection>,
-        program: u64,
+        redirect: Option<Redirect<'a>>,
         guard: Option<Arc<QueryGuard>>,
     ) -> Result<Ctx<'a>> {
         let threads = self.threads.clone()?;
@@ -576,9 +575,9 @@ impl<'c> Engine<'c> {
             guard,
             guard_tick: Cell::new(0),
             profile: self.profile.clone(),
-            program,
             defined,
             abstracts,
+            redirect,
             hash_state: RandomState::new(),
             join_indexes: RefCell::new(HashMap::new()),
             distinct_estimates: RefCell::new(HashMap::new()),
@@ -594,7 +593,7 @@ impl<'c> Engine<'c> {
         self.contained(|| {
             let guard = self.make_guard()?;
             let (defined, abstracts) = (HashMap::new(), HashMap::new());
-            let ctx = self.ctx(&defined, &abstracts, arc_plan::program_hash(c), guard)?;
+            let ctx = self.ctx(&defined, &abstracts, None, guard)?;
             let timer = QueryTimer::start(ctx.spans.as_ref());
             let out = ctx.collection_relation(c, &mut Env::default());
             timer.finish(ctx.spans.as_ref());
@@ -607,7 +606,7 @@ impl<'c> Engine<'c> {
         self.contained(|| {
             let guard = self.make_guard()?;
             let (defined, abstracts) = (HashMap::new(), HashMap::new());
-            let ctx = self.ctx(&defined, &abstracts, arc_plan::formula_hash(f), guard)?;
+            let ctx = self.ctx(&defined, &abstracts, None, guard)?;
             let timer = QueryTimer::start(ctx.spans.as_ref());
             let out = ctx.formula_truth(f, &mut Env::default());
             timer.finish(ctx.spans.as_ref());
@@ -616,22 +615,19 @@ impl<'c> Engine<'c> {
     }
 
     /// Evaluate a collection with pre-materialized definitions and abstract
-    /// relations in scope (used by the fixpoint driver). The guard is the
-    /// **program-level** one: deadline and budget span all strata.
-    pub(crate) fn eval_with(
-        &self,
-        c: &Collection,
-        defined: &HashMap<String, Relation>,
-        abstracts: &HashMap<String, Collection>,
+    /// relations in scope (used by the fixpoint driver), one binding
+    /// possibly [redirected](Redirect). The guard is the **program-level**
+    /// one: deadline and budget span all strata.
+    pub(crate) fn eval_with<'a>(
+        &'a self,
+        c: &'a Collection,
+        defined: &'a HashMap<String, Relation>,
+        abstracts: &'a HashMap<String, Collection>,
         guard: Option<&Arc<QueryGuard>>,
+        redirect: Option<Redirect<'a>>,
     ) -> Result<Relation> {
-        self.ctx(
-            defined,
-            abstracts,
-            arc_plan::program_hash(c),
-            guard.cloned(),
-        )?
-        .collection_relation(c, &mut Env::default())
+        self.ctx(defined, abstracts, redirect, guard.cloned())?
+            .collection_relation(c, &mut Env::default())
     }
 
     /// Evaluate a sentence with definitions in scope.
@@ -642,14 +638,21 @@ impl<'c> Engine<'c> {
         abstracts: &HashMap<String, Collection>,
         guard: Option<&Arc<QueryGuard>>,
     ) -> Result<Truth> {
-        self.ctx(
-            defined,
-            abstracts,
-            arc_plan::formula_hash(f),
-            guard.cloned(),
-        )?
-        .formula_truth(f, &mut Env::default())
+        self.ctx(defined, abstracts, None, guard.cloned())?
+            .formula_truth(f, &mut Env::default())
     }
+}
+
+/// One binding of the evaluated AST read under another name than it
+/// spells: how the fixpoint driver evaluates a rule's *delta variants* —
+/// the rule itself, one recursive occurrence reading last round's delta —
+/// without cloning the rule per occurrence.
+#[derive(Clone, Copy)]
+pub(crate) struct Redirect<'a> {
+    /// The binding, by identity (its address in the AST).
+    pub(crate) binding: &'a arc_core::ast::Binding,
+    /// The name it resolves instead of its own.
+    pub(crate) name: &'a str,
 }
 
 /// Top-level query timing, attached at the engine entry points
@@ -728,13 +731,13 @@ pub(crate) struct Ctx<'a> {
     /// worker context the parallel executor forks — all tallies merge
     /// into one profile.
     pub(crate) profile: Option<arc_trace::ProfileSink>,
-    /// Structural hash of the top-level query this context evaluates
-    /// (the global plan cache's program key).
-    pub(crate) program: u64,
     /// Materialized intensional relations (views/CTEs/fixpoint results).
     pub(crate) defined: &'a HashMap<String, Relation>,
     /// Abstract relations: checked in context, never materialized.
     pub(crate) abstracts: &'a HashMap<String, Collection>,
+    /// The one binding that reads another source than it names (a
+    /// semi-naive delta variant), if this evaluation has one.
+    pub(crate) redirect: Option<Redirect<'a>>,
     /// Hasher of equi-join keys for this evaluation: hash-index builds
     /// and probes (coordinator and workers alike) must agree on it.
     pub(crate) hash_state: RandomState,
@@ -759,11 +762,10 @@ pub(crate) struct Ctx<'a> {
     /// per outer row recompute nothing: the selection of a
     /// constant-filter scan is outer-independent by construction.
     pub(crate) selections: SelectionCache,
-    /// Build-once key sets of decorrelated boolean scopes, keyed by the
-    /// build plan's [`Arc`] address and shared — through the `Arc` — with
-    /// every worker context the parallel executor forks, so all workers
-    /// probe the same build (see [`semijoin`]). Invalidated with the
-    /// statistics epoch implicitly: a new epoch yields a new plan `Arc`.
+    /// Build-once key sets of decorrelated boolean scopes, keyed by scope
+    /// identity and build plan and shared — through an `Arc` — with every
+    /// worker context the parallel executor forks, so all workers probe
+    /// the same build (see [`semijoin`]).
     pub(crate) semi_builds: semijoin::SemiBuildCache,
     /// Scratch for the semi-join probe key, reused across outer rows.
     pub(crate) probe_key: RefCell<Vec<arc_core::value::Key>>,

@@ -8,12 +8,11 @@ use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
 use super::slots::CScalar;
 use super::Ctx;
 use crate::error::{EvalError, Result};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{dedupe_rows, Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::conventions::Semantics;
-use arc_core::value::{Key, Value};
+use arc_core::value::Value;
 use std::borrow::Cow;
-use std::collections::HashSet;
 
 /// Partial head tuple: per-attribute assigned value.
 pub(crate) type Partial = Vec<Option<Value>>;
@@ -67,7 +66,7 @@ impl<'a> HeadPlan<'a> {
     pub(crate) fn compile(
         head: &HeadCtx<'a>,
         partial: &Partial,
-        assigns: Vec<(&'a str, CScalar<'a>)>,
+        assigns: impl IntoIterator<Item = (&'a str, CScalar<'a>)>,
         aggs: &[AggSpec<'a>],
     ) -> HeadPlan<'a> {
         let mut cols: Vec<ColSrc> = partial
@@ -78,8 +77,9 @@ impl<'a> HeadPlan<'a> {
             })
             .collect();
         let mut pre = Vec::new();
-        let mut exprs = Vec::with_capacity(assigns.len());
-        for (n, (attr, expr)) in assigns.into_iter().enumerate() {
+        let assigns = assigns.into_iter();
+        let mut exprs = Vec::with_capacity(assigns.size_hint().0);
+        for (n, (attr, expr)) in assigns.enumerate() {
             let raises = expr.may_raise(aggs);
             exprs.push(expr);
             match head.attrs.iter().position(|a| a == attr) {
@@ -209,18 +209,31 @@ impl<'a> Ctx<'a> {
         c: &'a Collection,
         env: &mut Env<'a>,
     ) -> Result<Relation> {
+        let mut rel = Relation::new(c.head.relation.clone(), &[]);
+        rel.schema = c.head.attrs.clone();
+        rel.rows = self.collection_rows(c, env)?;
+        Ok(rel)
+    }
+
+    /// The rows of [`Ctx::collection_relation`], for callers that bind
+    /// them and have no use for a named relation around them (a lateral
+    /// step evaluates its collection once per outer environment).
+    pub(crate) fn collection_rows(
+        &self,
+        c: &'a Collection,
+        env: &mut Env<'a>,
+    ) -> Result<Vec<Tuple>> {
         let head = HeadCtx {
             name: &c.head.relation,
             attrs: &c.head.attrs,
         };
-        let mut rel = Relation::new(c.head.relation.clone(), &[]);
-        rel.schema = c.head.attrs.clone();
         let partial: Partial = vec![None; c.head.attrs.len()];
-        self.emit_branch(&c.body, &head, &partial, env, &mut rel.rows)?;
-        Ok(match self.conv.semantics {
-            Semantics::Set => rel.deduped(),
-            Semantics::Bag => rel,
-        })
+        let mut rows = Vec::new();
+        self.emit_branch(&c.body, &head, &partial, env, &mut rows)?;
+        if self.conv.semantics == Semantics::Set {
+            dedupe_rows(&mut rows);
+        }
+        Ok(rows)
     }
 
     pub(crate) fn emit_branch(
@@ -292,7 +305,7 @@ impl<'a> Ctx<'a> {
                         // environment (semijoin multiplicity, §2.7).
                         let mut sub = Vec::new();
                         ctx.emit_branch(spine, head, &p2, env, &mut sub)?;
-                        dedupe_in_place(&mut sub);
+                        dedupe_rows(&mut sub);
                         sink.extend(sub);
                     }
                 }
@@ -334,12 +347,12 @@ impl<'a> Ctx<'a> {
         g: &GroupPlan<'a>,
         head: Option<(&HeadCtx<'a>, &Partial)>,
         env: &mut Env<'a>,
-        mut visit: impl FnMut(&Group<'a>, &GroupTests<'a>, &mut Env<'a>) -> Result<bool>,
+        mut visit: impl FnMut(&Group<'_, 'a>, &GroupTests<'a>, &mut Env<'a>) -> Result<bool>,
     ) -> Result<()> {
         let groups = self.fold_groups(sc, g, env)?;
         let base = env.len();
         env.with_layout(&sc.layout, |env| {
-            for group in groups.into_groups() {
+            for group in groups.groups() {
                 let mut spare = None;
                 let tests = g.tests_for(group.is_empty(), env.names(), head, &mut spare);
                 env.frames.extend(group.repr.iter().cloned());
@@ -395,9 +408,4 @@ impl<'a> Ctx<'a> {
         }
         Ok(groups)
     }
-}
-
-pub(crate) fn dedupe_in_place(rows: &mut Vec<Tuple>) {
-    let mut seen: HashSet<Vec<Key>> = HashSet::with_capacity(rows.len());
-    rows.retain(|r| seen.insert(Relation::row_key(r)));
 }

@@ -57,9 +57,9 @@ pub(crate) struct WorkerSeed<'a> {
     decorrelate: bool,
     vectorize: bool,
     indexes: bool,
-    program: u64,
     defined: &'a HashMap<String, Relation>,
     abstracts: &'a HashMap<String, Collection>,
+    redirect: Option<super::Redirect<'a>>,
     /// The coordinator's join-key hasher: workers probe indexes it built.
     hash_state: RandomState,
     join_indexes: HashMap<(usize, Vec<usize>), Arc<HashIndex>>,
@@ -96,9 +96,9 @@ impl<'a> WorkerSeed<'a> {
             decorrelate: self.decorrelate,
             vectorize: self.vectorize,
             indexes: self.indexes,
-            program: self.program,
             defined: self.defined,
             abstracts: self.abstracts,
+            redirect: self.redirect,
             hash_state: self.hash_state.clone(),
             join_indexes: RefCell::new(self.join_indexes.clone()),
             distinct_estimates: RefCell::new(self.distinct_estimates.clone()),
@@ -160,9 +160,9 @@ impl<'a> Ctx<'a> {
             decorrelate: self.decorrelate,
             vectorize: self.vectorize,
             indexes: self.indexes,
-            program: self.program,
             defined: self.defined,
             abstracts: self.abstracts,
+            redirect: self.redirect,
             hash_state: self.hash_state.clone(),
             join_indexes: self.join_indexes.borrow().clone(),
             distinct_estimates: self.distinct_estimates.borrow().clone(),

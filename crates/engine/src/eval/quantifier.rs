@@ -121,8 +121,17 @@ impl Hasher for Prehashed {
 /// probing copies a string or allocates a key vector, and equality is
 /// [`Value::join_key_ref`]'s, the workspace's one equi-join rule
 /// (`NULL`/`NaN` rows are never indexed).
+///
+/// Nor does it store a vector per bucket: every bucket's rows sit in one
+/// flat array, so a build allocates the same few blocks whether the
+/// relation has one distinct key or one per row.
 pub(crate) struct HashIndex {
-    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>>,
+    /// Bucket number by address.
+    slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    /// First one entry per bucket — where its rows end — then every
+    /// bucket's rows, bucket after bucket (a bucket starts where the one
+    /// before it ends).
+    flat: Vec<u32>,
 }
 
 impl HashIndex {
@@ -143,47 +152,87 @@ impl HashIndex {
         key_cols: &[usize],
         hash: impl Fn(&[Value]) -> Option<u64>,
     ) -> HashIndex {
-        let mut buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>> =
-            HashMap::with_capacity_and_hasher(rows.len(), BuildHasherDefault::default());
-        for (i, row) in rows.iter().enumerate() {
-            let Some(mut at) = hash(row) else {
-                continue;
-            };
-            loop {
-                match buckets.entry(at) {
-                    Entry::Vacant(e) => {
-                        e.insert(vec![i as u32]);
-                        break;
-                    }
-                    Entry::Occupied(mut e) => {
-                        let first = &rows[e.get()[0] as usize];
-                        if key_cols
-                            .iter()
-                            .all(|&c| first[c].key_ref() == row[c].key_ref())
-                        {
-                            e.get_mut().push(i as u32);
-                            break;
-                        }
-                        at = at.wrapping_add(NEXT_BUCKET);
-                    }
-                }
-            }
-        }
-        HashIndex { buckets }
+        HashIndex::group(
+            rows.len(),
+            |i| hash(&rows[i]),
+            |first, i| {
+                let (first, row) = (&rows[first as usize], &rows[i]);
+                key_cols
+                    .iter()
+                    .all(|&c| first[c].key_ref() == row[c].key_ref())
+            },
+        )
     }
 
     /// An index over rows known only by their key hashes (`None`: never
     /// indexed): rows whose keys collide share a bucket, which is enough
     /// for a caller that re-checks every candidate of a bucket anyway.
     pub(crate) fn from_hashes(hashes: &[Option<u64>]) -> HashIndex {
-        let mut buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<Prehashed>> =
-            HashMap::with_capacity_and_hasher(hashes.len(), BuildHasherDefault::default());
-        for (i, hash) in hashes.iter().enumerate() {
-            if let Some(at) = hash {
-                buckets.entry(*at).or_default().push(i as u32);
+        HashIndex::group(hashes.len(), |i| hashes[i], |_, _| true)
+    }
+
+    /// Group rows `0..n` into buckets: row `i` joins the bucket `hash(i)`
+    /// addresses whose first row `same_key(first, i)` accepts.
+    fn group(
+        n: usize,
+        hash: impl Fn(usize) -> Option<u64>,
+        same_key: impl Fn(u32, usize) -> bool,
+    ) -> HashIndex {
+        const UNINDEXED: u32 = u32::MAX;
+        let mut slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>> =
+            HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default());
+        // Pass 1: every row's bucket, buckets numbered by first row.
+        let mut firsts: Vec<u32> = Vec::with_capacity(n);
+        let mut bucket_of: Vec<u32> = Vec::with_capacity(n);
+        for i in 0..n {
+            let Some(mut at) = hash(i) else {
+                bucket_of.push(UNINDEXED);
+                continue;
+            };
+            let bucket = loop {
+                match slots.entry(at) {
+                    Entry::Vacant(e) => {
+                        e.insert(firsts.len() as u32);
+                        firsts.push(i as u32);
+                        break firsts.len() as u32 - 1;
+                    }
+                    Entry::Occupied(e) if same_key(firsts[*e.get() as usize], i) => break *e.get(),
+                    Entry::Occupied(_) => at = at.wrapping_add(NEXT_BUCKET),
+                }
+            };
+            bucket_of.push(bucket);
+        }
+        // Pass 2: a counting sort of the rows by bucket, which keeps each
+        // bucket's rows ascending. `flat[b]` counts bucket `b`, then is
+        // where it starts, then — once its rows are placed — where it ends.
+        let buckets = firsts.len();
+        let indexed = bucket_of.iter().filter(|&&b| b != UNINDEXED).count();
+        let mut flat = vec![0u32; buckets + indexed];
+        for &b in bucket_of.iter().filter(|&&b| b != UNINDEXED) {
+            flat[b as usize] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut flat[..buckets] {
+            start += std::mem::replace(slot, start);
+        }
+        for (i, &b) in bucket_of.iter().enumerate() {
+            if b != UNINDEXED {
+                let at = flat[b as usize];
+                flat[b as usize] = at + 1;
+                flat[buckets + at as usize] = i as u32;
             }
         }
-        HashIndex { buckets }
+        HashIndex { slots, flat }
+    }
+
+    /// The rows of bucket number `b`, ascending.
+    fn rows_of(&self, b: u32) -> &[u32] {
+        let (ends, rows) = self.flat.split_at(self.slots.len());
+        let start = match b {
+            0 => 0,
+            _ => ends[b as usize - 1],
+        };
+        &rows[start as usize..ends[b as usize] as usize]
     }
 
     /// The rows of the bucket addressed by `hash` whose first row
@@ -194,7 +243,8 @@ impl HashIndex {
         mut is_key: impl FnMut(u32) -> Result<bool>,
     ) -> Result<&[u32]> {
         let mut at = hash;
-        while let Some(rows) = self.buckets.get(&at) {
+        while let Some(&b) = self.slots.get(&at) {
+            let rows = self.rows_of(b);
             if is_key(rows[0])? {
                 return Ok(rows);
             }
@@ -205,7 +255,7 @@ impl HashIndex {
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.buckets.len()
+        self.slots.len()
     }
 }
 
@@ -221,6 +271,13 @@ pub(crate) struct KeySlots {
 }
 
 impl KeySlots {
+    /// Slots for `n` keys, allocated once.
+    pub(crate) fn with_capacity(n: usize) -> KeySlots {
+        KeySlots {
+            slots: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
+        }
+    }
+
     /// The id of the key `hash` addresses and `is_key` accepts.
     pub(crate) fn find(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
         let mut at = hash;

@@ -7,10 +7,10 @@
 //!    reject the shapes no scope of that role can have;
 //! 2. **resolve** binding sources by name ([`Ctx::resolve_bindings`]);
 //! 3. fetch or compute the **physical plan** ([`Ctx::scope_plan`] — the
-//!    global plan cache keys by program hash, scope fingerprint and outer
-//!    *availability* signature, none of which depend on frame positions,
-//!    so a cached [`ScopePlan`] serves the same scope text at any nesting
-//!    depth);
+//!    global plan cache keys by the scope's shape and its outer
+//!    *availability*, neither of which depends on frame positions or on
+//!    the values of constants, so a cached [`ScopePlan`] serves the same
+//!    scope at any nesting depth, in any statement);
 //! 4. turn the plan into executable steps and resolve **every** attribute
 //!    reference the scope will ever evaluate — pushed-down and leaf
 //!    filters, probe expressions, boolean subformulas, head assignments,
@@ -41,7 +41,8 @@ use arc_core::ast::*;
 use arc_plan::analysis::free_vars;
 use arc_plan::logical::{eq_sides, other_side};
 use arc_plan::{
-    cache, Access, BindingSpec, DistinctEstimator, PlanError, ScopePlan, ScopeSpec, SourceSpec,
+    cache, Access, Basis, BindingSpec, DistinctEstimator, PlanError, ScopePlan, ScopeSpec,
+    SourceSpec,
 };
 use std::rc::Rc;
 use std::sync::Arc;
@@ -237,7 +238,11 @@ pub(crate) struct Scope<'a> {
 
 /// A resolved binding source.
 pub(crate) enum Resolved<'a> {
-    Rel(&'a Relation),
+    /// A materialized relation — with the catalog's `ANALYZE` statistics
+    /// when it *is* the catalog's relation (a same-named materialized
+    /// definition shadows it, and the sketches describe the wrong rows
+    /// then).
+    Rel(&'a Relation, Option<&'a arc_stats::TableStats>),
     Ext(&'a ExternalRelation),
     Abs(&'a Collection),
     Nested(&'a Collection),
@@ -254,29 +259,28 @@ struct CtxEstimator<'c, 'a> {
 }
 
 impl CtxEstimator<'_, '_> {
-    /// Catalog statistics for a binding — only when the binding actually
-    /// resolved to the catalog's relation (a same-named materialized
-    /// definition shadows it, and the catalog's sketches describe the
-    /// wrong rows then).
-    fn table_stats(&self, binding: usize) -> Option<&std::sync::Arc<arc_stats::TableStats>> {
-        let Resolved::Rel(rel) = &self.resolved[binding] else {
-            return None;
-        };
-        let stats = self.ctx.catalog.stats(&rel.name)?;
-        self.ctx
-            .catalog
-            .relation(&rel.name)
-            .is_some_and(|r| std::ptr::eq(r, *rel))
-            .then_some(stats)
+    fn table_stats(&self, binding: usize) -> Option<&arc_stats::TableStats> {
+        match self.resolved[binding] {
+            Resolved::Rel(_, stats) => stats,
+            _ => None,
+        }
     }
 }
 
 impl DistinctEstimator for CtxEstimator<'_, '_> {
+    fn basis(&self, binding: usize) -> Basis {
+        match self.resolved[binding] {
+            Resolved::Rel(_, Some(_)) => Basis::Statistics,
+            Resolved::Rel(_, None) => Basis::Sample,
+            _ => Basis::None,
+        }
+    }
+
     fn distinct(&self, binding: usize, cols: &[usize]) -> Option<usize> {
         if let Some(stats) = self.table_stats(binding) {
             return Some(stats.distinct_cols(cols) as usize);
         }
-        let Resolved::Rel(rel) = &self.resolved[binding] else {
+        let Resolved::Rel(rel, _) = &self.resolved[binding] else {
             return None;
         };
         let key = (*rel as *const Relation as usize, cols.to_vec());
@@ -362,8 +366,7 @@ impl<'a> Ctx<'a> {
                     let assigns = parts
                         .assigns
                         .iter()
-                        .map(|(attr, expr)| (*attr, r.scalar(expr)))
-                        .collect();
+                        .map(|(attr, expr)| (*attr, r.scalar(expr)));
                     Body::Rows {
                         head: HeadPlan::compile(head, partial, assigns, &[]),
                         spine: parts.spines.first().copied(),
@@ -521,85 +524,85 @@ impl<'a> Ctx<'a> {
         self.materialize_steps(q.bindings, &parts.filters, &resolved, plan, outer)
     }
 
-    /// Resolve binding sources by name.
+    /// The name binding `b` reads: the one it spells, unless this
+    /// evaluation [redirects](super::Redirect) it.
+    fn source_name(&self, b: &Binding, name: &'a str) -> &'a str {
+        match self.redirect {
+            Some(redirect) if std::ptr::eq(redirect.binding, b) => redirect.name,
+            _ => name,
+        }
+    }
+
+    /// Resolve the source binding `b` names as `name` — the one place
+    /// that decides which relation a named binding reads, for step
+    /// pipelines and outer-join trees alike.
     ///
     /// Resolution order matches the pre-plan evaluator: defined
     /// (materialized) relations shadow catalog relations, which shadow
     /// abstract definitions, which shadow externals.
-    pub(crate) fn resolve_bindings(&self, bindings: &'a [Binding]) -> Result<Vec<Resolved<'a>>> {
-        let mut resolved = Vec::with_capacity(bindings.len());
-        for b in bindings {
-            resolved.push(match &b.source {
-                BindingSource::Named(name) => {
-                    if let Some(rel) = self.defined.get(name) {
-                        Resolved::Rel(rel)
-                    } else if let Some(rel) = self.catalog.relation(name) {
-                        Resolved::Rel(rel)
-                    } else if let Some(def) = self.abstracts.get(name) {
-                        Resolved::Abs(def)
-                    } else if let Some(ext) = self.catalog.external(name) {
-                        Resolved::Ext(ext)
-                    } else {
-                        return Err(EvalError::UnknownRelation(name.clone()));
-                    }
-                }
-                BindingSource::Collection(c) => Resolved::Nested(c),
-            });
+    pub(crate) fn resolve_named(&self, b: &Binding, name: &'a str) -> Result<Resolved<'a>> {
+        let name = self.source_name(b, name);
+        if let Some(rel) = self.defined.get(name) {
+            Ok(Resolved::Rel(rel, None))
+        } else if let Some(rel) = self.catalog.relation(name) {
+            Ok(Resolved::Rel(rel, self.catalog.stats(name).map(|s| &**s)))
+        } else if let Some(def) = self.abstracts.get(name) {
+            Ok(Resolved::Abs(def))
+        } else if let Some(ext) = self.catalog.external(name) {
+            Ok(Resolved::Ext(ext))
+        } else {
+            Err(EvalError::UnknownRelation(name.to_string()))
         }
-        Ok(resolved)
     }
 
-    /// The scope's physical plan — from the global cache, keyed by the
-    /// full structural [`PlanKey`](arc_plan::PlanKey), or a fresh
-    /// [`arc_plan::plan_scope`] (for boolean scopes,
-    /// [`arc_plan::plan_scope_boolean`] — the decorrelation pass) run,
-    /// published there. Runs once per compiled scope.
+    /// Resolve binding sources by name ([`Ctx::resolve_named`]).
+    pub(crate) fn resolve_bindings(&self, bindings: &'a [Binding]) -> Result<Vec<Resolved<'a>>> {
+        bindings
+            .iter()
+            .map(|b| match &b.source {
+                BindingSource::Named(name) => self.resolve_named(b, name),
+                BindingSource::Collection(c) => Ok(Resolved::Nested(c)),
+            })
+            .collect()
+    }
+
+    /// The scope's physical plan, through the global plan cache
+    /// ([`cache::scope_plan`]: keyed by the scope's shape, its constants
+    /// as typed holes and selectivity buckets). Runs once per compiled
+    /// scope.
     fn scope_plan(
         &self,
-        bindings: &[Binding],
+        bindings: &'a [Binding],
         filters: &[&Predicate],
         outer: &[Names<'a>],
         resolved: &[Resolved<'a>],
         boolean: bool,
     ) -> Result<Arc<ScopePlan>> {
-        let frees: Vec<Vec<String>> = resolved
-            .iter()
-            .map(|r| match r {
-                Resolved::Nested(c) => free_vars(c),
-                _ => Vec::new(),
-            })
-            .collect();
-        let locals: Vec<&str> = bindings.iter().map(|b| b.var.as_str()).collect();
-        let outer = LayoutOuter(outer);
-        let sig = cache::outer_signature(
-            &locals,
-            filters,
-            frees.iter().flatten().map(String::as_str),
-            &outer,
-        );
-
         // Describe the scope to the planner.
         let spec_bindings: Vec<BindingSpec<'_>> = bindings
             .iter()
             .zip(resolved.iter())
-            .zip(frees.iter())
-            .map(|((b, r), free)| BindingSpec {
+            .map(|(b, r)| BindingSpec {
                 var: &b.var,
-                source: match r {
-                    Resolved::Rel(rel) => SourceSpec::Relation {
+                source: match (r, &b.source) {
+                    (Resolved::Rel(rel, _), BindingSource::Named(name)) => SourceSpec::Relation {
+                        name: self.source_name(b, name),
                         schema: &rel.schema,
                         rows: Some(rel.rows.len()),
                     },
-                    Resolved::Ext(ext) => SourceSpec::External {
+                    (Resolved::Rel(rel, _), BindingSource::Collection(_)) => {
+                        unreachable!("`{}` resolved a collection to a relation", rel.name)
+                    }
+                    (Resolved::Ext(ext), _) => SourceSpec::External {
                         schema: &ext.schema,
                         patterns: ext.patterns.iter().map(|p| p.bound.as_slice()).collect(),
                     },
-                    Resolved::Abs(def) => SourceSpec::Abstract {
+                    (Resolved::Abs(def), _) => SourceSpec::Abstract {
                         attrs: &def.head.attrs,
                     },
-                    Resolved::Nested(c) => SourceSpec::Nested {
+                    (Resolved::Nested(c), _) => SourceSpec::Nested {
                         attrs: &c.head.attrs,
-                        free: free.clone(),
+                        free: free_vars(c),
                     },
                 },
             })
@@ -611,84 +614,56 @@ impl<'a> Ctx<'a> {
         let spec = ScopeSpec {
             bindings: spec_bindings,
             filters,
-            outer: &outer,
+            outer: &LayoutOuter(outer),
             estimator: Some(&estimator),
             indexes: self.indexes,
         };
 
         // The statistics epoch rides in the key: a post-`ANALYZE`
         // evaluation re-plans instead of serving a plan shaped by the old
-        // statistics (`tests/plan_cache.rs` phase 5).
-        let key = arc_plan::PlanKey {
-            program: self.program,
-            scope: cache::scope_fingerprint(&spec),
-            sig,
-            epoch: self.catalog.stats_epoch(),
-            mode: self.strategy.plan_mode(),
-            decor: boolean,
-            indexes: self.indexes,
-        };
-        let plan = match cache::global_lookup(&key) {
-            Some(plan) => plan,
-            None => {
-                // Plan, mapping planner failures onto the precise
-                // source-kind diagnostics. A global cache miss is the only
-                // arm that runs the planner, so it is the only arm that
-                // records a plan span.
-                let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-                let planned = if boolean {
-                    arc_plan::plan_scope_boolean(&spec, self.strategy.plan_mode())
-                } else {
-                    arc_plan::plan_scope(&spec, self.strategy.plan_mode())
-                };
-                let plan = planned.map_err(|e| {
-                    let PlanError::Unplaceable { binding } = e;
-                    let b = &bindings[binding];
-                    match (&b.source, &resolved[binding]) {
-                        (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
-                            relation: name.clone(),
-                            var: b.var.clone(),
-                        },
-                        (BindingSource::Named(name), Resolved::Abs(_)) => {
-                            EvalError::AbstractUnderdetermined {
-                                relation: name.clone(),
-                                var: b.var.clone(),
-                            }
-                        }
-                        (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
-                            free_vars(c).into_iter().next().unwrap_or_default(),
-                        ),
-                        _ => EvalError::Internal(format!(
-                            "relation binding `{}` reported unplaceable",
-                            b.var
-                        )),
-                    }
-                })?;
-                let plan = Arc::new(plan);
-                cache::global_store(key, plan.clone());
-                if let (Some(sink), Some(t0)) = (&self.spans, plan_span) {
-                    sink.complete(
-                        self.lane,
-                        arc_trace::SpanKind::Plan,
-                        arc_trace::OpId::scope(bindings.as_ptr() as usize),
-                        t0,
-                    );
-                }
-                plan
-            }
-        };
-        if boolean && plan.decorrelation.is_none() {
-            // A bailed decorrelation is byte-identical to the emitting-role
-            // plan (`plan_scope_boolean` falls back to the ordinary
-            // pipeline): publish it under the non-boolean key too, so an
-            // engine that plans the same scope without decorrelation
-            // reuses it instead of planning a second time.
-            cache::global_store(
-                arc_plan::PlanKey {
-                    decor: false,
-                    ..key
+        // statistics (`tests/plan_cache.rs` phase 5). Only a run of the
+        // planner is recorded as a plan span.
+        let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
+        let (plan, planned) = cache::scope_plan(
+            &spec,
+            self.catalog.stats_epoch(),
+            self.strategy.plan_mode(),
+            boolean,
+        )
+        // Map planner failures onto the precise source-kind diagnostics.
+        .map_err(|e| {
+            let PlanError::Unplaceable { binding } = e;
+            let b = &bindings[binding];
+            match (&b.source, &resolved[binding]) {
+                (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
+                    relation: name.clone(),
+                    var: b.var.clone(),
                 },
-                plan.clone(),
+                (BindingSource::Named(name), Resolved::Abs(_)) => {
+                    EvalError::AbstractUnderdetermined {
+                        relation: name.clone(),
+                        var: b.var.clone(),
+                    }
+                }
+                (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
+                    free_vars(c)
+                        .first()
+                        .copied()
+                        .unwrap_or_default()
+                        .to_string(),
+                ),
+                _ => EvalError::Internal(format!(
+                    "relation binding `{}` reported unplaceable",
+                    b.var
+                )),
+            }
+        })?;
+        if let (true, Some(sink), Some(t0)) = (planned, &self.spans, plan_span) {
+            sink.complete(
+                self.lane,
+                arc_trace::SpanKind::Plan,
+                arc_trace::OpId::scope(bindings.as_ptr() as usize),
+                t0,
             );
         }
         Ok(plan)
@@ -706,23 +681,38 @@ impl<'a> Ctx<'a> {
         plan: Arc<ScopePlan>,
         outer: &[Names<'a>],
     ) -> Result<(Pipeline<'a>, Layout<'a>)> {
-        let mut names: Vec<Names<'a>> = Vec::with_capacity(outer.len() + plan.steps.len());
-        names.extend_from_slice(outer);
+        // The whole layout first — the outer frames, then one frame per
+        // step — so every expression below resolves against a prefix of
+        // it: `seen` frames are on the stack when it runs.
+        let layout: Layout<'a> = outer
+            .iter()
+            .copied()
+            .chain(plan.steps.iter().map(|step| Names {
+                var: &bindings[step.binding].var,
+                attrs: match resolved[step.binding] {
+                    Resolved::Rel(rel, _) => &rel.schema,
+                    Resolved::Ext(ext) => &ext.schema,
+                    Resolved::Abs(def) => &def.head.attrs,
+                    Resolved::Nested(c) => &c.head.attrs,
+                },
+            }))
+            .collect();
         let mut steps: Vec<Ordered<'a>> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
+        for (seen, step) in (outer.len()..).zip(&plan.steps) {
             let b = &bindings[step.binding];
+            let names = &layout[..seen];
             let inputs = |inputs: &[arc_plan::EqInput]| -> Vec<CScalar<'a>> {
-                let mut r = Resolver::tuple(&names);
+                let mut r = Resolver::tuple(names);
                 inputs
                     .iter()
                     .map(|e| r.scalar(other_side(filters[e.filter], e.attr_on_left)))
                     .collect()
             };
             let mut index_plan = None;
-            let (source, hash_plan, attrs) = match (&resolved[step.binding], &step.access) {
-                (&Resolved::Rel(rel), Access::Scan) => (Src::Rows(rel), None, &rel.schema),
+            let (source, hash_plan) = match (&resolved[step.binding], &step.access) {
+                (&Resolved::Rel(rel, _), Access::Scan) => (Src::Rows(rel), None),
                 (
-                    &Resolved::Rel(rel),
+                    &Resolved::Rel(rel, _),
                     Access::IndexRange {
                         cols,
                         filters: consumed,
@@ -746,10 +736,10 @@ impl<'a> Ctx<'a> {
                             ))
                         })?,
                     );
-                    (Src::Rows(rel), None, &rel.schema)
+                    (Src::Rows(rel), None)
                 }
-                (&Resolved::Rel(rel), Access::HashProbe { keys }) => {
-                    let mut r = Resolver::tuple(&names);
+                (&Resolved::Rel(rel, _), Access::HashProbe { keys }) => {
+                    let mut r = Resolver::tuple(names);
                     let plan = HashPlan {
                         key_cols: keys.iter().map(|k| k.col).collect(),
                         probe_exprs: keys
@@ -757,7 +747,7 @@ impl<'a> Ctx<'a> {
                             .map(|k| r.scalar(other_side(filters[k.eq.filter], k.eq.attr_on_left)))
                             .collect(),
                     };
-                    (Src::Rows(rel), Some(plan), &rel.schema)
+                    (Src::Rows(rel), Some(plan))
                 }
                 (&Resolved::Ext(ext), Access::External { pattern, inputs: i }) => (
                     Src::External {
@@ -765,13 +755,12 @@ impl<'a> Ctx<'a> {
                         inputs: inputs(i),
                     },
                     None,
-                    &ext.schema,
                 ),
                 (&Resolved::Abs(def), Access::Abstract { inputs: i }) => {
                     // The membership check binds the candidate under the
                     // definition's own head name, on top of the frames
                     // before this step.
-                    let mut check: Vec<Names<'a>> = names.clone();
+                    let mut check: Vec<Names<'a>> = names.to_vec();
                     check.push(Names {
                         var: &def.head.relation,
                         attrs: &def.head.attrs,
@@ -784,11 +773,10 @@ impl<'a> Ctx<'a> {
                             body,
                         },
                         None,
-                        &def.head.attrs,
                     )
                 }
                 (&Resolved::Nested(c), Access::Nested) => {
-                    (Src::Nested(self.lateral(c, &names)), None, &c.head.attrs)
+                    (Src::Nested(self.lateral(c, names)), None)
                 }
                 (_, access) => {
                     return Err(EvalError::Internal(format!(
@@ -798,9 +786,8 @@ impl<'a> Ctx<'a> {
                     )))
                 }
             };
-            names.push(Names { var: &b.var, attrs });
-            let all_filters: Vec<&'a Predicate> =
-                step.filters.iter().map(|&i| filters[i]).collect();
+            // This step's own filters see its frame too.
+            let names = &layout[..seen + 1];
             // Vectorized scans hoist the leading run of constant filters
             // into columnar kernels; everything after the first
             // non-classifiable filter stays row-at-a-time, in order, so
@@ -809,24 +796,24 @@ impl<'a> Ctx<'a> {
             let mut vec_key = Vec::new();
             if let (Src::Rows(rel), None) = (&source, &hash_plan) {
                 if self.vectorize && rel.len() >= super::vector::VECTOR_MIN_ROWS {
-                    for p in &all_filters {
-                        match super::vector::classify(p, &b.var, &rel.schema) {
+                    for &i in &step.filters {
+                        match super::vector::classify(filters[i], &b.var, &rel.schema) {
                             Some(f) => {
                                 vec_filters.push(f);
-                                vec_key.push(*p as *const Predicate as usize);
+                                vec_key.push(filters[i] as *const Predicate as usize);
                             }
                             None => break,
                         }
                     }
                 }
             }
-            let mut r = Resolver::tuple(&names);
+            let mut r = Resolver::tuple(names);
             steps.push(Ordered {
                 source,
                 hash_plan,
-                step_filters: all_filters[vec_filters.len()..]
+                step_filters: step.filters[vec_filters.len()..]
                     .iter()
-                    .map(|p| r.pred(p))
+                    .map(|&i| r.pred(filters[i]))
                     .collect(),
                 vec_filters,
                 vec_key,
@@ -843,7 +830,7 @@ impl<'a> Ctx<'a> {
         let leaf = plan
             .leaf_filters
             .iter()
-            .map(|&i| Resolver::tuple(&names).pred(filters[i]))
+            .map(|&i| Resolver::tuple(&layout).pred(filters[i]))
             .collect();
         Ok((
             Pipeline::Steps(Steps {
@@ -852,7 +839,7 @@ impl<'a> Ctx<'a> {
                 prelude,
                 leaf,
             }),
-            names.into(),
+            layout,
         ))
     }
 }

@@ -34,11 +34,14 @@
 //!
 //! ## Caching and sharing
 //!
-//! Built key sets live in [`SemiBuildCache`], keyed by the build plan's
-//! `Arc` address (every compiled scope holds its plan for the `Ctx`'s
-//! lifetime, and a statistics-epoch change produces a fresh plan `Arc`,
-//! so the key can never serve a stale build). The cache itself sits behind
-//! an `Arc<Mutex<…>>` shared with every worker context the parallel
+//! Built key sets live in [`SemiBuildCache`], keyed by the scope's
+//! identity (its address in the AST, the same on every worker) paired
+//! with the build plan's `Arc` address. The scope says *which* filters
+//! the build ran — the plan cache keys plans by shape, so two scopes of
+//! one evaluation that differ only in a constant are served the same
+//! `Arc` — and the plan says under which access paths (one scope may
+//! compile under several layouts). The cache itself sits behind an
+//! `Arc<Mutex<…>>` shared with every worker context the parallel
 //! executor forks — all workers probe the *same* build instead of each
 //! re-building.
 //!
@@ -68,13 +71,13 @@ use std::sync::{Arc, Mutex};
 /// produce (NULL/NaN-free by construction).
 pub(crate) type KeySet = HashSet<Vec<Key>>;
 
-/// One cached build. The entry **pins** the plan whose address keys it:
-/// worker-planned `Arc`s are otherwise retained only by that worker's
-/// compiled scopes and the (overwritable, cap-clearable) global cache, so
-/// without the pin an address could be freed mid-evaluation and recycled
-/// by a different scope's same-size plan allocation — and the probe
-/// would serve the wrong key set. Holding the `Arc` makes address reuse
-/// impossible for as long as the entry lives.
+/// One cached build. The entry **pins** the plan whose address is half
+/// of its key: worker-planned `Arc`s are otherwise retained only by that
+/// worker's compiled scopes and the (overwritable, cap-clearable) global
+/// cache, so without the pin an address could be freed mid-evaluation and
+/// recycled by the same scope's plan under another layout — and the
+/// probe would serve the wrong key set. Holding the `Arc` makes address
+/// reuse impossible for as long as the entry lives.
 pub(crate) struct SemiEntry {
     _plan: Arc<ScopePlan>,
     /// `None` records a failed build: the scope falls back to the nested
@@ -83,21 +86,40 @@ pub(crate) struct SemiEntry {
     set: Option<Arc<KeySet>>,
 }
 
-/// Build-once cache of decorrelated scopes, keyed by the (pinned, see
-/// [`SemiEntry`]) build plan's `Arc` address.
-#[derive(Clone, Default)]
-pub(crate) struct SemiBuildCache(Arc<Mutex<HashMap<usize, SemiEntry>>>);
+/// Build-once cache of decorrelated scopes, keyed by [`BuildKey`]. The
+/// shared map comes into being with its first use — or its first clone,
+/// which must share it — so an evaluation without a decorrelated scope
+/// allocates none.
+#[derive(Default)]
+pub(crate) struct SemiBuildCache(std::sync::OnceLock<SharedBuilds>);
+
+/// *(scope identity, address of the — pinned, see [`SemiEntry`] — build
+/// plan)*.
+type BuildKey = (usize, usize);
+
+type SharedBuilds = Arc<Mutex<HashMap<BuildKey, SemiEntry>>>;
+
+impl Clone for SemiBuildCache {
+    fn clone(&self) -> Self {
+        SemiBuildCache(std::sync::OnceLock::from(self.shared().clone()))
+    }
+}
 
 impl SemiBuildCache {
+    fn shared(&self) -> &SharedBuilds {
+        self.0.get_or_init(SharedBuilds::default)
+    }
+
     /// Lock the cache, **recovering** from a poisoned mutex (a worker
     /// panicked mid-insert): the poison is cleared — so later locks take
     /// the fast path again — and the map is emptied, because a build
     /// interrupted by a panic may have published nothing or anything.
     /// Build-once is an optimization; dropping entries costs a rebuild,
     /// never correctness.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<usize, SemiEntry>> {
-        self.0.lock().unwrap_or_else(|poisoned| {
-            self.0.clear_poison();
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<BuildKey, SemiEntry>> {
+        let shared = self.shared();
+        shared.lock().unwrap_or_else(|poisoned| {
+            shared.clear_poison();
             let mut map = poisoned.into_inner();
             map.clear();
             map
@@ -189,7 +211,7 @@ impl<'a> Ctx<'a> {
         build: &Steps<'a>,
         env: &mut Env<'a>,
     ) -> Result<Option<Arc<KeySet>>> {
-        let cache_key = Arc::as_ptr(&build.plan) as usize;
+        let cache_key = (sc.id, Arc::as_ptr(&build.plan) as usize);
         if let Some(entry) = self.semi_builds.lock().get(&cache_key) {
             return Ok(entry.set.clone());
         }
@@ -402,15 +424,15 @@ mod tests {
         let cache = SemiBuildCache::default();
         let clone = cache.clone();
         std::thread::spawn(move || {
-            let _guard = clone.0.lock().unwrap();
+            let _guard = clone.shared().lock().unwrap();
             panic!("worker panicked mid-insert");
         })
         .join()
         .unwrap_err();
-        assert!(cache.0.is_poisoned());
+        assert!(cache.shared().is_poisoned());
         // Recovery empties the map (builds re-run — an optimization
         // loss, never a correctness one) and clears the poison bit.
         assert!(cache.lock().is_empty());
-        assert!(!cache.0.is_poisoned(), "recovery clears the poison");
+        assert!(!cache.shared().is_poisoned(), "recovery clears the poison");
     }
 }

@@ -84,6 +84,10 @@ impl SourceResolver for CatalogResolver<'_> {
         }
         None
     }
+
+    fn stats_epoch(&self) -> Option<u64> {
+        Some(self.catalog.stats_epoch())
+    }
 }
 
 /// Serialize a recorded span trace against its lowered plan: the
@@ -169,9 +173,8 @@ impl Engine<'_> {
         let indexes = self.indexes()?;
         // Classify abstract definitions via the binder, mirroring
         // `materialize_definitions`.
-        let bound = Binder::new().bind_program(p);
-        let is_abstract =
-            |name: &str| -> bool { bound.abstract_collections.iter().any(|n| n == name) };
+        let abstract_names = Binder::new().abstract_definitions(p);
+        let is_abstract = |name: &str| -> bool { abstract_names.iter().any(|n| n == name) };
         let abstracts: HashMap<String, Vec<String>> = p
             .definitions
             .iter()

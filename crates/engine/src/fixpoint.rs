@@ -18,8 +18,9 @@
 //! Every member of a recursive SCC keeps one **total** — its entry in the
 //! `defined` map, appended in place — and one **seen set** over the
 //! total's rows ([`SeenRows`]), filled from the seed. A round evaluates the
-//! member's *delta variants* (one clone of the rule per recursive binding
-//! occurrence, that occurrence reading last round's delta) and streams the
+//! member's *delta variants* (the rule once per recursive binding
+//! occurrence, that occurrence [redirected](Redirect) to last round's
+//! delta) and streams the
 //! rows they derive through the seen set: a row not derived before joins
 //! the new delta. That single pass is the union of the variants, its
 //! de-duplication and the difference against everything derived so far —
@@ -32,7 +33,7 @@
 
 use crate::error::{EvalError, Result};
 use crate::eval::quantifier::KeySlots;
-use crate::eval::Engine;
+use crate::eval::{Engine, Redirect};
 use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::binder::Binder;
@@ -92,7 +93,9 @@ impl Engine<'_> {
                 let (defined, abstracts) =
                     self.materialize_definitions(p, strategy, guard.as_ref())?;
                 let query = match &p.query {
-                    Some(q) => Some(self.eval_with(q, &defined, &abstracts, guard.as_ref())?),
+                    Some(q) => {
+                        Some(self.eval_with(q, &defined, &abstracts, guard.as_ref(), None)?)
+                    }
                     None => None,
                 };
                 Ok(ProgramOutput {
@@ -124,17 +127,12 @@ impl Engine<'_> {
     ) -> Result<(HashMap<String, Relation>, HashMap<String, Collection>)> {
         // Classify abstract definitions via the binder (open world: the
         // catalog may hold relations the binder does not know about).
-        let bound = Binder::new().bind_program(p);
-        let abstract_names: HashSet<&str> = bound
-            .abstract_collections
-            .iter()
-            .map(|s| s.as_str())
-            .collect();
+        let abstract_names = Binder::new().abstract_definitions(p);
 
         let mut abstracts: HashMap<String, Collection> = HashMap::new();
         let mut safe: Vec<&Definition> = Vec::new();
         for def in &p.definitions {
-            if abstract_names.contains(def.name()) {
+            if abstract_names.iter().any(|n| n == def.name()) {
                 abstracts.insert(def.name().to_string(), def.collection.clone());
             } else {
                 safe.push(def);
@@ -143,21 +141,17 @@ impl Engine<'_> {
 
         // Dependency graph over safe definitions. References routed through
         // abstract relations inherit the abstract body's own references.
-        let def_index: HashMap<&str, usize> = safe
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name(), i))
-            .collect();
+        let def_index = |name: &str| safe.iter().position(|d| d.name() == name);
         let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); safe.len()];
         for (i, def) in safe.iter().enumerate() {
             let mut names = Vec::new();
             collect_sources(&def.collection, &mut names);
-            let mut seen_abstract: HashSet<String> = HashSet::new();
+            let mut seen_abstract: HashSet<&str> = HashSet::new();
             let mut queue = names;
             while let Some(name) = queue.pop() {
-                if let Some(&j) = def_index.get(name.as_str()) {
+                if let Some(j) = def_index(name) {
                     deps[i].insert(j);
-                } else if let Some(a) = abstracts.get(&name) {
+                } else if let Some(a) = abstracts.get(name) {
                     if seen_abstract.insert(name) {
                         collect_sources(a, &mut queue);
                     }
@@ -176,7 +170,7 @@ impl Engine<'_> {
             let recursive = scc.len() > 1 || (scc.len() == 1 && deps[scc[0]].contains(&scc[0]));
             if !recursive {
                 let def = safe[scc[0]];
-                let rel = self.eval_with(&def.collection, &defined, &abstracts, guard)?;
+                let rel = self.eval_with(&def.collection, &defined, &abstracts, guard, None)?;
                 defined.insert(def.name().to_string(), rel);
                 continue;
             }
@@ -238,7 +232,7 @@ impl Engine<'_> {
                     for &i in scc {
                         let def = safe[i];
                         let new = self
-                            .eval_with(&def.collection, defined, abstracts, guard)?
+                            .eval_with(&def.collection, defined, abstracts, guard, None)?
                             .union(&defined[def.name()])
                             .deduped();
                         let grown = new.len().saturating_sub(defined[def.name()].len());
@@ -262,17 +256,20 @@ impl Engine<'_> {
                 // Bytes one derived row charges: its tuple in the total and
                 // its slot in the seen set. Neither can stream, so the
                 // reservation is hard — denial trips the guard.
-                let row_bytes =
-                    |rel: &Relation| rel.schema.len().max(1) * 24 + SeenRows::SLOT_BYTES;
+                let row_bytes = |def: &Definition| {
+                    def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES
+                };
+                let delta_names: Vec<String> =
+                    scc.iter().map(|&i| delta_name(safe[i].name())).collect();
 
                 // Round 0: full rules against empty members seed the
                 // totals (a later member already reads an earlier one's
-                // seed) and fill each member's seen set.
+                // seed) and fill each member's seen set. A seed is its
+                // member's first delta too.
                 let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
-                let mut deltas: Vec<Relation> = Vec::with_capacity(scc.len());
-                for &i in scc {
+                for (&i, delta) in scc.iter().zip(&delta_names) {
                     let def = safe[i];
-                    let rows = self.eval_with(&def.collection, defined, abstracts, guard)?;
+                    let rows = self.eval_with(&def.collection, defined, abstracts, guard, None)?;
                     let (mut set, mut seed) = (SeenRows::default(), empty(def));
                     for row in rows.rows {
                         if set.insert(&row, &[], &seed.rows) {
@@ -281,13 +278,24 @@ impl Engine<'_> {
                     }
                     crate::eval::guard_reserve_hard(guard, seed.len() * SeenRows::SLOT_BYTES)?;
                     seen.push(set);
-                    deltas.push(seed.clone());
+                    defined.insert(delta.clone(), seed.clone());
                     defined.insert(def.name().to_string(), seed);
                 }
-                // Delta-variant collections: one per recursive occurrence.
-                let variants: Vec<Vec<Collection>> = scc
+                // The delta variants of a rule: one per recursive binding
+                // occurrence — the rule itself, that occurrence reading
+                // last round's delta of the member it names.
+                let delta_of = |member: &str| {
+                    let named = |&(&m, _): &(&usize, &String)| safe[m].name() == member;
+                    let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
+                    Some(delta.as_str())
+                };
+                let variants: Vec<Vec<Redirect<'_>>> = scc
                     .iter()
-                    .map(|&i| delta_variants(&safe[i].collection, &member_names))
+                    .map(|&i| {
+                        let mut variants = Vec::new();
+                        delta_variants(&safe[i].collection, &delta_of, &mut variants);
+                        variants
+                    })
                     .collect();
 
                 for iteration in 0.. {
@@ -300,42 +308,44 @@ impl Engine<'_> {
                             iterations: MAX_ITERATIONS,
                         });
                     }
-                    if deltas.iter().all(|d| d.is_empty()) {
+                    if delta_names.iter().all(|delta| defined[delta].is_empty()) {
                         break;
-                    }
-                    // Expose the previous round's deltas under their
-                    // reserved names (moved: a delta is read for exactly
-                    // one round).
-                    for (&i, delta) in scc.iter().zip(deltas.drain(..)) {
-                        defined.insert(delta_name(safe[i].name()), delta);
                     }
                     // Stream every variant's rows through the member's
                     // seen set: a row not derived before joins the new
                     // delta, in first-occurrence order across variants.
+                    let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
                     for ((&i, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
                         let def = safe[i];
-                        let mut fresh = empty(def);
+                        let mut new = Vec::new();
                         for variant in variants {
-                            let rows = self.eval_with(variant, defined, abstracts, guard)?;
+                            let rows = self.eval_with(
+                                &def.collection,
+                                defined,
+                                abstracts,
+                                guard,
+                                Some(*variant),
+                            )?;
                             let total = &defined[def.name()].rows;
                             for row in rows.rows {
-                                if seen.insert(&row, total, &fresh.rows) {
-                                    fresh.rows.push(row);
+                                if seen.insert(&row, total, &new) {
+                                    new.push(row);
                                 }
                             }
                         }
-                        crate::eval::guard_reserve_hard(guard, fresh.len() * row_bytes(&fresh))?;
-                        deltas.push(fresh);
+                        crate::eval::guard_reserve_hard(guard, new.len() * row_bytes(def))?;
+                        fresh.push(new);
                     }
                     // Publish only now: within a round every member reads
-                    // the totals of the round before.
-                    for (&i, delta) in scc.iter().zip(&deltas) {
+                    // the totals and deltas of the round before.
+                    for ((&i, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
                         let total = defined.get_mut(safe[i].name()).expect("seeded above");
-                        total.rows.extend(delta.rows.iter().cloned());
+                        total.rows.extend(new.iter().cloned());
+                        defined.get_mut(delta).expect("seeded above").rows = new;
                     }
                 }
-                for name in &member_names {
-                    defined.remove(&delta_name(name));
+                for delta in &delta_names {
+                    defined.remove(delta);
                 }
             }
         }
@@ -387,13 +397,13 @@ fn delta_name(name: &str) -> String {
 }
 
 /// All named binding sources of a collection, recursively.
-pub(crate) fn collect_sources(c: &Collection, out: &mut Vec<String>) {
-    fn walk(f: &Formula, out: &mut Vec<String>) {
+pub(crate) fn collect_sources<'c>(c: &'c Collection, out: &mut Vec<&'c str>) {
+    fn walk<'c>(f: &'c Formula, out: &mut Vec<&'c str>) {
         match f {
             Formula::Quant(q) => {
                 for b in &q.bindings {
                     match &b.source {
-                        BindingSource::Named(n) => out.push(n.clone()),
+                        BindingSource::Named(n) => out.push(n),
                         BindingSource::Collection(c) => collect_sources(c, out),
                     }
                 }
@@ -438,71 +448,40 @@ fn uses_nonmonotonically(c: &Collection, names: &HashSet<String>) -> bool {
     walk(&c.body, names, false, false)
 }
 
-/// Build the semi-naive delta variants of a collection: one clone per
-/// binding occurrence whose source is a recursive relation, with that
-/// occurrence's source renamed to its delta relation.
-fn delta_variants(c: &Collection, names: &HashSet<String>) -> Vec<Collection> {
-    let total = count_occurrences(c, names);
-    (0..total)
-        .map(|target| {
-            let mut clone = c.clone();
-            let mut counter = 0usize;
-            substitute(&mut clone, names, target, &mut counter);
-            clone
-        })
-        .collect()
-}
-
-fn count_occurrences(c: &Collection, names: &HashSet<String>) -> usize {
-    fn walk(f: &Formula, names: &HashSet<String>) -> usize {
+/// One [`Redirect`] per binding of `c` whose source has a delta
+/// (`delta_of` names it: the source is a member of the recursive
+/// component being solved) — in source order, nested collections
+/// included.
+fn delta_variants<'c>(
+    c: &'c Collection,
+    delta_of: &impl Fn(&str) -> Option<&'c str>,
+    out: &mut Vec<Redirect<'c>>,
+) {
+    fn walk<'c>(
+        f: &'c Formula,
+        delta_of: &impl Fn(&str) -> Option<&'c str>,
+        out: &mut Vec<Redirect<'c>>,
+    ) {
         match f {
             Formula::Quant(q) => {
-                let mut n = 0;
-                for b in &q.bindings {
-                    match &b.source {
-                        BindingSource::Named(name) if names.contains(name) => n += 1,
-                        BindingSource::Collection(c) => n += count_occurrences(c, names),
-                        _ => {}
-                    }
-                }
-                n + walk(&q.body, names)
-            }
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().map(|s| walk(s, names)).sum(),
-            Formula::Not(inner) => walk(inner, names),
-            Formula::Pred(_) => 0,
-        }
-    }
-    walk(&c.body, names)
-}
-
-fn substitute(c: &mut Collection, names: &HashSet<String>, target: usize, counter: &mut usize) {
-    fn walk(f: &mut Formula, names: &HashSet<String>, target: usize, counter: &mut usize) {
-        match f {
-            Formula::Quant(q) => {
-                for b in &mut q.bindings {
-                    match &mut b.source {
-                        BindingSource::Named(name) if names.contains(name.as_str()) => {
-                            if *counter == target {
-                                *name = delta_name(name);
-                            }
-                            *counter += 1;
+                for binding in &q.bindings {
+                    match &binding.source {
+                        BindingSource::Named(source) => {
+                            out.extend(delta_of(source).map(|name| Redirect { binding, name }))
                         }
-                        BindingSource::Collection(c) => substitute(c, names, target, counter),
-                        _ => {}
+                        BindingSource::Collection(c) => delta_variants(c, delta_of, out),
                     }
                 }
-                walk(&mut q.body, names, target, counter);
+                walk(&q.body, delta_of, out);
             }
             Formula::And(fs) | Formula::Or(fs) => {
-                for sub in fs {
-                    walk(sub, names, target, counter);
-                }
+                fs.iter().for_each(|sub| walk(sub, delta_of, out))
             }
-            Formula::Not(inner) => walk(inner, names, target, counter),
+            Formula::Not(inner) => walk(inner, delta_of, out),
             Formula::Pred(_) => {}
         }
     }
-    walk(&mut c.body, names, target, counter);
+    walk(&c.body, delta_of, out);
 }
 
 /// Tarjan's strongly connected components, in emission order: a
@@ -525,8 +504,8 @@ fn tarjan(deps: &[HashSet<usize>]) -> Vec<Vec<usize>> {
         s.next += 1;
         s.stack.push(v);
         s.on_stack[v] = true;
-        let succ: Vec<usize> = s.deps[v].iter().copied().collect();
-        for w in succ {
+        let deps = s.deps;
+        for &w in &deps[v] {
             if s.index[w].is_none() {
                 strongconnect(s, w);
                 s.low[v] = s.low[v].min(s.low[w]);

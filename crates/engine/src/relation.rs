@@ -15,6 +15,7 @@ use arc_core::column::ColumnSet;
 use arc_core::value::{Key, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// A tuple: values aligned with the owning relation's schema.
@@ -337,18 +338,8 @@ impl Relation {
 
     /// Deduplicated copy (first occurrence order preserved).
     pub fn deduped(&self) -> Relation {
-        let mut seen: std::collections::HashSet<Vec<Key>> =
-            std::collections::HashSet::with_capacity(self.rows.len());
-        let mut out = Relation::new(self.name.clone(), &[]);
-        out.schema = self.schema.clone();
-        let mut scratch = Vec::with_capacity(self.arity());
-        for row in &self.rows {
-            Relation::row_key_into(row, &mut scratch);
-            if !seen.contains(scratch.as_slice()) {
-                seen.insert(scratch.clone());
-                out.rows.push(row.clone());
-            }
-        }
+        let mut out = self.clone();
+        dedupe_rows(&mut out.rows);
         out
     }
 
@@ -408,6 +399,34 @@ impl Relation {
         out.rows.extend(other.rows.iter().cloned());
         out
     }
+}
+
+/// Drop every row that repeats an earlier one (first occurrence order
+/// preserved), in place. Equality is [`Relation::row_key`]'s — `1` and
+/// `1.0` are one value, `NULL`s group — but no key is built: a row is
+/// hashed where it is and verified against the kept row its hash
+/// addresses, so the pass allocates one table, whatever the rows hold.
+pub(crate) fn dedupe_rows(rows: &mut Vec<Tuple>) {
+    if rows.len() < 2 {
+        return;
+    }
+    let state = std::collections::hash_map::RandomState::new();
+    let mut kept = crate::eval::quantifier::KeySlots::with_capacity(rows.len());
+    let mut n = 0; // rows[..n] are the distinct rows so far
+    for i in 0..rows.len() {
+        let mut h = state.build_hasher();
+        rows[i].iter().for_each(|v| v.key_ref().hash(&mut h));
+        let row = &rows[i];
+        let is_row = |at: u32| {
+            let at = &rows[at as usize];
+            at.len() == row.len() && at.iter().zip(row).all(|(a, b)| a.key_ref() == b.key_ref())
+        };
+        if kept.insert(h.finish(), n as u32, is_row) {
+            rows.swap(n, i);
+            n += 1;
+        }
+    }
+    rows.truncate(n);
 }
 
 /// A value's hash key for equi-join purposes, or `None` when the value can

@@ -2275,7 +2275,7 @@ fn lateral_memo_peak(keys: impl Iterator<Item = i64>) -> (usize, Relation) {
     let (defined, abstracts) = Default::default();
     let out = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .eval_with(&q, &defined, &abstracts, Some(&guard))
+        .eval_with(&q, &defined, &abstracts, Some(&guard), None)
         .unwrap();
     (guard.mem_peak(), out)
 }

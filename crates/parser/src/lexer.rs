@@ -6,9 +6,9 @@
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token. Names and string contents borrow the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     /// `{`
     LBrace,
     /// `}`
@@ -66,13 +66,15 @@ pub enum Token {
     /// An identifier (relation, variable, or attribute name). Identifiers
     /// may be quoted with double quotes to include symbols (`"-"`, `"*"`,
     /// `"$1"` — paper Fig 15).
-    Ident(String),
-    /// An integer literal.
-    Int(i64),
+    Ident(&'a str),
+    /// An integer literal's magnitude (a sign is a [`Token::Minus`] of
+    /// its own). At most `i64::MAX` — or one more, directly behind a
+    /// `-`: the parser folds the sign and range-checks the result.
+    Int(u64),
     /// A float literal.
     Float(f64),
     /// A single-quoted string literal.
-    Str(String),
+    Str(&'a str),
     /// Keyword `is` (for `is null` / `is not null`).
     Is,
     /// Keyword `null`.
@@ -85,7 +87,7 @@ pub enum Token {
     False,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -135,10 +137,10 @@ impl fmt::Display for Token {
 }
 
 /// A token with its byte offset (for error messages).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Byte offset in the source.
     pub offset: usize,
 }
@@ -160,191 +162,161 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenize a source string.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
-    let mut out = Vec::new();
-    let chars: Vec<(usize, char)> = src.char_indices().collect();
+/// The character starting at byte `at` (a character boundary), if any.
+fn char_at(src: &str, at: usize) -> Option<char> {
+    src[at..].chars().next()
+}
+
+/// The byte offset where the run of characters `accept` takes ends,
+/// scanning from `from`.
+fn run_end(src: &str, from: usize, accept: impl Fn(char) -> bool) -> usize {
+    src[from..]
+        .char_indices()
+        .find(|&(_, c)| !accept(c))
+        .map_or(src.len(), |(i, _)| from + i)
+}
+
+fn is_ident_start(c: char) -> bool {
+    c.is_alphabetic() || matches!(c, '_' | '$' | '#' | '@')
+}
+
+fn is_ident_part(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '$' | '#' | '@')
+}
+
+/// The keyword `word` spells (ASCII case-insensitively), if it is one.
+fn keyword(word: &str) -> Option<Token<'static>> {
+    const KEYWORDS: [(&str, Token<'static>); 11] = [
+        ("in", Token::In),
+        ("exists", Token::Exists),
+        ("not", Token::Not),
+        ("and", Token::And),
+        ("or", Token::Or),
+        ("group", Token::Gamma),
+        ("is", Token::Is),
+        ("null", Token::Null),
+        ("distinct", Token::Distinct),
+        ("true", Token::True),
+        ("false", Token::False),
+    ];
+    KEYWORDS
+        .iter()
+        .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
+        .map(|&(_, token)| token)
+}
+
+/// Tokenize a source string. The source is walked by byte offset and no
+/// token owns text: identifiers and string literals are slices of `src`.
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+    let mut out: Vec<Spanned<'_>> = Vec::with_capacity(src.len() / 2);
     let mut i = 0;
-    while i < chars.len() {
-        let (offset, c) = chars[i];
-        let mut push = |t: Token| out.push(Spanned { token: t, offset });
-        match c {
-            c if c.is_whitespace() => {}
-            '{' => push(Token::LBrace),
-            '}' => push(Token::RBrace),
-            '(' => push(Token::LParen),
-            ')' => push(Token::RParen),
-            '[' => push(Token::LBracket),
-            ']' => push(Token::RBracket),
-            '|' => push(Token::Bar),
-            ',' => push(Token::Comma),
-            '.' => push(Token::Dot),
-            ';' => push(Token::Semicolon),
-            '∈' => push(Token::In),
-            '∃' => push(Token::Exists),
-            '¬' => push(Token::Not),
-            '∧' => push(Token::And),
-            '∨' => push(Token::Or),
-            'γ' => push(Token::Gamma),
-            '∅' => push(Token::Empty),
-            '≤' => push(Token::Le),
-            '≥' => push(Token::Ge),
-            '≠' => push(Token::Ne),
-            '+' => push(Token::Plus),
-            '*' => push(Token::Star),
-            '/' => push(Token::Slash),
-            '=' => push(Token::Eq),
-            '<' => {
-                if matches!(chars.get(i + 1), Some((_, '='))) {
-                    push(Token::Le);
-                    i += 1;
-                } else if matches!(chars.get(i + 1), Some((_, '>'))) {
-                    push(Token::Ne);
-                    i += 1;
-                } else {
-                    push(Token::Lt);
-                }
-            }
-            '>' => {
-                if matches!(chars.get(i + 1), Some((_, '='))) {
-                    push(Token::Ge);
-                    i += 1;
-                } else {
-                    push(Token::Gt);
-                }
-            }
+    while let Some(c) = char_at(src, i) {
+        let offset = i;
+        let next = i + c.len_utf8();
+        let follows = |want: char| char_at(src, next) == Some(want);
+        // The token starting here and the offset just past it; `None`
+        // for whitespace and comments.
+        let (token, end) = match c {
+            c if c.is_whitespace() => (None, next),
+            '{' => (Some(Token::LBrace), next),
+            '}' => (Some(Token::RBrace), next),
+            '(' => (Some(Token::LParen), next),
+            ')' => (Some(Token::RParen), next),
+            '[' => (Some(Token::LBracket), next),
+            ']' => (Some(Token::RBracket), next),
+            '|' => (Some(Token::Bar), next),
+            ',' => (Some(Token::Comma), next),
+            '.' => (Some(Token::Dot), next),
+            ';' => (Some(Token::Semicolon), next),
+            '∈' => (Some(Token::In), next),
+            '∃' => (Some(Token::Exists), next),
+            '¬' => (Some(Token::Not), next),
+            '∧' => (Some(Token::And), next),
+            '∨' => (Some(Token::Or), next),
+            'γ' => (Some(Token::Gamma), next),
+            '∅' => (Some(Token::Empty), next),
+            '≤' => (Some(Token::Le), next),
+            '≥' => (Some(Token::Ge), next),
+            '≠' => (Some(Token::Ne), next),
+            '+' => (Some(Token::Plus), next),
+            '*' => (Some(Token::Star), next),
+            '/' => (Some(Token::Slash), next),
+            '=' => (Some(Token::Eq), next),
+            '<' if follows('=') => (Some(Token::Le), next + 1),
+            '<' if follows('>') => (Some(Token::Ne), next + 1),
+            '<' => (Some(Token::Lt), next),
+            '>' if follows('=') => (Some(Token::Ge), next + 1),
+            '>' => (Some(Token::Gt), next),
+            '!' if follows('=') => (Some(Token::Ne), next + 1),
             '!' => {
-                if matches!(chars.get(i + 1), Some((_, '='))) {
-                    push(Token::Ne);
-                    i += 1;
-                } else {
-                    return Err(LexError {
-                        message: "expected `!=`".to_string(),
-                        offset,
-                    });
-                }
-            }
-            '-' => {
-                // Comment `--` to end of line, else minus.
-                if matches!(chars.get(i + 1), Some((_, '-'))) {
-                    while i < chars.len() && chars[i].1 != '\n' {
-                        i += 1;
-                    }
-                } else {
-                    push(Token::Minus);
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < chars.len() {
-                    if chars[j].1 == '\'' {
-                        closed = true;
-                        break;
-                    }
-                    s.push(chars[j].1);
-                    j += 1;
-                }
-                if !closed {
-                    return Err(LexError {
-                        message: "unterminated string literal".to_string(),
-                        offset,
-                    });
-                }
-                out.push(Spanned {
-                    token: Token::Str(s),
+                return Err(LexError {
+                    message: "expected `!=`".to_string(),
                     offset,
-                });
-                i = j;
+                })
             }
-            '"' => {
-                // Quoted identifier (external relation names like "-", "*").
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < chars.len() {
-                    if chars[j].1 == '"' {
-                        closed = true;
-                        break;
-                    }
-                    s.push(chars[j].1);
-                    j += 1;
-                }
-                if !closed {
+            // Comment `--` to end of line, else minus.
+            '-' if follows('-') => (None, run_end(src, next, |c| c != '\n')),
+            '-' => (Some(Token::Minus), next),
+            '\'' | '"' => {
+                // A string literal, or a quoted identifier (external
+                // relation names like "-", "*"): everything up to the
+                // closing quote.
+                let close = run_end(src, next, |ch| ch != c);
+                if close == src.len() {
+                    let what = if c == '\'' {
+                        "string literal"
+                    } else {
+                        "quoted identifier"
+                    };
                     return Err(LexError {
-                        message: "unterminated quoted identifier".to_string(),
+                        message: format!("unterminated {what}"),
                         offset,
                     });
                 }
-                out.push(Spanned {
-                    token: Token::Ident(s),
-                    offset,
-                });
-                i = j;
+                let text = &src[next..close];
+                let token = if c == '\'' {
+                    Token::Str(text)
+                } else {
+                    Token::Ident(text)
+                };
+                (Some(token), close + 1)
             }
             c if c.is_ascii_digit() => {
-                let mut j = i;
-                let mut text = String::new();
-                let mut is_float = false;
-                while j < chars.len() {
-                    let ch = chars[j].1;
-                    if ch.is_ascii_digit() {
-                        text.push(ch);
-                        j += 1;
-                    } else if ch == '.'
-                        && !is_float
-                        && matches!(chars.get(j + 1), Some((_, d)) if d.is_ascii_digit())
-                    {
-                        is_float = true;
-                        text.push(ch);
-                        j += 1;
-                    } else {
-                        break;
-                    }
+                let mut end = run_end(src, next, |c| c.is_ascii_digit());
+                // A `.` continues the literal only when a digit follows.
+                let fraction = src[end..]
+                    .strip_prefix('.')
+                    .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+                if fraction {
+                    end = run_end(src, end + 1, |c| c.is_ascii_digit());
                 }
-                let token = if is_float {
+                let text = &src[offset..end];
+                let token = if fraction {
                     Token::Float(text.parse().map_err(|_| LexError {
                         message: format!("bad float literal `{text}`"),
                         offset,
                     })?)
                 } else {
-                    Token::Int(text.parse().map_err(|_| LexError {
-                        message: format!("bad integer literal `{text}`"),
-                        offset,
-                    })?)
-                };
-                out.push(Spanned { token, offset });
-                i = j - 1;
-            }
-            c if c.is_alphabetic() || c == '_' || c == '$' || c == '#' || c == '@' => {
-                let mut j = i;
-                let mut text = String::new();
-                while j < chars.len() {
-                    let ch = chars[j].1;
-                    if ch.is_alphanumeric() || ch == '_' || ch == '$' || ch == '#' || ch == '@' {
-                        text.push(ch);
-                        j += 1;
-                    } else {
-                        break;
+                    // The magnitude of `i64::MIN` is one more than
+                    // `i64::MAX`: in range only behind its sign.
+                    let negated = matches!(out.last(), Some(s) if s.token == Token::Minus);
+                    let max = i64::MAX as u64 + u64::from(negated);
+                    match text.parse::<u64>() {
+                        Ok(magnitude) if magnitude <= max => Token::Int(magnitude),
+                        _ => {
+                            return Err(LexError {
+                                message: format!("bad integer literal `{text}`"),
+                                offset,
+                            })
+                        }
                     }
-                }
-                let token = match text.to_ascii_lowercase().as_str() {
-                    "in" => Token::In,
-                    "exists" => Token::Exists,
-                    "not" => Token::Not,
-                    "and" => Token::And,
-                    "or" => Token::Or,
-                    "group" => Token::Gamma,
-                    "is" => Token::Is,
-                    "null" => Token::Null,
-                    "distinct" => Token::Distinct,
-                    "true" => Token::True,
-                    "false" => Token::False,
-                    _ => Token::Ident(text),
                 };
-                out.push(Spanned { token, offset });
-                i = j - 1;
+                (Some(token), end)
+            }
+            c if is_ident_start(c) => {
+                let end = run_end(src, next, is_ident_part);
+                let word = &src[offset..end];
+                (Some(keyword(word).unwrap_or(Token::Ident(word))), end)
             }
             other => {
                 return Err(LexError {
@@ -352,8 +324,9 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     offset,
                 })
             }
-        }
-        i += 1;
+        };
+        out.extend(token.map(|token| Spanned { token, offset }));
+        i = end;
     }
     Ok(out)
 }
@@ -362,7 +335,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Token> {
+    fn kinds(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -396,7 +369,7 @@ mod tests {
     fn numbers_and_strings() {
         assert_eq!(
             kinds("42 3.5 'hi'"),
-            vec![Token::Int(42), Token::Float(3.5), Token::Str("hi".into())]
+            vec![Token::Int(42), Token::Float(3.5), Token::Str("hi")]
         );
     }
 
@@ -404,11 +377,7 @@ mod tests {
     fn attr_ref_lexes_as_ident_dot_ident() {
         assert_eq!(
             kinds("r.A"),
-            vec![
-                Token::Ident("r".into()),
-                Token::Dot,
-                Token::Ident("A".into())
-            ]
+            vec![Token::Ident("r"), Token::Dot, Token::Ident("A")]
         );
     }
 
@@ -416,11 +385,7 @@ mod tests {
     fn quoted_identifiers_for_externals() {
         assert_eq!(
             kinds("f ∈ \"*\""),
-            vec![
-                Token::Ident("f".into()),
-                Token::In,
-                Token::Ident("*".into())
-            ]
+            vec![Token::Ident("f"), Token::In, Token::Ident("*")]
         );
     }
 
@@ -431,7 +396,7 @@ mod tests {
 
     #[test]
     fn dollar_identifiers() {
-        assert_eq!(kinds("$1"), vec![Token::Ident("$1".into())]);
+        assert_eq!(kinds("$1"), vec![Token::Ident("$1")]);
     }
 
     #[test]

@@ -108,14 +108,14 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     Ok(program)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
     src_len: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Self, ParseError> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Self, ParseError> {
         Ok(Parser {
             tokens: lex(src)?,
             pos: 0,
@@ -123,12 +123,12 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.peek_at(0)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + n).map(|s| &s.token)
+    fn peek_at(&self, n: usize) -> Option<Token<'a>> {
+        self.tokens.get(self.pos + n).map(|s| s.token)
     }
 
     fn offset(&self) -> usize {
@@ -138,16 +138,16 @@ impl Parser {
             .unwrap_or(self.src_len)
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|s| s.token.clone());
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
-        if self.peek() == Some(t) {
+    fn eat(&mut self, t: &Token<'_>) -> bool {
+        if self.peek() == Some(*t) {
             self.pos += 1;
             true
         } else {
@@ -155,7 +155,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
+    fn expect(&mut self, t: &Token<'_>) -> Result<(), ParseError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -191,6 +191,11 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+        self.name(what).map(str::to_string)
+    }
+
+    /// An identifier, as the slice of the source that spells it.
+    fn name(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.bump() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(self.err(format!(
@@ -209,7 +214,7 @@ impl Parser {
         let relation = self.ident("head relation name")?;
         self.expect(&Token::LParen)?;
         let mut attrs = Vec::new();
-        if self.peek() != Some(&Token::RParen) {
+        if self.peek() != Some(Token::RParen) {
             loop {
                 attrs.push(self.ident("head attribute")?);
                 if !self.eat(&Token::Comma) {
@@ -231,10 +236,11 @@ impl Parser {
 
     fn formula(&mut self) -> Result<Formula, ParseError> {
         let first = self.and_formula()?;
-        if self.peek() != Some(&Token::Or) {
+        if self.peek() != Some(Token::Or) {
             return Ok(first);
         }
-        let mut branches = vec![first];
+        let mut branches = Vec::with_capacity(4);
+        branches.push(first);
         while self.eat(&Token::Or) {
             branches.push(self.and_formula()?);
         }
@@ -243,10 +249,11 @@ impl Parser {
 
     fn and_formula(&mut self) -> Result<Formula, ParseError> {
         let first = self.unary()?;
-        if self.peek() != Some(&Token::And) {
+        if self.peek() != Some(Token::And) {
             return Ok(first);
         }
-        let mut conjuncts = vec![first];
+        let mut conjuncts = Vec::with_capacity(4);
+        conjuncts.push(first);
         while self.eat(&Token::And) {
             conjuncts.push(self.unary()?);
         }
@@ -283,7 +290,7 @@ impl Parser {
                 if scalar_follows {
                     Ok(Formula::Pred(self.predicate()?))
                 } else {
-                    let empty_and = *tok == Token::True;
+                    let empty_and = tok == Token::True;
                     self.bump();
                     Ok(if empty_and {
                         Formula::And(Vec::new())
@@ -295,11 +302,18 @@ impl Parser {
             Some(Token::LParen) => {
                 // Ambiguous: parenthesized formula or parenthesized scalar
                 // starting a predicate. Try predicate first (it consumes
-                // scalar parens), backtrack to formula group.
+                // scalar parens), backtrack to formula group — at once
+                // when what follows can only start a formula.
                 let saved = self.pos;
-                match self.predicate() {
-                    Ok(p) => Ok(Formula::Pred(p)),
-                    Err(_) => {
+                let formula_follows = matches!(self.peek_at(1), Some(Token::Exists | Token::Not));
+                let predicate = if formula_follows {
+                    None
+                } else {
+                    self.predicate().ok()
+                };
+                match predicate {
+                    Some(p) => Ok(Formula::Pred(p)),
+                    None => {
                         self.pos = saved;
                         self.expect(&Token::LParen)?;
                         let f = self.formula()?;
@@ -324,11 +338,11 @@ impl Parser {
                     grouping = Some(self.grouping_keys()?);
                 }
                 Some(Token::Ident(name))
-                    if is_join_kw(name) && self.peek_at(1) == Some(&Token::LParen) =>
+                    if is_join_kw(name) && self.peek_at(1) == Some(Token::LParen) =>
                 {
                     join = Some(self.join_tree()?);
                 }
-                Some(Token::Ident(_)) if self.peek_at(1) == Some(&Token::In) => {
+                Some(Token::Ident(_)) if self.peek_at(1) == Some(Token::In) => {
                     let var = self.ident("binding variable")?;
                     self.expect(&Token::In)?;
                     let source = match self.peek() {
@@ -346,7 +360,7 @@ impl Parser {
                     ))
                 }
             }
-            if self.peek() == Some(&Token::Comma) {
+            if self.peek() == Some(Token::Comma) {
                 self.bump();
             } else {
                 break;
@@ -371,7 +385,7 @@ impl Parser {
         }
         if self.eat(&Token::LParen) {
             let mut keys = Vec::new();
-            if self.peek() != Some(&Token::RParen) {
+            if self.peek() != Some(Token::RParen) {
                 loop {
                     keys.push(self.attr_ref()?);
                     if !self.eat(&Token::Comma) {
@@ -383,9 +397,9 @@ impl Parser {
             return Ok(Grouping::by(keys));
         }
         let mut keys = vec![self.attr_ref()?];
-        while self.peek() == Some(&Token::Comma)
+        while self.peek() == Some(Token::Comma)
             && matches!(self.peek_at(1), Some(Token::Ident(_)))
-            && self.peek_at(2) == Some(&Token::Dot)
+            && self.peek_at(2) == Some(Token::Dot)
         {
             self.bump(); // comma
             keys.push(self.attr_ref()?);
@@ -394,7 +408,7 @@ impl Parser {
     }
 
     fn join_tree(&mut self) -> Result<JoinTree, ParseError> {
-        let kw = self.ident("join keyword")?;
+        let kw = self.name("join keyword")?;
         self.expect(&Token::LParen)?;
         let mut children = Vec::new();
         loop {
@@ -404,7 +418,7 @@ impl Parser {
             }
         }
         self.expect(&Token::RParen)?;
-        match kw.as_str() {
+        match kw {
             "inner" => Ok(JoinTree::Inner(children)),
             "left" | "full" => {
                 if children.len() != 2 {
@@ -425,7 +439,7 @@ impl Parser {
     fn join_leaf(&mut self) -> Result<JoinTree, ParseError> {
         match self.peek() {
             Some(Token::Ident(name))
-                if is_join_kw(name) && self.peek_at(1) == Some(&Token::LParen) =>
+                if is_join_kw(name) && self.peek_at(1) == Some(Token::LParen) =>
             {
                 self.join_tree()
             }
@@ -520,11 +534,22 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Scalar, ParseError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::Minus) => {
                 self.bump();
+                // An integer literal takes the sign itself, so that it is
+                // the signed value that is range-checked:
+                // `-9223372036854775808` is an `i64`, its magnitude is not.
+                if let Some(Token::Int(magnitude)) = self.peek() {
+                    if let Some(v) = 0i64.checked_sub_unsigned(magnitude) {
+                        self.bump();
+                        return Ok(Scalar::Const(Value::Int(v)));
+                    }
+                }
                 match self.atom()? {
-                    Scalar::Const(Value::Int(v)) => Ok(Scalar::Const(Value::Int(-v))),
+                    Scalar::Const(Value::Int(v)) if v != i64::MIN => {
+                        Ok(Scalar::Const(Value::Int(-v)))
+                    }
                     Scalar::Const(Value::Float(v)) => Ok(Scalar::Const(Value::Float(-v))),
                     other => Ok(Scalar::Arith {
                         op: ArithOp::Sub,
@@ -548,8 +573,8 @@ impl Parser {
                 Ok(s)
             }
             Some(Token::Ident(name)) => {
-                if let Some(func) = agg_func(&name) {
-                    if self.peek_at(1) == Some(&Token::LParen) {
+                if let Some(func) = agg_func(name) {
+                    if self.peek_at(1) == Some(Token::LParen) {
                         self.bump(); // name
                         self.bump(); // (
                         let distinct = self.eat(&Token::Distinct);
@@ -587,9 +612,15 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Value, ParseError> {
         match self.bump() {
-            Some(Token::Int(v)) => Ok(Value::Int(v)),
+            // Only the magnitude of `i64::MIN` does not fit, and the lexer
+            // lets that through only behind a `-` — which is then binary
+            // (`x - 9223372036854775808`), or it had folded the sign.
+            Some(Token::Int(magnitude)) => i64::try_from(magnitude).map(Value::Int).map_err(|_| {
+                self.pos -= 1;
+                self.err(format!("bad integer literal `{magnitude}`"))
+            }),
             Some(Token::Float(v)) => Ok(Value::Float(v)),
-            Some(Token::Str(s)) => Ok(Value::Str(s)),
+            Some(Token::Str(s)) => Ok(Value::Str(s.to_string())),
             Some(Token::Null) => Ok(Value::Null),
             Some(Token::True) => Ok(Value::Bool(true)),
             Some(Token::False) => Ok(Value::Bool(false)),

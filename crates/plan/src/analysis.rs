@@ -40,32 +40,30 @@ pub fn partition<'f>(body: &'f Formula, head: &str) -> Parts<'f> {
         post_bool: Vec::new(),
         spines: Vec::new(),
     };
-    for conjunct in body.conjuncts() {
-        match conjunct {
-            Formula::Pred(p) => {
-                if let Some((attr, expr)) = head_assignment(p, head) {
-                    if expr.has_aggregate() {
-                        parts.agg_assigns.push((attr, expr));
-                    } else {
-                        parts.assigns.push((attr, expr));
-                    }
-                } else if p.has_aggregate() {
-                    parts.agg_tests.push(p);
+    body.each_conjunct(&mut |conjunct| match conjunct {
+        Formula::Pred(p) => {
+            if let Some((attr, expr)) = head_assignment(p, head) {
+                if expr.has_aggregate() {
+                    parts.agg_assigns.push((attr, expr));
                 } else {
-                    parts.filters.push(p);
+                    parts.assigns.push((attr, expr));
                 }
-            }
-            sub => {
-                if has_head_assignment(sub, head) {
-                    parts.spines.push(sub);
-                } else if has_direct_aggregate(sub) {
-                    parts.post_bool.push(sub);
-                } else {
-                    parts.pre_bool.push(sub);
-                }
+            } else if p.has_aggregate() {
+                parts.agg_tests.push(p);
+            } else {
+                parts.filters.push(p);
             }
         }
-    }
+        sub => {
+            if has_head_assignment(sub, head) {
+                parts.spines.push(sub);
+            } else if has_direct_aggregate(sub) {
+                parts.post_bool.push(sub);
+            } else {
+                parts.pre_bool.push(sub);
+            }
+        }
+    });
     parts
 }
 
@@ -183,12 +181,12 @@ pub fn pred_consts(p: &Predicate) -> Vec<arc_core::value::Value> {
 
 /// Free variables of a collection: referenced variables that no internal
 /// binding (or the collection's own head) declares.
-pub fn free_vars(c: &Collection) -> Vec<String> {
-    let mut free: Vec<String> = Vec::new();
+pub fn free_vars(c: &Collection) -> Vec<&str> {
+    let mut free: Vec<&str> = Vec::new();
     let mut bound = vec![c.head.relation.as_str()];
     each_free_ref(&c.body, &mut bound, &mut |r| {
-        if !free.contains(&r.var) {
-            free.push(r.var.clone());
+        if !free.contains(&r.var.as_str()) {
+            free.push(&r.var);
         }
     });
     free
@@ -213,11 +211,11 @@ pub fn free_attr_refs(c: &Collection) -> Vec<&AttrRef> {
 /// quantifier inside the formula binds. Used by the decorrelation pass to
 /// detect non-equi-join correlation hiding in a scope's boolean
 /// subformulas (a nested quantifier referencing an outer variable).
-pub fn formula_free_vars(f: &Formula) -> Vec<String> {
-    let mut free: Vec<String> = Vec::new();
+pub fn formula_free_vars(f: &Formula) -> Vec<&str> {
+    let mut free: Vec<&str> = Vec::new();
     each_free_ref(f, &mut Vec::new(), &mut |r| {
-        if !free.contains(&r.var) {
-            free.push(r.var.clone());
+        if !free.contains(&r.var.as_str()) {
+            free.push(&r.var);
         }
     });
     free
@@ -258,16 +256,10 @@ fn each_free_ref<'f>(
             }
         }
         Formula::Not(inner) => each_free_ref(inner, bound, visit),
-        Formula::Pred(p) => {
-            let scalars = match p {
-                Predicate::Cmp { left, right, .. } => [Some(left), Some(right)],
-                Predicate::IsNull { expr, .. } => [Some(expr), None],
-            };
-            for r in scalars.into_iter().flatten().flat_map(Scalar::attr_refs) {
-                if !bound.contains(&r.var.as_str()) {
-                    visit(r);
-                }
+        Formula::Pred(p) => p.each_attr_ref(&mut |r| {
+            if !bound.contains(&r.var.as_str()) {
+                visit(r);
             }
-        }
+        }),
     }
 }

@@ -1,46 +1,78 @@
-//! Plan caching: hashable scope/program keys and the global plan cache.
+//! Plan caching: the scope fingerprint and the global plan cache.
 //!
 //! Planning a scope is pure — the [`ScopePlan`] depends only on the scope
 //! *structure* (bindings, source shapes, filters), the statistics visible
-//! at plan time (row counts, distinct estimates), the outer-variable
-//! availability, and the [`PlanMode`]. That makes plans cacheable at two
-//! levels:
+//! at plan time, the outer-variable availability, and the [`PlanMode`].
+//! That makes plans cacheable at two levels:
 //!
 //! * **per evaluation context** — a correlated scope re-enters the
 //!   planner once per outer row with identical inputs; the engine caches
-//!   by `(scope identity, outer-availability signature, planning role)`
-//!   so the search runs once, not once per row (the engine's cache lives
-//!   on its `Ctx`; this module supplies the signature hashing). Boolean
-//!   scopes planned for set-level decorrelation cache under the same
-//!   scheme with the `decor` role bit set — and the engine keys its
-//!   build-once semi-join key sets off the cached plan, so *execution*
-//!   of a decorrelated scope amortizes across outer rows too, not just
+//!   its compiled scopes by `(scope identity, role, frame layout)` so the
+//!   search runs once, not once per row (that cache lives on the engine's
+//!   `Ctx`). Boolean scopes planned for set-level decorrelation cache
+//!   under the same scheme — and the engine keys its build-once semi-join
+//!   key sets by scope identity and plan (never by the plan alone: a plan
+//!   is shared by every scope of its shape), so *execution* of a
+//!   decorrelated scope amortizes across outer rows too, not just
 //!   planning;
-//! * **globally, keyed by program hash** — repeated queries (same text,
-//!   re-parsed) hash to the same [`PlanKey`] and skip planning entirely.
+//! * **globally, keyed by shape** — [`scope_plan`] serves every scope of
+//!   the process, whichever statement it belongs to: two statements whose
+//!   scopes differ only in their constants hash to the same [`PlanKey`]
+//!   and share one plan. Execution and `EXPLAIN` both go through it, so
+//!   `EXPLAIN` shows the plan execution is served.
 //!
 //! ## What the keys contain — and what staleness means
 //!
-//! A [`PlanKey`] covers the program hash, the scope's structural
-//! fingerprint **including row counts**, the outer signature, the
-//! catalog's **statistics epoch**, and the plan mode. Sketch *contents*
-//! are deliberately excluded — hashing them would cost more than planning
+//! A [`PlanKey`] is the [`scope_fingerprint`], the catalog's **statistics
+//! epoch**, the plan mode and the two role bits. The fingerprint covers,
+//! per binding, the range variable, the kind of source, its **name**, its
+//! schema, its **row count** and the [`Basis`](crate::scope::Basis) of
+//! the estimator's answers about it; per filter, the predicate's
+//! structure with every attribute reference's outer availability; and
+//! per **constant** two things in place of its value:
+//!
+//! * a **typed hole** — the constant's class (`Null`, `Bool`, `Int`,
+//!   `Float`, `Str`) and nothing else;
+//! * the **selectivity bucket** ([`bucketed`](crate::physical::bucketed))
+//!   of every statistics answer that depends on the value: the
+//!   selectivity of the comparison it stands in, and the interval
+//!   selectivity of each column an index range could close
+//!   (`physical::each_constant_fraction` lists them, in the planner's
+//!   own terms).
+//!
+//! Costing sees **buckets, not raw fractions**: every constant-dependent
+//! answer reaches the planner through `bucketed`, the same function the
+//! fingerprint hashes. So nothing the planner can observe about a
+//! constant is missing from the key, and a cached plan is *the* plan a
+//! cold planner run returns for the statement at hand — equal field by
+//! field, not "close enough". (What `EXPLAIN` prints as `est=N` is priced
+//! from the raw fractions, per statement, by
+//! [`estimates`](crate::physical::estimates); no decision reads it.) A
+//! plan refers to filters by index, never by value, so the engine derives
+//! probe keys, vectorized kernels and index bounds from the statement's
+//! own filters whichever statement planned the scope first.
+//!
+//! Sketch *contents* are not hashed — that would cost more than planning
 //! — but every `ANALYZE` bumps the epoch from a process-wide counter, so
-//! statistics changes invalidate exactly the plans they could have
-//! shaped. Consequently a cached plan can be stale in exactly one way —
-//! un-analyzed data changed under an unchanged cardinality profile, so
-//! the greedy order or probe choice is no longer the one a fresh plan
-//! would pick. That is a *performance* wobble, never a correctness one:
-//! every plan of a scope is bag-equivalent by construction (ordering
-//! changes enumeration order only; probing only skips rows a filter would
-//! reject), which is the same guarantee workspace invariant 8 pins down.
+//! (epoch, name) identifies the statistics, and a statistics change
+//! invalidates exactly the plans it could have shaped. Without statistics
+//! (`ARC_STATS=off`, relations too small to auto-analyze, intensional
+//! results) there are no fractions to bucket and the key is shape plus
+//! row counts. A cached plan can then be stale in exactly one way — a
+//! binding whose basis is a live *sample* changed contents under an
+//! unchanged name and row count, so the greedy order or probe choice is
+//! no longer the one a fresh plan would pick. That is a *performance*
+//! wobble, never a correctness one: every plan of a scope is
+//! bag-equivalent by construction (ordering changes enumeration order
+//! only; probing only skips rows a filter would reject), which is the
+//! same guarantee workspace invariant 8 pins down.
 //!
 //! The hashes are 128-bit (two independent FNV-1a streams), so accidental
 //! collisions are out of the picture for any realistic cache population.
 
-use crate::physical::{PlanMode, ScopePlan};
-use crate::scope::{OuterScope, ScopeSpec, SourceSpec};
-use arc_core::ast::{AggArg, BindingSource, Collection, Formula, JoinTree, Predicate, Scalar};
+use crate::physical::{each_constant_fraction, PlanMode, ScopePlan};
+use crate::scope::{Basis, PlanError, ScopeSpec, SourceSpec};
+use arc_core::ast::{AggArg, AttrRef, Predicate, Scalar};
 use arc_core::value::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -61,22 +93,20 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const FNV_OFFSET_B: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
 
 /// Two independent FNV-1a streams fed with the same structure walk.
-pub struct StructHasher {
+struct StructHasher {
     a: u64,
     b: u64,
 }
 
 impl StructHasher {
-    /// A fresh hasher.
-    pub fn new() -> Self {
+    fn new() -> Self {
         StructHasher {
             a: FNV_OFFSET,
             b: FNV_OFFSET_B,
         }
     }
 
-    /// Feed raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) {
+    fn bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
             self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME.rotate_left(1) | 1);
@@ -84,50 +114,56 @@ impl StructHasher {
     }
 
     /// Feed a structure tag (disambiguates enum variants / list kinds).
-    pub fn tag(&mut self, tag: u8) {
+    fn tag(&mut self, tag: u8) {
         self.bytes(&[0xfe, tag]);
     }
 
     /// Feed a length or index.
-    pub fn num(&mut self, n: usize) {
+    fn num(&mut self, n: usize) {
         self.bytes(&(n as u64).to_le_bytes());
     }
 
     /// Feed a string with a terminator (so `("ab","c")` ≠ `("a","bc")`).
-    pub fn str(&mut self, s: &str) {
+    fn str(&mut self, s: &str) {
         self.bytes(s.as_bytes());
         self.bytes(&[0xff]);
     }
 
-    /// Feed a predicate structurally (no `fmt` machinery — this runs on
-    /// the per-evaluation fast path).
-    pub fn predicate(&mut self, p: &Predicate) {
+    fn strs(&mut self, list: &[String]) {
+        self.num(list.len());
+        list.iter().for_each(|s| self.str(s));
+    }
+
+    /// Feed a predicate structurally (no `fmt` machinery — this runs once
+    /// per compiled scope); `attr` feeds what an attribute reference
+    /// resolves against.
+    fn predicate(&mut self, p: &Predicate, attr: &mut impl FnMut(&mut Self, &AttrRef)) {
         match p {
             Predicate::Cmp { left, op, right } => {
                 self.tag(0x20);
-                self.scalar(left);
+                self.scalar(left, attr);
                 self.tag(*op as u8);
-                self.scalar(right);
+                self.scalar(right, attr);
             }
             Predicate::IsNull { expr, negated } => {
                 self.tag(0x21);
-                self.scalar(expr);
+                self.scalar(expr, attr);
                 self.tag(u8::from(*negated));
             }
         }
     }
 
-    /// Feed a scalar expression structurally.
-    pub fn scalar(&mut self, s: &Scalar) {
+    fn scalar(&mut self, s: &Scalar, attr: &mut impl FnMut(&mut Self, &AttrRef)) {
         match s {
             Scalar::Attr(a) => {
                 self.tag(0x30);
                 self.str(&a.var);
                 self.str(&a.attr);
+                attr(self, a);
             }
             Scalar::Const(v) => {
                 self.tag(0x31);
-                self.value(v);
+                self.hole(v);
             }
             Scalar::Agg(call) => {
                 self.tag(0x32);
@@ -137,189 +173,83 @@ impl StructHasher {
                     AggArg::Star => self.tag(0x33),
                     AggArg::Expr(e) => {
                         self.tag(0x34);
-                        self.scalar(e);
+                        self.scalar(e, attr);
                     }
                 }
             }
             Scalar::Arith { op, left, right } => {
                 self.tag(0x35);
                 self.tag(*op as u8);
-                self.scalar(left);
-                self.scalar(right);
+                self.scalar(left, attr);
+                self.scalar(right, attr);
             }
         }
     }
 
-    /// Feed a constant value.
-    pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.tag(0x40),
-            Value::Bool(b) => {
-                self.tag(0x41);
-                self.tag(u8::from(*b));
-            }
-            Value::Int(i) => {
-                self.tag(0x42);
-                self.bytes(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                self.tag(0x43);
+    /// Feed a constant as a **typed hole**: its class, not its value.
+    fn hole(&mut self, v: &Value) {
+        self.tag(match v {
+            Value::Null => 0x40,
+            Value::Bool(_) => 0x41,
+            Value::Int(_) => 0x42,
+            Value::Float(_) => 0x43,
+            Value::Str(_) => 0x44,
+        });
+    }
+
+    /// Feed a constant-dependent statistics answer: the bucketed
+    /// fraction (a bucket's midpoint identifies the bucket).
+    fn fraction(&mut self, f: Option<f64>) {
+        match f {
+            None => self.tag(0x50),
+            Some(f) => {
+                self.tag(0x51);
                 self.bytes(&f.to_bits().to_le_bytes());
             }
-            Value::Str(s) => {
-                self.tag(0x44);
-                self.str(s);
-            }
         }
     }
 
-    /// The 128-bit digest.
-    pub fn finish(self) -> (u64, u64) {
+    fn finish(self) -> (u64, u64) {
         (self.a, self.b)
     }
-
-    /// The first stream only (for single-`u64` signatures).
-    pub fn finish64(self) -> u64 {
-        self.a
-    }
-}
-
-impl Default for StructHasher {
-    fn default() -> Self {
-        StructHasher::new()
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Program / scope keys
+// The scope key
 // ---------------------------------------------------------------------------
 
-/// Structural hash of a whole collection (head + body). Two parses of the
-/// same query text produce equal hashes; this is the "program hash" the
-/// global plan cache is keyed under.
-pub fn program_hash(c: &Collection) -> u64 {
-    let mut h = StructHasher::new();
-    hash_collection(&mut h, c);
-    h.finish64()
-}
-
-/// Structural hash of a bare formula (boolean sentences).
-pub fn formula_hash(f: &Formula) -> u64 {
-    let mut h = StructHasher::new();
-    hash_formula(&mut h, f);
-    h.finish64()
-}
-
-fn hash_collection(h: &mut StructHasher, c: &Collection) {
-    h.tag(1);
-    h.str(&c.head.relation);
-    h.num(c.head.attrs.len());
-    for a in &c.head.attrs {
-        h.str(a);
-    }
-    hash_formula(h, &c.body);
-}
-
-fn hash_formula(h: &mut StructHasher, f: &Formula) {
-    match f {
-        Formula::Pred(p) => {
-            h.tag(2);
-            h.predicate(p);
-        }
-        Formula::And(fs) => {
-            h.tag(3);
-            h.num(fs.len());
-            fs.iter().for_each(|s| hash_formula(h, s));
-        }
-        Formula::Or(fs) => {
-            h.tag(4);
-            h.num(fs.len());
-            fs.iter().for_each(|s| hash_formula(h, s));
-        }
-        Formula::Not(inner) => {
-            h.tag(5);
-            hash_formula(h, inner);
-        }
-        Formula::Quant(q) => {
-            h.tag(6);
-            h.num(q.bindings.len());
-            for b in &q.bindings {
-                h.str(&b.var);
-                match &b.source {
-                    BindingSource::Named(n) => {
-                        h.tag(7);
-                        h.str(n);
-                    }
-                    BindingSource::Collection(c) => {
-                        h.tag(8);
-                        hash_collection(h, c);
-                    }
-                }
-            }
-            match &q.grouping {
-                None => h.tag(9),
-                Some(g) => {
-                    h.tag(10);
-                    h.num(g.keys.len());
-                    for k in &g.keys {
-                        h.str(&k.var);
-                        h.str(&k.attr);
-                    }
-                }
-            }
-            match &q.join {
-                None => h.tag(11),
-                Some(t) => {
-                    h.tag(12);
-                    hash_join_tree(h, t);
-                }
-            }
-            hash_formula(h, &q.body);
-        }
-    }
-}
-
-fn hash_join_tree(h: &mut StructHasher, t: &JoinTree) {
-    match t {
-        JoinTree::Var(v) => {
-            h.tag(0x50);
-            h.str(v);
-        }
-        JoinTree::Lit(v) => {
-            h.tag(0x51);
-            h.value(v);
-        }
-        JoinTree::Inner(children) => {
-            h.tag(0x52);
-            h.num(children.len());
-            children.iter().for_each(|c| hash_join_tree(h, c));
-        }
-        JoinTree::Left(l, r) => {
-            h.tag(0x53);
-            hash_join_tree(h, l);
-            hash_join_tree(h, r);
-        }
-        JoinTree::Full(l, r) => {
-            h.tag(0x54);
-            hash_join_tree(h, l);
-            hash_join_tree(h, r);
-        }
-    }
-}
-
-/// Structural fingerprint of one scope spec: bindings (variables, source
-/// shapes, **row counts**), and filters. Combined with the outer
-/// signature and mode into a [`PlanKey`].
+/// Fingerprint of one scope spec — everything about it that planning can
+/// observe: bindings (variables, source kinds, names, schemas, row
+/// counts, estimator basis), filters with constants as typed holes, the
+/// outer availability of every variable the scope references (filter
+/// attribute references and nested collections' free variables, shadowed
+/// by scope locals), and the bucketed fraction of every statistics answer
+/// that depends on a constant. See the module docs.
 pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
     let mut h = StructHasher::new();
+    // Which outer variables are visible, and with what attribute schemas:
+    // the planner observes the outer environment *only* through
+    // `attrs(var)` lookups on the variables the scope references.
+    let outer = |h: &mut StructHasher, var: &str| {
+        if spec.bindings.iter().any(|b| b.var == var) {
+            return h.tag(0x60);
+        }
+        match spec.outer.attrs(var) {
+            None => h.tag(0x61),
+            Some(attrs) => {
+                h.tag(0x62);
+                h.strs(attrs);
+            }
+        }
+    };
     h.num(spec.bindings.len());
-    for b in &spec.bindings {
+    for (bi, b) in spec.bindings.iter().enumerate() {
         h.str(b.var);
         match &b.source {
-            SourceSpec::Relation { schema, rows } => {
+            SourceSpec::Relation { name, schema, rows } => {
                 h.tag(1);
-                h.num(schema.len());
-                schema.iter().for_each(|a| h.str(a));
+                h.str(name);
+                h.strs(schema);
                 match rows {
                     None => h.tag(2),
                     Some(n) => {
@@ -327,11 +257,15 @@ pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
                         h.num(*n);
                     }
                 }
+                h.tag(match spec.estimator.map(|e| e.basis(bi)) {
+                    None | Some(Basis::None) => 7,
+                    Some(Basis::Sample) => 8,
+                    Some(Basis::Statistics) => 9,
+                });
             }
             SourceSpec::External { schema, patterns } => {
                 h.tag(4);
-                h.num(schema.len());
-                schema.iter().for_each(|a| h.str(a));
+                h.strs(schema);
                 h.num(patterns.len());
                 for p in patterns {
                     h.num(p.len());
@@ -340,93 +274,52 @@ pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
             }
             SourceSpec::Abstract { attrs } => {
                 h.tag(5);
-                h.num(attrs.len());
-                attrs.iter().for_each(|a| h.str(a));
+                h.strs(attrs);
             }
             SourceSpec::Nested { attrs, free } => {
                 h.tag(6);
-                h.num(attrs.len());
-                attrs.iter().for_each(|a| h.str(a));
+                h.strs(attrs);
                 h.num(free.len());
-                free.iter().for_each(|v| h.str(v));
+                for v in free {
+                    h.str(v);
+                    outer(&mut h, v);
+                }
             }
         }
     }
     h.num(spec.filters.len());
     for p in spec.filters {
-        h.predicate(p);
+        h.predicate(p, &mut |h, a| outer(h, &a.var));
     }
+    each_constant_fraction(spec, &mut |f| h.fraction(f));
     h.finish()
 }
 
-/// Hash of which referenced outer variables are visible to a scope and
-/// with what attribute schemas — the "outer-availability signature".
-///
-/// Two enumerations of the same scope under environments with equal
-/// signatures plan identically: the planner observes the outer
-/// environment *only* through `attrs(var)` lookups on the variables the
-/// scope references (filter attribute references plus nested collections'
-/// free variables), shadowed by scope locals.
-pub fn outer_signature<'x>(
-    locals: &[&str],
-    filters: &[&'x Predicate],
-    nested_free: impl Iterator<Item = &'x str>,
-    outer: &dyn OuterScope,
-) -> u64 {
-    let mut referenced: Vec<&str> = filters
-        .iter()
-        .flat_map(|p| crate::logical::pred_attr_refs(p))
-        .map(|r| r.var.as_str())
-        .chain(nested_free)
-        .filter(|v| !locals.contains(v))
-        .collect();
-    referenced.sort_unstable();
-    referenced.dedup();
-    let mut h = StructHasher::new();
-    h.num(referenced.len());
-    for var in referenced {
-        h.str(var);
-        match outer.attrs(var) {
-            None => h.tag(1),
-            Some(attrs) => {
-                h.tag(2);
-                h.num(attrs.len());
-                attrs.iter().for_each(|a| h.str(a));
-            }
-        }
-    }
-    h.finish64()
-}
-
-/// The global plan-cache key: program hash + scope fingerprint + outer
-/// signature + statistics epoch + plan mode.
+/// The global plan-cache key: scope fingerprint + statistics epoch + plan
+/// mode + role bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// [`program_hash`]/[`formula_hash`] of the enclosing top-level query.
-    pub program: u64,
+struct PlanKey {
     /// [`scope_fingerprint`] of the scope being planned.
-    pub scope: (u64, u64),
-    /// [`outer_signature`] under which the scope is planned.
-    pub sig: u64,
+    scope: (u64, u64),
     /// The catalog's statistics epoch at plan time. Every `ANALYZE` (or
     /// statistics drop) bumps the epoch from a process-wide counter, so a
     /// re-`ANALYZE` invalidates cached plans without hashing the sketches
     /// themselves — and two distinct analyzed catalogs can never share an
     /// epoch, so their statistics-driven plans can't cross-pollute. `0`
     /// means "no statistics have ever been attached".
-    pub epoch: u64,
+    epoch: u64,
     /// The planning mode (force modes plan differently by design).
-    pub mode: PlanMode,
+    mode: PlanMode,
     /// Whether the scope was planned in the boolean (decorrelatable) role
     /// ([`crate::physical::plan_scope_boolean`]): the same scope structure
     /// plans differently as a build pipeline than as an emitting scope,
     /// so the two roles must never share a cache slot.
-    pub decor: bool,
+    decor: bool,
     /// Whether index-range access selection was enabled
     /// ([`crate::scope::ScopeSpec::indexes`]): engines running with the
     /// `ARC_INDEX=off` escape hatch must never be served an index plan
     /// another engine published, nor vice versa.
-    pub indexes: bool,
+    indexes: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -435,74 +328,110 @@ pub struct PlanKey {
 
 static GLOBAL: OnceLock<Mutex<HashMap<PlanKey, Arc<ScopePlan>>>> = OnceLock::new();
 
-/// Hit/miss counters live in the `arc-trace` registry (`plan.cache.hit`
-/// / `plan.cache.miss`) so `arc_trace::snapshot()` diffs cover them
-/// alongside every other engine metric; [`global_stats`] reads the same
-/// counters for the legacy API.
-fn hit_counter() -> arc_trace::Counter {
-    static C: OnceLock<arc_trace::Counter> = OnceLock::new();
-    *C.get_or_init(|| arc_trace::counter("plan.cache.hit"))
+fn global() -> std::sync::MutexGuard<'static, HashMap<PlanKey, Arc<ScopePlan>>> {
+    GLOBAL
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .expect("plan cache")
 }
 
-fn miss_counter() -> arc_trace::Counter {
-    static C: OnceLock<arc_trace::Counter> = OnceLock::new();
-    *C.get_or_init(|| arc_trace::counter("plan.cache.miss"))
+/// The cache's `arc-trace` registry handles: lookups that found a plan /
+/// did not (`plan.cache.hit` / `plan.cache.miss`), entries currently
+/// cached (`plan.cache.entries`, a gauge), and wholesale clears at
+/// [`GLOBAL_CAP`] (`plan.cache.clears`) — so `arc_trace::snapshot()`
+/// covers the cache alongside every other engine metric.
+struct Meters {
+    hit: arc_trace::Counter,
+    miss: arc_trace::Counter,
+    clears: arc_trace::Counter,
+    entries: arc_trace::Gauge,
 }
 
-fn global() -> &'static Mutex<HashMap<PlanKey, Arc<ScopePlan>>> {
-    GLOBAL.get_or_init(|| Mutex::new(HashMap::new()))
+fn meters() -> &'static Meters {
+    static M: OnceLock<Meters> = OnceLock::new();
+    M.get_or_init(|| Meters {
+        hit: arc_trace::counter("plan.cache.hit"),
+        miss: arc_trace::counter("plan.cache.miss"),
+        clears: arc_trace::counter("plan.cache.clears"),
+        entries: arc_trace::gauge("plan.cache.entries"),
+    })
 }
 
-/// Look up a plan in the process-wide cache.
-pub fn global_lookup(key: &PlanKey) -> Option<Arc<ScopePlan>> {
-    let found = global().lock().expect("plan cache").get(key).cloned();
+fn global_lookup(key: &PlanKey) -> Option<Arc<ScopePlan>> {
+    let found = global().get(key).cloned();
     match found {
-        Some(plan) => {
-            hit_counter().inc();
-            Some(plan)
-        }
-        None => {
-            miss_counter().inc();
-            None
-        }
+        Some(_) => meters().hit.inc(),
+        None => meters().miss.inc(),
     }
+    found
 }
 
-/// Publish a freshly planned scope to the process-wide cache.
-pub fn global_store(key: PlanKey, plan: Arc<ScopePlan>) {
-    let mut map = global().lock().expect("plan cache");
+fn global_store(key: PlanKey, plan: Arc<ScopePlan>) {
+    let mut map = global();
     if map.len() >= GLOBAL_CAP {
         map.clear();
+        meters().clears.inc();
     }
     map.insert(key, plan);
+    meters().entries.set(map.len() as u64);
 }
 
-/// Cache observability (tests and benchmarks assert against these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Global-cache lookups that found a plan.
-    pub hits: u64,
-    /// Global-cache lookups that missed.
-    pub misses: u64,
-    /// Entries currently cached.
-    pub entries: usize,
+/// Empty the global cache (tests compare cold plans with warm ones).
+#[doc(hidden)]
+pub fn global_clear() {
+    global().clear();
+    meters().entries.set(0);
 }
 
-/// Snapshot the global cache counters (the `plan.cache.hit` /
-/// `plan.cache.miss` registry counters plus the live entry count).
-pub fn global_stats() -> CacheStats {
-    CacheStats {
-        hits: hit_counter().get(),
-        misses: miss_counter().get(),
-        entries: global().lock().expect("plan cache").len(),
+/// The plan of one scope — out of the global cache, or planned now
+/// ([`plan_scope`](crate::physical::plan_scope); `boolean` scopes by
+/// [`plan_scope_boolean`](crate::physical::plan_scope_boolean), the
+/// decorrelation pass) and published there. The flag says whether the
+/// planner ran. `epoch` is the statistics epoch of the catalog
+/// `spec.estimator` answers from.
+pub fn scope_plan(
+    spec: &ScopeSpec<'_>,
+    epoch: u64,
+    mode: PlanMode,
+    boolean: bool,
+) -> Result<(Arc<ScopePlan>, bool), PlanError> {
+    let key = PlanKey {
+        scope: scope_fingerprint(spec),
+        epoch,
+        mode,
+        decor: boolean,
+        indexes: spec.indexes,
+    };
+    if let Some(plan) = global_lookup(&key) {
+        return Ok((plan, false));
     }
+    let plan = Arc::new(if boolean {
+        crate::physical::plan_scope_boolean(spec, mode)?
+    } else {
+        crate::physical::plan_scope(spec, mode)?
+    });
+    global_store(key, plan.clone());
+    if boolean && plan.decorrelation.is_none() {
+        // A bailed decorrelation is the emitting-role plan
+        // (`plan_scope_boolean` falls back to the ordinary pipeline):
+        // publish it under the non-boolean key too, so an engine that
+        // plans the same scope without decorrelation reuses it instead of
+        // planning a second time.
+        global_store(
+            PlanKey {
+                decor: false,
+                ..key
+            },
+            plan.clone(),
+        );
+    }
+    Ok((plan, true))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::plan_scope;
-    use crate::scope::{BindingSpec, NoOuter};
+    use crate::scope::{BindingSpec, NoOuter, OuterScope};
     use arc_core::dsl::*;
 
     fn pred(f: arc_core::ast::Formula) -> Predicate {
@@ -512,53 +441,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn program_hash_is_structural_not_positional() {
-        let a = collection(
-            "Q",
-            &["A"],
-            exists(&[bind("r", "R")], and([assign("Q", "A", col("r", "A"))])),
-        );
-        let b = collection(
-            "Q",
-            &["A"],
-            exists(&[bind("r", "R")], and([assign("Q", "A", col("r", "A"))])),
-        );
-        assert_eq!(program_hash(&a), program_hash(&b), "two equal parses");
-        let c = collection(
-            "Q",
-            &["A"],
-            exists(&[bind("r", "S")], and([assign("Q", "A", col("r", "A"))])),
-        );
-        assert_ne!(program_hash(&a), program_hash(&c), "different source");
+    fn spec<'a>(
+        schema: &'a [String],
+        rows: usize,
+        filters: &'a [&'a Predicate],
+        outer: &'a dyn OuterScope,
+    ) -> ScopeSpec<'a> {
+        ScopeSpec {
+            bindings: vec![BindingSpec {
+                var: "r",
+                source: SourceSpec::Relation {
+                    name: "R",
+                    schema,
+                    rows: Some(rows),
+                },
+            }],
+            filters,
+            outer,
+            estimator: None,
+            indexes: true,
+        }
     }
 
     #[test]
     fn scope_fingerprint_sees_rows_and_filters() {
         let schema: Vec<String> = vec!["A".into(), "B".into()];
-        let filter = pred(gt(col("r", "A"), int(3)));
-        let filters: Vec<&Predicate> = vec![&filter];
-        let spec_of = |rows: usize, fs: &'static str| -> (u64, u64) {
-            let other = pred(gt(col("r", "A"), int(4)));
-            let filters2: Vec<&Predicate> = vec![&other];
-            let spec = ScopeSpec {
-                bindings: vec![BindingSpec {
-                    var: "r",
-                    source: SourceSpec::Relation {
-                        schema: &schema,
-                        rows: Some(rows),
-                    },
-                }],
-                filters: if fs == "a" { &filters } else { &filters2 },
-                outer: &NoOuter,
-                estimator: None,
-                indexes: true,
-            };
-            scope_fingerprint(&spec)
+        let gt3 = pred(gt(col("r", "A"), int(3)));
+        let gt4 = pred(gt(col("r", "A"), int(4)));
+        let gt_float = pred(gt(col("r", "A"), Scalar::Const(Value::Float(4.0))));
+        let lt4 = pred(lt(col("r", "A"), int(4)));
+        let of = |rows, p: &Predicate| scope_fingerprint(&spec(&schema, rows, &[p], &NoOuter));
+        assert_eq!(of(10, &gt3), of(10, &gt3));
+        assert_ne!(of(10, &gt3), of(11, &gt3), "row counts differ");
+        assert_ne!(of(10, &gt3), of(10, &lt4), "filters differ");
+        // Without statistics a constant is its class and nothing else.
+        assert_eq!(of(10, &gt3), of(10, &gt4), "a constant is a typed hole");
+        assert_ne!(of(10, &gt4), of(10, &gt_float), "of its own class");
+        let mut renamed = spec(&schema, 10, &[], &NoOuter);
+        let plain = scope_fingerprint(&renamed);
+        renamed.bindings[0].source = SourceSpec::Relation {
+            name: "S",
+            schema: &schema,
+            rows: Some(10),
         };
-        assert_eq!(spec_of(10, "a"), spec_of(10, "a"));
-        assert_ne!(spec_of(10, "a"), spec_of(11, "a"), "row counts differ");
-        assert_ne!(spec_of(10, "a"), spec_of(10, "b"), "filters differ");
+        assert_ne!(plain, scope_fingerprint(&renamed), "source names differ");
     }
 
     #[test]
@@ -570,46 +496,31 @@ mod tests {
             }
         }
         let with_o = Outer(vec!["A".into()]);
+        let schema: Vec<String> = vec!["A".into()];
         let filter = pred(eq(col("r", "A"), col("o", "A")));
         let filters: Vec<&Predicate> = vec![&filter];
-        let bound = outer_signature(&["r"], &filters, std::iter::empty(), &with_o);
-        let unbound = outer_signature(&["r"], &filters, std::iter::empty(), &NoOuter);
-        assert_ne!(bound, unbound, "availability must change the signature");
+        let bound = scope_fingerprint(&spec(&schema, 5, &filters, &with_o));
+        let unbound = scope_fingerprint(&spec(&schema, 5, &filters, &NoOuter));
+        assert_ne!(bound, unbound, "availability must change the fingerprint");
         // Shadowed by a local: the outer binding is invisible either way.
-        let shadowed = outer_signature(&["r", "o"], &filters, std::iter::empty(), &with_o);
-        let shadowed2 = outer_signature(&["r", "o"], &filters, std::iter::empty(), &NoOuter);
-        assert_eq!(shadowed, shadowed2);
+        let shadowing = |outer| {
+            let mut s = spec(&schema, 5, &filters, outer);
+            s.bindings[0].var = "o";
+            scope_fingerprint(&s)
+        };
+        assert_eq!(shadowing(&with_o), shadowing(&NoOuter));
     }
 
     #[test]
     fn global_cache_round_trips() {
-        let schema: Vec<String> = vec!["A".into()];
-        let spec = ScopeSpec {
-            bindings: vec![BindingSpec {
-                var: "r",
-                source: SourceSpec::Relation {
-                    schema: &schema,
-                    rows: Some(5),
-                },
-            }],
-            filters: &[],
-            outer: &NoOuter,
-            estimator: None,
-            indexes: true,
-        };
-        let plan = Arc::new(plan_scope(&spec, PlanMode::Auto).unwrap());
-        let key = PlanKey {
-            program: 0xdead_beef,
-            scope: scope_fingerprint(&spec),
-            sig: 0,
-            epoch: 0,
-            mode: PlanMode::Auto,
-            decor: false,
-            indexes: true,
-        };
-        assert!(global_lookup(&key).is_none());
-        global_store(key, plan.clone());
-        let cached = global_lookup(&key).expect("stored plan");
-        assert_eq!(*cached, *plan);
+        let schema: Vec<String> = vec!["Zq".into()]; // a schema no other test plans
+        let spec = spec(&schema, 5, &[], &NoOuter);
+        let (first, planned) = scope_plan(&spec, 0, PlanMode::Auto, false).unwrap();
+        assert!(planned);
+        let (again, planned) = scope_plan(&spec, 0, PlanMode::Auto, false).unwrap();
+        assert!(!planned && Arc::ptr_eq(&first, &again));
+        let (other_epoch, planned) = scope_plan(&spec, 1, PlanMode::Auto, false).unwrap();
+        assert!(planned);
+        assert_eq!(*other_epoch, *first);
     }
 }

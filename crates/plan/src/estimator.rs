@@ -11,7 +11,7 @@
 //! on top for relations that have no statistics (intensional results,
 //! small un-analyzed tables).
 
-use crate::scope::DistinctEstimator;
+use crate::scope::{Basis, DistinctEstimator};
 use arc_core::ast::CmpOp;
 use arc_core::value::Value;
 use arc_stats::TableStats;
@@ -36,6 +36,13 @@ impl TableStatsEstimator {
 }
 
 impl DistinctEstimator for TableStatsEstimator {
+    fn basis(&self, binding: usize) -> Basis {
+        match self.table(binding) {
+            Some(_) => Basis::Statistics,
+            None => Basis::None,
+        }
+    }
+
     fn distinct(&self, binding: usize, cols: &[usize]) -> Option<usize> {
         self.table(binding).map(|t| t.distinct_cols(cols) as usize)
     }

@@ -52,7 +52,6 @@ pub mod physical;
 pub mod query;
 pub mod scope;
 
-pub use cache::{formula_hash, program_hash, PlanKey};
 pub use estimator::TableStatsEstimator;
 pub use explain::{
     q_error, render, render_analyze, render_governed, render_with_threads, span_names, Actuals,
@@ -60,14 +59,14 @@ pub use explain::{
 pub use logical::const_cmp;
 pub use normalize::{normalize_collection, normalize_formula};
 pub use physical::{
-    decorrelatable_shape, plan_scope, plan_scope_boolean, planner_runs, Access, CorrelatedKey,
-    Decorrelation, EqInput, PlanMode, ProbeKey, ScopePlan, Step, INDEX_MAX_FRACTION,
-    PARALLEL_MIN_ROWS,
+    bucketed, decorrelatable_shape, estimates, plan_scope, plan_scope_boolean, planner_runs,
+    Access, CorrelatedKey, Decorrelation, EqInput, Estimates, PlanMode, ProbeKey, ScopePlan, Step,
+    INDEX_MAX_FRACTION, PARALLEL_MIN_ROWS, SELECTIVITY_BUCKET_BITS,
 };
 pub use query::{
     lower_collection, lower_collection_opts, lower_program, lower_program_opts, scope_identity,
     LowerError, PlanNode, ResolvedSource, SourceKind, SourceResolver,
 };
 pub use scope::{
-    BindingSpec, DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec,
+    Basis, BindingSpec, DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec,
 };

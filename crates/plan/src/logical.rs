@@ -7,7 +7,7 @@
 //! the planner never rewrites the AST itself, it only *indexes* into it,
 //! so the physical plan can refer back to predicates by position.
 
-use arc_core::ast::{AttrRef, CmpOp, Predicate, Scalar};
+use arc_core::ast::{CmpOp, Predicate, Scalar};
 use arc_core::value::Value;
 
 /// One orientation of an equality filter `var.attr = expr`: the bound side
@@ -16,13 +16,13 @@ use arc_core::value::Value;
 /// A predicate with attribute references on both sides yields two edges
 /// (one per orientation), mirroring the evaluator's `equality_pair`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EqEdge {
+pub struct EqEdge<'a> {
     /// Index of the originating predicate in the scope's filter list.
     pub filter: usize,
     /// The bound-side variable.
-    pub var: String,
+    pub var: &'a str,
     /// The bound-side attribute.
-    pub attr: String,
+    pub attr: &'a str,
     /// `true` when the bound attribute is the comparison's left operand
     /// (the probe/input expression is then the right operand).
     pub attr_on_left: bool,
@@ -33,7 +33,7 @@ pub struct EqEdge {
 /// **equality-predicate extraction pass**: the edges drive hash-probe key
 /// selection, external access-pattern inputs, and abstract-relation
 /// determination.
-pub fn extract_equalities(filters: &[&Predicate]) -> Vec<EqEdge> {
+pub fn extract_equalities<'a>(filters: &[&'a Predicate]) -> Vec<EqEdge<'a>> {
     let mut out = Vec::new();
     for (i, p) in filters.iter().enumerate() {
         if let Predicate::Cmp {
@@ -45,16 +45,16 @@ pub fn extract_equalities(filters: &[&Predicate]) -> Vec<EqEdge> {
             if let Scalar::Attr(a) = left {
                 out.push(EqEdge {
                     filter: i,
-                    var: a.var.clone(),
-                    attr: a.attr.clone(),
+                    var: &a.var,
+                    attr: &a.attr,
                     attr_on_left: true,
                 });
             }
             if let Scalar::Attr(a) = right {
                 out.push(EqEdge {
                     filter: i,
-                    var: a.var.clone(),
-                    attr: a.attr.clone(),
+                    var: &a.var,
+                    attr: &a.attr,
                     attr_on_left: false,
                 });
             }
@@ -130,18 +130,6 @@ pub fn const_cmp<'a>(
     Some((col, op, value))
 }
 
-/// All attribute references of a predicate, in occurrence order.
-pub fn pred_attr_refs(p: &Predicate) -> Vec<&AttrRef> {
-    match p {
-        Predicate::Cmp { left, right, .. } => {
-            let mut out = left.attr_refs();
-            out.extend(right.attr_refs());
-            out
-        }
-        Predicate::IsNull { expr, .. } => expr.attr_refs(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +144,8 @@ mod tests {
         let filters = [&p];
         let edges = extract_equalities(&filters);
         assert_eq!(edges.len(), 2);
-        assert_eq!((edges[0].var.as_str(), edges[0].attr_on_left), ("r", true));
-        assert_eq!((edges[1].var.as_str(), edges[1].attr_on_left), ("s", false));
+        assert_eq!((edges[0].var, edges[0].attr_on_left), ("r", true));
+        assert_eq!((edges[1].var, edges[1].attr_on_left), ("s", false));
     }
 
     #[test]

@@ -48,14 +48,13 @@
 //! preserve order exactly.
 
 use crate::analysis::{formula_free_vars, Parts};
-use crate::logical::{const_cmp, eq_sides, extract_equalities, other_side, pred_attr_refs, EqEdge};
+use crate::logical::{const_cmp, eq_sides, extract_equalities, other_side, EqEdge};
 use crate::scope::{
-    NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec, ABSTRACT_EST, DEFAULT_ROWS,
-    EXTERNAL_EST, NESTED_EST,
+    DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec, ABSTRACT_EST,
+    DEFAULT_ROWS, EXTERNAL_EST, NESTED_EST,
 };
 use arc_core::ast::{CmpOp, Predicate, Quant, Scalar};
 use arc_core::value::Value;
-use std::collections::HashSet;
 
 /// How a scope is planned. Maps one-to-one onto the engine's
 /// `EvalStrategy`: the env-var force overrides pin both the join order
@@ -141,6 +140,17 @@ pub enum Access {
 }
 
 impl Access {
+    /// Whether the access path itself enforces filter `filter` (a
+    /// hash-probe key, or a bound an index range consumes), so that no
+    /// step needs to re-check it.
+    pub fn consumes(&self, filter: usize) -> bool {
+        match self {
+            Access::HashProbe { keys } => keys.iter().any(|k| k.eq.filter == filter),
+            Access::IndexRange { filters, .. } => filters.contains(&filter),
+            _ => false,
+        }
+    }
+
     /// Short operator name for `EXPLAIN`.
     pub fn name(&self) -> &'static str {
         match self {
@@ -164,9 +174,10 @@ pub struct Step {
     pub access: Access,
     /// Filter indices evaluated as soon as this step's variable binds.
     pub filters: Vec<usize>,
-    /// Estimated rows this step contributes per upstream environment
-    /// (display only; `u64` bits of an `f64` would be overkill here, and
-    /// the estimate is already heuristic).
+    /// Estimated rows this step contributes per upstream environment, as
+    /// planning priced it — in [`bucketed`] fractions, so it decides
+    /// ([`ScopePlan::partition_axis`]) but is not what `EXPLAIN` shows
+    /// (see [`estimates`]).
     pub estimated_rows: u64,
 }
 
@@ -198,11 +209,15 @@ pub struct Decorrelation {
     /// Outer-only filters evaluated per outer row *before* probing (the
     /// filters the nested path would have checked as its prelude).
     pub probe_filters: Vec<usize>,
-    /// Estimated distinct correlated keys in the build (semi-join
-    /// selectivity: distinct counts of the key columns, capped by the
-    /// build's estimated cardinality). Display only, like
-    /// [`Step::estimated_rows`].
-    pub est_keys: u64,
+}
+
+impl Decorrelation {
+    /// The filters the probe enforces, which the build pipeline must
+    /// therefore neither see nor schedule.
+    fn masked(&self) -> Vec<usize> {
+        let keys = self.keys.iter().map(|k| k.filter);
+        keys.chain(self.probe_filters.iter().copied()).collect()
+    }
 }
 
 /// The physical plan of one quantifier scope.
@@ -236,6 +251,11 @@ pub const PARALLEL_MIN_ROWS: u64 = 16;
 /// design, so un-analyzed catalogs plan exactly as before.
 pub const INDEX_MAX_FRACTION: f64 = 0.25;
 
+/// Mantissa bits of a fraction that costing keeps (see [`bucketed`]):
+/// with 2, every power of two and every quarter step between two of them
+/// is a bucket edge — [`INDEX_MAX_FRACTION`] among them.
+pub const SELECTIVITY_BUCKET_BITS: u32 = 2;
+
 impl ScopePlan {
     /// The step order as binding indices (convenience for callers that
     /// reorder their own side tables).
@@ -257,6 +277,114 @@ impl ScopePlan {
         (matches!(first.access, Access::Scan | Access::IndexRange { .. })
             && first.estimated_rows >= PARALLEL_MIN_ROWS)
             .then_some(0)
+    }
+}
+
+/// The fraction costing uses in place of `raw`: the midpoint of `raw`'s
+/// **selectivity bucket**. Buckets are the upper-inclusive intervals
+/// between neighbouring floats that keep [`SELECTIVITY_BUCKET_BITS`]
+/// mantissa bits — `(0.21875, 0.25]`, `(0.25, 0.3125]`, … — so a bucketed
+/// fraction is within an eighth of the raw one, and lies on the same side
+/// of every edge: a single fraction compared with an edge (the
+/// [`INDEX_MAX_FRACTION`] gate) decides as the raw fraction would. Exact
+/// `0` (and below) and exact `1` (and above) are buckets of their own; a
+/// `NaN` stays one.
+///
+/// Every statistics answer that depends on a filter constant reaches the
+/// planner through this function, and the plan cache's
+/// [`scope_fingerprint`](crate::cache::scope_fingerprint) hashes the same
+/// bucketed answers where the constants stood. A plan is therefore a
+/// function of the key it is cached under: two statements that differ
+/// only in constants of one bucket vector *are* planned identically, not
+/// approximately so.
+pub fn bucketed(raw: f64) -> f64 {
+    if raw.is_nan() {
+        return raw;
+    }
+    if raw <= 0.0 {
+        return 0.0;
+    }
+    if raw >= 1.0 {
+        return 1.0;
+    }
+    let shift = f64::MANTISSA_DIGITS - 1 - SELECTIVITY_BUCKET_BITS;
+    // One step down makes the cell's upper edge inclusive.
+    let cell = raw.next_down().to_bits() >> shift;
+    f64::from_bits((cell << shift) | (1 << (shift - 1)))
+}
+
+/// Which fractions a pricing pass multiplies by.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pricing {
+    /// [`bucketed`] ones: what every planning decision rests on.
+    Plan,
+    /// The statistics' own: what `EXPLAIN` shows ([`estimates`]).
+    Display,
+}
+
+/// The statistics estimator as costing sees it — the one place a
+/// constant-dependent answer enters the planner.
+#[derive(Clone, Copy)]
+struct Priced<'e> {
+    est: &'e dyn DistinctEstimator,
+    pricing: Pricing,
+}
+
+impl Priced<'_> {
+    fn fraction(&self, raw: f64) -> f64 {
+        match self.pricing {
+            Pricing::Plan => bucketed(raw),
+            Pricing::Display => raw,
+        }
+    }
+
+    fn selectivity(&self, binding: usize, col: usize, op: CmpOp, value: &Value) -> Option<f64> {
+        let raw = self.est.selectivity(binding, col, op, value)?;
+        Some(self.fraction(raw.clamp(0.0, 1.0)))
+    }
+
+    fn range_selectivity(
+        &self,
+        binding: usize,
+        col: usize,
+        lo: Option<(CmpOp, &Value)>,
+        hi: Option<(CmpOp, &Value)>,
+    ) -> Option<f64> {
+        let raw = self.est.range_selectivity(binding, col, lo, hi)?;
+        Some(self.fraction(raw))
+    }
+}
+
+/// Every constant-dependent fraction planning `spec` can consume, as
+/// planning consumes it ([`bucketed`]), in a fixed order: per relation
+/// binding, the selectivity of each constant comparison on it, then the
+/// interval selectivity of each column an index range could close.
+/// `None` is an answer too (no statistics for that column).
+pub(crate) fn each_constant_fraction(spec: &ScopeSpec<'_>, visit: &mut impl FnMut(Option<f64>)) {
+    let Some(est) = spec.estimator else {
+        return;
+    };
+    let priced = Priced {
+        est,
+        pricing: Pricing::Plan,
+    };
+    for (bi, b) in spec.bindings.iter().enumerate() {
+        let SourceSpec::Relation { schema, .. } = &b.source else {
+            continue;
+        };
+        let mut constants = false;
+        for p in spec.filters {
+            if let Some((col, op, value)) = const_cmp(p, b.var, schema) {
+                visit(priced.selectivity(bi, col, op, value));
+                constants = true;
+            }
+        }
+        if constants {
+            let bounds = ConstBounds::gather(spec, b.var, schema, &[]);
+            bounds.each_range(&mut |col, lo, hi| {
+                visit(priced.range_selectivity(bi, col, bound_of(lo), bound_of(hi)))
+            });
+        }
     }
 }
 
@@ -327,7 +455,7 @@ pub fn decorrelatable_shape(q: &Quant, parts: &Parts<'_>, outer: &dyn OuterScope
     parts.pre_bool.iter().all(|b| {
         formula_free_vars(b)
             .iter()
-            .all(|v| q.bindings.iter().any(|bi| &bi.var == v) || outer.attrs(v).is_none())
+            .all(|v| q.bindings.iter().any(|bi| bi.var == *v) || outer.attrs(v).is_none())
     })
 }
 
@@ -347,51 +475,55 @@ enum SideKind {
     Opaque,
 }
 
+/// The binding that declares `var`, if the scope has one.
+fn local<'s, 'a>(spec: &'s ScopeSpec<'a>, var: &str) -> Option<&'s crate::scope::BindingSpec<'a>> {
+    spec.bindings.iter().find(|b| b.var == var)
+}
+
 /// The decorrelation pass: classify every filter as build-side
 /// (outer-free), probe-prelude (outer-only), or a correlated equi-join
 /// key — then plan the build with the correlated filters masked and the
 /// outer environment hidden. `None` means "not decorrelatable, use the
 /// nested path".
 fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
-    let locals: HashSet<&str> = spec.bindings.iter().map(|b| b.var).collect();
-    if locals.len() != spec.bindings.len() {
+    let duplicates = spec
+        .bindings
+        .iter()
+        .enumerate()
+        .any(|(i, b)| spec.bindings[..i].iter().any(|e| e.var == b.var));
+    if duplicates {
         // Duplicate range-variable names: plan-time resolution could
         // disagree with the runtime's innermost-first lookup.
         return None;
     }
-    let local_resolves = |r: &arc_core::ast::AttrRef| -> bool {
-        spec.bindings
-            .iter()
-            .find(|b| b.var == r.var)
-            .is_some_and(|b| b.source.schema().contains(&r.attr))
-    };
-    let outer_resolves = |r: &arc_core::ast::AttrRef| -> bool {
-        spec.outer
-            .attrs(&r.var)
-            .is_some_and(|attrs| attrs.contains(&r.attr))
-    };
     let side_kind = |s: &Scalar| -> SideKind {
         if s.has_aggregate() {
             return SideKind::Opaque;
         }
-        let refs = s.attr_refs();
-        if refs.is_empty() {
-            return SideKind::Neutral;
+        // What the references are, and whether each resolves where it
+        // points: all local, or all to visible outer variables.
+        let (mut refs, mut locals, mut resolved) = (0usize, 0usize, true);
+        s.each_attr_ref(&mut |r| {
+            refs += 1;
+            match local(spec, &r.var) {
+                Some(b) => {
+                    locals += 1;
+                    resolved &= b.source.schema().contains(&r.attr);
+                }
+                None => {
+                    resolved &= spec
+                        .outer
+                        .attrs(&r.var)
+                        .is_some_and(|attrs| attrs.contains(&r.attr));
+                }
+            }
+        });
+        match (refs, locals) {
+            (0, _) => SideKind::Neutral,
+            (n, l) if l == n && resolved => SideKind::Local,
+            (_, 0) if resolved => SideKind::Outer,
+            _ => SideKind::Opaque,
         }
-        if refs.iter().all(|r| locals.contains(r.var.as_str())) {
-            return if refs.iter().all(|r| local_resolves(r)) {
-                SideKind::Local
-            } else {
-                SideKind::Opaque
-            };
-        }
-        if refs
-            .iter()
-            .all(|r| !locals.contains(r.var.as_str()) && outer_resolves(r))
-        {
-            return SideKind::Outer;
-        }
-        SideKind::Opaque
     };
 
     let mut keys: Vec<CorrelatedKey> = Vec::new();
@@ -400,9 +532,10 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
         // Build-side filters reference no visible outer variable at all
         // (locals, constants, or unknown names — the latter error at the
         // build's leaf exactly as they would at the nested path's leaf).
-        let touches_outer = pred_attr_refs(p)
-            .iter()
-            .any(|r| !locals.contains(r.var.as_str()) && spec.outer.attrs(&r.var).is_some());
+        let mut touches_outer = false;
+        p.each_attr_ref(&mut |r| {
+            touches_outer |= local(spec, &r.var).is_none() && spec.outer.attrs(&r.var).is_some();
+        });
         if !touches_outer {
             continue;
         }
@@ -445,73 +578,130 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
     // free vars, external/abstract inputs through outer expressions)
     // fails here, and the scope falls back to the nested path — which is
     // what keeps the build provably outer-row independent.
-    let mut masked: Vec<usize> = keys.iter().map(|k| k.filter).collect();
-    masked.extend(probe_filters.iter().copied());
-    let build_spec = ScopeSpec {
+    let decorrelation = Decorrelation {
+        keys,
+        probe_filters,
+    };
+    let mut plan =
+        plan_scope_impl(&build_spec(spec), PlanMode::Auto, &decorrelation.masked()).ok()?;
+    plan.decorrelation = Some(decorrelation);
+    Some(plan)
+}
+
+/// `spec` as a decorrelated scope's build pipeline is planned: the outer
+/// environment hidden.
+fn build_spec<'a>(spec: &ScopeSpec<'a>) -> ScopeSpec<'a> {
+    ScopeSpec {
         bindings: spec.bindings.clone(),
         filters: spec.filters,
         outer: &NoOuter,
         estimator: spec.estimator,
         indexes: spec.indexes,
-    };
-    let mut plan = plan_scope_impl(&build_spec, PlanMode::Auto, &masked).ok()?;
+    }
+}
 
-    // Semi-join selectivity estimate: distinct count of the correlated
-    // key (per-binding column sets through the statistics estimator, MCV
-    // capped there), bounded by the build's estimated cardinality.
-    let build_rows = plan
-        .steps
+/// What `EXPLAIN` prints beside a plan's operators: the estimates priced
+/// with the statistics' own fractions. A [`ScopePlan`] carries none of
+/// this — it is a function of [`bucketed`] fractions only, so that it
+/// can be cached and shared — which is why the estimates are re-derived
+/// for the statement at hand.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Estimates {
+    /// Estimated rows each step contributes per upstream environment,
+    /// parallel to [`ScopePlan::steps`].
+    pub steps: Vec<u64>,
+    /// For a decorrelated plan, the estimated distinct correlated keys in
+    /// the build (semi-join selectivity: distinct counts of the key
+    /// columns, capped by the build's estimated cardinality).
+    pub keys: Option<u64>,
+}
+
+/// Price `plan` — planned for `spec` under `mode` — for display: every
+/// step as the planner priced it when it placed it, with raw fractions
+/// in place of bucketed ones.
+pub fn estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan, mode: PlanMode) -> Estimates {
+    let Some(dec) = &plan.decorrelation else {
+        return Estimates {
+            steps: step_estimates(spec, plan, mode, &[]),
+            keys: None,
+        };
+    };
+    let steps = step_estimates(&build_spec(spec), plan, PlanMode::Auto, &dec.masked());
+    let build_rows = steps
         .iter()
-        .fold(1u64, |acc, s| acc.saturating_mul(s.estimated_rows.max(1)));
-    let mut est_keys = build_rows.max(1);
-    if let Some(est) = spec.estimator {
-        let mut per_binding: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut all_bare = true;
-        for k in &keys {
-            let (local, _) = eq_sides(spec.filters[k.filter], k.local_on_left);
-            let Scalar::Attr(a) = local else {
-                all_bare = false;
-                break;
+        .fold(1u64, |acc, est| acc.saturating_mul((*est).max(1)));
+    Estimates {
+        keys: Some(distinct_keys(spec, &dec.keys).map_or(build_rows, |d| d.min(build_rows))),
+        steps,
+    }
+}
+
+fn step_estimates(
+    spec: &ScopeSpec<'_>,
+    plan: &ScopePlan,
+    mode: PlanMode,
+    masked: &[usize],
+) -> Vec<u64> {
+    let edges = unmasked_equalities(spec, masked);
+    let order = plan.binding_order();
+    plan.steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            let placement = Placement {
+                spec,
+                edges: &edges,
+                mode,
+                masked,
+                placed: &order[..i],
+                pricing: Pricing::Display,
             };
-            let Some(bi) = spec.bindings.iter().position(|b| b.var == a.var) else {
-                all_bare = false;
-                break;
-            };
-            let Some(col) = spec.bindings[bi]
-                .source
-                .schema()
-                .iter()
-                .position(|s| s == &a.attr)
-            else {
-                all_bare = false;
-                break;
-            };
-            match per_binding.iter_mut().find(|(b, _)| *b == bi) {
-                Some((_, cols)) => cols.push(col),
-                None => per_binding.push((bi, vec![col])),
-            }
-        }
-        if all_bare && !keys.is_empty() {
-            let mut product = 1u64;
-            let mut known = true;
-            for (bi, cols) in &per_binding {
-                match est.distinct(*bi, cols) {
-                    Some(d) => product = product.saturating_mul(d.max(1) as u64),
-                    None => known = false,
-                }
-            }
-            if known {
-                est_keys = product.min(build_rows.max(1));
-            }
+            placement
+                .candidate(step.binding)
+                .map_or(step.estimated_rows, |c| rows_of(c.cost))
+        })
+        .collect()
+}
+
+/// Product of the distinct counts of a decorrelated scope's correlated
+/// key columns, per binding — `None` unless every key is a bare local
+/// attribute the estimator knows.
+fn distinct_keys(spec: &ScopeSpec<'_>, keys: &[CorrelatedKey]) -> Option<u64> {
+    let est = spec.estimator?;
+    if keys.is_empty() {
+        return None;
+    }
+    let mut per_binding: Vec<(usize, Vec<usize>)> = Vec::new();
+    for k in keys {
+        let (Scalar::Attr(a), _) = eq_sides(spec.filters[k.filter], k.local_on_left) else {
+            return None;
+        };
+        let bi = spec.bindings.iter().position(|b| b.var == a.var)?;
+        let col = spec.bindings[bi]
+            .source
+            .schema()
+            .iter()
+            .position(|s| s == &a.attr)?;
+        match per_binding.iter_mut().find(|(b, _)| *b == bi) {
+            Some((_, cols)) => cols.push(col),
+            None => per_binding.push((bi, vec![col])),
         }
     }
+    per_binding.iter().try_fold(1u64, |product, (bi, cols)| {
+        Some(product.saturating_mul(est.distinct(*bi, cols)?.max(1) as u64))
+    })
+}
 
-    plan.decorrelation = Some(Decorrelation {
-        keys,
-        probe_filters,
-        est_keys,
-    });
-    Some(plan)
+/// A cost as the step estimate it is reported as.
+fn rows_of(cost: f64) -> u64 {
+    cost.round().max(1.0) as u64
+}
+
+/// The scope's equality edges, minus those of `masked` filters.
+fn unmasked_equalities<'a>(spec: &ScopeSpec<'a>, masked: &[usize]) -> Vec<EqEdge<'a>> {
+    let mut edges = extract_equalities(spec.filters);
+    edges.retain(|e| !masked.contains(&e.filter));
+    edges
 }
 
 /// The shared planning pipeline. `masked` filters are invisible to every
@@ -523,207 +713,41 @@ fn plan_scope_impl(
     mode: PlanMode,
     masked: &[usize],
 ) -> Result<ScopePlan, PlanError> {
-    let edges: Vec<EqEdge> = extract_equalities(spec.filters)
-        .into_iter()
-        .filter(|e| !masked.contains(&e.filter))
-        .collect();
-    let locals: HashSet<&str> = spec.bindings.iter().map(|b| b.var).collect();
-
+    let edges = unmasked_equalities(spec, masked);
     let mut remaining: Vec<usize> = (0..spec.bindings.len()).collect();
-    let mut placed: Vec<usize> = Vec::new(); // binding indices, in step order
-    let mut steps: Vec<Step> = Vec::new();
+    let mut placed: Vec<usize> = Vec::with_capacity(remaining.len()); // in step order
+    let mut steps: Vec<Step> = Vec::with_capacity(remaining.len());
 
     while !remaining.is_empty() {
-        let candidate = {
-            // A variable is usable by a probe/input/lateral expression once
-            // its binding is placed; a scope-local name that is not yet
-            // placed must NOT fall back to a same-named outer variable (the
-            // local shadows it).
-            let usable = |var: &str| -> bool {
-                placed.iter().any(|&i| spec.bindings[i].var == var)
-                    || (!locals.contains(var) && spec.outer.attrs(var).is_some())
+        let placement = Placement {
+            spec,
+            edges: &edges,
+            mode,
+            masked,
+            placed: &placed,
+            pricing: Pricing::Plan,
+        };
+        let mut best: Option<Candidate> = None;
+        for &bi in &remaining {
+            let Some(c) = placement.candidate(bi) else {
+                continue;
             };
-            // Plan-time attribute resolution, mirroring runtime lookup
-            // order: placed bindings shadow the outer environment,
-            // innermost first.
-            let attr_resolves = |r: &arc_core::ast::AttrRef| -> bool {
-                for &i in placed.iter().rev() {
-                    if spec.bindings[i].var == r.var {
-                        return spec.bindings[i].source.schema().contains(&r.attr);
-                    }
+            match mode {
+                // Declaration order: the first placeable binding wins.
+                PlanMode::ForceNestedLoop | PlanMode::ForceHashJoin => {
+                    best = Some(c);
+                    break;
                 }
-                spec.outer
-                    .attrs(&r.var)
-                    .is_some_and(|attrs| attrs.contains(&r.attr))
-            };
-            // Placement resolvability for external/abstract inputs: the
-            // expressions are evaluated eagerly at enumeration time under
-            // *every* mode, so only variable reachability is required
-            // (attribute errors surface identically either way).
-            let input_resolvable = |e: &arc_core::ast::Scalar| -> bool {
-                e.attr_refs().iter().all(|r| usable(&r.var))
-            };
-            // One resolvable input expression per required attribute of
-            // `var` (the shared determination rule for external access
-            // patterns and abstract relations), or `None` when any
-            // attribute is undetermined.
-            let determined_inputs = |var: &str, attrs: &mut dyn Iterator<Item = &String>| {
-                attrs
-                    .map(|attr| {
-                        edges
-                            .iter()
-                            .find(|e| {
-                                e.var == var
-                                    && &e.attr == attr
-                                    && input_resolvable(other_side(
-                                        spec.filters[e.filter],
-                                        e.attr_on_left,
-                                    ))
-                            })
-                            .map(|e| EqInput {
-                                filter: e.filter,
-                                attr_on_left: e.attr_on_left,
-                            })
-                    })
-                    .collect::<Option<Vec<EqInput>>>()
-            };
-
-            let mut best: Option<Candidate> = None;
-            for &bi in &remaining {
-                let b = &spec.bindings[bi];
-                let candidate = match &b.source {
-                    SourceSpec::Relation { schema, rows } => {
-                        let keys =
-                            probe_keys(spec, &edges, bi, b.var, schema, &usable, &attr_resolves);
-                        let rows_f = rows.unwrap_or(DEFAULT_ROWS) as f64;
-                        let (access, cost) = if keys.is_empty() || mode == PlanMode::ForceNestedLoop
-                        {
-                            // Statistics-scaled scan: constant comparisons
-                            // on this binding shrink the estimate (MCV /
-                            // histogram selectivity) when stats exist —
-                            // without statistics the product is 1 and the
-                            // cost is the plain row count, as ever.
-                            let sel = const_selectivity(spec, bi, b.var, schema, masked);
-                            // Under Auto, a selective constant bound prefix
-                            // upgrades the scan to an index-range walk over
-                            // the same rows (the estimate is unchanged —
-                            // the access path is, not the output).
-                            let access = if mode == PlanMode::Auto {
-                                index_candidate(spec, bi, b.var, schema, masked)
-                                    .unwrap_or(Access::Scan)
-                            } else {
-                                Access::Scan
-                            };
-                            (access, rows_f * sel)
-                        } else {
-                            // Probe cost: constant-keyed columns use their
-                            // measured equality selectivity (MCV-aware);
-                            // the remaining key columns divide by the
-                            // distinct-key estimate; residual constant
-                            // filters (not consumed by the probe) scale
-                            // the result like they scale a scan.
-                            let mut var_cols: Vec<usize> = Vec::new();
-                            let mut probed: Vec<usize> = masked.to_vec();
-                            let mut cost = rows_f;
-                            for k in &keys {
-                                probed.push(k.eq.filter);
-                                let probe =
-                                    other_side(spec.filters[k.eq.filter], k.eq.attr_on_left);
-                                let known = match (probe, spec.estimator) {
-                                    (Scalar::Const(v), Some(e)) => {
-                                        e.selectivity(bi, k.col, arc_core::ast::CmpOp::Eq, v)
-                                    }
-                                    _ => None,
-                                };
-                                match known {
-                                    Some(s) => cost *= s.clamp(0.0, 1.0),
-                                    None => var_cols.push(k.col),
-                                }
-                            }
-                            if !var_cols.is_empty() {
-                                let distinct = spec
-                                    .estimator
-                                    .and_then(|e| e.distinct(bi, &var_cols))
-                                    .unwrap_or_else(|| rows.unwrap_or(DEFAULT_ROWS).max(1));
-                                cost /= distinct.max(1) as f64;
-                            }
-                            cost *= const_selectivity(spec, bi, b.var, schema, &probed);
-                            // When every probe key is a *constant* (no
-                            // dependence on other bindings), an ordered
-                            // index can bind those equalities as its
-                            // prefix AND close it with a range predicate
-                            // a hash bucket cannot capture — prefer it
-                            // when the bound prices selective enough.
-                            let all_const = mode == PlanMode::Auto
-                                && keys.iter().all(|k| {
-                                    matches!(
-                                        other_side(spec.filters[k.eq.filter], k.eq.attr_on_left),
-                                        Scalar::Const(_)
-                                    )
-                                });
-                            let access = if all_const {
-                                index_candidate(spec, bi, b.var, schema, masked)
-                                    .unwrap_or(Access::HashProbe { keys })
-                            } else {
-                                Access::HashProbe { keys }
-                            };
-                            (access, cost.max(1.0))
-                        };
-                        Some(Candidate {
-                            binding: bi,
-                            access,
-                            cost,
-                        })
-                    }
-                    SourceSpec::External { schema, patterns } => patterns
-                        .iter()
-                        .enumerate()
-                        .find_map(|(pi, bound)| {
-                            let mut attrs = bound.iter().map(|&pos| &schema[pos]);
-                            determined_inputs(b.var, &mut attrs).map(|inputs| Access::External {
-                                pattern: pi,
-                                inputs,
-                            })
-                        })
-                        .map(|access| Candidate {
-                            binding: bi,
-                            access,
-                            cost: EXTERNAL_EST,
-                        }),
-                    SourceSpec::Abstract { attrs } => determined_inputs(b.var, &mut attrs.iter())
-                        .map(|inputs| Candidate {
-                            binding: bi,
-                            access: Access::Abstract { inputs },
-                            cost: ABSTRACT_EST,
-                        }),
-                    SourceSpec::Nested { free, .. } => {
-                        free.iter().all(|v| usable(v)).then_some(Candidate {
-                            binding: bi,
-                            access: Access::Nested,
-                            cost: NESTED_EST,
-                        })
-                    }
-                };
-                let Some(c) = candidate else { continue };
-                match mode {
-                    // Declaration order: the first placeable binding wins.
-                    PlanMode::ForceNestedLoop | PlanMode::ForceHashJoin => {
+                // Greedy: strictly smaller estimated cardinality wins;
+                // ties keep declaration order (remaining is ordered).
+                PlanMode::Auto => {
+                    if best.as_ref().is_none_or(|b| c.cost < b.cost) {
                         best = Some(c);
-                        break;
-                    }
-                    // Greedy: strictly smaller estimated cardinality wins;
-                    // ties keep declaration order (remaining is ordered).
-                    PlanMode::Auto => {
-                        if best.as_ref().is_none_or(|b| c.cost < b.cost) {
-                            best = Some(c);
-                        }
                     }
                 }
             }
-            best
-        };
-
-        let Some(c) = candidate else {
+        }
+        let Some(c) = best else {
             return Err(PlanError::Unplaceable {
                 binding: remaining[0],
             });
@@ -734,7 +758,7 @@ fn plan_scope_impl(
             binding: c.binding,
             access: c.access,
             filters: Vec::new(),
-            estimated_rows: c.cost.round().max(1.0) as u64,
+            estimated_rows: rows_of(c.cost),
         });
     }
 
@@ -744,67 +768,313 @@ fn plan_scope_impl(
         leaf_filters: Vec::new(),
         decorrelation: None,
     };
-    assign_filters(spec, &locals, mode, masked, &mut plan);
+    assign_filters(spec, mode, masked, &mut plan);
     Ok(plan)
 }
 
-/// Hash-probe key selection for one relation binding: every equality edge
-/// `var.attr = expr` whose probe expression is computable from bindings
-/// placed *before* it (or unshadowed outer variables), does not mention
-/// `var` itself, and resolves attribute-by-attribute at plan time.
-#[allow(clippy::too_many_arguments)]
-fn probe_keys(
-    spec: &ScopeSpec<'_>,
-    edges: &[EqEdge],
-    _binding: usize,
-    var: &str,
-    schema: &[String],
-    usable: &dyn Fn(&str) -> bool,
-    attr_resolves: &dyn Fn(&arc_core::ast::AttrRef) -> bool,
-) -> Vec<ProbeKey> {
-    let mut keys = Vec::new();
-    for e in edges {
-        if e.var != var {
-            continue;
-        }
-        let Some(col) = schema.iter().position(|a| a == &e.attr) else {
-            continue;
-        };
-        let probe = other_side(spec.filters[e.filter], e.attr_on_left);
-        // Probing must be a pure per-tuple evaluation: no aggregates, no
-        // self-references, and every attribute reference must be both
-        // reachable and resolvable at plan time (see module docs on error
-        // equivalence).
-        if probe.has_aggregate() {
-            continue;
-        }
-        let refs = probe.attr_refs();
-        if refs.iter().any(|r| r.var == var) {
-            continue;
-        }
-        if !refs.iter().all(|r| usable(&r.var) && attr_resolves(r)) {
-            continue;
-        }
-        keys.push(ProbeKey {
-            col,
-            eq: EqInput {
-                filter: e.filter,
-                attr_on_left: e.attr_on_left,
-            },
-        });
+/// One ordering round's view of the scope: what is placed so far, and
+/// how candidates for the next step are found and priced.
+struct Placement<'p, 'a> {
+    spec: &'p ScopeSpec<'a>,
+    /// The scope's (unmasked) equality edges.
+    edges: &'p [EqEdge<'a>],
+    mode: PlanMode,
+    masked: &'p [usize],
+    /// Binding indices placed so far, in step order.
+    placed: &'p [usize],
+    pricing: Pricing,
+}
+
+impl Placement<'_, '_> {
+    /// A variable is usable by a probe/input/lateral expression once its
+    /// binding is placed; a scope-local name that is not yet placed must
+    /// NOT fall back to a same-named outer variable (the local shadows
+    /// it).
+    fn usable(&self, var: &str) -> bool {
+        self.placed
+            .iter()
+            .any(|&i| self.spec.bindings[i].var == var)
+            || (local(self.spec, var).is_none() && self.spec.outer.attrs(var).is_some())
     }
-    keys
+
+    /// Plan-time attribute resolution, mirroring runtime lookup order:
+    /// placed bindings shadow the outer environment, innermost first.
+    fn attr_resolves(&self, r: &arc_core::ast::AttrRef) -> bool {
+        for &i in self.placed.iter().rev() {
+            if self.spec.bindings[i].var == r.var {
+                return self.spec.bindings[i].source.schema().contains(&r.attr);
+            }
+        }
+        self.spec
+            .outer
+            .attrs(&r.var)
+            .is_some_and(|attrs| attrs.contains(&r.attr))
+    }
+
+    /// One resolvable input expression per required attribute of `var`
+    /// (the shared determination rule for external access patterns and
+    /// abstract relations), or `None` when any attribute is
+    /// undetermined. The expressions are evaluated eagerly at enumeration
+    /// time under *every* mode, so only variable reachability is required
+    /// (attribute errors surface identically either way).
+    fn determined_inputs<'s>(
+        &self,
+        var: &str,
+        attrs: impl Iterator<Item = &'s String>,
+    ) -> Option<Vec<EqInput>> {
+        attrs
+            .map(|attr| {
+                self.edges
+                    .iter()
+                    .find(|e| {
+                        let mut reachable = e.var == var && e.attr == attr;
+                        if reachable {
+                            other_side(self.spec.filters[e.filter], e.attr_on_left)
+                                .each_attr_ref(&mut |r| reachable &= self.usable(&r.var));
+                        }
+                        reachable
+                    })
+                    .map(|e| EqInput {
+                        filter: e.filter,
+                        attr_on_left: e.attr_on_left,
+                    })
+            })
+            .collect()
+    }
+
+    /// The way binding `bi` could be placed next and what that would
+    /// cost, or `None` while it cannot be placed.
+    fn candidate(&self, bi: usize) -> Option<Candidate> {
+        let spec = self.spec;
+        let b = &spec.bindings[bi];
+        let (access, cost) = match &b.source {
+            SourceSpec::Relation { schema, rows, .. } => {
+                self.relation_candidate(bi, b.var, schema, *rows)
+            }
+            SourceSpec::External { schema, patterns } => (
+                patterns.iter().enumerate().find_map(|(pi, bound)| {
+                    self.determined_inputs(b.var, bound.iter().map(|&pos| &schema[pos]))
+                        .map(|inputs| Access::External {
+                            pattern: pi,
+                            inputs,
+                        })
+                })?,
+                EXTERNAL_EST,
+            ),
+            SourceSpec::Abstract { attrs } => (
+                Access::Abstract {
+                    inputs: self.determined_inputs(b.var, attrs.iter())?,
+                },
+                ABSTRACT_EST,
+            ),
+            SourceSpec::Nested { free, .. } => {
+                if !free.iter().all(|v| self.usable(v)) {
+                    return None;
+                }
+                (Access::Nested, NESTED_EST)
+            }
+        };
+        Some(Candidate {
+            binding: bi,
+            access,
+            cost,
+        })
+    }
+
+    fn relation_candidate(
+        &self,
+        bi: usize,
+        var: &str,
+        schema: &[String],
+        rows: Option<usize>,
+    ) -> (Access, f64) {
+        let (spec, mode, masked) = (self.spec, self.mode, self.masked);
+        let priced = spec.estimator.map(|est| Priced {
+            est,
+            pricing: self.pricing,
+        });
+        let keys = self.probe_keys(var, schema);
+        let rows_f = rows.unwrap_or(DEFAULT_ROWS) as f64;
+        if keys.is_empty() || mode == PlanMode::ForceNestedLoop {
+            // Statistics-scaled scan: constant comparisons on this
+            // binding shrink the estimate (MCV / histogram selectivity)
+            // when stats exist — without statistics the product is 1 and
+            // the cost is the plain row count, as ever.
+            let sel = const_selectivity(spec, priced, bi, var, schema, masked);
+            // Under Auto, a selective constant bound prefix upgrades the
+            // scan to an index-range walk over the same rows (the
+            // estimate is unchanged — the access path is, not the
+            // output).
+            let access = if mode == PlanMode::Auto {
+                index_candidate(spec, bi, var, schema, masked).unwrap_or(Access::Scan)
+            } else {
+                Access::Scan
+            };
+            return (access, rows_f * sel);
+        }
+        // Probe cost: constant-keyed columns use their measured equality
+        // selectivity (MCV-aware); the remaining key columns divide by
+        // the distinct-key estimate; residual constant filters (not
+        // consumed by the probe) scale the result like they scale a scan.
+        let mut var_cols: Vec<usize> = Vec::new();
+        let mut probed: Vec<usize> = masked.to_vec();
+        let mut cost = rows_f;
+        let mut all_const = mode == PlanMode::Auto;
+        for k in &keys {
+            probed.push(k.eq.filter);
+            let probe = other_side(spec.filters[k.eq.filter], k.eq.attr_on_left);
+            let known = match (probe, priced) {
+                (Scalar::Const(v), Some(p)) => p.selectivity(bi, k.col, CmpOp::Eq, v),
+                _ => None,
+            };
+            all_const &= matches!(probe, Scalar::Const(_));
+            match known {
+                Some(s) => cost *= s,
+                None => var_cols.push(k.col),
+            }
+        }
+        if !var_cols.is_empty() {
+            let distinct = spec
+                .estimator
+                .and_then(|e| e.distinct(bi, &var_cols))
+                .unwrap_or_else(|| rows.unwrap_or(DEFAULT_ROWS).max(1));
+            cost /= distinct.max(1) as f64;
+        }
+        cost *= const_selectivity(spec, priced, bi, var, schema, &probed);
+        // When every probe key is a *constant* (no dependence on other
+        // bindings), an ordered index can bind those equalities as its
+        // prefix AND close it with a range predicate a hash bucket
+        // cannot capture — prefer it when the bound prices selective
+        // enough.
+        let access = all_const
+            .then(|| index_candidate(spec, bi, var, schema, masked))
+            .flatten()
+            .unwrap_or(Access::HashProbe { keys });
+        (access, cost.max(1.0))
+    }
+
+    /// Hash-probe key selection for one relation binding: every equality
+    /// edge `var.attr = expr` whose probe expression is computable from
+    /// bindings placed *before* it (or unshadowed outer variables), does
+    /// not mention `var` itself, and resolves attribute-by-attribute at
+    /// plan time.
+    fn probe_keys(&self, var: &str, schema: &[String]) -> Vec<ProbeKey> {
+        let mut keys = Vec::new();
+        for e in self.edges {
+            if e.var != var {
+                continue;
+            }
+            let Some(col) = schema.iter().position(|a| a == e.attr) else {
+                continue;
+            };
+            let probe = other_side(self.spec.filters[e.filter], e.attr_on_left);
+            // Probing must be a pure per-tuple evaluation: no aggregates,
+            // no self-references, and every attribute reference must be
+            // both reachable and resolvable at plan time (see module docs
+            // on error equivalence).
+            let mut pure = !probe.has_aggregate();
+            if pure {
+                probe.each_attr_ref(&mut |r| {
+                    pure &= r.var != var && self.usable(&r.var) && self.attr_resolves(r)
+                });
+            }
+            if pure {
+                keys.push(ProbeKey {
+                    col,
+                    eq: EqInput {
+                        filter: e.filter,
+                        attr_on_left: e.attr_on_left,
+                    },
+                });
+            }
+        }
+        keys
+    }
+}
+
+/// One constant bound of a column: `(column, filter, operator, constant)`.
+type ConstBound<'a> = (usize, usize, CmpOp, &'a Value);
+
+fn bound_of<'a>(b: Option<&ConstBound<'a>>) -> Option<(CmpOp, &'a Value)> {
+    b.map(|&(_, _, op, v)| (op, v))
+}
+
+/// The constant predicates on one relation binding an ordered-index
+/// bound could enforce ([`const_cmp`]-shaped — the only shape it can):
+/// the first per column and direction, in filter order.
+struct ConstBounds<'a> {
+    eq: Vec<ConstBound<'a>>,
+    lo: Vec<ConstBound<'a>>,
+    hi: Vec<ConstBound<'a>>,
+}
+
+impl<'a> ConstBounds<'a> {
+    fn gather(spec: &ScopeSpec<'a>, var: &str, schema: &[String], masked: &[usize]) -> Self {
+        let mut bounds = ConstBounds {
+            eq: Vec::new(),
+            lo: Vec::new(),
+            hi: Vec::new(),
+        };
+        for (i, p) in spec.filters.iter().enumerate() {
+            if masked.contains(&i) {
+                continue;
+            }
+            let Some((col, op, v)) = const_cmp(p, var, schema) else {
+                continue;
+            };
+            let side = match op {
+                CmpOp::Eq => &mut bounds.eq,
+                CmpOp::Gt | CmpOp::Ge => &mut bounds.lo,
+                CmpOp::Lt | CmpOp::Le => &mut bounds.hi,
+                CmpOp::Ne => continue,
+            };
+            if !side.iter().any(|&(c, ..)| c == col) {
+                side.push((col, i, op, v));
+            }
+        }
+        bounds
+    }
+
+    /// The columns a range bound could close a prefix on, each with its
+    /// lower and upper bound: lower-bounded columns first, then the
+    /// upper-bounded only, each in filter order. An equality on the same
+    /// column is already tighter — those columns are skipped.
+    fn each_range(
+        &self,
+        visit: &mut impl FnMut(usize, Option<&ConstBound<'a>>, Option<&ConstBound<'a>>),
+    ) {
+        let bounded = |side: &'_ [ConstBound<'a>], col: usize| -> bool {
+            side.iter().any(|&(c, ..)| c == col)
+        };
+        let lower = self.lo.iter().map(|&(c, ..)| c);
+        let upper_only = self
+            .hi
+            .iter()
+            .map(|&(c, ..)| c)
+            .filter(|&c| !bounded(&self.lo, c));
+        for col in lower.chain(upper_only) {
+            if bounded(&self.eq, col) {
+                continue;
+            }
+            visit(
+                col,
+                self.lo.iter().find(|&&(c, ..)| c == col),
+                self.hi.iter().find(|&&(c, ..)| c == col),
+            );
+        }
+    }
 }
 
 /// Ordered-index access selection for one relation binding: gather the
-/// constant predicates ([`const_cmp`]-shaped — the only shape the index
-/// bound can enforce), form the bound prefix (every constant-equality
-/// column, then ONE range-bound column closing it; a lower and an upper
-/// bound on the same column combine into an interval), and price the
-/// prefix with the statistics estimator. Returns `None` — keeping the
-/// caller's scan/probe — when indexes are disabled for the scope, no
-/// range bound exists, the range column's selectivity is unknown (no
-/// `ANALYZE` statistics), or the priced prefix is not selective enough
+/// constant predicates ([`ConstBounds`]), form the bound prefix (every
+/// constant-equality column, then ONE range-bound column closing it; a
+/// lower and an upper bound on the same column combine into an
+/// interval), and price the prefix with the statistics estimator —
+/// always in [`bucketed`] fractions: this is a planning decision,
+/// whatever the caller prices. Returns `None` — keeping the caller's
+/// scan/probe — when indexes are disabled for the scope, no range bound
+/// exists, the range column's selectivity is unknown (no `ANALYZE`
+/// statistics), or the priced prefix is not selective enough
 /// ([`INDEX_MAX_FRACTION`]).
 ///
 /// Everything this function does *not* consume — a second range column,
@@ -821,90 +1091,39 @@ fn index_candidate(
     if !spec.indexes {
         return None;
     }
-    let est = spec.estimator?;
-    // First constant bound per column and direction, in filter order.
-    let mut eq: Vec<(usize, usize, &Value)> = Vec::new(); // (col, filter, const)
-    let mut lo: Vec<(usize, usize, CmpOp, &Value)> = Vec::new();
-    let mut hi: Vec<(usize, usize, CmpOp, &Value)> = Vec::new();
-    for (i, p) in spec.filters.iter().enumerate() {
-        if masked.contains(&i) {
-            continue;
-        }
-        let Some((col, op, v)) = const_cmp(p, var, schema) else {
-            continue;
-        };
-        match op {
-            CmpOp::Eq => {
-                if !eq.iter().any(|&(c, ..)| c == col) {
-                    eq.push((col, i, v));
-                }
-            }
-            CmpOp::Gt | CmpOp::Ge => {
-                if !lo.iter().any(|&(c, ..)| c == col) {
-                    lo.push((col, i, op, v));
-                }
-            }
-            CmpOp::Lt | CmpOp::Le => {
-                if !hi.iter().any(|&(c, ..)| c == col) {
-                    hi.push((col, i, op, v));
-                }
-            }
-            CmpOp::Ne => {}
-        }
-    }
+    let priced = Priced {
+        est: spec.estimator?,
+        pricing: Pricing::Plan,
+    };
+    let bounds = ConstBounds::gather(spec, var, schema, masked);
     // The range column closing the prefix: the most selective
-    // statistics-priced interval among the range-bound columns (an
-    // equality on the same column is already tighter — skip those).
-    let mut range_cols: Vec<usize> = Vec::new();
-    for &(c, ..) in lo.iter() {
-        if !range_cols.contains(&c) {
-            range_cols.push(c);
-        }
-    }
-    for &(c, ..) in hi.iter() {
-        if !range_cols.contains(&c) {
-            range_cols.push(c);
-        }
-    }
-    let mut best: Option<(usize, Vec<usize>, f64)> = None; // (col, filters, fraction)
-    for col in range_cols {
-        if eq.iter().any(|&(c, ..)| c == col) {
-            continue;
-        }
-        let l = lo.iter().find(|&&(c, ..)| c == col);
-        let h = hi.iter().find(|&&(c, ..)| c == col);
-        let Some(frac) = est.range_selectivity(
-            binding,
-            col,
-            l.map(|&(_, _, op, v)| (op, v)),
-            h.map(|&(_, _, op, v)| (op, v)),
-        ) else {
-            continue;
+    // statistics-priced interval among the range-bound columns.
+    let mut best: Option<(usize, [Option<usize>; 2], f64)> = None; // (col, filters, fraction)
+    bounds.each_range(&mut |col, l, h| {
+        let Some(frac) = priced.range_selectivity(binding, col, bound_of(l), bound_of(h)) else {
+            return;
         };
         if best.as_ref().is_none_or(|b| frac < b.2) {
-            let mut fs: Vec<usize> = Vec::new();
-            fs.extend(l.map(|&(_, f, ..)| f));
-            fs.extend(h.map(|&(_, f, ..)| f));
-            best = Some((col, fs, frac));
+            best = Some((col, [l.map(|b| b.1), h.map(|b| b.1)], frac));
         }
-    }
+    });
     let (range_col, range_filters, range_frac) = best?;
     // Price the whole bound prefix: known equality selectivities shrink
     // it further; unknown ones contribute nothing (a bound cannot claim
     // selectivity the statistics cannot back).
     let mut sel = range_frac;
-    for &(col, _, v) in &eq {
-        if let Some(s) = est.selectivity(binding, col, CmpOp::Eq, v) {
-            sel *= s.clamp(0.0, 1.0);
+    for &(col, _, _, v) in &bounds.eq {
+        if let Some(s) = priced.selectivity(binding, col, CmpOp::Eq, v) {
+            sel *= s;
         }
     }
     if sel.is_nan() || sel > INDEX_MAX_FRACTION {
         return None;
     }
-    let mut cols: Vec<usize> = eq.iter().map(|&(c, ..)| c).collect();
-    let mut filters: Vec<usize> = eq.iter().map(|&(_, f, _)| f).collect();
+    let mut cols: Vec<usize> = bounds.eq.iter().map(|&(c, ..)| c).collect();
+    let mut filters: Vec<usize> = bounds.eq.iter().map(|&(_, f, ..)| f).collect();
     cols.push(range_col);
-    filters.extend(range_filters);
+    filters.extend(range_filters.into_iter().flatten());
     Some(Access::IndexRange { cols, filters })
 }
 
@@ -916,12 +1135,13 @@ fn index_candidate(
 /// product is exactly 1 and the caller's estimate is unchanged.
 fn const_selectivity(
     spec: &ScopeSpec<'_>,
+    priced: Option<Priced<'_>>,
     binding: usize,
     var: &str,
     schema: &[String],
     exclude: &[usize],
 ) -> f64 {
-    let Some(est) = spec.estimator else {
+    let Some(priced) = priced else {
         return 1.0;
     };
     let mut sel = 1.0f64;
@@ -934,8 +1154,8 @@ fn const_selectivity(
                 let Some((col, op, value)) = const_cmp(p, var, schema) else {
                     continue;
                 };
-                if let Some(s) = est.selectivity(binding, col, op, value) {
-                    sel *= s.clamp(0.0, 1.0);
+                if let Some(s) = priced.selectivity(binding, col, op, value) {
+                    sel *= s;
                 }
             }
             Predicate::IsNull { expr, negated } => {
@@ -946,7 +1166,7 @@ fn const_selectivity(
                 let Some(col) = schema.iter().position(|s| s == &a.attr) else {
                     continue;
                 };
-                if let Some(f) = est.null_fraction(binding, col) {
+                if let Some(f) = priced.est.null_fraction(binding, col) {
                     let f = f.clamp(0.0, 1.0);
                     sel *= if *negated { 1.0 - f } else { f };
                 }
@@ -956,107 +1176,81 @@ fn const_selectivity(
     sel
 }
 
+/// Where the pushdown pass puts one filter.
+enum Slot {
+    Prelude,
+    Step(usize),
+    Leaf,
+}
+
+/// The earliest point where all of `p`'s variables are bound and
+/// resolve, given the placed `steps`.
+fn slot_of(spec: &ScopeSpec<'_>, steps: &[Step], p: &Predicate) -> Slot {
+    let mut level: Option<usize> = None; // None = prelude
+    let mut leaf = false;
+    p.each_attr_ref(&mut |r| {
+        // Locals shadow the outer scope once placed — and every local is
+        // placed by now (innermost binding of a name decides).
+        let step = steps
+            .iter()
+            .rposition(|s| spec.bindings[s.binding].var == r.var);
+        let resolves = match step {
+            Some(s) => spec.bindings[steps[s].binding]
+                .source
+                .schema()
+                .contains(&r.attr),
+            // Unknown variable: only the leaf may (or may not) see it,
+            // exactly like the reference.
+            None => spec
+                .outer
+                .attrs(&r.var)
+                .is_some_and(|attrs| attrs.contains(&r.attr)),
+        };
+        leaf |= !resolves;
+        // The *first* binding of the name decides when it is available.
+        let bound_at = steps
+            .iter()
+            .position(|s| spec.bindings[s.binding].var == r.var);
+        level = level.max(bound_at);
+    });
+    match (leaf, level) {
+        (true, _) => Slot::Leaf,
+        (false, None) => Slot::Prelude,
+        (false, Some(s)) => Slot::Step(s),
+    }
+}
+
 /// The predicate-pushdown pass: schedule each filter at the earliest point
 /// where all its variables are bound — before the first step for
 /// outer-only filters, after step *i* when the latest local variable binds
 /// at step *i*, and at the leaf when a variable or attribute cannot be
 /// resolved at plan time (preserving the reference's lazy error surfacing).
 /// The force modes keep everything at the leaf.
-fn assign_filters(
-    spec: &ScopeSpec<'_>,
-    locals: &HashSet<&str>,
-    mode: PlanMode,
-    masked: &[usize],
-    plan: &mut ScopePlan,
-) {
+fn assign_filters(spec: &ScopeSpec<'_>, mode: PlanMode, masked: &[usize], plan: &mut ScopePlan) {
     if mode != PlanMode::Auto {
         plan.leaf_filters = (0..spec.filters.len()).collect();
         return;
     }
-    /// Where one filter ends up.
-    enum Slot {
-        Prelude,
-        Step(usize),
-        Leaf,
-    }
-    let step_of = |var: &str| -> Option<usize> {
-        plan.steps
-            .iter()
-            .position(|s| spec.bindings[s.binding].var == var)
-    };
-    let final_attr_resolves = |r: &arc_core::ast::AttrRef| -> bool {
-        // Locals shadow the outer scope once placed — and every local is
-        // placed by now.
-        if locals.contains(r.var.as_str()) {
-            for s in plan.steps.iter().rev() {
-                let b = &spec.bindings[s.binding];
-                if b.var == r.var {
-                    return b.source.schema().contains(&r.attr);
-                }
-            }
-            return false;
-        }
-        spec.outer
-            .attrs(&r.var)
-            .is_some_and(|attrs| attrs.contains(&r.attr))
-    };
-    let slot_of = |p: &arc_core::ast::Predicate| -> Slot {
-        let mut level: Option<usize> = None; // None = prelude
-        for r in pred_attr_refs(p) {
-            let var_level = if locals.contains(r.var.as_str()) {
-                match step_of(&r.var) {
-                    Some(s) => Some(s),
-                    None => return Slot::Leaf, // unreachable: locals are placed
-                }
-            } else if spec.outer.attrs(&r.var).is_some() {
-                None
-            } else {
-                // Unknown variable: only the leaf may (or may not) see it,
-                // exactly like the reference.
-                return Slot::Leaf;
-            };
-            if !final_attr_resolves(r) {
-                return Slot::Leaf;
-            }
-            level = match (level, var_level) {
-                (None, l) | (l, None) => l,
-                (Some(a), Some(b)) => Some(a.max(b)),
-            };
-        }
-        match level {
-            None => Slot::Prelude,
-            Some(s) => Slot::Step(s),
-        }
-    };
-    let slots: Vec<Slot> = spec.filters.iter().map(|p| slot_of(p)).collect();
-    // A filter consumed as a hash-probe key of step `s` is already fully
-    // enforced by the probe (`Relation::key_for`-style keys coincide
-    // exactly with `compare(..) == Equal`, and NULL/NaN probes match
-    // nothing — the same equivalence the probe itself relies on), and its
-    // slot is necessarily `s` (the probe side binds last there). The same
-    // holds for the constant filters an index-range bound consumes: the
-    // ordered-index binary search admits exactly the rows those filters
-    // accept. Skip the redundant re-evaluation per matched row.
-    let probed: HashSet<(usize, usize)> = plan
-        .steps
-        .iter()
-        .enumerate()
-        .flat_map(|(s, step)| match &step.access {
-            Access::HashProbe { keys } => keys.iter().map(|k| (s, k.eq.filter)).collect::<Vec<_>>(),
-            Access::IndexRange { filters, .. } => filters.iter().map(|&f| (s, f)).collect(),
-            _ => Vec::new(),
-        })
-        .collect();
-    for (i, slot) in slots.into_iter().enumerate() {
+    for (i, p) in spec.filters.iter().enumerate() {
         if masked.contains(&i) {
             // Masked filters (decorrelated correlated keys and probe
             // preludes) are enforced by the semi-join probe, never by the
             // build pipeline.
             continue;
         }
-        match slot {
+        match slot_of(spec, &plan.steps, p) {
             Slot::Prelude => plan.prelude_filters.push(i),
-            Slot::Step(s) if probed.contains(&(s, i)) => {}
+            // A filter consumed as a hash-probe key of step `s` is
+            // already fully enforced by the probe
+            // (`Relation::key_for`-style keys coincide exactly with
+            // `compare(..) == Equal`, and NULL/NaN probes match nothing —
+            // the same equivalence the probe itself relies on), and its
+            // slot is necessarily `s` (the probe side binds last there).
+            // The same holds for the constant filters an index-range
+            // bound consumes: the ordered-index binary search admits
+            // exactly the rows those filters accept. Skip the redundant
+            // re-evaluation per matched row.
+            Slot::Step(s) if plan.steps[s].access.consumes(i) => {}
             Slot::Step(s) => plan.steps[s].filters.push(i),
             Slot::Leaf => plan.leaf_filters.push(i),
         }
@@ -1092,6 +1286,7 @@ mod tests {
                 BindingSpec {
                     var: "r",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &rs,
                         rows: Some(1000),
                     },
@@ -1099,6 +1294,7 @@ mod tests {
                 BindingSpec {
                     var: "s",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &ss,
                         rows: Some(10),
                     },
@@ -1130,6 +1326,7 @@ mod tests {
                 BindingSpec {
                     var: "r",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &rs,
                         rows: Some(1000),
                     },
@@ -1137,6 +1334,7 @@ mod tests {
                 BindingSpec {
                     var: "s",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &ss,
                         rows: Some(10),
                     },
@@ -1172,6 +1370,7 @@ mod tests {
                 BindingSpec {
                     var: "r",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &rs,
                         rows: Some(1),
                     },
@@ -1179,6 +1378,7 @@ mod tests {
                 BindingSpec {
                     var: "s",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &ss,
                         rows: Some(5),
                     },
@@ -1209,6 +1409,7 @@ mod tests {
                 BindingSpec {
                     var: "r",
                     source: SourceSpec::Relation {
+                        name: "T",
                         schema: &rs,
                         rows: Some(3),
                     },
@@ -1229,6 +1430,9 @@ mod tests {
         by_col: Vec<Option<f64>>,
     }
     impl crate::scope::DistinctEstimator for StubStats {
+        fn basis(&self, _binding: usize) -> crate::scope::Basis {
+            crate::scope::Basis::Statistics
+        }
         fn distinct(&self, _binding: usize, _cols: &[usize]) -> Option<usize> {
             None
         }
@@ -1253,6 +1457,7 @@ mod tests {
             bindings: vec![BindingSpec {
                 var: "r",
                 source: SourceSpec::Relation {
+                    name: "T",
                     schema: rs,
                     rows: Some(1024),
                 },
@@ -1384,6 +1589,7 @@ mod tests {
             bindings: vec![BindingSpec {
                 var: "r",
                 source: SourceSpec::Relation {
+                    name: "T",
                     schema: &rs,
                     rows: Some(3),
                 },
@@ -1396,5 +1602,107 @@ mod tests {
         let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
         assert_eq!(plan.prelude_filters, vec![0]);
         assert!(plan.leaf_filters.is_empty());
+    }
+
+    #[test]
+    fn buckets_keep_every_edge_on_its_side() {
+        // Exact 0 and exact 1 are buckets of their own; everything else
+        // is priced at the midpoint of a cell that is open below and
+        // closed above.
+        assert_eq!(bucketed(0.0), 0.0);
+        assert_eq!(bucketed(-0.5), 0.0);
+        assert_eq!(bucketed(1.0), 1.0);
+        assert_eq!(bucketed(7.0), 1.0);
+        assert!(bucketed(f64::NAN).is_nan());
+        assert_eq!(bucketed(0.25), 0.234375, "(0.21875, 0.25]");
+        assert_eq!(bucketed(0.22), 0.234375);
+        assert_eq!(bucketed(0.25f64.next_up()), 0.28125, "(0.25, 0.3125]");
+        assert_eq!(bucketed(0.9999), 0.9375, "(0.875, 1) stays below exact 1");
+        assert!(bucketed(f64::MIN_POSITIVE) > 0.0, "and above exact 0");
+        // The index gate decides on a bucketed fraction as on the raw one.
+        let mut raw = 0.001;
+        while raw < 1.0 {
+            assert_eq!(
+                bucketed(raw) > INDEX_MAX_FRACTION,
+                raw > INDEX_MAX_FRACTION,
+                "{raw}"
+            );
+            // Monotone, idempotent, within an eighth.
+            assert!(bucketed(raw) <= bucketed(raw * 1.01), "{raw}");
+            assert_eq!(bucketed(bucketed(raw)), bucketed(raw), "{raw}");
+            assert!((bucketed(raw) / raw - 1.0).abs() <= 0.125, "{raw}");
+            raw *= 1.01;
+        }
+    }
+
+    /// Statistics that answer a different fraction for every constant:
+    /// `value / 1000` for comparisons, and the same for an interval's
+    /// lower bound.
+    struct PerValue;
+    impl crate::scope::DistinctEstimator for PerValue {
+        fn basis(&self, _binding: usize) -> crate::scope::Basis {
+            crate::scope::Basis::Statistics
+        }
+        fn distinct(&self, _binding: usize, _cols: &[usize]) -> Option<usize> {
+            Some(10)
+        }
+        fn selectivity(&self, _b: usize, _col: usize, _op: CmpOp, value: &Value) -> Option<f64> {
+            Some(value.as_f64()? / 1000.0)
+        }
+    }
+
+    #[test]
+    fn a_cached_plan_is_the_cold_plan_for_every_constant() {
+        // `r.A > k ∧ r.B = s.B ∧ s.C = c`: as `k` sweeps, the scan of R
+        // turns into an index range and the join order flips — always at
+        // a bucket edge, so the plan the cache serves (planned for some
+        // other constant of the bucket) is the one a cold run returns.
+        let rs = schema(&["A", "B"]);
+        let ss = schema(&["B", "C"]);
+        let join = pred(eq(col("r", "B"), col("s", "B")));
+        let mut distinct_plans = std::collections::HashSet::new();
+        for k in (1..1000).step_by(7) {
+            let range = pred(gt(col("r", "A"), int(k)));
+            let key = pred(eq(col("s", "C"), int(1000 - k)));
+            let filters: Vec<&Predicate> = vec![&range, &join, &key];
+            let spec = ScopeSpec {
+                bindings: vec![
+                    BindingSpec {
+                        var: "r",
+                        source: SourceSpec::Relation {
+                            name: "TransparencyR",
+                            schema: &rs,
+                            rows: Some(5000),
+                        },
+                    },
+                    BindingSpec {
+                        var: "s",
+                        source: SourceSpec::Relation {
+                            name: "TransparencyS",
+                            schema: &ss,
+                            rows: Some(3000),
+                        },
+                    },
+                ],
+                filters: &filters,
+                outer: &NoOuter,
+                estimator: Some(&PerValue),
+                indexes: true,
+            };
+            let cold = plan_scope(&spec, PlanMode::Auto).unwrap();
+            let (served, _) = crate::cache::scope_plan(&spec, 77, PlanMode::Auto, false).unwrap();
+            assert_eq!(*served, cold, "k = {k}");
+            distinct_plans.insert(format!("{cold:?}"));
+            // What EXPLAIN shows is priced from the raw fractions.
+            let shown = estimates(&spec, &served, PlanMode::Auto);
+            let scan = served.steps.iter().position(|s| s.binding == 0).unwrap();
+            if matches!(
+                served.steps[scan].access,
+                Access::Scan | Access::IndexRange { .. }
+            ) {
+                assert_eq!(shown.steps[scan], (5 * k) as u64, "k = {k}");
+            }
+        }
+        assert!(distinct_plans.len() > 3, "the sweep crosses plan changes");
     }
 }

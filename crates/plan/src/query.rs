@@ -12,6 +12,7 @@ use crate::analysis::{free_vars, partition};
 use crate::physical::{plan_scope, Access, PlanMode, ScopePlan};
 use crate::scope::{BindingSpec, OuterScope, ScopeSpec, SourceSpec};
 use arc_core::ast::*;
+use std::sync::Arc;
 
 /// The kind of a named source, as resolved by the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +50,15 @@ pub struct ResolvedSource {
 pub trait SourceResolver {
     /// Resolve `name`, or `None` when unknown.
     fn resolve(&self, name: &str) -> Option<ResolvedSource>;
+
+    /// The statistics epoch of the catalog behind this resolver: with a
+    /// name, it identifies the statistics [`resolve`](Self::resolve)
+    /// hands out, which is what lets lowering share the global plan cache
+    /// ([`crate::cache::scope_plan`]) with execution. `None` (statistics
+    /// of no catalog) plans every scope afresh.
+    fn stats_epoch(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Why lowering failed.
@@ -305,6 +315,10 @@ pub fn lower_program_opts(
                     stats: None,
                 })
         }
+
+        fn stats_epoch(&self) -> Option<u64> {
+            self.base.stats_epoch()
+        }
     }
     let resolver = WithDefs {
         base: resolver,
@@ -529,21 +543,15 @@ fn lower_quant(
     } else {
         // Resolve sources, then plan the scope.
         let mut resolved: Vec<Option<ResolvedSource>> = Vec::with_capacity(q.bindings.len());
-        let mut frees: Vec<Vec<String>> = Vec::with_capacity(q.bindings.len());
         for b in &q.bindings {
-            match &b.source {
-                BindingSource::Named(n) => {
-                    let r = resolver
+            resolved.push(match &b.source {
+                BindingSource::Named(n) => Some(
+                    resolver
                         .resolve(n)
-                        .ok_or_else(|| LowerError::UnknownRelation(n.clone()))?;
-                    resolved.push(Some(r));
-                    frees.push(Vec::new());
-                }
-                BindingSource::Collection(c) => {
-                    resolved.push(None);
-                    frees.push(free_vars(c));
-                }
-            }
+                        .ok_or_else(|| LowerError::UnknownRelation(n.clone()))?,
+                ),
+                BindingSource::Collection(_) => None,
+            });
         }
         let bindings: Vec<BindingSpec<'_>> = q
             .bindings
@@ -554,10 +562,11 @@ fn lower_quant(
                 source: match (&b.source, &resolved[i]) {
                     (BindingSource::Collection(c), _) => SourceSpec::Nested {
                         attrs: &c.head.attrs,
-                        free: frees[i].clone(),
+                        free: free_vars(c),
                     },
-                    (BindingSource::Named(_), Some(r)) => match r.kind {
+                    (BindingSource::Named(name), Some(r)) => match r.kind {
                         SourceKind::Base | SourceKind::Defined => SourceSpec::Relation {
+                            name,
                             schema: &r.schema,
                             rows: r.rows,
                         },
@@ -593,17 +602,20 @@ fn lower_quant(
             && decorrelate
             && mode == PlanMode::Auto
             && crate::physical::decorrelatable_shape(q, &parts, stack);
-        let plan = if boolean {
-            crate::physical::plan_scope_boolean(&spec, mode)
-        } else {
-            plan_scope(&spec, mode)
+        // Through the global cache when the resolver's statistics have an
+        // identity it can key on — the plan execution is served.
+        let plan = match resolver.stats_epoch() {
+            Some(epoch) => crate::cache::scope_plan(&spec, epoch, mode, boolean).map(|(p, _)| p),
+            None if boolean => crate::physical::plan_scope_boolean(&spec, mode).map(Arc::new),
+            None => plan_scope(&spec, mode).map(Arc::new),
         }
         .map_err(|e| match e {
             crate::scope::PlanError::Unplaceable { binding } => LowerError::Unplaceable {
                 var: q.bindings[binding].var.clone(),
             },
         })?;
-        let scope = render_scope(q, &parts, &plan, head, &resolved);
+        let estimates = crate::physical::estimates(&spec, &plan, mode);
+        let scope = render_scope(q, &parts, &plan, &estimates, head, &resolved);
         match &plan.decorrelation {
             Some(dec) => PlanNode::SemiJoin {
                 scope_id: scope_identity(q),
@@ -618,7 +630,7 @@ fn lower_quant(
                     .iter()
                     .map(|&i| parts.filters[i].to_string())
                     .collect(),
-                est_keys: dec.est_keys,
+                est_keys: estimates.keys.expect("a decorrelated plan"),
                 build: Box::new(scope),
             },
             None => scope,
@@ -839,6 +851,7 @@ fn render_scope(
     q: &Quant,
     parts: &crate::analysis::Parts<'_>,
     plan: &ScopePlan,
+    estimates: &crate::physical::Estimates,
     head: &str,
     resolved: &[Option<ResolvedSource>],
 ) -> PlanNode {
@@ -892,7 +905,7 @@ fn render_scope(
                 source,
                 access,
                 pushed: s.filters.iter().map(render_filter).collect(),
-                est: s.estimated_rows,
+                est: estimates.steps[step_idx],
                 partition: axis == Some(step_idx),
             }
         })

@@ -30,6 +30,9 @@ pub enum SourceSpec<'a> {
     /// A materialized relation (base, defined, or fixpoint intermediate):
     /// scannable, probeable, always placeable.
     Relation {
+        /// The name the binding resolved (with the statistics epoch it
+        /// identifies the statistics the estimator answers from).
+        name: &'a str,
         /// Attribute names, in column order.
         schema: &'a [String],
         /// Row count, when known (`None` in static `EXPLAIN`).
@@ -57,7 +60,7 @@ pub enum SourceSpec<'a> {
         /// The nested collection's head attributes.
         attrs: &'a [String],
         /// Free variables the nested body references.
-        free: Vec<String>,
+        free: Vec<&'a str>,
     },
 }
 
@@ -100,6 +103,23 @@ impl OuterScope for NoOuter {
     }
 }
 
+/// What a [`DistinctEstimator`]'s answers about one binding rest on. Two
+/// estimators that report the same basis for a binding of the same name,
+/// row count and statistics epoch answer every question about it
+/// identically — which is what lets the plan cache key on the basis
+/// instead of on the answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Basis {
+    /// Nothing: every question answers `None`.
+    None,
+    /// A sample of the live rows (distinct counts only). The sample is
+    /// *not* identified by name and row count, so a cached plan can be
+    /// stale for such a binding — see [`crate::cache`].
+    Sample,
+    /// The catalog's `ANALYZE` statistics for the binding's name.
+    Statistics,
+}
+
 /// Cardinality side-statistics the host can supply: distinct join-key
 /// counts (driving the greedy ordering's probe-cost estimate
 /// `rows / distinct`) and, when the catalog has been `ANALYZE`d,
@@ -113,6 +133,9 @@ impl OuterScope for NoOuter {
 /// ([`crate::TableStatsEstimator`] is the pure catalog-statistics
 /// implementation `EXPLAIN` uses).
 pub trait DistinctEstimator {
+    /// What the answers about `binding` rest on.
+    fn basis(&self, binding: usize) -> Basis;
+
     /// Estimated distinct count of `cols` (schema positions) in the
     /// relation behind binding `binding`, or `None` when unknown.
     fn distinct(&self, binding: usize, cols: &[usize]) -> Option<usize>;

@@ -20,6 +20,7 @@ use arc_core::ast as arc;
 use arc_core::ast::{AttrRef, Binding, CmpOp, Formula, Grouping, Head, JoinTree, Predicate};
 use arc_core::binder::SchemaMap;
 use arc_core::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Lowering error.
@@ -54,7 +55,10 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 /// Lower a SQL query to an ARC collection named `Q`.
-pub fn lower_query(q: &SqlQuery, schemas: &SchemaMap) -> Result<arc::Collection, LowerError> {
+pub fn lower_query<'s>(
+    q: &'s SqlQuery,
+    schemas: &'s SchemaMap,
+) -> Result<arc::Collection, LowerError> {
     let mut lw = Lowerer {
         schemas,
         scopes: Vec::new(),
@@ -63,15 +67,22 @@ pub fn lower_query(q: &SqlQuery, schemas: &SchemaMap) -> Result<arc::Collection,
     lw.query(q, "Q", None)
 }
 
-struct Scope {
-    vars: Vec<(String, Vec<String>)>,
+/// The range variables one `SELECT` has in reach, each with the
+/// attributes it carries. Names are borrowed from the query text and the
+/// schema map; only what lowering itself invents (fresh variables, a
+/// subquery's output attributes) is owned.
+struct Scope<'s> {
+    vars: Vec<(Cow<'s, str>, Cow<'s, [String]>)>,
 }
 
 struct Lowerer<'s> {
     schemas: &'s SchemaMap,
-    scopes: Vec<Scope>,
+    scopes: Vec<Scope<'s>>,
     counter: usize,
 }
+
+/// The `SELECT 1` item of a subquery without select items.
+static ONE: SqlExpr = SqlExpr::Literal(Value::Int(1));
 
 impl<'s> Lowerer<'s> {
     fn fresh(&mut self, prefix: &str) -> String {
@@ -82,7 +93,7 @@ impl<'s> Lowerer<'s> {
     /// Lower a query; `expected_attrs` aligns UNION branch heads.
     fn query(
         &mut self,
-        q: &SqlQuery,
+        q: &'s SqlQuery,
         head_name: &str,
         expected_attrs: Option<&[String]>,
     ) -> Result<arc::Collection, LowerError> {
@@ -147,34 +158,19 @@ impl<'s> Lowerer<'s> {
 
     fn select(
         &mut self,
-        s: &Select,
+        s: &'s Select,
         head_name: &str,
         expected_attrs: Option<&[String]>,
     ) -> Result<arc::Collection, LowerError> {
         // 1. FROM: flatten to bindings (+ optional join annotation) and
         //    collect ON conditions.
         let mut bindings: Vec<Binding> = Vec::new();
-        let mut scope_vars: Vec<(String, Vec<String>)> = Vec::new();
-        let mut on_conds: Vec<SqlExpr> = Vec::new();
-        let mut join_parts: Vec<JoinTree> = Vec::new();
-        let mut has_outer = false;
+        let mut on_conds: Vec<&'s SqlExpr> = Vec::new();
 
-        // Two passes: register all FROM variables first so subqueries and ON
-        // clauses can resolve siblings (LATERAL needs the earlier ones; we
-        // register incrementally below instead for correctness).
+        // FROM variables register as they are met, so subqueries and ON
+        // clauses resolve the siblings before them (what LATERAL needs).
         self.scopes.push(Scope { vars: Vec::new() });
-        for tref in &s.from {
-            let part = self.table_ref(
-                tref,
-                &mut bindings,
-                &mut scope_vars,
-                &mut on_conds,
-                &mut has_outer,
-            )?;
-            join_parts.push(part);
-        }
-
-        let join = self.join_annotation(has_outer, join_parts)?;
+        let join = self.lower_from(&s.from, &mut bindings, &mut on_conds)?;
 
         // 2. Head attributes.
         let mut attrs: Vec<String> = Vec::new();
@@ -196,7 +192,7 @@ impl<'s> Lowerer<'s> {
 
         // 3. Body conjuncts.
         let mut conjuncts: Vec<Formula> = Vec::new();
-        for cond in &on_conds {
+        for cond in on_conds {
             conjuncts.push(self.bool_expr(cond)?);
         }
         if let Some(w) = &s.where_clause {
@@ -227,8 +223,12 @@ impl<'s> Lowerer<'s> {
 
         // 5. Projection: assignments (scalar subqueries become laterals).
         for (i, item) in s.items.iter().enumerate() {
-            let expr = self.extract_scalar_subqueries(&item.expr, &mut bindings)?;
-            let scalar = self.scalar_expr(&expr)?;
+            let scalar = if contains_scalar_subquery(&item.expr) {
+                let expr = self.extract_scalar_subqueries(&item.expr, &mut bindings)?;
+                self.scalar_expr(&expr)?
+            } else {
+                self.scalar_expr(&item.expr)?
+            };
             conjuncts.push(Formula::Pred(Predicate::Cmp {
                 left: arc::Scalar::Attr(AttrRef::new(head_name, attrs[i].clone())),
                 op: CmpOp::Eq,
@@ -262,37 +262,62 @@ impl<'s> Lowerer<'s> {
         }
     }
 
+    /// Lower a FROM clause: registers bindings/scope vars, collects ON
+    /// conditions, and returns the quantifier's join annotation — the
+    /// FROM elements' join trees folded into one, when an outer join
+    /// occurs (`None` otherwise: the default join needs no annotation).
+    fn lower_from(
+        &mut self,
+        from: &'s [TableRef],
+        bindings: &mut Vec<Binding>,
+        on_conds: &mut Vec<&'s SqlExpr>,
+    ) -> Result<Option<JoinTree>, LowerError> {
+        let annotate = from.iter().any(has_outer_join);
+        let mut parts = Vec::new();
+        for tref in from {
+            let part = self.table_ref(tref, bindings, on_conds, annotate)?;
+            parts.extend(part);
+        }
+        if !annotate {
+            return Ok(None);
+        }
+        Ok(Some(if parts.len() == 1 {
+            parts.pop().ok_or_else(|| {
+                LowerError::Internal("outer join annotation with no FROM parts".into())
+            })?
+        } else {
+            JoinTree::Inner(parts)
+        }))
+    }
+
     /// Lower one FROM element; registers bindings/scope vars and collects
-    /// ON conditions; returns the element's join-annotation part.
+    /// ON conditions; returns the element's join-annotation part when the
+    /// clause is to be annotated.
     fn table_ref(
         &mut self,
-        tref: &TableRef,
+        tref: &'s TableRef,
         bindings: &mut Vec<Binding>,
-        scope_vars: &mut Vec<(String, Vec<String>)>,
-        on_conds: &mut Vec<SqlExpr>,
-        has_outer: &mut bool,
-    ) -> Result<JoinTree, LowerError> {
+        on_conds: &mut Vec<&'s SqlExpr>,
+        annotate: bool,
+    ) -> Result<Option<JoinTree>, LowerError> {
         match tref {
             TableRef::Table { name, alias } => {
-                let var = alias.clone().unwrap_or_else(|| name.clone());
+                let var = alias.as_ref().unwrap_or(name);
                 let attrs = self
                     .schemas
                     .get(name)
-                    .cloned()
                     .ok_or_else(|| LowerError::UnknownTable(name.clone()))?;
                 bindings.push(Binding::named(var.clone(), name.clone()));
-                self.register(var.clone(), attrs.clone())?;
-                scope_vars.push((var.clone(), attrs));
-                Ok(JoinTree::Var(var))
+                self.register(Cow::Borrowed(var), Cow::Borrowed(attrs))?;
+                Ok(annotate.then(|| JoinTree::Var(var.clone())))
             }
             TableRef::Subquery { query, alias, .. } => {
                 let head_name = self.fresh("X");
                 let sub = self.query(query, &head_name, None)?;
                 let attrs = sub.head.attrs.clone();
                 bindings.push(Binding::nested(alias.clone(), sub));
-                self.register(alias.clone(), attrs.clone())?;
-                scope_vars.push((alias.clone(), attrs));
-                Ok(JoinTree::Var(alias.clone()))
+                self.register(Cow::Borrowed(alias), Cow::Owned(attrs))?;
+                Ok(annotate.then(|| JoinTree::Var(alias.clone())))
             }
             TableRef::Join {
                 left,
@@ -300,86 +325,57 @@ impl<'s> Lowerer<'s> {
                 kind,
                 on,
             } => {
-                let l = self.table_ref(left, bindings, scope_vars, on_conds, has_outer)?;
-                let mut r = self.table_ref(right, bindings, scope_vars, on_conds, has_outer)?;
+                let l = self.table_ref(left, bindings, on_conds, annotate)?;
+                let mut r = self.table_ref(right, bindings, on_conds, annotate)?;
                 let outer = matches!(kind, JoinKind::Left | JoinKind::Full);
-                if let Some(cond) = on {
-                    if !is_trivially_true(cond) {
-                        if outer {
-                            // The engine associates ON conditions with the
-                            // predicates that touch the join's right side.
-                            // An ON conjunct referencing only the left side
-                            // (Fig 12: `r.h = 11`) is encoded with the
-                            // paper's literal-leaf trick: the constant
-                            // becomes a singleton leaf of the right subtree
-                            // so the predicate attaches to this join node.
-                            let lowered = self.bool_expr(cond)?;
-                            let rvars: std::collections::HashSet<String> =
-                                r.vars().iter().map(|v| v.to_string()).collect();
-                            for conjunct in lowered.conjuncts() {
-                                if let Formula::Pred(p) = conjunct {
-                                    let touches_right =
-                                        pred_attr_vars(p).iter().any(|v| rvars.contains(v));
-                                    if !touches_right {
-                                        match first_const(p) {
-                                            Some(c) => {
-                                                r = JoinTree::Inner(vec![
-                                                    JoinTree::Lit(c),
-                                                    r,
-                                                ]);
-                                            }
-                                            None => {
-                                                return Err(LowerError::Unsupported(
-                                                    format!(
-                                                        "outer-join ON condition `{p}` references only the preserved side and has no constant to anchor it"
-                                                    ),
-                                                ))
-                                            }
-                                        }
-                                    }
-                                }
+                if let Some(cond) = on.as_ref().filter(|c| !is_trivially_true(c)) {
+                    if let (true, Some(right)) = (outer, r.take()) {
+                        // The engine associates ON conditions with the
+                        // predicates that touch the join's right side.
+                        // An ON conjunct referencing only the left side
+                        // (Fig 12: `r.h = 11`) is encoded with the
+                        // paper's literal-leaf trick: the constant
+                        // becomes a singleton leaf of the right subtree
+                        // so the predicate attaches to this join node.
+                        let lowered = self.bool_expr(cond)?;
+                        let rvars = right.vars();
+                        let mut anchors = Vec::new();
+                        for conjunct in lowered.conjuncts() {
+                            let Formula::Pred(p) = conjunct else { continue };
+                            let mut touches_right = false;
+                            p.each_attr_ref(&mut |a| {
+                                touches_right |= rvars.contains(&a.var.as_str())
+                            });
+                            if touches_right {
+                                continue;
                             }
-                            on_conds.push(cond.clone());
-                        } else {
-                            on_conds.push(cond.clone());
+                            anchors.push(first_const(p).ok_or_else(|| {
+                                LowerError::Unsupported(format!(
+                                    "outer-join ON condition `{p}` references only the preserved side and has no constant to anchor it"
+                                ))
+                            })?);
                         }
+                        r = Some(
+                            anchors
+                                .into_iter()
+                                .fold(right, |r, c| JoinTree::Inner(vec![JoinTree::Lit(c), r])),
+                        );
                     }
+                    on_conds.push(cond);
                 }
-                match kind {
-                    JoinKind::Inner | JoinKind::Cross => Ok(JoinTree::Inner(vec![l, r])),
-                    JoinKind::Left => {
-                        *has_outer = true;
-                        Ok(JoinTree::Left(Box::new(l), Box::new(r)))
-                    }
-                    JoinKind::Full => {
-                        *has_outer = true;
-                        Ok(JoinTree::Full(Box::new(l), Box::new(r)))
-                    }
-                }
+                let (Some(l), Some(r)) = (l, r) else {
+                    return Ok(None);
+                };
+                Ok(Some(match kind {
+                    JoinKind::Inner | JoinKind::Cross => JoinTree::Inner(vec![l, r]),
+                    JoinKind::Left => JoinTree::Left(Box::new(l), Box::new(r)),
+                    JoinKind::Full => JoinTree::Full(Box::new(l), Box::new(r)),
+                }))
             }
         }
     }
 
-    /// Fold FROM-element join parts into the quantifier's join annotation
-    /// (`None` when no outer join occurred).
-    fn join_annotation(
-        &self,
-        has_outer: bool,
-        mut join_parts: Vec<JoinTree>,
-    ) -> Result<Option<JoinTree>, LowerError> {
-        if !has_outer {
-            return Ok(None);
-        }
-        Ok(Some(if join_parts.len() == 1 {
-            join_parts.pop().ok_or_else(|| {
-                LowerError::Internal("outer join annotation with no FROM parts".into())
-            })?
-        } else {
-            JoinTree::Inner(join_parts)
-        }))
-    }
-
-    fn register(&mut self, var: String, attrs: Vec<String>) -> Result<(), LowerError> {
+    fn register(&mut self, var: Cow<'s, str>, attrs: Cow<'s, [String]>) -> Result<(), LowerError> {
         self.scopes
             .last_mut()
             .ok_or_else(|| LowerError::Internal("variable registered outside any scope".into()))?
@@ -392,7 +388,7 @@ impl<'s> Lowerer<'s> {
     /// references to fresh lateral bindings (§2.12).
     fn extract_scalar_subqueries(
         &mut self,
-        e: &SqlExpr,
+        e: &'s SqlExpr,
         bindings: &mut Vec<Binding>,
     ) -> Result<SqlExpr, LowerError> {
         Ok(match e {
@@ -401,7 +397,7 @@ impl<'s> Lowerer<'s> {
                 let (collection, attr) = self.scalar_collection(q)?;
                 let attrs = collection.head.attrs.clone();
                 bindings.push(Binding::nested(var.clone(), collection));
-                self.register(var.clone(), attrs)?;
+                self.register(Cow::Owned(var.clone()), Cow::Owned(attrs))?;
                 SqlExpr::Column {
                     table: Some(var),
                     column: attr,
@@ -418,7 +414,10 @@ impl<'s> Lowerer<'s> {
 
     /// Lower a scalar subquery to a single-attribute collection; returns it
     /// with its output attribute name.
-    fn scalar_collection(&mut self, q: &SqlQuery) -> Result<(arc::Collection, String), LowerError> {
+    fn scalar_collection(
+        &mut self,
+        q: &'s SqlQuery,
+    ) -> Result<(arc::Collection, String), LowerError> {
         let head_name = self.fresh("X");
         let c = self.query(q, &head_name, None)?;
         if c.head.attrs.len() != 1 {
@@ -432,7 +431,7 @@ impl<'s> Lowerer<'s> {
 
     // -- Boolean expressions ---------------------------------------------------
 
-    fn bool_expr(&mut self, e: &SqlExpr) -> Result<Formula, LowerError> {
+    fn bool_expr(&mut self, e: &'s SqlExpr) -> Result<Formula, LowerError> {
         match e {
             SqlExpr::Binary {
                 op: BinOp::And,
@@ -530,7 +529,7 @@ impl<'s> Lowerer<'s> {
     /// carries the comparison as an (aggregation) predicate.
     fn scalar_subquery_comparison(
         &mut self,
-        q: &SqlQuery,
+        q: &'s SqlQuery,
         probe: arc::Scalar,
         op: CmpOp,
     ) -> Result<Formula, LowerError> {
@@ -547,7 +546,7 @@ impl<'s> Lowerer<'s> {
     /// its projection.
     fn subquery_as_formula(
         &mut self,
-        q: &SqlQuery,
+        q: &'s SqlQuery,
         extra: Option<Formula>,
     ) -> Result<Formula, LowerError> {
         self.subquery_as_formula_with(q, move |_item, _lw| {
@@ -560,8 +559,8 @@ impl<'s> Lowerer<'s> {
     /// predicate tied into the scope (IN probes, scalar comparisons).
     fn subquery_as_formula_with(
         &mut self,
-        q: &SqlQuery,
-        with_item: impl Fn(&SqlExpr, &mut Self) -> Result<Formula, LowerError> + Clone,
+        q: &'s SqlQuery,
+        with_item: impl Fn(&'s SqlExpr, &mut Self) -> Result<Formula, LowerError> + Clone,
     ) -> Result<Formula, LowerError> {
         let s = match q {
             SqlQuery::Select(s) => s,
@@ -577,38 +576,21 @@ impl<'s> Lowerer<'s> {
             }
         };
         let mut bindings: Vec<Binding> = Vec::new();
-        let mut scope_vars: Vec<(String, Vec<String>)> = Vec::new();
-        let mut on_conds: Vec<SqlExpr> = Vec::new();
-        let mut join_parts: Vec<JoinTree> = Vec::new();
-        let mut has_outer = false;
+        let mut on_conds: Vec<&'s SqlExpr> = Vec::new();
         self.scopes.push(Scope { vars: Vec::new() });
-        for tref in &s.from {
-            let part = self.table_ref(
-                tref,
-                &mut bindings,
-                &mut scope_vars,
-                &mut on_conds,
-                &mut has_outer,
-            )?;
-            join_parts.push(part);
-        }
-        let join = self.join_annotation(has_outer, join_parts)?;
+        let join = self.lower_from(&s.from, &mut bindings, &mut on_conds)?;
 
         let mut conjuncts = Vec::new();
-        for cond in &on_conds {
+        for cond in on_conds {
             conjuncts.push(self.bool_expr(cond)?);
         }
         if let Some(w) = &s.where_clause {
             conjuncts.push(self.bool_expr(w)?);
         }
         // The item-level predicate (equality probe or aggregation test).
-        let item_expr = s
-            .items
-            .first()
-            .map(|i| i.expr.clone())
-            .unwrap_or(SqlExpr::Literal(Value::Int(1)));
-        let item_formula = with_item(&item_expr, self)?;
-        let item_has_agg = contains_agg(&item_expr);
+        let item_expr = s.items.first().map_or(&ONE, |i| &i.expr);
+        let item_formula = with_item(item_expr, self)?;
+        let item_has_agg = contains_agg(item_expr);
         conjuncts.push(item_formula);
 
         if let Some(h) = &s.having {
@@ -708,7 +690,7 @@ impl<'s> Lowerer<'s> {
                 // the attribute (binder/engine re-validate).
                 for scope in self.scopes.iter().rev() {
                     if let Some((var, _attrs)) = scope.vars.iter().find(|(v, _)| v == t) {
-                        return Ok(AttrRef::new(var.clone(), column));
+                        return Ok(AttrRef::new(&**var, column));
                     }
                 }
                 Err(LowerError::UnknownColumn(format!("{t}.{column}")))
@@ -721,7 +703,7 @@ impl<'s> Lowerer<'s> {
                             if found.is_some() {
                                 return Err(LowerError::AmbiguousColumn(column.to_string()));
                             }
-                            found = Some(AttrRef::new(var.clone(), column));
+                            found = Some(AttrRef::new(&**var, column));
                         }
                     }
                     if found.is_some() {
@@ -772,24 +754,6 @@ fn rename_head(f: Formula, old: &str, new: Option<&str>) -> Formula {
     walk(f, old, new)
 }
 
-/// Variables referenced by a predicate's attribute references.
-fn pred_attr_vars(p: &Predicate) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut push = |s: &arc::Scalar| {
-        for r in s.attr_refs() {
-            out.push(r.var.clone());
-        }
-    };
-    match p {
-        Predicate::Cmp { left, right, .. } => {
-            push(left);
-            push(right);
-        }
-        Predicate::IsNull { expr, .. } => push(expr),
-    }
-    out
-}
-
 /// First constant appearing in a predicate (literal-leaf anchor).
 fn first_const(p: &Predicate) -> Option<Value> {
     fn walk(s: &arc::Scalar) -> Option<Value> {
@@ -817,6 +781,32 @@ fn item_name(item: &SelectItem, index: usize) -> String {
         SqlExpr::Column { column, .. } => column.clone(),
         SqlExpr::Agg { func, .. } => func.clone(),
         _ => format!("c{}", index + 1),
+    }
+}
+
+/// Does a select-item expression hold a scalar subquery where
+/// [`Lowerer::extract_scalar_subqueries`] would replace it?
+fn contains_scalar_subquery(e: &SqlExpr) -> bool {
+    match e {
+        SqlExpr::ScalarSubquery(_) => true,
+        SqlExpr::Binary { left, right, .. } => {
+            contains_scalar_subquery(left) || contains_scalar_subquery(right)
+        }
+        _ => false,
+    }
+}
+
+/// Does a FROM element hold a `LEFT`/`FULL` join?
+fn has_outer_join(tref: &TableRef) -> bool {
+    match tref {
+        TableRef::Table { .. } | TableRef::Subquery { .. } => false,
+        TableRef::Join {
+            left, right, kind, ..
+        } => {
+            matches!(kind, JoinKind::Left | JoinKind::Full)
+                || has_outer_join(left)
+                || has_outer_join(right)
+        }
     }
 }
 

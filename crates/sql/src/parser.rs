@@ -41,181 +41,120 @@ pub fn parse_sql(src: &str) -> Result<SqlQuery, SqlParseError> {
 
 // -- Lexer -------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
     /// Keyword or identifier (lower-cased keywords matched contextually).
-    Word(String),
+    Word(&'a str),
     /// Quoted identifier `"..."`.
-    Quoted(String),
-    Int(i64),
+    Quoted(&'a str),
+    /// An integer literal's magnitude (a sign is a `-` symbol of its
+    /// own): at most `i64::MAX`, or one more directly behind a `-` —
+    /// the parser folds the sign and range-checks the result.
+    Int(u64),
     Float(f64),
-    Str(String),
+    Str(&'a str),
     Sym(&'static str),
 }
 
-#[derive(Debug, Clone)]
-struct Sp {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Sp<'a> {
+    tok: Tok<'a>,
     offset: usize,
 }
 
-fn sql_lex(src: &str) -> Result<Vec<Sp>, SqlParseError> {
-    let chars: Vec<(usize, char)> = src.char_indices().collect();
-    let mut out = Vec::new();
+/// The byte offset where the run of characters `accept` takes ends,
+/// scanning from `from`.
+fn run_end(src: &str, from: usize, accept: impl Fn(char) -> bool) -> usize {
+    src[from..]
+        .char_indices()
+        .find(|&(_, c)| !accept(c))
+        .map_or(src.len(), |(i, _)| from + i)
+}
+
+/// Tokenize by byte offset; words and string contents are slices of
+/// `src`.
+fn sql_lex(src: &str) -> Result<Vec<Sp<'_>>, SqlParseError> {
+    let mut out: Vec<Sp<'_>> = Vec::with_capacity(src.len() / 2);
     let mut i = 0;
-    while i < chars.len() {
-        let (offset, c) = chars[i];
-        match c {
-            c if c.is_whitespace() => {}
-            '-' if matches!(chars.get(i + 1), Some((_, '-'))) => {
-                while i < chars.len() && chars[i].1 != '\n' {
-                    i += 1;
-                }
-            }
-            '(' | ')' | ',' | '.' | ';' | '+' | '*' | '/' | '-' | '=' => {
-                let s = match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '.' => ".",
-                    ';' => ";",
-                    '+' => "+",
-                    '*' => "*",
-                    '/' => "/",
-                    '-' => "-",
-                    _ => "=",
-                };
-                out.push(Sp {
-                    tok: Tok::Sym(s),
-                    offset,
-                });
-            }
-            '<' => {
-                let (s, skip) = match chars.get(i + 1) {
-                    Some((_, '=')) => ("<=", 1),
-                    Some((_, '>')) => ("<>", 1),
-                    _ => ("<", 0),
-                };
-                out.push(Sp {
-                    tok: Tok::Sym(s),
-                    offset,
-                });
-                i += skip;
-            }
-            '>' => {
-                let (s, skip) = match chars.get(i + 1) {
-                    Some((_, '=')) => (">=", 1),
-                    _ => (">", 0),
-                };
-                out.push(Sp {
-                    tok: Tok::Sym(s),
-                    offset,
-                });
-                i += skip;
-            }
-            '!' if matches!(chars.get(i + 1), Some((_, '='))) => {
-                out.push(Sp {
-                    tok: Tok::Sym("<>"),
-                    offset,
-                });
-                i += 1;
-            }
-            '\'' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < chars.len() {
-                    if chars[j].1 == '\'' {
-                        closed = true;
-                        break;
-                    }
-                    s.push(chars[j].1);
-                    j += 1;
-                }
-                if !closed {
+    while let Some(c) = src[i..].chars().next() {
+        let offset = i;
+        let next = i + c.len_utf8();
+        let follows = |want: char| src[next..].starts_with(want);
+        let sym = |s: &'static str| (Some(Tok::Sym(s)), offset + s.len());
+        // The token starting here and the offset just past it; `None`
+        // for whitespace and comments.
+        let (tok, end) = match c {
+            c if c.is_whitespace() => (None, next),
+            '-' if follows('-') => (None, run_end(src, next, |c| c != '\n')),
+            '(' => sym("("),
+            ')' => sym(")"),
+            ',' => sym(","),
+            '.' => sym("."),
+            ';' => sym(";"),
+            '+' => sym("+"),
+            '*' => sym("*"),
+            '/' => sym("/"),
+            '-' => sym("-"),
+            '=' => sym("="),
+            '<' if follows('=') => sym("<="),
+            '<' if follows('>') => sym("<>"),
+            '<' => sym("<"),
+            '>' if follows('=') => sym(">="),
+            '>' => sym(">"),
+            '!' if follows('=') => (Some(Tok::Sym("<>")), next + 1),
+            '\'' | '"' => {
+                let close = run_end(src, next, |ch| ch != c);
+                if close == src.len() {
+                    let what = if c == '\'' {
+                        "string"
+                    } else {
+                        "quoted identifier"
+                    };
                     return Err(SqlParseError {
-                        message: "unterminated string".to_string(),
+                        message: format!("unterminated {what}"),
                         offset,
                     });
                 }
-                out.push(Sp {
-                    tok: Tok::Str(s),
-                    offset,
-                });
-                i = j;
-            }
-            '"' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < chars.len() {
-                    if chars[j].1 == '"' {
-                        closed = true;
-                        break;
-                    }
-                    s.push(chars[j].1);
-                    j += 1;
-                }
-                if !closed {
-                    return Err(SqlParseError {
-                        message: "unterminated quoted identifier".to_string(),
-                        offset,
-                    });
-                }
-                out.push(Sp {
-                    tok: Tok::Quoted(s),
-                    offset,
-                });
-                i = j;
+                let text = &src[next..close];
+                let tok = if c == '\'' {
+                    Tok::Str(text)
+                } else {
+                    Tok::Quoted(text)
+                };
+                (Some(tok), close + 1)
             }
             c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                let mut j = i;
-                let mut is_float = false;
-                while j < chars.len() {
-                    let ch = chars[j].1;
-                    if ch.is_ascii_digit() {
-                        text.push(ch);
-                        j += 1;
-                    } else if ch == '.'
-                        && !is_float
-                        && matches!(chars.get(j + 1), Some((_, d)) if d.is_ascii_digit())
-                    {
-                        is_float = true;
-                        text.push(ch);
-                        j += 1;
-                    } else {
-                        break;
-                    }
+                let mut end = run_end(src, next, |c| c.is_ascii_digit());
+                // A `.` continues the literal only when a digit follows.
+                let fraction = src[end..]
+                    .strip_prefix('.')
+                    .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+                if fraction {
+                    end = run_end(src, end + 1, |c| c.is_ascii_digit());
                 }
-                let tok = if is_float {
+                let text = &src[offset..end];
+                let tok = if fraction {
                     Tok::Float(text.parse().unwrap_or(0.0))
                 } else {
-                    Tok::Int(text.parse().map_err(|_| SqlParseError {
-                        message: format!("bad integer `{text}`"),
-                        offset,
-                    })?)
+                    // The magnitude of `i64::MIN` is one more than
+                    // `i64::MAX`: in range only behind its sign.
+                    let negated = matches!(out.last(), Some(s) if s.tok == Tok::Sym("-"));
+                    let max = i64::MAX as u64 + u64::from(negated);
+                    match text.parse::<u64>() {
+                        Ok(magnitude) if magnitude <= max => Tok::Int(magnitude),
+                        _ => {
+                            return Err(SqlParseError {
+                                message: format!("bad integer `{text}`"),
+                                offset,
+                            })
+                        }
+                    }
                 };
-                out.push(Sp { tok, offset });
-                i = j - 1;
+                (Some(tok), end)
             }
             c if c.is_alphabetic() || c == '_' || c == '$' => {
-                let mut text = String::new();
-                let mut j = i;
-                while j < chars.len() {
-                    let ch = chars[j].1;
-                    if ch.is_alphanumeric() || ch == '_' || ch == '$' {
-                        text.push(ch);
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Sp {
-                    tok: Tok::Word(text),
-                    offset,
-                });
-                i = j - 1;
+                let end = run_end(src, next, |c| c.is_alphanumeric() || c == '_' || c == '$');
+                (Some(Tok::Word(&src[offset..end])), end)
             }
             other => {
                 return Err(SqlParseError {
@@ -223,22 +162,23 @@ fn sql_lex(src: &str) -> Result<Vec<Sp>, SqlParseError> {
                     offset,
                 })
             }
-        }
-        i += 1;
+        };
+        out.extend(tok.map(|tok| Sp { tok, offset }));
+        i = end;
     }
     Ok(out)
 }
 
 // -- Parser ------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<Sp>,
+struct Parser<'a> {
+    toks: Vec<Sp<'a>>,
     pos: usize,
     src_len: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Self, SqlParseError> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Self, SqlParseError> {
         Ok(Parser {
             toks: sql_lex(src)?,
             pos: 0,
@@ -264,17 +204,17 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.peek_at(0)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&Tok> {
-        self.toks.get(self.pos + n).map(|s| &s.tok)
+    fn peek_at(&self, n: usize) -> Option<Tok<'a>> {
+        self.toks.get(self.pos + n).map(|s| s.tok)
     }
 
     fn peek_text(&self) -> Option<String> {
         self.peek().map(|t| match t {
-            Tok::Word(w) => w.clone(),
+            Tok::Word(w) => w.to_string(),
             Tok::Quoted(q) => format!("\"{q}\""),
             Tok::Int(v) => v.to_string(),
             Tok::Float(v) => v.to_string(),
@@ -342,14 +282,12 @@ impl Parser {
     fn ident(&mut self) -> Result<String, SqlParseError> {
         match self.peek() {
             Some(Tok::Word(w)) if !is_reserved(w) => {
-                let w = w.clone();
                 self.pos += 1;
-                Ok(w)
+                Ok(w.to_string())
             }
             Some(Tok::Quoted(q)) => {
-                let q = q.clone();
                 self.pos += 1;
-                Ok(q)
+                Ok(q.to_string())
             }
             _ => Err(self.err(format!(
                 "expected identifier, found `{}`",
@@ -645,11 +583,22 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<SqlExpr, SqlParseError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Tok::Sym("-")) => {
                 self.pos += 1;
+                // An integer literal takes the sign itself, so that it is
+                // the signed value that is range-checked:
+                // `-9223372036854775808` is an `i64`, its magnitude is not.
+                if let Some(Tok::Int(magnitude)) = self.peek() {
+                    if let Some(v) = 0i64.checked_sub_unsigned(magnitude) {
+                        self.pos += 1;
+                        return Ok(SqlExpr::Literal(Value::Int(v)));
+                    }
+                }
                 match self.atom()? {
-                    SqlExpr::Literal(Value::Int(v)) => Ok(SqlExpr::Literal(Value::Int(-v))),
+                    SqlExpr::Literal(Value::Int(v)) if v != i64::MIN => {
+                        Ok(SqlExpr::Literal(Value::Int(-v)))
+                    }
                     SqlExpr::Literal(Value::Float(v)) => Ok(SqlExpr::Literal(Value::Float(-v))),
                     other => Ok(SqlExpr::Binary {
                         op: BinOp::Sub,
@@ -658,17 +607,23 @@ impl Parser {
                     }),
                 }
             }
-            Some(Tok::Int(v)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Literal(Value::Int(v)))
-            }
+            // Only the magnitude of `i64::MIN` does not fit, and the lexer
+            // lets that through only behind a `-` — which is then binary
+            // (`x - 9223372036854775808`), or it had folded the sign.
+            Some(Tok::Int(magnitude)) => match i64::try_from(magnitude) {
+                Ok(v) => {
+                    self.pos += 1;
+                    Ok(SqlExpr::Literal(Value::Int(v)))
+                }
+                Err(_) => Err(self.err(format!("bad integer `{magnitude}`"))),
+            },
             Some(Tok::Float(v)) => {
                 self.pos += 1;
                 Ok(SqlExpr::Literal(Value::Float(v)))
             }
             Some(Tok::Str(s)) => {
                 self.pos += 1;
-                Ok(SqlExpr::Literal(Value::Str(s)))
+                Ok(SqlExpr::Literal(Value::Str(s.to_string())))
             }
             Some(Tok::Sym("(")) => {
                 // Scalar subquery or parenthesized expression.
@@ -684,21 +639,21 @@ impl Parser {
                 Ok(e)
             }
             Some(Tok::Word(w)) => {
-                let lower = w.to_ascii_lowercase();
-                if lower == "null" {
+                let is = |kw: &str| w.eq_ignore_ascii_case(kw);
+                if is("null") {
                     self.pos += 1;
                     return Ok(SqlExpr::Literal(Value::Null));
                 }
-                if lower == "true" {
+                if is("true") {
                     self.pos += 1;
                     return Ok(SqlExpr::Literal(Value::Bool(true)));
                 }
-                if lower == "false" {
+                if is("false") {
                     self.pos += 1;
                     return Ok(SqlExpr::Literal(Value::Bool(false)));
                 }
-                if matches!(lower.as_str(), "sum" | "count" | "avg" | "min" | "max")
-                    && self.peek_at(1) == Some(&Tok::Sym("("))
+                if ["sum", "count", "avg", "min", "max"].into_iter().any(is)
+                    && self.peek_at(1) == Some(Tok::Sym("("))
                 {
                     self.pos += 2;
                     let distinct = self.eat_kw("distinct");
@@ -709,7 +664,7 @@ impl Parser {
                     };
                     self.expect_sym(")")?;
                     return Ok(SqlExpr::Agg {
-                        func: lower,
+                        func: w.to_ascii_lowercase(),
                         arg,
                         distinct,
                     });
@@ -749,34 +704,10 @@ impl Parser {
 }
 
 fn is_reserved(word: &str) -> bool {
-    matches!(
-        word.to_ascii_lowercase().as_str(),
-        "select"
-            | "distinct"
-            | "from"
-            | "where"
-            | "group"
-            | "by"
-            | "having"
-            | "union"
-            | "all"
-            | "as"
-            | "join"
-            | "inner"
-            | "left"
-            | "full"
-            | "cross"
-            | "outer"
-            | "lateral"
-            | "on"
-            | "and"
-            | "or"
-            | "not"
-            | "exists"
-            | "in"
-            | "is"
-            | "null"
-            | "true"
-            | "false"
-    )
+    const RESERVED: [&str; 27] = [
+        "select", "distinct", "from", "where", "group", "by", "having", "union", "all", "as",
+        "join", "inner", "left", "full", "cross", "outer", "lateral", "on", "and", "or", "not",
+        "exists", "in", "is", "null", "true", "false",
+    ];
+    RESERVED.iter().any(|kw| word.eq_ignore_ascii_case(kw))
 }

@@ -5,7 +5,7 @@
 //! repo's first cross-cutting observability layer and has two halves:
 //!
 //! * [`registry`] — a process-wide metrics registry of **named monotonic
-//!   counters** and **duration histograms**. Counters are plain relaxed
+//!   counters**, **gauges** and **duration histograms**. Counters are plain relaxed
 //!   atomics and always on (they are how the workspace's counter-delta
 //!   tests observe planner/cache/semi-join behavior); the *expensive*
 //!   instrumentation — reading clocks — hides behind a single
@@ -45,8 +45,8 @@ pub mod trace_json;
 pub use profile::{OpId, OpStats, ProfileSink, QueryProfile, WorkerLane};
 pub use quantile::{QuantileHistogram, QuantileSnapshot, QUANTILE_BUCKETS};
 pub use registry::{
-    counter, enabled, histogram, maybe_now, metrics_text, quantile_histogram, record_since, reset,
-    set_enabled, snapshot, validate_metric_names, Counter, Histogram, Snapshot,
+    counter, enabled, gauge, histogram, maybe_now, metrics_text, quantile_histogram, record_since,
+    reset, set_enabled, snapshot, validate_metric_names, Counter, Gauge, Histogram, Snapshot,
 };
 pub use span::{Span, SpanKind, SpanSink, SpanTrace, LANE_CAPACITY};
 pub use trace_json::{chrome_trace, op_key};

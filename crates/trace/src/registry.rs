@@ -1,5 +1,6 @@
-//! The process-wide metrics registry: named monotonic counters and
-//! duration histograms, with snapshot/reset/diff and JSON serialization.
+//! The process-wide metrics registry: named monotonic counters, gauges
+//! and duration histograms, with snapshot/reset/diff and JSON
+//! serialization.
 //!
 //! ## Design
 //!
@@ -113,6 +114,25 @@ impl Counter {
     }
 }
 
+/// A named gauge: a value that is *set*, not accumulated (how many
+/// entries a cache holds now). Same leaked-atomic handle as [`Counter`].
+#[derive(Clone, Copy)]
+pub struct Gauge(&'static AtomicU64);
+
+impl Gauge {
+    /// Set the current value (relaxed).
+    #[inline]
+    pub fn set(self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Histograms
 // ---------------------------------------------------------------------------
@@ -182,6 +202,7 @@ impl Histogram {
 
 struct Registry {
     counters: BTreeMap<&'static str, &'static AtomicU64>,
+    gauges: BTreeMap<&'static str, &'static AtomicU64>,
     histograms: BTreeMap<&'static str, &'static HistogramCell>,
     quantiles: BTreeMap<&'static str, &'static QuantileCell>,
 }
@@ -192,6 +213,7 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| {
         Mutex::new(Registry {
             counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             quantiles: BTreeMap::new(),
         })
@@ -208,6 +230,16 @@ pub fn counter(name: &'static str) -> Counter {
         .entry(name)
         .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))));
     Counter(cell)
+}
+
+/// Get (registering on first use) the gauge named `name`.
+pub fn gauge(name: &'static str) -> Gauge {
+    let mut reg = registry().lock().unwrap();
+    let cell = reg
+        .gauges
+        .entry(name)
+        .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))));
+    Gauge(cell)
 }
 
 /// Get (registering on first use) the duration histogram named `name`.
@@ -256,6 +288,8 @@ pub struct HistStats {
 pub struct Snapshot {
     /// Counter name → value.
     pub counters: BTreeMap<String, u64>,
+    /// Gauge name → value.
+    pub gauges: BTreeMap<String, u64>,
     /// Histogram name → (count, sum, max).
     pub histograms: BTreeMap<String, HistStats>,
     /// Quantile histogram name → full bucket state (mergeable,
@@ -267,7 +301,8 @@ impl Snapshot {
     /// The change from `earlier` to `self`, per metric. Saturating — a
     /// concurrent [`reset`] can make a later reading smaller, which
     /// clamps to zero instead of wrapping. `max_nanos` carries the later
-    /// snapshot's value (maxima don't subtract meaningfully).
+    /// snapshot's value (maxima don't subtract meaningfully), and so do
+    /// gauges (a level is not a delta).
     pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -302,9 +337,15 @@ impl Snapshot {
             .collect();
         Snapshot {
             counters,
+            gauges: self.gauges.clone(),
             histograms,
             quantiles,
         }
+    }
+
+    /// Gauge value by name (0 if absent).
+    pub fn gauge(&self, name: &str) -> u64 {
+        self.gauges.get(name).copied().unwrap_or(0)
     }
 
     /// Counter value by name (0 if absent — e.g. not yet registered when
@@ -324,15 +365,19 @@ impl Snapshot {
     }
 
     /// Serialize as a canonical JSON object:
-    /// `{"counters": {name: n, ...}, "histograms": {name: {"count": n,
-    /// "sum_nanos": n, "max_nanos": n}, ...}}`.
+    /// `{"counters": {name: n, ...}, "gauges": {name: n, ...},
+    /// "histograms": {name: {"count": n, "sum_nanos": n, "max_nanos": n},
+    /// ...}}`.
     pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                .collect(),
-        );
+        let plain = |values: &BTreeMap<String, u64>| {
+            Json::Obj(
+                values
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
+                    .collect(),
+            )
+        };
+        let (counters, gauges) = (plain(&self.counters), plain(&self.gauges));
         let histograms = Json::Obj(
             self.histograms
                 .iter()
@@ -356,6 +401,7 @@ impl Snapshot {
         );
         Json::obj([
             ("counters", counters),
+            ("gauges", gauges),
             ("histograms", histograms),
             ("quantiles", quantiles),
         ])
@@ -375,6 +421,10 @@ impl Snapshot {
         for (name, v) in &self.counters {
             let m = mangle(name);
             out.push_str(&format!("# TYPE {m} counter\n{m} {v}\n"));
+        }
+        for (name, v) in &self.gauges {
+            let m = mangle(name);
+            out.push_str(&format!("# TYPE {m} gauge\n{m} {v}\n"));
         }
         for (name, h) in &self.histograms {
             let m = mangle(name);
@@ -409,6 +459,11 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
         .collect();
+    let gauges = reg
+        .gauges
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
+        .collect();
     let histograms = reg
         .histograms
         .iter()
@@ -430,12 +485,14 @@ pub fn snapshot() -> Snapshot {
         .collect();
     Snapshot {
         counters,
+        gauges,
         histograms,
         quantiles,
     }
 }
 
-/// Zero every registered metric. Tests should prefer [`Snapshot::diff`]
+/// Zero every registered counter and histogram (a gauge mirrors live
+/// state and keeps its value). Tests should prefer [`Snapshot::diff`]
 /// (reset is process-global and visible to concurrent tests); reset
 /// exists for long-lived processes that want fresh windows.
 pub fn reset() {
@@ -476,6 +533,7 @@ pub fn validate_metric_names() -> Result<(), String> {
         .counters
         .keys()
         .map(|k| (*k, "counter"))
+        .chain(reg.gauges.keys().map(|k| (*k, "gauge")))
         .chain(reg.histograms.keys().map(|k| (*k, "histogram")))
         .chain(reg.quantiles.keys().map(|k| (*k, "quantile")));
     for (name, kind) in all {
@@ -530,6 +588,22 @@ mod tests {
         assert_eq!(delta.counter("test.registry.region"), 5);
         // A metric absent from the earlier snapshot diffs against zero.
         assert_eq!(delta.counter("test.registry.never-touched"), 0);
+    }
+
+    #[test]
+    fn gauges_hold_a_level_that_diffs_do_not_subtract() {
+        let g = gauge("test.registry.level");
+        g.set(7);
+        let before = snapshot();
+        g.set(4);
+        let after = snapshot();
+        assert_eq!(after.gauge("test.registry.level"), 4);
+        assert_eq!(after.diff(&before).gauge("test.registry.level"), 4);
+        let text = after.metrics_text();
+        assert!(
+            text.contains("# TYPE arc_test_registry_level gauge\narc_test_registry_level 4\n"),
+            "{text}"
+        );
     }
 
     #[test]

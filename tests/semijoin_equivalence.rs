@@ -244,3 +244,74 @@ fn malformed_decorrelate_value_is_descriptive() {
     assert!(err.contains("sideways"), "{err}");
     assert!(err.contains("expected"), "{err}");
 }
+
+/// Two decorrelated scopes of one evaluation that differ only in a
+/// constant have the same shape, so the plan cache hands both the same
+/// plan — and each must still probe its *own* build. Without statistics
+/// the constants share a plan key outright; analyzed, they share it
+/// whenever they fall in one selectivity bucket (here: equally frequent).
+#[test]
+fn sibling_scopes_differing_in_a_constant_build_separately() {
+    use arc_core::value::Value;
+    let mut r = arc_engine::Relation::new("R", &["A"]);
+    let mut s = arc_engine::Relation::new("S", &["A", "B"]);
+    for a in 0..40 {
+        r.push(vec![Value::Int(a)]);
+        // S holds (a, 1) for a mod 4 ∈ {0, 1} and (a, 2) for a mod 4 ∈
+        // {1, 2}: twenty rows each.
+        if a % 4 <= 1 {
+            s.push(vec![Value::Int(a), Value::Int(1)]);
+        }
+        if (1..=2).contains(&(a % 4)) {
+            s.push(vec![Value::Int(a), Value::Int(2)]);
+        }
+    }
+    let mut analyzed = arc_engine::Catalog::new().with(r).with(s);
+    analyzed.analyze();
+    let mut plain = analyzed.clone();
+    plain.clear_stats();
+
+    let both = fx::q(
+        "{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.A = r.A ∧ s.B = 1] ∧ ∃s ∈ S [s.A = r.A ∧ s.B = 2]]}",
+    );
+    let neither = fx::q(
+        "{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ¬(∃s ∈ S [s.A = r.A ∧ s.B = 1]) ∧ ¬(∃s ∈ S [s.A = r.A ∧ s.B = 2])]}",
+    );
+    let first_only = fx::q(
+        "{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.A = r.A ∧ s.B = 1] ∧ ¬(∃s ∈ S [s.A = r.A ∧ s.B = 2])]}",
+    );
+    let rows_where = |keep: fn(i64) -> bool| -> Vec<Vec<Value>> {
+        (0..40)
+            .filter(|&a| keep(a))
+            .map(|a| vec![Value::Int(a)])
+            .collect()
+    };
+    let expect = [
+        (&both, rows_where(|a| a % 4 == 1)),
+        (&neither, rows_where(|a| a % 4 == 3)),
+        (&first_only, rows_where(|a| a % 4 == 0)),
+    ];
+    for (statistics, catalog) in [("none", &plain), ("analyzed", &analyzed)] {
+        for (q, rows) in &expect {
+            let reference = Engine::new(catalog, Conventions::sql())
+                .with_strategy(EvalStrategy::NestedLoop)
+                .with_threads(1)
+                .eval_collection(q)
+                .unwrap();
+            assert_eq!(&reference.sorted_rows(), rows);
+            for threads in [1usize, 4] {
+                let decorrelated = Engine::new(catalog, Conventions::sql())
+                    .with_strategy(EvalStrategy::Planned)
+                    .with_threads(threads)
+                    .with_decorrelate(true)
+                    .eval_collection(q)
+                    .unwrap();
+                assert_eq!(
+                    &decorrelated.sorted_rows(),
+                    rows,
+                    "threads {threads}, statistics {statistics}, query {q:?}"
+                );
+            }
+        }
+    }
+}
