@@ -17,7 +17,9 @@
 //! FIO→FOI, arithmetic reification, count-bug decorrelation) so each
 //! validity condition is *demonstrated* by tests and benches instead of
 //! asserted. [`generate`] provides the workload generators the benchmark
-//! suite sweeps.
+//! suite sweeps. [`oracle`] is the workspace's reference semantics: a
+//! deliberately naive evaluator of ARC's core that shares no code with
+//! the engine, which every equivalence suite checks the engine against.
 
 #![warn(missing_docs)]
 
@@ -25,6 +27,7 @@ pub mod classify;
 pub mod equiv;
 pub mod generate;
 pub mod intent;
+pub mod oracle;
 pub mod rewrite;
 pub mod similarity;
 

@@ -203,8 +203,7 @@ pub fn grouped_catalog(n: usize, groups: usize) -> Catalog {
 /// The Eq (19) non-equi workload at scale: `R(A,B)` with `n` rows plus
 /// `S(B)`/`T(B)` side relations of `k` rows each. No equality predicate
 /// reaches any binding, so every step is a scan and the planned pipeline
-/// partitions its outer scan under `ARC_THREADS > 1` — the multi-scan
-/// fixture of the parallel ablation.
+/// partitions its outer scan under `ARC_THREADS > 1`.
 pub fn arith_catalog(n: usize, k: usize) -> Catalog {
     let mut r = Relation::new("R", &["A", "B"]);
     for i in 0..n {
@@ -219,7 +218,7 @@ pub fn arith_catalog(n: usize, k: usize) -> Catalog {
     Catalog::new().with(r).with(s).with(t)
 }
 
-/// The statistics-ablation workload: `R(A,B)` with `n` rows (`A` unique,
+/// The statistics workload: `R(A,B)` with `n` rows (`A` unique,
 /// `B = A mod 8`) joined to a fixed 64-row `S(B,C)`. Combined with
 /// [`eq1_range`]'s narrow range predicate on `R.A`, only an `ANALYZE`d
 /// catalog can see that the big scan shrinks to a handful of rows — the
@@ -277,7 +276,7 @@ pub fn prefix_range(n: usize) -> Collection {
 /// join key has a match among the last few `S` rows (`s.C > k - 5`).
 /// Most outer rows miss, so the nested path exhausts their whole (skewed)
 /// probe bucket per row, while the decorrelated path probes a build-once
-/// key set — the `ablation_semijoin` fixture.
+/// key set.
 pub fn exists_corr(k: usize) -> Collection {
     q(&format!(
         "{{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.B = r.B ∧ s.C > {}]]}}",
@@ -313,8 +312,7 @@ pub fn semijoin_catalog(n: usize, k: usize) -> Catalog {
 /// Constant-filter scan fixture: `R(A,B)` with `n` rows, `B = i mod
 /// 1000`, paired with [`filter_scan`]'s `r.B > 995` predicate (~0.4%
 /// selectivity). Runtime is dominated by filter evaluation over a big
-/// scan — the shape the columnar kernels accelerate
-/// (`ablation_columnar`).
+/// scan — the shape the columnar kernels accelerate.
 pub fn filter_catalog(n: usize) -> Catalog {
     let mut r = Relation::new("R", &["A", "B"]);
     for i in 0..n {

@@ -1,6 +1,6 @@
-//! Shared fixtures for the benchmark suite and the experiments binary:
-//! every paper figure's queries and instances, constructed once, reused by
-//! `benches/*` and `src/bin/experiments.rs`.
+//! Shared fixtures for the tests and the experiments binary: every paper
+//! figure's queries and instances, constructed once, reused by `tests/*`
+//! and `src/bin/experiments.rs`.
 
 #![warn(missing_docs)]
 

@@ -77,7 +77,7 @@ impl Catalog {
     pub fn add(&mut self, relation: Relation) -> &mut Self {
         let had_stats = self.stats.remove(&relation.name).is_some();
         let analyzed =
-            relation.len() >= AUTO_ANALYZE_MIN_ROWS && crate::eval::strategy::stats_from_env();
+            relation.len() >= AUTO_ANALYZE_MIN_ROWS && crate::eval::knobs::stats_from_env();
         if analyzed {
             self.stats
                 .insert(relation.name.clone(), Arc::new(analyze_relation(&relation)));
@@ -194,7 +194,7 @@ const _: () = {
 /// evaluation) takes the row-at-a-time pass; the two are identical
 /// result-wise (`arc-stats` asserts so).
 fn analyze_relation(rel: &Relation) -> TableStats {
-    if crate::eval::strategy::vectorize_from_env().unwrap_or(false) {
+    if crate::eval::knobs::onoff_from_env("ARC_VECTOR").unwrap_or(false) {
         TableStats::analyze_chunks(rel.arity(), &rel.rows, &rel.columns())
     } else {
         TableStats::analyze(rel.arity(), &rel.rows)
@@ -278,7 +278,7 @@ mod tests {
         // settings, so assert the setting-conditional behavior.
         let mut c = Catalog::new();
         c.add(big_rel("Big", AUTO_ANALYZE_MIN_ROWS as i64));
-        if crate::eval::strategy::stats_from_env() {
+        if crate::eval::knobs::stats_from_env() {
             let ts = c.stats("Big").expect("auto-analyzed at the threshold");
             assert_eq!(ts.rows, AUTO_ANALYZE_MIN_ROWS as u64);
             assert_eq!(ts.columns[0].distinct, 5);

@@ -40,7 +40,7 @@ pub enum EvalError {
     ExternalInJoinTree { var: String },
     /// A join annotation does not cover all bound variables.
     JoinTreeMismatch,
-    /// An engine configuration value (e.g. `ARC_EVAL_STRATEGY`) could not
+    /// An engine configuration value (e.g. `ARC_THREADS`) could not
     /// be interpreted; surfaced on the first evaluation instead of
     /// panicking mid-run.
     Config(String),

@@ -15,8 +15,6 @@
 //! right-side bookkeeping, `NULL` padding and output order follow one
 //! rule, and keys that collide share a bucket harmlessly. An ON condition
 //! without an equi-key runs the same loop over one all-rows bucket.
-//! Forced strategies do not reach in here: every [`super::EvalStrategy`]
-//! runs this path.
 //!
 //! Like every other scope, an annotated scope is **compiled once**
 //! ([`Ctx::compile_join`]): leaves resolve to their sources, every body

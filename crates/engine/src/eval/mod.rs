@@ -38,7 +38,7 @@
 //! | [`aggregate`]  | grouping scopes: one-pass accumulators, per-group verdicts|
 //! | [`output`]     | output assembly: head-tuple construction and emission     |
 //! | [`join`]       | outer-join annotation trees (`left`/`full`, §2.11)        |
-//! | [`strategy`]   | the [`EvalStrategy`] seam + `ARC_THREADS` parallelism     |
+//! | [`knobs`]      | the `ARC_*` environment knobs and their parsers           |
 //!
 //! The **plan seam** sits in front of the binding loop: every quantifier
 //! scope is described to [`arc_plan::plan_scope`] and the returned physical
@@ -54,13 +54,11 @@
 //! further: [`semijoin`] evaluates the
 //! scope body **once**, keys a hash set on the correlated columns, and
 //! answers every outer row with an O(1) probe — execution, not just
-//! planning, amortizes across outer rows. Under the default
-//! [`EvalStrategy::Planned`] each join independently selects its
-//! algorithm and results are bag-identical to the paper's semantics; the
-//! [`EvalStrategy::NestedLoop`]/[`EvalStrategy::HashJoin`] force modes pin
-//! declaration order and leaf filters, producing the *same environments
-//! in the same order* as each other — tuple-for-tuple identical. With
-//! `ARC_THREADS > 1` (or [`Engine::with_threads`]) a scope whose plan has
+//! planning, amortizes across outer rows. Each join independently selects
+//! its algorithm, and results are bag-identical to the paper's semantics —
+//! which `arc_analysis::oracle` defines, as nested loops sharing no code
+//! with this module, and which every equivalence suite checks against.
+//! With `ARC_THREADS > 1` (or [`Engine::with_threads`]) a scope whose plan has
 //! a partition axis executes its outer scan in parallel morsels — the
 //! ordered merge keeps even that path emission-order identical. The
 //! [`Engine::explain_collection`]/[`Engine::explain_program`] renderers
@@ -72,6 +70,7 @@ pub mod env;
 pub mod formula;
 pub(crate) mod index;
 pub mod join;
+pub mod knobs;
 pub(crate) mod lateral;
 pub mod output;
 pub mod parallel;
@@ -81,7 +80,6 @@ pub mod scalar;
 pub(crate) mod scope;
 pub mod semijoin;
 pub(crate) mod slots;
-pub mod strategy;
 pub mod vector;
 
 /// Body analysis: predicate-role partitioning and free-variable
@@ -95,7 +93,6 @@ pub mod partition {
 }
 
 pub(crate) use env::Env;
-pub use strategy::EvalStrategy;
 
 /// Per-query cache of vectorized scan selections — see [`Ctx::selections`].
 pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>>;
@@ -164,19 +161,16 @@ pub(crate) fn guard_reserve_hard(guard: Option<&Arc<QueryGuard>>, bytes: usize) 
     }
 }
 
-/// The evaluation engine: a catalog plus a convention profile plus an
-/// evaluation strategy plus a parallelism budget.
+/// The evaluation engine: a catalog plus a convention profile plus the
+/// execution knobs (parallelism, optimizer switches, guard limits).
 pub struct Engine<'c> {
     pub(crate) catalog: &'c Catalog,
     /// The convention profile queries are interpreted under (§2.6/§2.7).
     pub conventions: Conventions,
-    /// How quantifier scopes are planned (see [`EvalStrategy`]). Stored as
-    /// a `Result` so a malformed environment override surfaces as a normal
-    /// engine error on the first evaluation instead of panicking at
-    /// construction.
-    strategy: std::result::Result<EvalStrategy, crate::error::EvalError>,
-    /// Parallelism for partitioned scope execution (`ARC_THREADS`); same
-    /// deferred-error story as `strategy`.
+    /// Parallelism for partitioned scope execution (`ARC_THREADS`).
+    /// Stored as a `Result` — like every knob below — so a malformed
+    /// environment value surfaces as a normal engine error on the first
+    /// evaluation instead of panicking at construction.
     threads: std::result::Result<usize, crate::error::EvalError>,
     /// Set-level decorrelation of boolean quantifier scopes
     /// (`ARC_DECORRELATE`, default on); same deferred-error story.
@@ -198,7 +192,7 @@ pub struct Engine<'c> {
     /// into it; same deferred-error story.
     spans: std::result::Result<bool, crate::error::EvalError>,
     /// Per-query deadline (`ARC_TIMEOUT_MS` / [`Engine::with_timeout`]);
-    /// `None` means unbounded. Same deferred-error story as `strategy`.
+    /// `None` means unbounded. Same deferred-error story.
     timeout: std::result::Result<Option<Duration>, crate::error::EvalError>,
     /// Per-query memory budget in bytes (`ARC_MEM_BUDGET` /
     /// [`Engine::with_mem_budget`]); `None` means unbounded. Builds that
@@ -237,40 +231,29 @@ pub struct Engine<'c> {
 impl<'c> Engine<'c> {
     /// Create an engine over a catalog with the given conventions.
     ///
-    /// The evaluation strategy defaults to [`EvalStrategy::from_env`]
-    /// ([`EvalStrategy::Planned`] when no override is set), so the full
-    /// test suite can be re-run under a forced strategy by setting
-    /// `ARC_EVAL_STRATEGY=hash-join` (or `nested-loop`) without touching
-    /// any call site; parallelism defaults to
-    /// [`strategy::threads_from_env`] (`ARC_THREADS`, sequential when
-    /// unset) the same way. A malformed value of either variable is
-    /// reported by the first evaluation as
+    /// Every knob defaults to its `ARC_*` environment variable (see
+    /// [`knobs`]), so the full test suite can be re-run under, say,
+    /// `ARC_THREADS=4` without touching any call site. A malformed value
+    /// is reported by the first evaluation as
     /// [`EvalError::Config`](crate::error::EvalError::Config).
     pub fn new(catalog: &'c Catalog, conventions: Conventions) -> Self {
         Engine {
             catalog,
             conventions,
-            strategy: EvalStrategy::from_env(),
-            threads: strategy::threads_from_env(),
-            decorrelate: strategy::decorrelate_from_env(),
-            vectorize: strategy::vectorize_from_env(),
-            indexes: strategy::indexes_from_env(),
-            trace: strategy::trace_from_env(),
-            spans: strategy::spans_from_env(),
-            timeout: strategy::timeout_from_env(),
-            mem_budget: strategy::mem_budget_from_env(),
-            fault: strategy::fault_from_env(),
+            threads: knobs::from_env("ARC_THREADS", arc_exec::parse_threads),
+            decorrelate: knobs::onoff_from_env("ARC_DECORRELATE"),
+            vectorize: knobs::onoff_from_env("ARC_VECTOR"),
+            indexes: knobs::onoff_from_env("ARC_INDEX"),
+            trace: knobs::onoff_from_env("ARC_TRACE"),
+            spans: knobs::onoff_from_env("ARC_SPANS"),
+            timeout: knobs::from_env("ARC_TIMEOUT_MS", knobs::parse_timeout),
+            mem_budget: knobs::from_env("ARC_MEM_BUDGET", knobs::parse_mem_budget),
+            fault: knobs::from_env("ARC_FAULT", knobs::parse_fault),
             cancel: Arc::new(CancelState::default()),
             profile: None,
             span_sink: None,
             knob_sink: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Override the evaluation strategy (builder style).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.strategy = Ok(strategy);
-        self
     }
 
     /// Override the parallelism (builder style); `1` (or `0`) means
@@ -282,13 +265,8 @@ impl<'c> Engine<'c> {
         self
     }
 
-    /// The strategy this engine evaluates under (an `Err` reproduces the
-    /// configuration problem every evaluation would report).
-    pub fn strategy(&self) -> Result<EvalStrategy> {
-        self.strategy.clone()
-    }
-
-    /// The parallelism this engine evaluates under.
+    /// The parallelism this engine evaluates under (an `Err` reproduces
+    /// the configuration problem every evaluation would report).
     pub fn threads(&self) -> Result<usize> {
         self.threads.clone()
     }
@@ -309,9 +287,8 @@ impl<'c> Engine<'c> {
 
     /// Override vectorized columnar execution (builder style): `false`
     /// forces the row-at-a-time path everywhere, exactly like running
-    /// under `ARC_VECTOR=off` — tests and the `ablation_columnar` bench
-    /// use this to compare both paths without touching the (racy)
-    /// process environment.
+    /// under `ARC_VECTOR=off` — tests use this to compare both paths
+    /// without touching the (racy) process environment.
     pub fn with_vectorize(mut self, vectorize: bool) -> Self {
         self.vectorize = Ok(vectorize);
         self
@@ -324,9 +301,8 @@ impl<'c> Engine<'c> {
 
     /// Override ordered-index usage (builder style): `false` pins the
     /// scan/hash-probe access paths everywhere, exactly like running
-    /// under `ARC_INDEX=off` — tests and the `ablation_index` bench use
-    /// this to compare both paths without touching the (racy) process
-    /// environment.
+    /// under `ARC_INDEX=off` — tests use this to compare both paths
+    /// without touching the (racy) process environment.
     pub fn with_indexes(mut self, indexes: bool) -> Self {
         self.indexes = Ok(indexes);
         self
@@ -340,9 +316,9 @@ impl<'c> Engine<'c> {
     /// Override execution tracing (builder style): `true` makes
     /// evaluation time index/selection/semi-join builds into the
     /// [`arc_trace`] registry and stamp wall time onto execution
-    /// profiles, exactly like running under `ARC_TRACE=on` — tests and
-    /// the `ablation_trace` bench use this to compare both modes without
-    /// touching the (racy) process environment. Off (the default) keeps
+    /// profiles, exactly like running under `ARC_TRACE=on` — tests use
+    /// this to compare both modes without touching the (racy) process
+    /// environment. Off (the default) keeps
     /// the hot path free of clock reads; row/call actuals in
     /// [`Engine::profile_collection`] /
     /// [`Engine::explain_analyze_collection`](crate::eval::Engine) are
@@ -364,8 +340,8 @@ impl<'c> Engine<'c> {
     /// [`Engine::span_trace_collection`](crate::explain) /
     /// `span_trace_program` to get the spans back as a Chrome-trace
     /// timeline; with only this knob the spans are recorded and dropped,
-    /// which is what the `ARC_SPANS=on` CI leg and the `ablation_span`
-    /// bench exercise (recording cost without export cost). Off (the
+    /// which is what the `ARC_SPANS=on` CI leg exercises (recording cost
+    /// without export cost). Off (the
     /// default) keeps every span seam to a single `Option` check.
     pub fn with_spans(mut self, spans: bool) -> Self {
         self.spans = Ok(spans);
@@ -476,7 +452,6 @@ impl<'c> Engine<'c> {
         Engine {
             catalog: self.catalog,
             conventions: self.conventions,
-            strategy: self.strategy.clone(),
             threads: self.threads.clone(),
             decorrelate: self.decorrelate.clone(),
             vectorize: self.vectorize.clone(),
@@ -515,19 +490,9 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Inject a strategy-parse outcome (tests only: process environment
+    /// Inject a threads-parse outcome (tests only: process environment
     /// variables are racy under parallel tests, so the typo path is tested
-    /// by injection rather than by setting `ARC_EVAL_STRATEGY`).
-    #[cfg(test)]
-    pub(crate) fn set_strategy_result(
-        &mut self,
-        r: std::result::Result<EvalStrategy, crate::error::EvalError>,
-    ) {
-        self.strategy = r;
-    }
-
-    /// Inject a threads-parse outcome (tests only; see
-    /// [`Engine::set_strategy_result`]).
+    /// by injection rather than by setting `ARC_THREADS`).
     #[cfg(test)]
     pub(crate) fn set_threads_result(
         &mut self,
@@ -547,7 +512,7 @@ impl<'c> Engine<'c> {
         // An explicit sink (the span_trace_* path) wins; the bare knob
         // records into a per-context sink that is dropped at the end —
         // same recording cost, no export, which is what the ARC_SPANS=on
-        // CI leg and the ablation bench price.
+        // CI leg exercises.
         let spans = match (&self.span_sink, self.spans.clone()?) {
             (Some(sink), _) => Some(sink.clone()),
             (None, true) => {
@@ -564,7 +529,6 @@ impl<'c> Engine<'c> {
         Ok(Ctx {
             catalog: self.catalog,
             conv: self.conventions,
-            strategy: self.strategy.clone()?,
             threads,
             decorrelate: self.decorrelate.clone()?,
             vectorize: self.vectorize.clone()?,
@@ -688,7 +652,6 @@ impl QueryTimer {
 pub(crate) struct Ctx<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) conv: Conventions,
-    pub(crate) strategy: EvalStrategy,
     /// Parallelism budget: scopes with a partition axis scatter their
     /// outer scan across this many pool threads. Worker contexts are
     /// forked with `threads = 1`, so parallelism never nests.

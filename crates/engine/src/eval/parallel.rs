@@ -28,7 +28,7 @@ use super::env::Env;
 use super::profile::ScopeTally;
 use super::quantifier::{HashIndex, Src};
 use super::scope::{Pipeline, Scope};
-use super::{Ctx, EvalStrategy};
+use super::Ctx;
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::relation::Relation;
@@ -53,7 +53,6 @@ use std::time::Instant;
 pub(crate) struct WorkerSeed<'a> {
     catalog: &'a Catalog,
     conv: Conventions,
-    strategy: EvalStrategy,
     decorrelate: bool,
     vectorize: bool,
     indexes: bool,
@@ -91,7 +90,6 @@ impl<'a> WorkerSeed<'a> {
         Ctx {
             catalog: self.catalog,
             conv: self.conv,
-            strategy: self.strategy,
             threads: 1,
             decorrelate: self.decorrelate,
             vectorize: self.vectorize,
@@ -156,7 +154,6 @@ impl<'a> Ctx<'a> {
         WorkerSeed {
             catalog: self.catalog,
             conv: self.conv,
-            strategy: self.strategy,
             decorrelate: self.decorrelate,
             vectorize: self.vectorize,
             indexes: self.indexes,

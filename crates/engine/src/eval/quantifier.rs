@@ -19,15 +19,10 @@
 //! nothing; an accepted one allocates whatever the callback builds from it
 //! (an output row, nothing at all for a grouped fold).
 //!
-//! Under [`EvalStrategy::Planned`](super::EvalStrategy::Planned) the plan
-//! greedily orders joins by estimated cardinality, hash-probes every
-//! reachable equi-join, and pushes filters down to the step where their
-//! variables bind — results are bag-identical to the reference. Under the
-//! force overrides the plan pins declaration order and leaf filters, so
-//! the hash-join strategy remains *order-identical* to the nested loop:
-//! the probe iterates matches in the relation's original row order and
-//! every filter is still re-checked, so the callback sees exactly the
-//! environments the nested loop would produce, in the same order.
+//! The plan greedily orders joins by estimated cardinality, hash-probes
+//! every reachable equi-join, and pushes filters down to the step where
+//! their variables bind — results are bag-identical to the paper's
+//! nested loops (`arc_analysis::oracle`).
 //!
 //! ## Parallel execution
 //!
@@ -328,9 +323,8 @@ pub(crate) type JoinIndexCache = std::cell::RefCell<HashMap<(usize, Vec<usize>),
 pub(crate) struct Ordered<'a> {
     pub(crate) source: Src<'a>,
     pub(crate) hash_plan: Option<HashPlan<'a>>,
-    /// Filters evaluated as soon as this step's variable binds (empty
-    /// under the force strategies, which keep everything at the leaf).
-    /// When the step scans a relation under vectorized execution, the
+    /// Filters evaluated as soon as this step's variable binds. When the
+    /// step scans a relation under vectorized execution, the
     /// leading run of constant filters is hoisted into `vec_filters` and
     /// only the residue remains here (see [`super::vector`] on why only
     /// a prefix is safe to hoist).

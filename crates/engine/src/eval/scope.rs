@@ -33,7 +33,7 @@ use super::output::{HeadCtx, HeadPlan, Partial};
 use super::partition::{partition, Parts};
 use super::quantifier::{HashPlan, Ordered, Src};
 use super::slots::{CFormula, CPred, CScalar, Resolver};
-use super::{Ctx, EvalStrategy};
+use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::external::ExternalRelation;
 use crate::relation::Relation;
@@ -419,7 +419,6 @@ impl<'a> Ctx<'a> {
             // subformula correlated with the outer environment.
             let decorrelate = !nested
                 && self.decorrelate
-                && self.strategy == EvalStrategy::Planned
                 && arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer));
             let (pipeline, layout) = self.compile_pipeline(q, &parts, decorrelate, outer)?;
             let body = match (q.grouping, &pipeline) {
@@ -624,40 +623,35 @@ impl<'a> Ctx<'a> {
         // statistics (`tests/plan_cache.rs` phase 5). Only a run of the
         // planner is recorded as a plan span.
         let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-        let (plan, planned) = cache::scope_plan(
-            &spec,
-            self.catalog.stats_epoch(),
-            self.strategy.plan_mode(),
-            boolean,
-        )
-        // Map planner failures onto the precise source-kind diagnostics.
-        .map_err(|e| {
-            let PlanError::Unplaceable { binding } = e;
-            let b = &bindings[binding];
-            match (&b.source, &resolved[binding]) {
-                (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
-                    relation: name.clone(),
-                    var: b.var.clone(),
-                },
-                (BindingSource::Named(name), Resolved::Abs(_)) => {
-                    EvalError::AbstractUnderdetermined {
+        let (plan, planned) = cache::scope_plan(&spec, self.catalog.stats_epoch(), boolean)
+            // Map planner failures onto the precise source-kind diagnostics.
+            .map_err(|e| {
+                let PlanError::Unplaceable { binding } = e;
+                let b = &bindings[binding];
+                match (&b.source, &resolved[binding]) {
+                    (BindingSource::Named(name), Resolved::Ext(_)) => EvalError::NoAccessPath {
                         relation: name.clone(),
                         var: b.var.clone(),
+                    },
+                    (BindingSource::Named(name), Resolved::Abs(_)) => {
+                        EvalError::AbstractUnderdetermined {
+                            relation: name.clone(),
+                            var: b.var.clone(),
+                        }
                     }
+                    (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
+                        free_vars(c)
+                            .first()
+                            .copied()
+                            .unwrap_or_default()
+                            .to_string(),
+                    ),
+                    _ => EvalError::Internal(format!(
+                        "relation binding `{}` reported unplaceable",
+                        b.var
+                    )),
                 }
-                (_, Resolved::Nested(c)) => EvalError::UnboundVariable(
-                    free_vars(c)
-                        .first()
-                        .copied()
-                        .unwrap_or_default()
-                        .to_string(),
-                ),
-                _ => EvalError::Internal(format!(
-                    "relation binding `{}` reported unplaceable",
-                    b.var
-                )),
-            }
-        })?;
+            })?;
         if let (true, Some(sink), Some(t0)) = (planned, &self.spans, plan_span) {
             sink.complete(
                 self.lane,

@@ -136,7 +136,6 @@ impl Engine<'_> {
     /// Lower a standalone collection exactly as [`Self::explain_collection`]
     /// would, returning the plan tree plus the resolved thread count.
     fn lowered_collection(&self, c: &Collection) -> Result<(PlanNode, usize)> {
-        let mode = self.strategy()?.plan_mode();
         let threads = self.threads()?;
         let decorrelate = self.decorrelate()?;
         let indexes = self.indexes()?;
@@ -145,8 +144,8 @@ impl Engine<'_> {
             defined: HashMap::new(),
             abstracts: HashMap::new(),
         };
-        let plan = arc_plan::lower_collection_opts(c, &resolver, mode, decorrelate, indexes)
-            .map_err(lower_err)?;
+        let plan =
+            arc_plan::lower_collection(c, &resolver, decorrelate, indexes).map_err(lower_err)?;
         Ok((plan, threads))
     }
 
@@ -167,7 +166,6 @@ impl Engine<'_> {
     /// Lower a whole program exactly as [`Self::explain_program`] would,
     /// returning the plan tree plus the resolved thread count.
     fn lowered_program(&self, p: &Program) -> Result<(PlanNode, usize)> {
-        let mode = self.strategy()?.plan_mode();
         let threads = self.threads()?;
         let decorrelate = self.decorrelate()?;
         let indexes = self.indexes()?;
@@ -194,8 +192,8 @@ impl Engine<'_> {
             defined,
             abstracts,
         };
-        let plan = arc_plan::lower_program_opts(p, &resolver, mode, decorrelate, indexes)
-            .map_err(lower_err)?;
+        let plan =
+            arc_plan::lower_program(p, &resolver, decorrelate, indexes).map_err(lower_err)?;
         Ok((plan, threads))
     }
 

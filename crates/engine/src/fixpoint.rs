@@ -417,14 +417,22 @@ pub(crate) fn collect_sources<'c>(c: &'c Collection, out: &mut Vec<&'c str>) {
     walk(&c.body, out);
 }
 
-/// Does the collection reference any of `names` under negation or inside a
-/// grouping scope (non-monotonic use → not stratifiable)?
+/// Does the collection reference any of `names` under negation, inside a
+/// grouping scope, or on the null-supplying side of an outer join
+/// (non-monotonic use → not stratifiable)? A new row on a padded side can
+/// *remove* a result — the `NULL`-padded row it now matches — exactly
+/// like a new row under `¬`.
 fn uses_nonmonotonically(c: &Collection, names: &HashSet<String>) -> bool {
     fn walk(f: &Formula, names: &HashSet<String>, neg: bool, grouped: bool) -> bool {
         match f {
             Formula::Quant(q) => {
                 let grouped = grouped || q.grouping.is_some();
+                let mut padded = Vec::new();
+                if let Some(tree) = &q.join {
+                    null_supplied(tree, &mut padded);
+                }
                 for b in &q.bindings {
+                    let neg = neg || padded.contains(&b.var.as_str());
                     match &b.source {
                         BindingSource::Named(n) => {
                             if names.contains(n) && (neg || grouped) {
@@ -446,6 +454,20 @@ fn uses_nonmonotonically(c: &Collection, names: &HashSet<String>) -> bool {
         }
     }
     walk(&c.body, names, false, false)
+}
+
+/// The variables of `tree` that an outer join may pad with `NULL`s: all
+/// of `left`'s right child and of both children of `full`.
+fn null_supplied<'t>(tree: &'t JoinTree, out: &mut Vec<&'t str>) {
+    match tree {
+        JoinTree::Var(_) | JoinTree::Lit(_) => {}
+        JoinTree::Inner(children) => children.iter().for_each(|c| null_supplied(c, out)),
+        JoinTree::Left(l, r) => {
+            null_supplied(l, out);
+            out.extend(r.vars());
+        }
+        JoinTree::Full(l, r) => out.extend(l.vars().into_iter().chain(r.vars())),
+    }
 }
 
 /// One [`Redirect`] per binding of `c` whose source has a delta

@@ -10,20 +10,20 @@
 //! equivalent under bag semantics while the LEFT JOIN + GROUP BY rewrite
 //! is not; Soufflé's `sum ∅ = 0` convention really flips Eq (15)'s result.
 //!
-//! The **reference strategy** is the paper's conceptual evaluation
+//! The **reference semantics** is the paper's conceptual evaluation
 //! (nested loops, §2.3): ARC is positioned as a reference language "in the
-//! opposite direction" of IRs, so fidelity beats speed. Faster execution
-//! plugs in *behind* that semantics through the `arc-plan` layer: by
-//! default ([`eval::EvalStrategy::Planned`]) every quantifier scope is
-//! planned — greedy join ordering by estimated cardinality, per-join
-//! hash/scan choice, predicate pushdown — and equi-join workloads drop
-//! from O(n·m) to O(n+m) with no configuration. The
-//! `ARC_EVAL_STRATEGY=nested-loop|hash-join` force-overrides pin one
-//! strategy everywhere (the whole test suite runs under all three), and
+//! opposite direction" of IRs, so fidelity beats speed. That reference
+//! lives outside this crate, in `arc_analysis::oracle` — a deliberately
+//! naive evaluator that shares no code with the engine — and every
+//! equivalence suite checks the engine against it. The engine itself has
+//! one execution mode: every quantifier scope is planned through
+//! `arc-plan` — greedy join ordering by estimated cardinality, per-join
+//! hash/scan choice, predicate pushdown — so equi-join workloads drop from
+//! O(n·m) to O(n+m) with no configuration, and
 //! `Engine::explain_collection`/`Engine::explain_program` render the plan.
-//! Recursion gets the same treatment on the fixpoint axis
-//! ([`fixpoint::FixpointStrategy`]: naive vs. semi-naive); the benchmark
-//! suite ablates both axes.
+//! Recursion is solved semi-naively, with naive iteration
+//! ([`fixpoint::FixpointStrategy`]) kept as the in-engine reference the
+//! fixpoint suites compare against.
 //!
 //! ```
 //! use arc_core::dsl::*;
@@ -67,7 +67,7 @@ pub mod relation;
 pub use catalog::Catalog;
 pub use error::{EvalError, Result};
 pub use eval::semijoin::semi_build_runs;
-pub use eval::{Engine, EvalStrategy};
+pub use eval::Engine;
 // Guard vocabulary callers need to drive `Engine::with_fault` /
 // `Engine::cancel_handle` without depending on `arc-guard` directly.
 pub use arc_guard::{seam, CancelHandle, FaultKind, FaultPlan};

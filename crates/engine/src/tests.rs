@@ -1487,32 +1487,24 @@ fn arithmetic_with_nulls_and_division() {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation strategies: hash join must be observably identical to the
-// nested-loop reference — tuple for tuple, in emission order
+// Hash joins: every equi-join the planner probes returns the rows the
+// paper's semantics gives, written out by hand (the workspace-level
+// `tests/oracle_equivalence.rs` checks the same against the oracle)
 // ---------------------------------------------------------------------------
+
+/// Assert `q` evaluates to exactly the bag `want` (row order aside).
+fn assert_rows(catalog: &Catalog, conv: Conventions, q: &Collection, want: &[&[i64]]) {
+    let out = Engine::new(catalog, conv).eval_collection(q).unwrap();
+    let attrs: Vec<&str> = out.schema.iter().map(String::as_str).collect();
+    assert_eq!(
+        sorted(&out),
+        sorted(&ints("want", &attrs, want)),
+        "{conv:?}: {q:?}"
+    );
+}
 
 mod strategy_equivalence {
     use super::*;
-    use crate::EvalStrategy;
-
-    /// Evaluate under both strategies and assert *exact* equality of the
-    /// row vectors (not just bag equality): the hash-join probe iterates
-    /// matches in original row order, so even emission order must agree.
-    fn assert_strategies_identical(catalog: &Catalog, conv: Conventions, q: &Collection) {
-        let reference = Engine::new(catalog, conv)
-            .with_strategy(EvalStrategy::NestedLoop)
-            .eval_collection(q)
-            .unwrap();
-        let hashed = Engine::new(catalog, conv)
-            .with_strategy(EvalStrategy::HashJoin)
-            .eval_collection(q)
-            .unwrap();
-        assert_eq!(reference.schema, hashed.schema);
-        assert_eq!(
-            reference.rows, hashed.rows,
-            "strategies diverged on {q:?}\nnested-loop:\n{reference}\nhash-join:\n{hashed}"
-        );
-    }
 
     fn join_catalog() -> Catalog {
         Catalog::new()
@@ -1528,9 +1520,8 @@ mod strategy_equivalence {
             ))
     }
 
-    #[test]
-    fn equijoin_identical_under_all_conventions() {
-        let q = collection(
+    fn equijoin() -> Collection {
+        collection(
             "Q",
             &["A", "C"],
             exists(
@@ -1541,38 +1532,30 @@ mod strategy_equivalence {
                     eq(col("r", "B"), col("s", "B")),
                 ]),
             ),
-        );
+        )
+    }
+
+    #[test]
+    fn equijoin_identical_under_all_conventions() {
         let catalog = join_catalog();
-        for conv in [
-            Conventions::sql(),
-            Conventions::set(),
-            Conventions::souffle(),
-        ] {
-            assert_strategies_identical(&catalog, conv, &q);
-        }
+        let bag: &[&[i64]] = &[&[2, 5], &[2, 6], &[2, 5], &[2, 6], &[3, 7]];
+        assert_rows(&catalog, Conventions::sql(), &equijoin(), bag);
+        let set: &[&[i64]] = &[&[2, 5], &[2, 6], &[3, 7]];
+        assert_rows(&catalog, Conventions::set(), &equijoin(), set);
+        assert_rows(&catalog, Conventions::souffle(), &equijoin(), set);
     }
 
     #[test]
     fn hash_join_actually_joins_something() {
-        // Guard against the strategies agreeing vacuously on empty output.
-        let q = collection(
-            "Q",
-            &["A", "C"],
-            exists(
-                &[bind("r", "R"), bind("s", "S")],
-                and([
-                    assign("Q", "A", col("r", "A")),
-                    assign("Q", "C", col("s", "C")),
-                    eq(col("r", "B"), col("s", "B")),
-                ]),
-            ),
-        );
-        let out = Engine::new(&join_catalog(), Conventions::sql())
-            .with_strategy(EvalStrategy::HashJoin)
-            .eval_collection(&q)
-            .unwrap();
+        // Guard against agreeing vacuously on empty output — and the
+        // planner must really probe.
+        let catalog = join_catalog();
+        let engine = Engine::new(&catalog, Conventions::sql());
+        let out = engine.eval_collection(&equijoin()).unwrap();
         // R(2,20) ×2 matches S(20,5),S(20,6) → 4 rows; R(3,30)→S(30,7) → 1.
         assert_eq!(out.len(), 5);
+        let plan = engine.explain_collection(&equijoin()).unwrap();
+        assert!(plan.contains("hash-probe"), "{plan}");
     }
 
     #[test]
@@ -1584,26 +1567,10 @@ mod strategy_equivalence {
         s.push(vec![Value::Null, Value::Int(9)]);
         s.push(vec![Value::Int(20), Value::Int(5)]);
         let catalog = Catalog::new().with(r).with(s);
-        let q = collection(
-            "Q",
-            &["A", "C"],
-            exists(
-                &[bind("r", "R"), bind("s", "S")],
-                and([
-                    assign("Q", "A", col("r", "A")),
-                    assign("Q", "C", col("s", "C")),
-                    eq(col("r", "B"), col("s", "B")),
-                ]),
-            ),
-        );
+        // NULL = NULL is not a match.
         for conv in [Conventions::sql(), Conventions::souffle()] {
-            assert_strategies_identical(&catalog, conv, &q);
+            assert_rows(&catalog, conv, &equijoin(), &[&[2, 5]]);
         }
-        let out = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::HashJoin)
-            .eval_collection(&q)
-            .unwrap();
-        assert_eq!(sorted(&out), vec![row(&[2, 5])]); // NULL = NULL is not a match
     }
 
     #[test]
@@ -1629,9 +1596,7 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        assert_strategies_identical(&catalog, Conventions::sql(), &q);
         let out = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::HashJoin)
             .eval_collection(&q)
             .unwrap();
         assert_eq!(out.len(), 1);
@@ -1641,8 +1606,8 @@ mod strategy_equivalence {
     #[test]
     fn nan_keys_never_hash_match() {
         // NaN is incomparable even to itself: compare() returns None, so
-        // the nested loop rejects NaN = NaN; hashing must too (raw bit
-        // keys would wrongly match).
+        // NaN = NaN is not true; hashing must agree (raw bit keys would
+        // wrongly match).
         let mut r = Relation::new("R", &["A"]);
         r.push(vec![Value::Float(f64::NAN)]);
         r.push(vec![Value::Float(1.5)]);
@@ -1661,9 +1626,7 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        assert_strategies_identical(&catalog, Conventions::sql(), &q);
         let out = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::HashJoin)
             .eval_collection(&q)
             .unwrap();
         assert_eq!(out.len(), 1); // only 1.5 = 1.5
@@ -1689,14 +1652,14 @@ mod strategy_equivalence {
             ),
         );
         for conv in [Conventions::sql(), Conventions::set()] {
-            assert_strategies_identical(&catalog, conv, &q);
+            assert_rows(&catalog, conv, &q, &[&[1, 0], &[2, 1], &[2, 2]]);
         }
     }
 
     #[test]
     fn non_equi_predicates_fall_back_and_agree() {
         // `<` cannot be hashed; the plan must cover only the equality and
-        // the inequality must still filter at the leaf.
+        // the inequality must still filter.
         let q = collection(
             "Q",
             &["A", "C"],
@@ -1710,7 +1673,8 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        assert_strategies_identical(&join_catalog(), Conventions::sql(), &q);
+        let want: &[&[i64]] = &[&[2, 5], &[2, 6], &[2, 5], &[2, 6], &[3, 7]];
+        assert_rows(&join_catalog(), Conventions::sql(), &q, want);
     }
 
     #[test]
@@ -1725,7 +1689,7 @@ mod strategy_equivalence {
                 and([assign("Q", "A", col("r", "A")), eq(col("r", "B"), int(20))]),
             ),
         );
-        assert_strategies_identical(&join_catalog(), Conventions::sql(), &q);
+        assert_rows(&join_catalog(), Conventions::sql(), &q, &[&[2], &[2]]);
     }
 
     #[test]
@@ -1745,14 +1709,14 @@ mod strategy_equivalence {
             ),
         );
         for conv in [Conventions::sql(), Conventions::set()] {
-            assert_strategies_identical(&join_catalog(), conv, &q);
+            assert_rows(&join_catalog(), conv, &q, &[&[2, 4], &[3, 1]]);
         }
     }
 
     #[test]
     fn correlated_nested_scope_probes_outer_vars() {
         // NOT EXISTS-style correlated scope: the inner quantifier's
-        // equality references the outer row, so the hash plan keys on an
+        // equality references the outer row, so the probe keys on an
         // outer-environment expression.
         let q = collection(
             "Q",
@@ -1768,15 +1732,14 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        assert_strategies_identical(&join_catalog(), Conventions::sql(), &q);
+        assert_rows(&join_catalog(), Conventions::sql(), &q, &[&[1], &[4]]);
     }
 
     #[test]
     fn shadowed_variable_names_do_not_mislead_the_probe() {
         // An inner scope rebinds `r`, shadowing the outer `r ∈ R`. The
         // probe key for `s` must NOT be computed from the outer `r` (the
-        // sibling `r ∈ R2` shadows it); the plan must be dropped so the
-        // leaf filter sees the inner binding, exactly like the reference.
+        // sibling `r ∈ R2` shadows it).
         let catalog = Catalog::new()
             .with(ints("R", &["A"], &[&[1]]))
             .with(ints("R2", &["A"], &[&[2]]))
@@ -1795,21 +1758,15 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        assert_strategies_identical(&catalog, Conventions::sql(), &q);
-        let out = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::HashJoin)
-            .eval_collection(&q)
-            .unwrap();
         // Inner r ∈ R2 has A=2 which matches S.B=2, so the outer row
         // survives; probing with the outer r.A=1 would wrongly drop it.
-        assert_eq!(sorted(&out), vec![row(&[1])]);
+        assert_rows(&catalog, Conventions::sql(), &q, &[&[1]]);
     }
 
     #[test]
     fn error_paths_are_identical_across_strategies() {
-        // A bad attribute reference in an equality filter must surface (or
-        // not surface) identically: the nested loop only errors when
-        // enumeration actually reaches the filter, so the hash planner
+        // A bad attribute reference in an equality filter surfaces only
+        // when enumeration actually reaches the filter, so the planner
         // must not evaluate such an expression eagerly as a probe key.
         let q = collection(
             "Q",
@@ -1822,76 +1779,36 @@ mod strategy_equivalence {
                 ]),
             ),
         );
-        // Case 1: S empty — the filter is never evaluated; both must be Ok.
+        // Case 1: S empty — the filter is never evaluated.
         let catalog = Catalog::new()
             .with(ints("R", &["A"], &[&[1]]))
             .with(Relation::new("S", &["B"]));
-        for strategy in [EvalStrategy::NestedLoop, EvalStrategy::HashJoin] {
-            let out = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .eval_collection(&q)
-                .unwrap();
-            assert!(out.is_empty(), "{strategy:?}");
-        }
-        // Case 2: S non-empty — both must report the same error.
+        let out = Engine::new(&catalog, Conventions::sql())
+            .eval_collection(&q)
+            .unwrap();
+        assert!(out.is_empty());
+        // Case 2: S non-empty — the error surfaces.
         let catalog =
             Catalog::new()
                 .with(ints("R", &["A"], &[&[1]]))
                 .with(ints("S", &["B"], &[&[2]]));
-        for strategy in [EvalStrategy::NestedLoop, EvalStrategy::HashJoin] {
-            let err = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .eval_collection(&q)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::UnknownAttribute {
-                    var: "r".into(),
-                    attr: "NOPE".into()
-                },
-                "{strategy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn env_override_selects_strategy() {
-        // `Engine::new` consults ARC_EVAL_STRATEGY/ARC_PLAN; `with_strategy`
-        // wins regardless. (The suite itself is run under both settings in
-        // CI.)
-        let catalog = join_catalog();
-        let e = Engine::new(&catalog, Conventions::sql());
-        assert_eq!(e.strategy(), EvalStrategy::from_env());
-        let e = e.with_strategy(EvalStrategy::HashJoin);
-        assert_eq!(e.strategy(), Ok(EvalStrategy::HashJoin));
-    }
-
-    #[test]
-    fn config_typo_surfaces_as_engine_error_not_panic() {
-        // A typo'd ARC_EVAL_STRATEGY must fail evaluation with a
-        // descriptive engine error (see `EvalStrategy::parse` for the pure
-        // parsing tests — process env vars are racy under parallel tests,
-        // so this test injects the parse failure directly).
-        let parsed = EvalStrategy::parse(Some("hash-jion"), None);
-        let msg = parsed.unwrap_err();
-        let catalog = join_catalog();
-        let mut engine = Engine::new(&catalog, Conventions::sql());
-        engine.set_strategy_result(Err(EvalError::Config(msg.clone())));
-        let q = collection(
-            "Q",
-            &["A"],
-            exists(&[bind("r", "R")], and([assign("Q", "A", col("r", "A"))])),
+        let err = Engine::new(&catalog, Conventions::sql())
+            .eval_collection(&q)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::UnknownAttribute {
+                var: "r".into(),
+                attr: "NOPE".into()
+            }
         );
-        let err = engine.eval_collection(&q).unwrap_err();
-        assert_eq!(err, EvalError::Config(msg));
-        assert!(err.to_string().contains("hash-jion"), "{err}");
     }
 
     #[test]
     fn threads_typo_surfaces_as_engine_error_not_panic() {
-        // Same deferred-error story for ARC_THREADS (pure parsing is
-        // tested in arc-exec; the env var itself is racy under parallel
-        // tests, so the failure is injected).
+        // A malformed ARC_THREADS fails evaluation with a descriptive
+        // engine error (pure parsing is tested in arc-exec; the env var
+        // itself is racy under parallel tests, so the failure is injected).
         let msg = arc_exec::parse_threads(Some("many")).unwrap_err();
         let catalog = join_catalog();
         let mut engine = Engine::new(&catalog, Conventions::sql());
@@ -1923,38 +1840,17 @@ mod strategy_equivalence {
 }
 
 // ---------------------------------------------------------------------------
-// The planned pipeline (arc-plan): per-operator strategy choice, join
-// reordering, predicate pushdown — bag-identical to the reference
+// The planned pipeline (arc-plan): per-operator access choice, join
+// reordering, predicate pushdown — the same bag as the paper's nested
+// loops, here written out by hand
 // ---------------------------------------------------------------------------
 
 mod planned_pipeline {
     use super::*;
-    use crate::EvalStrategy;
-
-    /// Evaluate under the planned pipeline and the nested-loop reference
-    /// and assert bag equality (join reordering legitimately changes
-    /// enumeration order, so exact row-vector equality is not required —
-    /// the multiset is).
-    fn assert_planned_matches_reference(catalog: &Catalog, conv: Conventions, q: &Collection) {
-        let reference = Engine::new(catalog, conv)
-            .with_strategy(EvalStrategy::NestedLoop)
-            .eval_collection(q)
-            .unwrap();
-        let planned = Engine::new(catalog, conv)
-            .with_strategy(EvalStrategy::Planned)
-            .eval_collection(q)
-            .unwrap();
-        assert_eq!(reference.schema, planned.schema);
-        assert!(
-            reference.bag_eq(&planned),
-            "planned diverged on {q:?}\nreference:\n{reference}\nplanned:\n{planned}"
-        );
-    }
 
     fn skew_catalog() -> Catalog {
         // Deliberately skewed cardinalities so the greedy ordering must
-        // reorder (T ≪ S ≪ R) to behave differently from declaration
-        // order.
+        // reorder (T ≪ S ≪ R) away from declaration order.
         let mut r = Vec::new();
         for i in 0..60i64 {
             r.push(vec![Value::Int(i), Value::Int(i % 10)]);
@@ -1967,6 +1863,11 @@ mod planned_pipeline {
             .with(Relation::from_rows("R", &["A", "B"], r))
             .with(Relation::from_rows("S", &["B", "C"], s))
             .with(ints("T", &["C", "D"], &[&[3, 0], &[5, 1]]))
+    }
+
+    /// `R.A` values `< 60` with `A mod 10 = b`, each paired with `d`.
+    fn r_with_b(b: i64, d: i64) -> impl Iterator<Item = [i64; 2]> {
+        (0..60).filter(move |a| a % 10 == b).map(move |a| [a, d])
     }
 
     #[test]
@@ -1984,22 +1885,24 @@ mod planned_pipeline {
                 ]),
             ),
         );
+        // t(3,0) meets s(3,3) and t(5,1) meets s(5,5).
+        let want: Vec<[i64; 2]> = r_with_b(3, 0).chain(r_with_b(5, 1)).collect();
+        let want: Vec<&[i64]> = want.iter().map(|r| &r[..]).collect();
         for conv in [
             Conventions::sql(),
             Conventions::set(),
             Conventions::souffle(),
         ] {
-            assert_planned_matches_reference(&skew_catalog(), conv, &q);
+            assert_rows(&skew_catalog(), conv, &q, &want);
         }
     }
 
     #[test]
     fn planned_joins_auto_select_hash_without_env() {
-        // The acceptance criterion of the plan layer: equi-joins probe
-        // without any ARC_EVAL_STRATEGY override. Asserted through EXPLAIN
-        // (with_strategy keeps this test independent of the process env).
+        // The plan layer's acceptance check: equi-joins probe
+        // with no configuration at all. Asserted through EXPLAIN.
         let catalog = skew_catalog();
-        let engine = Engine::new(&catalog, Conventions::sql()).with_strategy(EvalStrategy::Planned);
+        let engine = Engine::new(&catalog, Conventions::sql());
         let q = collection(
             "Q",
             &["A"],
@@ -2013,19 +1916,12 @@ mod planned_pipeline {
         );
         let plan = engine.explain_collection(&q).unwrap();
         assert!(plan.contains("hash-probe"), "{plan}");
-        // And the forced reference never does.
-        let reference = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::NestedLoop)
-            .explain_collection(&q)
-            .unwrap();
-        assert!(!reference.contains("hash-probe"), "{reference}");
-        assert!(reference.contains("scan"), "{reference}");
     }
 
     #[test]
     fn pushdown_filters_scopes_with_selections() {
         // A selective constant filter lands on the scan step, not the
-        // leaf, and results match the reference.
+        // leaf, and the rows are the paper's.
         let catalog = skew_catalog();
         let q = collection(
             "Q",
@@ -2040,24 +1936,31 @@ mod planned_pipeline {
                 ]),
             ),
         );
-        assert_planned_matches_reference(&catalog, Conventions::sql(), &q);
+        let want: &[&[i64]] = &[
+            &[0, 0],
+            &[0, 10],
+            &[1, 1],
+            &[1, 11],
+            &[2, 2],
+            &[3, 3],
+            &[4, 4],
+            &[5, 5],
+            &[6, 6],
+        ];
+        assert_rows(&catalog, Conventions::sql(), &q, want);
         // With ordered indexes enabled, the selective bound is consumed
         // by the index-range access path instead of running as a filter
         // at all (analyze() + with_indexes pin the statistics and index
         // state against the ARC_STATS/ARC_INDEX suite re-runs).
         let mut catalog = catalog;
         catalog.analyze();
-        let engine = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
-            .with_indexes(true);
+        let engine = Engine::new(&catalog, Conventions::sql()).with_indexes(true);
         let plan = engine.explain_collection(&q).unwrap();
         assert!(plan.contains("index-range on [A..]"), "{plan}");
         assert!(!plan.contains("residual: r.A < 7"), "{plan}");
         // With indexes off, the filter line must still appear nested
         // under a step, not as a residual.
-        let engine = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
-            .with_indexes(false);
+        let engine = Engine::new(&catalog, Conventions::sql()).with_indexes(false);
         let plan = engine.explain_collection(&q).unwrap();
         assert!(plan.contains("filter: r.A < 7"), "{plan}");
         assert!(!plan.contains("residual: r.A < 7"), "{plan}");
@@ -2066,7 +1969,8 @@ mod planned_pipeline {
     #[test]
     fn correlated_grouped_and_negated_scopes_match_reference() {
         let catalog = skew_catalog();
-        // Grouped aggregate over a join.
+        // Grouped aggregate over a join: six R rows per B, joined with the
+        // two S rows of B ∈ {0, 1} and the one of every other B.
         let grouped = collection(
             "Q",
             &["B", "ct"],
@@ -2081,7 +1985,9 @@ mod planned_pipeline {
                 ]),
             ),
         );
-        // NOT EXISTS with a correlated probe.
+        let want: Vec<[i64; 2]> = (0..10).map(|b| [b, if b < 2 { 12 } else { 6 }]).collect();
+        let want: Vec<&[i64]> = want.iter().map(|r| &r[..]).collect();
+        // NOT EXISTS with a correlated probe: every R.B has an S row.
         let negated = collection(
             "Q",
             &["A"],
@@ -2096,18 +2002,17 @@ mod planned_pipeline {
                 ]),
             ),
         );
-        for q in [&grouped, &negated] {
-            for conv in [Conventions::sql(), Conventions::set()] {
-                assert_planned_matches_reference(&catalog, conv, q);
-            }
+        for conv in [Conventions::sql(), Conventions::set()] {
+            assert_rows(&catalog, conv, &grouped, &want);
+            assert_rows(&catalog, conv, &negated, &[]);
         }
     }
 
     #[test]
     fn planned_error_paths_match_reference() {
         // The pushdown validator must leave unresolvable filters at the
-        // leaf so errors surface (or stay silent) exactly like the
-        // reference — same contract the hash-join strategy already obeys.
+        // leaf so errors surface (or stay silent) exactly as the nested
+        // loops would.
         let q = collection(
             "Q",
             &["A"],
@@ -2123,7 +2028,6 @@ mod planned_pipeline {
             .with(ints("R", &["A"], &[&[1]]))
             .with(Relation::new("S", &["B"]));
         let out = Engine::new(&empty_s, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .eval_collection(&q)
             .unwrap();
         assert!(out.is_empty());
@@ -2132,7 +2036,6 @@ mod planned_pipeline {
                 .with(ints("R", &["A"], &[&[1]]))
                 .with(ints("S", &["B"], &[&[2]]));
         let err = Engine::new(&full_s, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .eval_collection(&q)
             .unwrap_err();
         assert_eq!(
@@ -2165,7 +2068,7 @@ mod planned_pipeline {
         let catalog = Catalog::new()
             .with(ints("Base", &["A"], &[&[1]]))
             .with(ints("R", &["A"], &[&[9]])); // shadowed by the definition
-        let engine = Engine::new(&catalog, Conventions::set()).with_strategy(EvalStrategy::Planned);
+        let engine = Engine::new(&catalog, Conventions::set());
         // Evaluation succeeds through the definition (catalog R has no X).
         let out = engine.eval_program(&program).unwrap();
         assert_eq!(sorted(out.query.as_ref().unwrap()), vec![row(&[1])]);
@@ -2201,7 +2104,7 @@ mod planned_pipeline {
         let program =
             Program::default().with_definition(arc_core::ast::Definition { collection: anc });
         let catalog = Catalog::new().with(ints("P", &["s", "t"], &[&[1, 2], &[2, 3]]));
-        let engine = Engine::new(&catalog, Conventions::set()).with_strategy(EvalStrategy::Planned);
+        let engine = Engine::new(&catalog, Conventions::set());
         let plan = engine.explain_program(&program).unwrap();
         assert!(plan.contains("fixpoint [A]"), "{plan}");
         assert!(plan.contains("union"), "{plan}");

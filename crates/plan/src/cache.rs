@@ -2,8 +2,8 @@
 //!
 //! Planning a scope is pure — the [`ScopePlan`] depends only on the scope
 //! *structure* (bindings, source shapes, filters), the statistics visible
-//! at plan time, the outer-variable availability, and the [`PlanMode`].
-//! That makes plans cacheable at two levels:
+//! at plan time, and the outer-variable availability. That makes plans
+//! cacheable at two levels:
 //!
 //! * **per evaluation context** — a correlated scope re-enters the
 //!   planner once per outer row with identical inputs; the engine caches
@@ -24,7 +24,7 @@
 //! ## What the keys contain — and what staleness means
 //!
 //! A [`PlanKey`] is the [`scope_fingerprint`], the catalog's **statistics
-//! epoch**, the plan mode and the two role bits. The fingerprint covers,
+//! epoch** and the two role bits. The fingerprint covers,
 //! per binding, the range variable, the kind of source, its **name**, its
 //! schema, its **row count** and the [`Basis`](crate::scope::Basis) of
 //! the estimator's answers about it; per filter, the predicate's
@@ -70,7 +70,7 @@
 //! The hashes are 128-bit (two independent FNV-1a streams), so accidental
 //! collisions are out of the picture for any realistic cache population.
 
-use crate::physical::{each_constant_fraction, PlanMode, ScopePlan};
+use crate::physical::{each_constant_fraction, ScopePlan};
 use crate::scope::{Basis, PlanError, ScopeSpec, SourceSpec};
 use arc_core::ast::{AggArg, AttrRef, Predicate, Scalar};
 use arc_core::value::Value;
@@ -295,8 +295,8 @@ pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
     h.finish()
 }
 
-/// The global plan-cache key: scope fingerprint + statistics epoch + plan
-/// mode + role bits.
+/// The global plan-cache key: scope fingerprint + statistics epoch + role
+/// bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PlanKey {
     /// [`scope_fingerprint`] of the scope being planned.
@@ -308,8 +308,6 @@ struct PlanKey {
     /// epoch, so their statistics-driven plans can't cross-pollute. `0`
     /// means "no statistics have ever been attached".
     epoch: u64,
-    /// The planning mode (force modes plan differently by design).
-    mode: PlanMode,
     /// Whether the scope was planned in the boolean (decorrelatable) role
     /// ([`crate::physical::plan_scope_boolean`]): the same scope structure
     /// plans differently as a build pipeline than as an emitting scope,
@@ -392,13 +390,11 @@ pub fn global_clear() {
 pub fn scope_plan(
     spec: &ScopeSpec<'_>,
     epoch: u64,
-    mode: PlanMode,
     boolean: bool,
 ) -> Result<(Arc<ScopePlan>, bool), PlanError> {
     let key = PlanKey {
         scope: scope_fingerprint(spec),
         epoch,
-        mode,
         decor: boolean,
         indexes: spec.indexes,
     };
@@ -406,9 +402,9 @@ pub fn scope_plan(
         return Ok((plan, false));
     }
     let plan = Arc::new(if boolean {
-        crate::physical::plan_scope_boolean(spec, mode)?
+        crate::physical::plan_scope_boolean(spec)?
     } else {
-        crate::physical::plan_scope(spec, mode)?
+        crate::physical::plan_scope(spec)?
     });
     global_store(key, plan.clone());
     if boolean && plan.decorrelation.is_none() {
@@ -515,11 +511,11 @@ mod tests {
     fn global_cache_round_trips() {
         let schema: Vec<String> = vec!["Zq".into()]; // a schema no other test plans
         let spec = spec(&schema, 5, &[], &NoOuter);
-        let (first, planned) = scope_plan(&spec, 0, PlanMode::Auto, false).unwrap();
+        let (first, planned) = scope_plan(&spec, 0, false).unwrap();
         assert!(planned);
-        let (again, planned) = scope_plan(&spec, 0, PlanMode::Auto, false).unwrap();
+        let (again, planned) = scope_plan(&spec, 0, false).unwrap();
         assert!(!planned && Arc::ptr_eq(&first, &again));
-        let (other_epoch, planned) = scope_plan(&spec, 1, PlanMode::Auto, false).unwrap();
+        let (other_epoch, planned) = scope_plan(&spec, 1, false).unwrap();
         assert!(planned);
         assert_eq!(*other_epoch, *first);
     }

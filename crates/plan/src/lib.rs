@@ -28,12 +28,9 @@
 //! cardinality, honoring external/abstract/lateral placement constraints)
 //! → **per-operator access selection** (each join step independently picks
 //! a hash probe or a scan) → **predicate pushdown** (each filter runs at
-//! the earliest step where its variables are bound). The force modes
-//! ([`physical::PlanMode::ForceNestedLoop`]/[`ForceHashJoin`]) pin
-//! declaration order and leaf filters so the engine's strategy-equivalence
-//! suite keeps its tuple-for-tuple guarantee.
-//!
-//! [`ForceHashJoin`]: physical::PlanMode::ForceHashJoin
+//! the earliest step where its variables are bound). There is one
+//! planning mode: what a plan must preserve is the paper's meaning, which
+//! `arc_analysis::oracle` defines independently of this crate.
 //!
 //! The crate depends only on `arc-core`: the engine implements the small
 //! [`scope::OuterScope`] / [`scope::DistinctEstimator`] /
@@ -60,12 +57,12 @@ pub use logical::const_cmp;
 pub use normalize::{normalize_collection, normalize_formula};
 pub use physical::{
     bucketed, decorrelatable_shape, estimates, plan_scope, plan_scope_boolean, planner_runs,
-    Access, CorrelatedKey, Decorrelation, EqInput, Estimates, PlanMode, ProbeKey, ScopePlan, Step,
+    Access, CorrelatedKey, Decorrelation, EqInput, Estimates, ProbeKey, ScopePlan, Step,
     INDEX_MAX_FRACTION, PARALLEL_MIN_ROWS, SELECTIVITY_BUCKET_BITS,
 };
 pub use query::{
-    lower_collection, lower_collection_opts, lower_program, lower_program_opts, scope_identity,
-    LowerError, PlanNode, ResolvedSource, SourceKind, SourceResolver,
+    lower_collection, lower_program, scope_identity, LowerError, PlanNode, ResolvedSource,
+    SourceKind, SourceResolver,
 };
 pub use scope::{
     Basis, BindingSpec, DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec,

@@ -3,10 +3,7 @@
 //! [`plan_scope`] turns a [`ScopeSpec`] into an executable [`ScopePlan`]:
 //!
 //! 1. **equality extraction** ([`crate::logical::extract_equalities`]);
-//! 2. **join ordering** — greedy by estimated cardinality under
-//!    [`PlanMode::Auto`], declaration order under the force modes (which
-//!    exist so the engine's strategy-equivalence suite keeps its
-//!    tuple-for-tuple, *same emission order* guarantee). Estimates are
+//! 2. **join ordering** — greedy by estimated cardinality. Estimates are
 //!    statistics-aware when the host supplies a
 //!    [`DistinctEstimator`](crate::scope::DistinctEstimator) backed by
 //!    `ANALYZE` sketches: scans shrink by the MCV/histogram selectivity
@@ -18,9 +15,7 @@
 //!    already-placed or outer variables, and a plain [`Access::Scan`]
 //!    otherwise;
 //! 4. **predicate pushdown** — each filter is scheduled at the earliest
-//!    step where all its variables are bound (Auto only; the force modes
-//!    evaluate every filter at the leaf, like the paper's reference
-//!    semantics).
+//!    step where all its variables are bound.
 //!
 //! Boolean quantifier scopes (the `semi-join ∃` / `anti-join ¬∃` roles of
 //! `EXISTS`-shaped subformulas) additionally run the **decorrelation
@@ -43,9 +38,9 @@
 //! data-independent errors (`UnknownAttribute` is the only one scalar
 //! evaluation can raise eagerly — arithmetic is total and null-poisoning)
 //! surface exactly when the reference nested loop would surface them.
-//! Join *reordering* changes enumeration order, so `Auto` results are
-//! bag-identical — not order-identical — to the reference; the force modes
-//! preserve order exactly.
+//! Join *reordering* changes enumeration order, so results are
+//! bag-identical — not order-identical — to the paper's nested loops (the
+//! `arc_analysis::oracle` reference).
 
 use crate::analysis::{formula_free_vars, Parts};
 use crate::logical::{const_cmp, eq_sides, extract_equalities, other_side, EqEdge};
@@ -55,24 +50,6 @@ use crate::scope::{
 };
 use arc_core::ast::{CmpOp, Predicate, Quant, Scalar};
 use arc_core::value::Value;
-
-/// How a scope is planned. Maps one-to-one onto the engine's
-/// `EvalStrategy`: the env-var force overrides pin both the join order
-/// (declaration order) and the access choice, so the whole test suite can
-/// be replayed under either fixed strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlanMode {
-    /// Cost-based: greedy join ordering by estimated cardinality,
-    /// per-operator hash/scan choice, predicate pushdown.
-    #[default]
-    Auto,
-    /// Declaration order, scans only, all filters at the leaf — the
-    /// paper-faithful reference (§2.3).
-    ForceNestedLoop,
-    /// Declaration order, hash probes wherever an equality edge allows,
-    /// all filters at the leaf — PR 1's global hash-join strategy.
-    ForceHashJoin,
-}
 
 /// A reference to one orientation of an equality filter: the probe/input
 /// expression is the *other* side of `filters[filter]`.
@@ -229,7 +206,7 @@ pub struct ScopePlan {
     /// before the first step.
     pub prelude_filters: Vec<usize>,
     /// Filters evaluated only when every binding is bound (non-pushable:
-    /// unresolved variables/attributes, or force modes).
+    /// unresolved variables/attributes).
     pub leaf_filters: Vec<usize>,
     /// Present when this plan is the build side of a set-level semi/anti
     /// join (boolean scopes planned by [`plan_scope_boolean`] whose
@@ -412,26 +389,24 @@ pub fn planner_runs() -> u64 {
 }
 
 /// Plan one quantifier scope. See the module docs for the pass pipeline.
-pub fn plan_scope(spec: &ScopeSpec<'_>, mode: PlanMode) -> Result<ScopePlan, PlanError> {
+pub fn plan_scope(spec: &ScopeSpec<'_>) -> Result<ScopePlan, PlanError> {
     runs_counter().inc();
-    plan_scope_impl(spec, mode, &[])
+    plan_scope_impl(spec, &[])
 }
 
 /// Plan a *boolean* quantifier scope (`∃` / `¬∃` truth, no emission):
-/// under [`PlanMode::Auto`] this first runs the decorrelation pass, and
-/// when the scope's correlation with the outer environment is a pure
-/// equi-join the returned plan describes the build pipeline and carries a
+/// this first runs the decorrelation pass, and when the scope's
+/// correlation with the outer environment is a pure equi-join the
+/// returned plan describes the build pipeline and carries a
 /// [`Decorrelation`] (see [`ScopePlan::decorrelation`]). Everything else —
-/// force modes, non-equi correlation, placements that need the outer
-/// environment — falls back to the ordinary [`plan_scope`] result.
-pub fn plan_scope_boolean(spec: &ScopeSpec<'_>, mode: PlanMode) -> Result<ScopePlan, PlanError> {
+/// non-equi correlation, placements that need the outer environment —
+/// falls back to the ordinary [`plan_scope`] result.
+pub fn plan_scope_boolean(spec: &ScopeSpec<'_>) -> Result<ScopePlan, PlanError> {
     runs_counter().inc();
-    if mode == PlanMode::Auto {
-        if let Some(plan) = try_decorrelate(spec) {
-            return Ok(plan);
-        }
+    if let Some(plan) = try_decorrelate(spec) {
+        return Ok(plan);
     }
-    plan_scope_impl(spec, mode, &[])
+    plan_scope_impl(spec, &[])
 }
 
 /// Structural eligibility of a boolean quantifier scope for set-level
@@ -582,8 +557,7 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
         keys,
         probe_filters,
     };
-    let mut plan =
-        plan_scope_impl(&build_spec(spec), PlanMode::Auto, &decorrelation.masked()).ok()?;
+    let mut plan = plan_scope_impl(&build_spec(spec), &decorrelation.masked()).ok()?;
     plan.decorrelation = Some(decorrelation);
     Some(plan)
 }
@@ -616,17 +590,17 @@ pub struct Estimates {
     pub keys: Option<u64>,
 }
 
-/// Price `plan` — planned for `spec` under `mode` — for display: every
-/// step as the planner priced it when it placed it, with raw fractions
-/// in place of bucketed ones.
-pub fn estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan, mode: PlanMode) -> Estimates {
+/// Price `plan` — planned for `spec` — for display: every step as the
+/// planner priced it when it placed it, with raw fractions in place of
+/// bucketed ones.
+pub fn estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan) -> Estimates {
     let Some(dec) = &plan.decorrelation else {
         return Estimates {
-            steps: step_estimates(spec, plan, mode, &[]),
+            steps: step_estimates(spec, plan, &[]),
             keys: None,
         };
     };
-    let steps = step_estimates(&build_spec(spec), plan, PlanMode::Auto, &dec.masked());
+    let steps = step_estimates(&build_spec(spec), plan, &dec.masked());
     let build_rows = steps
         .iter()
         .fold(1u64, |acc, est| acc.saturating_mul((*est).max(1)));
@@ -636,12 +610,7 @@ pub fn estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan, mode: PlanMode) -> Esti
     }
 }
 
-fn step_estimates(
-    spec: &ScopeSpec<'_>,
-    plan: &ScopePlan,
-    mode: PlanMode,
-    masked: &[usize],
-) -> Vec<u64> {
+fn step_estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan, masked: &[usize]) -> Vec<u64> {
     let edges = unmasked_equalities(spec, masked);
     let order = plan.binding_order();
     plan.steps
@@ -651,7 +620,6 @@ fn step_estimates(
             let placement = Placement {
                 spec,
                 edges: &edges,
-                mode,
                 masked,
                 placed: &order[..i],
                 pricing: Pricing::Display,
@@ -708,11 +676,7 @@ fn unmasked_equalities<'a>(spec: &ScopeSpec<'a>, masked: &[usize]) -> Vec<EqEdge
 /// pass — they can neither drive probe keys / external inputs nor be
 /// scheduled anywhere — because the caller enforces them elsewhere (the
 /// decorrelated probe).
-fn plan_scope_impl(
-    spec: &ScopeSpec<'_>,
-    mode: PlanMode,
-    masked: &[usize],
-) -> Result<ScopePlan, PlanError> {
+fn plan_scope_impl(spec: &ScopeSpec<'_>, masked: &[usize]) -> Result<ScopePlan, PlanError> {
     let edges = unmasked_equalities(spec, masked);
     let mut remaining: Vec<usize> = (0..spec.bindings.len()).collect();
     let mut placed: Vec<usize> = Vec::with_capacity(remaining.len()); // in step order
@@ -722,29 +686,19 @@ fn plan_scope_impl(
         let placement = Placement {
             spec,
             edges: &edges,
-            mode,
             masked,
             placed: &placed,
             pricing: Pricing::Plan,
         };
+        // Greedy: strictly smaller estimated cardinality wins; ties keep
+        // declaration order (remaining is ordered).
         let mut best: Option<Candidate> = None;
         for &bi in &remaining {
             let Some(c) = placement.candidate(bi) else {
                 continue;
             };
-            match mode {
-                // Declaration order: the first placeable binding wins.
-                PlanMode::ForceNestedLoop | PlanMode::ForceHashJoin => {
-                    best = Some(c);
-                    break;
-                }
-                // Greedy: strictly smaller estimated cardinality wins;
-                // ties keep declaration order (remaining is ordered).
-                PlanMode::Auto => {
-                    if best.as_ref().is_none_or(|b| c.cost < b.cost) {
-                        best = Some(c);
-                    }
-                }
+            if best.as_ref().is_none_or(|b| c.cost < b.cost) {
+                best = Some(c);
             }
         }
         let Some(c) = best else {
@@ -768,7 +722,7 @@ fn plan_scope_impl(
         leaf_filters: Vec::new(),
         decorrelation: None,
     };
-    assign_filters(spec, mode, masked, &mut plan);
+    assign_filters(spec, masked, &mut plan);
     Ok(plan)
 }
 
@@ -778,7 +732,6 @@ struct Placement<'p, 'a> {
     spec: &'p ScopeSpec<'a>,
     /// The scope's (unmasked) equality edges.
     edges: &'p [EqEdge<'a>],
-    mode: PlanMode,
     masked: &'p [usize],
     /// Binding indices placed so far, in step order.
     placed: &'p [usize],
@@ -815,8 +768,8 @@ impl Placement<'_, '_> {
     /// (the shared determination rule for external access patterns and
     /// abstract relations), or `None` when any attribute is
     /// undetermined. The expressions are evaluated eagerly at enumeration
-    /// time under *every* mode, so only variable reachability is required
-    /// (attribute errors surface identically either way).
+    /// time, so only variable reachability is required (attribute errors
+    /// surface as they would at the leaf).
     fn determined_inputs<'s>(
         &self,
         var: &str,
@@ -888,28 +841,23 @@ impl Placement<'_, '_> {
         schema: &[String],
         rows: Option<usize>,
     ) -> (Access, f64) {
-        let (spec, mode, masked) = (self.spec, self.mode, self.masked);
+        let (spec, masked) = (self.spec, self.masked);
         let priced = spec.estimator.map(|est| Priced {
             est,
             pricing: self.pricing,
         });
         let keys = self.probe_keys(var, schema);
         let rows_f = rows.unwrap_or(DEFAULT_ROWS) as f64;
-        if keys.is_empty() || mode == PlanMode::ForceNestedLoop {
+        if keys.is_empty() {
             // Statistics-scaled scan: constant comparisons on this
             // binding shrink the estimate (MCV / histogram selectivity)
             // when stats exist — without statistics the product is 1 and
             // the cost is the plain row count, as ever.
             let sel = const_selectivity(spec, priced, bi, var, schema, masked);
-            // Under Auto, a selective constant bound prefix upgrades the
-            // scan to an index-range walk over the same rows (the
-            // estimate is unchanged — the access path is, not the
-            // output).
-            let access = if mode == PlanMode::Auto {
-                index_candidate(spec, bi, var, schema, masked).unwrap_or(Access::Scan)
-            } else {
-                Access::Scan
-            };
+            // A selective constant bound prefix upgrades the scan to an
+            // index-range walk over the same rows (the estimate is
+            // unchanged — the access path is, not the output).
+            let access = index_candidate(spec, bi, var, schema, masked).unwrap_or(Access::Scan);
             return (access, rows_f * sel);
         }
         // Probe cost: constant-keyed columns use their measured equality
@@ -919,7 +867,7 @@ impl Placement<'_, '_> {
         let mut var_cols: Vec<usize> = Vec::new();
         let mut probed: Vec<usize> = masked.to_vec();
         let mut cost = rows_f;
-        let mut all_const = mode == PlanMode::Auto;
+        let mut all_const = true;
         for k in &keys {
             probed.push(k.eq.filter);
             let probe = other_side(spec.filters[k.eq.filter], k.eq.attr_on_left);
@@ -1225,12 +1173,7 @@ fn slot_of(spec: &ScopeSpec<'_>, steps: &[Step], p: &Predicate) -> Slot {
 /// outer-only filters, after step *i* when the latest local variable binds
 /// at step *i*, and at the leaf when a variable or attribute cannot be
 /// resolved at plan time (preserving the reference's lazy error surfacing).
-/// The force modes keep everything at the leaf.
-fn assign_filters(spec: &ScopeSpec<'_>, mode: PlanMode, masked: &[usize], plan: &mut ScopePlan) {
-    if mode != PlanMode::Auto {
-        plan.leaf_filters = (0..spec.filters.len()).collect();
-        return;
-    }
+fn assign_filters(spec: &ScopeSpec<'_>, masked: &[usize], plan: &mut ScopePlan) {
     for (i, p) in spec.filters.iter().enumerate() {
         if masked.contains(&i) {
             // Masked filters (decorrelated correlated keys and probe
@@ -1305,7 +1248,7 @@ mod tests {
             estimator: None,
             indexes: true,
         };
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         // The small relation scans first; the big one is hash-probed.
         assert_eq!(plan.binding_order(), vec![1, 0]);
         assert!(matches!(plan.steps[1].access, Access::HashProbe { .. }));
@@ -1313,48 +1256,6 @@ mod tests {
         // neither on a step nor at the leaf.
         assert!(plan.steps.iter().all(|s| s.filters.is_empty()));
         assert!(plan.leaf_filters.is_empty());
-    }
-
-    #[test]
-    fn force_modes_keep_declaration_order_and_leaf_filters() {
-        let rs = schema(&["A", "B"]);
-        let ss = schema(&["B", "C"]);
-        let join = pred(eq(col("r", "B"), col("s", "B")));
-        let filters: Vec<&Predicate> = vec![&join];
-        let spec = ScopeSpec {
-            bindings: vec![
-                BindingSpec {
-                    var: "r",
-                    source: SourceSpec::Relation {
-                        name: "T",
-                        schema: &rs,
-                        rows: Some(1000),
-                    },
-                },
-                BindingSpec {
-                    var: "s",
-                    source: SourceSpec::Relation {
-                        name: "T",
-                        schema: &ss,
-                        rows: Some(10),
-                    },
-                },
-            ],
-            filters: &filters,
-            outer: &NoOuter,
-            estimator: None,
-            indexes: true,
-        };
-        for mode in [PlanMode::ForceNestedLoop, PlanMode::ForceHashJoin] {
-            let plan = plan_scope(&spec, mode).unwrap();
-            assert_eq!(plan.binding_order(), vec![0, 1], "{mode:?}");
-            assert_eq!(plan.leaf_filters, vec![0], "{mode:?}");
-            assert!(plan.steps.iter().all(|s| s.filters.is_empty()));
-        }
-        let nl = plan_scope(&spec, PlanMode::ForceNestedLoop).unwrap();
-        assert!(nl.steps.iter().all(|s| s.access == Access::Scan));
-        let hj = plan_scope(&spec, PlanMode::ForceHashJoin).unwrap();
-        assert!(matches!(hj.steps[1].access, Access::HashProbe { .. }));
     }
 
     #[test]
@@ -1389,7 +1290,7 @@ mod tests {
             estimator: None,
             indexes: true,
         };
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.leaf_filters, vec![0]);
         assert!(plan.steps.iter().all(|s| s.access == Access::Scan));
     }
@@ -1420,7 +1321,7 @@ mod tests {
             estimator: None,
             indexes: true,
         };
-        let err = plan_scope(&spec, PlanMode::Auto).unwrap_err();
+        let err = plan_scope(&spec).unwrap_err();
         assert_eq!(err, PlanError::Unplaceable { binding: 0 });
     }
 
@@ -1479,7 +1380,7 @@ mod tests {
             by_col: vec![Some(0.05), None],
         };
         let spec = range_spec(&rs, &filters, Some(&est), true);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         // Both bounds close the interval over column A and are consumed
         // by the access path — nothing left to filter.
         assert_eq!(
@@ -1500,7 +1401,7 @@ mod tests {
         let filters: Vec<&Predicate> = vec![&lo];
         // No estimator: an un-analyzed catalog plans exactly as before.
         let spec = range_spec(&rs, &filters, None, true);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.steps[0].access, Access::Scan);
         assert_eq!(plan.steps[0].filters, vec![0]);
         // Unselective bound: the vectorized full scan stays cheaper.
@@ -1508,14 +1409,14 @@ mod tests {
             by_col: vec![Some(0.4), None],
         };
         let spec = range_spec(&rs, &filters, Some(&wide), true);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.steps[0].access, Access::Scan);
         // `indexes: false` (the ARC_INDEX=off hatch): never a candidate.
         let tight = StubStats {
             by_col: vec![Some(0.05), None],
         };
         let spec = range_spec(&rs, &filters, Some(&tight), false);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.steps[0].access, Access::Scan);
         assert_eq!(plan.steps[0].filters, vec![0]);
     }
@@ -1533,7 +1434,7 @@ mod tests {
             by_col: vec![Some(0.2), Some(0.5)],
         };
         let spec = range_spec(&rs, &filters, Some(&est), true);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(
             plan.steps[0].access,
             Access::IndexRange {
@@ -1559,7 +1460,7 @@ mod tests {
             by_col: vec![Some(0.05), Some(0.5), Some(0.2)],
         };
         let spec = range_spec(&rs, &filters, Some(&est), true);
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         // A prices tighter than C, so A closes the prefix…
         assert_eq!(
             plan.steps[0].access,
@@ -1599,7 +1500,7 @@ mod tests {
             estimator: None,
             indexes: true,
         };
-        let plan = plan_scope(&spec, PlanMode::Auto).unwrap();
+        let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.prelude_filters, vec![0]);
         assert!(plan.leaf_filters.is_empty());
     }
@@ -1689,12 +1590,12 @@ mod tests {
                 estimator: Some(&PerValue),
                 indexes: true,
             };
-            let cold = plan_scope(&spec, PlanMode::Auto).unwrap();
-            let (served, _) = crate::cache::scope_plan(&spec, 77, PlanMode::Auto, false).unwrap();
+            let cold = plan_scope(&spec).unwrap();
+            let (served, _) = crate::cache::scope_plan(&spec, 77, false).unwrap();
             assert_eq!(*served, cold, "k = {k}");
             distinct_plans.insert(format!("{cold:?}"));
             // What EXPLAIN shows is priced from the raw fractions.
-            let shown = estimates(&spec, &served, PlanMode::Auto);
+            let shown = estimates(&spec, &served);
             let scan = served.steps.iter().position(|s| s.binding == 0).unwrap();
             if matches!(
                 served.steps[scan].access,

@@ -9,7 +9,7 @@
 //! backend can walk the same tree.
 
 use crate::analysis::{free_vars, partition};
-use crate::physical::{plan_scope, Access, PlanMode, ScopePlan};
+use crate::physical::{plan_scope, Access, ScopePlan};
 use crate::scope::{BindingSpec, OuterScope, ScopeSpec, SourceSpec};
 use arc_core::ast::*;
 use std::sync::Arc;
@@ -246,50 +246,26 @@ impl OuterScope for ScopeStack {
     }
 }
 
-/// Lower a collection into a logical plan under `resolver` statistics.
-/// Boolean subscopes run the decorrelation pass and index-range access
-/// selection is enabled (matching the engine's defaults); use
-/// [`lower_collection_opts`] to disable either.
+/// Lower a collection into a logical plan under `resolver` statistics,
+/// with the optimizer passes made explicit: `decorrelate = false` mirrors
+/// an engine running `ARC_DECORRELATE=off` (boolean subscopes plan as
+/// nested pipelines), `indexes = false` mirrors `ARC_INDEX=off` (no
+/// index-range access paths).
 pub fn lower_collection(
     c: &Collection,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
-) -> Result<PlanNode, LowerError> {
-    lower_collection_opts(c, resolver, mode, true, true)
-}
-
-/// [`lower_collection`] with the optimizer passes made explicit:
-/// `decorrelate = false` mirrors an engine running `ARC_DECORRELATE=off`
-/// (boolean subscopes plan as nested pipelines), `indexes = false`
-/// mirrors `ARC_INDEX=off` (no index-range access paths).
-pub fn lower_collection_opts(
-    c: &Collection,
-    resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
 ) -> Result<PlanNode, LowerError> {
     let mut stack = ScopeStack::default();
-    lower_collection_in(c, resolver, mode, decorrelate, indexes, &mut stack)
+    lower_collection_in(c, resolver, decorrelate, indexes, &mut stack)
 }
 
 /// Lower a program: definitions (recursive groups fused into fixpoint
-/// nodes) plus the query. Decorrelation and index-range selection on;
-/// see [`lower_program_opts`].
+/// nodes) plus the query, with the passes of [`lower_collection`].
 pub fn lower_program(
     p: &Program,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
-) -> Result<PlanNode, LowerError> {
-    lower_program_opts(p, resolver, mode, true, true)
-}
-
-/// [`lower_program`] with the optimizer passes made explicit (see
-/// [`lower_collection_opts`]).
-pub fn lower_program_opts(
-    p: &Program,
-    resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
 ) -> Result<PlanNode, LowerError> {
@@ -369,10 +345,9 @@ pub fn lower_program_opts(
             let mut inputs = Vec::new();
             for &j in &group {
                 emitted[j] = true;
-                inputs.push(lower_collection_opts(
+                inputs.push(lower_collection(
                     &p.definitions[j].collection,
                     &resolver,
-                    mode,
                     decorrelate,
                     indexes,
                 )?);
@@ -383,20 +358,18 @@ pub fn lower_program_opts(
             });
         } else {
             emitted[i] = true;
-            definitions.push(lower_collection_opts(
+            definitions.push(lower_collection(
                 &p.definitions[i].collection,
                 &resolver,
-                mode,
                 decorrelate,
                 indexes,
             )?);
         }
     }
     let query = match &p.query {
-        Some(q) => Some(Box::new(lower_collection_opts(
+        Some(q) => Some(Box::new(lower_collection(
             q,
             &resolver,
-            mode,
             decorrelate,
             indexes,
         )?)),
@@ -429,20 +402,11 @@ fn collect_sources(c: &Collection, out: &mut Vec<String>) {
 fn lower_collection_in(
     c: &Collection,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
     stack: &mut ScopeStack,
 ) -> Result<PlanNode, LowerError> {
-    let input = lower_branch(
-        &c.body,
-        &c.head,
-        resolver,
-        mode,
-        decorrelate,
-        indexes,
-        stack,
-    )?;
+    let input = lower_branch(&c.body, &c.head, resolver, decorrelate, indexes, stack)?;
     Ok(PlanNode::Project {
         head: c.head.relation.clone(),
         attrs: c.head.attrs.clone(),
@@ -455,7 +419,6 @@ fn lower_branch(
     f: &Formula,
     head: &Head,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
     stack: &mut ScopeStack,
@@ -468,7 +431,6 @@ fn lower_branch(
                     b,
                     head,
                     resolver,
-                    mode,
                     decorrelate,
                     indexes,
                     stack,
@@ -480,7 +442,6 @@ fn lower_branch(
             q,
             &head.relation,
             resolver,
-            mode,
             decorrelate,
             indexes,
             None,
@@ -498,7 +459,6 @@ fn lower_branch(
                 &q,
                 &head.relation,
                 resolver,
-                mode,
                 decorrelate,
                 indexes,
                 None,
@@ -518,7 +478,6 @@ fn lower_quant(
     q: &Quant,
     head: &str,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
     bool_role: Option<bool>,
@@ -600,21 +559,20 @@ fn lower_quant(
         // same planner entry point.
         let boolean = bool_role.is_some()
             && decorrelate
-            && mode == PlanMode::Auto
             && crate::physical::decorrelatable_shape(q, &parts, stack);
         // Through the global cache when the resolver's statistics have an
         // identity it can key on — the plan execution is served.
         let plan = match resolver.stats_epoch() {
-            Some(epoch) => crate::cache::scope_plan(&spec, epoch, mode, boolean).map(|(p, _)| p),
-            None if boolean => crate::physical::plan_scope_boolean(&spec, mode).map(Arc::new),
-            None => plan_scope(&spec, mode).map(Arc::new),
+            Some(epoch) => crate::cache::scope_plan(&spec, epoch, boolean).map(|(p, _)| p),
+            None if boolean => crate::physical::plan_scope_boolean(&spec).map(Arc::new),
+            None => plan_scope(&spec).map(Arc::new),
         }
         .map_err(|e| match e {
             crate::scope::PlanError::Unplaceable { binding } => LowerError::Unplaceable {
                 var: q.bindings[binding].var.clone(),
             },
         })?;
-        let estimates = crate::physical::estimates(&spec, &plan, mode);
+        let estimates = crate::physical::estimates(&spec, &plan);
         let scope = render_scope(q, &parts, &plan, &estimates, head, &resolved);
         match &plan.decorrelation {
             Some(dec) => PlanNode::SemiJoin {
@@ -654,7 +612,7 @@ fn lower_quant(
         if let BindingSource::Collection(c) = &b.source {
             children.push(ChildPlan {
                 label: format!("lateral {}", b.var),
-                plan: lower_collection_in(c, resolver, mode, decorrelate, indexes, stack)?,
+                plan: lower_collection_in(c, resolver, decorrelate, indexes, stack)?,
             });
         }
     }
@@ -663,7 +621,6 @@ fn lower_quant(
             sub,
             false,
             resolver,
-            mode,
             decorrelate,
             indexes,
             stack,
@@ -676,7 +633,6 @@ fn lower_quant(
             spine,
             head,
             resolver,
-            mode,
             decorrelate,
             indexes,
             stack,
@@ -748,7 +704,6 @@ fn collect_bool_children(
     f: &Formula,
     negated: bool,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
     stack: &mut ScopeStack,
@@ -767,7 +722,6 @@ fn collect_bool_children(
                     q,
                     "\u{0}",
                     resolver,
-                    mode,
                     decorrelate,
                     indexes,
                     Some(negated),
@@ -778,29 +732,13 @@ fn collect_bool_children(
         }
         Formula::And(fs) | Formula::Or(fs) => {
             for sub in fs {
-                collect_bool_children(
-                    sub,
-                    negated,
-                    resolver,
-                    mode,
-                    decorrelate,
-                    indexes,
-                    stack,
-                    out,
-                )?;
+                collect_bool_children(sub, negated, resolver, decorrelate, indexes, stack, out)?;
             }
             Ok(())
         }
-        Formula::Not(inner) => collect_bool_children(
-            inner,
-            !negated,
-            resolver,
-            mode,
-            decorrelate,
-            indexes,
-            stack,
-            out,
-        ),
+        Formula::Not(inner) => {
+            collect_bool_children(inner, !negated, resolver, decorrelate, indexes, stack, out)
+        }
         Formula::Pred(_) => Ok(()),
     }
 }
@@ -812,7 +750,6 @@ fn collect_spine_children(
     f: &Formula,
     head: &str,
     resolver: &dyn SourceResolver,
-    mode: PlanMode,
     decorrelate: bool,
     indexes: bool,
     stack: &mut ScopeStack,
@@ -822,22 +759,13 @@ fn collect_spine_children(
         Formula::Quant(q) => {
             out.push(ChildPlan {
                 label: "spine".to_string(),
-                plan: lower_quant(q, head, resolver, mode, decorrelate, indexes, None, stack)?,
+                plan: lower_quant(q, head, resolver, decorrelate, indexes, None, stack)?,
             });
             Ok(())
         }
         Formula::And(fs) | Formula::Or(fs) => {
             for sub in fs {
-                collect_spine_children(
-                    sub,
-                    head,
-                    resolver,
-                    mode,
-                    decorrelate,
-                    indexes,
-                    stack,
-                    out,
-                )?;
+                collect_spine_children(sub, head, resolver, decorrelate, indexes, stack, out)?;
             }
             Ok(())
         }

@@ -43,36 +43,3 @@ pub use column::ColumnStats;
 pub use histogram::Histogram;
 pub use sketch::DistinctSketch;
 pub use table::{TableStats, HISTOGRAM_BUCKETS, MCV_ENTRIES, SAMPLE_CAP};
-
-/// Interpret the `ARC_STATS` environment value: statistics collection is
-/// on unless explicitly disabled. Only `off`/`0`/`false`/`no`
-/// (case-insensitive) disable it — the escape hatch is for *turning the
-/// subsystem off*, so an unrecognized value errs on the side of keeping
-/// statistics, mirroring how `ARC_PLAN` treats its affirmative values.
-pub fn stats_enabled(value: Option<&str>) -> bool {
-    match value.map(str::to_lowercase) {
-        Some(v) => !matches!(v.as_str(), "off" | "0" | "false" | "no"),
-        None => true,
-    }
-}
-
-/// [`stats_enabled`] over the live `ARC_STATS` environment variable.
-pub fn stats_enabled_from_env() -> bool {
-    stats_enabled(std::env::var("ARC_STATS").ok().as_deref())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_switch_defaults_on() {
-        assert!(stats_enabled(None));
-        assert!(stats_enabled(Some("")));
-        assert!(stats_enabled(Some("on")));
-        assert!(stats_enabled(Some("anything")));
-        for off in ["off", "OFF", "0", "false", "no"] {
-            assert!(!stats_enabled(Some(off)), "{off}");
-        }
-    }
-}

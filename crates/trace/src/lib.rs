@@ -56,9 +56,10 @@ pub use trace_json::{chrome_trace, op_key};
 /// path pays only the [`enabled`] atomic-load guard.
 ///
 /// This is the pure core (unit-testable without touching the process
-/// environment, which is racy under parallel tests); the engine wraps it
-/// in `trace_from_env`, surfacing a malformed value as a deferred config
-/// error on first evaluation, exactly like `ARC_PLAN`/`ARC_VECTOR`.
+/// environment, which is racy under parallel tests) behind the
+/// process-wide [`enabled`] flag; the engine reads the same variable per
+/// engine through its knob registry (`arc_engine::eval::knobs`), which a
+/// unit test there keeps in agreement with this parser.
 pub fn parse_trace(value: Option<&str>) -> Result<bool, String> {
     match value.map(|v| v.to_lowercase().replace('_', "-")) {
         None => Ok(false),
@@ -70,35 +71,6 @@ pub fn parse_trace(value: Option<&str>) -> Result<bool, String> {
             )),
         },
     }
-}
-
-/// [`parse_trace`] over the live `ARC_TRACE` environment variable.
-/// Returns the descriptive error string for the caller to wrap in its own
-/// config-error type.
-pub fn trace_env() -> Result<bool, String> {
-    parse_trace(std::env::var("ARC_TRACE").ok().as_deref())
-}
-
-/// Interpret an `ARC_SPANS` environment value: the span-recording knob,
-/// default **off** like `ARC_TRACE` (spans read two clocks per region —
-/// strictly more expensive than the counter layer). Same pure-core /
-/// deferred-error split as [`parse_trace`].
-pub fn parse_spans(value: Option<&str>) -> Result<bool, String> {
-    match value.map(|v| v.to_lowercase().replace('_', "-")) {
-        None => Ok(false),
-        Some(v) => match v.as_str() {
-            "on" | "1" | "true" | "auto" => Ok(true),
-            "" | "off" | "0" | "false" | "no" => Ok(false),
-            other => Err(format!(
-                "unknown ARC_SPANS `{other}` (expected `on` or `off`)"
-            )),
-        },
-    }
-}
-
-/// [`parse_spans`] over the live `ARC_SPANS` environment variable.
-pub fn spans_env() -> Result<bool, String> {
-    parse_spans(std::env::var("ARC_SPANS").ok().as_deref())
 }
 
 #[cfg(test)]
@@ -117,19 +89,5 @@ mod tests {
         let err = parse_trace(Some("nope")).unwrap_err();
         assert!(err.contains("nope"), "{err}");
         assert!(err.contains("ARC_TRACE"), "{err}");
-    }
-
-    #[test]
-    fn spans_default_off_and_parse_like_trace() {
-        assert_eq!(parse_spans(None), Ok(false));
-        assert_eq!(parse_spans(Some("")), Ok(false));
-        assert_eq!(parse_spans(Some("on")), Ok(true));
-        assert_eq!(parse_spans(Some("1")), Ok(true));
-        assert_eq!(parse_spans(Some("TRUE")), Ok(true));
-        assert_eq!(parse_spans(Some("off")), Ok(false));
-        assert_eq!(parse_spans(Some("no")), Ok(false));
-        let err = parse_spans(Some("bogus")).unwrap_err();
-        assert!(err.contains("bogus"), "{err}");
-        assert!(err.contains("ARC_SPANS"), "{err}");
     }
 }

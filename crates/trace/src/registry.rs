@@ -45,7 +45,10 @@ use std::time::Instant;
 static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
 
 fn enabled_cell() -> &'static AtomicBool {
-    ENABLED.get_or_init(|| AtomicBool::new(crate::trace_env().unwrap_or(false)))
+    ENABLED.get_or_init(|| {
+        let env = std::env::var("ARC_TRACE").ok();
+        AtomicBool::new(crate::parse_trace(env.as_deref()).unwrap_or(false))
+    })
 }
 
 /// Is expensive instrumentation (wall-clock timing) on? A single relaxed

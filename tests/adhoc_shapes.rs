@@ -526,6 +526,20 @@ pub fn run(
     }
 }
 
+/// Text → rows through the oracle instead of the engine.
+pub fn oracle(shape: &Shape, schemas: &SchemaMap, catalog: &Catalog) -> Relation {
+    let conv = shape.conventions();
+    match parse(shape, schemas).unwrap() {
+        Statement::Collection(c) => arc_tests::oracle_rows(catalog, conv, &c),
+        Statement::Program(p) => {
+            let mut out = arc_tests::oracle_program(catalog, conv, &p);
+            out.query
+                .take()
+                .unwrap_or_else(|| out.defined.remove(shape.head).unwrap())
+        }
+    }
+}
+
 /// The plan the engine would run for a statement.
 pub fn explain(stmt: &Statement, engine: &Engine<'_>) -> String {
     match stmt {

@@ -14,7 +14,7 @@ use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalStrategy, Relation};
+use arc_engine::{Catalog, Engine, Relation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -73,23 +73,29 @@ fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The engines under guard: the default plan (which here turns both
-/// bindings into hash probes, so every candidate it binds is emitted), and
-/// the two forced strategies, which pin declaration order with every
-/// filter at the leaf — `hash-join` binds each of `r`'s eight matches in
-/// `S` and refuses some, `nested-loop` binds and refuses nearly all of
-/// `R × S`.
-fn engines(catalog: &Catalog) -> Vec<(&'static str, Engine<'_>)> {
-    // Sequential, so the work (and its allocations) stays on this thread.
-    let engine = || Engine::new(catalog, Conventions::sql()).with_threads(1);
-    vec![
-        ("default", engine()),
-        ("hash-join", engine().with_strategy(EvalStrategy::HashJoin)),
+/// The shapes under guard, all meaning Eq 1: the default plan turns Eq 1
+/// itself into two hash probes, so every candidate it binds is emitted; a
+/// range test on `s.C` leaves a filter after the `B` probe, which binds
+/// each of `r`'s matches in `S` and refuses some; and `B` compared by
+/// `<=`/`>=` cannot be probed at all, so the plan pairs every `r` with
+/// every `C = 0` row of `S` and refuses nearly all of the pairs.
+fn queries() -> [(&'static str, Collection); 3] {
+    [
+        ("probe", fx::eq1()),
         (
-            "nested-loop",
-            engine().with_strategy(EvalStrategy::NestedLoop),
+            "probe-then-filter",
+            fx::q("{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ s.C < 1]}"),
+        ),
+        (
+            "scan",
+            fx::q("{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B <= s.B ∧ r.B >= s.B ∧ s.C = 0]}"),
         ),
     ]
+}
+
+/// Sequential, so the work (and its allocations) stays on this thread.
+fn engine(catalog: &Catalog) -> Engine<'_> {
+    Engine::new(catalog, Conventions::sql()).with_threads(1)
 }
 
 /// Allocator calls made by this thread while evaluating `q`, and the
@@ -142,26 +148,21 @@ fn eq1_catalog(key: fn(i64) -> Value, emitting: i64, rejected: i64) -> Catalog {
 }
 
 fn check(key: fn(i64) -> Value) {
-    let q = fx::eq1(); // {Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ s.C = 0]}
     let base = eq1_catalog(key, 500, 0);
     // 2 000 R rows find four S rows each instead of none, and every one
     // of those candidates is refused.
     let rejecting = eq1_catalog(key, 500, 2_000);
     // 2 000 more R rows emit (two rows each).
     let emitting = eq1_catalog(key, 2_500, 0);
-    for (((name, base), (_, rejecting)), (_, emitting)) in engines(&base)
-        .iter()
-        .zip(&engines(&rejecting))
-        .zip(&engines(&emitting))
-    {
-        let (base_allocs, rows) = allocations(base, &q);
+    for (name, q) in queries() {
+        let (base_allocs, rows) = allocations(&engine(&base), &q);
         assert_eq!(rows, 1_000, "{name}");
         assert!(
             base_allocs <= rows as u64 + PER_QUERY,
             "{name}: {base_allocs} allocator calls for {rows} rows"
         );
 
-        let (allocs, rows) = allocations(rejecting, &q);
+        let (allocs, rows) = allocations(&engine(&rejecting), &q);
         assert_eq!(rows, 1_000, "{name}");
         assert!(
             allocs <= rows as u64 + PER_QUERY,
@@ -170,7 +171,7 @@ fn check(key: fn(i64) -> Value) {
 
         // One allocation per additional row (its output vector) plus
         // amortized growth of the result vector and the index buckets.
-        let (allocs, rows) = allocations(emitting, &q);
+        let (allocs, rows) = allocations(&engine(&emitting), &q);
         assert_eq!(rows, 5_000, "{name}");
         let extra = allocs.saturating_sub(base_allocs);
         assert!(
@@ -258,7 +259,6 @@ fn index_scan(n: i64, width: usize) -> Collection {
 /// work stays on this thread.
 fn indexed(catalog: &Catalog) -> Engine<'_> {
     Engine::new(catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_indexes(true)
         .with_spans(false)
         .with_threads(1)
@@ -405,7 +405,6 @@ fn text_to_rows_allocates_at_most_half_of_what_it_did() {
             // The default plan, whatever the CI leg's environment says;
             // sequential, so the work stays on this thread.
             let engine = Engine::new(&catalog, shape.conventions())
-                .with_strategy(EvalStrategy::Planned)
                 .with_decorrelate(true)
                 .with_vectorize(true)
                 .with_indexes(true)
@@ -460,7 +459,6 @@ fn a_hash_index_allocates_the_same_whatever_the_number_of_keys() {
         );
         let catalog = Catalog::new().with(r).with(s);
         let engine = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .with_mem_budget(0)
             .with_spans(false)
             .with_threads(1);

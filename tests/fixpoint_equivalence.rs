@@ -1,7 +1,7 @@
 //! Semi-naive evaluation keeps, per recursive relation, one total appended
 //! in place and one *seen* set over its rows; a round streams what its
 //! delta variants derive through that set. These tests hold that driver to
-//! three references:
+//! four references:
 //!
 //! * **naive iteration** (`FixpointStrategy::Naive`, the textbook
 //!   definition): the same rows, none twice. Its row *order* is a
@@ -10,10 +10,10 @@
 //! * a **plain-loop closure** written here (no engine code): the same
 //!   rows;
 //! * a **plain-loop semi-naive driver** written here — seed, then per
-//!   round the delta variants in order, de-duplicated by first occurrence
-//!   and minus everything derived before: the same rows **in the same
-//!   order**, under the strategy that pins enumeration to declaration
-//!   order, so the loops here enumerate what the engine enumerates.
+//!   round the delta variants, minus everything derived before: the same
+//!   rows **in the same rounds**;
+//! * the **oracle** (`arc_analysis::oracle`), whose naive fixpoint shares
+//!   no code with the engine: the same rows.
 //!
 //! Row order is additionally pinned across configurations (default,
 //! `with_threads(4)`, a generous budget) for every defined relation of
@@ -23,7 +23,7 @@
 use arc_core::ast::Program;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalError, EvalStrategy, FixpointStrategy, Relation};
+use arc_engine::{Catalog, Engine, EvalError, FixpointStrategy, Relation};
 use arc_parser::parse_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,13 +137,15 @@ fn distances(edges: &[Edge]) -> BTreeMap<Edge, usize> {
 }
 
 /// The semi-naive driver as plain loops: the seed, then per round every
-/// variant's rows in order — kept on first occurrence, dropped when
-/// derived before — until a round derives nothing. `variants(total,
-/// delta)` lists each variant's rows in the order declaration-order
-/// nested loops enumerate them.
-fn semi_naive(seed: Vec<Edge>, variants: impl Fn(&[Edge], &[Edge]) -> Vec<Vec<Edge>>) -> Vec<Edge> {
+/// variant's rows — kept on first occurrence, dropped when derived before
+/// — until a round derives nothing. Returns what each round added.
+fn semi_naive(
+    seed: Vec<Edge>,
+    variants: impl Fn(&[Edge], &[Edge]) -> Vec<Vec<Edge>>,
+) -> Vec<BTreeSet<Edge>> {
     let mut seen: HashSet<Edge> = HashSet::new();
     let mut total: Vec<Edge> = seed.into_iter().filter(|e| seen.insert(*e)).collect();
+    let mut rounds = vec![total.iter().copied().collect()];
     let mut delta = total.clone();
     while !delta.is_empty() {
         let mut fresh = Vec::new();
@@ -151,9 +153,22 @@ fn semi_naive(seed: Vec<Edge>, variants: impl Fn(&[Edge], &[Edge]) -> Vec<Vec<Ed
             fresh.extend(rows.into_iter().filter(|e| seen.insert(*e)));
         }
         total.extend(&fresh);
+        rounds.push(fresh.iter().copied().collect());
         delta = fresh;
     }
-    total
+    rounds.pop(); // the empty last round
+    rounds
+}
+
+/// A total cut where `rounds` says each round ends.
+fn by_round(total: &[Edge], rounds: &[BTreeSet<Edge>]) -> Vec<BTreeSet<Edge>> {
+    let mut rest = total.iter().copied();
+    let cut = rounds
+        .iter()
+        .map(|r| rest.by_ref().take(r.len()).collect())
+        .collect();
+    assert_eq!(rest.next(), None, "the engine ran more rounds");
+    cut
 }
 
 /// `for a ∈ left, b ∈ right: if a.t = b.s emit (a.s, b.t)`.
@@ -236,40 +251,51 @@ fn linear_closure_agrees_with_naive_the_loop_reference_and_its_layering() {
     }
 }
 
+/// Each semi-naive round of the engine adds exactly the rows the
+/// plain-loop driver's round adds (a total lists its rounds in order), and
+/// the whole total is the oracle's naive fixpoint.
 #[test]
-fn declaration_order_enumeration_matches_the_plain_loop_driver_row_for_row() {
+fn each_round_derives_what_the_plain_loop_driver_derives() {
     for seed in 0..24 {
         let edges = random_edges(100 + seed, 3 + seed as i64 % 8, 2 + seed as usize % 12);
         let catalog = catalog_of(&edges);
-        let pinned = |text: &str| {
+        let rounds = |text: &str, driver: &[BTreeSet<Edge>]| {
+            let p = program(text);
             let out = Engine::new(&catalog, Conventions::set())
-                .with_strategy(EvalStrategy::NestedLoop)
-                .eval_program(&program(text))
+                .eval_program(&p)
                 .unwrap();
-            pairs(&out.defined["A"])
+            let want = arc_tests::oracle_program(&catalog, Conventions::set(), &p);
+            assert!(out.defined["A"].set_eq(&want.defined["A"]), "{text}");
+            by_round(&pairs(&out.defined["A"]), driver)
         };
         // Every variant repeats the non-recursive disjunct (all of it
         // seen by then), then the recursive one over the delta.
         let linear = semi_naive(edges.clone(), |_, delta| {
             vec![[edges.clone(), compose(&edges, delta)].concat()]
         });
-        assert_eq!(pinned(LINEAR), linear, "linear, seed {seed}");
+        assert_eq!(rounds(LINEAR, &linear), linear, "linear, seed {seed}");
         let non_linear = semi_naive(edges.clone(), |total, delta| {
             vec![
                 [edges.clone(), compose(delta, total)].concat(),
                 [edges.clone(), compose(total, delta)].concat(),
             ]
         });
-        assert_eq!(pinned(NON_LINEAR), non_linear, "non-linear, seed {seed}");
-        // A delta variant reads the delta wherever its scope compiles —
-        // under an outer-join annotation too. The rows cannot tell (a
-        // variant over the total derives a superset, all of it seen); the
-        // order does, because a variant over the total meets old `a`s
-        // first.
-        assert_eq!(pinned(LEFT_JOINED), non_linear, "outer join, seed {seed}");
+        let name = "non-linear";
         assert_eq!(
-            non_linear.iter().collect::<BTreeSet<_>>(),
-            linear.iter().collect::<BTreeSet<_>>(),
+            rounds(NON_LINEAR, &non_linear),
+            non_linear,
+            "{name}, seed {seed}"
+        );
+        // A delta variant reads the delta wherever its scope compiles —
+        // under an outer-join annotation too.
+        assert_eq!(
+            rounds(LEFT_JOINED, &non_linear),
+            non_linear,
+            "outer join, seed {seed}"
+        );
+        assert_eq!(
+            non_linear.iter().flatten().collect::<BTreeSet<_>>(),
+            linear.iter().flatten().collect::<BTreeSet<_>>(),
             "both rules derive the closure"
         );
     }

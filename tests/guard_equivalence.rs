@@ -4,7 +4,6 @@
 //! returns exactly the rows — same order, same multiplicities — of the
 //! unguarded engine, across:
 //!
-//! * all three evaluation strategies (planned / nested-loop / hash-join),
 //! * `ARC_THREADS` 1 and 4 (the guard is checked per morsel claim),
 //! * the vector and index knobs (admission seams sit on both paths),
 //! * fixpoint programs (the guard spans every stratum and round).
@@ -28,7 +27,7 @@ use arc_analysis::{chain_catalog, random_catalog, random_conjunctive_query, Inst
 use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
-use arc_engine::{seam, Catalog, Engine, EvalError, EvalStrategy, FaultKind, FaultPlan};
+use arc_engine::{seam, Catalog, Engine, EvalError, FaultKind, FaultPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,56 +38,38 @@ use std::time::Duration;
 const GENEROUS_DEADLINE: Duration = Duration::from_secs(3600);
 const GENEROUS_BUDGET: usize = 1 << 30;
 
-/// Evaluate `q` unguarded (the reference) and under never-hit limits,
-/// across every strategy × thread count × vector/index knob point,
-/// asserting row-identical output.
+/// Evaluate `q` unguarded (the reference, itself checked against the
+/// oracle) and under never-hit limits, across every thread count ×
+/// vector/index knob point, asserting row-identical output.
 fn assert_guard_invisible(catalog: &Catalog, q: &Collection, conv: Conventions) {
-    for strategy in [
-        EvalStrategy::Planned,
-        EvalStrategy::NestedLoop,
-        EvalStrategy::HashJoin,
-    ] {
-        let reference = Engine::new(catalog, conv)
-            .with_strategy(strategy)
-            .with_threads(1)
-            .eval_collection(q)
-            .unwrap();
-        for threads in [1usize, 4] {
-            for (vectorize, indexes) in [(true, true), (true, false), (false, false)] {
-                let base = || {
-                    Engine::new(catalog, conv)
-                        .with_strategy(strategy)
-                        .with_threads(threads)
-                        .with_vectorize(vectorize)
-                        .with_indexes(indexes)
-                };
-                let off = base().eval_collection(q).unwrap();
-                let on = base()
-                    .with_timeout(GENEROUS_DEADLINE)
-                    .with_mem_budget(GENEROUS_BUDGET)
-                    .eval_collection(q)
-                    .unwrap();
-                assert_eq!(
-                    off.rows, on.rows,
-                    "guard drift: strategy {strategy:?} threads {threads} \
-                     vectorize {vectorize} indexes {indexes} conv {conv:?}"
-                );
-                assert_eq!(
-                    reference.rows, on.rows,
-                    "knob drift: strategy {strategy:?} threads {threads} \
-                     vectorize {vectorize} indexes {indexes} conv {conv:?}"
-                );
-                // A budget too small for ANY build: every admission is
-                // denied, every optimized build degrades to its
-                // streaming / nested / row-at-a-time fallback — and the
-                // rows must not move.
-                let degraded = base().with_mem_budget(1).eval_collection(q).unwrap();
-                assert_eq!(
-                    reference.rows, degraded.rows,
-                    "degradation drift: strategy {strategy:?} threads {threads} \
-                     vectorize {vectorize} indexes {indexes} conv {conv:?}"
-                );
-            }
+    let reference = Engine::new(catalog, conv)
+        .with_threads(1)
+        .eval_collection(q)
+        .unwrap();
+    arc_tests::assert_oracle(catalog, conv, q, &reference);
+    for threads in [1usize, 4] {
+        for (vectorize, indexes) in [(true, true), (true, false), (false, false)] {
+            let base = || {
+                Engine::new(catalog, conv)
+                    .with_threads(threads)
+                    .with_vectorize(vectorize)
+                    .with_indexes(indexes)
+            };
+            let at = format!("threads {threads} vectorize {vectorize} indexes {indexes} {conv:?}");
+            let off = base().eval_collection(q).unwrap();
+            let on = base()
+                .with_timeout(GENEROUS_DEADLINE)
+                .with_mem_budget(GENEROUS_BUDGET)
+                .eval_collection(q)
+                .unwrap();
+            assert_eq!(off.rows, on.rows, "guard drift: {at}");
+            assert_eq!(reference.rows, on.rows, "knob drift: {at}");
+            // A budget too small for ANY build: every admission is
+            // denied, every optimized build degrades to its streaming /
+            // nested / row-at-a-time fallback — and the rows must not
+            // move.
+            let degraded = base().with_mem_budget(1).eval_collection(q).unwrap();
+            assert_eq!(reference.rows, degraded.rows, "degradation drift: {at}");
         }
     }
 }
@@ -341,15 +322,13 @@ fn fault_matrix_structured_errors_and_survival() {
     for case in seam_cases() {
         let catalog = (case.catalog)();
         let q = (case.query)();
-        // Every case's premise is a build the *planned* pipeline performs
+        // Every case's premise is a build the planned pipeline performs
         // with all its access paths on (a hash index, a semi-join key
         // set, column chunks, an ordered index, a selection vector): pin
-        // that configuration, so a CI leg that forces a strategy or
-        // switches a path off through the environment cannot make the
-        // seam unreachable.
+        // that configuration, so a CI leg that switches a path off
+        // through the environment cannot make the seam unreachable.
         let engine = || {
             Engine::new(&catalog, Conventions::sql())
-                .with_strategy(EvalStrategy::Planned)
                 .with_decorrelate(true)
                 .with_vectorize(true)
                 .with_indexes(true)

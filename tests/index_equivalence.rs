@@ -3,7 +3,6 @@
 //! order, same multiplicities — stronger than the bag-identity the
 //! invariant asks for) with `ARC_INDEX` on and off, across:
 //!
-//! * all three evaluation strategies (planned / nested-loop / hash-join),
 //! * both convention presets (SQL three-valued and set two-valued),
 //! * NULL/NaN-heavy and mixed-type instances (the class-ordering corners
 //!   the ordered index's binary search must get right),
@@ -23,7 +22,7 @@ use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalStrategy, Relation};
+use arc_engine::{Catalog, Engine, Relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,32 +42,26 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
     spec
 }
 
-/// Evaluate `q` with indexes off (the scan-path reference) and on, under
-/// every strategy × thread count, asserting row-identical output.
+/// Evaluate `q` with indexes off (the scan-path reference, itself checked
+/// against the oracle) and on, under every thread count, asserting
+/// row-identical output.
 fn assert_index_invisible(catalog: &Catalog, q: &arc_core::ast::Collection, conv: Conventions) {
-    for strategy in [
-        EvalStrategy::Planned,
-        EvalStrategy::NestedLoop,
-        EvalStrategy::HashJoin,
-    ] {
-        let reference = Engine::new(catalog, conv)
-            .with_strategy(strategy)
-            .with_indexes(false)
-            .with_threads(1)
+    let reference = Engine::new(catalog, conv)
+        .with_indexes(false)
+        .with_threads(1)
+        .eval_collection(q)
+        .unwrap();
+    arc_tests::assert_oracle(catalog, conv, q, &reference);
+    for threads in [1usize, 4] {
+        let indexed = Engine::new(catalog, conv)
+            .with_indexes(true)
+            .with_threads(threads)
             .eval_collection(q)
             .unwrap();
-        for threads in [1usize, 4] {
-            let indexed = Engine::new(catalog, conv)
-                .with_strategy(strategy)
-                .with_indexes(true)
-                .with_threads(threads)
-                .eval_collection(q)
-                .unwrap();
-            assert_eq!(
-                reference.rows, indexed.rows,
-                "strategy {strategy:?} threads {threads} conv {conv:?}"
-            );
-        }
+        assert_eq!(
+            reference.rows, indexed.rows,
+            "threads {threads} conv {conv:?}"
+        );
     }
 }
 
@@ -108,7 +101,6 @@ fn skew_fixture_plans_index_range_and_matches_the_scan() {
     let q = fx::eq1_range(n);
 
     let on = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_collection(&q)
@@ -118,7 +110,6 @@ fn skew_fixture_plans_index_range_and_matches_the_scan() {
         "analyzed plan must walk the ordered index:\n{on}"
     );
     let off = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(false)
         .explain_collection(&q)
@@ -146,7 +137,6 @@ fn unselective_bounds_keep_the_full_scan() {
     catalog.analyze();
     let q = fx::q("{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ r.A > 8]}");
     let plan = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_collection(&q)
@@ -168,7 +158,6 @@ fn eq_prefix_and_demoted_residue_match_the_scan() {
     let q = fx::prefix_range(n);
 
     let plan = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_collection(&q)
@@ -294,7 +283,6 @@ fn assert_walks_index_like_the_scan(catalog: &Catalog, filters: Vec<arc_core::as
         d::exists(&[d::bind("t", "T")], d::and(preds)),
     );
     let plan = Engine::new(catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_collection(&q)
@@ -418,7 +406,6 @@ fn a_grown_relation_is_indexed_afresh() {
     catalog.analyze();
     assert_walks_index_like_the_scan(&catalog, filters());
     let rows = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_indexes(true)
         .eval_collection(&d::collection(
             "Q",
@@ -459,30 +446,22 @@ fn errors_surface_identically() {
                 ]),
             ),
         );
-        for strategy in [
-            EvalStrategy::Planned,
-            EvalStrategy::NestedLoop,
-            EvalStrategy::HashJoin,
-        ] {
-            let off = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .with_indexes(false)
-                .eval_collection(&q);
-            let on = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .with_indexes(true)
-                .eval_collection(&q);
-            assert_eq!(off, on, "outcome drift ({label}) under {strategy:?}");
-        }
+        let off = Engine::new(&catalog, Conventions::sql())
+            .with_indexes(false)
+            .eval_collection(&q);
+        let on = Engine::new(&catalog, Conventions::sql())
+            .with_indexes(true)
+            .eval_collection(&q);
+        assert_eq!(off, on, "outcome drift ({label})");
     }
 }
 
 /// A malformed `ARC_INDEX` value surfaces as a descriptive configuration
 /// error (parse-level check; the engine wiring follows the same
-/// deferred-error path as `ARC_EVAL_STRATEGY`).
+/// deferred-error path as `ARC_THREADS`).
 #[test]
 fn malformed_index_value_is_descriptive() {
-    let err = arc_engine::eval::strategy::parse_indexes(Some("sideways")).unwrap_err();
+    let err = arc_engine::eval::knobs::parse_onoff("ARC_INDEX", Some("sideways")).unwrap_err();
     assert!(err.contains("ARC_INDEX"), "{err}");
     assert!(err.contains("sideways"), "{err}");
     assert!(err.contains("expected"), "{err}");

@@ -1,5 +1,5 @@
 //! Outer-join annotation trees (§2.11) against a nested-loop reference
-//! written here over the same rows.
+//! written here over the same rows, and against the oracle.
 //!
 //! The engine partitions an outer node's right side by the hash of its
 //! equi-key values and checks the whole ON condition on the candidates of
@@ -14,7 +14,7 @@ use arc_bench::fixtures as fx;
 use arc_core::ast::{CmpOp, Collection};
 use arc_core::conventions::Conventions;
 use arc_core::value::{cmp_truth, Value};
-use arc_engine::{Catalog, Engine, EvalStrategy, Relation, Tuple};
+use arc_engine::{Catalog, Engine, Relation, Tuple};
 
 /// `l op r` holds (is `True`, not `Unknown`).
 fn holds(l: &Value, op: CmpOp, r: &Value) -> bool {
@@ -59,22 +59,17 @@ fn exact(rows: &[Tuple]) -> Vec<String> {
     rows.iter().map(|r| format!("{r:?}")).collect()
 }
 
-/// Evaluate `q` under the default engine, four threads and every forced
-/// strategy; all must return `want`, order included.
+/// Evaluate `q` under the default engine and four threads; both must
+/// return `want`, order included — and the oracle must agree.
 fn assert_rows(catalog: &Catalog, q: &Collection, want: &[Tuple], what: &str) {
     let engine = || Engine::new(catalog, Conventions::sql());
     for (name, engine) in [
         ("default", engine()),
         ("threads(4)", engine().with_threads(4)),
-        ("planned", engine().with_strategy(EvalStrategy::Planned)),
-        (
-            "nested-loop",
-            engine().with_strategy(EvalStrategy::NestedLoop),
-        ),
-        ("hash-join", engine().with_strategy(EvalStrategy::HashJoin)),
     ] {
         let got = engine.eval_collection(q).unwrap();
         assert_eq!(exact(&got.rows), exact(want), "{what} ({name})");
+        arc_tests::assert_oracle(catalog, Conventions::sql(), q, &got);
     }
 }
 

@@ -15,7 +15,7 @@
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,29 +71,6 @@ proptest! {
                     conv
                 );
             }
-        }
-    }
-
-    /// Invariant 9, force-override corner: the partitioned path preserves
-    /// even the force strategies' order-identical guarantee.
-    #[test]
-    fn parallel_preserves_forced_strategies(seed in 0u64..100, joins in 1usize..3) {
-        let spec = big_spec(false);
-        let q = random_conjunctive_query(&spec, joins, 1, seed);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7013));
-        let catalog = random_catalog(&spec, &mut rng);
-        for strategy in [EvalStrategy::NestedLoop, EvalStrategy::HashJoin] {
-            let sequential = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .with_threads(1)
-                .eval_collection(&q)
-                .unwrap();
-            let parallel = Engine::new(&catalog, Conventions::sql())
-                .with_strategy(strategy)
-                .with_threads(4)
-                .eval_collection(&q)
-                .unwrap();
-            prop_assert_eq!(&sequential.rows, &parallel.rows, "strategy {:?}", strategy);
         }
     }
 }
@@ -203,7 +180,6 @@ fn parallel_errors_match_sequential() {
 fn explain_partition_golden() {
     let catalog = fx::grouped_catalog(64, 8);
     let engine = Engine::new(&catalog, Conventions::set())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(4)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.

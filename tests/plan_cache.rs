@@ -22,7 +22,7 @@ use arc_bench::fixtures as fx;
 use arc_core::binder::Binder;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalStrategy, Relation};
+use arc_engine::{Catalog, Engine, Relation};
 
 #[test]
 fn plan_cache_eliminates_per_outer_row_planning() {
@@ -47,12 +47,10 @@ fn sweep() -> Vec<Value> {
     ks
 }
 
-/// The engine that plans: the default strategy and access paths
-/// whatever the CI leg says, sequential so the counters stay on this
-/// thread's work.
+/// The engine that plans: the default access paths whatever the CI leg
+/// says, sequential so the counters stay on this thread's work.
 fn engine<'c>(catalog: &'c Catalog, shape: &Shape) -> Engine<'c> {
     Engine::new(catalog, shape.conventions())
-        .with_strategy(EvalStrategy::Planned)
         .with_decorrelate(true)
         .with_indexes(true)
         .with_threads(1)
@@ -100,12 +98,15 @@ fn constants_share_plans_and_the_shared_plan_is_the_cold_one() {
     // (iv) Whatever a cached plan consumed — probe keys, vectorized
     // prefixes, index-range bounds — is re-derived from the statement's
     // own constants: no evaluation above failed, and every result is the
-    // plain nested loop's.
+    // oracle's.
     let mut index_ranges = 0;
     for (shape, rows) in statements.iter().zip(&first) {
-        let reference = engine(&catalog, shape).with_strategy(EvalStrategy::NestedLoop);
-        let expect = adhoc_shapes::run(shape, &schemas, &binder, &reference).unwrap();
-        assert!(rows.bag_eq(&expect), "{}", shape.text);
+        let expect = adhoc_shapes::oracle(shape, &schemas, &catalog);
+        assert!(
+            arc_tests::agrees(shape.conventions(), rows, &expect),
+            "{}",
+            shape.text
+        );
         let stmt = adhoc_shapes::parse(shape, &schemas).unwrap();
         index_ranges += usize::from(
             adhoc_shapes::explain(&stmt, &engine(&catalog, shape)).contains("index-range"),

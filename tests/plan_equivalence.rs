@@ -2,18 +2,17 @@
 //!
 //! * **Invariant 8** — the planned pipeline (greedy join ordering,
 //!   per-operator hash/scan choice, predicate pushdown) is *bag-identical*
-//!   to the paper-faithful nested-loop reference on random conjunctive
-//!   queries over random instances, with and without NULLs. (Join
-//!   reordering legitimately changes enumeration order, so the guarantee
-//!   is the multiset of rows — the force-override strategies keep the
-//!   stronger order-identical guarantee, covered by invariant 7.)
+//!   to the oracle's nested loops on random conjunctive queries over
+//!   random instances, with and without NULLs. (Join reordering
+//!   legitimately changes enumeration order, so the guarantee is the
+//!   multiset of rows.)
 //! * **Golden `EXPLAIN` snapshots** for three paper queries, so plan-shape
 //!   changes are deliberate, reviewed diffs rather than silent drift.
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,8 +20,8 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Invariant 8: planned execution ≡ the nested-loop reference,
-    /// tuple-for-tuple as bags, across conventions.
+    /// Invariant 8: planned execution ≡ the oracle, tuple-for-tuple as
+    /// bags (as sets under set conventions), across conventions.
     #[test]
     fn planned_pipeline_bag_identical_to_reference(
         seed in 0u64..400,
@@ -39,16 +38,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6007));
         let catalog = random_catalog(&spec, &mut rng);
         for conv in [Conventions::sql(), Conventions::set(), Conventions::souffle()] {
-            let reference = Engine::new(&catalog, conv)
-                .with_strategy(EvalStrategy::NestedLoop)
-                .eval_collection(&q)
-                .unwrap();
-            let planned = Engine::new(&catalog, conv)
-                .with_strategy(EvalStrategy::Planned)
-                .eval_collection(&q)
-                .unwrap();
+            let reference = arc_tests::oracle_rows(&catalog, conv, &q);
+            let planned = Engine::new(&catalog, conv).eval_collection(&q).unwrap();
             prop_assert!(
-                reference.bag_eq(&planned),
+                arc_tests::agrees(conv, &planned, &reference),
                 "conv {:?}\nquery {:?}\nreference:\n{}\nplanned:\n{}",
                 conv, q, reference, planned
             );
@@ -73,7 +66,6 @@ fn explain_eq1_golden() {
     // `explain_partition_golden` in `parallel_equivalence.rs`), and the
     // goldens must not depend on the ambient `ARC_THREADS`.
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
@@ -96,7 +88,6 @@ fn explain_eq1_unanalyzed_golden() {
     let mut catalog = fx::rs_catalog(64);
     catalog.clear_stats();
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
@@ -118,7 +109,6 @@ project Q(A)
 fn explain_eq3_golden() {
     let catalog = fx::grouped_catalog(64, 8);
     let engine = Engine::new(&catalog, Conventions::set())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
@@ -141,7 +131,6 @@ project Q(A, sm)
 fn explain_eq16_golden() {
     let catalog = arc_analysis::chain_catalog(16, 0, 3);
     let engine = Engine::new(&catalog, Conventions::set())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
@@ -167,8 +156,8 @@ program
 
 /// All three frontends (comprehension text, SQL, Datalog) execute through
 /// the same planned pipeline: lower each surface form and check the
-/// planned engine agrees with the forced reference, and that the planner
-/// can render every frontend's lowering with auto-selected hash probes.
+/// engine agrees with the oracle, and that the planner can render every
+/// frontend's lowering with auto-selected hash probes.
 #[test]
 fn frontends_execute_through_the_plan_layer() {
     let catalog = fx::rs_catalog(32);
@@ -182,16 +171,11 @@ fn frontends_execute_through_the_plan_layer() {
     let from_sql = arc_sql::sql_to_arc(&sql, &schemas).unwrap();
     for (name, q) in [("text", &from_text), ("sql", &from_sql)] {
         let planned = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .eval_collection(q)
             .unwrap();
-        let reference = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::NestedLoop)
-            .eval_collection(q)
-            .unwrap();
+        let reference = arc_tests::oracle_rows(&catalog, Conventions::sql(), q);
         assert!(planned.bag_eq(&reference), "frontend {name} diverged");
         let plan = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .explain_collection(q)
             .unwrap();
         assert!(plan.contains("hash-probe"), "frontend {name}:\n{plan}");
@@ -208,19 +192,14 @@ fn frontends_execute_through_the_plan_layer() {
     let arc = arc_datalog::lower_program(&program).unwrap();
     let chain = arc_analysis::chain_catalog(12, 0, 5);
     let planned = Engine::new(&chain, Conventions::souffle())
-        .with_strategy(EvalStrategy::Planned)
         .eval_program(&arc)
         .unwrap();
-    let reference = Engine::new(&chain, Conventions::souffle())
-        .with_strategy(EvalStrategy::NestedLoop)
-        .eval_program(&arc)
-        .unwrap();
+    let reference = arc_tests::oracle_program(&chain, Conventions::souffle(), &arc);
     assert!(
         planned.defined["A"].bag_eq(&reference.defined["A"]),
         "datalog fixpoint diverged"
     );
     let plan = Engine::new(&chain, Conventions::souffle())
-        .with_strategy(EvalStrategy::Planned)
         .explain_program(&arc)
         .unwrap();
     assert!(plan.contains("fixpoint"), "{plan}");

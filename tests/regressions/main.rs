@@ -4,3 +4,4 @@
 mod datalog_bound_aggregate;
 mod definition_order;
 mod i64_min_round_trip;
+mod outer_join_stratification;

@@ -11,7 +11,7 @@
 
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{semi_build_runs, Engine, EvalStrategy};
+use arc_engine::{semi_build_runs, Engine};
 
 #[test]
 fn semijoin_builds_once_not_per_outer_row() {
@@ -20,12 +20,10 @@ fn semijoin_builds_once_not_per_outer_row() {
     let q = fx::not_exists_corr(256);
 
     // Phase 1: one evaluation, one build — 400 outer rows probe it.
-    // (`with_strategy`/`with_decorrelate` pin the path explicitly: the
-    // suite also runs under forced strategies and `ARC_DECORRELATE=off`,
-    // which must not fail this test.)
+    // (`with_decorrelate` pins the path explicitly: the suite also runs
+    // under `ARC_DECORRELATE=off`, which must not fail this test.)
     let before = semi_build_runs();
     let sequential = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true)
         .eval_collection(&q)
@@ -40,7 +38,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     // Phase 2: the escape hatch runs zero builds and agrees on the bag.
     let before = semi_build_runs();
     let nested = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(false)
         .eval_collection(&q)
@@ -58,7 +55,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     // are identical, order included (invariant 9 extends to this path).
     let before = semi_build_runs();
     let parallel = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(4)
         .with_decorrelate(true)
         .eval_collection(&q)
@@ -74,7 +70,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     // evaluation — relation contents may differ between evaluations).
     let before = semi_build_runs();
     Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true)
         .eval_collection(&q)

@@ -4,8 +4,8 @@
 //! A boolean quantifier scope with pure equi-join correlation executes as
 //! a build-once set-level semi/anti-join under the planned engine
 //! (`ARC_DECORRELATE` on, the default) and as the per-outer-row nested
-//! loop otherwise. The two paths must be *bag-identical* under every
-//! strategy, convention, thread count, and NULL density — with the
+//! loop otherwise. Both paths must return the oracle's rows under every
+//! convention, thread count, and NULL density — with the
 //! `¬∃`-over-NULL-keys corner (the `NOT IN` shape of Fig 11) generated
 //! explicitly, because that is where a naive set translation would
 //! diverge from three-valued logic.
@@ -17,7 +17,7 @@
 use arc_analysis::{random_catalog, random_correlated_boolean_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,9 +25,9 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Invariant 11: decorrelated ≡ reference ≡ nested-planned, as bags,
-    /// for generated correlated `∃`/`¬∃` queries across conventions ×
-    /// strategies × `ARC_THREADS` ∈ {1, 4} × NULL-heavy instances.
+    /// Invariant 11: decorrelated ≡ nested ≡ the oracle, as bags (as sets
+    /// under set conventions), for generated correlated `∃`/`¬∃` queries
+    /// across conventions × `ARC_THREADS` ∈ {1, 4} × NULL-heavy instances.
     #[test]
     fn decorrelated_bag_identical_to_reference(
         seed in 0u64..400,
@@ -48,30 +48,19 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7717));
         let catalog = random_catalog(&spec, &mut rng);
         for conv in [Conventions::sql(), Conventions::set(), Conventions::souffle()] {
-            let reference = Engine::new(&catalog, conv)
-                .with_strategy(EvalStrategy::NestedLoop)
-                .with_threads(1)
-                .eval_collection(&q)
-                .unwrap();
-            for strategy in [
-                EvalStrategy::Planned,
-                EvalStrategy::NestedLoop,
-                EvalStrategy::HashJoin,
-            ] {
-                for threads in [1usize, 4] {
-                    for decorrelate in [true, false] {
-                        let result = Engine::new(&catalog, conv)
-                            .with_strategy(strategy)
-                            .with_threads(threads)
-                            .with_decorrelate(decorrelate)
-                            .eval_collection(&q)
-                            .unwrap();
-                        prop_assert!(
-                            reference.bag_eq(&result),
-                            "conv {:?} strategy {:?} threads {} decorrelate {}\nquery {:?}\nreference:\n{}\ngot:\n{}",
-                            conv, strategy, threads, decorrelate, q, reference, result
-                        );
-                    }
+            let reference = arc_tests::oracle_rows(&catalog, conv, &q);
+            for threads in [1usize, 4] {
+                for decorrelate in [true, false] {
+                    let result = Engine::new(&catalog, conv)
+                        .with_threads(threads)
+                        .with_decorrelate(decorrelate)
+                        .eval_collection(&q)
+                        .unwrap();
+                    prop_assert!(
+                        arc_tests::agrees(conv, &result, &reference),
+                        "conv {:?} threads {} decorrelate {}\nquery {:?}\nreference:\n{}\ngot:\n{}",
+                        conv, threads, decorrelate, q, reference, result
+                    );
                 }
             }
         }
@@ -80,7 +69,7 @@ proptest! {
 
 /// The `¬∃`-with-NULL-keys corner, row for row: NULLs on the probe side
 /// (the outer key) and the build side (inner rows) must reproduce the
-/// reference's three-valued verdicts exactly — an outer NULL key makes
+/// oracle's three-valued verdicts exactly — an outer NULL key makes
 /// the correlated equality `Unknown` for every inner row, so `∃` is
 /// false and `¬∃` is *true* (the unguarded `NOT IN` shape; SQL users add
 /// the Fig 11 guards to get SQL's `NOT IN` instead, which stays on the
@@ -102,11 +91,7 @@ fn null_keys_under_negation_match_reference() {
     let semi = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.A = r.A]]}");
     for conv in [Conventions::sql(), Conventions::set()] {
         for q in [&anti, &semi] {
-            let reference = Engine::new(&catalog, conv)
-                .with_strategy(EvalStrategy::NestedLoop)
-                .with_threads(1)
-                .eval_collection(q)
-                .unwrap();
+            let reference = arc_tests::oracle_rows(&catalog, conv, q);
             let decorrelated = Engine::new(&catalog, conv)
                 .with_threads(1)
                 .with_decorrelate(true)
@@ -172,7 +157,6 @@ fn explain_semijoin_golden() {
     let mut catalog = fx::semijoin_catalog(64, 64);
     catalog.analyze();
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true)
         .with_indexes(true)
@@ -202,7 +186,6 @@ fn explain_antijoin_and_escape_hatch_golden() {
     catalog.analyze();
     let q = fx::not_exists_corr(64);
     let on = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true)
         .with_indexes(true)
@@ -223,7 +206,6 @@ project Q(A)
     assert_eq!(on, expected, "anti-join plan drifted:\n{on}");
 
     let off = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(false)
         .explain_collection(&q)
@@ -236,10 +218,11 @@ project Q(A)
 
 /// A malformed `ARC_DECORRELATE` value surfaces as a descriptive
 /// configuration error (parse-level check; the engine wiring follows the
-/// same deferred-error path as `ARC_EVAL_STRATEGY`, covered there).
+/// same deferred-error path as `ARC_THREADS`).
 #[test]
 fn malformed_decorrelate_value_is_descriptive() {
-    let err = arc_engine::eval::strategy::parse_decorrelate(Some("sideways")).unwrap_err();
+    let err =
+        arc_engine::eval::knobs::parse_onoff("ARC_DECORRELATE", Some("sideways")).unwrap_err();
     assert!(err.contains("ARC_DECORRELATE"), "{err}");
     assert!(err.contains("sideways"), "{err}");
     assert!(err.contains("expected"), "{err}");
@@ -293,15 +276,10 @@ fn sibling_scopes_differing_in_a_constant_build_separately() {
     ];
     for (statistics, catalog) in [("none", &plain), ("analyzed", &analyzed)] {
         for (q, rows) in &expect {
-            let reference = Engine::new(catalog, Conventions::sql())
-                .with_strategy(EvalStrategy::NestedLoop)
-                .with_threads(1)
-                .eval_collection(q)
-                .unwrap();
+            let reference = arc_tests::oracle_rows(catalog, Conventions::sql(), q);
             assert_eq!(&reference.sorted_rows(), rows);
             for threads in [1usize, 4] {
                 let decorrelated = Engine::new(catalog, Conventions::sql())
-                    .with_strategy(EvalStrategy::Planned)
                     .with_threads(threads)
                     .with_decorrelate(true)
                     .eval_collection(q)

@@ -2,16 +2,17 @@
 //! `(frame, column)` slots, frames borrow rows, groups fold in one pass.
 //! These tests pin what that must not change — lexical scoping, error
 //! texts and *when* an error is raised, aggregate results bit for bit —
-//! across the default engine, the parallel executor and the nested-loop
-//! strategy; and what a lateral step's memo must deliver: one evaluation
+//! across the default engine, the parallel executor and the nested path,
+//! and against the oracle; and what a lateral step's memo must deliver: one evaluation
 //! per distinct value of the outer attributes it reads, with the rows,
 //! the errors and their timing of per-row evaluation.
 
+use arc_analysis::oracle::{self, OracleError};
 use arc_bench::fixtures as fx;
 use arc_core::ast::{BindingSource, Collection, Formula, Program};
 use arc_core::conventions::{Conventions, EmptyAgg};
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalError, EvalStrategy, Relation};
+use arc_engine::{Catalog, Engine, EvalError, Relation};
 use arc_trace::OpId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -22,20 +23,22 @@ fn engines<'c>(catalog: &'c Catalog, conv: Conventions) -> Vec<(&'static str, En
         ("default", Engine::new(catalog, conv)),
         ("threads(4)", Engine::new(catalog, conv).with_threads(4)),
         (
-            "nested-loop",
-            Engine::new(catalog, conv).with_strategy(EvalStrategy::NestedLoop),
-        ),
-        (
             "no decorrelation",
             Engine::new(catalog, conv).with_decorrelate(false),
         ),
     ]
 }
 
-/// Evaluate under every engine; all must produce `want` (as a bag).
+/// Evaluate under every engine; all must produce `want` (as a bag), and
+/// so must the oracle.
 fn assert_rows(catalog: &Catalog, conv: Conventions, q: &Collection, want: &[&[Value]]) {
     let mut want: Vec<Vec<Value>> = want.iter().map(|r| r.to_vec()).collect();
     want.sort_by_key(|r| Relation::row_key(r));
+    assert_eq!(
+        arc_tests::oracle_rows(catalog, conv, q).sorted_rows(),
+        want,
+        "oracle"
+    );
     for (name, engine) in engines(catalog, conv) {
         let got = engine
             .eval_collection(q)
@@ -44,9 +47,19 @@ fn assert_rows(catalog: &Catalog, conv: Conventions, q: &Collection, want: &[&[V
     }
 }
 
-/// Evaluate under every engine; all must agree with the default one.
+/// Evaluate under every engine; all must agree with the default one —
+/// and so must the oracle, unless the query reaches past its core (an
+/// external relation).
 fn assert_engines_agree(catalog: &Catalog, conv: Conventions, q: &Collection) -> Relation {
     let reference = Engine::new(catalog, conv).eval_collection(q).unwrap();
+    match oracle::eval_collection(catalog, conv, q) {
+        Ok(want) => assert!(
+            arc_tests::agrees(conv, &reference, &want),
+            "oracle:\n{want}"
+        ),
+        Err(OracleError::Unsupported(_)) => {}
+        Err(e) => panic!("oracle: {e:?}"),
+    }
     for (name, engine) in engines(catalog, conv) {
         let got = engine
             .eval_collection(q)
@@ -382,12 +395,11 @@ fn lateral_calls(engine: &Engine<'_>, q: &Collection, n: usize) -> u64 {
         .map_or(0, |op| op.calls)
 }
 
-/// Engines that enter a lateral declared after `r ∈ R` once per `R` row:
-/// declaration order pinned, sequentially and over four workers sharing
+/// Engines that enter a lateral declared after `r ∈ R` once per `R` row
+/// unless its memo answers: sequentially and over four workers sharing
 /// the compiled step.
 fn per_row_engines(catalog: &Catalog) -> Vec<Engine<'_>> {
-    let engine =
-        || Engine::new(catalog, Conventions::sql()).with_strategy(EvalStrategy::NestedLoop);
+    let engine = || Engine::new(catalog, Conventions::sql());
     vec![engine().with_threads(1), engine().with_threads(4)]
 }
 
@@ -403,11 +415,21 @@ fn an_outer_free_lateral_is_evaluated_once() {
     let got = assert_engines_agree(&catalog, Conventions::sql(), &q);
     assert_eq!(got.len(), 24);
     assert!(got.rows.iter().all(|row| row[1] == i(3)));
-    assert_eq!(lateral_calls(&per_row_engines(&catalog)[0], &q, 1), 1);
     assert_eq!(
         lateral_calls(&Engine::new(&catalog, Conventions::sql()), &q, 1),
         1
     );
+    // Over four rows of R the plan scans R first and enters the lateral
+    // once per row — unless its memo answers, as it must.
+    let mut few = catalog.clone();
+    let r = catalog.relation("R").unwrap();
+    let attrs: Vec<&str> = r.schema.iter().map(String::as_str).collect();
+    few.add(Relation::from_rows("R", &attrs, r.rows[..4].to_vec()));
+    let plan = Engine::new(&few, Conventions::sql())
+        .explain_collection(&q)
+        .unwrap();
+    assert!(plan.contains("1: scan R as r"), "{plan}");
+    assert_eq!(lateral_calls(&per_row_engines(&few)[0], &q, 1), 1);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! timeline ([`Engine::span_trace_collection`] /
 //! [`Engine::span_trace_program`]) only append begin/end events into
 //! bounded per-lane ring buffers; they may not change a single result
-//! row under any strategy, thread count, or vector/index setting.
+//! row under any thread count or vector/index setting.
 //!
 //! The exported Chrome Trace Event Format JSON is additionally held to a
 //! structural golden on the skewed range-join: it must reparse, every
@@ -18,7 +18,7 @@ use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::json::Json;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Invariant 15: spans on and off return identical rows across
-    /// every strategy × thread count × vector/index setting.
+    /// every thread count × vector/index setting.
     #[test]
     fn spans_on_off_row_identical(
         seed in 0u64..300,
@@ -55,34 +55,26 @@ proptest! {
         let q = random_conjunctive_query(&spec, joins, sels, seed);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6113));
         let catalog = random_catalog(&spec, &mut rng);
-        for strategy in [
-            EvalStrategy::Planned,
-            EvalStrategy::NestedLoop,
-            EvalStrategy::HashJoin,
-        ] {
-            for threads in [1usize, 4] {
-                for toggles in [true, false] {
-                    let run = |spans: bool| {
-                        Engine::new(&catalog, Conventions::sql())
-                            .with_strategy(strategy)
-                            .with_threads(threads)
-                            .with_vectorize(toggles)
-                            .with_indexes(toggles)
-                            .with_spans(spans)
-                            .eval_collection(&q)
-                            .unwrap()
-                    };
-                    let off = run(false);
-                    let on = run(true);
-                    prop_assert_eq!(
-                        &off.rows,
-                        &on.rows,
-                        "strategy {:?} threads {} vector/index {}",
-                        strategy,
-                        threads,
-                        toggles
-                    );
-                }
+        for threads in [1usize, 4] {
+            for toggles in [true, false] {
+                let run = |spans: bool| {
+                    Engine::new(&catalog, Conventions::sql())
+                        .with_threads(threads)
+                        .with_vectorize(toggles)
+                        .with_indexes(toggles)
+                        .with_spans(spans)
+                        .eval_collection(&q)
+                        .unwrap()
+                };
+                let off = run(false);
+                let on = run(true);
+                prop_assert_eq!(
+                    &off.rows,
+                    &on.rows,
+                    "threads {} vector/index {}",
+                    threads,
+                    toggles
+                );
             }
         }
     }
@@ -175,7 +167,6 @@ fn span_trace_golden_partitioned_range_join() {
     catalog.analyze();
     let q = wide_range(n);
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(4)
         .with_indexes(false); // pin the scan axis so the scope partitions
     let (rows, trace) = engine.span_trace_collection(&q).unwrap();
@@ -294,9 +285,7 @@ fn span_trace_sequential_records_scopes() {
     let mut catalog = fx::stats_skew_catalog(n);
     catalog.analyze();
     let q = fx::eq1_range(n);
-    let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
-        .with_threads(1);
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
     let (rows, trace) = engine.span_trace_collection(&q).unwrap();
     assert_eq!(rows.len(), 56);
     let events = walk_events(&trace);
@@ -333,7 +322,6 @@ fn latency_quantiles_surface_in_metrics_text() {
     let q = wide_range(n);
     let before = arc_trace::snapshot();
     let out = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(4)
         .with_indexes(false)
         .eval_collection(&q)

@@ -5,8 +5,7 @@
 //! leaves it with row counts and prefix samples. The two may pick
 //! different join orders and access paths — that is the point — but every
 //! plan of a scope is bag-equivalent by construction, so results must be
-//! bag-identical under every strategy (and tuple-identical under the
-//! order-pinned force modes).
+//! bag-identical — and the oracle's.
 //!
 //! The deterministic companion test pins the acceptance demonstration:
 //! on the skewed fixture the statistics visibly flip the join order *and*
@@ -15,7 +14,7 @@
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,8 +23,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Invariant 10: planned results with and without statistics are
-    /// bag-identical under all strategies, across conventions, with and
-    /// without NULLs.
+    /// bag-identical and agree with the oracle, across conventions, with
+    /// and without NULLs.
     #[test]
     fn stats_on_off_bag_identical(
         seed in 0u64..400,
@@ -46,30 +45,15 @@ proptest! {
         let mut bare = base;
         bare.clear_stats();
         for conv in [Conventions::sql(), Conventions::set(), Conventions::souffle()] {
-            for strategy in [
-                EvalStrategy::Planned,
-                EvalStrategy::NestedLoop,
-                EvalStrategy::HashJoin,
-            ] {
-                let with_stats = Engine::new(&analyzed, conv)
-                    .with_strategy(strategy)
-                    .eval_collection(&q)
-                    .unwrap();
-                let without = Engine::new(&bare, conv)
-                    .with_strategy(strategy)
-                    .eval_collection(&q)
-                    .unwrap();
-                prop_assert!(
-                    with_stats.bag_eq(&without),
-                    "conv {:?} strategy {:?}\nquery {:?}\nwith stats:\n{}\nwithout:\n{}",
-                    conv, strategy, q, with_stats, without
-                );
-                if strategy != EvalStrategy::Planned {
-                    // Force modes pin order: statistics may not even
-                    // reorder these.
-                    prop_assert_eq!(&with_stats.rows, &without.rows);
-                }
-            }
+            let with_stats = Engine::new(&analyzed, conv).eval_collection(&q).unwrap();
+            let without = Engine::new(&bare, conv).eval_collection(&q).unwrap();
+            prop_assert!(
+                with_stats.bag_eq(&without),
+                "conv {:?}\nquery {:?}\nwith stats:\n{}\nwithout:\n{}",
+                conv, q, with_stats, without
+            );
+            let oracle = arc_tests::oracle_rows(&bare, conv, &q);
+            prop_assert!(arc_tests::agrees(conv, &without, &oracle), "oracle:\n{}", oracle);
         }
     }
 }
@@ -91,7 +75,6 @@ fn stats_flip_join_order_and_access_path() {
 
     let explain = |catalog: &arc_engine::Catalog| {
         Engine::new(catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .with_threads(1)
             .with_indexes(true)
             .explain_collection(&q)
@@ -155,10 +138,9 @@ fn post_analyze_plans_are_not_served_stale() {
         .eval_collection(&q)
         .unwrap();
     assert!(before.bag_eq(&after));
-    // The post-ANALYZE plan must be the statistics-shaped one (strategy
+    // The post-ANALYZE plan must be the statistics-shaped one (thread
     // and index state pinned against the env-knob suite re-runs).
     let plan = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_collection(&q)

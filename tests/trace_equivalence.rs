@@ -3,8 +3,8 @@
 //! The `ARC_TRACE` knob ([`Engine::with_trace`]) only enables clock
 //! reads; the profile sink ([`Engine::profile_collection`] /
 //! `explain_analyze_*`) only counts rows the evaluator was producing
-//! anyway. Neither may change a single result row, under any strategy,
-//! thread count, or vector/index setting — and the counts themselves
+//! anyway. Neither may change a single result row, under any thread
+//! count or vector/index setting — and the counts themselves
 //! must be *exact*: the same profile whether gathered sequentially or
 //! merged from four workers, with row counts matching a hand-counted
 //! oracle on the skewed range-join fixture.
@@ -12,7 +12,7 @@
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{Engine, EvalStrategy};
+use arc_engine::Engine;
 use arc_trace::OpId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Invariant 14: trace on and off return identical rows across
-    /// every strategy × thread count × vector/index setting.
+    /// every thread count × vector/index setting.
     #[test]
     fn trace_on_off_row_identical(
         seed in 0u64..300,
@@ -49,34 +49,26 @@ proptest! {
         let q = random_conjunctive_query(&spec, joins, sels, seed);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(4799));
         let catalog = random_catalog(&spec, &mut rng);
-        for strategy in [
-            EvalStrategy::Planned,
-            EvalStrategy::NestedLoop,
-            EvalStrategy::HashJoin,
-        ] {
-            for threads in [1usize, 4] {
-                for toggles in [true, false] {
-                    let run = |trace: bool| {
-                        Engine::new(&catalog, Conventions::sql())
-                            .with_strategy(strategy)
-                            .with_threads(threads)
-                            .with_vectorize(toggles)
-                            .with_indexes(toggles)
-                            .with_trace(trace)
-                            .eval_collection(&q)
-                            .unwrap()
-                    };
-                    let off = run(false);
-                    let on = run(true);
-                    prop_assert_eq!(
-                        &off.rows,
-                        &on.rows,
-                        "strategy {:?} threads {} vector/index {}",
-                        strategy,
-                        threads,
-                        toggles
-                    );
-                }
+        for threads in [1usize, 4] {
+            for toggles in [true, false] {
+                let run = |trace: bool| {
+                    Engine::new(&catalog, Conventions::sql())
+                        .with_threads(threads)
+                        .with_vectorize(toggles)
+                        .with_indexes(toggles)
+                        .with_trace(trace)
+                        .eval_collection(&q)
+                        .unwrap()
+                };
+                let off = run(false);
+                let on = run(true);
+                prop_assert_eq!(
+                    &off.rows,
+                    &on.rows,
+                    "threads {} vector/index {}",
+                    threads,
+                    toggles
+                );
             }
         }
     }
@@ -96,7 +88,6 @@ fn profile_actuals_match_hand_count() {
 
     let profile_with = |threads: usize, trace: bool| {
         let engine = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(EvalStrategy::Planned)
             .with_threads(threads)
             .with_indexes(true)
             .with_trace(trace);
@@ -178,7 +169,6 @@ fn explain_analyze_renders_actuals() {
     catalog.analyze();
     let q = fx::eq1_range(n);
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true);
 
@@ -225,7 +215,6 @@ fn explain_analyze_footer_reports_misestimates() {
     let mut catalog = fx::stats_skew_catalog(n);
     catalog.analyze();
     let analyzed = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_indexes(true)
         .explain_analyze_collection(&fx::eq1_range(n))
@@ -260,7 +249,6 @@ fn explain_analyze_footer_reports_misestimates() {
     let mut skewed = arc_engine::Catalog::new().with(r).with(s);
     skewed.analyze();
     let analyzed = Engine::new(&skewed, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .explain_analyze_collection(&fx::q("{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B]}"))
         .unwrap();
@@ -288,7 +276,6 @@ fn semijoin_profile_counts_probes_and_hits() {
     let catalog = fx::semijoin_catalog(n, k);
     let q = fx::exists_corr(k);
     let engine = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true);
     let (rows, profile) = engine.profile_collection(&q).unwrap();
@@ -378,7 +365,6 @@ fn registry_counters_observe_hot_seams() {
     let q = fx::exists_corr(k);
     let before = arc_trace::snapshot();
     let out = Engine::new(&catalog, Conventions::sql())
-        .with_strategy(EvalStrategy::Planned)
         .with_threads(1)
         .with_decorrelate(true)
         .eval_collection(&q)

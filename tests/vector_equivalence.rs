@@ -3,7 +3,6 @@
 //! order, same multiplicities — stronger than the bag-identity the
 //! invariant asks for) with `ARC_VECTOR` on and off, across:
 //!
-//! * all three evaluation strategies (planned / nested-loop / hash-join),
 //! * both convention presets (SQL three-valued and set two-valued),
 //! * NULL/NaN-heavy instances,
 //! * `ARC_THREADS` 1 and 4 (chunk-aligned morsels vs plain morsels),
@@ -23,7 +22,7 @@ use arc_analysis::{
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalStrategy, Relation};
+use arc_engine::{Catalog, Engine, Relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,32 +42,26 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
     spec
 }
 
-/// Evaluate `q` with vectorization off (the row-path reference) and on,
-/// under every strategy × thread count, asserting row-identical output.
+/// Evaluate `q` with vectorization off (the row-path reference, itself
+/// checked against the oracle) and on, under every thread count,
+/// asserting row-identical output.
 fn assert_vector_invisible(catalog: &Catalog, q: &arc_core::ast::Collection, conv: Conventions) {
-    for strategy in [
-        EvalStrategy::Planned,
-        EvalStrategy::NestedLoop,
-        EvalStrategy::HashJoin,
-    ] {
-        let reference = Engine::new(catalog, conv)
-            .with_strategy(strategy)
-            .with_vectorize(false)
-            .with_threads(1)
+    let reference = Engine::new(catalog, conv)
+        .with_vectorize(false)
+        .with_threads(1)
+        .eval_collection(q)
+        .unwrap();
+    arc_tests::assert_oracle(catalog, conv, q, &reference);
+    for threads in [1usize, 4] {
+        let vectorized = Engine::new(catalog, conv)
+            .with_vectorize(true)
+            .with_threads(threads)
             .eval_collection(q)
             .unwrap();
-        for threads in [1usize, 4] {
-            let vectorized = Engine::new(catalog, conv)
-                .with_strategy(strategy)
-                .with_vectorize(true)
-                .with_threads(threads)
-                .eval_collection(q)
-                .unwrap();
-            assert_eq!(
-                reference.rows, vectorized.rows,
-                "strategy {strategy:?} threads {threads} conv {conv:?}"
-            );
-        }
+        assert_eq!(
+            reference.rows, vectorized.rows,
+            "threads {threads} conv {conv:?}"
+        );
     }
 }
 
@@ -241,19 +234,11 @@ fn errors_surface_identically() {
             ]),
         ),
     );
-    for strategy in [
-        EvalStrategy::Planned,
-        EvalStrategy::NestedLoop,
-        EvalStrategy::HashJoin,
-    ] {
-        let off = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(strategy)
-            .with_vectorize(false)
-            .eval_collection(&mixed);
-        let on = Engine::new(&catalog, Conventions::sql())
-            .with_strategy(strategy)
-            .with_vectorize(true)
-            .eval_collection(&mixed);
-        assert_eq!(off, on, "outcome drift under {strategy:?}");
-    }
+    let off = Engine::new(&catalog, Conventions::sql())
+        .with_vectorize(false)
+        .eval_collection(&mixed);
+    let on = Engine::new(&catalog, Conventions::sql())
+        .with_vectorize(true)
+        .eval_collection(&mixed);
+    assert_eq!(off, on, "outcome drift");
 }
