@@ -210,13 +210,38 @@ impl<'a> GroupTests<'a> {
 pub(crate) struct SemiPlan<'a> {
     /// Outer-only filters: checked per outer row before probing.
     pub(crate) probe_filters: Vec<CPred<'a>>,
-    /// Outer sides of the correlated equalities.
-    pub(crate) probe_keys: Vec<CScalar<'a>>,
-    /// Scope-local sides of the correlated equalities (the build key).
-    pub(crate) build_keys: Vec<CScalar<'a>>,
+    /// The correlated key.
+    pub(crate) keys: SemiKeys<'a>,
     /// Row count of the largest source relation (the build's admission
     /// estimate).
     pub(crate) est_rows: usize,
+}
+
+/// The correlated key of a decorrelated boolean scope.
+pub(crate) enum SemiKeys<'a> {
+    /// Correlated equalities `L = O`, one key component each (none: the
+    /// build is a pure non-emptiness check).
+    Equi(Vec<SemiKey<'a>>),
+    /// The one key of a null guard `L = O ∨ L is null ∨ O is null`: see
+    /// [`super::semijoin`]'s three-valued logic.
+    NullAware(SemiKey<'a>),
+}
+
+impl<'a> SemiKeys<'a> {
+    pub(crate) fn as_slice(&self) -> &[SemiKey<'a>] {
+        match self {
+            SemiKeys::Equi(keys) => keys,
+            SemiKeys::NullAware(key) => std::slice::from_ref(key),
+        }
+    }
+}
+
+/// Both sides of one correlated equality.
+pub(crate) struct SemiKey<'a> {
+    /// The outer side, evaluated per probed outer row.
+    pub(crate) probe: CScalar<'a>,
+    /// The scope-local side, evaluated per build environment.
+    pub(crate) build: CScalar<'a>,
 }
 
 /// A compiled quantifier scope.
@@ -359,7 +384,7 @@ impl<'a> Ctx<'a> {
                     }
                 }
             }
-            let (pipeline, layout) = self.compile_pipeline(q, &parts, false, env.names())?;
+            let (pipeline, layout) = self.compile_pipeline(q, &parts, false, None, env.names())?;
             let body = match q.grouping {
                 None => {
                     let mut r = Resolver::tuple(&layout);
@@ -398,7 +423,7 @@ impl<'a> Ctx<'a> {
         self.cached_scope(q.body, role, env, || {
             // The head name "\u{0}" cannot occur, so nothing classifies as
             // an assignment.
-            let parts = partition(q.body, "\u{0}");
+            let mut parts = partition(q.body, "\u{0}");
             if q.grouping.is_none() {
                 if let Some(p) = parts.agg_tests.first() {
                     return Err(EvalError::AggregateOutsideGrouping(p.to_string()));
@@ -416,36 +441,43 @@ impl<'a> Ctx<'a> {
             let outer = env.names();
             // Shape check (shared with `EXPLAIN`'s lowering): no grouping,
             // no outer-join annotation, no aggregates, and no boolean
-            // subformula correlated with the outer environment.
-            let decorrelate = !nested
-                && self.decorrelate
-                && arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer));
-            let (pipeline, layout) = self.compile_pipeline(q, &parts, decorrelate, outer)?;
+            // subformula correlated with the outer environment but one
+            // null guard.
+            let shape = (!nested && self.decorrelate)
+                .then(|| arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer)))
+                .flatten();
+            let guard = shape.flatten();
+            let (pipeline, layout) =
+                self.compile_pipeline(q, &parts, shape.is_some(), guard.map(|g| g.eq), outer)?;
             let body = match (q.grouping, &pipeline) {
                 (Some(g), _) => Body::Groups(GroupPlan::compile(g, q.body, &parts, &layout, None)),
                 (None, Pipeline::Steps(Steps { plan, steps, .. }))
                     if plan.decorrelation.is_some() =>
                 {
                     let dec = plan.decorrelation.as_ref().expect("checked above");
-                    let sides = |k: &arc_plan::physical::CorrelatedKey| {
-                        eq_sides(parts.filters[k.filter], k.local_on_left)
+                    // Filter `filters.len()` is the null guard's equality
+                    // (`ScopeSpec::filter`).
+                    let filter = |i: usize| match parts.filters.get(i) {
+                        Some(p) => p,
+                        None => guard.expect("a null-aware key").eq,
+                    };
+                    let key = |k: &arc_plan::CorrelatedKey| {
+                        let (local, probe) = eq_sides(filter(k.filter), k.local_on_left);
+                        SemiKey {
+                            probe: Resolver::tuple(outer).scalar(probe),
+                            build: Resolver::tuple(&layout).scalar(local),
+                        }
                     };
                     Body::Semi(SemiPlan {
                         probe_filters: dec
                             .probe_filters
                             .iter()
-                            .map(|&i| Resolver::tuple(outer).pred(parts.filters[i]))
+                            .map(|&i| Resolver::tuple(outer).pred(filter(i)))
                             .collect(),
-                        probe_keys: dec
-                            .keys
-                            .iter()
-                            .map(|k| Resolver::tuple(outer).scalar(sides(k).1))
-                            .collect(),
-                        build_keys: dec
-                            .keys
-                            .iter()
-                            .map(|k| Resolver::tuple(&layout).scalar(sides(k).0))
-                            .collect(),
+                        keys: match dec.keys.as_slice() {
+                            [k] if dec.null_aware => SemiKeys::NullAware(key(k)),
+                            keys => SemiKeys::Equi(keys.iter().map(key).collect()),
+                        },
                         est_rows: steps
                             .iter()
                             .map(|ob| match &ob.source {
@@ -458,10 +490,24 @@ impl<'a> Ctx<'a> {
                 }
                 (None, _) => Body::Exists,
             };
+            // A null-aware probe answers the guard; the build must not
+            // evaluate it (its outer side is not the build's to read).
+            if let (Some(g), Body::Semi(_)) = (guard, &body) {
+                parts.pre_bool.remove(g.index);
+            }
             Ok(self.finish_scope(q, &parts, pipeline, layout, body, env))
         })
     }
 
+    /// The compiled scope for `body` under `role` and `env`'s layout,
+    /// compiling it on first use. The key's address half is pinned for
+    /// the key's lifetime: `body` is borrowed from the AST for `'a`, and
+    /// the map lives in this `Ctx<'a>`, so no other formula can occupy the
+    /// address while the entry exists. Two scopes that differ only in a
+    /// constant are two bodies, so two entries — and, through their
+    /// distinct `Scope::id`s, two semi-join builds
+    /// (`sibling_not_in_scopes_differing_in_a_constant_build_separately`
+    /// in `tests/semijoin_equivalence.rs`).
     fn cached_scope(
         &self,
         body: &'a Formula,
@@ -505,12 +551,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Resolve, plan and materialize a scope's bindings under the outer
-    /// frames `outer`; returns the pipeline and the full layout.
+    /// frames `outer`; returns the pipeline and the full layout. `guard`
+    /// is a boolean scope's null guard equality ([`ScopeSpec::guard`]).
     fn compile_pipeline(
         &self,
         q: QuantRef<'a>,
         parts: &Parts<'a>,
         boolean: bool,
+        guard: Option<&'a Predicate>,
         outer: &[Names<'a>],
     ) -> Result<(Pipeline<'a>, Layout<'a>)> {
         if let Some(tree) = q.join.filter(|t| t.has_outer()) {
@@ -519,7 +567,7 @@ impl<'a> Ctx<'a> {
             // A pure-inner annotation is semantically the default join.
         }
         let resolved = self.resolve_bindings(q.bindings)?;
-        let plan = self.scope_plan(q.bindings, &parts.filters, outer, &resolved, boolean)?;
+        let plan = self.scope_plan(q.bindings, &parts.filters, outer, &resolved, boolean, guard)?;
         self.materialize_steps(q.bindings, &parts.filters, &resolved, plan, outer)
     }
 
@@ -576,6 +624,7 @@ impl<'a> Ctx<'a> {
         outer: &[Names<'a>],
         resolved: &[Resolved<'a>],
         boolean: bool,
+        guard: Option<&'a Predicate>,
     ) -> Result<Arc<ScopePlan>> {
         // Describe the scope to the planner.
         let spec_bindings: Vec<BindingSpec<'_>> = bindings
@@ -616,6 +665,7 @@ impl<'a> Ctx<'a> {
             outer: &LayoutOuter(outer),
             estimator: Some(&estimator),
             indexes: self.indexes,
+            guard,
         };
 
         // The statistics epoch rides in the key: a post-`ANALYZE`

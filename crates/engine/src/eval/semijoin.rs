@@ -5,7 +5,7 @@
 //! answered by re-entering the binding loop once per outer environment:
 //! O(outer × inner) in the worst case, with the plan cache amortizing
 //! only the *planning*. When the scope's correlation with the outer
-//! environment is a **pure equi-join** (recognized by
+//! environment is a **pure equi-join**, or Eq 17's null guard (recognized by
 //! [`arc_plan::plan_scope_boolean`]'s decorrelation pass), this module
 //! instead:
 //!
@@ -32,6 +32,21 @@
 //! multiplicity (the §2.7 semijoin-multiplicity rule lives at the
 //! emission spine, unchanged).
 //!
+//! **Null-aware keys.** SQL's `NOT IN` correlates through Eq 17's null
+//! guard `L = O ∨ L is null ∨ O is null` instead of `L = O`
+//! ([`arc_plan::Decorrelation::null_aware`]). Each disjunct is `True` or
+//! `False` for non-`NULL` operands, and `L is null` / `O is null` is
+//! `True` wherever `L = O` is `Unknown`, so the guard is two-valued and
+//! `∃` holds for an outer row iff
+//! `non_empty ∧ (O is null ∨ has_null ∨ key(O) ∈ set)`, where `non_empty`
+//! records that some build environment survived and `has_null` that
+//! some surviving `L` was `NULL` (the build stops there: every probe
+//! then answers `True`). `NaN` is not `NULL`: it satisfies neither `is null`
+//! nor any equality, so on either side it is just a key that matches
+//! nothing — exactly what `Cmp Eq` answers on the nested path. The
+//! columnar build cannot tell a `NULL` from a `NaN`, so null-aware
+//! builds run row at a time.
+//!
 //! ## Caching and sharing
 //!
 //! Built key sets live in [`SemiBuildCache`], keyed by the scope's
@@ -45,6 +60,17 @@
 //! executor forks — all workers probe the *same* build instead of each
 //! re-building.
 //!
+//! Both halves of the key are addresses, and both are pinned for the
+//! cache's lifetime, which is one evaluation: the scope identity is the
+//! address of a binding slice inside the AST the evaluation borrows for
+//! `'a` (it cannot move or be freed while any `Ctx<'a>` lives), and the
+//! plan half is pinned by the entry itself ([`SemiEntry`]). Two scopes
+//! that differ only in a constant — two `NOT IN` subqueries among them —
+//! are two binding slices, so two builds
+//! (`sibling_scopes_differing_in_a_constant_build_separately` and
+//! `sibling_not_in_scopes_differing_in_a_constant_build_separately` in
+//! `tests/semijoin_equivalence.rs`).
+//!
 //! ## Fallback
 //!
 //! If the build errors (say, an unknown attribute in a build-side leaf
@@ -56,7 +82,7 @@
 use super::env::Env;
 use super::profile::ScopeTally;
 use super::quantifier::Src;
-use super::scope::{Pipeline, Scope, SemiPlan, Steps};
+use super::scope::{Pipeline, Scope, SemiKey, SemiKeys, SemiPlan, Steps};
 use super::slots::CScalar;
 use super::Ctx;
 use crate::error::{EvalError, Result};
@@ -64,12 +90,73 @@ use crate::metrics;
 use arc_core::value::{Key, Truth};
 use arc_plan::ScopePlan;
 use arc_trace::{OpId, OpStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// The correlated-key set of one build: every key the scope body can
-/// produce (NULL/NaN-free by construction).
-pub(crate) type KeySet = HashSet<Vec<Key>>;
+/// produce (NULL/NaN-free by construction). A one-column key — every
+/// `NOT IN`, most `EXISTS` — is stored bare, so a distinct key costs no
+/// allocation of its own.
+#[derive(Debug, PartialEq)]
+pub(crate) enum KeySet {
+    One(HashSet<Key>),
+    /// Any other width (`[]` is the keyless build's one key).
+    Many(HashSet<Vec<Key>>),
+}
+
+impl KeySet {
+    /// An empty set of `width`-component keys, with room for `capacity`
+    /// (a keyless build holds at most its one empty key).
+    pub(crate) fn new(width: usize, capacity: usize) -> Self {
+        match width {
+            0 => KeySet::Many(HashSet::new()),
+            1 => KeySet::One(HashSet::with_capacity(capacity)),
+            _ => KeySet::Many(HashSet::with_capacity(capacity)),
+        }
+    }
+
+    /// Add `key`, copying it on its first occurrence only.
+    pub(crate) fn insert(&mut self, key: &[Key]) {
+        match self {
+            KeySet::One(set) => {
+                if !set.contains(&key[0]) {
+                    set.insert(key[0].clone());
+                }
+            }
+            KeySet::Many(set) => {
+                if !set.contains(key) {
+                    set.insert(key.to_vec());
+                }
+            }
+        }
+    }
+
+    pub(crate) fn contains(&self, key: &[Key]) -> bool {
+        match self {
+            KeySet::One(set) => set.contains(&key[0]),
+            KeySet::Many(set) => set.contains(key),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            KeySet::One(set) => set.len(),
+            KeySet::Many(set) => set.len(),
+        }
+    }
+}
+
+/// What one build found: the key set, and the two facts a null-aware
+/// probe reads beside it (see the module docs).
+struct Built {
+    keys: KeySet,
+    /// Some build environment survived the build filters and the
+    /// outer-free boolean subformulas.
+    non_empty: bool,
+    /// Some surviving environment's local key side was `NULL` (recorded
+    /// by null-aware builds only).
+    has_null: bool,
+}
 
 /// One cached build. The entry **pins** the plan whose address is half
 /// of its key: worker-planned `Arc`s are otherwise retained only by that
@@ -79,16 +166,21 @@ pub(crate) type KeySet = HashSet<Vec<Key>>;
 /// probe would serve the wrong key set. Holding the `Arc` makes address
 /// reuse impossible for as long as the entry lives.
 pub(crate) struct SemiEntry {
+    key: BuildKey,
     _plan: Arc<ScopePlan>,
     /// `None` records a failed build: the scope falls back to the nested
     /// path for the rest of the evaluation (which reproduces any real
     /// error lazily) instead of re-attempting the build per outer row.
-    set: Option<Arc<KeySet>>,
+    built: Option<Built>,
+    /// The entry published before this one.
+    next: Option<Arc<SemiEntry>>,
 }
 
-/// Build-once cache of decorrelated scopes, keyed by [`BuildKey`]. The
-/// shared map comes into being with its first use — or its first clone,
-/// which must share it — so an evaluation without a decorrelated scope
+/// Build-once cache of decorrelated scopes: a list of entries, newest
+/// first, one per [`BuildKey`] — an evaluation has a handful, so a walk
+/// is as fast as a hash and costs one allocation per build. The shared
+/// head comes into being with its first use — or its first clone, which
+/// must share it — so an evaluation without a decorrelated scope
 /// allocates none.
 #[derive(Default)]
 pub(crate) struct SemiBuildCache(std::sync::OnceLock<SharedBuilds>);
@@ -97,7 +189,21 @@ pub(crate) struct SemiBuildCache(std::sync::OnceLock<SharedBuilds>);
 /// plan)*.
 type BuildKey = (usize, usize);
 
-type SharedBuilds = Arc<Mutex<HashMap<BuildKey, SemiEntry>>>;
+type Head = Option<Arc<SemiEntry>>;
+
+type SharedBuilds = Arc<Mutex<Head>>;
+
+/// The entry for `key` in the list starting at `head`.
+fn find(head: &Head, key: BuildKey) -> Option<&Arc<SemiEntry>> {
+    let mut at = head.as_ref();
+    while let Some(entry) = at {
+        if entry.key == key {
+            return Some(entry);
+        }
+        at = entry.next.as_ref();
+    }
+    None
+}
 
 impl Clone for SemiBuildCache {
     fn clone(&self) -> Self {
@@ -112,18 +218,46 @@ impl SemiBuildCache {
 
     /// Lock the cache, **recovering** from a poisoned mutex (a worker
     /// panicked mid-insert): the poison is cleared — so later locks take
-    /// the fast path again — and the map is emptied, because a build
+    /// the fast path again — and the list is emptied, because a build
     /// interrupted by a panic may have published nothing or anything.
     /// Build-once is an optimization; dropping entries costs a rebuild,
     /// never correctness.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<BuildKey, SemiEntry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Head> {
         let shared = self.shared();
         shared.lock().unwrap_or_else(|poisoned| {
             shared.clear_poison();
-            let mut map = poisoned.into_inner();
-            map.clear();
-            map
+            let mut head = poisoned.into_inner();
+            *head = None;
+            head
         })
+    }
+
+    /// The entry for `key`, or `None` if no build has been published.
+    fn get(&self, key: BuildKey) -> Option<Arc<SemiEntry>> {
+        find(&self.lock(), key).cloned()
+    }
+
+    /// Publish a build for `key` — unless a racing worker already did,
+    /// in which case its entry wins and this duplicate (identical by
+    /// construction) is dropped.
+    fn publish(
+        &self,
+        key: BuildKey,
+        plan: &Arc<ScopePlan>,
+        built: Option<Built>,
+    ) -> Arc<SemiEntry> {
+        let mut head = self.lock();
+        if let Some(entry) = find(&head, key) {
+            return entry.clone();
+        }
+        let entry = Arc::new(SemiEntry {
+            key,
+            _plan: plan.clone(),
+            built,
+            next: head.take(),
+        });
+        *head = Some(entry.clone());
+        entry
     }
 }
 
@@ -157,16 +291,30 @@ impl<'a> Ctx<'a> {
         if !self.all_true(&semi.probe_filters, env)? {
             return Ok(Some(Truth::False));
         }
-        let Some(set) = self.semi_build(sc, semi, build, env)? else {
+        let entry = self.semi_build(sc, semi, build, env)?;
+        let Some(built) = &entry.built else {
             return Ok(None); // failed build: nested path reproduces it
         };
-        // Probe: evaluate the outer side of every correlated equality
-        // into the context's scratch key. A NULL/NaN component can
-        // satisfy no equality, so the scope is empty for this row (NOT IN
-        // semantics fall out of this when the caller negates).
-        let hit = {
-            let mut key = self.probe_key.borrow_mut();
-            self.key_into(&semi.probe_keys, env, &mut key)? && set.contains(key.as_slice())
+        let hit = match &semi.keys {
+            // Eq 17's guard: `non_empty ∧ (O is null ∨ has_null ∨ key(O) ∈
+            // set)`, evaluating `O` only when the bits leave it open.
+            SemiKeys::NullAware(key) => {
+                built.non_empty
+                    && (built.has_null || {
+                        let o = self.scalar(&key.probe, env)?;
+                        o.is_null()
+                            || o.join_key()
+                                .is_some_and(|k| built.keys.contains(std::slice::from_ref(&k)))
+                    })
+            }
+            // Probe: evaluate the outer side of every correlated equality
+            // into the context's scratch key. A NULL/NaN component can
+            // satisfy no equality, so the scope is empty for this row.
+            SemiKeys::Equi(keys) => {
+                let mut key = self.probe_key.borrow_mut();
+                let probes = keys.iter().map(|k| &k.probe);
+                self.key_into(probes, env, &mut key)? && built.keys.contains(&key)
+            }
         };
         metrics::semi_probes().inc();
         if hit {
@@ -189,7 +337,15 @@ impl<'a> Ctx<'a> {
 
     /// Evaluate join-key expressions into `key` (cleared first); `false`
     /// when a component is NULL/NaN and can match nothing.
-    fn key_into(&self, exprs: &[CScalar<'a>], env: &Env<'a>, key: &mut Vec<Key>) -> Result<bool> {
+    fn key_into<'k>(
+        &self,
+        exprs: impl Iterator<Item = &'k CScalar<'a>>,
+        env: &Env<'a>,
+        key: &mut Vec<Key>,
+    ) -> Result<bool>
+    where
+        'a: 'k,
+    {
         key.clear();
         for e in exprs {
             match self.scalar(e, env)?.join_key() {
@@ -210,10 +366,10 @@ impl<'a> Ctx<'a> {
         semi: &SemiPlan<'a>,
         build: &Steps<'a>,
         env: &mut Env<'a>,
-    ) -> Result<Option<Arc<KeySet>>> {
+    ) -> Result<Arc<SemiEntry>> {
         let cache_key = (sc.id, Arc::as_ptr(&build.plan) as usize);
-        if let Some(entry) = self.semi_builds.lock().get(&cache_key) {
-            return Ok(entry.set.clone());
+        if let Some(entry) = self.semi_builds.get(cache_key) {
+            return Ok(entry);
         }
         // Admission: the key set, estimated from the largest source
         // relation. Denied → record a *failed* build, so the nested
@@ -221,23 +377,16 @@ impl<'a> Ctx<'a> {
         // evaluation instead of re-attempting the build per outer row.
         if !self.guard_admit(
             arc_guard::seam::SEMI_BUILD,
-            semi.est_rows * (48 + 24 * semi.build_keys.len()),
+            semi.est_rows * (48 + 24 * semi.keys.as_slice().len()),
         ) {
-            self.semi_builds
-                .lock()
-                .entry(cache_key)
-                .or_insert(SemiEntry {
-                    _plan: build.plan.clone(),
-                    set: None,
-                });
-            return Ok(None);
+            return Ok(self.semi_builds.publish(cache_key, &build.plan, None));
         }
         metrics::semi_builds().inc();
         let base = env.len();
         let start = self.trace.then(std::time::Instant::now);
         let span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-        let set = match env.with_layout(&sc.layout, |env| self.run_build(sc, semi, build, env)) {
-            Ok(set) => Some(Arc::new(set)),
+        let built = match env.with_layout(&sc.layout, |env| self.run_build(sc, semi, build, env)) {
+            Ok(built) => Some(built),
             Err(_) => {
                 // Abandoned enumeration may leave local frames pushed;
                 // restore the environment before the nested path reuses it.
@@ -264,21 +413,13 @@ impl<'a> Ctx<'a> {
             sink.merge_op(
                 OpId::semi(sc.id),
                 OpStats {
-                    rows_in: set.as_ref().map_or(0, |s| s.len() as u64),
+                    rows_in: built.as_ref().map_or(0, |b| b.keys.len() as u64),
                     nanos: build_nanos,
                     ..OpStats::default()
                 },
             );
         }
-        let mut map = self.semi_builds.lock();
-        Ok(map
-            .entry(cache_key)
-            .or_insert(SemiEntry {
-                _plan: build.plan.clone(),
-                set,
-            })
-            .set
-            .clone())
+        Ok(self.semi_builds.publish(cache_key, &build.plan, built))
     }
 
     /// Evaluate the build pipeline once, collecting the correlated-key
@@ -291,61 +432,85 @@ impl<'a> Ctx<'a> {
         semi: &SemiPlan<'a>,
         build: &Steps<'a>,
         env: &mut Env<'a>,
-    ) -> Result<KeySet> {
-        let mut set = KeySet::new();
+    ) -> Result<Built> {
+        // Sized by the estimate the admission charged for.
+        let mut built = Built {
+            keys: KeySet::new(semi.keys.as_slice().len(), semi.est_rows),
+            non_empty: false,
+            has_null: false,
+        };
         // The build prelude holds constant-only filters (every
         // outer-touching filter went to the probe side): one failing
         // verdict empties the build.
         if !self.all_true(&build.prelude, env)? {
-            return Ok(set);
+            return Ok(built);
         }
         // Columnar fast path: when the pipeline is a single un-probed
         // relation scan whose filters all vectorized, the key set builds
         // straight from the column chunks — no per-row environment push,
         // no per-row scalar dispatch, one buffer allocation per chunk.
-        if let Some(set) = self.columnar_build(sc, semi, build) {
-            return Ok(set);
+        if let Some(built) = self.columnar_build(sc, semi, build) {
+            return Ok(built);
         }
-        // Row key assembled in a reused scratch buffer; the set allocates
-        // only on a key's first occurrence (`Vec<Key>: Borrow<[Key]>`).
-        // The build pipeline tallies under the scope's own operator ids
-        // (`EXPLAIN ANALYZE` renders them on the `build (once)` subtree);
-        // the columnar fast path above bypasses the row pipeline and
-        // leaves those est-only.
+        // A wider row key is assembled in a reused scratch buffer; the set
+        // copies a key only on its first occurrence. The build pipeline
+        // tallies under the scope's own operator ids (`EXPLAIN ANALYZE`
+        // renders them on the `build (once)` subtree); the columnar fast
+        // path above bypasses the row pipeline and leaves those est-only.
         let tally = self
             .profile
             .as_ref()
             .map(|_| ScopeTally::new(sc.id, build.steps.len()));
-        let mut scratch: Vec<Key> = Vec::with_capacity(semi.build_keys.len());
+        let mut scratch: Vec<Key> = Vec::new();
         self.run_build_steps(sc.id, build, env, tally.as_ref(), &mut |ctx, env| {
             // Outer-free boolean subformulas run per build environment,
             // exactly where the nested path evaluates them.
             if !ctx.all_hold(&sc.pre_bool, env)? {
                 return Ok(true);
             }
-            if !ctx.key_into(&semi.build_keys, env, &mut scratch)? {
-                return Ok(true); // NULL/NaN: matches no probe
+            built.non_empty = true;
+            match semi.keys.as_slice() {
+                // A keyless build is a pure non-emptiness check: the first
+                // surviving environment decides, so stop early — matching
+                // the nested path's existential short-circuit.
+                [] => {
+                    built.keys.insert(&[]);
+                    return Ok(false);
+                }
+                [SemiKey { build: local, .. }] => {
+                    let v = ctx.scalar(local, env)?;
+                    match v.join_key() {
+                        Some(k) => built.keys.insert(std::slice::from_ref(&k)),
+                        // `L is null` holds for every outer row: the probe
+                        // no longer reads the set, so stop.
+                        None if v.is_null() && matches!(semi.keys, SemiKeys::NullAware(_)) => {
+                            built.has_null = true;
+                            return Ok(false);
+                        }
+                        None => {} // NULL/NaN: matches no probe
+                    }
+                }
+                keys => {
+                    if ctx.key_into(keys.iter().map(|k| &k.build), env, &mut scratch)? {
+                        built.keys.insert(&scratch);
+                    }
+                }
             }
-            if !set.contains(scratch.as_slice()) {
-                set.insert(scratch.clone());
-            }
-            // A keyless build is a pure non-emptiness check: the first
-            // surviving environment decides, so stop early — matching the
-            // nested path's existential short-circuit.
-            Ok(!semi.build_keys.is_empty())
+            Ok(true)
         })?;
         if let (Some(t), Some(sink)) = (&tally, &self.profile) {
             t.flush(sink, true);
         }
-        Ok(set)
+        Ok(built)
     }
 
     /// The columnar build, when the pipeline shape permits: a single
     /// un-probed relation scan, every pushed-down filter vectorized (no
     /// residual step filters), no leaf filters, no outer-free boolean
-    /// subformulas, and every correlated-key expression a plain attribute
-    /// of the scanned variable. Anything else returns `None` and the
-    /// row-at-a-time build runs — which also keeps error behaviour
+    /// subformulas, every correlated-key expression a plain attribute
+    /// of the scanned variable, and no null-aware key (the key buffers
+    /// cannot tell `NULL` from `NaN`). Anything else returns `None` and
+    /// the row-at-a-time build runs — which also keeps error behaviour
     /// untouched, because the shapes accepted here evaluate nothing that
     /// can error (the key expressions resolved to slots).
     fn columnar_build(
@@ -353,7 +518,10 @@ impl<'a> Ctx<'a> {
         sc: &Scope<'a>,
         semi: &SemiPlan<'a>,
         build: &Steps<'a>,
-    ) -> Option<KeySet> {
+    ) -> Option<Built> {
+        let SemiKeys::Equi(keys) = &semi.keys else {
+            return None;
+        };
         if !self.vectorize {
             return None;
         }
@@ -374,9 +542,9 @@ impl<'a> Ctx<'a> {
             return None;
         }
         // The scanned variable's frame is the scope's first local one.
-        let mut key_cols = Vec::with_capacity(semi.build_keys.len());
-        for e in &semi.build_keys {
-            match e {
+        let mut key_cols = Vec::with_capacity(keys.len());
+        for k in keys {
+            match &k.build {
                 CScalar::Slot { frame, col } if *frame as usize == sc.base => {
                     key_cols.push(*col as usize)
                 }
@@ -389,15 +557,19 @@ impl<'a> Ctx<'a> {
             true => Some(self.scan_selection(rel, ob)?),
             false => None,
         };
+        let non_empty = sel.as_ref().map_or(!rel.rows.is_empty(), |s| !s.is_empty());
         if key_cols.is_empty() {
             // Keyless build: a pure non-emptiness check over the
             // selection — the row path would stop at the first survivor.
-            let mut set = KeySet::new();
-            let any = sel.as_ref().map_or(!rel.rows.is_empty(), |s| !s.is_empty());
-            if any {
-                set.insert(Vec::new());
+            let mut keys = KeySet::new(0, 0);
+            if non_empty {
+                keys.insert(&[]);
             }
-            return Some(set);
+            return Some(Built {
+                keys,
+                non_empty,
+                has_null: false,
+            });
         }
         // Admission for the column chunks the key extraction reads;
         // denied → the row-at-a-time build runs instead.
@@ -407,11 +579,15 @@ impl<'a> Ctx<'a> {
         ) {
             return None;
         }
-        Some(super::vector::build_key_set(
-            &rel.columns(),
-            &key_cols,
-            sel.as_deref().map(Vec::as_slice),
-        ))
+        Some(Built {
+            keys: super::vector::build_key_set(
+                &rel.columns(),
+                &key_cols,
+                sel.as_deref().map(Vec::as_slice),
+            ),
+            non_empty,
+            has_null: false,
+        })
     }
 }
 
@@ -430,9 +606,9 @@ mod tests {
         .join()
         .unwrap_err();
         assert!(cache.shared().is_poisoned());
-        // Recovery empties the map (builds re-run — an optimization
+        // Recovery empties the list (builds re-run — an optimization
         // loss, never a correctness one) and clears the poison bit.
-        assert!(cache.lock().is_empty());
+        assert!(cache.lock().is_none());
         assert!(!cache.shared().is_poisoned(), "recovery clears the poison");
     }
 }

@@ -23,10 +23,10 @@
 //! emits exactly the environments the row path would, in the same order
 //! — invariant 12 (and, through morsel concatenation, invariant 9).
 
+use super::semijoin::KeySet;
 use arc_core::ast::{AttrRef, CmpOp, Predicate, Scalar};
 use arc_core::column::{ColumnSet, Mask};
 use arc_core::value::{Key, Value};
-use std::collections::HashSet;
 
 /// Scans below this row count stay on the row path: the encode/selection
 /// bookkeeping would cost more than the per-row dispatch it saves.
@@ -137,23 +137,14 @@ pub(crate) fn row_passes(row: &[Value], filters: &[VecFilter]) -> bool {
 /// from the scan's column chunks. Per-chunk [`join_keys_into`]
 /// (arc_core::column::ColumnChunk::join_keys_into) passes fill reusable
 /// buffers — one allocation per chunk per key column, amortized to zero
-/// across chunks — and the assembled row key allocates only on its first
-/// occurrence in the set (scratch probe via `Vec<Key>: Borrow<[Key]>`).
+/// across chunks — and the assembled row key is copied only on its first
+/// occurrence in the set ([`KeySet::insert`]).
 /// `sel` optionally restricts the scan to a selection vector (ascending
 /// row ids, as [`selection`] produces); chunks with no selected rows
 /// skip key decoding entirely. A `None` key component (NULL/NaN) drops
 /// the row, matching `join_key` row semantics exactly.
-pub(crate) fn build_key_set(
-    cols: &ColumnSet,
-    key_cols: &[usize],
-    sel: Option<&[u32]>,
-) -> HashSet<Vec<Key>> {
-    fn visit(
-        i: usize,
-        key_bufs: &[Vec<Option<Key>>],
-        scratch: &mut Vec<Key>,
-        set: &mut HashSet<Vec<Key>>,
-    ) {
+pub(crate) fn build_key_set(cols: &ColumnSet, key_cols: &[usize], sel: Option<&[u32]>) -> KeySet {
+    fn visit(i: usize, key_bufs: &[Vec<Option<Key>>], scratch: &mut Vec<Key>, set: &mut KeySet) {
         scratch.clear();
         for buf in key_bufs {
             match &buf[i] {
@@ -161,11 +152,9 @@ pub(crate) fn build_key_set(
                 None => return, // NULL/NaN component: matches no probe
             }
         }
-        if !set.contains(scratch.as_slice()) {
-            set.insert(scratch.clone());
-        }
+        set.insert(scratch);
     }
-    let mut set: HashSet<Vec<Key>> = HashSet::new();
+    let mut set = KeySet::new(key_cols.len(), sel.map_or(cols.rows(), <[u32]>::len));
     let mut key_bufs: Vec<Vec<Option<Key>>> = vec![Vec::new(); key_cols.len()];
     let mut scratch: Vec<Key> = Vec::with_capacity(key_cols.len());
     let mut sel_from = 0usize;
@@ -313,7 +302,7 @@ mod tests {
                 .collect(),
         );
         let key_cols = [0usize, 1];
-        let row_set = |rows: &[usize]| -> HashSet<Vec<Key>> {
+        let row_set = |rows: &[usize]| -> std::collections::HashSet<Vec<Key>> {
             rows.iter()
                 .filter_map(|&i| Relation::key_for(&rel.rows[i], &key_cols))
                 .collect()
@@ -322,7 +311,7 @@ mod tests {
         let all: Vec<usize> = (0..rel.rows.len()).collect();
         assert_eq!(
             build_key_set(&rel.columns(), &key_cols, None),
-            row_set(&all)
+            KeySet::Many(row_set(&all))
         );
         // Selection-restricted build, with whole chunks filtered out.
         let filters = [VecFilter::Cmp {
@@ -334,9 +323,9 @@ mod tests {
         let picked: Vec<usize> = sel.iter().map(|&r| r as usize).collect();
         assert_eq!(
             build_key_set(&rel.columns(), &key_cols, Some(&sel)),
-            row_set(&picked)
+            KeySet::Many(row_set(&picked))
         );
         // Empty selection builds an empty set without touching key data.
-        assert!(build_key_set(&rel.columns(), &key_cols, Some(&[])).is_empty());
+        assert_eq!(build_key_set(&rel.columns(), &key_cols, Some(&[])).len(), 0);
     }
 }

@@ -207,18 +207,12 @@ pub fn free_attr_refs(c: &Collection) -> Vec<&AttrRef> {
     free
 }
 
-/// Free variables of a bare formula: referenced variables that no
+/// Visit every attribute reference of a bare formula whose variable no
 /// quantifier inside the formula binds. Used by the decorrelation pass to
-/// detect non-equi-join correlation hiding in a scope's boolean
-/// subformulas (a nested quantifier referencing an outer variable).
-pub fn formula_free_vars(f: &Formula) -> Vec<&str> {
-    let mut free: Vec<&str> = Vec::new();
-    each_free_ref(f, &mut Vec::new(), &mut |r| {
-        if !free.contains(&r.var.as_str()) {
-            free.push(&r.var);
-        }
-    });
-    free
+/// detect correlation hiding in a scope's boolean subformulas (a nested
+/// quantifier referencing an outer variable, or a null guard).
+pub fn each_formula_free_ref<'f>(f: &'f Formula, visit: &mut impl FnMut(&'f AttrRef)) {
+    each_free_ref(f, &mut Vec::new(), visit);
 }
 
 /// Visit every attribute reference of `f` whose variable nothing in

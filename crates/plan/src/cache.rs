@@ -28,7 +28,9 @@
 //! per binding, the range variable, the kind of source, its **name**, its
 //! schema, its **row count** and the [`Basis`](crate::scope::Basis) of
 //! the estimator's answers about it; per filter, the predicate's
-//! structure with every attribute reference's outer availability; and
+//! structure with every attribute reference's outer availability, and
+//! the same for the null guard's equality (what makes a decorrelated
+//! plan null-aware); and
 //! per **constant** two things in place of its value:
 //!
 //! * a **typed hole** — the constant's class (`Null`, `Bool`, `Int`,
@@ -220,11 +222,12 @@ impl StructHasher {
 
 /// Fingerprint of one scope spec — everything about it that planning can
 /// observe: bindings (variables, source kinds, names, schemas, row
-/// counts, estimator basis), filters with constants as typed holes, the
-/// outer availability of every variable the scope references (filter
-/// attribute references and nested collections' free variables, shadowed
-/// by scope locals), and the bucketed fraction of every statistics answer
-/// that depends on a constant. See the module docs.
+/// counts, estimator basis), filters and the null guard's equality with
+/// constants as typed holes, the outer availability of every variable the
+/// scope references (filter attribute references and nested collections'
+/// free variables, shadowed by scope locals), and the bucketed fraction
+/// of every statistics answer that depends on a constant. See the module
+/// docs.
 pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
     let mut h = StructHasher::new();
     // Which outer variables are visible, and with what attribute schemas:
@@ -290,6 +293,10 @@ pub fn scope_fingerprint(spec: &ScopeSpec<'_>) -> (u64, u64) {
     h.num(spec.filters.len());
     for p in spec.filters {
         h.predicate(p, &mut |h, a| outer(h, &a.var));
+    }
+    match spec.guard {
+        None => h.tag(0x22),
+        Some(p) => h.predicate(p, &mut |h, a| outer(h, &a.var)),
     }
     each_constant_fraction(spec, &mut |f| h.fraction(f));
     h.finish()
@@ -456,6 +463,7 @@ mod tests {
             outer,
             estimator: None,
             indexes: true,
+            guard: None,
         }
     }
 

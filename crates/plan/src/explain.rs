@@ -396,6 +396,7 @@ fn render_into(
             keys,
             prelude,
             est_keys,
+            null_aware,
             build,
         } => {
             let op = if *anti { "anti-join" } else { "semi-join" };
@@ -407,6 +408,9 @@ fn render_into(
                 format!("[{}]", keys.join(", "))
             };
             let mut text = format!("{op} on {on}");
+            if *null_aware {
+                text.push_str(" null-aware");
+            }
             match actuals.and_then(|a| a(OpId::semi(*scope_id))) {
                 // Probe-side actuals live on the scope-level operator:
                 // `rows_in` = keys in the build set, `calls` = probes,

@@ -27,7 +27,11 @@
 //! hidden) plus a [`Decorrelation`] describing the correlated-key
 //! signature. The engine then evaluates the build **once**, keys a hash
 //! set on the correlated columns, and answers every outer row with an
-//! O(1) probe instead of re-entering the enumeration per row.
+//! O(1) probe instead of re-entering the enumeration per row. The one
+//! correlated *boolean subformula* the pass accepts is Eq 17's null guard
+//! `L = O ∨ L is null ∨ O is null` (SQL's `NOT IN`): it becomes a single
+//! **null-aware** key, whose probe also reads whether the build was
+//! non-empty and whether it saw a `NULL` `L`.
 //!
 //! ## Observational equivalence
 //!
@@ -42,13 +46,13 @@
 //! bag-identical — not order-identical — to the paper's nested loops (the
 //! `arc_analysis::oracle` reference).
 
-use crate::analysis::{formula_free_vars, Parts};
+use crate::analysis::{each_formula_free_ref, Parts};
 use crate::logical::{const_cmp, eq_sides, extract_equalities, other_side, EqEdge};
 use crate::scope::{
     DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec, ABSTRACT_EST,
     DEFAULT_ROWS, EXTERNAL_EST, NESTED_EST,
 };
-use arc_core::ast::{CmpOp, Predicate, Quant, Scalar};
+use arc_core::ast::{CmpOp, Formula, Predicate, Quant, Scalar};
 use arc_core::value::Value;
 
 /// A reference to one orientation of an equality filter: the probe/input
@@ -161,7 +165,8 @@ pub struct Step {
 /// One correlated-key component of a decorrelated boolean scope: the
 /// scope-local side of equality filter `filter` is evaluated per build
 /// environment to form the key, the outer side per outer row to probe it
-/// (orientation via [`eq_sides`]).
+/// (orientation via [`eq_sides`]). `filter` may name the null guard's
+/// equality ([`ScopeSpec::filter`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelatedKey {
     /// Index into the scope's filter list.
@@ -172,10 +177,10 @@ pub struct CorrelatedKey {
 
 /// Set-level decorrelation of a boolean quantifier scope (`∃` / `¬∃`):
 /// attached to the scope's [`ScopePlan`] when the correlation with the
-/// outer environment is a pure equi-join. The plan's steps then describe
-/// the **build** pipeline — planned with the correlated filters masked
-/// out and the outer environment hidden, so the build is provably
-/// outer-row independent and can be evaluated once.
+/// outer environment is a pure equi-join, or exactly one null guard. The
+/// plan's steps then describe the **build** pipeline — planned with the
+/// correlated filters masked out and the outer environment hidden, so
+/// the build is provably outer-row independent and can be evaluated once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decorrelation {
     /// The correlated-key signature: which equality filters tie the scope
@@ -186,6 +191,12 @@ pub struct Decorrelation {
     /// Outer-only filters evaluated per outer row *before* probing (the
     /// filters the nested path would have checked as its prelude).
     pub probe_filters: Vec<usize>,
+    /// Whether `keys` is the one key of the scope's null guard
+    /// ([`ScopeSpec::guard`]): `L = O ∨ L is null ∨ O is null` rather
+    /// than `L = O`. The scope then holds for an outer row iff the build
+    /// is non-empty and `O` is `NULL`, or some `L` is `NULL`, or `O`'s key
+    /// is in the set.
+    pub null_aware: bool,
 }
 
 impl Decorrelation {
@@ -396,11 +407,11 @@ pub fn plan_scope(spec: &ScopeSpec<'_>) -> Result<ScopePlan, PlanError> {
 
 /// Plan a *boolean* quantifier scope (`∃` / `¬∃` truth, no emission):
 /// this first runs the decorrelation pass, and when the scope's
-/// correlation with the outer environment is a pure equi-join the
-/// returned plan describes the build pipeline and carries a
-/// [`Decorrelation`] (see [`ScopePlan::decorrelation`]). Everything else —
-/// non-equi correlation, placements that need the outer environment —
-/// falls back to the ordinary [`plan_scope`] result.
+/// correlation with the outer environment is a pure equi-join (or one
+/// null guard) the returned plan describes the build pipeline and carries
+/// a [`Decorrelation`] (see [`ScopePlan::decorrelation`]). Everything
+/// else — non-equi correlation, placements that need the outer
+/// environment — falls back to the ordinary [`plan_scope`] result.
 pub fn plan_scope_boolean(spec: &ScopeSpec<'_>) -> Result<ScopePlan, PlanError> {
     runs_counter().inc();
     if let Some(plan) = try_decorrelate(spec) {
@@ -409,29 +420,91 @@ pub fn plan_scope_boolean(spec: &ScopeSpec<'_>) -> Result<ScopePlan, PlanError> 
     plan_scope_impl(spec, &[])
 }
 
+/// A boolean scope's null guard: `parts.pre_bool[index]` is Eq 17's
+/// `L = O ∨ L is null ∨ O is null`, and `eq` its disjunct `L = O`.
+#[derive(Debug, Clone, Copy)]
+pub struct NullGuard<'f> {
+    /// Index into the partition's `pre_bool`.
+    pub index: usize,
+    /// The guard's equality: the caller's [`ScopeSpec::guard`].
+    pub eq: &'f Predicate,
+}
+
 /// Structural eligibility of a boolean quantifier scope for set-level
 /// decorrelation: no grouping, no outer-join annotation, no aggregates,
 /// and no boolean subformula that references an outer variable (that
-/// would be correlation the equi-join key cannot capture). The
-/// filter-level classification — which correlated filters are clean
-/// equi-joins — happens inside [`plan_scope_boolean`]; this predicate is
-/// the cheap shape check both the engine and `EXPLAIN` run first.
-/// `parts` is the caller's already-computed *boolean* partition of
-/// `q.body` (head `"\u{0}"`) — both callers have it in hand, and this
-/// check runs per outer row on the engine's probe path, so re-deriving
-/// it here would put a full body walk on the hot loop.
-pub fn decorrelatable_shape(q: &Quant, parts: &Parts<'_>, outer: &dyn OuterScope) -> bool {
+/// would be correlation the equi-join key cannot capture) — except at
+/// most one **null guard**: an `Or` of exactly the three disjuncts
+/// `L = O` (or `O = L`), `L is null` and `O is null`, in any order. `None`
+/// means the scope stays nested; `Some(guard)` that it may decorrelate,
+/// with its null guard if it has one. Whether `L` is scope-local and `O`
+/// outer-only — and every filter-level classification — is decided
+/// inside [`plan_scope_boolean`]; this is the cheap shape check both the
+/// engine and `EXPLAIN` run first. `parts` is the caller's
+/// already-computed *boolean* partition of `q.body` (head `"\u{0}"`) —
+/// both callers have it in hand, and this check runs once per compiled
+/// scope, so re-deriving it here would walk the body twice.
+pub fn decorrelatable_shape<'f>(
+    q: &Quant,
+    parts: &Parts<'f>,
+    outer: &dyn OuterScope,
+) -> Option<Option<NullGuard<'f>>> {
     if q.grouping.is_some() || q.join.as_ref().is_some_and(|t| t.has_outer()) {
-        return false;
+        return None;
     }
     if !parts.agg_tests.is_empty() || !parts.post_bool.is_empty() {
-        return false;
+        return None;
     }
-    parts.pre_bool.iter().all(|b| {
-        formula_free_vars(b)
-            .iter()
-            .all(|v| q.bindings.iter().any(|bi| bi.var == *v) || outer.attrs(v).is_none())
-    })
+    let mut guard = None;
+    for (index, b) in parts.pre_bool.iter().enumerate() {
+        let mut correlated = false;
+        each_formula_free_ref(b, &mut |r| {
+            correlated |=
+                !q.bindings.iter().any(|bi| bi.var == r.var) && outer.attrs(&r.var).is_some();
+        });
+        if !correlated {
+            continue;
+        }
+        match null_guard(b) {
+            Some(eq) if guard.is_none() => guard = Some(NullGuard { index, eq }),
+            _ => return None,
+        }
+    }
+    Some(guard)
+}
+
+/// The equality `L = O` of a formula that is exactly `L = O ∨ L is null ∨
+/// O is null` (disjuncts in any order, `=` in either orientation).
+fn null_guard(f: &Formula) -> Option<&Predicate> {
+    let Formula::Or(disjuncts) = f else {
+        return None;
+    };
+    let [Formula::Pred(a), Formula::Pred(b), Formula::Pred(c)] = disjuncts.as_slice() else {
+        return None;
+    };
+    fn is_null(p: &Predicate) -> Option<&Scalar> {
+        match p {
+            Predicate::IsNull {
+                expr,
+                negated: false,
+            } => Some(expr),
+            _ => None,
+        }
+    }
+    [(a, b, c), (b, a, c), (c, a, b)]
+        .into_iter()
+        .find_map(|(eq, x, y)| {
+            let Predicate::Cmp {
+                left,
+                op: CmpOp::Eq,
+                right,
+            } = eq
+            else {
+                return None;
+            };
+            let (x, y) = (is_null(x)?, is_null(y)?);
+            ((x == left && y == right) || (x == right && y == left)).then_some(eq)
+        })
 }
 
 /// How one side of a filter relates to the scope.
@@ -458,8 +531,9 @@ fn local<'s, 'a>(spec: &'s ScopeSpec<'a>, var: &str) -> Option<&'s crate::scope:
 /// The decorrelation pass: classify every filter as build-side
 /// (outer-free), probe-prelude (outer-only), or a correlated equi-join
 /// key — then plan the build with the correlated filters masked and the
-/// outer environment hidden. `None` means "not decorrelatable, use the
-/// nested path".
+/// outer environment hidden. A null guard's equality must be the scope's
+/// only key, local on one side and outer on the other. `None` means "not
+/// decorrelatable, use the nested path".
 fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
     let duplicates = spec
         .bindings
@@ -503,7 +577,9 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
 
     let mut keys: Vec<CorrelatedKey> = Vec::new();
     let mut probe_filters: Vec<usize> = Vec::new();
-    for (i, p) in spec.filters.iter().enumerate() {
+    // The null guard's equality classifies like a filter, as filter
+    // `filters.len()`.
+    for (i, p) in spec.filters.iter().copied().chain(spec.guard).enumerate() {
         // Build-side filters reference no visible outer variable at all
         // (locals, constants, or unknown names — the latter error at the
         // build's leaf exactly as they would at the nested path's leaf).
@@ -548,6 +624,13 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
         }
     }
 
+    // A guarded scope's one key is its guard: another equi-join key would
+    // need a NULL bit per key, and a guard over outer-only or constant
+    // sides is no key at all.
+    if spec.guard.is_some() && !matches!(keys.as_slice(), [k] if k.filter == spec.filters.len()) {
+        return None;
+    }
+
     // Plan the build with the correlated filters masked out and NO outer
     // environment: a placement that would need an outer variable (lateral
     // free vars, external/abstract inputs through outer expressions)
@@ -556,6 +639,7 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
     let decorrelation = Decorrelation {
         keys,
         probe_filters,
+        null_aware: spec.guard.is_some(),
     };
     let mut plan = plan_scope_impl(&build_spec(spec), &decorrelation.masked()).ok()?;
     plan.decorrelation = Some(decorrelation);
@@ -571,6 +655,7 @@ fn build_spec<'a>(spec: &ScopeSpec<'a>) -> ScopeSpec<'a> {
         outer: &NoOuter,
         estimator: spec.estimator,
         indexes: spec.indexes,
+        guard: spec.guard,
     }
 }
 
@@ -641,7 +726,7 @@ fn distinct_keys(spec: &ScopeSpec<'_>, keys: &[CorrelatedKey]) -> Option<u64> {
     }
     let mut per_binding: Vec<(usize, Vec<usize>)> = Vec::new();
     for k in keys {
-        let (Scalar::Attr(a), _) = eq_sides(spec.filters[k.filter], k.local_on_left) else {
+        let (Scalar::Attr(a), _) = eq_sides(spec.filter(k.filter), k.local_on_left) else {
             return None;
         };
         let bi = spec.bindings.iter().position(|b| b.var == a.var)?;
@@ -1247,6 +1332,7 @@ mod tests {
             outer: &NoOuter,
             estimator: None,
             indexes: true,
+            guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
         // The small relation scans first; the big one is hash-probed.
@@ -1289,6 +1375,7 @@ mod tests {
             outer: &NoOuter,
             estimator: None,
             indexes: true,
+            guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.leaf_filters, vec![0]);
@@ -1320,6 +1407,7 @@ mod tests {
             outer: &NoOuter,
             estimator: None,
             indexes: true,
+            guard: None,
         };
         let err = plan_scope(&spec).unwrap_err();
         assert_eq!(err, PlanError::Unplaceable { binding: 0 });
@@ -1367,6 +1455,7 @@ mod tests {
             outer: &NoOuter,
             estimator,
             indexes,
+            guard: None,
         }
     }
 
@@ -1499,6 +1588,7 @@ mod tests {
             outer: &outer,
             estimator: None,
             indexes: true,
+            guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.prelude_filters, vec![0]);
@@ -1589,6 +1679,7 @@ mod tests {
                 outer: &NoOuter,
                 estimator: Some(&PerValue),
                 indexes: true,
+                guard: None,
             };
             let cold = plan_scope(&spec).unwrap();
             let (served, _) = crate::cache::scope_plan(&spec, 77, false).unwrap();

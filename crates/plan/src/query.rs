@@ -183,6 +183,9 @@ pub enum PlanNode {
         prelude: Vec<String>,
         /// Estimated distinct correlated keys in the build.
         est_keys: u64,
+        /// Whether the key is a null guard's (`L = O ∨ L is null ∨ O is
+        /// null`, SQL's `NOT IN`): rendered `null-aware`.
+        null_aware: bool,
         /// The build pipeline (a [`PlanNode::Scope`], evaluated once).
         build: Box<PlanNode>,
     },
@@ -547,19 +550,21 @@ fn lower_quant(
                 .map(|r| r.as_ref().and_then(|r| r.stats.clone()))
                 .collect(),
         );
+        // Boolean scopes run the decorrelation pass, mirroring the
+        // engine's execution-time decision exactly: same shape check,
+        // same planner entry point.
+        let shape = (bool_role.is_some() && decorrelate)
+            .then(|| crate::physical::decorrelatable_shape(q, &parts, stack))
+            .flatten();
+        let boolean = shape.is_some();
         let spec = ScopeSpec {
             bindings,
             filters: &parts.filters,
             outer: stack,
             estimator: Some(&estimator),
             indexes,
+            guard: shape.flatten().map(|g| g.eq),
         };
-        // Boolean scopes run the decorrelation pass, mirroring the
-        // engine's execution-time decision exactly: same shape check,
-        // same planner entry point.
-        let boolean = bool_role.is_some()
-            && decorrelate
-            && crate::physical::decorrelatable_shape(q, &parts, stack);
         // Through the global cache when the resolver's statistics have an
         // identity it can key on — the plan execution is served.
         let plan = match resolver.stats_epoch() {
@@ -581,7 +586,7 @@ fn lower_quant(
                 keys: dec
                     .keys
                     .iter()
-                    .map(|k| parts.filters[k.filter].to_string())
+                    .map(|k| spec.filter(k.filter).to_string())
                     .collect(),
                 prelude: dec
                     .probe_filters
@@ -589,6 +594,7 @@ fn lower_quant(
                     .map(|&i| parts.filters[i].to_string())
                     .collect(),
                 est_keys: estimates.keys.expect("a decorrelated plan"),
+                null_aware: dec.null_aware,
                 build: Box::new(scope),
             },
             None => scope,
@@ -684,6 +690,7 @@ fn attach_children(node: PlanNode, mut new_children: Vec<ChildPlan>) -> PlanNode
             keys,
             prelude,
             est_keys,
+            null_aware,
             build,
         } => PlanNode::SemiJoin {
             scope_id,
@@ -691,6 +698,7 @@ fn attach_children(node: PlanNode, mut new_children: Vec<ChildPlan>) -> PlanNode
             keys,
             prelude,
             est_keys,
+            null_aware,
             build: Box::new(attach_children(*build, new_children)),
         },
         other => other, // outer-join scopes: children omitted from display

@@ -204,6 +204,25 @@ pub struct ScopeSpec<'a> {
     /// (ordered-secondary-index scans). The engine's `ARC_INDEX` escape
     /// hatch turns this off; the plan then degrades to scans/probes.
     pub indexes: bool,
+    /// Boolean scopes only: the equality `L = O` of the scope's **null
+    /// guard** — Eq 17's `L = O ∨ L is null ∨ O is null`, the boolean
+    /// subformula SQL's `NOT IN` lowers to (see
+    /// [`decorrelatable_shape`](crate::physical::decorrelatable_shape)).
+    /// It is no filter, so no plan schedules or probes it: only the
+    /// decorrelation pass reads it, and may turn it into a null-aware
+    /// correlated key, which names it as filter `filters.len()`.
+    pub guard: Option<&'a Predicate>,
+}
+
+impl<'a> ScopeSpec<'a> {
+    /// Filter `i`, where `filters.len()` names the null guard's equality.
+    pub fn filter(&self, i: usize) -> &'a Predicate {
+        self.filters
+            .get(i)
+            .copied()
+            .or(self.guard)
+            .expect("a filter index, or the null guard's")
+    }
 }
 
 /// Why a scope could not be planned.

@@ -1,7 +1,7 @@
 //! AST for the supported SQL subset.
 //!
 //! The subset covers every SQL query printed in the paper: SELECT
-//! [DISTINCT], FROM with aliases and comma joins, INNER/LEFT/FULL JOIN …
+//! [DISTINCT], FROM with aliases and comma joins, INNER/LEFT/RIGHT/FULL JOIN …
 //! ON, (JOIN) LATERAL subqueries, WHERE with AND/OR/NOT, (NOT) EXISTS,
 //! (NOT) IN subqueries, IS [NOT] NULL, scalar subqueries (in SELECT items
 //! and comparisons), aggregates with DISTINCT and `count(*)`, GROUP BY,
@@ -103,7 +103,8 @@ impl TableRef {
 pub enum JoinKind {
     /// `[INNER] JOIN`.
     Inner,
-    /// `LEFT [OUTER] JOIN`.
+    /// `LEFT [OUTER] JOIN` (and `RIGHT [OUTER] JOIN`, parsed with its
+    /// operands swapped).
     Left,
     /// `FULL [OUTER] JOIN`.
     Full,

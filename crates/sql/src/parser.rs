@@ -377,17 +377,23 @@ impl<'a> Parser<'a> {
     fn table_ref(&mut self) -> Result<TableRef, SqlParseError> {
         let mut left = self.table_primary()?;
         loop {
+            // `A RIGHT JOIN B` parses as `B LEFT JOIN A`.
+            let mirror = self.peek_kw("right");
             let kind = if self.peek_kw("join") {
                 self.pos += 1;
                 JoinKind::Inner
             } else if self.peek_kw("inner") && self.peek_kw_at(1, "join") {
                 self.pos += 2;
                 JoinKind::Inner
-            } else if self.peek_kw("left") {
+            } else if self.peek_kw("left") || mirror {
                 self.pos += 1;
                 self.eat_kw("outer");
                 self.expect_kw("join")?;
                 JoinKind::Left
+            } else if self.peek_kw("natural") {
+                return Err(self.err(
+                    "NATURAL JOIN is not supported: name the join columns with ON".to_string(),
+                ));
             } else if self.peek_kw("full") {
                 self.pos += 1;
                 self.eat_kw("outer");
@@ -401,14 +407,25 @@ impl<'a> Parser<'a> {
                 break;
             };
             let right = self.table_primary()?;
+            if self.peek_kw("using") {
+                return Err(self.err(
+                    "JOIN ... USING is not supported: spell the condition with ON".to_string(),
+                ));
+            }
             let on = if self.eat_kw("on") {
                 Some(self.expr()?)
             } else {
                 None
             };
+            if mirror && matches!(right, TableRef::Subquery { lateral: true, .. }) {
+                return Err(
+                    self.err("LATERAL cannot be the preserved side of RIGHT JOIN".to_string())
+                );
+            }
+            let (left_op, right_op) = if mirror { (right, left) } else { (left, right) };
             left = TableRef::Join {
-                left: Box::new(left),
-                right: Box::new(right),
+                left: Box::new(left_op),
+                right: Box::new(right_op),
                 kind,
                 on,
             };
@@ -424,7 +441,7 @@ impl<'a> Parser<'a> {
                 let query = self.query()?;
                 self.expect_sym(")")?;
                 self.eat_kw("as");
-                let alias = self.ident()?;
+                let alias = self.table_alias()?;
                 return Ok(TableRef::Subquery {
                     query: Box::new(query),
                     alias,
@@ -442,12 +459,24 @@ impl<'a> Parser<'a> {
         }
         let name = self.ident()?;
         let explicit_as = self.eat_kw("as");
-        let alias = if explicit_as || matches!(self.peek(), Some(Tok::Word(w)) if !is_reserved(w)) {
-            Some(self.ident()?)
+        let alias = if explicit_as || matches!(self.peek(), Some(Tok::Word(w)) if !is_join_word(w))
+        {
+            Some(self.table_alias()?)
         } else {
             None
         };
         Ok(TableRef::Table { name, alias })
+    }
+
+    /// A table or subquery alias: an identifier that is no join keyword,
+    /// so `R RIGHT JOIN S` cannot read as `R` aliased `RIGHT`.
+    fn table_alias(&mut self) -> Result<String, SqlParseError> {
+        match self.peek() {
+            Some(Tok::Word(w)) if is_join_word(w) => {
+                Err(self.err(format!("expected table alias, found keyword `{w}`")))
+            }
+            _ => self.ident(),
+        }
     }
 
     // -- Expressions (precedence climbing) ------------------------------------
@@ -710,4 +739,14 @@ fn is_reserved(word: &str) -> bool {
         "exists", "in", "is", "null", "true", "false",
     ];
     RESERVED.iter().any(|kw| word.eq_ignore_ascii_case(kw))
+}
+
+/// Words that may not alias a table: the reserved words, and the join
+/// keywords that stay usable as attribute names (`right` is one of the
+/// `Minus` external's).
+fn is_join_word(word: &str) -> bool {
+    is_reserved(word)
+        || ["right", "natural", "using"]
+            .iter()
+            .any(|kw| word.eq_ignore_ascii_case(kw))
 }

@@ -27,7 +27,8 @@ use arc_analysis::{chain_catalog, random_catalog, random_conjunctive_query, Inst
 use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
-use arc_engine::{seam, Catalog, Engine, EvalError, FaultKind, FaultPlan};
+use arc_core::value::Value;
+use arc_engine::{seam, Catalog, Engine, EvalError, FaultKind, FaultPlan, Relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -251,6 +252,24 @@ fn semijoin_analyzed() -> Catalog {
     c
 }
 
+/// `R(A)` over 0..256 with a NULL every 50th row; `S(A)` the multiples
+/// of 3 below 192.
+fn not_in_catalog() -> Catalog {
+    let mut r = Relation::new("R", &["A"]);
+    for i in 0..256i64 {
+        r.push(vec![if i % 50 == 7 {
+            Value::Null
+        } else {
+            Value::Int(i)
+        }]);
+    }
+    let mut s = Relation::new("S", &["A"]);
+    for i in 0..64i64 {
+        s.push(vec![Value::Int(3 * i)]);
+    }
+    Catalog::new().with(r).with(s)
+}
+
 fn seam_cases() -> Vec<SeamCase> {
     vec![
         SeamCase {
@@ -280,6 +299,14 @@ fn seam_cases() -> Vec<SeamCase> {
             seam: seam::SEMI_BUILD,
             catalog: semijoin_analyzed,
             query: || fx::exists_corr(64),
+            threads: 1,
+            budget_degrades: true,
+        },
+        SeamCase {
+            // The guarded `NOT IN` (Eq 17): a null-aware anti-join build.
+            seam: seam::SEMI_BUILD,
+            catalog: not_in_catalog,
+            query: fx::eq17,
             threads: 1,
             budget_degrades: true,
         },

@@ -5,3 +5,4 @@ mod datalog_bound_aggregate;
 mod definition_order;
 mod i64_min_round_trip;
 mod outer_join_stratification;
+mod right_join_alias;

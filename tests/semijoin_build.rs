@@ -11,7 +11,8 @@
 
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
-use arc_engine::{semi_build_runs, Engine};
+use arc_core::value::Value;
+use arc_engine::{semi_build_runs, Catalog, Engine, Relation};
 
 #[test]
 fn semijoin_builds_once_not_per_outer_row() {
@@ -75,4 +76,45 @@ fn semijoin_builds_once_not_per_outer_row() {
         .eval_collection(&q)
         .unwrap();
     assert_eq!(semi_build_runs() - before, 1);
+
+    // Phase 5: the guarded `NOT IN` (Eq 17) is a null-aware anti-join —
+    // one build for 1 024 outer rows, some of them NULL, and the same
+    // rows in the same order at threads 4.
+    let mut r = Relation::new("R", &["A"]);
+    for i in 0..1024i64 {
+        r.push(vec![if i % 100 == 7 {
+            Value::Null
+        } else {
+            Value::Int(i)
+        }]);
+    }
+    let mut s = Relation::new("S", &["A"]);
+    for i in 0..256i64 {
+        s.push(vec![Value::Int(3 * i)]);
+    }
+    let catalog = Catalog::new().with(r).with(s);
+    let q = fx::eq17();
+    let eval = |threads| {
+        Engine::new(&catalog, Conventions::sql())
+            .with_threads(threads)
+            .with_decorrelate(true)
+            .eval_collection(&q)
+            .unwrap()
+    };
+    let before = semi_build_runs();
+    let sequential = eval(1);
+    assert_eq!(
+        semi_build_runs() - before,
+        1,
+        "the guarded NOT IN must build once for 1 024 outer rows"
+    );
+    // 768 of the 1 024 are neither NULL nor a multiple of 3 below 768.
+    let kept = (0..1024i64)
+        .filter(|i| i % 100 != 7 && (i % 3 != 0 || *i >= 768))
+        .count();
+    assert_eq!(sequential.rows.len(), kept);
+    let before = semi_build_runs();
+    let parallel = eval(4);
+    assert!(semi_build_runs() - before <= 4);
+    assert_eq!(sequential.rows, parallel.rows);
 }

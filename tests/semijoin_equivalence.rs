@@ -17,6 +17,7 @@
 use arc_analysis::{random_catalog, random_correlated_boolean_query, InstanceSpec};
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
+use arc_core::value::Value;
 use arc_engine::Engine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -72,11 +73,10 @@ proptest! {
 /// oracle's three-valued verdicts exactly — an outer NULL key makes
 /// the correlated equality `Unknown` for every inner row, so `∃` is
 /// false and `¬∃` is *true* (the unguarded `NOT IN` shape; SQL users add
-/// the Fig 11 guards to get SQL's `NOT IN` instead, which stays on the
-/// nested path because its body is a disjunction).
+/// the Fig 11 guards to get SQL's `NOT IN` instead, which runs as a
+/// null-aware anti-join — see `guarded_not_in_decorrelates`).
 #[test]
 fn null_keys_under_negation_match_reference() {
-    use arc_core::value::Value;
     let mut r = arc_engine::Relation::new("R", &["A"]);
     for v in [Value::Int(1), Value::Int(2), Value::Null] {
         r.push(vec![v]);
@@ -122,11 +122,11 @@ fn null_keys_under_negation_match_reference() {
     assert_eq!(semi_rows.sorted_rows(), vec![vec![Value::Int(2)]]);
 }
 
-/// Eq (17) — `NOT IN` with explicit null guards — must *not* decorrelate
-/// (its scope body is a disjunction, i.e. correlated `pre_bool`), and
-/// must keep returning the empty result when `S` contains a NULL.
+/// Eq (17) — `NOT IN` with explicit null guards — decorrelates into a
+/// **null-aware** anti-join keyed on the guard's equality, and keeps
+/// returning the empty result when `S` contains a NULL.
 #[test]
-fn guarded_not_in_stays_on_the_nested_path() {
+fn guarded_not_in_decorrelates() {
     let catalog = arc_engine::Catalog::new()
         .with(arc_engine::Relation::from_ints("R", &["A"], &[&[1], &[2]]))
         .with({
@@ -136,13 +136,236 @@ fn guarded_not_in_stays_on_the_nested_path() {
             s
         });
     let q = fx::eq17();
-    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
+    let engine = Engine::new(&catalog, Conventions::sql())
+        .with_threads(1)
+        .with_decorrelate(true)
+        .with_mem_budget(0);
     let plan = engine.explain_collection(&q).unwrap();
-    assert!(
-        !plan.contains("-join on"),
-        "disjunctive correlation must not decorrelate:\n{plan}"
-    );
+    let expected = "\
+project Q(A)
+  scope
+    1: scan R as r (est=2)
+    emit: Q.A = r.A
+    [anti-join ¬∃]
+      anti-join on [s.A = r.A] null-aware (est=2)
+        build (once)
+          scope
+            1: scan S as s (est=2)
+";
+    assert_eq!(plan, expected, "null-aware anti-join plan drifted:\n{plan}");
     assert!(engine.eval_collection(&q).unwrap().is_empty());
+}
+
+/// `N(A)` and `M(A, B)` from the given rows.
+fn not_in_catalog(n: &[Value], m: &[(Value, i64)]) -> arc_engine::Catalog {
+    let n = n.iter().map(|a| vec![a.clone()]).collect();
+    let m = m
+        .iter()
+        .map(|(a, b)| vec![a.clone(), Value::Int(*b)])
+        .collect();
+    arc_engine::Catalog::new()
+        .with(arc_engine::Relation::from_rows("N", &["A"], n))
+        .with(arc_engine::Relation::from_rows("M", &["A", "B"], m))
+}
+
+/// Every NULL placement the null-aware anti-join distinguishes, plus NaN
+/// (a key that equals nothing, itself included, and is not NULL).
+fn not_in_placements() -> Vec<(&'static str, arc_engine::Catalog)> {
+    let (i, f, null, nan) = (
+        Value::Int,
+        Value::Float,
+        Value::Null,
+        Value::Float(f64::NAN),
+    );
+    vec![
+        ("M empty", not_in_catalog(&[i(1), i(2), null.clone()], &[])),
+        (
+            "M only NULL",
+            not_in_catalog(&[i(1), i(2), null.clone()], &[(null.clone(), 1)]),
+        ),
+        (
+            // `M.B = 1` filters the NULL out of the build.
+            "NULL in M removed by a build filter",
+            not_in_catalog(&[i(1), i(2), i(3)], &[(i(2), 1), (null.clone(), 0)]),
+        ),
+        (
+            "NULL in N only",
+            not_in_catalog(&[i(1), i(2), null.clone()], &[(i(2), 1), (i(3), 1)]),
+        ),
+        (
+            "NULL in M only",
+            not_in_catalog(&[i(1), i(2), i(3)], &[(i(2), 1), (null.clone(), 1)]),
+        ),
+        (
+            "NULL in both",
+            not_in_catalog(&[i(1), null.clone()], &[(i(1), 1), (null.clone(), 1)]),
+        ),
+        (
+            "NaN in N",
+            not_in_catalog(&[f(1.0), nan.clone(), f(2.5)], &[(f(1.0), 1), (f(3.0), 1)]),
+        ),
+        (
+            "NaN in M",
+            not_in_catalog(&[f(1.0), f(2.5), nan.clone()], &[(nan, 1), (f(2.5), 1)]),
+        ),
+    ]
+}
+
+/// The guarded `NOT IN` in both spellings — SQL, and ARC's Eq 17 with its
+/// disjuncts permuted — plus its `∃` twin, with and without a build filter.
+fn guarded_queries() -> Vec<arc_core::ast::Collection> {
+    let schemas = not_in_catalog(&[], &[]).schema_map();
+    let sql = |text: &str| arc_sql::sql_to_arc(text, &schemas).unwrap();
+    vec![
+        sql("select N.A from N where N.A not in (select M.A from M)"),
+        sql("select N.A from N where N.A not in (select M.A from M where M.B = 1)"),
+        fx::q("{Q(A) | ∃r ∈ N [Q.A = r.A ∧ ¬(∃s ∈ M [s.A = r.A ∨ s.A is null ∨ r.A is null])]}"),
+        fx::q("{Q(A) | ∃r ∈ N [Q.A = r.A ∧ ¬(∃s ∈ M [r.A is null ∨ r.A = s.A ∨ s.A is null])]}"),
+        fx::q(
+            "{Q(A) | ∃r ∈ N [Q.A = r.A ∧ \
+             ¬(∃s ∈ M [s.B = 1 ∧ (s.A is null ∨ r.A is null ∨ s.A = r.A)])]}",
+        ),
+        fx::q("{Q(A) | ∃r ∈ N [Q.A = r.A ∧ ∃s ∈ M [r.A is null ∨ s.A is null ∨ s.A = r.A]]}"),
+    ]
+}
+
+/// The null-aware anti-join ≡ the oracle over every NULL placement, under
+/// every convention, at threads 1 and 4 — and under a one-byte memory
+/// budget, where the build is denied and the nested path answers.
+#[test]
+fn null_aware_anti_join_matches_reference() {
+    for q in guarded_queries() {
+        for (case, catalog) in not_in_placements() {
+            for conv in [
+                Conventions::sql(),
+                Conventions::set(),
+                Conventions::souffle(),
+            ] {
+                let reference = arc_tests::oracle_rows(&catalog, conv, &q);
+                for threads in [1usize, 4] {
+                    for budget in [0usize, 1] {
+                        let engine = Engine::new(&catalog, conv)
+                            .with_threads(threads)
+                            .with_decorrelate(true)
+                            .with_mem_budget(budget);
+                        if budget == 0 {
+                            let plan = engine.explain_collection(&q).unwrap();
+                            assert!(plan.contains(" null-aware (est="), "{q:?}\n{plan}");
+                        }
+                        let got = engine.eval_collection(&q).unwrap();
+                        assert!(
+                            arc_tests::agrees(conv, &got, &reference),
+                            "{case}, conv {conv:?}, threads {threads}, budget {budget}\n\
+                             query {q:?}\nreference:\n{reference}\ngot:\n{got}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// NaN under the null-aware anti-join is what `Cmp Eq` makes it on the
+/// nested path: not NULL, and equal to nothing — so a NaN in `N` survives
+/// `NOT IN`, and a NaN in `M` excludes nothing.
+#[test]
+fn nan_is_a_key_that_matches_nothing() {
+    let q =
+        fx::q("{Q(A) | ∃r ∈ N [Q.A = r.A ∧ ¬(∃s ∈ M [s.A = r.A ∨ s.A is null ∨ r.A is null])]}");
+    let (one, nan) = (Value::Float(1.0), Value::Float(f64::NAN));
+    let is_nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+    // (M's one row, N's survivors of `N = {1.0, NaN}`).
+    for (m, survivors) in [(one.clone(), 1), (nan.clone(), 2)] {
+        let catalog = not_in_catalog(&[one.clone(), nan.clone()], &[(m, 1)]);
+        for decorrelate in [true, false] {
+            let got = Engine::new(&catalog, Conventions::sql())
+                .with_threads(1)
+                .with_decorrelate(decorrelate)
+                .eval_collection(&q)
+                .unwrap();
+            assert_eq!(
+                got.rows.len(),
+                survivors,
+                "decorrelate {decorrelate}: {got}"
+            );
+            assert!(got.rows.iter().any(|r| is_nan(&r[0])), "{got}");
+        }
+    }
+}
+
+/// Shapes one step away from Eq 17's guard stay on the nested path — and
+/// still agree with the oracle.
+#[test]
+fn near_miss_guards_stay_nested() {
+    let near_misses = [
+        // `is not null` in place of `is null`.
+        "¬(∃s ∈ M [s.A = r.A ∨ s.A is not null ∨ r.A is null])",
+        // `<>` in place of `=`.
+        "¬(∃s ∈ M [s.A <> r.A ∨ s.A is null ∨ r.A is null])",
+        // A fourth disjunct.
+        "¬(∃s ∈ M [s.A = r.A ∨ s.A is null ∨ r.A is null ∨ s.B = 2])",
+        // The local `is null` on a different column.
+        "¬(∃s ∈ M [s.A = r.A ∨ s.B is null ∨ r.A is null])",
+        // Two guards.
+        "¬(∃s ∈ M [(s.A = r.A ∨ s.A is null ∨ r.A is null) ∧ \
+                   (s.B = r.A ∨ s.B is null ∨ r.A is null)])",
+        // A guard beside an equi-join key.
+        "¬(∃s ∈ M [s.B = r.A ∧ (s.A = r.A ∨ s.A is null ∨ r.A is null)])",
+    ];
+    for body in near_misses {
+        let q = fx::q(&format!("{{Q(A) | ∃r ∈ N [Q.A = r.A ∧ {body}]}}"));
+        for (case, catalog) in not_in_placements() {
+            let engine = Engine::new(&catalog, Conventions::sql())
+                .with_threads(1)
+                .with_decorrelate(true);
+            let plan = engine.explain_collection(&q).unwrap();
+            assert!(
+                !plan.contains("-join on"),
+                "{body} must stay nested:\n{plan}"
+            );
+            let got = engine.eval_collection(&q).unwrap();
+            let reference = arc_tests::oracle_rows(&catalog, Conventions::sql(), &q);
+            assert!(
+                arc_tests::agrees(Conventions::sql(), &got, &reference),
+                "{case}: {body}\nreference:\n{reference}\ngot:\n{got}"
+            );
+        }
+    }
+}
+
+/// Two guarded `NOT IN` scopes of one query that differ only in a build
+/// filter's constant share a plan, yet each probes its own key set.
+#[test]
+fn sibling_not_in_scopes_differing_in_a_constant_build_separately() {
+    let catalog = not_in_catalog(
+        &[Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)],
+        &[(Value::Int(1), 1), (Value::Int(2), 2), (Value::Int(3), 2)],
+    );
+    let q = fx::q(
+        "{Q(A) | ∃r ∈ N [Q.A = r.A ∧ \
+         ¬(∃s ∈ M [s.B = 1 ∧ (s.A = r.A ∨ s.A is null ∨ r.A is null)]) ∧ \
+         ¬(∃s ∈ M [s.B = 2 ∧ (s.A = r.A ∨ s.A is null ∨ r.A is null)])]}",
+    );
+    for threads in [1usize, 4] {
+        let engine = Engine::new(&catalog, Conventions::sql())
+            .with_threads(threads)
+            .with_decorrelate(true)
+            .with_mem_budget(0);
+        assert_eq!(
+            engine
+                .explain_collection(&q)
+                .unwrap()
+                .matches("null-aware")
+                .count(),
+            2
+        );
+        let got = engine.eval_collection(&q).unwrap();
+        assert_eq!(
+            got.sorted_rows(),
+            vec![vec![Value::Int(4)]],
+            "threads {threads}"
+        );
+    }
 }
 
 /// Golden `EXPLAIN` for the decorrelated semi-join: the new operator line
@@ -235,7 +458,6 @@ fn malformed_decorrelate_value_is_descriptive() {
 /// whenever they fall in one selectivity bucket (here: equally frequent).
 #[test]
 fn sibling_scopes_differing_in_a_constant_build_separately() {
-    use arc_core::value::Value;
     let mut r = arc_engine::Relation::new("R", &["A"]);
     let mut s = arc_engine::Relation::new("S", &["A", "B"]);
     for a in 0..40 {
