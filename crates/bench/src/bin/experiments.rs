@@ -494,7 +494,7 @@ fn main() {
         {
             let n = 4096;
             let catalog = fx::stats_skew_catalog(n);
-            // Widened range bound: keeps the filtered `R` scan above the
+            // Widened range bound: keeps the `R` index range above the
             // partition gate so the scope fans out across 4 worker lanes
             // (the narrow `eq1_range` bound stays sequential by design).
             let q = fx::q(&format!(
@@ -503,7 +503,6 @@ fn main() {
             ));
             let (_, json) = Engine::new(&catalog, sql)
                 .with_threads(4)
-                .with_indexes(false)
                 .span_trace_collection(&q)
                 .expect("skewed range-join traces");
             let path = dir.join("range_join_skew.trace.json");

@@ -12,9 +12,10 @@
 //! Each base relation can carry [`TableStats`] — the `arc-stats` sketches
 //! (distinct counters, equi-depth histograms, MCV lists) that back the
 //! planner's cost model v2. Registration **auto-analyzes** relations at
-//! or above [`AUTO_ANALYZE_MIN_ROWS`] rows unless `ARC_STATS=off`;
-//! [`Catalog::analyze`] is the explicit `ANALYZE` pass (every relation,
-//! regardless of size or environment). Every statistics change bumps the
+//! or above [`AUTO_ANALYZE_MIN_ROWS`] rows; [`Catalog::analyze`] is the
+//! explicit `ANALYZE` pass (every relation, regardless of size), and
+//! [`Catalog::clear_stats`] the one way to plan without statistics.
+//! Every statistics change bumps the
 //! catalog's **epoch** from a process-wide counter — the plan caches fold
 //! the epoch into their keys, so a re-`ANALYZE` invalidates exactly the
 //! cached plans the new statistics could have shaped.
@@ -71,13 +72,10 @@ impl Catalog {
     /// Insert (or replace) a base relation, keyed by its name.
     ///
     /// Stale statistics for a replaced relation are dropped; relations of
-    /// [`AUTO_ANALYZE_MIN_ROWS`] rows or more are analyzed on the spot
-    /// unless `ARC_STATS=off` (the escape hatch disables *automatic*
-    /// collection only — [`Catalog::analyze`] always works).
+    /// [`AUTO_ANALYZE_MIN_ROWS`] rows or more are analyzed on the spot.
     pub fn add(&mut self, relation: Relation) -> &mut Self {
         let had_stats = self.stats.remove(&relation.name).is_some();
-        let analyzed =
-            relation.len() >= AUTO_ANALYZE_MIN_ROWS && crate::eval::knobs::stats_from_env();
+        let analyzed = relation.len() >= AUTO_ANALYZE_MIN_ROWS;
         if analyzed {
             self.stats
                 .insert(relation.name.clone(), Arc::new(analyze_relation(&relation)));
@@ -102,8 +100,7 @@ impl Catalog {
     }
 
     /// The explicit `ANALYZE` pass: make sure **every** base relation has
-    /// statistics, regardless of size or the `ARC_STATS` setting, and
-    /// bump the statistics epoch (invalidating cached plans). Returns the
+    /// statistics, regardless of size, and bump the statistics epoch (invalidating cached plans). Returns the
     /// number of relations covered.
     ///
     /// Statistics that are already current are kept, not recomputed: a
@@ -127,8 +124,9 @@ impl Catalog {
     }
 
     /// Drop all statistics (and bump the epoch): the catalog plans like a
-    /// never-analyzed one — the deterministic test hook behind the
-    /// stats-on/off ablations and workspace invariant 10.
+    /// never-analyzed one — no MCV/histogram pricing, and so no
+    /// index-range access path. The one way to plan without statistics
+    /// (workspace invariant 10).
     pub fn clear_stats(&mut self) -> &mut Self {
         self.stats.clear();
         self.bump_epoch();
@@ -186,19 +184,13 @@ const _: () = {
     assert_send_sync::<Catalog>();
 };
 
-/// One relation's ANALYZE pass. Under vectorized execution (the
-/// `ARC_VECTOR` default) the statistics stream from the relation's
-/// column chunks — one typed pass per column, and the encoding stays
-/// cached on the relation for the scans that follow. `ARC_VECTOR=off`
-/// (or a malformed value, whose error the engine reports at first
-/// evaluation) takes the row-at-a-time pass; the two are identical
-/// result-wise (`arc-stats` asserts so).
+/// One relation's ANALYZE pass, streamed from the relation's column
+/// chunks — one typed pass per column, and the encoding stays cached on
+/// the relation for the scans that follow. The row-at-a-time
+/// [`TableStats::analyze`] is its reference (`arc-stats` asserts the two
+/// identical).
 fn analyze_relation(rel: &Relation) -> TableStats {
-    if crate::eval::knobs::onoff_from_env("ARC_VECTOR").unwrap_or(false) {
-        TableStats::analyze_chunks(rel.arity(), &rel.rows, &rel.columns())
-    } else {
-        TableStats::analyze(rel.arity(), &rel.rows)
-    }
+    TableStats::analyze_chunks(rel.arity(), &rel.rows, &rel.columns())
 }
 
 #[cfg(test)]
@@ -255,16 +247,13 @@ mod tests {
         let mut c = Catalog::new();
         c.add(big_rel("Big", 64));
         c.add(Relation::from_ints("Tiny", &["A"], &[&[1]]));
-        let auto = c.stats("Big").cloned();
+        let auto = c.stats("Big").cloned().expect("auto-analyzed");
         let before = c.stats_epoch();
         assert_eq!(c.analyze(), 2);
         assert!(c.stats_epoch() > before, "the epoch moves regardless");
         assert!(c.stats("Tiny").is_some(), "missing statistics are computed");
-        if let Some(auto) = auto {
-            // Auto-analyzed at registration (unless ARC_STATS=off): the
-            // very same statistics object survives the explicit pass.
-            assert!(Arc::ptr_eq(&auto, c.stats("Big").unwrap()));
-        }
+        // The very same statistics object survives the explicit pass.
+        assert!(Arc::ptr_eq(&auto, c.stats("Big").unwrap()));
         // Replacing the relation drops its statistics; the next pass
         // computes them afresh.
         c.add(big_rel("Big", 32));
@@ -274,17 +263,13 @@ mod tests {
 
     #[test]
     fn auto_analyze_triggers_at_the_threshold() {
-        // The auto path consults ARC_STATS; the suite runs under both
-        // settings, so assert the setting-conditional behavior.
         let mut c = Catalog::new();
+        c.add(big_rel("Small", AUTO_ANALYZE_MIN_ROWS as i64 - 1));
+        assert!(c.stats("Small").is_none(), "below the threshold");
         c.add(big_rel("Big", AUTO_ANALYZE_MIN_ROWS as i64));
-        if crate::eval::knobs::stats_from_env() {
-            let ts = c.stats("Big").expect("auto-analyzed at the threshold");
-            assert_eq!(ts.rows, AUTO_ANALYZE_MIN_ROWS as u64);
-            assert_eq!(ts.columns[0].distinct, 5);
-        } else {
-            assert!(c.stats("Big").is_none(), "ARC_STATS=off disables auto");
-        }
+        let ts = c.stats("Big").expect("auto-analyzed at the threshold");
+        assert_eq!(ts.rows, AUTO_ANALYZE_MIN_ROWS as u64);
+        assert_eq!(ts.columns[0].distinct, 5);
     }
 
     #[test]

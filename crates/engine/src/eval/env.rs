@@ -126,7 +126,17 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// Identity of the installed layout (its `Arc` address; 0 for none).
+    /// Identity of the installed layout (its `Arc` address; 0 for none),
+    /// part of the compiled-scope key (`Ctx::cached_scope`).
+    ///
+    /// The address is pinned for the key's lifetime. Every layout an
+    /// environment installs ([`Env::with_layout`]) is owned by a compiled
+    /// scope — its `layout`, or an abstract step's check layout — and
+    /// every compiled scope stays in its `Ctx`'s scope cache, which never
+    /// evicts, until the `Ctx` drops. A worker context keys layouts of
+    /// its own scopes or of the coordinator's partitioned scope, which
+    /// outlives it. So no layout is freed, and no other `Arc` can take
+    /// its address, while a key naming it exists.
     pub(crate) fn layout_id(&self) -> usize {
         self.layout
             .as_ref()

@@ -8,58 +8,37 @@ use crate::error::EvalError;
 use arc_guard::FaultPlan;
 use std::time::Duration;
 
-/// One registered on/off engine knob: its environment variable, its
-/// default, and whether unknown values are tolerated as the default
-/// (`ARC_STATS` is an *off*-switch: anything that isn't explicitly off
-/// keeps statistics on) instead of surfacing a config error.
+/// One registered on/off engine knob: its environment variable and its
+/// default.
 pub struct OnOffKnob {
     /// Environment variable name.
     pub var: &'static str,
     /// Value when the variable is unset or empty.
     pub default: bool,
-    /// `true`: unknown tokens fall back to the default instead of
-    /// erroring.
-    pub lenient: bool,
 }
 
 /// The single registry behind every on/off `ARC_*` knob — one grammar,
-/// one normalization (`lowercase`, `_` → `-`), one error shape.
+/// one normalization (`lowercase`, `_` → `-`), one error shape. Both
+/// record; neither changes what runs:
 ///
-/// * `ARC_STATS` — automatic `ANALYZE` of large relations (default on);
-/// * `ARC_DECORRELATE` — `∃`/`¬∃` scopes with pure equi-join correlation
-///   run as build-once semi/anti-joins (default on; off pins the
-///   per-outer-row nested path);
-/// * `ARC_VECTOR` — columnar kernels for scans, hash-index builds and
-///   semi-join key extraction (default on; off pins the row path);
-/// * `ARC_INDEX` — the planner may choose index-range access paths
-///   (default on; off pins scans and hash probes);
 /// * `ARC_TRACE` — build timings into the `arc-trace` registry and wall
-///   times onto execution profiles (default **off**);
+///   times onto execution profiles (default off);
 /// * `ARC_SPANS` — begin/end spans into per-lane ring buffers (default
-///   **off**).
+///   off).
 pub const ONOFF_KNOBS: &[OnOffKnob] = &[
-    OnOffKnob::new("ARC_STATS", true, true),
-    OnOffKnob::new("ARC_DECORRELATE", true, false),
-    OnOffKnob::new("ARC_VECTOR", true, false),
-    OnOffKnob::new("ARC_INDEX", true, false),
-    OnOffKnob::new("ARC_TRACE", false, false),
-    OnOffKnob::new("ARC_SPANS", false, false),
+    OnOffKnob {
+        var: "ARC_TRACE",
+        default: false,
+    },
+    OnOffKnob {
+        var: "ARC_SPANS",
+        default: false,
+    },
 ];
-
-impl OnOffKnob {
-    const fn new(var: &'static str, default: bool, lenient: bool) -> Self {
-        OnOffKnob {
-            var,
-            default,
-            lenient,
-        }
-    }
-}
 
 /// Interpret `value` for the registered knob `var`. Unset and empty mean
 /// the knob's default; `on`/`1`/`true`/`auto` affirm; `off`/`0`/`false`/
-/// `no` negate; anything else is a descriptive error naming the variable
-/// (or the default, for lenient knobs).
+/// `no` negate; anything else is a descriptive error naming the variable.
 pub fn parse_onoff(var: &str, value: Option<&str>) -> Result<bool, String> {
     let knob = ONOFF_KNOBS
         .iter()
@@ -72,7 +51,6 @@ pub fn parse_onoff(var: &str, value: Option<&str>) -> Result<bool, String> {
         "" => Ok(knob.default),
         "on" | "1" | "true" | "auto" => Ok(true),
         "off" | "0" | "false" | "no" => Ok(false),
-        _ if knob.lenient => Ok(knob.default),
         other => Err(format!("unknown {var} `{other}` (expected `on` or `off`)")),
     }
 }
@@ -91,13 +69,6 @@ pub(crate) fn from_env<T>(
 /// [`parse_onoff`] over the live environment.
 pub(crate) fn onoff_from_env(var: &str) -> Result<bool, EvalError> {
     from_env(var, |v| parse_onoff(var, v))
-}
-
-/// Automatic statistics collection, from `ARC_STATS`: the knob is an
-/// off-switch, so unknown values keep statistics on and this read is
-/// infallible.
-pub fn stats_from_env() -> bool {
-    onoff_from_env("ARC_STATS").unwrap_or(true)
 }
 
 /// Query deadline, from `ARC_TIMEOUT_MS` (milliseconds): unset, empty,
@@ -144,11 +115,10 @@ pub fn parse_fault(value: Option<&str>) -> Result<Option<FaultPlan>, String> {
 mod tests {
     use super::*;
 
-    /// The consolidation contract: every registered knob — the six
+    /// The consolidation contract: every registered knob — the two
     /// on/off switches and the three guard knobs — accepts its
     /// affirmative and negative forms and reports garbage as a
-    /// descriptive error naming the variable (except the deliberately
-    /// lenient `ARC_STATS` off-switch, which keeps its subsystem on).
+    /// descriptive error naming the variable.
     #[test]
     fn every_knob_parses_on_off_and_garbage() {
         for knob in ONOFF_KNOBS {
@@ -178,25 +148,14 @@ mod tests {
                 knob.var
             );
             assert_eq!(parse_onoff(knob.var, Some("0")), Ok(false), "{}", knob.var);
-            let garbage = parse_onoff(knob.var, Some("garbage"));
-            if knob.lenient {
-                assert_eq!(garbage, Ok(knob.default), "{} is lenient", knob.var);
-            } else {
-                let err = garbage.unwrap_err();
-                assert!(err.contains(knob.var), "{err}");
-                assert!(err.contains("garbage"), "{err}");
-            }
+            let err = parse_onoff(knob.var, Some("garbage")).unwrap_err();
+            assert!(err.contains(knob.var), "{err}");
+            assert!(err.contains("garbage"), "{err}");
         }
-        // The optimizer switches default on, the recording knobs off.
-        for var in ["ARC_STATS", "ARC_DECORRELATE", "ARC_VECTOR", "ARC_INDEX"] {
-            assert_eq!(parse_onoff(var, None), Ok(true), "{var}");
-        }
+        // Both recording knobs default off.
         for var in ["ARC_TRACE", "ARC_SPANS"] {
             assert_eq!(parse_onoff(var, None), Ok(false), "{var}");
         }
-        // ARC_STATS is an off-switch: only an explicit negation turns it off.
-        assert_eq!(parse_onoff("ARC_STATS", Some("anything")), Ok(true));
-        assert_eq!(parse_onoff("ARC_STATS", Some("NO")), Ok(false));
 
         // Guard knobs: on (a valid value), off (unset/empty), garbage.
         assert_eq!(parse_timeout(None), Ok(None));

@@ -162,7 +162,10 @@ pub(crate) fn guard_reserve_hard(guard: Option<&Arc<QueryGuard>>, bytes: usize) 
 }
 
 /// The evaluation engine: a catalog plus a convention profile plus the
-/// execution knobs (parallelism, optimizer switches, guard limits).
+/// execution knobs (parallelism, recording, guard limits). No knob picks
+/// an algorithm: decorrelation, columnar kernels and ordered indexes are
+/// always on, and each build falls back to its streaming path only when
+/// the guard denies it (see [`Engine::with_mem_budget`]).
 pub struct Engine<'c> {
     pub(crate) catalog: &'c Catalog,
     /// The convention profile queries are interpreted under (§2.6/§2.7).
@@ -172,15 +175,6 @@ pub struct Engine<'c> {
     /// environment value surfaces as a normal engine error on the first
     /// evaluation instead of panicking at construction.
     threads: std::result::Result<usize, crate::error::EvalError>,
-    /// Set-level decorrelation of boolean quantifier scopes
-    /// (`ARC_DECORRELATE`, default on); same deferred-error story.
-    decorrelate: std::result::Result<bool, crate::error::EvalError>,
-    /// Vectorized columnar execution (`ARC_VECTOR`, default on); same
-    /// deferred-error story.
-    vectorize: std::result::Result<bool, crate::error::EvalError>,
-    /// Ordered secondary indexes / index-range access paths
-    /// (`ARC_INDEX`, default on); same deferred-error story.
-    indexes: std::result::Result<bool, crate::error::EvalError>,
     /// Execution tracing (`ARC_TRACE`, default **off**): timing of
     /// index/selection/semi-join builds into the `arc-trace` registry
     /// and wall-time stamps on execution profiles; same deferred-error
@@ -241,9 +235,6 @@ impl<'c> Engine<'c> {
             catalog,
             conventions,
             threads: knobs::from_env("ARC_THREADS", arc_exec::parse_threads),
-            decorrelate: knobs::onoff_from_env("ARC_DECORRELATE"),
-            vectorize: knobs::onoff_from_env("ARC_VECTOR"),
-            indexes: knobs::onoff_from_env("ARC_INDEX"),
             trace: knobs::onoff_from_env("ARC_TRACE"),
             spans: knobs::onoff_from_env("ARC_SPANS"),
             timeout: knobs::from_env("ARC_TIMEOUT_MS", knobs::parse_timeout),
@@ -269,48 +260,6 @@ impl<'c> Engine<'c> {
     /// the configuration problem every evaluation would report).
     pub fn threads(&self) -> Result<usize> {
         self.threads.clone()
-    }
-
-    /// Override set-level decorrelation of boolean scopes (builder style):
-    /// `false` pins the per-outer-row nested path, exactly like running
-    /// under `ARC_DECORRELATE=off` — tests use this to compare both paths
-    /// without touching the (racy) process environment.
-    pub fn with_decorrelate(mut self, decorrelate: bool) -> Self {
-        self.decorrelate = Ok(decorrelate);
-        self
-    }
-
-    /// Whether this engine decorrelates boolean scopes.
-    pub fn decorrelate(&self) -> Result<bool> {
-        self.decorrelate.clone()
-    }
-
-    /// Override vectorized columnar execution (builder style): `false`
-    /// forces the row-at-a-time path everywhere, exactly like running
-    /// under `ARC_VECTOR=off` — tests use this to compare both paths
-    /// without touching the (racy) process environment.
-    pub fn with_vectorize(mut self, vectorize: bool) -> Self {
-        self.vectorize = Ok(vectorize);
-        self
-    }
-
-    /// Whether this engine runs the vectorized columnar path.
-    pub fn vectorize(&self) -> Result<bool> {
-        self.vectorize.clone()
-    }
-
-    /// Override ordered-index usage (builder style): `false` pins the
-    /// scan/hash-probe access paths everywhere, exactly like running
-    /// under `ARC_INDEX=off` — tests use this to compare both paths
-    /// without touching the (racy) process environment.
-    pub fn with_indexes(mut self, indexes: bool) -> Self {
-        self.indexes = Ok(indexes);
-        self
-    }
-
-    /// Whether this engine may plan index-range access paths.
-    pub fn indexes(&self) -> Result<bool> {
-        self.indexes.clone()
     }
 
     /// Override execution tracing (builder style): `true` makes
@@ -453,9 +402,6 @@ impl<'c> Engine<'c> {
             catalog: self.catalog,
             conventions: self.conventions,
             threads: self.threads.clone(),
-            decorrelate: self.decorrelate.clone(),
-            vectorize: self.vectorize.clone(),
-            indexes: self.indexes.clone(),
             trace: self.trace.clone(),
             spans: self.spans.clone(),
             timeout: self.timeout.clone(),
@@ -530,9 +476,6 @@ impl<'c> Engine<'c> {
             catalog: self.catalog,
             conv: self.conventions,
             threads,
-            decorrelate: self.decorrelate.clone()?,
-            vectorize: self.vectorize.clone()?,
-            indexes: self.indexes.clone()?,
             trace: self.trace.clone()?,
             spans,
             lane: 0,
@@ -656,17 +599,6 @@ pub(crate) struct Ctx<'a> {
     /// outer scan across this many pool threads. Worker contexts are
     /// forked with `threads = 1`, so parallelism never nests.
     pub(crate) threads: usize,
-    /// Whether boolean quantifier scopes with pure equi-join correlation
-    /// execute as build-once set-level semi/anti-joins (see
-    /// [`semijoin`]). Off pins the per-outer-row nested path.
-    pub(crate) decorrelate: bool,
-    /// Whether scans, index builds, and semi-join key extraction run the
-    /// vectorized columnar kernels (see [`vector`]). Off pins the
-    /// row-at-a-time path.
-    pub(crate) vectorize: bool,
-    /// Whether the planner may choose the index-range access path (see
-    /// [`index`]). Off pins scans and hash probes everywhere.
-    pub(crate) indexes: bool,
     /// Whether execution records wall times (`ARC_TRACE`, default off):
     /// gates every clock read on the evaluation path, so the default
     /// engine never touches `Instant::now`.
@@ -711,8 +643,12 @@ pub(crate) struct Ctx<'a> {
     /// boolean scopes skip the re-entry entirely and probe
     /// [`Ctx::semi_builds`] instead.
     pub(crate) join_indexes: quantifier::JoinIndexCache,
-    /// Per-query cache of distinct-key estimates (same keying scheme),
-    /// feeding the planner's greedy join ordering.
+    /// Per-query cache of distinct-key estimates, feeding the planner's
+    /// greedy join ordering for relations without statistics. Keyed like
+    /// `join_indexes`, by relation address + key columns: the relation is
+    /// borrowed from the catalog or `defined` for `'a`, so its address
+    /// stays its own while this `Ctx` (or a worker's snapshot) lives, and
+    /// an estimate depends on nothing but its rows and the columns.
     pub(crate) distinct_estimates: RefCell<HashMap<(usize, Vec<usize>), usize>>,
     /// Compiled scopes — sources resolved, plan fetched, every name
     /// resolved to a slot — keyed by scope identity, role and frame
@@ -720,10 +656,11 @@ pub(crate) struct Ctx<'a> {
     /// outer row compiles on the first entry only.
     pub(crate) scopes: RefCell<HashMap<scope::ScopeKey, Rc<scope::Scope<'a>>>>,
     /// Per-query cache of vectorized scan selections, keyed by relation
-    /// address + the addresses of the vectorized filter prefix (both
-    /// stable for the `Ctx` lifetime). Correlated scopes that re-enter
-    /// per outer row recompute nothing: the selection of a
-    /// constant-filter scan is outer-independent by construction.
+    /// address + the addresses of the filters the selection applies
+    /// (pinned for the `Ctx` lifetime, see `Ordered::selection_key`).
+    /// Correlated scopes that re-enter per outer row recompute nothing:
+    /// the selection of a constant-filter scan is outer-independent by
+    /// construction.
     pub(crate) selections: SelectionCache,
     /// Build-once key sets of decorrelated boolean scopes, keyed by scope
     /// identity and build plan and shared — through an `Arc` — with every

@@ -53,9 +53,6 @@ use std::time::Instant;
 pub(crate) struct WorkerSeed<'a> {
     catalog: &'a Catalog,
     conv: Conventions,
-    decorrelate: bool,
-    vectorize: bool,
-    indexes: bool,
     defined: &'a HashMap<String, Relation>,
     abstracts: &'a HashMap<String, Collection>,
     redirect: Option<super::Redirect<'a>>,
@@ -91,9 +88,6 @@ impl<'a> WorkerSeed<'a> {
             catalog: self.catalog,
             conv: self.conv,
             threads: 1,
-            decorrelate: self.decorrelate,
-            vectorize: self.vectorize,
-            indexes: self.indexes,
             defined: self.defined,
             abstracts: self.abstracts,
             redirect: self.redirect,
@@ -154,9 +148,6 @@ impl<'a> Ctx<'a> {
         WorkerSeed {
             catalog: self.catalog,
             conv: self.conv,
-            decorrelate: self.decorrelate,
-            vectorize: self.vectorize,
-            indexes: self.indexes,
             defined: self.defined,
             abstracts: self.abstracts,
             redirect: self.redirect,
@@ -277,15 +268,10 @@ impl<'a> Ctx<'a> {
         let seed = self.worker_seed();
         // Workers see the frames of this scope under its own layout.
         let outer_env = env.with_layout(&sc.layout, |env| env.clone());
-        // Chunk-aligned morsels under vectorized execution: a morsel
-        // covers whole column chunks, so a worker's selection walk never
-        // straddles a chunk another worker owns. Ordered gather is
-        // untouched either way (invariant 9).
-        let morsels = if self.vectorize {
-            Morsels::aligned(total, self.threads, arc_core::column::CHUNK_ROWS)
-        } else {
-            Morsels::new(total, self.threads)
-        };
+        // Chunk-aligned morsels: a morsel covers whole column chunks, so a
+        // worker's selection walk never straddles a chunk another worker
+        // owns. Ordered gather is untouched (invariant 9).
+        let morsels = Morsels::aligned(total, self.threads, arc_core::column::CHUNK_ROWS);
         // One forked context per participating worker (not per morsel —
         // forking clones the cache snapshots); each morsel still gets a
         // fresh clone of the outer environment because an error can

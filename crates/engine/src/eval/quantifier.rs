@@ -324,17 +324,16 @@ pub(crate) struct Ordered<'a> {
     pub(crate) source: Src<'a>,
     pub(crate) hash_plan: Option<HashPlan<'a>>,
     /// Filters evaluated as soon as this step's variable binds. When the
-    /// step scans a relation under vectorized execution, the
-    /// leading run of constant filters is hoisted into `vec_filters` and
-    /// only the residue remains here (see [`super::vector`] on why only
-    /// a prefix is safe to hoist).
+    /// step scans a relation, the leading run of constant filters is
+    /// hoisted into `vec_filters` and only the residue remains here (see
+    /// [`super::vector`] on why only a prefix is safe to hoist).
     pub(crate) step_filters: Vec<CPred<'a>>,
     /// The vectorizable constant-filter prefix, resolved to columns of
-    /// the scanned relation (scan steps only; empty when vectorization
-    /// is off, the relation is tiny, or no prefix classifies).
+    /// the scanned relation (scan steps only; empty when the relation is
+    /// tiny or no prefix classifies).
     pub(crate) vec_filters: Vec<super::vector::VecFilter>,
-    /// Addresses of the original predicates behind `vec_filters` — the
-    /// `Ctx` selection-cache key (predicates outlive the `Ctx`).
+    /// Addresses of the original predicates behind `vec_filters` — part
+    /// of the `Ctx` selection-cache key ([`Ordered::selection_key`]).
     pub(crate) vec_key: Vec<usize>,
     /// The index-range access plan, when the planner chose one for this
     /// step: the ordered index answers the consumed bound prefix by
@@ -363,6 +362,18 @@ impl Ordered<'_> {
     /// The per-`Ctx` selection-cache key: the consumed index filters'
     /// addresses (behind a `usize::MAX` marker no predicate address can
     /// collide with), then the vectorized prefix's addresses.
+    ///
+    /// Every address is pinned for the key's lifetime. The cache lives
+    /// in one `Ctx<'a>` (a worker's snapshot dies with the worker's
+    /// context), and each predicate is a `&'a Predicate` into the AST the
+    /// evaluation borrows, so none can move or be freed — and no other
+    /// predicate can take its address — while the key exists. An address
+    /// names a filter *with* its constant: two scans that differ only in
+    /// a constant share a plan, whose constants are typed holes, but not
+    /// a key, so each builds its own selection
+    /// (`tests/selection_build.rs`). The relation half of the key
+    /// ([`Ctx::scan_selection`]) is pinned the same way: catalog and
+    /// materialized relations are borrowed for `'a`.
     fn selection_key(&self) -> Vec<usize> {
         match &self.index_plan {
             Some(ip) => {

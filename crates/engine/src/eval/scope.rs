@@ -77,6 +77,31 @@ pub(crate) struct QuantRef<'a> {
     pub(crate) body: &'a Formula,
 }
 
+impl QuantRef<'_> {
+    /// The scope's operator id: the address of its binding slice — the
+    /// identity `arc_plan::scope_identity` stamps at lowering time — or,
+    /// for a scope without bindings, of its body, because every empty
+    /// slice shares one dangling address.
+    ///
+    /// The address is pinned for as long as any key holding it lives.
+    /// Both the slice and the body are borrowed from the AST for `'a`, so
+    /// neither moves nor is freed while a `Ctx<'a>` — or the semi-join
+    /// build cache, span sink or profile of that evaluation — exists.
+    /// Two boolean scopes (the ones the semi-join build cache keys) never
+    /// share an id: each is a boxed `Quant`, a non-empty binding slice is
+    /// a heap allocation of its own, and a body a field of its own box.
+    /// Scopes that differ only in a constant therefore get two ids, and
+    /// two builds (`sibling_not_in_scopes_differing_in_a_constant_build_separately`,
+    /// `tests/regressions/zero_binding_semi_scopes.rs`).
+    pub(crate) fn id(&self) -> usize {
+        if self.bindings.is_empty() {
+            self.body as *const Formula as usize
+        } else {
+            self.bindings.as_ptr() as usize
+        }
+    }
+}
+
 impl<'a> From<&'a Quant> for QuantRef<'a> {
     fn from(q: &'a Quant) -> Self {
         QuantRef {
@@ -246,8 +271,7 @@ pub(crate) struct SemiKey<'a> {
 
 /// A compiled quantifier scope.
 pub(crate) struct Scope<'a> {
-    /// The scope's stable operator id (binding-slice address — the
-    /// identity `arc_plan::scope_identity` stamps at lowering time).
+    /// The scope's stable operator id ([`QuantRef::id`]).
     pub(crate) id: usize,
     /// Stack depth at entry: scope-local frames start here.
     pub(crate) base: usize,
@@ -308,6 +332,7 @@ impl DistinctEstimator for CtxEstimator<'_, '_> {
         let Resolved::Rel(rel, _) = &self.resolved[binding] else {
             return None;
         };
+        // Pinned for the cache's lifetime: see `Ctx::distinct_estimates`.
         let key = (*rel as *const Relation as usize, cols.to_vec());
         if let Some(&d) = self.ctx.distinct_estimates.borrow().get(&key) {
             return Some(d);
@@ -443,9 +468,11 @@ impl<'a> Ctx<'a> {
             // no outer-join annotation, no aggregates, and no boolean
             // subformula correlated with the outer environment but one
             // null guard.
-            let shape = (!nested && self.decorrelate)
-                .then(|| arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer)))
-                .flatten();
+            let shape = if nested {
+                None
+            } else {
+                arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer))
+            };
             let guard = shape.flatten();
             let (pipeline, layout) =
                 self.compile_pipeline(q, &parts, shape.is_some(), guard.map(|g| g.eq), outer)?;
@@ -541,7 +568,7 @@ impl<'a> Ctx<'a> {
         let mut r = Resolver::tuple(&layout);
         let pre_bool = parts.pre_bool.iter().map(|f| r.formula(f)).collect();
         Scope {
-            id: q.bindings.as_ptr() as usize,
+            id: q.id(),
             base: env.len(),
             layout,
             pipeline,
@@ -567,7 +594,7 @@ impl<'a> Ctx<'a> {
             // A pure-inner annotation is semantically the default join.
         }
         let resolved = self.resolve_bindings(q.bindings)?;
-        let plan = self.scope_plan(q.bindings, &parts.filters, outer, &resolved, boolean, guard)?;
+        let plan = self.scope_plan(q, &parts.filters, outer, &resolved, boolean, guard)?;
         self.materialize_steps(q.bindings, &parts.filters, &resolved, plan, outer)
     }
 
@@ -619,13 +646,14 @@ impl<'a> Ctx<'a> {
     /// scope.
     fn scope_plan(
         &self,
-        bindings: &'a [Binding],
+        q: QuantRef<'a>,
         filters: &[&Predicate],
         outer: &[Names<'a>],
         resolved: &[Resolved<'a>],
         boolean: bool,
         guard: Option<&'a Predicate>,
     ) -> Result<Arc<ScopePlan>> {
+        let bindings = q.bindings;
         // Describe the scope to the planner.
         let spec_bindings: Vec<BindingSpec<'_>> = bindings
             .iter()
@@ -664,7 +692,6 @@ impl<'a> Ctx<'a> {
             filters,
             outer: &LayoutOuter(outer),
             estimator: Some(&estimator),
-            indexes: self.indexes,
             guard,
         };
 
@@ -706,7 +733,7 @@ impl<'a> Ctx<'a> {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::Plan,
-                arc_trace::OpId::scope(bindings.as_ptr() as usize),
+                arc_trace::OpId::scope(q.id()),
                 t0,
             );
         }
@@ -839,11 +866,12 @@ impl<'a> Ctx<'a> {
             let mut vec_filters = Vec::new();
             let mut vec_key = Vec::new();
             if let (Src::Rows(rel), None) = (&source, &hash_plan) {
-                if self.vectorize && rel.len() >= super::vector::VECTOR_MIN_ROWS {
+                if rel.len() >= super::vector::VECTOR_MIN_ROWS {
                     for &i in &step.filters {
                         match super::vector::classify(filters[i], &b.var, &rel.schema) {
                             Some(f) => {
                                 vec_filters.push(f);
+                                // Pinned: see `Ordered::selection_key`.
                                 vec_key.push(filters[i] as *const Predicate as usize);
                             }
                             None => break,

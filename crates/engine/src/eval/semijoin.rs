@@ -61,12 +61,13 @@
 //! re-building.
 //!
 //! Both halves of the key are addresses, and both are pinned for the
-//! cache's lifetime, which is one evaluation: the scope identity is the
-//! address of a binding slice inside the AST the evaluation borrows for
-//! `'a` (it cannot move or be freed while any `Ctx<'a>` lives), and the
-//! plan half is pinned by the entry itself ([`SemiEntry`]). Two scopes
-//! that differ only in a constant — two `NOT IN` subqueries among them —
-//! are two binding slices, so two builds
+//! cache's lifetime, which is one evaluation: the scope identity
+//! (`QuantRef::id`) is the address of a binding slice — or, for a scope
+//! without bindings, of its body — inside the AST the evaluation borrows
+//! for `'a` (it cannot move or be freed while any `Ctx<'a>` lives), and
+//! the plan half is pinned by the entry itself ([`SemiEntry`]). Two
+//! scopes that differ only in a constant — two `NOT IN` subqueries among
+//! them — have two identities, so two builds
 //! (`sibling_scopes_differing_in_a_constant_build_separately` and
 //! `sibling_not_in_scopes_differing_in_a_constant_build_separately` in
 //! `tests/semijoin_equivalence.rs`).
@@ -522,9 +523,6 @@ impl<'a> Ctx<'a> {
         let SemiKeys::Equi(keys) = &semi.keys else {
             return None;
         };
-        if !self.vectorize {
-            return None;
-        }
         let [ob] = build.steps.as_slice() else {
             return None;
         };

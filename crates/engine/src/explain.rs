@@ -137,15 +137,12 @@ impl Engine<'_> {
     /// would, returning the plan tree plus the resolved thread count.
     fn lowered_collection(&self, c: &Collection) -> Result<(PlanNode, usize)> {
         let threads = self.threads()?;
-        let decorrelate = self.decorrelate()?;
-        let indexes = self.indexes()?;
         let resolver = CatalogResolver {
             catalog: self.catalog,
             defined: HashMap::new(),
             abstracts: HashMap::new(),
         };
-        let plan =
-            arc_plan::lower_collection(c, &resolver, decorrelate, indexes).map_err(lower_err)?;
+        let plan = arc_plan::lower_collection(c, &resolver).map_err(lower_err)?;
         Ok((plan, threads))
     }
 
@@ -167,8 +164,6 @@ impl Engine<'_> {
     /// returning the plan tree plus the resolved thread count.
     fn lowered_program(&self, p: &Program) -> Result<(PlanNode, usize)> {
         let threads = self.threads()?;
-        let decorrelate = self.decorrelate()?;
-        let indexes = self.indexes()?;
         // Classify abstract definitions via the binder, mirroring
         // `materialize_definitions`.
         let abstract_names = Binder::new().abstract_definitions(p);
@@ -192,8 +187,7 @@ impl Engine<'_> {
             defined,
             abstracts,
         };
-        let plan =
-            arc_plan::lower_program(p, &resolver, decorrelate, indexes).map_err(lower_err)?;
+        let plan = arc_plan::lower_program(p, &resolver).map_err(lower_err)?;
         Ok((plan, threads))
     }
 

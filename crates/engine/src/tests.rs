@@ -1948,19 +1948,18 @@ mod planned_pipeline {
             &[6, 6],
         ];
         assert_rows(&catalog, Conventions::sql(), &q, want);
-        // With ordered indexes enabled, the selective bound is consumed
-        // by the index-range access path instead of running as a filter
-        // at all (analyze() + with_indexes pin the statistics and index
-        // state against the ARC_STATS/ARC_INDEX suite re-runs).
+        // With statistics, the selective bound is consumed by the
+        // index-range access path instead of running as a filter at all.
         let mut catalog = catalog;
         catalog.analyze();
-        let engine = Engine::new(&catalog, Conventions::sql()).with_indexes(true);
+        let engine = Engine::new(&catalog, Conventions::sql());
         let plan = engine.explain_collection(&q).unwrap();
         assert!(plan.contains("index-range on [A..]"), "{plan}");
         assert!(!plan.contains("residual: r.A < 7"), "{plan}");
-        // With indexes off, the filter line must still appear nested
-        // under a step, not as a residual.
-        let engine = Engine::new(&catalog, Conventions::sql()).with_indexes(false);
+        // Without statistics no index range is planned: the filter line
+        // must still appear nested under a step, not as a residual.
+        catalog.clear_stats();
+        let engine = Engine::new(&catalog, Conventions::sql());
         let plan = engine.explain_collection(&q).unwrap();
         assert!(plan.contains("filter: r.A < 7"), "{plan}");
         assert!(!plan.contains("residual: r.A < 7"), "{plan}");

@@ -35,8 +35,8 @@ impl Morsels {
 
     /// Split `total` rows for `parallelism` workers with the morsel size
     /// rounded up to a multiple of `align`: every morsel but the last
-    /// covers whole aligned blocks. The engine's vectorized path uses
-    /// chunk alignment (`align = CHUNK_ROWS`) so a morsel never splits a
+    /// covers whole aligned blocks. The engine always uses chunk
+    /// alignment (`align = CHUNK_ROWS`) so a morsel never splits a
     /// column chunk between workers; coverage and gather order are
     /// identical to [`Morsels::new`] — only the boundaries move.
     pub fn aligned(total: usize, parallelism: usize, align: usize) -> Self {

@@ -58,8 +58,8 @@
 //! — but every `ANALYZE` bumps the epoch from a process-wide counter, so
 //! (epoch, name) identifies the statistics, and a statistics change
 //! invalidates exactly the plans it could have shaped. Without statistics
-//! (`ARC_STATS=off`, relations too small to auto-analyze, intensional
-//! results) there are no fractions to bucket and the key is shape plus
+//! (`Catalog::clear_stats()`, relations too small to auto-analyze,
+//! intensional results) there are no fractions to bucket and the key is shape plus
 //! row counts. A cached plan can then be stale in exactly one way — a
 //! binding whose basis is a live *sample* changed contents under an
 //! unchanged name and row count, so the greedy order or probe choice is
@@ -320,11 +320,6 @@ struct PlanKey {
     /// plans differently as a build pipeline than as an emitting scope,
     /// so the two roles must never share a cache slot.
     decor: bool,
-    /// Whether index-range access selection was enabled
-    /// ([`crate::scope::ScopeSpec::indexes`]): engines running with the
-    /// `ARC_INDEX=off` escape hatch must never be served an index plan
-    /// another engine published, nor vice versa.
-    indexes: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +398,6 @@ pub fn scope_plan(
         scope: scope_fingerprint(spec),
         epoch,
         decor: boolean,
-        indexes: spec.indexes,
     };
     if let Some(plan) = global_lookup(&key) {
         return Ok((plan, false));
@@ -417,9 +411,9 @@ pub fn scope_plan(
     if boolean && plan.decorrelation.is_none() {
         // A bailed decorrelation is the emitting-role plan
         // (`plan_scope_boolean` falls back to the ordinary pipeline):
-        // publish it under the non-boolean key too, so an engine that
-        // plans the same scope without decorrelation reuses it instead of
-        // planning a second time.
+        // publish it under the non-boolean key too, so the nested
+        // fallback a denied build compiles reuses it instead of planning
+        // a second time.
         global_store(
             PlanKey {
                 decor: false,
@@ -462,7 +456,6 @@ mod tests {
             filters,
             outer,
             estimator: None,
-            indexes: true,
             guard: None,
         }
     }

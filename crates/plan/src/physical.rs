@@ -654,7 +654,6 @@ fn build_spec<'a>(spec: &ScopeSpec<'a>) -> ScopeSpec<'a> {
         filters: spec.filters,
         outer: &NoOuter,
         estimator: spec.estimator,
-        indexes: spec.indexes,
         guard: spec.guard,
     }
 }
@@ -1105,10 +1104,9 @@ impl<'a> ConstBounds<'a> {
 /// interval), and price the prefix with the statistics estimator —
 /// always in [`bucketed`] fractions: this is a planning decision,
 /// whatever the caller prices. Returns `None` — keeping the caller's
-/// scan/probe — when indexes are disabled for the scope, no range bound
-/// exists, the range column's selectivity is unknown (no `ANALYZE`
-/// statistics), or the priced prefix is not selective enough
-/// ([`INDEX_MAX_FRACTION`]).
+/// scan/probe — when no range bound exists, the range column's
+/// selectivity is unknown (no `ANALYZE` statistics), or the priced prefix
+/// is not selective enough ([`INDEX_MAX_FRACTION`]).
 ///
 /// Everything this function does *not* consume — a second range column,
 /// duplicate equalities, `!=`, `IS NULL` — is demoted: it stays in the
@@ -1121,9 +1119,6 @@ fn index_candidate(
     schema: &[String],
     masked: &[usize],
 ) -> Option<Access> {
-    if !spec.indexes {
-        return None;
-    }
     let priced = Priced {
         est: spec.estimator?,
         pricing: Pricing::Plan,
@@ -1331,7 +1326,6 @@ mod tests {
             filters: &filters,
             outer: &NoOuter,
             estimator: None,
-            indexes: true,
             guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
@@ -1374,7 +1368,6 @@ mod tests {
             filters: &filters,
             outer: &NoOuter,
             estimator: None,
-            indexes: true,
             guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
@@ -1406,7 +1399,6 @@ mod tests {
             filters: &filters,
             outer: &NoOuter,
             estimator: None,
-            indexes: true,
             guard: None,
         };
         let err = plan_scope(&spec).unwrap_err();
@@ -1440,7 +1432,6 @@ mod tests {
         rs: &'a [String],
         filters: &'a [&'a Predicate],
         estimator: Option<&'a dyn crate::scope::DistinctEstimator>,
-        indexes: bool,
     ) -> ScopeSpec<'a> {
         ScopeSpec {
             bindings: vec![BindingSpec {
@@ -1454,7 +1445,6 @@ mod tests {
             filters,
             outer: &NoOuter,
             estimator,
-            indexes,
             guard: None,
         }
     }
@@ -1468,7 +1458,7 @@ mod tests {
         let est = StubStats {
             by_col: vec![Some(0.05), None],
         };
-        let spec = range_spec(&rs, &filters, Some(&est), true);
+        let spec = range_spec(&rs, &filters, Some(&est));
         let plan = plan_scope(&spec).unwrap();
         // Both bounds close the interval over column A and are consumed
         // by the access path — nothing left to filter.
@@ -1484,12 +1474,12 @@ mod tests {
     }
 
     #[test]
-    fn index_range_bails_without_stats_unselective_or_disabled() {
+    fn index_range_bails_without_stats_or_unselective() {
         let rs = schema(&["A", "B"]);
         let lo = pred(gt(col("r", "A"), int(3)));
         let filters: Vec<&Predicate> = vec![&lo];
-        // No estimator: an un-analyzed catalog plans exactly as before.
-        let spec = range_spec(&rs, &filters, None, true);
+        // No estimator (a `clear_stats()` catalog): never a candidate.
+        let spec = range_spec(&rs, &filters, None);
         let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.steps[0].access, Access::Scan);
         assert_eq!(plan.steps[0].filters, vec![0]);
@@ -1497,14 +1487,7 @@ mod tests {
         let wide = StubStats {
             by_col: vec![Some(0.4), None],
         };
-        let spec = range_spec(&rs, &filters, Some(&wide), true);
-        let plan = plan_scope(&spec).unwrap();
-        assert_eq!(plan.steps[0].access, Access::Scan);
-        // `indexes: false` (the ARC_INDEX=off hatch): never a candidate.
-        let tight = StubStats {
-            by_col: vec![Some(0.05), None],
-        };
-        let spec = range_spec(&rs, &filters, Some(&tight), false);
+        let spec = range_spec(&rs, &filters, Some(&wide));
         let plan = plan_scope(&spec).unwrap();
         assert_eq!(plan.steps[0].access, Access::Scan);
         assert_eq!(plan.steps[0].filters, vec![0]);
@@ -1522,7 +1505,7 @@ mod tests {
         let est = StubStats {
             by_col: vec![Some(0.2), Some(0.5)],
         };
-        let spec = range_spec(&rs, &filters, Some(&est), true);
+        let spec = range_spec(&rs, &filters, Some(&est));
         let plan = plan_scope(&spec).unwrap();
         assert_eq!(
             plan.steps[0].access,
@@ -1548,7 +1531,7 @@ mod tests {
         let est = StubStats {
             by_col: vec![Some(0.05), Some(0.5), Some(0.2)],
         };
-        let spec = range_spec(&rs, &filters, Some(&est), true);
+        let spec = range_spec(&rs, &filters, Some(&est));
         let plan = plan_scope(&spec).unwrap();
         // A prices tighter than C, so A closes the prefix…
         assert_eq!(
@@ -1587,7 +1570,6 @@ mod tests {
             filters: &filters,
             outer: &outer,
             estimator: None,
-            indexes: true,
             guard: None,
         };
         let plan = plan_scope(&spec).unwrap();
@@ -1678,7 +1660,6 @@ mod tests {
                 filters: &filters,
                 outer: &NoOuter,
                 estimator: Some(&PerValue),
-                indexes: true,
                 guard: None,
             };
             let cold = plan_scope(&spec).unwrap();

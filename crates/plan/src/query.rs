@@ -250,28 +250,20 @@ impl OuterScope for ScopeStack {
 }
 
 /// Lower a collection into a logical plan under `resolver` statistics,
-/// with the optimizer passes made explicit: `decorrelate = false` mirrors
-/// an engine running `ARC_DECORRELATE=off` (boolean subscopes plan as
-/// nested pipelines), `indexes = false` mirrors `ARC_INDEX=off` (no
-/// index-range access paths).
+/// running the same passes the engine runs: boolean subscopes of a
+/// decorrelatable shape plan as semi/anti-joins, and statistics-backed
+/// selective bounds as index ranges.
 pub fn lower_collection(
     c: &Collection,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
 ) -> Result<PlanNode, LowerError> {
     let mut stack = ScopeStack::default();
-    lower_collection_in(c, resolver, decorrelate, indexes, &mut stack)
+    lower_collection_in(c, resolver, &mut stack)
 }
 
 /// Lower a program: definitions (recursive groups fused into fixpoint
 /// nodes) plus the query, with the passes of [`lower_collection`].
-pub fn lower_program(
-    p: &Program,
-    resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
-) -> Result<PlanNode, LowerError> {
+pub fn lower_program(p: &Program, resolver: &dyn SourceResolver) -> Result<PlanNode, LowerError> {
     // Wrap the resolver so definition names resolve as intensional
     // relations even before materialization.
     struct WithDefs<'a> {
@@ -348,12 +340,7 @@ pub fn lower_program(
             let mut inputs = Vec::new();
             for &j in &group {
                 emitted[j] = true;
-                inputs.push(lower_collection(
-                    &p.definitions[j].collection,
-                    &resolver,
-                    decorrelate,
-                    indexes,
-                )?);
+                inputs.push(lower_collection(&p.definitions[j].collection, &resolver)?);
             }
             definitions.push(PlanNode::Fixpoint {
                 relations: group.iter().map(|&j| names[j].to_string()).collect(),
@@ -361,21 +348,11 @@ pub fn lower_program(
             });
         } else {
             emitted[i] = true;
-            definitions.push(lower_collection(
-                &p.definitions[i].collection,
-                &resolver,
-                decorrelate,
-                indexes,
-            )?);
+            definitions.push(lower_collection(&p.definitions[i].collection, &resolver)?);
         }
     }
     let query = match &p.query {
-        Some(q) => Some(Box::new(lower_collection(
-            q,
-            &resolver,
-            decorrelate,
-            indexes,
-        )?)),
+        Some(q) => Some(Box::new(lower_collection(q, &resolver)?)),
         None => None,
     };
     Ok(PlanNode::Program { definitions, query })
@@ -401,15 +378,12 @@ fn collect_sources(c: &Collection, out: &mut Vec<String>) {
     walk(&c.body, out);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lower_collection_in(
     c: &Collection,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
     stack: &mut ScopeStack,
 ) -> Result<PlanNode, LowerError> {
-    let input = lower_branch(&c.body, &c.head, resolver, decorrelate, indexes, stack)?;
+    let input = lower_branch(&c.body, &c.head, resolver, stack)?;
     Ok(PlanNode::Project {
         head: c.head.relation.clone(),
         attrs: c.head.attrs.clone(),
@@ -417,39 +391,21 @@ fn lower_collection_in(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn lower_branch(
     f: &Formula,
     head: &Head,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
     stack: &mut ScopeStack,
 ) -> Result<PlanNode, LowerError> {
     match f {
         Formula::Or(branches) => {
             let mut inputs = Vec::with_capacity(branches.len());
             for b in branches {
-                inputs.push(lower_branch(
-                    b,
-                    head,
-                    resolver,
-                    decorrelate,
-                    indexes,
-                    stack,
-                )?);
+                inputs.push(lower_branch(b, head, resolver, stack)?);
             }
             Ok(PlanNode::Union { inputs })
         }
-        Formula::Quant(q) => lower_quant(
-            q,
-            &head.relation,
-            resolver,
-            decorrelate,
-            indexes,
-            None,
-            stack,
-        ),
+        Formula::Quant(q) => lower_quant(q, &head.relation, resolver, None, stack),
         other => {
             // Predicate-only body: a scope with no bindings.
             let q = Quant {
@@ -458,15 +414,7 @@ fn lower_branch(
                 join: None,
                 body: other.clone(),
             };
-            lower_quant(
-                &q,
-                &head.relation,
-                resolver,
-                decorrelate,
-                indexes,
-                None,
-                stack,
-            )
+            lower_quant(&q, &head.relation, resolver, None, stack)
         }
     }
 }
@@ -476,13 +424,10 @@ fn lower_branch(
 /// `Some(negated)` when the scope is a boolean subformula (`semi-join ∃` /
 /// `anti-join ¬∃`) — the only position where the decorrelation pass may
 /// fire.
-#[allow(clippy::too_many_arguments)]
 fn lower_quant(
     q: &Quant,
     head: &str,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
     bool_role: Option<bool>,
     stack: &mut ScopeStack,
 ) -> Result<PlanNode, LowerError> {
@@ -553,16 +498,13 @@ fn lower_quant(
         // Boolean scopes run the decorrelation pass, mirroring the
         // engine's execution-time decision exactly: same shape check,
         // same planner entry point.
-        let shape = (bool_role.is_some() && decorrelate)
-            .then(|| crate::physical::decorrelatable_shape(q, &parts, stack))
-            .flatten();
+        let shape = bool_role.and_then(|_| crate::physical::decorrelatable_shape(q, &parts, stack));
         let boolean = shape.is_some();
         let spec = ScopeSpec {
             bindings,
             filters: &parts.filters,
             outer: stack,
             estimator: Some(&estimator),
-            indexes,
             guard: shape.flatten().map(|g| g.eq),
         };
         // Through the global cache when the resolver's statistics have an
@@ -618,32 +560,16 @@ fn lower_quant(
         if let BindingSource::Collection(c) = &b.source {
             children.push(ChildPlan {
                 label: format!("lateral {}", b.var),
-                plan: lower_collection_in(c, resolver, decorrelate, indexes, stack)?,
+                plan: lower_collection_in(c, resolver, stack)?,
             });
         }
     }
     for sub in parts.pre_bool.iter().chain(parts.post_bool.iter()) {
-        collect_bool_children(
-            sub,
-            false,
-            resolver,
-            decorrelate,
-            indexes,
-            stack,
-            &mut children,
-        )?;
+        collect_bool_children(sub, false, resolver, stack, &mut children)?;
     }
     for spine in &parts.spines {
         let mut spine_children = Vec::new();
-        collect_spine_children(
-            spine,
-            head,
-            resolver,
-            decorrelate,
-            indexes,
-            stack,
-            &mut spine_children,
-        )?;
+        collect_spine_children(spine, head, resolver, stack, &mut spine_children)?;
         children.extend(spine_children);
     }
     stack.frames.truncate(base);
@@ -707,13 +633,10 @@ fn attach_children(node: PlanNode, mut new_children: Vec<ChildPlan>) -> PlanNode
 
 /// Quantified subformulas of a boolean conjunct become labeled children:
 /// positive scopes are semi-joins, negated ones anti-joins.
-#[allow(clippy::too_many_arguments)]
 fn collect_bool_children(
     f: &Formula,
     negated: bool,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
     stack: &mut ScopeStack,
     out: &mut Vec<ChildPlan>,
 ) -> Result<(), LowerError> {
@@ -726,40 +649,27 @@ fn collect_bool_children(
             };
             out.push(ChildPlan {
                 label: label.to_string(),
-                plan: lower_quant(
-                    q,
-                    "\u{0}",
-                    resolver,
-                    decorrelate,
-                    indexes,
-                    Some(negated),
-                    stack,
-                )?,
+                plan: lower_quant(q, "\u{0}", resolver, Some(negated), stack)?,
             });
             Ok(())
         }
         Formula::And(fs) | Formula::Or(fs) => {
             for sub in fs {
-                collect_bool_children(sub, negated, resolver, decorrelate, indexes, stack, out)?;
+                collect_bool_children(sub, negated, resolver, stack, out)?;
             }
             Ok(())
         }
-        Formula::Not(inner) => {
-            collect_bool_children(inner, !negated, resolver, decorrelate, indexes, stack, out)
-        }
+        Formula::Not(inner) => collect_bool_children(inner, !negated, resolver, stack, out),
         Formula::Pred(_) => Ok(()),
     }
 }
 
 /// Spine subformulas (assignment-bearing nested scopes) lower as plans of
 /// their own, labeled `spine`.
-#[allow(clippy::too_many_arguments)]
 fn collect_spine_children(
     f: &Formula,
     head: &str,
     resolver: &dyn SourceResolver,
-    decorrelate: bool,
-    indexes: bool,
     stack: &mut ScopeStack,
     out: &mut Vec<ChildPlan>,
 ) -> Result<(), LowerError> {
@@ -767,13 +677,13 @@ fn collect_spine_children(
         Formula::Quant(q) => {
             out.push(ChildPlan {
                 label: "spine".to_string(),
-                plan: lower_quant(q, head, resolver, decorrelate, indexes, None, stack)?,
+                plan: lower_quant(q, head, resolver, None, stack)?,
             });
             Ok(())
         }
         Formula::And(fs) | Formula::Or(fs) => {
             for sub in fs {
-                collect_spine_children(sub, head, resolver, decorrelate, indexes, stack, out)?;
+                collect_spine_children(sub, head, resolver, stack, out)?;
             }
             Ok(())
         }

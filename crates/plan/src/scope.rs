@@ -200,10 +200,6 @@ pub struct ScopeSpec<'a> {
     pub outer: &'a dyn OuterScope,
     /// Optional live statistics (execution supplies one; `EXPLAIN` not).
     pub estimator: Option<&'a dyn DistinctEstimator>,
-    /// Whether the planner may choose the index-range access path
-    /// (ordered-secondary-index scans). The engine's `ARC_INDEX` escape
-    /// hatch turns this off; the plan then degrades to scans/probes.
-    pub indexes: bool,
     /// Boolean scopes only: the equality `L = O` of the scope's **null
     /// guard** — Eq 17's `L = O ∨ L is null ∨ O is null`, the boolean
     /// subformula SQL's `NOT IN` lowers to (see

@@ -5,7 +5,7 @@
 use arc_analysis::oracle;
 use arc_core::ast::{Collection, Program};
 use arc_core::conventions::{Conventions, Semantics};
-use arc_engine::{Catalog, Relation};
+use arc_engine::{Catalog, Engine, FaultKind, FaultPlan, Relation};
 
 /// Do two answers mean the same: one bag, or — under set conventions —
 /// one set, over one schema?
@@ -25,6 +25,17 @@ pub fn oracle_rows(catalog: &Catalog, conv: Conventions, q: &Collection) -> Rela
 /// The oracle's answer to a program; panics when it has none.
 pub fn oracle_program(catalog: &Catalog, conv: Conventions, p: &Program) -> oracle::ProgramRows {
     oracle::eval_program(catalog, conv, p).unwrap_or_else(|e| panic!("oracle: {e:?}\n{p:?}"))
+}
+
+/// `engine` with its first build at admission seam `seam` denied, as a
+/// budget too small for that build would deny it: the build's fallback
+/// path runs instead.
+pub fn deny_first<'c>(engine: Engine<'c>, seam: &'static str) -> Engine<'c> {
+    engine.with_fault(FaultPlan {
+        seam,
+        at: 1,
+        kind: FaultKind::Budget,
+    })
 }
 
 /// Assert the engine's `got` agrees with the oracle on `q`.

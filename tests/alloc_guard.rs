@@ -240,7 +240,7 @@ fn scan_catalog(n: i64) -> Catalog {
         t.push(vec![Value::Int(i % 4), Value::Int(i % 8), Value::Int(i)]);
     }
     let mut catalog = Catalog::new().with(t);
-    catalog.analyze(); // whatever `ARC_STATS` says: only statistics plan an index range
+    catalog.analyze(); // only statistics plan an index range
     catalog
 }
 
@@ -254,12 +254,10 @@ fn index_scan(n: i64, width: usize) -> Collection {
     ))
 }
 
-/// The default plan with the index path on and no span buffers to
-/// allocate, whatever the CI leg's environment says; sequential, so the
-/// work stays on this thread.
+/// The default plan with no span buffers to allocate, whatever the CI
+/// leg's environment says; sequential, so the work stays on this thread.
 fn indexed(catalog: &Catalog) -> Engine<'_> {
     Engine::new(catalog, Conventions::sql())
-        .with_indexes(true)
         .with_spans(false)
         .with_threads(1)
 }
@@ -405,9 +403,6 @@ fn text_to_rows_allocates_at_most_half_of_what_it_did() {
             // The default plan, whatever the CI leg's environment says;
             // sequential, so the work stays on this thread.
             let engine = Engine::new(&catalog, shape.conventions())
-                .with_decorrelate(true)
-                .with_vectorize(true)
-                .with_indexes(true)
                 .with_trace(false)
                 .with_spans(false)
                 .with_mem_budget(0)

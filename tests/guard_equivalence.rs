@@ -5,7 +5,6 @@
 //! unguarded engine, across:
 //!
 //! * `ARC_THREADS` 1 and 4 (the guard is checked per morsel claim),
-//! * the vector and index knobs (admission seams sit on both paths),
 //! * fixpoint programs (the guard spans every stratum and round).
 //!
 //! A *tight* budget must degrade, not diverge: with every build
@@ -40,8 +39,8 @@ const GENEROUS_DEADLINE: Duration = Duration::from_secs(3600);
 const GENEROUS_BUDGET: usize = 1 << 30;
 
 /// Evaluate `q` unguarded (the reference, itself checked against the
-/// oracle) and under never-hit limits, across every thread count ×
-/// vector/index knob point, asserting row-identical output.
+/// oracle) and under never-hit limits, at every thread count, asserting
+/// row-identical output.
 fn assert_guard_invisible(catalog: &Catalog, q: &Collection, conv: Conventions) {
     let reference = Engine::new(catalog, conv)
         .with_threads(1)
@@ -49,29 +48,21 @@ fn assert_guard_invisible(catalog: &Catalog, q: &Collection, conv: Conventions) 
         .unwrap();
     arc_tests::assert_oracle(catalog, conv, q, &reference);
     for threads in [1usize, 4] {
-        for (vectorize, indexes) in [(true, true), (true, false), (false, false)] {
-            let base = || {
-                Engine::new(catalog, conv)
-                    .with_threads(threads)
-                    .with_vectorize(vectorize)
-                    .with_indexes(indexes)
-            };
-            let at = format!("threads {threads} vectorize {vectorize} indexes {indexes} {conv:?}");
-            let off = base().eval_collection(q).unwrap();
-            let on = base()
-                .with_timeout(GENEROUS_DEADLINE)
-                .with_mem_budget(GENEROUS_BUDGET)
-                .eval_collection(q)
-                .unwrap();
-            assert_eq!(off.rows, on.rows, "guard drift: {at}");
-            assert_eq!(reference.rows, on.rows, "knob drift: {at}");
-            // A budget too small for ANY build: every admission is
-            // denied, every optimized build degrades to its streaming /
-            // nested / row-at-a-time fallback — and the rows must not
-            // move.
-            let degraded = base().with_mem_budget(1).eval_collection(q).unwrap();
-            assert_eq!(reference.rows, degraded.rows, "degradation drift: {at}");
-        }
+        let base = || Engine::new(catalog, conv).with_threads(threads);
+        let at = format!("threads {threads} {conv:?}");
+        let off = base().eval_collection(q).unwrap();
+        let on = base()
+            .with_timeout(GENEROUS_DEADLINE)
+            .with_mem_budget(GENEROUS_BUDGET)
+            .eval_collection(q)
+            .unwrap();
+        assert_eq!(off.rows, on.rows, "guard drift: {at}");
+        assert_eq!(reference.rows, on.rows, "thread drift: {at}");
+        // A budget too small for ANY build: every admission is denied,
+        // every optimized build degrades to its streaming / nested /
+        // row-at-a-time fallback — and the rows must not move.
+        let degraded = base().with_mem_budget(1).eval_collection(q).unwrap();
+        assert_eq!(reference.rows, degraded.rows, "degradation drift: {at}");
     }
 }
 
@@ -349,18 +340,7 @@ fn fault_matrix_structured_errors_and_survival() {
     for case in seam_cases() {
         let catalog = (case.catalog)();
         let q = (case.query)();
-        // Every case's premise is a build the planned pipeline performs
-        // with all its access paths on (a hash index, a semi-join key
-        // set, column chunks, an ordered index, a selection vector): pin
-        // that configuration, so a CI leg that switches a path off
-        // through the environment cannot make the seam unreachable.
-        let engine = || {
-            Engine::new(&catalog, Conventions::sql())
-                .with_decorrelate(true)
-                .with_vectorize(true)
-                .with_indexes(true)
-                .with_threads(case.threads)
-        };
+        let engine = || Engine::new(&catalog, Conventions::sql()).with_threads(case.threads);
         let reference = engine().eval_collection(&q).unwrap();
 
         let panicked = engine()

@@ -1,7 +1,8 @@
 //! Workspace invariant 13 — **ordered index access is invisible**: for
-//! any program and instance, the engine returns the same rows (same
-//! order, same multiplicities — stronger than the bag-identity the
-//! invariant asks for) with `ARC_INDEX` on and off, across:
+//! any program and instance, the engine returns the oracle's rows, and
+//! the same rows (same order, same multiplicities) when the memory budget
+//! denies the ordered-index build and the planned index range streams
+//! the scan instead, across:
 //!
 //! * both convention presets (SQL three-valued and set two-valued),
 //! * NULL/NaN-heavy and mixed-type instances (the class-ordering corners
@@ -22,7 +23,8 @@ use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, Relation};
+use arc_engine::{seam, Catalog, Engine, Relation};
+use arc_tests::deny_first;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,26 +44,29 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
     spec
 }
 
-/// Evaluate `q` with indexes off (the scan-path reference, itself checked
-/// against the oracle) and on, under every thread count, asserting
-/// row-identical output.
+/// Evaluate `q` on the default engine (the reference, checked against the
+/// oracle), then on it, on it denied its first ordered build, and on it
+/// denied every build, under every thread count, asserting row-identical
+/// output.
 fn assert_index_invisible(catalog: &Catalog, q: &arc_core::ast::Collection, conv: Conventions) {
     let reference = Engine::new(catalog, conv)
-        .with_indexes(false)
         .with_threads(1)
         .eval_collection(q)
         .unwrap();
     arc_tests::assert_oracle(catalog, conv, q, &reference);
     for threads in [1usize, 4] {
-        let indexed = Engine::new(catalog, conv)
-            .with_indexes(true)
-            .with_threads(threads)
-            .eval_collection(q)
-            .unwrap();
-        assert_eq!(
-            reference.rows, indexed.rows,
-            "threads {threads} conv {conv:?}"
-        );
+        let engine = || Engine::new(catalog, conv).with_threads(threads);
+        for (mode, engine) in [
+            ("default", engine()),
+            ("ordered denied", deny_first(engine(), seam::ORDERED_BUILD)),
+            ("starved", engine().with_mem_budget(1)),
+        ] {
+            let got = engine.eval_collection(q).unwrap();
+            assert_eq!(
+                reference.rows, got.rows,
+                "{mode} threads {threads} {conv:?}"
+            );
+        }
     }
 }
 
@@ -90,37 +95,39 @@ proptest! {
 }
 
 /// The acceptance demonstration on the skewed range-join fixture: with
-/// statistics the planner walks the ordered index; with `ARC_INDEX=off`
-/// it falls back to the (vectorized) full scan — and the rows match
-/// exactly either way.
+/// statistics the planner walks the ordered index; without them it plans
+/// no index range — and the rows are the oracle's either way, and the
+/// same when the budget denies the index build.
 #[test]
 fn skew_fixture_plans_index_range_and_matches_the_scan() {
     let n = 1024;
     let mut catalog = fx::stats_skew_catalog(n);
     catalog.analyze();
     let q = fx::eq1_range(n);
+    let mut bare = catalog.clone();
+    bare.clear_stats();
 
-    let on = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_indexes(true)
-        .explain_collection(&q)
-        .unwrap();
+    let explain = |catalog| {
+        Engine::new(catalog, Conventions::sql())
+            .with_threads(1)
+            .explain_collection(&q)
+            .unwrap()
+    };
+    let on = explain(&catalog);
     assert!(
         on.contains("index-range on [A..] R as r"),
         "analyzed plan must walk the ordered index:\n{on}"
     );
-    let off = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_indexes(false)
-        .explain_collection(&q)
-        .unwrap();
+    let off = explain(&bare);
     assert!(
-        off.contains("scan R as r") && !off.contains("index-range"),
-        "ARC_INDEX=off must fall back to the scan:\n{off}"
+        !off.contains("index-range"),
+        "without statistics the plan must scan:\n{off}"
     );
 
     for conv in [Conventions::sql(), Conventions::set()] {
         assert_index_invisible(&catalog, &q, conv);
+        let scanned = Engine::new(&bare, conv).eval_collection(&q).unwrap();
+        arc_tests::assert_oracle(&bare, conv, &q, &scanned);
     }
     let rows = Engine::new(&catalog, Conventions::sql())
         .eval_collection(&q)
@@ -138,7 +145,6 @@ fn unselective_bounds_keep_the_full_scan() {
     let q = fx::q("{Q(A) | ∃r ∈ R, s ∈ S [Q.A = r.A ∧ r.B = s.B ∧ r.A > 8]}");
     let plan = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_indexes(true)
         .explain_collection(&q)
         .unwrap();
     assert!(
@@ -159,7 +165,6 @@ fn eq_prefix_and_demoted_residue_match_the_scan() {
 
     let plan = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_indexes(true)
         .explain_collection(&q)
         .unwrap();
     assert!(
@@ -179,11 +184,6 @@ fn eq_prefix_and_demoted_residue_match_the_scan() {
     let rows = Engine::new(&catalog, Conventions::sql())
         .eval_collection(&q)
         .unwrap();
-    let scan = Engine::new(&catalog, Conventions::sql())
-        .with_indexes(false)
-        .eval_collection(&q)
-        .unwrap();
-    assert_eq!(rows.rows, scan.rows);
     assert!(!rows.rows.is_empty());
 }
 
@@ -284,7 +284,6 @@ fn assert_walks_index_like_the_scan(catalog: &Catalog, filters: Vec<arc_core::as
     );
     let plan = Engine::new(catalog, Conventions::sql())
         .with_threads(1)
-        .with_indexes(true)
         .explain_collection(&q)
         .unwrap();
     assert!(
@@ -406,7 +405,6 @@ fn a_grown_relation_is_indexed_afresh() {
     catalog.analyze();
     assert_walks_index_like_the_scan(&catalog, filters());
     let rows = Engine::new(&catalog, Conventions::sql())
-        .with_indexes(true)
         .eval_collection(&d::collection(
             "Q",
             &["A"],
@@ -431,6 +429,9 @@ fn errors_surface_identically() {
     let n = 2048;
     let mut catalog = fx::prefix_catalog(n);
     catalog.analyze();
+    // Without statistics the bound is a pushed-down scan filter.
+    let mut bare = catalog.clone();
+    bare.clear_stats();
     // `r.B > n-64` keeps rows, so `r.NOPE` errors either way; `r.B > n`
     // keeps none, so both paths return the empty result.
     for (bound, label) in [(n as i64 - 64, "surviving"), (n as i64, "empty")] {
@@ -446,23 +447,12 @@ fn errors_surface_identically() {
                 ]),
             ),
         );
-        let off = Engine::new(&catalog, Conventions::sql())
-            .with_indexes(false)
-            .eval_collection(&q);
-        let on = Engine::new(&catalog, Conventions::sql())
-            .with_indexes(true)
-            .eval_collection(&q);
-        assert_eq!(off, on, "outcome drift ({label})");
+        let engine = || Engine::new(&catalog, Conventions::sql());
+        let on = engine().eval_collection(&q);
+        let scan = Engine::new(&bare, Conventions::sql());
+        let denied = deny_first(engine(), seam::ORDERED_BUILD);
+        for off in [scan, denied, engine().with_mem_budget(1)] {
+            assert_eq!(off.eval_collection(&q), on, "outcome drift ({label})");
+        }
     }
-}
-
-/// A malformed `ARC_INDEX` value surfaces as a descriptive configuration
-/// error (parse-level check; the engine wiring follows the same
-/// deferred-error path as `ARC_THREADS`).
-#[test]
-fn malformed_index_value_is_descriptive() {
-    let err = arc_engine::eval::knobs::parse_onoff("ARC_INDEX", Some("sideways")).unwrap_err();
-    assert!(err.contains("ARC_INDEX"), "{err}");
-    assert!(err.contains("sideways"), "{err}");
-    assert!(err.contains("expected"), "{err}");
 }

@@ -7,8 +7,8 @@
 //! under set conventions — under `sql`, `set` and `souffle` over random
 //! conjunctive queries (with and without NULLs), random correlated
 //! boolean queries and every paper fixture; and finally walks the engine's
-//! option lattice (decorrelate × vectorize × indexes × threads × guard ×
-//! statistics) against it. Every loop has a fixed case budget.
+//! option lattice (threads × guard × statistics, plus one starved point per
+//! admission seam) against it. Every loop has a fixed case budget.
 
 use arc_analysis::oracle::{self, OracleError};
 use arc_analysis::{
@@ -19,8 +19,8 @@ use arc_bench::fixtures as fx;
 use arc_core::ast::{Collection, Formula, Program};
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalError, Relation};
-use arc_tests::{agrees, assert_oracle, oracle_program, oracle_rows};
+use arc_engine::{seam, Catalog, Engine, EvalError, Relation};
+use arc_tests::{agrees, assert_oracle, deny_first, oracle_program, oracle_rows};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -253,46 +253,60 @@ fn engine_matches_oracle_on_every_paper_fixture() {
 
 // ---- the option lattice --------------------------------------------------
 
+/// The guard seams where a denied build degrades to a fallback path.
+const ADMISSION_SEAMS: [&str; 5] = [
+    seam::HASH_BUILD,
+    seam::SEMI_BUILD,
+    seam::CHUNK_BUILD,
+    seam::ORDERED_BUILD,
+    seam::SELECTION_BUILD,
+];
+
 /// One engine configuration of the lattice: everything but the
-/// statistics, which live in the catalog.
+/// statistics, which live in the catalog. `starved` names the admission
+/// seam whose first build the guard denies.
 #[derive(Debug, Clone, Copy)]
 struct Point {
-    decorrelate: bool,
-    vectorize: bool,
-    indexes: bool,
     threads: usize,
     budget: usize,
+    starved: Option<&'static str>,
 }
 
+/// Threads {1, 4} × budget {none, 1 GiB, 1 byte}, then one sequential
+/// point per admission seam.
 fn lattice() -> Vec<Point> {
     let mut points = Vec::new();
-    for bits in 0..8u8 {
-        for threads in [1, 4] {
-            for budget in [0, 1 << 30, 1] {
-                points.push(Point {
-                    decorrelate: bits & 1 != 0,
-                    vectorize: bits & 2 != 0,
-                    indexes: bits & 4 != 0,
-                    threads,
-                    budget,
-                });
-            }
+    for threads in [1, 4] {
+        for budget in [0, 1 << 30, 1] {
+            points.push(Point {
+                threads,
+                budget,
+                starved: None,
+            });
         }
+    }
+    for seam in ADMISSION_SEAMS {
+        points.push(Point {
+            threads: 1,
+            budget: 0,
+            starved: Some(seam),
+        });
     }
     points
 }
 
 /// A budget of 0 is none at all, whatever `ARC_MEM_BUDGET` says.
 fn engine(catalog: &Catalog, conv: Conventions, p: Point) -> Engine<'_> {
-    Engine::new(catalog, conv)
-        .with_decorrelate(p.decorrelate)
-        .with_vectorize(p.vectorize)
-        .with_indexes(p.indexes)
+    let engine = Engine::new(catalog, conv)
         .with_threads(p.threads)
-        .with_mem_budget(p.budget)
+        .with_mem_budget(p.budget);
+    match p.starved {
+        Some(seam) => deny_first(engine, seam),
+        None => engine,
+    }
 }
 
-/// `catalog` with statistics, or with none whatever `ARC_STATS` says.
+/// `catalog` with statistics, or with none.
 fn with_stats(catalog: &Catalog, analyzed: bool) -> Catalog {
     let mut catalog = catalog.clone();
     if analyzed {
@@ -305,7 +319,9 @@ fn with_stats(catalog: &Catalog, analyzed: bool) -> Catalog {
 
 /// The rest of the mode matrix, in process: every lattice point × with and
 /// without statistics answers like the oracle. Under the 1-byte budget the
-/// only accepted deviation is `MemoryBudget` on a recursive program.
+/// only accepted deviation is `MemoryBudget` on a recursive program. Every
+/// starved point must really take its fallback somewhere: its denials
+/// count in `guard.degradations`, which no other test of this file moves.
 #[test]
 fn option_lattice_matches_oracle() {
     let names = "eq1 eq8 eq10 eq17 eq18 eq29 eq1_range prefix_range exists_corr not_exists_corr";
@@ -313,13 +329,17 @@ fn option_lattice_matches_oracle() {
         .filter(|(name, ..)| names.split(' ').any(|w| w == *name))
         .collect();
     let points = lattice();
+    let degradations = arc_engine::metrics::guard_degradations();
+    let mut degraded = vec![0; points.len()];
     for analyzed in [true, false] {
         for (name, catalog, q) in &workloads {
             let catalog = with_stats(catalog, analyzed);
             for conv in [Conventions::sql(), Conventions::set()] {
                 let want = oracle_rows(&catalog, conv, q);
-                for &p in &points {
+                for (i, &p) in points.iter().enumerate() {
+                    let before = degradations.get();
                     let got = engine(&catalog, conv, p).eval_collection(q).unwrap();
+                    degraded[i] += degradations.get() - before;
                     assert!(
                         agrees(conv, &got, &want),
                         "{name} {conv:?} {p:?} analyzed={analyzed}:\n{got}\n{want}"
@@ -335,6 +355,11 @@ fn option_lattice_matches_oracle() {
                 Err(EvalError::MemoryBudget) if p.budget == 1 => {}
                 Err(e) => panic!("eq16 {p:?} analyzed={analyzed}: {e}"),
             }
+        }
+    }
+    for (p, degraded) in points.iter().zip(degraded) {
+        if p.starved.is_some() {
+            assert!(degraded > 0, "{p:?} never reached its fallback");
         }
     }
 }

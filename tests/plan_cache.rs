@@ -47,13 +47,10 @@ fn sweep() -> Vec<Value> {
     ks
 }
 
-/// The engine that plans: the default access paths whatever the CI leg
-/// says, sequential so the counters stay on this thread's work.
+/// The engine that plans, sequential so the counters stay on this
+/// thread's work.
 fn engine<'c>(catalog: &'c Catalog, shape: &Shape) -> Engine<'c> {
-    Engine::new(catalog, shape.conventions())
-        .with_decorrelate(true)
-        .with_indexes(true)
-        .with_threads(1)
+    Engine::new(catalog, shape.conventions()).with_threads(1)
 }
 
 fn constants_share_plans_and_the_shared_plan_is_the_cold_one() {

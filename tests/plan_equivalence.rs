@@ -57,8 +57,8 @@ proptest! {
 /// keys) rather than the old flat `est=1`.
 #[test]
 fn explain_eq1_golden() {
-    // `analyze()` pins the statistics state explicitly: the suite runs
-    // under `ARC_STATS=off` too, where registration does not auto-analyze.
+    // `analyze()` pins the statistics state explicitly: registration
+    // auto-analyzes only relations of 16 rows or more.
     let mut catalog = fx::rs_catalog(64);
     catalog.analyze();
     // `with_threads(1)`: the sequential plan rendering is the golden —

@@ -29,7 +29,6 @@ fn bailed_boolean_republish_counts_once() {
     let eval = || {
         Engine::new(&catalog, Conventions::sql())
             .with_threads(1)
-            .with_decorrelate(true)
             .eval_collection(&q)
             .unwrap()
     };

@@ -6,3 +6,4 @@ mod definition_order;
 mod i64_min_round_trip;
 mod outer_join_stratification;
 mod right_join_alias;
+mod zero_binding_semi_scopes;

@@ -21,12 +21,9 @@ fn semijoin_builds_once_not_per_outer_row() {
     let q = fx::not_exists_corr(256);
 
     // Phase 1: one evaluation, one build — 400 outer rows probe it.
-    // (`with_decorrelate` pins the path explicitly: the suite also runs
-    // under `ARC_DECORRELATE=off`, which must not fail this test.)
     let before = semi_build_runs();
     let sequential = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(true)
         .eval_collection(&q)
         .unwrap();
     let builds = semi_build_runs() - before;
@@ -36,17 +33,18 @@ fn semijoin_builds_once_not_per_outer_row() {
         "the correlated scope must build once for {outer_rows} outer rows"
     );
 
-    // Phase 2: the escape hatch runs zero builds and agrees on the bag.
+    // Phase 2: a budget that denies the build runs the nested fallback —
+    // zero builds — and agrees on the bag.
     let before = semi_build_runs();
     let nested = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(false)
+        .with_mem_budget(1)
         .eval_collection(&q)
         .unwrap();
     assert_eq!(
         semi_build_runs() - before,
         0,
-        "ARC_DECORRELATE=off must not build semi-join sets"
+        "a denied build must fall back to the nested path"
     );
     assert!(sequential.bag_eq(&nested));
 
@@ -57,7 +55,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     let before = semi_build_runs();
     let parallel = Engine::new(&catalog, Conventions::sql())
         .with_threads(4)
-        .with_decorrelate(true)
         .eval_collection(&q)
         .unwrap();
     let parallel_builds = semi_build_runs() - before;
@@ -72,7 +69,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     let before = semi_build_runs();
     Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(true)
         .eval_collection(&q)
         .unwrap();
     assert_eq!(semi_build_runs() - before, 1);
@@ -97,7 +93,6 @@ fn semijoin_builds_once_not_per_outer_row() {
     let eval = |threads| {
         Engine::new(&catalog, Conventions::sql())
             .with_threads(threads)
-            .with_decorrelate(true)
             .eval_collection(&q)
             .unwrap()
     };

@@ -2,10 +2,10 @@
 //! results.**
 //!
 //! A boolean quantifier scope with pure equi-join correlation executes as
-//! a build-once set-level semi/anti-join under the planned engine
-//! (`ARC_DECORRELATE` on, the default) and as the per-outer-row nested
-//! loop otherwise. Both paths must return the oracle's rows under every
-//! convention, thread count, and NULL density — with the
+//! a build-once set-level semi/anti-join, and as the per-outer-row nested
+//! loop when the memory budget denies the build. Both paths must return
+//! the oracle's rows under every convention, thread count, and NULL
+//! density — with the
 //! `¬∃`-over-NULL-keys corner (the `NOT IN` shape of Fig 11) generated
 //! explicitly, because that is where a naive set translation would
 //! diverge from three-valued logic.
@@ -26,9 +26,10 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Invariant 11: decorrelated ≡ nested ≡ the oracle, as bags (as sets
-    /// under set conventions), for generated correlated `∃`/`¬∃` queries
-    /// across conventions × `ARC_THREADS` ∈ {1, 4} × NULL-heavy instances.
+    /// Invariant 11: decorrelated ≡ starved (nested) ≡ the oracle, as bags
+    /// (as sets under set conventions), for generated correlated `∃`/`¬∃`
+    /// queries across conventions × `ARC_THREADS` ∈ {1, 4} × NULL-heavy
+    /// instances.
     #[test]
     fn decorrelated_bag_identical_to_reference(
         seed in 0u64..400,
@@ -51,16 +52,16 @@ proptest! {
         for conv in [Conventions::sql(), Conventions::set(), Conventions::souffle()] {
             let reference = arc_tests::oracle_rows(&catalog, conv, &q);
             for threads in [1usize, 4] {
-                for decorrelate in [true, false] {
+                for budget in [0usize, 1] {
                     let result = Engine::new(&catalog, conv)
                         .with_threads(threads)
-                        .with_decorrelate(decorrelate)
+                        .with_mem_budget(budget)
                         .eval_collection(&q)
                         .unwrap();
                     prop_assert!(
                         arc_tests::agrees(conv, &result, &reference),
-                        "conv {:?} threads {} decorrelate {}\nquery {:?}\nreference:\n{}\ngot:\n{}",
-                        conv, threads, decorrelate, q, reference, result
+                        "conv {:?} threads {} budget {}\nquery {:?}\nreference:\n{}\ngot:\n{}",
+                        conv, threads, budget, q, reference, result
                     );
                 }
             }
@@ -94,7 +95,6 @@ fn null_keys_under_negation_match_reference() {
             let reference = arc_tests::oracle_rows(&catalog, conv, q);
             let decorrelated = Engine::new(&catalog, conv)
                 .with_threads(1)
-                .with_decorrelate(true)
                 .eval_collection(q)
                 .unwrap();
             assert_eq!(
@@ -138,7 +138,6 @@ fn guarded_not_in_decorrelates() {
     let q = fx::eq17();
     let engine = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(true)
         .with_mem_budget(0);
     let plan = engine.explain_collection(&q).unwrap();
     let expected = "\
@@ -246,7 +245,6 @@ fn null_aware_anti_join_matches_reference() {
                     for budget in [0usize, 1] {
                         let engine = Engine::new(&catalog, conv)
                             .with_threads(threads)
-                            .with_decorrelate(true)
                             .with_mem_budget(budget);
                         if budget == 0 {
                             let plan = engine.explain_collection(&q).unwrap();
@@ -277,17 +275,13 @@ fn nan_is_a_key_that_matches_nothing() {
     // (M's one row, N's survivors of `N = {1.0, NaN}`).
     for (m, survivors) in [(one.clone(), 1), (nan.clone(), 2)] {
         let catalog = not_in_catalog(&[one.clone(), nan.clone()], &[(m, 1)]);
-        for decorrelate in [true, false] {
+        for budget in [0usize, 1] {
             let got = Engine::new(&catalog, Conventions::sql())
                 .with_threads(1)
-                .with_decorrelate(decorrelate)
+                .with_mem_budget(budget)
                 .eval_collection(&q)
                 .unwrap();
-            assert_eq!(
-                got.rows.len(),
-                survivors,
-                "decorrelate {decorrelate}: {got}"
-            );
+            assert_eq!(got.rows.len(), survivors, "budget {budget}: {got}");
             assert!(got.rows.iter().any(|r| is_nan(&r[0])), "{got}");
         }
     }
@@ -315,9 +309,7 @@ fn near_miss_guards_stay_nested() {
     for body in near_misses {
         let q = fx::q(&format!("{{Q(A) | ∃r ∈ N [Q.A = r.A ∧ {body}]}}"));
         for (case, catalog) in not_in_placements() {
-            let engine = Engine::new(&catalog, Conventions::sql())
-                .with_threads(1)
-                .with_decorrelate(true);
+            let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
             let plan = engine.explain_collection(&q).unwrap();
             assert!(
                 !plan.contains("-join on"),
@@ -349,7 +341,6 @@ fn sibling_not_in_scopes_differing_in_a_constant_build_separately() {
     for threads in [1usize, 4] {
         let engine = Engine::new(&catalog, Conventions::sql())
             .with_threads(threads)
-            .with_decorrelate(true)
             .with_mem_budget(0);
         assert_eq!(
             engine
@@ -375,14 +366,10 @@ fn sibling_not_in_scopes_differing_in_a_constant_build_separately() {
 /// the analyzed catalog turns into an index-range access path.
 #[test]
 fn explain_semijoin_golden() {
-    // `analyze()` pins the statistics state explicitly: the suite runs
-    // under `ARC_STATS=off` too, where registration does not auto-analyze.
     let mut catalog = fx::semijoin_catalog(64, 64);
     catalog.analyze();
     let engine = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(true)
-        .with_indexes(true)
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
         .with_mem_budget(0);
@@ -401,20 +388,20 @@ project Q(A)
     assert_eq!(plan, expected, "semi-join plan drifted:\n{plan}");
 }
 
-/// Golden `EXPLAIN` for the anti-join twin, and the escape hatch: an
-/// engine with decorrelation off renders the classic nested probe plan.
+/// Golden `EXPLAIN` for the anti-join twin, and the escape hatch: the
+/// fallback is a run-time decision, so a starved engine shows the same
+/// plan under a governance note — and its nested answer is the oracle's.
 #[test]
 fn explain_antijoin_and_escape_hatch_golden() {
     let mut catalog = fx::semijoin_catalog(64, 64);
     catalog.analyze();
     let q = fx::not_exists_corr(64);
-    let on = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_decorrelate(true)
-        .with_indexes(true)
-        .with_mem_budget(0)
-        .explain_collection(&q)
-        .unwrap();
+    let engine = |budget| {
+        Engine::new(&catalog, Conventions::sql())
+            .with_threads(1)
+            .with_mem_budget(budget)
+    };
+    let on = engine(0).explain_collection(&q).unwrap();
     let expected = "\
 project Q(A)
   scope
@@ -428,27 +415,15 @@ project Q(A)
 ";
     assert_eq!(on, expected, "anti-join plan drifted:\n{on}");
 
-    let off = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_decorrelate(false)
-        .explain_collection(&q)
-        .unwrap();
+    let starved = engine(1);
+    let off = starved.explain_collection(&q).unwrap();
     assert!(
-        off.contains("hash-probe on [s.B = r.B]") && !off.contains("-join on"),
-        "ARC_DECORRELATE=off must render the nested probe plan:\n{off}"
+        off.starts_with(expected)
+            && off[expected.len()..].starts_with("governance: memory budget 1 B"),
+        "a starved engine must show the same plan under the governance note:\n{off}"
     );
-}
-
-/// A malformed `ARC_DECORRELATE` value surfaces as a descriptive
-/// configuration error (parse-level check; the engine wiring follows the
-/// same deferred-error path as `ARC_THREADS`).
-#[test]
-fn malformed_decorrelate_value_is_descriptive() {
-    let err =
-        arc_engine::eval::knobs::parse_onoff("ARC_DECORRELATE", Some("sideways")).unwrap_err();
-    assert!(err.contains("ARC_DECORRELATE"), "{err}");
-    assert!(err.contains("sideways"), "{err}");
-    assert!(err.contains("expected"), "{err}");
+    let got = starved.eval_collection(&q).unwrap();
+    arc_tests::assert_oracle(&catalog, Conventions::sql(), &q, &got);
 }
 
 /// Two decorrelated scopes of one evaluation that differ only in a
@@ -503,7 +478,6 @@ fn sibling_scopes_differing_in_a_constant_build_separately() {
             for threads in [1usize, 4] {
                 let decorrelated = Engine::new(catalog, Conventions::sql())
                     .with_threads(threads)
-                    .with_decorrelate(true)
                     .eval_collection(q)
                     .unwrap();
                 assert_eq!(

@@ -2,8 +2,9 @@
 //! `(frame, column)` slots, frames borrow rows, groups fold in one pass.
 //! These tests pin what that must not change — lexical scoping, error
 //! texts and *when* an error is raised, aggregate results bit for bit —
-//! across the default engine, the parallel executor and the nested path,
-//! and against the oracle; and what a lateral step's memo must deliver: one evaluation
+//! across the default engine, the parallel executor and a budget-starved
+//! engine (every build denied, so boolean scopes run nested), and against
+//! the oracle; and what a lateral step's memo must deliver: one evaluation
 //! per distinct value of the outer attributes it reads, with the rows,
 //! the errors and their timing of per-row evaluation.
 
@@ -22,10 +23,7 @@ fn engines<'c>(catalog: &'c Catalog, conv: Conventions) -> Vec<(&'static str, En
     vec![
         ("default", Engine::new(catalog, conv)),
         ("threads(4)", Engine::new(catalog, conv).with_threads(4)),
-        (
-            "no decorrelation",
-            Engine::new(catalog, conv).with_decorrelate(false),
-        ),
+        ("starved", Engine::new(catalog, conv).with_mem_budget(1)),
     ]
 }
 

@@ -4,7 +4,7 @@
 //! timeline ([`Engine::span_trace_collection`] /
 //! [`Engine::span_trace_program`]) only append begin/end events into
 //! bounded per-lane ring buffers; they may not change a single result
-//! row under any thread count or vector/index setting.
+//! row under any thread count, nor on the paths a starved budget takes.
 //!
 //! The exported Chrome Trace Event Format JSON is additionally held to a
 //! structural golden on the skewed range-join: it must reparse, every
@@ -43,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Invariant 15: spans on and off return identical rows across
-    /// every thread count × vector/index setting.
+    /// every thread count × {unbounded, every build denied}.
     #[test]
     fn spans_on_off_row_identical(
         seed in 0u64..300,
@@ -56,25 +56,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(6113));
         let catalog = random_catalog(&spec, &mut rng);
         for threads in [1usize, 4] {
-            for toggles in [true, false] {
+            for budget in [0usize, 1] {
                 let run = |spans: bool| {
                     Engine::new(&catalog, Conventions::sql())
                         .with_threads(threads)
-                        .with_vectorize(toggles)
-                        .with_indexes(toggles)
+                        .with_mem_budget(budget)
                         .with_spans(spans)
                         .eval_collection(&q)
                         .unwrap()
                 };
                 let off = run(false);
                 let on = run(true);
-                prop_assert_eq!(
-                    &off.rows,
-                    &on.rows,
-                    "threads {} vector/index {}",
-                    threads,
-                    toggles
-                );
+                prop_assert_eq!(&off.rows, &on.rows, "threads {} budget {}", threads, budget);
             }
         }
     }
@@ -159,16 +152,13 @@ fn wide_range(n: usize) -> arc_core::ast::Collection {
 #[test]
 fn span_trace_golden_partitioned_range_join() {
     let n = 4096;
-    // The partitioned plan is statistics-driven (the filtered `R` scan
-    // must price as the cheapest first step): analyze explicitly, so the
-    // `ARC_STATS=off` leg — which only disables *automatic* analysis —
-    // sees the same plan.
+    // The partitioned plan is statistics-driven: the filtered `R` index
+    // range must price as the cheapest first step, which makes it the
+    // partition axis.
     let mut catalog = fx::stats_skew_catalog(n);
     catalog.analyze();
     let q = wide_range(n);
-    let engine = Engine::new(&catalog, Conventions::sql())
-        .with_threads(4)
-        .with_indexes(false); // pin the scan axis so the scope partitions
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(4);
     let (rows, trace) = engine.span_trace_collection(&q).unwrap();
     // The last 32 R rows survive, each matching its 8-row S bucket.
     assert_eq!(rows.len(), 32 * 8, "surviving R rows × 8 S matches");
@@ -323,7 +313,6 @@ fn latency_quantiles_surface_in_metrics_text() {
     let before = arc_trace::snapshot();
     let out = Engine::new(&catalog, Conventions::sql())
         .with_threads(4)
-        .with_indexes(false)
         .eval_collection(&q)
         .unwrap();
     assert_eq!(out.len(), 32 * 8);

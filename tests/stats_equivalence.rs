@@ -76,7 +76,6 @@ fn stats_flip_join_order_and_access_path() {
     let explain = |catalog: &arc_engine::Catalog| {
         Engine::new(catalog, Conventions::sql())
             .with_threads(1)
-            .with_indexes(true)
             .explain_collection(&q)
             .unwrap()
     };
@@ -138,11 +137,10 @@ fn post_analyze_plans_are_not_served_stale() {
         .eval_collection(&q)
         .unwrap();
     assert!(before.bag_eq(&after));
-    // The post-ANALYZE plan must be the statistics-shaped one (thread
-    // and index state pinned against the env-knob suite re-runs).
+    // The post-ANALYZE plan must be the statistics-shaped one (the
+    // thread count pinned against the `ARC_THREADS` suite re-run).
     let plan = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_indexes(true)
         .explain_collection(&q)
         .unwrap();
     assert!(

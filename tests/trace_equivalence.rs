@@ -4,7 +4,7 @@
 //! reads; the profile sink ([`Engine::profile_collection`] /
 //! `explain_analyze_*`) only counts rows the evaluator was producing
 //! anyway. Neither may change a single result row, under any thread
-//! count or vector/index setting — and the counts themselves
+//! count, nor on the paths a starved budget takes — and the counts themselves
 //! must be *exact*: the same profile whether gathered sequentially or
 //! merged from four workers, with row counts matching a hand-counted
 //! oracle on the skewed range-join fixture.
@@ -37,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Invariant 14: trace on and off return identical rows across
-    /// every thread count × vector/index setting.
+    /// every thread count × {unbounded, every build denied}.
     #[test]
     fn trace_on_off_row_identical(
         seed in 0u64..300,
@@ -50,25 +50,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(4799));
         let catalog = random_catalog(&spec, &mut rng);
         for threads in [1usize, 4] {
-            for toggles in [true, false] {
+            for budget in [0usize, 1] {
                 let run = |trace: bool| {
                     Engine::new(&catalog, Conventions::sql())
                         .with_threads(threads)
-                        .with_vectorize(toggles)
-                        .with_indexes(toggles)
+                        .with_mem_budget(budget)
                         .with_trace(trace)
                         .eval_collection(&q)
                         .unwrap()
                 };
                 let off = run(false);
                 let on = run(true);
-                prop_assert_eq!(
-                    &off.rows,
-                    &on.rows,
-                    "threads {} vector/index {}",
-                    threads,
-                    toggles
-                );
+                prop_assert_eq!(&off.rows, &on.rows, "threads {} budget {}", threads, budget);
             }
         }
     }
@@ -89,7 +82,6 @@ fn profile_actuals_match_hand_count() {
     let profile_with = |threads: usize, trace: bool| {
         let engine = Engine::new(&catalog, Conventions::sql())
             .with_threads(threads)
-            .with_indexes(true)
             .with_trace(trace);
         let (rows, profile) = engine.profile_collection(&q).unwrap();
         // 7 R rows survive `r.A > n-8`, each matching 8 S rows.
@@ -168,9 +160,7 @@ fn explain_analyze_renders_actuals() {
     let mut catalog = fx::stats_skew_catalog(n);
     catalog.analyze();
     let q = fx::eq1_range(n);
-    let engine = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_indexes(true);
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
 
     let analyzed = engine.explain_analyze_collection(&q).unwrap();
     // Step 0: 7 actual rows against an est of 7 (the histogram nails the
@@ -216,7 +206,6 @@ fn explain_analyze_footer_reports_misestimates() {
     catalog.analyze();
     let analyzed = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_indexes(true)
         .explain_analyze_collection(&fx::eq1_range(n))
         .unwrap();
     assert!(
@@ -225,7 +214,6 @@ fn explain_analyze_footer_reports_misestimates() {
     );
     // Plain EXPLAIN carries no footer (no actuals — nothing ran).
     let plain = Engine::new(&catalog, Conventions::sql())
-        .with_indexes(true)
         .explain_collection(&fx::eq1_range(n))
         .unwrap();
     assert!(
@@ -245,7 +233,7 @@ fn explain_analyze_footer_reports_misestimates() {
         s.push(vec![(if i < 1000 { 0i64 } else { 7 }).into(), i.into()]);
     }
     // Analyzed explicitly: the estimate below is a statistics-driven one,
-    // and `ARC_STATS=off` disables only the *automatic* analysis.
+    // and `R` is too small to be analyzed at registration.
     let mut skewed = arc_engine::Catalog::new().with(r).with(s);
     skewed.analyze();
     let analyzed = Engine::new(&skewed, Conventions::sql())
@@ -275,9 +263,7 @@ fn semijoin_profile_counts_probes_and_hits() {
     let (n, k) = (256, 64);
     let catalog = fx::semijoin_catalog(n, k);
     let q = fx::exists_corr(k);
-    let engine = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .with_decorrelate(true);
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
     let (rows, profile) = engine.profile_collection(&q).unwrap();
     // Keys with s.C > 59: S rows 60..63, i.e. B ∈ {12, 13, 14, 15};
     // 16 outer rows per key survive.
@@ -309,7 +295,7 @@ fn semijoin_profile_counts_probes_and_hits() {
 #[test]
 fn parallel_profile_records_worker_lanes() {
     // The partition golden's fixture, scaled past several column chunks
-    // (morsels are chunk-aligned under vectorized execution): eq3's scope
+    // (morsels are chunk-aligned): eq3's scope
     // partitions its 4000-row axis scan across 4 workers.
     let catalog = fx::grouped_catalog(4000, 17);
     let q = fx::eq3();
@@ -366,7 +352,6 @@ fn registry_counters_observe_hot_seams() {
     let before = arc_trace::snapshot();
     let out = Engine::new(&catalog, Conventions::sql())
         .with_threads(1)
-        .with_decorrelate(true)
         .eval_collection(&q)
         .unwrap();
     assert_eq!(out.len(), 64);

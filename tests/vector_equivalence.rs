@@ -1,11 +1,13 @@
 //! Workspace invariant 12 — **vectorized execution is invisible**: for
-//! any program and instance, the engine returns the same rows (same
-//! order, same multiplicities — stronger than the bag-identity the
-//! invariant asks for) with `ARC_VECTOR` on and off, across:
+//! any program and instance, the engine returns the oracle's rows, and
+//! the same rows (same order, same multiplicities) when the memory budget
+//! keeps it off the columnar path — every build denied, so scans filter
+//! row by row, or only the first chunk build, so a selection computes
+//! through the row kernels — across:
 //!
 //! * both convention presets (SQL three-valued and set two-valued),
 //! * NULL/NaN-heavy instances,
-//! * `ARC_THREADS` 1 and 4 (chunk-aligned morsels vs plain morsels),
+//! * `ARC_THREADS` 1 and 4 (chunk-aligned morsels),
 //! * mixed-type and all-NULL columns — the validity-bitmap corners the
 //!   typed kernels must get right, exercised explicitly below,
 //! * chunk-boundary relation sizes (1023 / 1024 / 1025),
@@ -22,7 +24,8 @@ use arc_analysis::{
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, Relation};
+use arc_engine::{seam, Catalog, Engine, Relation};
+use arc_tests::deny_first;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,26 +45,28 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
     spec
 }
 
-/// Evaluate `q` with vectorization off (the row-path reference, itself
-/// checked against the oracle) and on, under every thread count,
-/// asserting row-identical output.
+/// Evaluate `q` on the default engine (the reference, checked against the
+/// oracle), then on it and its two budget-starved twins under every
+/// thread count, asserting row-identical output.
 fn assert_vector_invisible(catalog: &Catalog, q: &arc_core::ast::Collection, conv: Conventions) {
     let reference = Engine::new(catalog, conv)
-        .with_vectorize(false)
         .with_threads(1)
         .eval_collection(q)
         .unwrap();
     arc_tests::assert_oracle(catalog, conv, q, &reference);
     for threads in [1usize, 4] {
-        let vectorized = Engine::new(catalog, conv)
-            .with_vectorize(true)
-            .with_threads(threads)
-            .eval_collection(q)
-            .unwrap();
-        assert_eq!(
-            reference.rows, vectorized.rows,
-            "threads {threads} conv {conv:?}"
-        );
+        let engine = || Engine::new(catalog, conv).with_threads(threads);
+        for (mode, engine) in [
+            ("default", engine()),
+            ("starved", engine().with_mem_budget(1)),
+            ("chunk denied", deny_first(engine(), seam::CHUNK_BUILD)),
+        ] {
+            let got = engine.eval_collection(q).unwrap();
+            assert_eq!(
+                reference.rows, got.rows,
+                "{mode} threads {threads} {conv:?}"
+            );
+        }
     }
 }
 
@@ -88,8 +93,8 @@ proptest! {
     }
 
     /// Invariant 12 over correlated boolean scopes: the decorrelated
-    /// semi/anti-join path builds its key set columnar under
-    /// `ARC_VECTOR=on` — the verdicts must not move.
+    /// semi/anti-join path builds its key set columnar unless the budget
+    /// denies it — the verdicts must not move.
     #[test]
     fn vectorized_identical_on_correlated_boolean_queries(
         seed in 0u64..200,
@@ -165,39 +170,27 @@ fn validity_bitmap_corners_match_row_path() {
                 d::is_not_null(d::col("m", "A")),
             ],
         ];
-        for (fi, filters) in filter_sets.into_iter().enumerate() {
+        for filters in filter_sets {
             let mut preds = vec![d::assign("Q", "D", d::col("m", "D"))];
             preds.extend(filters);
             let q = d::collection("Q", &["D"], d::exists(&[d::bind("m", "M")], d::and(preds)));
+            // Under SQL's bag semantics, row identity keeps multiplicities.
             for conv in [Conventions::sql(), Conventions::set()] {
                 assert_vector_invisible(&catalog, &q, conv);
             }
-            // Bag semantics must keep multiplicities, not just rows.
-            let bag_off = Engine::new(&catalog, Conventions::sql())
-                .with_vectorize(false)
-                .eval_collection(&q)
-                .unwrap();
-            let bag_on = Engine::new(&catalog, Conventions::sql())
-                .with_vectorize(true)
-                .eval_collection(&q)
-                .unwrap();
-            assert_eq!(
-                bag_off.bag(),
-                bag_on.bag(),
-                "bag drift at n={n} filter {fi}"
-            );
         }
     }
 }
 
 /// Error equivalence: a vectorizable filter *after* a non-vectorizable,
-/// erroring one must not hoist past it — both engines report the same
-/// error (the kernel path only hoists the leading filter run).
+/// erroring one must not hoist past it — the default and the starved
+/// engine report the same error (the kernel path only hoists the leading
+/// filter run).
 #[test]
 fn errors_surface_identically() {
     let catalog = corner_catalog(1024);
     // The unresolvable attribute errors on the first enumerated row:
-    // both engines must report it.
+    // every engine must report it.
     let erroring = d::collection(
         "Q",
         &["D"],
@@ -209,19 +202,20 @@ fn errors_surface_identically() {
             ]),
         ),
     );
-    let off = Engine::new(&catalog, Conventions::sql())
-        .with_vectorize(false)
-        .eval_collection(&erroring)
-        .unwrap_err();
-    let on = Engine::new(&catalog, Conventions::sql())
-        .with_vectorize(true)
-        .eval_collection(&erroring)
-        .unwrap_err();
-    assert_eq!(off, on, "vectorization must not change reported errors");
+    let engine = || Engine::new(&catalog, Conventions::sql());
+    let row_path = || {
+        let chunk_denied = deny_first(engine(), seam::CHUNK_BUILD);
+        [engine().with_mem_budget(1), chunk_denied]
+    };
+    let on = engine().eval_collection(&erroring).unwrap_err();
+    for off in row_path() {
+        let off = off.eval_collection(&erroring).unwrap_err();
+        assert_eq!(off, on, "vectorization must not change reported errors");
+    }
     // Alongside a vectorizable filter the planner may order either one
     // first (a selective constant filter can legitimately mask the
-    // error) — but whatever the row path produces, Ok or Err, the
-    // kernel path must produce the identical outcome.
+    // error) — but whatever the kernel path produces, Ok or Err, the
+    // row path must produce the identical outcome.
     let mixed = d::collection(
         "Q",
         &["D"],
@@ -234,11 +228,8 @@ fn errors_surface_identically() {
             ]),
         ),
     );
-    let off = Engine::new(&catalog, Conventions::sql())
-        .with_vectorize(false)
-        .eval_collection(&mixed);
-    let on = Engine::new(&catalog, Conventions::sql())
-        .with_vectorize(true)
-        .eval_collection(&mixed);
-    assert_eq!(off, on, "outcome drift");
+    let on = engine().eval_collection(&mixed);
+    for off in row_path() {
+        assert_eq!(off.eval_collection(&mixed), on, "outcome drift");
+    }
 }
