@@ -1,7 +1,7 @@
 //! Intent-based query comparison (the paper's NL2SQL discussion, §1/§4):
 //! contrasting **surface-level** metrics (exact string match) with
 //! **execution match** and **pattern match** — the paper's argument, after
-//! Floratou et al. [22], that benchmarks should score *intent*.
+//! Floratou et al. \[22\], that benchmarks should score *intent*.
 
 use crate::equiv::{random_equivalence, Verdict};
 use crate::generate::InstanceSpec;

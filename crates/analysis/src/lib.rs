@@ -3,7 +3,7 @@
 //! The machine-facing analyses the paper motivates (§1's three questions):
 //!
 //! 1. **Making relational structure explicit and comparable**
-//!    ([`classify`]): FIO vs. FOI aggregation patterns, aggregate roles
+//!    ([`classify`](mod@classify)): FIO vs. FOI aggregation patterns, aggregate roles
 //!    (value vs. test), relation-occurrence signatures, query shapes.
 //! 2. **Validating machine-generated queries** — via `arc_core::binder`
 //!    plus [`equiv`]'s randomized testing (find the instance where two

@@ -13,7 +13,7 @@
 //!
 //! Both are *syntax-blind*: variable names, constants, and formatting do
 //! not matter — exactly what surface-level metrics (exact/string match)
-//! get wrong per Floratou et al. [22].
+//! get wrong per Floratou et al. \[22\].
 
 use arc_core::alt::{collection_tree, TreeNode};
 use arc_core::ast::Collection;

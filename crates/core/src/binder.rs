@@ -182,7 +182,7 @@ pub struct Correlation {
     pub var: String,
     /// The referenced attribute.
     pub attr: String,
-    /// Ordinal of the collection that binds the variable ([`ROOT`]-level
+    /// Ordinal of the collection that binds the variable (`ROOT`-level
     /// sentences use `usize::MAX`).
     pub outer: usize,
 }

@@ -418,7 +418,7 @@ impl Group<'_, '_> {
                 match &spec.err {
                     Some(e) if self.members > 0 => Err(e.clone()),
                     _ => Ok(Cow::Owned(
-                        self.accs[*n].finish(spec.func, ctx.conv.empty_agg),
+                        self.accs[*n].finish(spec.func, ctx.shared.conv.empty_agg),
                     )),
                 }
             }

@@ -1,74 +1,72 @@
-//! The engine's `ARC_*` environment knobs: one registry for the on/off
-//! switches, one parser each for the valued ones (`ARC_THREADS`,
-//! `ARC_TIMEOUT_MS`, `ARC_MEM_BUDGET`, `ARC_FAULT`). Every malformed value
-//! surfaces as [`EvalError::Config`] on the first evaluation, never as a
-//! panic at construction.
+//! The engine's `ARC_*` environment knobs, read once into one
+//! [`QueryOptions`] value: one parser for the on/off switches, one parser
+//! each for the valued ones (`ARC_THREADS`, `ARC_TIMEOUT_MS`,
+//! `ARC_MEM_BUDGET`, `ARC_FAULT`). A malformed value surfaces as
+//! [`EvalError::Config`] from every engine entry point, never as a panic
+//! at construction.
 
 use crate::error::EvalError;
 use arc_guard::FaultPlan;
 use std::time::Duration;
 
-/// One registered on/off engine knob: its environment variable and its
-/// default.
-pub struct OnOffKnob {
-    /// Environment variable name.
-    pub var: &'static str,
-    /// Value when the variable is unset or empty.
-    pub default: bool,
+/// The environment one query runs under: every `ARC_*` knob, parsed once
+/// by `Engine::new` and adjusted by the `with_*` builders. None of it
+/// changes a result — it sets parallelism, recording and the guard's
+/// limits. `Copy`, so each evaluation context holds its own (a forked
+/// worker's with `threads = 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryOptions {
+    /// Parallelism of the partitioned executor (`ARC_THREADS`, default 1).
+    pub threads: usize,
+    /// Wall-clock timing of builds into the `arc-trace` registry and onto
+    /// execution profiles (`ARC_TRACE`, default off).
+    pub trace: bool,
+    /// Begin/end spans into per-lane ring buffers (`ARC_SPANS`, default
+    /// off).
+    pub spans: bool,
+    /// Per-query deadline (`ARC_TIMEOUT_MS`); `None` is unbounded.
+    pub timeout: Option<Duration>,
+    /// Per-query build-memory budget in bytes (`ARC_MEM_BUDGET`); `None`
+    /// is unbounded.
+    pub mem_budget: Option<usize>,
+    /// Deterministic fault injection (`ARC_FAULT`); `None` injects
+    /// nothing.
+    pub fault: Option<FaultPlan>,
 }
 
-/// The single registry behind every on/off `ARC_*` knob — one grammar,
-/// one normalization (`lowercase`, `_` → `-`), one error shape. Both
-/// record; neither changes what runs:
-///
-/// * `ARC_TRACE` — build timings into the `arc-trace` registry and wall
-///   times onto execution profiles (default off);
-/// * `ARC_SPANS` — begin/end spans into per-lane ring buffers (default
-///   off).
-pub const ONOFF_KNOBS: &[OnOffKnob] = &[
-    OnOffKnob {
-        var: "ARC_TRACE",
-        default: false,
-    },
-    OnOffKnob {
-        var: "ARC_SPANS",
-        default: false,
-    },
-];
-
-/// Interpret `value` for the registered knob `var`. Unset and empty mean
-/// the knob's default; `on`/`1`/`true`/`auto` affirm; `off`/`0`/`false`/
-/// `no` negate; anything else is a descriptive error naming the variable.
-pub fn parse_onoff(var: &str, value: Option<&str>) -> Result<bool, String> {
-    let knob = ONOFF_KNOBS
-        .iter()
-        .find(|k| k.var == var)
-        .unwrap_or_else(|| panic!("`{var}` is not a registered on/off knob"));
-    let Some(v) = value.map(|v| v.to_lowercase().replace('_', "-")) else {
-        return Ok(knob.default);
-    };
-    match v.as_str() {
-        "" => Ok(knob.default),
-        "on" | "1" | "true" | "auto" => Ok(true),
-        "off" | "0" | "false" | "no" => Ok(false),
-        other => Err(format!("unknown {var} `{other}` (expected `on` or `off`)")),
+impl QueryOptions {
+    /// The options `lookup` sets, each variable through its one parser;
+    /// the first malformed one, in field order, is the error.
+    pub(crate) fn from_vars(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<QueryOptions, EvalError> {
+        let onoff = |name: &str| parse_onoff(name, lookup(name).as_deref());
+        (|| {
+            Ok(QueryOptions {
+                threads: arc_exec::parse_threads(lookup("ARC_THREADS").as_deref())?,
+                trace: onoff("ARC_TRACE")?,
+                spans: onoff("ARC_SPANS")?,
+                timeout: parse_timeout(lookup("ARC_TIMEOUT_MS").as_deref())?,
+                mem_budget: parse_mem_budget(lookup("ARC_MEM_BUDGET").as_deref())?,
+                fault: parse_fault(lookup("ARC_FAULT").as_deref())?,
+            })
+        })()
+        .map_err(EvalError::Config)
     }
 }
 
-/// Read `var` from the live environment through its one parser, the
-/// error deferred into [`EvalError::Config`] like every other engine knob.
-/// `ARC_THREADS` parses with [`arc_exec::parse_threads`] (unset means
-/// sequential, `auto` the machine's parallelism).
-pub(crate) fn from_env<T>(
-    var: &str,
-    parse: impl Fn(Option<&str>) -> Result<T, String>,
-) -> Result<T, EvalError> {
-    parse(std::env::var(var).ok().as_deref()).map_err(EvalError::Config)
-}
-
-/// [`parse_onoff`] over the live environment.
-pub(crate) fn onoff_from_env(var: &str) -> Result<bool, EvalError> {
-    from_env(var, |v| parse_onoff(var, v))
+/// Interpret `value` for the on/off knob `var` (`ARC_TRACE`, `ARC_SPANS`:
+/// both record, neither changes what runs) — one grammar, one
+/// normalization (`lowercase`, `_` → `-`), one error shape. Unset and
+/// empty mean off; `on`/`1`/`true`/`auto` affirm; `off`/`0`/`false`/`no`
+/// negate; anything else is a descriptive error naming the variable.
+pub fn parse_onoff(var: &str, value: Option<&str>) -> Result<bool, String> {
+    match value.map(|v| v.to_lowercase().replace('_', "-")).as_deref() {
+        None | Some("") => Ok(false),
+        Some("on" | "1" | "true" | "auto") => Ok(true),
+        Some("off" | "0" | "false" | "no") => Ok(false),
+        Some(other) => Err(format!("unknown {var} `{other}` (expected `on` or `off`)")),
+    }
 }
 
 /// Query deadline, from `ARC_TIMEOUT_MS` (milliseconds): unset, empty,
@@ -115,46 +113,26 @@ pub fn parse_fault(value: Option<&str>) -> Result<Option<FaultPlan>, String> {
 mod tests {
     use super::*;
 
-    /// The consolidation contract: every registered knob — the two
-    /// on/off switches and the three guard knobs — accepts its
+    /// The consolidation contract: every knob — the two on/off switches
+    /// and the three guard knobs — accepts its
     /// affirmative and negative forms and reports garbage as a
     /// descriptive error naming the variable.
     #[test]
     fn every_knob_parses_on_off_and_garbage() {
-        for knob in ONOFF_KNOBS {
-            assert_eq!(
-                parse_onoff(knob.var, None),
-                Ok(knob.default),
-                "{}",
-                knob.var
-            );
-            assert_eq!(
-                parse_onoff(knob.var, Some("")),
-                Ok(knob.default),
-                "{}",
-                knob.var
-            );
-            assert_eq!(parse_onoff(knob.var, Some("on")), Ok(true), "{}", knob.var);
-            assert_eq!(
-                parse_onoff(knob.var, Some("TRUE")),
-                Ok(true),
-                "{}",
-                knob.var
-            );
-            assert_eq!(
-                parse_onoff(knob.var, Some("off")),
-                Ok(false),
-                "{}",
-                knob.var
-            );
-            assert_eq!(parse_onoff(knob.var, Some("0")), Ok(false), "{}", knob.var);
-            let err = parse_onoff(knob.var, Some("garbage")).unwrap_err();
-            assert!(err.contains(knob.var), "{err}");
-            assert!(err.contains("garbage"), "{err}");
-        }
-        // Both recording knobs default off.
         for var in ["ARC_TRACE", "ARC_SPANS"] {
-            assert_eq!(parse_onoff(var, None), Ok(false), "{var}");
+            for (value, want) in [
+                (None, false),
+                (Some(""), false),
+                (Some("on"), true),
+                (Some("TRUE"), true),
+                (Some("off"), false),
+                (Some("0"), false),
+            ] {
+                assert_eq!(parse_onoff(var, value), Ok(want), "{var}={value:?}");
+            }
+            let err = parse_onoff(var, Some("garbage")).unwrap_err();
+            assert!(err.contains(var), "{err}");
+            assert!(err.contains("garbage"), "{err}");
         }
 
         // Guard knobs: on (a valid value), off (unset/empty), garbage.
@@ -180,6 +158,53 @@ mod tests {
         assert_eq!(plan.seam, arc_guard::seam::HASH_BUILD);
         let err = parse_fault(Some("nowhere:1")).unwrap_err();
         assert!(err.contains("ARC_FAULT"), "{err}");
+    }
+
+    /// Options read from variables: unset is every default, and with
+    /// several malformed variables the error names the first, in field
+    /// order — one value, one error, whichever knob a caller reads.
+    #[test]
+    fn options_report_the_first_malformed_variable() {
+        let from = |vars: &[(&str, &str)]| {
+            QueryOptions::from_vars(|name| {
+                let found = vars.iter().find(|(n, _)| *n == name);
+                found.map(|(_, v)| v.to_string())
+            })
+        };
+        let defaults = from(&[]).unwrap();
+        assert_eq!(
+            defaults,
+            QueryOptions {
+                threads: 1,
+                trace: false,
+                spans: false,
+                timeout: None,
+                mem_budget: None,
+                fault: None,
+            }
+        );
+        let set = from(&[("ARC_THREADS", "4"), ("ARC_MEM_BUDGET", "1k")]).unwrap();
+        assert_eq!((set.threads, set.mem_budget), (4, Some(1024)));
+        for (vars, first) in [
+            (
+                &[("ARC_FAULT", "x"), ("ARC_SPANS", "maybe")][..],
+                "ARC_SPANS",
+            ),
+            (
+                &[("ARC_TIMEOUT_MS", "soon"), ("ARC_THREADS", "many")],
+                "ARC_THREADS",
+            ),
+            (
+                &[("ARC_FAULT", "nowhere:1"), ("ARC_MEM_BUDGET", "lots")],
+                "ARC_MEM_BUDGET",
+            ),
+            (&[("ARC_FAULT", "nowhere:1")], "ARC_FAULT"),
+        ] {
+            let Err(EvalError::Config(msg)) = from(vars) else {
+                panic!("{vars:?} must not parse");
+            };
+            assert!(msg.contains(first), "{vars:?}: {msg}");
+        }
     }
 
     /// `ARC_TRACE` is read twice — per engine through this registry, and

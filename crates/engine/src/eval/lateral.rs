@@ -112,9 +112,10 @@ impl<'a> Ctx<'a> {
         let mut sources = Vec::new();
         crate::fixpoint::collect_sources(c, &mut sources);
         let opaque = sources.iter().any(|&name| {
-            !self.defined.contains_key(name)
-                && self.catalog.relation(name).is_none()
-                && (self.abstracts.contains_key(name) || self.catalog.external(name).is_some())
+            !self.shared.defined.contains_key(name)
+                && self.shared.catalog.relation(name).is_none()
+                && (self.shared.abstracts.contains_key(name)
+                    || self.shared.catalog.external(name).is_some())
         });
         // A reference that does not resolve raises when (and only if) it
         // is evaluated: leave that to the per-environment path.
@@ -140,7 +141,7 @@ impl<'a> Ctx<'a> {
         let Some(memo) = &lat.memo else {
             return self.collection_rows(c, env);
         };
-        let mut h = self.hash_state.build_hasher();
+        let mut h = self.shared.hash_state.build_hasher();
         for v in memo.key_in(env) {
             hash_value(v, &mut h);
         }
@@ -169,7 +170,7 @@ impl<'a> Ctx<'a> {
         }
         let width = c.head.attrs.len().max(1);
         let bytes = 64 + 24 * (memo.key.len() + rows.len() * (1 + width));
-        if let Some(g) = self.guard.as_ref().filter(|g| !g.try_reserve(bytes)) {
+        if let Some(g) = self.shared.guard.as_ref().filter(|g| !g.try_reserve(bytes)) {
             // Denied: from here on the step evaluates per environment.
             g.note_degradation();
             crate::metrics::guard_degradations().inc();
@@ -191,7 +192,7 @@ impl<'a> Ctx<'a> {
             }
             new
         });
-        if let (false, Some(g)) = (admitted, &self.guard) {
+        if let (false, Some(g)) = (admitted, &self.shared.guard) {
             g.release(bytes);
         }
         Ok(rows)

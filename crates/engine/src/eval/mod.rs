@@ -25,33 +25,33 @@
 //!
 //! | module         | stage                                                     |
 //! |----------------|-----------------------------------------------------------|
-//! | [`env`]        | runtime environments: borrowed row frames + name layouts  |
+//! | `env`          | runtime environments: borrowed row frames + name layouts  |
 //! | [`partition`]  | body analysis (re-exported from [`arc_plan::analysis`])   |
-//! | [`slots`]      | slot-resolved expressions (names → `(frame, column)`)     |
-//! | [`scope`]      | compiled scopes: resolve, plan, materialize, cache        |
-//! | [`scalar`]     | scalar & predicate evaluation, comparisons, arithmetic    |
-//! | [`formula`]    | boolean formula / sentence evaluation                     |
-//! | [`quantifier`] | the binding loop: executes compiled step pipelines        |
-//! | [`semijoin`]   | decorrelated `∃`/`¬∃`: build-once set-level semi/anti-join|
-//! | [`lateral`]    | lateral steps: nested collections memoized by outer values|
-//! | [`parallel`]   | partitioned (morsel-driven) scope execution via `arc-exec`|
-//! | [`aggregate`]  | grouping scopes: one-pass accumulators, per-group verdicts|
-//! | [`output`]     | output assembly: head-tuple construction and emission     |
-//! | [`join`]       | outer-join annotation trees (`left`/`full`, §2.11)        |
-//! | [`knobs`]      | the `ARC_*` environment knobs and their parsers           |
+//! | `slots`        | slot-resolved expressions (names → `(frame, column)`)     |
+//! | `scope`        | compiled scopes: resolve, plan, materialize, cache        |
+//! | `scalar`       | scalar & predicate evaluation, comparisons, arithmetic    |
+//! | `formula`      | boolean formula / sentence evaluation                     |
+//! | `quantifier`   | the binding loop: executes compiled step pipelines        |
+//! | `semijoin`     | decorrelated `∃`/`¬∃`: build-once set-level semi/anti-join|
+//! | `lateral`      | lateral steps: nested collections memoized by outer values|
+//! | `parallel`     | partitioned (morsel-driven) scope execution via `arc-exec`|
+//! | `aggregate`    | grouping scopes: one-pass accumulators, per-group verdicts|
+//! | `output`       | output assembly: head-tuple construction and emission     |
+//! | `join`         | outer-join annotation trees (`left`/`full`, §2.11)        |
+//! | `knobs`        | the `ARC_*` environment knobs and their parsers           |
 //!
 //! The **plan seam** sits in front of the binding loop: every quantifier
 //! scope is described to [`arc_plan::plan_scope`] and the returned physical
 //! plan — binding order, per-step scan/hash-probe/external/abstract
-//! access, pushed-down filters — is compiled by [`scope`] into a
-//! slot-resolved pipeline that [`quantifier`] executes. Plans are
+//! access, pushed-down filters — is compiled by `scope` into a
+//! slot-resolved pipeline that `quantifier` executes. Plans are
 //! **cached** globally by scope shape (see [`arc_plan::cache`]: constants
 //! are typed holes, so statements that differ only in their constants
 //! share plans) and compiled scopes per `Ctx` by scope identity + frame
 //! layout, so correlated scopes plan and resolve names once, not once per
 //! outer row.
 //! Boolean `∃`/`¬∃` scopes whose correlation is a pure equi-join go
-//! further: [`semijoin`] evaluates the
+//! further: `semijoin` evaluates the
 //! scope body **once**, keys a hash set on the correlated columns, and
 //! answers every outer row with an O(1) probe — execution, not just
 //! planning, amortizes across outer rows. Each join independently selects
@@ -65,22 +65,22 @@
 //! (in [`crate::explain`]) show the plan a query would execute, including
 //! the `partition(n)` operator when the engine runs parallel.
 
-pub mod aggregate;
-pub mod env;
-pub mod formula;
+pub(crate) mod aggregate;
+pub(crate) mod env;
+pub(crate) mod formula;
 pub(crate) mod index;
-pub mod join;
-pub mod knobs;
+pub(crate) mod join;
+pub(crate) mod knobs;
 pub(crate) mod lateral;
-pub mod output;
-pub mod parallel;
+pub(crate) mod output;
+pub(crate) mod parallel;
 pub(crate) mod profile;
-pub mod quantifier;
-pub mod scalar;
+pub(crate) mod quantifier;
+pub(crate) mod scalar;
 pub(crate) mod scope;
-pub mod semijoin;
+pub(crate) mod semijoin;
 pub(crate) mod slots;
-pub mod vector;
+pub(crate) mod vector;
 
 /// Body analysis: predicate-role partitioning and free-variable
 /// computation. The analysis itself lives in [`arc_plan::analysis`] — the
@@ -93,6 +93,7 @@ pub mod partition {
 }
 
 pub(crate) use env::Env;
+pub use knobs::QueryOptions;
 
 /// Per-query cache of vectorized scan selections — see [`Ctx::selections`].
 pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>>;
@@ -109,7 +110,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How many enumeration steps ([`Ctx::guard_step`]) between guard
 /// checks: amortizes the cancel-flag load and deadline clock read so the
@@ -161,105 +162,75 @@ pub(crate) fn guard_reserve_hard(guard: Option<&Arc<QueryGuard>>, bytes: usize) 
     }
 }
 
-/// The evaluation engine: a catalog plus a convention profile plus the
-/// execution knobs (parallelism, recording, guard limits). No knob picks
-/// an algorithm: decorrelation, columnar kernels and ordered indexes are
-/// always on, and each build falls back to its streaming path only when
-/// the guard denies it (see [`Engine::with_mem_budget`]).
+/// The evaluation engine: a catalog, a convention profile, and the
+/// [`QueryOptions`] every query on it runs under (parallelism, recording,
+/// guard limits). No option picks an algorithm: decorrelation, columnar
+/// kernels and ordered indexes are always on, and each build falls back to
+/// its streaming path only when the guard denies it (see
+/// [`Engine::with_mem_budget`]).
 pub struct Engine<'c> {
     pub(crate) catalog: &'c Catalog,
     /// The convention profile queries are interpreted under (§2.6/§2.7).
     pub conventions: Conventions,
-    /// Parallelism for partitioned scope execution (`ARC_THREADS`).
-    /// Stored as a `Result` — like every knob below — so a malformed
-    /// environment value surfaces as a normal engine error on the first
-    /// evaluation instead of panicking at construction.
-    threads: std::result::Result<usize, crate::error::EvalError>,
-    /// Execution tracing (`ARC_TRACE`, default **off**): timing of
-    /// index/selection/semi-join builds into the `arc-trace` registry
-    /// and wall-time stamps on execution profiles; same deferred-error
-    /// story.
-    trace: std::result::Result<bool, crate::error::EvalError>,
-    /// Hierarchical span recording (`ARC_SPANS`, default **off**): every
-    /// evaluation context gets a per-lane span sink and the
-    /// query/plan/scope/step/morsel seams record begin/end timestamps
-    /// into it; same deferred-error story.
-    spans: std::result::Result<bool, crate::error::EvalError>,
-    /// Per-query deadline (`ARC_TIMEOUT_MS` / [`Engine::with_timeout`]);
-    /// `None` means unbounded. Same deferred-error story.
-    timeout: std::result::Result<Option<Duration>, crate::error::EvalError>,
-    /// Per-query memory budget in bytes (`ARC_MEM_BUDGET` /
-    /// [`Engine::with_mem_budget`]); `None` means unbounded. Builds that
-    /// would exceed the budget degrade to streaming paths; only hard
-    /// exhaustion aborts. Same deferred-error story.
-    mem_budget: std::result::Result<Option<usize>, crate::error::EvalError>,
-    /// Deterministic fault-injection plan (`ARC_FAULT` /
-    /// [`Engine::with_fault`]); `None` (the default) injects nothing.
-    /// Same deferred-error story.
-    fault: std::result::Result<Option<FaultPlan>, crate::error::EvalError>,
+    /// The query environment, parsed once from the `ARC_*` variables in
+    /// [`Engine::new`]. Stored as a `Result` so a malformed value
+    /// surfaces as the same [`EvalError::Config`] from every entry point
+    /// instead of panicking at construction.
+    options: Result<QueryOptions>,
     /// Cooperative cancellation state shared with every
     /// [`CancelHandle`] this engine hands out. Guards are only built
     /// when a handle was requested (or a deadline/budget/fault is
     /// configured), so engines that never cancel pay nothing.
     cancel: Arc<CancelState>,
-    /// When set, every evaluation context this engine creates records
-    /// per-operator actuals into the sink (the `EXPLAIN ANALYZE` /
-    /// [`Engine::profile_collection`] path; `None` for ordinary
-    /// evaluation, which then pays only an `Option` check per row).
-    profile: Option<arc_trace::ProfileSink>,
-    /// When set, evaluation contexts record spans into *this* sink
-    /// instead of a per-context one (the [`Engine::span_trace_*`]
-    /// timeline-export path, which needs the spans back afterwards).
-    /// Implies span recording regardless of the `spans` knob.
-    pub(crate) span_sink: Option<arc_trace::SpanSink>,
-    /// Lazily-built sink for the bare `spans` knob: allocated once per
+    /// Lazily-built sink for the bare `spans` option: allocated once per
     /// engine on the first evaluation and [`reset`](arc_trace::SpanSink::reset)
     /// per evaluation, so `ARC_SPANS=on` pays ring-buffer *recording*
     /// per query, not ring-buffer *allocation* (the slabs are hundreds
-    /// of KB for a multi-lane sink). Never read back — the knob path
-    /// records and drops; exporters attach [`Engine::span_sink`]
-    /// instead, which always wins.
+    /// of KB for a multi-lane sink). Never read back — the option
+    /// records and drops; the `span_trace_*` exporters pass a sink of
+    /// their own, which always wins.
     knob_sink: std::sync::OnceLock<arc_trace::SpanSink>,
 }
 
 impl<'c> Engine<'c> {
     /// Create an engine over a catalog with the given conventions.
     ///
-    /// Every knob defaults to its `ARC_*` environment variable (see
-    /// [`knobs`]), so the full test suite can be re-run under, say,
-    /// `ARC_THREADS=4` without touching any call site. A malformed value
-    /// is reported by the first evaluation as
-    /// [`EvalError::Config`](crate::error::EvalError::Config).
+    /// Its [`QueryOptions`] are read once, here, from the `ARC_*`
+    /// environment variables, so the full test suite can be re-run under,
+    /// say, `ARC_THREADS=4` without touching any call site. A malformed
+    /// value is reported by every entry point as
+    /// [`EvalError::Config`] naming the variable; a `with_*` builder does
+    /// not mask it.
     pub fn new(catalog: &'c Catalog, conventions: Conventions) -> Self {
         Engine {
             catalog,
             conventions,
-            threads: knobs::from_env("ARC_THREADS", arc_exec::parse_threads),
-            trace: knobs::onoff_from_env("ARC_TRACE"),
-            spans: knobs::onoff_from_env("ARC_SPANS"),
-            timeout: knobs::from_env("ARC_TIMEOUT_MS", knobs::parse_timeout),
-            mem_budget: knobs::from_env("ARC_MEM_BUDGET", knobs::parse_mem_budget),
-            fault: knobs::from_env("ARC_FAULT", knobs::parse_fault),
+            options: QueryOptions::from_vars(|var| std::env::var(var).ok()),
             cancel: Arc::new(CancelState::default()),
-            profile: None,
-            span_sink: None,
             knob_sink: std::sync::OnceLock::new(),
         }
+    }
+
+    /// The options every query on this engine runs under (an `Err`
+    /// reproduces the configuration problem every entry point reports).
+    pub fn options(&self) -> Result<QueryOptions> {
+        self.options.clone()
+    }
+
+    /// Change one option (builder style); a configuration error stays.
+    fn set(mut self, f: impl FnOnce(&mut QueryOptions)) -> Self {
+        if let Ok(options) = &mut self.options {
+            f(options);
+        }
+        self
     }
 
     /// Override the parallelism (builder style); `1` (or `0`) means
     /// sequential. Clamped to [`arc_exec::MAX_THREADS`], the same bound
     /// the `ARC_THREADS` parser enforces — an oversized value must never
     /// be able to exhaust OS threads and abort the process.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Ok(threads.clamp(1, arc_exec::MAX_THREADS));
-        self
-    }
-
-    /// The parallelism this engine evaluates under (an `Err` reproduces
-    /// the configuration problem every evaluation would report).
-    pub fn threads(&self) -> Result<usize> {
-        self.threads.clone()
+    pub fn with_threads(self, threads: usize) -> Self {
+        self.set(|o| o.threads = threads.clamp(1, arc_exec::MAX_THREADS))
     }
 
     /// Override execution tracing (builder style): `true` makes
@@ -270,36 +241,24 @@ impl<'c> Engine<'c> {
     /// environment. Off (the default) keeps
     /// the hot path free of clock reads; row/call actuals in
     /// [`Engine::profile_collection`] /
-    /// [`Engine::explain_analyze_collection`](crate::eval::Engine) are
+    /// [`Engine::explain_analyze_collection`] are
     /// gathered either way.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = Ok(trace);
-        self
-    }
-
-    /// Whether this engine records execution timings.
-    pub fn trace(&self) -> Result<bool> {
-        self.trace.clone()
+    pub fn with_trace(self, trace: bool) -> Self {
+        self.set(|o| o.trace = trace)
     }
 
     /// Override hierarchical span recording (builder style): `true` makes
     /// every evaluation record begin/end spans (query → plan → scope →
     /// semi-join build → step → morsel) into bounded per-lane ring
     /// buffers, exactly like running under `ARC_SPANS=on`. Use
-    /// [`Engine::span_trace_collection`](crate::explain) /
+    /// [`Engine::span_trace_collection`] /
     /// `span_trace_program` to get the spans back as a Chrome-trace
-    /// timeline; with only this knob the spans are recorded and dropped,
+    /// timeline; with only this option the spans are recorded and dropped,
     /// which is what the `ARC_SPANS=on` CI leg exercises (recording cost
     /// without export cost). Off (the
     /// default) keeps every span seam to a single `Option` check.
-    pub fn with_spans(mut self, spans: bool) -> Self {
-        self.spans = Ok(spans);
-        self
-    }
-
-    /// Whether this engine records execution spans.
-    pub fn spans(&self) -> Result<bool> {
-        self.spans.clone()
+    pub fn with_spans(self, spans: bool) -> Self {
+        self.set(|o| o.spans = spans)
     }
 
     /// Set a per-query deadline (builder style): every evaluation on this
@@ -307,14 +266,8 @@ impl<'c> Engine<'c> {
     /// [`EvalError::DeadlineExceeded`] — cooperatively, within one morsel
     /// of work of the deadline passing. Exactly like running under
     /// `ARC_TIMEOUT_MS=<millis>`.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Ok(Some(timeout));
-        self
-    }
-
-    /// The per-query deadline this engine evaluates under.
-    pub fn timeout(&self) -> Result<Option<Duration>> {
-        self.timeout.clone()
+    pub fn with_timeout(self, timeout: Duration) -> Self {
+        self.set(|o| o.timeout = Some(timeout))
     }
 
     /// Set a per-query memory budget in bytes (builder style): an
@@ -326,14 +279,8 @@ impl<'c> Engine<'c> {
     /// result growth that no fallback can avoid — surfaces
     /// [`EvalError::MemoryBudget`]. Exactly like running under
     /// `ARC_MEM_BUDGET=<bytes>` (suffixes `k`/`m`/`g` accepted).
-    pub fn with_mem_budget(mut self, bytes: usize) -> Self {
-        self.mem_budget = Ok((bytes > 0).then_some(bytes));
-        self
-    }
-
-    /// The per-query memory budget this engine evaluates under.
-    pub fn mem_budget(&self) -> Result<Option<usize>> {
-        self.mem_budget.clone()
+    pub fn with_mem_budget(self, bytes: usize) -> Self {
+        self.set(|o| o.mem_budget = (bytes > 0).then_some(bytes))
     }
 
     /// Arm a deterministic fault-injection plan (builder style): the
@@ -341,9 +288,8 @@ impl<'c> Engine<'c> {
     /// a budget trip, or a cancellation). Exactly like running under
     /// `ARC_FAULT=<seam>:<n>[:<kind>]`; tests and the CI smoke leg use it
     /// to prove every error path leaves the engine reusable.
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Ok(Some(plan));
-        self
+    pub fn with_fault(self, plan: FaultPlan) -> Self {
+        self.set(|o| o.fault = Some(plan))
     }
 
     /// A handle that cancels queries on this engine from another thread:
@@ -356,185 +302,149 @@ impl<'c> Engine<'c> {
         CancelHandle::new(self.cancel.clone())
     }
 
-    /// Build the per-query guard for one engine entry — `None` when no
-    /// deadline, budget, fault plan, or cancel handle is configured, so
-    /// unguarded evaluation stays a handful of `Option` checks.
-    pub(crate) fn make_guard(&self) -> Result<Option<Arc<QueryGuard>>> {
-        let timeout = self.timeout.clone()?;
-        let budget = self.mem_budget.clone()?;
-        let fault = self.fault.clone()?;
-        if timeout.is_none() && budget.is_none() && fault.is_none() && !self.cancel.armed() {
-            return Ok(None);
-        }
-        Ok(Some(Arc::new(QueryGuard::new(
-            timeout.map(|d| std::time::Instant::now() + d),
-            budget,
-            fault,
-            self.cancel.armed().then(|| self.cancel.clone()),
-        ))))
+    /// Inject the options outcome (tests only: process environment
+    /// variables are racy under parallel tests, so a malformed value is
+    /// tested by injection rather than by setting `ARC_*`).
+    #[cfg(test)]
+    pub(crate) fn set_options(&mut self, options: Result<QueryOptions>) {
+        self.options = options;
     }
 
-    /// Panic containment at the engine boundary: run `f` under
-    /// `catch_unwind` so a worker (or injected) panic surfaces as
-    /// [`EvalError::WorkerPanic`] instead of unwinding through the
-    /// caller, and count terminal guard trips into the metrics registry.
-    /// The engine and its pool stay usable afterwards — per-engine caches
-    /// recover via their poison-clearing locks.
-    pub(crate) fn contained<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|p| {
-            Err(crate::error::EvalError::WorkerPanic(
-                arc_guard::panic_message(p.as_ref()),
-            ))
-        });
+    /// Run one engine entry — a query, a sentence, or a program with all
+    /// its strata — under one [`Entry`]: the options (or their
+    /// configuration error), the per-query guard — `None` when no
+    /// deadline, budget, fault plan, or cancel handle is configured, so
+    /// unguarded evaluation stays a handful of `Option` checks — and the
+    /// recording sinks. An explicit span sink (the `span_trace_*` path)
+    /// wins; the bare `spans` option records into the engine's cached
+    /// sink, rewound here — same recording cost, no export, which is what
+    /// the `ARC_SPANS=on` CI leg exercises.
+    ///
+    /// The entry is one sample of the `engine.query.latency` quantile
+    /// histogram (gated only by `arc_trace::quantile::recording()`) and,
+    /// when spans record, one enclosing `Query` span. A panic inside —
+    /// a worker's or an injected one — is contained here and surfaces as
+    /// [`EvalError::WorkerPanic`]; terminal guard trips are counted into
+    /// the metrics registry. The engine and its pool stay usable
+    /// afterwards — per-engine caches recover via their poison-clearing
+    /// locks.
+    pub(crate) fn entered<T>(
+        &self,
+        profile: Option<arc_trace::ProfileSink>,
+        spans: Option<arc_trace::SpanSink>,
+        f: impl FnOnce(&Entry) -> Result<T>,
+    ) -> Result<T> {
+        let run = || {
+            let opts = self.options()?;
+            let guarded =
+                opts.timeout.is_some() || opts.mem_budget.is_some() || opts.fault.is_some();
+            let guard = (guarded || self.cancel.armed()).then(|| {
+                Arc::new(QueryGuard::new(
+                    opts.timeout.map(|d| Instant::now() + d),
+                    opts.mem_budget,
+                    opts.fault,
+                    self.cancel.armed().then(|| self.cancel.clone()),
+                ))
+            });
+            let spans = spans.or_else(|| {
+                opts.spans.then(|| {
+                    let sink = self
+                        .knob_sink
+                        .get_or_init(|| arc_trace::SpanSink::with_lanes(opts.threads));
+                    sink.reset();
+                    sink.clone()
+                })
+            });
+            let wall = arc_trace::quantile::recording().then(Instant::now);
+            let span = spans.as_ref().and_then(|s| s.start(0));
+            let entry = Entry {
+                opts,
+                guard,
+                profile,
+                spans,
+            };
+            let out = f(&entry);
+            if let (Some(sink), Some(t0)) = (&entry.spans, span) {
+                sink.complete(0, arc_trace::SpanKind::Query, arc_trace::OpId::scope(0), t0);
+            }
+            if let Some(t0) = wall {
+                let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                crate::metrics::query_latency().record_nanos(nanos);
+            }
+            out
+        };
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .unwrap_or_else(|p| Err(EvalError::WorkerPanic(arc_guard::panic_message(p.as_ref()))));
         match &out {
-            Err(crate::error::EvalError::Cancelled) => crate::metrics::query_cancelled().inc(),
-            Err(crate::error::EvalError::DeadlineExceeded) => crate::metrics::query_timeout().inc(),
+            Err(EvalError::Cancelled) => crate::metrics::query_cancelled().inc(),
+            Err(EvalError::DeadlineExceeded) => crate::metrics::query_timeout().inc(),
             _ => {}
         }
         out
     }
 
-    /// A shallow copy of this engine: the same catalog, conventions and
-    /// knobs, a sink cache of its own. The one place that lists every
-    /// field, so the copies below only name what they change.
-    fn shallow_copy(&self) -> Engine<'c> {
-        Engine {
-            catalog: self.catalog,
-            conventions: self.conventions,
-            threads: self.threads.clone(),
-            trace: self.trace.clone(),
-            spans: self.spans.clone(),
-            timeout: self.timeout.clone(),
-            mem_budget: self.mem_budget.clone(),
-            fault: self.fault.clone(),
-            cancel: self.cancel.clone(),
-            profile: self.profile.clone(),
-            span_sink: self.span_sink.clone(),
-            knob_sink: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// A shallow copy of this engine with a profile sink attached: every
-    /// evaluation context it creates records per-operator actuals into
-    /// `sink`. The `EXPLAIN ANALYZE` entry points evaluate through this
-    /// copy so ordinary engines never pay for profiling.
-    pub(crate) fn with_sink(&self, sink: arc_trace::ProfileSink) -> Engine<'c> {
-        Engine {
-            profile: Some(sink),
-            ..self.shallow_copy()
-        }
-    }
-
-    /// A shallow copy with a span sink attached: every evaluation context
-    /// records spans into `sink` (implying span recording), so the
-    /// `span_trace_*` exporters can drain them afterwards.
-    pub(crate) fn with_span_sink(&self, sink: arc_trace::SpanSink) -> Engine<'c> {
-        Engine {
-            spans: Ok(true),
-            span_sink: Some(sink),
-            ..self.shallow_copy()
-        }
-    }
-
-    /// Inject a threads-parse outcome (tests only: process environment
-    /// variables are racy under parallel tests, so the typo path is tested
-    /// by injection rather than by setting `ARC_THREADS`).
-    #[cfg(test)]
-    pub(crate) fn set_threads_result(
-        &mut self,
-        r: std::result::Result<usize, crate::error::EvalError>,
-    ) {
-        self.threads = r;
-    }
-
-    fn ctx<'a>(
-        &'a self,
-        defined: &'a HashMap<String, Relation>,
-        abstracts: &'a HashMap<String, Collection>,
-        redirect: Option<Redirect<'a>>,
-        guard: Option<Arc<QueryGuard>>,
-    ) -> Result<Ctx<'a>> {
-        let threads = self.threads.clone()?;
-        // An explicit sink (the span_trace_* path) wins; the bare knob
-        // records into a per-context sink that is dropped at the end —
-        // same recording cost, no export, which is what the ARC_SPANS=on
-        // CI leg exercises.
-        let spans = match (&self.span_sink, self.spans.clone()?) {
-            (Some(sink), _) => Some(sink.clone()),
-            (None, true) => {
-                // Engine-cached sink, rewound per evaluation: the knob
-                // prices recording, not per-query slab allocation.
-                let sink = self
-                    .knob_sink
-                    .get_or_init(|| arc_trace::SpanSink::with_lanes(threads));
-                sink.reset();
-                Some(sink.clone())
-            }
-            (None, false) => None,
-        };
-        Ok(Ctx {
-            catalog: self.catalog,
-            conv: self.conventions,
-            threads,
-            trace: self.trace.clone()?,
-            spans,
-            lane: 0,
-            guard,
-            guard_tick: Cell::new(0),
-            profile: self.profile.clone(),
-            defined,
-            abstracts,
-            redirect,
-            hash_state: RandomState::new(),
-            join_indexes: RefCell::new(HashMap::new()),
-            distinct_estimates: RefCell::new(HashMap::new()),
-            scopes: RefCell::new(HashMap::new()),
-            selections: RefCell::new(HashMap::new()),
-            semi_builds: semijoin::SemiBuildCache::default(),
-            probe_key: RefCell::new(Vec::new()),
-        })
-    }
-
     /// Evaluate a standalone query collection (no definitions).
     pub fn eval_collection(&self, c: &Collection) -> Result<Relation> {
-        self.contained(|| {
-            let guard = self.make_guard()?;
-            let (defined, abstracts) = (HashMap::new(), HashMap::new());
-            let ctx = self.ctx(&defined, &abstracts, None, guard)?;
-            let timer = QueryTimer::start(ctx.spans.as_ref());
-            let out = ctx.collection_relation(c, &mut Env::default());
-            timer.finish(ctx.spans.as_ref());
-            out
+        self.collection_recorded(c, None, None)
+    }
+
+    /// [`Engine::eval_collection`] recording into the given sinks (the
+    /// `profile_*` and `span_trace_*` entry points).
+    pub(crate) fn collection_recorded(
+        &self,
+        c: &Collection,
+        profile: Option<arc_trace::ProfileSink>,
+        spans: Option<arc_trace::SpanSink>,
+    ) -> Result<Relation> {
+        self.entered(profile, spans, |entry| {
+            self.eval_with(c, &HashMap::new(), &HashMap::new(), entry, None)
         })
     }
 
     /// Evaluate a boolean sentence (paper Fig 9).
     pub fn eval_sentence(&self, f: &Formula) -> Result<Truth> {
-        self.contained(|| {
-            let guard = self.make_guard()?;
-            let (defined, abstracts) = (HashMap::new(), HashMap::new());
-            let ctx = self.ctx(&defined, &abstracts, None, guard)?;
-            let timer = QueryTimer::start(ctx.spans.as_ref());
-            let out = ctx.formula_truth(f, &mut Env::default());
-            timer.finish(ctx.spans.as_ref());
-            out
+        self.entered(None, None, |entry| {
+            self.eval_sentence_with(f, &HashMap::new(), &HashMap::new(), entry)
         })
+    }
+
+    /// The state one evaluation shares with every worker it forks.
+    fn shared<'a>(
+        &'a self,
+        entry: &Entry,
+        defined: &'a HashMap<String, Relation>,
+        abstracts: &'a HashMap<String, Collection>,
+        redirect: Option<Redirect<'a>>,
+    ) -> QueryShared<'a> {
+        QueryShared {
+            catalog: self.catalog,
+            conv: self.conventions,
+            defined,
+            abstracts,
+            redirect,
+            hash_state: RandomState::new(),
+            semi_builds: semijoin::SemiBuildCache::default(),
+            profile: entry.profile.clone(),
+            spans: entry.spans.clone(),
+            guard: entry.guard.clone(),
+        }
     }
 
     /// Evaluate a collection with pre-materialized definitions and abstract
     /// relations in scope (used by the fixpoint driver), one binding
-    /// possibly [redirected](Redirect). The guard is the **program-level**
-    /// one: deadline and budget span all strata.
-    pub(crate) fn eval_with<'a>(
-        &'a self,
-        c: &'a Collection,
-        defined: &'a HashMap<String, Relation>,
-        abstracts: &'a HashMap<String, Collection>,
-        guard: Option<&Arc<QueryGuard>>,
-        redirect: Option<Redirect<'a>>,
+    /// possibly [redirected](Redirect), under the entry's options, guard
+    /// and sinks. For a program the entry is the **program-level** one:
+    /// deadline and budget span all strata.
+    pub(crate) fn eval_with(
+        &self,
+        c: &Collection,
+        defined: &HashMap<String, Relation>,
+        abstracts: &HashMap<String, Collection>,
+        entry: &Entry,
+        redirect: Option<Redirect<'_>>,
     ) -> Result<Relation> {
-        self.ctx(defined, abstracts, redirect, guard.cloned())?
-            .collection_relation(c, &mut Env::default())
+        let shared = self.shared(entry, defined, abstracts, redirect);
+        Ctx::new(entry.opts, &shared).collection_relation(c, &mut Env::default())
     }
 
     /// Evaluate a sentence with definitions in scope.
@@ -543,11 +453,26 @@ impl<'c> Engine<'c> {
         f: &Formula,
         defined: &HashMap<String, Relation>,
         abstracts: &HashMap<String, Collection>,
-        guard: Option<&Arc<QueryGuard>>,
+        entry: &Entry,
     ) -> Result<Truth> {
-        self.ctx(defined, abstracts, None, guard.cloned())?
-            .formula_truth(f, &mut Env::default())
+        let shared = self.shared(entry, defined, abstracts, None);
+        Ctx::new(entry.opts, &shared).formula_truth(f, &mut Env::default())
     }
+}
+
+/// What one engine entry — a query, a sentence, or a whole program with
+/// all its strata — fixes for every evaluation it runs: the options, the
+/// guard, and the recording sinks.
+pub(crate) struct Entry {
+    pub(crate) opts: QueryOptions,
+    pub(crate) guard: Option<Arc<QueryGuard>>,
+    /// Per-operator actuals sink: the `EXPLAIN ANALYZE` /
+    /// [`Engine::profile_collection`] path; `None` for ordinary
+    /// evaluation, which then pays only an `Option` check per row.
+    pub(crate) profile: Option<arc_trace::ProfileSink>,
+    /// Span sink: the `span_trace_*` exporters' own, or the engine's
+    /// cached one under the bare `spans` option.
+    pub(crate) spans: Option<arc_trace::SpanSink>,
 }
 
 /// One binding of the evaluated AST read under another name than it
@@ -562,70 +487,12 @@ pub(crate) struct Redirect<'a> {
     pub(crate) name: &'a str,
 }
 
-/// Top-level query timing, attached at the engine entry points
-/// (`eval_collection` / `eval_sentence` / `eval_program`): one always-on
-/// sample into the `engine.query.latency` quantile histogram (gated only
-/// by the process-wide `arc_trace::quantile::recording()` switch), plus
-/// the enclosing `Query` span when span recording is on.
-pub(crate) struct QueryTimer {
-    wall: Option<std::time::Instant>,
-    span: Option<u64>,
-}
-
-impl QueryTimer {
-    pub(crate) fn start(spans: Option<&arc_trace::SpanSink>) -> QueryTimer {
-        QueryTimer {
-            wall: arc_trace::quantile::recording().then(std::time::Instant::now),
-            span: spans.and_then(|s| s.start(0)),
-        }
-    }
-
-    pub(crate) fn finish(self, spans: Option<&arc_trace::SpanSink>) {
-        if let (Some(sink), Some(t0)) = (spans, self.span) {
-            sink.complete(0, arc_trace::SpanKind::Query, arc_trace::OpId::scope(0), t0);
-        }
-        if let Some(t0) = self.wall {
-            let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            crate::metrics::query_latency().record_nanos(nanos);
-        }
-    }
-}
-
-/// The per-query evaluation context threaded through every pipeline stage.
-pub(crate) struct Ctx<'a> {
+/// What one evaluation's coordinator shares, by reference, with every
+/// worker context it forks: built once per evaluation by the engine, and
+/// never copied field by field.
+pub(crate) struct QueryShared<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) conv: Conventions,
-    /// Parallelism budget: scopes with a partition axis scatter their
-    /// outer scan across this many pool threads. Worker contexts are
-    /// forked with `threads = 1`, so parallelism never nests.
-    pub(crate) threads: usize,
-    /// Whether execution records wall times (`ARC_TRACE`, default off):
-    /// gates every clock read on the evaluation path, so the default
-    /// engine never touches `Instant::now`.
-    pub(crate) trace: bool,
-    /// Span sink for hierarchical begin/end timeline events
-    /// (`ARC_SPANS` / [`Engine::with_spans`] / the `span_trace_*`
-    /// exporters); `None` on ordinary evaluation, which then pays one
-    /// `Option` check per span seam. Cloned into every worker context —
-    /// lanes write to disjoint ring buffers.
-    pub(crate) spans: Option<arc_trace::SpanSink>,
-    /// Worker lane this context executes on: 0 for the coordinator (and
-    /// all sequential evaluation), the worker's lane id inside a
-    /// partitioned scope. Stamps spans and morsel events.
-    pub(crate) lane: usize,
-    /// The per-query resource guard (deadline, budget, cancellation,
-    /// fault plan); `None` on unguarded evaluation, which then pays one
-    /// `Option` check per seam. Shared (`Arc`) with every worker context
-    /// so trips and memory charges are query-global.
-    pub(crate) guard: Option<Arc<QueryGuard>>,
-    /// Amortization tick for [`Ctx::guard_step`]: the cooperative check
-    /// runs every [`GUARD_TICK`] enumeration steps, not every step.
-    pub(crate) guard_tick: Cell<u32>,
-    /// Per-operator actuals sink, when this evaluation is profiled (see
-    /// [`profile`]); `None` on ordinary evaluation. Cloned into every
-    /// worker context the parallel executor forks — all tallies merge
-    /// into one profile.
-    pub(crate) profile: Option<arc_trace::ProfileSink>,
     /// Materialized intensional relations (views/CTEs/fixpoint results).
     pub(crate) defined: &'a HashMap<String, Relation>,
     /// Abstract relations: checked in context, never materialized.
@@ -636,12 +503,47 @@ pub(crate) struct Ctx<'a> {
     /// Hasher of equi-join keys for this evaluation: hash-index builds
     /// and probes (coordinator and workers alike) must agree on it.
     pub(crate) hash_state: RandomState,
+    /// Build-once key sets of decorrelated boolean scopes, keyed by scope
+    /// identity and build plan: every worker probes — and lazily
+    /// populates — the same builds (see `semijoin`).
+    pub(crate) semi_builds: semijoin::SemiBuildCache,
+    /// Per-operator actuals sink, when this evaluation is profiled (see
+    /// `profile`): every worker's tallies merge into one profile.
+    pub(crate) profile: Option<arc_trace::ProfileSink>,
+    /// Span sink for hierarchical begin/end timeline events; `None` on
+    /// ordinary evaluation, which then pays one `Option` check per span
+    /// seam. Lanes write to disjoint ring buffers.
+    pub(crate) spans: Option<arc_trace::SpanSink>,
+    /// The per-query resource guard (deadline, budget, cancellation,
+    /// fault plan); `None` on unguarded evaluation, which then pays one
+    /// `Option` check per seam. Trips and memory charges are query-global.
+    pub(crate) guard: Option<Arc<QueryGuard>>,
+}
+
+/// The per-context evaluation state threaded through every pipeline
+/// stage: the options this context runs under, its lane, its caches, and
+/// one pointer to the [`QueryShared`] state of the evaluation.
+pub(crate) struct Ctx<'a> {
+    /// The entry's options; a worker context runs with `threads = 1`, so
+    /// parallelism never nests. `trace` gates every clock read on the
+    /// evaluation path, so the default engine never touches
+    /// `Instant::now`.
+    pub(crate) opts: QueryOptions,
+    /// Worker lane this context executes on: 0 for the coordinator (and
+    /// all sequential evaluation), the worker's lane id inside a
+    /// partitioned scope. Stamps spans and morsel events.
+    pub(crate) lane: usize,
+    /// Amortization tick for [`Ctx::guard_step`]: the cooperative check
+    /// runs every [`GUARD_TICK`] enumeration steps, not every step.
+    pub(crate) guard_tick: Cell<u32>,
+    /// Everything shared with the coordinator and its other workers.
+    pub(crate) shared: &'a QueryShared<'a>,
     /// Per-query cache of equi-join hash indexes, keyed by relation
     /// address + key columns (addresses are stable for the `Ctx` lifetime;
     /// see `Ctx::join_index`). A relation probed by two scopes (or by
     /// scopes compiled under two layouts) is indexed once; decorrelated
     /// boolean scopes skip the re-entry entirely and probe
-    /// [`Ctx::semi_builds`] instead.
+    /// [`QueryShared::semi_builds`] instead.
     pub(crate) join_indexes: quantifier::JoinIndexCache,
     /// Per-query cache of distinct-key estimates, feeding the planner's
     /// greedy join ordering for relations without statistics. Keyed like
@@ -652,7 +554,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) distinct_estimates: RefCell<HashMap<(usize, Vec<usize>), usize>>,
     /// Compiled scopes — sources resolved, plan fetched, every name
     /// resolved to a slot — keyed by scope identity, role and frame
-    /// layout (see [`scope`]). A correlated scope re-entered once per
+    /// layout (see `scope`). A correlated scope re-entered once per
     /// outer row compiles on the first entry only.
     pub(crate) scopes: RefCell<HashMap<scope::ScopeKey, Rc<scope::Scope<'a>>>>,
     /// Per-query cache of vectorized scan selections, keyed by relation
@@ -662,13 +564,27 @@ pub(crate) struct Ctx<'a> {
     /// the selection of a constant-filter scan is outer-independent by
     /// construction.
     pub(crate) selections: SelectionCache,
-    /// Build-once key sets of decorrelated boolean scopes, keyed by scope
-    /// identity and build plan and shared — through an `Arc` — with every
-    /// worker context the parallel executor forks, so all workers probe
-    /// the same build (see [`semijoin`]).
-    pub(crate) semi_builds: semijoin::SemiBuildCache,
     /// Scratch for the semi-join probe key, reused across outer rows.
     pub(crate) probe_key: RefCell<Vec<arc_core::value::Key>>,
+}
+
+impl<'a> Ctx<'a> {
+    /// A context with empty caches: the coordinator's, or a worker's
+    /// before its snapshot is copied in. The one place that lists the
+    /// fields.
+    pub(crate) fn new(opts: QueryOptions, shared: &'a QueryShared<'a>) -> Ctx<'a> {
+        Ctx {
+            opts,
+            lane: 0,
+            guard_tick: Cell::new(0),
+            shared,
+            join_indexes: RefCell::new(HashMap::new()),
+            distinct_estimates: RefCell::new(HashMap::new()),
+            scopes: RefCell::new(HashMap::new()),
+            selections: RefCell::new(HashMap::new()),
+            probe_key: RefCell::new(Vec::new()),
+        }
+    }
 }
 
 /// Guard seams: how the evaluation pipeline observes the per-query
@@ -686,7 +602,7 @@ impl Ctx<'_> {
     /// round): fires any armed fault for this seam, then surfaces a
     /// tripped/expired/cancelled guard as its structured error.
     pub(crate) fn guard_at(&self, at: &'static str) -> Result<()> {
-        guard_check_at(self.guard.as_ref(), at)
+        guard_check_at(self.shared.guard.as_ref(), at)
     }
 
     /// Amortized cooperative check on the enumeration hot path: one
@@ -695,11 +611,11 @@ impl Ctx<'_> {
     /// fault plan is armed, so injection offsets stay deterministic).
     #[inline]
     pub(crate) fn guard_step(&self) -> Result<()> {
-        let Some(g) = self.guard.as_ref() else {
+        let Some(g) = self.shared.guard.as_ref() else {
             return Ok(());
         };
         if g.fault_armed() {
-            return guard_check_at(self.guard.as_ref(), seam::ENUMERATE);
+            return guard_check_at(Some(g), seam::ENUMERATE);
         }
         let t = self.guard_tick.get().wrapping_add(1);
         self.guard_tick.set(t);
@@ -718,7 +634,7 @@ impl Ctx<'_> {
     /// the engine boundary); a `Budget` fault denies this admission; a
     /// `Cancel` fault trips cancellation (observed at the next check).
     pub(crate) fn guard_admit(&self, at: &'static str, bytes: usize) -> bool {
-        let Some(g) = self.guard.as_ref() else {
+        let Some(g) = self.shared.guard.as_ref() else {
             return true;
         };
         if g.fault_armed() {

@@ -230,7 +230,7 @@ impl<'a> Ctx<'a> {
         let partial: Partial = vec![None; c.head.attrs.len()];
         let mut rows = Vec::new();
         self.emit_branch(&c.body, &head, &partial, env, &mut rows)?;
-        if self.conv.semantics == Semantics::Set {
+        if self.shared.conv.semantics == Semantics::Set {
             dedupe_rows(&mut rows);
         }
         Ok(rows)

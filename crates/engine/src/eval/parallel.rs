@@ -10,8 +10,11 @@
 //!    — workers never build);
 //! 2. the axis scan is split into [`Morsels`]; each morsel runs the full
 //!    pipeline over its row range on a pool worker, with a **forked
-//!    context** (same catalog/definitions/caches, `threads = 1` so
-//!    parallelism never nests) and a cloned outer environment;
+//!    context**: one pointer to the evaluation's shared state (catalog,
+//!    definitions, hasher, semi-join builds, sinks, guard), snapshots of
+//!    the coordinator's hash-index, estimate and selection caches, and
+//!    the coordinator's options with `threads = 1`, so parallelism never
+//!    nests — plus a cloned outer environment;
 //! 3. per-morsel outputs are gathered **in morsel order** and
 //!    concatenated, which reproduces the sequential enumeration order
 //!    exactly — so bag semantics needs no merge logic at all, set
@@ -28,83 +31,39 @@ use super::env::Env;
 use super::profile::ScopeTally;
 use super::quantifier::{HashIndex, Src};
 use super::scope::{Pipeline, Scope};
-use super::Ctx;
-use crate::catalog::Catalog;
+use super::{Ctx, QueryOptions, QueryShared};
 use crate::error::Result;
-use crate::relation::Relation;
-use arc_core::ast::Collection;
-use arc_core::conventions::Conventions;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
-use arc_guard::QueryGuard;
-use std::cell::{Cell, RefCell};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything a pool worker needs to rebuild an evaluation context:
-/// shared read-only references plus snapshots of the coordinator's
-/// caches (hash indexes, distinct estimates, selections), so workers
-/// start warm and build nothing the coordinator already has. Compiled
-/// scopes are not snapshotted: the partitioned scope itself is shared by
-/// reference, and scopes nested under it compile per worker, against the
-/// global plan cache.
+/// Everything a pool worker needs to build its evaluation context: the
+/// evaluation's [`QueryShared`] state, by reference, plus snapshots of the
+/// coordinator's caches (hash indexes, distinct estimates, selections), so
+/// workers start warm and build nothing the coordinator already has.
+/// Compiled scopes are not snapshotted: the partitioned scope itself is
+/// shared by reference, and scopes nested under it compile per worker,
+/// against the global plan cache.
 pub(crate) struct WorkerSeed<'a> {
-    catalog: &'a Catalog,
-    conv: Conventions,
-    defined: &'a HashMap<String, Relation>,
-    abstracts: &'a HashMap<String, Collection>,
-    redirect: Option<super::Redirect<'a>>,
-    /// The coordinator's join-key hasher: workers probe indexes it built.
-    hash_state: RandomState,
+    shared: &'a QueryShared<'a>,
     join_indexes: HashMap<(usize, Vec<usize>), Arc<HashIndex>>,
     distinct_estimates: HashMap<(usize, Vec<usize>), usize>,
     selections: HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>,
-    /// Shared (not snapshot) semi-join build cache: workers and the
-    /// coordinator probe — and lazily populate — the *same* build sets
-    /// through the `Arc`, so a decorrelated scope builds its key set once
-    /// per evaluation, not once per worker.
-    semi_builds: super::semijoin::SemiBuildCache,
-    /// Whether workers record wall times (the coordinator's trace knob).
-    trace: bool,
-    /// Shared (not snapshot) profile sink: every worker's morsel tallies
-    /// merge into the coordinator's profile.
-    profile: Option<arc_trace::ProfileSink>,
-    /// Shared span sink: workers append morsel spans into their own lane
-    /// ring buffers (lane = pool claim order, assigned at worker init).
-    spans: Option<arc_trace::SpanSink>,
-    /// Shared query guard: workers observe the same trip flag and charge
-    /// the same memory accountant as the coordinator.
-    guard: Option<Arc<QueryGuard>>,
 }
 
 impl<'a> WorkerSeed<'a> {
-    /// A per-morsel evaluation context. `threads` is pinned to 1: nested
-    /// scopes inside a worker run sequentially (the scope above them is
-    /// already saturating the pool).
-    fn ctx(&self) -> Ctx<'a> {
-        Ctx {
-            catalog: self.catalog,
-            conv: self.conv,
-            threads: 1,
-            defined: self.defined,
-            abstracts: self.abstracts,
-            redirect: self.redirect,
-            hash_state: self.hash_state.clone(),
-            join_indexes: RefCell::new(self.join_indexes.clone()),
-            distinct_estimates: RefCell::new(self.distinct_estimates.clone()),
-            scopes: RefCell::new(HashMap::new()),
-            selections: RefCell::new(self.selections.clone()),
-            semi_builds: self.semi_builds.clone(),
-            probe_key: RefCell::new(Vec::new()),
-            trace: self.trace,
-            profile: self.profile.clone(),
-            spans: self.spans.clone(),
-            lane: 0,
-            guard: self.guard.clone(),
-            guard_tick: Cell::new(0),
-        }
+    /// The context of the worker on `lane`. Its `threads` is pinned to 1:
+    /// nested scopes inside a worker run sequentially (the scope above
+    /// them is already saturating the pool).
+    fn ctx(&self, opts: QueryOptions, lane: usize) -> Ctx<'a> {
+        let mut ctx = Ctx::new(QueryOptions { threads: 1, ..opts }, self.shared);
+        ctx.lane = lane;
+        *ctx.join_indexes.get_mut() = self.join_indexes.clone();
+        *ctx.distinct_estimates.get_mut() = self.distinct_estimates.clone();
+        *ctx.selections.get_mut() = self.selections.clone();
+        ctx
     }
 }
 
@@ -129,7 +88,7 @@ struct WorkerState<'a> {
 impl Drop for WorkerState<'_> {
     fn drop(&mut self) {
         if self.morsels > 0 {
-            if let Some(sink) = &self.ctx.profile {
+            if let Some(sink) = &self.ctx.shared.profile {
                 sink.record_lane(self.lane, self.morsels, self.busy_nanos);
             }
         }
@@ -146,20 +105,10 @@ pub(crate) type EachFn<'f, 'a, T> =
 impl<'a> Ctx<'a> {
     fn worker_seed(&self) -> WorkerSeed<'a> {
         WorkerSeed {
-            catalog: self.catalog,
-            conv: self.conv,
-            defined: self.defined,
-            abstracts: self.abstracts,
-            redirect: self.redirect,
-            hash_state: self.hash_state.clone(),
+            shared: self.shared,
             join_indexes: self.join_indexes.borrow().clone(),
             distinct_estimates: self.distinct_estimates.borrow().clone(),
             selections: self.selections.borrow().clone(),
-            semi_builds: self.semi_builds.clone(),
-            trace: self.trace,
-            profile: self.profile.clone(),
-            spans: self.spans.clone(),
-            guard: self.guard.clone(),
         }
     }
 
@@ -197,7 +146,7 @@ impl<'a> Ctx<'a> {
         each: &EachFn<'_, 'a, T>,
         out: &mut Vec<T>,
     ) -> Result<bool> {
-        if self.threads <= 1 {
+        if self.opts.threads <= 1 {
             return Ok(false);
         }
         let Pipeline::Steps(pipeline) = &sc.pipeline else {
@@ -228,22 +177,23 @@ impl<'a> Ctx<'a> {
         // a partitioned profile is count-identical to the sequential one.
         let scope_id = sc.id;
         let coord = self
+            .shared
             .profile
             .as_ref()
             .map(|_| ScopeTally::new(scope_id, steps.len()));
-        let start = (self.trace && coord.is_some()).then(Instant::now);
+        let start = (self.opts.trace && coord.is_some()).then(Instant::now);
         // Coordinator scope span: covers the prelude, the shared builds,
         // and the whole scatter/gather. Worker morsel spans nest under it
         // on the timeline (their lanes render as separate tracks).
-        let scope_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
+        let scope_span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
 
         // Prelude filters see only outer variables: evaluate once here,
         // not once per morsel.
         if !self.all_true(&pipeline.prelude, env)? {
-            if let (Some(t), Some(sink)) = (&coord, &self.profile) {
+            if let (Some(t), Some(sink)) = (&coord, &self.shared.profile) {
                 t.flush(sink, true);
             }
-            if let (Some(sink), Some(t0)) = (&self.spans, scope_span) {
+            if let (Some(sink), Some(t0)) = (&self.shared.spans, scope_span) {
                 sink.complete(
                     self.lane,
                     arc_trace::SpanKind::Scope,
@@ -265,13 +215,13 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        let seed = self.worker_seed();
+        let (seed, opts) = (self.worker_seed(), self.opts);
         // Workers see the frames of this scope under its own layout.
         let outer_env = env.with_layout(&sc.layout, |env| env.clone());
         // Chunk-aligned morsels: a morsel covers whole column chunks, so a
         // worker's selection walk never straddles a chunk another worker
         // owns. Ordered gather is untouched (invariant 9).
-        let morsels = Morsels::aligned(total, self.threads, arc_core::column::CHUNK_ROWS);
+        let morsels = Morsels::aligned(total, self.opts.threads, arc_core::column::CHUNK_ROWS);
         // One forked context per participating worker (not per morsel —
         // forking clones the cache snapshots); each morsel still gets a
         // fresh clone of the outer environment because an error can
@@ -282,14 +232,13 @@ impl<'a> Ctx<'a> {
         let lanes = AtomicUsize::new(0);
         let results = run_morsels_guarded(
             WorkerPool::global(),
-            self.threads,
+            self.opts.threads,
             morsels,
-            self.guard.as_deref(),
+            self.shared.guard.as_deref(),
             || {
                 let lane = lanes.fetch_add(1, Ordering::Relaxed);
-                let mut ctx = seed.ctx();
-                ctx.lane = lane;
-                if let Some(sink) = &ctx.spans {
+                let ctx = seed.ctx(opts, lane);
+                if let Some(sink) = &ctx.shared.spans {
                     sink.touch(lane); // name the track even if every span drops
                 }
                 WorkerState {
@@ -304,11 +253,12 @@ impl<'a> Ctx<'a> {
                 let mut morsel_out = Vec::new();
                 let tally = st
                     .ctx
+                    .shared
                     .profile
                     .as_ref()
                     .map(|_| ScopeTally::new(scope_id, steps.len()));
-                let mstart = (st.ctx.trace && tally.is_some()).then(Instant::now);
-                let mspan = st.ctx.spans.as_ref().and_then(|s| s.start(st.lane));
+                let mstart = (st.ctx.opts.trace && tally.is_some()).then(Instant::now);
+                let mspan = st.ctx.shared.spans.as_ref().and_then(|s| s.start(st.lane));
                 let r = st
                     .ctx
                     .scan_partition(
@@ -320,7 +270,7 @@ impl<'a> Ctx<'a> {
                         &mut |c, e| each(c, e, &mut morsel_out),
                     )
                     .map(|()| morsel_out);
-                if let (Some(sink), Some(t0)) = (&st.ctx.spans, mspan) {
+                if let (Some(sink), Some(t0)) = (&st.ctx.shared.spans, mspan) {
                     sink.complete(
                         st.lane,
                         arc_trace::SpanKind::Morsel,
@@ -332,19 +282,19 @@ impl<'a> Ctx<'a> {
                 if let Some(s) = mstart {
                     st.busy_nanos += s.elapsed().as_nanos() as u64;
                 }
-                if let (Some(t), Some(sink)) = (&tally, &st.ctx.profile) {
+                if let (Some(t), Some(sink)) = (&tally, &st.ctx.shared.profile) {
                     t.flush(sink, false);
                 }
                 r
             },
         );
-        if let (Some(t), Some(sink)) = (&coord, &self.profile) {
+        if let (Some(t), Some(sink)) = (&coord, &self.shared.profile) {
             if let Some(s) = start {
                 t.add_nanos(s.elapsed().as_nanos() as u64);
             }
             t.flush(sink, true);
         }
-        if let (Some(sink), Some(t0)) = (&self.spans, scope_span) {
+        if let (Some(sink), Some(t0)) = (&self.shared.spans, scope_span) {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::Scope,
@@ -364,6 +314,7 @@ impl<'a> Ctx<'a> {
                 Some(r) => out.extend(r?),
                 None => {
                     let trip = self
+                        .shared
                         .guard
                         .as_ref()
                         .and_then(|g| g.trip_cause())

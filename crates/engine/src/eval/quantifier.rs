@@ -467,17 +467,18 @@ impl<'a> Ctx<'a> {
     ) -> Result<()> {
         // Span seam: one scope span per enumeration call. `start` reads no
         // clock when spans are off or the lane buffer is full.
-        let span = self.spans.as_ref().and_then(|s| s.start(self.lane));
+        let span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
         // Profiling: a local tally per enumeration call, keyed by the
         // binding-slice address — the identity `arc_plan::scope_identity`
         // stamps on the lowered plan, so `EXPLAIN ANALYZE` can join the
         // actuals back to the tree. Created before the prelude so a
         // prelude-empty call still counts as one scope invocation.
         let tally = self
+            .shared
             .profile
             .as_ref()
             .map(|_| ScopeTally::new(scope, pipeline.steps.len()));
-        let start = (self.trace && tally.is_some()).then(std::time::Instant::now);
+        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
         let run = Run {
             scope,
             pipeline,
@@ -490,13 +491,13 @@ impl<'a> Ctx<'a> {
             Ok(true) => self.enumerate_rec(&run, 0, env, cb),
             Err(e) => Err(e),
         };
-        if let (Some(t), Some(sink)) = (&tally, &self.profile) {
+        if let (Some(t), Some(sink)) = (&tally, &self.shared.profile) {
             if let Some(s) = start {
                 t.add_nanos(s.elapsed().as_nanos() as u64);
             }
             t.flush(sink, true);
         }
-        if let (Some(sink), Some(t0)) = (&self.spans, span) {
+        if let (Some(sink), Some(t0)) = (&self.shared.spans, span) {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::Scope,
@@ -539,11 +540,11 @@ impl<'a> Ctx<'a> {
         ) {
             return None;
         }
-        let start = self.trace.then(std::time::Instant::now);
+        let start = self.opts.trace.then(std::time::Instant::now);
         let index = Arc::new(HashIndex::build(
             &rel.rows,
             &plan.key_cols,
-            &self.hash_state,
+            &self.shared.hash_state,
         ));
         metrics::hash_builds().inc();
         if let Some(s) = start {
@@ -584,7 +585,7 @@ impl<'a> Ctx<'a> {
         } else {
             self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24)
         };
-        let start = self.trace.then(std::time::Instant::now);
+        let start = self.opts.trace.then(std::time::Instant::now);
         let sel = Arc::new(if columnar {
             ob.compute_selection(rel)
         } else {
@@ -613,7 +614,7 @@ impl<'a> Ctx<'a> {
         if let Some(index) = ob.index.get() {
             return Some(index);
         }
-        let start = (self.trace && tally.is_some()).then(std::time::Instant::now);
+        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
         let built = self.join_index(plan, rel)?;
         let index = ob.index.get_or_init(|| built);
         if let (Some(s), Some(t)) = (start, tally) {
@@ -634,7 +635,7 @@ impl<'a> Ctx<'a> {
         if let Some(sel) = ob.selection.get() {
             return Some(sel);
         }
-        let start = (self.trace && tally.is_some()).then(std::time::Instant::now);
+        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
         let built = self.scan_selection(rel, ob)?;
         let sel = ob.selection.get_or_init(|| built);
         if let (Some(s), Some(t)) = (start, tally) {
@@ -647,7 +648,7 @@ impl<'a> Ctx<'a> {
     /// component is `NULL`/`NaN` (no row can match). Hashes the values
     /// where they are; no key is assembled.
     pub(crate) fn key_hash(&self, exprs: &[CScalar<'a>], env: &Env<'a>) -> Result<Option<u64>> {
-        let mut h = self.hash_state.build_hasher();
+        let mut h = self.shared.hash_state.build_hasher();
         for e in exprs {
             match self.scalar(e, env)?.join_key_ref() {
                 Some(k) => k.hash(&mut h),
@@ -805,7 +806,7 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
         cb: &mut EnvFn<'_, 'a>,
     ) -> Result<bool> {
-        match &self.spans {
+        match &self.shared.spans {
             Some(sink) if i < run.pipeline.steps.len() => {
                 let span = sink.start(self.lane);
                 let res = self.enumerate_rec_inner(run, i, env, cb);

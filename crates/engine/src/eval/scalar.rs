@@ -59,7 +59,7 @@ impl Ctx<'_> {
     /// `Unknown` collapse.
     pub(crate) fn compare(&self, l: &Value, op: CmpOp, r: &Value) -> Truth {
         let t = cmp_truth(l, op, r);
-        match self.conv.null_logic {
+        match self.shared.conv.null_logic {
             NullLogic::ThreeValued => t,
             NullLogic::TwoValued => {
                 if t == Truth::Unknown {

@@ -601,7 +601,7 @@ impl<'a> Ctx<'a> {
     /// The name binding `b` reads: the one it spells, unless this
     /// evaluation [redirects](super::Redirect) it.
     fn source_name(&self, b: &Binding, name: &'a str) -> &'a str {
-        match self.redirect {
+        match self.shared.redirect {
             Some(redirect) if std::ptr::eq(redirect.binding, b) => redirect.name,
             _ => name,
         }
@@ -616,13 +616,16 @@ impl<'a> Ctx<'a> {
     /// abstract definitions, which shadow externals.
     pub(crate) fn resolve_named(&self, b: &Binding, name: &'a str) -> Result<Resolved<'a>> {
         let name = self.source_name(b, name);
-        if let Some(rel) = self.defined.get(name) {
+        if let Some(rel) = self.shared.defined.get(name) {
             Ok(Resolved::Rel(rel, None))
-        } else if let Some(rel) = self.catalog.relation(name) {
-            Ok(Resolved::Rel(rel, self.catalog.stats(name).map(|s| &**s)))
-        } else if let Some(def) = self.abstracts.get(name) {
+        } else if let Some(rel) = self.shared.catalog.relation(name) {
+            Ok(Resolved::Rel(
+                rel,
+                self.shared.catalog.stats(name).map(|s| &**s),
+            ))
+        } else if let Some(def) = self.shared.abstracts.get(name) {
             Ok(Resolved::Abs(def))
-        } else if let Some(ext) = self.catalog.external(name) {
+        } else if let Some(ext) = self.shared.catalog.external(name) {
             Ok(Resolved::Ext(ext))
         } else {
             Err(EvalError::UnknownRelation(name.to_string()))
@@ -699,8 +702,8 @@ impl<'a> Ctx<'a> {
         // evaluation re-plans instead of serving a plan shaped by the old
         // statistics (`tests/plan_cache.rs` phase 5). Only a run of the
         // planner is recorded as a plan span.
-        let plan_span = self.spans.as_ref().and_then(|s| s.start(self.lane));
-        let (plan, planned) = cache::scope_plan(&spec, self.catalog.stats_epoch(), boolean)
+        let plan_span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
+        let (plan, planned) = cache::scope_plan(&spec, self.shared.catalog.stats_epoch(), boolean)
             // Map planner failures onto the precise source-kind diagnostics.
             .map_err(|e| {
                 let PlanError::Unplaceable { binding } = e;
@@ -729,7 +732,7 @@ impl<'a> Ctx<'a> {
                     )),
                 }
             })?;
-        if let (true, Some(sink), Some(t0)) = (planned, &self.spans, plan_span) {
+        if let (true, Some(sink), Some(t0)) = (planned, &self.shared.spans, plan_span) {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::Plan,

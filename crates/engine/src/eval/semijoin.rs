@@ -55,10 +55,10 @@
 //! the build ran — the plan cache keys plans by shape, so two scopes of
 //! one evaluation that differ only in a constant are served the same
 //! `Arc` — and the plan says under which access paths (one scope may
-//! compile under several layouts). The cache itself sits behind an
-//! `Arc<Mutex<…>>` shared with every worker context the parallel
-//! executor forks — all workers probe the *same* build instead of each
-//! re-building.
+//! compile under several layouts). The cache itself is a mutex in the
+//! evaluation's shared state, which every worker context the parallel
+//! executor forks points at — all workers probe the *same* build instead
+//! of each re-building.
 //!
 //! Both halves of the key are addresses, and both are pinned for the
 //! cache's lifetime, which is one evaluation: the scope identity
@@ -179,20 +179,18 @@ pub(crate) struct SemiEntry {
 
 /// Build-once cache of decorrelated scopes: a list of entries, newest
 /// first, one per [`BuildKey`] — an evaluation has a handful, so a walk
-/// is as fast as a hash and costs one allocation per build. The shared
-/// head comes into being with its first use — or its first clone, which
-/// must share it — so an evaluation without a decorrelated scope
-/// allocates none.
+/// is as fast as a hash and costs one allocation per build. It lives in
+/// the evaluation's shared state, so the coordinator and every worker
+/// lock the same list, and an evaluation without a decorrelated scope
+/// allocates nothing for it.
 #[derive(Default)]
-pub(crate) struct SemiBuildCache(std::sync::OnceLock<SharedBuilds>);
+pub(crate) struct SemiBuildCache(Mutex<Head>);
 
 /// *(scope identity, address of the — pinned, see [`SemiEntry`] — build
 /// plan)*.
 type BuildKey = (usize, usize);
 
 type Head = Option<Arc<SemiEntry>>;
-
-type SharedBuilds = Arc<Mutex<Head>>;
 
 /// The entry for `key` in the list starting at `head`.
 fn find(head: &Head, key: BuildKey) -> Option<&Arc<SemiEntry>> {
@@ -206,17 +204,7 @@ fn find(head: &Head, key: BuildKey) -> Option<&Arc<SemiEntry>> {
     None
 }
 
-impl Clone for SemiBuildCache {
-    fn clone(&self) -> Self {
-        SemiBuildCache(std::sync::OnceLock::from(self.shared().clone()))
-    }
-}
-
 impl SemiBuildCache {
-    fn shared(&self) -> &SharedBuilds {
-        self.0.get_or_init(SharedBuilds::default)
-    }
-
     /// Lock the cache, **recovering** from a poisoned mutex (a worker
     /// panicked mid-insert): the poison is cleared — so later locks take
     /// the fast path again — and the list is emptied, because a build
@@ -224,9 +212,8 @@ impl SemiBuildCache {
     /// Build-once is an optimization; dropping entries costs a rebuild,
     /// never correctness.
     fn lock(&self) -> std::sync::MutexGuard<'_, Head> {
-        let shared = self.shared();
-        shared.lock().unwrap_or_else(|poisoned| {
-            shared.clear_poison();
+        self.0.lock().unwrap_or_else(|poisoned| {
+            self.0.clear_poison();
             let mut head = poisoned.into_inner();
             *head = None;
             head
@@ -321,7 +308,7 @@ impl<'a> Ctx<'a> {
         if hit {
             metrics::semi_hits().inc();
         }
-        if let Some(sink) = &self.profile {
+        if let Some(sink) = &self.shared.profile {
             // Probe-side actuals on the semi-join pseudo-step: one call
             // per probed outer row, one output row per hit.
             sink.merge_op(
@@ -369,7 +356,7 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
     ) -> Result<Arc<SemiEntry>> {
         let cache_key = (sc.id, Arc::as_ptr(&build.plan) as usize);
-        if let Some(entry) = self.semi_builds.get(cache_key) {
+        if let Some(entry) = self.shared.semi_builds.get(cache_key) {
             return Ok(entry);
         }
         // Admission: the key set, estimated from the largest source
@@ -380,12 +367,15 @@ impl<'a> Ctx<'a> {
             arc_guard::seam::SEMI_BUILD,
             semi.est_rows * (48 + 24 * semi.keys.as_slice().len()),
         ) {
-            return Ok(self.semi_builds.publish(cache_key, &build.plan, None));
+            return Ok(self
+                .shared
+                .semi_builds
+                .publish(cache_key, &build.plan, None));
         }
         metrics::semi_builds().inc();
         let base = env.len();
-        let start = self.trace.then(std::time::Instant::now);
-        let span = self.spans.as_ref().and_then(|s| s.start(self.lane));
+        let start = self.opts.trace.then(std::time::Instant::now);
+        let span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
         let built = match env.with_layout(&sc.layout, |env| self.run_build(sc, semi, build, env)) {
             Ok(built) => Some(built),
             Err(_) => {
@@ -399,7 +389,7 @@ impl<'a> Ctx<'a> {
         if build_nanos > 0 {
             metrics::semi_build_time().record_nanos(build_nanos);
         }
-        if let (Some(sink), Some(t0)) = (&self.spans, span) {
+        if let (Some(sink), Some(t0)) = (&self.shared.spans, span) {
             sink.complete(
                 self.lane,
                 arc_trace::SpanKind::SemiBuild,
@@ -407,7 +397,7 @@ impl<'a> Ctx<'a> {
                 t0,
             );
         }
-        if let Some(sink) = &self.profile {
+        if let Some(sink) = &self.shared.profile {
             // Build-side actuals on the semi-join pseudo-step: the key
             // set's cardinality (what `est=` on the semi-join line
             // estimated) and the build's wall time.
@@ -420,7 +410,10 @@ impl<'a> Ctx<'a> {
                 },
             );
         }
-        Ok(self.semi_builds.publish(cache_key, &build.plan, built))
+        Ok(self
+            .shared
+            .semi_builds
+            .publish(cache_key, &build.plan, built))
     }
 
     /// Evaluate the build pipeline once, collecting the correlated-key
@@ -459,6 +452,7 @@ impl<'a> Ctx<'a> {
         // renders them on the `build (once)` subtree); the columnar fast
         // path above bypasses the row pipeline and leaves those est-only.
         let tally = self
+            .shared
             .profile
             .as_ref()
             .map(|_| ScopeTally::new(sc.id, build.steps.len()));
@@ -499,7 +493,7 @@ impl<'a> Ctx<'a> {
             }
             Ok(true)
         })?;
-        if let (Some(t), Some(sink)) = (&tally, &self.profile) {
+        if let (Some(t), Some(sink)) = (&tally, &self.shared.profile) {
             t.flush(sink, true);
         }
         Ok(built)
@@ -596,17 +590,18 @@ mod tests {
     #[test]
     fn poisoned_semi_build_cache_recovers_empty() {
         let cache = SemiBuildCache::default();
-        let clone = cache.clone();
-        std::thread::spawn(move || {
-            let _guard = clone.shared().lock().unwrap();
-            panic!("worker panicked mid-insert");
-        })
-        .join()
-        .unwrap_err();
-        assert!(cache.shared().is_poisoned());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.0.lock().unwrap();
+                panic!("worker panicked mid-insert");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(cache.0.is_poisoned());
         // Recovery empties the list (builds re-run — an optimization
         // loss, never a correctness one) and clears the poison bit.
         assert!(cache.lock().is_none());
-        assert!(!cache.shared().is_poisoned(), "recovery clears the poison");
+        assert!(!cache.0.is_poisoned(), "recovery clears the poison");
     }
 }

@@ -24,7 +24,7 @@
 use crate::catalog::Catalog;
 use crate::error::{EvalError, Result};
 use crate::eval::Engine;
-use crate::fixpoint::ProgramOutput;
+use crate::fixpoint::{FixpointStrategy, ProgramOutput};
 use crate::relation::Relation;
 use arc_core::ast::{Collection, Program};
 use arc_core::binder::Binder;
@@ -125,25 +125,24 @@ impl Engine<'_> {
     /// build-side operators above it may degrade to streaming fallbacks
     /// at run time.
     pub fn explain_collection(&self, c: &Collection) -> Result<String> {
-        let (plan, threads) = self.lowered_collection(c)?;
+        let opts = self.options()?;
+        let plan = self.lowered_collection(c)?;
         Ok(arc_plan::render_governed(
             &plan,
-            threads,
-            self.mem_budget()?,
+            opts.threads,
+            opts.mem_budget,
         ))
     }
 
     /// Lower a standalone collection exactly as [`Self::explain_collection`]
-    /// would, returning the plan tree plus the resolved thread count.
-    fn lowered_collection(&self, c: &Collection) -> Result<(PlanNode, usize)> {
-        let threads = self.threads()?;
+    /// would.
+    fn lowered_collection(&self, c: &Collection) -> Result<PlanNode> {
         let resolver = CatalogResolver {
             catalog: self.catalog,
             defined: HashMap::new(),
             abstracts: HashMap::new(),
         };
-        let plan = arc_plan::lower_collection(c, &resolver).map_err(lower_err)?;
-        Ok((plan, threads))
+        arc_plan::lower_collection(c, &resolver).map_err(lower_err)
     }
 
     /// Render the physical plan of a whole program as text: definitions in
@@ -152,18 +151,17 @@ impl Engine<'_> {
     /// Like [`Engine::explain_collection`], a memory budget appends the
     /// `governance:` degradation note.
     pub fn explain_program(&self, p: &Program) -> Result<String> {
-        let (plan, threads) = self.lowered_program(p)?;
+        let opts = self.options()?;
+        let plan = self.lowered_program(p)?;
         Ok(arc_plan::render_governed(
             &plan,
-            threads,
-            self.mem_budget()?,
+            opts.threads,
+            opts.mem_budget,
         ))
     }
 
-    /// Lower a whole program exactly as [`Self::explain_program`] would,
-    /// returning the plan tree plus the resolved thread count.
-    fn lowered_program(&self, p: &Program) -> Result<(PlanNode, usize)> {
-        let threads = self.threads()?;
+    /// Lower a whole program exactly as [`Self::explain_program`] would.
+    fn lowered_program(&self, p: &Program) -> Result<PlanNode> {
         // Classify abstract definitions via the binder, mirroring
         // `materialize_definitions`.
         let abstract_names = Binder::new().abstract_definitions(p);
@@ -187,8 +185,7 @@ impl Engine<'_> {
             defined,
             abstracts,
         };
-        let plan = arc_plan::lower_program(p, &resolver).map_err(lower_err)?;
-        Ok((plan, threads))
+        arc_plan::lower_program(p, &resolver).map_err(lower_err)
     }
 
     /// Evaluate a standalone collection while recording a per-operator
@@ -201,7 +198,7 @@ impl Engine<'_> {
     /// to enable clock reads.
     pub fn profile_collection(&self, c: &Collection) -> Result<(Relation, QueryProfile)> {
         let sink = ProfileSink::new();
-        let rel = self.with_sink(sink.clone()).eval_collection(c)?;
+        let rel = self.collection_recorded(c, Some(sink.clone()), None)?;
         Ok((rel, sink.finish()))
     }
 
@@ -211,7 +208,8 @@ impl Engine<'_> {
     /// [`Engine::profile_collection`] for what the trace knob adds.
     pub fn profile_program(&self, p: &Program) -> Result<(ProgramOutput, QueryProfile)> {
         let sink = ProfileSink::new();
-        let out = self.with_sink(sink.clone()).eval_program(p)?;
+        let out =
+            self.program_recorded(p, FixpointStrategy::default(), Some(sink.clone()), None)?;
         Ok((out, sink.finish()))
     }
 
@@ -230,9 +228,9 @@ impl Engine<'_> {
         &self,
         c: &Collection,
     ) -> Result<(Relation, arc_core::json::Json)> {
-        let sink = arc_trace::SpanSink::with_lanes(self.threads()?);
-        let rel = self.with_span_sink(sink.clone()).eval_collection(c)?;
-        let (plan, _) = self.lowered_collection(c)?;
+        let sink = arc_trace::SpanSink::with_lanes(self.options()?.threads);
+        let rel = self.collection_recorded(c, None, Some(sink.clone()))?;
+        let plan = self.lowered_collection(c)?;
         let trace = sink.finish();
         let json = chrome_trace_with_plan(&trace, &arc_plan::render(&plan), &plan);
         Ok((rel, json))
@@ -243,9 +241,10 @@ impl Engine<'_> {
     /// (fixpoint iterations included) plus the query, under a single
     /// enclosing `query` span.
     pub fn span_trace_program(&self, p: &Program) -> Result<(ProgramOutput, arc_core::json::Json)> {
-        let sink = arc_trace::SpanSink::with_lanes(self.threads()?);
-        let out = self.with_span_sink(sink.clone()).eval_program(p)?;
-        let (plan, _) = self.lowered_program(p)?;
+        let sink = arc_trace::SpanSink::with_lanes(self.options()?.threads);
+        let out =
+            self.program_recorded(p, FixpointStrategy::default(), None, Some(sink.clone()))?;
+        let plan = self.lowered_program(p)?;
         let trace = sink.finish();
         let json = chrome_trace_with_plan(&trace, &arc_plan::render(&plan), &plan);
         Ok((out, json))
@@ -259,10 +258,12 @@ impl Engine<'_> {
     /// trace knob enables clock reads.
     pub fn explain_analyze_collection(&self, c: &Collection) -> Result<String> {
         let (_, profile) = self.profile_collection(c)?;
-        let (plan, threads) = self.lowered_collection(c)?;
-        Ok(arc_plan::render_analyze(&plan, threads, &|id| {
-            profile.op(id).copied()
-        }))
+        let plan = self.lowered_collection(c)?;
+        Ok(arc_plan::render_analyze(
+            &plan,
+            self.options()?.threads,
+            &|id| profile.op(id).copied(),
+        ))
     }
 
     /// `EXPLAIN ANALYZE` for a whole program: evaluate it with profiling,
@@ -272,9 +273,11 @@ impl Engine<'_> {
     /// renderer's per-call normalization divides by `calls`.
     pub fn explain_analyze_program(&self, p: &Program) -> Result<String> {
         let (_, profile) = self.profile_program(p)?;
-        let (plan, threads) = self.lowered_program(p)?;
-        Ok(arc_plan::render_analyze(&plan, threads, &|id| {
-            profile.op(id).copied()
-        }))
+        let plan = self.lowered_program(p)?;
+        Ok(arc_plan::render_analyze(
+            &plan,
+            self.options()?.threads,
+            &|id| profile.op(id).copied(),
+        ))
     }
 }

@@ -1,7 +1,7 @@
 //! **External relations** (paper §2.13.1): relations whose semantics come
 //! from outside the relational core — arithmetic, comparisons, string
 //! operators — with possibly infinite extensions, accessed through
-//! **access patterns** (Guagliardo et al., cited as [35] in the paper).
+//! **access patterns** (Guagliardo et al., cited as \[35\] in the paper).
 //!
 //! An access pattern names the attribute positions that must be *bound*
 //! before the relation can be enumerated; the pattern's function then

@@ -17,9 +17,9 @@
 //!
 //! Every member of a recursive SCC keeps one **total** — its entry in the
 //! `defined` map, appended in place — and one **seen set** over the
-//! total's rows ([`SeenRows`]), filled from the seed. A round evaluates the
+//! total's rows (`SeenRows`), filled from the seed. A round evaluates the
 //! member's *delta variants* (the rule once per recursive binding
-//! occurrence, that occurrence [redirected](Redirect) to last round's
+//! occurrence, that occurrence redirected (`Redirect`) to last round's
 //! delta) and streams the
 //! rows they derive through the seen set: a row not derived before joins
 //! the new delta. That single pass is the union of the variants, its
@@ -33,17 +33,16 @@
 
 use crate::error::{EvalError, Result};
 use crate::eval::quantifier::KeySlots;
-use crate::eval::{Engine, Redirect};
+use crate::eval::{Engine, Entry, Redirect};
 use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::binder::Binder;
 use arc_core::conventions::Semantics;
 use arc_core::value::Value;
-use arc_guard::{seam, QueryGuard};
+use arc_guard::seam;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::Arc;
 
 /// Fixpoint iteration cap (each iteration must add at least one tuple, so
 /// this bounds derivable-set growth, not wall-clock time).
@@ -81,41 +80,43 @@ impl Engine<'_> {
         p: &Program,
         strategy: FixpointStrategy,
     ) -> Result<ProgramOutput> {
+        self.program_recorded(p, strategy, None, None)
+    }
+
+    /// [`Engine::eval_program_with`] recording into the given sinks (the
+    /// `profile_*` and `span_trace_*` entry points).
+    pub(crate) fn program_recorded(
+        &self,
+        p: &Program,
+        strategy: FixpointStrategy,
+        profile: Option<arc_trace::ProfileSink>,
+        spans: Option<arc_trace::SpanSink>,
+    ) -> Result<ProgramOutput> {
         // One latency sample — and, when a span sink is attached, one
         // enclosing `query` span — for the whole program: definitions,
         // fixpoints, and the final query count as a single engine entry.
-        // The guard is likewise program-scoped: one deadline and one
+        // The entry is likewise program-scoped: one deadline and one
         // budget cover every stratum and fixpoint round.
-        self.contained(|| {
-            let guard = self.make_guard()?;
-            let timer = crate::eval::QueryTimer::start(self.span_sink.as_ref());
-            let out = (|| {
-                let (defined, abstracts) =
-                    self.materialize_definitions(p, strategy, guard.as_ref())?;
-                let query = match &p.query {
-                    Some(q) => {
-                        Some(self.eval_with(q, &defined, &abstracts, guard.as_ref(), None)?)
-                    }
-                    None => None,
-                };
-                Ok(ProgramOutput {
-                    defined: defined.into_iter().collect(),
-                    query,
-                })
-            })();
-            timer.finish(self.span_sink.as_ref());
-            out
+        self.entered(profile, spans, |entry| {
+            let (defined, abstracts) = self.materialize_definitions(p, strategy, entry)?;
+            let query = match &p.query {
+                Some(q) => Some(self.eval_with(q, &defined, &abstracts, entry, None)?),
+                None => None,
+            };
+            Ok(ProgramOutput {
+                defined: defined.into_iter().collect(),
+                query,
+            })
         })
     }
 
     /// Evaluate a boolean sentence in the context of a program's
     /// definitions.
     pub fn eval_sentence_in(&self, p: &Program, f: &Formula) -> Result<arc_core::value::Truth> {
-        self.contained(|| {
-            let guard = self.make_guard()?;
+        self.entered(None, None, |entry| {
             let (defined, abstracts) =
-                self.materialize_definitions(p, FixpointStrategy::default(), guard.as_ref())?;
-            self.eval_sentence_with(f, &defined, &abstracts, guard.as_ref())
+                self.materialize_definitions(p, FixpointStrategy::default(), entry)?;
+            self.eval_sentence_with(f, &defined, &abstracts, entry)
         })
     }
 
@@ -123,7 +124,7 @@ impl Engine<'_> {
         &self,
         p: &Program,
         strategy: FixpointStrategy,
-        guard: Option<&Arc<QueryGuard>>,
+        entry: &Entry,
     ) -> Result<(HashMap<String, Relation>, HashMap<String, Collection>)> {
         // Classify abstract definitions via the binder (open world: the
         // catalog may hold relations the binder does not know about).
@@ -170,11 +171,11 @@ impl Engine<'_> {
             let recursive = scc.len() > 1 || (scc.len() == 1 && deps[scc[0]].contains(&scc[0]));
             if !recursive {
                 let def = safe[scc[0]];
-                let rel = self.eval_with(&def.collection, &defined, &abstracts, guard, None)?;
+                let rel = self.eval_with(&def.collection, &defined, &abstracts, entry, None)?;
                 defined.insert(def.name().to_string(), rel);
                 continue;
             }
-            self.solve_recursive_scc(&scc, &safe, &mut defined, &abstracts, strategy, guard)?;
+            self.solve_recursive_scc(&scc, &safe, &mut defined, &abstracts, strategy, entry)?;
         }
         Ok((defined, abstracts))
     }
@@ -186,7 +187,7 @@ impl Engine<'_> {
         defined: &mut HashMap<String, Relation>,
         abstracts: &HashMap<String, Collection>,
         strategy: FixpointStrategy,
-        guard: Option<&Arc<QueryGuard>>,
+        entry: &Entry,
     ) -> Result<()> {
         let member_names: HashSet<String> =
             scc.iter().map(|&i| safe[i].name().to_string()).collect();
@@ -221,7 +222,7 @@ impl Engine<'_> {
                     // Guard seam: one cooperative check (and fault
                     // window) per fixpoint round, so a runaway recursion
                     // observes its deadline/cancellation between rounds.
-                    crate::eval::guard_check_at(guard, seam::FIXPOINT_ROUND)?;
+                    crate::eval::guard_check_at(entry.guard.as_ref(), seam::FIXPOINT_ROUND)?;
                     if iteration >= MAX_ITERATIONS {
                         return Err(EvalError::FixpointLimit {
                             relation: first_name,
@@ -232,7 +233,7 @@ impl Engine<'_> {
                     for &i in scc {
                         let def = safe[i];
                         let new = self
-                            .eval_with(&def.collection, defined, abstracts, guard, None)?
+                            .eval_with(&def.collection, defined, abstracts, entry, None)?
                             .union(&defined[def.name()])
                             .deduped();
                         let grown = new.len().saturating_sub(defined[def.name()].len());
@@ -241,7 +242,7 @@ impl Engine<'_> {
                             // Derived-set growth has no streaming
                             // fallback: hard-charge it, trip on denial.
                             crate::eval::guard_reserve_hard(
-                                guard,
+                                entry.guard.as_ref(),
                                 grown * new.schema.len().max(1) * 24,
                             )?;
                         }
@@ -269,14 +270,17 @@ impl Engine<'_> {
                 let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
                 for (&i, delta) in scc.iter().zip(&delta_names) {
                     let def = safe[i];
-                    let rows = self.eval_with(&def.collection, defined, abstracts, guard, None)?;
+                    let rows = self.eval_with(&def.collection, defined, abstracts, entry, None)?;
                     let (mut set, mut seed) = (SeenRows::default(), empty(def));
                     for row in rows.rows {
                         if set.insert(&row, &[], &seed.rows) {
                             seed.rows.push(row);
                         }
                     }
-                    crate::eval::guard_reserve_hard(guard, seed.len() * SeenRows::SLOT_BYTES)?;
+                    crate::eval::guard_reserve_hard(
+                        entry.guard.as_ref(),
+                        seed.len() * SeenRows::SLOT_BYTES,
+                    )?;
                     seen.push(set);
                     defined.insert(delta.clone(), seed.clone());
                     defined.insert(def.name().to_string(), seed);
@@ -301,7 +305,7 @@ impl Engine<'_> {
                 for iteration in 0.. {
                     // Guard seam: one cooperative check (and fault
                     // window) per semi-naive round.
-                    crate::eval::guard_check_at(guard, seam::FIXPOINT_ROUND)?;
+                    crate::eval::guard_check_at(entry.guard.as_ref(), seam::FIXPOINT_ROUND)?;
                     if iteration >= MAX_ITERATIONS {
                         return Err(EvalError::FixpointLimit {
                             relation: first_name,
@@ -323,7 +327,7 @@ impl Engine<'_> {
                                 &def.collection,
                                 defined,
                                 abstracts,
-                                guard,
+                                entry,
                                 Some(*variant),
                             )?;
                             let total = &defined[def.name()].rows;
@@ -333,7 +337,10 @@ impl Engine<'_> {
                                 }
                             }
                         }
-                        crate::eval::guard_reserve_hard(guard, new.len() * row_bytes(def))?;
+                        crate::eval::guard_reserve_hard(
+                            entry.guard.as_ref(),
+                            new.len() * row_bytes(def),
+                        )?;
                         fresh.push(new);
                     }
                     // Publish only now: within a round every member reads

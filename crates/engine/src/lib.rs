@@ -67,7 +67,7 @@ pub mod relation;
 pub use catalog::Catalog;
 pub use error::{EvalError, Result};
 pub use eval::semijoin::semi_build_runs;
-pub use eval::Engine;
+pub use eval::{Engine, QueryOptions};
 // Guard vocabulary callers need to drive `Engine::with_fault` /
 // `Engine::cancel_handle` without depending on `arc-guard` directly.
 pub use arc_guard::{seam, CancelHandle, FaultKind, FaultPlan};

@@ -1806,36 +1806,65 @@ mod strategy_equivalence {
 
     #[test]
     fn threads_typo_surfaces_as_engine_error_not_panic() {
-        // A malformed ARC_THREADS fails evaluation with a descriptive
-        // engine error (pure parsing is tested in arc-exec; the env var
-        // itself is racy under parallel tests, so the failure is injected).
+        // A malformed ARC_THREADS fails every entry point with the one
+        // configuration error, naming the variable (pure parsing is tested
+        // in arc-exec and `knobs`; the env var itself is racy under
+        // parallel tests, so the failure is injected). A `with_*` builder
+        // for the same knob does not mask it.
         let msg = arc_exec::parse_threads(Some("many")).unwrap_err();
+        assert!(msg.contains("ARC_THREADS"), "{msg}");
+        let want = EvalError::Config(msg);
         let catalog = join_catalog();
         let mut engine = Engine::new(&catalog, Conventions::sql());
-        engine.set_threads_result(Err(EvalError::Config(msg.clone())));
+        engine.set_options(Err(want.clone()));
+        let engine = engine.with_threads(2);
+        assert_eq!(engine.options(), Err(want.clone()));
         let q = collection(
             "Q",
             &["A"],
             exists(&[bind("r", "R")], and([assign("Q", "A", col("r", "A"))])),
         );
-        let err = engine.eval_collection(&q).unwrap_err();
-        assert_eq!(err, EvalError::Config(msg));
-        assert!(err.to_string().contains("ARC_THREADS"), "{err}");
-        // And explain reports it too (the renderer needs the thread count
-        // for the partition(n) line).
-        assert!(engine.explain_collection(&q).is_err());
+        let s = exists(&[bind("r", "R")], and([eq(col("r", "A"), int(1))]));
+        let p = Program::query(q.clone());
+        let errors = [
+            ("eval_collection", engine.eval_collection(&q).err()),
+            ("eval_sentence", engine.eval_sentence(&s).err()),
+            ("eval_program", engine.eval_program(&p).err()),
+            ("eval_sentence_in", engine.eval_sentence_in(&p, &s).err()),
+            ("explain_collection", engine.explain_collection(&q).err()),
+            ("explain_program", engine.explain_program(&p).err()),
+            (
+                "explain_analyze_collection",
+                engine.explain_analyze_collection(&q).err(),
+            ),
+            (
+                "explain_analyze_program",
+                engine.explain_analyze_program(&p).err(),
+            ),
+            ("profile_collection", engine.profile_collection(&q).err()),
+            ("profile_program", engine.profile_program(&p).err()),
+            (
+                "span_trace_collection",
+                engine.span_trace_collection(&q).err(),
+            ),
+            ("span_trace_program", engine.span_trace_program(&p).err()),
+        ];
+        for (entry, err) in errors {
+            assert_eq!(err.as_ref(), Some(&want), "{entry}");
+        }
     }
 
     #[test]
     fn with_threads_overrides_and_clamps() {
         let catalog = join_catalog();
+        let threads = |e: &Engine<'_>| e.options().map(|o| o.threads);
         let e = Engine::new(&catalog, Conventions::sql()).with_threads(0);
-        assert_eq!(e.threads(), Ok(1));
+        assert_eq!(threads(&e), Ok(1));
         let e = e.with_threads(8);
-        assert_eq!(e.threads(), Ok(8));
+        assert_eq!(threads(&e), Ok(8));
         // An absurd count is clamped, not allowed to exhaust OS threads.
         let e = e.with_threads(500_000);
-        assert_eq!(e.threads(), Ok(arc_exec::MAX_THREADS));
+        assert_eq!(threads(&e), Ok(arc_exec::MAX_THREADS));
     }
 }
 
@@ -2174,10 +2203,16 @@ fn lateral_memo_peak(keys: impl Iterator<Item = i64>) -> (usize, Relation) {
         .with(big)
         .with(ints("T", &["C"], &[&[0], &[1]]));
     let guard = std::sync::Arc::new(arc_guard::QueryGuard::new(None, None, None, None));
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
+    let entry = crate::eval::Entry {
+        opts: engine.options().unwrap(),
+        guard: Some(guard.clone()),
+        profile: None,
+        spans: None,
+    };
     let (defined, abstracts) = Default::default();
-    let out = Engine::new(&catalog, Conventions::sql())
-        .with_threads(1)
-        .eval_with(&q, &defined, &abstracts, Some(&guard), None)
+    let out = engine
+        .eval_with(&q, &defined, &abstracts, &entry, None)
         .unwrap();
     (guard.mem_peak(), out)
 }

@@ -136,7 +136,7 @@ pub enum FaultKind {
 /// Parsed from `ARC_FAULT=seam:N[:panic|budget|cancel]` (kind defaults
 /// to `panic`); visits are counted per query, so the same spec fires at
 /// the same point on every run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The registered seam name (canonicalized via [`seam::lookup`]).
     pub seam: &'static str,

@@ -1,4 +1,4 @@
-//! The higraph data model (paper §2.2, Harel's higraphs [36]):
+//! The higraph data model (paper §2.2, Harel's higraphs \[36\]):
 //! **nesting** captures containment (scopes as regions) and **edges**
 //! capture references (predicates between attribute cells).
 //!

@@ -17,16 +17,16 @@
 //!   planning;
 //! * **globally, keyed by shape** — [`scope_plan`] serves every scope of
 //!   the process, whichever statement it belongs to: two statements whose
-//!   scopes differ only in their constants hash to the same [`PlanKey`]
+//!   scopes differ only in their constants hash to the same `PlanKey`
 //!   and share one plan. Execution and `EXPLAIN` both go through it, so
 //!   `EXPLAIN` shows the plan execution is served.
 //!
 //! ## What the keys contain — and what staleness means
 //!
-//! A [`PlanKey`] is the [`scope_fingerprint`], the catalog's **statistics
+//! A `PlanKey` is the [`scope_fingerprint`], the catalog's **statistics
 //! epoch** and the two role bits. The fingerprint covers,
 //! per binding, the range variable, the kind of source, its **name**, its
-//! schema, its **row count** and the [`Basis`](crate::scope::Basis) of
+//! schema, its **row count** and the [`Basis`] of
 //! the estimator's answers about it; per filter, the predicate's
 //! structure with every attribute reference's outer availability, and
 //! the same for the null guard's equality (what makes a decorrelated
@@ -47,9 +47,11 @@
 //! fingerprint hashes. So nothing the planner can observe about a
 //! constant is missing from the key, and a cached plan is *the* plan a
 //! cold planner run returns for the statement at hand — equal field by
-//! field, not "close enough". (What `EXPLAIN` prints as `est=N` is priced
-//! from the raw fractions, per statement, by
-//! [`estimates`](crate::physical::estimates); no decision reads it.) A
+//! field, not "close enough". What `EXPLAIN` prints as `est=N` is the
+//! plan's own bucketed estimate
+//! ([`Step::estimated_rows`](crate::physical::Step::estimated_rows)), so
+//! `EXPLAIN` is a function of the key too: two constants of one bucket
+//! render the same text. A
 //! plan refers to filters by index, never by value, so the engine derives
 //! probe keys, vectorized kernels and index bounds from the statement's
 //! own filters whichever statement planned the scope first.

@@ -56,8 +56,8 @@ pub use explain::{
 pub use logical::const_cmp;
 pub use normalize::{normalize_collection, normalize_formula};
 pub use physical::{
-    bucketed, decorrelatable_shape, estimates, plan_scope, plan_scope_boolean, planner_runs,
-    Access, CorrelatedKey, Decorrelation, EqInput, Estimates, NullGuard, ProbeKey, ScopePlan, Step,
+    bucketed, decorrelatable_shape, plan_scope, plan_scope_boolean, planner_runs, Access,
+    CorrelatedKey, Decorrelation, EqInput, NullGuard, ProbeKey, ScopePlan, Step,
     INDEX_MAX_FRACTION, PARALLEL_MIN_ROWS, SELECTIVITY_BUCKET_BITS,
 };
 pub use query::{

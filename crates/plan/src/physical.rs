@@ -5,7 +5,7 @@
 //! 1. **equality extraction** ([`crate::logical::extract_equalities`]);
 //! 2. **join ordering** — greedy by estimated cardinality. Estimates are
 //!    statistics-aware when the host supplies a
-//!    [`DistinctEstimator`](crate::scope::DistinctEstimator) backed by
+//!    [`DistinctEstimator`] backed by
 //!    `ANALYZE` sketches: scans shrink by the MCV/histogram selectivity
 //!    of their constant filters, probes divide by correlation-capped
 //!    distinct counts — and without statistics every formula degrades to
@@ -156,9 +156,10 @@ pub struct Step {
     /// Filter indices evaluated as soon as this step's variable binds.
     pub filters: Vec<usize>,
     /// Estimated rows this step contributes per upstream environment, as
-    /// planning priced it — in [`bucketed`] fractions, so it decides
-    /// ([`ScopePlan::partition_axis`]) but is not what `EXPLAIN` shows
-    /// (see [`estimates`]).
+    /// planning priced it — in [`bucketed`] fractions, so it is a function
+    /// of the plan's cache key. It decides
+    /// ([`ScopePlan::partition_axis`]), and it is the `est=N` `EXPLAIN`
+    /// prints: the estimate the plan was built from.
     pub estimated_rows: u64,
 }
 
@@ -301,34 +302,18 @@ pub fn bucketed(raw: f64) -> f64 {
     f64::from_bits((cell << shift) | (1 << (shift - 1)))
 }
 
-/// Which fractions a pricing pass multiplies by.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pricing {
-    /// [`bucketed`] ones: what every planning decision rests on.
-    Plan,
-    /// The statistics' own: what `EXPLAIN` shows ([`estimates`]).
-    Display,
-}
-
 /// The statistics estimator as costing sees it — the one place a
-/// constant-dependent answer enters the planner.
+/// constant-dependent answer enters the planner, always as its
+/// [`bucketed`] fraction.
 #[derive(Clone, Copy)]
 struct Priced<'e> {
     est: &'e dyn DistinctEstimator,
-    pricing: Pricing,
 }
 
 impl Priced<'_> {
-    fn fraction(&self, raw: f64) -> f64 {
-        match self.pricing {
-            Pricing::Plan => bucketed(raw),
-            Pricing::Display => raw,
-        }
-    }
-
     fn selectivity(&self, binding: usize, col: usize, op: CmpOp, value: &Value) -> Option<f64> {
         let raw = self.est.selectivity(binding, col, op, value)?;
-        Some(self.fraction(raw.clamp(0.0, 1.0)))
+        Some(bucketed(raw.clamp(0.0, 1.0)))
     }
 
     fn range_selectivity(
@@ -339,7 +324,7 @@ impl Priced<'_> {
         hi: Option<(CmpOp, &Value)>,
     ) -> Option<f64> {
         let raw = self.est.range_selectivity(binding, col, lo, hi)?;
-        Some(self.fraction(raw))
+        Some(bucketed(raw))
     }
 }
 
@@ -352,10 +337,7 @@ pub(crate) fn each_constant_fraction(spec: &ScopeSpec<'_>, visit: &mut impl FnMu
     let Some(est) = spec.estimator else {
         return;
     };
-    let priced = Priced {
-        est,
-        pricing: Pricing::Plan,
-    };
+    let priced = Priced { est };
     for (bi, b) in spec.bindings.iter().enumerate() {
         let SourceSpec::Relation { schema, .. } = &b.source else {
             continue;
@@ -658,61 +640,17 @@ fn build_spec<'a>(spec: &ScopeSpec<'a>) -> ScopeSpec<'a> {
     }
 }
 
-/// What `EXPLAIN` prints beside a plan's operators: the estimates priced
-/// with the statistics' own fractions. A [`ScopePlan`] carries none of
-/// this — it is a function of [`bucketed`] fractions only, so that it
-/// can be cached and shared — which is why the estimates are re-derived
-/// for the statement at hand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Estimates {
-    /// Estimated rows each step contributes per upstream environment,
-    /// parallel to [`ScopePlan::steps`].
-    pub steps: Vec<u64>,
-    /// For a decorrelated plan, the estimated distinct correlated keys in
-    /// the build (semi-join selectivity: distinct counts of the key
-    /// columns, capped by the build's estimated cardinality).
-    pub keys: Option<u64>,
-}
-
-/// Price `plan` — planned for `spec` — for display: every step as the
-/// planner priced it when it placed it, with raw fractions in place of
-/// bucketed ones.
-pub fn estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan) -> Estimates {
-    let Some(dec) = &plan.decorrelation else {
-        return Estimates {
-            steps: step_estimates(spec, plan, &[]),
-            keys: None,
-        };
-    };
-    let steps = step_estimates(&build_spec(spec), plan, &dec.masked());
-    let build_rows = steps
+/// A decorrelated plan's estimated distinct correlated keys in its build
+/// (semi-join selectivity): the distinct counts of the key columns,
+/// capped by the product of the planned build steps' estimates. `None`
+/// for a plan that is not decorrelated.
+pub(crate) fn est_keys(spec: &ScopeSpec<'_>, plan: &ScopePlan) -> Option<u64> {
+    let dec = plan.decorrelation.as_ref()?;
+    let build_rows = plan
+        .steps
         .iter()
-        .fold(1u64, |acc, est| acc.saturating_mul((*est).max(1)));
-    Estimates {
-        keys: Some(distinct_keys(spec, &dec.keys).map_or(build_rows, |d| d.min(build_rows))),
-        steps,
-    }
-}
-
-fn step_estimates(spec: &ScopeSpec<'_>, plan: &ScopePlan, masked: &[usize]) -> Vec<u64> {
-    let edges = unmasked_equalities(spec, masked);
-    let order = plan.binding_order();
-    plan.steps
-        .iter()
-        .enumerate()
-        .map(|(i, step)| {
-            let placement = Placement {
-                spec,
-                edges: &edges,
-                masked,
-                placed: &order[..i],
-                pricing: Pricing::Display,
-            };
-            placement
-                .candidate(step.binding)
-                .map_or(step.estimated_rows, |c| rows_of(c.cost))
-        })
-        .collect()
+        .fold(1u64, |acc, s| acc.saturating_mul(s.estimated_rows.max(1)));
+    Some(distinct_keys(spec, &dec.keys).map_or(build_rows, |d| d.min(build_rows)))
 }
 
 /// Product of the distinct counts of a decorrelated scope's correlated
@@ -772,7 +710,6 @@ fn plan_scope_impl(spec: &ScopeSpec<'_>, masked: &[usize]) -> Result<ScopePlan, 
             edges: &edges,
             masked,
             placed: &placed,
-            pricing: Pricing::Plan,
         };
         // Greedy: strictly smaller estimated cardinality wins; ties keep
         // declaration order (remaining is ordered).
@@ -819,7 +756,6 @@ struct Placement<'p, 'a> {
     masked: &'p [usize],
     /// Binding indices placed so far, in step order.
     placed: &'p [usize],
-    pricing: Pricing,
 }
 
 impl Placement<'_, '_> {
@@ -926,10 +862,7 @@ impl Placement<'_, '_> {
         rows: Option<usize>,
     ) -> (Access, f64) {
         let (spec, masked) = (self.spec, self.masked);
-        let priced = spec.estimator.map(|est| Priced {
-            est,
-            pricing: self.pricing,
-        });
+        let priced = spec.estimator.map(|est| Priced { est });
         let keys = self.probe_keys(var, schema);
         let rows_f = rows.unwrap_or(DEFAULT_ROWS) as f64;
         if keys.is_empty() {
@@ -1101,9 +1034,8 @@ impl<'a> ConstBounds<'a> {
 /// constant predicates ([`ConstBounds`]), form the bound prefix (every
 /// constant-equality column, then ONE range-bound column closing it; a
 /// lower and an upper bound on the same column combine into an
-/// interval), and price the prefix with the statistics estimator —
-/// always in [`bucketed`] fractions: this is a planning decision,
-/// whatever the caller prices. Returns `None` — keeping the caller's
+/// interval), and price the prefix with the statistics estimator in
+/// [`bucketed`] fractions. Returns `None` — keeping the caller's
 /// scan/probe — when no range bound exists, the range column's
 /// selectivity is unknown (no `ANALYZE` statistics), or the priced prefix
 /// is not selective enough ([`INDEX_MAX_FRACTION`]).
@@ -1121,7 +1053,6 @@ fn index_candidate(
 ) -> Option<Access> {
     let priced = Priced {
         est: spec.estimator?,
-        pricing: Pricing::Plan,
     };
     let bounds = ConstBounds::gather(spec, var, schema, masked);
     // The range column closing the prefix: the most selective
@@ -1666,14 +1597,16 @@ mod tests {
             let (served, _) = crate::cache::scope_plan(&spec, 77, false).unwrap();
             assert_eq!(*served, cold, "k = {k}");
             distinct_plans.insert(format!("{cold:?}"));
-            // What EXPLAIN shows is priced from the raw fractions.
-            let shown = estimates(&spec, &served);
+            // What EXPLAIN shows is the plan's own estimate: R's rows
+            // times the bucketed fraction of `k`, whichever constant of
+            // the bucket planned the shape.
             let scan = served.steps.iter().position(|s| s.binding == 0).unwrap();
             if matches!(
                 served.steps[scan].access,
                 Access::Scan | Access::IndexRange { .. }
             ) {
-                assert_eq!(shown.steps[scan], (5 * k) as u64, "k = {k}");
+                let est = rows_of(5000.0 * bucketed(k as f64 / 1000.0));
+                assert_eq!(served.steps[scan].estimated_rows, est, "k = {k}");
             }
         }
         assert!(distinct_plans.len() > 3, "the sweep crosses plan changes");

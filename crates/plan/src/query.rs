@@ -1,6 +1,6 @@
 //! Whole-query logical plans: the operator tree a `Program`/`Collection`
 //! lowers into, with each quantifier scope planned by
-//! [`plan_scope`](crate::physical::plan_scope).
+//! [`plan_scope`].
 //!
 //! The tree is the **pattern-level** view the paper's Relational Diagrams
 //! render: projection, aggregation, quantifier scopes (join pipelines),
@@ -519,8 +519,7 @@ fn lower_quant(
                 var: q.bindings[binding].var.clone(),
             },
         })?;
-        let estimates = crate::physical::estimates(&spec, &plan);
-        let scope = render_scope(q, &parts, &plan, &estimates, head, &resolved);
+        let scope = render_scope(q, &parts, &plan, head, &resolved);
         match &plan.decorrelation {
             Some(dec) => PlanNode::SemiJoin {
                 scope_id: scope_identity(q),
@@ -535,7 +534,7 @@ fn lower_quant(
                     .iter()
                     .map(|&i| parts.filters[i].to_string())
                     .collect(),
-                est_keys: estimates.keys.expect("a decorrelated plan"),
+                est_keys: crate::physical::est_keys(&spec, &plan).expect("a decorrelated plan"),
                 null_aware: dec.null_aware,
                 build: Box::new(scope),
             },
@@ -697,7 +696,6 @@ fn render_scope(
     q: &Quant,
     parts: &crate::analysis::Parts<'_>,
     plan: &ScopePlan,
-    estimates: &crate::physical::Estimates,
     head: &str,
     resolved: &[Option<ResolvedSource>],
 ) -> PlanNode {
@@ -751,7 +749,7 @@ fn render_scope(
                 source,
                 access,
                 pushed: s.filters.iter().map(render_filter).collect(),
-                est: estimates.steps[step_idx],
+                est: s.estimated_rows,
                 partition: axis == Some(step_idx),
             }
         })

@@ -1,11 +1,11 @@
 //! AST for the supported SQL subset.
 //!
 //! The subset covers every SQL query printed in the paper: SELECT
-//! [DISTINCT], FROM with aliases and comma joins, INNER/LEFT/RIGHT/FULL JOIN …
+//! \[DISTINCT\], FROM with aliases and comma joins, INNER/LEFT/RIGHT/FULL JOIN …
 //! ON, (JOIN) LATERAL subqueries, WHERE with AND/OR/NOT, (NOT) EXISTS,
-//! (NOT) IN subqueries, IS [NOT] NULL, scalar subqueries (in SELECT items
+//! (NOT) IN subqueries, IS \[NOT\] NULL, scalar subqueries (in SELECT items
 //! and comparisons), aggregates with DISTINCT and `count(*)`, GROUP BY,
-//! HAVING, and UNION [ALL]. ORDER BY/LIMIT are out of scope (the paper
+//! HAVING, and UNION \[ALL\]. ORDER BY/LIMIT are out of scope (the paper
 //! defers sorted collections, §5).
 
 use arc_core::value::Value;

@@ -57,9 +57,9 @@ pub use trace_json::{chrome_trace, op_key};
 ///
 /// This is the pure core (unit-testable without touching the process
 /// environment, which is racy under parallel tests) behind the
-/// process-wide [`enabled`] flag; the engine reads the same variable per
-/// engine through its knob registry (`arc_engine::eval::knobs`), which a
-/// unit test there keeps in agreement with this parser.
+/// process-wide [`enabled`] flag; the engine reads the same variable once
+/// per engine into its `QueryOptions`, through a knob registry that a unit
+/// test there keeps in agreement with this parser.
 pub fn parse_trace(value: Option<&str>) -> Result<bool, String> {
     match value.map(|v| v.to_lowercase().replace('_', "-")) {
         None => Ok(false),

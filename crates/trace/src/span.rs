@@ -12,7 +12,7 @@
 //!
 //! * **No allocation and no locking on the record path.** Each lane owns
 //!   a fixed slab of `AtomicU64` words sized at sink construction
-//!   ([`LANE_CAPACITY`] slots × [`SLOT_WORDS`] words). Recording claims a
+//!   ([`LANE_CAPACITY`] slots × `SLOT_WORDS` words). Recording claims a
 //!   slot with one `fetch_add` and publishes it with one `Release` store
 //!   of the slot's meta word; readers ([`SpanSink::finish`]) take
 //!   `Acquire` loads and skip unpublished slots. Worker lanes never

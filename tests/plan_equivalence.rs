@@ -74,7 +74,7 @@ fn explain_eq1_golden() {
     let expected = "\
 project Q(A)
   scope
-    1: hash-probe on [s.C = 0] S as s (est=32)
+    1: hash-probe on [s.C = 0] S as s (est=30)
     2: hash-probe on [r.B = s.B] R as r (est=6)
     emit: Q.A = r.A
 ";

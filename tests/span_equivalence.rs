@@ -292,10 +292,13 @@ fn span_trace_sequential_records_scopes() {
     // suite under `ARC_SPANS=on`.)
     if std::env::var_os("ARC_SPANS").is_none() {
         let default = Engine::new(&catalog, Conventions::sql());
-        assert!(!default.spans().unwrap(), "ARC_SPANS defaults to off");
+        assert!(
+            !default.options().unwrap().spans,
+            "ARC_SPANS defaults to off"
+        );
     }
     let off = Engine::new(&catalog, Conventions::sql()).with_spans(false);
-    assert!(!off.spans().unwrap());
+    assert!(!off.options().unwrap().spans);
     assert_eq!(off.eval_collection(&q).unwrap().rows, rows.rows);
 }
 
