@@ -1,7 +1,7 @@
 //! The engine's `ARC_*` environment knobs, read once into one
-//! [`QueryOptions`] value: one parser for the on/off switches, one parser
-//! each for the valued ones (`ARC_THREADS`, `ARC_TIMEOUT_MS`,
-//! `ARC_MEM_BUDGET`, `ARC_FAULT`). A malformed value surfaces as
+//! [`QueryOptions`] value: one parser per knob — [`arc_trace::parse_trace`]
+//! for the one on/off switch (`ARC_TRACE`), one each for the valued ones
+//! (`ARC_THREADS`, `ARC_TIMEOUT_MS`, `ARC_MEM_BUDGET`, `ARC_FAULT`). A malformed value surfaces as
 //! [`EvalError::Config`] from every engine entry point, never as a panic
 //! at construction.
 
@@ -18,12 +18,10 @@ use std::time::Duration;
 pub struct QueryOptions {
     /// Parallelism of the partitioned executor (`ARC_THREADS`, default 1).
     pub threads: usize,
-    /// Wall-clock timing of builds into the `arc-trace` registry and onto
-    /// execution profiles (`ARC_TRACE`, default off).
+    /// Record every evaluation, timed (`ARC_TRACE`, default off):
+    /// operator actuals, spans into per-lane ring buffers, and build
+    /// timings into the `arc-trace` registry.
     pub trace: bool,
-    /// Begin/end spans into per-lane ring buffers (`ARC_SPANS`, default
-    /// off).
-    pub spans: bool,
     /// Per-query deadline (`ARC_TIMEOUT_MS`); `None` is unbounded.
     pub timeout: Option<Duration>,
     /// Per-query build-memory budget in bytes (`ARC_MEM_BUDGET`); `None`
@@ -40,32 +38,16 @@ impl QueryOptions {
     pub(crate) fn from_vars(
         lookup: impl Fn(&str) -> Option<String>,
     ) -> Result<QueryOptions, EvalError> {
-        let onoff = |name: &str| parse_onoff(name, lookup(name).as_deref());
         (|| {
             Ok(QueryOptions {
                 threads: arc_exec::parse_threads(lookup("ARC_THREADS").as_deref())?,
-                trace: onoff("ARC_TRACE")?,
-                spans: onoff("ARC_SPANS")?,
+                trace: arc_trace::parse_trace(lookup("ARC_TRACE").as_deref())?,
                 timeout: parse_timeout(lookup("ARC_TIMEOUT_MS").as_deref())?,
                 mem_budget: parse_mem_budget(lookup("ARC_MEM_BUDGET").as_deref())?,
                 fault: parse_fault(lookup("ARC_FAULT").as_deref())?,
             })
         })()
         .map_err(EvalError::Config)
-    }
-}
-
-/// Interpret `value` for the on/off knob `var` (`ARC_TRACE`, `ARC_SPANS`:
-/// both record, neither changes what runs) — one grammar, one
-/// normalization (`lowercase`, `_` → `-`), one error shape. Unset and
-/// empty mean off; `on`/`1`/`true`/`auto` affirm; `off`/`0`/`false`/`no`
-/// negate; anything else is a descriptive error naming the variable.
-pub fn parse_onoff(var: &str, value: Option<&str>) -> Result<bool, String> {
-    match value.map(|v| v.to_lowercase().replace('_', "-")).as_deref() {
-        None | Some("") => Ok(false),
-        Some("on" | "1" | "true" | "auto") => Ok(true),
-        Some("off" | "0" | "false" | "no") => Ok(false),
-        Some(other) => Err(format!("unknown {var} `{other}` (expected `on` or `off`)")),
     }
 }
 
@@ -113,27 +95,25 @@ pub fn parse_fault(value: Option<&str>) -> Result<Option<FaultPlan>, String> {
 mod tests {
     use super::*;
 
-    /// The consolidation contract: every knob — the two on/off switches
-    /// and the three guard knobs — accepts its
-    /// affirmative and negative forms and reports garbage as a
-    /// descriptive error naming the variable.
+    /// The consolidation contract: every knob — the on/off switch and
+    /// the three guard knobs — accepts its affirmative and negative forms
+    /// and reports garbage as a descriptive error naming the variable.
     #[test]
     fn every_knob_parses_on_off_and_garbage() {
-        for var in ["ARC_TRACE", "ARC_SPANS"] {
-            for (value, want) in [
-                (None, false),
-                (Some(""), false),
-                (Some("on"), true),
-                (Some("TRUE"), true),
-                (Some("off"), false),
-                (Some("0"), false),
-            ] {
-                assert_eq!(parse_onoff(var, value), Ok(want), "{var}={value:?}");
-            }
-            let err = parse_onoff(var, Some("garbage")).unwrap_err();
-            assert!(err.contains(var), "{err}");
-            assert!(err.contains("garbage"), "{err}");
+        use arc_trace::parse_trace;
+        for (value, want) in [
+            (None, false),
+            (Some(""), false),
+            (Some("on"), true),
+            (Some("TRUE"), true),
+            (Some("off"), false),
+            (Some("0"), false),
+        ] {
+            assert_eq!(parse_trace(value), Ok(want), "ARC_TRACE={value:?}");
         }
+        let err = parse_trace(Some("garbage")).unwrap_err();
+        assert!(err.contains("ARC_TRACE"), "{err}");
+        assert!(err.contains("garbage"), "{err}");
 
         // Guard knobs: on (a valid value), off (unset/empty), garbage.
         assert_eq!(parse_timeout(None), Ok(None));
@@ -177,7 +157,6 @@ mod tests {
             QueryOptions {
                 threads: 1,
                 trace: false,
-                spans: false,
                 timeout: None,
                 mem_budget: None,
                 fault: None,
@@ -187,8 +166,8 @@ mod tests {
         assert_eq!((set.threads, set.mem_budget), (4, Some(1024)));
         for (vars, first) in [
             (
-                &[("ARC_FAULT", "x"), ("ARC_SPANS", "maybe")][..],
-                "ARC_SPANS",
+                &[("ARC_FAULT", "x"), ("ARC_TRACE", "maybe")][..],
+                "ARC_TRACE",
             ),
             (
                 &[("ARC_TIMEOUT_MS", "soon"), ("ARC_THREADS", "many")],
@@ -205,28 +184,5 @@ mod tests {
             };
             assert!(msg.contains(first), "{vars:?}: {msg}");
         }
-    }
-
-    /// `ARC_TRACE` is read twice — per engine through this registry, and
-    /// process-wide by the `arc-trace` registry through
-    /// [`arc_trace::parse_trace`] — so the two readings must agree.
-    #[test]
-    fn consolidated_trace_knobs_match_the_arc_trace_parsers() {
-        for v in [
-            None,
-            Some(""),
-            Some("on"),
-            Some("OFF"),
-            Some("1"),
-            Some("no"),
-        ] {
-            assert_eq!(
-                parse_onoff("ARC_TRACE", v),
-                arc_trace::parse_trace(v),
-                "{v:?}"
-            );
-        }
-        assert!(parse_onoff("ARC_TRACE", Some("nope")).is_err());
-        assert!(arc_trace::parse_trace(Some("nope")).is_err());
     }
 }

@@ -74,7 +74,6 @@ pub(crate) mod knobs;
 pub(crate) mod lateral;
 pub(crate) mod output;
 pub(crate) mod parallel;
-pub(crate) mod profile;
 pub(crate) mod quantifier;
 pub(crate) mod scalar;
 pub(crate) mod scope;
@@ -105,6 +104,7 @@ use arc_core::ast::{Collection, Formula};
 use arc_core::conventions::Conventions;
 use arc_core::value::Truth;
 use arc_guard::{seam, CancelHandle, CancelState, FaultKind, FaultPlan, QueryGuard, Trip};
+use arc_trace::{OpId, Recorder, SpanKind, SpanSink};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -182,14 +182,13 @@ pub struct Engine<'c> {
     /// when a handle was requested (or a deadline/budget/fault is
     /// configured), so engines that never cancel pay nothing.
     cancel: Arc<CancelState>,
-    /// Lazily-built sink for the bare `spans` option: allocated once per
-    /// engine on the first evaluation and [`reset`](arc_trace::SpanSink::reset)
-    /// per evaluation, so `ARC_SPANS=on` pays ring-buffer *recording*
-    /// per query, not ring-buffer *allocation* (the slabs are hundreds
-    /// of KB for a multi-lane sink). Never read back — the option
-    /// records and drops; the `span_trace_*` exporters pass a sink of
-    /// their own, which always wins.
-    knob_sink: std::sync::OnceLock<arc_trace::SpanSink>,
+    /// Span lanes for the timed records nobody exports (`ARC_TRACE=on`
+    /// without a `span_trace_*` caller): allocated once per engine on the
+    /// first such evaluation and [`reset`](SpanSink::reset) per
+    /// evaluation, so recording pays ring-buffer *writes* per query, not
+    /// ring-buffer *allocation* (the slabs are hundreds of KB for a
+    /// multi-lane sink). Read back only as the `trace.spans*` rollups.
+    lanes: std::sync::OnceLock<SpanSink>,
 }
 
 impl<'c> Engine<'c> {
@@ -207,7 +206,7 @@ impl<'c> Engine<'c> {
             conventions,
             options: QueryOptions::from_vars(|var| std::env::var(var).ok()),
             cancel: Arc::new(CancelState::default()),
-            knob_sink: std::sync::OnceLock::new(),
+            lanes: std::sync::OnceLock::new(),
         }
     }
 
@@ -233,32 +232,22 @@ impl<'c> Engine<'c> {
         self.set(|o| o.threads = threads.clamp(1, arc_exec::MAX_THREADS))
     }
 
-    /// Override execution tracing (builder style): `true` makes
-    /// evaluation time index/selection/semi-join builds into the
-    /// [`arc_trace`] registry and stamp wall time onto execution
-    /// profiles, exactly like running under `ARC_TRACE=on` — tests use
-    /// this to compare both modes without touching the (racy) process
-    /// environment. Off (the default) keeps
-    /// the hot path free of clock reads; row/call actuals in
-    /// [`Engine::profile_collection`] /
-    /// [`Engine::explain_analyze_collection`] are
-    /// gathered either way.
-    pub fn with_trace(self, trace: bool) -> Self {
-        self.set(|o| o.trace = trace)
-    }
-
-    /// Override hierarchical span recording (builder style): `true` makes
-    /// every evaluation record begin/end spans (query → plan → scope →
-    /// semi-join build → step → morsel) into bounded per-lane ring
-    /// buffers, exactly like running under `ARC_SPANS=on`. Use
-    /// [`Engine::span_trace_collection`] /
-    /// `span_trace_program` to get the spans back as a Chrome-trace
-    /// timeline; with only this option the spans are recorded and dropped,
-    /// which is what the `ARC_SPANS=on` CI leg exercises (recording cost
-    /// without export cost). Off (the
-    /// default) keeps every span seam to a single `Option` check.
+    /// Override recording (builder style), exactly like running under
+    /// `ARC_TRACE=on`/`off`: `true` gives every evaluation a timed
+    /// record — operator actuals, begin/end spans (query → plan → scope
+    /// → semi-join build → step → morsel) into bounded per-lane ring
+    /// buffers, and index/selection/semi-join build times into the
+    /// [`arc_trace`] registry. Nobody reads the record back but the
+    /// `trace.spans*` rollups; [`Engine::span_trace_collection`] /
+    /// `span_trace_program` return the spans as a Chrome-trace timeline,
+    /// and [`Engine::profile_collection`] /
+    /// [`Engine::explain_analyze_collection`] the actuals, which carry
+    /// wall times when this is on. Off (the default) keeps every
+    /// evaluation seam to a single `Option` check and free of clock
+    /// reads. Tests use this to compare both modes without touching the
+    /// (racy) process environment.
     pub fn with_spans(self, spans: bool) -> Self {
-        self.set(|o| o.spans = spans)
+        self.set(|o| o.trace = spans)
     }
 
     /// Set a per-query deadline (builder style): every evaluation on this
@@ -315,25 +304,29 @@ impl<'c> Engine<'c> {
     /// configuration error), the per-query guard — `None` when no
     /// deadline, budget, fault plan, or cancel handle is configured, so
     /// unguarded evaluation stays a handful of `Option` checks — and the
-    /// recording sinks. An explicit span sink (the `span_trace_*` path)
-    /// wins; the bare `spans` option records into the engine's cached
-    /// sink, rewound here — same recording cost, no export, which is what
-    /// the `ARC_SPANS=on` CI leg exercises.
+    /// entry's [`Recorder`], if it records. Returns the result and that
+    /// recorder.
     ///
-    /// The entry is one sample of the `engine.query.latency` quantile
-    /// histogram (gated only by `arc_trace::quantile::recording()`) and,
-    /// when spans record, one enclosing `Query` span. A panic inside —
-    /// a worker's or an injected one — is contained here and surfaces as
-    /// [`EvalError::WorkerPanic`]; terminal guard trips are counted into
-    /// the metrics registry. The engine and its pool stay usable
-    /// afterwards — per-engine caches recover via their poison-clearing
-    /// locks.
+    /// This is the one place that reads `trace`: it decides whether the
+    /// record is *timed*. A [`Recording::Timeline`] always is (on lanes
+    /// of its own, which its caller exports); otherwise `trace` times a
+    /// [`Recording::Profile`] and gives a plain evaluation a timed record
+    /// on the engine's reused lanes. Untimed, no clock is read on the
+    /// evaluation path.
+    ///
+    /// The entry is one sample of the always-on `engine.query.latency`
+    /// quantile histogram and, when timed, one enclosing `Query` span —
+    /// the same clock pair — after which the record's span counts roll up
+    /// into the registry. A panic inside — a worker's or an injected one
+    /// — is contained here and surfaces as [`EvalError::WorkerPanic`];
+    /// terminal guard trips are counted into the metrics registry. The
+    /// engine and its pool stay usable afterwards — per-engine caches
+    /// recover via their poison-clearing locks.
     pub(crate) fn entered<T>(
         &self,
-        profile: Option<arc_trace::ProfileSink>,
-        spans: Option<arc_trace::SpanSink>,
+        recording: Recording,
         f: impl FnOnce(&Entry) -> Result<T>,
-    ) -> Result<T> {
+    ) -> Result<(T, Option<Recorder>)> {
         let run = || {
             let opts = self.options()?;
             let guarded =
@@ -346,32 +339,38 @@ impl<'c> Engine<'c> {
                     self.cancel.armed().then(|| self.cancel.clone()),
                 ))
             });
-            let spans = spans.or_else(|| {
-                opts.spans.then(|| {
-                    let sink = self
-                        .knob_sink
-                        .get_or_init(|| arc_trace::SpanSink::with_lanes(opts.threads));
-                    sink.reset();
-                    sink.clone()
-                })
-            });
-            let wall = arc_trace::quantile::recording().then(Instant::now);
-            let span = spans.as_ref().and_then(|s| s.start(0));
+            let reused_lanes = || {
+                let lanes = self
+                    .lanes
+                    .get_or_init(|| SpanSink::with_lanes(opts.threads));
+                lanes.reset();
+                lanes.clone()
+            };
+            let recorder = match (recording, opts.trace) {
+                (Recording::Timeline, _) => Some(Some(SpanSink::with_lanes(opts.threads))),
+                (_, true) => Some(Some(reused_lanes())),
+                (Recording::Profile, false) => Some(None),
+                (Recording::Options, false) => None,
+            }
+            .map(Recorder::new);
+            let t0 = recorder.as_ref().and_then(Recorder::start);
+            let wall = t0.is_none().then(Instant::now);
             let entry = Entry {
                 opts,
                 guard,
-                profile,
-                spans,
+                recorder,
             };
             let out = f(&entry);
-            if let (Some(sink), Some(t0)) = (&entry.spans, span) {
-                sink.complete(0, arc_trace::SpanKind::Query, arc_trace::OpId::scope(0), t0);
+            let nanos = match (&entry.recorder, wall) {
+                (_, Some(w)) => w.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                (Some(rec), None) => rec.finish(0, SpanKind::Query, OpId::scope(0), t0),
+                (None, None) => 0,
+            };
+            crate::metrics::query_latency().record_nanos(nanos);
+            if let Some(rec) = &entry.recorder {
+                rec.roll_up();
             }
-            if let Some(t0) = wall {
-                let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                crate::metrics::query_latency().record_nanos(nanos);
-            }
-            out
+            out.map(|t| (t, entry.recorder))
         };
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             .unwrap_or_else(|p| Err(EvalError::WorkerPanic(arc_guard::panic_message(p.as_ref()))));
@@ -385,27 +384,29 @@ impl<'c> Engine<'c> {
 
     /// Evaluate a standalone query collection (no definitions).
     pub fn eval_collection(&self, c: &Collection) -> Result<Relation> {
-        self.collection_recorded(c, None, None)
+        self.collection_recorded(c, Recording::Options)
+            .map(|(rel, _)| rel)
     }
 
-    /// [`Engine::eval_collection`] recording into the given sinks (the
-    /// `profile_*` and `span_trace_*` entry points).
+    /// [`Engine::eval_collection`] under the given [`Recording`] (the
+    /// `profile_*` and `span_trace_*` entry points), returning the
+    /// entry's recorder beside the rows.
     pub(crate) fn collection_recorded(
         &self,
         c: &Collection,
-        profile: Option<arc_trace::ProfileSink>,
-        spans: Option<arc_trace::SpanSink>,
-    ) -> Result<Relation> {
-        self.entered(profile, spans, |entry| {
+        recording: Recording,
+    ) -> Result<(Relation, Option<Recorder>)> {
+        self.entered(recording, |entry| {
             self.eval_with(c, &HashMap::new(), &HashMap::new(), entry, None)
         })
     }
 
     /// Evaluate a boolean sentence (paper Fig 9).
     pub fn eval_sentence(&self, f: &Formula) -> Result<Truth> {
-        self.entered(None, None, |entry| {
+        self.entered(Recording::Options, |entry| {
             self.eval_sentence_with(f, &HashMap::new(), &HashMap::new(), entry)
         })
+        .map(|(truth, _)| truth)
     }
 
     /// The state one evaluation shares with every worker it forks.
@@ -424,8 +425,7 @@ impl<'c> Engine<'c> {
             redirect,
             hash_state: RandomState::new(),
             semi_builds: semijoin::SemiBuildCache::default(),
-            profile: entry.profile.clone(),
-            spans: entry.spans.clone(),
+            recorder: entry.recorder.clone(),
             guard: entry.guard.clone(),
         }
     }
@@ -444,7 +444,9 @@ impl<'c> Engine<'c> {
         redirect: Option<Redirect<'_>>,
     ) -> Result<Relation> {
         let shared = self.shared(entry, defined, abstracts, redirect);
-        Ctx::new(entry.opts, &shared).collection_relation(c, &mut Env::default())
+        let out = Ctx::new(entry.opts, &shared).collection_relation(c, &mut Env::default());
+        shared.record_probes();
+        out
     }
 
     /// Evaluate a sentence with definitions in scope.
@@ -456,23 +458,37 @@ impl<'c> Engine<'c> {
         entry: &Entry,
     ) -> Result<Truth> {
         let shared = self.shared(entry, defined, abstracts, None);
-        Ctx::new(entry.opts, &shared).formula_truth(f, &mut Env::default())
+        let out = Ctx::new(entry.opts, &shared).formula_truth(f, &mut Env::default());
+        shared.record_probes();
+        out
     }
+}
+
+/// What an engine entry records beside its result (see
+/// [`Engine::entered`], which decides whether the record is timed).
+#[derive(Clone, Copy)]
+pub(crate) enum Recording {
+    /// What the options ask for: nothing by default; under `trace`, a
+    /// timed record on the engine's reused span lanes, read back only as
+    /// the registry's `trace.spans*` rollups.
+    Options,
+    /// An operator table for the caller (`profile_*`,
+    /// `explain_analyze_*`), timed under `trace`.
+    Profile,
+    /// A timed record on span lanes of its own, for the caller to export
+    /// (`span_trace_*`).
+    Timeline,
 }
 
 /// What one engine entry — a query, a sentence, or a whole program with
 /// all its strata — fixes for every evaluation it runs: the options, the
-/// guard, and the recording sinks.
+/// guard, and the record.
 pub(crate) struct Entry {
     pub(crate) opts: QueryOptions,
     pub(crate) guard: Option<Arc<QueryGuard>>,
-    /// Per-operator actuals sink: the `EXPLAIN ANALYZE` /
-    /// [`Engine::profile_collection`] path; `None` for ordinary
-    /// evaluation, which then pays only an `Option` check per row.
-    pub(crate) profile: Option<arc_trace::ProfileSink>,
-    /// Span sink: the `span_trace_*` exporters' own, or the engine's
-    /// cached one under the bare `spans` option.
-    pub(crate) spans: Option<arc_trace::SpanSink>,
+    /// The entry's record (see [`Recording`]); `None` for ordinary
+    /// evaluation, which then pays only an `Option` check per seam.
+    pub(crate) recorder: Option<Recorder>,
 }
 
 /// One binding of the evaluated AST read under another name than it
@@ -507,13 +523,11 @@ pub(crate) struct QueryShared<'a> {
     /// identity and build plan: every worker probes — and lazily
     /// populates — the same builds (see `semijoin`).
     pub(crate) semi_builds: semijoin::SemiBuildCache,
-    /// Per-operator actuals sink, when this evaluation is profiled (see
-    /// `profile`): every worker's tallies merge into one profile.
-    pub(crate) profile: Option<arc_trace::ProfileSink>,
-    /// Span sink for hierarchical begin/end timeline events; `None` on
-    /// ordinary evaluation, which then pays one `Option` check per span
-    /// seam. Lanes write to disjoint ring buffers.
-    pub(crate) spans: Option<arc_trace::SpanSink>,
+    /// The entry's record, when it records: every worker's tallies merge
+    /// into its one operator table, and — timed — its lanes take their
+    /// spans (disjoint ring buffers). `None` on ordinary evaluation,
+    /// which then pays one `Option` check per seam.
+    pub(crate) recorder: Option<Recorder>,
     /// The per-query resource guard (deadline, budget, cancellation,
     /// fault plan); `None` on unguarded evaluation, which then pays one
     /// `Option` check per seam. Trips and memory charges are query-global.
@@ -525,9 +539,9 @@ pub(crate) struct QueryShared<'a> {
 /// one pointer to the [`QueryShared`] state of the evaluation.
 pub(crate) struct Ctx<'a> {
     /// The entry's options; a worker context runs with `threads = 1`, so
-    /// parallelism never nests. `trace` gates every clock read on the
-    /// evaluation path, so the default engine never touches
-    /// `Instant::now`.
+    /// parallelism never nests. (Clock reads on the evaluation path are
+    /// gated by a timed [`QueryShared::recorder`], not by an option, so
+    /// the default engine never touches `Instant::now`.)
     pub(crate) opts: QueryOptions,
     /// Worker lane this context executes on: 0 for the coordinator (and
     /// all sequential evaluation), the worker's lane id inside a

@@ -11,7 +11,7 @@
 //! 2. the axis scan is split into [`Morsels`]; each morsel runs the full
 //!    pipeline over its row range on a pool worker, with a **forked
 //!    context**: one pointer to the evaluation's shared state (catalog,
-//!    definitions, hasher, semi-join builds, sinks, guard), snapshots of
+//!    definitions, hasher, semi-join builds, recorder, guard), snapshots of
 //!    the coordinator's hash-index, estimate and selection caches, and
 //!    the coordinator's options with `threads = 1`, so parallelism never
 //!    nests — plus a cloned outer environment;
@@ -28,16 +28,15 @@
 //! enumeration is side-effect-free).
 
 use super::env::Env;
-use super::profile::ScopeTally;
 use super::quantifier::{HashIndex, Src};
 use super::scope::{Pipeline, Scope};
 use super::{Ctx, QueryOptions, QueryShared};
 use crate::error::Result;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
+use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Everything a pool worker needs to build its evaluation context: the
 /// evaluation's [`QueryShared`] state, by reference, plus snapshots of the
@@ -74,10 +73,10 @@ const _: () = {
 };
 
 /// Per-worker state for a partitioned scope run: the forked evaluation
-/// context plus worker-lane profile accounting (morsels claimed, busy
-/// wall time). The lane flushes to the shared sink on drop — i.e. when
-/// the worker finishes its last morsel — so the profile's `workers`
-/// vector reflects the actual work distribution.
+/// context plus worker-lane accounting (morsels claimed, busy wall time).
+/// The lane flushes to the record on drop — i.e. when the worker
+/// finishes its last morsel — so the profile's `workers` vector reflects
+/// the actual work distribution.
 struct WorkerState<'a> {
     ctx: Ctx<'a>,
     lane: usize,
@@ -87,10 +86,8 @@ struct WorkerState<'a> {
 
 impl Drop for WorkerState<'_> {
     fn drop(&mut self) {
-        if self.morsels > 0 {
-            if let Some(sink) = &self.ctx.shared.profile {
-                sink.record_lane(self.lane, self.morsels, self.busy_nanos);
-            }
+        if let (Some(rec), true) = (&self.ctx.shared.recorder, self.morsels > 0) {
+            rec.record_lane(self.lane, self.morsels, self.busy_nanos);
         }
     }
 }
@@ -171,36 +168,29 @@ impl<'a> Ctx<'a> {
             return Ok(false);
         }
 
-        // Coordinator-side profile tally: the scope entry and the axis
-        // scan's single start are counted here, exactly once — morsel
-        // tallies deliberately skip both (see `Ctx::scan_partition`), so
-        // a partitioned profile is count-identical to the sequential one.
+        // Coordinator scope seam: the scope entry and the axis scan's
+        // single start are counted here, exactly once — morsel tallies
+        // deliberately skip both (see `Ctx::scan_partition`), so a
+        // partitioned profile is count-identical to the sequential one —
+        // and, timed, one clock pair covers the prelude, the shared
+        // builds and the whole scatter/gather for the scope span and the
+        // scope's `nanos`. Worker morsel spans nest under it on the
+        // timeline (their lanes render as separate tracks).
         let scope_id = sc.id;
-        let coord = self
-            .shared
-            .profile
-            .as_ref()
-            .map(|_| ScopeTally::new(scope_id, steps.len()));
-        let start = (self.opts.trace && coord.is_some()).then(Instant::now);
-        // Coordinator scope span: covers the prelude, the shared builds,
-        // and the whole scatter/gather. Worker morsel spans nest under it
-        // on the timeline (their lanes render as separate tracks).
-        let scope_span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
+        let rec = self.shared.recorder.as_ref();
+        let coord = rec.map(|_| ScopeTally::new(scope_id, steps.len()));
+        let t0 = rec.and_then(Recorder::start);
+        let close_scope = || {
+            if let (Some(rec), Some(t)) = (rec, &coord) {
+                t.add_nanos(rec.finish(self.lane, SpanKind::Scope, OpId::scope(scope_id), t0));
+                t.flush(rec, true);
+            }
+        };
 
         // Prelude filters see only outer variables: evaluate once here,
         // not once per morsel.
         if !self.all_true(&pipeline.prelude, env)? {
-            if let (Some(t), Some(sink)) = (&coord, &self.shared.profile) {
-                t.flush(sink, true);
-            }
-            if let (Some(sink), Some(t0)) = (&self.shared.spans, scope_span) {
-                sink.complete(
-                    self.lane,
-                    arc_trace::SpanKind::Scope,
-                    arc_trace::OpId::scope(scope_id),
-                    t0,
-                );
-            }
+            close_scope();
             return Ok(true); // scope is empty; nothing to scatter
         }
         // Build every probe's hash index — and every vectorized scan's
@@ -238,8 +228,8 @@ impl<'a> Ctx<'a> {
             || {
                 let lane = lanes.fetch_add(1, Ordering::Relaxed);
                 let ctx = seed.ctx(opts, lane);
-                if let Some(sink) = &ctx.shared.spans {
-                    sink.touch(lane); // name the track even if every span drops
+                if let Some(rec) = &ctx.shared.recorder {
+                    rec.touch(lane); // name the track even if every span drops
                 }
                 WorkerState {
                     ctx,
@@ -251,14 +241,11 @@ impl<'a> Ctx<'a> {
             |st, _, range| {
                 let mut wenv = outer_env.clone();
                 let mut morsel_out = Vec::new();
-                let tally = st
-                    .ctx
-                    .shared
-                    .profile
-                    .as_ref()
-                    .map(|_| ScopeTally::new(scope_id, steps.len()));
-                let mstart = (st.ctx.opts.trace && tally.is_some()).then(Instant::now);
-                let mspan = st.ctx.shared.spans.as_ref().and_then(|s| s.start(st.lane));
+                // Morsel seam: a morsel-local tally and, timed, one clock
+                // pair for the morsel span and the lane's busy time.
+                let rec = st.ctx.shared.recorder.as_ref();
+                let tally = rec.map(|_| ScopeTally::new(scope_id, steps.len()));
+                let t0 = rec.and_then(Recorder::start);
                 let r = st
                     .ctx
                     .scan_partition(
@@ -270,38 +257,16 @@ impl<'a> Ctx<'a> {
                         &mut |c, e| each(c, e, &mut morsel_out),
                     )
                     .map(|()| morsel_out);
-                if let (Some(sink), Some(t0)) = (&st.ctx.shared.spans, mspan) {
-                    sink.complete(
-                        st.lane,
-                        arc_trace::SpanKind::Morsel,
-                        arc_trace::OpId::step(scope_id, 0),
-                        t0,
-                    );
-                }
                 st.morsels += 1;
-                if let Some(s) = mstart {
-                    st.busy_nanos += s.elapsed().as_nanos() as u64;
-                }
-                if let (Some(t), Some(sink)) = (&tally, &st.ctx.shared.profile) {
-                    t.flush(sink, false);
+                if let (Some(rec), Some(t)) = (rec, &tally) {
+                    let op = OpId::step(scope_id, 0);
+                    st.busy_nanos += rec.finish(st.lane, SpanKind::Morsel, op, t0);
+                    t.flush(rec, false);
                 }
                 r
             },
         );
-        if let (Some(t), Some(sink)) = (&coord, &self.shared.profile) {
-            if let Some(s) = start {
-                t.add_nanos(s.elapsed().as_nanos() as u64);
-            }
-            t.flush(sink, true);
-        }
-        if let (Some(sink), Some(t0)) = (&self.shared.spans, scope_span) {
-            sink.complete(
-                self.lane,
-                arc_trace::SpanKind::Scope,
-                arc_trace::OpId::scope(scope_id),
-                t0,
-            );
-        }
+        close_scope();
         // Merge in morsel order: errors surface from the earliest morsel
         // (what the sequential loop would hit first), outputs concatenate
         // into the exact sequential emission order. A contained worker

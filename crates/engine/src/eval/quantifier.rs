@@ -34,7 +34,6 @@
 
 use super::env::{Env, Frame, Layout};
 use super::lateral::Lateral;
-use super::profile::ScopeTally;
 use super::scope::{Pipeline, Scope, Steps};
 use super::slots::{CFormula, CPred, CScalar};
 use super::Ctx;
@@ -44,6 +43,7 @@ use crate::metrics;
 use crate::relation::{Relation, Tuple};
 use arc_core::value::Value;
 use arc_guard::seam;
+use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -465,20 +465,15 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
         cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
-        // Span seam: one scope span per enumeration call. `start` reads no
-        // clock when spans are off or the lane buffer is full.
-        let span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
-        // Profiling: a local tally per enumeration call, keyed by the
+        // Scope seam: a local tally per enumeration call, keyed by the
         // binding-slice address — the identity `arc_plan::scope_identity`
         // stamps on the lowered plan, so `EXPLAIN ANALYZE` can join the
-        // actuals back to the tree. Created before the prelude so a
-        // prelude-empty call still counts as one scope invocation.
-        let tally = self
-            .shared
-            .profile
-            .as_ref()
-            .map(|_| ScopeTally::new(scope, pipeline.steps.len()));
-        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
+        // actuals back to the tree — and, timed, one clock pair for the
+        // scope span and the scope's `nanos`. Opened before the prelude so
+        // a prelude-empty call still counts as one scope invocation.
+        let rec = self.shared.recorder.as_ref();
+        let tally = rec.map(|_| ScopeTally::new(scope, pipeline.steps.len()));
+        let t0 = rec.and_then(Recorder::start);
         let run = Run {
             scope,
             pipeline,
@@ -491,19 +486,9 @@ impl<'a> Ctx<'a> {
             Ok(true) => self.enumerate_rec(&run, 0, env, cb),
             Err(e) => Err(e),
         };
-        if let (Some(t), Some(sink)) = (&tally, &self.shared.profile) {
-            if let Some(s) = start {
-                t.add_nanos(s.elapsed().as_nanos() as u64);
-            }
-            t.flush(sink, true);
-        }
-        if let (Some(sink), Some(t0)) = (&self.shared.spans, span) {
-            sink.complete(
-                self.lane,
-                arc_trace::SpanKind::Scope,
-                arc_trace::OpId::scope(scope),
-                t0,
-            );
+        if let (Some(rec), Some(t)) = (rec, &tally) {
+            t.add_nanos(rec.finish(self.lane, SpanKind::Scope, OpId::scope(scope), t0));
+            t.flush(rec, true);
         }
         res.map(|_| ())
     }
@@ -540,15 +525,16 @@ impl<'a> Ctx<'a> {
         ) {
             return None;
         }
-        let start = self.opts.trace.then(std::time::Instant::now);
-        let index = Arc::new(HashIndex::build(
-            &rel.rows,
-            &plan.key_cols,
-            &self.shared.hash_state,
-        ));
+        let (index, nanos) = self.timed(|| {
+            Arc::new(HashIndex::build(
+                &rel.rows,
+                &plan.key_cols,
+                &self.shared.hash_state,
+            ))
+        });
         metrics::hash_builds().inc();
-        if let Some(s) = start {
-            metrics::hash_build_time().record_nanos(s.elapsed().as_nanos() as u64);
+        if let Some(nanos) = nanos {
+            metrics::hash_build_time().record_nanos(nanos);
         }
         self.join_indexes.borrow_mut().insert(key, index.clone());
         Some(index)
@@ -585,24 +571,34 @@ impl<'a> Ctx<'a> {
         } else {
             self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24)
         };
-        let start = self.opts.trace.then(std::time::Instant::now);
-        let sel = Arc::new(if columnar {
-            ob.compute_selection(rel)
-        } else {
-            ob.compute_selection_rows(rel)
+        let (sel, nanos) = self.timed(|| {
+            Arc::new(if columnar {
+                ob.compute_selection(rel)
+            } else {
+                ob.compute_selection_rows(rel)
+            })
         });
         metrics::selection_builds().inc();
-        if let Some(s) = start {
-            metrics::selection_build_time().record_nanos(s.elapsed().as_nanos() as u64);
+        if let Some(nanos) = nanos {
+            metrics::selection_build_time().record_nanos(nanos);
         }
         self.selections.borrow_mut().insert(key, sel.clone());
         Some(sel)
     }
 
-    /// Step `i`'s memoized hash index, timing the first (and only) build
-    /// into the step's profile tally when tracing. The cold branch is
-    /// taken once per compiled pipeline; after that this is a plain
-    /// `OnceLock` load.
+    /// Run `f`, timing it when the record is timed: its result, and its
+    /// nanoseconds (`None`, with no clock read, when untimed).
+    fn timed<T>(&self, f: impl FnOnce() -> T) -> (T, Option<u64>) {
+        let rec = self.shared.recorder.as_ref();
+        let t0 = rec.and_then(Recorder::start);
+        let out = f();
+        (out, t0.and(rec).map(|r| r.since(t0)))
+    }
+
+    /// Step `i`'s memoized hash index, timing the first (and only) lookup
+    /// — a build or a per-query cache hit — into the step's tally when
+    /// the record is timed. The cold branch is taken once per compiled
+    /// pipeline; after that this is a plain `OnceLock` load.
     fn step_index<'o>(
         &self,
         ob: &'o Ordered<'_>,
@@ -614,11 +610,11 @@ impl<'a> Ctx<'a> {
         if let Some(index) = ob.index.get() {
             return Some(index);
         }
-        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
-        let built = self.join_index(plan, rel)?;
+        let (built, nanos) = self.timed(|| self.join_index(plan, rel));
+        let built = built?;
         let index = ob.index.get_or_init(|| built);
-        if let (Some(s), Some(t)) = (start, tally) {
-            t.add_step_nanos(i, s.elapsed().as_nanos() as u64);
+        if let (Some(nanos), Some(t)) = (nanos, tally) {
+            t.add_step_nanos(i, nanos);
         }
         Some(index)
     }
@@ -635,11 +631,11 @@ impl<'a> Ctx<'a> {
         if let Some(sel) = ob.selection.get() {
             return Some(sel);
         }
-        let start = (self.opts.trace && tally.is_some()).then(std::time::Instant::now);
-        let built = self.scan_selection(rel, ob)?;
+        let (built, nanos) = self.timed(|| self.scan_selection(rel, ob));
+        let built = built?;
         let sel = ob.selection.get_or_init(|| built);
-        if let (Some(s), Some(t)) = (start, tally) {
-            t.add_step_nanos(i, s.elapsed().as_nanos() as u64);
+        if let (Some(nanos), Some(t)) = (nanos, tally) {
+            t.add_step_nanos(i, nanos);
         }
         Some(sel)
     }
@@ -806,18 +802,11 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
         cb: &mut EnvFn<'_, 'a>,
     ) -> Result<bool> {
-        match &self.shared.spans {
-            Some(sink) if i < run.pipeline.steps.len() => {
-                let span = sink.start(self.lane);
+        match &self.shared.recorder {
+            Some(rec) if i < run.pipeline.steps.len() => {
+                let t0 = rec.span_start(self.lane);
                 let res = self.enumerate_rec_inner(run, i, env, cb);
-                if let Some(t0) = span {
-                    sink.complete(
-                        self.lane,
-                        arc_trace::SpanKind::Step,
-                        arc_trace::OpId::step(run.scope, i),
-                        t0,
-                    );
-                }
+                rec.finish(self.lane, SpanKind::Step, OpId::step(run.scope, i), t0);
                 res
             }
             _ => self.enumerate_rec_inner(run, i, env, cb),

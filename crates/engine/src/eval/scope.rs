@@ -702,7 +702,8 @@ impl<'a> Ctx<'a> {
         // evaluation re-plans instead of serving a plan shaped by the old
         // statistics (`tests/plan_cache.rs` phase 5). Only a run of the
         // planner is recorded as a plan span.
-        let plan_span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
+        let rec = self.shared.recorder.as_ref();
+        let t0 = rec.and_then(|r| r.span_start(self.lane));
         let (plan, planned) = cache::scope_plan(&spec, self.shared.catalog.stats_epoch(), boolean)
             // Map planner failures onto the precise source-kind diagnostics.
             .map_err(|e| {
@@ -732,13 +733,9 @@ impl<'a> Ctx<'a> {
                     )),
                 }
             })?;
-        if let (true, Some(sink), Some(t0)) = (planned, &self.shared.spans, plan_span) {
-            sink.complete(
-                self.lane,
-                arc_trace::SpanKind::Plan,
-                arc_trace::OpId::scope(q.id()),
-                t0,
-            );
+        if let (true, Some(rec)) = (planned, rec) {
+            let op = arc_trace::OpId::scope(q.id());
+            rec.finish(self.lane, arc_trace::SpanKind::Plan, op, t0);
         }
         Ok(plan)
     }

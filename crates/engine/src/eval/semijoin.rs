@@ -81,17 +81,17 @@
 //! reference enumeration would, early exits included.
 
 use super::env::Env;
-use super::profile::ScopeTally;
 use super::quantifier::Src;
 use super::scope::{Pipeline, Scope, SemiKey, SemiKeys, SemiPlan, Steps};
 use super::slots::CScalar;
-use super::Ctx;
+use super::{Ctx, QueryShared};
 use crate::error::{EvalError, Result};
 use crate::metrics;
 use arc_core::value::{Key, Truth};
 use arc_plan::ScopePlan;
-use arc_trace::{OpId, OpStats};
+use arc_trace::{OpId, OpStats, Recorder, ScopeTally, SpanKind};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The correlated-key set of one build: every key the scope body can
@@ -173,6 +173,12 @@ pub(crate) struct SemiEntry {
     /// path for the rest of the evaluation (which reproduces any real
     /// error lazily) instead of re-attempting the build per outer row.
     built: Option<Built>,
+    /// Probes answered from this build, and how many hit — counted only
+    /// when the evaluation records (relaxed adds, no lock), and folded
+    /// into the record once, when the evaluation ends
+    /// ([`QueryShared::record_probes`]).
+    probes: AtomicU64,
+    hits: AtomicU64,
     /// The entry published before this one.
     next: Option<Arc<SemiEntry>>,
 }
@@ -242,10 +248,38 @@ impl SemiBuildCache {
             key,
             _plan: plan.clone(),
             built,
+            probes: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
             next: head.take(),
         });
         *head = Some(entry.clone());
         entry
+    }
+}
+
+impl QueryShared<'_> {
+    /// Fold every build's probe-side actuals into the record — once per
+    /// evaluation, not once per probed row: on the semi-join
+    /// pseudo-operator, one call per probed outer row and one output row
+    /// per hit.
+    pub(crate) fn record_probes(&self) {
+        let Some(rec) = &self.recorder else { return };
+        let head = self.semi_builds.lock();
+        let mut at = head.as_ref();
+        while let Some(entry) = at {
+            let probes = entry.probes.load(Ordering::Relaxed);
+            if probes > 0 {
+                rec.merge_op(
+                    OpId::semi(entry.key.0),
+                    OpStats {
+                        calls: probes,
+                        rows_out: entry.hits.load(Ordering::Relaxed),
+                        ..OpStats::default()
+                    },
+                );
+            }
+            at = entry.next.as_ref();
+        }
     }
 }
 
@@ -308,17 +342,9 @@ impl<'a> Ctx<'a> {
         if hit {
             metrics::semi_hits().inc();
         }
-        if let Some(sink) = &self.shared.profile {
-            // Probe-side actuals on the semi-join pseudo-step: one call
-            // per probed outer row, one output row per hit.
-            sink.merge_op(
-                OpId::semi(sc.id),
-                OpStats {
-                    calls: 1,
-                    rows_out: hit as u64,
-                    ..OpStats::default()
-                },
-            );
+        if self.shared.recorder.is_some() {
+            entry.probes.fetch_add(1, Ordering::Relaxed);
+            entry.hits.fetch_add(hit as u64, Ordering::Relaxed);
         }
         Ok(Some(Truth::from_bool(hit)))
     }
@@ -374,8 +400,8 @@ impl<'a> Ctx<'a> {
         }
         metrics::semi_builds().inc();
         let base = env.len();
-        let start = self.opts.trace.then(std::time::Instant::now);
-        let span = self.shared.spans.as_ref().and_then(|s| s.start(self.lane));
+        let rec = self.shared.recorder.as_ref();
+        let t0 = rec.and_then(Recorder::start);
         let built = match env.with_layout(&sc.layout, |env| self.run_build(sc, semi, build, env)) {
             Ok(built) => Some(built),
             Err(_) => {
@@ -385,27 +411,20 @@ impl<'a> Ctx<'a> {
                 None
             }
         };
-        let build_nanos = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-        if build_nanos > 0 {
-            metrics::semi_build_time().record_nanos(build_nanos);
-        }
-        if let (Some(sink), Some(t0)) = (&self.shared.spans, span) {
-            sink.complete(
-                self.lane,
-                arc_trace::SpanKind::SemiBuild,
-                OpId::semi(sc.id),
-                t0,
-            );
-        }
-        if let Some(sink) = &self.shared.profile {
-            // Build-side actuals on the semi-join pseudo-step: the key
-            // set's cardinality (what `est=` on the semi-join line
-            // estimated) and the build's wall time.
-            sink.merge_op(
+        if let Some(rec) = rec {
+            // One clock pair: the build's span, its registry histogram
+            // sample, and the build-side actuals on the semi-join
+            // pseudo-step — the key set's cardinality (what `est=` on the
+            // semi-join line estimated) and the build's wall time.
+            let nanos = rec.finish(self.lane, SpanKind::SemiBuild, OpId::semi(sc.id), t0);
+            if t0.is_some() {
+                metrics::semi_build_time().record_nanos(nanos);
+            }
+            rec.merge_op(
                 OpId::semi(sc.id),
                 OpStats {
                     rows_in: built.as_ref().map_or(0, |b| b.keys.len() as u64),
-                    nanos: build_nanos,
+                    nanos,
                     ..OpStats::default()
                 },
             );
@@ -451,11 +470,8 @@ impl<'a> Ctx<'a> {
         // tallies under the scope's own operator ids (`EXPLAIN ANALYZE`
         // renders them on the `build (once)` subtree); the columnar fast
         // path above bypasses the row pipeline and leaves those est-only.
-        let tally = self
-            .shared
-            .profile
-            .as_ref()
-            .map(|_| ScopeTally::new(sc.id, build.steps.len()));
+        let rec = self.shared.recorder.as_ref();
+        let tally = rec.map(|_| ScopeTally::new(sc.id, build.steps.len()));
         let mut scratch: Vec<Key> = Vec::new();
         self.run_build_steps(sc.id, build, env, tally.as_ref(), &mut |ctx, env| {
             // Outer-free boolean subformulas run per build environment,
@@ -493,8 +509,8 @@ impl<'a> Ctx<'a> {
             }
             Ok(true)
         })?;
-        if let (Some(t), Some(sink)) = (&tally, &self.shared.profile) {
-            t.flush(sink, true);
+        if let (Some(t), Some(rec)) = (&tally, rec) {
+            t.flush(rec, true);
         }
         Ok(built)
     }

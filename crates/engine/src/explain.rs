@@ -18,18 +18,18 @@
 //! join needs no name matching. Annotated operators render
 //! `act=N (est=N, q=X.X)` per step — `q` is the
 //! [q-error](arc_plan::q_error) of the planner's estimate — plus wall
-//! time when the trace knob ([`Engine::with_trace`] / `ARC_TRACE`)
-//! enables clock reads.
+//! time when the recording knob ([`Engine::with_spans`] / `ARC_TRACE`)
+//! times the record.
 
 use crate::catalog::Catalog;
 use crate::error::{EvalError, Result};
-use crate::eval::Engine;
+use crate::eval::{Engine, Recording};
 use crate::fixpoint::{FixpointStrategy, ProgramOutput};
 use crate::relation::Relation;
 use arc_core::ast::{Collection, Program};
 use arc_core::binder::Binder;
 use arc_plan::{LowerError, PlanNode, ResolvedSource, SourceKind, SourceResolver};
-use arc_trace::{ProfileSink, QueryProfile};
+use arc_trace::{QueryProfile, Recorder};
 use std::collections::HashMap;
 
 /// Resolver over the engine's catalog plus a program's definitions,
@@ -88,6 +88,13 @@ impl SourceResolver for CatalogResolver<'_> {
     fn stats_epoch(&self) -> Option<u64> {
         Some(self.catalog.stats_epoch())
     }
+}
+
+/// What a recorded entry's recorder holds, as `read` sees it (an empty
+/// profile or timeline if the entry recorded nothing — which a `Profile`
+/// or `Timeline` entry never does).
+fn read_back<T: Default>(rec: Option<Recorder>, read: impl FnOnce(&Recorder) -> T) -> T {
+    rec.as_ref().map(read).unwrap_or_default()
 }
 
 /// Serialize a recorded span trace against its lowered plan: the
@@ -191,26 +198,23 @@ impl Engine<'_> {
     /// Evaluate a standalone collection while recording a per-operator
     /// execution profile, returning both the result and the profile.
     ///
-    /// Actual row/call counts are gathered regardless of the trace knob
-    /// (the profile sink is attached only for this call — ordinary
-    /// [`Engine::eval_collection`] never profiles); per-operator wall
-    /// times additionally require [`Engine::with_trace`] / `ARC_TRACE=on`
-    /// to enable clock reads.
+    /// Actual row/call counts are gathered regardless of the recording
+    /// knob (this call records; a default [`Engine::eval_collection`]
+    /// does not); per-operator wall times additionally require
+    /// [`Engine::with_spans`] / `ARC_TRACE=on`, which times the record.
     pub fn profile_collection(&self, c: &Collection) -> Result<(Relation, QueryProfile)> {
-        let sink = ProfileSink::new();
-        let rel = self.collection_recorded(c, Some(sink.clone()), None)?;
-        Ok((rel, sink.finish()))
+        let (rel, rec) = self.collection_recorded(c, Recording::Profile)?;
+        Ok((rel, read_back(rec, Recorder::profile)))
     }
 
     /// Evaluate a whole program while recording a per-operator execution
     /// profile; the profile aggregates over every definition the program
     /// materializes (fixpoint iterations included) plus the query. See
-    /// [`Engine::profile_collection`] for what the trace knob adds.
+    /// [`Engine::profile_collection`] for what the recording knob adds.
     pub fn profile_program(&self, p: &Program) -> Result<(ProgramOutput, QueryProfile)> {
-        let sink = ProfileSink::new();
-        let out =
-            self.program_recorded(p, FixpointStrategy::default(), Some(sink.clone()), None)?;
-        Ok((out, sink.finish()))
+        let (out, rec) =
+            self.program_recorded(p, FixpointStrategy::default(), Recording::Profile)?;
+        Ok((out, read_back(rec, Recorder::profile)))
     }
 
     /// Evaluate a standalone collection while recording hierarchical
@@ -219,19 +223,18 @@ impl Engine<'_> {
     /// `chrome://tracing`) to see the query → plan → scope → step →
     /// morsel nesting per worker lane.
     ///
-    /// The sink is attached only for this call and sized to the engine's
-    /// thread count; span names come from [`arc_plan::span_names`] over
-    /// the same lowered plan `EXPLAIN` renders, so timeline blocks are
-    /// joinable back to `EXPLAIN ANALYZE` lines by name and by the
-    /// `args.op` operator key.
+    /// The record is timed and its span lanes are this call's own, sized
+    /// to the engine's thread count; span names come from
+    /// [`arc_plan::span_names`] over the same lowered plan `EXPLAIN`
+    /// renders, so timeline blocks are joinable back to `EXPLAIN ANALYZE`
+    /// lines by name and by the `args.op` operator key.
     pub fn span_trace_collection(
         &self,
         c: &Collection,
     ) -> Result<(Relation, arc_core::json::Json)> {
-        let sink = arc_trace::SpanSink::with_lanes(self.options()?.threads);
-        let rel = self.collection_recorded(c, None, Some(sink.clone()))?;
+        let (rel, rec) = self.collection_recorded(c, Recording::Timeline)?;
         let plan = self.lowered_collection(c)?;
-        let trace = sink.finish();
+        let trace = read_back(rec, Recorder::span_trace);
         let json = chrome_trace_with_plan(&trace, &arc_plan::render(&plan), &plan);
         Ok((rel, json))
     }
@@ -241,11 +244,10 @@ impl Engine<'_> {
     /// (fixpoint iterations included) plus the query, under a single
     /// enclosing `query` span.
     pub fn span_trace_program(&self, p: &Program) -> Result<(ProgramOutput, arc_core::json::Json)> {
-        let sink = arc_trace::SpanSink::with_lanes(self.options()?.threads);
-        let out =
-            self.program_recorded(p, FixpointStrategy::default(), None, Some(sink.clone()))?;
+        let (out, rec) =
+            self.program_recorded(p, FixpointStrategy::default(), Recording::Timeline)?;
         let plan = self.lowered_program(p)?;
-        let trace = sink.finish();
+        let trace = read_back(rec, Recorder::span_trace);
         let json = chrome_trace_with_plan(&trace, &arc_plan::render(&plan), &plan);
         Ok((out, json))
     }
@@ -255,7 +257,7 @@ impl Engine<'_> {
     /// with each operator annotated by its measured actuals —
     /// `act=N (est=N, q=X.X)` per step (q-error of the planner's
     /// estimate), probe/hit counts on semi-joins, and wall time when the
-    /// trace knob enables clock reads.
+    /// recording knob times the record.
     pub fn explain_analyze_collection(&self, c: &Collection) -> Result<String> {
         let (_, profile) = self.profile_collection(c)?;
         let plan = self.lowered_collection(c)?;

@@ -33,13 +33,14 @@
 
 use crate::error::{EvalError, Result};
 use crate::eval::quantifier::KeySlots;
-use crate::eval::{Engine, Entry, Redirect};
+use crate::eval::{Engine, Entry, Recording, Redirect};
 use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
 use arc_core::binder::Binder;
 use arc_core::conventions::Semantics;
 use arc_core::value::Value;
 use arc_guard::seam;
+use arc_trace::Recorder;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -80,24 +81,25 @@ impl Engine<'_> {
         p: &Program,
         strategy: FixpointStrategy,
     ) -> Result<ProgramOutput> {
-        self.program_recorded(p, strategy, None, None)
+        self.program_recorded(p, strategy, Recording::Options)
+            .map(|(out, _)| out)
     }
 
-    /// [`Engine::eval_program_with`] recording into the given sinks (the
-    /// `profile_*` and `span_trace_*` entry points).
+    /// [`Engine::eval_program_with`] under the given [`Recording`] (the
+    /// `profile_*` and `span_trace_*` entry points), returning the
+    /// entry's recorder beside the output.
     pub(crate) fn program_recorded(
         &self,
         p: &Program,
         strategy: FixpointStrategy,
-        profile: Option<arc_trace::ProfileSink>,
-        spans: Option<arc_trace::SpanSink>,
-    ) -> Result<ProgramOutput> {
-        // One latency sample — and, when a span sink is attached, one
-        // enclosing `query` span — for the whole program: definitions,
-        // fixpoints, and the final query count as a single engine entry.
-        // The entry is likewise program-scoped: one deadline and one
-        // budget cover every stratum and fixpoint round.
-        self.entered(profile, spans, |entry| {
+        recording: Recording,
+    ) -> Result<(ProgramOutput, Option<Recorder>)> {
+        // One latency sample — and, when timed, one enclosing `query`
+        // span — for the whole program: definitions, fixpoints, and the
+        // final query count as a single engine entry. The entry is
+        // likewise program-scoped: one deadline, one budget and one
+        // record cover every stratum and fixpoint round.
+        self.entered(recording, |entry| {
             let (defined, abstracts) = self.materialize_definitions(p, strategy, entry)?;
             let query = match &p.query {
                 Some(q) => Some(self.eval_with(q, &defined, &abstracts, entry, None)?),
@@ -113,11 +115,12 @@ impl Engine<'_> {
     /// Evaluate a boolean sentence in the context of a program's
     /// definitions.
     pub fn eval_sentence_in(&self, p: &Program, f: &Formula) -> Result<arc_core::value::Truth> {
-        self.entered(None, None, |entry| {
+        self.entered(Recording::Options, |entry| {
             let (defined, abstracts) =
                 self.materialize_definitions(p, FixpointStrategy::default(), entry)?;
             self.eval_sentence_with(f, &defined, &abstracts, entry)
         })
+        .map(|(truth, _)| truth)
     }
 
     fn materialize_definitions(

@@ -4,10 +4,10 @@
 //! registry lookup.
 //!
 //! Counters are **always on** (a relaxed `fetch_add` at build/cache
-//! sites, which run once per query, not once per row); histograms record
-//! only when the engine's trace knob (`ARC_TRACE` /
-//! [`Engine::with_trace`](crate::eval::Engine::with_trace)) enables the
-//! clock reads that feed them. The full catalog, including the
+//! sites, which run once per query, not once per row); the build
+//! histograms record only when the evaluation's record is timed
+//! (`ARC_TRACE` / [`Engine::with_spans`](crate::eval::Engine::with_spans),
+//! or a span export), which is what reads the clocks that feed them. The full catalog, including the
 //! `plan.*`/`exec.*` metrics registered by `arc-plan`/`arc-exec`, is
 //! documented in the workspace README's Observability section.
 

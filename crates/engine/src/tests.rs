@@ -2207,8 +2207,7 @@ fn lateral_memo_peak(keys: impl Iterator<Item = i64>) -> (usize, Relation) {
     let entry = crate::eval::Entry {
         opts: engine.options().unwrap(),
         guard: Some(guard.clone()),
-        profile: None,
-        spans: None,
+        recorder: None,
     };
     let (defined, abstracts) = Default::default();
     let out = engine

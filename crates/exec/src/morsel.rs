@@ -152,14 +152,10 @@ where
             if i >= n {
                 break;
             }
-            // Always-on morsel latency sample (subject only to the
-            // process-wide quantile gate, which also guards the clock
-            // read — the gated-off path stays clock-free).
-            let t0 = arc_trace::quantile::recording().then(std::time::Instant::now);
+            // Always-on morsel latency sample.
+            let t0 = std::time::Instant::now();
             let out = work(&mut state, i, morsels.range(i));
-            if let Some(t0) = t0 {
-                morsel_latency().record_nanos(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+            morsel_latency().record_nanos(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             *slots[i].lock().expect("morsel slot") = Some(out);
         }
     })?;

@@ -1,30 +1,33 @@
 //! # arc-trace — runtime introspection for ARC
 //!
-//! PR 2's `EXPLAIN` renders what the planner *intends* (`est=N` per
-//! operator); this crate records what execution *actually did*. It is the
-//! repo's first cross-cutting observability layer and has two halves:
+//! `EXPLAIN` renders what the planner *intends* (`est=N` per operator);
+//! this crate records what execution *actually did*. One evaluation
+//! writes one record, through one [`Recorder`]; the process keeps
+//! rollups and latency tails beside it:
 //!
+//! * [`profile`] — the **per-query record**. A [`Recorder`] holds the
+//!   operator table (a [`QueryProfile`]: per-operator actual input/output
+//!   rows, invocation counts and wall time, keyed by the stable operator
+//!   ids that `arc-plan` assigns at lowering time, plus per-worker
+//!   morsel/busy accounting from `arc-exec`), the span lanes, and one
+//!   *timed* bit. Untimed, it counts rows and calls and reads no clock
+//!   (`EXPLAIN ANALYZE` under the defaults); timed (`ARC_TRACE=on`, or a
+//!   span export), each seam — query → plan → scope → semi-join build →
+//!   step → morsel — reads one clock pair for its [`span`], which also
+//!   feeds the operator's `nanos` wherever the operator keeps the
+//!   region's duration. The engine's `explain_analyze_*` renders
+//!   the table against the planner's estimates as `act=N (est=N, q=X.X)`
+//!   q-error annotations; [`trace_json`] exports the spans as Chrome
+//!   Trace Event Format JSON that Perfetto / `chrome://tracing` render as
+//!   a per-query timeline.
 //! * [`registry`] — a process-wide metrics registry of **named monotonic
-//!   counters**, **gauges** and **duration histograms**. Counters are plain relaxed
-//!   atomics and always on (they are how the workspace's counter-delta
-//!   tests observe planner/cache/semi-join behavior); the *expensive*
-//!   instrumentation — reading clocks — hides behind a single
-//!   `AtomicBool` load ([`enabled`]), so `ARC_TRACE=off` (the default)
-//!   costs one branch per timed region.
-//! * [`profile`] — **per-query execution profiles**: per-operator actual
-//!   input/output rows, invocation counts and wall time, keyed by the
-//!   stable operator ids that `arc-plan` assigns at lowering time, plus
-//!   per-worker busy/morsel accounting from `arc-exec`. The engine's
-//!   `explain_analyze_*` renders these against the planner's estimates
-//!   as `act=N (est=N, q=X.X)` q-error annotations.
-//!
-//! v2 adds two more layers on the same operator-id spine:
-//!
-//! * [`span`] + [`trace_json`] — **hierarchical execution spans** (query
-//!   → plan → scope → semi-join build → step → morsel) recorded into
-//!   bounded per-lane ring buffers behind the `ARC_SPANS` knob (default
-//!   off), exported as Chrome Trace Event Format JSON that Perfetto /
-//!   `chrome://tracing` render as a per-query timeline.
+//!   counters**, **gauges** and **duration histograms**. Counters are plain
+//!   relaxed atomics and always on (they are how the workspace's
+//!   counter-delta tests observe planner/cache/semi-join behavior, and
+//!   where each record's span counts roll up: `trace.spans`,
+//!   `trace.spans.dropped`); clock reads outside an evaluation (relation
+//!   builds, pool shutdown) hide behind a single `AtomicBool` load
+//!   ([`enabled`]).
 //! * [`quantile`] — **always-on latency quantile histograms** (fixed
 //!   128 log buckets, relaxed atomics, mergeable snapshots) at the
 //!   per-query and per-morsel seams, surfaced as p50/p95/p99 through
@@ -42,7 +45,7 @@ pub mod registry;
 pub mod span;
 pub mod trace_json;
 
-pub use profile::{OpId, OpStats, ProfileSink, QueryProfile, WorkerLane};
+pub use profile::{OpId, OpStats, QueryProfile, Recorder, ScopeTally, WorkerLane};
 pub use quantile::{QuantileHistogram, QuantileSnapshot, QUANTILE_BUCKETS};
 pub use registry::{
     counter, enabled, gauge, histogram, maybe_now, metrics_text, quantile_histogram, record_since,
@@ -51,15 +54,14 @@ pub use registry::{
 pub use span::{Span, SpanKind, SpanSink, SpanTrace, LANE_CAPACITY};
 pub use trace_json::{chrome_trace, op_key};
 
-/// Interpret an `ARC_TRACE` environment value. Unlike the engine's other
-/// knobs, the default is **off**: tracing is opt-in, so the untraced hot
-/// path pays only the [`enabled`] atomic-load guard.
+/// Interpret an `ARC_TRACE` environment value: the one parser of the one
+/// recording knob. The default is **off**: recording is opt-in, so the
+/// unrecorded hot path pays only `Option` checks.
 ///
 /// This is the pure core (unit-testable without touching the process
-/// environment, which is racy under parallel tests) behind the
-/// process-wide [`enabled`] flag; the engine reads the same variable once
-/// per engine into its `QueryOptions`, through a knob registry that a unit
-/// test there keeps in agreement with this parser.
+/// environment, which is racy under parallel tests) behind both the
+/// process-wide [`enabled`] flag and the engine's `QueryOptions::trace`,
+/// which the engine reads once per engine.
 pub fn parse_trace(value: Option<&str>) -> Result<bool, String> {
     match value.map(|v| v.to_lowercase().replace('_', "-")) {
         None => Ok(false),

@@ -27,27 +27,10 @@
 //! visible rather than silently folded into the top bucket.
 
 use arc_core::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets in every quantile histogram.
 pub const QUANTILE_BUCKETS: usize = 128;
-
-/// Process-wide recording gate, **on by default** (this layer is the
-/// always-on half of arc-trace v2). Exists so the ablation benchmark can
-/// price the layer; not wired to any environment knob.
-static RECORDING: AtomicBool = AtomicBool::new(true);
-
-/// Is quantile recording on? Callers that pay a clock read to feed a
-/// histogram should check this first.
-#[inline]
-pub fn recording() -> bool {
-    RECORDING.load(Ordering::Relaxed)
-}
-
-/// Toggle quantile recording process-wide (bench/ablation use only).
-pub fn set_recording(on: bool) {
-    RECORDING.store(on, Ordering::Relaxed);
-}
 
 /// Bucket index for a nanosecond value, or `None` for overflow.
 #[inline]
@@ -129,13 +112,9 @@ impl QuantileCell {
 pub struct QuantileHistogram(pub(crate) &'static QuantileCell);
 
 impl QuantileHistogram {
-    /// Record one observation of `nanos` nanoseconds (relaxed atomics;
-    /// honors the process [`recording`] gate).
+    /// Record one observation of `nanos` nanoseconds (relaxed atomics).
     #[inline]
     pub fn record_nanos(self, nanos: u64) {
-        if !recording() {
-            return;
-        }
         let cell = self.0;
         cell.count.fetch_add(1, Ordering::Relaxed);
         cell.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -408,18 +387,5 @@ mod tests {
         assert!(text.contains("\"p50\""), "{text}");
         assert!(text.contains("\"overflow\":0"), "{text}");
         arc_core::json::parse(&text).expect("quantile JSON must reparse");
-    }
-
-    #[test]
-    fn recording_gate_stops_the_hot_path() {
-        // Owned snapshots ignore the gate; only the atomic handle honors
-        // it (exercised via the registry in registry tests). Here: the
-        // gate itself flips and restores.
-        let was = recording();
-        set_recording(false);
-        assert!(!recording());
-        set_recording(true);
-        assert!(recording());
-        set_recording(was);
     }
 }

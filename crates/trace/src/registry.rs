@@ -58,9 +58,8 @@ pub fn enabled() -> bool {
     enabled_cell().load(Ordering::Relaxed)
 }
 
-/// Override the tracing gate for this process (e.g. from
-/// `Engine::with_trace`, or a test that wants timings regardless of the
-/// environment).
+/// Override the tracing gate for this process (e.g. a test that wants
+/// timings regardless of the environment).
 pub fn set_enabled(on: bool) {
     enabled_cell().store(on, Ordering::Relaxed);
 }
@@ -668,20 +667,6 @@ mod tests {
             .quantile("test.registry.quant_diff");
         assert_eq!(d.count, 2);
         assert_eq!(d.sum_nanos, 300);
-    }
-
-    #[test]
-    fn quantile_recording_gate_is_honored() {
-        let q = quantile_histogram("test.registry.quant_gate");
-        let was = crate::quantile::recording();
-        crate::quantile::set_recording(false);
-        let before = q.count();
-        q.record_nanos(5);
-        assert_eq!(q.count(), before);
-        crate::quantile::set_recording(true);
-        q.record_nanos(5);
-        assert_eq!(q.count(), before + 1);
-        crate::quantile::set_recording(was);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Hierarchical execution spans: *when* each operator ran and for how
 //! long, recorded into bounded per-worker-lane ring buffers.
 //!
-//! PR 8's [`profile`](crate::profile) layer answers "how many rows, how
-//! many calls"; this layer answers "where did the wall clock go, on which
-//! lane". A span is one timed region — query → plan → scope →
+//! The operator table ([`profile`](crate::profile)) answers "how many
+//! rows, how many calls"; the spans answer "where did the wall clock go,
+//! on which lane". A span is one timed region — query → plan → scope →
 //! semi-join build → step → morsel — keyed by the same stable
 //! [`OpId`]s the profile and `EXPLAIN ANALYZE` use, so a timeline event
-//! is joinable back to its `act=N (est=N, q=X.X)` line.
+//! is joinable back to its `act=N (est=N, q=X.X)` line. The lanes belong
+//! to a timed [`Recorder`](crate::Recorder), whose clock pair at each
+//! seam files the span and, where the operator keeps the region's
+//! duration, its `nanos`.
 //!
 //! ## Design constraints
 //!
@@ -22,11 +25,14 @@
 //! * **Bounded with an explicit drop count.** A full lane rejects the
 //!   span *at start* — [`SpanSink::start`] returns `None` and bumps the
 //!   lane's drop counter, so an overflowing query skips even the clock
-//!   reads for the spans it cannot keep. The total is surfaced in
-//!   [`SpanTrace::dropped`] and in the Chrome-trace export's metadata.
-//! * **Zero cost when disabled.** The engine threads
-//!   `Option<SpanSink>` through its context; `ARC_SPANS=off` (the
-//!   default) leaves it `None` and every seam is one `Option` branch.
+//!   reads for the spans it cannot keep (a region whose duration an
+//!   operator keeps is still timed, and its span counted dropped at
+//!   [`SpanSink::complete`]). The total is surfaced in
+//!   [`SpanTrace::dropped`], in the Chrome-trace export's metadata, and
+//!   in the registry's `trace.spans.dropped` rollup.
+//! * **Zero cost when not recording.** The engine threads one
+//!   `Option<Recorder>` through its context; an untimed or absent
+//!   recorder owns no lanes, and every seam is one `Option` branch.
 //!
 //! Timestamps are nanoseconds relative to the sink's construction instant
 //! (`Instant` monotonic clock), which is what the Chrome Trace Event
@@ -157,11 +163,6 @@ impl SpanSink {
         }))
     }
 
-    /// Number of lanes this sink was built with.
-    pub fn lane_count(&self) -> usize {
-        self.0.lanes.len()
-    }
-
     /// Nanoseconds since the sink's epoch — the span clock.
     #[inline]
     pub fn now(&self) -> u64 {
@@ -189,21 +190,22 @@ impl SpanSink {
         Some(self.now())
     }
 
-    /// End a span begun with [`SpanSink::start`], publishing it into
-    /// `lane`'s buffer. The slot claim can still lose a race against
-    /// concurrent writers on the same lane (the engine stamps one lane
-    /// per worker, so in practice it never does); a lost claim counts as
-    /// a drop.
-    pub fn complete(&self, lane: usize, kind: SpanKind, op: OpId, start_nanos: u64) {
+    /// End a span begun at `start_nanos` ([`SpanSink::start`] or
+    /// [`SpanSink::now`]), publishing it into `lane`'s buffer, and return
+    /// its duration. A full lane — or a slot claim that loses a race
+    /// against concurrent writers on the same lane (the engine stamps one
+    /// lane per worker, so in practice it never does) — counts as a drop.
+    pub fn complete(&self, lane: usize, kind: SpanKind, op: OpId, start_nanos: u64) -> u64 {
         let end = self.now();
+        let dur = end.saturating_sub(start_nanos);
         let Some(buf) = self.0.lanes.get(lane) else {
-            return;
+            return dur;
         };
         buf.used.store(1, Ordering::Relaxed);
         let slot = buf.claimed.fetch_add(1, Ordering::Relaxed);
         if slot >= LANE_CAPACITY {
             buf.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return dur;
         }
         let base = slot * SLOT_WORDS;
         let mut meta = READY_BIT | ((kind as u64) << 32) | (lane as u64 & 0xffff_ffff);
@@ -217,9 +219,10 @@ impl SpanSink {
         buf.slots[base + 1].store(op.scope as u64, Ordering::Relaxed);
         buf.slots[base + 2].store(step, Ordering::Relaxed);
         buf.slots[base + 3].store(start_nanos, Ordering::Relaxed);
-        buf.slots[base + 4].store(end.saturating_sub(start_nanos), Ordering::Relaxed);
+        buf.slots[base + 4].store(dur, Ordering::Relaxed);
         // Publish last: the ready bit makes the slot visible to readers.
         buf.slots[base].store(meta, Ordering::Release);
+        dur
     }
 
     /// Mark `lane` as having participated even if it records no spans —
@@ -235,9 +238,10 @@ impl SpanSink {
     /// evaluation without reallocating the slabs: claim, drop, and used
     /// counters go back to zero, and subsequent writes overwrite old
     /// slots (each slot republishes via its meta word, so a reader never
-    /// sees stale data below the new claim point). This is how the bare
-    /// `ARC_SPANS=on` knob amortizes its sink across evaluations —
-    /// O(lanes) atomic stores per reset, no zeroing of the slot slabs.
+    /// sees stale data below the new claim point). This is how an engine
+    /// under `ARC_TRACE=on` amortizes one sink across the evaluations
+    /// nobody exports — O(lanes) atomic stores per reset, no zeroing of
+    /// the slot slabs.
     /// Resetting while another evaluation is still recording into the
     /// sink scrambles that evaluation's spans (never memory-unsafe —
     /// everything is atomics); callers that export must use a dedicated
@@ -252,11 +256,19 @@ impl SpanSink {
 
     /// Total spans dropped across all lanes (buffer overflow).
     pub fn dropped(&self) -> u64 {
-        self.0
-            .lanes
-            .iter()
-            .map(|b| b.dropped.load(Ordering::Relaxed))
-            .sum()
+        self.counts().1
+    }
+
+    /// `(filed, dropped)` across all lanes: spans that claimed a slot,
+    /// and spans lost to a full lane.
+    pub fn counts(&self) -> (u64, u64) {
+        self.0.lanes.iter().fold((0, 0), |(filed, dropped), b| {
+            let claimed = b.claimed.load(Ordering::Relaxed).min(LANE_CAPACITY);
+            (
+                filed + claimed as u64,
+                dropped + b.dropped.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Drain the buffers into an owned [`SpanTrace`]. Spans are returned

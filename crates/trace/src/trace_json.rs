@@ -23,7 +23,8 @@
 //! The exporter sorts each lane's spans by `(start asc, end desc)` and
 //! emits `B`/`E` through an explicit stack, so in the output array every
 //! `B` on a tid is closed by a matching `E` before anything that starts
-//! after it ends — invariant 15's nesting golden checks exactly this.
+//! after it ends — the span-trace golden (`tests/span_equivalence.rs`)
+//! checks exactly this.
 
 use crate::profile::OpId;
 use crate::span::{Span, SpanKind, SpanTrace};

@@ -403,7 +403,6 @@ fn text_to_rows_allocates_at_most_half_of_what_it_did() {
             // The default plan, whatever the CI leg's environment says;
             // sequential, so the work stays on this thread.
             let engine = Engine::new(&catalog, shape.conventions())
-                .with_trace(false)
                 .with_spans(false)
                 .with_mem_budget(0)
                 .with_threads(1);

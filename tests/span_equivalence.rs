@@ -1,13 +1,9 @@
-//! Workspace invariant 15: **span recording observes, never changes.**
-//!
-//! The `ARC_SPANS` knob ([`Engine::with_spans`]) and the exported
-//! timeline ([`Engine::span_trace_collection`] /
-//! [`Engine::span_trace_program`]) only append begin/end events into
-//! bounded per-lane ring buffers; they may not change a single result
-//! row under any thread count, nor on the paths a starved budget takes.
-//!
-//! The exported Chrome Trace Event Format JSON is additionally held to a
-//! structural golden on the skewed range-join: it must reparse, every
+//! The exported timeline of an evaluation's record
+//! ([`Engine::span_trace_collection`] / [`Engine::span_trace_program`]).
+//! Recording it never changes a row — the timeline's leg of workspace
+//! invariant 14, whose other legs are in `trace_equivalence.rs` — and the
+//! exported Chrome Trace Event Format JSON is held to a structural golden
+//! on the skewed range-join. It must reparse, every
 //! `B` event must close with a matching `E` on its tid (Perfetto rejects
 //! unbalanced tracks), a 4-thread partitioned run must name exactly 4
 //! lane tracks and scatter morsel events across more than one of them,
@@ -19,6 +15,7 @@ use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::json::Json;
 use arc_engine::Engine;
+use arc_trace::OpId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +39,8 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Invariant 15: spans on and off return identical rows across
+    /// Invariant 14, timeline leg: exporting spans returns the rows an
+    /// unrecorded evaluation does, with the record timed or not, across
     /// every thread count × {unbounded, every build denied}.
     #[test]
     fn spans_on_off_row_identical(
@@ -57,17 +55,20 @@ proptest! {
         let catalog = random_catalog(&spec, &mut rng);
         for threads in [1usize, 4] {
             for budget in [0usize, 1] {
-                let run = |spans: bool| {
+                let engine = |spans: bool| {
                     Engine::new(&catalog, Conventions::sql())
                         .with_threads(threads)
                         .with_mem_budget(budget)
                         .with_spans(spans)
-                        .eval_collection(&q)
-                        .unwrap()
                 };
-                let off = run(false);
-                let on = run(true);
-                prop_assert_eq!(&off.rows, &on.rows, "threads {} budget {}", threads, budget);
+                let off = engine(false).eval_collection(&q).unwrap();
+                for spans in [false, true] {
+                    let (on, _) = engine(spans).span_trace_collection(&q).unwrap();
+                    prop_assert_eq!(
+                        &off.rows, &on.rows,
+                        "spans {} threads {} budget {}", spans, threads, budget
+                    );
+                }
             }
         }
     }
@@ -286,19 +287,19 @@ fn span_trace_sequential_records_scopes() {
         "sequential run records scope spans"
     );
 
-    // Spans off: evaluation allocates no sink at all, and the knob
+    // Recording off: evaluation allocates no record at all, and the knob
     // round-trips through the builder. (The default is env-driven, so
     // the default-off assertion only holds when CI isn't re-running the
-    // suite under `ARC_SPANS=on`.)
-    if std::env::var_os("ARC_SPANS").is_none() {
+    // suite under `ARC_TRACE=on`.)
+    if std::env::var_os("ARC_TRACE").is_none() {
         let default = Engine::new(&catalog, Conventions::sql());
         assert!(
-            !default.options().unwrap().spans,
-            "ARC_SPANS defaults to off"
+            !default.options().unwrap().trace,
+            "ARC_TRACE defaults to off"
         );
     }
     let off = Engine::new(&catalog, Conventions::sql()).with_spans(false);
-    assert!(!off.options().unwrap().spans);
+    assert!(!off.options().unwrap().trace);
     assert_eq!(off.eval_collection(&q).unwrap().rows, rows.rows);
 }
 
@@ -345,4 +346,75 @@ fn latency_quantiles_surface_in_metrics_text() {
             "{metric} count missing:\n{text}"
         );
     }
+}
+
+/// `B` (nesting) plus `X` (morsel) events: one per exported span.
+fn exported_spans(trace: &Json) -> u64 {
+    let events = walk_events(trace);
+    events
+        .iter()
+        .filter(|(ph, ..)| ph == "B" || ph == "X")
+        .count() as u64
+}
+
+/// Two views of one record agree: on the skewed range-join, the timeline
+/// holds one `Step` span per invocation of the hash probe (step 1) —
+/// exactly the profile's step-1 `calls`, 7, one per surviving `R` row.
+/// And the record rolls its spans up into the registry when it ends:
+/// `trace.spans` rises by at least what the trace exported (`>=`: the
+/// counters are process-global and other tests run concurrently).
+#[test]
+fn step_spans_count_the_profiles_step_calls() {
+    let n = 1024;
+    let mut catalog = fx::stats_skew_catalog(n);
+    catalog.analyze();
+    let q = fx::eq1_range(n);
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
+    let (_, profile) = engine.profile_collection(&q).unwrap();
+    let scope = profile
+        .ops
+        .keys()
+        .find(|id| id.step.is_none())
+        .unwrap()
+        .scope;
+    let calls = profile.op(OpId::step(scope, 1)).unwrap().calls;
+    assert_eq!(calls, 7, "one probe per surviving R row");
+
+    let before = arc_trace::snapshot();
+    let (_, trace) = engine.span_trace_collection(&q).unwrap();
+    let delta = arc_trace::snapshot().diff(&before);
+    let key = arc_trace::op_key(OpId::step(scope, 1));
+    let step_spans = walk_events(&trace)
+        .iter()
+        .filter(|(ph, _, _, op)| ph == "B" && op.as_deref() == Some(key.as_str()))
+        .count() as u64;
+    assert_eq!(step_spans, calls, "step-1 spans vs the profile's calls");
+    assert!(delta.counter("trace.spans") >= exported_spans(&trace));
+}
+
+/// An overflowing run — a self-join probing once per row of an 8 192-row
+/// scan, twice a lane's capacity in step spans — drops spans, says so in
+/// the export's `meta.dropped_spans`, and raises `trace.spans.dropped`
+/// by at least as many.
+#[test]
+fn dropped_spans_roll_up_into_the_registry() {
+    let catalog = fx::stats_skew_catalog(8192);
+    let q = fx::q("{Q(A) | ∃r ∈ R, t ∈ R [Q.A = r.A ∧ r.A = t.A]}");
+    let engine = Engine::new(&catalog, Conventions::sql()).with_threads(1);
+    let before = arc_trace::snapshot();
+    let (rows, trace) = engine.span_trace_collection(&q).unwrap();
+    let delta = arc_trace::snapshot().diff(&before);
+    assert_eq!(rows.len(), 8192);
+    let Json::Obj(top) = &trace else {
+        panic!("trace is not an object")
+    };
+    let Json::Obj(meta) = &top["meta"] else {
+        panic!("meta missing")
+    };
+    let Json::Int(dropped) = meta["dropped_spans"] else {
+        panic!("dropped_spans")
+    };
+    assert!(dropped > 0, "an 8 192-probe run overflows its lane");
+    assert!(delta.counter("trace.spans.dropped") >= dropped as u64);
+    assert!(delta.counter("trace.spans") >= exported_spans(&trace));
 }

@@ -1,13 +1,17 @@
-//! Workspace invariant 14: **tracing observes, never changes.**
+//! Workspace invariant 14: **recording observes, never changes.**
 //!
-//! The `ARC_TRACE` knob ([`Engine::with_trace`]) only enables clock
-//! reads; the profile sink ([`Engine::profile_collection`] /
-//! `explain_analyze_*`) only counts rows the evaluator was producing
-//! anyway. Neither may change a single result row, under any thread
-//! count, nor on the paths a starved budget takes — and the counts themselves
-//! must be *exact*: the same profile whether gathered sequentially or
-//! merged from four workers, with row counts matching a hand-counted
-//! oracle on the skewed range-join fixture.
+//! An evaluation's one record — timed under `ARC_TRACE`
+//! ([`Engine::with_spans`]), read back as a profile
+//! ([`Engine::profile_collection`] / `explain_analyze_*`) or as a
+//! timeline ([`Engine::span_trace_collection`]) — only counts rows the
+//! evaluator was producing anyway and reads clocks around work it was
+//! doing anyway. No way of recording may change a single result row,
+//! under any thread count, nor on the paths a starved budget takes — and
+//! the counts themselves must be *exact*: the same profile whether
+//! gathered sequentially or merged from four workers, with row counts
+//! matching a hand-counted oracle on the skewed range-join fixture. (The
+//! exported timeline's row-identity leg and goldens are in
+//! `span_equivalence.rs`.)
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
 use arc_bench::fixtures as fx;
@@ -36,8 +40,11 @@ fn big_spec(with_nulls: bool) -> InstanceSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Invariant 14: trace on and off return identical rows across
-    /// every thread count × {unbounded, every build denied}.
+    /// Invariant 14: trace on (`with_spans(true)`, a timed record nobody
+    /// reads) and a profile, timed or not, return the rows an unrecorded
+    /// evaluation does, across every thread count × {unbounded, every
+    /// build denied}. The timeline's leg is `spans_on_off_row_identical`
+    /// in `span_equivalence.rs`.
     #[test]
     fn trace_on_off_row_identical(
         seed in 0u64..300,
@@ -51,17 +58,24 @@ proptest! {
         let catalog = random_catalog(&spec, &mut rng);
         for threads in [1usize, 4] {
             for budget in [0usize, 1] {
-                let run = |trace: bool| {
+                let engine = |record: bool| {
                     Engine::new(&catalog, Conventions::sql())
                         .with_threads(threads)
                         .with_mem_budget(budget)
-                        .with_trace(trace)
-                        .eval_collection(&q)
-                        .unwrap()
+                        .with_spans(record)
                 };
-                let off = run(false);
-                let on = run(true);
-                prop_assert_eq!(&off.rows, &on.rows, "threads {} budget {}", threads, budget);
+                let plain = engine(false).eval_collection(&q).unwrap();
+                let recorded = [
+                    ("with_spans(true)", engine(true).eval_collection(&q).unwrap()),
+                    ("profile", engine(false).profile_collection(&q).unwrap().0),
+                    ("timed profile", engine(true).profile_collection(&q).unwrap().0),
+                ];
+                for (how, rows) in recorded {
+                    prop_assert_eq!(
+                        &plain.rows, &rows.rows,
+                        "{} at threads {} budget {}", how, threads, budget
+                    );
+                }
             }
         }
     }
@@ -82,7 +96,7 @@ fn profile_actuals_match_hand_count() {
     let profile_with = |threads: usize, trace: bool| {
         let engine = Engine::new(&catalog, Conventions::sql())
             .with_threads(threads)
-            .with_trace(trace);
+            .with_spans(trace);
         let (rows, profile) = engine.profile_collection(&q).unwrap();
         // 7 R rows survive `r.A > n-8`, each matching 8 S rows.
         assert_eq!(rows.len(), 56, "threads {threads}: result bag drifted");
@@ -184,7 +198,7 @@ fn explain_analyze_renders_actuals() {
 
     // With the trace knob on, operators additionally report wall time.
     let timed = engine
-        .with_trace(true)
+        .with_spans(true)
         .explain_analyze_collection(&q)
         .unwrap();
     assert!(
