@@ -185,4 +185,45 @@ mod tests {
             assert!(msg.contains(first), "{vars:?}: {msg}");
         }
     }
+
+    /// One reader per knob: `Engine::new` (in `eval/mod.rs`) is the only
+    /// code under `crates/*/src` that reads an `ARC_*` variable. A second
+    /// reader would parse the knob its own way and let a malformed value
+    /// slip past `EvalError::Config`.
+    #[test]
+    fn only_the_engine_reads_arc_variables() {
+        fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    walk(&path, files);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    files.push(path);
+                }
+            }
+        }
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(&crates).unwrap() {
+            let src = krate.unwrap().path().join("src");
+            if src.is_dir() {
+                walk(&src, &mut files);
+            }
+        }
+        // Split so this file does not match itself.
+        let needles = [
+            concat!("env::var", "(\"ARC_"),
+            concat!("env::var_os", "(\"ARC_"),
+        ];
+        let readers: Vec<_> = files
+            .iter()
+            .filter(|f| !f.ends_with("engine/src/eval/mod.rs"))
+            .filter(|f| {
+                let text = std::fs::read_to_string(f).unwrap();
+                needles.iter().any(|n| text.contains(n))
+            })
+            .collect();
+        assert!(files.len() > 50, "walked {} files", files.len());
+        assert!(readers.is_empty(), "second ARC_* readers: {readers:?}");
+    }
 }

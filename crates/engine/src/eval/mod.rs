@@ -315,7 +315,7 @@ impl<'c> Engine<'c> {
     /// evaluation path.
     ///
     /// The entry is one sample of the always-on `engine.query.latency`
-    /// quantile histogram and, when timed, one enclosing `Query` span —
+    /// histogram and, when timed, one enclosing `Query` span —
     /// the same clock pair — after which the record's span counts roll up
     /// into the registry. A panic inside — a worker's or an injected one
     /// — is contained here and surfaces as [`EvalError::WorkerPanic`];

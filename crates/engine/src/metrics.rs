@@ -4,14 +4,17 @@
 //! registry lookup.
 //!
 //! Counters are **always on** (a relaxed `fetch_add` at build/cache
-//! sites, which run once per query, not once per row); the build
-//! histograms record only when the evaluation's record is timed
-//! (`ARC_TRACE` / [`Engine::with_spans`](crate::eval::Engine::with_spans),
-//! or a span export), which is what reads the clocks that feed them. The full catalog, including the
+//! sites, which run once per query, not once per row). The hash,
+//! selection and semi-join build histograms record only when the
+//! evaluation's record is timed (`ARC_TRACE` /
+//! [`Engine::with_spans`](crate::eval::Engine::with_spans), or a span
+//! export), which is what reads the clocks that feed them; the relation
+//! cache misses (chunk encode, ordered-index build) and the query latency
+//! read their own clock on every run. The full catalog, including the
 //! `plan.*`/`exec.*` metrics registered by `arc-plan`/`arc-exec`, is
 //! documented in the workspace README's Observability section.
 
-use arc_trace::{Counter, Histogram, QuantileHistogram};
+use arc_trace::{Counter, Histogram};
 use std::sync::OnceLock;
 
 macro_rules! counter_fn {
@@ -144,13 +147,13 @@ histogram_fn!(
     "engine.semijoin.build"
 );
 
-/// `engine.query.latency`: always-on latency quantile histogram sampled
-/// once per engine entry point (`eval_collection` / `eval_sentence` /
-/// `eval_program`) — the p50/p95/p99 surface `metrics_text()` exposes.
-pub fn query_latency() -> QuantileHistogram {
-    static Q: OnceLock<QuantileHistogram> = OnceLock::new();
-    *Q.get_or_init(|| arc_trace::quantile_histogram("engine.query.latency"))
-}
+histogram_fn!(
+    /// `engine.query.latency`: end-to-end latency, sampled once per
+    /// engine entry point (`eval_collection` / `eval_sentence` /
+    /// `eval_program`).
+    query_latency,
+    "engine.query.latency"
+);
 
 #[cfg(test)]
 mod tests {

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// A tuple: values aligned with the owning relation's schema.
 pub type Tuple = Vec<Value>;
@@ -163,10 +164,10 @@ impl Relation {
                 return Arc::clone(set);
             }
         }
-        let start = arc_trace::maybe_now();
+        let start = Instant::now();
         let set = Arc::new(ColumnSet::encode(self.schema.len(), &self.rows));
         crate::metrics::chunk_builds().inc();
-        arc_trace::record_since(crate::metrics::chunk_encode_time(), start);
+        crate::metrics::chunk_encode_time().record_elapsed(start);
         *cached = Some(Arc::clone(&set));
         set
     }
@@ -185,10 +186,10 @@ impl Relation {
                 return Arc::clone(idx);
             }
         }
-        let start = arc_trace::maybe_now();
+        let start = Instant::now();
         let idx = Arc::new(crate::eval::index::OrderedIndex::build(&self.rows, cols));
         crate::metrics::ordered_builds().inc();
-        arc_trace::record_since(crate::metrics::ordered_build_time(), start);
+        crate::metrics::ordered_build_time().record_elapsed(start);
         cached.insert(cols.to_vec(), Arc::clone(&idx));
         idx
     }

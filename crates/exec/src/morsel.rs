@@ -155,7 +155,7 @@ where
             // Always-on morsel latency sample.
             let t0 = std::time::Instant::now();
             let out = work(&mut state, i, morsels.range(i));
-            morsel_latency().record_nanos(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            morsel_latency().record_elapsed(t0);
             *slots[i].lock().expect("morsel slot") = Some(out);
         }
     })?;
@@ -171,11 +171,11 @@ fn morsels_counter() -> arc_trace::Counter {
     *C.get_or_init(|| arc_trace::counter("exec.morsels"))
 }
 
-/// The `exec.morsel.latency` quantile histogram: wall time per executed
+/// The `exec.morsel.latency` histogram: wall time per executed
 /// morsel, sampled on every run (see `arc_trace::quantile`).
-fn morsel_latency() -> arc_trace::QuantileHistogram {
-    static Q: std::sync::OnceLock<arc_trace::QuantileHistogram> = std::sync::OnceLock::new();
-    *Q.get_or_init(|| arc_trace::quantile_histogram("exec.morsel.latency"))
+fn morsel_latency() -> arc_trace::Histogram {
+    static Q: std::sync::OnceLock<arc_trace::Histogram> = std::sync::OnceLock::new();
+    *Q.get_or_init(|| arc_trace::histogram("exec.morsel.latency"))
 }
 
 #[cfg(test)]

@@ -113,9 +113,9 @@ impl WorkerPool {
     /// polling) until each has exited. In-flight jobs complete first —
     /// workers only exit on an empty queue. Idempotent; called by `Drop`.
     ///
-    /// The wait is recorded in the registry (`exec.pool.shutdowns`
-    /// counter; `exec.pool.shutdown_wait` duration histogram when tracing
-    /// is enabled), so a pool whose teardown stalls shows up in the
+    /// The wait is recorded in the registry on every shutdown that joins
+    /// workers (`exec.pool.shutdowns` counter, `exec.pool.shutdown_wait`
+    /// histogram), so a pool whose teardown stalls shows up in the
     /// metrics instead of silently eating process-exit time.
     pub fn shutdown(&self) {
         let handles: Vec<_> = {
@@ -132,14 +132,14 @@ impl WorkerPool {
             let _guard = self.shared.queue.lock().expect("pool mutex");
             self.shared.available.notify_all();
         }
-        let start = arc_trace::maybe_now();
+        let start = std::time::Instant::now();
         for handle in handles {
             // A worker that panicked already reported through its job's
             // completion channel; the thread itself has nothing to add.
             let _ = handle.join();
         }
         shutdowns_counter().inc();
-        arc_trace::record_since(shutdown_wait_histogram(), start);
+        shutdown_wait_histogram().record_elapsed(start);
     }
 
     /// Run `task` `parallelism` times concurrently — once inline on the
@@ -384,18 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_idempotent_and_records_wait_when_tracing() {
-        let was = arc_trace::enabled();
-        arc_trace::set_enabled(true);
+    fn shutdown_is_idempotent_and_records_its_wait() {
         let before = arc_trace::snapshot();
         let pool = WorkerPool::new(2);
         pool.shutdown();
         assert_eq!(pool.workers(), 0, "shutdown drains the handle list");
-        pool.shutdown(); // second call: nothing left to join, no double count
-                         // Concurrent tests drop pools of their own, so the process-global
-                         // delta is a lower bound, never an exact count.
+        // Second call: nothing left to join, no double count.
+        pool.shutdown();
+        // Concurrent tests drop pools of their own, so the process-global
+        // delta is a lower bound, never an exact count.
         let delta = arc_trace::snapshot().diff(&before);
-        arc_trace::set_enabled(was);
         assert!(delta.counter("exec.pool.shutdowns") >= 1);
         assert!(delta.hist("exec.pool.shutdown_wait").count >= 1);
         // A closed pool can still be re-grown and used (ensure_workers

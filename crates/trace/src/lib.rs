@@ -21,17 +21,17 @@
 //!   Trace Event Format JSON that Perfetto / `chrome://tracing` render as
 //!   a per-query timeline.
 //! * [`registry`] — a process-wide metrics registry of **named monotonic
-//!   counters**, **gauges** and **duration histograms**. Counters are plain
-//!   relaxed atomics and always on (they are how the workspace's
+//!   counters**, **gauges** and **latency histograms**, all always on.
+//!   Counters are plain relaxed atomics (they are how the workspace's
 //!   counter-delta tests observe planner/cache/semi-join behavior, and
 //!   where each record's span counts roll up: `trace.spans`,
-//!   `trace.spans.dropped`); clock reads outside an evaluation (relation
-//!   builds, pool shutdown) hide behind a single `AtomicBool` load
-//!   ([`enabled`]).
-//! * [`quantile`] — **always-on latency quantile histograms** (fixed
-//!   128 log buckets, relaxed atomics, mergeable snapshots) at the
-//!   per-query and per-morsel seams, surfaced as p50/p95/p99 through
-//!   [`registry::metrics_text`]'s Prometheus-style exposition.
+//!   `trace.spans.dropped`). A histogram ([`quantile`]: fixed 128 log
+//!   buckets, relaxed atomics, mergeable snapshots) samples coarse seams
+//!   only — per query, per morsel, per build — and surfaces as
+//!   count/sum/max plus p50/p95/p99 through
+//!   [`registry::metrics_text`]'s Prometheus-style exposition. A build
+//!   inside an evaluation records the nanos its timed record measured
+//!   (nothing when untimed); the registry itself has no switch.
 //!
 //! The crate depends only on `arc-core` (for [`arc_core::json`]
 //! serialization of snapshots and profiles) and sits below `arc-plan`,
@@ -46,10 +46,10 @@ pub mod span;
 pub mod trace_json;
 
 pub use profile::{OpId, OpStats, QueryProfile, Recorder, ScopeTally, WorkerLane};
-pub use quantile::{QuantileHistogram, QuantileSnapshot, QUANTILE_BUCKETS};
+pub use quantile::{Histogram, HistogramSnapshot};
 pub use registry::{
-    counter, enabled, gauge, histogram, maybe_now, metrics_text, quantile_histogram, record_since,
-    reset, set_enabled, snapshot, validate_metric_names, Counter, Gauge, Histogram, Snapshot,
+    counter, gauge, histogram, metrics_text, snapshot, validate_metric_names, Counter, Gauge,
+    Snapshot,
 };
 pub use span::{Span, SpanKind, SpanSink, SpanTrace, LANE_CAPACITY};
 pub use trace_json::{chrome_trace, op_key};
@@ -59,9 +59,9 @@ pub use trace_json::{chrome_trace, op_key};
 /// unrecorded hot path pays only `Option` checks.
 ///
 /// This is the pure core (unit-testable without touching the process
-/// environment, which is racy under parallel tests) behind both the
-/// process-wide [`enabled`] flag and the engine's `QueryOptions::trace`,
-/// which the engine reads once per engine.
+/// environment, which is racy under parallel tests) behind the engine's
+/// `QueryOptions::trace`, which the engine reads once per engine — the
+/// only reader of `ARC_TRACE`.
 pub fn parse_trace(value: Option<&str>) -> Result<bool, String> {
     match value.map(|v| v.to_lowercase().replace('_', "-")) {
         None => Ok(false),

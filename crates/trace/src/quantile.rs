@@ -1,36 +1,36 @@
-//! Always-on, mergeable latency quantile histograms (HDR-style
-//! log-bucketing, fixed 128 buckets, relaxed atomics).
+//! The registry's one histogram type: always-on, mergeable latency
+//! histograms (HDR-style log-bucketing, fixed 128 buckets, relaxed
+//! atomics).
 //!
-//! The registry's duration [`Histogram`](crate::Histogram)s keep
-//! count/sum/max — enough for averages, useless for tails. A
-//! [`QuantileHistogram`] adds just enough bucket resolution to answer
-//! p50/p95/p99 within a bounded relative error, while staying:
+//! A [`Histogram`] keeps count/sum/max for exact averages plus just enough
+//! bucket resolution to answer p50/p95/p99 within a bounded relative
+//! error, while staying:
 //!
 //! * **cheap** — recording is four relaxed `fetch_add`s and one
-//!   `fetch_max`, no locks, no allocation; always on at the per-query and
-//!   per-morsel seams (which run once per query / per morsel, never per
-//!   row);
+//!   `fetch_max`, no locks, no allocation; fit for coarse seams (once per
+//!   query, per morsel, per build), never per row;
 //! * **mergeable** — buckets are plain counts, so snapshots merge by
 //!   addition (associative and commutative: per-worker or per-window
 //!   histograms fold into totals in any order);
-//! * **bounded** — exactly [`QUANTILE_BUCKETS`] buckets regardless of the
-//!   value range.
+//! * **bounded** — exactly 128 buckets regardless of the value range.
 //!
 //! ## Bucketing scheme
 //!
 //! Values 0–15 ns get exact unit buckets (indices 0–15). Above that, each
 //! power-of-two octave is split in half by its next-highest bit — two
-//! buckets per octave — giving a worst-case relative error of 25% (a
-//! reported quantile is the floor of a bucket whose width is half an
-//! octave). Values past the last bucket (≈ 2⁶⁰ ns ≈ 36 years) land in an
-//! explicit overflow count that snapshots surface, so saturation is
+//! buckets per octave — and a reported quantile is the floor of its
+//! bucket, so it is less than 1/3 below the true value. The worst case
+//! is the top of a lower half-octave: 383 lies in `[256, 384)` and
+//! reports 256. Values past the last bucket (≈ 2⁶⁰ ns ≈ 36 years) land in
+//! an explicit overflow count that snapshots surface, so saturation is
 //! visible rather than silently folded into the top bucket.
 
 use arc_core::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-/// Number of buckets in every quantile histogram.
-pub const QUANTILE_BUCKETS: usize = 128;
+/// Number of buckets in every histogram.
+const QUANTILE_BUCKETS: usize = 128;
 
 /// Bucket index for a nanosecond value, or `None` for overflow.
 #[inline]
@@ -46,7 +46,7 @@ fn bucket_index(nanos: u64) -> Option<usize> {
 
 /// Smallest value that lands in bucket `idx` — the representative a
 /// quantile query reports.
-pub fn bucket_floor(idx: usize) -> u64 {
+fn bucket_floor(idx: usize) -> u64 {
     if idx < 16 {
         return idx as u64;
     }
@@ -60,7 +60,7 @@ pub fn bucket_floor(idx: usize) -> u64 {
     }
 }
 
-/// Backing storage for a quantile histogram (the leaked registry cell).
+/// Backing storage for a histogram (the leaked registry cell).
 pub(crate) struct QuantileCell {
     count: AtomicU64,
     sum_nanos: AtomicU64,
@@ -80,18 +80,8 @@ impl QuantileCell {
         }
     }
 
-    pub(crate) fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
-        self.max_nanos.store(0, Ordering::Relaxed);
-        self.overflow.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> QuantileSnapshot {
-        QuantileSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
             count: self.count.load(Ordering::Relaxed),
             sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
             max_nanos: self.max_nanos.load(Ordering::Relaxed),
@@ -105,13 +95,13 @@ impl QuantileCell {
     }
 }
 
-/// A named latency quantile histogram. `Copy` handle to a leaked cell,
-/// like [`Counter`](crate::Counter); obtain one from
-/// [`quantile_histogram`](crate::registry::quantile_histogram).
+/// A named latency histogram. `Copy` handle to a leaked cell, like
+/// [`Counter`](crate::Counter); obtain one from
+/// [`histogram`](crate::registry::histogram).
 #[derive(Clone, Copy)]
-pub struct QuantileHistogram(pub(crate) &'static QuantileCell);
+pub struct Histogram(pub(crate) &'static QuantileCell);
 
-impl QuantileHistogram {
+impl Histogram {
     /// Record one observation of `nanos` nanoseconds (relaxed atomics).
     #[inline]
     pub fn record_nanos(self, nanos: u64) {
@@ -129,21 +119,22 @@ impl QuantileHistogram {
         }
     }
 
-    /// Number of recorded observations.
-    pub fn count(self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+    /// Record the time elapsed since `start`.
+    #[inline]
+    pub fn record_elapsed(self, start: Instant) {
+        self.record_nanos(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Point-in-time copy of the full bucket state.
-    pub fn snapshot(self) -> QuantileSnapshot {
+    pub fn snapshot(self) -> HistogramSnapshot {
         self.0.snapshot()
     }
 }
 
-/// Owned bucket state of a quantile histogram: the mergeable,
-/// quantile-queryable value type snapshots and diffs work over.
+/// Owned bucket state of a histogram: the mergeable, quantile-queryable
+/// value type snapshots and diffs work over.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantileSnapshot {
+pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
     /// Sum of observed values, nanoseconds.
@@ -153,13 +144,13 @@ pub struct QuantileSnapshot {
     /// Observations past the last bucket (saturation — nonzero means the
     /// top quantiles are floor-reported from `max_nanos`).
     pub overflow: u64,
-    /// Per-bucket counts, [`QUANTILE_BUCKETS`] long.
+    /// Per-bucket counts, 128 long.
     pub buckets: Vec<u64>,
 }
 
-impl Default for QuantileSnapshot {
-    fn default() -> QuantileSnapshot {
-        QuantileSnapshot {
+impl Default for HistogramSnapshot {
+    fn default() -> HistogramSnapshot {
+        HistogramSnapshot {
             count: 0,
             sum_nanos: 0,
             max_nanos: 0,
@@ -169,7 +160,7 @@ impl Default for QuantileSnapshot {
     }
 }
 
-impl QuantileSnapshot {
+impl HistogramSnapshot {
     /// Record into an owned snapshot (plain arithmetic — used by tests
     /// and by anything accumulating off the hot path).
     pub fn record_nanos(&mut self, nanos: u64) {
@@ -186,7 +177,7 @@ impl QuantileSnapshot {
 
     /// Fold `other` in. Addition bucket-by-bucket: associative and
     /// commutative, so per-worker histograms merge in any order.
-    pub fn merge(&mut self, other: &QuantileSnapshot) {
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
         self.sum_nanos = self.sum_nanos.saturating_add(other.sum_nanos);
         self.max_nanos = self.max_nanos.max(other.max_nanos);
@@ -199,8 +190,8 @@ impl QuantileSnapshot {
     /// The change from `earlier` to `self` (saturating, like
     /// [`Snapshot::diff`](crate::Snapshot::diff); `max_nanos` carries the
     /// later value).
-    pub fn diff(&self, earlier: &QuantileSnapshot) -> QuantileSnapshot {
-        QuantileSnapshot {
+    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        HistogramSnapshot {
             count: self.count.saturating_sub(earlier.count),
             sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
             max_nanos: self.max_nanos,
@@ -283,21 +274,22 @@ mod tests {
 
     #[test]
     fn relative_error_is_bounded() {
-        // Every value maps to a bucket whose floor is within 25% below.
-        for &v in &[17u64, 100, 999, 4096, 65_535, 1_000_000, u64::pow(2, 40)] {
-            let idx = bucket_index(v).unwrap();
-            let floor = bucket_floor(idx);
-            assert!(floor <= v);
-            assert!(
-                (v - floor) as f64 / v as f64 <= 0.25 + 1e-9,
-                "value {v} floor {floor}"
-            );
+        // The worst value of a bucket is its top one: every value reports
+        // a floor less than a third below it. The top of a lower
+        // half-octave comes closest (383 reports 256).
+        for idx in 16..QUANTILE_BUCKETS - 1 {
+            let (floor, top) = (bucket_floor(idx), bucket_floor(idx + 1) - 1);
+            assert_eq!(bucket_index(top), Some(idx), "top {top} idx {idx}");
+            // (top - floor) / top < 1/3, in integers: f64 rounds the
+            // high buckets' error to exactly 1/3.
+            assert!(3 * (top - floor) < top, "value {top} floor {floor}");
         }
+        assert_eq!(bucket_floor(bucket_index(383).unwrap()), 256);
     }
 
     #[test]
     fn overflow_is_explicit() {
-        let mut s = QuantileSnapshot::default();
+        let mut s = HistogramSnapshot::default();
         s.record_nanos(u64::MAX);
         s.record_nanos(5);
         assert_eq!(s.overflow, 1);
@@ -310,7 +302,7 @@ mod tests {
     #[test]
     fn merge_is_associative_and_commutative() {
         let mk = |vals: &[u64]| {
-            let mut s = QuantileSnapshot::default();
+            let mut s = HistogramSnapshot::default();
             for &v in vals {
                 s.record_nanos(v);
             }
@@ -343,7 +335,7 @@ mod tests {
     #[test]
     fn known_distribution_quantiles_within_one_bucket() {
         // Uniform 1..=1000 ns: p50 = 500, p95 = 950, p99 = 990.
-        let mut s = QuantileSnapshot::default();
+        let mut s = HistogramSnapshot::default();
         for v in 1..=1000u64 {
             s.record_nanos(v);
         }
@@ -366,7 +358,7 @@ mod tests {
 
     #[test]
     fn diff_isolates_a_window() {
-        let mut s = QuantileSnapshot::default();
+        let mut s = HistogramSnapshot::default();
         s.record_nanos(10);
         let before = s.clone();
         s.record_nanos(100);
@@ -379,7 +371,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_reparses() {
-        let mut s = QuantileSnapshot::default();
+        let mut s = HistogramSnapshot::default();
         for v in [3u64, 47, 4097] {
             s.record_nanos(v);
         }

@@ -321,13 +321,13 @@ fn latency_quantiles_surface_in_metrics_text() {
         .unwrap();
     assert_eq!(out.len(), 32 * 8);
     let delta = arc_trace::snapshot().diff(&before);
-    let query = delta.quantile("engine.query.latency");
+    let query = delta.hist("engine.query.latency");
     assert!(query.count >= 1, "query latency sampled: {query:?}");
     assert!(
         query.quantile(0.99) >= query.quantile(0.5),
         "quantiles are monotone: {query:?}"
     );
-    let morsel = delta.quantile("exec.morsel.latency");
+    let morsel = delta.hist("exec.morsel.latency");
     assert!(
         morsel.count >= 2,
         "partitioned run samples per-morsel latency: {morsel:?}"
@@ -344,6 +344,52 @@ fn latency_quantiles_surface_in_metrics_text() {
         assert!(
             text.contains(&format!("{metric}_count")),
             "{metric} count missing:\n{text}"
+        );
+    }
+}
+
+/// The metric-name lint over the workspace's real vocabulary, not only
+/// `arc-trace`'s own test names: a partitioned evaluation, a decorrelated
+/// `EXISTS` and an analyzed index-range scan — each timed, since the
+/// in-evaluation build histograms register only when timed — plus one
+/// pool teardown register every histogram, and then every registered
+/// name must be clean dot-namespaced snake_case, unique across kinds.
+#[test]
+fn the_workspace_metric_vocabulary_passes_the_name_lint() {
+    let n = 4096;
+    let mut catalog = fx::stats_skew_catalog(n);
+    catalog.analyze();
+    let engine = |threads| {
+        Engine::new(&catalog, Conventions::sql())
+            .with_threads(threads)
+            .with_spans(true)
+    };
+    let out = engine(4).eval_collection(&wide_range(n)).unwrap();
+    assert_eq!(out.len(), 32 * 8);
+    let exists = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.B = r.B]]}");
+    assert_eq!(engine(1).eval_collection(&exists).unwrap().len(), n);
+    assert_eq!(
+        engine(1).eval_collection(&fx::eq1_range(n)).unwrap().len(),
+        56
+    );
+    // Engines share the process-wide pool, which is never shut down.
+    drop(arc_exec::WorkerPool::new(1));
+
+    arc_trace::validate_metric_names().expect("every registered name is clean");
+    let snap = arc_trace::snapshot();
+    for name in [
+        "engine.index.hash.build",
+        "engine.index.ordered.build",
+        "engine.column.encode",
+        "engine.selection.build",
+        "engine.semijoin.build",
+        "exec.pool.shutdown_wait",
+        "engine.query.latency",
+        "exec.morsel.latency",
+    ] {
+        assert!(
+            snap.histograms.contains_key(name),
+            "{name} is not a registered histogram"
         );
     }
 }
