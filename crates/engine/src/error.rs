@@ -44,13 +44,6 @@ pub enum EvalError {
     /// be interpreted; surfaced on the first evaluation instead of
     /// panicking mid-run.
     Config(String),
-    /// The static planner (`EXPLAIN`) found no valid placement order for a
-    /// binding; evaluation maps the same condition onto the precise
-    /// source-kind error ([`EvalError::NoAccessPath`] & co.).
-    Unplannable {
-        /// The range variable of the stuck binding.
-        var: String,
-    },
     /// The caller tripped the query's `CancelHandle`
     /// ([`Engine::cancel_handle`](crate::Engine::cancel_handle)).
     Cancelled,
@@ -123,9 +116,6 @@ impl fmt::Display for EvalError {
             EvalError::DeadlineExceeded => write!(f, "query deadline exceeded"),
             EvalError::MemoryBudget => write!(f, "query memory budget exceeded"),
             EvalError::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
-            EvalError::Unplannable { var } => {
-                write!(f, "binding `{var}` cannot be placed in any join order")
-            }
             EvalError::Internal(msg) => write!(f, "internal engine error: {msg}"),
         }
     }

@@ -245,8 +245,9 @@ impl<'a> Ctx<'a> {
                             return Err(EvalError::ExternalInJoinTree { var: v.clone() })
                         }
                         // A join leaf is materialized; an abstract
-                        // definition has nothing to materialize.
-                        Resolved::Abs(_) | Resolved::Nested(_) => {
+                        // definition has nothing to materialize (and
+                        // `EXPLAIN` compiles no join tree).
+                        Resolved::Abs(_) | Resolved::Nested(_) | Resolved::Unmaterialized(_) => {
                             return Err(EvalError::UnknownRelation(name.clone()))
                         }
                     },

@@ -62,8 +62,9 @@
 //! a partition axis executes its outer scan in parallel morsels — the
 //! ordered merge keeps even that path emission-order identical. The
 //! [`Engine::explain_collection`]/[`Engine::explain_program`] renderers
-//! (in [`crate::explain`]) show the plan a query would execute, including
-//! the `partition(n)` operator when the engine runs parallel.
+//! (in [`crate::explain`]) show the plan a query executes — each scope
+//! planned by the same `scope` function that compiles it — including the
+//! `partition(n)` operator when the engine runs parallel.
 
 pub(crate) mod aggregate;
 pub(crate) mod env;
@@ -275,7 +276,7 @@ impl<'c> Engine<'c> {
     /// Arm a deterministic fault-injection plan (builder style): the
     /// `plan.at`-th visit to seam `plan.seam` fires `plan.kind` (a panic,
     /// a budget trip, or a cancellation). Exactly like running under
-    /// `ARC_FAULT=<seam>:<n>[:<kind>]`; tests and the CI smoke leg use it
+    /// `ARC_FAULT=<seam>:<n>[:<kind>]`; tests and the fault smoke use it
     /// to prove every error path leaves the engine reusable.
     pub fn with_fault(self, plan: FaultPlan) -> Self {
         self.set(|o| o.fault = Some(plan))
@@ -410,7 +411,7 @@ impl<'c> Engine<'c> {
     }
 
     /// The state one evaluation shares with every worker it forks.
-    fn shared<'a>(
+    pub(crate) fn shared<'a>(
         &'a self,
         entry: &Entry,
         defined: &'a HashMap<String, Relation>,
@@ -421,6 +422,7 @@ impl<'c> Engine<'c> {
             catalog: self.catalog,
             conv: self.conventions,
             defined,
+            unmaterialized: &[],
             abstracts,
             redirect,
             hash_state: RandomState::new(),
@@ -511,6 +513,10 @@ pub(crate) struct QueryShared<'a> {
     pub(crate) conv: Conventions,
     /// Materialized intensional relations (views/CTEs/fixpoint results).
     pub(crate) defined: &'a HashMap<String, Relation>,
+    /// Program definitions planned but not materialized: empty for every
+    /// evaluation, a program's strata for a plain `EXPLAIN` of it (see
+    /// `Ctx::resolve_named`).
+    pub(crate) unmaterialized: &'a [arc_plan::Stratum<'a>],
     /// Abstract relations: checked in context, never materialized.
     pub(crate) abstracts: &'a HashMap<String, Collection>,
     /// The one binding that reads another source than it names (a

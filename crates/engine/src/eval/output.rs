@@ -252,12 +252,7 @@ impl<'a> Ctx<'a> {
                 return Ok(());
             }
             Formula::Quant(q) => QuantRef::from(&**q),
-            other => QuantRef {
-                bindings: &[],
-                grouping: None,
-                join: None,
-                body: other,
-            },
+            other => QuantRef::bare(other),
         };
         let sc = self.emit_scope(q, head, partial, env)?;
         match &sc.body {

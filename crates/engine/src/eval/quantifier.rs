@@ -466,9 +466,9 @@ impl<'a> Ctx<'a> {
         cb: &mut EnvFn<'_, 'a>,
     ) -> Result<()> {
         // Scope seam: a local tally per enumeration call, keyed by the
-        // binding-slice address — the identity `arc_plan::scope_identity`
-        // stamps on the lowered plan, so `EXPLAIN ANALYZE` can join the
-        // actuals back to the tree — and, timed, one clock pair for the
+        // scope's id — the identity `arc_plan::QuantRef::id` stamps on the
+        // lowered plan, so `EXPLAIN ANALYZE` can join the actuals back to
+        // the tree — and, timed, one clock pair for the
         // scope span and the scope's `nanos`. Opened before the prelude so
         // a prelude-empty call still counts as one scope invocation.
         let rec = self.shared.recorder.as_ref();

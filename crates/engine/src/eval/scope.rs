@@ -40,9 +40,10 @@ use crate::relation::Relation;
 use arc_core::ast::*;
 use arc_plan::analysis::free_vars;
 use arc_plan::logical::{eq_sides, other_side};
+pub(crate) use arc_plan::QuantRef;
 use arc_plan::{
-    cache, Access, Basis, BindingSpec, DistinctEstimator, PlanError, ScopePlan, ScopeSpec,
-    SourceSpec,
+    cache, Access, Basis, BindingSpec, DistinctEstimator, OuterScope, PlanError, Planned,
+    ScopePlan, ScopeRequest, ScopeSpec, SourceSpec,
 };
 use std::rc::Rc;
 use std::sync::Arc;
@@ -66,52 +67,6 @@ pub(crate) enum Role {
 /// layout identity, stack depth)*. Addresses are stable because the AST
 /// outlives the evaluation context.
 pub(crate) type ScopeKey = (usize, Role, usize, usize);
-
-/// The pieces of a quantifier scope (a bare formula on the emission spine
-/// is a scope with no bindings).
-#[derive(Clone, Copy)]
-pub(crate) struct QuantRef<'a> {
-    pub(crate) bindings: &'a [Binding],
-    pub(crate) grouping: Option<&'a Grouping>,
-    pub(crate) join: Option<&'a JoinTree>,
-    pub(crate) body: &'a Formula,
-}
-
-impl QuantRef<'_> {
-    /// The scope's operator id: the address of its binding slice — the
-    /// identity `arc_plan::scope_identity` stamps at lowering time — or,
-    /// for a scope without bindings, of its body, because every empty
-    /// slice shares one dangling address.
-    ///
-    /// The address is pinned for as long as any key holding it lives.
-    /// Both the slice and the body are borrowed from the AST for `'a`, so
-    /// neither moves nor is freed while a `Ctx<'a>` — or the semi-join
-    /// build cache, span sink or profile of that evaluation — exists.
-    /// Two boolean scopes (the ones the semi-join build cache keys) never
-    /// share an id: each is a boxed `Quant`, a non-empty binding slice is
-    /// a heap allocation of its own, and a body a field of its own box.
-    /// Scopes that differ only in a constant therefore get two ids, and
-    /// two builds (`sibling_not_in_scopes_differing_in_a_constant_build_separately`,
-    /// `tests/regressions/zero_binding_semi_scopes.rs`).
-    pub(crate) fn id(&self) -> usize {
-        if self.bindings.is_empty() {
-            self.body as *const Formula as usize
-        } else {
-            self.bindings.as_ptr() as usize
-        }
-    }
-}
-
-impl<'a> From<&'a Quant> for QuantRef<'a> {
-    fn from(q: &'a Quant) -> Self {
-        QuantRef {
-            bindings: &q.bindings,
-            grouping: q.grouping.as_ref(),
-            join: q.join.as_ref(),
-            body: &q.body,
-        }
-    }
-}
 
 /// A planned step pipeline, ready to run.
 pub(crate) struct Steps<'a> {
@@ -295,13 +250,29 @@ pub(crate) enum Resolved<'a> {
     Ext(&'a ExternalRelation),
     Abs(&'a Collection),
     Nested(&'a Collection),
+    /// A program definition this context plans but has not materialized
+    /// (a plain `EXPLAIN` of the program, which runs nothing): a relation
+    /// of unknown size, never executed.
+    Unmaterialized(&'a Collection),
+}
+
+impl<'a> Resolved<'a> {
+    /// The attribute names the source exposes, in column order.
+    fn attrs(&self) -> &'a [String] {
+        match *self {
+            Resolved::Rel(rel, _) => &rel.schema,
+            Resolved::Ext(ext) => &ext.schema,
+            Resolved::Abs(c) | Resolved::Nested(c) | Resolved::Unmaterialized(c) => &c.head.attrs,
+        }
+    }
 }
 
 /// Live statistics for the planner: catalog `ANALYZE` sketches first
 /// (cost model v2 — correlation-capped distinct counts, MCV/histogram
 /// selectivities), then the per-query prefix-sample cache on [`Ctx`] as
 /// the distinct-count fallback for sources without statistics
-/// (intensional results, small un-analyzed relations).
+/// (intensional results, small un-analyzed relations). The one estimator
+/// the planner is given, for execution and `EXPLAIN` alike.
 struct CtxEstimator<'c, 'a> {
     ctx: &'c Ctx<'a>,
     resolved: &'c [Resolved<'a>],
@@ -471,7 +442,7 @@ impl<'a> Ctx<'a> {
             let shape = if nested {
                 None
             } else {
-                arc_plan::decorrelatable_shape(quant, &parts, &LayoutOuter(outer))
+                arc_plan::decorrelatable_shape(q, &parts, &LayoutOuter(outer))
             };
             let guard = shape.flatten();
             let (pipeline, layout) =
@@ -593,9 +564,17 @@ impl<'a> Ctx<'a> {
             return Ok((Pipeline::Join(join), layout));
             // A pure-inner annotation is semantically the default join.
         }
-        let resolved = self.resolve_bindings(q.bindings)?;
-        let plan = self.scope_plan(q, &parts.filters, outer, &resolved, boolean, guard)?;
+        let (resolved, plan) =
+            self.scope_plan(q, &parts.filters, &LayoutOuter(outer), boolean, guard)?;
         self.materialize_steps(q.bindings, &parts.filters, &resolved, plan, outer)
+    }
+
+    /// Plan a scope as `EXPLAIN` lowers it ([`arc_plan::ScopePlanner`]):
+    /// exactly as compiling it does, with each binding's schema.
+    pub(crate) fn explain_scope(&self, req: ScopeRequest<'_, 'a>) -> Result<Planned<'a>> {
+        let (resolved, plan) =
+            self.scope_plan(req.scope, req.filters, req.outer, req.boolean, req.guard)?;
+        Ok((plan, resolved.iter().map(Resolved::attrs).collect()))
     }
 
     /// The name binding `b` reads: the one it spells, unless this
@@ -613,11 +592,16 @@ impl<'a> Ctx<'a> {
     ///
     /// Resolution order matches the pre-plan evaluator: defined
     /// (materialized) relations shadow catalog relations, which shadow
-    /// abstract definitions, which shadow externals.
+    /// abstract definitions, which shadow externals. A definition the
+    /// context has not materialized shadows the catalog as its
+    /// materialized relation would.
     pub(crate) fn resolve_named(&self, b: &Binding, name: &'a str) -> Result<Resolved<'a>> {
         let name = self.source_name(b, name);
+        let mut unmaterialized = self.shared.unmaterialized.iter().flat_map(|s| &s.members);
         if let Some(rel) = self.shared.defined.get(name) {
             Ok(Resolved::Rel(rel, None))
+        } else if let Some(def) = unmaterialized.find(|d| d.name() == name) {
+            Ok(Resolved::Unmaterialized(&def.collection))
         } else if let Some(rel) = self.shared.catalog.relation(name) {
             Ok(Resolved::Rel(
                 rel,
@@ -643,20 +627,21 @@ impl<'a> Ctx<'a> {
             .collect()
     }
 
-    /// The scope's physical plan, through the global plan cache
-    /// ([`cache::scope_plan`]: keyed by the scope's shape, its constants
-    /// as typed holes and selectivity buckets). Runs once per compiled
-    /// scope.
+    /// The scope's sources ([`Ctx::resolve_bindings`]) and its physical
+    /// plan, through the global plan cache ([`cache::scope_plan`]: keyed
+    /// by the scope's shape, its constants as typed holes and selectivity
+    /// buckets). Runs once per compiled scope, and once per scope an
+    /// `EXPLAIN` lowers.
     fn scope_plan(
         &self,
         q: QuantRef<'a>,
         filters: &[&Predicate],
-        outer: &[Names<'a>],
-        resolved: &[Resolved<'a>],
+        outer: &dyn OuterScope,
         boolean: bool,
         guard: Option<&'a Predicate>,
-    ) -> Result<Arc<ScopePlan>> {
+    ) -> Result<(Vec<Resolved<'a>>, Arc<ScopePlan>)> {
         let bindings = q.bindings;
+        let resolved = self.resolve_bindings(bindings)?;
         // Describe the scope to the planner.
         let spec_bindings: Vec<BindingSpec<'_>> = bindings
             .iter()
@@ -683,17 +668,22 @@ impl<'a> Ctx<'a> {
                         attrs: &c.head.attrs,
                         free: free_vars(c),
                     },
+                    (Resolved::Unmaterialized(def), _) => SourceSpec::Relation {
+                        name: &def.head.relation,
+                        schema: &def.head.attrs,
+                        rows: None,
+                    },
                 },
             })
             .collect();
         let estimator = CtxEstimator {
             ctx: self,
-            resolved,
+            resolved: &resolved,
         };
         let spec = ScopeSpec {
             bindings: spec_bindings,
             filters,
-            outer: &LayoutOuter(outer),
+            outer,
             estimator: Some(&estimator),
             guard,
         };
@@ -737,7 +727,7 @@ impl<'a> Ctx<'a> {
             let op = arc_trace::OpId::scope(q.id());
             rec.finish(self.lane, arc_trace::SpanKind::Plan, op, t0);
         }
-        Ok(plan)
+        Ok((resolved, plan))
     }
 
     /// Turn a plan into executable steps, resolving every expression
@@ -760,12 +750,7 @@ impl<'a> Ctx<'a> {
             .copied()
             .chain(plan.steps.iter().map(|step| Names {
                 var: &bindings[step.binding].var,
-                attrs: match resolved[step.binding] {
-                    Resolved::Rel(rel, _) => &rel.schema,
-                    Resolved::Ext(ext) => &ext.schema,
-                    Resolved::Abs(def) => &def.head.attrs,
-                    Resolved::Nested(c) => &c.head.attrs,
-                },
+                attrs: resolved[step.binding].attrs(),
             }))
             .collect();
         let mut steps: Vec<Ordered<'a>> = Vec::with_capacity(plan.steps.len());

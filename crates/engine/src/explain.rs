@@ -1,94 +1,48 @@
-//! `EXPLAIN` and `EXPLAIN ANALYZE`: render the plan a query would
-//! execute under this engine, optionally annotated with measured actuals.
+//! `EXPLAIN` and `EXPLAIN ANALYZE`: render the plan a query runs under
+//! this engine, optionally annotated with measured actuals.
 //!
-//! The engine resolves names against its catalog (and, for programs, the
-//! program's own definitions — classified into intensional vs. abstract by
-//! the binder, exactly as evaluation does) and hands `arc-plan` the same
-//! statistics the evaluator would use, minus live row counts for
-//! not-yet-materialized definitions. The output is the textual rendering
-//! of the [`arc_plan::PlanNode`] tree; a diagram backend can walk the same
-//! tree instead.
+//! `EXPLAIN` is a view of execution, not a second planner: lowering
+//! ([`arc_plan::lower_collection`] / [`arc_plan::lower_program`]) walks the
+//! query tree and plans every scope through the function compiling it
+//! calls — the same name resolution (definitions shadow the catalog,
+//! which shadows abstract definitions, which shadow externals), the same
+//! live statistics, the same global plan-cache key — so an `EXPLAIN` after
+//! an evaluation is served the plans that ran, and an unplaceable binding
+//! fails `EXPLAIN` with the error evaluation reports. A program lowers
+//! stratum by stratum in the order evaluation materializes it (abstract
+//! definitions are never materialized, so they show only as the
+//! `abstract-check` steps that read them).
+//!
+//! What `EXPLAIN` cannot know without running is said plainly: a plain
+//! [`Engine::explain_program`] plans each definition's readers with an
+//! unknown row count (the planner's default), and shows a recursive
+//! definition once, although evaluation plans it per round against
+//! growing totals. [`Engine::explain_analyze_program`] lowers against the
+//! definitions its own run materialized — the row counts the query was
+//! planned with. Outer-join scopes run on the materialized path and show
+//! unplanned. The output is the textual rendering of the
+//! [`arc_plan::PlanNode`] tree; a diagram backend can walk the same tree
+//! instead.
 //!
 //! The `*_analyze` variants actually **run** the query first (via
 //! [`Engine::profile_collection`]/[`Engine::profile_program`]), then join
 //! the recorded [`arc_trace::QueryProfile`] back onto the plan tree by
-//! operator id: each quantifier scope's id is the address of its binding
-//! list in the AST, stamped at lowering time and recorded again at
-//! evaluation time — both walk the *same* AST the caller holds, so the
-//! join needs no name matching. Annotated operators render
-//! `act=N (est=N, q=X.X)` per step — `q` is the
-//! [q-error](arc_plan::q_error) of the planner's estimate — plus wall
-//! time when the recording knob ([`Engine::with_spans`] / `ARC_TRACE`)
-//! times the record.
+//! operator id: each quantifier scope's id is [`arc_plan::QuantRef::id`],
+//! stamped at lowering time and recorded again at evaluation time — both
+//! walk the *same* AST the caller holds, so the join needs no name
+//! matching. Annotated operators render `act=N (est=N, q=X.X)` per step —
+//! `q` is the [q-error](arc_plan::q_error) of the planner's estimate —
+//! plus wall time when the recording knob ([`Engine::with_spans`] /
+//! `ARC_TRACE`) times the record.
 
-use crate::catalog::Catalog;
-use crate::error::{EvalError, Result};
-use crate::eval::{Engine, Recording};
-use crate::fixpoint::{FixpointStrategy, ProgramOutput};
+use crate::error::Result;
+use crate::eval::{Ctx, Engine, Entry, Recording};
+use crate::fixpoint::{FixpointStrategy, ProgramOutput, Strata};
 use crate::relation::Relation;
 use arc_core::ast::{Collection, Program};
-use arc_core::binder::Binder;
-use arc_plan::{LowerError, PlanNode, ResolvedSource, SourceKind, SourceResolver};
+use arc_plan::PlanNode;
 use arc_trace::{QueryProfile, Recorder};
 use std::collections::HashMap;
-
-/// Resolver over the engine's catalog plus a program's definitions,
-/// mirroring the evaluator's shadowing order exactly (see
-/// `Ctx::resolve_bindings`): materialized definitions shadow catalog
-/// relations, which shadow abstract definitions, which shadow externals.
-struct CatalogResolver<'c> {
-    catalog: &'c Catalog,
-    defined: HashMap<String, Vec<String>>,
-    abstracts: HashMap<String, Vec<String>>,
-}
-
-impl SourceResolver for CatalogResolver<'_> {
-    fn resolve(&self, name: &str) -> Option<ResolvedSource> {
-        if let Some(attrs) = self.defined.get(name) {
-            return Some(ResolvedSource {
-                kind: SourceKind::Defined,
-                schema: attrs.clone(),
-                rows: None,
-                patterns: Vec::new(),
-                stats: None,
-            });
-        }
-        if let Some(rel) = self.catalog.relation(name) {
-            return Some(ResolvedSource {
-                kind: SourceKind::Base,
-                schema: rel.schema.clone(),
-                rows: Some(rel.rows.len()),
-                patterns: Vec::new(),
-                // ANALYZE sketches, when present: EXPLAIN's `est=N` then
-                // matches what the evaluator's planner would estimate.
-                stats: self.catalog.stats(name).cloned(),
-            });
-        }
-        if let Some(attrs) = self.abstracts.get(name) {
-            return Some(ResolvedSource {
-                kind: SourceKind::Abstract,
-                schema: attrs.clone(),
-                rows: None,
-                patterns: Vec::new(),
-                stats: None,
-            });
-        }
-        if let Some(ext) = self.catalog.external(name) {
-            return Some(ResolvedSource {
-                kind: SourceKind::External,
-                schema: ext.schema.clone(),
-                rows: None,
-                patterns: ext.patterns.iter().map(|p| p.bound.clone()).collect(),
-                stats: None,
-            });
-        }
-        None
-    }
-
-    fn stats_epoch(&self) -> Option<u64> {
-        Some(self.catalog.stats_epoch())
-    }
-}
 
 /// What a recorded entry's recorder holds, as `read` sees it (an empty
 /// profile or timeline if the entry recorded nothing — which a `Profile`
@@ -115,13 +69,6 @@ fn chrome_trace_with_plan(
     })
 }
 
-fn lower_err(e: LowerError) -> EvalError {
-    match e {
-        LowerError::UnknownRelation(n) => EvalError::UnknownRelation(n),
-        LowerError::Unplaceable { var } => EvalError::Unplannable { var },
-    }
-}
-
 impl Engine<'_> {
     /// Render the physical plan of a standalone collection as text. An
     /// engine running parallel (`ARC_THREADS > 1` /
@@ -141,15 +88,24 @@ impl Engine<'_> {
         ))
     }
 
+    /// An entry that plans and records nothing: the one `EXPLAIN` lowers
+    /// under.
+    fn planning_entry(&self) -> Result<Entry> {
+        Ok(Entry {
+            opts: self.options()?,
+            guard: None,
+            recorder: None,
+        })
+    }
+
     /// Lower a standalone collection exactly as [`Self::explain_collection`]
     /// would.
     fn lowered_collection(&self, c: &Collection) -> Result<PlanNode> {
-        let resolver = CatalogResolver {
-            catalog: self.catalog,
-            defined: HashMap::new(),
-            abstracts: HashMap::new(),
-        };
-        arc_plan::lower_collection(c, &resolver).map_err(lower_err)
+        let entry = self.planning_entry()?;
+        let (defined, abstracts) = (HashMap::new(), HashMap::new());
+        let shared = self.shared(&entry, &defined, &abstracts, None);
+        let ctx = Ctx::new(entry.opts, &shared);
+        arc_plan::lower_collection(c, &mut |scope| ctx.explain_scope(scope))
     }
 
     /// Render the physical plan of a whole program as text: definitions in
@@ -159,7 +115,7 @@ impl Engine<'_> {
     /// `governance:` degradation note.
     pub fn explain_program(&self, p: &Program) -> Result<String> {
         let opts = self.options()?;
-        let plan = self.lowered_program(p)?;
+        let plan = self.lowered_program(p, None)?;
         Ok(arc_plan::render_governed(
             &plan,
             opts.threads,
@@ -167,32 +123,30 @@ impl Engine<'_> {
         ))
     }
 
-    /// Lower a whole program exactly as [`Self::explain_program`] would.
-    fn lowered_program(&self, p: &Program) -> Result<PlanNode> {
-        // Classify abstract definitions via the binder, mirroring
-        // `materialize_definitions`.
-        let abstract_names = Binder::new().abstract_definitions(p);
-        let is_abstract = |name: &str| -> bool { abstract_names.iter().any(|n| n == name) };
-        let abstracts: HashMap<String, Vec<String>> = p
-            .definitions
-            .iter()
-            .filter(|d| is_abstract(d.name()))
-            .map(|d| (d.name().to_string(), d.collection.head.attrs.clone()))
-            .collect();
-        // Non-abstract definitions materialize, so they shadow same-named
-        // catalog relations during evaluation — the resolver must agree.
-        let defined: HashMap<String, Vec<String>> = p
-            .definitions
-            .iter()
-            .filter(|d| !is_abstract(d.name()))
-            .map(|d| (d.name().to_string(), d.collection.head.attrs.clone()))
-            .collect();
-        let resolver = CatalogResolver {
-            catalog: self.catalog,
-            defined,
-            abstracts,
-        };
-        arc_plan::lower_program(p, &resolver).map_err(lower_err)
+    /// Lower a whole program, stratum by stratum, against the definitions
+    /// a run `materialized` — or, with none, planning every definition's
+    /// readers with an unknown row count ([`Self::explain_program`]).
+    fn lowered_program(
+        &self,
+        p: &Program,
+        materialized: Option<&HashMap<String, Relation>>,
+    ) -> Result<PlanNode> {
+        let entry = self.planning_entry()?;
+        let strata = Strata::of(p);
+        let none = HashMap::new();
+        let mut shared = self.shared(
+            &entry,
+            materialized.unwrap_or(&none),
+            &strata.abstracts,
+            None,
+        );
+        if materialized.is_none() {
+            shared.unmaterialized = &strata.components;
+        }
+        let ctx = Ctx::new(entry.opts, &shared);
+        arc_plan::lower_program(&strata.components, p.query.as_ref(), &mut |scope| {
+            ctx.explain_scope(scope)
+        })
     }
 
     /// Evaluate a standalone collection while recording a per-operator
@@ -246,9 +200,14 @@ impl Engine<'_> {
     pub fn span_trace_program(&self, p: &Program) -> Result<(ProgramOutput, arc_core::json::Json)> {
         let (out, rec) =
             self.program_recorded(p, FixpointStrategy::default(), Recording::Timeline)?;
-        let plan = self.lowered_program(p)?;
+        let defined: HashMap<String, Relation> = out.defined.into_iter().collect();
+        let plan = self.lowered_program(p, Some(&defined))?;
         let trace = read_back(rec, Recorder::span_trace);
         let json = chrome_trace_with_plan(&trace, &arc_plan::render(&plan), &plan);
+        let out = ProgramOutput {
+            defined: defined.into_iter().collect(),
+            query: out.query,
+        };
         Ok((out, json))
     }
 
@@ -274,8 +233,9 @@ impl Engine<'_> {
     /// re-entry) report summed counts across all invocations — the
     /// renderer's per-call normalization divides by `calls`.
     pub fn explain_analyze_program(&self, p: &Program) -> Result<String> {
-        let (_, profile) = self.profile_program(p)?;
-        let plan = self.lowered_program(p)?;
+        let (out, profile) = self.profile_program(p)?;
+        let defined: HashMap<String, Relation> = out.defined.into_iter().collect();
+        let plan = self.lowered_program(p, Some(&defined))?;
         Ok(arc_plan::render_analyze(
             &plan,
             self.options()?.threads,

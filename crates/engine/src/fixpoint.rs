@@ -100,9 +100,10 @@ impl Engine<'_> {
         // likewise program-scoped: one deadline, one budget and one
         // record cover every stratum and fixpoint round.
         self.entered(recording, |entry| {
-            let (defined, abstracts) = self.materialize_definitions(p, strategy, entry)?;
+            let strata = Strata::of(p);
+            let defined = self.materialize_definitions(&strata, strategy, entry)?;
             let query = match &p.query {
-                Some(q) => Some(self.eval_with(q, &defined, &abstracts, entry, None)?),
+                Some(q) => Some(self.eval_with(q, &defined, &strata.abstracts, entry, None)?),
                 None => None,
             };
             Ok(ProgramOutput {
@@ -116,95 +117,61 @@ impl Engine<'_> {
     /// definitions.
     pub fn eval_sentence_in(&self, p: &Program, f: &Formula) -> Result<arc_core::value::Truth> {
         self.entered(Recording::Options, |entry| {
-            let (defined, abstracts) =
-                self.materialize_definitions(p, FixpointStrategy::default(), entry)?;
-            self.eval_sentence_with(f, &defined, &abstracts, entry)
+            let strata = Strata::of(p);
+            let defined =
+                self.materialize_definitions(&strata, FixpointStrategy::default(), entry)?;
+            self.eval_sentence_with(f, &defined, &strata.abstracts, entry)
         })
         .map(|(truth, _)| truth)
     }
 
+    /// Materialize a program's definitions, stratum by stratum.
     fn materialize_definitions(
         &self,
-        p: &Program,
+        strata: &Strata<'_>,
         strategy: FixpointStrategy,
         entry: &Entry,
-    ) -> Result<(HashMap<String, Relation>, HashMap<String, Collection>)> {
-        // Classify abstract definitions via the binder (open world: the
-        // catalog may hold relations the binder does not know about).
-        let abstract_names = Binder::new().abstract_definitions(p);
-
-        let mut abstracts: HashMap<String, Collection> = HashMap::new();
-        let mut safe: Vec<&Definition> = Vec::new();
-        for def in &p.definitions {
-            if abstract_names.iter().any(|n| n == def.name()) {
-                abstracts.insert(def.name().to_string(), def.collection.clone());
-            } else {
-                safe.push(def);
-            }
-        }
-
-        // Dependency graph over safe definitions. References routed through
-        // abstract relations inherit the abstract body's own references.
-        let def_index = |name: &str| safe.iter().position(|d| d.name() == name);
-        let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); safe.len()];
-        for (i, def) in safe.iter().enumerate() {
-            let mut names = Vec::new();
-            collect_sources(&def.collection, &mut names);
-            let mut seen_abstract: HashSet<&str> = HashSet::new();
-            let mut queue = names;
-            while let Some(name) = queue.pop() {
-                if let Some(j) = def_index(name) {
-                    deps[i].insert(j);
-                } else if let Some(a) = abstracts.get(name) {
-                    if seen_abstract.insert(name) {
-                        collect_sources(a, &mut queue);
-                    }
-                }
-            }
-        }
-
-        // Strongly connected components (Tarjan). An edge `i → j` says
-        // definition `i` reads `j`, and Tarjan emits a component only
-        // after every component it can reach — so emission order already
-        // materializes what a definition reads before the definition.
-        let sccs = tarjan(&deps);
-
+    ) -> Result<HashMap<String, Relation>> {
         let mut defined: HashMap<String, Relation> = HashMap::new();
-        for scc in sccs {
-            let recursive = scc.len() > 1 || (scc.len() == 1 && deps[scc[0]].contains(&scc[0]));
-            if !recursive {
-                let def = safe[scc[0]];
-                let rel = self.eval_with(&def.collection, &defined, &abstracts, entry, None)?;
-                defined.insert(def.name().to_string(), rel);
-                continue;
+        for stratum in &strata.components {
+            match stratum.members.as_slice() {
+                [def] if !stratum.recursive => {
+                    let rel =
+                        self.eval_with(&def.collection, &defined, &strata.abstracts, entry, None)?;
+                    defined.insert(def.name().to_string(), rel);
+                }
+                members => self.solve_recursive_scc(
+                    members,
+                    &mut defined,
+                    &strata.abstracts,
+                    strategy,
+                    entry,
+                )?,
             }
-            self.solve_recursive_scc(&scc, &safe, &mut defined, &abstracts, strategy, entry)?;
         }
-        Ok((defined, abstracts))
+        Ok(defined)
     }
 
     fn solve_recursive_scc(
         &self,
-        scc: &[usize],
-        safe: &[&Definition],
+        scc: &[&Definition],
         defined: &mut HashMap<String, Relation>,
         abstracts: &HashMap<String, Collection>,
         strategy: FixpointStrategy,
         entry: &Entry,
     ) -> Result<()> {
-        let member_names: HashSet<String> =
-            scc.iter().map(|&i| safe[i].name().to_string()).collect();
-        let first_name = safe[scc[0]].name().to_string();
+        let member_names: HashSet<String> = scc.iter().map(|d| d.name().to_string()).collect();
+        let first_name = scc[0].name().to_string();
 
         if self.conventions.semantics == Semantics::Bag {
             return Err(EvalError::RecursionUnderBag {
                 relation: first_name,
             });
         }
-        for &i in scc {
-            if uses_nonmonotonically(&safe[i].collection, &member_names) {
+        for def in scc {
+            if uses_nonmonotonically(&def.collection, &member_names) {
                 return Err(EvalError::NotStratifiable {
-                    relation: safe[i].name().to_string(),
+                    relation: def.name().to_string(),
                 });
             }
         }
@@ -215,8 +182,8 @@ impl Engine<'_> {
             rel.schema = def.collection.head.attrs.clone();
             rel
         };
-        for &i in scc {
-            defined.insert(safe[i].name().to_string(), empty(safe[i]));
+        for def in scc {
+            defined.insert(def.name().to_string(), empty(def));
         }
 
         match strategy {
@@ -233,8 +200,7 @@ impl Engine<'_> {
                         });
                     }
                     let mut changed = false;
-                    for &i in scc {
-                        let def = safe[i];
+                    for def in scc {
                         let new = self
                             .eval_with(&def.collection, defined, abstracts, entry, None)?
                             .union(&defined[def.name()])
@@ -263,16 +229,14 @@ impl Engine<'_> {
                 let row_bytes = |def: &Definition| {
                     def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES
                 };
-                let delta_names: Vec<String> =
-                    scc.iter().map(|&i| delta_name(safe[i].name())).collect();
+                let delta_names: Vec<String> = scc.iter().map(|d| delta_name(d.name())).collect();
 
                 // Round 0: full rules against empty members seed the
                 // totals (a later member already reads an earlier one's
                 // seed) and fill each member's seen set. A seed is its
                 // member's first delta too.
                 let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
-                for (&i, delta) in scc.iter().zip(&delta_names) {
-                    let def = safe[i];
+                for (def, delta) in scc.iter().zip(&delta_names) {
                     let rows = self.eval_with(&def.collection, defined, abstracts, entry, None)?;
                     let (mut set, mut seed) = (SeenRows::default(), empty(def));
                     for row in rows.rows {
@@ -292,15 +256,15 @@ impl Engine<'_> {
                 // occurrence — the rule itself, that occurrence reading
                 // last round's delta of the member it names.
                 let delta_of = |member: &str| {
-                    let named = |&(&m, _): &(&usize, &String)| safe[m].name() == member;
+                    let named = |(d, _): &(&&Definition, &String)| d.name() == member;
                     let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
                     Some(delta.as_str())
                 };
                 let variants: Vec<Vec<Redirect<'_>>> = scc
                     .iter()
-                    .map(|&i| {
+                    .map(|def| {
                         let mut variants = Vec::new();
-                        delta_variants(&safe[i].collection, &delta_of, &mut variants);
+                        delta_variants(&def.collection, &delta_of, &mut variants);
                         variants
                     })
                     .collect();
@@ -322,8 +286,7 @@ impl Engine<'_> {
                     // seen set: a row not derived before joins the new
                     // delta, in first-occurrence order across variants.
                     let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
-                    for ((&i, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
-                        let def = safe[i];
+                    for ((def, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
                         let mut new = Vec::new();
                         for variant in variants {
                             let rows = self.eval_with(
@@ -348,8 +311,8 @@ impl Engine<'_> {
                     }
                     // Publish only now: within a round every member reads
                     // the totals and deltas of the round before.
-                    for ((&i, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
-                        let total = defined.get_mut(safe[i].name()).expect("seeded above");
+                    for ((def, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
+                        let total = defined.get_mut(def.name()).expect("seeded above");
                         total.rows.extend(new.iter().cloned());
                         defined.get_mut(delta).expect("seeded above").rows = new;
                     }
@@ -404,6 +367,69 @@ impl SeenRows {
 /// parsed identifiers).
 fn delta_name(name: &str) -> String {
     format!("@delta:{name}")
+}
+
+/// A program's strata — the one pass evaluation and `EXPLAIN` share:
+/// definitions classified into *abstract* (§2.13.2: checked in context,
+/// never materialized) and materialized ones, the latter grouped into the
+/// strongly connected components of their dependency graph in the order
+/// they materialize.
+pub(crate) struct Strata<'p> {
+    /// Abstract definitions, by name.
+    pub(crate) abstracts: HashMap<String, Collection>,
+    /// The materialized definitions' components, dependencies first.
+    pub(crate) components: Vec<arc_plan::Stratum<'p>>,
+}
+
+impl<'p> Strata<'p> {
+    pub(crate) fn of(p: &'p Program) -> Strata<'p> {
+        // Classify abstract definitions via the binder (open world: the
+        // catalog may hold relations the binder does not know about).
+        let abstract_names = Binder::new().abstract_definitions(p);
+        let mut abstracts: HashMap<String, Collection> = HashMap::new();
+        let mut safe: Vec<&Definition> = Vec::new();
+        for def in &p.definitions {
+            if abstract_names.iter().any(|n| n == def.name()) {
+                abstracts.insert(def.name().to_string(), def.collection.clone());
+            } else {
+                safe.push(def);
+            }
+        }
+
+        // Dependency graph over safe definitions. References routed
+        // through abstract relations inherit the abstract body's own
+        // references.
+        let def_index = |name: &str| safe.iter().position(|d| d.name() == name);
+        let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); safe.len()];
+        for (i, def) in safe.iter().enumerate() {
+            let mut names = Vec::new();
+            collect_sources(&def.collection, &mut names);
+            let mut seen_abstract: HashSet<&str> = HashSet::new();
+            let mut queue = names;
+            while let Some(name) = queue.pop() {
+                if let Some(j) = def_index(name) {
+                    deps[i].insert(j);
+                } else if let Some(a) = abstracts.get(name) {
+                    if seen_abstract.insert(name) {
+                        collect_sources(a, &mut queue);
+                    }
+                }
+            }
+        }
+
+        // Strongly connected components (Tarjan). An edge `i → j` says
+        // definition `i` reads `j`, and Tarjan emits a component only
+        // after every component it can reach — so emission order already
+        // materializes what a definition reads before the definition.
+        let components = tarjan(&deps, |scc| arc_plan::Stratum {
+            recursive: scc.len() > 1 || deps[scc[0]].contains(&scc[0]),
+            members: scc.iter().map(|&i| safe[i]).collect(),
+        });
+        Strata {
+            abstracts,
+            components,
+        }
+    }
 }
 
 /// All named binding sources of a collection, recursively.
@@ -516,21 +542,22 @@ fn delta_variants<'c>(
     walk(&c.body, delta_of, out);
 }
 
-/// Tarjan's strongly connected components, in emission order: a
-/// component comes after every component reachable from it. With edges
-/// pointing from a definition to what it reads, that is dependencies
-/// first.
-fn tarjan(deps: &[HashSet<usize>]) -> Vec<Vec<usize>> {
-    struct State<'d> {
+/// Tarjan's strongly connected components, in emission order, each as
+/// `component` makes it of the member indices: a component comes after
+/// every component reachable from it. With edges pointing from a
+/// definition to what it reads, that is dependencies first.
+fn tarjan<T>(deps: &[HashSet<usize>], component: impl FnMut(&[usize]) -> T) -> Vec<T> {
+    struct State<'d, F, T> {
         deps: &'d [HashSet<usize>],
         index: Vec<Option<usize>>,
         low: Vec<usize>,
         on_stack: Vec<bool>,
         stack: Vec<usize>,
         next: usize,
-        out: Vec<Vec<usize>>,
+        component: F,
+        out: Vec<T>,
     }
-    fn strongconnect(s: &mut State<'_>, v: usize) {
+    fn strongconnect<F: FnMut(&[usize]) -> T, T>(s: &mut State<'_, F, T>, v: usize) {
         s.index[v] = Some(s.next);
         s.low[v] = s.next;
         s.next += 1;
@@ -546,16 +573,13 @@ fn tarjan(deps: &[HashSet<usize>]) -> Vec<Vec<usize>> {
             }
         }
         if s.low[v] == s.index[v].expect("indexed") {
-            let mut scc = Vec::new();
-            loop {
-                let w = s.stack.pop().expect("stack non-empty");
-                s.on_stack[w] = false;
-                scc.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            s.out.push(scc);
+            // The component is the stack above `v`, listed in pop order.
+            let at = s.stack.iter().rposition(|&w| w == v).expect("on the stack");
+            let scc = &mut s.stack[at..];
+            scc.reverse();
+            scc.iter().for_each(|&w| s.on_stack[w] = false);
+            s.out.push((s.component)(scc));
+            s.stack.truncate(at);
         }
     }
     let n = deps.len();
@@ -566,6 +590,7 @@ fn tarjan(deps: &[HashSet<usize>]) -> Vec<Vec<usize>> {
         on_stack: vec![false; n],
         stack: Vec::new(),
         next: 0,
+        component,
         out: Vec::new(),
     };
     for v in 0..n {
@@ -584,7 +609,7 @@ mod tests {
     fn tarjan_orders_components() {
         // 0 → 1 → 2, 2 → 1 (cycle {1,2}).
         let deps = vec![HashSet::from([1]), HashSet::from([2]), HashSet::from([1])];
-        let sccs = tarjan(&deps);
+        let sccs = tarjan(&deps, <[usize]>::to_vec);
         assert_eq!(sccs.len(), 2);
         // 0 reads the cycle, so the cycle {1,2} is emitted first.
         let mut first = sccs[0].clone();

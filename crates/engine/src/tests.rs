@@ -1146,10 +1146,12 @@ fn no_access_path_is_reported() {
         ),
     );
     let catalog = Catalog::with_standard_externals();
-    let err = Engine::new(&catalog, Conventions::set())
-        .eval_collection(&q)
-        .unwrap_err();
+    let engine = Engine::new(&catalog, Conventions::set());
+    let err = engine.eval_collection(&q).unwrap_err();
     assert!(matches!(err, EvalError::NoAccessPath { .. }));
+    // EXPLAIN plans through evaluation's planner, so it fails the same way.
+    assert_eq!(engine.explain_collection(&q), Err(err.clone()));
+    assert_eq!(engine.explain_analyze_collection(&q), Err(err));
 }
 
 // ---------------------------------------------------------------------------
@@ -1361,10 +1363,10 @@ fn abstract_relation_underdetermined_is_reported() {
     let mut p = Program::default().with_definition(define(subset));
     p.query = Some(q);
     let catalog = likes_catalog();
-    let err = Engine::new(&catalog, Conventions::set())
-        .eval_program(&p)
-        .unwrap_err();
+    let engine = Engine::new(&catalog, Conventions::set());
+    let err = engine.eval_program(&p).unwrap_err();
     assert!(matches!(err, EvalError::AbstractUnderdetermined { .. }));
+    assert_eq!(engine.explain_program(&p), Err(err));
 }
 
 // ---------------------------------------------------------------------------

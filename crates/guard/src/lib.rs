@@ -60,8 +60,8 @@ pub mod seam {
     pub const ORDERED_BUILD: &str = "ordered-build";
     /// Cached selection-vector build (degrades to per-row filtering).
     pub const SELECTION_BUILD: &str = "selection-build";
-    /// Every registered seam, in documentation order. CI's fault-matrix
-    /// smoke leg iterates this list.
+    /// Every registered seam, in documentation order. The in-process
+    /// fault smoke (`tests/guard_equivalence.rs`) iterates this list.
     pub const ALL: &[&str] = &[
         ENUMERATE,
         MORSEL,

@@ -18,8 +18,10 @@
 //! * **globally, keyed by shape** — [`scope_plan`] serves every scope of
 //!   the process, whichever statement it belongs to: two statements whose
 //!   scopes differ only in their constants hash to the same `PlanKey`
-//!   and share one plan. Execution and `EXPLAIN` both go through it, so
-//!   `EXPLAIN` shows the plan execution is served.
+//!   and share one plan. There is one caller: the engine's scope
+//!   planning, which both compiling a scope and lowering it for `EXPLAIN`
+//!   run ([`crate::query`]) — one spec, one estimator, one key — so an
+//!   `EXPLAIN` after an evaluation is served the plans that ran.
 //!
 //! ## What the keys contain — and what staleness means
 //!

@@ -13,7 +13,6 @@
 //! |--------------|-------------------------------------------------------------|
 //! | [`analysis`] | scope-body analysis: predicate roles, free variables        |
 //! | [`scope`]    | planner inputs: abstract scope descriptions + statistics    |
-//! | [`estimator`]| cost model v2: `ANALYZE` sketches answering cardinalities   |
 //! | [`logical`]  | logical passes: equality-predicate extraction               |
 //! | [`physical`] | physical plans: join ordering, access selection, pushdown   |
 //! | [`cache`]    | plan caching: hashable scope/program keys, global plan cache|
@@ -32,16 +31,17 @@
 //! planning mode: what a plan must preserve is the paper's meaning, which
 //! `arc_analysis::oracle` defines independently of this crate.
 //!
-//! The crate depends only on `arc-core`: the engine implements the small
-//! [`scope::OuterScope`] / [`scope::DistinctEstimator`] /
-//! [`query::SourceResolver`] traits to feed it live statistics, and
-//! `EXPLAIN` runs the same planner over catalog-level statistics.
+//! The crate knows no engine type: the engine implements the small
+//! [`scope::OuterScope`] / [`scope::DistinctEstimator`] traits to feed it
+//! live statistics, and answers lowering's [`query::ScopePlanner`]
+//! callback with the scope planning its own compile runs — so `EXPLAIN`
+//! prints the plans execution is served, through one resolver, one
+//! estimator and one cache key.
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod cache;
-pub mod estimator;
 pub mod explain;
 pub mod logical;
 pub mod normalize;
@@ -49,7 +49,6 @@ pub mod physical;
 pub mod query;
 pub mod scope;
 
-pub use estimator::TableStatsEstimator;
 pub use explain::{
     q_error, render, render_analyze, render_governed, render_with_threads, span_names, Actuals,
 };
@@ -61,9 +60,9 @@ pub use physical::{
     INDEX_MAX_FRACTION, PARALLEL_MIN_ROWS, SELECTIVITY_BUCKET_BITS,
 };
 pub use query::{
-    lower_collection, lower_program, scope_identity, LowerError, PlanNode, ResolvedSource,
-    SourceKind, SourceResolver,
+    lower_collection, lower_program, PlanNode, Planned, ScopePlanner, ScopeRequest, Stratum,
 };
 pub use scope::{
-    Basis, BindingSpec, DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec,
+    Basis, BindingSpec, DistinctEstimator, NoOuter, OuterScope, PlanError, QuantRef, ScopeSpec,
+    SourceSpec,
 };

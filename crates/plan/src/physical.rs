@@ -49,10 +49,10 @@
 use crate::analysis::{each_formula_free_ref, Parts};
 use crate::logical::{const_cmp, eq_sides, extract_equalities, other_side, EqEdge};
 use crate::scope::{
-    DistinctEstimator, NoOuter, OuterScope, PlanError, ScopeSpec, SourceSpec, ABSTRACT_EST,
-    DEFAULT_ROWS, EXTERNAL_EST, NESTED_EST,
+    DistinctEstimator, NoOuter, OuterScope, PlanError, QuantRef, ScopeSpec, SourceSpec,
+    ABSTRACT_EST, DEFAULT_ROWS, EXTERNAL_EST, NESTED_EST,
 };
-use arc_core::ast::{CmpOp, Formula, Predicate, Quant, Scalar};
+use arc_core::ast::{CmpOp, Formula, Predicate, Scalar};
 use arc_core::value::Value;
 
 /// A reference to one orientation of an equality filter: the probe/input
@@ -198,6 +198,10 @@ pub struct Decorrelation {
     /// is non-empty and `O` is `NULL`, or some `L` is `NULL`, or `O`'s key
     /// is in the set.
     pub null_aware: bool,
+    /// Estimated distinct correlated keys in the build (semi-join
+    /// selectivity): the distinct counts of the key columns, capped by
+    /// the product of the planned build steps' estimates.
+    pub est_keys: u64,
 }
 
 impl Decorrelation {
@@ -427,11 +431,11 @@ pub struct NullGuard<'f> {
 /// both callers have it in hand, and this check runs once per compiled
 /// scope, so re-deriving it here would walk the body twice.
 pub fn decorrelatable_shape<'f>(
-    q: &Quant,
+    q: QuantRef<'_>,
     parts: &Parts<'f>,
     outer: &dyn OuterScope,
 ) -> Option<Option<NullGuard<'f>>> {
-    if q.grouping.is_some() || q.join.as_ref().is_some_and(|t| t.has_outer()) {
+    if q.grouping.is_some() || q.join.is_some_and(|t| t.has_outer()) {
         return None;
     }
     if !parts.agg_tests.is_empty() || !parts.post_bool.is_empty() {
@@ -618,12 +622,14 @@ fn try_decorrelate(spec: &ScopeSpec<'_>) -> Option<ScopePlan> {
     // free vars, external/abstract inputs through outer expressions)
     // fails here, and the scope falls back to the nested path — which is
     // what keeps the build provably outer-row independent.
-    let decorrelation = Decorrelation {
+    let mut decorrelation = Decorrelation {
         keys,
         probe_filters,
         null_aware: spec.guard.is_some(),
+        est_keys: 0,
     };
     let mut plan = plan_scope_impl(&build_spec(spec), &decorrelation.masked()).ok()?;
+    decorrelation.est_keys = est_keys(spec, &decorrelation.keys, &plan.steps);
     plan.decorrelation = Some(decorrelation);
     Some(plan)
 }
@@ -640,17 +646,12 @@ fn build_spec<'a>(spec: &ScopeSpec<'a>) -> ScopeSpec<'a> {
     }
 }
 
-/// A decorrelated plan's estimated distinct correlated keys in its build
-/// (semi-join selectivity): the distinct counts of the key columns,
-/// capped by the product of the planned build steps' estimates. `None`
-/// for a plan that is not decorrelated.
-pub(crate) fn est_keys(spec: &ScopeSpec<'_>, plan: &ScopePlan) -> Option<u64> {
-    let dec = plan.decorrelation.as_ref()?;
-    let build_rows = plan
-        .steps
+/// [`Decorrelation::est_keys`] of a build planned as `steps`.
+fn est_keys(spec: &ScopeSpec<'_>, keys: &[CorrelatedKey], steps: &[Step]) -> u64 {
+    let build_rows = steps
         .iter()
         .fold(1u64, |acc, s| acc.saturating_mul(s.estimated_rows.max(1)));
-    Some(distinct_keys(spec, &dec.keys).map_or(build_rows, |d| d.min(build_rows)))
+    distinct_keys(spec, keys).map_or(build_rows, |d| d.min(build_rows))
 }
 
 /// Product of the distinct counts of a decorrelated scope's correlated

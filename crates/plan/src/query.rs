@@ -1,91 +1,61 @@
 //! Whole-query logical plans: the operator tree a `Program`/`Collection`
-//! lowers into, with each quantifier scope planned by
-//! [`plan_scope`].
+//! lowers into.
 //!
 //! The tree is the **pattern-level** view the paper's Relational Diagrams
 //! render: projection, aggregation, quantifier scopes (join pipelines),
 //! union of rules, and fixpoints for recursive definitions. The
 //! [`explain`](crate::explain) module renders it as text; a diagram
 //! backend can walk the same tree.
+//!
+//! Lowering is only the tree walk. It partitions each scope body and runs
+//! the decorrelation shape check, as the engine's compile does, and asks
+//! the host's [`ScopePlanner`] for the scope's plan — the engine answers
+//! with the very function its compile calls (same sources, same
+//! statistics, same global-cache key, same errors), so the tree shows the
+//! plan that runs. A program lowers stratum by stratum in the order the
+//! engine materializes its definitions ([`Stratum`]).
 
-use crate::analysis::{free_vars, partition};
-use crate::physical::{plan_scope, Access, ScopePlan};
-use crate::scope::{BindingSpec, OuterScope, ScopeSpec, SourceSpec};
+use crate::analysis::{partition, Parts};
+use crate::physical::{decorrelatable_shape, Access, ScopePlan};
+use crate::scope::{OuterScope, QuantRef};
 use arc_core::ast::*;
 use std::sync::Arc;
 
-/// The kind of a named source, as resolved by the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceKind {
-    /// An extensional (stored) relation.
-    Base,
-    /// An intensional relation (definition/fixpoint result).
-    Defined,
-    /// An external relation with access patterns (§2.13.1).
-    External,
-    /// An abstract relation checked in context (§2.13.2).
-    Abstract,
+/// One scope, as lowering asks the host to plan it.
+pub struct ScopeRequest<'r, 'a> {
+    /// The scope.
+    pub scope: QuantRef<'a>,
+    /// Its filter predicates (the partition's `filters`).
+    pub filters: &'r [&'a Predicate],
+    /// The variables of the enclosing scopes.
+    pub outer: &'r dyn OuterScope,
+    /// Whether the scope is a boolean one of a decorrelatable shape: the
+    /// decorrelation pass plans it
+    /// ([`plan_scope_boolean`](crate::physical::plan_scope_boolean)).
+    pub boolean: bool,
+    /// The null guard's equality of such a scope
+    /// ([`ScopeSpec::guard`](crate::scope::ScopeSpec::guard)).
+    pub guard: Option<&'a Predicate>,
 }
 
-/// What a name resolves to, for planning purposes.
-#[derive(Debug, Clone)]
-pub struct ResolvedSource {
-    /// The source's kind.
-    pub kind: SourceKind,
-    /// Attribute names in column order.
-    pub schema: Vec<String>,
-    /// Row count when known (`None` for unmaterialized sources).
-    pub rows: Option<usize>,
-    /// For externals: bound-position lists, one per access pattern.
-    pub patterns: Vec<Vec<usize>>,
-    /// `ANALYZE` statistics when the catalog has them (base relations
-    /// only): `EXPLAIN` estimates become MCV/histogram-backed instead of
-    /// bare row counts.
-    pub stats: Option<std::sync::Arc<arc_stats::TableStats>>,
+/// The host's answer for one scope: its plan, and the schema of each
+/// binding's source in binding order.
+pub type Planned<'a> = (Arc<ScopePlan>, Vec<&'a [String]>);
+
+/// The host's scope planner: resolves a scope's sources and plans it —
+/// or fails the way evaluating the scope would.
+pub type ScopePlanner<'f, 'a, E> = dyn FnMut(ScopeRequest<'_, 'a>) -> Result<Planned<'a>, E> + 'f;
+
+/// One stratum of a program's materialized definitions: a strongly
+/// connected component of their dependency graph, recursive when it reads
+/// itself (then solved by least fixed point). The engine computes a
+/// program's strata once and both materializes and lowers them in order.
+pub struct Stratum<'a> {
+    /// The component's definitions.
+    pub members: Vec<&'a Definition>,
+    /// Whether it is recursive.
+    pub recursive: bool,
 }
-
-/// Resolves relation names to planning metadata. The engine implements
-/// this over its catalog (and materialized definitions); `EXPLAIN` of a
-/// bare program implements it over the program's own definitions.
-pub trait SourceResolver {
-    /// Resolve `name`, or `None` when unknown.
-    fn resolve(&self, name: &str) -> Option<ResolvedSource>;
-
-    /// The statistics epoch of the catalog behind this resolver: with a
-    /// name, it identifies the statistics [`resolve`](Self::resolve)
-    /// hands out, which is what lets lowering share the global plan cache
-    /// ([`crate::cache::scope_plan`]) with execution. `None` (statistics
-    /// of no catalog) plans every scope afresh.
-    fn stats_epoch(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Why lowering failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LowerError {
-    /// A binding references a name the resolver does not know.
-    UnknownRelation(String),
-    /// A binding cannot be placed in any join order (underdetermined
-    /// external/abstract inputs or unbound lateral free variables).
-    Unplaceable {
-        /// The range variable of the stuck binding.
-        var: String,
-    },
-}
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerError::UnknownRelation(n) => write!(f, "unknown relation `{n}`"),
-            LowerError::Unplaceable { var } => {
-                write!(f, "binding `{var}` cannot be placed in any join order")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LowerError {}
 
 /// One rendered pipeline step of a scope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,12 +118,11 @@ pub enum PlanNode {
     },
     /// A planned quantifier scope: an ordered join pipeline.
     Scope {
-        /// Stable operator id: the address of the scope's binding list in
-        /// the source AST — the same identity the engine's per-query plan
-        /// cache keys on, so a profile gathered while *executing* the AST
-        /// joins back to the plan lowered from it (see
-        /// [`crate::explain::render_analyze`]). `0` for synthesized
-        /// scopes with no bindings.
+        /// Stable operator id ([`QuantRef::id`]): the identity the
+        /// engine keys its execution profile on, so a profile gathered
+        /// while *executing* the AST joins back to
+        /// the plan lowered from it (see
+        /// [`crate::explain::render_analyze`]).
         scope_id: usize,
         /// Pipeline steps in execution order.
         steps: Vec<StepNode>,
@@ -216,488 +185,282 @@ pub enum PlanNode {
     },
 }
 
-/// Stable lowering-time id of a quantifier scope: the address of its
-/// binding list in the source AST. The engine keys its per-query plan
-/// cache, its decorrelation bail-out set, and its execution profile on
-/// the same address, so actuals recorded while evaluating a `Collection`
-/// join back to the plan lowered from that same `Collection`.
-/// Zero-binding scopes (predicate-only bodies) get id `0`: an empty
-/// `Vec`'s dangling pointer is shared across all empty vectors, so it
-/// cannot identify anything.
-pub fn scope_identity(q: &Quant) -> usize {
-    if q.bindings.is_empty() {
-        0
-    } else {
-        q.bindings.as_ptr() as usize
-    }
-}
-
-/// Lexical scope stack used while lowering (an [`OuterScope`] for
-/// `plan_scope`).
+/// Lexical scope stack used while lowering (the [`OuterScope`] a scope is
+/// planned under).
 #[derive(Default)]
-struct ScopeStack {
-    frames: Vec<(String, Vec<String>)>,
+struct ScopeStack<'a> {
+    frames: Vec<(&'a str, &'a [String])>,
 }
 
-impl OuterScope for ScopeStack {
+impl OuterScope for ScopeStack<'_> {
     fn attrs(&self, var: &str) -> Option<&[String]> {
         self.frames
             .iter()
             .rev()
-            .find(|(v, _)| v == var)
-            .map(|(_, attrs)| attrs.as_slice())
+            .find(|(v, _)| *v == var)
+            .map(|(_, attrs)| *attrs)
     }
 }
 
-/// Lower a collection into a logical plan under `resolver` statistics,
-/// running the same passes the engine runs: boolean subscopes of a
-/// decorrelatable shape plan as semi/anti-joins, and statistics-backed
-/// selective bounds as index ranges.
-pub fn lower_collection(
-    c: &Collection,
-    resolver: &dyn SourceResolver,
-) -> Result<PlanNode, LowerError> {
-    let mut stack = ScopeStack::default();
-    lower_collection_in(c, resolver, &mut stack)
+/// Lower a collection into a logical plan, each scope planned by
+/// `planner`.
+pub fn lower_collection<'a, E>(
+    c: &'a Collection,
+    planner: &mut ScopePlanner<'_, 'a, E>,
+) -> Result<PlanNode, E> {
+    Lowering {
+        planner,
+        stack: ScopeStack::default(),
+    }
+    .collection(c)
 }
 
-/// Lower a program: definitions (recursive groups fused into fixpoint
-/// nodes) plus the query, with the passes of [`lower_collection`].
-pub fn lower_program(p: &Program, resolver: &dyn SourceResolver) -> Result<PlanNode, LowerError> {
-    // Wrap the resolver so definition names resolve as intensional
-    // relations even before materialization.
-    struct WithDefs<'a> {
-        base: &'a dyn SourceResolver,
-        defs: &'a [Definition],
-    }
-    impl SourceResolver for WithDefs<'_> {
-        fn resolve(&self, name: &str) -> Option<ResolvedSource> {
-            if let Some(r) = self.base.resolve(name) {
-                return Some(r);
-            }
-            self.defs
-                .iter()
-                .find(|d| d.name() == name)
-                .map(|d| ResolvedSource {
-                    kind: SourceKind::Defined,
-                    schema: d.collection.head.attrs.clone(),
-                    rows: None,
-                    patterns: Vec::new(),
-                    stats: None,
-                })
+/// Lower a program: its strata in order — a recursive stratum fused into
+/// one [`PlanNode::Fixpoint`] — then the query.
+pub fn lower_program<'a, E>(
+    strata: &[Stratum<'a>],
+    query: Option<&'a Collection>,
+    planner: &mut ScopePlanner<'_, 'a, E>,
+) -> Result<PlanNode, E> {
+    let mut definitions = Vec::with_capacity(strata.len());
+    for stratum in strata {
+        let mut inputs = Vec::with_capacity(stratum.members.len());
+        for d in &stratum.members {
+            inputs.push(lower_collection(&d.collection, planner)?);
         }
-
-        fn stats_epoch(&self) -> Option<u64> {
-            self.base.stats_epoch()
-        }
-    }
-    let resolver = WithDefs {
-        base: resolver,
-        defs: &p.definitions,
-    };
-
-    // Reachability over definition references → recursive groups.
-    let names: Vec<&str> = p.definitions.iter().map(|d| d.name()).collect();
-    let direct: Vec<Vec<usize>> = p
-        .definitions
-        .iter()
-        .map(|d| {
-            let mut sources = Vec::new();
-            collect_sources(&d.collection, &mut sources);
-            let mut deps: Vec<usize> = sources
-                .iter()
-                .filter_map(|s| names.iter().position(|n| n == s))
-                .collect();
-            deps.sort_unstable();
-            deps.dedup();
-            deps
-        })
-        .collect();
-    let reach = |from: usize| -> Vec<bool> {
-        let mut seen = vec![false; names.len()];
-        let mut queue = direct[from].clone();
-        while let Some(i) = queue.pop() {
-            if !seen[i] {
-                seen[i] = true;
-                queue.extend(direct[i].iter().copied());
-            }
-        }
-        seen
-    };
-    let reachable: Vec<Vec<bool>> = (0..names.len()).map(reach).collect();
-
-    let mut emitted = vec![false; names.len()];
-    let mut definitions = Vec::new();
-    for i in 0..names.len() {
-        if emitted[i] {
-            continue;
-        }
-        if reachable[i][i] {
-            // Recursive: fuse the whole mutually-recursive group.
-            let group: Vec<usize> = (i..names.len())
-                .filter(|&j| j == i || (reachable[i][j] && reachable[j][i]))
-                .collect();
-            let mut inputs = Vec::new();
-            for &j in &group {
-                emitted[j] = true;
-                inputs.push(lower_collection(&p.definitions[j].collection, &resolver)?);
-            }
-            definitions.push(PlanNode::Fixpoint {
-                relations: group.iter().map(|&j| names[j].to_string()).collect(),
+        definitions.push(if stratum.recursive {
+            PlanNode::Fixpoint {
+                relations: stratum
+                    .members
+                    .iter()
+                    .map(|d| d.name().to_string())
+                    .collect(),
                 inputs,
-            });
+            }
         } else {
-            emitted[i] = true;
-            definitions.push(lower_collection(&p.definitions[i].collection, &resolver)?);
-        }
+            inputs
+                .pop()
+                .expect("a non-recursive stratum has one member")
+        });
     }
-    let query = match &p.query {
-        Some(q) => Some(Box::new(lower_collection(q, &resolver)?)),
+    let query = match query {
+        Some(q) => Some(Box::new(lower_collection(q, planner)?)),
         None => None,
     };
     Ok(PlanNode::Program { definitions, query })
 }
 
-fn collect_sources(c: &Collection, out: &mut Vec<String>) {
-    fn walk(f: &Formula, out: &mut Vec<String>) {
+/// The tree walk: the planner, and the scopes enclosing the one at hand.
+struct Lowering<'p, 'f, 'a, E> {
+    planner: &'p mut ScopePlanner<'f, 'a, E>,
+    stack: ScopeStack<'a>,
+}
+
+impl<'a, E> Lowering<'_, '_, 'a, E> {
+    fn collection(&mut self, c: &'a Collection) -> Result<PlanNode, E> {
+        let input = self.branch(&c.body, &c.head.relation)?;
+        Ok(PlanNode::Project {
+            head: c.head.relation.clone(),
+            attrs: c.head.attrs.clone(),
+            input: Box::new(input),
+        })
+    }
+
+    fn branch(&mut self, f: &'a Formula, head: &str) -> Result<PlanNode, E> {
         match f {
-            Formula::Quant(q) => {
-                for b in &q.bindings {
-                    match &b.source {
-                        BindingSource::Named(n) => out.push(n.clone()),
-                        BindingSource::Collection(c) => collect_sources(c, out),
+            Formula::Or(branches) => {
+                let mut inputs = Vec::with_capacity(branches.len());
+                for b in branches {
+                    inputs.push(self.branch(b, head)?);
+                }
+                Ok(PlanNode::Union { inputs })
+            }
+            Formula::Quant(q) => self.scope(QuantRef::from(&**q), head, None),
+            other => self.scope(QuantRef::bare(other), head, None),
+        }
+    }
+
+    /// Lower one quantifier scope (the workhorse). `head` is the
+    /// collection head name, or a non-occurring name for boolean scopes.
+    /// `bool_role` is `Some(negated)` when the scope is a boolean
+    /// subformula (`semi-join ∃` / `anti-join ¬∃`) — the only position
+    /// where the decorrelation pass may fire.
+    fn scope(
+        &mut self,
+        q: QuantRef<'a>,
+        head: &str,
+        bool_role: Option<bool>,
+    ) -> Result<PlanNode, E> {
+        let parts = partition(q.body, head);
+        let assigns = |assigns: &[(&str, &Scalar)]| -> Vec<String> {
+            assigns
+                .iter()
+                .map(|(attr, expr)| format!("{head}.{attr} = {expr}"))
+                .collect()
+        };
+        let scope = if let Some(tree) = q.join.filter(|t| t.has_outer()) {
+            // Outer-join annotations execute on the materialized path;
+            // show them unplanned.
+            PlanNode::OuterJoin {
+                tree: tree.to_string(),
+                filters: parts.filters.iter().map(|p| p.to_string()).collect(),
+                assigns: assigns(&parts.assigns),
+            }
+        } else {
+            // Boolean scopes run the decorrelation pass: the engine's
+            // shape check, then the engine's planner.
+            let shape = bool_role.and_then(|_| decorrelatable_shape(q, &parts, &self.stack));
+            let guard = shape.flatten().map(|g| g.eq);
+            let (plan, schemas) = (self.planner)(ScopeRequest {
+                scope: q,
+                filters: &parts.filters,
+                outer: &self.stack,
+                boolean: shape.is_some(),
+                guard,
+            })?;
+            let children = self.children(q, &parts, &schemas, head)?;
+            let scope = render_scope(
+                q,
+                &parts,
+                &plan,
+                &schemas,
+                assigns(&parts.assigns),
+                children,
+            );
+            match &plan.decorrelation {
+                Some(dec) => {
+                    // Filter `filters.len()` is the null guard's equality.
+                    let filter = |i: usize| {
+                        let p = parts.filters.get(i).copied().or(guard);
+                        p.expect("a filter index, or the null guard's").to_string()
+                    };
+                    PlanNode::SemiJoin {
+                        scope_id: q.id(),
+                        anti: bool_role.unwrap_or(false),
+                        keys: dec.keys.iter().map(|k| filter(k.filter)).collect(),
+                        prelude: dec.probe_filters.iter().map(|&i| filter(i)).collect(),
+                        est_keys: dec.est_keys,
+                        null_aware: dec.null_aware,
+                        build: Box::new(scope),
                     }
                 }
-                walk(&q.body, out);
+                None => scope,
             }
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|s| walk(s, out)),
-            Formula::Not(inner) => walk(inner, out),
-            Formula::Pred(_) => {}
-        }
-    }
-    walk(&c.body, out);
-}
-
-fn lower_collection_in(
-    c: &Collection,
-    resolver: &dyn SourceResolver,
-    stack: &mut ScopeStack,
-) -> Result<PlanNode, LowerError> {
-    let input = lower_branch(&c.body, &c.head, resolver, stack)?;
-    Ok(PlanNode::Project {
-        head: c.head.relation.clone(),
-        attrs: c.head.attrs.clone(),
-        input: Box::new(input),
-    })
-}
-
-fn lower_branch(
-    f: &Formula,
-    head: &Head,
-    resolver: &dyn SourceResolver,
-    stack: &mut ScopeStack,
-) -> Result<PlanNode, LowerError> {
-    match f {
-        Formula::Or(branches) => {
-            let mut inputs = Vec::with_capacity(branches.len());
-            for b in branches {
-                inputs.push(lower_branch(b, head, resolver, stack)?);
-            }
-            Ok(PlanNode::Union { inputs })
-        }
-        Formula::Quant(q) => lower_quant(q, &head.relation, resolver, None, stack),
-        other => {
-            // Predicate-only body: a scope with no bindings.
-            let q = Quant {
-                bindings: Vec::new(),
-                grouping: None,
-                join: None,
-                body: other.clone(),
-            };
-            lower_quant(&q, &head.relation, resolver, None, stack)
-        }
-    }
-}
-
-/// Lower one quantifier scope (the workhorse). `head` is the collection
-/// head name, or a non-occurring name for boolean scopes. `bool_role` is
-/// `Some(negated)` when the scope is a boolean subformula (`semi-join ∃` /
-/// `anti-join ¬∃`) — the only position where the decorrelation pass may
-/// fire.
-fn lower_quant(
-    q: &Quant,
-    head: &str,
-    resolver: &dyn SourceResolver,
-    bool_role: Option<bool>,
-    stack: &mut ScopeStack,
-) -> Result<PlanNode, LowerError> {
-    let parts = partition(&q.body, head);
-    let render_assigns = |assigns: &[(&str, &Scalar)]| -> Vec<String> {
-        assigns
-            .iter()
-            .map(|(attr, expr)| format!("{head}.{attr} = {expr}"))
-            .collect()
-    };
-
-    // Outer-join annotations execute on the materialized path; show them
-    // unplanned.
-    let scope = if q.join.as_ref().is_some_and(|t| t.has_outer()) {
-        PlanNode::OuterJoin {
-            tree: q.join.as_ref().expect("checked").to_string(),
-            filters: parts.filters.iter().map(|p| p.to_string()).collect(),
-            assigns: render_assigns(&parts.assigns),
-        }
-    } else {
-        // Resolve sources, then plan the scope.
-        let mut resolved: Vec<Option<ResolvedSource>> = Vec::with_capacity(q.bindings.len());
-        for b in &q.bindings {
-            resolved.push(match &b.source {
-                BindingSource::Named(n) => Some(
-                    resolver
-                        .resolve(n)
-                        .ok_or_else(|| LowerError::UnknownRelation(n.clone()))?,
-                ),
-                BindingSource::Collection(_) => None,
-            });
-        }
-        let bindings: Vec<BindingSpec<'_>> = q
-            .bindings
-            .iter()
-            .enumerate()
-            .map(|(i, b)| BindingSpec {
-                var: &b.var,
-                source: match (&b.source, &resolved[i]) {
-                    (BindingSource::Collection(c), _) => SourceSpec::Nested {
-                        attrs: &c.head.attrs,
-                        free: free_vars(c),
-                    },
-                    (BindingSource::Named(name), Some(r)) => match r.kind {
-                        SourceKind::Base | SourceKind::Defined => SourceSpec::Relation {
-                            name,
-                            schema: &r.schema,
-                            rows: r.rows,
-                        },
-                        SourceKind::External => SourceSpec::External {
-                            schema: &r.schema,
-                            patterns: r.patterns.iter().map(|p| p.as_slice()).collect(),
-                        },
-                        SourceKind::Abstract => SourceSpec::Abstract { attrs: &r.schema },
-                    },
-                    (BindingSource::Named(_), None) => unreachable!("resolved above"),
-                },
-            })
-            .collect();
-        // Catalog statistics, one slot per binding, make `EXPLAIN`'s
-        // estimates MCV/histogram-backed wherever an ANALYZE has run.
-        let estimator = crate::estimator::TableStatsEstimator::new(
-            resolved
-                .iter()
-                .map(|r| r.as_ref().and_then(|r| r.stats.clone()))
-                .collect(),
-        );
-        // Boolean scopes run the decorrelation pass, mirroring the
-        // engine's execution-time decision exactly: same shape check,
-        // same planner entry point.
-        let shape = bool_role.and_then(|_| crate::physical::decorrelatable_shape(q, &parts, stack));
-        let boolean = shape.is_some();
-        let spec = ScopeSpec {
-            bindings,
-            filters: &parts.filters,
-            outer: stack,
-            estimator: Some(&estimator),
-            guard: shape.flatten().map(|g| g.eq),
         };
-        // Through the global cache when the resolver's statistics have an
-        // identity it can key on — the plan execution is served.
-        let plan = match resolver.stats_epoch() {
-            Some(epoch) => crate::cache::scope_plan(&spec, epoch, boolean).map(|(p, _)| p),
-            None if boolean => crate::physical::plan_scope_boolean(&spec).map(Arc::new),
-            None => plan_scope(&spec).map(Arc::new),
-        }
-        .map_err(|e| match e {
-            crate::scope::PlanError::Unplaceable { binding } => LowerError::Unplaceable {
-                var: q.bindings[binding].var.clone(),
-            },
-        })?;
-        let scope = render_scope(q, &parts, &plan, head, &resolved);
-        match &plan.decorrelation {
-            Some(dec) => PlanNode::SemiJoin {
-                scope_id: scope_identity(q),
-                anti: bool_role.unwrap_or(false),
-                keys: dec
-                    .keys
-                    .iter()
-                    .map(|k| spec.filter(k.filter).to_string())
-                    .collect(),
-                prelude: dec
-                    .probe_filters
-                    .iter()
-                    .map(|&i| parts.filters[i].to_string())
-                    .collect(),
-                est_keys: crate::physical::est_keys(&spec, &plan).expect("a decorrelated plan"),
-                null_aware: dec.null_aware,
-                build: Box::new(scope),
+        // A grouping operator wraps the pipeline in an aggregation node.
+        Ok(match q.grouping {
+            Some(g) => PlanNode::Aggregate {
+                keys: g.keys.iter().map(|k| k.to_string()).collect(),
+                assigns: assigns(&parts.agg_assigns),
+                tests: parts.agg_tests.iter().map(|p| p.to_string()).collect(),
+                input: Box::new(scope),
             },
             None => scope,
-        }
-    };
-
-    // Push this scope's bindings for children (laterals, subformulas,
-    // spines all evaluate under the full scope environment).
-    let base = stack.frames.len();
-    for b in &q.bindings {
-        let attrs = match &b.source {
-            BindingSource::Named(n) => resolver.resolve(n).map(|r| r.schema).unwrap_or_default(),
-            BindingSource::Collection(c) => c.head.attrs.clone(),
-        };
-        stack.frames.push((b.var.clone(), attrs));
+        })
     }
 
-    // Children: laterals, boolean subformulas, spines.
-    let mut children = Vec::new();
-    for b in &q.bindings {
-        if let BindingSource::Collection(c) = &b.source {
-            children.push(ChildPlan {
-                label: format!("lateral {}", b.var),
-                plan: lower_collection_in(c, resolver, stack)?,
-            });
-        }
-    }
-    for sub in parts.pre_bool.iter().chain(parts.post_bool.iter()) {
-        collect_bool_children(sub, false, resolver, stack, &mut children)?;
-    }
-    for spine in &parts.spines {
-        let mut spine_children = Vec::new();
-        collect_spine_children(spine, head, resolver, stack, &mut spine_children)?;
-        children.extend(spine_children);
-    }
-    stack.frames.truncate(base);
-
-    let scope = attach_children(scope, children);
-
-    // A grouping operator wraps the pipeline in an aggregation node.
-    Ok(match &q.grouping {
-        Some(g) => PlanNode::Aggregate {
-            keys: g.keys.iter().map(|k| k.to_string()).collect(),
-            assigns: render_assigns(&parts.agg_assigns),
-            tests: parts.agg_tests.iter().map(|p| p.to_string()).collect(),
-            input: Box::new(scope),
-        },
-        None => scope,
-    })
-}
-
-fn attach_children(node: PlanNode, mut new_children: Vec<ChildPlan>) -> PlanNode {
-    match node {
-        PlanNode::Scope {
-            scope_id,
-            steps,
-            prelude,
-            residual,
-            assigns,
-            mut children,
-        } => {
-            children.append(&mut new_children);
-            PlanNode::Scope {
-                scope_id,
-                steps,
-                prelude,
-                residual,
-                assigns,
-                children,
+    /// A planned scope's labeled children — laterals, then boolean
+    /// subformulas, then spines — each lowered under the scope's full
+    /// environment.
+    fn children(
+        &mut self,
+        q: QuantRef<'a>,
+        parts: &Parts<'a>,
+        schemas: &[&'a [String]],
+        head: &str,
+    ) -> Result<Vec<ChildPlan>, E> {
+        let base = self.stack.frames.len();
+        let frames = q.bindings.iter().zip(schemas);
+        self.stack
+            .frames
+            .extend(frames.map(|(b, attrs)| (b.var.as_str(), *attrs)));
+        let mut children = Vec::new();
+        for b in q.bindings {
+            if let BindingSource::Collection(c) = &b.source {
+                children.push(ChildPlan {
+                    label: format!("lateral {}", b.var),
+                    plan: self.collection(c)?,
+                });
             }
         }
-        // Decorrelated scopes carry their children (laterals, nested
-        // subformulas) on the build pipeline.
-        PlanNode::SemiJoin {
-            scope_id,
-            anti,
-            keys,
-            prelude,
-            est_keys,
-            null_aware,
-            build,
-        } => PlanNode::SemiJoin {
-            scope_id,
-            anti,
-            keys,
-            prelude,
-            est_keys,
-            null_aware,
-            build: Box::new(attach_children(*build, new_children)),
-        },
-        other => other, // outer-join scopes: children omitted from display
-    }
-}
-
-/// Quantified subformulas of a boolean conjunct become labeled children:
-/// positive scopes are semi-joins, negated ones anti-joins.
-fn collect_bool_children(
-    f: &Formula,
-    negated: bool,
-    resolver: &dyn SourceResolver,
-    stack: &mut ScopeStack,
-    out: &mut Vec<ChildPlan>,
-) -> Result<(), LowerError> {
-    match f {
-        Formula::Quant(q) => {
-            let label = if negated {
-                "anti-join ¬∃"
-            } else {
-                "semi-join ∃"
-            };
-            out.push(ChildPlan {
-                label: label.to_string(),
-                plan: lower_quant(q, "\u{0}", resolver, Some(negated), stack)?,
-            });
-            Ok(())
+        for sub in parts.pre_bool.iter().chain(&parts.post_bool) {
+            self.bool_children(sub, false, &mut children)?;
         }
-        Formula::And(fs) | Formula::Or(fs) => {
-            for sub in fs {
-                collect_bool_children(sub, negated, resolver, stack, out)?;
+        for spine in &parts.spines {
+            self.spine_children(spine, head, &mut children)?;
+        }
+        self.stack.frames.truncate(base);
+        Ok(children)
+    }
+
+    /// Quantified subformulas of a boolean conjunct become labeled
+    /// children: positive scopes are semi-joins, negated ones anti-joins.
+    fn bool_children(
+        &mut self,
+        f: &'a Formula,
+        negated: bool,
+        out: &mut Vec<ChildPlan>,
+    ) -> Result<(), E> {
+        match f {
+            Formula::Quant(q) => {
+                let label = if negated {
+                    "anti-join ¬∃"
+                } else {
+                    "semi-join ∃"
+                };
+                out.push(ChildPlan {
+                    label: label.to_string(),
+                    plan: self.scope(QuantRef::from(&**q), "\u{0}", Some(negated))?,
+                });
+                Ok(())
             }
-            Ok(())
-        }
-        Formula::Not(inner) => collect_bool_children(inner, !negated, resolver, stack, out),
-        Formula::Pred(_) => Ok(()),
-    }
-}
-
-/// Spine subformulas (assignment-bearing nested scopes) lower as plans of
-/// their own, labeled `spine`.
-fn collect_spine_children(
-    f: &Formula,
-    head: &str,
-    resolver: &dyn SourceResolver,
-    stack: &mut ScopeStack,
-    out: &mut Vec<ChildPlan>,
-) -> Result<(), LowerError> {
-    match f {
-        Formula::Quant(q) => {
-            out.push(ChildPlan {
-                label: "spine".to_string(),
-                plan: lower_quant(q, head, resolver, None, stack)?,
-            });
-            Ok(())
-        }
-        Formula::And(fs) | Formula::Or(fs) => {
-            for sub in fs {
-                collect_spine_children(sub, head, resolver, stack, out)?;
+            Formula::And(fs) | Formula::Or(fs) => {
+                for sub in fs {
+                    self.bool_children(sub, negated, out)?;
+                }
+                Ok(())
             }
-            Ok(())
+            Formula::Not(inner) => self.bool_children(inner, !negated, out),
+            Formula::Pred(_) => Ok(()),
         }
-        Formula::Not(_) | Formula::Pred(_) => Ok(()),
+    }
+
+    /// Spine subformulas (assignment-bearing nested scopes) lower as plans
+    /// of their own, labeled `spine`.
+    fn spine_children(
+        &mut self,
+        f: &'a Formula,
+        head: &str,
+        out: &mut Vec<ChildPlan>,
+    ) -> Result<(), E> {
+        match f {
+            Formula::Quant(q) => {
+                out.push(ChildPlan {
+                    label: "spine".to_string(),
+                    plan: self.scope(QuantRef::from(&**q), head, None)?,
+                });
+                Ok(())
+            }
+            Formula::And(fs) | Formula::Or(fs) => {
+                for sub in fs {
+                    self.spine_children(sub, head, out)?;
+                }
+                Ok(())
+            }
+            Formula::Not(_) | Formula::Pred(_) => Ok(()),
+        }
     }
 }
 
-/// Render a planned scope into a [`PlanNode::Scope`]. `resolved` supplies
+/// Render a planned scope into a [`PlanNode::Scope`]. `schemas` supplies
 /// per-binding schemas so index-range bounds render as column names.
 fn render_scope(
-    q: &Quant,
-    parts: &crate::analysis::Parts<'_>,
+    q: QuantRef<'_>,
+    parts: &Parts<'_>,
     plan: &ScopePlan,
-    head: &str,
-    resolved: &[Option<ResolvedSource>],
+    schemas: &[&[String]],
+    assigns: Vec<String>,
+    children: Vec<ChildPlan>,
 ) -> PlanNode {
     let render_filter = |i: &usize| parts.filters[*i].to_string();
     let axis = plan.partition_axis();
@@ -726,14 +489,12 @@ fn render_scope(
                 Access::IndexRange { cols, .. } => {
                     // Bound prefix as column names; the closing range
                     // column carries a `..` suffix: `index-range on [A, B..]`.
-                    let schema = resolved[s.binding].as_ref().map(|r| r.schema.as_slice());
+                    let schema = schemas[s.binding];
                     let names: Vec<String> = cols
                         .iter()
                         .enumerate()
                         .map(|(ci, &c)| {
-                            let name = schema
-                                .and_then(|sch| sch.get(c).cloned())
-                                .unwrap_or_else(|| format!("#{c}"));
+                            let name = schema.get(c).cloned().unwrap_or_else(|| format!("#{c}"));
                             if ci + 1 == cols.len() {
                                 format!("{name}..")
                             } else {
@@ -755,15 +516,11 @@ fn render_scope(
         })
         .collect();
     PlanNode::Scope {
-        scope_id: scope_identity(q),
+        scope_id: q.id(),
         steps,
         prelude: plan.prelude_filters.iter().map(render_filter).collect(),
         residual: plan.leaf_filters.iter().map(render_filter).collect(),
-        assigns: parts
-            .assigns
-            .iter()
-            .map(|(attr, expr)| format!("{head}.{attr} = {expr}"))
-            .collect(),
-        children: Vec::new(),
+        assigns,
+        children,
     }
 }

@@ -1,19 +1,81 @@
 //! Planner inputs: the abstract description of one quantifier scope.
 //!
-//! The engine (or the `EXPLAIN` walker) describes a scope — its bindings,
-//! their resolved source kinds, the filter predicates, and which outer
-//! variables are in reach — and the planner turns that description into a
+//! The engine describes a scope — its bindings, their resolved source
+//! kinds, the filter predicates, and which outer variables are in reach —
+//! and the planner turns that description into a
 //! [`ScopePlan`](crate::physical::ScopePlan). The spec deliberately knows
 //! nothing about engine types: relations appear only as schemas and
-//! cardinalities, so the same planner serves execution (live statistics)
-//! and static `EXPLAIN` (catalog-level statistics).
+//! cardinalities. Execution and `EXPLAIN` describe a scope the same way,
+//! through the engine (see [`crate::query`]).
 
-use arc_core::ast::{CmpOp, Predicate};
+use arc_core::ast::{Binding, CmpOp, Formula, Grouping, JoinTree, Predicate, Quant};
 use arc_core::value::Value;
 
 /// Default cardinality assumed for sources whose row count is unknown at
-/// plan time (intensional relations in static `EXPLAIN`, for example).
+/// plan time (a program's definitions in a plain `EXPLAIN`, which runs
+/// nothing).
 pub const DEFAULT_ROWS: usize = 32;
+
+/// A quantifier scope, borrowed from the AST: a [`Quant`], or a bare
+/// formula on a collection's emission spine (a scope with no bindings).
+#[derive(Clone, Copy)]
+pub struct QuantRef<'a> {
+    /// The scope's bindings.
+    pub bindings: &'a [Binding],
+    /// Its grouping operator, if any.
+    pub grouping: Option<&'a Grouping>,
+    /// Its join annotation, if any.
+    pub join: Option<&'a JoinTree>,
+    /// Its body.
+    pub body: &'a Formula,
+}
+
+impl<'a> QuantRef<'a> {
+    /// A predicate-only body as the scope with no bindings it is.
+    pub fn bare(body: &'a Formula) -> Self {
+        QuantRef {
+            bindings: &[],
+            grouping: None,
+            join: None,
+            body,
+        }
+    }
+
+    /// The scope's stable operator id: the address of its binding slice
+    /// or, for a scope without bindings, of its body, because every empty
+    /// slice shares one dangling address. Lowering stamps it on the plan
+    /// tree and the engine keys its semi-join builds and execution profile
+    /// on it, so actuals recorded while evaluating an AST join back to the
+    /// plan lowered from that same AST.
+    ///
+    /// The address is pinned for as long as any key holding it lives:
+    /// both the slice and the body are borrowed from the AST, which
+    /// outlives every evaluation of it. Two boolean scopes never share an
+    /// id: each is a boxed `Quant`, a non-empty binding slice is a heap
+    /// allocation of its own, and a body a field of its own box. Scopes
+    /// that differ only in a constant therefore get two ids, and two
+    /// semi-join builds
+    /// (`sibling_not_in_scopes_differing_in_a_constant_build_separately`,
+    /// `tests/regressions/zero_binding_semi_scopes.rs`).
+    pub fn id(&self) -> usize {
+        if self.bindings.is_empty() {
+            self.body as *const Formula as usize
+        } else {
+            self.bindings.as_ptr() as usize
+        }
+    }
+}
+
+impl<'a> From<&'a Quant> for QuantRef<'a> {
+    fn from(q: &'a Quant) -> Self {
+        QuantRef {
+            bindings: &q.bindings,
+            grouping: q.grouping.as_ref(),
+            join: q.join.as_ref(),
+            body: &q.body,
+        }
+    }
+}
 
 /// Estimated rows produced by one lateral (nested-collection) evaluation.
 pub const NESTED_EST: f64 = 8.0;
@@ -35,7 +97,8 @@ pub enum SourceSpec<'a> {
         name: &'a str,
         /// Attribute names, in column order.
         schema: &'a [String],
-        /// Row count, when known (`None` in static `EXPLAIN`).
+        /// Row count, when known (`None` for a definition a plain
+        /// `EXPLAIN` has not materialized).
         rows: Option<usize>,
     },
     /// An external relation solved through access patterns (§2.13.1): each
@@ -128,10 +191,9 @@ pub enum Basis {
 ///
 /// Every method may answer `None` ("unknown"): the planner then falls
 /// back to its pre-statistics behaviour, so a stats-free catalog plans
-/// exactly as it always has. The execution engine implements this over
-/// catalog statistics with a live prefix-sample fallback
-/// ([`crate::TableStatsEstimator`] is the pure catalog-statistics
-/// implementation `EXPLAIN` uses).
+/// exactly as it always has. The engine implements this over catalog
+/// statistics with a live prefix-sample fallback, for execution and
+/// `EXPLAIN` alike.
 pub trait DistinctEstimator {
     /// What the answers about `binding` rest on.
     fn basis(&self, binding: usize) -> Basis;
@@ -198,7 +260,7 @@ pub struct ScopeSpec<'a> {
     pub filters: &'a [&'a Predicate],
     /// The outer lexical environment.
     pub outer: &'a dyn OuterScope,
-    /// Optional live statistics (execution supplies one; `EXPLAIN` not).
+    /// Optional live statistics (the engine always supplies one).
     pub estimator: Option<&'a dyn DistinctEstimator>,
     /// Boolean scopes only: the equality `L = O` of the scope's **null
     /// guard** — Eq 17's `L = O ∨ L is null ∨ O is null`, the boolean

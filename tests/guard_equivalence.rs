@@ -437,73 +437,68 @@ fn fault_matrix_structured_errors_and_survival() {
     }
 }
 
-/// CI smoke, env-armed: with `ARC_FAULT=seam:N[:kind]` in the
-/// environment, drive the per-seam battery through env-configured
-/// engines and assert every outcome is either complete or a structured
-/// guard error — never a process panic — and that a second run of the
-/// same spec produces the identical outcome (the harness is
-/// deterministic). Trivially passes when `ARC_FAULT` is unset, so the
-/// plain test suite is unaffected.
+/// The fault-injection smoke: every registered seam × every battery
+/// entry (the per-seam cases above and the recursive Eq 16 program) ×
+/// {panic, budget}, at the first visit — plus `fixpoint-round` at the
+/// third, where the recursive totals and seen sets are partly filled.
+/// Every outcome is complete or a structured guard error — never a
+/// process panic — and a second run of the same plan gives the identical
+/// outcome (injection is deterministic).
 #[test]
-fn arc_fault_smoke() {
-    if std::env::var("ARC_FAULT")
-        .unwrap_or_default()
-        .trim()
-        .is_empty()
-    {
-        return;
-    }
-    for case in seam_cases() {
-        let catalog = (case.catalog)();
-        let q = (case.query)();
-        let run = || {
-            Engine::new(&catalog, Conventions::sql())
-                .with_threads(case.threads)
-                .eval_collection(&q)
-        };
-        let first = run();
-        match &first {
-            Ok(_)
-            | Err(EvalError::WorkerPanic(_))
-            | Err(EvalError::MemoryBudget)
-            | Err(EvalError::Cancelled)
-            | Err(EvalError::DeadlineExceeded) => {}
-            Err(other) => panic!(
-                "battery {}: ARC_FAULT produced a non-guard error: {other:?}",
-                case.seam
-            ),
+fn fault_smoke_every_seam_every_battery_entry() {
+    let mut visits: Vec<(&'static str, u64)> = seam::ALL.iter().map(|&s| (s, 1)).collect();
+    visits.push((seam::FIXPOINT_ROUND, 3));
+    let batteries: Vec<(String, Catalog, Collection, usize)> = seam_cases()
+        .into_iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let name = format!("#{i} ({})", case.seam);
+            (name, (case.catalog)(), (case.query)(), case.threads)
+        })
+        .collect();
+    let chain = chain_catalog(24, 0, 3);
+    let eq16 = fx::eq16();
+    for (at_seam, at) in visits {
+        for kind in [FaultKind::Panic, FaultKind::Budget] {
+            let plan = FaultPlan {
+                seam: at_seam,
+                at,
+                kind,
+            };
+            let smoke = |battery: &str, run: &dyn Fn() -> Result<Vec<Vec<Value>>, EvalError>| {
+                let first = run();
+                assert!(
+                    matches!(
+                        first,
+                        Ok(_)
+                            | Err(EvalError::WorkerPanic(_))
+                            | Err(EvalError::MemoryBudget)
+                            | Err(EvalError::Cancelled)
+                            | Err(EvalError::DeadlineExceeded)
+                    ),
+                    "battery {battery} under {at_seam}:{at}:{kind:?}: a non-guard outcome {first:?}"
+                );
+                assert_eq!(
+                    first,
+                    run(),
+                    "battery {battery} under {at_seam}:{at}:{kind:?}: injection must be deterministic"
+                );
+            };
+            for (name, catalog, q, threads) in &batteries {
+                smoke(name, &|| {
+                    Engine::new(catalog, Conventions::sql())
+                        .with_threads(*threads)
+                        .with_fault(plan)
+                        .eval_collection(q)
+                        .map(|rel| rel.rows)
+                });
+            }
+            smoke("eq16", &|| {
+                Engine::new(&chain, Conventions::set())
+                    .with_fault(plan)
+                    .eval_program(&eq16)
+                    .map(|out| out.defined["A"].rows.clone())
+            });
         }
-        let second = run();
-        assert_eq!(
-            first, second,
-            "battery {}: fault injection must be deterministic",
-            case.seam
-        );
     }
-    // The recursive program: the one battery entry that visits the
-    // fixpoint-round seam (once per round, so `fixpoint-round:3` fires
-    // with totals and seen sets partly filled).
-    let catalog = chain_catalog(24, 0, 3);
-    let run = || {
-        Engine::new(&catalog, Conventions::set())
-            .eval_program(&fx::eq16())
-            .map(|out| out.defined["A"].rows.clone())
-    };
-    let first = run();
-    assert!(
-        matches!(
-            first,
-            Ok(_)
-                | Err(EvalError::WorkerPanic(_))
-                | Err(EvalError::MemoryBudget)
-                | Err(EvalError::Cancelled)
-                | Err(EvalError::DeadlineExceeded)
-        ),
-        "battery fixpoint: ARC_FAULT produced a non-guard error: {first:?}"
-    );
-    assert_eq!(
-        first,
-        run(),
-        "battery fixpoint: fault injection must be deterministic"
-    );
 }

@@ -8,6 +8,13 @@
 //! plan it serves for a statement is the plan a cold planner run returns
 //! for it, whichever constant planned the shape first.
 //!
+//! And `EXPLAIN` is a view of what runs: it plans each scope through the
+//! engine's own compile path, so after an evaluation it is served the
+//! evaluation's plans and runs the planner zero times — with statistics
+//! and without. Recursive definitions are the exception: their members
+//! plan once per round against the growing totals, and `EXPLAIN ANALYZE`
+//! plans them once more against the final ones.
+//!
 //! The assertions read `arc_plan::planner_runs()`, a process-global
 //! counter, and empty the process-global cache — so this file
 //! deliberately contains a **single** `#[test]` (test binaries run one at
@@ -17,7 +24,7 @@
 #[path = "adhoc_shapes.rs"]
 mod adhoc_shapes;
 
-use adhoc_shapes::{all_spellings, Shape, ID_RANGE};
+use adhoc_shapes::{all_spellings, Shape, Statement, ID_RANGE};
 use arc_bench::fixtures as fx;
 use arc_core::binder::Binder;
 use arc_core::conventions::Conventions;
@@ -28,6 +35,51 @@ use arc_engine::{Catalog, Engine, Relation};
 fn plan_cache_eliminates_per_outer_row_planning() {
     per_outer_row_planning_is_eliminated();
     constants_share_plans_and_the_shared_plan_is_the_cold_one();
+    explain_after_evaluation_plans_nothing();
+}
+
+/// Every spelling of every shape, on the analyzed catalog and again after
+/// `clear_stats()`: a collection's `EXPLAIN` after its evaluation, and a
+/// non-recursive program's `EXPLAIN ANALYZE` after its evaluation, run
+/// the planner zero times.
+fn explain_after_evaluation_plans_nothing() {
+    let mut catalog = adhoc_shapes::catalog();
+    let schemas = catalog.schema_map();
+    let binder = Binder::with_schemas(schemas.clone());
+    let spellings = all_spellings(&Value::Int(1), &Value::Int(480_000));
+    for analyzed in [true, false] {
+        if !analyzed {
+            catalog.clear_stats();
+        }
+        let (mut collections, mut programs) = (0, 0);
+        for shape in &spellings {
+            let engine = engine(&catalog, shape);
+            adhoc_shapes::run(shape, &schemas, &binder, &engine)
+                .unwrap_or_else(|e| panic!("{}: {e}", shape.name()));
+            let before = arc_plan::planner_runs();
+            match adhoc_shapes::parse(shape, &schemas).unwrap() {
+                Statement::Collection(c) => {
+                    engine.explain_collection(&c).unwrap();
+                    collections += 1;
+                }
+                Statement::Program(_) if shape.template == "reach_rec" => continue,
+                Statement::Program(p) => {
+                    engine.explain_analyze_program(&p).unwrap();
+                    programs += 1;
+                }
+            }
+            assert_eq!(
+                arc_plan::planner_runs() - before,
+                0,
+                "analyzed: {analyzed}: EXPLAIN of {} planned what evaluation did not",
+                shape.name()
+            );
+        }
+        assert!(
+            collections >= 20 && programs >= 5,
+            "{collections} / {programs}"
+        );
+    }
 }
 
 /// The constants of the sweep: thresholds across (and beyond) the id

@@ -82,7 +82,8 @@ project Q(A)
 }
 
 /// The same query over a statistics-free catalog: the planner falls back
-/// to its pre-`ANALYZE` profile — flat probe estimates, same shape.
+/// to its pre-`ANALYZE` profile — distinct counts from a sample of the
+/// live rows, the estimates evaluation plans with — same shape.
 #[test]
 fn explain_eq1_unanalyzed_golden() {
     let mut catalog = fx::rs_catalog(64);
@@ -96,8 +97,8 @@ fn explain_eq1_unanalyzed_golden() {
     let expected = "\
 project Q(A)
   scope
-    1: hash-probe on [s.C = 0] S as s (est=1)
-    2: hash-probe on [r.B = s.B] R as r (est=1)
+    1: hash-probe on [s.C = 0] S as s (est=32)
+    2: hash-probe on [r.B = s.B] R as r (est=6)
     emit: Q.A = r.A
 ";
     assert_eq!(plan, expected, "eq1 unanalyzed plan drifted:\n{plan}");

@@ -3,6 +3,7 @@
 
 mod datalog_bound_aggregate;
 mod definition_order;
+mod explain_shows_the_executed_plan;
 mod i64_min_round_trip;
 mod outer_join_stratification;
 mod right_join_alias;

@@ -146,7 +146,7 @@ project Q(A)
     1: scan R as r (est=2)
     emit: Q.A = r.A
     [anti-join ¬∃]
-      anti-join on [s.A = r.A] null-aware (est=2)
+      anti-join on [s.A = r.A] null-aware (est=1)
         build (once)
           scope
             1: scan S as s (est=2)
