@@ -16,6 +16,11 @@
 //!   same three-valued acceptance rule as the row path (only `True`
 //!   passes — which makes constant filters convention-independent, see
 //!   [`cmp_truth`]);
+//! - [`ColumnChunk::and_offset_cmp`] narrows it by `(row ± offset) op
+//!   rhs` over an `Int` or `Float` payload, with the evaluator's
+//!   arithmetic (`Int` wraps, `NULL` propagates) — the engine's
+//!   per-entry kernel for a filter like `r.B - s.B > t.B`, whose offset
+//!   and right side are fixed once the earlier frames are bound;
 //! - [`ColumnChunk::join_keys_into`] computes equi-join keys for a whole
 //!   column slice with [`Value::join_key`] semantics (`NULL`/`NaN` never
 //!   join, integral floats normalize to integer keys) — what `ANALYZE`
@@ -25,7 +30,7 @@
 //! Invalid (null) slots in a typed payload hold placeholder defaults, so
 //! every kernel masks with validity before trusting the payload.
 
-use crate::ast::CmpOp;
+use crate::ast::{ArithOp, CmpOp};
 use crate::value::{cmp_truth, ord_satisfies, Key, Value};
 
 /// Rows per chunk. Chosen so a typical chunk's working set (a few typed
@@ -204,31 +209,12 @@ impl ColumnChunk {
         }
         match (&self.data, rhs) {
             (ColumnData::Null, _) => mask.clear_all(),
-            (ColumnData::Int(xs), Value::Int(c)) => {
-                let c = *c;
-                mask.retain(|i| ord_satisfies(xs[i].cmp(&c), op));
-            }
-            (ColumnData::Int(xs), Value::Float(c)) => {
-                let c = *c;
-                mask.retain(|i| match (xs[i] as f64).partial_cmp(&c) {
-                    Some(ord) => ord_satisfies(ord, op),
-                    None => op == CmpOp::Ne, // NaN: incomparable
-                });
-            }
-            (ColumnData::Float(xs), Value::Int(c)) => {
-                let c = *c as f64;
-                mask.retain(|i| match xs[i].partial_cmp(&c) {
-                    Some(ord) => ord_satisfies(ord, op),
-                    None => op == CmpOp::Ne,
-                });
-            }
-            (ColumnData::Float(xs), Value::Float(c)) => {
-                let c = *c;
-                mask.retain(|i| match xs[i].partial_cmp(&c) {
-                    Some(ord) => ord_satisfies(ord, op),
-                    None => op == CmpOp::Ne,
-                });
-            }
+            (ColumnData::Int(xs), Value::Int(c)) => and_where_cmp(mask, xs, |x| x, op, *c),
+            // NaN: incomparable — the float operators answer exactly as
+            // `cmp_truth` does (only `Ne` holds).
+            (ColumnData::Int(xs), Value::Float(c)) => and_where_cmp(mask, xs, |x| x as f64, op, *c),
+            (ColumnData::Float(xs), Value::Int(c)) => and_where_cmp(mask, xs, |x| x, op, *c as f64),
+            (ColumnData::Float(xs), Value::Float(c)) => and_where_cmp(mask, xs, |x| x, op, *c),
             (ColumnData::Bool(xs), Value::Bool(c)) => {
                 let c = *c;
                 mask.retain(|i| ord_satisfies(xs[i].cmp(&c), op));
@@ -248,6 +234,76 @@ impl ColumnChunk {
                 }
             }
         }
+    }
+
+    /// Narrow `mask` to the rows where `(row ⊕ offset) op rhs` is
+    /// `True`, `⊕` being `Add` or `Sub`: exactly `cmp_truth` over the
+    /// evaluator's arithmetic — `Int ⊕ Int` wraps and stays `Int`, any
+    /// other numeric pair computes in `f64`, and a `NULL` or non-numeric
+    /// operand makes the sum `NULL`, which passes nothing. Never rewrite
+    /// the comparison as `row op rhs ∓ offset`: under wrapping the two
+    /// differ.
+    ///
+    /// Only `Int` and `Float` payloads have a typed loop: for any other
+    /// payload (or a `Mul`/`Div` operator) the mask is left untouched and
+    /// `false` returned, and the caller evaluates the chunk's rows itself.
+    pub fn and_offset_cmp(
+        &self,
+        arith: ArithOp,
+        offset: &Value,
+        op: CmpOp,
+        rhs: &Value,
+        mask: &mut Mask,
+    ) -> bool {
+        let sub = match arith {
+            ArithOp::Add => false,
+            ArithOp::Sub => true,
+            ArithOp::Mul | ArithOp::Div => return false,
+        };
+        if !matches!(self.data, ColumnData::Int(_) | ColumnData::Float(_)) {
+            return false;
+        }
+        if rhs.is_null() || !matches!(offset, Value::Int(_) | Value::Float(_)) {
+            mask.clear_all(); // a NULL right side, or a NULL sum: Unknown
+            return true;
+        }
+        if let Some(words) = &self.validity {
+            mask.and_words(words);
+        }
+        // The sum's type decides the comparison domain; a non-numeric
+        // right side is incomparable with it (only `Ne` holds).
+        let (int_rhs, float_rhs) = match rhs {
+            Value::Int(c) => (Some(*c), *c as f64),
+            Value::Float(c) => (None, *c),
+            _ => {
+                if op != CmpOp::Ne {
+                    mask.clear_all();
+                }
+                return true;
+            }
+        };
+        // Subtracting is adding the negation, exactly: `x - a` wraps to
+        // the same `i64` as `x + (-a)` (also for `a = i64::MIN`), and IEEE
+        // defines `x - a` as `x + (-a)`.
+        match (&self.data, offset) {
+            (ColumnData::Int(xs), Value::Int(a)) => {
+                let a = if sub { a.wrapping_neg() } else { *a };
+                match int_rhs {
+                    Some(c) => and_where_cmp(mask, xs, |x| x.wrapping_add(a), op, c),
+                    None => and_where_cmp(mask, xs, |x| x.wrapping_add(a) as f64, op, float_rhs),
+                }
+            }
+            (data, offset) => {
+                let a = offset.as_f64().expect("a numeric offset");
+                let a = if sub { -a } else { a };
+                match data {
+                    ColumnData::Int(xs) => and_where_cmp(mask, xs, |x| x as f64 + a, op, float_rhs),
+                    ColumnData::Float(xs) => and_where_cmp(mask, xs, |x| x + a, op, float_rhs),
+                    _ => unreachable!("checked: an Int or Float payload"),
+                }
+            }
+        }
+        true
     }
 
     /// Narrow `mask` by `IS [NOT] NULL` (two-valued in both conventions;
@@ -308,6 +364,27 @@ impl ColumnChunk {
                 }
             }
         }
+    }
+}
+
+/// `mask &= { i | map(xs[i]) op c }`, one 64-row word at a time. Over
+/// `i64` the operators are total; over `f64` they are IEEE's, which
+/// answer exactly as [`cmp_truth`] does (a `NaN` side satisfies only
+/// `Ne`, and `-0.0 == 0.0`).
+fn and_where_cmp<T: Copy, V: PartialOrd + Copy>(
+    mask: &mut Mask,
+    xs: &[T],
+    map: impl Fn(T) -> V,
+    op: CmpOp,
+    c: V,
+) {
+    match op {
+        CmpOp::Eq => mask.and_where(xs, |x| map(x) == c),
+        CmpOp::Ne => mask.and_where(xs, |x| map(x) != c),
+        CmpOp::Lt => mask.and_where(xs, |x| map(x) < c),
+        CmpOp::Le => mask.and_where(xs, |x| map(x) <= c),
+        CmpOp::Gt => mask.and_where(xs, |x| map(x) > c),
+        CmpOp::Ge => mask.and_where(xs, |x| map(x) >= c),
     }
 }
 
@@ -403,7 +480,7 @@ impl ColumnSet {
 /// A per-chunk selection bitmask (one bit per row, set ⇔ selected).
 /// Kernels narrow it monotonically; tail bits past `len` stay zero so
 /// popcounts and index extraction never see phantom rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Mask {
     words: Vec<u64>,
     len: usize,
@@ -412,13 +489,34 @@ pub struct Mask {
 impl Mask {
     /// A mask selecting every row of a `len`-row chunk.
     pub fn all_true(len: usize) -> Mask {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        if !len.is_multiple_of(64) {
-            if let Some(w) = words.last_mut() {
-                *w = (1u64 << (len % 64)) - 1;
+        let mut mask = Mask::default();
+        mask.select_range(len, 0..len);
+        mask
+    }
+
+    /// Reuse this mask for a `len`-row chunk, selecting exactly the rows
+    /// of `range` (a sub-range of `0..len`); keeps the allocation.
+    pub fn select_range(&mut self, len: usize, range: std::ops::Range<usize>) {
+        self.len = len;
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        for (wi, w) in self.words.iter_mut().enumerate() {
+            let (lo, hi) = (range.start.max(wi * 64), range.end.min(wi * 64 + 64));
+            if lo < hi {
+                let bits = hi - lo;
+                let ones = if bits == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << bits) - 1
+                };
+                *w = ones << (lo - wi * 64);
             }
         }
-        Mask { words, len }
+    }
+
+    /// Select row `i` as well.
+    pub fn select(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
     }
 
     /// Rows the mask covers.
@@ -464,6 +562,24 @@ impl Mask {
     pub fn and_not_words(&mut self, other: &[u64]) {
         for (w, o) in self.words.iter_mut().zip(other) {
             *w &= !*o;
+        }
+    }
+
+    /// Keep only the rows `i` whose `keep(xs[i])` holds (`xs` holds one
+    /// value per row). Builds each 64-row word whole — `keep` runs for
+    /// every row of a word with any row still selected, branch-free — so
+    /// `keep` must be cheap and total; for one that may not be, use
+    /// [`Mask::retain`].
+    pub fn and_where<T: Copy>(&mut self, xs: &[T], keep: impl Fn(T) -> bool) {
+        for (w, xs) in self.words.iter_mut().zip(xs.chunks(64)) {
+            if *w == 0 {
+                continue;
+            }
+            let mut bits = 0u64;
+            for (j, &x) in xs.iter().enumerate() {
+                bits |= (keep(x) as u64) << j;
+            }
+            *w &= bits;
         }
     }
 
@@ -575,6 +691,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Reference: the evaluator's null-propagating arithmetic (`Int`
+    /// wraps), restricted to `±`.
+    fn row_arith(op: ArithOp, l: &Value, r: &Value) -> Value {
+        match (l, r) {
+            (Value::Int(a), Value::Int(b)) => Value::Int(match op {
+                ArithOp::Add => a.wrapping_add(*b),
+                _ => a.wrapping_sub(*b),
+            }),
+            _ => match (l.as_f64(), r.as_f64()) {
+                (Some(a), Some(b)) => Value::Float(match op {
+                    ArithOp::Add => a + b,
+                    _ => a - b,
+                }),
+                _ => Value::Null,
+            },
+        }
+    }
+
+    #[test]
+    fn offset_kernel_matches_row_arithmetic_then_compare() {
+        let edges = vec![
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(-1),
+            Value::Int(0),
+            Value::Int(3),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+        ];
+        let columns: Vec<Vec<Value>> = vec![
+            vec![
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX),
+                Value::Int(0),
+                Value::Int(3),
+            ],
+            vec![
+                Value::Int(1),
+                Value::Null,
+                Value::Int(-7),
+                Value::Int(i64::MAX),
+            ],
+            vec![
+                Value::Float(-0.0),
+                Value::Float(f64::NAN),
+                Value::Null,
+                Value::Float(1.5),
+            ],
+            (0..130).map(|i| Value::Int(i * 7 - 400)).collect(),
+        ];
+        let mut rhs_pool = edges.clone();
+        rhs_pool.extend([Value::Null, Value::str("x"), Value::Bool(true)]);
+        let mut offsets = edges.clone();
+        offsets.extend([Value::Null, Value::str("x")]);
+        for col in &columns {
+            let set = ColumnSet::encode(1, &rows_of(col));
+            let chunk = set.chunks()[0].col(0);
+            for arith in [ArithOp::Add, ArithOp::Sub] {
+                for offset in &offsets {
+                    for rhs in &rhs_pool {
+                        for op in OPS {
+                            let mut mask = Mask::all_true(col.len());
+                            assert!(chunk.and_offset_cmp(arith, offset, op, rhs, &mut mask));
+                            let mut got = Vec::new();
+                            mask.indices_into(0, &mut got);
+                            let want: Vec<u32> = (0..col.len() as u32)
+                                .filter(|&i| {
+                                    let v = if col[i as usize].is_null() || offset.is_null() {
+                                        Value::Null
+                                    } else {
+                                        row_arith(arith, &col[i as usize], offset)
+                                    };
+                                    cmp_truth(&v, op, rhs).is_true()
+                                })
+                                .collect();
+                            assert_eq!(got, want, "{col:?} {arith:?} {offset:?} {op:?} {rhs:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // No typed loop for strings: the caller evaluates those rows.
+        let set = ColumnSet::encode(1, &rows_of(&[Value::str("a")]));
+        let mut mask = Mask::all_true(1);
+        let typed = set.chunks()[0].col(0).and_offset_cmp(
+            ArithOp::Add,
+            &Value::Int(1),
+            CmpOp::Eq,
+            &Value::Int(1),
+            &mut mask,
+        );
+        assert!(!typed && mask.count() == 1);
+    }
+
+    #[test]
+    fn select_range_reuses_and_bounds_the_mask() {
+        let mut mask = Mask::all_true(200);
+        mask.select_range(130, 3..129);
+        let mut got = Vec::new();
+        mask.indices_into(0, &mut got);
+        assert_eq!(got, (3..129).collect::<Vec<u32>>());
+        mask.select_range(70, 0..0);
+        assert!(!mask.any());
+        mask.select(69);
+        assert_eq!(mask.count(), 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! existentials, including existential grouping scopes.
 
 use super::env::Env;
+use super::quantifier::Sink;
 use super::scope::{Body, Scope};
 use super::slots::{CFormula, Resolver};
 use super::Ctx;
@@ -93,13 +94,14 @@ impl<'a> Ctx<'a> {
     /// environment.
     fn exists(&self, sc: &Scope<'a>, env: &mut Env<'a>) -> Result<Truth> {
         let mut found = false;
-        self.run_scope(sc, env, &mut |ctx, env| {
+        let mut first = |ctx: &Ctx<'a>, env: &mut Env<'a>| {
             if !ctx.all_hold(&sc.pre_bool, env)? {
                 return Ok(true);
             }
             found = true;
             Ok(false) // stop early
-        })?;
+        };
+        self.run_scope(sc, env, &mut Sink::Each(&mut first))?;
         Ok(Truth::from_bool(found))
     }
 }

@@ -26,7 +26,7 @@
 
 use super::env::{Env, Frame, Layout, Names};
 use super::partition::{pred_consts, pred_vars};
-use super::quantifier::{EnvFn, HashIndex};
+use super::quantifier::{HashIndex, Sink};
 use super::scope::Resolved;
 use super::slots::{CPred, CScalar, Resolver};
 use super::Ctx;
@@ -308,13 +308,13 @@ impl<'a> Ctx<'a> {
         &self,
         join: &JoinPlan<'a>,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<()> {
         let base = env.len();
         let rows = self.join_rows(&join.root, env)?;
         for row in rows.iter() {
             env.frames.extend(row.iter().cloned());
-            let cont = !self.all_true(&join.filters, env)? || cb(self, env)?;
+            let cont = !self.all_true(&join.filters, env)? || sink.env(self, env)?;
             env.truncate(base);
             if !cont {
                 return Ok(());

@@ -586,6 +586,8 @@ pub(crate) struct Ctx<'a> {
     pub(crate) selections: SelectionCache,
     /// Scratch for the semi-join probe key, reused across outer rows.
     pub(crate) probe_key: RefCell<Vec<arc_core::value::Key>>,
+    /// Scratch of the per-entry kernel passes, reused across entries.
+    pub(crate) entry_scratch: RefCell<Vec<quantifier::EntryScratch>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -603,6 +605,7 @@ impl<'a> Ctx<'a> {
             scopes: RefCell::new(HashMap::new()),
             selections: RefCell::new(HashMap::new()),
             probe_key: RefCell::new(Vec::new()),
+            entry_scratch: RefCell::new(Vec::new()),
         }
     }
 }
@@ -640,6 +643,27 @@ impl Ctx<'_> {
         let t = self.guard_tick.get().wrapping_add(1);
         self.guard_tick.set(t);
         if !t.is_multiple_of(GUARD_TICK) {
+            return Ok(());
+        }
+        g.check().map_err(trip_error)
+    }
+
+    /// [`Ctx::guard_step`] for `n` environments at once (a gathered
+    /// batch): one fault-seam visit when a fault plan is armed; else the
+    /// tick advances by `n` and the cooperative check runs if it crossed
+    /// a multiple of [`GUARD_TICK`] — so at least once per batch of
+    /// `GUARD_TICK` rows or more.
+    pub(crate) fn guard_rows(&self, n: usize) -> Result<()> {
+        let Some(g) = self.shared.guard.as_ref() else {
+            return Ok(());
+        };
+        if g.fault_armed() {
+            return guard_check_at(Some(g), seam::ENUMERATE);
+        }
+        let before = self.guard_tick.get();
+        let after = before.wrapping_add(n as u32);
+        self.guard_tick.set(after);
+        if before / GUARD_TICK == after / GUARD_TICK && (n as u32) < GUARD_TICK {
             return Ok(());
         }
         g.check().map_err(trip_error)

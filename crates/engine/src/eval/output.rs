@@ -4,6 +4,8 @@
 
 use super::aggregate::{member_of, AggSpec, Group, Groups, Member};
 use super::env::Env;
+use super::parallel::{each_into, MorselFn};
+use super::quantifier::{Gathered, Sink};
 use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
 use super::slots::CScalar;
 use super::Ctx;
@@ -190,6 +192,44 @@ impl<'a> HeadPlan<'a> {
         )
     }
 
+    /// Whether a row assembles by copying values alone: every column a
+    /// slot, a constant or spine-assigned, and no pre-step — so
+    /// assembling it cannot raise, and [`HeadPlan::gather`] applies.
+    pub(crate) fn gathers(&self) -> bool {
+        self.pre.is_empty()
+            && self.cols.iter().all(|src| match src {
+                ColSrc::Partial => true,
+                ColSrc::Expr(n) => {
+                    matches!(self.exprs[*n], CScalar::Slot { .. } | CScalar::Const(_))
+                }
+                ColSrc::Missing => false,
+            })
+    }
+
+    /// The head tuple of a plan that [`gathers`](HeadPlan::gathers),
+    /// reading the row bound at stack position `f` as `row(f)`: what
+    /// [`HeadPlan::row`] returns, without evaluating an expression.
+    pub(crate) fn gather<'r>(
+        &self,
+        partial: &Partial,
+        row: impl Fn(usize) -> &'r [Value],
+    ) -> Tuple {
+        let mut out = Vec::with_capacity(self.cols.len());
+        for (col, src) in self.cols.iter().enumerate() {
+            out.push(match src {
+                ColSrc::Expr(n) => match &self.exprs[*n] {
+                    CScalar::Slot { frame, col } => row(*frame as usize)[*col as usize].clone(),
+                    CScalar::Const(v) => (*v).clone(),
+                    _ => unreachable!("a gathered head reads slots and constants"),
+                },
+                _ => partial[col]
+                    .clone()
+                    .expect("assigned by the enclosing spine"),
+            });
+        }
+        out
+    }
+
     /// Like [`HeadPlan::row`], for a scope with a nested emission spine:
     /// the extended partial tuple the spine continues from.
     fn partial<'e>(
@@ -256,9 +296,14 @@ impl<'a> Ctx<'a> {
         };
         let sc = self.emit_scope(q, head, partial, env)?;
         match &sc.body {
-            Body::Rows { head: plan, spine } => {
-                self.emit_existential(&sc, plan, *spine, head, partial, env, out)
-            }
+            Body::Rows {
+                head: plan,
+                spine: _,
+                gathers: true,
+            } => self.emit_gathered(&sc, plan, partial, env, out),
+            Body::Rows {
+                head: plan, spine, ..
+            } => self.emit_existential(&sc, plan, *spine, head, partial, env, out),
             Body::Groups(g) => self.emit_grouped(&sc, g, head, partial, env, out),
             Body::Exists | Body::Semi(_) => Err(EvalError::Internal(
                 "boolean scope on the emission spine".into(),
@@ -308,6 +353,36 @@ impl<'a> Ctx<'a> {
             },
             out,
         )
+    }
+
+    /// A scope whose head is gathered straight from its last step's row
+    /// ids ([`Sink::Gather`]) — sequentially, or per morsel of its
+    /// partition axis, concatenated in morsel order.
+    fn emit_gathered(
+        &self,
+        sc: &Scope<'a>,
+        plan: &HeadPlan<'a>,
+        partial: &Partial,
+        env: &mut Env<'a>,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let morsel: &MorselFn<'_, 'a, Tuple> = &|ctx, range, env, tally, out| {
+            let head = Gathered {
+                head: plan,
+                partial,
+                out,
+            };
+            ctx.scan_partition(sc, range, env, tally, &mut Sink::Gather(head))
+        };
+        if self.try_parallel(sc, env, morsel, out)? {
+            return Ok(());
+        }
+        let head = Gathered {
+            head: plan,
+            partial,
+            out,
+        };
+        self.run_scope(sc, env, &mut Sink::Gather(head))
     }
 
     /// Grouping scope: fold surviving environments into per-group
@@ -378,12 +453,15 @@ impl<'a> Ctx<'a> {
         let parallel = self.try_parallel(
             sc,
             env,
-            &|ctx, env, sink| {
-                if ctx.all_hold(&sc.pre_bool, env)? {
-                    sink.push(member_of(ctx, keys, aggs, env, sc.base)?);
-                }
-                Ok(true)
-            },
+            &each_into(
+                &|ctx, env, sink| {
+                    if ctx.all_hold(&sc.pre_bool, env)? {
+                        sink.push(member_of(ctx, keys, aggs, env, sc.base)?);
+                    }
+                    Ok(true)
+                },
+                sc,
+            ),
             &mut members,
         )?;
         if parallel {
@@ -391,12 +469,16 @@ impl<'a> Ctx<'a> {
                 groups.fold_member(aggs, m);
             }
         } else {
-            self.run_scope(sc, env, &mut |ctx, env| {
-                if ctx.all_hold(&sc.pre_bool, env)? {
-                    groups.fold_env(ctx, keys, aggs, env, sc.base)?;
-                }
-                Ok(true)
-            })?;
+            self.run_scope(
+                sc,
+                env,
+                &mut Sink::Each(&mut |ctx, env| {
+                    if ctx.all_hold(&sc.pre_bool, env)? {
+                        groups.fold_env(ctx, keys, aggs, env, sc.base)?;
+                    }
+                    Ok(true)
+                }),
+            )?;
         }
         if keys.is_empty() {
             groups.ensure_global(aggs);

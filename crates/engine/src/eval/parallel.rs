@@ -28,13 +28,14 @@
 //! enumeration is side-effect-free).
 
 use super::env::Env;
-use super::quantifier::{HashIndex, Src};
+use super::quantifier::{HashIndex, Sink, Src};
 use super::scope::{Pipeline, Scope};
 use super::{Ctx, QueryOptions, QueryShared};
 use crate::error::Result;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
 use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -99,6 +100,26 @@ impl Drop for WorkerState<'_> {
 pub(crate) type EachFn<'f, 'a, T> =
     dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut Vec<T>) -> Result<bool> + Sync + 'f;
 
+/// One morsel of a partitioned scope: [`Ctx::scan_partition`] over a
+/// row range of the axis, from a worker's context and environment, with
+/// a morsel-local tally, delivering into the morsel's output vector.
+pub(crate) type MorselFn<'f, 'a, T> = dyn Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut Vec<T>) -> Result<()>
+    + Sync
+    + 'f;
+
+/// The morsel of a scope whose every survivor goes through `each`.
+pub(crate) fn each_into<'f, 'a, T>(
+    each: &'f EachFn<'f, 'a, T>,
+    sc: &'f Scope<'a>,
+) -> impl Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut Vec<T>) -> Result<()>
+       + Sync
+       + 'f {
+    move |ctx, range, env, tally, out| {
+        let mut each = |ctx: &Ctx<'a>, env: &mut Env<'a>| each(ctx, env, out);
+        ctx.scan_partition(sc, range, env, tally, &mut Sink::Each(&mut each))
+    }
+}
+
 impl<'a> Ctx<'a> {
     fn worker_seed(&self) -> WorkerSeed<'a> {
         WorkerSeed {
@@ -126,21 +147,25 @@ impl<'a> Ctx<'a> {
         each: &EachFn<'_, 'a, T>,
         out: &mut Vec<T>,
     ) -> Result<()> {
-        if self.try_parallel(sc, env, each, out)? {
+        if self.try_parallel(sc, env, &each_into(each, sc), out)? {
             return Ok(());
         }
-        self.run_scope(sc, env, &mut |ctx, env| each(ctx, env, out))
+        self.run_scope(
+            sc,
+            env,
+            &mut Sink::Each(&mut |ctx, env| each(ctx, env, out)),
+        )
     }
 
-    /// The partitioned path; `Ok(false)` means "not eligible — run the
-    /// sequential loop" (a sequential engine, an outer-join scope, no
-    /// partition axis, or an axis scan too small for the configured
-    /// morsel floor).
+    /// The partitioned path, each morsel run by `morsel`; `Ok(false)`
+    /// means "not eligible — run the sequential loop" (a sequential
+    /// engine, an outer-join scope, no partition axis, or an axis scan
+    /// too small for the configured morsel floor).
     pub(crate) fn try_parallel<T: Send>(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        each: &EachFn<'_, 'a, T>,
+        morsel: &MorselFn<'_, 'a, T>,
         out: &mut Vec<T>,
     ) -> Result<bool> {
         if self.opts.threads <= 1 {
@@ -194,14 +219,19 @@ impl<'a> Ctx<'a> {
             return Ok(true); // scope is empty; nothing to scatter
         }
         // Build every probe's hash index — and every vectorized scan's
-        // selection vector — up front so workers share them read-only
-        // instead of racing to build duplicates.
+        // selection vector and per-entry kernels' column chunks — up
+        // front so workers share them read-only instead of racing to
+        // build duplicates.
         for ob in steps {
-            if let (Src::Rows(rel), Some(hash_plan)) = (&ob.source, &ob.hash_plan) {
+            let Src::Rows(rel) = &ob.source else { continue };
+            if let Some(hash_plan) = &ob.hash_plan {
                 let _ = self.join_index(hash_plan, rel);
             }
-            if let (Src::Rows(rel), true) = (&ob.source, ob.uses_selection()) {
+            if ob.uses_selection() {
                 let _ = self.scan_selection(rel, ob);
+            }
+            if !ob.entry_filters.is_empty() {
+                let _ = self.step_columns(ob, rel);
             }
         }
 
@@ -246,16 +276,7 @@ impl<'a> Ctx<'a> {
                 let rec = st.ctx.shared.recorder.as_ref();
                 let tally = rec.map(|_| ScopeTally::new(scope_id, steps.len()));
                 let t0 = rec.and_then(Recorder::start);
-                let r = st
-                    .ctx
-                    .scan_partition(
-                        scope_id,
-                        pipeline,
-                        range,
-                        &mut wenv,
-                        tally.as_ref(),
-                        &mut |c, e| each(c, e, &mut morsel_out),
-                    )
+                let r = morsel(&st.ctx, range, &mut wenv, tally.as_ref(), &mut morsel_out)
                     .map(|()| morsel_out);
                 st.morsels += 1;
                 if let (Some(rec), Some(t)) = (rec, &tally) {

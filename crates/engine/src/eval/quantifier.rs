@@ -19,6 +19,21 @@
 //! nothing; an accepted one allocates whatever the callback builds from it
 //! (an output row, nothing at all for a grouped fold).
 //!
+//! Most candidates never get that far one at a time. A scan step's
+//! candidates come out of its column kernels as a batch of ascending row
+//! ids — the cached selection vector of its constant filters, narrowed
+//! per entry by its per-entry kernels (see [`super::vector`]) — and a
+//! hash probe's are its bucket. When such a step is the last one and
+//! only a head of slots, constants and spine-assigned values follows it
+//! (no leaf filter, no boolean subformula, no spine: a [`Sink::Gather`]),
+//! the batch skips the per-row round trip altogether: the head's columns
+//! are copied straight out of the rows into output tuples, in ascending
+//! row order, with the profile counted and the guard checked a piece of
+//! at most `CHUNK_ROWS` rows at a time. So for Eq 19's last step a row
+//! costs a typed comparison and, if it survives, its output vector. The
+//! row-at-a-time loop is left to shapes the batch does not cover and to
+//! a build the budget denied.
+//!
 //! The plan greedily orders joins by estimated cardinality, hash-probes
 //! every reachable equi-join, and pushes filters down to the step where
 //! their variables bind — results are bag-identical to the paper's
@@ -34,19 +49,23 @@
 
 use super::env::{Env, Frame, Layout};
 use super::lateral::Lateral;
+use super::output::{HeadPlan, Partial};
 use super::scope::{Pipeline, Scope, Steps};
 use super::slots::{CFormula, CPred, CScalar};
+use super::vector::EntryFilter;
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::external::AccessPattern;
 use crate::metrics;
 use crate::relation::{Relation, Tuple};
+use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
 use arc_core::value::Value;
 use arc_guard::seam;
 use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where one ordered binding draws its tuples from.
@@ -328,10 +347,14 @@ pub(crate) struct Ordered<'a> {
     /// hoisted into `vec_filters` and only the residue remains here (see
     /// [`super::vector`] on why only a prefix is safe to hoist).
     pub(crate) step_filters: Vec<CPred<'a>>,
-    /// The vectorizable constant-filter prefix, resolved to columns of
-    /// the scanned relation (scan steps only; empty when the relation is
-    /// tiny or no prefix classifies).
+    /// The constant filters of the step's kernel prefix, resolved to
+    /// columns of the scanned relation (scan steps only; empty when the
+    /// relation is tiny or no prefix classifies).
     pub(crate) vec_filters: Vec<super::vector::VecFilter>,
+    /// The per-entry filters of the kernel prefix: their invariant sides
+    /// are evaluated once per entry, then they narrow the step's
+    /// candidates chunk by chunk (see [`super::vector`]).
+    pub(crate) entry_filters: Vec<EntryFilter<'a>>,
     /// Addresses of the original predicates behind `vec_filters` — part
     /// of the `Ctx` selection-cache key ([`Ordered::selection_key`]).
     pub(crate) vec_key: Vec<usize>,
@@ -348,9 +371,22 @@ pub(crate) struct Ordered<'a> {
     /// The scan's selection vector (`vec_filters` applied to every
     /// chunk), memoized like `index` and shared across pool workers.
     pub(crate) selection: std::sync::OnceLock<Arc<Vec<u32>>>,
+    /// The scanned relation's column chunks, which `entry_filters` read,
+    /// admitted and memoized like `index`.
+    pub(crate) columns: std::sync::OnceLock<Arc<ColumnSet>>,
 }
 
-impl Ordered<'_> {
+impl<'a> Ordered<'a> {
+    /// Whether this step's candidates come out of a batch of row ids —
+    /// a selection vector, per-entry kernels, or a hash bucket — that a
+    /// gathered head can read in one pass when it is the last step and
+    /// no row filter is left on it.
+    pub(crate) fn batches(&self) -> bool {
+        matches!(self.source, Src::Rows(_))
+            && self.step_filters.is_empty()
+            && (self.hash_plan.is_some() || self.uses_selection() || !self.entry_filters.is_empty())
+    }
+
     /// Whether this step scans through a selection vector — an
     /// index-range probe, a vectorized constant-filter prefix, or both
     /// composed. Used by the scan loops to pick the selection walk and
@@ -436,6 +472,63 @@ impl Ordered<'_> {
 /// to stop early (existential short-circuit).
 pub(crate) type EnvFn<'f, 'a> = dyn FnMut(&Ctx<'a>, &mut Env<'a>) -> Result<bool> + 'f;
 
+/// Where the binding loop delivers the environments that survive.
+pub(crate) enum Sink<'s, 'a> {
+    /// One callback per surviving environment.
+    Each(&'s mut EnvFn<'s, 'a>),
+    /// A scope that only emits a head of slots, constants and
+    /// spine-assigned values, with no filter after its last step
+    /// (`Body::Rows::gathers`): the last step copies the head's columns
+    /// straight out of its batch of row ids — no frame pushed, no
+    /// callback — and any environment that still reaches the leaf (a
+    /// degraded build's row loop) is gathered the same way.
+    Gather(Gathered<'s, 'a>),
+}
+
+/// A gathered head, the values the enclosing spine assigned, and the
+/// rows out.
+pub(crate) struct Gathered<'s, 'a> {
+    pub(crate) head: &'s HeadPlan<'a>,
+    pub(crate) partial: &'s Partial,
+    pub(crate) out: &'s mut Vec<Tuple>,
+}
+
+impl<'a> Sink<'_, 'a> {
+    /// Deliver one surviving environment; `Ok(false)` stops the loop.
+    #[inline]
+    pub(crate) fn env(&mut self, ctx: &Ctx<'a>, env: &mut Env<'a>) -> Result<bool> {
+        match self {
+            Sink::Each(cb) => cb(ctx, env),
+            Sink::Gather(g) => {
+                g.push_env(env);
+                Ok(true)
+            }
+        }
+    }
+}
+
+impl<'a> Gathered<'_, 'a> {
+    /// Gather the head of an environment that reached the leaf one row
+    /// at a time (a degraded build's row loop) — off the hot path.
+    #[cold]
+    #[inline(never)]
+    fn push_env(&mut self, env: &Env<'a>) {
+        let row = self.head.gather(self.partial, |f| env.frames[f].row());
+        self.out.push(row);
+    }
+}
+
+/// Reused buffers of one per-entry kernel pass: the invariant values,
+/// the chunk mask, the surviving row ids. Kept on [`Ctx`] between
+/// entries (a pool, since a deeper step may run a pass of its own while
+/// an outer one's ids are still being bound).
+#[derive(Default)]
+pub(crate) struct EntryScratch {
+    vals: Vec<Value>,
+    mask: Mask,
+    ids: Vec<u32>,
+}
+
 /// What the recursive loop threads through every level unchanged.
 struct Run<'r, 'a> {
     scope: usize,
@@ -445,16 +538,16 @@ struct Run<'r, 'a> {
 
 impl<'a> Ctx<'a> {
     /// Enumerate all binding environments of a compiled scope, applying
-    /// the filter predicates, and invoke `cb` for each survivor.
+    /// the filter predicates, and deliver each survivor to `sink`.
     pub(crate) fn run_scope(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<()> {
         env.with_layout(&sc.layout, |env| match &sc.pipeline {
-            Pipeline::Join(join) => self.run_join(join, env, cb),
-            Pipeline::Steps(steps) => self.run_steps(sc.id, steps, env, cb),
+            Pipeline::Join(join) => self.run_join(join, env, sink),
+            Pipeline::Steps(steps) => self.run_steps(sc.id, steps, env, sink),
         })
     }
 
@@ -463,7 +556,7 @@ impl<'a> Ctx<'a> {
         scope: usize,
         pipeline: &Steps<'a>,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<()> {
         // Scope seam: a local tally per enumeration call, keyed by the
         // scope's id — the identity `arc_plan::QuantRef::id` stamps on the
@@ -483,7 +576,7 @@ impl<'a> Ctx<'a> {
             // Prelude filters touch only outer variables (or constants):
             // one failing verdict empties the whole scope.
             Ok(false) => Ok(true),
-            Ok(true) => self.enumerate_rec(&run, 0, env, cb),
+            Ok(true) => self.enumerate_rec(&run, 0, env, sink),
             Err(e) => Err(e),
         };
         if let (Some(rec), Some(t)) = (rec, &tally) {
@@ -674,10 +767,10 @@ impl<'a> Ctx<'a> {
         i: usize,
         frame: Frame<'a>,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<bool> {
         env.push(frame);
-        let cont = self.step_into(run, i, env, cb)?;
+        let cont = self.step_into(run, i, env, sink)?;
         env.pop();
         Ok(cont)
     }
@@ -688,7 +781,7 @@ impl<'a> Ctx<'a> {
         run: &Run<'_, 'a>,
         i: usize,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<bool> {
         if let Some(t) = run.tally {
             t.row(i);
@@ -702,30 +795,35 @@ impl<'a> Ctx<'a> {
         if let Some(t) = run.tally {
             t.pass(i);
         }
-        self.enumerate_rec(run, i + 1, env, cb)
+        self.enumerate_rec(run, i + 1, env, sink)
     }
 
     /// Execute one morsel of a partitioned scope: enumerate rows
     /// `range` of the first step's scan (the plan's partition axis) and
     /// descend through the remaining steps exactly as the sequential
-    /// loop would. Concatenating the callbacks' outputs over consecutive
-    /// ranges reproduces the sequential enumeration order. `tally` is
-    /// the morsel-local profile tally; note it never counts a step-0
-    /// *call* — the parallel coordinator counts the scope entry (and its
-    /// axis scan's single start) exactly once, which is what keeps a
-    /// partitioned profile count-identical to the sequential one.
+    /// loop would — through the same [`Ctx::scan_step`]. Concatenating
+    /// the sinks' outputs over consecutive ranges reproduces the
+    /// sequential enumeration order. `tally` is the morsel-local profile
+    /// tally; note it never counts a step-0 *call* — the parallel
+    /// coordinator counts the scope entry (and its axis scan's single
+    /// start) exactly once, which is what keeps a partitioned profile
+    /// count-identical to the sequential one.
     pub(crate) fn scan_partition(
         &self,
-        scope: usize,
-        pipeline: &Steps<'a>,
-        range: std::ops::Range<usize>,
+        sc: &Scope<'a>,
+        range: Range<usize>,
         env: &mut Env<'a>,
         tally: Option<&ScopeTally>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<()> {
         // Guard check seam: every morsel begins with a full cooperative
         // check, so a tripped guard stops within one morsel of work.
         self.guard_at(seam::MORSEL)?;
+        let Pipeline::Steps(pipeline) = &sc.pipeline else {
+            return Err(EvalError::Internal(
+                "partitioned scope without a step pipeline".into(),
+            ));
+        };
         let Some(first) = pipeline.steps.first() else {
             return Err(EvalError::Internal(
                 "partitioned scope with no steps".into(),
@@ -736,51 +834,214 @@ impl<'a> Ctx<'a> {
                 "partition axis is not a relation scan".into(),
             ));
         };
-        let rel: &'a Relation = rel;
         let run = Run {
-            scope,
+            scope: sc.id,
             pipeline,
             tally,
         };
-        if first.uses_selection() {
-            // Selection-backed scan (index probe and/or vectorized
-            // prefix): walk the (ascending) selection restricted to this
-            // morsel's row range — concatenation over consecutive
-            // ranges still reproduces the sequential order.
-            let sel = match first.selection.get() {
-                Some(sel) => Some(sel),
-                None => self
-                    .scan_selection(rel, first)
-                    .map(|built| first.selection.get_or_init(|| built)),
-            };
-            let Some(sel) = sel else {
-                // Degraded morsel scan (budget denied the selection):
-                // row-check the same predicates over this range.
-                for row in &rel.rows[range] {
-                    if first.row_survives(row)
-                        && !self.bind(&run, 0, Frame::Borrowed(row), env, cb)?
-                    {
-                        return Ok(());
+        self.scan_step(&run, 0, rel, range, env, sink).map(|_| ())
+    }
+
+    /// The rows of `range` a scan step (one without a hash probe)
+    /// yields: its selection vector (index range and/or constant
+    /// kernels), narrowed by its per-entry kernels, handed on as one
+    /// batch ([`Ctx::batch`]). When the budget denies the selection or
+    /// the column chunks, the same predicates run row by row, in the
+    /// same order. The sequential loop (`range`: every row) and each
+    /// morsel of a partition run this one function.
+    fn scan_step(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        rel: &'a Relation,
+        range: Range<usize>,
+        env: &mut Env<'a>,
+        sink: &mut Sink<'_, 'a>,
+    ) -> Result<bool> {
+        let ob = &run.pipeline.steps[i];
+        // `Some(None)`: the budget denied the selection vector.
+        let sel = ob.uses_selection().then(|| {
+            self.step_selection(ob, rel, i, run.tally).map(|sel| {
+                let from = sel.partition_point(|&r| (r as usize) < range.start);
+                let to = sel.partition_point(|&r| (r as usize) < range.end);
+                &sel[from..to]
+            })
+        });
+        if ob.entry_filters.is_empty() {
+            return match sel {
+                Some(Some(ids)) => self.batch(run, i, rel, ids, env, sink),
+                Some(None) => self.scan_rows(run, i, rel, range, true, &[], env, sink),
+                None => {
+                    for row in &rel.rows[range] {
+                        if !self.bind(run, i, Frame::Borrowed(row), env, sink)? {
+                            return Ok(false);
+                        }
                     }
+                    Ok(true)
                 }
-                return Ok(());
             };
-            let start = sel.partition_point(|&r| (r as usize) < range.start);
-            for &ridx in &sel[start..] {
-                if ridx as usize >= range.end {
-                    break;
-                }
-                let row = Frame::Borrowed(&rel.rows[ridx as usize]);
-                if !self.bind(&run, 0, row, env, cb)? {
-                    return Ok(());
-                }
-            }
-            return Ok(());
         }
-        for row in &rel.rows[range] {
-            if !self.bind(&run, 0, Frame::Borrowed(row), env, cb)? {
-                return Ok(());
+        let mut scratch = self.entry_scratch.borrow_mut().pop().unwrap_or_default();
+        self.entry_values(&ob.entry_filters, env, &mut scratch.vals)?;
+        let cols = match sel {
+            Some(None) => None, // already degraded: no chunks to ask for
+            _ => self.step_columns(ob, rel),
+        };
+        let out = match (sel, cols) {
+            (Some(Some(ids)), None) => {
+                let rows = ids.iter().map(|&r| r as usize);
+                self.scan_rows(run, i, rel, rows, false, &scratch.vals, env, sink)
             }
+            (sel, None) => {
+                let recheck = sel.is_some();
+                self.scan_rows(run, i, rel, range, recheck, &scratch.vals, env, sink)
+            }
+            (sel, Some(cols)) => {
+                let EntryScratch { vals, mask, ids } = &mut scratch;
+                ids.clear();
+                super::vector::entry_selection(
+                    cols,
+                    &rel.rows,
+                    range,
+                    sel.flatten(),
+                    &ob.entry_filters,
+                    vals,
+                    mask,
+                    ids,
+                );
+                self.batch(run, i, rel, ids, env, sink)
+            }
+        };
+        self.entry_scratch.borrow_mut().push(scratch);
+        out
+    }
+
+    /// The row-at-a-time scan: bind each of `rows` that passes the
+    /// step's per-entry filters (their invariant sides evaluated to
+    /// `vals`) and — when `recheck`, because the budget denied the
+    /// selection vector — what that vector encodes.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_rows(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        rel: &'a Relation,
+        rows: impl Iterator<Item = usize>,
+        recheck: bool,
+        vals: &[Value],
+        env: &mut Env<'a>,
+        sink: &mut Sink<'_, 'a>,
+    ) -> Result<bool> {
+        let ob = &run.pipeline.steps[i];
+        for r in rows {
+            let row = &rel.rows[r];
+            let passes = (!recheck || ob.row_survives(row))
+                && ob
+                    .entry_filters
+                    .iter()
+                    .zip(vals.chunks(2))
+                    .all(|(f, v)| f.passes(row, &v[0], &v[1]));
+            if passes && !self.bind(run, i, Frame::Borrowed(row), env, sink)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Step `i`'s candidates, a batch of ascending row ids. When the sink
+    /// gathers and this is the last step, the head's columns are copied
+    /// out of those rows in one pass; otherwise each row is bound and
+    /// descends as usual.
+    fn batch(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        rel: &'a Relation,
+        ids: &[u32],
+        env: &mut Env<'a>,
+        sink: &mut Sink<'_, 'a>,
+    ) -> Result<bool> {
+        if let Sink::Gather(g) = sink {
+            if i + 1 == run.pipeline.steps.len() {
+                self.gather(run, i, rel, ids, env, g)?;
+                return Ok(true);
+            }
+        }
+        for &r in ids {
+            if !self.bind(run, i, Frame::Borrowed(&rel.rows[r as usize]), env, sink)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Gather the head of every row of `ids` — the last step's frame —
+    /// into the sink's output, in order. It pushes no frame and counts
+    /// what binding the rows would have: each is a candidate of step
+    /// `i`, passes (no filter is left on it) and is emitted.
+    fn gather(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        rel: &'a Relation,
+        ids: &[u32],
+        env: &Env<'a>,
+        g: &mut Gathered<'_, 'a>,
+    ) -> Result<()> {
+        let top = env.len();
+        for piece in ids.chunks(CHUNK_ROWS) {
+            // Guard tick seam, a piece at a time: a trip stops the
+            // emission within one chunk of rows.
+            self.guard_rows(piece.len())?;
+            if let Some(t) = run.tally {
+                t.gather(i, piece.len() as u64);
+            }
+            for &r in piece {
+                let row = &rel.rows[r as usize][..];
+                let out = g.head.gather(g.partial, |f| match f == top {
+                    true => row,
+                    false => env.frames[f].row(),
+                });
+                g.out.push(out);
+            }
+        }
+        Ok(())
+    }
+
+    /// Step `i`'s memoized column chunks, which its per-entry kernels
+    /// read: admitted at the chunk-build seam on first use. `None` when
+    /// the budget denies them — this entry checks its per-entry filters
+    /// row by row, and the next asks again.
+    pub(crate) fn step_columns<'o>(
+        &self,
+        ob: &'o Ordered<'_>,
+        rel: &Relation,
+    ) -> Option<&'o Arc<ColumnSet>> {
+        if let Some(cols) = ob.columns.get() {
+            return Some(cols);
+        }
+        if !self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24) {
+            return None;
+        }
+        Some(ob.columns.get_or_init(|| rel.columns()))
+    }
+
+    /// The invariant sides of a step's per-entry filters under `env`:
+    /// each filter's offset (`NULL` when it has none), then its right
+    /// side.
+    fn entry_values(
+        &self,
+        filters: &[EntryFilter<'a>],
+        env: &Env<'a>,
+        vals: &mut Vec<Value>,
+    ) -> Result<()> {
+        vals.clear();
+        for f in filters {
+            vals.push(match &f.offset {
+                Some((_, e)) => self.scalar(e, env)?.into_owned(),
+                None => Value::Null,
+            });
+            vals.push(self.scalar(&f.rhs, env)?.into_owned());
         }
         Ok(())
     }
@@ -800,16 +1061,16 @@ impl<'a> Ctx<'a> {
         run: &Run<'_, 'a>,
         i: usize,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<bool> {
         match &self.shared.recorder {
             Some(rec) if i < run.pipeline.steps.len() => {
                 let t0 = rec.span_start(self.lane);
-                let res = self.enumerate_rec_inner(run, i, env, cb);
+                let res = self.enumerate_rec_inner(run, i, env, sink);
                 rec.finish(self.lane, SpanKind::Step, OpId::step(run.scope, i), t0);
                 res
             }
-            _ => self.enumerate_rec_inner(run, i, env, cb),
+            _ => self.enumerate_rec_inner(run, i, env, sink),
         }
     }
 
@@ -818,7 +1079,7 @@ impl<'a> Ctx<'a> {
         run: &Run<'_, 'a>,
         i: usize,
         env: &mut Env<'a>,
-        cb: &mut EnvFn<'_, 'a>,
+        sink: &mut Sink<'_, 'a>,
     ) -> Result<bool> {
         if i == run.pipeline.steps.len() {
             // All bound: apply the leaf filters, then the callback.
@@ -828,7 +1089,7 @@ impl<'a> Ctx<'a> {
             if let Some(t) = run.tally {
                 t.emit();
             }
-            return cb(self, env);
+            return sink.env(self, env);
         }
         if let Some(t) = run.tally {
             t.call(i);
@@ -837,72 +1098,35 @@ impl<'a> Ctx<'a> {
         match &ob.source {
             Src::Rows(rel) => {
                 let rel: &'a Relation = rel;
-                if let Some(plan) = &ob.hash_plan {
-                    let Some(hash) = self.key_hash(&plan.probe_exprs, env)? else {
-                        return Ok(true); // NULL/NaN probe: no row can match
-                    };
-                    let Some(index) = self.step_index(ob, plan, rel, i, run.tally) else {
-                        // Degraded streaming probe (budget denied the
-                        // hash build): key-compare every base row —
-                        // identical matches, identical ascending order.
-                        for row in &rel.rows {
-                            if self.row_has_probe_key(plan, row, env)?
-                                && !self.bind(run, i, Frame::Borrowed(row), env, cb)?
-                            {
-                                return Ok(false);
-                            }
-                        }
-                        return Ok(true);
-                    };
-                    let matches = index.bucket(hash, |first| {
-                        self.row_has_probe_key(plan, &rel.rows[first as usize], env)
-                    })?;
-                    for &ridx in matches {
-                        let row = Frame::Borrowed(&rel.rows[ridx as usize]);
-                        if !self.bind(run, i, row, env, cb)? {
+                let Some(plan) = &ob.hash_plan else {
+                    return self.scan_step(run, i, rel, 0..rel.len(), env, sink);
+                };
+                let Some(hash) = self.key_hash(&plan.probe_exprs, env)? else {
+                    return Ok(true); // NULL/NaN probe: no row can match
+                };
+                let Some(index) = self.step_index(ob, plan, rel, i, run.tally) else {
+                    // Degraded streaming probe (budget denied the hash
+                    // build): key-compare every base row — identical
+                    // matches, identical ascending order.
+                    for row in &rel.rows {
+                        if self.row_has_probe_key(plan, row, env)?
+                            && !self.bind(run, i, Frame::Borrowed(row), env, sink)?
+                        {
                             return Ok(false);
                         }
                     }
                     return Ok(true);
-                }
-                if ob.uses_selection() {
-                    // Selection-backed scan: the index probe and/or the
-                    // constant-filter prefix already ran; enumerate the
-                    // selection (in ascending row order, so emission
-                    // order is identical to the row path) and row-check
-                    // only the residue.
-                    let Some(sel) = self.step_selection(ob, rel, i, run.tally) else {
-                        // Degraded scan (budget denied the selection):
-                        // row-check the same predicates in row order.
-                        for row in &rel.rows {
-                            if ob.row_survives(row)
-                                && !self.bind(run, i, Frame::Borrowed(row), env, cb)?
-                            {
-                                return Ok(false);
-                            }
-                        }
-                        return Ok(true);
-                    };
-                    for &ridx in sel.iter() {
-                        let row = Frame::Borrowed(&rel.rows[ridx as usize]);
-                        if !self.bind(run, i, row, env, cb)? {
-                            return Ok(false);
-                        }
-                    }
-                    return Ok(true);
-                }
-                for row in &rel.rows {
-                    if !self.bind(run, i, Frame::Borrowed(row), env, cb)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                };
+                let matches = index.bucket(hash, |first| {
+                    self.row_has_probe_key(plan, &rel.rows[first as usize], env)
+                })?;
+                self.batch(run, i, rel, matches, env, sink)
             }
             Src::Nested(lat) => {
                 // Lateral: the nested collection's rows for this
                 // environment, out of the step's memo or evaluated.
                 for row in self.lateral_rows(lat, env)? {
-                    if !self.bind(run, i, Frame::Owned(row), env, cb)? {
+                    if !self.bind(run, i, Frame::Owned(row), env, sink)? {
                         return Ok(false);
                     }
                 }
@@ -913,7 +1137,7 @@ impl<'a> Ctx<'a> {
                     return Ok(true); // no tuples relate to NULL operands
                 };
                 for tuple in (pattern.complete)(&vals) {
-                    if !self.bind(run, i, Frame::Owned(tuple), env, cb)? {
+                    if !self.bind(run, i, Frame::Owned(tuple), env, sink)? {
                         return Ok(false);
                     }
                 }
@@ -935,7 +1159,7 @@ impl<'a> Ctx<'a> {
                 let Some(Frame::Owned(tuple)) = env.frames.pop() else {
                     unreachable!("the candidate frame pushed above")
                 };
-                if holds.is_true() && !self.bind(run, i, Frame::Owned(tuple), env, cb)? {
+                if holds.is_true() && !self.bind(run, i, Frame::Owned(tuple), env, sink)? {
                     return Ok(false);
                 }
                 Ok(true)
@@ -973,7 +1197,8 @@ impl<'a> Ctx<'a> {
             pipeline,
             tally,
         };
-        self.enumerate_rec(&run, 0, env, cb).map(|_| ())
+        self.enumerate_rec(&run, 0, env, &mut Sink::Each(cb))
+            .map(|_| ())
     }
 }
 

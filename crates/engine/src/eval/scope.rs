@@ -33,6 +33,7 @@ use super::output::{HeadCtx, HeadPlan, Partial};
 use super::partition::{partition, Parts};
 use super::quantifier::{HashPlan, Ordered, Src};
 use super::slots::{CFormula, CPred, CScalar, Resolver};
+use super::vector::Kernel;
 use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::external::ExternalRelation;
@@ -91,6 +92,11 @@ pub(crate) enum Body<'a> {
     Rows {
         head: HeadPlan<'a>,
         spine: Option<&'a Formula>,
+        /// The head is gathered from the last step's batch of row ids
+        /// (`Sink::Gather`): that step [batches](Ordered::batches), and
+        /// only a head of slots, constants and spine-assigned values
+        /// follows it — no leaf filter, no boolean subformula, no spine.
+        gathers: bool,
     },
     /// Fold into groups; emit (or test) per group.
     Groups(GroupPlan<'a>),
@@ -388,8 +394,19 @@ impl<'a> Ctx<'a> {
                         .assigns
                         .iter()
                         .map(|(attr, expr)| (*attr, r.scalar(expr)));
+                    let head = HeadPlan::compile(head, partial, assigns, &[]);
+                    let gathers = match &pipeline {
+                        Pipeline::Steps(p) => {
+                            p.leaf.is_empty() && p.steps.last().is_some_and(Ordered::batches)
+                        }
+                        Pipeline::Join(_) => false,
+                    };
                     Body::Rows {
-                        head: HeadPlan::compile(head, partial, assigns, &[]),
+                        gathers: gathers
+                            && parts.spines.is_empty()
+                            && parts.pre_bool.is_empty()
+                            && head.gathers(),
+                        head,
                         spine: parts.spines.first().copied(),
                     }
                 }
@@ -843,40 +860,50 @@ impl<'a> Ctx<'a> {
                 }
             };
             // This step's own filters see its frame too.
-            let names = &layout[..seen + 1];
-            // Vectorized scans hoist the leading run of constant filters
-            // into columnar kernels; everything after the first
-            // non-classifiable filter stays row-at-a-time, in order, so
-            // error behaviour is untouched (see [`super::vector`]).
+            let mut r = Resolver::tuple(&layout[..seen + 1]);
+            let mut step_filters = step.filters.iter().map(|&i| (i, r.pred(filters[i])));
+            // A scan runs the leading run of classifiable filters on
+            // column kernels — constant ones through its cached selection
+            // vector, per-entry ones once per entry; everything from the
+            // first filter that does not classify stays row-at-a-time, in
+            // order, so error behaviour is untouched (see
+            // [`super::vector`]).
             let mut vec_filters = Vec::new();
             let mut vec_key = Vec::new();
+            let mut entry_filters = Vec::new();
+            let mut residue = None;
             if let (Src::Rows(rel), None) = (&source, &hash_plan) {
                 if rel.len() >= super::vector::VECTOR_MIN_ROWS {
-                    for &i in &step.filters {
-                        match super::vector::classify(filters[i], &b.var, &rel.schema) {
-                            Some(f) => {
+                    for (i, p) in step_filters.by_ref() {
+                        match super::vector::classify(p, seen) {
+                            Ok(Kernel::Const(f)) => {
                                 vec_filters.push(f);
                                 // Pinned: see `Ordered::selection_key`.
                                 vec_key.push(filters[i] as *const Predicate as usize);
                             }
-                            None => break,
+                            Ok(Kernel::Entry(f)) => entry_filters.push(f),
+                            Err(p) => {
+                                residue = Some(p);
+                                break;
+                            }
                         }
                     }
                 }
             }
-            let mut r = Resolver::tuple(names);
             steps.push(Ordered {
                 source,
                 hash_plan,
-                step_filters: step.filters[vec_filters.len()..]
-                    .iter()
-                    .map(|&i| r.pred(filters[i]))
+                step_filters: residue
+                    .into_iter()
+                    .chain(step_filters.map(|(_, p)| p))
                     .collect(),
                 vec_filters,
                 vec_key,
+                entry_filters,
                 index_plan,
                 index: std::sync::OnceLock::new(),
                 selection: std::sync::OnceLock::new(),
+                columns: std::sync::OnceLock::new(),
             });
         }
         let prelude = plan

@@ -516,8 +516,10 @@ impl<'a> Ctx<'a> {
     }
 
     /// The columnar build, when the pipeline shape permits: a single
-    /// un-probed relation scan, every pushed-down filter vectorized (no
-    /// residual step filters), no leaf filters, no outer-free boolean
+    /// un-probed relation scan, every pushed-down filter a constant
+    /// kernel (no per-entry kernel, no residual step filter; the key
+    /// extraction reads the cached selection vector alone), no leaf
+    /// filters, no outer-free boolean
     /// subformulas, every correlated-key expression a plain attribute
     /// of the scanned variable, and no null-aware key (the key buffers
     /// cannot tell `NULL` from `NaN`). Anything else returns `None` and
@@ -538,6 +540,7 @@ impl<'a> Ctx<'a> {
         };
         if ob.hash_plan.is_some()
             || !ob.step_filters.is_empty()
+            || !ob.entry_filters.is_empty()
             || !build.leaf.is_empty()
             || !sc.pre_bool.is_empty()
         {

@@ -4,29 +4,56 @@
 //!
 //! ## What vectorizes — and why only a *prefix*
 //!
-//! A pushed-down step filter is vectorizable when it compares an
-//! attribute of the scanned variable against a constant (either side),
-//! or null-tests such an attribute — exactly the shapes
-//! [`ColumnChunk`](arc_core::column::ColumnChunk) has kernels for. Such
-//! filters can never raise an evaluation error (the attribute is
-//! verified against the schema at classification time; constants don't
-//! error), so hoisting them out of the per-row loop cannot suppress an
-//! error the row path would have reported. That guarantee only holds for
-//! the *leading run* of vectorizable filters: a non-vectorizable filter
-//! may error, and the row path evaluates filters strictly in order, so a
-//! vectorizable filter *after* it must stay on the row path — otherwise
-//! it could filter away the very row whose earlier filter would have
-//! errored. [`classify`] is therefore applied to a prefix only (see
-//! `Ctx::materialize_steps` in [`super::scope`]).
+//! A pushed-down step filter of a scan runs on a column kernel when one
+//! side is an attribute of the scanned variable — alone, or `±` a
+//! *scan-invariant* scalar — and the other side is scan-invariant, or
+//! when it null-tests such an attribute. Scan-invariant means built from
+//! constants and slots of frames already bound when the step is entered:
+//! its value is fixed for the whole candidate loop of one entry.
+//! [`classify`] sorts such a filter into one of two kinds:
+//!
+//! * **constant** ([`VecFilter`]: `var.col op const`, `IS [NOT] NULL`) —
+//!   the same for every entry, so its selection vector is computed once
+//!   and cached per query (correlated scopes re-enter for free);
+//! * **per-entry** ([`EntryFilter`]: `var.col [± inv] op inv`, e.g.
+//!   Eq 19's `r.B - s.B > t.B` under bound `s` and `t`) — the invariant
+//!   sides are evaluated once per entry into the step, then each chunk's
+//!   mask narrows through the typed `Int`/`Float` kernels
+//!   ([`ColumnChunk::and_cmp`](arc_core::column::ColumnChunk::and_cmp),
+//!   [`ColumnChunk::and_offset_cmp`](arc_core::column::ColumnChunk::and_offset_cmp)),
+//!   which follow the evaluator's `arith` and `cmp_truth` exactly
+//!   (`Int` wraps, `/ 0` is `NULL`, `NULL` propagates, `NaN` is
+//!   incomparable). A chunk whose payload has no typed loop (`Mixed`,
+//!   `Str`, `Bool`, all-`NULL`) falls back, for that chunk, to `arith` +
+//!   `cmp_truth` per selected row.
+//!
+//! Neither kind can raise an evaluation error: the attribute is resolved
+//! at compile time, constants and bound slots don't error, and
+//! arithmetic yields `NULL` rather than failing. So hoisting them out of
+//! the per-row loop cannot suppress an error the row path would have
+//! reported. That guarantee only holds for the *leading run* of
+//! classifiable filters: an unclassifiable filter may error, and the row
+//! path evaluates filters strictly in order, so a classifiable filter
+//! *after* it must stay on the row path — otherwise it could filter away
+//! the very row whose earlier filter would have errored. [`classify`] is
+//! therefore applied to a prefix only (see `Ctx::materialize_steps` in
+//! [`super::scope`]). What stays on the row path: filters comparing two
+//! columns of the scanned row, aggregates, unresolvable names, and
+//! arithmetic other than `attr ± inv` on the attribute's side.
 //!
 //! Selection vectors keep ascending row order, so a vectorized scan
 //! emits exactly the environments the row path would, in the same order
 //! — invariant 12 (and, through morsel concatenation, invariant 9).
 
+use super::scalar::arith;
 use super::semijoin::KeySet;
-use arc_core::ast::{AttrRef, CmpOp, Predicate, Scalar};
-use arc_core::column::{ColumnSet, Mask};
-use arc_core::value::{Key, Value};
+use super::slots::{CPred, CScalar};
+use crate::relation::Tuple;
+use arc_core::ast::{ArithOp, CmpOp};
+use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
+use arc_core::value::{cmp_truth, Key, Value};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Scans below this row count stay on the row path: the encode/selection
 /// bookkeeping would cost more than the per-row dispatch it saves.
@@ -34,7 +61,8 @@ use arc_core::value::{Key, Value};
 /// size gates tell one story.
 pub(crate) const VECTOR_MIN_ROWS: usize = 16;
 
-/// One vectorizable filter, resolved to a column of the scanned relation.
+/// One constant kernel filter, resolved to a column of the scanned
+/// relation.
 pub(crate) enum VecFilter {
     /// `var.col op const` (a constant on the left arrives pre-flipped).
     Cmp {
@@ -54,55 +82,132 @@ pub(crate) enum VecFilter {
     },
 }
 
-fn col_of(a: &AttrRef, var: &str, schema: &[String]) -> Option<usize> {
-    if a.var != var {
-        return None;
-    }
-    schema.iter().position(|s| s == &a.attr)
+/// One per-entry kernel filter: `var.col [± offset] op rhs`, `offset`
+/// and `rhs` scan-invariant (a filter with the attribute on the right
+/// arrives flipped).
+pub(crate) struct EntryFilter<'a> {
+    /// Column index into the scanned relation's schema.
+    pub(crate) col: usize,
+    /// `Add` or `Sub`, and the invariant the attribute is offset by.
+    pub(crate) offset: Option<(ArithOp, CScalar<'a>)>,
+    /// The comparison, normalized to attribute-on-the-left.
+    pub(crate) op: CmpOp,
+    /// The invariant right side.
+    pub(crate) rhs: CScalar<'a>,
 }
 
-/// Classify one pushed-down filter of a scan over `var` (schema
-/// `schema`): `Some` when it can run as a columnar kernel, `None` when it
-/// must stay on the row path (outer references, arithmetic, aggregates,
-/// or an attribute that does not resolve — the row path owns reporting
-/// that error).
-pub(crate) fn classify(p: &Predicate, var: &str, schema: &[String]) -> Option<VecFilter> {
-    match p {
-        Predicate::Cmp {
-            left: Scalar::Attr(a),
-            op,
-            right: Scalar::Const(v),
-        } => Some(VecFilter::Cmp {
-            col: col_of(a, var, schema)?,
-            op: *op,
-            value: v.clone(),
-        }),
-        Predicate::Cmp {
-            left: Scalar::Const(v),
-            op,
-            right: Scalar::Attr(a),
-        } => Some(VecFilter::Cmp {
-            col: col_of(a, var, schema)?,
-            op: op.flipped(),
-            value: v.clone(),
-        }),
-        Predicate::IsNull {
-            expr: Scalar::Attr(a),
-            negated,
-        } => Some(VecFilter::IsNull {
-            col: col_of(a, var, schema)?,
-            negated: *negated,
-        }),
+impl EntryFilter<'_> {
+    /// The row path's verdict on one row, the invariant sides evaluated
+    /// (`offset` is ignored when the filter has none).
+    pub(crate) fn passes(&self, row: &[Value], offset: &Value, rhs: &Value) -> bool {
+        let x = &row[self.col];
+        let lhs = match self.offset {
+            Some((op, _)) => Cow::Owned(arith(op, x, offset)),
+            None => Cow::Borrowed(x),
+        };
+        cmp_truth(&lhs, self.op, rhs).is_true()
+    }
+}
+
+/// A classified filter: which kernel runs it.
+pub(crate) enum Kernel<'a> {
+    Const(VecFilter),
+    Entry(EntryFilter<'a>),
+}
+
+/// Whether `s` is fixed for one entry into the step binding stack
+/// position `frame`: built from constants and earlier frames' slots.
+fn invariant(s: &CScalar<'_>, frame: usize) -> bool {
+    match s {
+        CScalar::Slot { frame: f, .. } => (*f as usize) < frame,
+        CScalar::Const(_) => true,
+        CScalar::Arith { left, right, .. } => invariant(left, frame) && invariant(right, frame),
+        CScalar::Agg(_) | CScalar::Raise(_) => false,
+    }
+}
+
+/// The scanned attribute's column, when `s` is a slot of `frame`.
+fn attr(s: &CScalar<'_>, frame: usize) -> Option<usize> {
+    match s {
+        CScalar::Slot { frame: f, col } if *f as usize == frame => Some(*col as usize),
         _ => None,
     }
+}
+
+/// Whether `s` is `attr [± offset]` over `frame`, `offset` invariant.
+/// `inv + attr` is accepted too (both `Int` and `f64` addition commute);
+/// `inv - attr` is not.
+fn offset_attr(s: &CScalar<'_>, frame: usize) -> bool {
+    match s {
+        CScalar::Slot { .. } => attr(s, frame).is_some(),
+        CScalar::Arith { op, left, right } => match op {
+            ArithOp::Add => {
+                (attr(left, frame).is_some() && invariant(right, frame))
+                    || (attr(right, frame).is_some() && invariant(left, frame))
+            }
+            ArithOp::Sub => attr(left, frame).is_some() && invariant(right, frame),
+            ArithOp::Mul | ArithOp::Div => false,
+        },
+        _ => false,
+    }
+}
+
+/// Split an [`offset_attr`] side into its column and offset.
+fn split<'a>(s: CScalar<'a>, frame: usize) -> (usize, Option<(ArithOp, CScalar<'a>)>) {
+    match s {
+        CScalar::Slot { col, .. } => (col as usize, None),
+        CScalar::Arith { op, left, right } => match attr(&left, frame) {
+            Some(col) => (col, Some((op, *right))),
+            None => (attr(&right, frame).expect("checked"), Some((op, *left))),
+        },
+        _ => unreachable!("checked by offset_attr"),
+    }
+}
+
+/// Classify one pushed-down filter of a scan whose rows bind stack
+/// position `frame`, resolved against the step's layout: which kernel
+/// runs it, or the filter back when it must stay on the row path (see
+/// the module docs).
+pub(crate) fn classify<'a>(p: CPred<'a>, frame: usize) -> Result<Kernel<'a>, CPred<'a>> {
+    let (side, op, other) = match p {
+        CPred::IsNull { expr, negated } => {
+            return match attr(&expr, frame) {
+                Some(col) => Ok(Kernel::Const(VecFilter::IsNull { col, negated })),
+                None => Err(CPred::IsNull { expr, negated }),
+            }
+        }
+        CPred::Cmp { left, op, right } => {
+            if offset_attr(&left, frame) && invariant(&right, frame) {
+                (left, op, right)
+            } else if offset_attr(&right, frame) && invariant(&left, frame) {
+                (right, op.flipped(), left)
+            } else {
+                return Err(CPred::Cmp { left, op, right });
+            }
+        }
+    };
+    Ok(match (split(side, frame), other) {
+        ((col, None), CScalar::Const(value)) => Kernel::Const(VecFilter::Cmp {
+            col,
+            op,
+            value: value.clone(),
+        }),
+        ((col, offset), rhs) => Kernel::Entry(EntryFilter {
+            col,
+            offset,
+            op,
+            rhs,
+        }),
+    })
 }
 
 /// Evaluate a conjunction of vectorized filters over all chunks,
 /// returning the selected row indices in ascending order.
 pub(crate) fn selection(cols: &ColumnSet, filters: &[VecFilter]) -> Vec<u32> {
     let mut out = Vec::new();
+    let mut mask = Mask::default();
     for chunk in cols.chunks() {
-        let mut mask = Mask::all_true(chunk.len());
+        mask.select_range(chunk.len(), 0..chunk.len());
         for f in filters {
             match f {
                 VecFilter::Cmp { col, op, value } => chunk.col(*col).and_cmp(*op, value, &mut mask),
@@ -117,6 +222,68 @@ pub(crate) fn selection(cols: &ColumnSet, filters: &[VecFilter]) -> Vec<u32> {
         mask.indices_into(chunk.base() as u32, &mut out);
     }
     out
+}
+
+/// One entry's candidate rows through its per-entry kernels: `base`
+/// (ascending row ids inside `range`) when the step has a selection,
+/// else every row of `range`, narrowed chunk by chunk and appended to
+/// `out` in ascending order. `vals` holds each filter's evaluated offset
+/// (any value when it has none) and right side, in filter order. `mask`
+/// is reused scratch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn entry_selection(
+    cols: &ColumnSet,
+    rows: &[Tuple],
+    range: Range<usize>,
+    base: Option<&[u32]>,
+    filters: &[EntryFilter<'_>],
+    vals: &[Value],
+    mask: &mut Mask,
+    out: &mut Vec<u32>,
+) {
+    let chunks = &cols.chunks()[range.start / CHUNK_ROWS..range.end.div_ceil(CHUNK_ROWS)];
+    let mut next = 0; // into `base`
+    for chunk in chunks {
+        let at = chunk.base();
+        let end = at + chunk.len();
+        match base {
+            Some(ids) => {
+                mask.select_range(chunk.len(), 0..0);
+                let from = next;
+                while next < ids.len() && (ids[next] as usize) < end {
+                    mask.select(ids[next] as usize - at);
+                    next += 1;
+                }
+                if from == next {
+                    continue; // nothing selected here
+                }
+            }
+            None => {
+                let lo = range.start.max(at) - at;
+                mask.select_range(chunk.len(), lo..range.end.min(end) - at);
+            }
+        }
+        for (f, vals) in filters.iter().zip(vals.chunks(2)) {
+            let (offset, rhs) = (&vals[0], &vals[1]);
+            let col = chunk.col(f.col);
+            let typed = match f.offset {
+                None => {
+                    col.and_cmp(f.op, rhs, mask);
+                    true
+                }
+                Some((op, _)) => col.and_offset_cmp(op, offset, f.op, rhs, mask),
+            };
+            if !typed {
+                // No typed loop for this payload: the row path's
+                // `arith` + `cmp_truth` over the chunk's selected rows.
+                mask.retain(|i| f.passes(&rows[at + i], offset, rhs));
+            }
+            if !mask.any() {
+                break;
+            }
+        }
+        mask.indices_into(at as u32, out);
+    }
 }
 
 /// Row-at-a-time check of a vectorized-filter conjunction, with exactly
@@ -192,6 +359,10 @@ mod tests {
     use super::*;
     use crate::relation::Relation;
 
+    use crate::eval::env::Names;
+    use crate::eval::slots::Resolver;
+    use arc_core::ast::{AttrRef, Predicate, Scalar};
+
     fn pred_cmp(left: Scalar, op: CmpOp, right: Scalar) -> Predicate {
         Predicate::Cmp { left, op, right }
     }
@@ -200,42 +371,122 @@ mod tests {
         Scalar::Attr(AttrRef::new(var, a))
     }
 
+    fn arith(op: ArithOp, left: Scalar, right: Scalar) -> Scalar {
+        Scalar::Arith {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    /// Classify `p` for a scan of `r(A, B)` bound at stack position 1,
+    /// under an outer `s(A, B)` at position 0.
+    fn classified(p: &Predicate, check: impl FnOnce(Result<Kernel<'_>, CPred<'_>>)) {
+        let schema = ["A".to_string(), "B".to_string()];
+        let layout = [
+            Names {
+                var: "s",
+                attrs: &schema,
+            },
+            Names {
+                var: "r",
+                attrs: &schema,
+            },
+        ];
+        check(classify(Resolver::tuple(&layout).pred(p), 1));
+    }
+
     #[test]
     fn classify_accepts_const_filters_both_ways() {
-        let schema = vec!["A".to_string(), "B".to_string()];
         let p = pred_cmp(attr("r", "B"), CmpOp::Lt, Scalar::Const(Value::Int(5)));
-        match classify(&p, "r", &schema) {
-            Some(VecFilter::Cmp {
+        classified(&p, |k| match k {
+            Ok(Kernel::Const(VecFilter::Cmp {
                 col: 1,
                 op: CmpOp::Lt,
                 ..
-            }) => {}
+            })) => {}
             _ => panic!("attr-left const filter must classify"),
-        }
+        });
         let p = pred_cmp(Scalar::Const(Value::Int(5)), CmpOp::Lt, attr("r", "B"));
-        match classify(&p, "r", &schema) {
+        classified(&p, |k| match k {
             // 5 < r.B ⇔ r.B > 5
-            Some(VecFilter::Cmp {
+            Ok(Kernel::Const(VecFilter::Cmp {
                 col: 1,
                 op: CmpOp::Gt,
                 ..
-            }) => {}
+            })) => {}
             _ => panic!("const-left filter must classify flipped"),
-        }
+        });
+    }
+
+    #[test]
+    fn classify_accepts_per_entry_filters() {
+        // Eq 19's shape: r.B - s.B > s.A, the offset kept on r's side.
+        let p = pred_cmp(
+            arith(ArithOp::Sub, attr("r", "B"), attr("s", "B")),
+            CmpOp::Gt,
+            attr("s", "A"),
+        );
+        classified(&p, |k| match k {
+            Ok(Kernel::Entry(EntryFilter {
+                col: 1,
+                offset: Some((ArithOp::Sub, CScalar::Slot { frame: 0, col: 1 })),
+                op: CmpOp::Gt,
+                rhs: CScalar::Slot { frame: 0, col: 0 },
+            })) => {}
+            _ => panic!("attr - outer vs outer must run per entry"),
+        });
+        // s.A + 1 <= s.B + r.A ⇔ r.A + s.B >= s.A + 1: an arithmetic
+        // invariant, and `inv + attr`.
+        let p = pred_cmp(
+            arith(ArithOp::Add, attr("s", "A"), Scalar::Const(Value::Int(1))),
+            CmpOp::Le,
+            arith(ArithOp::Add, attr("s", "B"), attr("r", "A")),
+        );
+        classified(&p, |k| match k {
+            Ok(Kernel::Entry(EntryFilter {
+                col: 0,
+                offset: Some((ArithOp::Add, CScalar::Slot { frame: 0, col: 1 })),
+                op: CmpOp::Ge,
+                rhs: CScalar::Arith { .. },
+            })) => {}
+            _ => panic!("inv + attr vs an arithmetic invariant must run per entry"),
+        });
     }
 
     #[test]
     fn classify_rejects_other_vars_unknown_attrs_and_non_consts() {
-        let schema = vec!["A".to_string()];
-        let other_var = pred_cmp(attr("s", "A"), CmpOp::Eq, Scalar::Const(Value::Int(1)));
-        assert!(classify(&other_var, "r", &schema).is_none());
-        let unknown = pred_cmp(attr("r", "Z"), CmpOp::Eq, Scalar::Const(Value::Int(1)));
-        assert!(
-            classify(&unknown, "r", &schema).is_none(),
-            "unresolvable attrs stay on the row path, which owns the error"
+        let rejected = |p: Predicate, why: &str| {
+            classified(&p, |k| assert!(k.is_err(), "{why}: {p}"));
+        };
+        rejected(
+            pred_cmp(attr("s", "A"), CmpOp::Eq, Scalar::Const(Value::Int(1))),
+            "another variable's attribute",
         );
-        let join = pred_cmp(attr("r", "A"), CmpOp::Eq, attr("s", "A"));
-        assert!(classify(&join, "r", &schema).is_none());
+        rejected(
+            pred_cmp(attr("r", "Z"), CmpOp::Eq, Scalar::Const(Value::Int(1))),
+            "unresolvable attrs stay on the row path, which owns the error",
+        );
+        rejected(
+            pred_cmp(attr("r", "A"), CmpOp::Eq, attr("r", "B")),
+            "two columns of the scanned row",
+        );
+        rejected(
+            pred_cmp(
+                arith(ArithOp::Sub, attr("s", "A"), attr("r", "A")),
+                CmpOp::Gt,
+                Scalar::Const(Value::Int(0)),
+            ),
+            "inv - attr",
+        );
+        rejected(
+            pred_cmp(
+                arith(ArithOp::Mul, attr("r", "A"), attr("s", "A")),
+                CmpOp::Gt,
+                Scalar::Const(Value::Int(0)),
+            ),
+            "attr * inv",
+        );
     }
 
     #[test]

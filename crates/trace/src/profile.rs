@@ -365,6 +365,18 @@ impl ScopeTally {
         self.bump(0, |s| s.rows_out += 1);
     }
 
+    /// Step `i`, the last, yielded `n` candidates that had no filter
+    /// left to pass and went straight out as output rows: what
+    /// [`ScopeTally::row`], [`ScopeTally::pass`] and [`ScopeTally::emit`]
+    /// count for each, counted at once.
+    pub fn gather(&self, i: usize, n: u64) {
+        self.bump(i + 1, |s| {
+            s.rows_in += n;
+            s.rows_out += n;
+        });
+        self.bump(0, |s| s.rows_out += n);
+    }
+
     /// Attribute build time to step `i`.
     pub fn add_step_nanos(&self, i: usize, nanos: u64) {
         self.bump(i + 1, |s| s.nanos += nanos);

@@ -468,3 +468,42 @@ fn a_hash_index_allocates_the_same_whatever_the_number_of_keys() {
         "allocator calls beyond one per row: {few} with 16 keys, {many} with {S_ROWS}"
     );
 }
+
+/// A gathered emission copies the head out of its batch of row ids into
+/// one output vector per row, and allocates nothing else per row or per
+/// entry: Eq 19 (a per-entry kernel on its last step, entered 576 times)
+/// and a wide single scan (a selection vector) each allocate one block
+/// per row out plus the same few blocks, whatever the rows in.
+#[test]
+fn a_gathered_emission_allocates_one_block_per_row_out() {
+    let beyond_rows = |catalog: &Catalog, q: &Collection, plan_has: &str| {
+        let engine = Engine::new(catalog, Conventions::sql())
+            .with_mem_budget(0)
+            .with_spans(false)
+            .with_threads(1);
+        let plan = engine.explain_collection(q).unwrap();
+        assert!(plan.contains(plan_has), "{plan}");
+        let (allocs, rows) = allocations(&engine, q);
+        (allocs - rows as u64, rows)
+    };
+    // Eq 19: R of 256 or 1 024 rows behind the same 24 x 24 entries.
+    let eq19 = |n| beyond_rows(&fx::arith_catalog(n, 24), &fx::eq19(), "3: scan R as r");
+    let ((few, small), (many, large)) = (eq19(256), eq19(1_024));
+    assert!(
+        large >= 4 * small && small > 100_000,
+        "{small} / {large} rows"
+    );
+    assert!(
+        few <= PER_QUERY / 8 && many <= few + 16,
+        "Eq 19: allocator calls beyond one per row: {few} for {small} rows, {many} for {large}"
+    );
+    // The wide scan: 4 096 or 16 384 rows, nine in ten selected.
+    let wide = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ r.B > 100]}");
+    let scan = |n| beyond_rows(&fx::filter_catalog(n), &wide, "1: scan R as r");
+    let ((few, small), (many, large)) = (scan(4_096), scan(16_384));
+    assert!(large >= 4 * small, "{small} / {large} rows");
+    assert!(
+        few <= PER_QUERY / 8 && many <= few + 16,
+        "wide scan: allocator calls beyond one per row: {few} for {small} rows, {many} for {large}"
+    );
+}

@@ -216,6 +216,45 @@ fn zero_deadline_surfaces_as_deadline_exceeded() {
     }
 }
 
+/// A gathered emission checks the guard at least once per `CHUNK_ROWS`
+/// rows: over 131 072 gathered rows, a cancellation injected at the
+/// 128th enumerate visit — the last chunk — still trips, and so does a
+/// deadline that passes mid-emission. Either way the query returns the
+/// trip's error, never the rows gathered so far.
+#[test]
+fn a_trip_inside_a_gathered_emission_returns_no_rows() {
+    const ROWS: usize = 131_072;
+    let catalog = fx::filter_catalog(ROWS);
+    let q = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ r.B >= 0]}");
+    let chunks = (ROWS / arc_core::column::CHUNK_ROWS) as u64;
+    for threads in [1usize, 4] {
+        let engine = || Engine::new(&catalog, Conventions::sql()).with_threads(threads);
+        assert_eq!(engine().eval_collection(&q).unwrap().len(), ROWS);
+        for at in [1, chunks / 2, chunks] {
+            let out = engine()
+                .with_fault(FaultPlan {
+                    seam: seam::ENUMERATE,
+                    at,
+                    kind: FaultKind::Cancel,
+                })
+                .eval_collection(&q);
+            assert!(
+                matches!(out, Err(EvalError::Cancelled)),
+                "threads {threads}, cancel at visit {at}: {:?}",
+                out.map(|rel| rel.len())
+            );
+        }
+        let out = engine()
+            .with_timeout(Duration::from_millis(1))
+            .eval_collection(&q);
+        assert!(
+            matches!(out, Err(EvalError::DeadlineExceeded)),
+            "threads {threads}: {:?}",
+            out.map(|rel| rel.len())
+        );
+    }
+}
+
 /// One canonical workload per registered seam: a (catalog, query) pair
 /// known to visit the seam on its very first opportunity, so
 /// `FaultPlan { at: 1 }` deterministically fires.
@@ -310,6 +349,26 @@ fn seam_cases() -> Vec<SeamCase> {
             query: || fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ r.B > 100]}"),
             threads: 1,
             budget_degrades: true,
+        },
+        SeamCase {
+            // Eq 19 over a 256-row R scanned last: its filter runs on a
+            // per-entry kernel, whose column chunks are the query's first
+            // chunk build — a denial runs that entry row by row.
+            seam: seam::CHUNK_BUILD,
+            catalog: || fx::arith_catalog(256, 24),
+            query: fx::eq19,
+            threads: 1,
+            budget_degrades: true,
+        },
+        SeamCase {
+            // A wide single scan: the head is gathered straight from the
+            // selection vector, so every enumerate visit — the first
+            // included — falls inside that batch.
+            seam: seam::ENUMERATE,
+            catalog: || fx::filter_catalog(4096),
+            query: || fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ r.B > 100]}"),
+            threads: 1,
+            budget_degrades: false,
         },
         SeamCase {
             seam: seam::ORDERED_BUILD,

@@ -1,6 +1,7 @@
 //! Regression corpus: one module per bug, each pinning the smallest
 //! program that used to give a wrong answer. New entries go here, shrunk.
 
+mod batch_profile_parity;
 mod datalog_bound_aggregate;
 mod definition_order;
 mod explain_shows_the_executed_plan;

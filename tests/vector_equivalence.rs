@@ -21,6 +21,7 @@
 use arc_analysis::{
     random_catalog, random_conjunctive_query, random_correlated_boolean_query, InstanceSpec,
 };
+use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
@@ -231,5 +232,181 @@ fn errors_surface_identically() {
     let on = engine().eval_collection(&mixed);
     for off in row_path() {
         assert_eq!(off.eval_collection(&mixed), on, "outcome drift");
+    }
+}
+
+/// The per-entry kernels' differential instance. `X(A, B, S)` holds 1 030
+/// rows, so a scan crosses a chunk boundary: `A` is an `Int` chunk with
+/// `NULL`s and `i64::MIN` / `i64::MAX` (sums wrap), then a `Mixed` tail
+/// of ints, `-0.0`, `NaN` and `NULL`; `B` is `Float` with `NaN`, `-0.0`
+/// and `NULL`; `S` is a string column. `Y(B)` and `Z(C)` are small, so the
+/// planner scans them first and `X` last: each `(y, z)` is one entry
+/// into `X`'s step, with `y.B` and `z.C` fixed. `K(A, B)` (40 rows) is
+/// the inside of boolean scopes.
+fn entry_catalog() -> Catalog {
+    let x = (0..1030i64).map(|i| {
+        let a = match (i >= 1024, i % 97, i % 5) {
+            (false, _, _) if i % 9 == 0 => Value::Null,
+            (false, 1, _) => Value::Int(i64::MAX),
+            (false, 2, _) => Value::Int(i64::MIN),
+            (false, _, _) => Value::Int(i % 23 - 11),
+            (true, _, 0) => Value::Int(i % 7),
+            (true, _, 1) => Value::Float(-0.0),
+            (true, _, 2) => Value::Float(f64::NAN),
+            (true, _, 3) => Value::Null,
+            (true, _, _) => Value::Float(2.5),
+        };
+        let b = match i % 13 {
+            0 => Value::Float(f64::NAN),
+            1 => Value::Float(-0.0),
+            2 => Value::Null,
+            _ => Value::Float((i % 19) as f64 - 9.5),
+        };
+        let s = match i % 6 {
+            0 => Value::Null,
+            k => Value::str(format!("s{k}")),
+        };
+        vec![a, b, s]
+    });
+    let y = [
+        Value::Int(3),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::Int(i64::MAX),
+        Value::Null,
+    ];
+    let z = [Value::Int(-2), Value::Null, Value::Float(1.5)];
+    let k = (0..40i64).map(|i| {
+        let b = match i % 7 {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            _ => Value::Int(i - 20),
+        };
+        vec![Value::Int(i % 5), b]
+    });
+    Catalog::new()
+        .with(Relation::from_rows("K", &["A", "B"], k.collect()))
+        .with(Relation::from_rows("X", &["A", "B", "S"], x.collect()))
+        .with(Relation::from_rows(
+            "Y",
+            &["B"],
+            y.into_iter().map(|v| vec![v]).collect(),
+        ))
+        .with(Relation::from_rows(
+            "Z",
+            &["C"],
+            z.into_iter().map(|v| vec![v]).collect(),
+        ))
+}
+
+const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+/// Every per-entry filter shape — `x.c op y.B` and `x.c ± y.B op z.C`,
+/// six operators, the attribute on either side — over every column kind,
+/// plus single-relation scans whose offset is a constant (the partition
+/// axis runs them per morsel at four threads).
+fn entry_filters() -> Vec<String> {
+    let mut out = Vec::new();
+    for op in OPS {
+        for c in ["A", "B", "S"] {
+            out.push(format!("∃y ∈ Y, x ∈ X [Q.A = x.A ∧ x.{c} {op} y.B]"));
+            out.push(format!("∃y ∈ Y, x ∈ X [Q.A = x.A ∧ y.B {op} x.{c}]"));
+            out.push(format!(
+                "∃y ∈ Y, z ∈ Z, x ∈ X [Q.A = x.A ∧ x.{c} + y.B {op} z.C]"
+            ));
+            out.push(format!(
+                "∃y ∈ Y, z ∈ Z, x ∈ X [Q.A = x.A ∧ z.C {op} x.{c} - y.B]"
+            ));
+        }
+        // Boolean scopes: a decorrelated build whose filter runs per
+        // entry, and a nested one whose offset is the outer row's.
+        out.push(format!(
+            "∃y ∈ Y [Q.A = y.B ∧ ∃k ∈ K [k.A = y.B ∧ k.B - 1 {op} 2]]"
+        ));
+        out.push(format!(
+            "∃y ∈ Y [Q.A = y.B ∧ ¬(∃k ∈ K [k.A = 3 ∧ k.B + y.B {op} 3])]"
+        ));
+        out.push(format!(
+            "∃x ∈ X [Q.A = x.A ∧ x.A - 9223372036854775807 {op} 2]"
+        ));
+        out.push(format!("∃x ∈ X [Q.A = x.A ∧ 1.5 {op} x.B + 1]"));
+    }
+    out
+}
+
+/// The per-entry kernels agree with the oracle on every filter shape,
+/// under every convention, at one and four threads, and with the first
+/// chunk build denied (that entry's filter runs row by row).
+#[test]
+fn per_entry_kernels_match_the_oracle() {
+    let catalog = entry_catalog();
+    let eq19 = fx::q("{Q(A) | ∃y ∈ Y, z ∈ Z, x ∈ X [Q.A = x.A ∧ x.A - y.B > z.C]}");
+    let plan = Engine::new(&catalog, Conventions::sql())
+        .explain_collection(&eq19)
+        .unwrap();
+    assert!(
+        plan.contains("3: scan X as x"),
+        "X is the last step, so its filter runs per entry:\n{plan}"
+    );
+    for body in entry_filters() {
+        let q = fx::q(&format!("{{Q(A) | {body}}}"));
+        for conv in [
+            Conventions::sql(),
+            Conventions::set(),
+            Conventions::souffle(),
+        ] {
+            let want = arc_tests::oracle_rows(&catalog, conv, &q);
+            for threads in [1usize, 4] {
+                let engine = || Engine::new(&catalog, conv).with_threads(threads);
+                for (mode, engine) in [
+                    ("default", engine()),
+                    ("chunk denied", deny_first(engine(), seam::CHUNK_BUILD)),
+                ] {
+                    let got = engine.eval_collection(&q).unwrap();
+                    assert!(
+                        arc_tests::agrees(conv, &got, &want),
+                        "{mode} threads {threads} {conv:?}: {body}\nengine:\n{got}\noracle:\n{want}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The prefix rule holds for per-entry filters: a filter that raises,
+/// placed before a kernel-eligible one at the same step, keeps both on
+/// the row path, so the error surfaces — on the default engine, at four
+/// threads and with the chunk build denied alike — although the later
+/// filter, on a kernel, would have rejected every row first. (A step
+/// filter raises when a shadowed name resolves differently at its step
+/// than the planner saw: `x.S` is placed at the first `x`, which is
+/// `K`, where `S` does not exist.)
+#[test]
+fn a_raising_filter_keeps_a_later_per_entry_filter_on_the_row_path() {
+    let catalog = entry_catalog();
+    let q = fx::q(
+        "{Q(A) | ∃y ∈ Y, x ∈ K, x ∈ X \
+         [Q.A = y.B ∧ x.S > 1 ∧ x.B - y.B > 9223372036854775807]}",
+    );
+    let plan = Engine::new(&catalog, Conventions::sql())
+        .explain_collection(&q)
+        .unwrap();
+    assert!(
+        plan.contains("2: scan K as x (est=40)\n      filter: x.S > 1\n      filter: x.B - y.B"),
+        "both filters sit on K's step, the raising one first:\n{plan}"
+    );
+    for threads in [1usize, 4] {
+        let engine = || Engine::new(&catalog, Conventions::sql()).with_threads(threads);
+        for engine in [engine(), deny_first(engine(), seam::CHUNK_BUILD)] {
+            let err = engine.eval_collection(&q).unwrap_err();
+            assert_eq!(
+                err,
+                arc_engine::EvalError::UnknownAttribute {
+                    var: "x".into(),
+                    attr: "S".into(),
+                },
+                "threads {threads}"
+            );
+        }
     }
 }
