@@ -1,25 +1,45 @@
 //! Aggregation over grouping scopes (§2.5, §2.6): one-pass accumulators
 //! and the per-group tests evaluated over them.
 //!
-//! A grouping scope never materializes its members. Each surviving
-//! environment evaluates the grouping key and every aggregate call's
-//! argument once and folds them into its group's [`Acc`]s; the group keeps
-//! only the *first* member's rows (the representative environment the
-//! non-aggregate scalars read — grouping keys are constant within a
-//! group). Members fold in enumeration order, so order-sensitive results
-//! (float sums) are exactly what a collect-then-fold would compute.
+//! A grouping scope never materializes its members. Each member's key
+//! finds its group in one hashed table of group ids ([`KeySlots`]) that
+//! stores no key: the key's values are hashed where they are and
+//! compared with the group's own key (`Value::key_ref` equality, so `1`
+//! and `1.0` are one key and NULLs group together). A group keeps its
+//! sort key, built once when it opens, the *first* member's rows (the
+//! representative environment the non-aggregate scalars read — grouping
+//! keys are constant within a group) and one [`Acc`] per aggregate call;
+//! groups come out in key order.
+//!
+//! Members arrive two ways. When the scope's last step hands on a batch
+//! of row ids and every key and argument is a slot or a constant
+//! ([`folds_from_batch`]), [`Groups::fold_rows`] reads them from the rows
+//! by id — no frame, no `scalar` call, no key built per member; a key
+//! that reads only outer frames finds its group once per batch. Every
+//! other member — another shape, a denied build's row loop — folds its
+//! environment through [`Groups::fold_env`] into the same table. Members
+//! fold in enumeration order, so order-sensitive results (float sums)
+//! are exactly what a collect-then-fold would compute.
+//!
+//! `Int` arithmetic wraps wherever it is computed: scalar arithmetic
+//! (`eval/scalar.rs`), the column kernels, `sum`/`avg` on both fold paths
+//! here, and the oracle. `sum` over `{i64::MAX, 1}` is `i64::MIN`.
 
 use super::env::{Env, Frame};
+use super::quantifier::KeySlots;
 use super::scalar::arith;
-use super::scope::GroupTests;
+use super::scope::{GroupPlan, GroupTests};
 use super::slots::{CFormula, CPred, CScalar};
 use super::Ctx;
 use crate::error::{EvalError, Result};
+use crate::relation::Relation;
 use arc_core::ast::AggFunc;
 use arc_core::conventions::EmptyAgg;
-use arc_core::value::{Key, Truth, Value};
+use arc_core::value::{Key, KeyRef, Truth, Value};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One aggregate call of a grouping scope, arguments resolved.
 pub(crate) struct AggSpec<'a> {
@@ -51,10 +71,18 @@ impl<'a> AggSpec<'a> {
     fn input<'e>(&'e self, ctx: &Ctx<'_>, env: &'e Env<'_>) -> Result<Option<Cow<'e, Value>>> {
         match (&self.err, &self.arg) {
             (Some(_), _) => Ok(None),
-            (None, None) => Ok(Some(Cow::Owned(Value::Int(1)))),
+            (None, None) => Ok(Some(Cow::Borrowed(&ONE))),
             (None, Some(arg)) => ctx.scalar(arg, env).map(Some),
         }
     }
+}
+
+/// Whether every grouping key and aggregate argument reads a stored value
+/// — a slot or a constant — so members can fold from the last step's
+/// row ids ([`Groups::fold_rows`]).
+pub(crate) fn folds_from_batch(keys: &[CScalar<'_>], aggs: &[AggSpec<'_>]) -> bool {
+    let stored = |s: &CScalar<'_>| matches!(s, CScalar::Slot { .. } | CScalar::Const(_));
+    keys.iter().all(stored) && aggs.iter().all(|a| a.arg.as_ref().is_none_or(stored))
 }
 
 /// Running state of one aggregate call over one group (SQL semantics:
@@ -168,23 +196,35 @@ pub(crate) struct Group<'g, 'a> {
     /// The first member's scope-local frames (empty for `γ∅` over an
     /// empty join, which has a group but no member).
     pub(crate) repr: &'g [Frame<'a>],
-    members: usize,
+    empty: bool,
     accs: &'g [Acc],
 }
 
-/// The groups of one grouping-scope execution, in key order. Every
-/// group's frames and accumulators sit in two buffers of the whole
-/// execution — a new group is its key and its place in them.
+/// The groups of one grouping-scope execution. Every group's key,
+/// frames and accumulators sit in flat buffers of the whole execution —
+/// a new group is its place in them — and a group is found through one
+/// hashed table of group ids that stores no key: the key in hand is
+/// hashed where it is and compared against the group's own key.
 pub(crate) struct Groups<'a> {
-    /// Group number and members folded so far, by key.
-    map: BTreeMap<Vec<Key>, (usize, usize)>,
+    /// Group id by key hash ([`KeySlots`]).
+    slots: KeySlots,
+    /// Each group's key, `nkeys` per group: built once, when the group
+    /// opens, and what the groups sort by on the way out.
+    keys: Vec<Key>,
+    nkeys: usize,
+    /// Groups opened so far.
+    len: usize,
+    /// The one group is `γ∅`'s over an empty join, which has no member.
+    memberless: bool,
+    /// The row path's evaluated key, reused from member to member.
     scratch: Vec<Key>,
     /// Representative frames, `width` per group (every member binds the
     /// scope's own variables, so the same number).
     reprs: Vec<Frame<'a>>,
     width: usize,
-    /// Accumulators, one per aggregate call per group.
+    /// Accumulators, `naggs` per group.
     accs: Vec<Acc>,
+    naggs: usize,
 }
 
 /// What one member contributes, already evaluated: the parallel path
@@ -196,32 +236,68 @@ pub(crate) struct Member<'a> {
     inputs: Vec<Value>,
 }
 
+/// What `count(*)` folds per member.
+static ONE: Value = Value::Int(1);
+
 impl<'a> Groups<'a> {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(nkeys: usize, naggs: usize) -> Self {
         Groups {
-            map: BTreeMap::new(),
+            slots: KeySlots::default(),
+            keys: Vec::new(),
+            nkeys,
+            len: 0,
+            memberless: false,
             scratch: Vec::new(),
             reprs: Vec::new(),
             width: 0,
             accs: Vec::new(),
+            naggs,
         }
     }
 
-    /// Open the next group, its first member binding `repr`: what the
-    /// map is to hold for it.
-    fn open(
+    /// The group of the key whose `j`-th component is `key(j)`: found by
+    /// the key's hash under `state`, or opened with the frames `repr`
+    /// appends when the key is new.
+    fn group_of<'k>(
         &mut self,
-        repr: impl ExactSizeIterator<Item = Frame<'a>>,
+        state: &RandomState,
+        key: impl Fn(usize) -> KeyRef<'k>,
+        repr: impl FnOnce(&mut Vec<Frame<'a>>),
         aggs: &[AggSpec<'_>],
-    ) -> (usize, usize) {
-        self.width = repr.len();
-        self.reprs.extend(repr);
-        self.accs.extend(aggs.iter().map(Acc::new));
-        (self.map.len(), 1)
+    ) -> usize {
+        let nk = self.nkeys;
+        let mut h = state.build_hasher();
+        (0..nk).for_each(|j| key(j).hash(&mut h));
+        let hash = h.finish();
+        let keys = &self.keys;
+        let found = self.slots.find(hash, |g| {
+            let at = g as usize * nk;
+            (0..nk).all(|j| keys[at + j].key_ref() == key(j))
+        });
+        match found {
+            Some(g) => g as usize,
+            None => {
+                let g = self.len;
+                self.len += 1;
+                self.slots.insert(hash, g as u32, |_| false);
+                self.keys.extend((0..nk).map(|j| key(j).to_key()));
+                let before = self.reprs.len();
+                repr(&mut self.reprs);
+                self.width = self.reprs.len() - before;
+                self.accs.extend(aggs.iter().map(Acc::new));
+                g
+            }
+        }
+    }
+
+    /// Group `g`'s accumulators.
+    fn accs_of(&mut self, g: usize) -> &mut [Acc] {
+        &mut self.accs[g * self.naggs..(g + 1) * self.naggs]
     }
 
     /// Fold the environment on top of `env` (scope-local frames start at
-    /// `base`) into its group.
+    /// `base`) into its group: the row path, for members the batch fold
+    /// does not reach.
     pub(crate) fn fold_env(
         &mut self,
         ctx: &Ctx<'_>,
@@ -232,21 +308,18 @@ impl<'a> Groups<'a> {
     ) -> Result<()> {
         self.scratch.clear();
         for k in keys {
-            self.scratch.push(ctx.scalar(k, env)?.key());
+            let key = ctx.scalar(k, env)?.key();
+            self.scratch.push(key);
         }
-        let n = match self.map.get_mut(self.scratch.as_slice()) {
-            Some((n, members)) => {
-                *members += 1;
-                *n
-            }
-            None => {
-                let group = self.open(env.frames[base..].iter().cloned(), aggs);
-                self.map.insert(self.scratch.clone(), group);
-                group.0
-            }
-        };
-        let accs = &mut self.accs[n * aggs.len()..(n + 1) * aggs.len()];
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
+        let scratch = std::mem::take(&mut self.scratch);
+        let g = self.group_of(
+            &ctx.shared.hash_state,
+            |j| scratch[j].key_ref(),
+            |reprs| reprs.extend_from_slice(&env.frames[base..]),
+            aggs,
+        );
+        self.scratch = scratch;
+        for (acc, spec) in self.accs_of(g).iter_mut().zip(aggs) {
             if let Some(v) = spec.input(ctx, env)? {
                 acc.fold(spec.func, &v);
             }
@@ -254,21 +327,66 @@ impl<'a> Groups<'a> {
         Ok(())
     }
 
+    /// Fold rows `rows` of `rel` — the last step's candidates, to be
+    /// bound on top of `env` — into their groups, reading every key and
+    /// argument (slots and constants only, see [`folds_from_batch`]) where
+    /// it is stored: no frame pushed, no `scalar` call, no key built per
+    /// member. When no key reads the last step's row, the whole batch
+    /// shares one group, found once.
+    pub(crate) fn fold_rows(
+        &mut self,
+        state: &RandomState,
+        plan: &GroupPlan<'_>,
+        env: &Env<'a>,
+        base: usize,
+        rel: &'a Relation,
+        rows: impl Iterator<Item = usize>,
+    ) {
+        let (keys, aggs, last) = (&plan.keys, &plan.tests.aggs, env.len());
+        let by_row = keys.iter().any(|k| k.frames() == Some((last, last)));
+        let mut shared = None;
+        for r in rows {
+            let row = &rel.rows[r][..];
+            let g = match shared {
+                Some(g) => g,
+                None => {
+                    let g = self.group_of(
+                        state,
+                        |j| operand(&keys[j], last, row, env).key_ref(),
+                        |reprs| {
+                            reprs.extend_from_slice(&env.frames[base..]);
+                            reprs.push(Frame::Borrowed(row));
+                        },
+                        aggs,
+                    );
+                    shared = (!by_row).then_some(g);
+                    g
+                }
+            };
+            for (acc, spec) in self.accs_of(g).iter_mut().zip(aggs) {
+                let v = spec
+                    .arg
+                    .as_ref()
+                    .map_or(&ONE, |a| operand(a, last, row, env));
+                acc.fold(spec.func, v);
+            }
+        }
+    }
+
     /// Fold an already-evaluated member (see [`member_of`]).
-    pub(crate) fn fold_member(&mut self, aggs: &[AggSpec<'_>], m: Member<'a>) {
-        let n = match self.map.get_mut(&m.key) {
-            Some((n, members)) => {
-                *members += 1;
-                *n
-            }
-            None => {
-                let group = self.open(m.frames.into_iter(), aggs);
-                self.map.insert(m.key, group);
-                group.0
-            }
-        };
-        let accs = &mut self.accs[n * aggs.len()..(n + 1) * aggs.len()];
-        for ((acc, spec), v) in accs.iter_mut().zip(aggs).zip(&m.inputs) {
+    pub(crate) fn fold_member(&mut self, state: &RandomState, aggs: &[AggSpec<'_>], m: Member<'a>) {
+        let Member {
+            key,
+            frames,
+            inputs,
+        } = m;
+        let g = self.group_of(
+            state,
+            |j| key[j].key_ref(),
+            |reprs| reprs.extend(frames),
+            aggs,
+        );
+        for ((acc, spec), v) in self.accs_of(g).iter_mut().zip(aggs).zip(&inputs) {
             acc.fold(spec.func, v);
         }
     }
@@ -276,24 +394,47 @@ impl<'a> Groups<'a> {
     /// `γ∅` has exactly one group, even over an empty join (§2.5 — "there
     /// is just one group", like SQL's aggregate query without GROUP BY).
     pub(crate) fn ensure_global(&mut self, aggs: &[AggSpec<'_>]) {
-        if self.map.is_empty() {
-            // A group of no member.
-            let (n, _) = self.open(std::iter::empty(), aggs);
-            self.map.insert(Vec::new(), (n, 0));
+        if self.len == 0 {
+            self.len = 1;
+            self.memberless = true;
+            self.accs.extend(aggs.iter().map(Acc::new));
         }
     }
 
-    /// The groups, in key order.
+    /// The groups, in key order (each group's key was built once, when
+    /// it opened; one group needs no sort).
     pub(crate) fn groups(&self) -> impl Iterator<Item = Group<'_, 'a>> {
-        let naggs = match self.map.len() {
-            0 => 0,
-            groups => self.accs.len() / groups,
-        };
-        self.map.values().map(move |&(n, members)| Group {
-            repr: &self.reprs[n * self.width..(n + 1) * self.width],
-            members,
-            accs: &self.accs[n * naggs..(n + 1) * naggs],
+        let nk = self.nkeys;
+        let key = |g: usize| &self.keys[g * nk..(g + 1) * nk];
+        let mut order = Vec::new();
+        if self.len > 1 {
+            order.extend(0..self.len);
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        }
+        (0..self.len).map(move |at| {
+            let g = order.get(at).copied().unwrap_or(at);
+            Group {
+                repr: match self.memberless {
+                    true => &[],
+                    false => &self.reprs[g * self.width..(g + 1) * self.width],
+                },
+                empty: self.memberless,
+                accs: &self.accs[g * self.naggs..(g + 1) * self.naggs],
+            }
         })
+    }
+}
+
+/// A batch-folded key or argument: a column of the last step's `row`
+/// (bound at stack position `last`), a slot of an outer frame, or a
+/// constant.
+#[inline]
+fn operand<'v>(s: &'v CScalar<'_>, last: usize, row: &'v [Value], env: &'v Env<'_>) -> &'v Value {
+    match s {
+        CScalar::Slot { frame, col } if *frame as usize == last => &row[*col as usize],
+        CScalar::Slot { frame, col } => &env.frames[*frame as usize].row()[*col as usize],
+        CScalar::Const(v) => v,
+        _ => unreachable!("a batch-folded operand is a slot or a constant"),
     }
 }
 
@@ -326,7 +467,7 @@ impl Group<'_, '_> {
     /// Whether the group has no member (`γ∅` over an empty join): its
     /// tests and assignments then see the outer frames only.
     pub(crate) fn is_empty(&self) -> bool {
-        self.members == 0
+        self.empty
     }
 
     /// Evaluate the per-group tests (aggregation comparisons + boolean
@@ -416,7 +557,7 @@ impl Group<'_, '_> {
             CScalar::Agg(n) => {
                 let spec = &aggs[*n];
                 match &spec.err {
-                    Some(e) if self.members > 0 => Err(e.clone()),
+                    Some(e) if !self.empty => Err(e.clone()),
                     _ => Ok(Cow::Owned(
                         self.accs[*n].finish(spec.func, ctx.shared.conv.empty_agg),
                     )),

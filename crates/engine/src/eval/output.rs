@@ -5,7 +5,7 @@
 use super::aggregate::{member_of, AggSpec, Group, Groups, Member};
 use super::env::Env;
 use super::parallel::{each_into, MorselFn};
-use super::quantifier::{Gathered, Sink};
+use super::quantifier::{Folding, Gathered, Sink};
 use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
 use super::slots::CScalar;
 use super::Ctx;
@@ -437,10 +437,12 @@ impl<'a> Ctx<'a> {
     }
 
     /// Enumerate a grouping scope and fold its members. Sequentially each
-    /// surviving environment folds straight into its group; a partitioned
-    /// scope gathers evaluated [`Member`]s per morsel and folds them here
-    /// in morsel order — the order the sequential loop folds in, so even
-    /// order-sensitive aggregates (float sums) come out bit-identical.
+    /// member folds straight into its group ([`Sink::Fold`]: from the
+    /// last step's row ids when the plan allows, else its environment);
+    /// a partitioned scope gathers evaluated [`Member`]s per morsel and
+    /// folds them here in morsel order — the order the sequential loop
+    /// folds in, so even order-sensitive aggregates (float sums) come out
+    /// bit-identical.
     fn fold_groups(
         &self,
         sc: &Scope<'a>,
@@ -448,7 +450,7 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
     ) -> Result<Groups<'a>> {
         let (keys, aggs) = (&g.keys, &g.tests.aggs);
-        let mut groups = Groups::new();
+        let mut groups = Groups::new(keys.len(), aggs.len());
         let mut members: Vec<Member<'a>> = Vec::new();
         let parallel = self.try_parallel(
             sc,
@@ -466,19 +468,16 @@ impl<'a> Ctx<'a> {
         )?;
         if parallel {
             for m in members {
-                groups.fold_member(aggs, m);
+                groups.fold_member(&self.shared.hash_state, aggs, m);
             }
         } else {
-            self.run_scope(
-                sc,
-                env,
-                &mut Sink::Each(&mut |ctx, env| {
-                    if ctx.all_hold(&sc.pre_bool, env)? {
-                        groups.fold_env(ctx, keys, aggs, env, sc.base)?;
-                    }
-                    Ok(true)
-                }),
-            )?;
+            let folding = Folding {
+                plan: g,
+                pre_bool: &sc.pre_bool,
+                base: sc.base,
+                groups: &mut groups,
+            };
+            self.run_scope(sc, env, &mut Sink::Fold(folding))?;
         }
         if keys.is_empty() {
             groups.ensure_global(aggs);

@@ -30,7 +30,11 @@
 //! are copied straight out of the rows into output tuples, in ascending
 //! row order, with the profile counted and the guard checked a piece of
 //! at most `CHUNK_ROWS` rows at a time. So for Eq 19's last step a row
-//! costs a typed comparison and, if it survives, its output vector. The
+//! costs a typed comparison and, if it survives, its output vector. A
+//! grouping scope's last step does the same for its fold
+//! ([`Sink::Fold`]): when no filter follows it and its keys and
+//! aggregate arguments are slots or constants, its row ids — a batch,
+//! or an unfiltered full scan's range — go straight to their groups. The
 //! row-at-a-time loop is left to shapes the batch does not cover and to
 //! a build the budget denied.
 //!
@@ -47,10 +51,11 @@
 //! each scanning its own morsel of the partition axis via
 //! [`Ctx::scan_partition`].
 
+use super::aggregate::Groups;
 use super::env::{Env, Frame, Layout};
 use super::lateral::Lateral;
 use super::output::{HeadPlan, Partial};
-use super::scope::{Pipeline, Scope, Steps};
+use super::scope::{GroupPlan, Pipeline, Scope, Steps};
 use super::slots::{CFormula, CPred, CScalar};
 use super::vector::EntryFilter;
 use super::Ctx;
@@ -278,7 +283,8 @@ impl HashIndex {
 /// hash and identified by what its id stands for — the caller's `is_key`
 /// compares that against the key in hand — and a slot held by a different
 /// key sends the search on to `hash + NEXT_BUCKET`. The fixpoint's seen
-/// set and the lateral memo are built on it.
+/// set, the lateral memo and a grouping scope's group table are built on
+/// it.
 #[derive(Default)]
 pub(crate) struct KeySlots {
     slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
@@ -382,9 +388,16 @@ impl<'a> Ordered<'a> {
     /// gathered head can read in one pass when it is the last step and
     /// no row filter is left on it.
     pub(crate) fn batches(&self) -> bool {
-        matches!(self.source, Src::Rows(_))
-            && self.step_filters.is_empty()
+        self.yields_ids()
             && (self.hash_plan.is_some() || self.uses_selection() || !self.entry_filters.is_empty())
+    }
+
+    /// Whether every candidate this step yields passes on as a row id of
+    /// a relation, with no row filter left to run on it: a batching step
+    /// ([`Ordered::batches`]) or an unfiltered full scan. A grouping
+    /// scope folds such a last step's rows from the batch.
+    pub(crate) fn yields_ids(&self) -> bool {
+        matches!(self.source, Src::Rows(_)) && self.step_filters.is_empty()
     }
 
     /// Whether this step scans through a selection vector — an
@@ -483,6 +496,14 @@ pub(crate) enum Sink<'s, 'a> {
     /// callback — and any environment that still reaches the leaf (a
     /// degraded build's row loop) is gathered the same way.
     Gather(Gathered<'s, 'a>),
+    /// A grouping scope's members folding into its groups. When its
+    /// [`GroupPlan`] folds from the batch, the last step hands its row ids
+    /// — a batch, or a full scan's range — straight to
+    /// [`Groups::fold_rows`]: no frame pushed, no callback, no `scalar`
+    /// call or key built per member. Any environment that still reaches
+    /// the leaf (another plan, a degraded build's row loop) folds through
+    /// [`Groups::fold_env`] into the same groups.
+    Fold(Folding<'s, 'a>),
 }
 
 /// A gathered head, the values the enclosing spine assigned, and the
@@ -493,7 +514,16 @@ pub(crate) struct Gathered<'s, 'a> {
     pub(crate) out: &'s mut Vec<Tuple>,
 }
 
-impl<'a> Sink<'_, 'a> {
+/// A grouping scope's plan and boolean subformulas, where its frames
+/// start, and the groups its members fold into.
+pub(crate) struct Folding<'s, 'a> {
+    pub(crate) plan: &'s GroupPlan<'a>,
+    pub(crate) pre_bool: &'s [CFormula<'a>],
+    pub(crate) base: usize,
+    pub(crate) groups: &'s mut Groups<'a>,
+}
+
+impl<'s, 'a> Sink<'s, 'a> {
     /// Deliver one surviving environment; `Ok(false)` stops the loop.
     #[inline]
     pub(crate) fn env(&mut self, ctx: &Ctx<'a>, env: &mut Env<'a>) -> Result<bool> {
@@ -503,6 +533,22 @@ impl<'a> Sink<'_, 'a> {
                 g.push_env(env);
                 Ok(true)
             }
+            Sink::Fold(f) => {
+                if ctx.all_hold(f.pre_bool, env)? {
+                    let (keys, aggs) = (&f.plan.keys, &f.plan.tests.aggs);
+                    f.groups.fold_env(ctx, keys, aggs, env, f.base)?;
+                }
+                Ok(true)
+            }
+        }
+    }
+
+    /// The groups the last step `i` of `run` folds its row ids into, when
+    /// the sink folds from the batch.
+    fn folding(&mut self, run: &Run<'_, 'a>, i: usize) -> Option<&mut Folding<'s, 'a>> {
+        match self {
+            Sink::Fold(f) if f.plan.batched && i + 1 == run.pipeline.steps.len() => Some(f),
+            _ => None,
         }
     }
 }
@@ -872,6 +918,10 @@ impl<'a> Ctx<'a> {
                 Some(Some(ids)) => self.batch(run, i, rel, ids, env, sink),
                 Some(None) => self.scan_rows(run, i, rel, range, true, &[], env, sink),
                 None => {
+                    if let Some(f) = sink.folding(run, i) {
+                        self.fold(run, i, rel, range, env, f)?;
+                        return Ok(true);
+                    }
                     for row in &rel.rows[range] {
                         if !self.bind(run, i, Frame::Borrowed(row), env, sink)? {
                             return Ok(false);
@@ -967,6 +1017,11 @@ impl<'a> Ctx<'a> {
                 return Ok(true);
             }
         }
+        if let Some(f) = sink.folding(run, i) {
+            let rows = ids.iter().map(|&r| r as usize);
+            self.fold(run, i, rel, rows, env, f)?;
+            return Ok(true);
+        }
         for &r in ids {
             if !self.bind(run, i, Frame::Borrowed(&rel.rows[r as usize]), env, sink)? {
                 return Ok(false);
@@ -1004,6 +1059,34 @@ impl<'a> Ctx<'a> {
                 });
                 g.out.push(out);
             }
+        }
+        Ok(())
+    }
+
+    /// Fold `rows` — the last step's candidates — into the sink's groups,
+    /// in order. Like [`Ctx::gather`], it pushes no frame, counts what
+    /// binding the rows would have, and checks the guard a piece of at
+    /// most `CHUNK_ROWS` rows at a time.
+    fn fold(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        rel: &'a Relation,
+        mut rows: impl ExactSizeIterator<Item = usize>,
+        env: &Env<'a>,
+        f: &mut Folding<'_, 'a>,
+    ) -> Result<()> {
+        while rows.len() > 0 {
+            let piece = rows.len().min(CHUNK_ROWS);
+            // Guard tick seam, a piece at a time: a trip stops the fold
+            // within one chunk of rows.
+            self.guard_rows(piece)?;
+            if let Some(t) = run.tally {
+                t.gather(i, piece as u64);
+            }
+            let state = &self.shared.hash_state;
+            let ids = rows.by_ref().take(piece);
+            f.groups.fold_rows(state, f.plan, env, f.base, rel, ids);
         }
         Ok(())
     }

@@ -72,7 +72,7 @@ impl Ctx<'_> {
     }
 }
 
-/// Null-propagating arithmetic; integer ops stay integral, `Div` follows
+/// Null-propagating arithmetic; integer ops stay integral and wrap, `Div` follows
 /// SQL integer division for integer operands, division by zero yields
 /// `NULL` (documented deviation: SQL raises an error; an error value would
 /// poison whole-query evaluation for a single bad tuple).

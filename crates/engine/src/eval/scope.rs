@@ -26,7 +26,7 @@
 //! sit at two depths (or, for an abstract definition's body, under two
 //! call sites).
 
-use super::aggregate::AggSpec;
+use super::aggregate::{folds_from_batch, AggSpec};
 use super::env::{Env, Layout, LayoutOuter, Names};
 use super::join::JoinPlan;
 use super::output::{HeadCtx, HeadPlan, Partial};
@@ -118,6 +118,12 @@ pub(crate) struct GroupPlan<'a> {
     /// alone for `γ∅` over an empty join — a group with no member, whose
     /// attribute references can only reach outward.
     pub(crate) body: &'a Formula,
+    /// Members fold from the last step's row ids (`Sink::Fold`): that
+    /// step [yields row ids](Ordered::yields_ids), no leaf filter or
+    /// boolean subformula follows it, and every key and aggregate
+    /// argument is a slot or a constant. Otherwise every member folds
+    /// through its environment.
+    pub(crate) batched: bool,
 }
 
 impl<'a> GroupPlan<'a> {
@@ -126,13 +132,26 @@ impl<'a> GroupPlan<'a> {
         body: &'a Formula,
         parts: &Parts<'a>,
         names: &[Names<'a>],
+        pipeline: &Pipeline<'a>,
         head: Option<(&HeadCtx<'a>, &Partial)>,
     ) -> GroupPlan<'a> {
         let r = Resolver::tuple(names);
+        let keys: Vec<CScalar<'a>> = g.keys.iter().map(|k| r.attr(k)).collect();
+        let tests = GroupTests::compile(parts, names, head);
+        let batched = match pipeline {
+            Pipeline::Steps(p) => {
+                p.leaf.is_empty()
+                    && parts.pre_bool.is_empty()
+                    && p.steps.last().is_some_and(Ordered::yields_ids)
+                    && folds_from_batch(&keys, &tests.aggs)
+            }
+            Pipeline::Join(_) => false,
+        };
         GroupPlan {
-            keys: g.keys.iter().map(|k| r.attr(k)).collect(),
-            tests: GroupTests::compile(parts, names, head),
+            keys,
+            tests,
             body,
+            batched,
         }
     }
 
@@ -415,6 +434,7 @@ impl<'a> Ctx<'a> {
                     q.body,
                     &parts,
                     &layout,
+                    &pipeline,
                     Some((head, partial)),
                 )),
             };
@@ -465,7 +485,9 @@ impl<'a> Ctx<'a> {
             let (pipeline, layout) =
                 self.compile_pipeline(q, &parts, shape.is_some(), guard.map(|g| g.eq), outer)?;
             let body = match (q.grouping, &pipeline) {
-                (Some(g), _) => Body::Groups(GroupPlan::compile(g, q.body, &parts, &layout, None)),
+                (Some(g), _) => Body::Groups(GroupPlan::compile(
+                    g, q.body, &parts, &layout, &pipeline, None,
+                )),
                 (None, Pipeline::Steps(Steps { plan, steps, .. }))
                     if plan.decorrelation.is_some() =>
                 {

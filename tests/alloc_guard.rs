@@ -507,3 +507,37 @@ fn a_gathered_emission_allocates_one_block_per_row_out() {
         "wide scan: allocator calls beyond one per row: {few} for {small} rows, {many} for {large}"
     );
 }
+
+/// A grouping scope that folds from its last step's batch allocates per
+/// *group* — its key, its representative frames, its accumulators, a
+/// slot in the group table — and nothing per member: the grouped sum over
+/// 65 536 members and over 262 144, both in the same 256 groups, makes
+/// the same allocator calls give or take a few.
+#[test]
+fn a_folded_grouping_allocates_per_group_not_per_member() {
+    let q = fx::q("{Q(A, sm) | ∃g ∈ G, γ g.A [Q.A = g.A ∧ Q.sm = sum(g.B)]}");
+    let calls = |members: i64| {
+        let g = Relation::from_rows(
+            "G",
+            &["A", "B"],
+            (0..members)
+                .map(|i| vec![Value::Int(i % 256), Value::Int(i)])
+                .collect(),
+        );
+        let catalog = Catalog::new().with(g);
+        let engine = Engine::new(&catalog, Conventions::sql())
+            .with_mem_budget(0)
+            .with_spans(false)
+            .with_threads(1);
+        let plan = engine.explain_collection(&q).unwrap();
+        assert!(plan.contains("1: scan G as g"), "{plan}");
+        let (allocs, rows) = allocations(&engine, &q);
+        assert_eq!(rows, 256);
+        allocs
+    };
+    let (few, many) = (calls(65_536), calls(262_144));
+    assert!(
+        few <= PER_QUERY && many <= few + 16 && few <= many + 16,
+        "allocator calls: {few} for 65 536 members, {many} for 262 144"
+    );
+}

@@ -255,6 +255,53 @@ fn a_trip_inside_a_gathered_emission_returns_no_rows() {
     }
 }
 
+/// A grouping scope whose members fold from the batch checks the guard
+/// once per `CHUNK_ROWS` members, as a gathered emission does: over
+/// 65 536 members in 256 groups, a cancellation at the first, a middle
+/// and the last chunk's enumerate visit trips, and so does a deadline
+/// that passes mid-fold — each returns the trip's error, never the
+/// groups folded so far.
+#[test]
+fn a_trip_inside_a_folded_grouping_returns_no_rows() {
+    const ROWS: i64 = 65_536;
+    let g = Relation::from_rows(
+        "G",
+        &["A", "B"],
+        (0..ROWS)
+            .map(|i| vec![Value::Int(i % 256), Value::Int(i)])
+            .collect(),
+    );
+    let catalog = Catalog::new().with(g);
+    let q = fx::q("{Q(A, sm) | ∃g ∈ G, γ g.A [Q.A = g.A ∧ Q.sm = sum(g.B)]}");
+    let chunks = ROWS as u64 / arc_core::column::CHUNK_ROWS as u64;
+    for threads in [1usize, 4] {
+        let engine = || Engine::new(&catalog, Conventions::sql()).with_threads(threads);
+        assert_eq!(engine().eval_collection(&q).unwrap().len(), 256);
+        for at in [1, chunks / 2, chunks] {
+            let out = engine()
+                .with_fault(FaultPlan {
+                    seam: seam::ENUMERATE,
+                    at,
+                    kind: FaultKind::Cancel,
+                })
+                .eval_collection(&q);
+            assert!(
+                matches!(out, Err(EvalError::Cancelled)),
+                "threads {threads}, cancel at visit {at}: {:?}",
+                out.map(|rel| rel.len())
+            );
+        }
+        let out = engine()
+            .with_timeout(Duration::from_millis(1))
+            .eval_collection(&q);
+        assert!(
+            matches!(out, Err(EvalError::DeadlineExceeded)),
+            "threads {threads}: {:?}",
+            out.map(|rel| rel.len())
+        );
+    }
+}
+
 /// One canonical workload per registered seam: a (catalog, query) pair
 /// known to visit the seam on its very first opportunity, so
 /// `FaultPlan { at: 1 }` deterministically fires.

@@ -6,9 +6,15 @@
 //! moved onto a kernel no longer shows its candidates as `in=`, as a
 //! constant kernel filter never has.
 //!
+//! A grouping scope whose members fold from the last step's batch
+//! counts the same way: each member is a candidate of that step, passes
+//! and reaches the fold, as binding it did.
+//!
 //! The relations are the benchmark's `join_enum` and `load_scan` shapes
 //! (Eq 19 at U 256 / V 24 / W 24, the Eq 1 fan-out at 1 024 rows, the
-//! wide `T.C > 500` scan), whose counts are the same for every seed.
+//! wide `T.C > 500` scan, the grouped sum over G 65 536 / 256 keys, Fig
+//! 6a over Emp / Sal 16 384 / 64 departments), whose counts are the same
+//! for every seed.
 
 use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
@@ -35,6 +41,21 @@ fn catalog() -> Catalog {
             "T",
             &["A", "B", "C"],
             (0..131_072).map(|i| vec![i % 8, i, i % 1000]),
+        ))
+        .with(ints(
+            "G",
+            &["A", "B"],
+            (0..65_536).map(|i| vec![i % 256, i]),
+        ))
+        .with(ints(
+            "Emp",
+            &["empl", "dept"],
+            (0..16_384).map(|i| vec![i, i % 64]),
+        ))
+        .with(ints(
+            "Sal",
+            &["empl", "sal"],
+            (0..16_384).map(|i| vec![i, 40 + i % 30]),
         ));
     c.analyze();
     c
@@ -127,5 +148,50 @@ fn wide_scan_actuals_are_the_row_paths() {
                 ("1:", &["scan T as t", "act=65369 ", "calls=1"]),
             ],
         );
+    }
+}
+
+#[test]
+fn grouped_sum_actuals_are_the_row_paths() {
+    let catalog = catalog();
+    for text in analyzed(
+        &catalog,
+        "{Q(A, sm) | ∃g ∈ G, γ g.A [Q.A = g.A ∧ Q.sm = sum(g.B)]}",
+    ) {
+        assert_actuals(
+            &text,
+            &[
+                ("scope", &["act=65536 ", "calls=1"]),
+                ("1:", &["scan G as g", "act=65536 ", "calls=1"]),
+            ],
+        );
+        assert!(!text.contains("in="), "{text}");
+    }
+}
+
+#[test]
+fn fig6a_actuals_are_the_row_paths() {
+    let catalog = catalog();
+    for text in analyzed(
+        &catalog,
+        "{Q(dept, av) | ∃e ∈ Emp, s ∈ Sal, γ e.dept [Q.dept = e.dept ∧ Q.av = avg(s.sal) \
+         ∧ e.empl = s.empl ∧ sum(s.sal) > 100]}",
+    ) {
+        assert_actuals(
+            &text,
+            &[
+                ("scope", &["act=16384 ", "calls=1"]),
+                ("1:", &["scan Emp as e", "act=16384 ", "calls=1"]),
+                (
+                    "2:",
+                    &[
+                        "hash-probe on [e.empl = s.empl] Sal as s",
+                        "act=16384 ",
+                        "calls=16384",
+                    ],
+                ),
+            ],
+        );
+        assert!(!text.contains("in="), "{text}");
     }
 }

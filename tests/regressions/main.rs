@@ -6,6 +6,7 @@ mod datalog_bound_aggregate;
 mod definition_order;
 mod explain_shows_the_executed_plan;
 mod i64_min_round_trip;
+mod int_sums_wrap;
 mod outer_join_stratification;
 mod right_join_alias;
 mod zero_binding_semi_scopes;
