@@ -14,8 +14,7 @@
 //! Members arrive two ways. When the scope's last step hands on a batch
 //! of row ids and every key and argument is a slot or a constant
 //! ([`folds_from_batch`]), [`Groups::fold_rows`] reads them from the rows
-//! by id — no frame, no `scalar` call, no key built per member; a key
-//! that reads only outer frames finds its group once per batch. Every
+//! by id — no frame, no `scalar` call, no key built per member. Every
 //! other member — another shape, a denied build's row loop — folds its
 //! environment through [`Groups::fold_env`] into the same table. Members
 //! fold in enumeration order, so order-sensitive results (float sums)
@@ -331,8 +330,7 @@ impl<'a> Groups<'a> {
     /// bound on top of `env` — into their groups, reading every key and
     /// argument (slots and constants only, see [`folds_from_batch`]) where
     /// it is stored: no frame pushed, no `scalar` call, no key built per
-    /// member. When no key reads the last step's row, the whole batch
-    /// shares one group, found once.
+    /// member.
     pub(crate) fn fold_rows(
         &mut self,
         state: &RandomState,
@@ -343,26 +341,17 @@ impl<'a> Groups<'a> {
         rows: impl Iterator<Item = usize>,
     ) {
         let (keys, aggs, last) = (&plan.keys, &plan.tests.aggs, env.len());
-        let by_row = keys.iter().any(|k| k.frames() == Some((last, last)));
-        let mut shared = None;
         for r in rows {
             let row = &rel.rows[r][..];
-            let g = match shared {
-                Some(g) => g,
-                None => {
-                    let g = self.group_of(
-                        state,
-                        |j| operand(&keys[j], last, row, env).key_ref(),
-                        |reprs| {
-                            reprs.extend_from_slice(&env.frames[base..]);
-                            reprs.push(Frame::Borrowed(row));
-                        },
-                        aggs,
-                    );
-                    shared = (!by_row).then_some(g);
-                    g
-                }
-            };
+            let g = self.group_of(
+                state,
+                |j| operand(&keys[j], last, row, env).key_ref(),
+                |reprs| {
+                    reprs.extend_from_slice(&env.frames[base..]);
+                    reprs.push(Frame::Borrowed(row));
+                },
+                aggs,
+            );
             for (acc, spec) in self.accs_of(g).iter_mut().zip(aggs) {
                 let v = spec
                     .arg

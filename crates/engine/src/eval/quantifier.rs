@@ -1031,9 +1031,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// Gather the head of every row of `ids` — the last step's frame —
-    /// into the sink's output, in order. It pushes no frame and counts
-    /// what binding the rows would have: each is a candidate of step
-    /// `i`, passes (no filter is left on it) and is emitted.
+    /// into the sink's output, in order.
     fn gather(
         &self,
         run: &Run<'_, 'a>,
@@ -1044,49 +1042,57 @@ impl<'a> Ctx<'a> {
         g: &mut Gathered<'_, 'a>,
     ) -> Result<()> {
         let top = env.len();
-        for piece in ids.chunks(CHUNK_ROWS) {
-            // Guard tick seam, a piece at a time: a trip stops the
-            // emission within one chunk of rows.
-            self.guard_rows(piece.len())?;
-            if let Some(t) = run.tally {
-                t.gather(i, piece.len() as u64);
-            }
-            for &r in piece {
-                let row = &rel.rows[r as usize][..];
+        let rows = ids.iter().map(|&r| r as usize);
+        self.in_pieces(run, i, rows, |piece| {
+            for r in piece {
+                let row = &rel.rows[r][..];
                 let out = g.head.gather(g.partial, |f| match f == top {
                     true => row,
                     false => env.frames[f].row(),
                 });
                 g.out.push(out);
             }
-        }
-        Ok(())
+        })
     }
 
     /// Fold `rows` — the last step's candidates — into the sink's groups,
-    /// in order. Like [`Ctx::gather`], it pushes no frame, counts what
-    /// binding the rows would have, and checks the guard a piece of at
-    /// most `CHUNK_ROWS` rows at a time.
+    /// in order.
     fn fold(
         &self,
         run: &Run<'_, 'a>,
         i: usize,
         rel: &'a Relation,
-        mut rows: impl ExactSizeIterator<Item = usize>,
+        rows: impl ExactSizeIterator<Item = usize>,
         env: &Env<'a>,
         f: &mut Folding<'_, 'a>,
     ) -> Result<()> {
+        let state = &self.shared.hash_state;
+        self.in_pieces(run, i, rows, |piece| {
+            f.groups.fold_rows(state, f.plan, env, f.base, rel, piece)
+        })
+    }
+
+    /// Hand `rows` — step `i`'s candidates, consumed by a sink without
+    /// being bound ([`Ctx::gather`], [`Ctx::fold`]) — to `each` a piece of
+    /// at most `CHUNK_ROWS` rows at a time. Per piece it checks the guard
+    /// and counts what binding the rows would have: each is a candidate
+    /// of step `i` and passes (no filter is left on it).
+    fn in_pieces<I: ExactSizeIterator<Item = usize>>(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        mut rows: I,
+        mut each: impl FnMut(std::iter::Take<&mut I>),
+    ) -> Result<()> {
         while rows.len() > 0 {
             let piece = rows.len().min(CHUNK_ROWS);
-            // Guard tick seam, a piece at a time: a trip stops the fold
+            // Guard tick seam, a piece at a time: a trip stops the sink
             // within one chunk of rows.
             self.guard_rows(piece)?;
             if let Some(t) = run.tally {
                 t.gather(i, piece as u64);
             }
-            let state = &self.shared.hash_state;
-            let ids = rows.by_ref().take(piece);
-            f.groups.fold_rows(state, f.plan, env, f.base, rel, ids);
+            each(rows.by_ref().take(piece));
         }
         Ok(())
     }
