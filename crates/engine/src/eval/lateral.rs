@@ -109,13 +109,12 @@ impl<'a> Ctx<'a> {
         // An abstract definition's body resolves names against its call
         // site's frames, and an external relation answers through caller
         // code: neither is a function of the collection's own references.
-        let mut sources = Vec::new();
-        crate::fixpoint::collect_sources(c, &mut sources);
-        let opaque = sources.iter().any(|&name| {
-            !self.shared.defined.contains_key(name)
+        let mut opaque = false;
+        crate::fixpoint::reads(c, &Default::default(), &mut |_, name, _| {
+            opaque |= !self.shared.defined.contains_key(name)
                 && self.shared.catalog.relation(name).is_none()
                 && (self.shared.abstracts.contains_key(name)
-                    || self.shared.catalog.external(name).is_some())
+                    || self.shared.catalog.external(name).is_some());
         });
         // A reference that does not resolve raises when (and only if) it
         // is evaluated: leave that to the per-environment path.

@@ -37,7 +37,7 @@
 
 use crate::error::Result;
 use crate::eval::{Ctx, Engine, Entry, Recording};
-use crate::fixpoint::{FixpointStrategy, ProgramOutput, Strata};
+use crate::fixpoint::{ProgramOutput, Strata};
 use crate::relation::Relation;
 use arc_core::ast::{Collection, Program};
 use arc_plan::PlanNode;
@@ -166,8 +166,7 @@ impl Engine<'_> {
     /// materializes (fixpoint iterations included) plus the query. See
     /// [`Engine::profile_collection`] for what the recording knob adds.
     pub fn profile_program(&self, p: &Program) -> Result<(ProgramOutput, QueryProfile)> {
-        let (out, rec) =
-            self.program_recorded(p, FixpointStrategy::default(), Recording::Profile)?;
+        let (out, rec) = self.program_recorded(p, Recording::Profile)?;
         Ok((out, read_back(rec, Recorder::profile)))
     }
 
@@ -198,8 +197,7 @@ impl Engine<'_> {
     /// (fixpoint iterations included) plus the query, under a single
     /// enclosing `query` span.
     pub fn span_trace_program(&self, p: &Program) -> Result<(ProgramOutput, arc_core::json::Json)> {
-        let (out, rec) =
-            self.program_recorded(p, FixpointStrategy::default(), Recording::Timeline)?;
+        let (out, rec) = self.program_recorded(p, Recording::Timeline)?;
         let defined: HashMap<String, Relation> = out.defined.into_iter().collect();
         let plan = self.lowered_program(p, Some(&defined))?;
         let trace = read_back(rec, Recorder::span_trace);

@@ -8,10 +8,15 @@
 //!    *abstract* (§2.13.2 — checked in context, never materialized);
 //! 2. builds the dependency graph and its strongly connected components;
 //! 3. evaluates SCCs in topological order; recursive SCCs are solved with a
-//!    least fixed point — **semi-naive** by default, **naive** iteration as
-//!    the reference the equivalence tests compare against;
+//!    **semi-naive** least fixed point;
 //! 4. rejects non-stratifiable programs (recursion through negation or
 //!    aggregation) and recursion under bag semantics.
+//!
+//! A dependency may pass through an abstract definition: the rule reads
+//! the abstract relation, whose body reads the member. Every walk over a
+//! rule's reads (`reads`) therefore follows the abstract bodies it
+//! reaches, so the dependency graph, the stratification check and the
+//! delta variants all see those reads.
 //!
 //! ## Semi-naive rounds
 //!
@@ -20,9 +25,8 @@
 //! total's rows (`SeenRows`), filled from the seed. A round evaluates the
 //! member's *delta variants* (the rule once per recursive binding
 //! occurrence, that occurrence redirected (`Redirect`) to last round's
-//! delta) and streams the
-//! rows they derive through the seen set: a row not derived before joins
-//! the new delta. That single pass is the union of the variants, its
+//! delta) and streams the rows they derive through the seen set: a row
+//! not derived before joins the new delta. That single pass is the union of the variants, its
 //! de-duplication and the difference against everything derived so far —
 //! over the *derived* rows only; the total is never re-keyed or copied.
 //! After every member of the round is evaluated the new deltas are
@@ -49,17 +53,6 @@ use std::hash::{BuildHasher, Hash, Hasher};
 /// this bounds derivable-set growth, not wall-clock time).
 const MAX_ITERATIONS: usize = 1_000_000;
 
-/// How recursive SCCs are iterated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FixpointStrategy {
-    /// Re-derive everything each round (the textbook definition).
-    Naive,
-    /// Differentiate on the per-round delta (one variant per recursive
-    /// binding occurrence); asymptotically avoids re-deriving old facts.
-    #[default]
-    SemiNaive,
-}
-
 /// The result of evaluating a [`Program`].
 #[derive(Debug, Clone)]
 pub struct ProgramOutput {
@@ -70,28 +63,19 @@ pub struct ProgramOutput {
 }
 
 impl Engine<'_> {
-    /// Evaluate a program with the default (semi-naive) strategy.
+    /// Evaluate a program: its definitions, stratum by stratum, then its
+    /// query.
     pub fn eval_program(&self, p: &Program) -> Result<ProgramOutput> {
-        self.eval_program_with(p, FixpointStrategy::default())
-    }
-
-    /// Evaluate a program with an explicit fixpoint strategy.
-    pub fn eval_program_with(
-        &self,
-        p: &Program,
-        strategy: FixpointStrategy,
-    ) -> Result<ProgramOutput> {
-        self.program_recorded(p, strategy, Recording::Options)
+        self.program_recorded(p, Recording::Options)
             .map(|(out, _)| out)
     }
 
-    /// [`Engine::eval_program_with`] under the given [`Recording`] (the
+    /// [`Engine::eval_program`] under the given [`Recording`] (the
     /// `profile_*` and `span_trace_*` entry points), returning the
     /// entry's recorder beside the output.
     pub(crate) fn program_recorded(
         &self,
         p: &Program,
-        strategy: FixpointStrategy,
         recording: Recording,
     ) -> Result<(ProgramOutput, Option<Recorder>)> {
         // One latency sample — and, when timed, one enclosing `query`
@@ -101,7 +85,7 @@ impl Engine<'_> {
         // record cover every stratum and fixpoint round.
         self.entered(recording, |entry| {
             let strata = Strata::of(p);
-            let defined = self.materialize_definitions(&strata, strategy, entry)?;
+            let defined = self.materialize_definitions(&strata, entry)?;
             let query = match &p.query {
                 Some(q) => Some(self.eval_with(q, &defined, &strata.abstracts, entry, None)?),
                 None => None,
@@ -118,8 +102,7 @@ impl Engine<'_> {
     pub fn eval_sentence_in(&self, p: &Program, f: &Formula) -> Result<arc_core::value::Truth> {
         self.entered(Recording::Options, |entry| {
             let strata = Strata::of(p);
-            let defined =
-                self.materialize_definitions(&strata, FixpointStrategy::default(), entry)?;
+            let defined = self.materialize_definitions(&strata, entry)?;
             self.eval_sentence_with(f, &defined, &strata.abstracts, entry)
         })
         .map(|(truth, _)| truth)
@@ -129,7 +112,6 @@ impl Engine<'_> {
     fn materialize_definitions(
         &self,
         strata: &Strata<'_>,
-        strategy: FixpointStrategy,
         entry: &Entry,
     ) -> Result<HashMap<String, Relation>> {
         let mut defined: HashMap<String, Relation> = HashMap::new();
@@ -140,13 +122,9 @@ impl Engine<'_> {
                         self.eval_with(&def.collection, &defined, &strata.abstracts, entry, None)?;
                     defined.insert(def.name().to_string(), rel);
                 }
-                members => self.solve_recursive_scc(
-                    members,
-                    &mut defined,
-                    &strata.abstracts,
-                    strategy,
-                    entry,
-                )?,
+                members => {
+                    self.solve_recursive_scc(members, &mut defined, &strata.abstracts, entry)?
+                }
             }
         }
         Ok(defined)
@@ -157,7 +135,6 @@ impl Engine<'_> {
         scc: &[&Definition],
         defined: &mut HashMap<String, Relation>,
         abstracts: &HashMap<String, Collection>,
-        strategy: FixpointStrategy,
         entry: &Entry,
     ) -> Result<()> {
         let member_names: HashSet<String> = scc.iter().map(|d| d.name().to_string()).collect();
@@ -169,7 +146,7 @@ impl Engine<'_> {
             });
         }
         for def in scc {
-            if uses_nonmonotonically(&def.collection, &member_names) {
+            if uses_nonmonotonically(&def.collection, abstracts, &member_names) {
                 return Err(EvalError::NotStratifiable {
                     relation: def.name().to_string(),
                 });
@@ -186,141 +163,85 @@ impl Engine<'_> {
             defined.insert(def.name().to_string(), empty(def));
         }
 
-        match strategy {
-            FixpointStrategy::Naive => {
-                for iteration in 0.. {
-                    // Guard seam: one cooperative check (and fault
-                    // window) per fixpoint round, so a runaway recursion
-                    // observes its deadline/cancellation between rounds.
-                    crate::eval::guard_check_at(entry.guard.as_ref(), seam::FIXPOINT_ROUND)?;
-                    if iteration >= MAX_ITERATIONS {
-                        return Err(EvalError::FixpointLimit {
-                            relation: first_name,
-                            iterations: MAX_ITERATIONS,
-                        });
-                    }
-                    let mut changed = false;
-                    for def in scc {
-                        let new = self
-                            .eval_with(&def.collection, defined, abstracts, entry, None)?
-                            .union(&defined[def.name()])
-                            .deduped();
-                        let grown = new.len().saturating_sub(defined[def.name()].len());
-                        if grown > 0 {
-                            changed = true;
-                            // Derived-set growth has no streaming
-                            // fallback: hard-charge it, trip on denial.
-                            crate::eval::guard_reserve_hard(
-                                entry.guard.as_ref(),
-                                grown * new.schema.len().max(1) * 24,
-                            )?;
-                        }
-                        defined.insert(def.name().to_string(), new);
-                    }
-                    if !changed {
-                        break;
-                    }
+        // Bytes one derived row charges: its tuple in the total and its slot
+        // in the seen set. Neither can stream, so the reservation is hard —
+        // denial trips the guard.
+        let row_bytes =
+            |def: &Definition| def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES;
+        let delta_names: Vec<String> = scc.iter().map(|d| delta_name(d.name())).collect();
+
+        // Round 0: full rules against empty members seed the totals (a
+        // later member already reads an earlier one's seed) and fill each
+        // member's seen set. A seed is its member's first delta too.
+        let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
+        for (def, delta) in scc.iter().zip(&delta_names) {
+            let rows = self.eval_with(&def.collection, defined, abstracts, entry, None)?;
+            let (mut set, mut seed) = (SeenRows::default(), empty(def));
+            for row in rows.rows {
+                if set.insert(&row, &[], &seed.rows) {
+                    seed.rows.push(row);
                 }
             }
-            FixpointStrategy::SemiNaive => {
-                // Bytes one derived row charges: its tuple in the total and
-                // its slot in the seen set. Neither can stream, so the
-                // reservation is hard — denial trips the guard.
-                let row_bytes = |def: &Definition| {
-                    def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES
-                };
-                let delta_names: Vec<String> = scc.iter().map(|d| delta_name(d.name())).collect();
+            crate::eval::guard_reserve_hard(
+                entry.guard.as_ref(),
+                seed.len() * SeenRows::SLOT_BYTES,
+            )?;
+            seen.push(set);
+            defined.insert(delta.clone(), seed.clone());
+            defined.insert(def.name().to_string(), seed);
+        }
+        let delta_of = |member: &str| {
+            let named = |(d, _): &(&&Definition, &String)| d.name() == member;
+            let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
+            Some(delta.as_str())
+        };
+        let variants: Vec<Vec<Option<Redirect<'_>>>> = scc
+            .iter()
+            .map(|def| delta_variants(&def.collection, abstracts, &delta_of))
+            .collect();
 
-                // Round 0: full rules against empty members seed the
-                // totals (a later member already reads an earlier one's
-                // seed) and fill each member's seen set. A seed is its
-                // member's first delta too.
-                let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
-                for (def, delta) in scc.iter().zip(&delta_names) {
-                    let rows = self.eval_with(&def.collection, defined, abstracts, entry, None)?;
-                    let (mut set, mut seed) = (SeenRows::default(), empty(def));
+        for iteration in 0.. {
+            // Guard seam: one cooperative check (and fault window) per
+            // round.
+            crate::eval::guard_check_at(entry.guard.as_ref(), seam::FIXPOINT_ROUND)?;
+            if iteration >= MAX_ITERATIONS {
+                return Err(EvalError::FixpointLimit {
+                    relation: first_name,
+                    iterations: MAX_ITERATIONS,
+                });
+            }
+            if delta_names.iter().all(|delta| defined[delta].is_empty()) {
+                break;
+            }
+            // Stream every variant's rows through the member's seen set: a
+            // row not derived before joins the new delta, in
+            // first-occurrence order across variants.
+            let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
+            for ((def, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
+                let mut new = Vec::new();
+                for variant in variants {
+                    let rows =
+                        self.eval_with(&def.collection, defined, abstracts, entry, *variant)?;
+                    let total = &defined[def.name()].rows;
                     for row in rows.rows {
-                        if set.insert(&row, &[], &seed.rows) {
-                            seed.rows.push(row);
+                        if seen.insert(&row, total, &new) {
+                            new.push(row);
                         }
                     }
-                    crate::eval::guard_reserve_hard(
-                        entry.guard.as_ref(),
-                        seed.len() * SeenRows::SLOT_BYTES,
-                    )?;
-                    seen.push(set);
-                    defined.insert(delta.clone(), seed.clone());
-                    defined.insert(def.name().to_string(), seed);
                 }
-                // The delta variants of a rule: one per recursive binding
-                // occurrence — the rule itself, that occurrence reading
-                // last round's delta of the member it names.
-                let delta_of = |member: &str| {
-                    let named = |(d, _): &(&&Definition, &String)| d.name() == member;
-                    let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
-                    Some(delta.as_str())
-                };
-                let variants: Vec<Vec<Redirect<'_>>> = scc
-                    .iter()
-                    .map(|def| {
-                        let mut variants = Vec::new();
-                        delta_variants(&def.collection, &delta_of, &mut variants);
-                        variants
-                    })
-                    .collect();
-
-                for iteration in 0.. {
-                    // Guard seam: one cooperative check (and fault
-                    // window) per semi-naive round.
-                    crate::eval::guard_check_at(entry.guard.as_ref(), seam::FIXPOINT_ROUND)?;
-                    if iteration >= MAX_ITERATIONS {
-                        return Err(EvalError::FixpointLimit {
-                            relation: first_name,
-                            iterations: MAX_ITERATIONS,
-                        });
-                    }
-                    if delta_names.iter().all(|delta| defined[delta].is_empty()) {
-                        break;
-                    }
-                    // Stream every variant's rows through the member's
-                    // seen set: a row not derived before joins the new
-                    // delta, in first-occurrence order across variants.
-                    let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
-                    for ((def, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
-                        let mut new = Vec::new();
-                        for variant in variants {
-                            let rows = self.eval_with(
-                                &def.collection,
-                                defined,
-                                abstracts,
-                                entry,
-                                Some(*variant),
-                            )?;
-                            let total = &defined[def.name()].rows;
-                            for row in rows.rows {
-                                if seen.insert(&row, total, &new) {
-                                    new.push(row);
-                                }
-                            }
-                        }
-                        crate::eval::guard_reserve_hard(
-                            entry.guard.as_ref(),
-                            new.len() * row_bytes(def),
-                        )?;
-                        fresh.push(new);
-                    }
-                    // Publish only now: within a round every member reads
-                    // the totals and deltas of the round before.
-                    for ((def, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
-                        let total = defined.get_mut(def.name()).expect("seeded above");
-                        total.rows.extend(new.iter().cloned());
-                        defined.get_mut(delta).expect("seeded above").rows = new;
-                    }
-                }
-                for delta in &delta_names {
-                    defined.remove(delta);
-                }
+                crate::eval::guard_reserve_hard(entry.guard.as_ref(), new.len() * row_bytes(def))?;
+                fresh.push(new);
             }
+            // Publish only now: within a round every member reads the totals
+            // and deltas of the round before.
+            for ((def, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
+                let total = defined.get_mut(def.name()).expect("seeded above");
+                total.rows.extend(new.iter().cloned());
+                defined.get_mut(delta).expect("seeded above").rows = new;
+            }
+        }
+        for delta in &delta_names {
+            defined.remove(delta);
         }
         Ok(())
     }
@@ -396,25 +317,13 @@ impl<'p> Strata<'p> {
             }
         }
 
-        // Dependency graph over safe definitions. References routed
-        // through abstract relations inherit the abstract body's own
-        // references.
+        // Dependency graph over safe definitions, abstract bodies followed.
         let def_index = |name: &str| safe.iter().position(|d| d.name() == name);
         let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); safe.len()];
         for (i, def) in safe.iter().enumerate() {
-            let mut names = Vec::new();
-            collect_sources(&def.collection, &mut names);
-            let mut seen_abstract: HashSet<&str> = HashSet::new();
-            let mut queue = names;
-            while let Some(name) = queue.pop() {
-                if let Some(j) = def_index(name) {
-                    deps[i].insert(j);
-                } else if let Some(a) = abstracts.get(name) {
-                    if seen_abstract.insert(name) {
-                        collect_sources(a, &mut queue);
-                    }
-                }
-            }
+            reads(&def.collection, &abstracts, &mut |_, name, _| {
+                deps[i].extend(def_index(name));
+            });
         }
 
         // Strongly connected components (Tarjan). An edge `i → j` says
@@ -432,64 +341,77 @@ impl<'p> Strata<'p> {
     }
 }
 
-/// All named binding sources of a collection, recursively.
-pub(crate) fn collect_sources<'c>(c: &'c Collection, out: &mut Vec<&'c str>) {
-    fn walk<'c>(f: &'c Formula, out: &mut Vec<&'c str>) {
+/// Visit every named binding `c` reads, in source order — nested
+/// collections included, and the body of each abstract definition a
+/// binding names right after that binding (once per path, so a cycle of
+/// abstract definitions ends) — with whether the read is monotone. A read
+/// is not monotone under `¬`, inside a grouping scope, or on the
+/// null-supplying side of an outer join: a new row on a padded side can
+/// *remove* a result — the `NULL`-padded row it now matches — exactly like
+/// a new row under `¬`. An abstract body read non-monotonically reads
+/// everything in it non-monotonically.
+pub(crate) fn reads<'c>(
+    c: &'c Collection,
+    abstracts: &'c HashMap<String, Collection>,
+    visit: &mut impl FnMut(&'c Binding, &'c str, bool),
+) {
+    fn walk<'c>(
+        f: &'c Formula,
+        abstracts: &'c HashMap<String, Collection>,
+        monotone: bool,
+        path: &mut Vec<&'c str>,
+        visit: &mut impl FnMut(&'c Binding, &'c str, bool),
+    ) {
         match f {
             Formula::Quant(q) => {
-                for b in &q.bindings {
-                    match &b.source {
-                        BindingSource::Named(n) => out.push(n),
-                        BindingSource::Collection(c) => collect_sources(c, out),
-                    }
-                }
-                walk(&q.body, out);
-            }
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|s| walk(s, out)),
-            Formula::Not(inner) => walk(inner, out),
-            Formula::Pred(_) => {}
-        }
-    }
-    walk(&c.body, out);
-}
-
-/// Does the collection reference any of `names` under negation, inside a
-/// grouping scope, or on the null-supplying side of an outer join
-/// (non-monotonic use → not stratifiable)? A new row on a padded side can
-/// *remove* a result — the `NULL`-padded row it now matches — exactly
-/// like a new row under `¬`.
-fn uses_nonmonotonically(c: &Collection, names: &HashSet<String>) -> bool {
-    fn walk(f: &Formula, names: &HashSet<String>, neg: bool, grouped: bool) -> bool {
-        match f {
-            Formula::Quant(q) => {
-                let grouped = grouped || q.grouping.is_some();
+                let monotone = monotone && q.grouping.is_none();
                 let mut padded = Vec::new();
                 if let Some(tree) = &q.join {
                     null_supplied(tree, &mut padded);
                 }
                 for b in &q.bindings {
-                    let neg = neg || padded.contains(&b.var.as_str());
+                    let monotone = monotone && !padded.contains(&b.var.as_str());
                     match &b.source {
-                        BindingSource::Named(n) => {
-                            if names.contains(n) && (neg || grouped) {
-                                return true;
+                        BindingSource::Named(name) => {
+                            visit(b, name, monotone);
+                            match abstracts.get(name) {
+                                Some(body) if !path.contains(&name.as_str()) => {
+                                    path.push(name);
+                                    walk(&body.body, abstracts, monotone, path, visit);
+                                    path.pop();
+                                }
+                                _ => {}
                             }
                         }
                         BindingSource::Collection(c) => {
-                            if walk(&c.body, names, neg, grouped) {
-                                return true;
-                            }
+                            walk(&c.body, abstracts, monotone, path, visit)
                         }
                     }
                 }
-                walk(&q.body, names, neg, grouped)
+                walk(&q.body, abstracts, monotone, path, visit);
             }
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().any(|s| walk(s, names, neg, grouped)),
-            Formula::Not(inner) => walk(inner, names, true, grouped),
-            Formula::Pred(_) => false,
+            Formula::And(fs) | Formula::Or(fs) => fs
+                .iter()
+                .for_each(|sub| walk(sub, abstracts, monotone, path, visit)),
+            Formula::Not(inner) => walk(inner, abstracts, false, path, visit),
+            Formula::Pred(_) => {}
         }
     }
-    walk(&c.body, names, false, false)
+    walk(&c.body, abstracts, true, &mut Vec::new(), visit);
+}
+
+/// Does the collection read any of `names` non-monotonically ([`reads`])?
+/// Then it is not stratifiable.
+fn uses_nonmonotonically(
+    c: &Collection,
+    abstracts: &HashMap<String, Collection>,
+    names: &HashSet<String>,
+) -> bool {
+    let mut found = false;
+    reads(c, abstracts, &mut |_, name, monotone| {
+        found |= !monotone && names.contains(name);
+    });
+    found
 }
 
 /// The variables of `tree` that an outer join may pad with `NULL`s: all
@@ -506,40 +428,36 @@ fn null_supplied<'t>(tree: &'t JoinTree, out: &mut Vec<&'t str>) {
     }
 }
 
-/// One [`Redirect`] per binding of `c` whose source has a delta
-/// (`delta_of` names it: the source is a member of the recursive
-/// component being solved) — in source order, nested collections
-/// included.
+/// The delta variants of rule `c`: one [`Redirect`] per binding it reads
+/// ([`reads`]) whose source has a delta (`delta_of` names it: the source
+/// is a member of the recursive component being solved) — the rule
+/// itself, that occurrence reading last round's delta.
+///
+/// An abstract body is one AST however often the rule reads the abstract
+/// relation, and redirecting a binding in it redirects every read at
+/// once, which misses a row that needs a new fact in one read and an old
+/// one in another. A rule that reaches one binding twice therefore has
+/// one variant, the rule itself unredirected: each round derives all of
+/// it again, and the seen set keeps only what is new.
 fn delta_variants<'c>(
     c: &'c Collection,
+    abstracts: &'c HashMap<String, Collection>,
     delta_of: &impl Fn(&str) -> Option<&'c str>,
-    out: &mut Vec<Redirect<'c>>,
-) {
-    fn walk<'c>(
-        f: &'c Formula,
-        delta_of: &impl Fn(&str) -> Option<&'c str>,
-        out: &mut Vec<Redirect<'c>>,
-    ) {
-        match f {
-            Formula::Quant(q) => {
-                for binding in &q.bindings {
-                    match &binding.source {
-                        BindingSource::Named(source) => {
-                            out.extend(delta_of(source).map(|name| Redirect { binding, name }))
-                        }
-                        BindingSource::Collection(c) => delta_variants(c, delta_of, out),
-                    }
-                }
-                walk(&q.body, delta_of, out);
-            }
-            Formula::And(fs) | Formula::Or(fs) => {
-                fs.iter().for_each(|sub| walk(sub, delta_of, out))
-            }
-            Formula::Not(inner) => walk(inner, delta_of, out),
-            Formula::Pred(_) => {}
-        }
+) -> Vec<Option<Redirect<'c>>> {
+    let mut variants: Vec<Redirect<'c>> = Vec::new();
+    reads(c, abstracts, &mut |binding, source, _| {
+        variants.extend(delta_of(source).map(|name| Redirect { binding, name }));
+    });
+    let twice = variants.iter().enumerate().any(|(i, v)| {
+        variants[..i]
+            .iter()
+            .any(|w| std::ptr::eq(w.binding, v.binding))
+    });
+    if twice {
+        vec![None]
+    } else {
+        variants.into_iter().map(Some).collect()
     }
-    walk(&c.body, delta_of, out);
 }
 
 /// Tarjan's strongly connected components, in emission order, each as

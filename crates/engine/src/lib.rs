@@ -21,9 +21,8 @@
 //! hash/scan choice, predicate pushdown — so equi-join workloads drop from
 //! O(n·m) to O(n+m) with no configuration, and
 //! `Engine::explain_collection`/`Engine::explain_program` render the plan.
-//! Recursion is solved semi-naively, with naive iteration
-//! ([`fixpoint::FixpointStrategy`]) kept as the in-engine reference the
-//! fixpoint suites compare against.
+//! Recursion is solved semi-naively ([`fixpoint`]); the fixpoint suites
+//! compare it with the oracle and with plain-loop references.
 //!
 //! ```
 //! use arc_core::dsl::*;
@@ -72,7 +71,7 @@ pub use eval::{Engine, QueryOptions};
 // `Engine::cancel_handle` without depending on `arc-guard` directly.
 pub use arc_guard::{seam, CancelHandle, FaultKind, FaultPlan};
 pub use external::{AccessPattern, ExternalRelation};
-pub use fixpoint::{FixpointStrategy, ProgramOutput};
+pub use fixpoint::ProgramOutput;
 pub use relation::{Relation, Tuple};
 
 #[cfg(test)]

@@ -393,13 +393,6 @@ impl Relation {
         }
         set
     }
-
-    /// Bag union (concatenation).
-    pub fn union(&self, other: &Relation) -> Relation {
-        let mut out = self.clone();
-        out.rows.extend(other.rows.iter().cloned());
-        out
-    }
 }
 
 /// Drop every row that repeats an earlier one (first occurrence order

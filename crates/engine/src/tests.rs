@@ -2,7 +2,7 @@
 //! paper's own instances (larger randomized checks live in the
 //! workspace-level integration tests and `arc-analysis`).
 
-use crate::{Catalog, Engine, EvalError, FixpointStrategy, Relation};
+use crate::{Catalog, Engine, EvalError, Relation};
 use arc_core::conventions::Conventions;
 use arc_core::dsl::*;
 use arc_core::value::{Truth, Value};
@@ -567,26 +567,6 @@ fn recursion_transitive_closure() {
     let out = engine.eval_program(&ancestor_program()).unwrap();
     let anc = &out.defined["A"];
     assert_eq!(anc.len(), 6); // (1,2)(1,3)(1,4)(2,3)(2,4)(3,4)
-}
-
-#[test]
-fn naive_and_semi_naive_agree() {
-    let mut rows: Vec<Vec<i64>> = Vec::new();
-    for i in 0..30 {
-        rows.push(vec![i, i + 1]);
-    }
-    rows.push(vec![5, 0]); // introduce a cycle
-    let rows_ref: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-    let catalog = Catalog::new().with(ints("P", &["s", "t"], &rows_ref));
-    let engine = Engine::new(&catalog, Conventions::set());
-    let naive = engine
-        .eval_program_with(&ancestor_program(), FixpointStrategy::Naive)
-        .unwrap();
-    let semi = engine
-        .eval_program_with(&ancestor_program(), FixpointStrategy::SemiNaive)
-        .unwrap();
-    assert!(naive.defined["A"].set_eq(&semi.defined["A"]));
-    assert!(!naive.defined["A"].is_empty());
 }
 
 #[test]

@@ -1,6 +1,10 @@
-//! Host crate for the workspace-level integration tests in `/tests`, and
-//! the one comparison they share: an engine answer against the oracle's.
+//! Host crate for the workspace-level integration tests in `/tests` and
+//! the runnable examples in `/examples`: the paper fixtures they share
+//! ([`fixtures`]), and the one comparison the tests share — an engine
+//! answer against the oracle's.
 #![warn(missing_docs)]
+
+pub mod fixtures;
 
 use arc_analysis::oracle;
 use arc_core::ast::{Collection, Program};

@@ -2,9 +2,10 @@
 //!
 //! The examples are the paper's end-to-end walkthroughs (quickstart, the
 //! count bug, the rosetta stone, matrix multiplication, NL2SQL
-//! validation); breaking one silently would invalidate the README. Each is
-//! executed through `cargo run --example` so the test exercises exactly
-//! what a reader would type.
+//! validation) and `experiments`, the table of every paper figure, which
+//! exits 1 when a row is ✗; breaking one silently would invalidate the
+//! README. Each is executed through `cargo run --example` from the
+//! workspace root, so the test exercises exactly what a reader would type.
 
 use std::process::Command;
 
@@ -14,12 +15,14 @@ const EXAMPLES: &[&str] = &[
     "rosetta_stone",
     "matrix_multiplication",
     "nl2sql_validation",
+    "experiments",
 ];
 
 fn run_example(name: &str) -> std::process::Output {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     Command::new(cargo)
-        .args(["run", "--quiet", "-p", "arc-examples", "--example", name])
+        .args(["run", "--quiet", "-p", "arc-tests", "--example", name])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn cargo for example `{name}`: {e}"))
 }

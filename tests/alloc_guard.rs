@@ -10,11 +10,11 @@
 #[path = "adhoc_shapes.rs"]
 mod adhoc_shapes;
 
-use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

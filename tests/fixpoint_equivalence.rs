@@ -1,19 +1,16 @@
 //! Semi-naive evaluation keeps, per recursive relation, one total appended
 //! in place and one *seen* set over its rows; a round streams what its
 //! delta variants derive through that set. These tests hold that driver to
-//! four references:
+//! three references:
 //!
-//! * **naive iteration** (`FixpointStrategy::Naive`, the textbook
-//!   definition): the same rows, none twice. Its row *order* is a
-//!   different one by construction — every naive round re-derives
-//!   everything, new rows first;
+//! * the **oracle** (`arc_analysis::oracle`), whose naive fixpoint — the
+//!   textbook definition — shares no code with the engine: the same rows,
+//!   none twice;
 //! * a **plain-loop closure** written here (no engine code): the same
 //!   rows;
 //! * a **plain-loop semi-naive driver** written here — seed, then per
 //!   round the delta variants, minus everything derived before: the same
-//!   rows **in the same rounds**;
-//! * the **oracle** (`arc_analysis::oracle`), whose naive fixpoint shares
-//!   no code with the engine: the same rows.
+//!   rows **in the same rounds**.
 //!
 //! Row order is additionally pinned across configurations (default,
 //! `with_threads(4)`, a generous budget) for every defined relation of
@@ -23,7 +20,7 @@
 use arc_core::ast::Program;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
-use arc_engine::{Catalog, Engine, EvalError, FixpointStrategy, Relation};
+use arc_engine::{Catalog, Engine, EvalError, Relation};
 use arc_parser::parse_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,8 +195,8 @@ fn configurations(catalog: &Catalog) -> Vec<(&'static str, Engine<'_>)> {
 }
 
 /// Semi-naive under every configuration, order-identical per defined
-/// relation; naive agrees as a set and has no duplicate either. Returns
-/// the default engine's output.
+/// relation, and the oracle's naive fixpoint as a set, with no duplicate.
+/// Returns the default engine's output.
 fn eval_all(catalog: &Catalog, p: &Program) -> BTreeMap<String, Relation> {
     let mut reference: Option<BTreeMap<String, Relation>> = None;
     for (name, engine) in configurations(catalog) {
@@ -218,10 +215,7 @@ fn eval_all(catalog: &Catalog, p: &Program) -> BTreeMap<String, Relation> {
         }
     }
     let semi = reference.unwrap();
-    let naive = Engine::new(catalog, Conventions::set())
-        .eval_program_with(p, FixpointStrategy::Naive)
-        .unwrap()
-        .defined;
+    let naive = arc_tests::oracle_program(catalog, Conventions::set(), p).defined;
     for (rel, rows) in &semi {
         assert_eq!(rows.len(), naive[rel].len(), "`{rel}`: a row derived twice");
         assert!(rows.set_eq(&naive[rel]), "`{rel}`: semi-naive ≠ naive");

@@ -20,11 +20,11 @@
 //! NaN). Float sums are order-sensitive, so this also checks that each
 //! path folds in the oracle's enumeration order.
 
-use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 /// Rows of `G`: past one chunk, so the `Mixed` run starts in the second.
 const G_ROWS: i64 = 1_100;

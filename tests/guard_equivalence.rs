@@ -23,11 +23,11 @@
 //! alive for the next query on the same catalog.
 
 use arc_analysis::{chain_catalog, random_catalog, random_conjunctive_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::ast::Collection;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{seam, Catalog, Engine, EvalError, FaultKind, FaultPlan, Relation};
+use arc_tests::fixtures as fx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,38 +136,32 @@ proptest! {
     }
 }
 
-/// Fixpoint programs under the guard: generous limits are invisible for
-/// both fixpoint strategies, and the recursive growth charge is the one
-/// hard (non-degrading) budget consumer — a tiny budget aborts with
-/// `MemoryBudget`, structured.
+/// Fixpoint programs under the guard: generous limits are invisible, and
+/// the recursive growth charge is the one hard (non-degrading) budget
+/// consumer — a tiny budget aborts with `MemoryBudget`, structured.
 #[test]
 fn fixpoint_guarded_identical_and_tight_budget_aborts_structured() {
     let catalog = chain_catalog(24, 0, 3);
     let p = fx::eq16();
-    for strategy in [
-        arc_engine::FixpointStrategy::Naive,
-        arc_engine::FixpointStrategy::SemiNaive,
-    ] {
-        let reference = Engine::new(&catalog, Conventions::set())
-            .eval_program_with(&p, strategy)
-            .unwrap();
-        let guarded = Engine::new(&catalog, Conventions::set())
-            .with_timeout(GENEROUS_DEADLINE)
-            .with_mem_budget(GENEROUS_BUDGET)
-            .eval_program_with(&p, strategy)
-            .unwrap();
-        assert_eq!(
-            reference.defined["A"].rows, guarded.defined["A"].rows,
-            "guarded fixpoint drifted under {strategy:?}"
-        );
-        let starved = Engine::new(&catalog, Conventions::set())
-            .with_mem_budget(1)
-            .eval_program_with(&p, strategy);
-        assert!(
-            matches!(starved, Err(EvalError::MemoryBudget)),
-            "starved fixpoint must abort structured, got {starved:?}"
-        );
-    }
+    let reference = Engine::new(&catalog, Conventions::set())
+        .eval_program(&p)
+        .unwrap();
+    let guarded = Engine::new(&catalog, Conventions::set())
+        .with_timeout(GENEROUS_DEADLINE)
+        .with_mem_budget(GENEROUS_BUDGET)
+        .eval_program(&p)
+        .unwrap();
+    assert_eq!(
+        reference.defined["A"].rows, guarded.defined["A"].rows,
+        "guarded fixpoint drifted"
+    );
+    let starved = Engine::new(&catalog, Conventions::set())
+        .with_mem_budget(1)
+        .eval_program(&p);
+    assert!(
+        matches!(starved, Err(EvalError::MemoryBudget)),
+        "starved fixpoint must abort structured, got {starved:?}"
+    );
     // The same catalog still answers after the aborted fixpoint.
     let after = Engine::new(&catalog, Conventions::set())
         .eval_program(&p)

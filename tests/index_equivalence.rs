@@ -19,12 +19,12 @@
 //! pushed-down filter would have skipped — never more, never fewer.
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::dsl as d;
 use arc_core::value::Value;
 use arc_engine::{seam, Catalog, Engine, Relation};
 use arc_tests::deny_first;
+use arc_tests::fixtures as fx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

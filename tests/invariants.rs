@@ -72,18 +72,14 @@ proptest! {
         prop_assert!(a.set_eq(&b));
     }
 
-    /// Invariant 5: naive and semi-naive fixpoints agree on random graphs.
+    /// Invariant 5: the engine's semi-naive fixpoint and the oracle's
+    /// naive one agree on random graphs.
     #[test]
     fn fixpoint_strategies_agree(depth in 2usize..20, extra in 0usize..8, seed in 0u64..100) {
         let catalog = arc_analysis::chain_catalog(depth, extra, seed);
-        let program = arc_bench::fixtures::eq16();
-        let engine = Engine::new(&catalog, Conventions::set());
-        let naive = engine
-            .eval_program_with(&program, arc_engine::FixpointStrategy::Naive)
-            .unwrap();
-        let semi = engine
-            .eval_program_with(&program, arc_engine::FixpointStrategy::SemiNaive)
-            .unwrap();
+        let program = arc_tests::fixtures::eq16();
+        let semi = Engine::new(&catalog, Conventions::set()).eval_program(&program).unwrap();
+        let naive = arc_tests::oracle_program(&catalog, Conventions::set(), &program);
         prop_assert!(naive.defined["A"].set_eq(&semi.defined["A"]));
     }
 

@@ -90,7 +90,7 @@ fn datalog_and_sql_front_ends_agree_on_shared_fragment() {
 
 #[test]
 fn binder_validates_every_fixture() {
-    use arc_bench::fixtures as fx;
+    use arc_tests::fixtures as fx;
     let schemas = fx::all_schemas();
     // Collections with self-contained schemas bind closed-world; the rest
     // bind open-world. All must be valid.
@@ -131,7 +131,7 @@ fn binder_validates_every_fixture() {
 #[test]
 fn alt_text_modality_matches_paper_layout_for_eq27() {
     // Fig 21g, verbatim layout.
-    use arc_bench::fixtures as fx;
+    use arc_tests::fixtures as fx;
     let rendered = arc_core::alt::render_collection(&fx::eq27());
     let expected = "\
 COLLECTION
@@ -152,7 +152,7 @@ COLLECTION
 
 #[test]
 fn higraph_svg_and_dot_render_for_all_fixtures() {
-    use arc_bench::fixtures as fx;
+    use arc_tests::fixtures as fx;
     for c in [
         fx::eq1(),
         fx::eq3(),

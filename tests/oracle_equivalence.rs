@@ -15,11 +15,11 @@ use arc_analysis::{
     chain_catalog, random_catalog, random_conjunctive_query, random_correlated_boolean_query,
     InstanceSpec,
 };
-use arc_bench::fixtures as fx;
 use arc_core::ast::{Collection, Formula, Program};
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{seam, Catalog, Engine, EvalError, Relation};
+use arc_tests::fixtures as fx;
 use arc_tests::{agrees, assert_oracle, deny_first, oracle_program, oracle_rows};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -10,11 +10,11 @@
 //! (for `full`) the unmatched right rows in order — which is also the
 //! order the all-pairs loop this node used to run produced.
 
-use arc_bench::fixtures as fx;
 use arc_core::ast::{CmpOp, Collection};
 use arc_core::conventions::Conventions;
 use arc_core::value::{cmp_truth, Value};
 use arc_engine::{Catalog, Engine, Relation, Tuple};
+use arc_tests::fixtures as fx;
 
 /// `l op r` holds (is `True`, not `Unknown`).
 fn holds(l: &Value, op: CmpOp, r: &Value) -> bool {

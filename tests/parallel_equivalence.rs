@@ -13,9 +13,9 @@
 //!   partition-axis step of a parallel engine's plan.
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_engine::Engine;
+use arc_tests::fixtures as fx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

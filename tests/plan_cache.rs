@@ -25,11 +25,11 @@
 mod adhoc_shapes;
 
 use adhoc_shapes::{all_spellings, Shape, Statement, ID_RANGE};
-use arc_bench::fixtures as fx;
 use arc_core::binder::Binder;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 #[test]
 fn plan_cache_eliminates_per_outer_row_planning() {

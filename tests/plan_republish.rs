@@ -16,9 +16,9 @@
 //! at a time under `cargo test`; a single test keeps deltas
 //! attributable).
 
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_engine::Engine;
+use arc_tests::fixtures as fx;
 
 #[test]
 fn bailed_boolean_republish_counts_once() {

@@ -16,10 +16,10 @@
 //! 6a over Emp / Sal 16 384 / 64 departments), whose counts are the same
 //! for every seed.
 
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 fn ints(name: &str, attrs: &[&str], rows: impl Iterator<Item = Vec<i64>>) -> Relation {
     let rows = rows.map(|r| r.into_iter().map(Value::Int).collect());

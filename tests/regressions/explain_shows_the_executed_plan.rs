@@ -9,12 +9,12 @@
 //! `EXPLAIN` of Eq 24 printed the abstract `Subset` as a materialized
 //! definition the engine never evaluates.
 
-use arc_bench::fixtures as fx;
 use arc_core::ast::{Definition, Program};
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
 use arc_parser::parse_collection;
+use arc_tests::fixtures as fx;
 
 /// Case (a): every unfiltered `scan X` line of `EXPLAIN ANALYZE` reads
 /// `act = calls × |X|` — the step scans what it says it scans.

@@ -3,10 +3,10 @@
 //! fold from the batch (slot arguments), on the row path (an arithmetic
 //! argument), and in the oracle.
 
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 #[test]
 fn int_sums_wrap_on_both_fold_paths_and_in_the_oracle() {

@@ -8,5 +8,6 @@ mod explain_shows_the_executed_plan;
 mod i64_min_round_trip;
 mod int_sums_wrap;
 mod outer_join_stratification;
+mod recursion_through_abstract;
 mod right_join_alias;
 mod zero_binding_semi_scopes;

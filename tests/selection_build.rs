@@ -8,10 +8,10 @@
 //! counter, so this file deliberately contains a **single** `#[test]`
 //! (like `tests/semijoin_build.rs`).
 
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 #[test]
 fn sibling_scans_differing_in_a_constant_select_separately() {

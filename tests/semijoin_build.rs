@@ -9,10 +9,10 @@
 //! keeps the counter deltas attributable), mirroring
 //! `tests/plan_cache.rs` for the planner-run counter.
 
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::{semi_build_runs, Catalog, Engine, Relation};
+use arc_tests::fixtures as fx;
 
 #[test]
 fn semijoin_builds_once_not_per_outer_row() {

@@ -15,10 +15,10 @@
 //! with `est=N` and a `build (once)` pipeline).
 
 use arc_analysis::{random_catalog, random_correlated_boolean_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::value::Value;
 use arc_engine::Engine;
+use arc_tests::fixtures as fx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

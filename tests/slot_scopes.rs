@@ -9,11 +9,11 @@
 //! the errors and their timing of per-row evaluation.
 
 use arc_analysis::oracle::{self, OracleError};
-use arc_bench::fixtures as fx;
 use arc_core::ast::{BindingSource, Collection, Formula, Program};
 use arc_core::conventions::{Conventions, EmptyAgg};
 use arc_core::value::Value;
 use arc_engine::{Catalog, Engine, EvalError, Relation};
+use arc_tests::fixtures as fx;
 use arc_trace::OpId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;

@@ -11,10 +11,10 @@
 //! rendering of the same plan.
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_core::json::Json;
 use arc_engine::Engine;
+use arc_tests::fixtures as fx;
 use arc_trace::OpId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -14,9 +14,9 @@
 //! `span_equivalence.rs`.)
 
 use arc_analysis::{random_catalog, random_conjunctive_query, InstanceSpec};
-use arc_bench::fixtures as fx;
 use arc_core::conventions::Conventions;
 use arc_engine::Engine;
+use arc_tests::fixtures as fx;
 use arc_trace::OpId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
