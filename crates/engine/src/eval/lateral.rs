@@ -110,7 +110,7 @@ impl<'a> Ctx<'a> {
         // site's frames, and an external relation answers through caller
         // code: neither is a function of the collection's own references.
         let mut opaque = false;
-        crate::fixpoint::reads(c, &Default::default(), &mut |_, name, _| {
+        crate::fixpoint::reads(&c.body, &Default::default(), &mut |_, name, _| {
             opaque |= !self.shared.defined.contains_key(name)
                 && self.shared.catalog.relation(name).is_none()
                 && (self.shared.abstracts.contains_key(name)

@@ -100,12 +100,13 @@ pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u3
 
 use crate::catalog::Catalog;
 use crate::error::{EvalError, Result};
-use crate::relation::Relation;
+use crate::relation::{Relation, Tuple};
 use arc_core::ast::{Collection, Formula};
 use arc_core::conventions::Conventions;
 use arc_core::value::Truth;
 use arc_guard::{seam, CancelHandle, CancelState, FaultKind, FaultPlan, QueryGuard, Trip};
 use arc_trace::{OpId, Recorder, SpanKind, SpanSink};
+use quantifier::BaseIndexes;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -398,7 +399,7 @@ impl<'c> Engine<'c> {
         recording: Recording,
     ) -> Result<(Relation, Option<Recorder>)> {
         self.entered(recording, |entry| {
-            self.eval_with(c, &HashMap::new(), &HashMap::new(), entry, None)
+            self.eval_with(c, &HashMap::new(), &HashMap::new(), entry)
         })
     }
 
@@ -416,7 +417,6 @@ impl<'c> Engine<'c> {
         entry: &Entry,
         defined: &'a HashMap<String, Relation>,
         abstracts: &'a HashMap<String, Collection>,
-        redirect: Option<Redirect<'a>>,
     ) -> QueryShared<'a> {
         QueryShared {
             catalog: self.catalog,
@@ -424,8 +424,9 @@ impl<'c> Engine<'c> {
             defined,
             unmaterialized: &[],
             abstracts,
-            redirect,
+            redirect: None,
             hash_state: RandomState::new(),
+            base_indexes: None,
             semi_builds: semijoin::SemiBuildCache::default(),
             recorder: entry.recorder.clone(),
             guard: entry.guard.clone(),
@@ -433,20 +434,46 @@ impl<'c> Engine<'c> {
     }
 
     /// Evaluate a collection with pre-materialized definitions and abstract
-    /// relations in scope (used by the fixpoint driver), one binding
-    /// possibly [redirected](Redirect), under the entry's options, guard
-    /// and sinks. For a program the entry is the **program-level** one:
-    /// deadline and budget span all strata.
+    /// relations in scope, under the entry's options, guard and sinks. For
+    /// a program the entry is the **program-level** one: deadline and
+    /// budget span all strata.
     pub(crate) fn eval_with(
         &self,
         c: &Collection,
         defined: &HashMap<String, Relation>,
         abstracts: &HashMap<String, Collection>,
         entry: &Entry,
-        redirect: Option<Redirect<'_>>,
     ) -> Result<Relation> {
-        let shared = self.shared(entry, defined, abstracts, redirect);
+        let shared = self.shared(entry, defined, abstracts);
         let out = Ctx::new(entry.opts, &shared).collection_relation(c, &mut Env::default());
+        shared.record_probes();
+        out
+    }
+
+    /// Evaluate one rule of a recursive component's member — `rule`, a
+    /// top-level disjunct of `c`'s body, under `c`'s head — for the
+    /// fixpoint driver: one binding possibly [redirected](Redirect), the
+    /// solve's [`BaseIndexes`] probed and filled, and the rows in emission
+    /// order, not de-duplicated (the driver's seen set is the
+    /// de-duplication).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn eval_rule(
+        &self,
+        c: &Collection,
+        rule: &Formula,
+        defined: &HashMap<String, Relation>,
+        abstracts: &HashMap<String, Collection>,
+        entry: &Entry,
+        redirect: Option<Redirect<'_>>,
+        base: &BaseIndexes,
+    ) -> Result<Vec<Tuple>> {
+        let shared = QueryShared {
+            redirect,
+            hash_state: base.hash_state.clone(),
+            base_indexes: Some(base),
+            ..self.shared(entry, defined, abstracts)
+        };
+        let out = Ctx::new(entry.opts, &shared).rule_rows(c, rule, &mut Env::default());
         shared.record_probes();
         out
     }
@@ -459,7 +486,7 @@ impl<'c> Engine<'c> {
         abstracts: &HashMap<String, Collection>,
         entry: &Entry,
     ) -> Result<Truth> {
-        let shared = self.shared(entry, defined, abstracts, None);
+        let shared = self.shared(entry, defined, abstracts);
         let out = Ctx::new(entry.opts, &shared).formula_truth(f, &mut Env::default());
         shared.record_probes();
         out
@@ -496,7 +523,12 @@ pub(crate) struct Entry {
 /// One binding of the evaluated AST read under another name than it
 /// spells: how the fixpoint driver evaluates a rule's *delta variants* —
 /// the rule itself, one recursive occurrence reading last round's delta —
-/// without cloning the rule per occurrence.
+/// without cloning the rule per occurrence. The rule is one top-level
+/// disjunct of a member's body, evaluated alone ([`Engine::eval_rule`]),
+/// and the binding is the rule's own or one in the body of an abstract
+/// definition the rule reads — the program's own AST either way, so the
+/// plan cache, the compiled-scope cache and the operator profile see the
+/// addresses an unredirected evaluation would.
 #[derive(Clone, Copy)]
 pub(crate) struct Redirect<'a> {
     /// The binding, by identity (its address in the AST).
@@ -523,8 +555,14 @@ pub(crate) struct QueryShared<'a> {
     /// semi-naive delta variant), if this evaluation has one.
     pub(crate) redirect: Option<Redirect<'a>>,
     /// Hasher of equi-join keys for this evaluation: hash-index builds
-    /// and probes (coordinator and workers alike) must agree on it.
+    /// and probes (coordinator and workers alike) must agree on it. A
+    /// fixpoint rule's evaluation takes its solve's, the hasher of
+    /// [`QueryShared::base_indexes`].
     pub(crate) hash_state: RandomState,
+    /// The hash indexes over catalog relations that every round of a
+    /// recursive component's solve shares (see `Ctx::join_index`); `None`
+    /// outside a solve.
+    pub(crate) base_indexes: Option<&'a BaseIndexes>,
     /// Build-once key sets of decorrelated boolean scopes, keyed by scope
     /// identity and build plan: every worker probes — and lazily
     /// populates — the same builds (see `semijoin`).

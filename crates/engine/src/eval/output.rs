@@ -263,16 +263,28 @@ impl<'a> Ctx<'a> {
         c: &'a Collection,
         env: &mut Env<'a>,
     ) -> Result<Vec<Tuple>> {
+        let mut rows = self.rule_rows(c, &c.body, env)?;
+        if self.shared.conv.semantics == Semantics::Set {
+            dedupe_rows(&mut rows);
+        }
+        Ok(rows)
+    }
+
+    /// The rows `rule` — `c`'s body or one of its disjuncts — emits under
+    /// `c`'s head, in emission order, with no set-semantics pass.
+    pub(crate) fn rule_rows(
+        &self,
+        c: &'a Collection,
+        rule: &'a Formula,
+        env: &mut Env<'a>,
+    ) -> Result<Vec<Tuple>> {
         let head = HeadCtx {
             name: &c.head.relation,
             attrs: &c.head.attrs,
         };
         let partial: Partial = vec![None; c.head.attrs.len()];
         let mut rows = Vec::new();
-        self.emit_branch(&c.body, &head, &partial, env, &mut rows)?;
-        if self.shared.conv.semantics == Semantics::Set {
-            dedupe_rows(&mut rows);
-        }
+        self.emit_branch(rule, &head, &partial, env, &mut rows)?;
         Ok(rows)
     }
 

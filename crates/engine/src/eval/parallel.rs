@@ -28,7 +28,7 @@
 //! enumeration is side-effect-free).
 
 use super::env::Env;
-use super::quantifier::{HashIndex, Sink, Src};
+use super::quantifier::{JoinIndexes, Sink, Src};
 use super::scope::{Pipeline, Scope};
 use super::{Ctx, QueryOptions, QueryShared};
 use crate::error::Result;
@@ -48,7 +48,7 @@ use std::sync::Arc;
 /// against the global plan cache.
 pub(crate) struct WorkerSeed<'a> {
     shared: &'a QueryShared<'a>,
-    join_indexes: HashMap<(usize, Vec<usize>), Arc<HashIndex>>,
+    join_indexes: JoinIndexes,
     distinct_estimates: HashMap<(usize, Vec<usize>), usize>,
     selections: HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>,
 }

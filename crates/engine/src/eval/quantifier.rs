@@ -341,7 +341,33 @@ impl KeySlots {
 /// stable). Indexes are `Arc`-shared: the parallel executor builds them
 /// once on the coordinator and every worker context reuses them
 /// read-only.
-pub(crate) type JoinIndexCache = std::cell::RefCell<HashMap<(usize, Vec<usize>), Arc<HashIndex>>>;
+pub(crate) type JoinIndexCache = std::cell::RefCell<JoinIndexes>;
+
+/// Hash indexes by relation address plus key columns.
+pub(crate) type JoinIndexes = HashMap<(usize, Vec<usize>), Arc<HashIndex>>;
+
+/// The hash indexes every round of one recursive component's solve
+/// shares: those over catalog relations, which no round can change, keyed
+/// like [`JoinIndexCache`] — a catalog relation's address is its own for
+/// the catalog's lifetime — and built under the one hasher all the
+/// solve's evaluations use. A `defined` relation is never keyed here: a
+/// total grows in place and the map holding it rehashes. Lives on the
+/// driver's stack for one solve; every other evaluation has none.
+#[derive(Default)]
+pub(crate) struct BaseIndexes {
+    pub(crate) hash_state: RandomState,
+    indexes: std::sync::Mutex<JoinIndexes>,
+}
+
+impl BaseIndexes {
+    fn lock(&self) -> std::sync::MutexGuard<'_, JoinIndexes> {
+        // An index is inserted whole, so a poisoned map holds only
+        // complete entries.
+        self.indexes
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
 
 /// One planned step: a binding with a resolved source, its access path,
 /// and the filters pushed down to it — in execution order.
@@ -648,14 +674,26 @@ impl<'a> Ctx<'a> {
     /// `defined` map, both immutable for the lifetime of the [`Ctx`], so
     /// addresses are stable — and correlated scopes (one `run_scope` call
     /// per outer environment) reuse the index instead of rebuilding it per
-    /// outer row.
+    /// outer row. Inside a recursive component's solve, an index over a
+    /// catalog relation comes from — or goes to — the solve's
+    /// [`BaseIndexes`], so every round probes the one build.
+    ///
     /// `None` means the memory budget denied the build — the caller
     /// degrades to a streaming probe over the base rows (identical
-    /// matches, identical ascending row order) instead of failing.
+    /// matches, identical ascending row order) instead of failing. A
+    /// denial is not remembered: a solve's next round asks again.
     pub(crate) fn join_index(&self, plan: &HashPlan<'_>, rel: &Relation) -> Option<Arc<HashIndex>> {
         let key = (rel as *const Relation as usize, plan.key_cols.clone());
         if let Some(index) = self.join_indexes.borrow().get(&key) {
             return Some(index.clone());
+        }
+        let base = self.shared.base_indexes.filter(|_| {
+            let cataloged = self.shared.catalog.relation(&rel.name);
+            cataloged.is_some_and(|c| std::ptr::eq(c, rel))
+        });
+        if let Some(index) = base.and_then(|b| b.lock().get(&key).cloned()) {
+            self.join_indexes.borrow_mut().insert(key, index.clone());
+            return Some(index);
         }
         // Admission: the hash table (entry + bucket overhead per row).
         if !self.guard_admit(
@@ -674,6 +712,9 @@ impl<'a> Ctx<'a> {
         metrics::hash_builds().inc();
         if let Some(nanos) = nanos {
             metrics::hash_build_time().record_nanos(nanos);
+        }
+        if let Some(base) = base {
+            base.lock().insert(key.clone(), index.clone());
         }
         self.join_indexes.borrow_mut().insert(key, index.clone());
         Some(index)

@@ -103,7 +103,7 @@ impl Engine<'_> {
     fn lowered_collection(&self, c: &Collection) -> Result<PlanNode> {
         let entry = self.planning_entry()?;
         let (defined, abstracts) = (HashMap::new(), HashMap::new());
-        let shared = self.shared(&entry, &defined, &abstracts, None);
+        let shared = self.shared(&entry, &defined, &abstracts);
         let ctx = Ctx::new(entry.opts, &shared);
         arc_plan::lower_collection(c, &mut |scope| ctx.explain_scope(scope))
     }
@@ -134,12 +134,7 @@ impl Engine<'_> {
         let entry = self.planning_entry()?;
         let strata = Strata::of(p);
         let none = HashMap::new();
-        let mut shared = self.shared(
-            &entry,
-            materialized.unwrap_or(&none),
-            &strata.abstracts,
-            None,
-        );
+        let mut shared = self.shared(&entry, materialized.unwrap_or(&none), &strata.abstracts);
         if materialized.is_none() {
             shared.unmaterialized = &strata.components;
         }

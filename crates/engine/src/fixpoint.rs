@@ -20,23 +20,43 @@
 //!
 //! ## Semi-naive rounds
 //!
+//! A round evaluates *rules*, not definitions. A member's rules are the
+//! top-level disjuncts of its body (nested disjunctions flattened); the
+//! relation of a disjunction is the union of its disjuncts' relations, so
+//! each rule is evaluated alone, by reference into the program's AST.
+//!
 //! Every member of a recursive SCC keeps one **total** — its entry in the
 //! `defined` map, appended in place — and one **seen set** over the
-//! total's rows (`SeenRows`), filled from the seed. A round evaluates the
-//! member's *delta variants* (the rule once per recursive binding
-//! occurrence, that occurrence redirected (`Redirect`) to last round's
-//! delta) and streams the rows they derive through the seen set: a row
-//! not derived before joins the new delta. That single pass is the union of the variants, its
-//! de-duplication and the difference against everything derived so far —
-//! over the *derived* rows only; the total is never re-keyed or copied.
-//! After every member of the round is evaluated the new deltas are
-//! appended to their totals and moved under the reserved `@delta:` names
-//! for the next round. A program costs O(seed + Σ derived), and a total
-//! lists its rows in derivation order: the seed, then each round's delta,
-//! each in first-occurrence order.
+//! total's rows (`SeenRows`). Round 0 evaluates every rule of every
+//! member against the members' empty totals and fills the seen sets: the
+//! seed. A later round evaluates only the rules that reach a member
+//! (through `reads`, abstract bodies included), each through its *delta
+//! variants* — the rule once per recursive binding occurrence, that
+//! occurrence redirected (`Redirect`) to last round's delta — and streams
+//! the rows they derive straight through the seen set: a row not derived
+//! before joins the new delta. That single pass is the union of the
+//! variants, its de-duplication and the difference against everything
+//! derived so far — over the *derived* rows only; the total is never
+//! re-keyed or copied, and a rule that reaches no member never runs
+//! again (all it derives is in the seed). After every member of the round
+//! is evaluated the new deltas are appended to their totals and moved
+//! under the reserved `@delta:` names for the next round. A program costs
+//! O(seed + Σ derived).
+//!
+//! A total lists its rows in derivation order: the seed, then each
+//! round's delta. Within a round, rows come in first-occurrence order
+//! over the member's rules in source order, each rule's variants in the
+//! order of its recursive occurrences. Each round derives the same *set*
+//! whichever order its rules run in.
+//!
+//! The hash indexes over catalog relations — which no round can change —
+//! live in one `BaseIndexes` per solve, on the driver's stack: every
+//! evaluation of the solve hashes with its hasher, so the rounds probe one
+//! build instead of one per round (`Ctx::join_index`). Indexes over the
+//! totals and deltas, which change every round, are built per evaluation.
 
 use crate::error::{EvalError, Result};
-use crate::eval::quantifier::KeySlots;
+use crate::eval::quantifier::{BaseIndexes, KeySlots};
 use crate::eval::{Engine, Entry, Recording, Redirect};
 use crate::relation::{Relation, Tuple};
 use arc_core::ast::*;
@@ -87,7 +107,7 @@ impl Engine<'_> {
             let strata = Strata::of(p);
             let defined = self.materialize_definitions(&strata, entry)?;
             let query = match &p.query {
-                Some(q) => Some(self.eval_with(q, &defined, &strata.abstracts, entry, None)?),
+                Some(q) => Some(self.eval_with(q, &defined, &strata.abstracts, entry)?),
                 None => None,
             };
             Ok(ProgramOutput {
@@ -119,7 +139,7 @@ impl Engine<'_> {
             match stratum.members.as_slice() {
                 [def] if !stratum.recursive => {
                     let rel =
-                        self.eval_with(&def.collection, &defined, &strata.abstracts, entry, None)?;
+                        self.eval_with(&def.collection, &defined, &strata.abstracts, entry)?;
                     defined.insert(def.name().to_string(), rel);
                 }
                 members => {
@@ -169,17 +189,38 @@ impl Engine<'_> {
         let row_bytes =
             |def: &Definition| def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES;
         let delta_names: Vec<String> = scc.iter().map(|d| delta_name(d.name())).collect();
+        let delta_of = |member: &str| {
+            let named = |(d, _): &(&&Definition, &String)| d.name() == member;
+            let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
+            Some(delta.as_str())
+        };
+        // Every member's rules, each with its delta variants.
+        let rules: Vec<Vec<Rule<'_>>> = scc
+            .iter()
+            .map(|def| {
+                let mut bodies = Vec::new();
+                disjuncts(&def.collection.body, &mut bodies);
+                let rule = |body| Rule {
+                    body,
+                    variants: delta_variants(body, abstracts, &delta_of),
+                };
+                bodies.into_iter().map(rule).collect()
+            })
+            .collect();
+        // What no round can change is indexed once for all of them.
+        let base = BaseIndexes::default();
 
-        // Round 0: full rules against empty members seed the totals (a
-        // later member already reads an earlier one's seed) and fill each
+        // Round 0: every rule against empty members seeds the totals (a
+        // later member already reads an earlier one's seed) and fills each
         // member's seen set. A seed is its member's first delta too.
         let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
-        for (def, delta) in scc.iter().zip(&delta_names) {
-            let rows = self.eval_with(&def.collection, defined, abstracts, entry, None)?;
-            let (mut set, mut seed) = (SeenRows::default(), empty(def));
-            for row in rows.rows {
-                if set.insert(&row, &[], &seed.rows) {
-                    seed.rows.push(row);
+        for ((def, rules), delta) in scc.iter().zip(&rules).zip(&delta_names) {
+            let (c, mut set, mut seed) = (&def.collection, SeenRows::default(), empty(def));
+            for rule in rules {
+                for row in self.eval_rule(c, rule.body, defined, abstracts, entry, None, &base)? {
+                    if set.insert(&row, &[], &seed.rows) {
+                        seed.rows.push(row);
+                    }
                 }
             }
             crate::eval::guard_reserve_hard(
@@ -190,15 +231,6 @@ impl Engine<'_> {
             defined.insert(delta.clone(), seed.clone());
             defined.insert(def.name().to_string(), seed);
         }
-        let delta_of = |member: &str| {
-            let named = |(d, _): &(&&Definition, &String)| d.name() == member;
-            let (_, delta) = scc.iter().zip(&delta_names).find(named)?;
-            Some(delta.as_str())
-        };
-        let variants: Vec<Vec<Option<Redirect<'_>>>> = scc
-            .iter()
-            .map(|def| delta_variants(&def.collection, abstracts, &delta_of))
-            .collect();
 
         for iteration in 0.. {
             // Guard seam: one cooperative check (and fault window) per
@@ -213,19 +245,23 @@ impl Engine<'_> {
             if delta_names.iter().all(|delta| defined[delta].is_empty()) {
                 break;
             }
-            // Stream every variant's rows through the member's seen set: a
-            // row not derived before joins the new delta, in
-            // first-occurrence order across variants.
+            // Stream every recursive rule's variants through the member's
+            // seen set: a row not derived before joins the new delta, in
+            // first-occurrence order across rules and their variants. A
+            // rule that reaches no member has no variant: all it derives
+            // is in the seed.
             let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
-            for ((def, variants), seen) in scc.iter().zip(&variants).zip(&mut seen) {
-                let mut new = Vec::new();
-                for variant in variants {
-                    let rows =
-                        self.eval_with(&def.collection, defined, abstracts, entry, *variant)?;
-                    let total = &defined[def.name()].rows;
-                    for row in rows.rows {
-                        if seen.insert(&row, total, &new) {
-                            new.push(row);
+            for ((def, rules), seen) in scc.iter().zip(&rules).zip(&mut seen) {
+                let (c, mut new) = (&def.collection, Vec::new());
+                let total = &defined[def.name()].rows;
+                for rule in rules {
+                    for &variant in &rule.variants {
+                        let rows = self
+                            .eval_rule(c, rule.body, defined, abstracts, entry, variant, &base)?;
+                        for row in rows {
+                            if seen.insert(&row, total, &new) {
+                                new.push(row);
+                            }
                         }
                     }
                 }
@@ -244,6 +280,24 @@ impl Engine<'_> {
             defined.remove(delta);
         }
         Ok(())
+    }
+}
+
+/// One rule of a recursive component's member: a top-level disjunct of
+/// its body, by reference — so [`Redirect`], the plan cache and the
+/// operator profile see the program's own AST — with its delta variants.
+struct Rule<'p> {
+    body: &'p Formula,
+    /// Empty when the rule reaches no member: it runs in round 0 only.
+    variants: Vec<Option<Redirect<'p>>>,
+}
+
+/// The rules of a member's body `f`: its top-level disjuncts, nested
+/// disjunctions flattened, in source order.
+fn disjuncts<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
+    match f {
+        Formula::Or(fs) => fs.iter().for_each(|g| disjuncts(g, out)),
+        rule => out.push(rule),
     }
 }
 
@@ -321,7 +375,7 @@ impl<'p> Strata<'p> {
         let def_index = |name: &str| safe.iter().position(|d| d.name() == name);
         let mut deps: Vec<HashSet<usize>> = vec![HashSet::new(); safe.len()];
         for (i, def) in safe.iter().enumerate() {
-            reads(&def.collection, &abstracts, &mut |_, name, _| {
+            reads(&def.collection.body, &abstracts, &mut |_, name, _| {
                 deps[i].extend(def_index(name));
             });
         }
@@ -341,7 +395,7 @@ impl<'p> Strata<'p> {
     }
 }
 
-/// Visit every named binding `c` reads, in source order — nested
+/// Visit every named binding formula `f` reads, in source order — nested
 /// collections included, and the body of each abstract definition a
 /// binding names right after that binding (once per path, so a cycle of
 /// abstract definitions ends) — with whether the read is monotone. A read
@@ -351,7 +405,7 @@ impl<'p> Strata<'p> {
 /// a new row under `¬`. An abstract body read non-monotonically reads
 /// everything in it non-monotonically.
 pub(crate) fn reads<'c>(
-    c: &'c Collection,
+    f: &'c Formula,
     abstracts: &'c HashMap<String, Collection>,
     visit: &mut impl FnMut(&'c Binding, &'c str, bool),
 ) {
@@ -397,7 +451,7 @@ pub(crate) fn reads<'c>(
             Formula::Pred(_) => {}
         }
     }
-    walk(&c.body, abstracts, true, &mut Vec::new(), visit);
+    walk(f, abstracts, true, &mut Vec::new(), visit);
 }
 
 /// Does the collection read any of `names` non-monotonically ([`reads`])?
@@ -408,7 +462,7 @@ fn uses_nonmonotonically(
     names: &HashSet<String>,
 ) -> bool {
     let mut found = false;
-    reads(c, abstracts, &mut |_, name, monotone| {
+    reads(&c.body, abstracts, &mut |_, name, monotone| {
         found |= !monotone && names.contains(name);
     });
     found
@@ -428,24 +482,26 @@ fn null_supplied<'t>(tree: &'t JoinTree, out: &mut Vec<&'t str>) {
     }
 }
 
-/// The delta variants of rule `c`: one [`Redirect`] per binding it reads
-/// ([`reads`]) whose source has a delta (`delta_of` names it: the source
-/// is a member of the recursive component being solved) — the rule
-/// itself, that occurrence reading last round's delta.
+/// The delta variants of `rule` (one disjunct of a member's body): one
+/// [`Redirect`] per binding it reads ([`reads`]) whose source has a delta
+/// (`delta_of` names it: the source is a member of the recursive
+/// component being solved) — the rule itself, that occurrence reading
+/// last round's delta. None when the rule reaches no member.
 ///
 /// An abstract body is one AST however often the rule reads the abstract
 /// relation, and redirecting a binding in it redirects every read at
 /// once, which misses a row that needs a new fact in one read and an old
 /// one in another. A rule that reaches one binding twice therefore has
 /// one variant, the rule itself unredirected: each round derives all of
-/// it again, and the seen set keeps only what is new.
+/// it again, and the seen set keeps only what is new. The member's other
+/// rules keep their own variants.
 fn delta_variants<'c>(
-    c: &'c Collection,
+    rule: &'c Formula,
     abstracts: &'c HashMap<String, Collection>,
     delta_of: &impl Fn(&str) -> Option<&'c str>,
 ) -> Vec<Option<Redirect<'c>>> {
     let mut variants: Vec<Redirect<'c>> = Vec::new();
-    reads(c, abstracts, &mut |binding, source, _| {
+    reads(rule, abstracts, &mut |binding, source, _| {
         variants.extend(delta_of(source).map(|name| Redirect { binding, name }));
     });
     let twice = variants.iter().enumerate().any(|(i, v)| {

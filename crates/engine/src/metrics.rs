@@ -38,8 +38,9 @@ macro_rules! histogram_fn {
 }
 
 counter_fn!(
-    /// `engine.index.hash.builds`: equi-join hash indexes built (cache
-    /// misses of the per-query index cache).
+    /// `engine.index.hash.builds`: equi-join hash indexes built (misses
+    /// of the per-query index cache and, inside a recursive solve, of the
+    /// solve's indexes over catalog relations).
     hash_builds,
     "engine.index.hash.builds"
 );

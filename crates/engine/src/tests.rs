@@ -2192,9 +2192,7 @@ fn lateral_memo_peak(keys: impl Iterator<Item = i64>) -> (usize, Relation) {
         recorder: None,
     };
     let (defined, abstracts) = Default::default();
-    let out = engine
-        .eval_with(&q, &defined, &abstracts, &entry, None)
-        .unwrap();
+    let out = engine.eval_with(&q, &defined, &abstracts, &entry).unwrap();
     (guard.mem_peak(), out)
 }
 

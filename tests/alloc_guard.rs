@@ -374,8 +374,8 @@ const TEXT_TO_ROWS: [(&str, u64, u64); 30] = [
     ("exists_semi.datalog", 261, 130),
     ("not_exists_anti.arc", 199, 90),
     ("not_exists_anti.sql", 258, 122),
-    ("reach_rec.arc", 802, 344),
-    ("reach_rec.datalog", 798, 392),
+    ("reach_rec.arc", 802, 235),
+    ("reach_rec.datalog", 798, 283),
 ];
 
 #[test]
