@@ -32,7 +32,7 @@ use arc_core::ast::{
 use arc_core::binder::Binder;
 use arc_core::conventions::{Conventions, EmptyAgg, NullLogic, Semantics};
 use arc_core::value::{cmp_truth, Key, Truth, Value};
-use arc_engine::{Catalog, Relation};
+use arc_engine::{Catalog, Relation, Rows};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -129,14 +129,16 @@ pub fn eval_program(catalog: &Catalog, conv: Conventions, p: &Program) -> Res<Pr
             let mut grew = false;
             for (&j, rows) in component.iter().zip(next) {
                 let rel = defined.get_mut(defs[j].name()).expect("seeded");
-                if !recursive {
-                    rel.rows = rows;
-                    continue;
+                let mut all = match recursive {
+                    true => rel.rows.to_vecs(),
+                    false => Vec::new(),
+                };
+                all.extend(rows);
+                if recursive {
+                    dedup(&mut all);
+                    grew |= all.len() > rel.len();
                 }
-                let old = rel.rows.len();
-                rel.rows.extend(rows);
-                dedup(&mut rel.rows);
-                grew |= rel.rows.len() > old;
+                rel.rows = Rows::from_vecs(rel.arity(), all);
             }
             if !grew {
                 break;
@@ -154,9 +156,8 @@ pub fn eval_program(catalog: &Catalog, conv: Conventions, p: &Program) -> Res<Pr
 }
 
 fn relation(head: &Head, rows: Vec<Vec<Value>>) -> Relation {
-    let mut rel = Relation::new(head.relation.clone(), &[]);
-    (rel.schema, rel.rows) = (head.attrs.clone(), rows);
-    rel
+    let rows = Rows::from_vecs(head.attrs.len(), rows);
+    Relation::from_store(&head.relation, head.attrs.clone(), rows)
 }
 
 /// Keep the first occurrence of every row (`1` and `1.0` are one value,
@@ -515,7 +516,7 @@ impl<'a> Oracle<'a> {
         Ok(match &b.source {
             BindingSource::Named(name) => {
                 let rel = self.relation(name)?;
-                let rows = rel.rows.iter().map(|r| Cow::Borrowed(&r[..]));
+                let rows = rel.rows.iter().map(Cow::Borrowed);
                 (&rel.schema, rows.collect())
             }
             BindingSource::Collection(c) => {

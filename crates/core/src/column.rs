@@ -31,6 +31,7 @@
 //! every kernel masks with validity before trusting the payload.
 
 use crate::ast::{ArithOp, CmpOp};
+use crate::rows::{Iter as RowIter, Rows};
 use crate::value::{cmp_truth, ord_satisfies, Key, Value};
 
 /// Rows per chunk. Chosen so a typical chunk's working set (a few typed
@@ -68,13 +69,13 @@ pub struct ColumnChunk {
 }
 
 impl ColumnChunk {
-    /// Encode column `col` of the given row slice.
-    fn encode(rows: &[Vec<Value>], col: usize) -> ColumnChunk {
+    /// Encode column `col` of the given rows.
+    fn encode(rows: RowIter<'_>, col: usize) -> ColumnChunk {
         let len = rows.len();
         let mut nulls = 0usize;
         let mut tag: Option<u8> = None;
         let mut mixed = false;
-        for row in rows {
+        for row in rows.clone() {
             match &row[col] {
                 Value::Null => nulls += 1,
                 v => {
@@ -97,7 +98,7 @@ impl ColumnChunk {
             None
         } else {
             let mut words = vec![0u64; len.div_ceil(64)];
-            for (i, row) in rows.iter().enumerate() {
+            for (i, row) in rows.clone().enumerate() {
                 if !row[col].is_null() {
                     words[i / 64] |= 1 << (i % 64);
                 }
@@ -105,12 +106,12 @@ impl ColumnChunk {
             Some(words)
         };
         let data = if mixed {
-            ColumnData::Mixed(rows.iter().map(|r| r[col].clone()).collect())
+            ColumnData::Mixed(rows.clone().map(|r| r[col].clone()).collect())
         } else {
             match tag {
                 None => ColumnData::Null,
                 Some(0) => ColumnData::Bool(
-                    rows.iter()
+                    rows.clone()
                         .map(|r| match &r[col] {
                             Value::Bool(b) => *b,
                             _ => false,
@@ -118,7 +119,7 @@ impl ColumnChunk {
                         .collect(),
                 ),
                 Some(1) => ColumnData::Int(
-                    rows.iter()
+                    rows.clone()
                         .map(|r| match &r[col] {
                             Value::Int(i) => *i,
                             _ => 0,
@@ -126,7 +127,7 @@ impl ColumnChunk {
                         .collect(),
                 ),
                 Some(2) => ColumnData::Float(
-                    rows.iter()
+                    rows.clone()
                         .map(|r| match &r[col] {
                             Value::Float(f) => *f,
                             _ => 0.0,
@@ -134,7 +135,7 @@ impl ColumnChunk {
                         .collect(),
                 ),
                 _ => ColumnData::Str(
-                    rows.iter()
+                    rows.clone()
                         .map(|r| match &r[col] {
                             Value::Str(s) => s.clone(),
                             _ => String::new(),
@@ -428,17 +429,19 @@ pub struct ColumnSet {
 }
 
 impl ColumnSet {
-    /// Encode `rows` (each of width `arity`) into column chunks.
-    pub fn encode(arity: usize, rows: &[Vec<Value>]) -> ColumnSet {
+    /// Encode `rows` into column chunks of their arity.
+    pub fn encode(rows: &Rows) -> ColumnSet {
+        let arity = rows.arity();
         let mut chunks = Vec::with_capacity(rows.len().div_ceil(CHUNK_ROWS.max(1)));
         let mut base = 0;
         while base < rows.len() {
             let end = (base + CHUNK_ROWS).min(rows.len());
-            let slice = &rows[base..end];
             chunks.push(Chunk {
                 base,
-                len: slice.len(),
-                cols: (0..arity).map(|c| ColumnChunk::encode(slice, c)).collect(),
+                len: end - base,
+                cols: (0..arity)
+                    .map(|c| ColumnChunk::encode(rows.range(base..end), c))
+                    .collect(),
             });
             base = end;
         }
@@ -617,8 +620,8 @@ impl Mask {
 mod tests {
     use super::*;
 
-    fn rows_of(col: &[Value]) -> Vec<Vec<Value>> {
-        col.iter().map(|v| vec![v.clone()]).collect()
+    fn rows_of(col: &[Value]) -> Rows {
+        Rows::from_vecs(1, col.iter().map(|v| vec![v.clone()]).collect())
     }
 
     /// Reference implementation: the row path's acceptance rule.
@@ -631,7 +634,7 @@ mod tests {
     }
 
     fn vec_filter(col: &[Value], op: CmpOp, rhs: &Value) -> Vec<u32> {
-        let set = ColumnSet::encode(1, &rows_of(col));
+        let set = ColumnSet::encode(&rows_of(col));
         let mut out = Vec::new();
         for chunk in set.chunks() {
             let mut mask = Mask::all_true(chunk.len());
@@ -751,7 +754,7 @@ mod tests {
         let mut offsets = edges.clone();
         offsets.extend([Value::Null, Value::str("x")]);
         for col in &columns {
-            let set = ColumnSet::encode(1, &rows_of(col));
+            let set = ColumnSet::encode(&rows_of(col));
             let chunk = set.chunks()[0].col(0);
             for arith in [ArithOp::Add, ArithOp::Sub] {
                 for offset in &offsets {
@@ -778,7 +781,7 @@ mod tests {
             }
         }
         // No typed loop for strings: the caller evaluates those rows.
-        let set = ColumnSet::encode(1, &rows_of(&[Value::str("a")]));
+        let set = ColumnSet::encode(&rows_of(&[Value::str("a")]));
         let mut mask = Mask::all_true(1);
         let typed = set.chunks()[0].col(0).and_offset_cmp(
             ArithOp::Add,
@@ -813,7 +816,7 @@ mod tests {
         ];
         for col in &columns {
             for negated in [false, true] {
-                let set = ColumnSet::encode(1, &rows_of(col));
+                let set = ColumnSet::encode(&rows_of(col));
                 let mut got = Vec::new();
                 for chunk in set.chunks() {
                     let mut mask = Mask::all_true(chunk.len());
@@ -838,7 +841,7 @@ mod tests {
             let rows: Vec<Vec<Value>> = (0..n)
                 .map(|i| vec![pool[i % pool.len()].clone(), Value::Int(i as i64)])
                 .collect();
-            let set = ColumnSet::encode(2, &rows);
+            let set = ColumnSet::encode(&Rows::from_vecs(2, rows.clone()));
             assert_eq!(set.rows(), n);
             for (i, row) in rows.iter().enumerate() {
                 for (c, v) in row.iter().enumerate() {
@@ -857,7 +860,7 @@ mod tests {
             Value::Null,
             Value::str("x"),
         ];
-        let set = ColumnSet::encode(1, &rows_of(&col));
+        let set = ColumnSet::encode(&rows_of(&col));
         let mut keys = Vec::new();
         set.chunks()[0].col(0).join_keys_into(&mut keys);
         let want: Vec<Option<Key>> = col.iter().map(|v| v.join_key()).collect();
@@ -877,7 +880,7 @@ mod tests {
 
     #[test]
     fn all_null_column_stores_no_payload() {
-        let set = ColumnSet::encode(1, &rows_of(&[Value::Null, Value::Null]));
+        let set = ColumnSet::encode(&rows_of(&[Value::Null, Value::Null]));
         assert_eq!(*set.chunks()[0].col(0).data(), ColumnData::Null);
         assert!(!set.chunks()[0].col(0).is_valid(0));
     }

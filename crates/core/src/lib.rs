@@ -65,6 +65,7 @@ pub mod conventions;
 pub mod dsl;
 pub mod json;
 pub mod pattern;
+pub mod rows;
 pub mod value;
 
 pub use ast::{
@@ -74,4 +75,5 @@ pub use ast::{
 pub use binder::{BindError, Binder, BoundInfo, PredRole};
 pub use conventions::{Conventions, EmptyAgg, NullLogic, Semantics};
 pub use pattern::{signature, PatternSignature};
+pub use rows::Rows;
 pub use value::{Truth, Value};

@@ -190,7 +190,7 @@ const _: () = {
 /// [`TableStats::analyze`] is its reference (`arc-stats` asserts the two
 /// identical).
 fn analyze_relation(rel: &Relation) -> TableStats {
-    TableStats::analyze_chunks(rel.arity(), &rel.rows, &rel.columns())
+    TableStats::analyze_chunks(&rel.rows, &rel.columns())
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@
 //! invariant 13, and what lets the selection compose with chunk-aligned
 //! morsel partitioning unchanged.
 
-use crate::relation::Tuple;
+use crate::relation::Rows;
 use arc_core::ast::{CmpOp, Predicate};
 use arc_core::value::{Key, KeyRef, Value};
 use arc_plan::const_cmp;
@@ -314,9 +314,6 @@ pub(crate) struct OrderedIndex {
     keys: Vec<KeyColumn>,
     /// Row ids, parallel to the key columns, in sorted order.
     perm: Vec<u32>,
-    /// Source row count at build time (the cache's invalidation check,
-    /// same rule as the relation's column cache).
-    rows: usize,
 }
 
 /// Sort an all-`Int` index of width `W` in place: pack `(key, row id)`
@@ -357,7 +354,7 @@ impl OrderedIndex {
     /// anything else sorts the permutation through the gathered columns
     /// with [`key_cmp`], ties by row id. Either way nothing is allocated
     /// per row beyond the string payload of a `Str` key.
-    pub(crate) fn build(rows: &[Tuple], cols: &[usize]) -> OrderedIndex {
+    pub(crate) fn build(rows: &Rows, cols: &[usize]) -> OrderedIndex {
         let mut keys: Vec<KeyColumn> = cols
             .iter()
             .map(|_| KeyColumn::Int(Vec::with_capacity(rows.len())))
@@ -397,16 +394,7 @@ impl OrderedIndex {
                 perm = order.iter().map(|&p| perm[p as usize]).collect();
             }
         }
-        OrderedIndex {
-            keys,
-            perm,
-            rows: rows.len(),
-        }
-    }
-
-    /// Source row count at build time (cache invalidation).
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
+        OrderedIndex { keys, perm }
     }
 
     /// Number of indexed (non-NULL/NaN) entries.
@@ -417,7 +405,7 @@ impl OrderedIndex {
 
     /// The entries in index order, as owned `(key tuple, row id)` pairs.
     #[cfg(test)]
-    fn entries(&self) -> Vec<(Vec<Key>, u32)> {
+    pub(crate) fn entries(&self) -> Vec<(Vec<Key>, u32)> {
         (0..self.perm.len())
             .map(|e| {
                 let key = self.keys.iter().map(|col| col.get(e).to_key()).collect();
@@ -665,7 +653,8 @@ mod tests {
         );
         rel.push(vec![Value::Int(7), Value::Int(7)]);
         let second = rel.ordered_index(&[0]);
-        assert_eq!(second.rows(), rel.len());
+        let last = rel.len() as u32 - 1;
+        assert!(second.entries().iter().any(|&(_, id)| id == last));
         assert!(!std::sync::Arc::ptr_eq(&first, &second));
     }
 
@@ -694,7 +683,7 @@ mod tests {
 
     /// The build this one replaced: one owned key tuple per row with a
     /// join key on every column, sorted by [`old_key_cmp`], then row id.
-    fn reference_entries(rows: &[Tuple], cols: &[usize]) -> Vec<(Vec<Key>, u32)> {
+    fn reference_entries(rows: &Rows, cols: &[usize]) -> Vec<(Vec<Key>, u32)> {
         let mut entries: Vec<(Vec<Key>, u32)> = rows
             .iter()
             .enumerate()
@@ -838,7 +827,9 @@ mod tests {
             [true, true]
         );
         // One non-integral float: that column alone goes generic.
-        rel.rows[1_500][0] = Value::Float(2.5);
+        let mut rows = rel.rows.to_vecs();
+        rows[1_500][0] = Value::Float(2.5);
+        let rel = Relation::from_rows("F", &["A", "B"], rows);
         assert_eq!(check_index(&rel, &[0], &[vec![]], &bounds).typed(), [false]);
         assert_eq!(
             check_index(&rel, &[1, 0], &eqs, &bounds).typed(),
@@ -871,7 +862,11 @@ mod tests {
         let idx = check_index(&rel, &[1, 0], &[vec![Value::Int(1)]], &bounds);
         assert_eq!(idx.typed(), [true, false]);
         // Before the strings arrive the same column is typed.
-        rel.rows.truncate(1_024);
+        let rel = Relation::from_rows(
+            "S",
+            &["A", "B"],
+            rel.rows.range(0..1_024).map(<[Value]>::to_vec).collect(),
+        );
         assert_eq!(
             check_index(&rel, &[0], &[vec![]], &bounds[..1]).typed(),
             [true]
@@ -934,7 +929,7 @@ mod tests {
             width in 1usize..4,
             first in 0usize..3,
         ) {
-            let rows: Vec<Tuple> = cells
+            let rows: Vec<Vec<Value>> = cells
                 .iter()
                 .map(|row| {
                     row.iter()
@@ -944,14 +939,14 @@ mod tests {
                 })
                 .collect();
             let cols: Vec<usize> = (0..width).map(|j| (first + j) % 3).collect();
-            let idx = OrderedIndex::build(&rows, &cols);
-            proptest::prop_assert_eq!(idx.entries(), reference_entries(&rows, &cols));
-
             let rel = Relation::from_rows("P", &["A", "B", "C"], rows);
+            let idx = OrderedIndex::build(&rel.rows, &cols);
+            proptest::prop_assert_eq!(idx.entries(), reference_entries(&rel.rows, &cols));
+
             let (&range_col, eq_cols) = cols.split_last().unwrap();
             let eq: Option<Vec<Key>> = rel
                 .rows
-                .first()
+                .get(0)
                 .and_then(|row| Relation::key_for(row, eq_cols));
             if let Some(eq) = eq {
                 let eq_ref: Vec<(usize, Value)> = eq_cols

@@ -328,15 +328,15 @@ impl<'a> Ctx<'a> {
         match node {
             JoinNode::Rel(rel) => Ok(JoinRows {
                 width: 1,
-                len: rel.rows.len(),
-                frames: rel.rows.iter().map(|t| Frame::Borrowed(t)).collect(),
+                len: rel.len(),
+                frames: rel.rows.iter().map(Frame::Borrowed).collect(),
             }),
             JoinNode::Nested(c) => {
                 let rows = self.collection_rows(c, env)?;
                 Ok(JoinRows {
                     width: 1,
                     len: rows.len(),
-                    frames: rows.into_iter().map(Frame::Owned).collect(),
+                    frames: rows.iter().map(|r| Frame::Owned(r.to_vec())).collect(),
                 })
             }
             JoinNode::Lit => Ok(JoinRows::unit()),

@@ -26,12 +26,12 @@ use super::env::{resolve, Env, Names, Resolution};
 use super::quantifier::KeySlots;
 use super::Ctx;
 use crate::error::Result;
-use crate::relation::Tuple;
+use crate::relation::{Rows, Tuple};
 use arc_core::ast::Collection;
 use arc_core::value::Value;
 use arc_plan::analysis::free_attr_refs;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Probes before the memo judges whether it pays.
 const WARMUP: u64 = 128;
@@ -72,7 +72,7 @@ impl Memo {
 struct MemoState {
     slots: KeySlots,
     /// Per admitted key, its values and the collection's rows for them.
-    entries: Vec<(Tuple, Vec<Tuple>)>,
+    entries: Vec<(Tuple, Arc<Rows>)>,
     hits: u64,
     misses: u64,
     /// No further entries are admitted (the existing ones keep serving).
@@ -135,10 +135,10 @@ impl<'a> Ctx<'a> {
     }
 
     /// The rows of a lateral step for `env`: from its memo, or evaluated.
-    pub(crate) fn lateral_rows(&self, lat: &Lateral<'a>, env: &mut Env<'a>) -> Result<Vec<Tuple>> {
+    pub(crate) fn lateral_rows(&self, lat: &Lateral<'a>, env: &mut Env<'a>) -> Result<Arc<Rows>> {
         let c = lat.collection;
         let Some(memo) = &lat.memo else {
-            return self.collection_rows(c, env);
+            return self.collection_rows(c, env).map(Arc::new);
         };
         let mut h = self.shared.hash_state.build_hasher();
         for v in memo.key_in(env) {
@@ -155,7 +155,7 @@ impl<'a> Ctx<'a> {
                     .find(hash, |id| memo.is_key(&st.entries[id as usize].0, env));
                 if let Some(id) = hit {
                     st.hits += 1;
-                    return Ok(st.entries[id as usize].1.clone());
+                    return Ok(Arc::clone(&st.entries[id as usize].1));
                 }
                 st.misses += 1;
                 st.closed |= st.hits + st.misses >= WARMUP && st.misses > st.hits;
@@ -163,7 +163,7 @@ impl<'a> Ctx<'a> {
             }
         };
         // Evaluate unlocked: other workers keep probing meanwhile.
-        let rows = self.collection_rows(c, env)?;
+        let rows = Arc::new(self.collection_rows(c, env)?);
         if !admitting {
             return Ok(rows);
         }
@@ -187,7 +187,7 @@ impl<'a> Ctx<'a> {
                 .slots
                 .insert(hash, id, |at| memo.is_key(&st.entries[at as usize].0, env));
             if new {
-                st.entries.push((key, rows.clone()));
+                st.entries.push((key, Arc::clone(&rows)));
             }
             new
         });

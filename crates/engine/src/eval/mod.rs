@@ -100,7 +100,7 @@ pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u3
 
 use crate::catalog::Catalog;
 use crate::error::{EvalError, Result};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Relation, Rows};
 use arc_core::ast::{Collection, Formula};
 use arc_core::conventions::Conventions;
 use arc_core::value::Truth;
@@ -466,7 +466,7 @@ impl<'c> Engine<'c> {
         entry: &Entry,
         redirect: Option<Redirect<'_>>,
         base: &BaseIndexes,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Result<Rows> {
         let shared = QueryShared {
             redirect,
             hash_state: base.hash_state.clone(),

@@ -10,7 +10,7 @@ use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
 use super::slots::CScalar;
 use super::Ctx;
 use crate::error::{EvalError, Result};
-use crate::relation::{dedupe_rows, Relation, Tuple};
+use crate::relation::{dedupe_rows, Relation, Rows};
 use arc_core::ast::*;
 use arc_core::conventions::Semantics;
 use arc_core::value::Value;
@@ -144,52 +144,41 @@ impl<'a> HeadPlan<'a> {
         Ok(true)
     }
 
-    /// Run the pre-steps, then fill every column in order: `some` wraps an
-    /// assigned value, `missing` decides what an unassigned column is.
-    /// `None` when conflicting assignments drop the row.
-    fn assemble<'e, T>(
+    /// The value of column `col`, which `src` fills: `None` when nothing
+    /// assigns it.
+    fn column<'e>(
+        &'e self,
+        col: usize,
+        src: &ColSrc,
+        partial: &'e Partial,
+        eval: &mut impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+    ) -> Result<Option<Value>> {
+        Ok(match src {
+            ColSrc::Partial => partial[col].clone(),
+            ColSrc::Expr(n) => Some(eval(&self.exprs[*n])?.into_owned()),
+            ColSrc::Missing => None,
+        })
+    }
+
+    /// Run the pre-steps, then append the complete head tuple for the
+    /// current environment to `out` — unless conflicting assignments drop
+    /// the row.
+    pub(crate) fn row_into<'e>(
         &'e self,
         partial: &'e Partial,
         mut eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
-        some: fn(Value) -> T,
-        missing: impl Fn(usize) -> Result<T>,
-    ) -> Result<Option<Vec<T>>> {
+        out: &mut Rows,
+    ) -> Result<()> {
         if !self.admit(partial, &mut eval)? {
-            return Ok(None);
+            return Ok(());
         }
-        let mut out = Vec::with_capacity(self.cols.len());
-        for (col, src) in self.cols.iter().enumerate() {
-            out.push(match src {
-                ColSrc::Partial => some(
-                    partial[col]
-                        .clone()
-                        .expect("assigned by the enclosing spine"),
-                ),
-                ColSrc::Expr(n) => some(eval(&self.exprs[*n])?.into_owned()),
-                ColSrc::Missing => missing(col)?,
-            });
-        }
-        Ok(Some(out))
-    }
-
-    /// Assemble the complete head tuple for the current environment, or
-    /// `None` when conflicting assignments drop the row.
-    pub(crate) fn row<'e>(
-        &'e self,
-        partial: &'e Partial,
-        eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
-    ) -> Result<Option<Tuple>> {
-        self.assemble(
-            partial,
-            eval,
-            |v| v,
-            |col| {
-                Err(EvalError::MissingAssignment {
+        out.try_push_iter(self.cols.iter().enumerate().map(|(col, src)| {
+            self.column(col, src, partial, &mut eval)?
+                .ok_or_else(|| EvalError::MissingAssignment {
                     collection: self.name.to_string(),
                     attr: self.attrs[col].clone(),
                 })
-            },
-        )
+        }))
     }
 
     /// Whether a row assembles by copying values alone: every column a
@@ -206,17 +195,18 @@ impl<'a> HeadPlan<'a> {
             })
     }
 
-    /// The head tuple of a plan that [`gathers`](HeadPlan::gathers),
-    /// reading the row bound at stack position `f` as `row(f)`: what
-    /// [`HeadPlan::row`] returns, without evaluating an expression.
+    /// Append the head tuple of a plan that
+    /// [`gathers`](HeadPlan::gathers) to `out`, reading the row bound at
+    /// stack position `f` as `row(f)`: what [`HeadPlan::row_into`]
+    /// appends, without evaluating an expression.
     pub(crate) fn gather<'r>(
         &self,
         partial: &Partial,
         row: impl Fn(usize) -> &'r [Value],
-    ) -> Tuple {
-        let mut out = Vec::with_capacity(self.cols.len());
-        for (col, src) in self.cols.iter().enumerate() {
-            out.push(match src {
+        out: &mut Rows,
+    ) {
+        out.push_iter(self.cols.iter().enumerate().map(|(col, src)| {
+            match src {
                 ColSrc::Expr(n) => match &self.exprs[*n] {
                     CScalar::Slot { frame, col } => row(*frame as usize)[*col as usize].clone(),
                     CScalar::Const(v) => (*v).clone(),
@@ -225,19 +215,24 @@ impl<'a> HeadPlan<'a> {
                 _ => partial[col]
                     .clone()
                     .expect("assigned by the enclosing spine"),
-            });
-        }
-        out
+            }
+        }));
     }
 
-    /// Like [`HeadPlan::row`], for a scope with a nested emission spine:
-    /// the extended partial tuple the spine continues from.
+    /// Like [`HeadPlan::row_into`], for a scope with a nested emission
+    /// spine: the extended partial tuple the spine continues from.
     fn partial<'e>(
         &'e self,
         partial: &'e Partial,
-        eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
+        mut eval: impl FnMut(&'e CScalar<'a>) -> Result<Cow<'e, Value>>,
     ) -> Result<Option<Partial>> {
-        self.assemble(partial, eval, Some, |_| Ok(None))
+        if !self.admit(partial, &mut eval)? {
+            return Ok(None);
+        }
+        let cols = self.cols.iter().enumerate();
+        cols.map(|(col, src)| self.column(col, src, partial, &mut eval))
+            .collect::<Result<Partial>>()
+            .map(Some)
     }
 }
 
@@ -249,25 +244,23 @@ impl<'a> Ctx<'a> {
         c: &'a Collection,
         env: &mut Env<'a>,
     ) -> Result<Relation> {
-        let mut rel = Relation::new(c.head.relation.clone(), &[]);
-        rel.schema = c.head.attrs.clone();
-        rel.rows = self.collection_rows(c, env)?;
-        Ok(rel)
+        let rows = self.collection_rows(c, env)?;
+        Ok(Relation::from_store(
+            &c.head.relation,
+            c.head.attrs.clone(),
+            rows,
+        ))
     }
 
     /// The rows of [`Ctx::collection_relation`], for callers that bind
     /// them and have no use for a named relation around them (a lateral
     /// step evaluates its collection once per outer environment).
-    pub(crate) fn collection_rows(
-        &self,
-        c: &'a Collection,
-        env: &mut Env<'a>,
-    ) -> Result<Vec<Tuple>> {
-        let mut rows = self.rule_rows(c, &c.body, env)?;
-        if self.shared.conv.semantics == Semantics::Set {
-            dedupe_rows(&mut rows);
-        }
-        Ok(rows)
+    pub(crate) fn collection_rows(&self, c: &'a Collection, env: &mut Env<'a>) -> Result<Rows> {
+        let rows = self.rule_rows(c, &c.body, env)?;
+        Ok(match self.shared.conv.semantics {
+            Semantics::Set => dedupe_rows(rows),
+            Semantics::Bag => rows,
+        })
     }
 
     /// The rows `rule` — `c`'s body or one of its disjuncts — emits under
@@ -277,13 +270,13 @@ impl<'a> Ctx<'a> {
         c: &'a Collection,
         rule: &'a Formula,
         env: &mut Env<'a>,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Result<Rows> {
         let head = HeadCtx {
             name: &c.head.relation,
             attrs: &c.head.attrs,
         };
         let partial: Partial = vec![None; c.head.attrs.len()];
-        let mut rows = Vec::new();
+        let mut rows = Rows::new(c.head.attrs.len());
         self.emit_branch(rule, &head, &partial, env, &mut rows)?;
         Ok(rows)
     }
@@ -294,7 +287,7 @@ impl<'a> Ctx<'a> {
         head: &HeadCtx<'a>,
         partial: &Partial,
         env: &mut Env<'a>,
-        out: &mut Vec<Tuple>,
+        out: &mut Rows,
     ) -> Result<()> {
         let q = match f {
             Formula::Or(branches) => {
@@ -334,13 +327,13 @@ impl<'a> Ctx<'a> {
         head: &HeadCtx<'a>,
         partial: &Partial,
         env: &mut Env<'a>,
-        out: &mut Vec<Tuple>,
+        out: &mut Rows,
     ) -> Result<()> {
         // Through `enumerate_collect`: scopes with a partition axis run
         // their outer scan in parallel morsels (the ordered merge keeps
         // the emitted tuples in sequential enumeration order); everything
         // else streams straight into `out`.
-        self.enumerate_collect::<Tuple>(
+        self.enumerate_collect(
             sc,
             env,
             &|ctx, env, sink| {
@@ -348,17 +341,16 @@ impl<'a> Ctx<'a> {
                     return Ok(true);
                 }
                 match spine {
-                    None => sink.extend(plan.row(partial, |e| ctx.scalar(e, env))?),
+                    None => plan.row_into(partial, |e| ctx.scalar(e, env), sink)?,
                     Some(spine) => {
                         let Some(p2) = plan.partial(partial, |e| ctx.scalar(e, env))? else {
                             return Ok(true);
                         };
                         // Nested existential: emissions collapse per
                         // environment (semijoin multiplicity, §2.7).
-                        let mut sub = Vec::new();
+                        let mut sub = Rows::new(head.attrs.len());
                         ctx.emit_branch(spine, head, &p2, env, &mut sub)?;
-                        dedupe_rows(&mut sub);
-                        sink.extend(sub);
+                        sink.append(dedupe_rows(sub));
                     }
                 }
                 Ok(true)
@@ -376,9 +368,9 @@ impl<'a> Ctx<'a> {
         plan: &HeadPlan<'a>,
         partial: &Partial,
         env: &mut Env<'a>,
-        out: &mut Vec<Tuple>,
+        out: &mut Rows,
     ) -> Result<()> {
-        let morsel: &MorselFn<'_, 'a, Tuple> = &|ctx, range, env, tally, out| {
+        let morsel: &MorselFn<'_, 'a, Rows> = &|ctx, range, env, tally, out| {
             let head = Gathered {
                 head: plan,
                 partial,
@@ -407,12 +399,12 @@ impl<'a> Ctx<'a> {
         head: &HeadCtx<'a>,
         partial: &Partial,
         env: &mut Env<'a>,
-        out: &mut Vec<Tuple>,
+        out: &mut Rows,
     ) -> Result<()> {
         self.each_group(sc, g, Some((head, partial)), env, |group, tests, env| {
             if group.verdict(self, tests, env)? {
                 let plan = tests.head.as_ref().expect("emitting scope");
-                out.extend(plan.row(partial, |e| group.scalar(self, &tests.aggs, e, env))?);
+                plan.row_into(partial, |e| group.scalar(self, &tests.aggs, e, env), out)?;
             }
             Ok(true)
         })
@@ -468,7 +460,7 @@ impl<'a> Ctx<'a> {
             sc,
             env,
             &each_into(
-                &|ctx, env, sink| {
+                &|ctx, env, sink: &mut Vec<Member<'a>>| {
                     if ctx.all_hold(&sc.pre_bool, env)? {
                         sink.push(member_of(ctx, keys, aggs, env, sc.base)?);
                     }

@@ -32,6 +32,7 @@ use super::quantifier::{JoinIndexes, Sink, Src};
 use super::scope::{Pipeline, Scope};
 use super::{Ctx, QueryOptions, QueryShared};
 use crate::error::Result;
+use crate::relation::Rows;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
 use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
 use std::collections::HashMap;
@@ -93,27 +94,54 @@ impl Drop for WorkerState<'_> {
     }
 }
 
+/// What a partitioned scope collects into: each morsel fills an empty
+/// output of the same kind, and the morsels' outputs are merged back in
+/// morsel order — rows into one flat store, members into one vector.
+pub(crate) trait Collect: Send + Sync {
+    /// An empty output of the same kind (a store of the same arity).
+    fn empty(&self) -> Self;
+    /// Append a morsel's output, moving it.
+    fn merge(&mut self, morsel: Self);
+}
+
+impl<T: Send + Sync> Collect for Vec<T> {
+    fn empty(&self) -> Vec<T> {
+        Vec::new()
+    }
+    fn merge(&mut self, morsel: Vec<T>) {
+        self.extend(morsel);
+    }
+}
+
+impl Collect for Rows {
+    fn empty(&self) -> Rows {
+        Rows::new(self.arity())
+    }
+    fn merge(&mut self, morsel: Rows) {
+        self.append(morsel);
+    }
+}
+
 /// The per-environment collection callback [`Ctx::enumerate_collect`]
-/// drives: append into the morsel's output vector, return `Ok(true)` to
-/// keep enumerating. `Sync` because the parallel path shares it across
-/// pool workers.
-pub(crate) type EachFn<'f, 'a, T> =
-    dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut Vec<T>) -> Result<bool> + Sync + 'f;
+/// drives: append into the morsel's output, return `Ok(true)` to keep
+/// enumerating. `Sync` because the parallel path shares it across pool
+/// workers.
+pub(crate) type EachFn<'f, 'a, O> =
+    dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut O) -> Result<bool> + Sync + 'f;
 
 /// One morsel of a partitioned scope: [`Ctx::scan_partition`] over a
 /// row range of the axis, from a worker's context and environment, with
-/// a morsel-local tally, delivering into the morsel's output vector.
-pub(crate) type MorselFn<'f, 'a, T> = dyn Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut Vec<T>) -> Result<()>
+/// a morsel-local tally, delivering into the morsel's output.
+pub(crate) type MorselFn<'f, 'a, O> = dyn Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut O) -> Result<()>
     + Sync
     + 'f;
 
 /// The morsel of a scope whose every survivor goes through `each`.
-pub(crate) fn each_into<'f, 'a, T>(
-    each: &'f EachFn<'f, 'a, T>,
+pub(crate) fn each_into<'f, 'a, O>(
+    each: &'f EachFn<'f, 'a, O>,
     sc: &'f Scope<'a>,
-) -> impl Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut Vec<T>) -> Result<()>
-       + Sync
-       + 'f {
+) -> impl Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut O) -> Result<()> + Sync + 'f
+{
     move |ctx, range, env, tally, out| {
         let mut each = |ctx: &Ctx<'a>, env: &mut Env<'a>| each(ctx, env, out);
         ctx.scan_partition(sc, range, env, tally, &mut Sink::Each(&mut each))
@@ -140,12 +168,12 @@ impl<'a> Ctx<'a> {
     ///
     /// `each` must not rely on early exit (it must always return
     /// `Ok(true)`; the parallel path enumerates every partition).
-    pub(crate) fn enumerate_collect<T: Send>(
+    pub(crate) fn enumerate_collect<O: Collect>(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        each: &EachFn<'_, 'a, T>,
-        out: &mut Vec<T>,
+        each: &EachFn<'_, 'a, O>,
+        out: &mut O,
     ) -> Result<()> {
         if self.try_parallel(sc, env, &each_into(each, sc), out)? {
             return Ok(());
@@ -161,12 +189,12 @@ impl<'a> Ctx<'a> {
     /// means "not eligible — run the sequential loop" (a sequential
     /// engine, an outer-join scope, no partition axis, or an axis scan
     /// too small for the configured morsel floor).
-    pub(crate) fn try_parallel<T: Send>(
+    pub(crate) fn try_parallel<O: Collect>(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        morsel: &MorselFn<'_, 'a, T>,
-        out: &mut Vec<T>,
+        morsel: &MorselFn<'_, 'a, O>,
+        out: &mut O,
     ) -> Result<bool> {
         if self.opts.threads <= 1 {
             return Ok(false);
@@ -184,7 +212,7 @@ impl<'a> Ctx<'a> {
         // erroring).
         let total = match steps.first() {
             Some(first) if first.hash_plan.is_none() => match &first.source {
-                Src::Rows(rel) => rel.rows.len(),
+                Src::Rows(rel) => rel.len(),
                 _ => return Ok(false),
             },
             _ => return Ok(false),
@@ -250,6 +278,7 @@ impl<'a> Ctx<'a> {
             t.call(0); // the axis scan starts once, morsels notwithstanding
         }
         let lanes = AtomicUsize::new(0);
+        let blank = out.empty();
         let results = run_morsels_guarded(
             WorkerPool::global(),
             self.opts.threads,
@@ -270,7 +299,7 @@ impl<'a> Ctx<'a> {
             },
             |st, _, range| {
                 let mut wenv = outer_env.clone();
-                let mut morsel_out = Vec::new();
+                let mut morsel_out = blank.empty();
                 // Morsel seam: a morsel-local tally and, timed, one clock
                 // pair for the morsel span and the lane's busy time.
                 let rec = st.ctx.shared.recorder.as_ref();
@@ -297,7 +326,7 @@ impl<'a> Ctx<'a> {
         let results = results.map_err(|p| crate::error::EvalError::WorkerPanic(p.message))?;
         for slot in results {
             match slot {
-                Some(r) => out.extend(r?),
+                Some(r) => out.merge(r?),
                 None => {
                     let trip = self
                         .shared

@@ -62,7 +62,7 @@ use super::Ctx;
 use crate::error::{EvalError, Result};
 use crate::external::AccessPattern;
 use crate::metrics;
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Relation, Rows, Tuple};
 use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
 use arc_core::value::Value;
 use arc_guard::seam;
@@ -154,7 +154,7 @@ pub(crate) struct HashIndex {
 }
 
 impl HashIndex {
-    pub(crate) fn build(rows: &[Tuple], key_cols: &[usize], state: &RandomState) -> HashIndex {
+    pub(crate) fn build(rows: &Rows, key_cols: &[usize], state: &RandomState) -> HashIndex {
         HashIndex::build_by(rows, key_cols, |row| {
             let mut h = state.build_hasher();
             for &c in key_cols {
@@ -167,7 +167,7 @@ impl HashIndex {
     /// [`HashIndex::build`] over an arbitrary key hash (`None`: the row
     /// has a `NULL`/`NaN` key component and is never indexed).
     fn build_by(
-        rows: &[Tuple],
+        rows: &Rows,
         key_cols: &[usize],
         hash: impl Fn(&[Value]) -> Option<u64>,
     ) -> HashIndex {
@@ -537,7 +537,7 @@ pub(crate) enum Sink<'s, 'a> {
 pub(crate) struct Gathered<'s, 'a> {
     pub(crate) head: &'s HeadPlan<'a>,
     pub(crate) partial: &'s Partial,
-    pub(crate) out: &'s mut Vec<Tuple>,
+    pub(crate) out: &'s mut Rows,
 }
 
 /// A grouping scope's plan and boolean subformulas, where its frames
@@ -585,8 +585,8 @@ impl<'a> Gathered<'_, 'a> {
     #[cold]
     #[inline(never)]
     fn push_env(&mut self, env: &Env<'a>) {
-        let row = self.head.gather(self.partial, |f| env.frames[f].row());
-        self.out.push(row);
+        self.head
+            .gather(self.partial, |f| env.frames[f].row(), self.out);
     }
 }
 
@@ -749,7 +749,7 @@ impl<'a> Ctx<'a> {
             }
             true
         } else {
-            self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24)
+            self.guard_admit(seam::CHUNK_BUILD, rel.rows.bytes())
         };
         let (sel, nanos) = self.timed(|| {
             Arc::new(if columnar {
@@ -963,7 +963,7 @@ impl<'a> Ctx<'a> {
                         self.fold(run, i, rel, range, env, f)?;
                         return Ok(true);
                     }
-                    for row in &rel.rows[range] {
+                    for row in rel.rows.range(range) {
                         if !self.bind(run, i, Frame::Borrowed(row), env, sink)? {
                             return Ok(false);
                         }
@@ -1086,12 +1086,12 @@ impl<'a> Ctx<'a> {
         let rows = ids.iter().map(|&r| r as usize);
         self.in_pieces(run, i, rows, |piece| {
             for r in piece {
-                let row = &rel.rows[r][..];
-                let out = g.head.gather(g.partial, |f| match f == top {
+                let row = &rel.rows[r];
+                let at = |f: usize| match f == top {
                     true => row,
                     false => env.frames[f].row(),
-                });
-                g.out.push(out);
+                };
+                g.head.gather(g.partial, at, g.out);
             }
         })
     }
@@ -1150,7 +1150,7 @@ impl<'a> Ctx<'a> {
         if let Some(cols) = ob.columns.get() {
             return Some(cols);
         }
-        if !self.guard_admit(seam::CHUNK_BUILD, rel.len() * rel.schema.len().max(1) * 24) {
+        if !self.guard_admit(seam::CHUNK_BUILD, rel.rows.bytes()) {
             return None;
         }
         Some(ob.columns.get_or_init(|| rel.columns()))
@@ -1255,8 +1255,8 @@ impl<'a> Ctx<'a> {
             Src::Nested(lat) => {
                 // Lateral: the nested collection's rows for this
                 // environment, out of the step's memo or evaluated.
-                for row in self.lateral_rows(lat, env)? {
-                    if !self.bind(run, i, Frame::Owned(row), env, sink)? {
+                for row in self.lateral_rows(lat, env)?.iter() {
+                    if !self.bind(run, i, Frame::Owned(row.to_vec()), env, sink)? {
                         return Ok(false);
                     }
                 }
@@ -1394,7 +1394,7 @@ mod tests {
     #[test]
     fn colliding_keys_get_buckets_of_their_own() {
         // Every key hashes to one address: the buckets chain.
-        let rows: Vec<Tuple> = (0..6i64).map(|i| vec![Value::Int(i % 3)]).collect();
+        let rows = Rows::from_vecs(1, (0..6i64).map(|i| vec![Value::Int(i % 3)]).collect());
         let index = HashIndex::build_by(&rows, &[0], |_| Some(7));
         assert_eq!(index.len(), 3);
         let find = |v: i64| {

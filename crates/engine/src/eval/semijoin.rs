@@ -584,10 +584,7 @@ impl<'a> Ctx<'a> {
         }
         // Admission for the column chunks the key extraction reads;
         // denied → the row-at-a-time build runs instead.
-        if !self.guard_admit(
-            arc_guard::seam::CHUNK_BUILD,
-            rel.len() * rel.schema.len().max(1) * 24,
-        ) {
+        if !self.guard_admit(arc_guard::seam::CHUNK_BUILD, rel.rows.bytes()) {
             return None;
         }
         Some(Built {

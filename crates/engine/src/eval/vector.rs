@@ -48,7 +48,7 @@
 use super::scalar::arith;
 use super::semijoin::KeySet;
 use super::slots::{CPred, CScalar};
-use crate::relation::Tuple;
+use crate::relation::Rows;
 use arc_core::ast::{ArithOp, CmpOp};
 use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
 use arc_core::value::{cmp_truth, Key, Value};
@@ -233,7 +233,7 @@ pub(crate) fn selection(cols: &ColumnSet, filters: &[VecFilter]) -> Vec<u32> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn entry_selection(
     cols: &ColumnSet,
-    rows: &[Tuple],
+    rows: &Rows,
     range: Range<usize>,
     base: Option<&[u32]>,
     filters: &[EntryFilter<'_>],

@@ -58,7 +58,7 @@
 use crate::error::{EvalError, Result};
 use crate::eval::quantifier::{BaseIndexes, KeySlots};
 use crate::eval::{Engine, Entry, Recording, Redirect};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Relation, Rows};
 use arc_core::ast::*;
 use arc_core::binder::Binder;
 use arc_core::conventions::Semantics;
@@ -175,19 +175,17 @@ impl Engine<'_> {
 
         // Seed every member with an empty relation of the right schema.
         let empty = |def: &Definition| {
-            let mut rel = Relation::new(def.name().to_string(), &[]);
-            rel.schema = def.collection.head.attrs.clone();
-            rel
+            let attrs = &def.collection.head.attrs;
+            Relation::from_store(def.name(), attrs.clone(), Rows::new(attrs.len()))
         };
         for def in scc {
             defined.insert(def.name().to_string(), empty(def));
         }
 
-        // Bytes one derived row charges: its tuple in the total and its slot
-        // in the seen set. Neither can stream, so the reservation is hard —
-        // denial trips the guard.
-        let row_bytes =
-            |def: &Definition| def.collection.head.attrs.len().max(1) * 24 + SeenRows::SLOT_BYTES;
+        // Bytes a round's new rows charge: their cells in the total and
+        // their slots in the seen set. Neither can stream, so the
+        // reservation is hard — denial trips the guard.
+        let new_bytes = |new: &Rows| new.bytes() + new.len() * SeenRows::SLOT_BYTES;
         let delta_names: Vec<String> = scc.iter().map(|d| delta_name(d.name())).collect();
         let delta_of = |member: &str| {
             let named = |(d, _): &(&&Definition, &String)| d.name() == member;
@@ -216,10 +214,12 @@ impl Engine<'_> {
         let mut seen: Vec<SeenRows> = Vec::with_capacity(scc.len());
         for ((def, rules), delta) in scc.iter().zip(&rules).zip(&delta_names) {
             let (c, mut set, mut seed) = (&def.collection, SeenRows::default(), empty(def));
+            let nothing_before = Rows::new(seed.arity());
             for rule in rules {
-                for row in self.eval_rule(c, rule.body, defined, abstracts, entry, None, &base)? {
-                    if set.insert(&row, &[], &seed.rows) {
-                        seed.rows.push(row);
+                let rows = self.eval_rule(c, rule.body, defined, abstracts, entry, None, &base)?;
+                for row in &rows {
+                    if set.insert(row, &nothing_before, &seed.rows) {
+                        seed.rows.push_row(row);
                     }
                 }
             }
@@ -250,29 +250,31 @@ impl Engine<'_> {
             // first-occurrence order across rules and their variants. A
             // rule that reaches no member has no variant: all it derives
             // is in the seed.
-            let mut fresh: Vec<Vec<Tuple>> = Vec::with_capacity(scc.len());
+            let mut fresh: Vec<Rows> = Vec::with_capacity(scc.len());
             for ((def, rules), seen) in scc.iter().zip(&rules).zip(&mut seen) {
-                let (c, mut new) = (&def.collection, Vec::new());
+                let c = &def.collection;
+                let mut new = Rows::new(c.head.attrs.len());
                 let total = &defined[def.name()].rows;
                 for rule in rules {
                     for &variant in &rule.variants {
                         let rows = self
                             .eval_rule(c, rule.body, defined, abstracts, entry, variant, &base)?;
-                        for row in rows {
-                            if seen.insert(&row, total, &new) {
-                                new.push(row);
+                        for row in &rows {
+                            if seen.insert(row, total, &new) {
+                                new.push_row(row);
                             }
                         }
                     }
                 }
-                crate::eval::guard_reserve_hard(entry.guard.as_ref(), new.len() * row_bytes(def))?;
+                crate::eval::guard_reserve_hard(entry.guard.as_ref(), new_bytes(&new))?;
                 fresh.push(new);
             }
             // Publish only now: within a round every member reads the totals
-            // and deltas of the round before.
+            // and deltas of the round before. The new rows append to the
+            // total in one range copy; the delta takes their store.
             for ((def, delta), new) in scc.iter().zip(&delta_names).zip(fresh) {
                 let total = defined.get_mut(def.name()).expect("seeded above");
-                total.rows.extend(new.iter().cloned());
+                total.rows.extend_from(&new);
                 defined.get_mut(delta).expect("seeded above").rows = new;
             }
         }
@@ -319,7 +321,7 @@ impl SeenRows {
     /// Whether `row` is new. A new row claims index
     /// `total.len() + pending.len()`: the caller pushes it onto `pending`,
     /// and appends `pending` to `total` before the next round.
-    fn insert(&mut self, row: &[Value], total: &[Tuple], pending: &[Tuple]) -> bool {
+    fn insert(&mut self, row: &[Value], total: &Rows, pending: &Rows) -> bool {
         let mut h = self.state.build_hasher();
         for v in row {
             v.key_ref().hash(&mut h);
@@ -596,16 +598,16 @@ mod tests {
     fn seen_rows_admit_a_row_once_across_rounds() {
         let pair = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
         let mut seen = SeenRows::default();
-        let mut total: Vec<Tuple> = Vec::new();
-        let mut round = |rows: Vec<Tuple>, total: &mut Vec<Tuple>| {
-            let mut pending = Vec::new();
+        let mut total = Rows::new(2);
+        let mut round = |rows: Vec<Vec<Value>>, total: &mut Rows| {
+            let mut pending = Rows::new(2);
             for row in rows {
                 if seen.insert(&row, total, &pending) {
                     pending.push(row);
                 }
             }
-            total.extend(pending.iter().cloned());
-            pending
+            total.extend_from(&pending);
+            pending.to_vecs()
         };
         // De-duplicated in first-occurrence order within a round …
         let seed = round(vec![pair(1, 2), pair(3, 4), pair(1, 2)], &mut total);

@@ -72,7 +72,7 @@ pub use eval::{Engine, QueryOptions};
 pub use arc_guard::{seam, CancelHandle, FaultKind, FaultPlan};
 pub use external::{AccessPattern, ExternalRelation};
 pub use fixpoint::ProgramOutput;
-pub use relation::{Relation, Tuple};
+pub use relation::{Relation, Rows, Tuple};
 
 #[cfg(test)]
 mod tests;

@@ -4,12 +4,14 @@
 //! A [`Relation`] is always a *bag*; whether it is interpreted as a set is
 //! a [convention](arc_core::conventions) applied by the engine at
 //! collection boundaries, never baked into the data structure — mirroring
-//! the paper's §2.7. Storage is two-layered: the row view
-//! ([`Relation::rows`], a `Vec` of tuples) remains the mutation and
-//! compatibility API that frontends, the binder, and tests program
-//! against, while [`Relation::columns`] exposes the same rows as typed
-//! [column chunks](arc_core::column) — encoded on first use and cached —
-//! which is what the vectorized filter/join kernels and `ANALYZE` consume.
+//! the paper's §2.7. Its rows live in one flat, append-only store
+//! ([`Relation::rows`], a [`Rows`]): every cell in one buffer, a row read
+//! as a `&[Value]` slice of it, so emitting, loading or appending a row
+//! allocates no block of its own. [`Relation::columns`] exposes the same
+//! rows as typed [column chunks](arc_core::column) — encoded on first use
+//! and cached — which is what the vectorized filter/join kernels and
+//! `ANALYZE` consume; it and the ordered indexes are validated on the
+//! store's generation, which every mutation moves.
 
 use arc_core::column::ColumnSet;
 use arc_core::value::{Key, Value};
@@ -19,7 +21,11 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// A tuple: values aligned with the owning relation's schema.
+pub use arc_core::rows::Rows;
+
+/// A tuple held as a value of its own (a key, a memo entry, a row a
+/// pattern function returns), aligned with a relation's schema. A
+/// relation's own rows live in its [`Rows`] store instead.
 pub type Tuple = Vec<Value>;
 
 /// A named relation: schema (attribute names, in order) + rows, plus a
@@ -30,20 +36,20 @@ pub struct Relation {
     pub name: String,
     /// Attribute names in column order.
     pub schema: Vec<String>,
-    /// The rows, as a bag (the compatibility/mutation view; the engine's
-    /// hot paths read [`Relation::columns`] instead).
-    pub rows: Vec<Tuple>,
+    /// The rows, as a bag, in one flat store of the schema's arity.
+    pub rows: Rows,
     /// Cached columnar encoding (see [`Relation::columns`]).
     columns: ColCache,
     /// Cached ordered secondary indexes (see [`Relation::ordered_index`]).
     indexes: IndexCache,
 }
 
-/// The lazily built columnar view of a relation's rows. Identity-free by
-/// design: cloning resets it (the clone re-encodes on first use) and it
-/// never participates in equality, hashing, or `Debug` noise — it is a
-/// cache of `rows`, not state of its own.
-struct ColCache(Mutex<Option<Arc<ColumnSet>>>);
+/// The lazily built columnar view of a relation's rows, with the
+/// generation of the store it encodes. Identity-free by design: cloning
+/// resets it (the clone re-encodes on first use) and it never
+/// participates in equality, hashing, or `Debug` noise — it is a cache of
+/// `rows`, not state of its own.
+struct ColCache(Mutex<Option<(u64, Arc<ColumnSet>)>>);
 
 impl ColCache {
     fn empty() -> ColCache {
@@ -55,7 +61,7 @@ impl ColCache {
     /// — so later locks take the fast path again — and the cached view
     /// dropped, because a panic mid-encode may have published a partial
     /// one. Re-encoding on demand is always safe.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<ColumnSet>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(u64, Arc<ColumnSet>)>> {
         self.0.lock().unwrap_or_else(|poisoned| {
             self.0.clear_poison();
             let mut cached = poisoned.into_inner();
@@ -67,9 +73,8 @@ impl ColCache {
 
 impl Clone for ColCache {
     fn clone(&self) -> ColCache {
-        // Deliberately not cloned: the owning Relation's rows are pub and
-        // independently mutable after the clone, so sharing the encoding
-        // could serve stale columns. Re-encoding on demand is always safe.
+        // Deliberately not cloned: a cloned store draws a generation of its
+        // own, so a copied entry could never be served anyway.
         ColCache::empty()
     }
 }
@@ -88,12 +93,14 @@ impl fmt::Debug for ColCache {
 }
 
 /// Lazily built ordered secondary indexes, keyed by the indexed column
-/// list. Same identity-free contract as [`ColCache`]: cloning resets it,
-/// it never participates in equality or `Debug`, and a cached index is
-/// served only while the relation's row count still matches its
-/// build-time count (the only mutation the engine performs after a
-/// relation becomes visible to evaluation is appending rows).
-struct IndexCache(Mutex<HashMap<Vec<usize>, Arc<crate::eval::index::OrderedIndex>>>);
+/// list, each with the generation of the store it sorts. Same
+/// identity-free contract as [`ColCache`]: cloning resets it, it never
+/// participates in equality or `Debug`, and a cached index is served only
+/// while the store's generation still matches its build-time one.
+struct IndexCache(Mutex<IndexMap>);
+
+/// Ordered indexes by column list, with the generation each was built at.
+type IndexMap = HashMap<Vec<usize>, (u64, Arc<crate::eval::index::OrderedIndex>)>;
 
 impl IndexCache {
     fn empty() -> IndexCache {
@@ -103,10 +110,7 @@ impl IndexCache {
     /// Lock the cache, recovering from a poisoned mutex the same way
     /// [`ColCache::lock`] does: clear the poison, drop the cached
     /// indexes, rebuild on demand.
-    #[allow(clippy::type_complexity)]
-    fn lock(
-        &self,
-    ) -> std::sync::MutexGuard<'_, HashMap<Vec<usize>, Arc<crate::eval::index::OrderedIndex>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, IndexMap> {
         self.0.lock().unwrap_or_else(|poisoned| {
             self.0.clear_poison();
             let mut cached = poisoned.into_inner();
@@ -118,8 +122,7 @@ impl IndexCache {
 
 impl Clone for IndexCache {
     fn clone(&self) -> IndexCache {
-        // Deliberately not cloned, for the same reason as ColCache: the
-        // clone's rows are independently mutable.
+        // Deliberately not cloned, for the same reason as ColCache.
         IndexCache::empty()
     }
 }
@@ -140,10 +143,26 @@ impl fmt::Debug for IndexCache {
 impl Relation {
     /// An empty relation with the given name and schema.
     pub fn new(name: impl Into<String>, schema: &[&str]) -> Self {
+        let schema: Vec<String> = schema.iter().map(|s| s.to_string()).collect();
+        let rows = Rows::new(schema.len());
+        Relation::from_store(name, schema, rows)
+    }
+
+    /// A relation over an existing store.
+    ///
+    /// # Panics
+    /// Panics when the store's arity is not the schema's.
+    pub fn from_store(name: impl Into<String>, schema: Vec<String>, rows: Rows) -> Self {
+        let name = name.into();
+        assert_eq!(
+            rows.arity(),
+            schema.len(),
+            "arity mismatch storing rows into {name}"
+        );
         Relation {
-            name: name.into(),
-            schema: schema.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            name,
+            schema,
+            rows,
             columns: ColCache::empty(),
             indexes: IndexCache::empty(),
         }
@@ -153,22 +172,23 @@ impl Relation {
     /// [chunks](arc_core::column) of [`arc_core::column::CHUNK_ROWS`],
     /// built on first use and cached.
     ///
-    /// The cache invalidates on row-*count* changes (the only mutation the
-    /// engine performs after a relation becomes visible to evaluation);
-    /// code that overwrites rows in place at constant cardinality must not
-    /// hold on to a previously obtained view.
+    /// The cache validates on the store's [generation](Rows::generation):
+    /// any mutation of `rows` — an append or a whole new store, at any
+    /// length — makes the next call re-encode, so a stale view is never
+    /// served.
     pub fn columns(&self) -> Arc<ColumnSet> {
+        let generation = self.rows.generation();
         let mut cached = self.columns.lock();
-        if let Some(set) = cached.as_ref() {
-            if set.rows() == self.rows.len() {
+        if let Some((built, set)) = cached.as_ref() {
+            if *built == generation {
                 return Arc::clone(set);
             }
         }
         let start = Instant::now();
-        let set = Arc::new(ColumnSet::encode(self.schema.len(), &self.rows));
+        let set = Arc::new(ColumnSet::encode(&self.rows));
         crate::metrics::chunk_builds().inc();
         crate::metrics::chunk_encode_time().record_elapsed(start);
-        *cached = Some(Arc::clone(&set));
+        *cached = Some((generation, Arc::clone(&set)));
         set
     }
 
@@ -177,12 +197,13 @@ impl Relation {
     /// catalog pay the O(n log n) sort once and every index-range scan
     /// after that is O(log n + k). Shared via `Arc`: the parallel
     /// executor's workers and the coordinator read the same index. The
-    /// cache invalidates on row-count changes, exactly like
+    /// cache validates on the store's generation, exactly like
     /// [`Relation::columns`].
     pub(crate) fn ordered_index(&self, cols: &[usize]) -> Arc<crate::eval::index::OrderedIndex> {
+        let generation = self.rows.generation();
         let mut cached = self.indexes.lock();
-        if let Some(idx) = cached.get(cols) {
-            if idx.rows() == self.rows.len() {
+        if let Some((built, idx)) = cached.get(cols) {
+            if *built == generation {
                 return Arc::clone(idx);
             }
         }
@@ -190,7 +211,7 @@ impl Relation {
         let idx = Arc::new(crate::eval::index::OrderedIndex::build(&self.rows, cols));
         crate::metrics::ordered_builds().inc();
         crate::metrics::ordered_build_time().record_elapsed(start);
-        cached.insert(cols.to_vec(), Arc::clone(&idx));
+        cached.insert(cols.to_vec(), (generation, Arc::clone(&idx)));
         idx
     }
 
@@ -210,7 +231,7 @@ impl Relation {
         for row in &rows {
             rel.check_arity(row);
         }
-        rel.rows = rows;
+        rel.rows = Rows::from_vecs(rel.arity(), rows);
         rel
     }
 
@@ -239,7 +260,8 @@ impl Relation {
         self.schema.len()
     }
 
-    /// Append one row, checking arity.
+    /// Append one row, checking arity. [`Rows::push_row`] on
+    /// [`Relation::rows`] appends a borrowed row without the `Vec`.
     ///
     /// # Panics
     /// Panics when the row arity does not match the schema; tuples are
@@ -339,15 +361,14 @@ impl Relation {
 
     /// Deduplicated copy (first occurrence order preserved).
     pub fn deduped(&self) -> Relation {
-        let mut out = self.clone();
-        dedupe_rows(&mut out.rows);
-        out
+        let rows = dedupe_rows(self.rows.clone());
+        Relation::from_store(self.name.clone(), self.schema.clone(), rows)
     }
 
     /// Rows sorted by canonical key (deterministic output order; the key
     /// is computed once per row, not once per comparison).
     pub fn sorted_rows(&self) -> Vec<Tuple> {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows.to_vecs();
         rows.sort_by_cached_key(|r| Relation::row_key(r));
         rows
     }
@@ -395,32 +416,32 @@ impl Relation {
     }
 }
 
-/// Drop every row that repeats an earlier one (first occurrence order
-/// preserved), in place. Equality is [`Relation::row_key`]'s — `1` and
-/// `1.0` are one value, `NULL`s group — but no key is built: a row is
-/// hashed where it is and verified against the kept row its hash
-/// addresses, so the pass allocates one table, whatever the rows hold.
-pub(crate) fn dedupe_rows(rows: &mut Vec<Tuple>) {
+/// The rows of `rows` that repeat no earlier one, in first-occurrence
+/// order. Equality is [`Relation::row_key`]'s — `1` and `1.0` are one
+/// value, `NULL`s group — but no key is built: a row is hashed where it is
+/// and verified against the kept row its hash addresses, so the pass
+/// allocates one table and one verdict per row, whatever the rows hold,
+/// and hands back the store itself when nothing repeats.
+pub(crate) fn dedupe_rows(rows: Rows) -> Rows {
     if rows.len() < 2 {
-        return;
+        return rows;
     }
     let state = std::collections::hash_map::RandomState::new();
     let mut kept = crate::eval::quantifier::KeySlots::with_capacity(rows.len());
-    let mut n = 0; // rows[..n] are the distinct rows so far
-    for i in 0..rows.len() {
+    let mut keep = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
         let mut h = state.build_hasher();
-        rows[i].iter().for_each(|v| v.key_ref().hash(&mut h));
-        let row = &rows[i];
+        row.iter().for_each(|v| v.key_ref().hash(&mut h));
         let is_row = |at: u32| {
             let at = &rows[at as usize];
-            at.len() == row.len() && at.iter().zip(row).all(|(a, b)| a.key_ref() == b.key_ref())
+            at.iter().zip(row).all(|(a, b)| a.key_ref() == b.key_ref())
         };
-        if kept.insert(h.finish(), n as u32, is_row) {
-            rows.swap(n, i);
-            n += 1;
-        }
+        keep.push(kept.insert(h.finish(), i as u32, is_row));
     }
-    rows.truncate(n);
+    if keep.iter().all(|&k| k) {
+        return rows;
+    }
+    rows.filter(&keep)
 }
 
 /// A value's hash key for equi-join purposes, or `None` when the value can
@@ -493,7 +514,8 @@ mod tests {
         let rel = r(&[&[1, 2], &[3, 4], &[1, 2]]);
         let d = rel.deduped();
         assert_eq!(d.len(), 2);
-        assert_eq!(d.rows[0], vec![Value::Int(1), Value::Int(2)]);
+        assert_eq!(d.rows[0], [Value::Int(1), Value::Int(2)]);
+        assert_eq!(d.rows[1], [Value::Int(3), Value::Int(4)]);
     }
 
     #[test]
@@ -553,6 +575,28 @@ mod tests {
     }
 
     #[test]
+    fn a_replaced_store_of_the_same_length_is_never_served_stale() {
+        let mut rel = r(&[&[1, 2], &[3, 4]]);
+        let (cols, index) = (rel.columns(), rel.ordered_index(&[0]));
+        assert_eq!(cols.value(0, 0), Value::Int(1));
+        assert_eq!(
+            index.entries(),
+            [(vec![Key::Int(1)], 0), (vec![Key::Int(3)], 1)]
+        );
+        rel.rows = r(&[&[8, 0], &[7, 0]]).rows;
+        let cols = rel.columns();
+        assert_eq!(cols.rows(), 2);
+        assert_eq!(cols.value(0, 0), Value::Int(8));
+        assert_eq!(cols.value(1, 0), Value::Int(7));
+        let index = rel.ordered_index(&[0]);
+        assert_eq!(
+            index.entries(),
+            [(vec![Key::Int(7)], 1), (vec![Key::Int(8)], 0)],
+            "sorted over the new values"
+        );
+    }
+
+    #[test]
     fn poisoned_column_cache_recovers_by_re_encoding() {
         let rel = Arc::new(r(&[&[1, 2], &[3, 4]]));
         let _ = rel.columns();
@@ -588,7 +632,7 @@ mod tests {
             !Arc::ptr_eq(&before, &after),
             "poisoned entries are evicted, not reused"
         );
-        assert_eq!(after.rows(), before.rows());
+        assert_eq!(after.entries(), before.entries());
         assert!(!rel.indexes.0.is_poisoned(), "recovery clears the poison");
     }
 

@@ -2211,5 +2211,5 @@ fn lateral_memo_abandons_an_all_distinct_key() {
     let (distinct, out) = lateral_memo_peak(0..12_000);
     assert_eq!(distinct, 127 * per_entry, "127 entries, not 12 000");
     let want: Vec<Vec<Value>> = (0..12_000).map(|k| row(&[k, k.min(2)])).collect();
-    assert_eq!(out.rows, want);
+    assert_eq!(out.rows.to_vecs(), want);
 }

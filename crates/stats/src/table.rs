@@ -6,6 +6,7 @@ use crate::histogram::Histogram;
 use crate::sketch::{combine_hashes, hash_key, DistinctSketch, RowSketch};
 use arc_core::ast::CmpOp;
 use arc_core::column::{ColumnChunk, ColumnData, ColumnSet};
+use arc_core::rows::Rows;
 use arc_core::value::{Key, Value};
 use std::collections::HashMap;
 
@@ -57,8 +58,13 @@ impl TableStats {
     /// [`TableStats::analyze_chunks`] computes the same statistics from a
     /// columnar encoding, one typed pass per column — this pass is the
     /// reference its equality test compares against.
-    pub fn analyze(arity: usize, rows: &[Vec<Value>]) -> TableStats {
-        let n = rows.len();
+    pub fn analyze<R>(arity: usize, rows: R) -> TableStats
+    where
+        R: IntoIterator + Copy,
+        R::IntoIter: ExactSizeIterator,
+        R::Item: AsRef<[Value]>,
+    {
+        let n = rows.into_iter().len();
         let stride = n.div_ceil(SAMPLE_CAP).max(1);
         let exact = stride == 1;
 
@@ -70,6 +76,7 @@ impl TableStats {
         let mut exact_rows: std::collections::HashSet<Vec<Key>> = Default::default();
 
         for row in rows {
+            let row = row.as_ref();
             let mut row_hash: u64 = 0;
             for (c, v) in row.iter().enumerate() {
                 match v.join_key() {
@@ -108,8 +115,8 @@ impl TableStats {
         // Strided sample for value frequencies (the full relation when
         // exact).
         let mut counts: Vec<HashMap<Key, u64>> = vec![HashMap::new(); arity];
-        for row in rows.iter().step_by(stride) {
-            for (c, v) in row.iter().enumerate() {
+        for row in rows.into_iter().step_by(stride) {
+            for (c, v) in row.as_ref().iter().enumerate() {
                 if let Some(k) = v.join_key() {
                     *counts[c].entry(k).or_insert(0) += 1;
                 }
@@ -155,8 +162,8 @@ impl TableStats {
     /// join-key buffer. Every cell is hashed once: the same hash updates
     /// the column's sketch and, folded in schema order, the cell's row
     /// hash — in the one pass over the column.
-    pub fn analyze_chunks(arity: usize, rows: &[Vec<Value>], cols: &ColumnSet) -> TableStats {
-        let n = cols.rows();
+    pub fn analyze_chunks(rows: &Rows, cols: &ColumnSet) -> TableStats {
+        let (arity, n) = (rows.arity(), cols.rows());
         debug_assert_eq!(n, rows.len(), "columns must encode the given rows");
         let stride = n.div_ceil(SAMPLE_CAP).max(1);
         let exact = stride == 1;
@@ -497,7 +504,7 @@ mod tests {
 
     #[test]
     fn empty_relation_analyzes() {
-        let ts = TableStats::analyze(2, &[]);
+        let ts = TableStats::analyze(2, &Rows::new(2));
         assert_eq!(ts.rows, 0);
         assert_eq!(ts.columns.len(), 2);
         assert_eq!(ts.columns[0].eq_selectivity(&Value::Int(1)), 0.0);
@@ -539,10 +546,10 @@ mod tests {
                 .collect()
         };
         for n in [0i64, 1, 50, 1023, 1024, 1025, 2500, 20_000] {
-            let rows = mk(n);
-            let cols = ColumnSet::encode(3, &rows);
+            let rows = Rows::from_vecs(3, mk(n));
+            let cols = ColumnSet::encode(&rows);
             assert_eq!(
-                TableStats::analyze_chunks(3, &rows, &cols),
+                TableStats::analyze_chunks(&rows, &cols),
                 TableStats::analyze(3, &rows),
                 "divergence at n={n}"
             );
@@ -574,9 +581,9 @@ mod tests {
                 .collect()
         };
         for n in [8_192i64, 8_193, 20_000, 131_072] {
-            let rows = typed(n);
-            let cols = ColumnSet::encode(4, &rows);
-            let chunked = TableStats::analyze_chunks(4, &rows, &cols);
+            let rows = Rows::from_vecs(4, typed(n));
+            let cols = ColumnSet::encode(&rows);
+            let chunked = TableStats::analyze_chunks(&rows, &cols);
             assert_eq!(
                 chunked,
                 TableStats::analyze(4, &rows),

@@ -589,14 +589,14 @@ fn fault_smoke_every_seam_every_battery_entry() {
                         .with_threads(*threads)
                         .with_fault(plan)
                         .eval_collection(q)
-                        .map(|rel| rel.rows)
+                        .map(|rel| rel.rows.to_vecs())
                 });
             }
             smoke("eq16", &|| {
                 Engine::new(&chain, Conventions::set())
                     .with_fault(plan)
                     .eval_program(&eq16)
-                    .map(|out| out.defined["A"].rows.clone())
+                    .map(|out| out.defined["A"].rows.to_vecs())
             });
         }
     }

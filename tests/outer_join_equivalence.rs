@@ -68,7 +68,7 @@ fn assert_rows(catalog: &Catalog, q: &Collection, want: &[Tuple], what: &str) {
         ("threads(4)", engine().with_threads(4)),
     ] {
         let got = engine.eval_collection(q).unwrap();
-        assert_eq!(exact(&got.rows), exact(want), "{what} ({name})");
+        assert_eq!(exact(&got.rows.to_vecs()), exact(want), "{what} ({name})");
         arc_tests::assert_oracle(catalog, Conventions::sql(), q, &got);
     }
 }
@@ -124,8 +124,8 @@ fn equi_keys_of_every_type_with_nulls_and_nans_on_both_sides() {
              [Q.rk = r.k ∧ Q.a = r.a ∧ Q.sk = s.k ∧ Q.b = s.b ∧ r.k = s.k]}}"
         ));
         let want = outer_join(
-            &r.rows,
-            &s.rows,
+            &r.rows.to_vecs(),
+            &s.rows.to_vecs(),
             (2, 2),
             |l, r| holds(&l[0], CmpOp::Eq, &r[0]),
             full,
@@ -149,8 +149,8 @@ fn residual_predicates_stay_in_on_and_left_only_ones_in_where() {
          [Q.a = r.a ∧ Q.b = s.b ∧ r.k = s.k ∧ s.b > r.a ∧ r.a <> 4]}",
     );
     let joined = outer_join(
-        &r.rows,
-        &s.rows,
+        &r.rows.to_vecs(),
+        &s.rows.to_vecs(),
         (2, 2),
         |l, r| holds(&l[0], CmpOp::Eq, &r[0]) && holds(&r[1], CmpOp::Gt, &l[1]),
         false,
@@ -177,8 +177,8 @@ fn no_equi_key_at_all() {
             "{{Q(a,b) | ∃r ∈ R, s ∈ S, {kind}(r, s) [Q.a = r.a ∧ Q.b = s.b ∧ s.b < r.a + r.a]}}"
         ));
         let want: Vec<Tuple> = outer_join(
-            &r.rows,
-            &s.rows,
+            &r.rows.to_vecs(),
+            &s.rows.to_vecs(),
             (2, 2),
             |l, r| {
                 let twice = Value::Int(2 * l[1].as_i64().unwrap());
@@ -219,8 +219,8 @@ fn on_reads_an_enclosing_scopes_variable() {
     let mut want = Vec::new();
     for o in &o.rows {
         let rows = outer_join(
-            &r.rows,
-            &s.rows,
+            &r.rows.to_vecs(),
+            &s.rows.to_vecs(),
             (2, 2),
             |l, r| {
                 holds(&l[0], CmpOp::Eq, &r[0])
@@ -267,10 +267,10 @@ fn an_outer_node_under_an_outer_node_on_either_side() {
         let q = fx::q(&format!(
             "{{Q(a,b,d) | ∃r ∈ R, s ∈ S, t ∈ T, {kind}(left(r, s), t) [{head}]}}"
         ));
-        let rs = outer_join(&r.rows, &s.rows, (2, 2), key, false);
+        let rs = outer_join(&r.rows.to_vecs(), &s.rows.to_vecs(), (2, 2), key, false);
         let want = project(outer_join(
             &rs,
-            &t.rows,
+            &t.rows.to_vecs(),
             (4, 2),
             |l, r| holds(&l[3], CmpOp::Eq, &r[0]),
             full,
@@ -284,13 +284,13 @@ fn an_outer_node_under_an_outer_node_on_either_side() {
         "{{Q(a,b,d) | ∃r ∈ R, s ∈ S, t ∈ T, left(r, full(s, t)) [{head}]}}"
     ));
     let st = outer_join(
-        &s.rows,
-        &t.rows,
+        &s.rows.to_vecs(),
+        &t.rows.to_vecs(),
         (2, 2),
         |l, r| holds(&l[1], CmpOp::Eq, &r[0]),
         true,
     );
-    let want = project(outer_join(&r.rows, &st, (2, 4), key, false));
+    let want = project(outer_join(&r.rows.to_vecs(), &st, (2, 4), key, false));
     assert_rows(&catalog, &q, &want, "left(r, full(s, t))");
 }
 
@@ -316,8 +316,8 @@ fn fig12_literal_leaf_associates_its_constant_with_the_right_side() {
     );
     let catalog = Catalog::new().with(r.clone()).with(s.clone());
     let want: Vec<Tuple> = outer_join(
-        &r.rows,
-        &s.rows,
+        &r.rows.to_vecs(),
+        &s.rows.to_vecs(),
         (3, 3),
         |l, r| holds(&l[1], CmpOp::Eq, &r[0]) && holds(&l[2], CmpOp::Eq, &Value::Int(11)),
         false,

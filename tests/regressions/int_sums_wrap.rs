@@ -31,7 +31,7 @@ fn int_sums_wrap_on_both_fold_paths_and_in_the_oracle() {
             for (side, rows) in [("engine", &rows), ("oracle", &oracle.rows)] {
                 assert!(
                     matches!(
-                        rows.as_slice(),
+                        rows.to_vecs().as_slice(),
                         [row] if matches!(row.as_slice(),
                             [Value::Int(i64::MIN), Value::Float(a)]
                                 if a.to_bits() == (i64::MIN as f64 / 2.0).to_bits())

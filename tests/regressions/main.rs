@@ -7,6 +7,7 @@ mod definition_order;
 mod explain_shows_the_executed_plan;
 mod i64_min_round_trip;
 mod int_sums_wrap;
+mod nullary_heads;
 mod outer_join_stratification;
 mod recursion_through_abstract;
 mod right_join_alias;

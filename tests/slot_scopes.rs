@@ -422,7 +422,11 @@ fn an_outer_free_lateral_is_evaluated_once() {
     let mut few = catalog.clone();
     let r = catalog.relation("R").unwrap();
     let attrs: Vec<&str> = r.schema.iter().map(String::as_str).collect();
-    few.add(Relation::from_rows("R", &attrs, r.rows[..4].to_vec()));
+    few.add(Relation::from_rows(
+        "R",
+        &attrs,
+        r.rows.range(0..4).map(<[Value]>::to_vec).collect(),
+    ));
     let plan = Engine::new(&few, Conventions::sql())
         .explain_collection(&q)
         .unwrap();
@@ -642,8 +646,10 @@ fn reference_fold(func: &str, distinct: bool, inputs: &[Value], empty: EmptyAgg)
 }
 
 /// Exact rendering: `Int(1)` and `Float(1.0)` differ, as do `0.0`/`-0.0`.
-fn exact(rows: &[Vec<Value>]) -> Vec<String> {
-    rows.iter().map(|r| format!("{r:?}")).collect()
+fn exact<R: AsRef<[Value]>>(rows: impl IntoIterator<Item = R>) -> Vec<String> {
+    rows.into_iter()
+        .map(|r| format!("{:?}", r.as_ref()))
+        .collect()
 }
 
 proptest! {
