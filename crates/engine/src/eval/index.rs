@@ -23,6 +23,19 @@
 //! [`KeyRef`] view, so there is one search path and one comparator
 //! ([`key_cmp`]) whatever the columns hold.
 //!
+//! ## How it is built
+//!
+//! [`OrderedIndex::build`] reads the relation's chunk view
+//! ([`Relation::columns`](crate::relation::Relation::columns)) — the one
+//! `ANALYZE` already encoded, so an analyzed relation's first index-range
+//! scan encodes nothing new. One gather walks it a chunk at a time: an
+//! `Int` chunk copies its slice, dropping `NULL` slots through its
+//! validity words; any other chunk keys each slot as the row path does.
+//! The gather emits rows in ascending id order, and both sorts keep that
+//! order among equal keys: an all-`Int` index of any width sorts by a
+//! stable LSD radix sort (`radix_sort`, linear per key digit), anything
+//! else by [`key_cmp`] with the row id as the last key.
+//!
 //! ## Search semantics — who defines "equal" and "less"
 //!
 //! The two probe components deliberately use *different* comparison
@@ -50,8 +63,8 @@
 //! invariant 13, and what lets the selection compose with chunk-aligned
 //! morsel partitioning unchanged.
 
-use crate::relation::Rows;
 use arc_core::ast::{CmpOp, Predicate};
+use arc_core::column::{ColumnChunk, ColumnData, ColumnSet, Mask};
 use arc_core::value::{Key, KeyRef, Value};
 use arc_plan::const_cmp;
 use std::cmp::Ordering;
@@ -270,6 +283,27 @@ enum KeyColumn {
     Keys(Vec<Key>),
 }
 
+/// Slot `i`'s join key: what [`Value::join_key_ref`] makes of the value
+/// the slot decodes to (`None` for `NULL` and `NaN`; an integral float
+/// keys as `Int`), read without copying a string.
+fn slot_key(col: &ColumnChunk, i: usize) -> Option<KeyRef<'_>> {
+    if !col.is_valid(i) {
+        return None;
+    }
+    match col.data() {
+        ColumnData::Int(xs) => Some(KeyRef::Int(xs[i])),
+        ColumnData::Float(xs) => match Value::Float(xs[i]).join_key()? {
+            Key::Int(k) => Some(KeyRef::Int(k)),
+            Key::Float(bits) => Some(KeyRef::Float(bits)),
+            _ => unreachable!("a float keys as Int or Float"),
+        },
+        ColumnData::Bool(xs) => Some(KeyRef::Bool(xs[i])),
+        ColumnData::Str(xs) => Some(KeyRef::Str(&xs[i])),
+        ColumnData::Mixed(vs) => vs[i].join_key_ref(),
+        ColumnData::Null => None,
+    }
+}
+
 impl KeyColumn {
     fn get(&self, entry: usize) -> KeyRef<'_> {
         match self {
@@ -289,6 +323,24 @@ impl KeyColumn {
                 *self = KeyColumn::Keys(ks);
             }
             (KeyColumn::Keys(ks), k) => ks.push(k.to_key()),
+        }
+    }
+
+    /// Append the keys of `col`'s slots for the global row ids `rows`
+    /// (ascending, all in the chunk starting at row `base`, every one
+    /// with a key): an `Int` chunk into a packed column copies its slice,
+    /// anything else goes slot by slot through [`slot_key`].
+    fn extend(&mut self, col: &ColumnChunk, base: usize, rows: &[u32]) {
+        if let (KeyColumn::Int(out), ColumnData::Int(xs)) = (&mut *self, col.data()) {
+            if rows.len() == xs.len() {
+                out.extend_from_slice(xs);
+            } else {
+                out.extend(rows.iter().map(|&r| xs[r as usize - base]));
+            }
+            return;
+        }
+        for &r in rows {
+            self.push(slot_key(col, r as usize - base).expect("a gathered slot has a key"));
         }
     }
 
@@ -316,84 +368,141 @@ pub(crate) struct OrderedIndex {
     perm: Vec<u32>,
 }
 
-/// Sort an all-`Int` index of width `W` in place: pack `(key, row id)`
-/// entries, sort them with native `Ord` (lexicographic key, then row id —
-/// the order [`key_cmp`] gives `Int` keys), unpack.
-fn sort_packed<const W: usize>(cols: &mut [&mut Vec<i64>], perm: &mut [u32]) {
-    let mut entries: Vec<([i64; W], u32)> = perm
-        .iter()
-        .enumerate()
-        .map(|(p, &rid)| (std::array::from_fn(|c| cols[c][p]), rid))
-        .collect();
-    entries.sort_unstable();
-    for (p, (key, rid)) in entries.into_iter().enumerate() {
-        for (col, k) in cols.iter_mut().zip(key) {
-            col[p] = k;
+/// Widest radix digit, in bits: a histogram of at most `2^11` counts.
+const DIGIT_BITS: u32 = 11;
+
+/// Sort an all-`Int` index in place by `(key tuple, row id)`: an LSD
+/// radix sort, stable, so the ascending row ids the gather produced
+/// break every tie. Column by column from the last (least significant),
+/// each column's keys are counted as `x − min` (a `u64`, so the whole
+/// `i64` range is exact) in digits of at most [`DIGIT_BITS`] — no wider
+/// than its range needs, nor than the row count's bit length — and each
+/// digit scatters every key column and the row ids into one spare set,
+/// which then swaps in. An all-equal column, or a digit every key
+/// shares, makes no pass.
+fn radix_sort(cols: &mut [Vec<i64>], perm: &mut Vec<u32>) {
+    let n = perm.len();
+    if n < 2 {
+        return;
+    }
+    let widest = (usize::BITS - n.leading_zeros()).min(DIGIT_BITS);
+    let mut counts: Vec<u32> = Vec::new();
+    let mut spare: Option<(Vec<Vec<i64>>, Vec<u32>)> = None;
+    for c in (0..cols.len()).rev() {
+        let (min, max) =
+            (cols[c].iter()).fold((i64::MAX, i64::MIN), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let bits = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+        let passes = bits.div_ceil(widest);
+        if passes == 0 {
+            continue;
         }
-        perm[p] = rid;
+        let width = bits.div_ceil(passes);
+        let mask = (1u64 << width) - 1;
+        for pass in 0..passes {
+            let shift = pass * width;
+            let digit = |x: i64| ((x.wrapping_sub(min) as u64 >> shift) & mask) as usize;
+            counts.clear();
+            counts.resize(1 << width, 0);
+            for &x in &cols[c] {
+                counts[digit(x)] += 1;
+            }
+            if counts.iter().any(|&k| k as usize == n) {
+                continue; // every key shares this digit
+            }
+            let mut at = 0;
+            for k in &mut counts {
+                (*k, at) = (at, at + *k);
+            }
+            let (spare_cols, spare_perm) = spare
+                .get_or_insert_with(|| (cols.iter().map(|_| vec![0; n]).collect(), vec![0; n]));
+            for i in 0..n {
+                let slot = &mut counts[digit(cols[c][i])];
+                let to = *slot as usize;
+                *slot += 1;
+                for (from, into) in cols.iter().zip(spare_cols.iter_mut()) {
+                    into[to] = from[i];
+                }
+                spare_perm[to] = perm[i];
+            }
+            for (from, into) in cols.iter_mut().zip(spare_cols.iter_mut()) {
+                std::mem::swap(from, into);
+            }
+            std::mem::swap(perm, spare_perm);
+        }
     }
 }
 
 impl OrderedIndex {
     /// Bytes a build over `rows` rows and `width` `Int` columns holds at
     /// its peak — what `ORDERED_BUILD` reserves: the index (8 B per key
-    /// and the 4 B row id) plus the packed sort buffer beside it (the
-    /// same entries, the row id padded to 8 B).
+    /// and the 4 B row id), the radix sort's spare set of the same size,
+    /// and its histogram (`2^DIGIT_BITS` counts of 4 B).
     pub(crate) fn build_bytes(rows: usize, width: usize) -> usize {
-        rows * ((8 * width + 4) + (8 * width + 8))
+        2 * rows * (8 * width + 4) + (4 << DIGIT_BITS)
     }
 
-    /// Build the index over `cols` of `rows`. Rows where any indexed
-    /// column lacks a join key (`NULL`/`NaN`) are excluded — they can
-    /// never satisfy the equality or ordering predicates a probe encodes.
+    /// Build the index over `cols` of the columnar view `set`. Rows where
+    /// any indexed column lacks a join key (`NULL`/`NaN`) are excluded —
+    /// they can never satisfy the equality or ordering predicates a probe
+    /// encodes.
     ///
-    /// One pass gathers the indexed columns flat (straight from `rows`,
-    /// so the build never needs the chunk cache), each column typed by
-    /// the keys it actually met. An all-`Int` index of up to three
-    /// columns then sorts packed `([i64; w], row id)` entries natively;
-    /// anything else sorts the permutation through the gathered columns
-    /// with [`key_cmp`], ties by row id. Either way nothing is allocated
-    /// per row beyond the string payload of a `Str` key.
-    pub(crate) fn build(rows: &Rows, cols: &[usize]) -> OrderedIndex {
+    /// One gather, a chunk at a time, collects the indexed columns flat
+    /// in ascending row order, each column typed by the keys it actually
+    /// met: an `Int` chunk copies its slice (its validity words drop the
+    /// `NULL`s); any other chunk keys each slot as
+    /// [`Value::join_key_ref`] does. An all-`Int` index of any width then
+    /// LSD-radix-sorts (`radix_sort`); anything else sorts the
+    /// permutation through the gathered columns with [`key_cmp`]. Either
+    /// way the entries end in `(key tuple, row id)` order — equal keys
+    /// keep their rows' order — and nothing is allocated per row beyond
+    /// the string payload of a `Str` key.
+    pub(crate) fn build(set: &ColumnSet, cols: &[usize]) -> OrderedIndex {
         let mut keys: Vec<KeyColumn> = cols
             .iter()
-            .map(|_| KeyColumn::Int(Vec::with_capacity(rows.len())))
+            .map(|_| KeyColumn::Int(Vec::with_capacity(set.rows())))
             .collect();
-        let mut perm: Vec<u32> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            if cols.iter().all(|&c| row[c].join_key_ref().is_some()) {
-                for (col, &c) in keys.iter_mut().zip(cols) {
-                    col.push(row[c].key_ref());
+        let mut perm: Vec<u32> = Vec::with_capacity(set.rows());
+        let mut keep = Mask::default();
+        for chunk in set.chunks() {
+            // The chunk's rows where every indexed column has a key.
+            keep.select_range(chunk.len(), 0..chunk.len());
+            for &c in cols {
+                let col = chunk.col(c);
+                match col.data() {
+                    ColumnData::Int(_) => col.and_is_null(true, &mut keep),
+                    _ => keep.retain(|i| slot_key(col, i).is_some()),
                 }
-                perm.push(i as u32);
+            }
+            let start = perm.len();
+            keep.indices_into(chunk.base() as u32, &mut perm);
+            for (key, &c) in keys.iter_mut().zip(cols) {
+                key.extend(chunk.col(c), chunk.base(), &perm[start..]);
             }
         }
-        let mut ints: Vec<&mut Vec<i64>> = keys
-            .iter_mut()
-            .filter_map(|col| match col {
-                KeyColumn::Int(xs) => Some(xs),
-                KeyColumn::Keys(_) => None,
-            })
-            .collect();
-        match (ints.len() == cols.len(), cols.len()) {
-            (true, 1) => sort_packed::<1>(&mut ints, &mut perm),
-            (true, 2) => sort_packed::<2>(&mut ints, &mut perm),
-            (true, 3) => sort_packed::<3>(&mut ints, &mut perm),
-            _ => {
-                // Gathered in row order, so a slot's position orders like
-                // its row id.
-                let mut order: Vec<u32> = (0..perm.len() as u32).collect();
-                order.sort_unstable_by(|&a, &b| {
-                    keys.iter()
-                        .map(|col| key_cmp(col.get(a as usize), col.get(b as usize)))
-                        .find(|ord| ord.is_ne())
-                        .unwrap_or(Ordering::Equal)
-                        .then_with(|| a.cmp(&b))
-                });
-                keys = keys.into_iter().map(|col| col.permuted(&order)).collect();
-                perm = order.iter().map(|&p| perm[p as usize]).collect();
-            }
+        if keys.iter().all(|col| matches!(col, KeyColumn::Int(_))) {
+            let mut ints: Vec<Vec<i64>> = keys
+                .into_iter()
+                .map(|col| match col {
+                    KeyColumn::Int(xs) => xs,
+                    KeyColumn::Keys(_) => unreachable!("checked above"),
+                })
+                .collect();
+            radix_sort(&mut ints, &mut perm);
+            let keys = ints.into_iter().map(KeyColumn::Int).collect();
+            return OrderedIndex { keys, perm };
         }
+        // Gathered in row order, so a slot's position orders like its row
+        // id.
+        let mut order: Vec<u32> = (0..perm.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            keys.iter()
+                .map(|col| key_cmp(col.get(a as usize), col.get(b as usize)))
+                .find(|ord| ord.is_ne())
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.cmp(&b))
+        });
+        let keys = keys.into_iter().map(|col| col.permuted(&order)).collect();
+        let perm = order.iter().map(|&p| perm[p as usize]).collect();
         OrderedIndex { keys, perm }
     }
 
@@ -416,7 +525,7 @@ impl OrderedIndex {
 
     /// Which indexed columns are stored packed.
     #[cfg(test)]
-    fn typed(&self) -> Vec<bool> {
+    pub(crate) fn typed(&self) -> Vec<bool> {
         self.keys
             .iter()
             .map(|col| matches!(col, KeyColumn::Int(_)))
@@ -508,7 +617,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::Relation;
+    use crate::relation::{Relation, Rows};
     use arc_core::value::cmp_truth;
 
     fn rel() -> Relation {
@@ -570,7 +679,7 @@ mod tests {
     #[test]
     fn range_search_matches_cmp_truth_per_class() {
         let rel = rel();
-        let idx = OrderedIndex::build(&rel.rows, &[0]);
+        let idx = OrderedIndex::build(&rel.columns(), &[0]);
         assert!(idx.len() < rel.len(), "NULL/NaN rows are excluded");
         let cases = vec![
             (
@@ -607,7 +716,7 @@ mod tests {
     #[test]
     fn eq_prefix_narrows_before_the_range_bound() {
         let rel = rel();
-        let idx = OrderedIndex::build(&rel.rows, &[1, 0]);
+        let idx = OrderedIndex::build(&rel.columns(), &[1, 0]);
         let probe = IndexProbe {
             eq: vec![Key::Int(2)],
             lo: Some((CmpOp::Gt, Value::Int(10))),
@@ -623,7 +732,7 @@ mod tests {
     #[test]
     fn unmatchable_probes_are_empty() {
         let rel = rel();
-        let idx = OrderedIndex::build(&rel.rows, &[0]);
+        let idx = OrderedIndex::build(&rel.columns(), &[0]);
         // Statically empty probe (NULL/NaN constant or cross-class pair).
         let probe = IndexProbe {
             eq: Vec::new(),
@@ -633,7 +742,7 @@ mod tests {
         };
         assert!(idx.search(&probe).is_empty());
         // Missing equality key: empty without touching the range logic.
-        let idx2 = OrderedIndex::build(&rel.rows, &[1, 0]);
+        let idx2 = OrderedIndex::build(&rel.columns(), &[1, 0]);
         let probe = IndexProbe {
             eq: vec![Key::Int(99)],
             lo: Some((CmpOp::Gt, Value::Int(0))),
@@ -710,7 +819,7 @@ mod tests {
         eqs: &[Vec<Value>],
         bounds: &[Value],
     ) -> OrderedIndex {
-        let idx = OrderedIndex::build(&rel.rows, cols);
+        let idx = OrderedIndex::build(&rel.columns(), cols);
         assert_eq!(
             idx.entries(),
             reference_entries(&rel.rows, cols),
@@ -794,7 +903,7 @@ mod tests {
             assert_eq!(idx.typed(), vec![true; cols.len()]);
             assert_eq!(idx.len(), rel.len());
         }
-        // Four columns sort through the gathered columns, still packed.
+        // Four columns radix-sort as well.
         let wide = Relation::from_rows(
             "W",
             &["A", "B", "C", "D"],
@@ -890,6 +999,139 @@ mod tests {
         assert_eq!(idx.typed(), [false], "the fraction arrived with the growth");
     }
 
+    /// The order the radix sort must reproduce, computed the plain way:
+    /// the rows whose indexed cells are all `Int`, as `(key tuple, row
+    /// id)` pairs sorted by a comparison sort.
+    fn comparison_order(rel: &Relation, cols: &[usize]) -> Vec<(Vec<Key>, u32)> {
+        let mut entries: Vec<(Vec<i64>, u32)> = rel
+            .rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| {
+                let key = cols.iter().map(|&c| match row[c] {
+                    Value::Int(x) => Some(x),
+                    _ => None,
+                });
+                Some((key.collect::<Option<_>>()?, i as u32))
+            })
+            .collect();
+        entries.sort_unstable();
+        entries
+            .into_iter()
+            .map(|(key, id)| (key.into_iter().map(Key::Int).collect(), id))
+            .collect()
+    }
+
+    /// Build over `cols` and check the radix order against the
+    /// comparison sort's, every column packed.
+    fn check_radix(rel: &Relation, cols: &[usize]) {
+        let idx = OrderedIndex::build(&rel.columns(), cols);
+        assert_eq!(idx.typed(), vec![true; cols.len()], "{cols:?}");
+        assert_eq!(idx.entries(), comparison_order(rel, cols), "{cols:?}");
+    }
+
+    /// `n` rows of five `Int` columns: `A` over both extremes of `i64`
+    /// (a 64-bit range) and negatives, `B` heavy duplicates, `C` all
+    /// equal, `D` negatives only, `E` with a `NULL` every fifth row.
+    fn radix_rel(n: i64) -> Relation {
+        Relation::from_rows(
+            "X",
+            &["A", "B", "C", "D", "E"],
+            (0..n)
+                .map(|i| {
+                    let a = match i % 7 {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => i64::MIN + i,
+                        3 => -(i * 7_919 % 4_001),
+                        _ => i * 104_729 % 3_001,
+                    };
+                    let e = if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 9 - 4)
+                    };
+                    vec![
+                        Value::Int(a),
+                        Value::Int(i % 3),
+                        Value::Int(7),
+                        Value::Int(-1 - i * 31 % 257),
+                        e,
+                    ]
+                })
+                .collect(),
+        )
+    }
+
+    /// Column lists of widths 1–4 over [`radix_rel`]: each column alone
+    /// and in prefixes that put the duplicates, the constant, the
+    /// extremes and the `NULL`s at every position.
+    const RADIX_COLS: [&[usize]; 12] = [
+        &[0],
+        &[1],
+        &[2],
+        &[3],
+        &[4],
+        &[1, 0],
+        &[2, 3],
+        &[4, 0],
+        &[2, 1, 0],
+        &[1, 4, 3],
+        &[2, 1, 4, 0],
+        &[0, 1, 2, 3],
+    ];
+
+    #[test]
+    fn radix_order_equals_the_comparison_order_at_widths_one_to_four() {
+        // Two full chunks and a short third, then builds too small to
+        // fill a histogram.
+        let many = 2 * arc_core::column::CHUNK_ROWS as i64 + 300;
+        for n in [many, 0, 1, 2, 32] {
+            let rel = radix_rel(n);
+            for cols in RADIX_COLS {
+                check_radix(&rel, cols);
+            }
+            // The NULLs of `E` drop out through its chunks' validity words.
+            let chunks = rel.columns();
+            let idx = OrderedIndex::build(&chunks, &[4, 0]);
+            assert_eq!(idx.len() as i64, n - (n + 4) / 5);
+            // Ties keep ascending row ids: `C` is one run in row order.
+            let ids: Vec<u32> = (OrderedIndex::build(&chunks, &[2]).entries().into_iter())
+                .map(|(_, id)| id)
+                .collect();
+            assert_eq!(ids, (0..n as u32).collect::<Vec<_>>());
+        }
+        let chunks = radix_rel(many).columns();
+        assert_eq!(chunks.chunks().len(), 3);
+        assert_eq!(chunks.chunks()[2].len(), 300);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary `i64` keys, at every width from one to four.
+        #[test]
+        fn radix_order_equals_the_comparison_order_for_any_keys(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<i64>(), 4..5),
+                0..300,
+            ),
+            narrow in 0u32..3,
+        ) {
+            // Narrowed keys collide, so ties are exercised too.
+            let rows: Vec<Vec<Value>> = rows
+                .into_iter()
+                .map(|row| row.into_iter().map(|x| Value::Int(x >> (narrow * 30))).collect())
+                .collect();
+            let rel = Relation::from_rows("P", &["A", "B", "C", "D"], rows);
+            for width in 1..=4 {
+                let cols: Vec<usize> = (0..width).collect();
+                let idx = OrderedIndex::build(&rel.columns(), &cols);
+                proptest::prop_assert_eq!(idx.entries(), comparison_order(&rel, &cols));
+            }
+        }
+    }
+
     /// One generated cell: what column `kind` makes of `(tag, n)`.
     fn cell(kind: u32, tag: u32, n: i64) -> Value {
         match (kind, tag) {
@@ -940,7 +1182,7 @@ mod tests {
                 .collect();
             let cols: Vec<usize> = (0..width).map(|j| (first + j) % 3).collect();
             let rel = Relation::from_rows("P", &["A", "B", "C"], rows);
-            let idx = OrderedIndex::build(&rel.rows, &cols);
+            let idx = OrderedIndex::build(&rel.columns(), &cols);
             proptest::prop_assert_eq!(idx.entries(), reference_entries(&rel.rows, &cols));
 
             let (&range_col, eq_cols) = cols.split_last().unwrap();

@@ -476,8 +476,8 @@ impl<'a> Ordered<'a> {
     /// Compute the selection without touching the column chunks (the
     /// budget denied the chunk build): the same ascending row order,
     /// via the row-path kernels. Only reachable for pure
-    /// constant-filter selections — the index-range path never needs
-    /// chunks.
+    /// constant-filter selections — a denied chunk build degrades an
+    /// index-range scan whole, since its index gathers from the chunks.
     fn compute_selection_rows(&self, rel: &Relation) -> Vec<u32> {
         (0..rel.rows.len() as u32)
             .filter(|&r| super::vector::row_passes(&rel.rows[r as usize], &self.vec_filters))
@@ -735,16 +735,20 @@ impl<'a> Ctx<'a> {
             return Some(sel.clone());
         }
         // Admission: the selection vector itself, then what computing it
-        // materializes — the ordered index for an index-range probe, the
+        // materializes — the ordered index for an index-range probe (and
+        // the column chunks it gathers from, unless already encoded), the
         // column chunks for the vectorized kernels. A denied chunk build
-        // only downgrades the computation to the row loop; a denied
-        // selection or ordered-index build degrades the whole scan.
+        // only downgrades the kernels to the row loop; a denied
+        // selection, ordered-index or index chunk build degrades the
+        // whole scan.
         if !self.guard_admit(seam::SELECTION_BUILD, rel.len() * 8) {
             return None;
         }
         let columnar = if let Some(ip) = &ob.index_plan {
             let bytes = super::index::OrderedIndex::build_bytes(rel.len(), ip.cols.len());
-            if !self.guard_admit(seam::ORDERED_BUILD, bytes) {
+            if !self.guard_admit(seam::ORDERED_BUILD, bytes)
+                || !(rel.columns_cached() || self.guard_admit(seam::CHUNK_BUILD, rel.rows.bytes()))
+            {
                 return None;
             }
             true

@@ -192,10 +192,19 @@ impl Relation {
         set
     }
 
+    /// True when [`Relation::columns`] would answer from its cache (a
+    /// view encoded at the store's current generation).
+    pub(crate) fn columns_cached(&self) -> bool {
+        let generation = self.rows.generation();
+        matches!(self.columns.lock().as_ref(), Some((built, _)) if *built == generation)
+    }
+
     /// The ordered secondary index over `cols`, built on first use and
     /// cached on the relation — so repeated queries against the same
-    /// catalog pay the O(n log n) sort once and every index-range scan
-    /// after that is O(log n + k). Shared via `Arc`: the parallel
+    /// catalog pay the build once (a gather from [`Relation::columns`],
+    /// reusing the view `ANALYZE` encoded, and a sort that is a linear
+    /// radix pass per key digit for `Int` columns) and every index-range
+    /// scan after that is O(log n + k). Shared via `Arc`: the parallel
     /// executor's workers and the coordinator read the same index. The
     /// cache validates on the store's generation, exactly like
     /// [`Relation::columns`].
@@ -208,7 +217,10 @@ impl Relation {
             }
         }
         let start = Instant::now();
-        let idx = Arc::new(crate::eval::index::OrderedIndex::build(&self.rows, cols));
+        let idx = Arc::new(crate::eval::index::OrderedIndex::build(
+            &self.columns(),
+            cols,
+        ));
         crate::metrics::ordered_builds().inc();
         crate::metrics::ordered_build_time().record_elapsed(start);
         cached.insert(cols.to_vec(), (generation, Arc::clone(&idx)));
@@ -594,6 +606,67 @@ mod tests {
             [(vec![Key::Int(7)], 1), (vec![Key::Int(8)], 0)],
             "sorted over the new values"
         );
+    }
+
+    /// An ordered index gathers from the chunk view and keys each chunk
+    /// as the rows key: an `Int` chunk with a `NULL`, a `Mixed` chunk
+    /// holding an integral `3.0` and a `NaN`, a `Float` chunk of integral
+    /// floats and a `NaN` — all of it `Int` keys — and then a string,
+    /// which turns its column generic.
+    #[test]
+    fn an_index_keys_every_chunk_kind_as_the_rows_do() {
+        use arc_core::column::{ColumnData, CHUNK_ROWS};
+        let chunk = CHUNK_ROWS as i64;
+        let mut rel = Relation::new("R", &["A", "B"]);
+        for i in 0..2 * chunk + 40 {
+            let a = match i % chunk {
+                _ if i == 5 => Value::Null,
+                6 if i > chunk => Value::Float(3.0),
+                7 if i > chunk => Value::Float(f64::NAN),
+                n if i >= 2 * chunk => Value::Float((n % 10) as f64),
+                n => Value::Int(n % 10),
+            };
+            rel.push(vec![a, Value::Int(i % 3)]);
+        }
+        let kinds: Vec<&str> = (rel.columns().chunks().iter())
+            .map(|c| match c.col(0).data() {
+                ColumnData::Int(_) => "int",
+                ColumnData::Mixed(_) => "mixed",
+                ColumnData::Float(_) => "float",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(kinds, ["int", "mixed", "float"]);
+        // What the rows say: every row with a key on each indexed column,
+        // by key tuple, then row id (`Key`'s own order puts `Int` before
+        // `Str`, as the index's class order does).
+        let from_rows = |rel: &Relation, cols: &[usize]| {
+            let mut entries: Vec<(Vec<Key>, u32)> = (rel.rows.iter().enumerate())
+                .filter_map(|(i, row)| Some((Relation::key_for(row, cols)?, i as u32)))
+                .collect();
+            entries.sort();
+            entries
+        };
+        let shapes: [&[usize]; 3] = [&[0], &[1, 0], &[0, 1]];
+        for cols in shapes {
+            let index = rel.ordered_index(cols);
+            assert_eq!(index.entries(), from_rows(&rel, cols), "{cols:?}");
+            assert_eq!(index.typed(), vec![true; cols.len()], "{cols:?}");
+        }
+        assert_eq!(
+            rel.ordered_index(&[0]).len(),
+            rel.len() - 3,
+            "a NULL, two NaNs"
+        );
+        rel.push(vec![Value::str("s"), Value::Int(0)]);
+        for (cols, typed) in shapes
+            .into_iter()
+            .zip([[false, false], [true, false], [false, true]])
+        {
+            let index = rel.ordered_index(cols);
+            assert_eq!(index.entries(), from_rows(&rel, cols), "{cols:?}");
+            assert_eq!(index.typed(), typed[..cols.len()], "{cols:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!
 //! [`table::TableStats`] packages the columns of one relation, adds a
 //! whole-row distinct sketch (the correlation bound for multi-column join
-//! keys — see [`TableStats::distinct_cols`]), and serializes through
-//! `arc_core::json` so catalogs can persist their statistics.
+//! keys — see [`TableStats::distinct_cols`]).
 //!
 //! Everything counts with [`Value::join_key`](arc_core::value::Value::join_key)
 //! semantics — `NULL` and float `NaN` never match an equality — which is
@@ -35,7 +34,6 @@
 
 pub mod column;
 pub mod histogram;
-pub mod json;
 pub mod sketch;
 pub mod table;
 

@@ -236,12 +236,13 @@ fn semi_naive_allocations_scale_with_the_derived_rows() {
     );
 }
 
-/// `T(A,B,C)` of `n` integer rows, analyzed: `A = i mod 4` and
-/// `B = i mod 8` take an equality prefix, `C = i` the range bound.
+/// `T(A,B,C,D)` of `n` integer rows, analyzed: `A = i mod 4`,
+/// `B = i mod 8` and `D = i mod 16` take an equality prefix, `C = i` the
+/// range bound.
 fn scan_catalog(n: i64) -> Catalog {
-    let mut t = Relation::new("T", &["A", "B", "C"]);
+    let mut t = Relation::new("T", &["A", "B", "C", "D"]);
     for i in 0..n {
-        t.push(vec![Value::Int(i % 4), Value::Int(i % 8), Value::Int(i)]);
+        t.push([i % 4, i % 8, i, i % 16].map(Value::Int).to_vec());
     }
     let mut catalog = Catalog::new().with(t);
     catalog.analyze(); // only statistics plan an index range
@@ -251,7 +252,12 @@ fn scan_catalog(n: i64) -> Catalog {
 /// The last rows of [`scan_catalog`] through an ordered index of `width`
 /// columns (the constant equalities extend the bound prefix).
 fn index_scan(n: i64, width: usize) -> Collection {
-    let prefix = ["", "t.A = 1 ∧ ", "t.A = 1 ∧ t.B = 5 ∧ "][width - 1];
+    let prefix = [
+        "",
+        "t.A = 1 ∧ ",
+        "t.A = 1 ∧ t.B = 5 ∧ ",
+        "t.A = 1 ∧ t.B = 5 ∧ t.D = 13 ∧ ",
+    ][width - 1];
     fx::q(&format!(
         "{{Q(C) | ∃t ∈ T [Q.C = t.C ∧ {prefix}t.C > {}]}}",
         n - 64
@@ -267,13 +273,13 @@ fn indexed(catalog: &Catalog) -> Engine<'_> {
 }
 
 /// The first index-range scan of a relation builds its ordered index:
-/// one flat gather and one sort buffer, whatever the row count — no key
-/// vector per indexed row. After that an emitted row is written into the
-/// result store, as everywhere else.
+/// one flat gather and one spare set for the sort, whatever the row
+/// count — no key vector per indexed row. After that an emitted row is
+/// written into the result store, as everywhere else.
 #[test]
 fn first_index_range_scan_allocates_per_emitted_row_not_per_indexed_row() {
     const N: i64 = 20_000;
-    for width in 1..=3 {
+    for width in 1..=4 {
         let q = index_scan(N, width);
         indexed(&scan_catalog(N)).eval_collection(&q).unwrap(); // warm the global plan cache
         let catalog = scan_catalog(N);
@@ -283,7 +289,7 @@ fn first_index_range_scan_allocates_per_emitted_row_not_per_indexed_row() {
         let before = ALLOCS.with(Cell::get);
         let rows = engine.eval_collection(&q).unwrap();
         let allocs = ALLOCS.with(Cell::get) - before;
-        assert_eq!(rows.len(), [63, 16, 8][width - 1], "width {width}");
+        assert_eq!(rows.len(), [63, 16, 8, 4][width - 1], "width {width}");
         assert!(
             allocs <= rows.len() as u64 + PER_QUERY,
             "width {width}: {allocs} allocator calls to index {N} rows and emit {}",
@@ -294,16 +300,17 @@ fn first_index_range_scan_allocates_per_emitted_row_not_per_indexed_row() {
 
 /// What `ORDERED_BUILD` reserves is what the build holds: for an `Int`
 /// index of `w` columns over `n` rows, the index (`8w + 4` bytes per
-/// row) plus the packed sort buffer beside it (`8w + 8` per row) — the
-/// reservation never under-counts the measured peak and over-counts it
-/// by at most a twentieth. A budget one byte short of the selection
-/// vector's reservation (`8n`) plus the index's denies the build.
+/// row), the radix sort's spare set of the same size and its histogram
+/// (2 048 four-byte counts) — the reservation never under-counts the
+/// measured peak and over-counts it by at most a twentieth. A budget one
+/// byte short of the selection vector's reservation (`8n`) plus the
+/// index's denies the build.
 #[test]
 fn ordered_build_reservation_matches_the_measured_peak() {
     const N: i64 = 20_000;
-    for width in 1..=3usize {
+    for width in 1..=4usize {
         let q = index_scan(N, width);
-        let reserved = N as usize * ((8 * width + 4) + (8 * width + 8));
+        let reserved = 2 * N as usize * (8 * width + 4) + 4 * 2_048;
 
         // Measured: the first scan's peak beyond the repeat's (which
         // finds the index cached on the relation). `EXPLAIN` first: it
