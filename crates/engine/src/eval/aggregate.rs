@@ -24,6 +24,7 @@
 //! (`eval/scalar.rs`), the column kernels, `sum`/`avg` on both fold paths
 //! here, and the oracle. `sum` over `{i64::MAX, 1}` is `i64::MIN`.
 
+use super::builds::hasher;
 use super::env::{Env, Frame};
 use super::quantifier::KeySlots;
 use super::scalar::arith;
@@ -36,7 +37,6 @@ use arc_core::ast::AggFunc;
 use arc_core::conventions::EmptyAgg;
 use arc_core::value::{Key, KeyRef, Truth, Value};
 use std::borrow::Cow;
-use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -255,17 +255,16 @@ impl<'a> Groups<'a> {
     }
 
     /// The group of the key whose `j`-th component is `key(j)`: found by
-    /// the key's hash under `state`, or opened with the frames `repr`
+    /// the key's hash, or opened with the frames `repr`
     /// appends when the key is new.
     fn group_of<'k>(
         &mut self,
-        state: &RandomState,
         key: impl Fn(usize) -> KeyRef<'k>,
         repr: impl FnOnce(&mut Vec<Frame<'a>>),
         aggs: &[AggSpec<'_>],
     ) -> usize {
         let nk = self.nkeys;
-        let mut h = state.build_hasher();
+        let mut h = hasher().build_hasher();
         (0..nk).for_each(|j| key(j).hash(&mut h));
         let hash = h.finish();
         let keys = &self.keys;
@@ -312,7 +311,6 @@ impl<'a> Groups<'a> {
         }
         let scratch = std::mem::take(&mut self.scratch);
         let g = self.group_of(
-            &ctx.shared.hash_state,
             |j| scratch[j].key_ref(),
             |reprs| reprs.extend_from_slice(&env.frames[base..]),
             aggs,
@@ -333,7 +331,6 @@ impl<'a> Groups<'a> {
     /// member.
     pub(crate) fn fold_rows(
         &mut self,
-        state: &RandomState,
         plan: &GroupPlan<'_>,
         env: &Env<'a>,
         base: usize,
@@ -344,7 +341,6 @@ impl<'a> Groups<'a> {
         for r in rows {
             let row = &rel.rows[r][..];
             let g = self.group_of(
-                state,
                 |j| operand(&keys[j], last, row, env).key_ref(),
                 |reprs| {
                     reprs.extend_from_slice(&env.frames[base..]);
@@ -363,18 +359,13 @@ impl<'a> Groups<'a> {
     }
 
     /// Fold an already-evaluated member (see [`member_of`]).
-    pub(crate) fn fold_member(&mut self, state: &RandomState, aggs: &[AggSpec<'_>], m: Member<'a>) {
+    pub(crate) fn fold_member(&mut self, aggs: &[AggSpec<'_>], m: Member<'a>) {
         let Member {
             key,
             frames,
             inputs,
         } = m;
-        let g = self.group_of(
-            state,
-            |j| key[j].key_ref(),
-            |reprs| reprs.extend(frames),
-            aggs,
-        );
+        let g = self.group_of(|j| key[j].key_ref(), |reprs| reprs.extend(frames), aggs);
         for ((acc, spec), v) in self.accs_of(g).iter_mut().zip(aggs).zip(&inputs) {
             acc.fold(spec.func, v);
         }

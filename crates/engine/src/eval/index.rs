@@ -168,8 +168,9 @@ pub(crate) struct IndexPlan {
     /// The resolved probe (exact prefix keys + bounds).
     pub(crate) probe: IndexProbe,
     /// Addresses of the consumed predicates — combined with the
-    /// vectorized-prefix addresses to key the per-`Ctx` selection cache,
-    /// and pinned as that key's are (`Ordered::selection_key`).
+    /// vectorized-prefix addresses to key the scan's selection in the
+    /// evaluation's build store, and pinned as that key's are
+    /// (`Ordered::selection_key`).
     pub(crate) key: Vec<usize>,
 }
 

@@ -91,6 +91,22 @@ pub fn parse_fault(value: Option<&str>) -> Result<Option<FaultPlan>, String> {
     }
 }
 
+/// Every `.rs` file under `dir`, at any depth: what the tests that scan
+/// the workspace's sources for a forbidden construct read.
+#[cfg(test)]
+pub(crate) fn rust_sources(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(rust_sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,22 +208,12 @@ mod tests {
     /// slip past `EvalError::Config`.
     #[test]
     fn only_the_engine_reads_arc_variables() {
-        fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
-            for entry in std::fs::read_dir(dir).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    walk(&path, files);
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    files.push(path);
-                }
-            }
-        }
         let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
         let mut files = Vec::new();
         for krate in std::fs::read_dir(&crates).unwrap() {
             let src = krate.unwrap().path().join("src");
             if src.is_dir() {
-                walk(&src, &mut files);
+                files.extend(rust_sources(&src));
             }
         }
         // Split so this file does not match itself.

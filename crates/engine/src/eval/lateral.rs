@@ -140,7 +140,7 @@ impl<'a> Ctx<'a> {
         let Some(memo) = &lat.memo else {
             return self.collection_rows(c, env).map(Arc::new);
         };
-        let mut h = self.shared.hash_state.build_hasher();
+        let mut h = super::builds::hasher().build_hasher();
         for v in memo.key_in(env) {
             hash_value(v, &mut h);
         }

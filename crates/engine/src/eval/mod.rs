@@ -29,6 +29,7 @@
 //! | [`partition`]  | body analysis (re-exported from [`arc_plan::analysis`])   |
 //! | `slots`        | slot-resolved expressions (names → `(frame, column)`)     |
 //! | `scope`        | compiled scopes: resolve, plan, materialize, cache        |
+//! | `builds`       | the evaluation's build store and the engine's one hasher  |
 //! | `scalar`       | scalar & predicate evaluation, comparisons, arithmetic    |
 //! | `formula`      | boolean formula / sentence evaluation                     |
 //! | `quantifier`   | the binding loop: executes compiled step pipelines        |
@@ -49,7 +50,10 @@
 //! are typed holes, so statements that differ only in their constants
 //! share plans) and compiled scopes per `Ctx` by scope identity + frame
 //! layout, so correlated scopes plan and resolve names once, not once per
-//! outer row.
+//! outer row. What execution builds once — hash indexes, scan selections,
+//! distinct-key estimates, semi-join key sets — lives in one store per
+//! evaluation (`builds`), keyed by the generation of the rows it read,
+//! which the coordinator and every worker share.
 //! Boolean `∃`/`¬∃` scopes whose correlation is a pure equi-join go
 //! further: `semijoin` evaluates the
 //! scope body **once**, keys a hash set on the correlated columns, and
@@ -67,6 +71,7 @@
 //! `partition(n)` operator when the engine runs parallel.
 
 pub(crate) mod aggregate;
+pub(crate) mod builds;
 pub(crate) mod env;
 pub(crate) mod formula;
 pub(crate) mod index;
@@ -95,9 +100,6 @@ pub mod partition {
 pub(crate) use env::Env;
 pub use knobs::QueryOptions;
 
-/// Per-query cache of vectorized scan selections — see [`Ctx::selections`].
-pub(crate) type SelectionCache = RefCell<HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>>;
-
 use crate::catalog::Catalog;
 use crate::error::{EvalError, Result};
 use crate::relation::{Relation, Rows};
@@ -106,9 +108,8 @@ use arc_core::conventions::Conventions;
 use arc_core::value::Truth;
 use arc_guard::{seam, CancelHandle, CancelState, FaultKind, FaultPlan, QueryGuard, Trip};
 use arc_trace::{OpId, Recorder, SpanKind, SpanSink};
-use quantifier::BaseIndexes;
+use builds::Builds;
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -425,9 +426,8 @@ impl<'c> Engine<'c> {
             unmaterialized: &[],
             abstracts,
             redirect: None,
-            hash_state: RandomState::new(),
-            base_indexes: None,
-            semi_builds: semijoin::SemiBuildCache::default(),
+            builds: Builds::default(),
+            base: None,
             recorder: entry.recorder.clone(),
             guard: entry.guard.clone(),
         }
@@ -453,7 +453,8 @@ impl<'c> Engine<'c> {
     /// Evaluate one rule of a recursive component's member — `rule`, a
     /// top-level disjunct of `c`'s body, under `c`'s head — for the
     /// fixpoint driver: one binding possibly [redirected](Redirect), the
-    /// solve's [`BaseIndexes`] probed and filled, and the rows in emission
+    /// solve's build store probed and filled (see
+    /// [`QueryShared::base`]), and the rows in emission
     /// order, not de-duplicated (the driver's seen set is the
     /// de-duplication).
     #[allow(clippy::too_many_arguments)]
@@ -465,12 +466,11 @@ impl<'c> Engine<'c> {
         abstracts: &HashMap<String, Collection>,
         entry: &Entry,
         redirect: Option<Redirect<'_>>,
-        base: &BaseIndexes,
+        base: &Builds,
     ) -> Result<Rows> {
         let shared = QueryShared {
             redirect,
-            hash_state: base.hash_state.clone(),
-            base_indexes: Some(base),
+            base: Some(base),
             ..self.shared(entry, defined, abstracts)
         };
         let out = Ctx::new(entry.opts, &shared).rule_rows(c, rule, &mut Env::default());
@@ -554,19 +554,15 @@ pub(crate) struct QueryShared<'a> {
     /// The one binding that reads another source than it names (a
     /// semi-naive delta variant), if this evaluation has one.
     pub(crate) redirect: Option<Redirect<'a>>,
-    /// Hasher of equi-join keys for this evaluation: hash-index builds
-    /// and probes (coordinator and workers alike) must agree on it. A
-    /// fixpoint rule's evaluation takes its solve's, the hasher of
-    /// [`QueryShared::base_indexes`].
-    pub(crate) hash_state: RandomState,
-    /// The hash indexes over catalog relations that every round of a
-    /// recursive component's solve shares (see `Ctx::join_index`); `None`
-    /// outside a solve.
-    pub(crate) base_indexes: Option<&'a BaseIndexes>,
-    /// Build-once key sets of decorrelated boolean scopes, keyed by scope
-    /// identity and build plan: every worker probes — and lazily
-    /// populates — the same builds (see `semijoin`).
-    pub(crate) semi_builds: semijoin::SemiBuildCache,
+    /// Everything this evaluation builds once and reads many times —
+    /// hash indexes, scan selections, distinct-key estimates, semi-join
+    /// key sets — shared by the coordinator and every worker, and dropped
+    /// with the evaluation (see `builds`).
+    pub(crate) builds: Builds,
+    /// The store of a recursive component's solve, which every round's
+    /// evaluation shares for the hash indexes over relations the catalog
+    /// holds (see `Ctx::join_index`); `None` outside a solve.
+    pub(crate) base: Option<&'a Builds>,
     /// The entry's record, when it records: every worker's tallies merge
     /// into its one operator table, and — timed — its lanes take their
     /// spans (disjoint ring buffers). `None` on ordinary evaluation,
@@ -579,8 +575,9 @@ pub(crate) struct QueryShared<'a> {
 }
 
 /// The per-context evaluation state threaded through every pipeline
-/// stage: the options this context runs under, its lane, its caches, and
-/// one pointer to the [`QueryShared`] state of the evaluation.
+/// stage: the options this context runs under, its lane, its compiled
+/// scopes and scratch, and one pointer to the [`QueryShared`] state of
+/// the evaluation, where its builds live.
 pub(crate) struct Ctx<'a> {
     /// The entry's options; a worker context runs with `threads = 1`, so
     /// parallelism never nests. (Clock reads on the evaluation path are
@@ -596,32 +593,11 @@ pub(crate) struct Ctx<'a> {
     pub(crate) guard_tick: Cell<u32>,
     /// Everything shared with the coordinator and its other workers.
     pub(crate) shared: &'a QueryShared<'a>,
-    /// Per-query cache of equi-join hash indexes, keyed by relation
-    /// address + key columns (addresses are stable for the `Ctx` lifetime;
-    /// see `Ctx::join_index`). A relation probed by two scopes (or by
-    /// scopes compiled under two layouts) is indexed once; decorrelated
-    /// boolean scopes skip the re-entry entirely and probe
-    /// [`QueryShared::semi_builds`] instead.
-    pub(crate) join_indexes: quantifier::JoinIndexCache,
-    /// Per-query cache of distinct-key estimates, feeding the planner's
-    /// greedy join ordering for relations without statistics. Keyed like
-    /// `join_indexes`, by relation address + key columns: the relation is
-    /// borrowed from the catalog or `defined` for `'a`, so its address
-    /// stays its own while this `Ctx` (or a worker's snapshot) lives, and
-    /// an estimate depends on nothing but its rows and the columns.
-    pub(crate) distinct_estimates: RefCell<HashMap<(usize, Vec<usize>), usize>>,
     /// Compiled scopes — sources resolved, plan fetched, every name
     /// resolved to a slot — keyed by scope identity, role and frame
     /// layout (see `scope`). A correlated scope re-entered once per
     /// outer row compiles on the first entry only.
     pub(crate) scopes: RefCell<HashMap<scope::ScopeKey, Rc<scope::Scope<'a>>>>,
-    /// Per-query cache of vectorized scan selections, keyed by relation
-    /// address + the addresses of the filters the selection applies
-    /// (pinned for the `Ctx` lifetime, see `Ordered::selection_key`).
-    /// Correlated scopes that re-enter per outer row recompute nothing:
-    /// the selection of a constant-filter scan is outer-independent by
-    /// construction.
-    pub(crate) selections: SelectionCache,
     /// Scratch for the semi-join probe key, reused across outer rows.
     pub(crate) probe_key: RefCell<Vec<arc_core::value::Key>>,
     /// Scratch of the per-entry kernel passes, reused across entries.
@@ -629,19 +605,16 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// A context with empty caches: the coordinator's, or a worker's
-    /// before its snapshot is copied in. The one place that lists the
-    /// fields.
+    /// A context with no compiled scope: the coordinator's, or a
+    /// worker's (with `threads = 1` and its lane set). The one place that
+    /// lists the fields.
     pub(crate) fn new(opts: QueryOptions, shared: &'a QueryShared<'a>) -> Ctx<'a> {
         Ctx {
             opts,
             lane: 0,
             guard_tick: Cell::new(0),
             shared,
-            join_indexes: RefCell::new(HashMap::new()),
-            distinct_estimates: RefCell::new(HashMap::new()),
             scopes: RefCell::new(HashMap::new()),
-            selections: RefCell::new(HashMap::new()),
             probe_key: RefCell::new(Vec::new()),
             entry_scratch: RefCell::new(Vec::new()),
         }

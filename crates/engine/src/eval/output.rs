@@ -472,7 +472,7 @@ impl<'a> Ctx<'a> {
         )?;
         if parallel {
             for m in members {
-                groups.fold_member(&self.shared.hash_state, aggs, m);
+                groups.fold_member(aggs, m);
             }
         } else {
             let folding = Folding {

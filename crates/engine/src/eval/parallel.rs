@@ -11,9 +11,9 @@
 //! 2. the axis scan is split into [`Morsels`]; each morsel runs the full
 //!    pipeline over its row range on a pool worker, with a **forked
 //!    context**: one pointer to the evaluation's shared state (catalog,
-//!    definitions, hasher, semi-join builds, recorder, guard), snapshots of
-//!    the coordinator's hash-index, estimate and selection caches, and
-//!    the coordinator's options with `threads = 1`, so parallelism never
+//!    definitions, build store, recorder, guard) — so a worker finds every
+//!    build the coordinator or another worker made — and the
+//!    coordinator's options with `threads = 1`, so parallelism never
 //!    nests — plus a cloned outer environment;
 //! 3. per-morsel outputs are gathered **in morsel order** and
 //!    concatenated, which reproduces the sequential enumeration order
@@ -28,51 +28,15 @@
 //! enumeration is side-effect-free).
 
 use super::env::Env;
-use super::quantifier::{JoinIndexes, Sink, Src};
+use super::quantifier::{Sink, Src};
 use super::scope::{Pipeline, Scope};
-use super::{Ctx, QueryOptions, QueryShared};
+use super::{Ctx, QueryOptions};
 use crate::error::Result;
 use crate::relation::Rows;
 use arc_exec::{run_morsels_guarded, Morsels, WorkerPool};
 use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Everything a pool worker needs to build its evaluation context: the
-/// evaluation's [`QueryShared`] state, by reference, plus snapshots of the
-/// coordinator's caches (hash indexes, distinct estimates, selections), so
-/// workers start warm and build nothing the coordinator already has.
-/// Compiled scopes are not snapshotted: the partitioned scope itself is
-/// shared by reference, and scopes nested under it compile per worker,
-/// against the global plan cache.
-pub(crate) struct WorkerSeed<'a> {
-    shared: &'a QueryShared<'a>,
-    join_indexes: JoinIndexes,
-    distinct_estimates: HashMap<(usize, Vec<usize>), usize>,
-    selections: HashMap<(usize, Vec<usize>), Arc<Vec<u32>>>,
-}
-
-impl<'a> WorkerSeed<'a> {
-    /// The context of the worker on `lane`. Its `threads` is pinned to 1:
-    /// nested scopes inside a worker run sequentially (the scope above
-    /// them is already saturating the pool).
-    fn ctx(&self, opts: QueryOptions, lane: usize) -> Ctx<'a> {
-        let mut ctx = Ctx::new(QueryOptions { threads: 1, ..opts }, self.shared);
-        ctx.lane = lane;
-        *ctx.join_indexes.get_mut() = self.join_indexes.clone();
-        *ctx.distinct_estimates.get_mut() = self.distinct_estimates.clone();
-        *ctx.selections.get_mut() = self.selections.clone();
-        ctx
-    }
-}
-
-// Worker seeds are shared by reference across pool threads.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<WorkerSeed<'static>>();
-};
 
 /// Per-worker state for a partitioned scope run: the forked evaluation
 /// context plus worker-lane accounting (morsels claimed, busy wall time).
@@ -149,15 +113,6 @@ pub(crate) fn each_into<'f, 'a, O>(
 }
 
 impl<'a> Ctx<'a> {
-    fn worker_seed(&self) -> WorkerSeed<'a> {
-        WorkerSeed {
-            shared: self.shared,
-            join_indexes: self.join_indexes.borrow().clone(),
-            distinct_estimates: self.distinct_estimates.borrow().clone(),
-            selections: self.selections.borrow().clone(),
-        }
-    }
-
     /// Enumerate a scope, appending what `each` produces per surviving
     /// environment into `out` — in enumeration order. This is the entry
     /// point the output stages use instead of raw [`Ctx::run_scope`]:
@@ -263,7 +218,13 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        let (seed, opts) = (self.worker_seed(), self.opts);
+        // A worker's context: nested scopes inside it run sequentially
+        // (the scope above them is already saturating the pool).
+        let shared = self.shared;
+        let opts = QueryOptions {
+            threads: 1,
+            ..self.opts
+        };
         // Workers see the frames of this scope under its own layout.
         let outer_env = env.with_layout(&sc.layout, |env| env.clone());
         // Chunk-aligned morsels: a morsel covers whole column chunks, so a
@@ -271,9 +232,9 @@ impl<'a> Ctx<'a> {
         // owns. Ordered gather is untouched (invariant 9).
         let morsels = Morsels::aligned(total, self.opts.threads, arc_core::column::CHUNK_ROWS);
         // One forked context per participating worker (not per morsel —
-        // forking clones the cache snapshots); each morsel still gets a
-        // fresh clone of the outer environment because an error can
-        // abandon pushed frames mid-scan.
+        // its compiled scopes carry over); each morsel still gets a fresh
+        // clone of the outer environment because an error can abandon
+        // pushed frames mid-scan.
         if let Some(t) = &coord {
             t.call(0); // the axis scan starts once, morsels notwithstanding
         }
@@ -286,7 +247,10 @@ impl<'a> Ctx<'a> {
             self.shared.guard.as_deref(),
             || {
                 let lane = lanes.fetch_add(1, Ordering::Relaxed);
-                let ctx = seed.ctx(opts, lane);
+                let ctx = Ctx {
+                    lane,
+                    ..Ctx::new(opts, shared)
+                };
                 if let Some(rec) = &ctx.shared.recorder {
                     rec.touch(lane); // name the track even if every span drops
                 }

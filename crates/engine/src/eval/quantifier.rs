@@ -52,6 +52,7 @@
 //! [`Ctx::scan_partition`].
 
 use super::aggregate::Groups;
+use super::builds::hasher;
 use super::env::{Env, Frame, Layout};
 use super::lateral::Lateral;
 use super::output::{HeadPlan, Partial};
@@ -67,7 +68,7 @@ use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
 use arc_core::value::Value;
 use arc_guard::seam;
 use arc_trace::{OpId, Recorder, ScopeTally, SpanKind};
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
@@ -133,7 +134,7 @@ impl Hasher for Prehashed {
 /// holding that key's row indices in original order.
 ///
 /// The index stores **no keys**. A bucket is addressed by the hash of its
-/// key (under the evaluation's [`Ctx::hash_state`]) and identified by its
+/// key (under the engine's one [`hasher`]) and identified by its
 /// first row: builder and probe both compare the key columns of that row
 /// against theirs, and on a mismatch — two different keys, one hash —
 /// move on to address `hash + NEXT_BUCKET`. So neither building nor
@@ -154,7 +155,8 @@ pub(crate) struct HashIndex {
 }
 
 impl HashIndex {
-    pub(crate) fn build(rows: &Rows, key_cols: &[usize], state: &RandomState) -> HashIndex {
+    pub(crate) fn build(rows: &Rows, key_cols: &[usize]) -> HashIndex {
+        let state = hasher();
         HashIndex::build_by(rows, key_cols, |row| {
             let mut h = state.build_hasher();
             for &c in key_cols {
@@ -162,6 +164,15 @@ impl HashIndex {
             }
             Some(h.finish())
         })
+    }
+
+    /// What `HASH_BUILD` reserves for a build over `rows` rows keyed on
+    /// `width` columns: no less than the build's peak — the bucket table,
+    /// the flat rows, and the per-row bucket numbers and first rows it
+    /// gathers them from. The index stores no key, so the width only adds
+    /// room to spare (`tests/alloc_guard.rs` measures the peak).
+    pub(crate) fn build_bytes(rows: usize, width: usize) -> usize {
+        rows * (48 + 24 * width)
     }
 
     /// [`HashIndex::build`] over an arbitrary key hash (`None`: the row
@@ -336,39 +347,6 @@ impl KeySlots {
     }
 }
 
-/// The per-query index cache living on [`Ctx`], keyed by relation address
-/// plus key columns (see [`Ctx::join_index`] for why addresses are
-/// stable). Indexes are `Arc`-shared: the parallel executor builds them
-/// once on the coordinator and every worker context reuses them
-/// read-only.
-pub(crate) type JoinIndexCache = std::cell::RefCell<JoinIndexes>;
-
-/// Hash indexes by relation address plus key columns.
-pub(crate) type JoinIndexes = HashMap<(usize, Vec<usize>), Arc<HashIndex>>;
-
-/// The hash indexes every round of one recursive component's solve
-/// shares: those over catalog relations, which no round can change, keyed
-/// like [`JoinIndexCache`] — a catalog relation's address is its own for
-/// the catalog's lifetime — and built under the one hasher all the
-/// solve's evaluations use. A `defined` relation is never keyed here: a
-/// total grows in place and the map holding it rehashes. Lives on the
-/// driver's stack for one solve; every other evaluation has none.
-#[derive(Default)]
-pub(crate) struct BaseIndexes {
-    pub(crate) hash_state: RandomState,
-    indexes: std::sync::Mutex<JoinIndexes>,
-}
-
-impl BaseIndexes {
-    fn lock(&self) -> std::sync::MutexGuard<'_, JoinIndexes> {
-        // An index is inserted whole, so a poisoned map holds only
-        // complete entries.
-        self.indexes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 /// One planned step: a binding with a resolved source, its access path,
 /// and the filters pushed down to it — in execution order.
 pub(crate) struct Ordered<'a> {
@@ -388,7 +366,7 @@ pub(crate) struct Ordered<'a> {
     /// candidates chunk by chunk (see [`super::vector`]).
     pub(crate) entry_filters: Vec<EntryFilter<'a>>,
     /// Addresses of the original predicates behind `vec_filters` — part
-    /// of the `Ctx` selection-cache key ([`Ordered::selection_key`]).
+    /// of the selection's build key ([`Ordered::selection_key`]).
     pub(crate) vec_key: Vec<usize>,
     /// The index-range access plan, when the planner chose one for this
     /// step: the ordered index answers the consumed bound prefix by
@@ -396,7 +374,8 @@ pub(crate) struct Ordered<'a> {
     /// (composing with `vec_filters` when both are present).
     pub(crate) index_plan: Option<super::index::IndexPlan>,
     /// The plan's index, memoized on first probe so the hot loop touches
-    /// neither the [`Ctx`]-level cache nor its heap-allocated key again.
+    /// neither the evaluation's build store nor its heap-allocated key
+    /// again.
     /// A `OnceLock` (not `OnceCell`) so a compiled pipeline stays `Sync`
     /// and can be shared across pool workers.
     pub(crate) index: std::sync::OnceLock<Arc<HashIndex>>,
@@ -434,21 +413,17 @@ impl<'a> Ordered<'a> {
         self.index_plan.is_some() || !self.vec_filters.is_empty()
     }
 
-    /// The per-`Ctx` selection-cache key: the consumed index filters'
-    /// addresses (behind a `usize::MAX` marker no predicate address can
-    /// collide with), then the vectorized prefix's addresses.
+    /// What the selection covers, the filter half of its build key: the
+    /// consumed index filters' addresses (behind a `usize::MAX` marker no
+    /// predicate address can collide with), then the vectorized prefix's
+    /// addresses.
     ///
-    /// Every address is pinned for the key's lifetime. The cache lives
-    /// in one `Ctx<'a>` (a worker's snapshot dies with the worker's
-    /// context), and each predicate is a `&'a Predicate` into the AST the
-    /// evaluation borrows, so none can move or be freed — and no other
-    /// predicate can take its address — while the key exists. An address
-    /// names a filter *with* its constant: two scans that differ only in
-    /// a constant share a plan, whose constants are typed holes, but not
-    /// a key, so each builds its own selection
-    /// (`tests/selection_build.rs`). The relation half of the key
-    /// ([`Ctx::scan_selection`]) is pinned the same way: catalog and
-    /// materialized relations are borrowed for `'a`.
+    /// Every address is pinned for the key's lifetime: the key dies with
+    /// the evaluation's build store, and each predicate is a `&'a
+    /// Predicate` into the AST the evaluation borrows. An address names a
+    /// filter *with* its constant: two scans that differ only in a
+    /// constant share a plan, whose constants are typed holes, but not a
+    /// key, so each builds its own selection (`tests/selection_build.rs`).
     fn selection_key(&self) -> Vec<usize> {
         match &self.index_plan {
             Some(ip) => {
@@ -668,71 +643,56 @@ impl<'a> Ctx<'a> {
         Ok(true)
     }
 
-    /// Build (or fetch from the per-query cache) the hash index for a plan
-    /// over a relation. The cache key is the relation's address plus the
-    /// key columns: relations are borrowed from the catalog or the
-    /// `defined` map, both immutable for the lifetime of the [`Ctx`], so
-    /// addresses are stable — and correlated scopes (one `run_scope` call
-    /// per outer environment) reuse the index instead of rebuilding it per
-    /// outer row. Inside a recursive component's solve, an index over a
-    /// catalog relation comes from — or goes to — the solve's
-    /// [`BaseIndexes`], so every round probes the one build.
+    /// Build (or fetch from the evaluation's build store) the hash index
+    /// for a plan over a relation: correlated scopes and scopes compiled
+    /// under other layouts reuse it. Inside a recursive component's solve,
+    /// an index over a relation the catalog holds lives in the solve's
+    /// store ([`QueryShared::base`](super::QueryShared::base)), so every
+    /// round probes the one build.
     ///
     /// `None` means the memory budget denied the build — the caller
     /// degrades to a streaming probe over the base rows (identical
     /// matches, identical ascending row order) instead of failing. A
     /// denial is not remembered: a solve's next round asks again.
     pub(crate) fn join_index(&self, plan: &HashPlan<'_>, rel: &Relation) -> Option<Arc<HashIndex>> {
-        let key = (rel as *const Relation as usize, plan.key_cols.clone());
-        if let Some(index) = self.join_indexes.borrow().get(&key) {
-            return Some(index.clone());
-        }
-        let base = self.shared.base_indexes.filter(|_| {
-            let cataloged = self.shared.catalog.relation(&rel.name);
-            cataloged.is_some_and(|c| std::ptr::eq(c, rel))
-        });
-        if let Some(index) = base.and_then(|b| b.lock().get(&key).cloned()) {
-            self.join_indexes.borrow_mut().insert(key, index.clone());
+        let cataloged = || {
+            let held = self.shared.catalog.relation(&rel.name);
+            held.is_some_and(|c| std::ptr::eq(c, rel))
+        };
+        let builds = match self.shared.base {
+            Some(base) if cataloged() => base,
+            _ => &self.shared.builds,
+        };
+        let key = super::builds::key(rel, plan.key_cols.clone());
+        if let Some(index) = builds.get(|s| &mut s.hash, &key) {
             return Some(index);
         }
-        // Admission: the hash table (entry + bucket overhead per row).
-        if !self.guard_admit(
-            seam::HASH_BUILD,
-            rel.len() * (48 + 24 * plan.key_cols.len()),
-        ) {
+        let bytes = HashIndex::build_bytes(rel.len(), plan.key_cols.len());
+        if !self.guard_admit(seam::HASH_BUILD, bytes) {
             return None;
         }
-        let (index, nanos) = self.timed(|| {
-            Arc::new(HashIndex::build(
-                &rel.rows,
-                &plan.key_cols,
-                &self.shared.hash_state,
-            ))
-        });
+        let (index, nanos) = self.timed(|| Arc::new(HashIndex::build(&rel.rows, &plan.key_cols)));
         metrics::hash_builds().inc();
         if let Some(nanos) = nanos {
             metrics::hash_build_time().record_nanos(nanos);
         }
-        if let Some(base) = base {
-            base.lock().insert(key.clone(), index.clone());
-        }
-        self.join_indexes.borrow_mut().insert(key, index.clone());
-        Some(index)
+        Some(builds.publish(|s| &mut s.hash, key, index))
     }
 
     /// The selection vector of a selection-backed scan step (index-range
     /// probe and/or vectorized constant-filter prefix) — through the
-    /// per-query cache, so correlated scopes that re-enter per outer row
-    /// compute it once (the consumed filters are constant, hence
-    /// outer-independent).
+    /// evaluation's build store, so correlated scopes that re-enter per
+    /// outer row compute it once (the consumed filters are constant,
+    /// hence outer-independent).
     /// `None` means the memory budget denied the build — the caller
     /// degrades to row-checking [`Ordered::row_survives`] during its
     /// scan instead of failing.
     pub(crate) fn scan_selection(&self, rel: &Relation, ob: &Ordered<'_>) -> Option<Arc<Vec<u32>>> {
-        let key = (rel as *const Relation as usize, ob.selection_key());
-        if let Some(sel) = self.selections.borrow().get(&key) {
+        let builds = &self.shared.builds;
+        let key = super::builds::key(rel, ob.selection_key());
+        if let Some(sel) = builds.get(|s| &mut s.selections, &key) {
             metrics::selection_cache_hits().inc();
-            return Some(sel.clone());
+            return Some(sel);
         }
         // Admission: the selection vector itself, then what computing it
         // materializes — the ordered index for an index-range probe (and
@@ -766,8 +726,7 @@ impl<'a> Ctx<'a> {
         if let Some(nanos) = nanos {
             metrics::selection_build_time().record_nanos(nanos);
         }
-        self.selections.borrow_mut().insert(key, sel.clone());
-        Some(sel)
+        Some(builds.publish(|s| &mut s.selections, key, sel))
     }
 
     /// Run `f`, timing it when the record is timed: its result, and its
@@ -779,56 +738,35 @@ impl<'a> Ctx<'a> {
         (out, t0.and(rec).map(|r| r.since(t0)))
     }
 
-    /// Step `i`'s memoized hash index, timing the first (and only) lookup
-    /// — a build or a per-query cache hit — into the step's tally when
-    /// the record is timed. The cold branch is taken once per compiled
-    /// pipeline; after that this is a plain `OnceLock` load.
-    fn step_index<'o>(
+    /// Step `i`'s memoized build — its hash index or its selection
+    /// vector — timing the first (and only) lookup, a build or a
+    /// build-store hit, into the step's tally when the record is timed.
+    /// The cold branch is taken once per compiled pipeline; after that
+    /// this is a plain `OnceLock` load.
+    fn step_build<'o, T>(
         &self,
-        ob: &'o Ordered<'_>,
-        plan: &HashPlan<'_>,
-        rel: &Relation,
+        memo: &'o std::sync::OnceLock<T>,
         i: usize,
         tally: Option<&ScopeTally>,
-    ) -> Option<&'o Arc<HashIndex>> {
-        if let Some(index) = ob.index.get() {
-            return Some(index);
+        build: impl FnOnce() -> Option<T>,
+    ) -> Option<&'o T> {
+        if let Some(built) = memo.get() {
+            return Some(built);
         }
-        let (built, nanos) = self.timed(|| self.join_index(plan, rel));
+        let (built, nanos) = self.timed(build);
         let built = built?;
-        let index = ob.index.get_or_init(|| built);
+        let built = memo.get_or_init(|| built);
         if let (Some(nanos), Some(t)) = (nanos, tally) {
             t.add_step_nanos(i, nanos);
         }
-        Some(index)
-    }
-
-    /// Step `i`'s memoized selection vector; same shape as
-    /// [`Ctx::step_index`].
-    fn step_selection<'o>(
-        &self,
-        ob: &'o Ordered<'_>,
-        rel: &Relation,
-        i: usize,
-        tally: Option<&ScopeTally>,
-    ) -> Option<&'o Arc<Vec<u32>>> {
-        if let Some(sel) = ob.selection.get() {
-            return Some(sel);
-        }
-        let (built, nanos) = self.timed(|| self.scan_selection(rel, ob));
-        let built = built?;
-        let sel = ob.selection.get_or_init(|| built);
-        if let (Some(nanos), Some(t)) = (nanos, tally) {
-            t.add_step_nanos(i, nanos);
-        }
-        Some(sel)
+        Some(built)
     }
 
     /// Hash of the join key `exprs` produce in `env`, or `None` when a
     /// component is `NULL`/`NaN` (no row can match). Hashes the values
     /// where they are; no key is assembled.
     pub(crate) fn key_hash(&self, exprs: &[CScalar<'a>], env: &Env<'a>) -> Result<Option<u64>> {
-        let mut h = self.shared.hash_state.build_hasher();
+        let mut h = hasher().build_hasher();
         for e in exprs {
             match self.scalar(e, env)?.join_key_ref() {
                 Some(k) => k.hash(&mut h),
@@ -952,7 +890,8 @@ impl<'a> Ctx<'a> {
         let ob = &run.pipeline.steps[i];
         // `Some(None)`: the budget denied the selection vector.
         let sel = ob.uses_selection().then(|| {
-            self.step_selection(ob, rel, i, run.tally).map(|sel| {
+            let sel = self.step_build(&ob.selection, i, run.tally, || self.scan_selection(rel, ob));
+            sel.map(|sel| {
                 let from = sel.partition_point(|&r| (r as usize) < range.start);
                 let to = sel.partition_point(|&r| (r as usize) < range.end);
                 &sel[from..to]
@@ -1111,9 +1050,8 @@ impl<'a> Ctx<'a> {
         env: &Env<'a>,
         f: &mut Folding<'_, 'a>,
     ) -> Result<()> {
-        let state = &self.shared.hash_state;
         self.in_pieces(run, i, rows, |piece| {
-            f.groups.fold_rows(state, f.plan, env, f.base, rel, piece)
+            f.groups.fold_rows(f.plan, env, f.base, rel, piece)
         })
     }
 
@@ -1238,7 +1176,8 @@ impl<'a> Ctx<'a> {
                 let Some(hash) = self.key_hash(&plan.probe_exprs, env)? else {
                     return Ok(true); // NULL/NaN probe: no row can match
                 };
-                let Some(index) = self.step_index(ob, plan, rel, i, run.tally) else {
+                let index = self.step_build(&ob.index, i, run.tally, || self.join_index(plan, rel));
+                let Some(index) = index else {
                     // Degraded streaming probe (budget denied the hash
                     // build): key-compare every base row — identical
                     // matches, identical ascending order.
@@ -1369,8 +1308,7 @@ mod tests {
                 .collect(),
         );
         let cols = [0usize, 1];
-        let state = RandomState::new();
-        let index = HashIndex::build(&rel.rows, &cols, &state);
+        let index = HashIndex::build(&rel.rows, &cols);
         let mut want: HashMap<Vec<arc_core::value::Key>, Vec<u32>> = HashMap::new();
         for (i, row) in rel.rows.iter().enumerate() {
             if let Some(key) = Relation::key_for(row, &cols) {
@@ -1380,7 +1318,7 @@ mod tests {
         assert_eq!(index.len(), want.len());
         for rows in want.values() {
             let probe = &rel.rows[rows[0] as usize];
-            let mut h = state.build_hasher();
+            let mut h = hasher().build_hasher();
             for &c in &cols {
                 probe[c].join_key_ref().unwrap().hash(&mut h);
             }

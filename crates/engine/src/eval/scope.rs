@@ -220,6 +220,11 @@ pub(crate) struct SemiPlan<'a> {
     /// Row count of the largest source relation (the build's admission
     /// estimate).
     pub(crate) est_rows: usize,
+    /// The build this scope probes, memoized on its first probe so every
+    /// later outer row touches neither the evaluation's store nor its
+    /// lock (a `OnceLock`, like [`Ordered::index`], so the scope stays
+    /// `Sync`).
+    pub(crate) entry: std::sync::OnceLock<Arc<super::semijoin::SemiEntry>>,
 }
 
 /// The correlated key of a decorrelated boolean scope.
@@ -294,10 +299,11 @@ impl<'a> Resolved<'a> {
 
 /// Live statistics for the planner: catalog `ANALYZE` sketches first
 /// (cost model v2 — correlation-capped distinct counts, MCV/histogram
-/// selectivities), then the per-query prefix-sample cache on [`Ctx`] as
-/// the distinct-count fallback for sources without statistics
-/// (intensional results, small un-analyzed relations). The one estimator
-/// the planner is given, for execution and `EXPLAIN` alike.
+/// selectivities), then prefix-sample estimates, kept in the
+/// evaluation's build store, as the distinct-count fallback for sources
+/// without statistics (intensional results, small un-analyzed
+/// relations). The one estimator the planner is given, for execution and
+/// `EXPLAIN` alike.
 struct CtxEstimator<'c, 'a> {
     ctx: &'c Ctx<'a>,
     resolved: &'c [Resolved<'a>],
@@ -328,14 +334,13 @@ impl DistinctEstimator for CtxEstimator<'_, '_> {
         let Resolved::Rel(rel, _) = &self.resolved[binding] else {
             return None;
         };
-        // Pinned for the cache's lifetime: see `Ctx::distinct_estimates`.
-        let key = (*rel as *const Relation as usize, cols.to_vec());
-        if let Some(&d) = self.ctx.distinct_estimates.borrow().get(&key) {
+        let builds = &self.ctx.shared.builds;
+        let key = super::builds::key(rel, cols.to_vec());
+        if let Some(d) = builds.get(|s| &mut s.distinct, &key) {
             return Some(d);
         }
         let d = rel.distinct_estimate(cols, DISTINCT_SAMPLE);
-        self.ctx.distinct_estimates.borrow_mut().insert(key, d);
-        Some(d)
+        Some(builds.publish(|s| &mut s.distinct, key, d))
     }
 
     fn selectivity(
@@ -523,6 +528,7 @@ impl<'a> Ctx<'a> {
                             })
                             .max()
                             .unwrap_or(0),
+                        entry: std::sync::OnceLock::new(),
                     })
                 }
                 (None, _) => Body::Exists,

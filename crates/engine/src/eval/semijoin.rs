@@ -49,19 +49,19 @@
 //!
 //! ## Caching and sharing
 //!
-//! Built key sets live in [`SemiBuildCache`], keyed by the scope's
-//! identity (its address in the AST, the same on every worker) paired
-//! with the build plan's `Arc` address. The scope says *which* filters
-//! the build ran — the plan cache keys plans by shape, so two scopes of
-//! one evaluation that differ only in a constant are served the same
-//! `Arc` — and the plan says under which access paths (one scope may
-//! compile under several layouts). The cache itself is a mutex in the
-//! evaluation's shared state, which every worker context the parallel
-//! executor forks points at — all workers probe the *same* build instead
-//! of each re-building.
+//! Built key sets live in the evaluation's build store (`eval::builds`),
+//! which every worker context shares, keyed by the scope's identity (its
+//! address in the AST, the same on every worker) paired with the build
+//! plan's `Arc` address. The scope says *which* filters the build ran —
+//! the plan cache keys plans by shape, so two scopes of one evaluation
+//! that differ only in a constant are served the same `Arc` — and the
+//! plan says under which access paths (one scope may compile under
+//! several layouts). A compiled scope consults the store on its first
+//! probe only and memoizes the entry ([`SemiPlan::entry`]): every later
+//! outer row reads it without a lock.
 //!
 //! Both halves of the key are addresses, and both are pinned for the
-//! cache's lifetime, which is one evaluation: the scope identity
+//! store's lifetime, which is one evaluation: the scope identity
 //! (`QuantRef::id`) is the address of a binding slice — or, for a scope
 //! without bindings, of its body — inside the AST the evaluation borrows
 //! for `'a` (it cannot move or be freed while any `Ctx<'a>` lives), and
@@ -92,7 +92,7 @@ use arc_plan::ScopePlan;
 use arc_trace::{OpId, OpStats, Recorder, ScopeTally, SpanKind};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The correlated-key set of one build: every key the scope body can
 /// produce (NULL/NaN-free by construction). A one-column key — every
@@ -167,7 +167,7 @@ struct Built {
 /// probe would serve the wrong key set. Holding the `Arc` makes address
 /// reuse impossible for as long as the entry lives.
 pub(crate) struct SemiEntry {
-    key: BuildKey,
+    pub(crate) key: BuildKey,
     _plan: Arc<ScopePlan>,
     /// `None` records a failed build: the scope falls back to the nested
     /// path for the rest of the evaluation (which reproduces any real
@@ -180,82 +180,12 @@ pub(crate) struct SemiEntry {
     probes: AtomicU64,
     hits: AtomicU64,
     /// The entry published before this one.
-    next: Option<Arc<SemiEntry>>,
+    pub(crate) next: Option<Arc<SemiEntry>>,
 }
-
-/// Build-once cache of decorrelated scopes: a list of entries, newest
-/// first, one per [`BuildKey`] — an evaluation has a handful, so a walk
-/// is as fast as a hash and costs one allocation per build. It lives in
-/// the evaluation's shared state, so the coordinator and every worker
-/// lock the same list, and an evaluation without a decorrelated scope
-/// allocates nothing for it.
-#[derive(Default)]
-pub(crate) struct SemiBuildCache(Mutex<Head>);
 
 /// *(scope identity, address of the — pinned, see [`SemiEntry`] — build
 /// plan)*.
-type BuildKey = (usize, usize);
-
-type Head = Option<Arc<SemiEntry>>;
-
-/// The entry for `key` in the list starting at `head`.
-fn find(head: &Head, key: BuildKey) -> Option<&Arc<SemiEntry>> {
-    let mut at = head.as_ref();
-    while let Some(entry) = at {
-        if entry.key == key {
-            return Some(entry);
-        }
-        at = entry.next.as_ref();
-    }
-    None
-}
-
-impl SemiBuildCache {
-    /// Lock the cache, **recovering** from a poisoned mutex (a worker
-    /// panicked mid-insert): the poison is cleared — so later locks take
-    /// the fast path again — and the list is emptied, because a build
-    /// interrupted by a panic may have published nothing or anything.
-    /// Build-once is an optimization; dropping entries costs a rebuild,
-    /// never correctness.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Head> {
-        self.0.lock().unwrap_or_else(|poisoned| {
-            self.0.clear_poison();
-            let mut head = poisoned.into_inner();
-            *head = None;
-            head
-        })
-    }
-
-    /// The entry for `key`, or `None` if no build has been published.
-    fn get(&self, key: BuildKey) -> Option<Arc<SemiEntry>> {
-        find(&self.lock(), key).cloned()
-    }
-
-    /// Publish a build for `key` — unless a racing worker already did,
-    /// in which case its entry wins and this duplicate (identical by
-    /// construction) is dropped.
-    fn publish(
-        &self,
-        key: BuildKey,
-        plan: &Arc<ScopePlan>,
-        built: Option<Built>,
-    ) -> Arc<SemiEntry> {
-        let mut head = self.lock();
-        if let Some(entry) = find(&head, key) {
-            return entry.clone();
-        }
-        let entry = Arc::new(SemiEntry {
-            key,
-            _plan: plan.clone(),
-            built,
-            probes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            next: head.take(),
-        });
-        *head = Some(entry.clone());
-        entry
-    }
-}
+pub(crate) type BuildKey = (usize, usize);
 
 impl QueryShared<'_> {
     /// Fold every build's probe-side actuals into the record — once per
@@ -264,9 +194,7 @@ impl QueryShared<'_> {
     /// per hit.
     pub(crate) fn record_probes(&self) {
         let Some(rec) = &self.recorder else { return };
-        let head = self.semi_builds.lock();
-        let mut at = head.as_ref();
-        while let Some(entry) = at {
+        self.builds.each_semi(|entry| {
             let probes = entry.probes.load(Ordering::Relaxed);
             if probes > 0 {
                 rec.merge_op(
@@ -278,8 +206,7 @@ impl QueryShared<'_> {
                     },
                 );
             }
-            at = entry.next.as_ref();
-        }
+        });
     }
 }
 
@@ -313,7 +240,13 @@ impl<'a> Ctx<'a> {
         if !self.all_true(&semi.probe_filters, env)? {
             return Ok(Some(Truth::False));
         }
-        let entry = self.semi_build(sc, semi, build, env)?;
+        let entry = match semi.entry.get() {
+            Some(entry) => entry,
+            None => {
+                let entry = self.semi_build(sc, semi, build, env)?;
+                semi.entry.get_or_init(|| entry)
+            }
+        };
         let Some(built) = &entry.built else {
             return Ok(None); // failed build: nested path reproduces it
         };
@@ -370,10 +303,10 @@ impl<'a> Ctx<'a> {
         Ok(true)
     }
 
-    /// The build, through the shared cache: first caller (coordinator or
-    /// any pool worker) builds, everyone else probes the same `Arc`. Two
-    /// racing workers may both build; the first insert wins and the
-    /// duplicate — identical by construction — is dropped.
+    /// The build, through the evaluation's store: the first caller
+    /// (coordinator or any pool worker) builds, everyone else probes the
+    /// same `Arc`. Two racing workers may both build; the first publish
+    /// wins and the duplicate — identical by construction — is dropped.
     fn semi_build(
         &self,
         sc: &Scope<'a>,
@@ -381,8 +314,8 @@ impl<'a> Ctx<'a> {
         build: &Steps<'a>,
         env: &mut Env<'a>,
     ) -> Result<Arc<SemiEntry>> {
-        let cache_key = (sc.id, Arc::as_ptr(&build.plan) as usize);
-        if let Some(entry) = self.shared.semi_builds.get(cache_key) {
+        let key = (sc.id, Arc::as_ptr(&build.plan) as usize);
+        if let Some(entry) = self.shared.builds.semi(key) {
             return Ok(entry);
         }
         // Admission: the key set, estimated from the largest source
@@ -393,10 +326,7 @@ impl<'a> Ctx<'a> {
             arc_guard::seam::SEMI_BUILD,
             semi.est_rows * (48 + 24 * semi.keys.as_slice().len()),
         ) {
-            return Ok(self
-                .shared
-                .semi_builds
-                .publish(cache_key, &build.plan, None));
+            return Ok(self.publish_semi(key, &build.plan, None));
         }
         metrics::semi_builds().inc();
         let base = env.len();
@@ -429,10 +359,24 @@ impl<'a> Ctx<'a> {
                 },
             );
         }
-        Ok(self
-            .shared
-            .semi_builds
-            .publish(cache_key, &build.plan, built))
+        Ok(self.publish_semi(key, &build.plan, built))
+    }
+
+    /// Publish a build (`None`: a failed one) in the evaluation's store.
+    fn publish_semi(
+        &self,
+        key: BuildKey,
+        plan: &Arc<ScopePlan>,
+        built: Option<Built>,
+    ) -> Arc<SemiEntry> {
+        self.shared.builds.publish_semi(key, |next| SemiEntry {
+            key,
+            _plan: plan.clone(),
+            built,
+            probes: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            next,
+        })
     }
 
     /// Evaluate the build pipeline once, collecting the correlated-key
@@ -596,28 +540,5 @@ impl<'a> Ctx<'a> {
             non_empty,
             has_null: false,
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn poisoned_semi_build_cache_recovers_empty() {
-        let cache = SemiBuildCache::default();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = cache.0.lock().unwrap();
-                panic!("worker panicked mid-insert");
-            })
-            .join()
-            .unwrap_err();
-        });
-        assert!(cache.0.is_poisoned());
-        // Recovery empties the list (builds re-run — an optimization
-        // loss, never a correctness one) and clears the poison bit.
-        assert!(cache.lock().is_none());
-        assert!(!cache.0.is_poisoned(), "recovery clears the poison");
     }
 }

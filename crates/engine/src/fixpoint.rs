@@ -50,13 +50,15 @@
 //! whichever order its rules run in.
 //!
 //! The hash indexes over catalog relations — which no round can change —
-//! live in one `BaseIndexes` per solve, on the driver's stack: every
-//! evaluation of the solve hashes with its hasher, so the rounds probe one
-//! build instead of one per round (`Ctx::join_index`). Indexes over the
-//! totals and deltas, which change every round, are built per evaluation.
+//! live in one build store per solve, on the driver's stack, lent to
+//! every round's evaluation: the rounds probe one build instead of one
+//! per round (`Ctx::join_index`). Indexes over the totals and deltas are
+//! built per evaluation: their rows' generation moves every round, so a
+//! solve-wide store of them would only grow.
 
 use crate::error::{EvalError, Result};
-use crate::eval::quantifier::{BaseIndexes, KeySlots};
+use crate::eval::builds::Builds;
+use crate::eval::quantifier::KeySlots;
 use crate::eval::{Engine, Entry, Recording, Redirect};
 use crate::relation::{Relation, Rows};
 use arc_core::ast::*;
@@ -65,7 +67,6 @@ use arc_core::conventions::Semantics;
 use arc_core::value::Value;
 use arc_guard::seam;
 use arc_trace::Recorder;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -206,7 +207,7 @@ impl Engine<'_> {
             })
             .collect();
         // What no round can change is indexed once for all of them.
-        let base = BaseIndexes::default();
+        let base = Builds::default();
 
         // Round 0: every rule against empty members seeds the totals (a
         // later member already reads an earlier one's seed) and fills each
@@ -311,7 +312,6 @@ fn disjuncts<'f>(f: &'f Formula, out: &mut Vec<&'f Formula>) {
 #[derive(Default)]
 struct SeenRows {
     slots: KeySlots,
-    state: RandomState,
 }
 
 impl SeenRows {
@@ -322,7 +322,7 @@ impl SeenRows {
     /// `total.len() + pending.len()`: the caller pushes it onto `pending`,
     /// and appends `pending` to `total` before the next round.
     fn insert(&mut self, row: &[Value], total: &Rows, pending: &Rows) -> bool {
-        let mut h = self.state.build_hasher();
+        let mut h = crate::eval::builds::hasher().build_hasher();
         for v in row {
             v.key_ref().hash(&mut h);
         }

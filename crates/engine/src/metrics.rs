@@ -76,7 +76,7 @@ counter_fn!(
 );
 counter_fn!(
     /// `engine.selection.cache_hits`: selection vectors served from the
-    /// per-query cache (correlated scopes re-entering a scan).
+    /// evaluation's build store (correlated scopes re-entering a scan).
     selection_cache_hits,
     "engine.selection.cache_hits"
 );

@@ -438,7 +438,7 @@ pub(crate) fn dedupe_rows(rows: Rows) -> Rows {
     if rows.len() < 2 {
         return rows;
     }
-    let state = std::collections::hash_map::RandomState::new();
+    let state = crate::eval::builds::hasher();
     let mut kept = crate::eval::quantifier::KeySlots::with_capacity(rows.len());
     let mut keep = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {

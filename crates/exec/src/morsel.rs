@@ -82,8 +82,8 @@ where
 /// participating thread (not once per morsel) and the resulting state is
 /// threaded through every morsel that thread claims. Hosts use this for
 /// state that is cheap to reuse but wasteful to rebuild per morsel —
-/// the engine forks one evaluation context (cache snapshots included)
-/// per worker instead of one per morsel.
+/// the engine forks one evaluation context (with the scopes it
+/// compiles) per worker instead of one per morsel.
 pub fn run_morsels_with<S, T, I, F>(
     pool: &WorkerPool,
     parallelism: usize,
