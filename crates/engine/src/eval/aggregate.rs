@@ -16,9 +16,10 @@
 //! ([`folds_from_batch`]), [`Groups::fold_rows`] reads them from the rows
 //! by id — no frame, no `scalar` call, no key built per member. Every
 //! other member — another shape, a denied build's row loop — folds its
-//! environment through [`Groups::fold_env`] into the same table. Members
-//! fold in enumeration order, so order-sensitive results (float sums)
-//! are exactly what a collect-then-fold would compute.
+//! environment through [`Groups::fold_env`] into the same table. A
+//! grouping scope never runs partitioned: members fold sequentially, in
+//! enumeration order, at any thread count, so order-sensitive results
+//! (float sums) are exactly what a collect-then-fold would compute.
 //!
 //! `Int` arithmetic wraps wherever it is computed: scalar arithmetic
 //! (`eval/scalar.rs`), the column kernels, `sum`/`avg` on both fold paths
@@ -226,15 +227,6 @@ pub(crate) struct Groups<'a> {
     naggs: usize,
 }
 
-/// What one member contributes, already evaluated: the parallel path
-/// gathers these per morsel and folds them on the coordinator in morsel
-/// order.
-pub(crate) struct Member<'a> {
-    key: Vec<Key>,
-    frames: Vec<Frame<'a>>,
-    inputs: Vec<Value>,
-}
-
 /// What `count(*)` folds per member.
 static ONE: Value = Value::Int(1);
 
@@ -358,19 +350,6 @@ impl<'a> Groups<'a> {
         }
     }
 
-    /// Fold an already-evaluated member (see [`member_of`]).
-    pub(crate) fn fold_member(&mut self, aggs: &[AggSpec<'_>], m: Member<'a>) {
-        let Member {
-            key,
-            frames,
-            inputs,
-        } = m;
-        let g = self.group_of(|j| key[j].key_ref(), |reprs| reprs.extend(frames), aggs);
-        for ((acc, spec), v) in self.accs_of(g).iter_mut().zip(aggs).zip(&inputs) {
-            acc.fold(spec.func, v);
-        }
-    }
-
     /// `γ∅` has exactly one group, even over an empty join (§2.5 — "there
     /// is just one group", like SQL's aggregate query without GROUP BY).
     pub(crate) fn ensure_global(&mut self, aggs: &[AggSpec<'_>]) {
@@ -416,31 +395,6 @@ fn operand<'v>(s: &'v CScalar<'_>, last: usize, row: &'v [Value], env: &'v Env<'
         CScalar::Const(v) => v,
         _ => unreachable!("a batch-folded operand is a slot or a constant"),
     }
-}
-
-/// Evaluate what the environment on top of `env` contributes to its group
-/// (the parallel path's per-morsel half of [`Groups::fold_env`]).
-pub(crate) fn member_of<'a>(
-    ctx: &Ctx<'_>,
-    keys: &[CScalar<'_>],
-    aggs: &[AggSpec<'_>],
-    env: &Env<'a>,
-    base: usize,
-) -> Result<Member<'a>> {
-    let mut key = Vec::with_capacity(keys.len());
-    for k in keys {
-        key.push(ctx.scalar(k, env)?.key());
-    }
-    let mut inputs = Vec::with_capacity(aggs.len());
-    for spec in aggs {
-        // A `NULL` input folds nothing.
-        inputs.push(spec.input(ctx, env)?.map_or(Value::Null, Cow::into_owned));
-    }
-    Ok(Member {
-        key,
-        frames: env.frames[base..].to_vec(),
-        inputs,
-    })
 }
 
 impl Group<'_, '_> {

@@ -1,9 +1,9 @@
 //! The engine's `ARC_*` environment knobs, read once into one
 //! [`QueryOptions`] value: one parser per knob — [`arc_trace::parse_trace`]
 //! for the one on/off switch (`ARC_TRACE`), one each for the valued ones
-//! (`ARC_THREADS`, `ARC_TIMEOUT_MS`, `ARC_MEM_BUDGET`, `ARC_FAULT`). A malformed value surfaces as
-//! [`EvalError::Config`] from every engine entry point, never as a panic
-//! at construction.
+//! (`ARC_THREADS`, `ARC_TIMEOUT_MS`, `ARC_MEM_BUDGET`). A malformed value
+//! surfaces as [`EvalError::Config`] from every engine entry point, never
+//! as a panic at construction.
 
 use crate::error::EvalError;
 use arc_guard::FaultPlan;
@@ -27,8 +27,8 @@ pub struct QueryOptions {
     /// Per-query build-memory budget in bytes (`ARC_MEM_BUDGET`); `None`
     /// is unbounded.
     pub mem_budget: Option<usize>,
-    /// Deterministic fault injection (`ARC_FAULT`); `None` injects
-    /// nothing.
+    /// Deterministic fault injection (`Engine::with_fault`; no variable
+    /// sets it); `None` injects nothing.
     pub fault: Option<FaultPlan>,
 }
 
@@ -44,7 +44,7 @@ impl QueryOptions {
                 trace: arc_trace::parse_trace(lookup("ARC_TRACE").as_deref())?,
                 timeout: parse_timeout(lookup("ARC_TIMEOUT_MS").as_deref())?,
                 mem_budget: parse_mem_budget(lookup("ARC_MEM_BUDGET").as_deref())?,
-                fault: parse_fault(lookup("ARC_FAULT").as_deref())?,
+                fault: None,
             })
         })()
         .map_err(EvalError::Config)
@@ -80,17 +80,6 @@ pub fn parse_mem_budget(value: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Deterministic fault injection, from `ARC_FAULT=seam:N[:kind]` (see
-/// [`arc_guard::FaultPlan`]): fire a panic, budget denial, or
-/// cancellation at the Nth visit of a named guard seam. Test/CI
-/// machinery — unset means no fault.
-pub fn parse_fault(value: Option<&str>) -> Result<Option<FaultPlan>, String> {
-    match value {
-        None => Ok(None),
-        Some(v) => FaultPlan::parse(v).map_err(|e| format!("unparseable ARC_FAULT: {e}")),
-    }
-}
-
 /// Every `.rs` file under `dir`, at any depth: what the tests that scan
 /// the workspace's sources for a forbidden construct read.
 #[cfg(test)]
@@ -112,7 +101,7 @@ mod tests {
     use super::*;
 
     /// The consolidation contract: every knob — the on/off switch and
-    /// the three guard knobs — accepts its affirmative and negative forms
+    /// the two guard knobs — accepts its affirmative and negative forms
     /// and reports garbage as a descriptive error naming the variable.
     #[test]
     fn every_knob_parses_on_off_and_garbage() {
@@ -147,13 +136,6 @@ mod tests {
         assert_eq!(parse_mem_budget(Some("64m")), Ok(Some(64 << 20)));
         let err = parse_mem_budget(Some("lots")).unwrap_err();
         assert!(err.contains("ARC_MEM_BUDGET"), "{err}");
-
-        assert_eq!(parse_fault(None), Ok(None));
-        assert_eq!(parse_fault(Some("")), Ok(None));
-        let plan = parse_fault(Some("hash-build:2:budget")).unwrap().unwrap();
-        assert_eq!(plan.seam, arc_guard::seam::HASH_BUILD);
-        let err = parse_fault(Some("nowhere:1")).unwrap_err();
-        assert!(err.contains("ARC_FAULT"), "{err}");
     }
 
     /// Options read from variables: unset is every default, and with
@@ -181,19 +163,15 @@ mod tests {
         let set = from(&[("ARC_THREADS", "4"), ("ARC_MEM_BUDGET", "1k")]).unwrap();
         assert_eq!((set.threads, set.mem_budget), (4, Some(1024)));
         for (vars, first) in [
-            (
-                &[("ARC_FAULT", "x"), ("ARC_TRACE", "maybe")][..],
-                "ARC_TRACE",
-            ),
+            (&[("ARC_TRACE", "maybe")][..], "ARC_TRACE"),
             (
                 &[("ARC_TIMEOUT_MS", "soon"), ("ARC_THREADS", "many")],
                 "ARC_THREADS",
             ),
             (
-                &[("ARC_FAULT", "nowhere:1"), ("ARC_MEM_BUDGET", "lots")],
-                "ARC_MEM_BUDGET",
+                &[("ARC_MEM_BUDGET", "lots"), ("ARC_TIMEOUT_MS", "soon")],
+                "ARC_TIMEOUT_MS",
             ),
-            (&[("ARC_FAULT", "nowhere:1")], "ARC_FAULT"),
         ] {
             let Err(EvalError::Config(msg)) = from(vars) else {
                 panic!("{vars:?} must not parse");

@@ -277,9 +277,8 @@ impl<'c> Engine<'c> {
 
     /// Arm a deterministic fault-injection plan (builder style): the
     /// `plan.at`-th visit to seam `plan.seam` fires `plan.kind` (a panic,
-    /// a budget trip, or a cancellation). Exactly like running under
-    /// `ARC_FAULT=<seam>:<n>[:<kind>]`; tests and the fault smoke use it
-    /// to prove every error path leaves the engine reusable.
+    /// a budget trip, or a cancellation). Tests and the fault smoke use
+    /// it to prove every error path leaves the engine reusable.
     pub fn with_fault(self, plan: FaultPlan) -> Self {
         self.set(|o| o.fault = Some(plan))
     }

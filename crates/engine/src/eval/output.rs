@@ -1,10 +1,14 @@
 //! Output assembly: building head tuples from assignment predicates and
 //! emitting them through the (possibly disjunctive, possibly nested)
 //! emission spine.
+//!
+//! A scope that emits rows runs partitioned when its plan has a partition
+//! axis and the engine more than one thread (see `super::parallel`); a
+//! grouping scope folds sequentially at any thread count.
 
-use super::aggregate::{member_of, AggSpec, Group, Groups, Member};
+use super::aggregate::{AggSpec, Group, Groups};
 use super::env::Env;
-use super::parallel::{each_into, MorselFn};
+use super::parallel::MorselFn;
 use super::quantifier::{Folding, Gathered, Sink};
 use super::scope::{Body, GroupPlan, GroupTests, QuantRef, Scope};
 use super::slots::CScalar;
@@ -370,7 +374,7 @@ impl<'a> Ctx<'a> {
         env: &mut Env<'a>,
         out: &mut Rows,
     ) -> Result<()> {
-        let morsel: &MorselFn<'_, 'a, Rows> = &|ctx, range, env, tally, out| {
+        let morsel: &MorselFn<'_, 'a> = &|ctx, range, env, tally, out| {
             let head = Gathered {
                 head: plan,
                 partial,
@@ -440,50 +444,27 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Enumerate a grouping scope and fold its members. Sequentially each
-    /// member folds straight into its group ([`Sink::Fold`]: from the
-    /// last step's row ids when the plan allows, else its environment);
-    /// a partitioned scope gathers evaluated [`Member`]s per morsel and
-    /// folds them here in morsel order — the order the sequential loop
-    /// folds in, so even order-sensitive aggregates (float sums) come out
-    /// bit-identical.
+    /// Enumerate a grouping scope and fold its members, sequentially at
+    /// any thread count ([`Sink::Fold`]: from the last step's row ids when
+    /// the plan allows, else each member's environment). Members fold in
+    /// enumeration order, so even order-sensitive aggregates (float sums)
+    /// come out the same on every run.
     fn fold_groups(
         &self,
         sc: &Scope<'a>,
         g: &GroupPlan<'a>,
         env: &mut Env<'a>,
     ) -> Result<Groups<'a>> {
-        let (keys, aggs) = (&g.keys, &g.tests.aggs);
-        let mut groups = Groups::new(keys.len(), aggs.len());
-        let mut members: Vec<Member<'a>> = Vec::new();
-        let parallel = self.try_parallel(
-            sc,
-            env,
-            &each_into(
-                &|ctx, env, sink: &mut Vec<Member<'a>>| {
-                    if ctx.all_hold(&sc.pre_bool, env)? {
-                        sink.push(member_of(ctx, keys, aggs, env, sc.base)?);
-                    }
-                    Ok(true)
-                },
-                sc,
-            ),
-            &mut members,
-        )?;
-        if parallel {
-            for m in members {
-                groups.fold_member(aggs, m);
-            }
-        } else {
-            let folding = Folding {
-                plan: g,
-                pre_bool: &sc.pre_bool,
-                base: sc.base,
-                groups: &mut groups,
-            };
-            self.run_scope(sc, env, &mut Sink::Fold(folding))?;
-        }
-        if keys.is_empty() {
+        let aggs = &g.tests.aggs;
+        let mut groups = Groups::new(g.keys.len(), aggs.len());
+        let folding = Folding {
+            plan: g,
+            pre_bool: &sc.pre_bool,
+            base: sc.base,
+            groups: &mut groups,
+        };
+        self.run_scope(sc, env, &mut Sink::Fold(folding))?;
+        if g.keys.is_empty() {
             groups.ensure_global(aggs);
         }
         Ok(groups)

@@ -1,6 +1,7 @@
 //! Partitioned (morsel-driven) scope execution.
 //!
-//! When an engine runs with `ARC_THREADS > 1`, a scope whose plan has a
+//! When an engine runs with `ARC_THREADS > 1`, a scope that emits rows
+//! and whose plan has a
 //! [partition axis](arc_plan::ScopePlan::partition_axis) — an outer
 //! relation scan big enough to amortize the fork — executes in parallel:
 //!
@@ -15,12 +16,15 @@
 //!    build the coordinator or another worker made — and the
 //!    coordinator's options with `threads = 1`, so parallelism never
 //!    nests — plus a cloned outer environment;
-//! 3. per-morsel outputs are gathered **in morsel order** and
-//!    concatenated, which reproduces the sequential enumeration order
-//!    exactly — so bag semantics needs no merge logic at all, set
-//!    semantics deduplicates at the collection boundary as always, and
-//!    grouped scopes fold the concatenation into their group map in the
-//!    same order the sequential loop would have.
+//! 3. per-morsel rows are appended **in morsel order**, which reproduces
+//!    the sequential emission order exactly — so bag semantics needs no
+//!    merge logic at all, and set semantics deduplicates at the
+//!    collection boundary as always.
+//!
+//! Only row-emitting scopes scatter. A grouping scope folds its members
+//! sequentially at any thread count (`Sink::Fold`), so even
+//! order-sensitive aggregates (float sums) fold in enumeration order; a
+//! boolean scope stops at its first survivor.
 //!
 //! Errors follow the same rule: the error reported is the first error of
 //! the earliest morsel, which is the error the sequential loop would have
@@ -29,7 +33,7 @@
 
 use super::env::Env;
 use super::quantifier::{Sink, Src};
-use super::scope::{Pipeline, Scope};
+use super::scope::{Body, Pipeline, Scope};
 use super::{Ctx, QueryOptions};
 use crate::error::Result;
 use crate::relation::Rows;
@@ -58,59 +62,19 @@ impl Drop for WorkerState<'_> {
     }
 }
 
-/// What a partitioned scope collects into: each morsel fills an empty
-/// output of the same kind, and the morsels' outputs are merged back in
-/// morsel order — rows into one flat store, members into one vector.
-pub(crate) trait Collect: Send + Sync {
-    /// An empty output of the same kind (a store of the same arity).
-    fn empty(&self) -> Self;
-    /// Append a morsel's output, moving it.
-    fn merge(&mut self, morsel: Self);
-}
-
-impl<T: Send + Sync> Collect for Vec<T> {
-    fn empty(&self) -> Vec<T> {
-        Vec::new()
-    }
-    fn merge(&mut self, morsel: Vec<T>) {
-        self.extend(morsel);
-    }
-}
-
-impl Collect for Rows {
-    fn empty(&self) -> Rows {
-        Rows::new(self.arity())
-    }
-    fn merge(&mut self, morsel: Rows) {
-        self.append(morsel);
-    }
-}
-
 /// The per-environment collection callback [`Ctx::enumerate_collect`]
-/// drives: append into the morsel's output, return `Ok(true)` to keep
+/// drives: append into the morsel's rows, return `Ok(true)` to keep
 /// enumerating. `Sync` because the parallel path shares it across pool
 /// workers.
-pub(crate) type EachFn<'f, 'a, O> =
-    dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut O) -> Result<bool> + Sync + 'f;
+pub(crate) type EachFn<'f, 'a> =
+    dyn Fn(&Ctx<'a>, &mut Env<'a>, &mut Rows) -> Result<bool> + Sync + 'f;
 
 /// One morsel of a partitioned scope: [`Ctx::scan_partition`] over a
 /// row range of the axis, from a worker's context and environment, with
-/// a morsel-local tally, delivering into the morsel's output.
-pub(crate) type MorselFn<'f, 'a, O> = dyn Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut O) -> Result<()>
+/// a morsel-local tally, appending to the morsel's rows.
+pub(crate) type MorselFn<'f, 'a> = dyn Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut Rows) -> Result<()>
     + Sync
     + 'f;
-
-/// The morsel of a scope whose every survivor goes through `each`.
-pub(crate) fn each_into<'f, 'a, O>(
-    each: &'f EachFn<'f, 'a, O>,
-    sc: &'f Scope<'a>,
-) -> impl Fn(&Ctx<'a>, Range<usize>, &mut Env<'a>, Option<&ScopeTally>, &mut O) -> Result<()> + Sync + 'f
-{
-    move |ctx, range, env, tally, out| {
-        let mut each = |ctx: &Ctx<'a>, env: &mut Env<'a>| each(ctx, env, out);
-        ctx.scan_partition(sc, range, env, tally, &mut Sink::Each(&mut each))
-    }
-}
 
 impl<'a> Ctx<'a> {
     /// Enumerate a scope, appending what `each` produces per surviving
@@ -123,14 +87,18 @@ impl<'a> Ctx<'a> {
     ///
     /// `each` must not rely on early exit (it must always return
     /// `Ok(true)`; the parallel path enumerates every partition).
-    pub(crate) fn enumerate_collect<O: Collect>(
+    pub(crate) fn enumerate_collect(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        each: &EachFn<'_, 'a, O>,
-        out: &mut O,
+        each: &EachFn<'_, 'a>,
+        out: &mut Rows,
     ) -> Result<()> {
-        if self.try_parallel(sc, env, &each_into(each, sc), out)? {
+        let morsel: &MorselFn<'_, 'a> = &|ctx, range, env, tally, out| {
+            let mut each = |ctx: &Ctx<'a>, env: &mut Env<'a>| each(ctx, env, out);
+            ctx.scan_partition(sc, range, env, tally, &mut Sink::Each(&mut each))
+        };
+        if self.try_parallel(sc, env, morsel, out)? {
             return Ok(());
         }
         self.run_scope(
@@ -142,14 +110,15 @@ impl<'a> Ctx<'a> {
 
     /// The partitioned path, each morsel run by `morsel`; `Ok(false)`
     /// means "not eligible — run the sequential loop" (a sequential
-    /// engine, an outer-join scope, no partition axis, or an axis scan
-    /// too small for the configured morsel floor).
-    pub(crate) fn try_parallel<O: Collect>(
+    /// engine, an outer-join scope, no partition axis — a scope that
+    /// does not emit rows has none — or an axis scan of fewer than two
+    /// rows).
+    pub(crate) fn try_parallel(
         &self,
         sc: &Scope<'a>,
         env: &mut Env<'a>,
-        morsel: &MorselFn<'_, 'a, O>,
-        out: &mut O,
+        morsel: &MorselFn<'_, 'a>,
+        out: &mut Rows,
     ) -> Result<bool> {
         if self.opts.threads <= 1 {
             return Ok(false);
@@ -158,7 +127,8 @@ impl<'a> Ctx<'a> {
             return Ok(false);
         };
         let steps = &pipeline.steps;
-        if pipeline.plan.partition_axis().is_none() {
+        let emits_rows = matches!(sc.body, Body::Rows { .. });
+        if pipeline.plan.partition_axis(emits_rows).is_none() {
             return Ok(false);
         }
         // The axis must be an un-probed relation scan at step 0 (the plan
@@ -204,14 +174,16 @@ impl<'a> Ctx<'a> {
         // Build every probe's hash index — and every vectorized scan's
         // selection vector and per-entry kernels' column chunks — up
         // front so workers share them read-only instead of racing to
-        // build duplicates.
-        for ob in steps {
+        // build duplicates. Through the steps' memos, which keep a denial
+        // too: no worker asks the guard again.
+        let tally = coord.as_ref();
+        for (i, ob) in steps.iter().enumerate() {
             let Src::Rows(rel) = &ob.source else { continue };
             if let Some(hash_plan) = &ob.hash_plan {
-                let _ = self.join_index(hash_plan, rel);
+                let _ = self.step_build(&ob.index, i, tally, || self.join_index(hash_plan, rel));
             }
             if ob.uses_selection() {
-                let _ = self.scan_selection(rel, ob);
+                let _ = self.step_build(&ob.selection, i, tally, || self.scan_selection(rel, ob));
             }
             if !ob.entry_filters.is_empty() {
                 let _ = self.step_columns(ob, rel);
@@ -239,7 +211,7 @@ impl<'a> Ctx<'a> {
             t.call(0); // the axis scan starts once, morsels notwithstanding
         }
         let lanes = AtomicUsize::new(0);
-        let blank = out.empty();
+        let arity = out.arity();
         let results = run_morsels_guarded(
             WorkerPool::global(),
             self.opts.threads,
@@ -263,7 +235,7 @@ impl<'a> Ctx<'a> {
             },
             |st, _, range| {
                 let mut wenv = outer_env.clone();
-                let mut morsel_out = blank.empty();
+                let mut morsel_out = Rows::new(arity);
                 // Morsel seam: a morsel-local tally and, timed, one clock
                 // pair for the morsel span and the lane's busy time.
                 let rec = st.ctx.shared.recorder.as_ref();
@@ -290,7 +262,7 @@ impl<'a> Ctx<'a> {
         let results = results.map_err(|p| crate::error::EvalError::WorkerPanic(p.message))?;
         for slot in results {
             match slot {
-                Some(r) => out.merge(r?),
+                Some(r) => out.append(r?),
                 None => {
                     let trip = self
                         .shared

@@ -375,16 +375,17 @@ pub(crate) struct Ordered<'a> {
     pub(crate) index_plan: Option<super::index::IndexPlan>,
     /// The plan's index, memoized on first probe so the hot loop touches
     /// neither the evaluation's build store nor its heap-allocated key
-    /// again.
+    /// again — and so is a denial (`None`): the step asks the guard once
+    /// per evaluation, and every later entry streams.
     /// A `OnceLock` (not `OnceCell`) so a compiled pipeline stays `Sync`
     /// and can be shared across pool workers.
-    pub(crate) index: std::sync::OnceLock<Arc<HashIndex>>,
+    pub(crate) index: std::sync::OnceLock<Option<Arc<HashIndex>>>,
     /// The scan's selection vector (`vec_filters` applied to every
     /// chunk), memoized like `index` and shared across pool workers.
-    pub(crate) selection: std::sync::OnceLock<Arc<Vec<u32>>>,
+    pub(crate) selection: std::sync::OnceLock<Option<Arc<Vec<u32>>>>,
     /// The scanned relation's column chunks, which `entry_filters` read,
     /// admitted and memoized like `index`.
-    pub(crate) columns: std::sync::OnceLock<Arc<ColumnSet>>,
+    pub(crate) columns: std::sync::OnceLock<Option<Arc<ColumnSet>>>,
 }
 
 impl<'a> Ordered<'a> {
@@ -652,8 +653,10 @@ impl<'a> Ctx<'a> {
     ///
     /// `None` means the memory budget denied the build — the caller
     /// degrades to a streaming probe over the base rows (identical
-    /// matches, identical ascending row order) instead of failing. A
-    /// denial is not remembered: a solve's next round asks again.
+    /// matches, identical ascending row order) instead of failing. The
+    /// compiled step remembers a denial for the rest of the evaluation
+    /// ([`Ordered::index`]), so it asks the guard once; a solve's next
+    /// round is a new evaluation and asks again.
     pub(crate) fn join_index(&self, plan: &HashPlan<'_>, rel: &Relation) -> Option<Arc<HashIndex>> {
         let cataloged = || {
             let held = self.shared.catalog.relation(&rel.name);
@@ -739,27 +742,27 @@ impl<'a> Ctx<'a> {
     }
 
     /// Step `i`'s memoized build — its hash index or its selection
-    /// vector — timing the first (and only) lookup, a build or a
-    /// build-store hit, into the step's tally when the record is timed.
-    /// The cold branch is taken once per compiled pipeline; after that
-    /// this is a plain `OnceLock` load.
-    fn step_build<'o, T>(
+    /// vector, or the guard's denial of it (`None`) — timing the first
+    /// (and only) lookup, a build, a build-store hit or a denial, into
+    /// the step's tally when the record is timed. The cold branch is
+    /// taken once per compiled pipeline; after that this is a plain
+    /// `OnceLock` load.
+    pub(crate) fn step_build<'o, T>(
         &self,
-        memo: &'o std::sync::OnceLock<T>,
+        memo: &'o std::sync::OnceLock<Option<T>>,
         i: usize,
         tally: Option<&ScopeTally>,
         build: impl FnOnce() -> Option<T>,
     ) -> Option<&'o T> {
         if let Some(built) = memo.get() {
-            return Some(built);
+            return built.as_ref();
         }
         let (built, nanos) = self.timed(build);
-        let built = built?;
         let built = memo.get_or_init(|| built);
         if let (Some(nanos), Some(t)) = (nanos, tally) {
             t.add_step_nanos(i, nanos);
         }
-        Some(built)
+        built.as_ref()
     }
 
     /// Hash of the join key `exprs` produce in `env`, or `None` when a
@@ -1082,20 +1085,19 @@ impl<'a> Ctx<'a> {
 
     /// Step `i`'s memoized column chunks, which its per-entry kernels
     /// read: admitted at the chunk-build seam on first use. `None` when
-    /// the budget denies them — this entry checks its per-entry filters
-    /// row by row, and the next asks again.
+    /// the budget denies them — every entry then checks its per-entry
+    /// filters row by row, and none asks the guard again.
     pub(crate) fn step_columns<'o>(
         &self,
         ob: &'o Ordered<'_>,
         rel: &Relation,
     ) -> Option<&'o Arc<ColumnSet>> {
-        if let Some(cols) = ob.columns.get() {
-            return Some(cols);
-        }
-        if !self.guard_admit(seam::CHUNK_BUILD, rel.rows.bytes()) {
-            return None;
-        }
-        Some(ob.columns.get_or_init(|| rel.columns()))
+        ob.columns
+            .get_or_init(|| {
+                let admitted = self.guard_admit(seam::CHUNK_BUILD, rel.rows.bytes());
+                admitted.then(|| rel.columns())
+            })
+            .as_ref()
     }
 
     /// The invariant sides of a step's per-entry filters under `env`:

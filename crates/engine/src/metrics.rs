@@ -104,8 +104,8 @@ counter_fn!(
     "guard.degradations"
 );
 counter_fn!(
-    /// `guard.faults`: injected faults fired (`ARC_FAULT` /
-    /// [`Engine::with_fault`](crate::eval::Engine::with_fault)).
+    /// `guard.faults`: injected faults fired
+    /// ([`Engine::with_fault`](crate::eval::Engine::with_fault)).
     guard_faults,
     "guard.faults"
 );

@@ -64,53 +64,17 @@ impl Morsels {
 /// `pool` (the calling thread participates), returning the results in
 /// morsel order. Workers claim morsels from a shared counter, so load
 /// balances dynamically while the gather order stays fixed.
-pub fn run_morsels<T, F>(pool: &WorkerPool, parallelism: usize, morsels: Morsels, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    run_morsels_with(
-        pool,
-        parallelism,
-        morsels,
-        || (),
-        |(), i, range| work(i, range),
-    )
-}
-
-/// [`run_morsels`] with **per-worker state**: `init` runs once on each
-/// participating thread (not once per morsel) and the resulting state is
-/// threaded through every morsel that thread claims. Hosts use this for
-/// state that is cheap to reuse but wasteful to rebuild per morsel —
-/// the engine forks one evaluation context (with the scopes it
+///
+/// `init` runs once on each participating thread (not once per morsel)
+/// and the resulting state is threaded through every morsel that thread
+/// claims: the engine forks one evaluation context (with the scopes it
 /// compiles) per worker instead of one per morsel.
-pub fn run_morsels_with<S, T, I, F>(
-    pool: &WorkerPool,
-    parallelism: usize,
-    morsels: Morsels,
-    init: I,
-    work: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Range<usize>) -> T + Sync,
-{
-    match run_morsels_guarded(pool, parallelism, morsels, None, init, work) {
-        Ok(slots) => slots
-            .into_iter()
-            .map(|s| s.expect("no guard: the barrier guarantees every morsel ran"))
-            .collect(),
-        // Legacy infallible surface: re-raise the contained panic.
-        Err(p) => panic!("{p}"),
-    }
-}
-
-/// [`run_morsels_with`] under a [`QueryGuard`]: workers stop claiming
-/// morsels as soon as the guard trips (checked **before every claim**,
-/// so a tripped guard stops within one morsel of work per worker), and a
-/// panicking morsel is contained by the pool barrier instead of
-/// unwinding through the caller.
+///
+/// Under a [`QueryGuard`], workers stop claiming morsels as soon as the
+/// guard trips (checked **before every claim**, so a tripped guard stops
+/// within one morsel of work per worker). A panicking morsel is
+/// contained by the pool barrier instead of unwinding through the
+/// caller.
 ///
 /// * `Ok(slots)` — per-morsel results in morsel order. A slot is `None`
 ///   only when the guard tripped before that morsel was claimed; with no
@@ -217,11 +181,33 @@ mod tests {
         }
     }
 
+    /// Every morsel's result, in morsel order, with no guard: every slot
+    /// is filled.
+    fn run_all<T: Send>(
+        pool: &WorkerPool,
+        parallelism: usize,
+        morsels: Morsels,
+        work: impl Fn(usize, Range<usize>) -> T + Sync,
+    ) -> Vec<T> {
+        run_morsels_guarded(
+            pool,
+            parallelism,
+            morsels,
+            None,
+            || (),
+            |(), i, r| work(i, r),
+        )
+        .unwrap()
+        .into_iter()
+        .map(|slot| slot.expect("no guard: every morsel runs"))
+        .collect()
+    }
+
     #[test]
     fn results_gather_in_morsel_order() {
         let pool = WorkerPool::new(4);
         let rows: Vec<usize> = (0..997).collect();
-        let out = run_morsels(&pool, 4, Morsels::new(rows.len(), 4), |_, range| {
+        let out = run_all(&pool, 4, Morsels::new(rows.len(), 4), |_, range| {
             rows[range].to_vec()
         });
         let flat: Vec<usize> = out.into_iter().flatten().collect();
@@ -233,10 +219,11 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let pool = WorkerPool::new(3);
         let inits = AtomicUsize::new(0);
-        let out = run_morsels_with(
+        let out = run_morsels_guarded(
             &pool,
             4,
             Morsels::new(1000, 4),
+            None,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 0usize
@@ -245,8 +232,9 @@ mod tests {
                 *state += 1;
                 range.len()
             },
-        );
-        assert_eq!(out.iter().sum::<usize>(), 1000);
+        )
+        .unwrap();
+        assert_eq!(out.iter().map(|s| s.unwrap()).sum::<usize>(), 1000);
         let inits = inits.load(Ordering::SeqCst);
         assert!(
             (1..=4).contains(&inits),
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     fn empty_input_yields_no_morsels() {
         let pool = WorkerPool::new(1);
-        let out: Vec<Vec<usize>> = run_morsels(&pool, 4, Morsels::new(0, 4), |_, _| Vec::new());
+        let out: Vec<Vec<usize>> = run_all(&pool, 4, Morsels::new(0, 4), |_, _| Vec::new());
         assert!(out.is_empty());
     }
 
@@ -309,7 +297,7 @@ mod tests {
         .expect_err("the panicking morsel must be reported");
         assert_eq!(err.message, "morsel 1 dies");
         // Same pool, next query: fully functional.
-        let out = run_morsels(&pool, 3, Morsels::new(10, 3), |i, _| i);
+        let out = run_all(&pool, 3, Morsels::new(10, 3), |i, _| i);
         assert_eq!(out.len(), Morsels::new(10, 3).count());
     }
 }

@@ -17,10 +17,9 @@
 //!   degrades to a streaming path ([`QueryGuard::try_reserve`] returning
 //!   `false`); only a hard reservation ([`QueryGuard::reserve_hard`],
 //!   used for fixpoint deltas that cannot stream) trips the guard;
-//! * a **fault plan** ([`FaultPlan`], `ARC_FAULT=seam:N[:kind]`): a
-//!   deterministic injector that fires a panic, budget denial, or
-//!   cancellation at the Nth visit of a named seam, so CI can walk every
-//!   error path on demand.
+//! * a **fault plan** ([`FaultPlan`]): a deterministic injector that
+//!   fires a panic, budget denial, or cancellation at the Nth visit of a
+//!   named seam, so tests can walk every error path on demand.
 //!
 //! All checks are cooperative: execution seams call
 //! [`QueryGuard::check`] (per morsel, per fixpoint round, and on an
@@ -42,7 +41,6 @@ use std::time::Instant;
 
 /// Named guard seams: every point where the engine checks the guard,
 /// charges the memory accountant, or lets the fault injector fire.
-/// `ARC_FAULT` specs are validated against this registry.
 pub mod seam {
     /// Amortized per-environment check inside scope enumeration.
     pub const ENUMERATE: &str = "enumerate";
@@ -72,11 +70,6 @@ pub mod seam {
         ORDERED_BUILD,
         SELECTION_BUILD,
     ];
-
-    /// Canonicalize a seam name to its `'static` registry entry.
-    pub fn lookup(name: &str) -> Option<&'static str> {
-        ALL.iter().find(|s| **s == name).copied()
-    }
 }
 
 /// Why a guard tripped. Maps 1:1 onto the engine's structured
@@ -133,61 +126,16 @@ pub enum FaultKind {
 }
 
 /// A deterministic fault: fire `kind` at the `at`-th visit of `seam`.
-/// Parsed from `ARC_FAULT=seam:N[:panic|budget|cancel]` (kind defaults
-/// to `panic`); visits are counted per query, so the same spec fires at
-/// the same point on every run.
+/// Visits are counted per query, so the same plan fires at the same
+/// point on every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// The registered seam name (canonicalized via [`seam::lookup`]).
+    /// A registered seam name (one of [`seam::ALL`]).
     pub seam: &'static str,
     /// 1-based visit count at which the fault fires.
     pub at: u64,
     /// What happens when it fires.
     pub kind: FaultKind,
-}
-
-impl FaultPlan {
-    /// Parse a `seam:N[:kind]` spec, validating the seam against the
-    /// registry. Empty input means "no fault" (`Ok(None)`).
-    pub fn parse(spec: &str) -> Result<Option<FaultPlan>, String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(None);
-        }
-        let mut parts = spec.split(':');
-        let name = parts.next().unwrap_or("");
-        let seam = seam::lookup(name).ok_or_else(|| {
-            format!(
-                "unknown fault seam `{name}` (expected one of {})",
-                seam::ALL.join(", ")
-            )
-        })?;
-        let at = parts
-            .next()
-            .ok_or_else(|| format!("fault spec `{spec}` is missing a visit count (seam:N)"))?;
-        let at: u64 = at
-            .parse()
-            .map_err(|_| format!("fault visit count `{at}` is not a positive integer"))?;
-        if at == 0 {
-            return Err("fault visit counts are 1-based (seam:1 fires on the first visit)".into());
-        }
-        let kind = match parts.next() {
-            None | Some("panic") => FaultKind::Panic,
-            Some("budget") => FaultKind::Budget,
-            Some("cancel") => FaultKind::Cancel,
-            Some(k) => {
-                return Err(format!(
-                    "unknown fault kind `{k}` (expected `panic`, `budget`, or `cancel`)"
-                ))
-            }
-        };
-        if parts.next().is_some() {
-            return Err(format!(
-                "trailing fields in fault spec `{spec}` (seam:N[:kind])"
-            ));
-        }
-        Ok(Some(FaultPlan { seam, at, kind }))
-    }
 }
 
 /// Parse a memory budget: plain bytes, or with a `k`/`m`/`g` (or
@@ -508,7 +456,11 @@ mod tests {
 
     #[test]
     fn faults_fire_exactly_at_the_planned_visit() {
-        let plan = FaultPlan::parse("hash-build:3:budget").unwrap().unwrap();
+        let plan = FaultPlan {
+            seam: seam::HASH_BUILD,
+            at: 3,
+            kind: FaultKind::Budget,
+        };
         let g = QueryGuard::new(None, None, Some(plan), None);
         assert!(g.fault_armed());
         assert_eq!(g.fire_fault(seam::MORSEL), None, "other seams don't count");
@@ -517,29 +469,6 @@ mod tests {
         assert_eq!(g.fire_fault(seam::HASH_BUILD), Some(FaultKind::Budget));
         assert_eq!(g.fire_fault(seam::HASH_BUILD), None, "fires exactly once");
         assert_eq!(g.faults_fired(), 1);
-    }
-
-    #[test]
-    fn fault_specs_parse_and_validate() {
-        assert_eq!(FaultPlan::parse("").unwrap(), None);
-        let p = FaultPlan::parse("morsel:2").unwrap().unwrap();
-        assert_eq!((p.seam, p.at, p.kind), (seam::MORSEL, 2, FaultKind::Panic));
-        let p = FaultPlan::parse("enumerate:5:cancel").unwrap().unwrap();
-        assert_eq!(p.kind, FaultKind::Cancel);
-        for bad in [
-            "nope:1",
-            "morsel",
-            "morsel:0",
-            "morsel:x",
-            "morsel:1:explode",
-            "morsel:1:panic:extra",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad}");
-        }
-        for s in seam::ALL {
-            assert!(FaultPlan::parse(&format!("{s}:1")).is_ok(), "{s}");
-            assert_eq!(seam::lookup(s), Some(*s));
-        }
     }
 
     #[test]

@@ -257,16 +257,21 @@ impl ScopePlan {
     }
 
     /// The partition axis for parallel execution: the step whose scan the
-    /// executor may split into morsels, chosen by estimated cardinality.
-    /// Only the *first* step qualifies (later steps enumerate per
-    /// upstream environment, so splitting them would duplicate upstream
-    /// work), and only when it enumerates a relation without keying off
-    /// bound variables — a plain scan or an index-range scan (whose
-    /// qualifying row ids partition like a scan's selection vector)
-    /// estimated at [`PARALLEL_MIN_ROWS`] rows or more. Probes, external
-    /// accesses, abstract checks, and laterals are not partitionable.
-    pub fn partition_axis(&self) -> Option<usize> {
-        let first = self.steps.first()?;
+    /// executor may split into morsels, chosen by the plan and the
+    /// scope's role. Only a scope that `emits_rows` partitions — its
+    /// morsels' rows, appended in morsel order, are the sequential
+    /// emission order — never a grouping scope (it folds sequentially)
+    /// or a boolean one (its first survivor decides). Only the *first*
+    /// step qualifies (later steps enumerate per upstream environment,
+    /// so splitting them would duplicate upstream work), and only when it
+    /// enumerates a relation without keying off bound variables — a
+    /// plain scan or an index-range scan (whose qualifying row ids
+    /// partition like a scan's selection vector) estimated at
+    /// [`PARALLEL_MIN_ROWS`] rows or more. Probes, external accesses,
+    /// abstract checks, and laterals are not partitionable. `EXPLAIN`'s
+    /// `partition(n)` marker and the executor both ask this one function.
+    pub fn partition_axis(&self, emits_rows: bool) -> Option<usize> {
+        let first = self.steps.first().filter(|_| emits_rows)?;
         (matches!(first.access, Access::Scan | Access::IndexRange { .. })
             && first.estimated_rows >= PARALLEL_MIN_ROWS)
             .then_some(0)

@@ -319,11 +319,14 @@ impl<'a, E> Lowering<'_, '_, 'a, E> {
                 guard,
             })?;
             let children = self.children(q, &parts, &schemas, head)?;
+            let emits_rows = bool_role.is_none() && q.grouping.is_none();
+            let axis = plan.partition_axis(emits_rows);
             let scope = render_scope(
                 q,
                 &parts,
                 &plan,
                 &schemas,
+                axis,
                 assigns(&parts.assigns),
                 children,
             );
@@ -453,17 +456,18 @@ impl<'a, E> Lowering<'_, '_, 'a, E> {
 }
 
 /// Render a planned scope into a [`PlanNode::Scope`]. `schemas` supplies
-/// per-binding schemas so index-range bounds render as column names.
+/// per-binding schemas so index-range bounds render as column names;
+/// `axis` is the scope's partition axis.
 fn render_scope(
     q: QuantRef<'_>,
     parts: &Parts<'_>,
     plan: &ScopePlan,
     schemas: &[&[String]],
+    axis: Option<usize>,
     assigns: Vec<String>,
     children: Vec<ChildPlan>,
 ) -> PlanNode {
     let render_filter = |i: &usize| parts.filters[*i].to_string();
-    let axis = plan.partition_axis();
     let steps = plan
         .steps
         .iter()

@@ -31,6 +31,12 @@ pub fn eq3() -> Collection {
     q("{Q(A,sm) | ∃r ∈ R, γ r.A [Q.A = r.A ∧ Q.sm = sum(r.B)]}")
 }
 
+/// Every row of `R(A,B)`, emitted as it is: one row-emitting scan, the
+/// scope shape that runs partitioned under `ARC_THREADS > 1`.
+pub fn scan_r() -> Collection {
+    q("{Q(A,B) | ∃r ∈ R [Q.A = r.A ∧ Q.B = r.B]}")
+}
+
 /// Eq (7): the same aggregate in the FOI pattern (Fig 5).
 pub fn eq7() -> Collection {
     q(

@@ -83,8 +83,9 @@ fn fixpoint_rounds_share_base_indexes_and_skip_base_rules() {
         "expected MemoryBudget, got {starved:?}"
     );
 
-    // Phase 4: the first build denied degrades that round only — the
-    // denial is not remembered, so a later round builds the index — and
+    // Phase 4: the first build denied degrades that round only — a
+    // round is an evaluation of its own, and a step remembers a denial
+    // for its evaluation alone, so a later round builds the index — and
     // the rows are the oracle's.
     let (before, denied_before) = (builds.get(), degradations.get());
     let denied = arc_tests::deny_first(engine(1), seam::HASH_BUILD)

@@ -1,8 +1,9 @@
 //! Grouping is invisible: a grouping scope returns the oracle's rows, in
 //! the oracle's order (groups in key order, one row each), under every
 //! convention preset and thread count — whether its members fold from
-//! the last step's batch of row ids, through their environments (a
-//! denied hash build), or per morsel on the partitioned path.
+//! the last step's batch of row ids or through their environments (a
+//! denied hash build). A grouping scope folds sequentially at any thread
+//! count, so the threads-4 runs must match the one-thread runs exactly.
 //!
 //! The instances carry the corners a fold can get wrong:
 //!

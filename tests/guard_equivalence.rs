@@ -350,11 +350,11 @@ fn seam_cases() -> Vec<SeamCase> {
             budget_degrades: false,
         },
         SeamCase {
-            // The partition axis needs an un-probed scan at step 0:
-            // eq3's grouped single-relation scan scatters into morsels.
+            // The partition axis needs an un-probed, row-emitting scan at
+            // step 0: a single-relation scan scatters into morsels.
             seam: seam::MORSEL,
             catalog: || fx::grouped_catalog(1024, 17),
-            query: fx::eq3,
+            query: fx::scan_r,
             threads: 4,
             budget_degrades: false,
         },

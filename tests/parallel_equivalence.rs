@@ -106,9 +106,9 @@ fn bag_merge_order_is_deterministic() {
     }
 }
 
-/// Grouped scopes under partitioned execution: members are folded into
-/// the group map in scan order, so aggregates (including order-sensitive
-/// member layouts) match the sequential engine exactly.
+/// Grouped scopes on a parallel engine: a grouping scope folds its
+/// members sequentially, in scan order, so aggregates (including
+/// order-sensitive member layouts) match the sequential engine exactly.
 #[test]
 fn parallel_grouped_aggregates_match() {
     let catalog = fx::grouped_catalog(1000, 17);
@@ -184,14 +184,63 @@ fn explain_partition_golden() {
         // Pin the ambient guard knob too: a memory budget appends the
         // `governance:` note, and the goldens must not depend on it.
         .with_mem_budget(0);
-    let plan = engine.explain_collection(&fx::eq3()).unwrap();
+    let plan = engine.explain_collection(&fx::scan_r()).unwrap();
     let expected = "\
-project Q(A, sm)
-  aggregate γ r.A
-    agg: Q.sm = sum(r.B)
-    scope
-      1: partition(4) scan R as r (est=64)
-      emit: Q.A = r.A
+project Q(A, B)
+  scope
+    1: partition(4) scan R as r (est=64)
+    emit: Q.A = r.A
+    emit: Q.B = r.B
 ";
     assert_eq!(plan, expected, "partition plan drifted:\n{plan}");
+}
+
+/// Only a scope that emits rows runs partitioned: a grouping scope folds
+/// sequentially and a boolean one (a semi- or anti-join build, a nested
+/// `∃`) stops at its first survivor, so neither renders `partition(n)`
+/// at any thread count — while the row-emitting scope around a boolean
+/// one still does.
+#[test]
+fn only_row_emitting_scopes_render_partition() {
+    let rs = fx::rs_catalog(256);
+    let grouped = fx::grouped_catalog(256, 8);
+    // (catalog, query, scopes that partition): eq3 is one grouping
+    // scope; eq7's outer scope emits rows around a grouping lateral; the
+    // others emit rows around a semi-join, an anti-join and a nested `∃`
+    // build.
+    let nested = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.B < r.B]]}");
+    let cases = [
+        (&grouped, fx::eq3(), 0),
+        (&grouped, fx::eq7(), 1),
+        (&rs, fx::exists_corr(5), 1),
+        (&rs, fx::not_exists_corr(5), 1),
+        (&rs, nested, 1),
+    ];
+    for (catalog, q, want) in cases {
+        let engine = Engine::new(catalog, Conventions::set())
+            .with_threads(4)
+            .with_mem_budget(0);
+        let plan = engine.explain_collection(&q).unwrap();
+        let lines: Vec<&str> = plan.lines().collect();
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        // The nearest line above `at` that is indented less: its node.
+        let parent = |at: usize| {
+            let above = lines[..at]
+                .iter()
+                .rposition(|l| indent(l) < indent(lines[at]));
+            above.expect("a step sits under its scope")
+        };
+        let mut partitioned = 0;
+        for at in (0..lines.len()).filter(|&i| lines[i].contains("partition(")) {
+            let scope = parent(at);
+            assert_eq!(lines[scope].trim(), "scope", "{plan}");
+            let owner = lines[parent(scope)].trim();
+            assert!(
+                owner.starts_with("project"),
+                "`{owner}` partitions:\n{plan}"
+            );
+            partitioned += 1;
+        }
+        assert_eq!(partitioned, want, "{plan}");
+    }
 }

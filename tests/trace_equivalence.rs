@@ -309,13 +309,13 @@ fn semijoin_profile_counts_probes_and_hits() {
 #[test]
 fn parallel_profile_records_worker_lanes() {
     // The partition golden's fixture, scaled past several column chunks
-    // (morsels are chunk-aligned): eq3's scope
-    // partitions its 4000-row axis scan across 4 workers.
+    // (morsels are chunk-aligned): the row-emitting scan partitions its
+    // 4000-row axis across 4 workers.
     let catalog = fx::grouped_catalog(4000, 17);
-    let q = fx::eq3();
+    let q = fx::scan_r();
     let engine = Engine::new(&catalog, Conventions::set()).with_threads(4);
     let (rows, profile) = engine.profile_collection(&q).unwrap();
-    assert_eq!(rows.len(), 17, "one group per key");
+    assert_eq!(rows.len(), 4000, "one row out per row of R");
     assert!(
         !profile.workers.is_empty(),
         "parallel run must record lanes: {profile:?}"
@@ -332,6 +332,30 @@ fn parallel_profile_records_worker_lanes() {
         .workers
         .iter()
         .all(|w| w.morsels == 0 && w.busy_nanos == 0));
+}
+
+/// A grouping scope folds sequentially at any thread count: eq3 over the
+/// same 4000 rows at four threads records no worker lane and no morsel,
+/// and its rows — in order — are the one-thread rows.
+#[test]
+fn a_grouping_scope_folds_on_the_evaluating_thread() {
+    let catalog = fx::grouped_catalog(4000, 17);
+    let q = fx::eq3();
+    let profile = |threads| {
+        let engine = Engine::new(&catalog, Conventions::set()).with_threads(threads);
+        engine.profile_collection(&q).unwrap()
+    };
+    let (sequential, _) = profile(1);
+    let (rows, parallel) = profile(4);
+    assert_eq!(rows.rows, sequential.rows);
+    assert_eq!(rows.len(), 17, "one group per key");
+    assert!(
+        parallel
+            .workers
+            .iter()
+            .all(|w| w.morsels == 0 && w.busy_nanos == 0),
+        "a grouping scope must not scatter: {parallel:?}"
+    );
 }
 
 /// Fixpoint programs profile across iterations: a recursive definition's
