@@ -38,6 +38,7 @@ use arc_core::ast::AggFunc;
 use arc_core::conventions::EmptyAgg;
 use arc_core::value::{Key, KeyRef, Truth, Value};
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -99,7 +100,7 @@ pub(crate) struct Acc {
     /// Current minimum / maximum.
     extreme: Option<Value>,
     /// Keys already folded, for `distinct` calls.
-    seen: Option<HashSet<Key>>,
+    seen: Option<HashSet<Key, RandomState>>,
 }
 
 impl Acc {
@@ -113,7 +114,9 @@ impl Acc {
             all_int: true,
             numeric: true,
             extreme: None,
-            seen: spec.distinct.then(HashSet::new),
+            seen: spec
+                .distinct
+                .then(|| HashSet::with_hasher(hasher().clone())),
         }
     }
 

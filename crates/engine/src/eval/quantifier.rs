@@ -294,8 +294,8 @@ impl HashIndex {
 /// hash and identified by what its id stands for — the caller's `is_key`
 /// compares that against the key in hand — and a slot held by a different
 /// key sends the search on to `hash + NEXT_BUCKET`. The fixpoint's seen
-/// set, the lateral memo and a grouping scope's group table are built on
-/// it.
+/// set, the lateral memo, a grouping scope's group table and a semi-join
+/// key set of more or fewer than one column are built on it.
 #[derive(Default)]
 pub(crate) struct KeySlots {
     slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,

@@ -217,9 +217,12 @@ pub(crate) struct SemiPlan<'a> {
     pub(crate) probe_filters: Vec<CPred<'a>>,
     /// The correlated key.
     pub(crate) keys: SemiKeys<'a>,
-    /// Row count of the largest source relation (the build's admission
-    /// estimate).
-    pub(crate) est_rows: usize,
+    /// The most distinct keys the build can hold — what its admission
+    /// reserves for ([`SemiKeys::bounds`]).
+    pub(crate) max_keys: usize,
+    /// The key set's starting capacity: the largest relation the key
+    /// expressions read, at most `max_keys`.
+    pub(crate) capacity: usize,
     /// The build this scope probes, memoized on its first probe so every
     /// later outer row touches neither the evaluation's store nor its
     /// lock (a `OnceLock`, like [`Ordered::index`], so the scope stays
@@ -243,6 +246,26 @@ impl<'a> SemiKeys<'a> {
             SemiKeys::Equi(keys) => keys,
             SemiKeys::NullAware(key) => std::slice::from_ref(key),
         }
+    }
+
+    /// An upper bound on the distinct keys a build over `steps`, bound
+    /// from stack position `base` on, can produce — the product of the
+    /// row counts of the relation steps the build sides read, one when
+    /// they read none (a keyless build holds one key) — and the largest
+    /// of those counts, capped by the bound. A step of another source
+    /// counts as one row: its size is not known before it runs.
+    fn bounds(&self, steps: &[Ordered<'a>], base: usize) -> (usize, usize) {
+        let rows = steps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ob)| match &ob.source {
+                Src::Rows(rel) if self.as_slice().iter().any(|k| k.build.reads(base + i)) => {
+                    Some(rel.len())
+                }
+                _ => None,
+            });
+        let max_keys = rows.clone().fold(1, usize::saturating_mul);
+        (max_keys, rows.max().unwrap_or(1).min(max_keys))
     }
 }
 
@@ -510,24 +533,20 @@ impl<'a> Ctx<'a> {
                             build: Resolver::tuple(&layout).scalar(local),
                         }
                     };
+                    let keys = match dec.keys.as_slice() {
+                        [k] if dec.null_aware => SemiKeys::NullAware(key(k)),
+                        keys => SemiKeys::Equi(keys.iter().map(key).collect()),
+                    };
+                    let (max_keys, capacity) = keys.bounds(steps, outer.len());
                     Body::Semi(SemiPlan {
                         probe_filters: dec
                             .probe_filters
                             .iter()
                             .map(|&i| Resolver::tuple(outer).pred(filter(i)))
                             .collect(),
-                        keys: match dec.keys.as_slice() {
-                            [k] if dec.null_aware => SemiKeys::NullAware(key(k)),
-                            keys => SemiKeys::Equi(keys.iter().map(key).collect()),
-                        },
-                        est_rows: steps
-                            .iter()
-                            .map(|ob| match &ob.source {
-                                Src::Rows(rel) => rel.len(),
-                                _ => 0,
-                            })
-                            .max()
-                            .unwrap_or(0),
+                        keys,
+                        max_keys,
+                        capacity,
                         entry: std::sync::OnceLock::new(),
                     })
                 }

@@ -43,9 +43,15 @@
 //! some surviving `L` was `NULL` (the build stops there: every probe
 //! then answers `True`). `NaN` is not `NULL`: it satisfies neither `is null`
 //! nor any equality, so on either side it is just a key that matches
-//! nothing — exactly what `Cmp Eq` answers on the nested path. The
-//! columnar build cannot tell a `NULL` from a `NaN`, so null-aware
-//! builds run row at a time.
+//! nothing — exactly what `Cmp Eq` answers on the nested path.
+//!
+//! ## One build path
+//!
+//! Every build runs the step pipeline it was planned as
+//! (`Ctx::run_build_steps`): a filtered scan reads its cached selection
+//! vector through the scan step, as any other scope does, and the build
+//! tallies under the scope's own operator ids, so `EXPLAIN ANALYZE` shows
+//! actuals on every `build (once)` subtree.
 //!
 //! ## Caching and sharing
 //!
@@ -80,8 +86,9 @@
 //! per outer row — surfacing the error exactly when (and only when) the
 //! reference enumeration would, early exits included.
 
+use super::builds::hasher;
 use super::env::Env;
-use super::quantifier::Src;
+use super::quantifier::KeySlots;
 use super::scope::{Pipeline, Scope, SemiKey, SemiKeys, SemiPlan, Steps};
 use super::slots::CScalar;
 use super::{Ctx, QueryShared};
@@ -90,30 +97,60 @@ use crate::metrics;
 use arc_core::value::{Key, Truth};
 use arc_plan::ScopePlan;
 use arc_trace::{OpId, OpStats, Recorder, ScopeTally, SpanKind};
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The correlated-key set of one build: every key the scope body can
-/// produce (NULL/NaN-free by construction). A one-column key — every
-/// `NOT IN`, most `EXISTS` — is stored bare, so a distinct key costs no
-/// allocation of its own.
-#[derive(Debug, PartialEq)]
+/// produce (NULL/NaN-free by construction), hashed with the engine's one
+/// `hasher()` like every other engine table. A one-column key — every
+/// `NOT IN`, most `EXISTS` — is stored bare in a one-block set; any other
+/// width keeps its keys end to end in one vector and finds them through
+/// [`KeySlots`], as a grouping scope's groups do. Either way a distinct
+/// key costs no allocation of its own.
 pub(crate) enum KeySet {
-    One(HashSet<Key>),
-    /// Any other width (`[]` is the keyless build's one key).
-    Many(HashSet<Vec<Key>>),
+    One(HashSet<Key, RandomState>),
+    /// Any other width (`[]` is the keyless build's one key): key `id`
+    /// is `keys[id * width..][..width]`.
+    Many {
+        slots: KeySlots,
+        keys: Vec<Key>,
+        width: usize,
+        len: usize,
+    },
 }
 
 impl KeySet {
-    /// An empty set of `width`-component keys, with room for `capacity`
-    /// (a keyless build holds at most its one empty key).
+    /// An empty set of `width`-component keys, with room for `capacity`.
     pub(crate) fn new(width: usize, capacity: usize) -> Self {
         match width {
-            0 => KeySet::Many(HashSet::new()),
-            1 => KeySet::One(HashSet::with_capacity(capacity)),
-            _ => KeySet::Many(HashSet::with_capacity(capacity)),
+            1 => KeySet::One(HashSet::with_capacity_and_hasher(
+                capacity,
+                hasher().clone(),
+            )),
+            _ => KeySet::Many {
+                slots: KeySlots::with_capacity(capacity),
+                keys: Vec::with_capacity(capacity * width),
+                width,
+                len: 0,
+            },
         }
+    }
+
+    /// What `SEMI_BUILD` reserves for a set of at most `keys` keys of
+    /// `width` components: no less than the peak of a set sized for them
+    /// (`tests/alloc_guard.rs` measures it). A set that grows past its
+    /// starting capacity can hold more for the moment it rehashes.
+    pub(crate) fn build_bytes(keys: usize, width: usize) -> usize {
+        keys.saturating_mul(48 + 24 * width)
+    }
+
+    fn hash(key: &[Key]) -> u64 {
+        let mut h = hasher().build_hasher();
+        key.iter().for_each(|k| k.hash(&mut h));
+        h.finish()
     }
 
     /// Add `key`, copying it on its first occurrence only.
@@ -124,9 +161,19 @@ impl KeySet {
                     set.insert(key[0].clone());
                 }
             }
-            KeySet::Many(set) => {
-                if !set.contains(key) {
-                    set.insert(key.to_vec());
+            KeySet::Many {
+                slots,
+                keys,
+                width,
+                len,
+            } => {
+                let w = *width;
+                let held = &*keys;
+                if slots.insert(KeySet::hash(key), *len as u32, |id| {
+                    held[id as usize * w..][..w] == *key
+                }) {
+                    keys.extend_from_slice(key);
+                    *len += 1;
                 }
             }
         }
@@ -135,14 +182,20 @@ impl KeySet {
     pub(crate) fn contains(&self, key: &[Key]) -> bool {
         match self {
             KeySet::One(set) => set.contains(&key[0]),
-            KeySet::Many(set) => set.contains(key),
+            KeySet::Many {
+                slots, keys, width, ..
+            } => slots
+                .find(KeySet::hash(key), |id| {
+                    keys[id as usize * width..][..*width] == *key
+                })
+                .is_some(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
             KeySet::One(set) => set.len(),
-            KeySet::Many(set) => set.len(),
+            KeySet::Many { len, .. } => *len,
         }
     }
 }
@@ -318,13 +371,13 @@ impl<'a> Ctx<'a> {
         if let Some(entry) = self.shared.builds.semi(key) {
             return Ok(entry);
         }
-        // Admission: the key set, estimated from the largest source
-        // relation. Denied → record a *failed* build, so the nested
-        // per-outer-row path answers this scope for the rest of the
-        // evaluation instead of re-attempting the build per outer row.
+        // Admission: the key set, at the most keys the build can hold.
+        // Denied → record a *failed* build, so the nested per-outer-row
+        // path answers this scope for the rest of the evaluation instead
+        // of re-attempting the build per outer row.
         if !self.guard_admit(
             arc_guard::seam::SEMI_BUILD,
-            semi.est_rows * (48 + 24 * semi.keys.as_slice().len()),
+            KeySet::build_bytes(semi.max_keys, semi.keys.as_slice().len()),
         ) {
             return Ok(self.publish_semi(key, &build.plan, None));
         }
@@ -390,9 +443,8 @@ impl<'a> Ctx<'a> {
         build: &Steps<'a>,
         env: &mut Env<'a>,
     ) -> Result<Built> {
-        // Sized by the estimate the admission charged for.
         let mut built = Built {
-            keys: KeySet::new(semi.keys.as_slice().len(), semi.est_rows),
+            keys: KeySet::new(semi.keys.as_slice().len(), semi.capacity),
             non_empty: false,
             has_null: false,
         };
@@ -402,18 +454,10 @@ impl<'a> Ctx<'a> {
         if !self.all_true(&build.prelude, env)? {
             return Ok(built);
         }
-        // Columnar fast path: when the pipeline is a single un-probed
-        // relation scan whose filters all vectorized, the key set builds
-        // straight from the column chunks — no per-row environment push,
-        // no per-row scalar dispatch, one buffer allocation per chunk.
-        if let Some(built) = self.columnar_build(sc, semi, build) {
-            return Ok(built);
-        }
-        // A wider row key is assembled in a reused scratch buffer; the set
+        // A wider key is assembled in a reused scratch buffer; the set
         // copies a key only on its first occurrence. The build pipeline
         // tallies under the scope's own operator ids (`EXPLAIN ANALYZE`
-        // renders them on the `build (once)` subtree); the columnar fast
-        // path above bypasses the row pipeline and leaves those est-only.
+        // renders them on the `build (once)` subtree).
         let rec = self.shared.recorder.as_ref();
         let tally = rec.map(|_| ScopeTally::new(sc.id, build.steps.len()));
         let mut scratch: Vec<Key> = Vec::new();
@@ -457,88 +501,5 @@ impl<'a> Ctx<'a> {
             t.flush(rec, true);
         }
         Ok(built)
-    }
-
-    /// The columnar build, when the pipeline shape permits: a single
-    /// un-probed relation scan, every pushed-down filter a constant
-    /// kernel (no per-entry kernel, no residual step filter; the key
-    /// extraction reads the cached selection vector alone), no leaf
-    /// filters, no outer-free boolean
-    /// subformulas, every correlated-key expression a plain attribute
-    /// of the scanned variable, and no null-aware key (the key buffers
-    /// cannot tell `NULL` from `NaN`). Anything else returns `None` and
-    /// the row-at-a-time build runs — which also keeps error behaviour
-    /// untouched, because the shapes accepted here evaluate nothing that
-    /// can error (the key expressions resolved to slots).
-    fn columnar_build(
-        &self,
-        sc: &Scope<'a>,
-        semi: &SemiPlan<'a>,
-        build: &Steps<'a>,
-    ) -> Option<Built> {
-        let SemiKeys::Equi(keys) = &semi.keys else {
-            return None;
-        };
-        let [ob] = build.steps.as_slice() else {
-            return None;
-        };
-        if ob.hash_plan.is_some()
-            || !ob.step_filters.is_empty()
-            || !ob.entry_filters.is_empty()
-            || !build.leaf.is_empty()
-            || !sc.pre_bool.is_empty()
-        {
-            return None;
-        }
-        let Src::Rows(rel) = &ob.source else {
-            return None;
-        };
-        if rel.len() < super::vector::VECTOR_MIN_ROWS {
-            return None;
-        }
-        // The scanned variable's frame is the scope's first local one.
-        let mut key_cols = Vec::with_capacity(keys.len());
-        for k in keys {
-            match &k.build {
-                CScalar::Slot { frame, col } if *frame as usize == sc.base => {
-                    key_cols.push(*col as usize)
-                }
-                _ => return None,
-            }
-        }
-        let sel = match ob.uses_selection() {
-            // A budget-denied selection bails the columnar fast path —
-            // the row pipeline repeats the degradation decision per row.
-            true => Some(self.scan_selection(rel, ob)?),
-            false => None,
-        };
-        let non_empty = sel.as_ref().map_or(!rel.rows.is_empty(), |s| !s.is_empty());
-        if key_cols.is_empty() {
-            // Keyless build: a pure non-emptiness check over the
-            // selection — the row path would stop at the first survivor.
-            let mut keys = KeySet::new(0, 0);
-            if non_empty {
-                keys.insert(&[]);
-            }
-            return Some(Built {
-                keys,
-                non_empty,
-                has_null: false,
-            });
-        }
-        // Admission for the column chunks the key extraction reads;
-        // denied → the row-at-a-time build runs instead.
-        if !self.guard_admit(arc_guard::seam::CHUNK_BUILD, rel.rows.bytes()) {
-            return None;
-        }
-        Some(Built {
-            keys: super::vector::build_key_set(
-                &rel.columns(),
-                &key_cols,
-                sel.as_deref().map(Vec::as_slice),
-            ),
-            non_empty,
-            has_null: false,
-        })
     }
 }

@@ -65,6 +65,15 @@ impl CScalar<'_> {
         }
     }
 
+    /// Whether this scalar reads the row bound at stack position `frame`.
+    pub(crate) fn reads(&self, frame: usize) -> bool {
+        match self {
+            CScalar::Slot { frame: f, .. } => *f as usize == frame,
+            CScalar::Arith { left, right, .. } => left.reads(frame) || right.reads(frame),
+            CScalar::Const(_) | CScalar::Agg(_) | CScalar::Raise(_) => false,
+        }
+    }
+
     /// Whether evaluation can fail at all (a `Raise`, or an aggregate
     /// whose argument holds one).
     pub(crate) fn may_raise(&self, aggs: &[AggSpec<'_>]) -> bool {

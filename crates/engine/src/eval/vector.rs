@@ -1,6 +1,6 @@
 //! Vectorized scan execution: which pushed-down filters can run as
-//! columnar kernels, selection-vector computation over a relation's
-//! [column chunks](arc_core::column), and the columnar semi-join build.
+//! columnar kernels, and selection-vector computation over a relation's
+//! [column chunks](arc_core::column).
 //!
 //! ## What vectorizes — and why only a *prefix*
 //!
@@ -46,12 +46,11 @@
 //! — invariant 12 (and, through morsel concatenation, invariant 9).
 
 use super::scalar::arith;
-use super::semijoin::KeySet;
 use super::slots::{CPred, CScalar};
 use crate::relation::Rows;
 use arc_core::ast::{ArithOp, CmpOp};
 use arc_core::column::{ColumnSet, Mask, CHUNK_ROWS};
-use arc_core::value::{cmp_truth, Key, Value};
+use arc_core::value::{cmp_truth, Value};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -300,60 +299,6 @@ pub(crate) fn row_passes(row: &[Value], filters: &[VecFilter]) -> bool {
     })
 }
 
-/// Columnar semi-join build: assemble the correlated-key set straight
-/// from the scan's column chunks. Per-chunk [`join_keys_into`]
-/// (arc_core::column::ColumnChunk::join_keys_into) passes fill reusable
-/// buffers — one allocation per chunk per key column, amortized to zero
-/// across chunks — and the assembled row key is copied only on its first
-/// occurrence in the set ([`KeySet::insert`]).
-/// `sel` optionally restricts the scan to a selection vector (ascending
-/// row ids, as [`selection`] produces); chunks with no selected rows
-/// skip key decoding entirely. A `None` key component (NULL/NaN) drops
-/// the row, matching `join_key` row semantics exactly.
-pub(crate) fn build_key_set(cols: &ColumnSet, key_cols: &[usize], sel: Option<&[u32]>) -> KeySet {
-    fn visit(i: usize, key_bufs: &[Vec<Option<Key>>], scratch: &mut Vec<Key>, set: &mut KeySet) {
-        scratch.clear();
-        for buf in key_bufs {
-            match &buf[i] {
-                Some(k) => scratch.push(k.clone()),
-                None => return, // NULL/NaN component: matches no probe
-            }
-        }
-        set.insert(scratch);
-    }
-    let mut set = KeySet::new(key_cols.len(), sel.map_or(cols.rows(), <[u32]>::len));
-    let mut key_bufs: Vec<Vec<Option<Key>>> = vec![Vec::new(); key_cols.len()];
-    let mut scratch: Vec<Key> = Vec::with_capacity(key_cols.len());
-    let mut sel_from = 0usize;
-    for chunk in cols.chunks() {
-        let base = chunk.base();
-        let end = base + chunk.len();
-        if let Some(sel) = sel {
-            let lo = sel_from;
-            while sel_from < sel.len() && (sel[sel_from] as usize) < end {
-                sel_from += 1;
-            }
-            if lo == sel_from {
-                continue; // nothing selected here: skip the key decode
-            }
-            for (buf, &c) in key_bufs.iter_mut().zip(key_cols) {
-                chunk.col(c).join_keys_into(buf);
-            }
-            for &rid in &sel[lo..sel_from] {
-                visit(rid as usize - base, &key_bufs, &mut scratch, &mut set);
-            }
-        } else {
-            for (buf, &c) in key_bufs.iter_mut().zip(key_cols) {
-                chunk.col(c).join_keys_into(buf);
-            }
-            for i in 0..chunk.len() {
-                visit(i, &key_bufs, &mut scratch, &mut set);
-            }
-        }
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,52 +476,5 @@ mod tests {
             .collect();
         assert_eq!(sel, want);
         assert!(sel.windows(2).all(|w| w[0] < w[1]), "ascending order");
-    }
-
-    #[test]
-    fn columnar_key_set_matches_row_built_set() {
-        let rel = Relation::from_rows(
-            "R",
-            &["A", "B"],
-            (0..2600i64)
-                .map(|i| {
-                    vec![
-                        match i % 6 {
-                            0 => Value::Null,
-                            1 => Value::Float(f64::NAN),
-                            2 => Value::Float((i % 40) as f64), // integral: keys as Int
-                            _ => Value::Int(i % 40),
-                        },
-                        Value::Int(i % 9),
-                    ]
-                })
-                .collect(),
-        );
-        let key_cols = [0usize, 1];
-        let row_set = |rows: &[usize]| -> std::collections::HashSet<Vec<Key>> {
-            rows.iter()
-                .filter_map(|&i| Relation::key_for(&rel.rows[i], &key_cols))
-                .collect()
-        };
-        // Unselective (full scan) build.
-        let all: Vec<usize> = (0..rel.rows.len()).collect();
-        assert_eq!(
-            build_key_set(&rel.columns(), &key_cols, None),
-            KeySet::Many(row_set(&all))
-        );
-        // Selection-restricted build, with whole chunks filtered out.
-        let filters = [VecFilter::Cmp {
-            col: 1,
-            op: CmpOp::Eq,
-            value: Value::Int(4),
-        }];
-        let sel = selection(&rel.columns(), &filters);
-        let picked: Vec<usize> = sel.iter().map(|&r| r as usize).collect();
-        assert_eq!(
-            build_key_set(&rel.columns(), &key_cols, Some(&sel)),
-            KeySet::Many(row_set(&picked))
-        );
-        // Empty selection builds an empty set without touching key data.
-        assert_eq!(build_key_set(&rel.columns(), &key_cols, Some(&[])).len(), 0);
     }
 }

@@ -405,6 +405,63 @@ fn hash_build_reservation_covers_the_measured_peak() {
     }
 }
 
+/// The `semi-build` reservation (`KeySet::build_bytes`, `n × (48 + 24w)`
+/// for a build over one relation of `n` rows) is no less than what the
+/// key set holds at its peak, whether the rows share 16 keys or all
+/// differ, one column or two. Measured as the evaluation's peak beyond
+/// the peak of the same evaluation with every build denied: denying the
+/// semi-join build alone sends the scope down its nested path, which
+/// builds a hash index over `S` about as large as the key set. The
+/// printed factor is how much the reservation spares.
+#[test]
+fn semi_build_reservation_covers_the_measured_peak() {
+    const N: i64 = 20_000;
+    let cols = ["B", "C"];
+    for width in 1..=2usize {
+        for keys in [16, N] {
+            // `S` holds the `N` rows the key set is built from; the one
+            // row of `R` probes a key `S` does not have, so no row comes
+            // out of either run.
+            let s = Relation::from_rows(
+                "S",
+                &["A", "B", "C"],
+                (0..N)
+                    .map(|i| [i, i % keys, i % keys].map(Value::Int).to_vec())
+                    .collect(),
+            );
+            let r = Relation::from_rows("R", &["A", "B", "C"], vec![vec![Value::Int(-1); 3]]);
+            let catalog = Catalog::new().with(r).with(s);
+            let on: Vec<String> = cols[..width]
+                .iter()
+                .map(|c| format!("s.{c} = r.{c}"))
+                .collect();
+            let q = fx::q(&format!(
+                "{{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [{}]]}}",
+                on.join(" ∧ ")
+            ));
+            let peak = |engine: Engine<'_>| {
+                let plan = engine.explain_collection(&q).unwrap();
+                assert!(plan.contains("semi-join on ["), "{plan}");
+                let (peak, rows) = peak_bytes(|| engine.eval_collection(&q).unwrap());
+                assert!(rows.is_empty());
+                peak
+            };
+            let built = peak(indexed(&catalog));
+            let starved = peak(indexed(&catalog).with_mem_budget(1));
+            let measured = (built - starved) as usize;
+            let reserved = N as usize * (48 + 24 * width);
+            println!(
+                "width {width}, {keys} keys: {measured} B at the peak, {reserved} B reserved ({:.2}x)",
+                reserved as f64 / measured as f64
+            );
+            assert!(
+                measured <= reserved,
+                "width {width}, {keys} keys: the build held {measured} B at its peak, the guard reserves {reserved} B"
+            );
+        }
+    }
+}
+
 /// Statement text in, rows out — one instance of each `adhoc_text`
 /// template in each language that spells it, selective enough (`k` near
 /// the top of the id range) that the count is mostly *set-up*: lexing,
@@ -412,7 +469,9 @@ fn hash_build_reservation_covers_the_measured_peak() {
 /// indexes and selections. Per instance: the allocator calls the commit
 /// before the typed-hole plan cache made (measured once, there), and the
 /// ceiling now — at most half of that, pinned at the count measured once
-/// rows moved into flat stores.
+/// rows moved into flat stores; the ARC and SQL `exists_semi` and
+/// `not_exists_anti` shapes at the count measured once their key sets
+/// were built by the row pipeline alone.
 const TEXT_TO_ROWS: [(&str, u64, u64); 30] = [
     ("eq1_join.arc", 203, 72),
     ("eq1_join.sql", 241, 97),
@@ -437,11 +496,11 @@ const TEXT_TO_ROWS: [(&str, u64, u64); 30] = [
     ("count_v2.sql", 458, 193),
     ("count_v3.arc", 625, 215),
     ("count_v3.sql", 690, 279),
-    ("exists_semi.arc", 211, 91),
-    ("exists_semi.sql", 272, 122),
+    ("exists_semi.arc", 211, 86),
+    ("exists_semi.sql", 272, 117),
     ("exists_semi.datalog", 261, 126),
-    ("not_exists_anti.arc", 199, 87),
-    ("not_exists_anti.sql", 258, 118),
+    ("not_exists_anti.arc", 199, 84),
+    ("not_exists_anti.sql", 258, 115),
     ("reach_rec.arc", 802, 217),
     ("reach_rec.datalog", 798, 265),
 ];
@@ -529,6 +588,47 @@ fn a_hash_index_allocates_the_same_whatever_the_number_of_keys() {
         assert!(plan.contains("hash-probe on [r.B = s.B] S as s"), "{plan}");
         let (allocs, rows) = allocations(&engine, &q);
         assert_eq!(rows as i64, 8 * S_ROWS / keys, "{keys} keys");
+        allocs
+    };
+    let (few, many) = (calls(16), calls(S_ROWS));
+    assert!(
+        few <= PER_QUERY / 8 && many <= few + 32 && few <= many + 32,
+        "allocator calls: {few} with 16 keys, {many} with {S_ROWS}"
+    );
+}
+
+/// A semi-join key set of two columns keeps its keys end to end in one
+/// vector and finds them through one table of key ids: building it
+/// allocates the same few blocks whether the build side holds sixteen
+/// distinct keys or four thousand (a vector per key would make it one
+/// allocation per key).
+#[test]
+fn a_two_column_key_set_allocates_the_same_whatever_the_number_of_keys() {
+    const S_ROWS: i64 = 4_096;
+    let q = fx::q("{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [s.B = r.B ∧ s.C = r.C]]}");
+    let calls = |keys: i64| {
+        let r = Relation::from_rows(
+            "R",
+            &["A", "B", "C"],
+            (0..8).map(|i| vec![Value::Int(i); 3]).collect(),
+        );
+        let s = Relation::from_rows(
+            "S",
+            &["B", "C"],
+            (0..S_ROWS).map(|i| vec![Value::Int(i % keys); 2]).collect(),
+        );
+        let catalog = Catalog::new().with(r).with(s);
+        let engine = Engine::new(&catalog, Conventions::sql())
+            .with_mem_budget(0)
+            .with_spans(false)
+            .with_threads(1);
+        let plan = engine.explain_collection(&q).unwrap();
+        assert!(
+            plan.contains("semi-join on [s.B = r.B, s.C = r.C]"),
+            "{plan}"
+        );
+        let (allocs, rows) = allocations(&engine, &q);
+        assert_eq!(rows, 8, "{keys} keys");
         allocs
     };
     let (few, many) = (calls(16), calls(S_ROWS));

@@ -401,3 +401,34 @@ fn registry_counters_observe_hot_seams() {
     // The snapshot serializes through arc-core's JSON.
     arc_core::json::parse(&delta.to_json().to_string()).expect("snapshot JSON reparses");
 }
+
+/// Every decorrelated build runs the step pipeline it was planned as, so
+/// `EXPLAIN ANALYZE` shows actuals on its `build (once)` subtree: the
+/// index-range scan of `S` yields its 4 rows, once.
+#[test]
+fn explain_analyze_records_every_decorrelated_build() {
+    let catalog = fx::semijoin_catalog(400, 64);
+    // Pin the ambient knobs: `ARC_TRACE` adds timings, a budget a note.
+    let analyzed = Engine::new(&catalog, Conventions::sql())
+        .with_threads(1)
+        .with_spans(false)
+        .with_mem_budget(0)
+        .explain_analyze_collection(&fx::exists_corr(64))
+        .unwrap();
+    let expected = "\
+project Q(A)
+  scope act=400 calls=1
+    1: scan R as r act=400 (est=400, q=1.0) calls=1
+    emit: Q.A = r.A
+    [semi-join ∃]
+      semi-join on [s.B = r.B] act=4 (est=4, q=1.0) probes=400 hits=100
+        build (once)
+          scope act=4 calls=1
+            1: index-range on [C..] S as s act=4 (est=4, q=1.0) calls=1
+misestimates: none (worst q=1.0)
+";
+    assert_eq!(
+        analyzed, expected,
+        "semi-join build actuals drifted:\n{analyzed}"
+    );
+}
