@@ -25,7 +25,7 @@
 //! (`eval/scalar.rs`), the column kernels, `sum`/`avg` on both fold paths
 //! here, and the oracle. `sum` over `{i64::MAX, 1}` is `i64::MIN`.
 
-use super::builds::hasher;
+use super::builds::{hasher, WordState};
 use super::env::{Env, Frame};
 use super::quantifier::KeySlots;
 use super::scalar::arith;
@@ -38,7 +38,6 @@ use arc_core::ast::AggFunc;
 use arc_core::conventions::EmptyAgg;
 use arc_core::value::{Key, KeyRef, Truth, Value};
 use std::borrow::Cow;
-use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 
@@ -100,7 +99,7 @@ pub(crate) struct Acc {
     /// Current minimum / maximum.
     extreme: Option<Value>,
     /// Keys already folded, for `distinct` calls.
-    seen: Option<HashSet<Key, RandomState>>,
+    seen: Option<HashSet<Key, WordState>>,
 }
 
 impl Acc {

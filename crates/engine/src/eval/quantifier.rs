@@ -156,14 +156,7 @@ pub(crate) struct HashIndex {
 
 impl HashIndex {
     pub(crate) fn build(rows: &Rows, key_cols: &[usize]) -> HashIndex {
-        let state = hasher();
-        HashIndex::build_by(rows, key_cols, |row| {
-            let mut h = state.build_hasher();
-            for &c in key_cols {
-                row[c].join_key_ref()?.hash(&mut h);
-            }
-            Some(h.finish())
-        })
+        HashIndex::build_by(rows, key_cols, |row| Relation::join_hash(row, key_cols))
     }
 
     /// What `HASH_BUILD` reserves for a build over `rows` rows keyed on
@@ -177,7 +170,7 @@ impl HashIndex {
 
     /// [`HashIndex::build`] over an arbitrary key hash (`None`: the row
     /// has a `NULL`/`NaN` key component and is never indexed).
-    fn build_by(
+    pub(super) fn build_by(
         rows: &Rows,
         key_cols: &[usize],
         hash: impl Fn(&[Value]) -> Option<u64>,

@@ -221,7 +221,8 @@ pub(crate) struct SemiPlan<'a> {
     /// reserves for ([`SemiKeys::bounds`]).
     pub(crate) max_keys: usize,
     /// The key set's starting capacity: the largest relation the key
-    /// expressions read, at most `max_keys`.
+    /// expressions read, at most `max_keys` and the planner's estimate
+    /// of the distinct keys, at least one.
     pub(crate) capacity: usize,
     /// The build this scope probes, memoized on its first probe so every
     /// later outer row touches neither the evaluation's store nor its
@@ -537,7 +538,12 @@ impl<'a> Ctx<'a> {
                         [k] if dec.null_aware => SemiKeys::NullAware(key(k)),
                         keys => SemiKeys::Equi(keys.iter().map(key).collect()),
                     };
+                    // The set starts at the planner's estimate of its keys
+                    // (`est=` on the semi-join line) when that is smaller:
+                    // a low estimate costs a rehash, not a wrong answer.
                     let (max_keys, capacity) = keys.bounds(steps, outer.len());
+                    let est = usize::try_from(dec.est_keys).unwrap_or(usize::MAX);
+                    let capacity = capacity.min(est).max(1);
                     Body::Semi(SemiPlan {
                         probe_filters: dec
                             .probe_filters

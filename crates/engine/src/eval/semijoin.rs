@@ -86,7 +86,7 @@
 //! per outer row — surfacing the error exactly when (and only when) the
 //! reference enumeration would, early exits included.
 
-use super::builds::hasher;
+use super::builds::{hasher, WordState};
 use super::env::Env;
 use super::quantifier::KeySlots;
 use super::scope::{Pipeline, Scope, SemiKey, SemiKeys, SemiPlan, Steps};
@@ -97,7 +97,6 @@ use crate::metrics;
 use arc_core::value::{Key, Truth};
 use arc_plan::ScopePlan;
 use arc_trace::{OpId, OpStats, Recorder, ScopeTally, SpanKind};
-use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,7 +110,7 @@ use std::sync::Arc;
 /// [`KeySlots`], as a grouping scope's groups do. Either way a distinct
 /// key costs no allocation of its own.
 pub(crate) enum KeySet {
-    One(HashSet<Key, RandomState>),
+    One(HashSet<Key, WordState>),
     /// Any other width (`[]` is the keyless build's one key): key `id`
     /// is `keys[id * width..][..width]`.
     Many {

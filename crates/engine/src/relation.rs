@@ -311,20 +311,6 @@ impl Relation {
         out.extend(row.iter().map(Value::key));
     }
 
-    /// [`Relation::key_for`] into a reusable scratch buffer; returns
-    /// `false` (leaving `out` in an unspecified state) when the row has no
-    /// join key on `cols`.
-    pub fn key_for_into(row: &[Value], cols: &[usize], out: &mut Vec<Key>) -> bool {
-        out.clear();
-        for &c in cols {
-            match row[c].join_key() {
-                Some(k) => out.push(k),
-                None => return false,
-            }
-        }
-        true
-    }
-
     /// Equi-join key of a row over `cols`, or `None` when any selected
     /// value can never satisfy an equality predicate (`NULL` compares as
     /// `Unknown`; a float `NaN` is incomparable even to itself), so
@@ -342,26 +328,42 @@ impl Relation {
         Some(key)
     }
 
+    /// The hash of [`Relation::key_for`]'s key under the engine's one
+    /// hasher, taken where the values are: `None` exactly where
+    /// `key_for` is.
+    pub(crate) fn join_hash(row: &[Value], cols: &[usize]) -> Option<u64> {
+        let mut h = crate::eval::builds::hasher().build_hasher();
+        for &c in cols {
+            row[c].join_key_ref()?.hash(&mut h);
+        }
+        Some(h.finish())
+    }
+
     /// Estimated number of distinct equi-join keys on `cols`, from a
     /// prefix sample of up to `sample` rows (linearly extrapolated when
     /// the relation is larger). Feeds the planner's greedy join ordering;
     /// a crude estimate is fine — it only has to rank join candidates.
+    /// Keys are [`Relation::key_for`]'s, hashed and compared where the
+    /// sampled rows hold them, so a distinct key allocates nothing.
     pub fn distinct_estimate(&self, cols: &[usize], sample: usize) -> usize {
         let n = self.rows.len();
         if n == 0 {
             return 0;
         }
         let take = n.min(sample.max(1));
-        let mut seen: std::collections::HashSet<Vec<Key>> =
-            std::collections::HashSet::with_capacity(take);
-        let mut scratch = Vec::with_capacity(cols.len());
-        for row in self.rows.iter().take(take) {
-            if Relation::key_for_into(row, cols, &mut scratch) && !seen.contains(scratch.as_slice())
-            {
-                seen.insert(scratch.clone());
-            }
+        let mut seen = crate::eval::quantifier::KeySlots::with_capacity(take);
+        let mut distinct = 0;
+        for (i, row) in self.rows.iter().take(take).enumerate() {
+            let Some(hash) = Relation::join_hash(row, cols) else {
+                continue;
+            };
+            let is_key = |at: u32| {
+                let at = &self.rows[at as usize];
+                cols.iter().all(|&c| at[c].key_ref() == row[c].key_ref())
+            };
+            distinct += usize::from(seen.insert(hash, i as u32, is_key));
         }
-        let distinct = seen.len().max(1);
+        let distinct = distinct.max(1);
         if take == n {
             distinct
         } else {
@@ -410,21 +412,7 @@ impl Relation {
 
     /// Set equality: same distinct rows (multiplicities ignored).
     pub fn set_eq(&self, other: &Relation) -> bool {
-        self.key_set() == other.key_set()
-    }
-
-    /// Distinct row keys (scratch-probed: one allocation per distinct row).
-    fn key_set(&self) -> std::collections::HashSet<Vec<Key>> {
-        let mut set: std::collections::HashSet<Vec<Key>> =
-            std::collections::HashSet::with_capacity(self.rows.len());
-        let mut scratch = Vec::with_capacity(self.arity());
-        for row in &self.rows {
-            Relation::row_key_into(row, &mut scratch);
-            if !set.contains(scratch.as_slice()) {
-                set.insert(scratch.clone());
-            }
-        }
-        set
+        self.deduped().bag_eq(&other.deduped())
     }
 }
 
@@ -536,6 +524,56 @@ mod tests {
         let b = r(&[&[1, 2]]);
         assert!(!a.bag_eq(&b));
         assert!(a.set_eq(&b));
+    }
+
+    /// `distinct_estimate` counts [`Relation::key_for`]'s keys — `1` and
+    /// `1.0` are one, a row with a `NULL` or `NaN` component has none —
+    /// and extrapolates a prefix sample linearly: the same estimates as
+    /// collecting the sampled keys into a set.
+    #[test]
+    fn distinct_estimate_counts_join_keys() {
+        use std::collections::BTreeSet;
+        let (int, s) = (Value::Int, Value::str);
+        let rel = Relation::from_rows(
+            "R",
+            &["A", "B"],
+            vec![
+                vec![int(1), int(0)],
+                vec![Value::Float(1.0), int(0)],
+                vec![Value::Null, int(0)],
+                vec![Value::Float(f64::NAN), int(1)],
+                vec![s("x"), int(1)],
+                vec![int(1), int(2)],
+                vec![s("x"), Value::Null],
+                vec![Value::Float(2.5), int(1)],
+            ],
+        );
+        let by_set = |cols: &[usize], sample: usize| {
+            let take = rel.len().min(sample.max(1));
+            let keys: BTreeSet<_> = rel
+                .rows
+                .iter()
+                .take(take)
+                .filter_map(|row| Relation::key_for(row, cols))
+                .collect();
+            let distinct = keys.len().max(1);
+            (distinct * rel.len() / take).max(distinct)
+        };
+        let cols: [&[usize]; 4] = [&[0], &[1], &[0, 1], &[]];
+        for cols in cols {
+            for sample in [0, 1, 2, 3, 4, 5, 8, 100] {
+                assert_eq!(
+                    rel.distinct_estimate(cols, sample),
+                    by_set(cols, sample),
+                    "{cols:?} over {sample}"
+                );
+            }
+        }
+        assert_eq!(rel.distinct_estimate(&[0], 8), 3, "1 ≡ 1.0, \"x\", 2.5");
+        assert_eq!(rel.distinct_estimate(&[0, 1], 8), 4);
+        assert_eq!(rel.distinct_estimate(&[0], 4), 2, "one key in 4 of 8 rows");
+        assert_eq!(rel.distinct_estimate(&[], 8), 1);
+        assert_eq!(Relation::new("E", &["A"]).distinct_estimate(&[0], 8), 0);
     }
 
     #[test]

@@ -412,12 +412,15 @@ fn hash_build_reservation_covers_the_measured_peak() {
 /// the peak of the same evaluation with every build denied: denying the
 /// semi-join build alone sends the scope down its nested path, which
 /// builds a hash index over `S` about as large as the key set. The
-/// printed factor is how much the reservation spares.
+/// printed factor is how much the reservation spares. The set starts at
+/// the planner's estimate of its keys, so a build of 16 keys peaks lower
+/// than one of 20 000.
 #[test]
 fn semi_build_reservation_covers_the_measured_peak() {
     const N: i64 = 20_000;
     let cols = ["B", "C"];
     for width in 1..=2usize {
+        let mut peaks = Vec::new();
         for keys in [16, N] {
             // `S` holds the `N` rows the key set is built from; the one
             // row of `R` probes a key `S` does not have, so no row comes
@@ -448,17 +451,58 @@ fn semi_build_reservation_covers_the_measured_peak() {
             };
             let built = peak(indexed(&catalog));
             let starved = peak(indexed(&catalog).with_mem_budget(1));
-            let measured = (built - starved) as usize;
-            let reserved = N as usize * (48 + 24 * width);
+            // Signed: a set of a few keys can hold less than the starved
+            // run spends on its fallback.
+            let measured = built - starved;
+            let reserved = N * (48 + 24 * width as i64);
             println!(
                 "width {width}, {keys} keys: {measured} B at the peak, {reserved} B reserved ({:.2}x)",
-                reserved as f64 / measured as f64
+                reserved as f64 / measured.max(1) as f64
             );
             assert!(
                 measured <= reserved,
                 "width {width}, {keys} keys: the build held {measured} B at its peak, the guard reserves {reserved} B"
             );
+            peaks.push(built);
         }
+        assert!(
+            peaks[0] < peaks[1],
+            "width {width}: the evaluation peaked at {} B with 16 keys, at {} B with {N}",
+            peaks[0],
+            peaks[1]
+        );
+    }
+}
+
+/// A distinct-key estimate hashes and compares the sampled rows where
+/// they hold their keys: one slot table, whatever the number of distinct
+/// keys — no key copied per distinct key, strings included.
+#[test]
+fn a_distinct_estimate_allocates_the_same_whatever_the_number_of_keys() {
+    const ROWS: i64 = 4_096;
+    let rel = |keys: i64| {
+        Relation::from_rows(
+            "R",
+            &["A", "B"],
+            (0..ROWS)
+                .map(|i| vec![Value::Int(i % keys), Value::str(format!("s{}", i % keys))])
+                .collect(),
+        )
+    };
+    let (few, many) = (rel(16), rel(ROWS));
+    let cols: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+    for cols in cols {
+        let calls = |rel: &Relation| {
+            let before = ALLOCS.with(Cell::get);
+            let distinct = rel.distinct_estimate(cols, ROWS as usize);
+            (ALLOCS.with(Cell::get) - before, distinct)
+        };
+        let ((few_calls, few_keys), (many_calls, many_keys)) = (calls(&few), calls(&many));
+        assert_eq!((few_keys, many_keys), (16, ROWS as usize), "{cols:?}");
+        assert!(
+            few_calls <= 1 && many_calls == few_calls,
+            "{cols:?}: {few_calls} allocator calls over 16 keys, {many_calls} over {ROWS}"
+        );
     }
 }
 
