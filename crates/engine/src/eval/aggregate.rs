@@ -386,11 +386,16 @@ impl<'a> Groups<'a> {
     }
 }
 
-/// A batch-folded key or argument: a column of the last step's `row`
-/// (bound at stack position `last`), a slot of an outer frame, or a
-/// constant.
+/// A batch-folded key or argument, or a batch-probed key component: a
+/// column of the candidate `row` (bound at stack position `last`), a slot
+/// of an outer frame, or a constant.
 #[inline]
-fn operand<'v>(s: &'v CScalar<'_>, last: usize, row: &'v [Value], env: &'v Env<'_>) -> &'v Value {
+pub(crate) fn operand<'v>(
+    s: &'v CScalar<'_>,
+    last: usize,
+    row: &'v [Value],
+    env: &'v Env<'_>,
+) -> &'v Value {
     match s {
         CScalar::Slot { frame, col } if *frame as usize == last => &row[*col as usize],
         CScalar::Slot { frame, col } => &env.frames[*frame as usize].row()[*col as usize],

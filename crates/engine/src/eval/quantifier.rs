@@ -34,9 +34,20 @@
 //! grouping scope's last step does the same for its fold
 //! ([`Sink::Fold`]): when no filter follows it and its keys and
 //! aggregate arguments are slots or constants, its row ids — a batch,
-//! or an unfiltered full scan's range — go straight to their groups. The
-//! row-at-a-time loop is left to shapes the batch does not cover and to
-//! a build the budget denied.
+//! or an unfiltered full scan's range — go straight to their groups.
+//!
+//! A last step that is a hash probe takes the step before it out of the
+//! row-at-a-time loop as well, when that step hands its row ids on
+//! unfiltered, the probe key is slots and constants and the sink gathers
+//! or folds from the batch ([`Ordered::probes_last`]): the outer rows
+//! probe a piece of `PROBE_PIECE` at a time — every key hashed where its
+//! values are stored, every hash's first slot looked up (independent
+//! lookups the CPU overlaps), then each bucket checked against its key
+//! and handed to the gather or the fold with the outer row's frame
+//! pushed. So a pk-join's outer row costs a hash, a slot lookup, a key
+//! comparison and its output, with no bind, no `scalar` call and no
+//! recursion. The row-at-a-time loop is left to shapes the batch does
+//! not cover and to a build the budget denied.
 //!
 //! The plan greedily orders joins by estimated cardinality, hash-probes
 //! every reachable equi-join, and pushes filters down to the step where
@@ -107,6 +118,10 @@ pub(crate) struct HashPlan<'a> {
     /// Outer-side expressions, parallel to `key_cols`.
     pub(crate) probe_exprs: Vec<CScalar<'a>>,
 }
+
+/// Outer rows a batch probe ([`Ctx::probe_batch`]) hashes, looks up and
+/// emits at a time, out of fixed buffers on the stack.
+const PROBE_PIECE: usize = 128;
 
 /// Bucket-address stride for hash collisions between *different* join
 /// keys (see [`HashIndex`]).
@@ -263,15 +278,35 @@ impl HashIndex {
     pub(crate) fn bucket(
         &self,
         hash: u64,
+        is_key: impl FnMut(u32) -> Result<bool>,
+    ) -> Result<&[u32]> {
+        self.bucket_from(hash, self.slot(hash), is_key)
+    }
+
+    /// The number of the bucket at address `at`: the first one a probe
+    /// of hash `at` checks. A batch looks up all its hashes' slots before
+    /// it walks a bucket, so those independent lookups overlap.
+    pub(crate) fn slot(&self, at: u64) -> Option<u32> {
+        self.slots.get(&at).copied()
+    }
+
+    /// [`HashIndex::bucket`], its first slot already looked up
+    /// ([`HashIndex::slot`] of `hash`): the chain past it is followed only
+    /// when that bucket's first row holds another key.
+    pub(crate) fn bucket_from(
+        &self,
+        hash: u64,
+        mut slot: Option<u32>,
         mut is_key: impl FnMut(u32) -> Result<bool>,
     ) -> Result<&[u32]> {
         let mut at = hash;
-        while let Some(&b) = self.slots.get(&at) {
+        while let Some(b) = slot {
             let rows = self.rows_of(b);
             if is_key(rows[0])? {
                 return Ok(rows);
             }
             at = at.wrapping_add(NEXT_BUCKET);
+            slot = self.slot(at);
         }
         Ok(&[])
     }
@@ -379,6 +414,12 @@ pub(crate) struct Ordered<'a> {
     /// The scanned relation's column chunks, which `entry_filters` read,
     /// admitted and memoized like `index`.
     pub(crate) columns: std::sync::OnceLock<Option<Arc<ColumnSet>>>,
+    /// This step hands its row ids to the next, last step's hash probe
+    /// a piece at a time ([`Ctx::probe_batch`]): neither step filters a
+    /// row, nothing follows the probe, and its key is read where it is
+    /// stored ([`Ordered::probed_in_place`]). Decided when the scope
+    /// compiles; the sink decides the rest ([`Sink::probes_from_batch`]).
+    pub(crate) probes_last: bool,
 }
 
 impl<'a> Ordered<'a> {
@@ -397,6 +438,17 @@ impl<'a> Ordered<'a> {
     /// scope folds such a last step's rows from the batch.
     pub(crate) fn yields_ids(&self) -> bool {
         matches!(self.source, Src::Rows(_)) && self.step_filters.is_empty()
+    }
+
+    /// Whether this step is a hash probe that yields row ids and whose
+    /// probe key is all slots and constants, read where they are stored.
+    pub(crate) fn probed_in_place(&self) -> bool {
+        self.yields_ids()
+            && self.hash_plan.as_ref().is_some_and(|p| {
+                let stored =
+                    |e: &CScalar<'_>| matches!(e, CScalar::Slot { .. } | CScalar::Const(_));
+                p.probe_exprs.iter().all(stored)
+            })
     }
 
     /// Whether this step scans through a selection vector — an
@@ -535,6 +587,17 @@ impl<'s, 'a> Sink<'s, 'a> {
                 }
                 Ok(true)
             }
+        }
+    }
+
+    /// Whether the sink takes a last step's row ids as a batch — it
+    /// gathers, or folds from the batch — so the step before it may
+    /// probe it a piece at a time ([`Ordered::probes_last`]).
+    fn probes_from_batch(&self) -> bool {
+        match self {
+            Sink::Gather(_) => true,
+            Sink::Fold(f) => f.plan.batched,
+            Sink::Each(_) => false,
         }
     }
 
@@ -902,6 +965,10 @@ impl<'a> Ctx<'a> {
                         self.fold(run, i, rel, range, env, f)?;
                         return Ok(true);
                     }
+                    if ob.probes_last && sink.probes_from_batch() {
+                        let mut rows = range;
+                        return self.probe_batch(run, i, rel, &mut rows, env, sink);
+                    }
                     for row in rel.rows.range(range) {
                         if !self.bind(run, i, Frame::Borrowed(row), env, sink)? {
                             return Ok(false);
@@ -1002,6 +1069,10 @@ impl<'a> Ctx<'a> {
             self.fold(run, i, rel, rows, env, f)?;
             return Ok(true);
         }
+        if run.pipeline.steps[i].probes_last && sink.probes_from_batch() {
+            let mut rows = ids.iter().map(|&r| r as usize);
+            return self.probe_batch(run, i, rel, &mut rows, env, sink);
+        }
         for &r in ids {
             if !self.bind(run, i, Frame::Borrowed(&rel.rows[r as usize]), env, sink)? {
                 return Ok(false);
@@ -1033,6 +1104,124 @@ impl<'a> Ctx<'a> {
                 g.head.gather(g.partial, at, g.out);
             }
         })
+    }
+
+    /// Step `i`'s candidates `rows`, which pass on unfiltered, probing the
+    /// last step's hash index ([`Ordered::probes_last`]) a piece of
+    /// `PROBE_PIECE` rows at a time instead of one bound row at a time:
+    /// hash every probe key where its values are stored (a `NULL`/`NaN`
+    /// component matches nothing), look up every hash's first slot, then
+    /// check each bucket's first row against its key — following the
+    /// chain only on a mismatch — and hand the bucket to the sink with
+    /// the row's frame pushed. Outer rows and each bucket's rows stay
+    /// ascending, so the output is the row path's, in its order.
+    ///
+    /// The profile counts what the row path does (each outer row a
+    /// candidate and a pass of step `i` and a call of step `i + 1`, each
+    /// bucket through [`Ctx::gather`] or [`Ctx::fold`]), a timed record
+    /// gets one step span per call, and the guard ticks once per piece
+    /// and per bucket. The index is asked for at the first key that is
+    /// not `NULL`, as the row path asks; when the budget denies it, the
+    /// rest streams through the row path. Out of line, and one copy for
+    /// both callers (`rows` is a trait object): inlined into its callers,
+    /// it slowed scans it never runs for, and a copy per caller's
+    /// iterator raised every workload's peak resident set.
+    #[inline(never)]
+    fn probe_batch(
+        &self,
+        run: &Run<'_, 'a>,
+        i: usize,
+        outer: &'a Relation,
+        rows: &mut dyn Iterator<Item = usize>,
+        env: &mut Env<'a>,
+        sink: &mut Sink<'_, 'a>,
+    ) -> Result<bool> {
+        let last = &run.pipeline.steps[i + 1];
+        let (Src::Rows(rel), Some(plan)) = (&last.source, &last.hash_plan) else {
+            unreachable!("a batch probes a hash-probed relation")
+        };
+        let rel: &'a Relation = rel;
+        let (top, rec) = (env.len(), self.shared.recorder.as_ref());
+        let mut index: Option<&HashIndex> = None;
+        let mut ids = [0usize; PROBE_PIECE];
+        let mut hashes = [None::<u64>; PROBE_PIECE];
+        let mut slots = [None::<u32>; PROBE_PIECE];
+        loop {
+            let mut n = 0;
+            for r in (&mut *rows).take(PROBE_PIECE) {
+                let row = &outer.rows[r];
+                let mut h = hasher().build_hasher();
+                let key = plan.probe_exprs.iter().try_for_each(|e| {
+                    let k = super::aggregate::operand(e, top, row, env).join_key_ref()?;
+                    k.hash(&mut h);
+                    Some(())
+                });
+                (ids[n], hashes[n]) = (r, key.map(|()| h.finish()));
+                n += 1;
+            }
+            if n == 0 {
+                return Ok(true);
+            }
+            if index.is_none() && hashes[..n].iter().any(Option::is_some) {
+                let built =
+                    self.step_build(&last.index, i + 1, run.tally, || self.join_index(plan, rel));
+                let Some(built) = built else {
+                    // Denied: every row from this piece on takes the
+                    // row path's streaming probe.
+                    for r in ids[..n].iter().copied().chain(rows) {
+                        if !self.bind(run, i, Frame::Borrowed(&outer.rows[r]), env, sink)? {
+                            return Ok(false);
+                        }
+                    }
+                    return Ok(true);
+                };
+                index = Some(built);
+            }
+            if let Some(index) = index {
+                for (slot, hash) in slots[..n].iter_mut().zip(&hashes[..n]) {
+                    *slot = hash.and_then(|h| index.slot(h));
+                }
+            }
+            // Guard tick seam, a piece at a time.
+            self.guard_rows(n)?;
+            for k in 0..n {
+                if let Some(t) = run.tally {
+                    t.row(i);
+                    t.pass(i);
+                    t.call(i + 1);
+                }
+                let t0 = rec.and_then(|rec| rec.span_start(self.lane));
+                let out = match (index, hashes[k], slots[k]) {
+                    (Some(index), Some(hash), slot @ Some(_)) => {
+                        let row = &outer.rows[ids[k]];
+                        let bucket = index.bucket_from(hash, slot, |first| {
+                            let first = &rel.rows[first as usize];
+                            let mut key = plan.probe_exprs.iter().zip(&plan.key_cols);
+                            Ok(key.all(|(e, &c)| {
+                                let v = super::aggregate::operand(e, top, row, env);
+                                v.join_key_ref() == first[c].join_key_ref()
+                            }))
+                        })?;
+                        env.push(Frame::Borrowed(row));
+                        let out = match sink {
+                            Sink::Gather(g) => self.gather(run, i + 1, rel, bucket, env, g),
+                            Sink::Fold(f) => {
+                                let members = bucket.iter().map(|&r| r as usize);
+                                self.fold(run, i + 1, rel, members, env, f)
+                            }
+                            Sink::Each(_) => unreachable!("an `Each` sink binds every row"),
+                        };
+                        env.pop();
+                        out
+                    }
+                    _ => Ok(()), // a `NULL`/`NaN` key, or no bucket at its hash
+                };
+                if let Some(rec) = rec {
+                    rec.finish(self.lane, SpanKind::Step, OpId::step(run.scope, i + 1), t0);
+                }
+                out?;
+            }
+        }
     }
 
     /// Fold `rows` — the last step's candidates — into the sink's groups,
@@ -1344,5 +1533,35 @@ mod tests {
         assert_eq!(find(1), vec![1, 4]);
         assert_eq!(find(2), vec![2, 5]);
         assert!(find(9).is_empty());
+    }
+
+    /// A batch probe looks up every key's first slot before it walks any
+    /// bucket (`Ctx::probe_batch`): when every key hashes to one address,
+    /// that slot holds the first key's bucket, and each other key must be
+    /// found by walking the chain past it.
+    #[test]
+    fn a_batch_probe_walks_the_chain_past_its_first_slot() {
+        let rows = Rows::from_vecs(1, (0..12i64).map(|i| vec![Value::Int(i % 4)]).collect());
+        let index = HashIndex::build_by(&rows, &[0], |_| Some(7));
+        let probes = [3i64, 0, 9, 2, 1, 3];
+        let slots = probes.map(|_| index.slot(7));
+        let found: Vec<Vec<u32>> = probes
+            .iter()
+            .zip(slots)
+            .map(|(&v, slot)| {
+                let is_key = |first: u32| Ok(rows[first as usize][0] == Value::Int(v));
+                index.bucket_from(7, slot, is_key).unwrap().to_vec()
+            })
+            .collect();
+        let want: [&[u32]; 6] = [
+            &[3, 7, 11],
+            &[0, 4, 8],
+            &[],
+            &[2, 6, 10],
+            &[1, 5, 9],
+            &[3, 7, 11],
+        ];
+        assert_eq!(found, want);
+        assert!(index.bucket_from(7, None, |_| Ok(true)).unwrap().is_empty());
     }
 }

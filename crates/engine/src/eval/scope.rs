@@ -957,6 +957,7 @@ impl<'a> Ctx<'a> {
                 index: std::sync::OnceLock::new(),
                 selection: std::sync::OnceLock::new(),
                 columns: std::sync::OnceLock::new(),
+                probes_last: false,
             });
         }
         let prelude = plan
@@ -968,7 +969,10 @@ impl<'a> Ctx<'a> {
             .leaf_filters
             .iter()
             .map(|&i| Resolver::tuple(&layout).pred(filters[i]))
-            .collect();
+            .collect::<Vec<_>>();
+        if let ([.., before, last], true) = (steps.as_mut_slice(), leaf.is_empty()) {
+            before.probes_last = before.yields_ids() && last.probed_in_place();
+        }
         Ok((
             Pipeline::Steps(Steps {
                 plan,

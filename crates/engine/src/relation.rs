@@ -13,6 +13,7 @@
 //! `ANALYZE` consume; it and the ordered indexes are validated on the
 //! store's generation, which every mutation moves.
 
+use crate::eval::quantifier::KeySlots;
 use arc_core::column::ColumnSet;
 use arc_core::value::{Key, Value};
 use std::collections::HashMap;
@@ -302,15 +303,6 @@ impl Relation {
         row.iter().map(Value::key).collect()
     }
 
-    /// [`Relation::row_key`] into a reusable scratch buffer: the hot
-    /// dedup/bag loops probe with `&out[..]` (via `Vec<Key>: Borrow<[Key]>`)
-    /// and clone only on first occurrence, instead of allocating a fresh
-    /// key vector per row.
-    pub fn row_key_into(row: &[Value], out: &mut Vec<Key>) {
-        out.clear();
-        out.extend(row.iter().map(Value::key));
-    }
-
     /// Equi-join key of a row over `cols`, or `None` when any selected
     /// value can never satisfy an equality predicate (`NULL` compares as
     /// `Unknown`; a float `NaN` is incomparable even to itself), so
@@ -351,7 +343,7 @@ impl Relation {
             return 0;
         }
         let take = n.min(sample.max(1));
-        let mut seen = crate::eval::quantifier::KeySlots::with_capacity(take);
+        let mut seen = KeySlots::with_capacity(take);
         let mut distinct = 0;
         for (i, row) in self.rows.iter().take(take).enumerate() {
             let Some(hash) = Relation::join_hash(row, cols) else {
@@ -387,33 +379,89 @@ impl Relation {
         rows
     }
 
-    /// Multiset of rows as key → multiplicity (one key allocation per
-    /// *distinct* row; repeats only bump the count through the scratch
-    /// probe).
-    pub fn bag(&self) -> HashMap<Vec<Key>, usize> {
-        let mut m: HashMap<Vec<Key>, usize> = HashMap::with_capacity(self.rows.len());
-        let mut scratch = Vec::with_capacity(self.arity());
-        for row in &self.rows {
-            Relation::row_key_into(row, &mut scratch);
-            match m.get_mut(scratch.as_slice()) {
-                Some(n) => *n += 1,
-                None => {
-                    m.insert(scratch.clone(), 1);
-                }
-            }
-        }
-        m
-    }
-
     /// Bag equality: same rows with same multiplicities (order-insensitive).
+    /// Equality is [`Relation::row_key`]'s — `1` and `1.0` are one value,
+    /// `NULL`s group — counted where the rows are stored, as
+    /// `dedupe_rows` does: no key is built.
     pub fn bag_eq(&self, other: &Relation) -> bool {
-        self.rows.len() == other.rows.len() && self.bag() == other.bag()
+        let n = self.rows.len();
+        if n != other.rows.len() || (n > 0 && self.arity() != other.arity()) {
+            return false;
+        }
+        let (slots, firsts) = self.first_rows();
+        let mut left = vec![0usize; n];
+        firsts.iter().for_each(|&f| left[f as usize] += 1);
+        other
+            .rows
+            .iter()
+            .all(|row| match self.first_of(&slots, row) {
+                Some(f) if left[f as usize] > 0 => {
+                    left[f as usize] -= 1;
+                    true
+                }
+                _ => false,
+            })
     }
 
-    /// Set equality: same distinct rows (multiplicities ignored).
+    /// Set equality: same distinct rows (multiplicities ignored), under
+    /// [`Relation::bag_eq`]'s equality.
     pub fn set_eq(&self, other: &Relation) -> bool {
-        self.deduped().bag_eq(&other.deduped())
+        if self.rows.is_empty() || other.rows.is_empty() {
+            return self.rows.is_empty() == other.rows.is_empty();
+        }
+        if self.arity() != other.arity() {
+            return false;
+        }
+        let (slots, firsts) = self.first_rows();
+        let mut seen = vec![false; firsts.len()];
+        let distinct = firsts.iter().enumerate().filter(|&(i, &f)| i == f as usize);
+        let mut unseen = distinct.count();
+        other
+            .rows
+            .iter()
+            .all(|row| match self.first_of(&slots, row) {
+                Some(f) => {
+                    unseen -= usize::from(!std::mem::replace(&mut seen[f as usize], true));
+                    true
+                }
+                None => false,
+            })
+            && unseen == 0
     }
+
+    /// Every row's first equal row (by index), and the slot table that
+    /// finds it ([`Relation::first_of`]).
+    fn first_rows(&self) -> (KeySlots, Vec<u32>) {
+        let mut slots = KeySlots::with_capacity(self.rows.len());
+        let mut firsts = Vec::with_capacity(self.rows.len());
+        for (i, row) in self.rows.iter().enumerate() {
+            let hash = row_hash(row);
+            let is_row = |at: u32| same_row(&self.rows[at as usize], row);
+            firsts.push(slots.find(hash, is_row).unwrap_or_else(|| {
+                slots.insert(hash, i as u32, is_row);
+                i as u32
+            }));
+        }
+        (slots, firsts)
+    }
+
+    /// The first of `self`'s rows equal to `row`, if any.
+    fn first_of(&self, slots: &KeySlots, row: &[Value]) -> Option<u32> {
+        slots.find(row_hash(row), |at| same_row(&self.rows[at as usize], row))
+    }
+}
+
+/// A whole row's hash under the engine's one hasher, by
+/// [`Relation::row_key`]'s equality, taken where the values are.
+fn row_hash(row: &[Value]) -> u64 {
+    let mut h = crate::eval::builds::hasher().build_hasher();
+    row.iter().for_each(|v| v.key_ref().hash(&mut h));
+    h.finish()
+}
+
+/// Whether two rows are equal by [`Relation::row_key`]'s equality.
+fn same_row(a: &[Value], b: &[Value]) -> bool {
+    a.iter().zip(b).all(|(a, b)| a.key_ref() == b.key_ref())
 }
 
 /// The rows of `rows` that repeat no earlier one, in first-occurrence
@@ -426,17 +474,11 @@ pub(crate) fn dedupe_rows(rows: Rows) -> Rows {
     if rows.len() < 2 {
         return rows;
     }
-    let state = crate::eval::builds::hasher();
-    let mut kept = crate::eval::quantifier::KeySlots::with_capacity(rows.len());
+    let mut kept = KeySlots::with_capacity(rows.len());
     let mut keep = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        let mut h = state.build_hasher();
-        row.iter().for_each(|v| v.key_ref().hash(&mut h));
-        let is_row = |at: u32| {
-            let at = &rows[at as usize];
-            at.iter().zip(row).all(|(a, b)| a.key_ref() == b.key_ref())
-        };
-        keep.push(kept.insert(h.finish(), i as u32, is_row));
+        let is_row = |at: u32| same_row(&rows[at as usize], row);
+        keep.push(kept.insert(row_hash(row), i as u32, is_row));
     }
     if keep.iter().all(|&k| k) {
         return rows;
@@ -524,6 +566,48 @@ mod tests {
         let b = r(&[&[1, 2]]);
         assert!(!a.bag_eq(&b));
         assert!(a.set_eq(&b));
+    }
+
+    /// Bag and set equality compare by [`Relation::row_key`]: `1` is
+    /// `1.0`, `NULL` rows and `NaN` rows are equal to themselves, and a
+    /// bag counts multiplicities where a set does not.
+    #[test]
+    fn bag_and_set_equality_compare_row_keys() {
+        let rel = |rows: Vec<Vec<Value>>| Relation::from_rows("R", &["A", "B"], rows);
+        let (int, nan) = (Value::Int, Value::Float(f64::NAN));
+        let a = rel(vec![
+            vec![int(1), Value::str("x")],
+            vec![Value::Null, Value::Null],
+            vec![nan.clone(), int(2)],
+            vec![Value::Null, Value::Null],
+        ]);
+        let b = rel(vec![
+            vec![Value::Null, Value::Null],
+            vec![nan.clone(), Value::Float(2.0)],
+            vec![Value::Null, Value::Null],
+            vec![Value::Float(1.0), Value::str("x")],
+        ]);
+        assert!(a.bag_eq(&b) && b.bag_eq(&a));
+        assert!(a.set_eq(&b) && b.set_eq(&a));
+        // The same rows, other multiplicities, the same count.
+        let c = rel(vec![
+            vec![int(1), Value::str("x")],
+            vec![Value::Null, Value::Null],
+            vec![nan.clone(), int(2)],
+            vec![nan.clone(), int(2)],
+        ]);
+        assert!(!a.bag_eq(&c) && !c.bag_eq(&a));
+        assert!(a.set_eq(&c) && c.set_eq(&a));
+        // Differing row counts.
+        let d = rel(vec![vec![int(1), Value::str("x")]]);
+        assert!(!a.bag_eq(&d) && !d.bag_eq(&a));
+        assert!(!a.set_eq(&d) && !d.set_eq(&a));
+        let empty = rel(vec![]);
+        assert!(empty.bag_eq(&empty) && empty.set_eq(&empty));
+        assert!(!d.bag_eq(&empty) && !d.set_eq(&empty) && !empty.set_eq(&d));
+        // A row that differs in one value.
+        let e = rel(vec![vec![int(1), Value::str("y")]]);
+        assert!(!d.bag_eq(&e) && !d.set_eq(&e));
     }
 
     /// `distinct_estimate` counts [`Relation::key_for`]'s keys — `1` and

@@ -409,12 +409,12 @@ fn hash_build_reservation_covers_the_measured_peak() {
 /// for a build over one relation of `n` rows) is no less than what the
 /// key set holds at its peak, whether the rows share 16 keys or all
 /// differ, one column or two. Measured as the evaluation's peak beyond
-/// the peak of the same evaluation with every build denied: denying the
-/// semi-join build alone sends the scope down its nested path, which
-/// builds a hash index over `S` about as large as the key set. The
-/// printed factor is how much the reservation spares. The set starts at
-/// the planner's estimate of its keys, so a build of 16 keys peaks lower
-/// than one of 20 000.
+/// the peak of a run of the same shape whose key set stays empty (every
+/// key column of `S` `NULL`, so no row's key enters the set): both runs
+/// compile the same plan and scan the same rows, and only the set's own
+/// growth differs. The printed factor is how much the reservation
+/// spares. The set starts at the planner's estimate of its keys, so a
+/// build of 16 keys peaks lower than one of 20 000.
 #[test]
 fn semi_build_reservation_covers_the_measured_peak() {
     const N: i64 = 20_000;
@@ -425,15 +425,17 @@ fn semi_build_reservation_covers_the_measured_peak() {
             // `S` holds the `N` rows the key set is built from; the one
             // row of `R` probes a key `S` does not have, so no row comes
             // out of either run.
-            let s = Relation::from_rows(
-                "S",
-                &["A", "B", "C"],
-                (0..N)
-                    .map(|i| [i, i % keys, i % keys].map(Value::Int).to_vec())
-                    .collect(),
-            );
-            let r = Relation::from_rows("R", &["A", "B", "C"], vec![vec![Value::Int(-1); 3]]);
-            let catalog = Catalog::new().with(r).with(s);
+            let catalog = |key: &dyn Fn(i64) -> Value| {
+                let s = Relation::from_rows(
+                    "S",
+                    &["A", "B", "C"],
+                    (0..N)
+                        .map(|i| vec![Value::Int(i), key(i), key(i)])
+                        .collect(),
+                );
+                let r = Relation::from_rows("R", &["A", "B", "C"], vec![vec![Value::Int(-1); 3]]);
+                Catalog::new().with(r).with(s)
+            };
             let on: Vec<String> = cols[..width]
                 .iter()
                 .map(|c| format!("s.{c} = r.{c}"))
@@ -442,25 +444,24 @@ fn semi_build_reservation_covers_the_measured_peak() {
                 "{{Q(A) | ∃r ∈ R [Q.A = r.A ∧ ∃s ∈ S [{}]]}}",
                 on.join(" ∧ ")
             ));
-            let peak = |engine: Engine<'_>| {
+            let peak = |catalog: &Catalog| {
+                let engine = indexed(catalog);
                 let plan = engine.explain_collection(&q).unwrap();
                 assert!(plan.contains("semi-join on ["), "{plan}");
                 let (peak, rows) = peak_bytes(|| engine.eval_collection(&q).unwrap());
                 assert!(rows.is_empty());
                 peak
             };
-            let built = peak(indexed(&catalog));
-            let starved = peak(indexed(&catalog).with_mem_budget(1));
-            // Signed: a set of a few keys can hold less than the starved
-            // run spends on its fallback.
-            let measured = built - starved;
+            let built = peak(&catalog(&|i| Value::Int(i % keys)));
+            let empty = peak(&catalog(&|_| Value::Null));
+            let measured = built - empty;
             let reserved = N * (48 + 24 * width as i64);
             println!(
                 "width {width}, {keys} keys: {measured} B at the peak, {reserved} B reserved ({:.2}x)",
                 reserved as f64 / measured.max(1) as f64
             );
             assert!(
-                measured <= reserved,
+                measured > 0 && measured <= reserved,
                 "width {width}, {keys} keys: the build held {measured} B at its peak, the guard reserves {reserved} B"
             );
             peaks.push(built);
@@ -753,5 +754,46 @@ fn a_folded_grouping_allocates_per_group_not_per_member() {
     assert!(
         few <= PER_QUERY && many <= few + 16 && few <= many + 16,
         "allocator calls: {few} for 65 536 members, {many} for 262 144"
+    );
+}
+
+/// A last-step hash probe fed a batch of outer rows probes them a piece
+/// at a time out of fixed buffers: Fig 6a's shape — every employee joined
+/// to its one salary, folded into 64 departments — makes the same
+/// allocator calls for 1 024 employees as for 16 384, so nothing is
+/// allocated per outer row or per piece.
+#[test]
+fn a_batched_probe_allocates_nothing_per_outer_row() {
+    let q = fx::q(
+        "{Q(d, s) | ∃e ∈ Emp, s ∈ Sal, γ e.dept \
+         [Q.d = e.dept ∧ Q.s = sum(s.sal) ∧ e.empl = s.empl]}",
+    );
+    let calls = |rows: i64| {
+        let emp = Relation::from_rows(
+            "Emp",
+            &["empl", "dept"],
+            (0..rows)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 64)])
+                .collect(),
+        );
+        let sal = Relation::from_rows(
+            "Sal",
+            &["empl", "sal"],
+            (0..rows)
+                .map(|i| vec![Value::Int(rows - 1 - i), Value::Int(i)])
+                .collect(),
+        );
+        let catalog = Catalog::new().with(emp).with(sal);
+        let engine = indexed(&catalog);
+        let plan = engine.explain_collection(&q).unwrap();
+        assert!(plan.contains("hash-probe on ["), "{plan}");
+        let (allocs, rows) = allocations(&engine, &q);
+        assert_eq!(rows, 64);
+        allocs
+    };
+    let (few, many) = (calls(1_024), calls(16_384));
+    assert!(
+        few <= PER_QUERY && many == few,
+        "allocator calls: {few} for 1 024 outer rows, {many} for 16 384"
     );
 }

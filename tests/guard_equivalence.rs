@@ -295,6 +295,71 @@ fn a_trip_inside_a_folded_grouping_returns_no_rows() {
     }
 }
 
+/// A last-step hash probe fed a batch of outer rows checks the guard
+/// once per piece of outer rows and once per bucket, where the row probe
+/// checked once per outer row: over Fig 6a's shape — 8 192 employees,
+/// each with one salary, folded into 64 departments (a grouping scope
+/// folds sequentially at any thread count) — a cancellation at the
+/// first, a middle and the last enumerate visit trips, and so does a
+/// zero timeout; each returns the trip's error, never the groups folded
+/// so far. One visit past the last finds nothing to cancel.
+#[test]
+fn a_trip_inside_a_batched_probe_returns_no_rows() {
+    const ROWS: i64 = 8_192;
+    let emp = Relation::from_rows(
+        "Emp",
+        &["empl", "dept"],
+        (0..ROWS)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 64)])
+            .collect(),
+    );
+    let sal = Relation::from_rows(
+        "Sal",
+        &["empl", "sal"],
+        (0..ROWS)
+            .map(|i| vec![Value::Int(ROWS - 1 - i), Value::Int(i)])
+            .collect(),
+    );
+    let catalog = Catalog::new().with(emp).with(sal);
+    let q = fx::q(
+        "{Q(d, s) | ∃e ∈ Emp, s ∈ Sal, γ e.dept \
+         [Q.d = e.dept ∧ Q.s = sum(s.sal) ∧ e.empl = s.empl]}",
+    );
+    // One visit per piece of 128 outer rows, one per one-row bucket.
+    let last = ROWS as u64 / 128 + ROWS as u64;
+    for threads in [1usize, 4] {
+        let engine = || Engine::new(&catalog, Conventions::sql()).with_threads(threads);
+        let plan = engine().explain_collection(&q).unwrap();
+        assert!(plan.contains("hash-probe on ["), "{plan}");
+        assert_eq!(engine().eval_collection(&q).unwrap().len(), 64);
+        let cancel_at = |at| {
+            engine()
+                .with_fault(FaultPlan {
+                    seam: seam::ENUMERATE,
+                    at,
+                    kind: FaultKind::Cancel,
+                })
+                .eval_collection(&q)
+        };
+        for at in [1, last / 2, last] {
+            let out = cancel_at(at);
+            assert!(
+                matches!(out, Err(EvalError::Cancelled)),
+                "threads {threads}, cancel at visit {at}: {:?}",
+                out.map(|rel| rel.len())
+            );
+        }
+        let past = cancel_at(last + 1).map(|rel| rel.len());
+        assert!(matches!(past, Ok(64)), "threads {threads}: {past:?}");
+        let out = engine().with_timeout(Duration::ZERO).eval_collection(&q);
+        assert!(
+            matches!(out, Err(EvalError::DeadlineExceeded)),
+            "threads {threads}: {:?}",
+            out.map(|rel| rel.len())
+        );
+    }
+}
+
 /// One canonical workload per registered seam: a (catalog, query) pair
 /// known to visit the seam on its very first opportunity, so
 /// `FaultPlan { at: 1 }` deterministically fires.

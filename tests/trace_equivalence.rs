@@ -165,6 +165,63 @@ fn profile_actuals_match_hand_count() {
     assert!(sequential.workers.iter().all(|w| w.busy_nanos == 0));
 }
 
+/// A primary-key join whose probe is fed a batch of outer rows counts
+/// what the row probe counted: on `Sal(empl, sal)` filtered to its 100
+/// top salaries, probing `Emp`, which holds only the even employees, the
+/// probe step has one call per surviving `Sal` row (100) and one actual
+/// row per match (50) — sequentially or merged from four workers, with
+/// or without the trace knob — and `EXPLAIN ANALYZE` renders those.
+#[test]
+fn a_batched_probe_counts_calls_per_outer_row_and_act_per_match() {
+    let emp = arc_engine::Relation::from_rows(
+        "Emp",
+        &["empl", "dept"],
+        (0..500i64)
+            .map(|i| vec![(2 * i).into(), (i % 7).into()])
+            .collect(),
+    );
+    let sal = arc_engine::Relation::from_rows(
+        "Sal",
+        &["empl", "sal"],
+        (0..1000i64).map(|i| vec![i.into(), i.into()]).collect(),
+    );
+    let mut catalog = arc_engine::Catalog::new().with(emp).with(sal);
+    catalog.analyze();
+    let q = fx::q(
+        "{Q(E, S) | ∃s ∈ Sal, e ∈ Emp [Q.E = e.empl ∧ Q.S = s.sal ∧ e.empl = s.empl ∧ s.sal > 899]}",
+    );
+    for (threads, trace) in [(1usize, false), (4, false), (1, true), (4, true)] {
+        let engine = Engine::new(&catalog, Conventions::sql())
+            .with_threads(threads)
+            .with_spans(trace);
+        let (rows, profile) = engine.profile_collection(&q).unwrap();
+        assert_eq!(rows.len(), 50, "threads {threads} trace {trace}");
+        let scope = profile
+            .ops
+            .keys()
+            .find(|id| id.step.is_none())
+            .unwrap()
+            .scope;
+        let op = |i| {
+            let op = profile.op(OpId::step(scope, i)).unwrap();
+            (op.calls, op.rows_in, op.rows_out)
+        };
+        let at = format!("threads {threads} trace {trace}");
+        assert_eq!(op(0), (1, 100, 100), "{at}: the filtered scan of Sal");
+        assert_eq!(op(1), (100, 50, 50), "{at}: the probe of Emp");
+        let analyzed = engine.explain_analyze_collection(&q).unwrap();
+        let probe = analyzed
+            .lines()
+            .find(|l| l.contains("hash-probe on [e.empl = s.empl] Emp as e"))
+            .unwrap_or_else(|| panic!("{at}: no probe line:\n{analyzed}"));
+        let words: Vec<&str> = probe.split_whitespace().collect();
+        assert!(
+            words.contains(&"act=50") && words.contains(&"calls=100"),
+            "{at}: {probe}"
+        );
+    }
+}
+
 /// `EXPLAIN ANALYZE` joins the profile back onto the rendered plan:
 /// per-step `act=… (est=…, q=…)` annotations, and wall time once the
 /// trace knob enables clock reads.
