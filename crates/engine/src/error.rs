@@ -57,8 +57,8 @@ pub enum EvalError {
     /// raising this; only hard exhaustion aborts.
     MemoryBudget,
     /// A worker panicked mid-query. The panic was contained at the
-    /// engine boundary: caches recover and the same engine and worker
-    /// pool answer the next query.
+    /// engine boundary: caches recover and the same engine answers the
+    /// next query.
     WorkerPanic(String),
     /// Internal invariant violation (a bug in the engine).
     Internal(String),

@@ -20,7 +20,7 @@
 //! layout compiles to different slots.
 //!
 //! Frames and layouts are `Send + Sync`: the parallel executor clones an
-//! environment snapshot per morsel and drives it on a pool worker (see
+//! environment snapshot per morsel and drives it on a worker thread (see
 //! [`super::parallel`]).
 
 use crate::relation::Tuple;
@@ -159,7 +159,7 @@ impl<'a> Env<'a> {
 }
 
 // The parallel executor sends cloned environments (and their frames) to
-// pool workers; keep that a compile-time fact.
+// worker threads; keep that a compile-time fact.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Frame<'static>>();

@@ -609,7 +609,7 @@ impl OrderedIndex {
 }
 
 // Indexes are cached on relations behind `Arc` and shared read-only
-// across pool workers; keep that a compile-time fact.
+// across worker threads; keep that a compile-time fact.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<OrderedIndex>();

@@ -40,7 +40,7 @@ impl QueryOptions {
     ) -> Result<QueryOptions, EvalError> {
         (|| {
             Ok(QueryOptions {
-                threads: arc_exec::parse_threads(lookup("ARC_THREADS").as_deref())?,
+                threads: parse_threads(lookup("ARC_THREADS").as_deref())?,
                 trace: arc_trace::parse_trace(lookup("ARC_TRACE").as_deref())?,
                 timeout: parse_timeout(lookup("ARC_TIMEOUT_MS").as_deref())?,
                 mem_budget: parse_mem_budget(lookup("ARC_MEM_BUDGET").as_deref())?,
@@ -48,6 +48,44 @@ impl QueryOptions {
             })
         })()
         .map_err(EvalError::Config)
+    }
+}
+
+/// Upper bound on configured parallelism: far above any real machine this
+/// engine targets, low enough that a typo (`ARC_THREADS=1000000`) cannot
+/// spawn an absurd number of OS threads.
+pub const MAX_THREADS: usize = 256;
+
+/// The machine's available parallelism (1 when undetectable).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Interpret an `ARC_THREADS` value. `None`/empty means sequential
+/// (parallelism 1 — the conservative default: results are identical
+/// either way, so opting in is a pure performance decision); `auto` or
+/// `0` means the machine's available parallelism; otherwise a thread
+/// count in `1..=`[`MAX_THREADS`]. Anything else is a descriptive error
+/// (the engine surfaces it as a configuration error on first evaluation,
+/// never a panic).
+pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    let Some(v) = value.map(str::trim).filter(|v| !v.is_empty()) else {
+        return Ok(1);
+    };
+    if v.eq_ignore_ascii_case("auto") {
+        return Ok(available_parallelism().min(MAX_THREADS));
+    }
+    match v.parse::<usize>() {
+        Ok(0) => Ok(available_parallelism().min(MAX_THREADS)),
+        Ok(n) if n <= MAX_THREADS => Ok(n),
+        Ok(n) => Err(format!(
+            "ARC_THREADS `{n}` exceeds the maximum of {MAX_THREADS}"
+        )),
+        Err(_) => Err(format!(
+            "unknown ARC_THREADS `{v}` (expected a thread count, `auto`, or `0` for auto)"
+        )),
     }
 }
 
@@ -136,6 +174,37 @@ mod tests {
         assert_eq!(parse_mem_budget(Some("64m")), Ok(Some(64 << 20)));
         let err = parse_mem_budget(Some("lots")).unwrap_err();
         assert!(err.contains("ARC_MEM_BUDGET"), "{err}");
+    }
+
+    #[test]
+    fn default_is_sequential() {
+        assert_eq!(parse_threads(None), Ok(1));
+        assert_eq!(parse_threads(Some("")), Ok(1));
+        assert_eq!(parse_threads(Some("  ")), Ok(1));
+    }
+
+    #[test]
+    fn explicit_counts_parse() {
+        assert_eq!(parse_threads(Some("1")), Ok(1));
+        assert_eq!(parse_threads(Some("8")), Ok(8));
+        assert_eq!(parse_threads(Some(" 4 ")), Ok(4));
+    }
+
+    #[test]
+    fn auto_uses_available_parallelism() {
+        let auto = parse_threads(Some("auto")).unwrap();
+        assert!(auto >= 1);
+        assert_eq!(parse_threads(Some("0")).unwrap(), auto);
+        assert_eq!(parse_threads(Some("AUTO")).unwrap(), auto);
+    }
+
+    #[test]
+    fn junk_is_a_descriptive_error() {
+        let err = parse_threads(Some("many")).unwrap_err();
+        assert!(err.contains("many"), "{err}");
+        assert!(err.contains("ARC_THREADS"), "{err}");
+        let err = parse_threads(Some("100000")).unwrap_err();
+        assert!(err.contains("maximum"), "{err}");
     }
 
     /// Options read from variables: unset is every default, and with

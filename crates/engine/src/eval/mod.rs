@@ -35,7 +35,7 @@
 //! | `quantifier`   | the binding loop: executes compiled step pipelines        |
 //! | `semijoin`     | decorrelated `∃`/`¬∃`: build-once set-level semi/anti-join|
 //! | `lateral`      | lateral steps: nested collections memoized by outer values|
-//! | `parallel`     | partitioned (morsel-driven) scope execution via `arc-exec`|
+//! | `parallel`     | partitioned (morsel-driven) scopes on scoped threads      |
 //! | `aggregate`    | grouping scopes: one-pass accumulators, per-group verdicts|
 //! | `output`       | output assembly: head-tuple construction and emission     |
 //! | `join`         | outer-join annotation trees (`left`/`full`, §2.11)        |
@@ -228,11 +228,11 @@ impl<'c> Engine<'c> {
     }
 
     /// Override the parallelism (builder style); `1` (or `0`) means
-    /// sequential. Clamped to [`arc_exec::MAX_THREADS`], the same bound
+    /// sequential. Clamped to `MAX_THREADS` (256), the same bound
     /// the `ARC_THREADS` parser enforces — an oversized value must never
     /// be able to exhaust OS threads and abort the process.
     pub fn with_threads(self, threads: usize) -> Self {
-        self.set(|o| o.threads = threads.clamp(1, arc_exec::MAX_THREADS))
+        self.set(|o| o.threads = threads.clamp(1, knobs::MAX_THREADS))
     }
 
     /// Override recording (builder style), exactly like running under
@@ -322,8 +322,8 @@ impl<'c> Engine<'c> {
     /// into the registry. A panic inside — a worker's or an injected one
     /// — is contained here and surfaces as [`EvalError::WorkerPanic`];
     /// terminal guard trips are counted into the metrics registry. The
-    /// engine and its pool stay usable afterwards — per-engine caches
-    /// recover via their poison-clearing locks.
+    /// engine stays usable afterwards — per-engine caches recover via
+    /// their poison-clearing locks.
     pub(crate) fn entered<T>(
         &self,
         recording: Recording,

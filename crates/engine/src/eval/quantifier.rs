@@ -58,7 +58,7 @@
 //!
 //! A compiled pipeline is thread-shareable ([`Ordered`] is `Sync`: hash
 //! indexes live behind `Arc`, memoized through `OnceLock`), which is what
-//! lets [`super::parallel`] drive one pipeline from many pool workers,
+//! lets [`super::parallel`] drive one pipeline from many worker threads,
 //! each scanning its own morsel of the partition axis via
 //! [`Ctx::scan_partition`].
 
@@ -406,10 +406,10 @@ pub(crate) struct Ordered<'a> {
     /// again — and so is a denial (`None`): the step asks the guard once
     /// per evaluation, and every later entry streams.
     /// A `OnceLock` (not `OnceCell`) so a compiled pipeline stays `Sync`
-    /// and can be shared across pool workers.
+    /// and can be shared across worker threads.
     pub(crate) index: std::sync::OnceLock<Option<Arc<HashIndex>>>,
     /// The scan's selection vector (`vec_filters` applied to every
-    /// chunk), memoized like `index` and shared across pool workers.
+    /// chunk), memoized like `index` and shared across worker threads.
     pub(crate) selection: std::sync::OnceLock<Option<Arc<Vec<u32>>>>,
     /// The scanned relation's column chunks, which `entry_filters` read,
     /// admitted and memoized like `index`.
@@ -1459,7 +1459,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-// The parallel executor shares compiled pipelines across pool workers;
+// The parallel executor shares compiled pipelines across worker threads;
 // keep that a compile-time fact.
 const _: () = {
     const fn assert_sync<T: Sync>() {}

@@ -985,7 +985,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-// The parallel executor shares a compiled scope across pool workers.
+// The parallel executor shares a compiled scope across worker threads.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Scope<'static>>();

@@ -356,7 +356,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The build, through the evaluation's store: the first caller
-    /// (coordinator or any pool worker) builds, everyone else probes the
+    /// (coordinator or any worker thread) builds, everyone else probes the
     /// same `Arc`. Two racing workers may both build; the first publish
     /// wins and the duplicate — identical by construction — is dropped.
     fn semi_build(

@@ -11,7 +11,8 @@
 //! export), which is what reads the clocks that feed them; the relation
 //! cache misses (chunk encode, ordered-index build) and the query latency
 //! read their own clock on every run. The full catalog, including the
-//! `plan.*`/`exec.*` metrics registered by `arc-plan`/`arc-exec`, is
+//! `plan.*` metrics registered by `arc-plan` and the `exec.*` ones
+//! registered by the partitioned executor (`eval/parallel.rs`), is
 //! documented in the workspace README's Observability section.
 
 use arc_trace::{Counter, Histogram};

@@ -497,7 +497,7 @@ pub fn join_key(v: &Value) -> Option<Key> {
 }
 
 // The parallel executor shares relations (and the keys inside hash
-// indexes) read-only across pool workers; keep that a compile-time fact
+// indexes) read-only across worker threads; keep that a compile-time fact
 // so a future field can't silently break `ARC_THREADS > 1`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

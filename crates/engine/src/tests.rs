@@ -1790,10 +1790,10 @@ mod strategy_equivalence {
     fn threads_typo_surfaces_as_engine_error_not_panic() {
         // A malformed ARC_THREADS fails every entry point with the one
         // configuration error, naming the variable (pure parsing is tested
-        // in arc-exec and `knobs`; the env var itself is racy under
-        // parallel tests, so the failure is injected). A `with_*` builder
-        // for the same knob does not mask it.
-        let msg = arc_exec::parse_threads(Some("many")).unwrap_err();
+        // in `knobs`; the env var itself is racy under parallel tests, so
+        // the failure is injected). A `with_*` builder for the same knob
+        // does not mask it.
+        let msg = crate::eval::knobs::parse_threads(Some("many")).unwrap_err();
         assert!(msg.contains("ARC_THREADS"), "{msg}");
         let want = EvalError::Config(msg);
         let catalog = join_catalog();
@@ -1846,7 +1846,7 @@ mod strategy_equivalence {
         assert_eq!(threads(&e), Ok(8));
         // An absurd count is clamped, not allowed to exhaust OS threads.
         let e = e.with_threads(500_000);
-        assert_eq!(threads(&e), Ok(arc_exec::MAX_THREADS));
+        assert_eq!(threads(&e), Ok(crate::eval::knobs::MAX_THREADS));
     }
 }
 

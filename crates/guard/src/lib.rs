@@ -28,9 +28,8 @@
 //! seam that observes a tripped guard reports the *same* cause, so a
 //! query that dies of a deadline never half-reports a budget error.
 //!
-//! The crate is std-only with no dependencies so both `arc-exec` (the
-//! worker pool's morsel claim loop) and `arc-engine` (every build seam)
-//! can use it.
+//! The crate is std-only with no dependencies; `arc-engine` checks it at
+//! every build seam and before each morsel claim of a partitioned scope.
 
 #![warn(missing_docs)]
 

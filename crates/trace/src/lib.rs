@@ -9,17 +9,17 @@
 //!   operator table (a [`QueryProfile`]: per-operator actual input/output
 //!   rows, invocation counts and wall time, keyed by the stable operator
 //!   ids that `arc-plan` assigns at lowering time, plus per-worker
-//!   morsel/busy accounting from `arc-exec`), the span lanes, and one
-//!   *timed* bit. Untimed, it counts rows and calls and reads no clock
-//!   (`EXPLAIN ANALYZE` under the defaults); timed (`ARC_TRACE=on`, or a
-//!   span export), each seam — query → plan → scope → semi-join build →
-//!   step → morsel — reads one clock pair for its [`span`], which also
-//!   feeds the operator's `nanos` wherever the operator keeps the
-//!   region's duration. The engine's `explain_analyze_*` renders
-//!   the table against the planner's estimates as `act=N (est=N, q=X.X)`
-//!   q-error annotations; [`trace_json`] exports the spans as Chrome
-//!   Trace Event Format JSON that Perfetto / `chrome://tracing` render as
-//!   a per-query timeline.
+//!   morsel/busy accounting from the engine's partitioned scopes), the
+//!   span lanes, and one *timed* bit. Untimed, it counts rows and calls
+//!   and reads no clock (`EXPLAIN ANALYZE` under the defaults); timed
+//!   (`ARC_TRACE=on`, or a span export), each seam — query → plan →
+//!   scope → semi-join build → step → morsel — reads one clock pair for
+//!   its [`span`], which also feeds the operator's `nanos` wherever the
+//!   operator keeps the region's duration. The engine's
+//!   `explain_analyze_*` renders the table against the planner's
+//!   estimates as `act=N (est=N, q=X.X)` q-error annotations;
+//!   [`trace_json`] exports the spans as Chrome Trace Event Format JSON
+//!   that Perfetto / `chrome://tracing` render as a per-query timeline.
 //! * [`registry`] — a process-wide metrics registry of **named monotonic
 //!   counters**, **gauges** and **latency histograms**, all always on.
 //!   Counters are plain relaxed atomics (they are how the workspace's
@@ -34,8 +34,8 @@
 //!   (nothing when untimed); the registry itself has no switch.
 //!
 //! The crate depends only on `arc-core` (for [`arc_core::json`]
-//! serialization of snapshots and profiles) and sits below `arc-plan`,
-//! `arc-exec`, and `arc-engine` in the workspace dependency order.
+//! serialization of snapshots and profiles) and sits below `arc-plan`
+//! and `arc-engine` in the workspace dependency order.
 
 #![warn(missing_docs)]
 

@@ -6,7 +6,7 @@
 //! engine's per-query plan cache and the decorrelation bail-out set
 //! already use), and every join step inside a scope is identified by its
 //! plan-order position. The engine threads one [`Recorder`] through its
-//! evaluation context and through `arc-exec` worker seeds; each
+//! evaluation context and the contexts its worker threads fork; each
 //! enumeration call accumulates a local [`ScopeTally`] (plain integers, no
 //! locking) and folds it into the recorder's operator table **once per
 //! call / once per morsel**, so the shared `Mutex` is touched at gather

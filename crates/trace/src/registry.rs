@@ -17,7 +17,7 @@
 //! clock is read is the call site. A build inside an evaluation records
 //! the nanoseconds its record's timed span already measured (nothing when
 //! the record is untimed); a coarse seam outside an evaluation — a
-//! relation-cache miss, a pool join, a query, a morsel — reads its own
+//! relation-cache miss, a query, a morsel — reads its own
 //! clock pair on every run.
 //!
 //! ## Racing tests

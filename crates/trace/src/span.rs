@@ -138,7 +138,7 @@ struct SinkInner {
 
 /// Shared, cloneable handle to a set of per-lane span buffers for one
 /// query evaluation. Cloning shares the buffers (`Arc`), which is how
-/// `arc-exec` worker seeds feed the coordinator's sink.
+/// the engine's worker threads feed the coordinator's sink.
 #[derive(Clone)]
 pub struct SpanSink(Arc<SinkInner>);
 

@@ -41,6 +41,9 @@ fn resize(grown: i64) {
 // SAFETY: defers every operation to the system allocator unchanged; the
 // counters are `const`-initialized thread-local `Cell`s without a
 // destructor, so touching them neither allocates nor runs after teardown.
+// The one `unsafe` the workspace allows: a global allocator is unsafe by
+// definition.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));

@@ -1,4 +1,5 @@
-//! Workspace invariants for the parallel executor (`arc-exec`):
+//! Workspace invariants for the parallel executor (the engine's
+//! `eval/parallel.rs`: morsels on scoped threads, gathered in order):
 //!
 //! * **Invariant 9** — partitioned execution is *identical* to sequential
 //!   execution: for generated programs over generated instances, the

@@ -351,9 +351,9 @@ fn latency_quantiles_surface_in_metrics_text() {
 /// The metric-name lint over the workspace's real vocabulary, not only
 /// `arc-trace`'s own test names: a partitioned evaluation, a decorrelated
 /// `EXISTS` and an analyzed index-range scan — each timed, since the
-/// in-evaluation build histograms register only when timed — plus one
-/// pool teardown register every histogram, and then every registered
-/// name must be clean dot-namespaced snake_case, unique across kinds.
+/// in-evaluation build histograms register only when timed — register
+/// every histogram, and then every registered name must be clean
+/// dot-namespaced snake_case, unique across kinds.
 #[test]
 fn the_workspace_metric_vocabulary_passes_the_name_lint() {
     let n = 4096;
@@ -372,8 +372,6 @@ fn the_workspace_metric_vocabulary_passes_the_name_lint() {
         engine(1).eval_collection(&fx::eq1_range(n)).unwrap().len(),
         56
     );
-    // Engines share the process-wide pool, which is never shut down.
-    drop(arc_exec::WorkerPool::new(1));
 
     arc_trace::validate_metric_names().expect("every registered name is clean");
     let snap = arc_trace::snapshot();
@@ -383,7 +381,6 @@ fn the_workspace_metric_vocabulary_passes_the_name_lint() {
         "engine.column.encode",
         "engine.selection.build",
         "engine.semijoin.build",
-        "exec.pool.shutdown_wait",
         "engine.query.latency",
         "exec.morsel.latency",
     ] {
