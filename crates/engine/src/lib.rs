@@ -61,6 +61,7 @@ pub mod explain;
 pub mod external;
 pub mod fixpoint;
 pub mod metrics;
+mod morsel;
 pub mod relation;
 
 pub use catalog::Catalog;

@@ -12,7 +12,7 @@
 //! cache misses (chunk encode, ordered-index build) and the query latency
 //! read their own clock on every run. The full catalog, including the
 //! `plan.*` metrics registered by `arc-plan` and the `exec.*` ones
-//! registered by the partitioned executor (`eval/parallel.rs`), is
+//! registered by the morsel runner (`morsel.rs`), is
 //! documented in the workspace README's Observability section.
 
 use arc_trace::{Counter, Histogram};
