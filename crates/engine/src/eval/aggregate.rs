@@ -16,7 +16,18 @@
 //! ([`folds_from_batch`]), [`Groups::fold_rows`] reads them from the rows
 //! by id — no frame, no `scalar` call, no key built per member. Every
 //! other member — another shape, a denied build's row loop — folds its
-//! environment through [`Groups::fold_env`] into the same table. A
+//! environment through [`Groups::fold_env`] into the same table.
+//!
+//! The batch fold has a typed arm for `Int` cells, taken cell by cell
+//! inside the same loop. A one-column key whose cell is `Int(k)` hashes
+//! `KeyRef::Int(k)` — exactly the `Value` path's hash of that key — and
+//! matches a group whose key is `Key::Int(k)`; an argument cell `Int(v)`
+//! folds through [`Acc::fold_int`] (`count` adds one, `sum`/`avg` add to
+//! the wrapping integer and the float sums, `min`/`max` compare words).
+//! Every other cell — NULL, `Float` (`1.0` is the key `1`, so it finds
+//! and opens the same groups as `Int` `1`), `Str`, `Bool`, a key of two
+//! columns — takes the `Value` path, one member at a time, into the same
+//! table and accumulators, so both arms mix freely within a piece. A
 //! grouping scope never runs partitioned: members fold sequentially, in
 //! enumeration order, at any thread count, so order-sensitive results
 //! (float sums) are exactly what a collect-then-fold would compute.
@@ -141,20 +152,45 @@ impl Acc {
                     None => self.numeric = false,
                 }
             }
-            AggFunc::Min | AggFunc::Max => {
-                let replace = if func == AggFunc::Min {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Less
-                };
-                match &self.extreme {
-                    None => self.extreme = Some(v.clone()),
-                    Some(best) if best.compare(v) == Some(replace) => {
-                        self.extreme = Some(v.clone())
-                    }
-                    Some(_) => {}
-                }
+            AggFunc::Min | AggFunc::Max => self.extreme(func, v),
+        }
+    }
+
+    /// [`Acc::fold`] of `Value::Int(v)`, with no `Value` in hand: the
+    /// same state afterwards, bit for bit.
+    #[inline]
+    fn fold_int(&mut self, func: AggFunc, v: i64) {
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(Key::Int(v)) {
+                return;
             }
+        }
+        self.n += 1;
+        match (func, &mut self.extreme) {
+            (AggFunc::Count, _) => {}
+            (AggFunc::Sum | AggFunc::Avg, _) => {
+                self.ints = self.ints.wrapping_add(v);
+                self.floats += v as f64;
+            }
+            (AggFunc::Min, Some(Value::Int(best))) => *best = v.min(*best),
+            (AggFunc::Max, Some(Value::Int(best))) => *best = v.max(*best),
+            (AggFunc::Min | AggFunc::Max, _) => self.extreme(func, &Value::Int(v)),
+        }
+    }
+
+    /// Fold `v` into the current minimum (`func` is `Min`) or maximum:
+    /// it replaces the extreme only when strictly beyond it, so the first
+    /// of equal or incomparable inputs stays.
+    fn extreme(&mut self, func: AggFunc, v: &Value) {
+        let replace = if func == AggFunc::Min {
+            std::cmp::Ordering::Greater
+        } else {
+            std::cmp::Ordering::Less
+        };
+        match &self.extreme {
+            None => self.extreme = Some(v.clone()),
+            Some(best) if best.compare(v) == Some(replace) => self.extreme = Some(v.clone()),
+            Some(_) => {}
         }
     }
 
@@ -268,18 +304,49 @@ impl<'a> Groups<'a> {
         });
         match found {
             Some(g) => g as usize,
-            None => {
-                let g = self.len;
-                self.len += 1;
-                self.slots.insert(hash, g as u32, |_| false);
-                self.keys.extend((0..nk).map(|j| key(j).to_key()));
-                let before = self.reprs.len();
-                repr(&mut self.reprs);
-                self.width = self.reprs.len() - before;
-                self.accs.extend(aggs.iter().map(Acc::new));
-                g
-            }
+            None => self.open(hash, (0..nk).map(|j| key(j).to_key()), repr, aggs),
         }
+    }
+
+    /// [`Groups::group_of`] of a one-column key `Int(k)`: the same hash
+    /// (`KeyRef::Int(k)` hashed alone), so the same group, whichever path
+    /// opened it — a `Float` `1.0` opens `Key::Int(1)` too.
+    #[inline]
+    fn group_of_int(
+        &mut self,
+        k: i64,
+        repr: impl FnOnce(&mut Vec<Frame<'a>>),
+        aggs: &[AggSpec<'_>],
+    ) -> usize {
+        let hash = hasher().hash_one(KeyRef::Int(k));
+        let keys = &self.keys;
+        match self
+            .slots
+            .find(hash, |g| matches!(keys[g as usize], Key::Int(x) if x == k))
+        {
+            Some(g) => g as usize,
+            None => self.open(hash, std::iter::once(Key::Int(k)), repr, aggs),
+        }
+    }
+
+    /// Open the group of `key` (at `hash`), with the frames `repr`
+    /// appends as its representative.
+    fn open(
+        &mut self,
+        hash: u64,
+        key: impl Iterator<Item = Key>,
+        repr: impl FnOnce(&mut Vec<Frame<'a>>),
+        aggs: &[AggSpec<'_>],
+    ) -> usize {
+        let g = self.len;
+        self.len += 1;
+        self.slots.insert(hash, g as u32, |_| false);
+        self.keys.extend(key);
+        let before = self.reprs.len();
+        repr(&mut self.reprs);
+        self.width = self.reprs.len() - before;
+        self.accs.extend(aggs.iter().map(Acc::new));
+        g
     }
 
     /// Group `g`'s accumulators.
@@ -322,7 +389,10 @@ impl<'a> Groups<'a> {
     /// bound on top of `env` — into their groups, reading every key and
     /// argument (slots and constants only, see [`folds_from_batch`]) where
     /// it is stored: no frame pushed, no `scalar` call, no key built per
-    /// member.
+    /// member. An `Int` cell takes the typed arm — a one-column key
+    /// through [`Groups::group_of_int`], an argument through
+    /// [`Acc::fold_int`] — and every other cell the `Value` path, into
+    /// the same groups and accumulators.
     pub(crate) fn fold_rows(
         &mut self,
         plan: &GroupPlan<'_>,
@@ -332,22 +402,26 @@ impl<'a> Groups<'a> {
         rows: impl Iterator<Item = usize>,
     ) {
         let (keys, aggs, last) = (&plan.keys, &plan.tests.aggs, env.len());
+        let single = match &keys[..] {
+            [k] => Some(k),
+            _ => None,
+        };
         for r in rows {
             let row = &rel.rows[r][..];
-            let g = self.group_of(
-                |j| operand(&keys[j], last, row, env).key_ref(),
-                |reprs| {
-                    reprs.extend_from_slice(&env.frames[base..]);
-                    reprs.push(Frame::Borrowed(row));
-                },
-                aggs,
-            );
+            let repr = |reprs: &mut Vec<Frame<'a>>| {
+                reprs.extend_from_slice(&env.frames[base..]);
+                reprs.push(Frame::Borrowed(row));
+            };
+            let g = match single.map(|k| operand(k, last, row, env)) {
+                Some(&Value::Int(k)) => self.group_of_int(k, repr, aggs),
+                _ => self.group_of(|j| operand(&keys[j], last, row, env).key_ref(), repr, aggs),
+            };
             for (acc, spec) in self.accs_of(g).iter_mut().zip(aggs) {
-                let v = spec
-                    .arg
-                    .as_ref()
-                    .map_or(&ONE, |a| operand(a, last, row, env));
-                acc.fold(spec.func, v);
+                match spec.arg.as_ref().map(|a| operand(a, last, row, env)) {
+                    None => acc.fold_int(spec.func, 1),
+                    Some(&Value::Int(v)) => acc.fold_int(spec.func, v),
+                    Some(v) => acc.fold(spec.func, v),
+                }
             }
         }
     }
@@ -566,5 +640,89 @@ mod tests {
         let vs = [Value::Int(4), Value::str("a"), Value::Int(1)];
         assert!(matches!(fold_all(AggFunc::Min, false, &vs), Value::Int(1)));
         assert!(matches!(fold_all(AggFunc::Max, false, &vs), Value::Int(4)));
+    }
+
+    /// One value for another: same variant, same bits.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        }
+    }
+
+    /// A seeded stream of words (splitmix64).
+    fn words(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn the_typed_int_fold_equals_the_value_fold() {
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        // What a run of `Int`s turns into part-way: `all_int`, then
+        // `numeric` flips, and an extreme stops being an `Int`.
+        let others = [
+            Value::Float(0.5),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Null,
+            Value::str("s"),
+        ];
+        for seed in 0..64 {
+            let mut word = words(seed);
+            // Wrapping sums, and repeats for `distinct` to drop.
+            let ints: Vec<Value> = (0..48)
+                .map(|_| match word() % 6 {
+                    0 => Value::Int(i64::MIN),
+                    1 => Value::Int(i64::MAX),
+                    2 => Value::Int((word() % 7) as i64 - 3),
+                    _ => Value::Int(word() as i64),
+                })
+                .collect();
+            let mut seqs = vec![ints.clone()];
+            for other in &others {
+                let at = (word() % 48) as usize;
+                let mut seq = ints.clone();
+                seq.insert(at, other.clone());
+                seq.insert(at / 2, other.clone());
+                seqs.push(seq);
+            }
+            for seq in &seqs {
+                for func in funcs {
+                    for distinct in [false, true] {
+                        let spec = AggSpec::new(func, distinct, None);
+                        let (mut by_value, mut typed) = (Acc::new(&spec), Acc::new(&spec));
+                        for v in seq {
+                            by_value.fold(func, v);
+                            match v {
+                                Value::Int(i) => typed.fold_int(func, *i),
+                                v => typed.fold(func, v),
+                            }
+                        }
+                        for empty in [EmptyAgg::Null, EmptyAgg::Zero] {
+                            let want = by_value.finish(func, empty);
+                            let got = typed.finish(func, empty);
+                            assert!(
+                                same(&want, &got),
+                                "{func:?} distinct {distinct}, seed {seed}: {want:?} vs {got:?}\n{seq:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

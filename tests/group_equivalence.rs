@@ -15,7 +15,12 @@
 //! * keys of `Int`, of `Float` `1.0` beside `Int` `1` (one group), with
 //!   NULL (NULLs group together), of `Str`, of two columns, of none
 //!   (`γ∅`, also over an empty relation), and a key read from an outer
-//!   frame while the last step is a hash probe (Fig 6a's shape).
+//!   frame while the last step is a hash probe (Fig 6a's shape);
+//! * one piece of fewer than 1 024 rows whose key and argument cells
+//!   switch between `Int` — the fold's typed arm — and every other kind —
+//!   its `Value` arm: a group opened by `Float` `1.0` and then found by
+//!   `Int` `1`, the reverse, and a key column that opens with NULL and a
+//!   `Str`.
 //!
 //! Values compare exactly: same variant, same bits (any NaN matches any
 //! NaN). Float sums are order-sensitive, so this also checks that each
@@ -90,6 +95,42 @@ fn g_row(i: i64) -> Vec<Value> {
     ]
 }
 
+/// Rows of `H`: one piece of the batch fold.
+const H_ROWS: i64 = 1_000;
+
+/// A row of `H`, whose cells switch between `Int` and other kinds from
+/// row to row. `KA`'s integral groups open on a `Float` (row 0 opens `1`
+/// as `1.0`, row 3 opens `0` as `0.0`) and are found by `Int`s; `KB`'s
+/// open on an `Int` (row 0 opens `1`) and are found by `Float`s too; `KC`
+/// opens with NULL and a `Str`, and its `-0.0` is the key `0`.
+fn h_row(i: i64) -> Vec<Value> {
+    let (int, float) = (Value::Int(i % 3), Value::Float((i % 3) as f64));
+    let (ka, kb) = match i % 4 {
+        0 => (Value::Float(1.0), Value::Int(1)),
+        1 => (Value::Int(1), Value::Float(1.0)),
+        2 => (int, float),
+        _ => (float, int),
+    };
+    let kc = match (i, i % 13, i % 17, i % 19) {
+        (0, ..) | (_, 0, ..) => Value::Null,
+        (1, ..) | (_, _, 0, _) => Value::str("c"),
+        (_, _, _, 0) => Value::Float(-0.0),
+        _ => Value::Int(i % 5),
+    };
+    let v = match (i % 5, i % 7, i % 31) {
+        (0, ..) => Value::Null,
+        (_, 0, _) => Value::Float(0.5),
+        (_, _, 30) => Value::str("v"),
+        _ => Value::Int(i * 7 - 3_000),
+    };
+    let w = match i % 6 {
+        0 => Value::Int(i64::MAX),
+        1 => Value::Int(i64::MIN + i),
+        _ => Value::Int(i % 11),
+    };
+    vec![ka, kb, kc, v, w]
+}
+
 fn catalog() -> Catalog {
     let g = Relation::from_rows(
         "G",
@@ -125,8 +166,18 @@ fn catalog() -> Catalog {
             })
             .collect(),
     );
+    let h = Relation::from_rows(
+        "H",
+        &["KA", "KB", "KC", "V", "W"],
+        (0..H_ROWS).map(h_row).collect(),
+    );
     let empty = Relation::from_rows("E", &["A"], Vec::new());
-    let mut c = Catalog::new().with(g).with(emp).with(sal).with(empty);
+    let mut c = Catalog::new()
+        .with(g)
+        .with(emp)
+        .with(sal)
+        .with(h)
+        .with(empty);
     c.analyze();
     c
 }
@@ -243,6 +294,17 @@ fn every_key_shape_groups_as_the_oracle_does() {
     for keys in keys {
         for arg in ["r.I", "r.F", "r.M"] {
             let q = grouped("r ∈ G", keys, &calls(arg), "");
+            assert_groups_match(&catalog, &q);
+        }
+    }
+}
+
+#[test]
+fn int_and_other_cells_in_one_piece_share_their_groups() {
+    let catalog = catalog();
+    for key in ["h.KA", "h.KB", "h.KC"] {
+        for arg in ["h.V", "h.W", "h.KA", "h.KC"] {
+            let q = grouped("h ∈ H", &[key], &calls(arg), "");
             assert_groups_match(&catalog, &q);
         }
     }
