@@ -23,7 +23,8 @@
 //! `KeyRef::Int(k)` — exactly the `Value` path's hash of that key — and
 //! matches a group whose key is `Key::Int(k)`; an argument cell `Int(v)`
 //! folds through [`Acc::fold_int`] (`count` adds one, `sum`/`avg` add to
-//! the wrapping integer and the float sums, `min`/`max` compare words).
+//! the wrapping integer and the float sums, `min`/`max` go through the
+//! shared [`Acc::extreme`]).
 //! Every other cell — NULL, `Float` (`1.0` is the key `1`, so it finds
 //! and opens the same groups as `Int` `1`), `Str`, `Bool`, a key of two
 //! columns — takes the `Value` path, one member at a time, into the same
@@ -166,15 +167,13 @@ impl Acc {
             }
         }
         self.n += 1;
-        match (func, &mut self.extreme) {
-            (AggFunc::Count, _) => {}
-            (AggFunc::Sum | AggFunc::Avg, _) => {
+        match func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
                 self.ints = self.ints.wrapping_add(v);
                 self.floats += v as f64;
             }
-            (AggFunc::Min, Some(Value::Int(best))) => *best = v.min(*best),
-            (AggFunc::Max, Some(Value::Int(best))) => *best = v.max(*best),
-            (AggFunc::Min | AggFunc::Max, _) => self.extreme(func, &Value::Int(v)),
+            AggFunc::Min | AggFunc::Max => self.extreme(func, &Value::Int(v)),
         }
     }
 
